@@ -31,9 +31,8 @@
 //! the scalar one on the smoke population.
 //!
 //! The `sweep_policy` group ablates the sweep *policy* on top of the
-//! dispatched kernel: adaptive vs fixed plane depth, phase-1 block
-//! size, and the parallel block-sweep thread cap (see
-//! [`bench_sweep_policy`]).
+//! dispatched kernel: adaptive vs fixed plane depth and the parallel
+//! block-sweep thread cap (see [`bench_sweep_policy`]).
 //!
 //! `FE_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run that
 //! still executes every cell-width dispatch path (`i16`/`i32`/`i64`),
@@ -424,12 +423,12 @@ fn bench_width_dispatch(c: &mut Criterion) {
 }
 
 /// The sweep-policy ablation on top of the vectorized kernel: adaptive
-/// vs fixed plane depth, phase-1 block size (64/128/256 rows), and the
-/// rayon-chunked parallel block-sweep at 1/2/4 worker threads.
+/// vs fixed plane depth, and the rayon-chunked parallel block-sweep at
+/// 1/2/4 worker threads.
 ///
 /// Every variant must return the same answers as the sequential default
 /// (asserted before timing). Timings land in `BENCH_SMOKE.json`
-/// (`adaptive_f_depth`, `fixed8_nomatch_us`, `blockrows_*_nomatch_us`,
+/// (`adaptive_f_depth`, `fixed8_nomatch_us`,
 /// `parallel_lookup_us_{1,2,4}t`). With `FE_BENCH_GATE` set the run
 /// fails if the adaptive depth loses to the old constant `F = 8`, or if
 /// the parallel path capped at one thread (which must stand down to the
@@ -470,18 +469,6 @@ fn bench_sweep_policy(c: &mut Criterion) {
     assert_eq!(sequential.lookup(&probe), fixed8.lookup(&probe));
     assert_eq!(fixed8.lookup(&miss), None);
 
-    // Phase-1 block size: rows masked per super-block before the
-    // prefetched phase-2 verify pass.
-    let blocks: Vec<(usize, ScanIndex)> = [64usize, 128, 256]
-        .into_iter()
-        .map(|rows| {
-            let idx = build(FilterConfig::default().with_block_rows(rows));
-            assert_eq!(sequential.lookup(&probe), idx.lookup(&probe));
-            assert_eq!(idx.lookup(&miss), None);
-            (rows, idx)
-        })
-        .collect();
-
     // Parallel block-sweep at 1/2/4 worker threads. `forced(1)` must
     // stand down to the sequential sweep (gated below); 2t/4t record
     // whatever scaling the host can actually show.
@@ -508,11 +495,6 @@ fn bench_sweep_policy(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("depth/fixed8", n), |b| {
         b.iter(|| fixed8.lookup(std::hint::black_box(&miss)))
     });
-    for (rows, idx) in &blocks {
-        group.bench_function(BenchmarkId::new("block_rows", rows), |b| {
-            b.iter(|| idx.lookup(std::hint::black_box(&miss)))
-        });
-    }
     for (threads, idx) in &par {
         group.bench_function(BenchmarkId::new("parallel", format!("{threads}t")), |b| {
             b.iter(|| idx.lookup(std::hint::black_box(&miss)))
@@ -530,14 +512,10 @@ fn bench_sweep_policy(c: &mut Criterion) {
     let rounds = 25;
     let mut adaptive_miss = f64::INFINITY;
     let mut fixed8_miss = f64::INFINITY;
-    let mut block_miss = vec![f64::INFINITY; blocks.len()];
     let mut par_miss = vec![f64::INFINITY; par.len()];
     for _ in 0..rounds {
         adaptive_miss = adaptive_miss.min(time_best(1, || sequential.lookup(&miss)).1);
         fixed8_miss = fixed8_miss.min(time_best(1, || fixed8.lookup(&miss)).1);
-        for ((_, idx), best) in blocks.iter().zip(block_miss.iter_mut()) {
-            *best = best.min(time_best(1, || idx.lookup(&miss)).1);
-        }
         for ((_, idx), best) in par.iter().zip(par_miss.iter_mut()) {
             *best = best.min(time_best(1, || idx.lookup(&miss)).1);
         }
@@ -558,9 +536,6 @@ fn bench_sweep_policy(c: &mut Criterion) {
         ("fixed8_nomatch_us".into(), fixed8_miss * 1e6),
         ("hw_threads".into(), hw_threads as f64),
     ];
-    for ((rows, _), best) in blocks.iter().zip(&block_miss) {
-        metrics.push((format!("blockrows_{rows}_nomatch_us"), best * 1e6));
-    }
     for ((threads, _), best) in par.iter().zip(&par_miss) {
         let key = if *threads > 1 && hw_threads == 1 {
             format!("parallel_lookup_us_{threads}t_informational")

@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use crossbeam::epoch::ArcCell;
 
-use super::store::{FilterConfig, RowMask, SketchArena};
+use super::store::{FilterConfig, RowFilter, RowMask, SketchArena};
 use super::{RecordId, SketchIndex};
 
 /// Rows the staging arena may hold before it is frozen into a run
@@ -232,39 +232,6 @@ impl Segment {
         true
     }
 
-    /// The tombstone complement as a scan mask, or `None` when nothing
-    /// was revoked (the common case — scans then skip the mask AND
-    /// entirely and run the plain swept path).
-    fn scan_mask(&self) -> Option<RowMask> {
-        if self.revoked.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        Some(RowMask::from_words(
-            self.tombstones
-                .iter()
-                .map(|w| !w.load(Ordering::SeqCst))
-                .collect(),
-        ))
-    }
-
-    fn find_first(&self, probe: &[i64]) -> Option<usize> {
-        match self.scan_mask() {
-            None => self.arena.find_first(probe),
-            Some(mask) => self
-                .arena
-                .find_at_most_masked(probe, &mask, 1)
-                .first()
-                .copied(),
-        }
-    }
-
-    fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<usize> {
-        match self.scan_mask() {
-            None => self.arena.find_at_most(probe, budget),
-            Some(mask) => self.arena.find_at_most_masked(probe, &mask, budget),
-        }
-    }
-
     fn heap_bytes(&self) -> usize {
         self.arena.heap_bytes()
             + self.tombstones.capacity() * std::mem::size_of::<AtomicU64>()
@@ -308,141 +275,66 @@ struct View<'a> {
 }
 
 impl View<'_> {
-    fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
-        for seg in self.segments {
-            if let Some(row) = seg.find_first(probe) {
-                return Some(seg.ids.id_of(row));
-            }
-        }
-        self.head.find_first(probe).map(|row| self.head_base + row)
-    }
-
-    fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        let mut out = Vec::new();
-        if budget == 0 {
-            return out;
-        }
-        for seg in self.segments {
-            for row in seg.find_at_most(probe, budget - out.len()) {
-                out.push(seg.ids.id_of(row));
-            }
-            if out.len() >= budget {
-                return out;
-            }
-        }
-        for row in self.head.find_at_most(probe, budget - out.len()) {
-            out.push(self.head_base + row);
-        }
-        out
-    }
-
-    fn find_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        let mut out = Vec::new();
-        if budget == 0 || subset.is_empty() {
-            return out;
-        }
-        for seg in self.segments {
-            let mut mask = RowMask::new();
-            let mut any = false;
-            for &id in subset {
-                if let Some(row) = seg.ids.row_of(id, seg.rows()) {
-                    if !seg.is_tombstoned(row) {
-                        mask.insert(row);
-                        any = true;
-                    }
-                }
-            }
-            if any {
-                for row in self.find_masked(&seg.arena, probe, &mask, budget - out.len()) {
-                    out.push(seg.ids.id_of(row));
-                }
-                if out.len() >= budget {
-                    return out;
-                }
-            }
-        }
-        let mut mask = RowMask::new();
-        let mut any = false;
-        for &id in subset {
-            if id >= self.head_base && id - self.head_base < self.head.rows() {
-                mask.insert(id - self.head_base);
-                any = true;
-            }
-        }
-        if any {
-            for row in self.find_masked(self.head, probe, &mask, budget - out.len()) {
-                out.push(self.head_base + row);
-            }
-        }
-        out
-    }
-
-    fn find_masked(
+    /// The one tier walk behind every lookup: for each probe, its
+    /// `budget` lowest live matching ids, ascending, optionally only
+    /// among `subset`. Tiers hold ascending, disjoint id ranges, so
+    /// each tier serves the probes still short of their budget with
+    /// **one** arena sweep — however many probes there are and whether
+    /// or not the tier has tombstones, whose words the sweep reads in
+    /// place — and appending tier after tier keeps every list ascending.
+    fn sweep(
         &self,
-        arena: &SketchArena,
-        probe: &[i64],
-        mask: &RowMask,
+        probes: &[&[i64]],
+        subset: Option<&[RecordId]>,
         budget: usize,
-    ) -> Vec<usize> {
-        arena.find_at_most_masked(probe, mask, budget)
-    }
-
-    fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        let mut out: Vec<Option<RecordId>> = vec![None; probes.len()];
-        // Probes still unresolved after the segments scanned so far;
-        // each segment serves the survivors with ONE multi-query pass
-        // (tombstone-free case) so the batch costs one sweep per tier,
-        // not one per probe.
+    ) -> Vec<Vec<RecordId>> {
+        let mut out = vec![Vec::new(); probes.len()];
         let mut open: Vec<usize> = (0..probes.len()).collect();
-        let mut scratch: Vec<Vec<i64>> = Vec::new();
-        for seg in self.segments {
-            if open.is_empty() {
-                return out;
-            }
-            match seg.scan_mask() {
-                None => {
-                    let found = if open.len() == probes.len() {
-                        seg.arena.find_first_batch(probes)
-                    } else {
-                        scratch.clear();
-                        scratch.extend(open.iter().map(|&p| probes[p].clone()));
-                        seg.arena.find_first_batch(&scratch)
-                    };
-                    for (&slot, row) in open.iter().zip(found) {
-                        if let Some(row) = row {
-                            out[slot] = Some(seg.ids.id_of(row));
-                        }
-                    }
-                }
-                Some(mask) => {
-                    for &slot in &open {
-                        if let Some(&row) = seg
-                            .arena
-                            .find_at_most_masked(&probes[slot], &mask, 1)
-                            .first()
-                        {
-                            out[slot] = Some(seg.ids.id_of(row));
-                        }
-                    }
-                }
-            }
-            open.retain(|&p| out[p].is_none());
-        }
-        if !open.is_empty() {
-            let found = if open.len() == probes.len() {
-                self.head.find_first_batch(probes)
-            } else {
-                scratch.clear();
-                scratch.extend(open.iter().map(|&p| probes[p].clone()));
-                self.head.find_first_batch(&scratch)
+        for tier in 0..=self.segments.len() {
+            // Every open probe still lacks at least `budget - found`.
+            let Some(found) = open.iter().map(|&p| out[p].len()).min() else {
+                break;
             };
-            for (&slot, row) in open.iter().zip(found) {
-                if let Some(row) = row {
-                    out[slot] = Some(self.head_base + row);
+            let seg = self.segments.get(tier); // `None`: the head
+            let arena = seg.map_or(self.head, |s| &s.arena);
+            let mask = subset.map(|ids| {
+                RowMask::from_rows(ids.iter().filter_map(|&id| match seg {
+                    Some(s) => s.ids.row_of(id, s.rows()).filter(|&r| !s.is_tombstoned(r)),
+                    None => id.checked_sub(self.head_base).filter(|&r| r < arena.rows()),
+                }))
+            });
+            if mask.as_ref().is_some_and(RowMask::is_empty) {
+                continue;
+            }
+            let rows = match (&mask, seg) {
+                (Some(mask), _) => RowFilter::Only(mask.words()),
+                (None, Some(s)) if s.revoked.load(Ordering::SeqCst) > 0 => {
+                    RowFilter::Except(&s.tombstones)
+                }
+                _ => RowFilter::All,
+            };
+            let refs: Vec<&[i64]> = open.iter().map(|&p| probes[p]).collect();
+            for (k, row) in arena.sweep(&refs, rows, budget - found) {
+                let hits = &mut out[open[k]];
+                if hits.len() < budget {
+                    hits.push(seg.map_or(self.head_base + row, |s| s.ids.id_of(row)));
                 }
             }
+            open.retain(|&p| out[p].len() < budget);
         }
         out
+    }
+
+    /// [`View::sweep`] for one probe.
+    fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
+        self.sweep(&[probe], subset, budget).swap_remove(0)
+    }
+
+    /// [`View::sweep`] for a batch of lowest-id lookups.
+    fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
+        let refs: Vec<&[i64]> = probes.iter().map(Vec::as_slice).collect();
+        let hits = self.sweep(&refs, None, 1);
+        hits.iter().map(|h| h.first().copied()).collect()
     }
 }
 
@@ -509,7 +401,12 @@ impl IndexReader for EpochReader {
     }
 
     fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
-        self.cell.load().view().find_first(probe)
+        self.cell
+            .load()
+            .view()
+            .find(probe, None, 1)
+            .first()
+            .copied()
     }
 
     fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
@@ -517,14 +414,11 @@ impl IndexReader for EpochReader {
     }
 
     fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        self.cell.load().view().find_at_most(probe, budget)
+        self.cell.load().view().find(probe, None, budget)
     }
 
     fn find_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        self.cell
-            .load()
-            .view()
-            .find_in_subset(probe, subset, budget)
+        self.cell.load().view().find(probe, Some(subset), budget)
     }
 }
 
@@ -829,19 +723,19 @@ impl SketchIndex for EpochIndex {
     }
 
     fn lookup(&self, probe: &[i64]) -> Option<RecordId> {
-        self.view().find_first(probe)
+        self.view().find(probe, None, 1).first().copied()
     }
 
     fn lookup_all(&self, probe: &[i64]) -> Vec<RecordId> {
-        self.view().find_at_most(probe, usize::MAX)
+        self.view().find(probe, None, usize::MAX)
     }
 
     fn lookup_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        self.view().find_at_most(probe, budget)
+        self.view().find(probe, None, budget)
     }
 
     fn lookup_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        self.view().find_in_subset(probe, subset, budget)
+        self.view().find(probe, Some(subset), budget)
     }
 
     fn lookup_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {

@@ -45,8 +45,8 @@ pub use epoch::{EpochIndex, EpochRead, EpochReader, IndexReader, Segment, Segmen
 pub use scan::ScanIndex;
 pub use sharded::{ShardedIndex, ShardedReader};
 pub use store::{
-    CellWidth, Combine, FilterConfig, FilterKernel, PairedArena, ParallelConfig, PlaneDepth,
-    PlaneWidth, RowMask, SketchArena,
+    CellWidth, FilterConfig, FilterKernel, ParallelConfig, PlaneDepth, PlaneWidth, RowMask,
+    SketchArena,
 };
 
 /// A unique record handle assigned by the index.

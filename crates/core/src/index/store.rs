@@ -27,7 +27,7 @@
 //!   compaction passes never clone the whole population.
 //!
 //! The per-coordinate test itself lives here too, as a slice kernel
-//! (`rows_match`) dispatched per cell width: normalization makes the
+//! (`rows_match`) generic over the cell width: normalization makes the
 //! cyclic-distance check branch-free (`min(d, ka − d) ≤ t` with no
 //! `%`), which is exactly the [`crate::conditions::cyclic_close`]
 //! predicate — the equivalence is property-tested in
@@ -47,194 +47,39 @@
 //! dimensions on the row-major buffer. See [`FilterConfig`] for the
 //! knob and `DESIGN.md` for the lane math; rings whose cells are wider
 //! than `i16` bypass the plane and use the scalar kernel unchanged.
+//!
+//! # One sweep, four files
+//!
+//! Every lookup — lowest id, all matches, a bounded count, a row
+//! subset, a batch of probes — is one driver with three inputs
+//! (`SketchArena::sweep(probes, rows, budget)` in `sweep`); the public
+//! `find_*` names only choose them. This file holds the arena and its
+//! configuration; `cells` the width-typed column buffer and the scalar
+//! match kernel, `plane` the prefilter plane and its depth/width model,
+//! `kernels` the isolated SIMD backends.
+
+mod cells;
+mod kernels;
+mod plane;
+mod sweep;
+
+pub use cells::CellWidth;
+pub(crate) use sweep::RowFilter;
+pub use sweep::RowMask;
 
 use super::RecordId;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Cell type a [`SketchArena`] stores coordinates in, chosen from the
-/// ring circumference `ka` at construction (see
-/// [`CellWidth::for_ring`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellWidth {
-    /// 2-byte cells: `ka < 2¹⁵` (the paper's `ka = 400` lands here).
-    I16,
-    /// 4-byte cells: `ka < 2³¹`.
-    I32,
-    /// 8-byte cells: everything else.
-    I64,
-}
-
-impl CellWidth {
-    /// The narrowest cell that can hold every canonical representative
-    /// of `Z_ka` (values in `[−ka/2, ka/2]`).
-    pub fn for_ring(ka: u64) -> CellWidth {
-        if ka < 1 << 15 {
-            CellWidth::I16
-        } else if ka < 1 << 31 {
-            CellWidth::I32
-        } else {
-            CellWidth::I64
-        }
-    }
-
-    /// Bytes per stored coordinate.
-    pub fn cell_bytes(self) -> usize {
-        match self {
-            CellWidth::I16 => 2,
-            CellWidth::I32 => 4,
-            CellWidth::I64 => 8,
-        }
-    }
-}
-
-/// A coordinate cell: the width-generic bound of the match kernel.
-trait Cell: Copy {
-    fn widen(self) -> i64;
-    fn narrow(v: i64) -> Self;
-    /// `|a − b|` as a `u64`, exact for every canonical value of this
-    /// width. Narrow cells cannot overflow an `i64` subtraction; `i64`
-    /// cells can (canonical values reach `±(2⁶³ − 1)` when
-    /// `ka > 2⁶³`), so only that width pays for an `i128` widen.
-    fn abs_diff_cells(a: Self, b: Self) -> u64;
-}
-
-impl Cell for i16 {
-    fn widen(self) -> i64 {
-        i64::from(self)
-    }
-    fn narrow(v: i64) -> i16 {
-        v as i16
-    }
-    fn abs_diff_cells(a: i16, b: i16) -> u64 {
-        (i64::from(a) - i64::from(b)).unsigned_abs()
-    }
-}
-
-impl Cell for i32 {
-    fn widen(self) -> i64 {
-        i64::from(self)
-    }
-    fn narrow(v: i64) -> i32 {
-        v as i32
-    }
-    fn abs_diff_cells(a: i32, b: i32) -> u64 {
-        (i64::from(a) - i64::from(b)).unsigned_abs()
-    }
-}
-
-impl Cell for i64 {
-    fn widen(self) -> i64 {
-        self
-    }
-    fn narrow(v: i64) -> i64 {
-        v
-    }
-    fn abs_diff_cells(a: i64, b: i64) -> u64 {
-        (i128::from(a) - i128::from(b)).unsigned_abs() as u64
-    }
-}
-
-/// The one column buffer, typed by the arena's cell width.
-#[derive(Debug, Clone)]
-enum Cells {
-    I16(Vec<i16>),
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-}
-
-impl Cells {
-    fn with_capacity(width: CellWidth, cells: usize) -> Cells {
-        match width {
-            CellWidth::I16 => Cells::I16(Vec::with_capacity(cells)),
-            CellWidth::I32 => Cells::I32(Vec::with_capacity(cells)),
-            CellWidth::I64 => Cells::I64(Vec::with_capacity(cells)),
-        }
-    }
-
-    fn capacity_bytes(&self) -> usize {
-        match self {
-            Cells::I16(v) => v.capacity() * 2,
-            Cells::I32(v) => v.capacity() * 4,
-            Cells::I64(v) => v.capacity() * 8,
-        }
-    }
-
-    fn reserve(&mut self, cells: usize) {
-        match self {
-            Cells::I16(v) => v.reserve(cells),
-            Cells::I32(v) => v.reserve(cells),
-            Cells::I64(v) => v.reserve(cells),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Cells::I16(v) => v.clear(),
-            Cells::I32(v) => v.clear(),
-            Cells::I64(v) => v.clear(),
-        }
-    }
-
-    fn truncate(&mut self, cells: usize) {
-        match self {
-            Cells::I16(v) => v.truncate(cells),
-            Cells::I32(v) => v.truncate(cells),
-            Cells::I64(v) => v.truncate(cells),
-        }
-    }
-
-    fn len_cells(&self) -> usize {
-        match self {
-            Cells::I16(v) => v.len(),
-            Cells::I32(v) => v.len(),
-            Cells::I64(v) => v.len(),
-        }
-    }
-
-    /// The column buffer as little-endian bytes, in storage order —
-    /// the sealed-segment frame payload.
-    fn to_le_bytes(&self) -> Vec<u8> {
-        match self {
-            Cells::I16(v) => v.iter().flat_map(|c| c.to_le_bytes()).collect(),
-            Cells::I32(v) => v.iter().flat_map(|c| c.to_le_bytes()).collect(),
-            Cells::I64(v) => v.iter().flat_map(|c| c.to_le_bytes()).collect(),
-        }
-    }
-
-    /// Rebuilds a column buffer from little-endian bytes. `None` when
-    /// the byte count is not a whole number of cells.
-    fn from_le_bytes(width: CellWidth, bytes: &[u8]) -> Option<Cells> {
-        if !bytes.len().is_multiple_of(width.cell_bytes()) {
-            return None;
-        }
-        Some(match width {
-            CellWidth::I16 => Cells::I16(
-                bytes
-                    .chunks_exact(2)
-                    .map(|b| i16::from_le_bytes([b[0], b[1]]))
-                    .collect(),
-            ),
-            CellWidth::I32 => Cells::I32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect(),
-            ),
-            CellWidth::I64 => Cells::I64(
-                bytes
-                    .chunks_exact(8)
-                    .map(|b| i64::from_le_bytes(b.try_into().expect("chunk of 8")))
-                    .collect(),
-            ),
-        })
-    }
-}
+use cells::{canonical_fast, canonical_range, rows_match, Cell, Cells};
+use kernels::ActiveKernel;
+#[cfg(target_arch = "x86_64")]
+use kernels::{avx2, avx512};
+use plane::{
+    adaptive_depth, adaptive_depth_for_rate, byte_plane_eligible, quantize_ring, FilterPlane,
+    PlaneRepr,
+};
 
 /// How (and whether) a [`SketchArena`] builds its SWAR/SIMD prefilter
-/// plane for the conditions (1)–(4) scan, and how a scan is allowed to
-/// use the machine (verify block size, multi-core fan-out).
+/// plane for the conditions (1)–(4) scan, and whether a scan may fan
+/// out across cores.
 ///
 /// The plane stores the leading [`PlaneDepth`] coordinates of every
 /// row dimension-major (one contiguous packed lane per dimension) so
@@ -254,14 +99,6 @@ pub struct FilterConfig {
     pub depth: PlaneDepth,
     /// Which vector kernel scans the plane.
     pub kernel: FilterKernel,
-    /// Rows per phase-1/phase-2 super-block: the scan computes phase-1
-    /// candidate masks for this many rows ahead — software-prefetching
-    /// each survivor's verify cells as its mask comes out — before
-    /// exact-verifying the group, hiding phase-2 cache misses behind
-    /// phase-1 compute. Rounded to a multiple of 64 and clamped to
-    /// `64..=256`; default [`FilterConfig::DEFAULT_BLOCK_ROWS`] (the
-    /// `storage_ablation` bench sweeps 64/128/256).
-    pub block_rows: usize,
     /// Multi-core fan-out policy for arena sweeps.
     pub parallel: ParallelConfig,
     /// Lane width of the plane cells (see [`PlaneWidth`]): 16-bit exact
@@ -394,11 +231,6 @@ impl FilterConfig {
     /// rejection gain.
     pub const MAX_ADAPTIVE_DIMS: usize = 16;
 
-    /// Default [`FilterConfig::block_rows`]: picked by the
-    /// `storage_ablation` block-size sweep (128 rows keeps the
-    /// prefetch window ahead of the verify loop without thrashing L1).
-    pub const DEFAULT_BLOCK_ROWS: usize = 128;
-
     /// A disabled prefilter: every lookup takes the scalar early-abort
     /// kernel, as before the plane existed.
     pub fn disabled() -> FilterConfig {
@@ -430,13 +262,6 @@ impl FilterConfig {
         self
     }
 
-    /// Replaces the phase-1/phase-2 super-block size (rows).
-    #[must_use]
-    pub fn with_block_rows(mut self, block_rows: usize) -> FilterConfig {
-        self.block_rows = block_rows;
-        self
-    }
-
     /// Replaces the multi-core fan-out policy.
     #[must_use]
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> FilterConfig {
@@ -457,1450 +282,10 @@ impl Default for FilterConfig {
         FilterConfig {
             depth: PlaneDepth::Adaptive,
             kernel: FilterKernel::Auto,
-            block_rows: Self::DEFAULT_BLOCK_ROWS,
             parallel: ParallelConfig::default(),
             width: PlaneWidth::Auto,
         }
     }
-}
-
-/// Resolves [`PlaneDepth::Adaptive`] for a ring: the smallest depth
-/// whose expected survivor rate clears 1/128, capped at
-/// [`FilterConfig::MAX_ADAPTIVE_DIMS`]; `0` when a lane could never
-/// reject (`2·t_eff+1 ≥ ka`). Computed by repeated multiplication
-/// rather than a log ratio so boundary cases (exact powers of the pass
-/// rate) resolve deterministically.
-fn adaptive_depth(t: u64, ka: u64) -> usize {
-    let t_eff = t.min(ka / 2);
-    // Coordinates passing one lane: the 2·t_eff+1 residues within
-    // cyclic distance t_eff (no overflow: t_eff ≤ ka/2).
-    adaptive_depth_for_rate(2 * t_eff + 1, ka)
-}
-
-/// The shared depth model behind [`adaptive_depth`], parameterized by
-/// the per-lane acceptance count over an arbitrary ring: the 16-bit
-/// plane passes `2·t_eff+1` of `ka` residues, the quantized byte plane
-/// passes `2·t_q+1` of `⌈ka/q⌉` buckets.
-fn adaptive_depth_for_rate(passing: u64, ring: u64) -> usize {
-    if passing >= ring {
-        return 0;
-    }
-    let rate = passing as f64 / ring as f64;
-    const TARGET: f64 = 1.0 / 128.0;
-    let mut depth = 1usize;
-    let mut survivors = rate;
-    while survivors > TARGET && depth < FilterConfig::MAX_ADAPTIVE_DIMS {
-        survivors *= rate;
-        depth += 1;
-    }
-    depth
-}
-
-/// The byte plane's quantization for a ring with `ka < 2¹⁵`:
-/// `(q, kq, tq)` where `q = ⌈ka/256⌉` is the bucket width (1 when the
-/// ring already fits a byte), `kq = ⌈ka/q⌉` the bucket count, and `tq`
-/// the conservative bucket-distance threshold. With `t' = min(t, ka/2)`
-/// the exact residue test `|a − b|_cyc ≤ t'` implies the bucket test
-/// `|a/q − b/q|_cyc ≤ ⌈t'/q⌉ + 1` (bucketing moves each endpoint by
-/// < q, and the wrap-around leg over `kq` buckets shrinks by at most
-/// one extra bucket when `q ∤ ka`), so `tq = ⌈t'/q⌉ + 1` over-accepts
-/// and never over-rejects; `q = 1` needs no slack and keeps `t'`.
-fn quantize_ring(t: u64, ka: u64) -> (u16, u16, u16) {
-    debug_assert!(ka < 1 << 15);
-    let t_eff = t.min(ka / 2) as u16;
-    let ka16 = ka as u16;
-    let q = ka16.div_ceil(256).max(1);
-    let kq = ka16.div_ceil(q);
-    let tq = if q == 1 {
-        t_eff
-    } else {
-        (t_eff.div_ceil(q) + 1).min(kq / 2)
-    };
-    (q, kq, tq)
-}
-
-/// Whether the quantized byte plane can reject anything on this ring:
-/// a bucket lane passes `2·t_q+1` of `kq` buckets, so once that count
-/// reaches `kq` the plane is pure overhead and [`PlaneWidth::Auto`] /
-/// [`PlaneWidth::U8`] fall back to the exact 16-bit plane. Wider rings
-/// (`ka ≥ 2¹⁵`) never build any plane, so they are never eligible.
-fn byte_plane_eligible(t: u64, ka: u64) -> bool {
-    if ka >= 1 << 15 {
-        return false;
-    }
-    let (_, kq, tq) = quantize_ring(t, ka);
-    2 * u64::from(tq) + 1 < u64::from(kq)
-}
-
-/// `0x0001` in every 16-bit lane: broadcasts a lane value by
-/// multiplication.
-const LANES: u64 = 0x0001_0001_0001_0001;
-/// The spare most-significant bit of every 16-bit lane. Plane values
-/// are residues in `[0, ka)` with `ka < 2¹⁵`, so this bit is always
-/// free to carry per-lane comparison results without cross-lane
-/// borrows.
-const MSBS: u64 = 0x8000_8000_8000_8000;
-
-/// Largest phase-1/phase-2 super-block, in 64-row liveness words
-/// (= [`FilterConfig::block_rows`] 256 — the mask buffer lives on the
-/// stack).
-const MAX_BLOCK_WORDS: usize = 4;
-
-/// The vector kernel actually chosen for a scan, after runtime feature
-/// detection resolved [`FilterKernel::Auto`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ActiveKernel {
-    Swar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "aarch64")]
-    Neon,
-}
-
-/// One probe's prefilter state, borrowed from the scan scratch: the
-/// biased residues of its leading plane coordinates, and the same
-/// values broadcast across SWAR lanes.
-#[derive(Clone, Copy)]
-struct ProbeFilter<'a> {
-    biased: &'a [u16],
-    bcast: &'a [u64],
-}
-
-/// A caller-supplied row subset for masked sweeps, stored exactly like
-/// the arena's liveness bitmap (one bit per row, 64 rows per word) so
-/// the scan kernels can AND it into the liveness word for free.
-///
-/// Used by [`SketchArena::find_at_most_masked`] and the index-level
-/// subset lookups: compile an id set once, then every sweep touches
-/// only the masked rows — wholly-unmasked 64-row blocks are skipped
-/// with a single word load, before any phase-1 work.
-///
-/// ```rust
-/// use fe_core::index::store::RowMask;
-///
-/// let mask = RowMask::from_rows([3usize, 64, 200]);
-/// assert!(mask.contains(64));
-/// assert!(!mask.contains(4));
-/// assert_eq!(mask.len(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowMask {
-    words: Vec<u64>,
-}
-
-impl RowMask {
-    /// An empty mask (no rows selected).
-    pub fn new() -> RowMask {
-        RowMask::default()
-    }
-
-    /// Builds a mask from an iterator of row ids.
-    pub fn from_rows(rows: impl IntoIterator<Item = usize>) -> RowMask {
-        let mut mask = RowMask::new();
-        for row in rows {
-            mask.insert(row);
-        }
-        mask
-    }
-
-    /// Builds a mask directly from packed bitmap words (liveness-word
-    /// layout: bit `r % 64` of word `r / 64` selects row `r`). The
-    /// epoch segment scan compiles its tombstone complement this way.
-    pub(crate) fn from_words(words: Vec<u64>) -> RowMask {
-        RowMask { words }
-    }
-
-    /// Selects a row (idempotent).
-    pub fn insert(&mut self, row: usize) {
-        let word = row / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1 << (row % 64);
-    }
-
-    /// Is the row selected?
-    pub fn contains(&self, row: usize) -> bool {
-        self.words
-            .get(row / 64)
-            .is_some_and(|w| w & (1 << (row % 64)) != 0)
-    }
-
-    /// Number of selected rows.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `true` when no rows are selected.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The packed bitmap words (liveness-word layout).
-    fn words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
-/// Bounds and control for one sweep over a row range: which liveness
-/// words to walk, the first eligible row, the phase-1/phase-2
-/// super-block size, and (on parallel sweeps) the shared
-/// lowest-match-so-far row for early cancellation.
-#[derive(Clone)]
-struct SweepCtl<'a> {
-    /// Liveness-word range `[start, end)` to sweep.
-    words: std::ops::Range<usize>,
-    /// Rows below this never match (the `find_from` resume point).
-    from_row: usize,
-    /// Super-block size in 64-row liveness words (1, 2 or 4).
-    block_words: usize,
-    /// Lowest matching row found by *any* chunk of a parallel sweep:
-    /// a block whose rows all sit at or above it can be skipped
-    /// without changing the lowest-id result.
-    cancel: Option<&'a AtomicUsize>,
-    /// Caller-supplied row subset, one bit per row like the liveness
-    /// bitmap: rows whose bit is clear are never visited (the phase-1
-    /// kernels AND it into the liveness word, so masked-out rows cost
-    /// nothing). Words past the mask's end are wholly masked out.
-    mask: Option<&'a [u64]>,
-}
-
-impl SweepCtl<'_> {
-    /// The sweepable bits of liveness word `word_idx`: the stored word
-    /// ANDed with the caller's row mask, when one is set.
-    #[inline]
-    fn masked_word(&self, word_idx: usize, live: u64) -> u64 {
-        match self.mask {
-            Some(mask) => live & mask.get(word_idx).copied().unwrap_or(0),
-            None => live,
-        }
-    }
-}
-
-impl<'a> SweepCtl<'a> {
-    /// `true` when every row from `start_row` on is already beaten by
-    /// the shared best match. Relaxed load: the value is a monotonic
-    /// row id used only to skip work, and the final result is read
-    /// after the pool latch synchronizes.
-    #[inline]
-    fn cancelled(&self, start_row: usize) -> bool {
-        self.cancel
-            .is_some_and(|best| best.load(Ordering::Relaxed) <= start_row)
-    }
-}
-
-/// The AVX2 prefilter kernel, one of the crate's three isolated
-/// `unsafe` ISA modules (see also [`avx512`] and [`neon`]): the
-/// intrinsic body itself is safe inside the `#[target_feature]`
-/// function (no pointer dereferences — loads go through
-/// `_mm256_set_epi64x` on bounds-checked slice reads), and the one
-/// `unsafe` call site is guarded by an `is_x86_feature_detected!`
-/// assertion, so the target-feature contract can never be violated.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx2 {
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_cmpeq_epi16, _mm256_cmpeq_epi8, _mm256_min_epu16,
-        _mm256_min_epu8, _mm256_movemask_epi8, _mm256_or_si256, _mm256_set1_epi16,
-        _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256, _mm256_sub_epi16,
-        _mm256_sub_epi8, _mm256_subs_epu16, _mm256_subs_epu8, _mm256_testz_si256,
-    };
-
-    /// Compacts the even bits of a 32-bit mask into 16 bits (AVX2's
-    /// byte-granular `movemask` emits two identical bits per 16-bit
-    /// lane).
-    fn even_bits(m: u32) -> u16 {
-        let mut x = u64::from(m) & 0x5555_5555;
-        x = (x | (x >> 1)) & 0x3333_3333;
-        x = (x | (x >> 2)) & 0x0F0F_0F0F;
-        x = (x | (x >> 4)) & 0x00FF_00FF;
-        x = (x | (x >> 8)) & 0x0000_FFFF;
-        x as u16
-    }
-
-    /// `true` once per process: does this CPU have AVX2?
-    pub fn available() -> bool {
-        // `is_x86_feature_detected!` caches in a relaxed atomic, so
-        // per-call cost is a load and a branch.
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// Prefilters 16 rows (plane words `wi .. wi+4` of every lane)
-    /// against a probe, returning one bit per passing row.
-    ///
-    /// # Panics
-    /// Panics when AVX2 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn quad(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
-        assert!(available(), "AVX2 kernel dispatched without AVX2");
-        // SAFETY: the avx2 target feature was just verified above.
-        unsafe { quad_avx2(lanes, biased, t, ka, wi) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn quad_avx2(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
-        let zero = _mm256_setzero_si256();
-        let tv = _mm256_set1_epi16(t as i16);
-        let kav = _mm256_set1_epi16(ka as i16);
-        let mut acc = _mm256_set1_epi16(-1);
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 16 rows of this dimension: 4 packed u64 words, lane 0 of
-            // word `wi` = row `4·wi`. Little-endian lane order matches
-            // `movemask` bit order.
-            let v: __m256i = _mm256_set_epi64x(
-                lane[wi + 3] as i64,
-                lane[wi + 2] as i64,
-                lane[wi + 1] as i64,
-                lane[wi] as i64,
-            );
-            let p = _mm256_set1_epi16(pb as i16);
-            // |a − b| on unsigned residues: one of the saturating
-            // differences is zero, the other the distance.
-            let diff = _mm256_or_si256(_mm256_subs_epu16(v, p), _mm256_subs_epu16(p, v));
-            // Cyclic distance min(d, ka − d); ka − d ∈ [1, ka] fits.
-            let cyc = _mm256_min_epu16(diff, _mm256_sub_epi16(kav, diff));
-            // cyc ≤ t ⟺ saturating cyc − t == 0.
-            let pass = _mm256_cmpeq_epi16(_mm256_subs_epu16(cyc, tv), zero);
-            acc = _mm256_and_si256(acc, pass);
-            if _mm256_testz_si256(acc, acc) == 1 {
-                return 0;
-            }
-        }
-        even_bits(_mm256_movemask_epi8(acc) as u32)
-    }
-
-    /// Prefilters 32 rows of a quantized byte plane (plane words
-    /// `wi .. wi+4` of every lane) against a probe's bucket values,
-    /// returning one bit per passing row — twice [`quad`]'s rows per
-    /// step, and the byte-granular `movemask` is the row mask directly
-    /// (no even-bit compaction).
-    ///
-    /// # Panics
-    /// Panics when AVX2 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn quad8(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        assert!(available(), "AVX2 kernel dispatched without AVX2");
-        // SAFETY: the avx2 target feature was just verified above.
-        unsafe { quad8_avx2(lanes, biased, t, ka, wi) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn quad8_avx2(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        let zero = _mm256_setzero_si256();
-        let tv = _mm256_set1_epi8(t as i8);
-        // `ka` is the bucket count ≤ 256; 256 wraps to 0, which is
-        // still correct below: only d = 0 reaches the wrapped lane
-        // (buckets are < ka, so d ≤ ka − 1), and d = 0 always passes.
-        let kav = _mm256_set1_epi8(ka as u8 as i8);
-        let mut acc = _mm256_set1_epi8(-1);
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 32 rows of this dimension: 4 packed u64 words, 8 bucket
-            // bytes each. Little-endian byte order matches `movemask`
-            // bit order.
-            let v: __m256i = _mm256_set_epi64x(
-                lane[wi + 3] as i64,
-                lane[wi + 2] as i64,
-                lane[wi + 1] as i64,
-                lane[wi] as i64,
-            );
-            let p = _mm256_set1_epi8(pb as u8 as i8);
-            // Same shape as the u16 kernel, one byte per row: |a − b|,
-            // cyclic min(d, ka − d), then d ≤ t via saturating − t.
-            let diff = _mm256_or_si256(_mm256_subs_epu8(v, p), _mm256_subs_epu8(p, v));
-            let cyc = _mm256_min_epu8(diff, _mm256_sub_epi8(kav, diff));
-            let pass = _mm256_cmpeq_epi8(_mm256_subs_epu8(cyc, tv), zero);
-            acc = _mm256_and_si256(acc, pass);
-            if _mm256_testz_si256(acc, acc) == 1 {
-                return 0;
-            }
-        }
-        _mm256_movemask_epi8(acc) as u32
-    }
-}
-
-/// The AVX-512 prefilter kernel: 32 rows per iteration (8 contiguous
-/// packed `u64` lane words per 512-bit load), with native `__mmask32`
-/// comparison results instead of AVX2's movemask-and-compact dance.
-/// Uses only `avx512f` + `avx512bw` — no VBMI — so it runs on every
-/// AVX-512 server core back to Skylake-SP. Isolated `unsafe`, same
-/// soundness argument as [`avx2`]: the dispatch is gated on runtime
-/// detection, and the one raw load is bounds-checked by a slice first.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx512 {
-    use std::arch::x86_64::{
-        _mm512_loadu_si512, _mm512_min_epu16, _mm512_min_epu8, _mm512_or_si512, _mm512_set1_epi16,
-        _mm512_set1_epi8, _mm512_sub_epi16, _mm512_sub_epi8, _mm512_subs_epu16, _mm512_subs_epu8,
-    };
-
-    /// `true` once per process: does this CPU have the foundation +
-    /// byte/word AVX-512 subsets the kernel needs?
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-    }
-
-    /// Prefilters 32 rows (plane words `wi .. wi+8` of every lane)
-    /// against a probe, returning one bit per passing row.
-    ///
-    /// # Panics
-    /// Panics when AVX-512 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn octo(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        assert!(available(), "AVX-512 kernel dispatched without AVX-512");
-        // SAFETY: the avx512f/avx512bw target features were just
-        // verified above.
-        unsafe { octo_avx512(lanes, biased, t, ka, wi) }
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo_avx512(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        let tv = _mm512_set1_epi16(t as i16);
-        let kav = _mm512_set1_epi16(ka as i16);
-        let mut acc: u32 = !0;
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 32 rows of this dimension: 8 packed u64 words, contiguous
-            // in the lane, so one unaligned 512-bit load covers them.
-            // Little-endian element order matches the mask bit order.
-            let words = &lane[wi..wi + 8];
-            // SAFETY: the bounds-checked slice above spans exactly the
-            // 64 bytes the unaligned load reads.
-            let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
-            let p = _mm512_set1_epi16(pb as i16);
-            // Same lane algebra as the AVX2 kernel, with native mask
-            // registers for the ≤ comparison.
-            let diff = _mm512_or_si512(_mm512_subs_epu16(v, p), _mm512_subs_epu16(p, v));
-            let cyc = _mm512_min_epu16(diff, _mm512_sub_epi16(kav, diff));
-            acc &= std::arch::x86_64::_mm512_cmple_epu16_mask(cyc, tv);
-            if acc == 0 {
-                return 0;
-            }
-        }
-        acc
-    }
-
-    /// Prefilters 64 rows of a quantized byte plane (plane words
-    /// `wi .. wi+8` of every lane) against a probe's bucket values,
-    /// returning one bit per passing row: a whole 64-row liveness
-    /// block's candidate mask from one `cmple_epu8` per dimension —
-    /// twice [`octo`]'s rows per step.
-    ///
-    /// # Panics
-    /// Panics when AVX-512 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn octo8(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
-        assert!(available(), "AVX-512 kernel dispatched without AVX-512");
-        // SAFETY: the avx512f/avx512bw target features were just
-        // verified above.
-        unsafe { octo8_avx512(lanes, biased, t, ka, wi) }
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo8_avx512(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
-        let tv = _mm512_set1_epi8(t as i8);
-        // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
-        // which passes regardless (see the AVX2 byte kernel).
-        let kav = _mm512_set1_epi8(ka as u8 as i8);
-        let mut acc: u64 = !0;
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 64 rows of this dimension: 8 packed u64 words, 8 bucket
-            // bytes each, contiguous in the lane — one unaligned
-            // 512-bit load covers a full liveness block.
-            let words = &lane[wi..wi + 8];
-            // SAFETY: the bounds-checked slice above spans exactly the
-            // 64 bytes the unaligned load reads.
-            let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
-            let p = _mm512_set1_epi8(pb as u8 as i8);
-            let diff = _mm512_or_si512(_mm512_subs_epu8(v, p), _mm512_subs_epu8(p, v));
-            let cyc = _mm512_min_epu8(diff, _mm512_sub_epi8(kav, diff));
-            acc &= std::arch::x86_64::_mm512_cmple_epu8_mask(cyc, tv);
-            if acc == 0 {
-                return 0;
-            }
-        }
-        acc
-    }
-}
-
-/// The NEON prefilter kernel: 8 rows per iteration (2 packed `u64`
-/// lane words per 128-bit vector).
-///
-/// The intrinsics go through the `intr` façade: real
-/// `core::arch::aarch64` wrappers on aarch64, and a bit-exact portable
-/// emulation elsewhere under `cfg(test)` — so the kernel *logic* is
-/// compiled and property-tested on every host, and the x86 CI runner
-/// can catch rot without cross-compiling (the aarch64 `cargo check` in
-/// CI covers the wrapper layer itself).
-#[cfg(any(target_arch = "aarch64", test))]
-#[allow(unsafe_code)]
-mod neon {
-    use super::intr;
-
-    /// Prefilters 8 rows (plane words `wi`, `wi+1` of every lane)
-    /// against a probe, returning one bit per passing row.
-    pub fn eight(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u8 {
-        let tv = intr::dup(t);
-        let kav = intr::dup(ka);
-        let mut acc = intr::dup(u16::MAX);
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 8 rows of this dimension: 2 packed u64 words, loaded as
-            // 8 little-endian u16 lanes.
-            let v = intr::load_pair(lane[wi], lane[wi + 1]);
-            let p = intr::dup(pb);
-            // |a − b| directly (vabd), then cyclic min(d, ka − d).
-            let d = intr::abd(v, p);
-            let cyc = intr::min(d, intr::sub(kav, d));
-            acc = intr::and(acc, intr::cle(cyc, tv));
-            if intr::maxv(acc) == 0 {
-                return 0;
-            }
-        }
-        intr::lane_bits(acc)
-    }
-
-    /// Prefilters 16 rows of a quantized byte plane (plane words `wi`,
-    /// `wi+1` of every lane) against a probe's bucket values, returning
-    /// one bit per passing row — twice [`eight`]'s rows per step.
-    pub fn sixteen(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
-        let tv = intr::dup8(t as u8);
-        // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
-        // which passes regardless (buckets are < ka, so d ≤ ka − 1 and
-        // the wrapped subtraction is exact for every d ≥ 1).
-        let kav = intr::dup8(ka as u8);
-        let mut acc = intr::dup8(u8::MAX);
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 16 rows of this dimension: 2 packed u64 words, loaded as
-            // 16 little-endian u8 lanes.
-            let v = intr::load_pair8(lane[wi], lane[wi + 1]);
-            let p = intr::dup8(pb as u8);
-            let d = intr::abd8(v, p);
-            let cyc = intr::min8(d, intr::sub8(kav, d));
-            acc = intr::and8(acc, intr::cle8(cyc, tv));
-            if intr::maxv8(acc) == 0 {
-                return 0;
-            }
-        }
-        intr::lane_bits16(acc)
-    }
-}
-
-/// The NEON intrinsics façade for [`neon`]: thin real wrappers on
-/// aarch64, a portable `[u16; 8]` emulation elsewhere (test builds
-/// only). Both sides implement the identical lane semantics, so the
-/// kernel body above means the same thing wherever it compiles.
-#[cfg(any(target_arch = "aarch64", test))]
-#[allow(unsafe_code)]
-mod intr {
-    /// Per-lane bit weights for [`lane_bits`]: anding with a lane mask
-    /// and summing across lanes yields one bit per all-ones lane.
-    const BIT_WEIGHTS: [u16; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-    /// Per-lane bit weights for [`lane_bits16`], one byte lane each;
-    /// the two 8-lane halves are summed separately (16 weighted bytes
-    /// would overflow a u8 accumulator) and recombined as low/high
-    /// mask bytes.
-    const BIT_WEIGHTS8: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 1, 2, 4, 8, 16, 32, 64, 128];
-
-    #[cfg(target_arch = "aarch64")]
-    mod imp {
-        use core::arch::aarch64 as a;
-
-        pub type V = a::uint16x8_t;
-
-        #[inline]
-        pub fn dup(x: u16) -> V {
-            // SAFETY: NEON is mandatory on aarch64 (baseline feature).
-            unsafe { a::vdupq_n_u16(x) }
-        }
-
-        #[inline]
-        pub fn load_pair(w0: u64, w1: u64) -> V {
-            let words = [w0, w1];
-            // SAFETY: `words` spans the 16 bytes read; aarch64 is
-            // little-endian, so u64 packing order equals lane order.
-            unsafe { a::vld1q_u16(words.as_ptr().cast()) }
-        }
-
-        #[inline]
-        pub fn abd(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vabdq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn min(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vminq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn sub(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vsubq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn and(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vandq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn cle(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vcleq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn maxv(x: V) -> u16 {
-            // SAFETY: baseline NEON.
-            unsafe { a::vmaxvq_u16(x) }
-        }
-
-        #[inline]
-        pub fn lane_bits(mask: V) -> u8 {
-            // SAFETY: `BIT_WEIGHTS` spans the 16 bytes read; the
-            // horizontal add is baseline NEON.
-            unsafe {
-                let weights = a::vld1q_u16(super::BIT_WEIGHTS.as_ptr());
-                a::vaddvq_u16(a::vandq_u16(mask, weights)) as u8
-            }
-        }
-
-        /// Byte-lane twin of [`V`] for the quantized plane kernel.
-        pub type W = a::uint8x16_t;
-
-        #[inline]
-        pub fn dup8(x: u8) -> W {
-            // SAFETY: baseline NEON.
-            unsafe { a::vdupq_n_u8(x) }
-        }
-
-        #[inline]
-        pub fn load_pair8(w0: u64, w1: u64) -> W {
-            let words = [w0, w1];
-            // SAFETY: `words` spans the 16 bytes read; aarch64 is
-            // little-endian, so u64 packing order equals lane order.
-            unsafe { a::vld1q_u8(words.as_ptr().cast()) }
-        }
-
-        #[inline]
-        pub fn abd8(x: W, y: W) -> W {
-            // SAFETY: baseline NEON.
-            unsafe { a::vabdq_u8(x, y) }
-        }
-
-        #[inline]
-        pub fn min8(x: W, y: W) -> W {
-            // SAFETY: baseline NEON.
-            unsafe { a::vminq_u8(x, y) }
-        }
-
-        #[inline]
-        pub fn sub8(x: W, y: W) -> W {
-            // SAFETY: baseline NEON.
-            unsafe { a::vsubq_u8(x, y) }
-        }
-
-        #[inline]
-        pub fn and8(x: W, y: W) -> W {
-            // SAFETY: baseline NEON.
-            unsafe { a::vandq_u8(x, y) }
-        }
-
-        #[inline]
-        pub fn cle8(x: W, y: W) -> W {
-            // SAFETY: baseline NEON.
-            unsafe { a::vcleq_u8(x, y) }
-        }
-
-        #[inline]
-        pub fn maxv8(x: W) -> u8 {
-            // SAFETY: baseline NEON.
-            unsafe { a::vmaxvq_u8(x) }
-        }
-
-        #[inline]
-        pub fn lane_bits16(mask: W) -> u16 {
-            // SAFETY: `BIT_WEIGHTS8` spans the 16 bytes read; the
-            // per-half horizontal adds are baseline NEON.
-            unsafe {
-                let weights = a::vld1q_u8(super::BIT_WEIGHTS8.as_ptr());
-                let wm = a::vandq_u8(mask, weights);
-                let lo = u16::from(a::vaddv_u8(a::vget_low_u8(wm)));
-                let hi = u16::from(a::vaddv_u8(a::vget_high_u8(wm)));
-                lo | (hi << 8)
-            }
-        }
-    }
-
-    #[cfg(not(target_arch = "aarch64"))]
-    mod imp {
-        /// Portable stand-in for `uint16x8_t`.
-        #[derive(Clone, Copy)]
-        pub struct V(pub [u16; 8]);
-
-        fn zip(x: V, y: V, f: impl Fn(u16, u16) -> u16) -> V {
-            let mut out = [0u16; 8];
-            for (o, (a, b)) in out.iter_mut().zip(x.0.iter().zip(y.0.iter())) {
-                *o = f(*a, *b);
-            }
-            V(out)
-        }
-
-        pub fn dup(x: u16) -> V {
-            V([x; 8])
-        }
-
-        pub fn load_pair(w0: u64, w1: u64) -> V {
-            let mut out = [0u16; 8];
-            for (i, o) in out.iter_mut().enumerate() {
-                let w = if i < 4 { w0 } else { w1 };
-                *o = (w >> (16 * (i % 4))) as u16;
-            }
-            V(out)
-        }
-
-        pub fn abd(x: V, y: V) -> V {
-            zip(x, y, u16::abs_diff)
-        }
-
-        pub fn min(x: V, y: V) -> V {
-            zip(x, y, u16::min)
-        }
-
-        pub fn sub(x: V, y: V) -> V {
-            // vsubq wraps, like the real thing (the kernel never
-            // actually wraps: d ≤ ka − 1 keeps ka − d in range).
-            zip(x, y, u16::wrapping_sub)
-        }
-
-        pub fn and(x: V, y: V) -> V {
-            zip(x, y, |a, b| a & b)
-        }
-
-        pub fn cle(x: V, y: V) -> V {
-            zip(x, y, |a, b| if a <= b { u16::MAX } else { 0 })
-        }
-
-        pub fn maxv(x: V) -> u16 {
-            x.0.into_iter().max().unwrap_or(0)
-        }
-
-        pub fn lane_bits(mask: V) -> u8 {
-            mask.0
-                .iter()
-                .zip(super::BIT_WEIGHTS)
-                .map(|(&m, w)| (m & w) as u8)
-                .sum()
-        }
-
-        /// Portable stand-in for `uint8x16_t`.
-        #[derive(Clone, Copy)]
-        pub struct W(pub [u8; 16]);
-
-        fn zip8(x: W, y: W, f: impl Fn(u8, u8) -> u8) -> W {
-            let mut out = [0u8; 16];
-            for (o, (a, b)) in out.iter_mut().zip(x.0.iter().zip(y.0.iter())) {
-                *o = f(*a, *b);
-            }
-            W(out)
-        }
-
-        pub fn dup8(x: u8) -> W {
-            W([x; 16])
-        }
-
-        pub fn load_pair8(w0: u64, w1: u64) -> W {
-            let mut out = [0u8; 16];
-            for (i, o) in out.iter_mut().enumerate() {
-                let w = if i < 8 { w0 } else { w1 };
-                *o = (w >> (8 * (i % 8))) as u8;
-            }
-            W(out)
-        }
-
-        pub fn abd8(x: W, y: W) -> W {
-            zip8(x, y, u8::abs_diff)
-        }
-
-        pub fn min8(x: W, y: W) -> W {
-            zip8(x, y, u8::min)
-        }
-
-        pub fn sub8(x: W, y: W) -> W {
-            // vsubq wraps, like the real thing — and the byte kernel
-            // leans on it: a 256-bucket ring's `ka` broadcast wraps to
-            // 0, and `0 − d` wraps back to the exact `256 − d`.
-            zip8(x, y, u8::wrapping_sub)
-        }
-
-        pub fn and8(x: W, y: W) -> W {
-            zip8(x, y, |a, b| a & b)
-        }
-
-        pub fn cle8(x: W, y: W) -> W {
-            zip8(x, y, |a, b| if a <= b { u8::MAX } else { 0 })
-        }
-
-        pub fn maxv8(x: W) -> u8 {
-            x.0.into_iter().max().unwrap_or(0)
-        }
-
-        pub fn lane_bits16(mask: W) -> u16 {
-            let lo: u8 = mask.0[..8]
-                .iter()
-                .zip(&super::BIT_WEIGHTS8[..8])
-                .map(|(&m, &w)| m & w)
-                .sum();
-            let hi: u8 = mask.0[8..]
-                .iter()
-                .zip(&super::BIT_WEIGHTS8[8..])
-                .map(|(&m, &w)| m & w)
-                .sum();
-            u16::from(lo) | (u16::from(hi) << 8)
-        }
-    }
-
-    pub use imp::{abd, and, cle, dup, lane_bits, load_pair, maxv, min, sub};
-    pub use imp::{abd8, and8, cle8, dup8, lane_bits16, load_pair8, maxv8, min8, sub8};
-}
-
-/// Software prefetch for the phase-2 verify pipeline: a best-effort
-/// hint (x86-64 `prefetcht0`; a no-op elsewhere — aarch64 cores
-/// prefetch the forward-streaming verify pattern well on their own).
-/// Isolated `unsafe`: the hinted address is always in-bounds, and
-/// prefetch has no architectural effect regardless.
-#[allow(unsafe_code)]
-mod fetch {
-    /// Hints that `data[index..]` is about to be read.
-    #[inline]
-    pub fn prefetch_read<T>(data: &[T], index: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if index < data.len() {
-            // SAFETY: in-bounds pointer arithmetic; `prefetcht0` reads
-            // nothing architecturally and faults on nothing.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    data.as_ptr().add(index).cast(),
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (data, index);
-        }
-    }
-}
-
-/// The lane cell representation a [`FilterPlane`] was built with,
-/// after [`PlaneWidth`] resolution (`Auto` and ineligible-`U8` rings
-/// have already fallen back by the time a plane exists).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlaneRepr {
-    /// Exact biased residues, 4 × 16-bit lanes per word. Phase 1 is
-    /// exact on the plane dimensions, so phase 2 verifies only the
-    /// remaining `dim − F` coordinates.
-    U16,
-    /// Quantized buckets (`residue / q`), 8 × 8-bit lanes per word.
-    /// Phase 1 over-accepts (see [`PlaneWidth`]), so phase 2 verifies
-    /// *all* coordinates — still a net win: byte lanes reject ≈ as
-    /// sharply per dimension while the plane moves half the bytes.
-    U8 {
-        /// Bucket width `⌈ka/256⌉`.
-        q: u16,
-    },
-}
-
-/// The leading dimensions of every row, stored dimension-major for the
-/// vector prefilter: lane `d` holds coordinate `d` of rows
-/// `0, 1, 2, …` as biased 16-bit residues (`(value mod ka) ∈ [0, ka)`)
-/// packed four rows per `u64` word — or, under [`PlaneRepr::U8`], as
-/// quantized 8-bit buckets packed eight rows per word.
-///
-/// Only rows' *positions* live here — liveness stays in the arena's
-/// bitmap, which the candidate masks are intersected with, so `remove`
-/// never touches the plane and stale tombstone lanes are harmless.
-#[derive(Debug, Clone)]
-struct FilterPlane {
-    /// One packed lane per filter dimension (`min(config.dims, dim)`).
-    lanes: Vec<Vec<u64>>,
-    /// Lane cell representation (16-bit exact / 8-bit quantized).
-    repr: PlaneRepr,
-    /// Effective threshold `min(t, ka/2)` — the cyclic distance never
-    /// exceeds `ka/2`, so clamping preserves the predicate while
-    /// keeping every SWAR constant inside a 15-bit lane. Used by the
-    /// exact phase-2 verify.
-    t_eff: u16,
-    /// The ring circumference (fits: planes only exist for `ka < 2¹⁵`).
-    /// Used for probe biasing and the exact phase-2 verify.
-    ka16: u16,
-    /// Threshold the phase-1 kernels compare against: `t_eff` on a
-    /// 16-bit plane, the quantized `t_q` on a byte plane.
-    cmp_t: u16,
-    /// Ring the phase-1 kernels wrap over: `ka` on a 16-bit plane, the
-    /// bucket count `⌈ka/q⌉` (≤ 256) on a byte plane.
-    cmp_ka: u16,
-    /// `0x8000 + cmp_t` broadcast: SWAR `absd ≤ cmp_t` comparand.
-    th: u64,
-    /// `cmp_ka − cmp_t` broadcast: SWAR `absd ≥ cmp_ka − cmp_t`
-    /// comparand.
-    kmt: u64,
-}
-
-/// Biases a canonical `i16` ring representative into `[0, ka)`.
-#[inline]
-fn bias16(c: i16, ka16: u16) -> u16 {
-    if c < 0 {
-        (i32::from(c) + i32::from(ka16)) as u16
-    } else {
-        c as u16
-    }
-}
-
-impl FilterPlane {
-    fn new(dims: usize, t: u64, ka: u64, repr: PlaneRepr) -> FilterPlane {
-        debug_assert!(dims >= 1 && ka < 1 << 15);
-        let ka16 = ka as u16;
-        let t_eff = t.min(ka / 2) as u16;
-        let (cmp_t, cmp_ka) = match repr {
-            PlaneRepr::U16 => (t_eff, ka16),
-            PlaneRepr::U8 { q } => {
-                let (rq, kq, tq) = quantize_ring(t, ka);
-                debug_assert_eq!(rq, q);
-                (tq, kq)
-            }
-        };
-        FilterPlane {
-            lanes: vec![Vec::new(); dims],
-            repr,
-            t_eff,
-            ka16,
-            cmp_t,
-            cmp_ka,
-            th: (0x8000 + u64::from(cmp_t)) * LANES,
-            kmt: (u64::from(cmp_ka) - u64::from(cmp_t)) * LANES,
-        }
-    }
-
-    fn dims(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Rows packed per `u64` lane word: 4 × u16 or 8 × u8.
-    fn rows_per_word(&self) -> usize {
-        match self.repr {
-            PlaneRepr::U16 => 4,
-            PlaneRepr::U8 { .. } => 8,
-        }
-    }
-
-    /// First coordinate phase 2 must verify: the 16-bit plane tests
-    /// its dimensions exactly (verify resumes after them), the byte
-    /// plane over-accepts (verify re-checks everything).
-    fn verify_start(&self) -> usize {
-        match self.repr {
-            PlaneRepr::U16 => self.dims(),
-            PlaneRepr::U8 { .. } => 0,
-        }
-    }
-
-    /// Divisor applied to biased probe residues when building
-    /// [`ProbeFilter`] state (1 on the exact 16-bit plane).
-    fn probe_quant(&self) -> u16 {
-        match self.repr {
-            PlaneRepr::U16 => 1,
-            PlaneRepr::U8 { q } => q,
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.lanes.iter().map(|l| l.capacity() * 8).sum()
-    }
-
-    fn reserve_rows(&mut self, total_rows: usize) {
-        let words = total_rows.div_ceil(self.rows_per_word());
-        for lane in &mut self.lanes {
-            lane.reserve(words.saturating_sub(lane.len()));
-        }
-    }
-
-    fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.clear();
-        }
-    }
-
-    /// Appends row `row`'s leading coordinates (canonical `i16`
-    /// residues) to every lane. Rows must arrive densely in order.
-    fn push_row(&mut self, row: usize, leading: &[i16]) {
-        debug_assert_eq!(leading.len(), self.lanes.len());
-        let rpw = self.rows_per_word();
-        let (word, slot) = (row / rpw, row % rpw);
-        let (quant, bits) = match self.repr {
-            PlaneRepr::U16 => (1, 16),
-            PlaneRepr::U8 { q } => (q, 8),
-        };
-        for (lane, &c) in self.lanes.iter_mut().zip(leading) {
-            let b = u64::from(bias16(c, self.ka16) / quant);
-            if slot == 0 {
-                debug_assert_eq!(lane.len(), word);
-                lane.push(b);
-            } else {
-                lane[word] |= b << (bits * slot);
-            }
-        }
-    }
-
-    /// Rebuilds every lane from the (compacted) row-major cell buffer.
-    fn rebuild(&mut self, cells: &[i16], rows: usize, dim: usize) {
-        self.clear();
-        let pd = self.dims();
-        for row in 0..rows {
-            let base = row * dim;
-            self.push_row(row, &cells[base..base + pd]);
-        }
-    }
-
-    /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
-    /// against the broadcast probe `pb`, returning the per-lane pass
-    /// MSBs. See `DESIGN.md` for the lane algebra; every intermediate
-    /// stays within its 16-bit lane because values are 15-bit residues
-    /// (buckets ≤ 256 on the byte plane) and `MSBS` supplies the
-    /// borrow headroom.
-    #[inline]
-    fn swar_pass(&self, a: u64, pb: u64) -> u64 {
-        // Per lane: a − b + 0x8000 and b − a + 0x8000 (exact; no
-        // cross-lane borrow since the `MSBS` addend dominates any
-        // 15-bit operand).
-        let d1 = (a | MSBS) - pb;
-        let d2 = (pb | MSBS) - a;
-        // Full-lane mask of a ≥ b from d1's carried MSB.
-        let ge = ((d1 >> 15) & LANES) * 0xFFFF;
-        // |a − b| per lane, MSB bias stripped.
-        let absd = ((d1 & ge) | (d2 & !ge)) & !MSBS;
-        // Cyclic pass: absd ≤ cmp_t  OR  absd ≥ cmp_ka − cmp_t.
-        ((self.th - absd) | ((absd | MSBS) - self.kmt)) & MSBS
-    }
-
-    /// Gathers [`FilterPlane::swar_pass`] survivor MSBs into 4 low
-    /// bits.
-    #[inline]
-    fn swar_gather(acc: u64) -> u64 {
-        ((acc >> 15) & 1) | ((acc >> 30) & 2) | ((acc >> 45) & 4) | ((acc >> 60) & 8)
-    }
-
-    /// SWAR-prefilters the 4 rows of 16-bit plane word `wi`, returning
-    /// one low bit per passing row.
-    #[inline]
-    fn swar_word(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
-        let mut acc = MSBS;
-        for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
-            acc &= self.swar_pass(lane[wi], pb);
-            if acc == 0 {
-                return 0;
-            }
-        }
-        Self::swar_gather(acc)
-    }
-
-    /// SWAR-prefilters the 8 rows of byte plane word `wi`, returning
-    /// one low bit per passing row.
-    ///
-    /// Bytes have no spare MSB, so the word is split into its even and
-    /// odd bytes — each a 4 × 16-bit-lane value whose lanes hold a
-    /// bucket ≤ 255, leaving the usual `0x8000` headroom — and both
-    /// halves run the existing 16-bit lane algebra (which computes the
-    /// exact `cmp_ka − absd`, so even the `kq = 256` ring needs no
-    /// wrap-around trick here). The two 4-bit results interleave back
-    /// into byte order.
-    #[inline]
-    fn swar_word_u8(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
-        const EVENS: u64 = 0x00FF_00FF_00FF_00FF;
-        let (mut acc_e, mut acc_o) = (MSBS, MSBS);
-        for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
-            let w = lane[wi];
-            acc_e &= self.swar_pass(w & EVENS, pb);
-            acc_o &= self.swar_pass((w >> 8) & EVENS, pb);
-            if acc_e | acc_o == 0 {
-                return 0;
-            }
-        }
-        // 16-bit lane i of the even half is byte 2i (row bit 2i); of
-        // the odd half, byte 2i+1 — spread each gather bit i to bit 2i
-        // and interleave.
-        let spread = |x: u64| (x & 1) | ((x & 2) << 1) | ((x & 4) << 2) | ((x & 8) << 3);
-        spread(Self::swar_gather(acc_e)) | (spread(Self::swar_gather(acc_o)) << 1)
-    }
-
-    /// Candidate mask for one 64-row block: prefilters the block's
-    /// plane words (16 on the 16-bit plane, 8 on the byte plane)
-    /// against the probe and intersects with the block's liveness word
-    /// (which also discards tail lanes past the last real row).
-    fn block_candidates(
-        &self,
-        kernel: ActiveKernel,
-        pf: ProbeFilter<'_>,
-        w: usize,
-        lw: u64,
-    ) -> u64 {
-        if let PlaneRepr::U8 { .. } = self.repr {
-            return self.block_candidates_u8(kernel, pf, w, lw);
-        }
-        let words = self.lanes[0].len();
-        let base = w * 16;
-        let mut out = 0u64;
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => {
-                for half in 0..2 {
-                    // Wholly-dead 32-row runs need no prefilter at all.
-                    if (lw >> (half * 32)) & 0xFFFF_FFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + half * 8;
-                    if wi + 8 <= words {
-                        let m = avx512::octo(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
-                        out |= u64::from(m) << (half * 32);
-                    } else {
-                        // Tail of the buffer: too few words for a full
-                        // 32-row vector — finish with SWAR words.
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word(pf, wi) << (half * 32 + sub * 4);
-                        }
-                    }
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            ActiveKernel::Neon => {
-                for group in 0..8 {
-                    // Wholly-dead 8-row runs need no prefilter at all.
-                    if (lw >> (group * 8)) & 0xFF == 0 {
-                        continue;
-                    }
-                    let wi = base + group * 2;
-                    if wi + 2 <= words {
-                        let m = neon::eight(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
-                        out |= u64::from(m) << (group * 8);
-                    } else {
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word(pf, wi) << (group * 8 + sub * 4);
-                        }
-                    }
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx2 => {
-                for chunk in 0..4 {
-                    // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (chunk * 16)) & 0xFFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + chunk * 4;
-                    if wi + 4 <= words {
-                        let m = avx2::quad(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
-                        out |= u64::from(m) << (chunk * 16);
-                    } else {
-                        // Tail of the buffer: too few words for a full
-                        // 16-row vector — finish with SWAR words.
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word(pf, wi) << (chunk * 16 + sub * 4);
-                        }
-                    }
-                }
-            }
-            ActiveKernel::Swar => {
-                for sub in 0..16 {
-                    if (lw >> (sub * 4)) & 0xF == 0 {
-                        continue;
-                    }
-                    let wi = base + sub;
-                    if wi >= words {
-                        break;
-                    }
-                    out |= self.swar_word(pf, wi) << (sub * 4);
-                }
-            }
-        }
-        out & lw
-    }
-
-    /// [`FilterPlane::block_candidates`] for the byte plane: one
-    /// 64-row block is 8 plane words, so every backend covers twice
-    /// the rows per step — AVX-512 masks the whole block in a single
-    /// 512-bit compare.
-    fn block_candidates_u8(
-        &self,
-        kernel: ActiveKernel,
-        pf: ProbeFilter<'_>,
-        w: usize,
-        lw: u64,
-    ) -> u64 {
-        let words = self.lanes[0].len();
-        let base = w * 8;
-        let mut out = 0u64;
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => {
-                if base + 8 <= words {
-                    out = avx512::octo8(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, base);
-                } else {
-                    // Tail of the buffer: too few words for a full
-                    // 64-row vector — finish with SWAR words.
-                    for (sub, wi) in (base..words).enumerate() {
-                        out |= self.swar_word_u8(pf, wi) << (sub * 8);
-                    }
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            ActiveKernel::Neon => {
-                for group in 0..4 {
-                    // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (group * 16)) & 0xFFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + group * 2;
-                    if wi + 2 <= words {
-                        let m = neon::sixteen(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
-                        out |= u64::from(m) << (group * 16);
-                    } else {
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word_u8(pf, wi) << (group * 16 + sub * 8);
-                        }
-                    }
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx2 => {
-                for half in 0..2 {
-                    // Wholly-dead 32-row runs need no prefilter at all.
-                    if (lw >> (half * 32)) & 0xFFFF_FFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + half * 4;
-                    if wi + 4 <= words {
-                        let m = avx2::quad8(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
-                        out |= u64::from(m) << (half * 32);
-                    } else {
-                        // Tail of the buffer: too few words for a full
-                        // 32-row vector — finish with SWAR words.
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word_u8(pf, wi) << (half * 32 + sub * 8);
-                        }
-                    }
-                }
-            }
-            ActiveKernel::Swar => {
-                for sub in 0..8 {
-                    if (lw >> (sub * 8)) & 0xFF == 0 {
-                        continue;
-                    }
-                    let wi = base + sub;
-                    if wi >= words {
-                        break;
-                    }
-                    out |= self.swar_word_u8(pf, wi) << (sub * 8);
-                }
-            }
-        }
-        out & lw
-    }
-
-    /// Phase 1 + phase 2 for one probe: walks the candidate bitmap one
-    /// *super-block* (`ctl.block_words` 64-row blocks) at a time —
-    /// phase-1 masks for the whole group are computed first, software-
-    /// prefetching each survivor's verify cells as its mask comes out,
-    /// then each survivor is exact-verified with the scalar early-abort
-    /// kernel from [`FilterPlane::verify_start`] on: the 16-bit plane
-    /// already tested its dimensions exactly so verify covers only
-    /// `pd..dim`, while the byte plane over-accepts and verify re-runs
-    /// the full row. Either way the two phases equal a full-row
-    /// `rows_match`; the prefetch distance is what hides phase-2's
-    /// scattered loads behind phase-1's compute. Calls `on_match` for
-    /// every matching row until it returns `false`.
-    fn scan(
-        &self,
-        col: ColumnView<'_, i16>,
-        kernel: ActiveKernel,
-        probe: &[i16],
-        pf: ProbeFilter<'_>,
-        ctl: SweepCtl<'_>,
-        on_match: &mut dyn FnMut(RecordId) -> bool,
-    ) {
-        let vstart = self.verify_start();
-        // `min(t, ka/2)` and the real `t` decide conditions (1)–(4)
-        // identically (cyclic distance never exceeds ka/2).
-        let (t, ka) = (u64::from(self.t_eff), u64::from(self.ka16));
-        let suffix = &probe[vstart..];
-        let mut masks = [0u64; MAX_BLOCK_WORDS];
-        let mut w = ctl.words.start;
-        while w < ctl.words.end {
-            if ctl.cancelled(w * 64) {
-                return;
-            }
-            let group_end = (w + ctl.block_words).min(ctl.words.end);
-            // Phase 1 for the whole super-block, prefetching phase-2
-            // cells for the next group of survivors meanwhile.
-            for wi in w..group_end {
-                let mut lw = ctl.masked_word(wi, col.live[wi]);
-                if wi * 64 < ctl.from_row {
-                    let below = ctl.from_row - wi * 64;
-                    lw = if below >= 64 {
-                        0
-                    } else {
-                        lw & (u64::MAX << below)
-                    };
-                }
-                let cand = if lw == 0 {
-                    0
-                } else {
-                    self.block_candidates(kernel, pf, wi, lw)
-                };
-                masks[wi - w] = cand;
-                let mut pre = cand;
-                while pre != 0 {
-                    let row = wi * 64 + pre.trailing_zeros() as usize;
-                    pre &= pre - 1;
-                    fetch::prefetch_read(col.cells, row * col.dim + vstart);
-                }
-            }
-            // Phase 2: exact-verify the super-block's survivors in row
-            // order.
-            for wi in w..group_end {
-                let mut cand = masks[wi - w];
-                while cand != 0 {
-                    let row = wi * 64 + cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    let s = &col.cells[row * col.dim + vstart..(row + 1) * col.dim];
-                    if rows_match(s, suffix, t, ka) && !on_match(row) {
-                        return;
-                    }
-                }
-            }
-            w = group_end;
-        }
-    }
-
-    /// The multi-probe batch kernel on the prefilter plane: one pass
-    /// over the plane's `words` range serves every still-unresolved
-    /// probe — per block, each active probe gets its own candidate
-    /// mask while the block's lanes are hot in cache (survivor cells
-    /// prefetched between mask and verify), and a probe retires at its
-    /// first verified match. Results equal per-probe
-    /// [`FilterPlane::scan`] over the same range (each probe resolves
-    /// to its lowest-id live match in the range).
-    #[allow(clippy::too_many_arguments)] // one per scan input; bundling would obscure them
-    fn scan_multi(
-        &self,
-        col: ColumnView<'_, i16>,
-        kernel: ActiveKernel,
-        probes: &[i16],
-        pf_all: ProbeFilter<'_>,
-        words: std::ops::Range<usize>,
-        active: &mut Vec<usize>,
-        results: &mut [Option<RecordId>],
-    ) {
-        let pd = self.dims();
-        let vstart = self.verify_start();
-        let (t, ka) = (u64::from(self.t_eff), u64::from(self.ka16));
-        for w in words {
-            let lw = col.live[w];
-            if lw == 0 {
-                continue;
-            }
-            let mut i = 0;
-            while i < active.len() {
-                let p = active[i];
-                let pf = ProbeFilter {
-                    biased: &pf_all.biased[p * pd..(p + 1) * pd],
-                    bcast: &pf_all.bcast[p * pd..(p + 1) * pd],
-                };
-                let suffix = &probes[p * col.dim + vstart..(p + 1) * col.dim];
-                let mut cand = self.block_candidates(kernel, pf, w, lw);
-                let mut pre = cand;
-                while pre != 0 {
-                    let row = w * 64 + pre.trailing_zeros() as usize;
-                    pre &= pre - 1;
-                    fetch::prefetch_read(col.cells, row * col.dim + vstart);
-                }
-                let mut resolved = false;
-                while cand != 0 {
-                    let row = w * 64 + cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    let s = &col.cells[row * col.dim + vstart..(row + 1) * col.dim];
-                    if rows_match(s, suffix, t, ka) {
-                        results[p] = Some(row);
-                        resolved = true;
-                        break;
-                    }
-                }
-                if resolved {
-                    active.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if active.is_empty() {
-                return;
-            }
-        }
-    }
-}
-
-/// Per-thread reusable scan state: normalized-probe buffers for every
-/// cell width, the prefilter probe state, and the batch active set.
-/// Hoisting these off the per-call hot path matters because a sharded
-/// lookup re-normalizes the same probes once *per shard* — previously
-/// a fresh `Vec` each time.
-#[derive(Default)]
-struct ScanScratch {
-    i16s: Vec<i16>,
-    i32s: Vec<i32>,
-    i64s: Vec<i64>,
-    biased: Vec<u16>,
-    bcast: Vec<u64>,
-    active: Vec<usize>,
-}
-
-/// Builds the prefilter probe state (biased residues + SWAR broadcasts)
-/// for every probe in `cells16`: canonical `i16` probe rows laid out
-/// `dim` apart, `pd` plane dimensions each, into the scratch's reused
-/// `biased`/`bcast` buffers. On a quantized byte plane (`quant > 1`)
-/// the stored values are the probe's *bucket* coordinates, so each
-/// probe of a micro-batch is quantized exactly once here — never per
-/// block inside the sweep. Probes that cannot match (wrong dimension,
-/// pre-zeroed rows) keep their slots so indexing stays uniform.
-fn build_filter_probes(
-    cells16: &[i16],
-    dim: usize,
-    pd: usize,
-    ka16: u16,
-    quant: u16,
-    biased: &mut Vec<u16>,
-    bcast: &mut Vec<u64>,
-) {
-    let count = cells16.len().checked_div(dim).unwrap_or(0);
-    biased.clear();
-    bcast.clear();
-    biased.reserve(count * pd);
-    bcast.reserve(count * pd);
-    for p in 0..count {
-        for &c in &cells16[p * dim..p * dim + pd] {
-            let b = bias16(c, ka16) / quant;
-            biased.push(b);
-            bcast.push(u64::from(b) * LANES);
-        }
-    }
-}
-
-thread_local! {
-    /// The scan scratch is thread-local (lookups are `&self` and run
-    /// under shared locks, possibly on rayon workers) and never held
-    /// across user code — match callbacks on the scan paths are
-    /// internal closures, so the `RefCell` cannot be re-entered.
-    static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
 }
 
 /// A probe sketch pre-normalized into an arena's cell width, so a
@@ -1911,260 +296,18 @@ pub struct NormalizedProbe {
     cells: Cells,
 }
 
-/// The canonical ring representative of `v` in `Z_ka`: the minimal
-/// signed residue, in `[−(ka−1)/2, ka/2]`. Conditions (1)–(4) are a
-/// cyclic distance on `Z_ka`, so they cannot distinguish `v` from
-/// `v ± ka` — storing the canonical form loses nothing and is what lets
-/// the cell width follow `ka` instead of `i64`.
-fn canonical(v: i64, ka: u64) -> i64 {
-    // i128: `ka` is a u64, so `v.rem_euclid(ka as i64)` could overflow
-    // for ka > i64::MAX; widen once instead of trusting the caller.
-    let ka = i128::from(ka);
-    let r = i128::from(v).rem_euclid(ka); // r ∈ [0, ka)
-    let r = if 2 * r > ka { r - ka } else { r }; // r ∈ [−(ka−1)/2, ka/2]
-    r as i64
-}
-
-/// The closed interval of already-canonical values for `Z_ka`, clamped
-/// to `i64`. Real sketches always land inside it, so the bulk-load hot
-/// path reduces canonicalization to two compares per coordinate
-/// ([`canonical`]'s `i128` division only runs for out-of-range input).
-fn canonical_range(ka: u64) -> (i64, i64) {
-    let hi = (ka / 2).min(i64::MAX as u64) as i64;
-    let lo = -(((ka - 1) / 2).min(i64::MAX as u64) as i64);
-    (lo, hi)
-}
-
-/// [`canonical`] with the fast path hoisted out (see
-/// [`canonical_range`]).
-#[inline]
-fn canonical_fast(v: i64, lo: i64, hi: i64, ka: u64) -> i64 {
-    if (lo..=hi).contains(&v) {
-        v
-    } else {
-        canonical(v, ka)
-    }
-}
-
-/// The early-abort slice kernel: does the contiguous row `s` match the
-/// normalized probe under conditions (1)–(4)?
-///
-/// Both sides hold canonical representatives, so `|a − b| ≤ ka − 1` and
-/// the cyclic distance is `min(d, ka − d)` with no `%` in the loop —
-/// cheaper per coordinate than [`crate::conditions::cyclic_close`] and
-/// exactly equivalent to it on canonical values.
-#[inline]
-fn rows_match<C: Cell>(s: &[C], probe: &[C], t: u64, ka: u64) -> bool {
-    s.iter().zip(probe.iter()).all(|(&a, &b)| {
-        let d = C::abs_diff_cells(a, b);
-        d.min(ka - d) <= t
-    })
-}
-
-/// A borrowed view of one typed column buffer plus its liveness bitmap:
-/// what the blocked scan kernel walks.
-#[derive(Clone, Copy)]
-struct ColumnView<'a, C> {
-    cells: &'a [C],
-    live: &'a [u64],
-    rows: usize,
-    dim: usize,
-}
-
-/// Scans the live rows of a column view over `ctl`'s word range,
-/// calling `on_match` for every matching row until it returns `false`.
-///
-/// The scan is *blocked* on the liveness bitmap: rows are visited one
-/// 64-row word at a time, wholly-dead blocks are skipped with a single
-/// load, and within a block each live row is a contiguous `dim`-cell
-/// slice — so the early-abort inner loop streams through the column
-/// buffer in order. On parallel sweeps `ctl.cancel` skips blocks that
-/// can no longer beat the shared best match.
-fn scan_blocks<C: Cell>(
-    col: ColumnView<'_, C>,
-    probe: &[C],
-    t: u64,
-    ka: u64,
-    ctl: SweepCtl<'_>,
-    on_match: &mut dyn FnMut(RecordId) -> bool,
-) {
-    for word_idx in ctl.words.clone() {
-        if ctl
-            .cancel
-            .is_some_and(|best| best.load(Ordering::Relaxed) <= word_idx * 64)
-        {
-            return;
-        }
-        let Some(&live) = col.live.get(word_idx) else {
-            return;
-        };
-        let mut word = ctl.masked_word(word_idx, live);
-        if word_idx * 64 < ctl.from_row {
-            // Mask off rows below `from_row` (at most the first word).
-            let below = ctl.from_row - word_idx * 64;
-            word = if below >= 64 {
-                0
-            } else {
-                word & (u64::MAX << below)
-            };
-        }
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            let row = word_idx * 64 + bit;
-            if row >= col.rows {
-                return;
-            }
-            let s = &col.cells[row * col.dim..(row + 1) * col.dim];
-            if rows_match(s, probe, t, ka) && !on_match(row) {
-                return;
-            }
-        }
-    }
-}
-
-/// Scans the live rows of a column view's `words` range **once** on
-/// behalf of many probes: every live row is tested against each
-/// still-unresolved probe (`active` holds their indices into
-/// `results`), and a probe leaves the active set at its first match —
-/// so per-probe results equal what a per-probe [`scan_blocks`] over the
-/// same range would have returned, while the column buffer is streamed
-/// through memory exactly one time instead of once per probe.
-///
-/// This is the batch kernel behind request scheduling: the scan is
-/// memory-bound at scale, so amortizing one pass over N concurrent
-/// queries is the whole win. The scan aborts as soon as every probe is
-/// resolved.
-#[allow(clippy::too_many_arguments)] // one per scan input; bundling would obscure them
-fn scan_blocks_multi<C: Cell>(
-    col: ColumnView<'_, C>,
-    probes: &[C],
-    t: u64,
-    ka: u64,
-    words: std::ops::Range<usize>,
-    active: &mut Vec<usize>,
-    results: &mut [Option<RecordId>],
-) {
-    for word_idx in words {
-        let Some(&live) = col.live.get(word_idx) else {
-            return;
-        };
-        let mut word = live;
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            let row = word_idx * 64 + bit;
-            if row >= col.rows {
-                return;
-            }
-            let s = &col.cells[row * col.dim..(row + 1) * col.dim];
-            let mut i = 0;
-            while i < active.len() {
-                let p = active[i];
-                let probe = &probes[p * col.dim..(p + 1) * col.dim];
-                if rows_match(s, probe, t, ka) {
-                    results[p] = Some(row);
-                    active.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if active.is_empty() {
-                return;
-            }
-        }
-    }
-}
-
-/// A probe (or probe batch) normalized into an arena's cell width and
-/// bound to its column view: everything a sweep needs, ready to scan
-/// any liveness-word range. `Copy` borrows only — the chunks of a
-/// parallel sweep share one preparation, built once on the calling
-/// thread's scratch.
-#[derive(Clone, Copy)]
-enum Prepared<'a> {
-    /// Two-phase vectorized scan on the prefilter plane (`i16` rings
-    /// with an active plane).
-    Plane {
-        plane: &'a FilterPlane,
-        kernel: ActiveKernel,
-        col: ColumnView<'a, i16>,
-        probes: &'a [i16],
-        pf: ProbeFilter<'a>,
-    },
-    /// Scalar blocked scan, per cell width.
-    I16 {
-        col: ColumnView<'a, i16>,
-        probes: &'a [i16],
-        t: u64,
-        ka: u64,
-    },
-    I32 {
-        col: ColumnView<'a, i32>,
-        probes: &'a [i32],
-        t: u64,
-        ka: u64,
-    },
-    I64 {
-        col: ColumnView<'a, i64>,
-        probes: &'a [i64],
-        t: u64,
-        ka: u64,
-    },
-}
-
-impl Prepared<'_> {
-    /// Sweeps a single-probe preparation over `ctl`'s word range,
-    /// calling `on_match` for every matching row until it returns
-    /// `false`.
-    fn scan_one(&self, ctl: SweepCtl<'_>, on_match: &mut dyn FnMut(RecordId) -> bool) {
-        match *self {
-            Prepared::Plane {
-                plane,
-                kernel,
-                col,
-                probes,
-                pf,
-            } => plane.scan(col, kernel, probes, pf, ctl, on_match),
-            Prepared::I16 { col, probes, t, ka } => scan_blocks(col, probes, t, ka, ctl, on_match),
-            Prepared::I32 { col, probes, t, ka } => scan_blocks(col, probes, t, ka, ctl, on_match),
-            Prepared::I64 { col, probes, t, ka } => scan_blocks(col, probes, t, ka, ctl, on_match),
-        }
-    }
-
-    /// Sweeps a batch preparation's `words` range once for every
-    /// still-active probe (see [`scan_blocks_multi`]).
-    fn scan_multi(
-        &self,
-        words: std::ops::Range<usize>,
-        active: &mut Vec<usize>,
-        results: &mut [Option<RecordId>],
-    ) {
-        match *self {
-            Prepared::Plane {
-                plane,
-                kernel,
-                col,
-                probes,
-                pf,
-            } => plane.scan_multi(col, kernel, probes, pf, words, active, results),
-            Prepared::I16 { col, probes, t, ka } => {
-                scan_blocks_multi(col, probes, t, ka, words, active, results)
-            }
-            Prepared::I32 { col, probes, t, ka } => {
-                scan_blocks_multi(col, probes, t, ka, words, active, results)
-            }
-            Prepared::I64 { col, probes, t, ka } => {
-                scan_blocks_multi(col, probes, t, ka, words, active, results)
-            }
-        }
-    }
-}
-
 /// Contiguous, width-adaptive columnar storage for sketches — the
-/// storage engine shared by [`ScanIndex`](super::ScanIndex),
-/// [`BucketIndex`](super::BucketIndex) and the shards of a
-/// [`ShardedIndex`](super::ShardedIndex).
+/// storage engine under every index: the head, the frozen runs and
+/// the sealed segments of an [`EpochIndex`](super::EpochIndex) are one
+/// arena each, as are a [`ScanIndex`](super::ScanIndex) and the rows
+/// behind a [`BucketIndex`](super::BucketIndex).
+///
+/// Every lookup is one sweep (`SketchArena::sweep`): `n ≥ 1` probes
+/// over the live rows an optional row subset lets through, keeping
+/// the `budget` lowest matches per probe. [`SketchArena::find_first`]
+/// (budget 1), [`SketchArena::find_all`] (no budget),
+/// [`SketchArena::find_at_most`], its masked variant and
+/// [`SketchArena::find_first_batch`] only choose those three inputs.
 ///
 /// Rows are assigned densely in insertion order and never renumbered;
 /// [`SketchArena::remove`] flips a liveness bit, and
@@ -2383,8 +526,7 @@ impl SketchArena {
     }
 
     /// The plane plus its resolved kernel when the prefilter is live —
-    /// the single dispatch condition shared by the single-probe and
-    /// batch scan entry points.
+    /// the one condition deciding whether a sweep has a phase 1.
     fn active_plane(&self) -> Option<(&FilterPlane, ActiveKernel)> {
         Some((self.plane.as_ref()?, self.active_kernel()?))
     }
@@ -2687,578 +829,6 @@ impl SketchArena {
         }
     }
 
-    /// First live row matching the probe (lowest id), scanning with the
-    /// blocked early-abort kernel. `None` for no match or a
-    /// dimension-mismatched probe.
-    pub fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
-        self.find_from(probe, 0)
-    }
-
-    /// Like [`SketchArena::find_first`], but starts the scan at row
-    /// `from` (resumable scans for candidate pruning).
-    pub fn find_from(&self, probe: &[i64], from: RecordId) -> Option<RecordId> {
-        if let Some(chunks) = self.parallel_chunks(from) {
-            return self.par_find_from(probe, from, &chunks);
-        }
-        let mut found = None;
-        self.scan_probe(probe, from, &mut |row| {
-            found = Some(row);
-            false
-        });
-        found
-    }
-
-    /// The phase-1/phase-2 super-block size in 64-row liveness words
-    /// (see [`FilterConfig::block_rows`]).
-    fn block_words(&self) -> usize {
-        (self.filter.block_rows / 64).clamp(1, MAX_BLOCK_WORDS)
-    }
-
-    /// Splits the liveness words at/after `from_row` into the
-    /// contiguous chunks of a parallel sweep, or `None` when the sweep
-    /// should stay sequential: fan-out disabled, too few rows to
-    /// amortize pool dispatch, already *on* a pool worker (a sharded
-    /// index fanned out per shard — nesting would oversubscribe the
-    /// same cores), or no second thread to fan out to. Chunks are in
-    /// ascending row order and two-per-thread, so early-cancelled
-    /// sweeps load-balance.
-    fn parallel_chunks(&self, from_row: usize) -> Option<Vec<std::ops::Range<usize>>> {
-        let pc = self.filter.parallel;
-        if pc.max_threads == 1 || self.rows.saturating_sub(from_row) < pc.min_rows.max(1) {
-            return None;
-        }
-        if rayon::in_pool_worker() {
-            return None;
-        }
-        let mut threads = rayon::current_num_threads();
-        if pc.max_threads != 0 {
-            threads = threads.min(pc.max_threads);
-        }
-        let first = from_row / 64;
-        let span = self.live_bits.len().saturating_sub(first);
-        let chunks = (threads * 2).min(span);
-        if threads <= 1 || chunks < 2 {
-            return None;
-        }
-        let (base, extra) = (span / chunks, span % chunks);
-        let mut out = Vec::with_capacity(chunks);
-        let mut start = first;
-        for i in 0..chunks {
-            let len = base + usize::from(i < extra);
-            out.push(start..start + len);
-            start += len;
-        }
-        debug_assert_eq!(start, self.live_bits.len());
-        Some(out)
-    }
-
-    /// [`SketchArena::find_from`] fanned out over `chunks` on the
-    /// worker pool. Bit-identical to the sequential sweep: every chunk
-    /// reports the lowest matching row of its own range into a shared
-    /// `fetch_min` cell, chunks whose entire range sits at/above the
-    /// shared best are skipped (they could only report higher rows),
-    /// and the final minimum is read after the pool latch — so the
-    /// result is the global lowest-id match, exactly as sequential.
-    fn par_find_from(
-        &self,
-        probe: &[i64],
-        from: RecordId,
-        chunks: &[std::ops::Range<usize>],
-    ) -> Option<RecordId> {
-        let best = AtomicUsize::new(usize::MAX);
-        let block_words = self.block_words();
-        self.with_prepared_single(probe, |prep| {
-            let Some(prep) = prep else {
-                return;
-            };
-            rayon::scope_for_each(chunks.len(), &|i| {
-                let words = chunks[i].clone();
-                let ctl = SweepCtl {
-                    from_row: from,
-                    block_words,
-                    cancel: Some(&best),
-                    mask: None,
-                    words,
-                };
-                if ctl.cancelled(ctl.words.start * 64) {
-                    return;
-                }
-                let mut local = None;
-                prep.scan_one(ctl, &mut |row| {
-                    local = Some(row);
-                    false
-                });
-                if let Some(row) = local {
-                    best.fetch_min(row, Ordering::Relaxed);
-                }
-            });
-        });
-        let b = best.load(Ordering::Relaxed);
-        (b != usize::MAX).then_some(b)
-    }
-
-    /// [`SketchArena::find_all`] fanned out over `chunks`: each chunk
-    /// collects its own ascending matches into a dedicated slot, and
-    /// the slots concatenate in chunk order — ranges partition the rows
-    /// in ascending order, so the concatenation is the sequential
-    /// result.
-    fn par_find_all(&self, probe: &[i64], chunks: &[std::ops::Range<usize>]) -> Vec<RecordId> {
-        let slots: Vec<Mutex<Vec<RecordId>>> =
-            chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let block_words = self.block_words();
-        self.with_prepared_single(probe, |prep| {
-            let Some(prep) = prep else {
-                return;
-            };
-            rayon::scope_for_each(chunks.len(), &|i| {
-                let mut local = Vec::new();
-                let ctl = SweepCtl {
-                    words: chunks[i].clone(),
-                    from_row: 0,
-                    block_words,
-                    cancel: None,
-                    mask: None,
-                };
-                prep.scan_one(ctl, &mut |row| {
-                    local.push(row);
-                    true
-                });
-                *slots[i].lock().expect("sweep worker panicked") = local;
-            });
-        });
-        let mut out = Vec::new();
-        for slot in slots {
-            out.append(&mut slot.into_inner().expect("sweep worker panicked"));
-        }
-        out
-    }
-
-    /// Resolves a whole batch of probes with **one pass** over the
-    /// column buffer: every live row is tested against each
-    /// still-unresolved probe, so N concurrent queries share a single
-    /// memory sweep instead of issuing N sweeps (the scan at scale is
-    /// memory-bound, making this the amortization that turns batched
-    /// service into a throughput win — see `scheduler_throughput` in
-    /// `fe-bench`).
-    ///
-    /// Results are position-aligned with `probes` and identical to
-    /// calling [`SketchArena::find_first`] per probe: each probe
-    /// resolves to its lowest-id live match. Probes whose dimension
-    /// differs from the stamped one resolve to `None`, as everywhere
-    /// else.
-    pub fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        let mut results = vec![None; probes.len()];
-        let Some(dim) = self.dim else {
-            return results;
-        };
-        if self.live == 0 || dim == 0 {
-            // `dim == 0` would make every per-row slice empty (matching
-            // everything vacuously is what find_first does too, via
-            // rows_match on empty slices) — fall back to the per-probe
-            // path rather than special-casing zero-width rows here.
-            for (slot, probe) in results.iter_mut().zip(probes) {
-                *slot = self.find_first(probe);
-            }
-            return results;
-        }
-        let ka = self.ka;
-        let (lo, hi) = canonical_range(ka);
-        let (t, rows, live) = (self.t, self.rows, self.live_bits.as_slice());
-        let all_words = 0..live.len();
-        let chunks = self.parallel_chunks(0);
-        SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.active.clear();
-            s.active
-                .extend((0..probes.len()).filter(|&p| probes[p].len() == dim));
-            if s.active.is_empty() {
-                return;
-            }
-            // One flattened, canonicalized probe matrix in the arena's
-            // cell width, built in the reusable scratch: wrong-dimension
-            // probes (never active) occupy a zeroed row so the `p * dim`
-            // indexing stays uniform.
-            macro_rules! flatten {
-                ($buf:ident, $c:ty) => {{
-                    s.$buf.clear();
-                    s.$buf.reserve(probes.len() * dim);
-                    for probe in probes {
-                        if probe.len() == dim {
-                            s.$buf.extend(
-                                probe
-                                    .iter()
-                                    .map(|&v| <$c as Cell>::narrow(canonical_fast(v, lo, hi, ka))),
-                            );
-                        } else {
-                            let len = s.$buf.len();
-                            s.$buf.resize(len + dim, <$c as Cell>::narrow(0));
-                        }
-                    }
-                }};
-            }
-            let prep = match &self.cells {
-                Cells::I16(v) => {
-                    flatten!(i16s, i16);
-                    let col = ColumnView {
-                        cells: v.as_slice(),
-                        live,
-                        rows,
-                        dim,
-                    };
-                    if let Some((plane, kernel)) = self.active_plane() {
-                        build_filter_probes(
-                            &s.i16s,
-                            dim,
-                            plane.dims(),
-                            plane.ka16,
-                            plane.probe_quant(),
-                            &mut s.biased,
-                            &mut s.bcast,
-                        );
-                        Prepared::Plane {
-                            plane,
-                            kernel,
-                            col,
-                            probes: &s.i16s,
-                            pf: ProbeFilter {
-                                biased: &s.biased,
-                                bcast: &s.bcast,
-                            },
-                        }
-                    } else {
-                        Prepared::I16 {
-                            col,
-                            probes: &s.i16s,
-                            t,
-                            ka,
-                        }
-                    }
-                }
-                Cells::I32(v) => {
-                    flatten!(i32s, i32);
-                    Prepared::I32 {
-                        col: ColumnView {
-                            cells: v.as_slice(),
-                            live,
-                            rows,
-                            dim,
-                        },
-                        probes: &s.i32s,
-                        t,
-                        ka,
-                    }
-                }
-                Cells::I64(v) => {
-                    flatten!(i64s, i64);
-                    Prepared::I64 {
-                        col: ColumnView {
-                            cells: v.as_slice(),
-                            live,
-                            rows,
-                            dim,
-                        },
-                        probes: &s.i64s,
-                        t,
-                        ka,
-                    }
-                }
-            };
-            match &chunks {
-                // Parallel batch sweep: each chunk runs the multi-probe
-                // kernel over its own word range with a private copy of
-                // the active set, then per-probe firsts fold in
-                // ascending chunk order — the first chunk to resolve a
-                // probe holds its lowest-id match, so the fold equals
-                // the sequential result deterministically.
-                Some(chunks) => {
-                    let base: &Vec<usize> = &s.active;
-                    let slots: Vec<Mutex<Vec<Option<RecordId>>>> =
-                        chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
-                    rayon::scope_for_each(chunks.len(), &|i| {
-                        let mut active = base.clone();
-                        let mut local = vec![None; probes.len()];
-                        prep.scan_multi(chunks[i].clone(), &mut active, &mut local);
-                        *slots[i].lock().expect("sweep worker panicked") = local;
-                    });
-                    for slot in slots {
-                        let local = slot.into_inner().expect("sweep worker panicked");
-                        for (out, found) in results.iter_mut().zip(local) {
-                            if out.is_none() {
-                                *out = found;
-                            }
-                        }
-                    }
-                }
-                None => prep.scan_multi(all_words, &mut s.active, &mut results),
-            }
-        });
-        results
-    }
-
-    /// Every live row matching the probe, ascending.
-    pub fn find_all(&self, probe: &[i64]) -> Vec<RecordId> {
-        if let Some(chunks) = self.parallel_chunks(0) {
-            return self.par_find_all(probe, &chunks);
-        }
-        let mut out = Vec::new();
-        self.scan_probe(probe, 0, &mut |row| {
-            out.push(row);
-            true
-        });
-        out
-    }
-
-    /// The `budget` lowest-id live rows matching the probe, ascending —
-    /// the count-bounded kernel behind reset-style decisions (0 /
-    /// exactly-1 / ≥2 without scanning past the `budget`-th hit).
-    /// `budget = 1` is [`SketchArena::find_first`] as a one-element
-    /// vector; a large budget degrades gracefully into
-    /// [`SketchArena::find_all`].
-    pub fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        self.find_bounded(probe, None, budget, None)
-    }
-
-    /// [`SketchArena::find_at_most`] restricted to the rows selected by
-    /// `mask`: unselected rows are never visited (the mask is ANDed
-    /// into the liveness words ahead of phase 1), which is what makes
-    /// local-uniqueness checks over a small id subset cheap even on a
-    /// large arena.
-    pub fn find_at_most_masked(
-        &self,
-        probe: &[i64],
-        mask: &RowMask,
-        budget: usize,
-    ) -> Vec<RecordId> {
-        self.find_bounded(probe, Some(mask), budget, None)
-    }
-
-    /// The one bounded sweep serving [`SketchArena::find_at_most`], the
-    /// masked variant, and [`PairedArena`]'s combined scans: collects
-    /// the `budget` lowest matching rows, optionally restricted to
-    /// `mask`, optionally post-filtered by `extra` (a per-row predicate
-    /// that must also hold — the paired max-combine verifies the second
-    /// template there). Rows failing `extra` do not consume budget.
-    fn find_bounded(
-        &self,
-        probe: &[i64],
-        mask: Option<&RowMask>,
-        budget: usize,
-        extra: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-    ) -> Vec<RecordId> {
-        if budget == 0 || self.live == 0 {
-            return Vec::new();
-        }
-        let mask_words = mask.map(RowMask::words);
-        if let Some(chunks) = self.parallel_chunks(0) {
-            return self.par_find_bounded(probe, mask_words, budget, extra, &chunks);
-        }
-        let ctl = SweepCtl {
-            words: 0..self.live_bits.len(),
-            from_row: 0,
-            block_words: self.block_words(),
-            cancel: None,
-            mask: mask_words,
-        };
-        let mut out = Vec::new();
-        self.with_prepared_single(probe, |prep| {
-            if let Some(prep) = prep {
-                prep.scan_one(ctl, &mut |row| {
-                    if extra.is_none_or(|f| f(row)) {
-                        out.push(row);
-                    }
-                    out.len() < budget
-                });
-            }
-        });
-        out
-    }
-
-    /// [`SketchArena::find_bounded`] fanned out over `chunks`. The
-    /// fetch-min cancellation generalizes from "lowest match so far"
-    /// to a bounded hit-list: when a chunk collects its `budget`-th
-    /// local match at row `r`, at least `budget` matches exist at rows
-    /// `≤ r` globally, so chunks whose whole range sits above `r` can
-    /// never contribute to the `budget` lowest and are skipped. Chunks
-    /// partition the rows in ascending order, so concatenating the
-    /// per-chunk ascending hit-lists in chunk order and truncating to
-    /// `budget` reproduces the sequential result exactly.
-    fn par_find_bounded(
-        &self,
-        probe: &[i64],
-        mask: Option<&[u64]>,
-        budget: usize,
-        extra: Option<&(dyn Fn(RecordId) -> bool + Sync)>,
-        chunks: &[std::ops::Range<usize>],
-    ) -> Vec<RecordId> {
-        let bound = AtomicUsize::new(usize::MAX);
-        let slots: Vec<Mutex<Vec<RecordId>>> =
-            chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let block_words = self.block_words();
-        self.with_prepared_single(probe, |prep| {
-            let Some(prep) = prep else {
-                return;
-            };
-            rayon::scope_for_each(chunks.len(), &|i| {
-                let ctl = SweepCtl {
-                    words: chunks[i].clone(),
-                    from_row: 0,
-                    block_words,
-                    cancel: Some(&bound),
-                    mask,
-                };
-                if ctl.cancelled(ctl.words.start * 64) {
-                    return;
-                }
-                let mut local = Vec::new();
-                prep.scan_one(ctl, &mut |row| {
-                    if extra.is_none_or(|f| f(row)) {
-                        local.push(row);
-                    }
-                    local.len() < budget
-                });
-                if local.len() >= budget {
-                    bound.fetch_min(local[budget - 1], Ordering::Relaxed);
-                }
-                *slots[i].lock().expect("sweep worker panicked") = local;
-            });
-        });
-        let mut out = Vec::new();
-        for slot in slots {
-            out.append(&mut slot.into_inner().expect("sweep worker panicked"));
-            if out.len() >= budget {
-                break;
-            }
-        }
-        out.truncate(budget);
-        out
-    }
-
-    /// Normalizes one probe into the thread-local scratch and hands the
-    /// bound [`Prepared`] scan state to `f` (`None` for
-    /// dimension-mismatched probes, which match nothing). The
-    /// preparation borrows the scratch for `f`'s whole run, so `f` must
-    /// not re-enter an arena scan *on this thread* — sweep workers only
-    /// read the `Prepared`, and the pool's caller participation runs
-    /// nothing but this sweep's own chunks.
-    fn with_prepared_single<R>(
-        &self,
-        probe: &[i64],
-        f: impl FnOnce(Option<Prepared<'_>>) -> R,
-    ) -> R {
-        if self.dim != Some(probe.len()) {
-            return f(None);
-        }
-        let dim = probe.len();
-        let (t, ka, rows, live) = (self.t, self.ka, self.rows, self.live_bits.as_slice());
-        let (lo, hi) = canonical_range(ka);
-        SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            macro_rules! normalize {
-                ($buf:ident, $c:ty) => {{
-                    s.$buf.clear();
-                    s.$buf.extend(
-                        probe
-                            .iter()
-                            .map(|&v| <$c as Cell>::narrow(canonical_fast(v, lo, hi, ka))),
-                    );
-                }};
-            }
-            let prep = match &self.cells {
-                Cells::I16(v) => {
-                    normalize!(i16s, i16);
-                    let col = ColumnView {
-                        cells: v.as_slice(),
-                        live,
-                        rows,
-                        dim,
-                    };
-                    if let Some((plane, kernel)) = self.active_plane() {
-                        build_filter_probes(
-                            &s.i16s,
-                            dim,
-                            plane.dims(),
-                            plane.ka16,
-                            plane.probe_quant(),
-                            &mut s.biased,
-                            &mut s.bcast,
-                        );
-                        Prepared::Plane {
-                            plane,
-                            kernel,
-                            col,
-                            probes: &s.i16s,
-                            pf: ProbeFilter {
-                                biased: &s.biased,
-                                bcast: &s.bcast,
-                            },
-                        }
-                    } else {
-                        Prepared::I16 {
-                            col,
-                            probes: &s.i16s,
-                            t,
-                            ka,
-                        }
-                    }
-                }
-                Cells::I32(v) => {
-                    normalize!(i32s, i32);
-                    Prepared::I32 {
-                        col: ColumnView {
-                            cells: v.as_slice(),
-                            live,
-                            rows,
-                            dim,
-                        },
-                        probes: &s.i32s,
-                        t,
-                        ka,
-                    }
-                }
-                Cells::I64(v) => {
-                    normalize!(i64s, i64);
-                    Prepared::I64 {
-                        col: ColumnView {
-                            cells: v.as_slice(),
-                            live,
-                            rows,
-                            dim,
-                        },
-                        probes: &s.i64s,
-                        t,
-                        ka,
-                    }
-                }
-            };
-            f(Some(prep))
-        })
-    }
-
-    /// One blocked scan over the column buffer for a single probe:
-    /// normalizes into the thread-local scratch (no per-probe
-    /// allocation), then dispatches the two-phase vectorized scan when
-    /// the prefilter plane is active and the scalar early-abort kernel
-    /// otherwise. No-op for dimension-mismatched probes.
-    fn scan_probe(
-        &self,
-        probe: &[i64],
-        from: RecordId,
-        on_match: &mut dyn FnMut(RecordId) -> bool,
-    ) {
-        let ctl = SweepCtl {
-            words: from / 64..self.live_bits.len(),
-            from_row: from,
-            block_words: self.block_words(),
-            cancel: None,
-            mask: None,
-        };
-        self.with_prepared_single(probe, |prep| {
-            if let Some(prep) = prep {
-                prep.scan_one(ctl, on_match);
-            }
-        });
-    }
-
     /// Drops every row and resets id assignment; the width, `t`, `ka`,
     /// dimension stamp and prefilter plane are retained, as is the
     /// allocated capacity.
@@ -3318,259 +888,10 @@ impl SketchArena {
     }
 }
 
-/// How a multi-template record combines its per-template distances into
-/// one match decision (the threshold algebra of the matching-modes
-/// spec, for two templates `dl`, `dr` and threshold `t`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Combine {
-    /// `max(dl, dr) ≤ t ⇔ (dl ≤ t) ∧ (dr ≤ t)` — *both* templates must
-    /// match (the strict mode used for identification and reset).
-    Max,
-    /// `min(dl, dr) ≤ t ⇔ (dl ≤ t) ∨ (dr ≤ t)` — *either* template
-    /// matching suffices (the conservative mode used for uniqueness
-    /// checks, where any overlap is a collision).
-    Min,
-}
-
-/// Multi-template records: two sketches per identity (e.g. left/right
-/// eye) stored in **paired arena columns** — two [`SketchArena`]s over
-/// the same ring whose rows advance in lockstep, so one [`RecordId`]
-/// names both templates.
-///
-/// Combined lookups evaluate the [`Combine`] threshold algebra as
-/// boolean masks over the per-template conditions (1)–(4) decisions:
-///
-/// * [`Combine::Max`] drives the count-bounded sweep on the *left*
-///   column (keeping its prefilter plane) and verifies each phase-2
-///   survivor's right-column row before it consumes budget — the
-///   AND-combine never forfeits the vectorized phase 1, and bounding
-///   the left scan alone would be wrong (the `budget` lowest left
-///   matches need not pass the right check).
-/// * [`Combine::Min`] runs one bounded sweep per column and merges the
-///   ascending hit-lists (OR-combine), deduplicating rows that match on
-///   both sides.
-///
-/// ```rust
-/// use fe_core::index::store::{Combine, PairedArena};
-///
-/// let mut arena = PairedArena::new(100, 400);
-/// let id = arena.push(&[10, 20], &[300, -100]);
-/// // Both eyes close → Max matches; one eye close → only Min matches.
-/// assert_eq!(arena.find_at_most(&[15, 25], &[305, -95], Combine::Max, 2), vec![id]);
-/// assert_eq!(arena.find_at_most(&[15, 25], &[100, 100], Combine::Max, 2), vec![]);
-/// assert_eq!(arena.find_at_most(&[15, 25], &[100, 100], Combine::Min, 2), vec![id]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PairedArena {
-    left: SketchArena,
-    right: SketchArena,
-}
-
-impl PairedArena {
-    /// Creates an empty paired arena over a ring of circumference `ka`
-    /// with threshold `t`, with the default prefilter configuration.
-    pub fn new(t: u64, ka: u64) -> PairedArena {
-        PairedArena::with_filter(t, ka, FilterConfig::default())
-    }
-
-    /// Creates an empty paired arena with an explicit prefilter
-    /// configuration (shared by both columns).
-    pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> PairedArena {
-        PairedArena {
-            left: SketchArena::with_filter(t, ka, filter),
-            right: SketchArena::with_filter(t, ka, filter),
-        }
-    }
-
-    /// Stores a record's two templates, returning the shared row id.
-    /// Both columns stamp their dimension independently, so the two
-    /// templates may have different dimensions (each probe side is
-    /// checked against its own column).
-    ///
-    /// # Panics
-    /// Panics if either template's dimension differs from its column's
-    /// stamped dimension.
-    pub fn push(&mut self, left: &[i64], right: &[i64]) -> RecordId {
-        let id = self.left.push(left);
-        let rid = self.right.push(right);
-        debug_assert_eq!(id, rid, "paired columns must advance in lockstep");
-        id
-    }
-
-    /// Tombstones a record in both columns. Returns `false` if the id
-    /// was unknown or already removed.
-    pub fn remove(&mut self, id: RecordId) -> bool {
-        let l = self.left.remove(id);
-        let r = self.right.remove(id);
-        debug_assert_eq!(l, r, "paired columns must tombstone in lockstep");
-        l && r
-    }
-
-    /// Number of live records.
-    pub fn len(&self) -> usize {
-        self.left.len()
-    }
-
-    /// `true` when no records are live.
-    pub fn is_empty(&self) -> bool {
-        self.left.is_empty()
-    }
-
-    /// Total record slots held, live and tombstoned.
-    pub fn rows(&self) -> usize {
-        self.left.rows()
-    }
-
-    /// The left template column.
-    pub fn left(&self) -> &SketchArena {
-        &self.left
-    }
-
-    /// The right template column.
-    pub fn right(&self) -> &SketchArena {
-        &self.right
-    }
-
-    /// The `budget` lowest-id live records whose combined decision
-    /// matches the probe pair, ascending (see the type docs for how
-    /// each [`Combine`] evaluates). A probe side whose dimension
-    /// differs from its column's stamp matches nothing on that side.
-    pub fn find_at_most(
-        &self,
-        left_probe: &[i64],
-        right_probe: &[i64],
-        combine: Combine,
-        budget: usize,
-    ) -> Vec<RecordId> {
-        self.find_combined(left_probe, right_probe, combine, None, budget)
-    }
-
-    /// [`PairedArena::find_at_most`] restricted to the rows selected by
-    /// `mask` (the subset + min-combine shape of local-uniqueness
-    /// checks).
-    pub fn find_at_most_masked(
-        &self,
-        left_probe: &[i64],
-        right_probe: &[i64],
-        combine: Combine,
-        mask: &RowMask,
-        budget: usize,
-    ) -> Vec<RecordId> {
-        self.find_combined(left_probe, right_probe, combine, Some(mask), budget)
-    }
-
-    fn find_combined(
-        &self,
-        left_probe: &[i64],
-        right_probe: &[i64],
-        combine: Combine,
-        mask: Option<&RowMask>,
-        budget: usize,
-    ) -> Vec<RecordId> {
-        match combine {
-            Combine::Max => {
-                // AND-combine: the left column's bounded sweep keeps
-                // its prefilter; each left survivor verifies its right
-                // row before consuming budget.
-                let Some(right_probe) = self.right.normalize_probe(right_probe) else {
-                    return Vec::new();
-                };
-                let verify_right = |row: RecordId| self.right.row_matches(row, &right_probe);
-                self.left
-                    .find_bounded(left_probe, mask, budget, Some(&verify_right))
-            }
-            Combine::Min => {
-                // OR-combine: bounded sweep per column, merged
-                // ascending with dedup. Each side's `budget` lowest
-                // together cover the union's `budget` lowest.
-                let l = self.left.find_bounded(left_probe, mask, budget, None);
-                let r = self.right.find_bounded(right_probe, mask, budget, None);
-                let mut out = Vec::with_capacity(l.len() + r.len());
-                let (mut i, mut j) = (0, 0);
-                while out.len() < budget && (i < l.len() || j < r.len()) {
-                    let next = match (l.get(i), r.get(j)) {
-                        (Some(&a), Some(&b)) if a == b => {
-                            i += 1;
-                            j += 1;
-                            a
-                        }
-                        (Some(&a), Some(&b)) if a < b => {
-                            i += 1;
-                            a
-                        }
-                        (Some(_), Some(&b)) => {
-                            j += 1;
-                            b
-                        }
-                        (Some(&a), None) => {
-                            i += 1;
-                            a
-                        }
-                        (None, Some(&b)) => {
-                            j += 1;
-                            b
-                        }
-                        (None, None) => unreachable!("loop condition"),
-                    };
-                    out.push(next);
-                }
-                out
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::cells::canonical;
     use super::*;
-
-    #[test]
-    fn width_follows_ring() {
-        assert_eq!(CellWidth::for_ring(400), CellWidth::I16);
-        assert_eq!(CellWidth::for_ring((1 << 15) - 1), CellWidth::I16);
-        assert_eq!(CellWidth::for_ring(1 << 15), CellWidth::I32);
-        assert_eq!(CellWidth::for_ring((1 << 31) - 1), CellWidth::I32);
-        assert_eq!(CellWidth::for_ring(1 << 31), CellWidth::I64);
-        assert_eq!(CellWidth::for_ring(u64::MAX), CellWidth::I64);
-    }
-
-    #[test]
-    fn canonical_is_minimal_residue() {
-        assert_eq!(canonical(0, 400), 0);
-        assert_eq!(canonical(200, 400), 200);
-        assert_eq!(canonical(201, 400), -199);
-        assert_eq!(canonical(-200, 400), 200);
-        assert_eq!(canonical(400, 400), 0);
-        assert_eq!(canonical(300, 400), -100);
-        assert_eq!(canonical(-300, 400), 100);
-        assert_eq!(canonical(i64::MIN, 400), canonical(i64::MIN % 400, 400));
-        // Odd ring: residues span [−(ka−1)/2, (ka−1)/2].
-        for v in -20..20 {
-            let c = canonical(v, 7);
-            assert!((-3..=3).contains(&c), "canonical({v}, 7) = {c}");
-            assert_eq!((v - c).rem_euclid(7), 0);
-        }
-    }
-
-    #[test]
-    fn kernel_matches_cyclic_close_on_canonical_values() {
-        use crate::conditions::cyclic_close;
-        let ka = 40u64;
-        for t in [1u64, 5, 19] {
-            for a in -60i64..60 {
-                for b in -60i64..60 {
-                    let ca = canonical(a, ka);
-                    let cb = canonical(b, ka);
-                    let d = (ca - cb).unsigned_abs();
-                    assert_eq!(
-                        d.min(ka - d) <= t,
-                        cyclic_close(a, b, t, ka),
-                        "a={a} b={b} t={t}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn push_remove_compact_roundtrip() {
@@ -3727,55 +1048,6 @@ mod tests {
         assert_eq!(seen[4], (5, vec![5, 5]));
     }
 
-    #[test]
-    fn batch_scan_agrees_with_per_probe_scan() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        for ka in [400u64, 1 << 20, 1 << 40] {
-            let t = ka / 4;
-            let mut arena = SketchArena::new(t, ka);
-            let half = (ka / 2) as i64;
-            let rows: Vec<Vec<i64>> = (0..300)
-                .map(|_| (0..8).map(|_| rng.gen_range(-half..=half)).collect())
-                .collect();
-            for row in &rows {
-                arena.push(row);
-            }
-            for id in (0..300).step_by(5) {
-                arena.remove(id);
-            }
-            // Genuine probes (noise within t), impostors, and a
-            // wrong-dimension probe in one batch.
-            let mut probes: Vec<Vec<i64>> = rows
-                .iter()
-                .step_by(7)
-                .map(|row| {
-                    row.iter()
-                        .map(|&v| v + rng.gen_range(-(t as i64)..=t as i64))
-                        .collect()
-                })
-                .collect();
-            probes.push(vec![0; 8]);
-            probes.push(vec![1, 2, 3]);
-            let batch = arena.find_first_batch(&probes);
-            let single: Vec<Option<RecordId>> =
-                probes.iter().map(|p| arena.find_first(p)).collect();
-            assert_eq!(batch, single, "ka = {ka}");
-        }
-    }
-
-    #[test]
-    fn batch_scan_on_empty_and_unstamped_arena() {
-        let arena = SketchArena::new(100, 400);
-        assert_eq!(arena.find_first_batch(&[vec![1, 2]]), vec![None]);
-        let mut arena = SketchArena::new(100, 400);
-        let a = arena.push(&[5, 5]);
-        arena.remove(a);
-        assert_eq!(arena.find_first_batch(&[vec![5, 5]]), vec![None]);
-        assert_eq!(arena.find_first_batch(&[]), Vec::<Option<RecordId>>::new());
-    }
-
     /// Drives a filtered arena and a scalar (filter-disabled) arena
     /// through the same random population and probes, comparing every
     /// lookup entry point.
@@ -3816,7 +1088,6 @@ mod tests {
         for probe in &probes {
             assert_eq!(filtered.find_first(probe), scalar.find_first(probe));
             assert_eq!(filtered.find_all(probe), scalar.find_all(probe));
-            assert_eq!(filtered.find_from(probe, 150), scalar.find_from(probe, 150));
         }
         assert_eq!(
             filtered.find_first_batch(&probes),
@@ -3882,163 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn block_size_variants_match_scalar() {
-        // The ablation block sizes, plus degenerate values that clamp.
-        for block_rows in [64, 128, 256, 1, 4096] {
-            check_filtered_matches_scalar(
-                FilterConfig::default().with_block_rows(block_rows),
-                100,
-                400,
-                12,
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        rayon::ensure_threads(4);
-        for threads in [2, 4, 0] {
-            let par = ParallelConfig::forced(threads);
-            // Vectorized plane sweep in parallel vs sequential scalar.
-            check_filtered_matches_scalar(FilterConfig::default().with_parallel(par), 100, 400, 12);
-            // Parallel *scalar* sweeps on every cell width.
-            check_filtered_matches_scalar(FilterConfig::disabled().with_parallel(par), 100, 400, 8);
-            check_filtered_matches_scalar(
-                FilterConfig::default().with_parallel(par),
-                1 << 18,
-                1 << 20,
-                8,
-            );
-            check_filtered_matches_scalar(
-                FilterConfig::default().with_parallel(par),
-                1 << 38,
-                1 << 40,
-                8,
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_cancellation_keeps_lowest_match() {
-        // Identical rows everywhere: every chunk finds a match, the
-        // later chunks' finds must all lose to row 0. Run repeatedly to
-        // shake scheduling interleavings.
-        rayon::ensure_threads(4);
-        let mut arena = SketchArena::with_filter(
-            100,
-            400,
-            FilterConfig::default().with_parallel(ParallelConfig::forced(4)),
-        );
-        for _ in 0..1000 {
-            arena.push(&[7, -7, 7, -7]);
-        }
-        for _ in 0..50 {
-            assert_eq!(arena.find_first(&[7, -7, 7, -7]), Some(0));
-        }
-        // With the first rows dead, the lowest live id must win.
-        for id in 0..130 {
-            arena.remove(id);
-        }
-        for _ in 0..50 {
-            assert_eq!(arena.find_first(&[7, -7, 7, -7]), Some(130));
-            assert_eq!(arena.find_from(&[7, -7, 7, -7], 700), Some(700));
-        }
-    }
-
-    #[test]
-    fn adaptive_depth_model() {
-        // Paper ring: pass rate 201/400 ≈ ½ → exactly the previously
-        // hard-coded 8 lanes.
-        assert_eq!(adaptive_depth(100, 400), 8);
-        // Rate exactly ½: (½)⁷ = 1/128 hits the target at 7 lanes.
-        assert_eq!(adaptive_depth(0, 2), 7);
-        // Rate 3/7: 6 lanes clear 1/128.
-        assert_eq!(adaptive_depth(1, 7), 6);
-        // Nothing to reject: every coordinate always passes.
-        assert_eq!(adaptive_depth(399, 400), 0);
-        assert_eq!(adaptive_depth(200, 400), 0);
-        assert_eq!(adaptive_depth(u64::MAX, 400), 0);
-        // Huge sparse ring: one lane rejects nearly everything.
-        assert_eq!(adaptive_depth(0, u64::MAX), 1);
-        // Near-1 pass rate: capped at MAX_ADAPTIVE_DIMS.
-        assert_eq!(adaptive_depth(199, 400), FilterConfig::MAX_ADAPTIVE_DIMS);
-        // Deeper adaptive planes clamp to the sketch dimension.
-        let mut arena = SketchArena::new(199, 402);
-        arena.push(&[1, 2, 3]);
-        assert_eq!(arena.plane_dims(), 3);
-        assert_eq!(arena.resolved_depth(), FilterConfig::MAX_ADAPTIVE_DIMS);
-    }
-
-    #[test]
-    fn neon_kernel_matches_swar() {
-        // The NEON kernel body runs everywhere through the emulated
-        // `intr` façade: its 8-row masks must equal two SWAR words.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9E09);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let mut plane = FilterPlane::new(3, t, ka, PlaneRepr::U16);
-            for row in 0..64 {
-                let coords: [i16; 3] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..3)
-                    .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in (0..16).step_by(2) {
-                    let neon = neon::eight(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let swar = plane.swar_word(pf, wi) | (plane.swar_word(pf, wi + 1) << 4);
-                    assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_kernel_matches_swar() {
-        if !avx512::available() {
-            return;
-        }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x5125);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U16);
-            for row in 0..64 {
-                let coords: [i16; 4] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..4)
-                    .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in [0, 8] {
-                    let wide = avx512::octo(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let mut swar = 0u64;
-                    for sub in 0..8 {
-                        swar |= plane.swar_word(pf, wi + sub) << (sub * 4);
-                    }
-                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn threshold_above_half_ring_matches_everything() {
         // t ≥ ka/2 means every row matches; adaptive depth resolves to
         // 0 (no plane could reject), and a pinned fixed-depth plane
@@ -4092,87 +1206,6 @@ mod tests {
             sized,
             "a pre-sized bulk load must not reallocate cells, bitmap, or plane"
         );
-    }
-
-    #[test]
-    fn swar_word_algebra_is_exact() {
-        // Exhaustive single-coordinate check of the SWAR lane math
-        // against the scalar predicate, on an awkward odd ring.
-        let ka = 401u64;
-        for t in [0u64, 1, 57, 200, 400] {
-            let plane = FilterPlane::new(1, t, ka, PlaneRepr::U16);
-            for a in 0..ka as i64 {
-                let mut lanes = vec![Vec::new()];
-                let c = canonical(a, ka) as i16;
-                // Pack the same row value in all four lanes.
-                let b = u64::from(bias16(c, ka as u16));
-                lanes[0].push(b * LANES);
-                let plane = FilterPlane {
-                    lanes,
-                    ..plane.clone()
-                };
-                for bval in (0..ka as i64).step_by(7) {
-                    let pc = canonical(bval, ka) as i16;
-                    let pb = u64::from(bias16(pc, ka as u16)) * LANES;
-                    let biased = [bias16(pc, ka as u16)];
-                    let bcast = [pb];
-                    let pf = ProbeFilter {
-                        biased: &biased,
-                        bcast: &bcast,
-                    };
-                    let mask = plane.swar_word(pf, 0);
-                    let expect = crate::conditions::cyclic_close(a, bval, t, ka);
-                    assert_eq!(mask == 0xF, expect, "a={a} b={bval} t={t}: mask {mask:#x}");
-                    assert!(mask == 0 || mask == 0xF, "lanes disagree: {mask:#x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn find_from_resumes_past_matches() {
-        let mut arena = SketchArena::new(100, 400);
-        arena.push(&[10, 10]);
-        arena.push(&[500, 500]); // stored as its canonical form, 100
-        arena.push(&[15, 15]);
-        let first = arena.find_first(&[12, 12]).unwrap();
-        assert_eq!(first, 0);
-        let next = arena.find_from(&[12, 12], first + 1);
-        // Row 1 stores canonical(500) = 100: distance to 12 is 88 ≤ t,
-        // so it genuinely matches too.
-        assert_eq!(next, Some(1));
-        assert_eq!(arena.find_from(&[12, 12], 3), None);
-    }
-
-    #[test]
-    fn quantize_ring_model() {
-        // Paper ring: q = 2 → 200 buckets, tq = ⌈100/2⌉ + 1 = 51.
-        assert_eq!(quantize_ring(100, 400), (2, 200, 51));
-        // Byte-native rings (ka ≤ 256): no quantization, no slack.
-        assert_eq!(quantize_ring(100, 256), (1, 256, 100));
-        assert_eq!(quantize_ring(1, 7), (1, 7, 1));
-        // Largest i16 ring: q = 128 → exactly 256 buckets (the kernels
-        // broadcast the wrapped 0; see `neon::sixteen`).
-        assert_eq!(quantize_ring(1000, (1 << 15) - 1), (128, 256, 9));
-        // t clamps to the half-ring before quantizing, and tq clamps to
-        // the half-bucket-ring.
-        assert_eq!(quantize_ring(u64::MAX, 400), (2, 200, 100));
-
-        // Eligibility cliff: 2·tq+1 must stay below the bucket count.
-        assert!(byte_plane_eligible(100, 400));
-        assert!(byte_plane_eligible(0, 400));
-        // 2t+1 = 255 < 256 buckets — barely eligible.
-        assert!(byte_plane_eligible(127, 256));
-        // Same threshold, one bucket fewer: 255 ≥ 255.
-        assert!(!byte_plane_eligible(127, 255));
-        // tq saturates at kq/2 = 100: 201 ≥ 200 buckets.
-        assert!(!byte_plane_eligible(198, 400));
-        // Rings wider than i16 never build any plane.
-        assert!(!byte_plane_eligible(100, 1 << 20));
-
-        // Byte-plane adaptive depth at the paper ring: bucket pass rate
-        // 103/200 ≈ ½ lands on the same 8 lanes as the exact plane.
-        assert_eq!(adaptive_depth_for_rate(2 * 51 + 1, 200), 8);
     }
 
     #[test]
@@ -4262,165 +1295,6 @@ mod tests {
                 400,
                 12,
             );
-        }
-    }
-
-    #[test]
-    fn neon_u8_kernel_matches_swar() {
-        // The NEON byte kernel runs everywhere through the emulated
-        // `intr` façade: its 16-row masks must equal two SWAR u8 words.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x8E08);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let (q, _, _) = quantize_ring(t, ka);
-            let mut plane = FilterPlane::new(3, t, ka, PlaneRepr::U8 { q });
-            for row in 0..128 {
-                let coords: [i16; 3] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..3)
-                    .map(|_| {
-                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
-                    })
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in (0..16).step_by(2) {
-                    let neon = neon::sixteen(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let swar = plane.swar_word_u8(pf, wi) | (plane.swar_word_u8(pf, wi + 1) << 8);
-                    assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_u8_kernel_matches_swar() {
-        if !avx2::available() {
-            return;
-        }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xA208);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let (q, _, _) = quantize_ring(t, ka);
-            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U8 { q });
-            for row in 0..128 {
-                let coords: [i16; 4] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..4)
-                    .map(|_| {
-                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
-                    })
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in (0..16).step_by(4) {
-                    let wide = avx2::quad8(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let mut swar = 0u64;
-                    for sub in 0..4 {
-                        swar |= plane.swar_word_u8(pf, wi + sub) << (sub * 8);
-                    }
-                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_u8_kernel_matches_swar() {
-        if !avx512::available() {
-            return;
-        }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x5128);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let (q, _, _) = quantize_ring(t, ka);
-            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U8 { q });
-            for row in 0..128 {
-                let coords: [i16; 4] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..4)
-                    .map(|_| {
-                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
-                    })
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in [0, 8] {
-                    let wide = avx512::octo8(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let mut swar = 0u64;
-                    for sub in 0..8 {
-                        swar |= plane.swar_word_u8(pf, wi + sub) << (sub * 8);
-                    }
-                    assert_eq!(wide, swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swar_word_u8_implements_bucket_predicate() {
-        // Exhaustive single-coordinate check of the u8 SWAR algebra on
-        // an awkward odd ring (q = 2, kq = 201): the mask must equal
-        // the bucket-distance predicate exactly, and must accept every
-        // pair the scalar residue predicate accepts (over-accept only —
-        // phase 2 can prune, never resurrect).
-        let ka = 401u64;
-        for t in [0u64, 1, 57, 100, 199] {
-            let (q, kq, tq) = quantize_ring(t, ka);
-            let plane = FilterPlane::new(1, t, ka, PlaneRepr::U8 { q });
-            for a in 0..ka as i64 {
-                let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
-                // Pack the same row bucket in all eight byte slots.
-                let lanes = vec![vec![u64::from(row_bucket) * 0x0101_0101_0101_0101]];
-                let plane = FilterPlane {
-                    lanes,
-                    ..plane.clone()
-                };
-                for bval in (0..ka as i64).step_by(3) {
-                    let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
-                    let biased = [pb];
-                    let bcast = [u64::from(pb) * LANES];
-                    let pf = ProbeFilter {
-                        biased: &biased,
-                        bcast: &bcast,
-                    };
-                    let mask = plane.swar_word_u8(pf, 0);
-                    assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
-                    let d = row_bucket.abs_diff(pb);
-                    let bucket_close = d.min(kq - d) <= tq;
-                    assert_eq!(
-                        mask == 0xFF,
-                        bucket_close,
-                        "a={a} b={bval} t={t}: mask {mask:#x}"
-                    );
-                    if crate::conditions::cyclic_close(a, bval, t, ka) {
-                        assert_eq!(mask, 0xFF, "a={a} b={bval} t={t}: over-rejected");
-                    }
-                }
-            }
         }
     }
 }

@@ -1,0 +1,863 @@
+//! The prefilter plane: the leading coordinates of every row stored
+//! dimension-major for the vector phase 1, its depth/width model, and
+//! the portable SWAR kernel.
+
+#[cfg(any(target_arch = "aarch64", test))]
+use super::kernels::neon;
+use super::kernels::ActiveKernel;
+#[cfg(target_arch = "x86_64")]
+use super::kernels::{avx2, avx512};
+use super::FilterConfig;
+
+/// Resolves [`PlaneDepth::Adaptive`] for a ring: the smallest depth
+/// whose expected survivor rate clears 1/128, capped at
+/// [`FilterConfig::MAX_ADAPTIVE_DIMS`]; `0` when a lane could never
+/// reject (`2·t_eff+1 ≥ ka`). Computed by repeated multiplication
+/// rather than a log ratio so boundary cases (exact powers of the pass
+/// rate) resolve deterministically.
+pub(super) fn adaptive_depth(t: u64, ka: u64) -> usize {
+    let t_eff = t.min(ka / 2);
+    // Coordinates passing one lane: the 2·t_eff+1 residues within
+    // cyclic distance t_eff (no overflow: t_eff ≤ ka/2).
+    adaptive_depth_for_rate(2 * t_eff + 1, ka)
+}
+
+/// The shared depth model behind [`adaptive_depth`], parameterized by
+/// the per-lane acceptance count over an arbitrary ring: the 16-bit
+/// plane passes `2·t_eff+1` of `ka` residues, the quantized byte plane
+/// passes `2·t_q+1` of `⌈ka/q⌉` buckets.
+pub(super) fn adaptive_depth_for_rate(passing: u64, ring: u64) -> usize {
+    if passing >= ring {
+        return 0;
+    }
+    let rate = passing as f64 / ring as f64;
+    const TARGET: f64 = 1.0 / 128.0;
+    let mut depth = 1usize;
+    let mut survivors = rate;
+    while survivors > TARGET && depth < FilterConfig::MAX_ADAPTIVE_DIMS {
+        survivors *= rate;
+        depth += 1;
+    }
+    depth
+}
+
+/// The byte plane's quantization for a ring with `ka < 2¹⁵`:
+/// `(q, kq, tq)` where `q = ⌈ka/256⌉` is the bucket width (1 when the
+/// ring already fits a byte), `kq = ⌈ka/q⌉` the bucket count, and `tq`
+/// the conservative bucket-distance threshold. With `t' = min(t, ka/2)`
+/// the exact residue test `|a − b|_cyc ≤ t'` implies the bucket test
+/// `|a/q − b/q|_cyc ≤ ⌈t'/q⌉ + 1` (bucketing moves each endpoint by
+/// < q, and the wrap-around leg over `kq` buckets shrinks by at most
+/// one extra bucket when `q ∤ ka`), so `tq = ⌈t'/q⌉ + 1` over-accepts
+/// and never over-rejects; `q = 1` needs no slack and keeps `t'`.
+pub(super) fn quantize_ring(t: u64, ka: u64) -> (u16, u16, u16) {
+    debug_assert!(ka < 1 << 15);
+    let t_eff = t.min(ka / 2) as u16;
+    let ka16 = ka as u16;
+    let q = ka16.div_ceil(256).max(1);
+    let kq = ka16.div_ceil(q);
+    let tq = if q == 1 {
+        t_eff
+    } else {
+        (t_eff.div_ceil(q) + 1).min(kq / 2)
+    };
+    (q, kq, tq)
+}
+
+/// Whether the quantized byte plane can reject anything on this ring:
+/// a bucket lane passes `2·t_q+1` of `kq` buckets, so once that count
+/// reaches `kq` the plane is pure overhead and [`PlaneWidth::Auto`] /
+/// [`PlaneWidth::U8`] fall back to the exact 16-bit plane. Wider rings
+/// (`ka ≥ 2¹⁵`) never build any plane, so they are never eligible.
+pub(super) fn byte_plane_eligible(t: u64, ka: u64) -> bool {
+    if ka >= 1 << 15 {
+        return false;
+    }
+    let (_, kq, tq) = quantize_ring(t, ka);
+    2 * u64::from(tq) + 1 < u64::from(kq)
+}
+
+/// `0x0001` in every 16-bit lane: broadcasts a lane value by
+/// multiplication.
+const LANES: u64 = 0x0001_0001_0001_0001;
+/// The spare most-significant bit of every 16-bit lane. Plane values
+/// are residues in `[0, ka)` with `ka < 2¹⁵`, so this bit is always
+/// free to carry per-lane comparison results without cross-lane
+/// borrows.
+const MSBS: u64 = 0x8000_8000_8000_8000;
+
+/// One probe's prefilter state, borrowed from the scan scratch: the
+/// biased residues of its leading plane coordinates, and the same
+/// values broadcast across SWAR lanes.
+#[derive(Clone, Copy)]
+pub(super) struct ProbeFilter<'a> {
+    pub(super) biased: &'a [u16],
+    pub(super) bcast: &'a [u64],
+}
+
+/// The lane cell representation a [`FilterPlane`] was built with,
+/// after [`PlaneWidth`] resolution (`Auto` and ineligible-`U8` rings
+/// have already fallen back by the time a plane exists).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum PlaneRepr {
+    /// Exact biased residues, 4 × 16-bit lanes per word. Phase 1 is
+    /// exact on the plane dimensions, so phase 2 verifies only the
+    /// remaining `dim − F` coordinates.
+    U16,
+    /// Quantized buckets (`residue / q`), 8 × 8-bit lanes per word.
+    /// Phase 1 over-accepts (see [`PlaneWidth`]), so phase 2 verifies
+    /// *all* coordinates — still a net win: byte lanes reject ≈ as
+    /// sharply per dimension while the plane moves half the bytes.
+    U8 {
+        /// Bucket width `⌈ka/256⌉`.
+        q: u16,
+    },
+}
+
+/// The leading dimensions of every row, stored dimension-major for the
+/// vector prefilter: lane `d` holds coordinate `d` of rows
+/// `0, 1, 2, …` as biased 16-bit residues (`(value mod ka) ∈ [0, ka)`)
+/// packed four rows per `u64` word — or, under [`PlaneRepr::U8`], as
+/// quantized 8-bit buckets packed eight rows per word.
+///
+/// Only rows' *positions* live here — liveness stays in the arena's
+/// bitmap, which the candidate masks are intersected with, so `remove`
+/// never touches the plane and stale tombstone lanes are harmless.
+#[derive(Debug, Clone)]
+pub(super) struct FilterPlane {
+    /// One packed lane per filter dimension (`min(config.dims, dim)`).
+    lanes: Vec<Vec<u64>>,
+    /// Lane cell representation (16-bit exact / 8-bit quantized).
+    pub(super) repr: PlaneRepr,
+    /// The ring circumference (fits: planes only exist for `ka < 2¹⁵`).
+    /// Used for biasing rows and probes into `[0, ka)`.
+    pub(super) ka16: u16,
+    /// Threshold the phase-1 kernels compare against: on a 16-bit
+    /// plane the effective threshold `min(t, ka/2)` (the cyclic
+    /// distance never exceeds `ka/2`, so clamping preserves the
+    /// predicate while keeping every SWAR constant inside a 15-bit
+    /// lane), on a byte plane the quantized `t_q`.
+    cmp_t: u16,
+    /// Ring the phase-1 kernels wrap over: `ka` on a 16-bit plane, the
+    /// bucket count `⌈ka/q⌉` (≤ 256) on a byte plane.
+    cmp_ka: u16,
+    /// `0x8000 + cmp_t` broadcast: SWAR `absd ≤ cmp_t` comparand.
+    th: u64,
+    /// `cmp_ka − cmp_t` broadcast: SWAR `absd ≥ cmp_ka − cmp_t`
+    /// comparand.
+    kmt: u64,
+}
+
+/// Biases a canonical `i16` ring representative into `[0, ka)`.
+#[inline]
+fn bias16(c: i16, ka16: u16) -> u16 {
+    if c < 0 {
+        (i32::from(c) + i32::from(ka16)) as u16
+    } else {
+        c as u16
+    }
+}
+
+impl FilterPlane {
+    pub(super) fn new(dims: usize, t: u64, ka: u64, repr: PlaneRepr) -> FilterPlane {
+        debug_assert!(dims >= 1 && ka < 1 << 15);
+        let ka16 = ka as u16;
+        let t_eff = t.min(ka / 2) as u16;
+        let (cmp_t, cmp_ka) = match repr {
+            PlaneRepr::U16 => (t_eff, ka16),
+            PlaneRepr::U8 { q } => {
+                let (rq, kq, tq) = quantize_ring(t, ka);
+                debug_assert_eq!(rq, q);
+                (tq, kq)
+            }
+        };
+        FilterPlane {
+            lanes: vec![Vec::new(); dims],
+            repr,
+            ka16,
+            cmp_t,
+            cmp_ka,
+            th: (0x8000 + u64::from(cmp_t)) * LANES,
+            kmt: (u64::from(cmp_ka) - u64::from(cmp_t)) * LANES,
+        }
+    }
+
+    pub(super) fn dims(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Rows packed per `u64` lane word: 4 × u16 or 8 × u8.
+    fn rows_per_word(&self) -> usize {
+        match self.repr {
+            PlaneRepr::U16 => 4,
+            PlaneRepr::U8 { .. } => 8,
+        }
+    }
+
+    /// First coordinate phase 2 must verify: the 16-bit plane tests
+    /// its dimensions exactly (verify resumes after them), the byte
+    /// plane over-accepts (verify re-checks everything).
+    pub(super) fn verify_start(&self) -> usize {
+        match self.repr {
+            PlaneRepr::U16 => self.dims(),
+            PlaneRepr::U8 { .. } => 0,
+        }
+    }
+
+    /// Divisor applied to biased probe residues when building
+    /// [`ProbeFilter`] state (1 on the exact 16-bit plane).
+    pub(super) fn probe_quant(&self) -> u16 {
+        match self.repr {
+            PlaneRepr::U16 => 1,
+            PlaneRepr::U8 { q } => q,
+        }
+    }
+
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.lanes.iter().map(|l| l.capacity() * 8).sum()
+    }
+
+    pub(super) fn reserve_rows(&mut self, total_rows: usize) {
+        let words = total_rows.div_ceil(self.rows_per_word());
+        for lane in &mut self.lanes {
+            lane.reserve(words.saturating_sub(lane.len()));
+        }
+    }
+
+    pub(super) fn clear(&mut self) {
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
+    }
+
+    /// Appends row `row`'s leading coordinates (canonical `i16`
+    /// residues) to every lane. Rows must arrive densely in order.
+    pub(super) fn push_row(&mut self, row: usize, leading: &[i16]) {
+        debug_assert_eq!(leading.len(), self.lanes.len());
+        let rpw = self.rows_per_word();
+        let (word, slot) = (row / rpw, row % rpw);
+        let (quant, bits) = match self.repr {
+            PlaneRepr::U16 => (1, 16),
+            PlaneRepr::U8 { q } => (q, 8),
+        };
+        for (lane, &c) in self.lanes.iter_mut().zip(leading) {
+            let b = u64::from(bias16(c, self.ka16) / quant);
+            if slot == 0 {
+                debug_assert_eq!(lane.len(), word);
+                lane.push(b);
+            } else {
+                lane[word] |= b << (bits * slot);
+            }
+        }
+    }
+
+    /// Rebuilds every lane from the (compacted) row-major cell buffer.
+    pub(super) fn rebuild(&mut self, cells: &[i16], rows: usize, dim: usize) {
+        self.clear();
+        let pd = self.dims();
+        for row in 0..rows {
+            let base = row * dim;
+            self.push_row(row, &cells[base..base + pd]);
+        }
+    }
+
+    /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
+    /// against the broadcast probe `pb`, returning the per-lane pass
+    /// MSBs. See `DESIGN.md` for the lane algebra; every intermediate
+    /// stays within its 16-bit lane because values are 15-bit residues
+    /// (buckets ≤ 256 on the byte plane) and `MSBS` supplies the
+    /// borrow headroom.
+    #[inline]
+    fn swar_pass(&self, a: u64, pb: u64) -> u64 {
+        // Per lane: a − b + 0x8000 and b − a + 0x8000 (exact; no
+        // cross-lane borrow since the `MSBS` addend dominates any
+        // 15-bit operand).
+        let d1 = (a | MSBS) - pb;
+        let d2 = (pb | MSBS) - a;
+        // Full-lane mask of a ≥ b from d1's carried MSB.
+        let ge = ((d1 >> 15) & LANES) * 0xFFFF;
+        // |a − b| per lane, MSB bias stripped.
+        let absd = ((d1 & ge) | (d2 & !ge)) & !MSBS;
+        // Cyclic pass: absd ≤ cmp_t  OR  absd ≥ cmp_ka − cmp_t.
+        ((self.th - absd) | ((absd | MSBS) - self.kmt)) & MSBS
+    }
+
+    /// Gathers [`FilterPlane::swar_pass`] survivor MSBs into 4 low
+    /// bits.
+    #[inline]
+    fn swar_gather(acc: u64) -> u64 {
+        ((acc >> 15) & 1) | ((acc >> 30) & 2) | ((acc >> 45) & 4) | ((acc >> 60) & 8)
+    }
+
+    /// SWAR-prefilters the 4 rows of 16-bit plane word `wi`, returning
+    /// one low bit per passing row.
+    #[inline]
+    fn swar_word(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
+        let mut acc = MSBS;
+        for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
+            acc &= self.swar_pass(lane[wi], pb);
+            if acc == 0 {
+                return 0;
+            }
+        }
+        Self::swar_gather(acc)
+    }
+
+    /// SWAR-prefilters the 8 rows of byte plane word `wi`, returning
+    /// one low bit per passing row.
+    ///
+    /// Bytes have no spare MSB, so the word is split into its even and
+    /// odd bytes — each a 4 × 16-bit-lane value whose lanes hold a
+    /// bucket ≤ 255, leaving the usual `0x8000` headroom — and both
+    /// halves run the existing 16-bit lane algebra (which computes the
+    /// exact `cmp_ka − absd`, so even the `kq = 256` ring needs no
+    /// wrap-around trick here). The two 4-bit results interleave back
+    /// into byte order.
+    #[inline]
+    fn swar_word_u8(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
+        const EVENS: u64 = 0x00FF_00FF_00FF_00FF;
+        let (mut acc_e, mut acc_o) = (MSBS, MSBS);
+        for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
+            let w = lane[wi];
+            acc_e &= self.swar_pass(w & EVENS, pb);
+            acc_o &= self.swar_pass((w >> 8) & EVENS, pb);
+            if acc_e | acc_o == 0 {
+                return 0;
+            }
+        }
+        // 16-bit lane i of the even half is byte 2i (row bit 2i); of
+        // the odd half, byte 2i+1 — spread each gather bit i to bit 2i
+        // and interleave.
+        let spread = |x: u64| (x & 1) | ((x & 2) << 1) | ((x & 4) << 2) | ((x & 8) << 3);
+        spread(Self::swar_gather(acc_e)) | (spread(Self::swar_gather(acc_o)) << 1)
+    }
+
+    /// Candidate mask for one 64-row block: prefilters the block's
+    /// plane words (16 on the 16-bit plane, 8 on the byte plane)
+    /// against the probe and intersects with the block's liveness word
+    /// (which also discards tail lanes past the last real row).
+    pub(super) fn block_candidates(
+        &self,
+        kernel: ActiveKernel,
+        pf: ProbeFilter<'_>,
+        w: usize,
+        lw: u64,
+    ) -> u64 {
+        if let PlaneRepr::U8 { .. } = self.repr {
+            return self.block_candidates_u8(kernel, pf, w, lw);
+        }
+        let words = self.lanes[0].len();
+        let base = w * 16;
+        let mut out = 0u64;
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            ActiveKernel::Avx512 => {
+                for half in 0..2 {
+                    // Wholly-dead 32-row runs need no prefilter at all.
+                    if (lw >> (half * 32)) & 0xFFFF_FFFF == 0 {
+                        continue;
+                    }
+                    let wi = base + half * 8;
+                    if wi + 8 <= words {
+                        let m = avx512::octo(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                        out |= u64::from(m) << (half * 32);
+                    } else {
+                        // Tail of the buffer: too few words for a full
+                        // 32-row vector — finish with SWAR words.
+                        for (sub, wi) in (wi..words).enumerate() {
+                            out |= self.swar_word(pf, wi) << (half * 32 + sub * 4);
+                        }
+                    }
+                }
+            }
+            #[cfg(target_arch = "aarch64")]
+            ActiveKernel::Neon => {
+                for group in 0..8 {
+                    // Wholly-dead 8-row runs need no prefilter at all.
+                    if (lw >> (group * 8)) & 0xFF == 0 {
+                        continue;
+                    }
+                    let wi = base + group * 2;
+                    if wi + 2 <= words {
+                        let m = neon::eight(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                        out |= u64::from(m) << (group * 8);
+                    } else {
+                        for (sub, wi) in (wi..words).enumerate() {
+                            out |= self.swar_word(pf, wi) << (group * 8 + sub * 4);
+                        }
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            ActiveKernel::Avx2 => {
+                for chunk in 0..4 {
+                    // Wholly-dead 16-row runs need no prefilter at all.
+                    if (lw >> (chunk * 16)) & 0xFFFF == 0 {
+                        continue;
+                    }
+                    let wi = base + chunk * 4;
+                    if wi + 4 <= words {
+                        let m = avx2::quad(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                        out |= u64::from(m) << (chunk * 16);
+                    } else {
+                        // Tail of the buffer: too few words for a full
+                        // 16-row vector — finish with SWAR words.
+                        for (sub, wi) in (wi..words).enumerate() {
+                            out |= self.swar_word(pf, wi) << (chunk * 16 + sub * 4);
+                        }
+                    }
+                }
+            }
+            ActiveKernel::Swar => {
+                for sub in 0..16 {
+                    if (lw >> (sub * 4)) & 0xF == 0 {
+                        continue;
+                    }
+                    let wi = base + sub;
+                    if wi >= words {
+                        break;
+                    }
+                    out |= self.swar_word(pf, wi) << (sub * 4);
+                }
+            }
+        }
+        out & lw
+    }
+
+    /// [`FilterPlane::block_candidates`] for the byte plane: one
+    /// 64-row block is 8 plane words, so every backend covers twice
+    /// the rows per step — AVX-512 masks the whole block in a single
+    /// 512-bit compare.
+    fn block_candidates_u8(
+        &self,
+        kernel: ActiveKernel,
+        pf: ProbeFilter<'_>,
+        w: usize,
+        lw: u64,
+    ) -> u64 {
+        let words = self.lanes[0].len();
+        let base = w * 8;
+        let mut out = 0u64;
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            ActiveKernel::Avx512 => {
+                if base + 8 <= words {
+                    out = avx512::octo8(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, base);
+                } else {
+                    // Tail of the buffer: too few words for a full
+                    // 64-row vector — finish with SWAR words.
+                    for (sub, wi) in (base..words).enumerate() {
+                        out |= self.swar_word_u8(pf, wi) << (sub * 8);
+                    }
+                }
+            }
+            #[cfg(target_arch = "aarch64")]
+            ActiveKernel::Neon => {
+                for group in 0..4 {
+                    // Wholly-dead 16-row runs need no prefilter at all.
+                    if (lw >> (group * 16)) & 0xFFFF == 0 {
+                        continue;
+                    }
+                    let wi = base + group * 2;
+                    if wi + 2 <= words {
+                        let m = neon::sixteen(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                        out |= u64::from(m) << (group * 16);
+                    } else {
+                        for (sub, wi) in (wi..words).enumerate() {
+                            out |= self.swar_word_u8(pf, wi) << (group * 16 + sub * 8);
+                        }
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            ActiveKernel::Avx2 => {
+                for half in 0..2 {
+                    // Wholly-dead 32-row runs need no prefilter at all.
+                    if (lw >> (half * 32)) & 0xFFFF_FFFF == 0 {
+                        continue;
+                    }
+                    let wi = base + half * 4;
+                    if wi + 4 <= words {
+                        let m = avx2::quad8(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                        out |= u64::from(m) << (half * 32);
+                    } else {
+                        // Tail of the buffer: too few words for a full
+                        // 32-row vector — finish with SWAR words.
+                        for (sub, wi) in (wi..words).enumerate() {
+                            out |= self.swar_word_u8(pf, wi) << (half * 32 + sub * 8);
+                        }
+                    }
+                }
+            }
+            ActiveKernel::Swar => {
+                for sub in 0..8 {
+                    if (lw >> (sub * 8)) & 0xFF == 0 {
+                        continue;
+                    }
+                    let wi = base + sub;
+                    if wi >= words {
+                        break;
+                    }
+                    out |= self.swar_word_u8(pf, wi) << (sub * 8);
+                }
+            }
+        }
+        out & lw
+    }
+}
+
+/// Builds the prefilter probe state (biased residues + SWAR broadcasts)
+/// for every probe in `cells16`: canonical `i16` probe rows laid out
+/// `dim` apart, `pd` plane dimensions each, into the scratch's reused
+/// `biased`/`bcast` buffers. On a quantized byte plane (`quant > 1`)
+/// the stored values are the probe's *bucket* coordinates, so each
+/// probe of a micro-batch is quantized exactly once here — never per
+/// block inside the sweep. Probes that cannot match (wrong dimension,
+/// pre-zeroed rows) keep their slots so indexing stays uniform.
+pub(super) fn build_filter_probes(
+    cells16: &[i16],
+    dim: usize,
+    pd: usize,
+    ka16: u16,
+    quant: u16,
+    biased: &mut Vec<u16>,
+    bcast: &mut Vec<u64>,
+) {
+    let count = cells16.len().checked_div(dim).unwrap_or(0);
+    biased.clear();
+    bcast.clear();
+    biased.reserve(count * pd);
+    bcast.reserve(count * pd);
+    for p in 0..count {
+        for &c in &cells16[p * dim..p * dim + pd] {
+            let b = bias16(c, ka16) / quant;
+            biased.push(b);
+            bcast.push(u64::from(b) * LANES);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::cells::canonical;
+    use super::super::SketchArena;
+    use super::*;
+
+    #[test]
+    fn adaptive_depth_model() {
+        // Paper ring: pass rate 201/400 ≈ ½ → exactly the previously
+        // hard-coded 8 lanes.
+        assert_eq!(adaptive_depth(100, 400), 8);
+        // Rate exactly ½: (½)⁷ = 1/128 hits the target at 7 lanes.
+        assert_eq!(adaptive_depth(0, 2), 7);
+        // Rate 3/7: 6 lanes clear 1/128.
+        assert_eq!(adaptive_depth(1, 7), 6);
+        // Nothing to reject: every coordinate always passes.
+        assert_eq!(adaptive_depth(399, 400), 0);
+        assert_eq!(adaptive_depth(200, 400), 0);
+        assert_eq!(adaptive_depth(u64::MAX, 400), 0);
+        // Huge sparse ring: one lane rejects nearly everything.
+        assert_eq!(adaptive_depth(0, u64::MAX), 1);
+        // Near-1 pass rate: capped at MAX_ADAPTIVE_DIMS.
+        assert_eq!(adaptive_depth(199, 400), FilterConfig::MAX_ADAPTIVE_DIMS);
+        // Deeper adaptive planes clamp to the sketch dimension.
+        let mut arena = SketchArena::new(199, 402);
+        arena.push(&[1, 2, 3]);
+        assert_eq!(arena.plane_dims(), 3);
+        assert_eq!(arena.resolved_depth(), FilterConfig::MAX_ADAPTIVE_DIMS);
+    }
+
+    #[test]
+    fn neon_kernel_matches_swar() {
+        // The NEON kernel body runs everywhere through the emulated
+        // `intr` façade: its 8-row masks must equal two SWAR words.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9E09);
+        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
+            let mut plane = FilterPlane::new(3, t, ka, PlaneRepr::U16);
+            for row in 0..64 {
+                let coords: [i16; 3] =
+                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
+                plane.push_row(row, &coords);
+            }
+            for _ in 0..40 {
+                let probe: Vec<u16> = (0..3)
+                    .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
+                    .collect();
+                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let pf = ProbeFilter {
+                    biased: &probe,
+                    bcast: &bcast,
+                };
+                for wi in (0..16).step_by(2) {
+                    let neon = neon::eight(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let swar = plane.swar_word(pf, wi) | (plane.swar_word(pf, wi + 1) << 4);
+                    assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_kernel_matches_swar() {
+        if !avx512::available() {
+            return;
+        }
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5125);
+        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
+            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U16);
+            for row in 0..64 {
+                let coords: [i16; 4] =
+                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
+                plane.push_row(row, &coords);
+            }
+            for _ in 0..40 {
+                let probe: Vec<u16> = (0..4)
+                    .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
+                    .collect();
+                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let pf = ProbeFilter {
+                    biased: &probe,
+                    bcast: &bcast,
+                };
+                for wi in [0, 8] {
+                    let wide = avx512::octo(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let mut swar = 0u64;
+                    for sub in 0..8 {
+                        swar |= plane.swar_word(pf, wi + sub) << (sub * 4);
+                    }
+                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swar_word_algebra_is_exact() {
+        // Exhaustive single-coordinate check of the SWAR lane math
+        // against the scalar predicate, on an awkward odd ring.
+        let ka = 401u64;
+        for t in [0u64, 1, 57, 200, 400] {
+            let plane = FilterPlane::new(1, t, ka, PlaneRepr::U16);
+            for a in 0..ka as i64 {
+                let mut lanes = vec![Vec::new()];
+                let c = canonical(a, ka) as i16;
+                // Pack the same row value in all four lanes.
+                let b = u64::from(bias16(c, ka as u16));
+                lanes[0].push(b * LANES);
+                let plane = FilterPlane {
+                    lanes,
+                    ..plane.clone()
+                };
+                for bval in (0..ka as i64).step_by(7) {
+                    let pc = canonical(bval, ka) as i16;
+                    let pb = u64::from(bias16(pc, ka as u16)) * LANES;
+                    let biased = [bias16(pc, ka as u16)];
+                    let bcast = [pb];
+                    let pf = ProbeFilter {
+                        biased: &biased,
+                        bcast: &bcast,
+                    };
+                    let mask = plane.swar_word(pf, 0);
+                    let expect = crate::conditions::cyclic_close(a, bval, t, ka);
+                    assert_eq!(mask == 0xF, expect, "a={a} b={bval} t={t}: mask {mask:#x}");
+                    assert!(mask == 0 || mask == 0xF, "lanes disagree: {mask:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_ring_model() {
+        // Paper ring: q = 2 → 200 buckets, tq = ⌈100/2⌉ + 1 = 51.
+        assert_eq!(quantize_ring(100, 400), (2, 200, 51));
+        // Byte-native rings (ka ≤ 256): no quantization, no slack.
+        assert_eq!(quantize_ring(100, 256), (1, 256, 100));
+        assert_eq!(quantize_ring(1, 7), (1, 7, 1));
+        // Largest i16 ring: q = 128 → exactly 256 buckets (the kernels
+        // broadcast the wrapped 0; see `neon::sixteen`).
+        assert_eq!(quantize_ring(1000, (1 << 15) - 1), (128, 256, 9));
+        // t clamps to the half-ring before quantizing, and tq clamps to
+        // the half-bucket-ring.
+        assert_eq!(quantize_ring(u64::MAX, 400), (2, 200, 100));
+
+        // Eligibility cliff: 2·tq+1 must stay below the bucket count.
+        assert!(byte_plane_eligible(100, 400));
+        assert!(byte_plane_eligible(0, 400));
+        // 2t+1 = 255 < 256 buckets — barely eligible.
+        assert!(byte_plane_eligible(127, 256));
+        // Same threshold, one bucket fewer: 255 ≥ 255.
+        assert!(!byte_plane_eligible(127, 255));
+        // tq saturates at kq/2 = 100: 201 ≥ 200 buckets.
+        assert!(!byte_plane_eligible(198, 400));
+        // Rings wider than i16 never build any plane.
+        assert!(!byte_plane_eligible(100, 1 << 20));
+
+        // Byte-plane adaptive depth at the paper ring: bucket pass rate
+        // 103/200 ≈ ½ lands on the same 8 lanes as the exact plane.
+        assert_eq!(adaptive_depth_for_rate(2 * 51 + 1, 200), 8);
+    }
+
+    #[test]
+    fn neon_u8_kernel_matches_swar() {
+        // The NEON byte kernel runs everywhere through the emulated
+        // `intr` façade: its 16-row masks must equal two SWAR u8 words.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x8E08);
+        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
+            let (q, _, _) = quantize_ring(t, ka);
+            let mut plane = FilterPlane::new(3, t, ka, PlaneRepr::U8 { q });
+            for row in 0..128 {
+                let coords: [i16; 3] =
+                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
+                plane.push_row(row, &coords);
+            }
+            for _ in 0..40 {
+                let probe: Vec<u16> = (0..3)
+                    .map(|_| {
+                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
+                    })
+                    .collect();
+                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let pf = ProbeFilter {
+                    biased: &probe,
+                    bcast: &bcast,
+                };
+                for wi in (0..16).step_by(2) {
+                    let neon = neon::sixteen(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let swar = plane.swar_word_u8(pf, wi) | (plane.swar_word_u8(pf, wi + 1) << 8);
+                    assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_u8_kernel_matches_swar() {
+        if !avx2::available() {
+            return;
+        }
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xA208);
+        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
+            let (q, _, _) = quantize_ring(t, ka);
+            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U8 { q });
+            for row in 0..128 {
+                let coords: [i16; 4] =
+                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
+                plane.push_row(row, &coords);
+            }
+            for _ in 0..40 {
+                let probe: Vec<u16> = (0..4)
+                    .map(|_| {
+                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
+                    })
+                    .collect();
+                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let pf = ProbeFilter {
+                    biased: &probe,
+                    bcast: &bcast,
+                };
+                for wi in (0..16).step_by(4) {
+                    let wide = avx2::quad8(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let mut swar = 0u64;
+                    for sub in 0..4 {
+                        swar |= plane.swar_word_u8(pf, wi + sub) << (sub * 8);
+                    }
+                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_u8_kernel_matches_swar() {
+        if !avx512::available() {
+            return;
+        }
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5128);
+        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
+            let (q, _, _) = quantize_ring(t, ka);
+            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U8 { q });
+            for row in 0..128 {
+                let coords: [i16; 4] =
+                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
+                plane.push_row(row, &coords);
+            }
+            for _ in 0..40 {
+                let probe: Vec<u16> = (0..4)
+                    .map(|_| {
+                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
+                    })
+                    .collect();
+                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let pf = ProbeFilter {
+                    biased: &probe,
+                    bcast: &bcast,
+                };
+                for wi in [0, 8] {
+                    let wide = avx512::octo8(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let mut swar = 0u64;
+                    for sub in 0..8 {
+                        swar |= plane.swar_word_u8(pf, wi + sub) << (sub * 8);
+                    }
+                    assert_eq!(wide, swar, "t={t} ka={ka} wi={wi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swar_word_u8_implements_bucket_predicate() {
+        // Exhaustive single-coordinate check of the u8 SWAR algebra on
+        // an awkward odd ring (q = 2, kq = 201): the mask must equal
+        // the bucket-distance predicate exactly, and must accept every
+        // pair the scalar residue predicate accepts (over-accept only —
+        // phase 2 can prune, never resurrect).
+        let ka = 401u64;
+        for t in [0u64, 1, 57, 100, 199] {
+            let (q, kq, tq) = quantize_ring(t, ka);
+            let plane = FilterPlane::new(1, t, ka, PlaneRepr::U8 { q });
+            for a in 0..ka as i64 {
+                let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
+                // Pack the same row bucket in all eight byte slots.
+                let lanes = vec![vec![u64::from(row_bucket) * 0x0101_0101_0101_0101]];
+                let plane = FilterPlane {
+                    lanes,
+                    ..plane.clone()
+                };
+                for bval in (0..ka as i64).step_by(3) {
+                    let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
+                    let biased = [pb];
+                    let bcast = [u64::from(pb) * LANES];
+                    let pf = ProbeFilter {
+                        biased: &biased,
+                        bcast: &bcast,
+                    };
+                    let mask = plane.swar_word_u8(pf, 0);
+                    assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
+                    let d = row_bucket.abs_diff(pb);
+                    let bucket_close = d.min(kq - d) <= tq;
+                    assert_eq!(
+                        mask == 0xFF,
+                        bucket_close,
+                        "a={a} b={bval} t={t}: mask {mask:#x}"
+                    );
+                    if crate::conditions::cyclic_close(a, bval, t, ka) {
+                        assert_eq!(mask, 0xFF, "a={a} b={bval} t={t}: over-rejected");
+                    }
+                }
+            }
+        }
+    }
+}

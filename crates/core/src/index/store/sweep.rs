@@ -1,0 +1,669 @@
+//! The one lookup driver: a bounded, optionally masked, multi-probe
+//! sweep that every `find_*` of the arena (and every epoch tier) is a
+//! wrapper over.
+
+use super::cells::{normalize_into, rows_match, Cell, Cells};
+use super::kernels::{fetch, ActiveKernel};
+use super::plane::{build_filter_probes, FilterPlane, ProbeFilter};
+use super::{RecordId, SketchArena};
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Liveness words per tile — the unit a sweep hands to one probe at a
+/// time (see [`Sweep::chunk`]) and the phase-1/phase-2 super-block of
+/// the walk (see [`Sweep::walk`]): 1 024 rows. Small enough that the
+/// tile's plane lanes (8–16 KB at the paper ring) stay in L1 from one
+/// probe of a batch to the next; large enough that a survivor's
+/// prefetch, issued as its mask comes out of phase 1, has on average
+/// half a tile of phase-1 compute to land before phase 2 reads the row.
+const TILE_WORDS: usize = 16;
+
+/// A caller-supplied row subset for masked sweeps, stored exactly like
+/// the arena's liveness bitmap (one bit per row, 64 rows per word) so
+/// the sweep can AND it into the liveness word for free.
+///
+/// Used by [`SketchArena::find_at_most_masked`] and the index-level
+/// subset lookups: compile an id set once, then every sweep touches
+/// only the masked rows — wholly-unmasked 64-row blocks are skipped
+/// with a single word load, before any phase-1 work.
+///
+/// ```rust
+/// use fe_core::index::store::RowMask;
+///
+/// let mask = RowMask::from_rows([3usize, 64, 200]);
+/// assert!(mask.contains(64));
+/// assert!(!mask.contains(4));
+/// assert_eq!(mask.len(), 3);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowMask {
+    words: Vec<u64>,
+}
+
+impl RowMask {
+    /// An empty mask (no rows selected).
+    pub fn new() -> RowMask {
+        RowMask::default()
+    }
+
+    /// Builds a mask from an iterator of row ids.
+    pub fn from_rows(rows: impl IntoIterator<Item = usize>) -> RowMask {
+        let mut mask = RowMask::new();
+        for row in rows {
+            mask.insert(row);
+        }
+        mask
+    }
+
+    /// Selects a row (idempotent).
+    pub fn insert(&mut self, row: usize) {
+        let word = row / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (row % 64);
+    }
+
+    /// Is the row selected?
+    pub fn contains(&self, row: usize) -> bool {
+        self.words
+            .get(row / 64)
+            .is_some_and(|w| w & (1 << (row % 64)) != 0)
+    }
+
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// `true` when no rows are selected.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The packed bitmap words (liveness-word layout).
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// Which live rows a sweep may visit. Applied to each liveness word
+/// ahead of phase 1, so excluded rows cost nothing and a wholly
+/// excluded 64-row block is skipped after one load.
+#[derive(Clone, Copy)]
+pub(crate) enum RowFilter<'a> {
+    /// Every live row.
+    All,
+    /// Only rows whose bit is set: a [`RowMask`]'s words (words past
+    /// the end select nothing).
+    Only(&'a [u64]),
+    /// Every row whose bit is clear: an epoch segment's tombstone
+    /// words, read in place while revocations keep landing.
+    Except(&'a [AtomicU64]),
+}
+
+impl RowFilter<'_> {
+    /// The visitable bits of liveness word `word_idx`.
+    #[inline]
+    fn apply(self, word_idx: usize, live: u64) -> u64 {
+        match self {
+            RowFilter::All => live,
+            RowFilter::Only(mask) => live & mask.get(word_idx).copied().unwrap_or(0),
+            RowFilter::Except(dead) => {
+                live & !dead.get(word_idx).map_or(0, |w| w.load(Ordering::SeqCst))
+            }
+        }
+    }
+}
+
+/// The set bit positions of `word`, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// Per-thread reusable scan state: normalized-probe buffers for every
+/// cell width, the prefilter probe state, and the indices of the
+/// probes a sweep actually prepared.
+/// Hoisting these off the per-call hot path matters because a sharded
+/// lookup re-normalizes the same probes once *per shard* — previously
+/// a fresh `Vec` each time.
+#[derive(Default)]
+struct ScanScratch {
+    i16s: Vec<i16>,
+    i32s: Vec<i32>,
+    i64s: Vec<i64>,
+    biased: Vec<u16>,
+    bcast: Vec<u64>,
+    active: Vec<usize>,
+}
+
+thread_local! {
+    /// The scan scratch is thread-local (lookups are `&self` and run
+    /// under shared locks, possibly on rayon workers) and never held
+    /// across user code — match callbacks on the scan paths are
+    /// internal closures, so the `RefCell` cannot be re-entered.
+    static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
+}
+
+/// Phase 1 of a sweep over an arena with a live prefilter plane: the
+/// plane, its resolved kernel, and every probe's prefilter state
+/// (`plane.dims()` entries apart).
+#[derive(Clone, Copy)]
+struct PlaneProbes<'a> {
+    plane: &'a FilterPlane,
+    kernel: ActiveKernel,
+    pf: ProbeFilter<'a>,
+}
+
+/// One prepared sweep: `n` probes normalized into the arena's cell
+/// width and bound to its columns, the rows they may visit, and the
+/// hits each probe may collect. Borrows only — built once on the
+/// calling thread's scratch and shared by every chunk.
+struct Sweep<'a, C> {
+    cells: &'a [C],
+    live: &'a [u64],
+    dim: usize,
+    t: u64,
+    ka: u64,
+    /// The `n` probes, `dim` cells each.
+    probes: &'a [C],
+    n: usize,
+    /// `None` on wide rings, disabled filters and rings no lane can
+    /// reject on: phase 1 is then the identity — every visitable row
+    /// is a candidate and phase 2 verifies it from dimension 0.
+    plane: Option<PlaneProbes<'a>>,
+    rows: RowFilter<'a>,
+    budget: usize,
+}
+
+/// One probe's state within a chunk, while it is short of its budget.
+struct OpenProbe<'a, C> {
+    /// Which of the sweep's `n` probes this is.
+    k: usize,
+    /// Hits it may still take.
+    left: usize,
+    /// Its cells from the first dimension phase 2 verifies.
+    suffix: &'a [C],
+    /// Its prefilter state (empty without a plane).
+    pf: ProbeFilter<'a>,
+}
+
+impl<C: Cell> Sweep<'_, C> {
+    /// One chunk of a sweep: liveness words `words` on behalf of every
+    /// probe, returning `(probe, row)` hits — ascending per probe, at
+    /// most `budget` each.
+    ///
+    /// The chunk is cut into tiles of [`TILE_WORDS`] liveness words,
+    /// and each tile is [`Sweep::walk`]ed once per open probe while
+    /// its plane lanes are hot in L1, so a batch streams the columns
+    /// through memory once instead of once per probe. A probe leaves
+    /// the chunk at its `budget`-th hit.
+    ///
+    /// `bound` is the lowest liveness word at which *any* chunk of
+    /// this sweep ran every probe out of budget: each probe then has
+    /// `budget` hits at or below that tile, so rows above it cannot
+    /// reach the result and chunks there stop. Relaxed suffices — the
+    /// value only ever skips work, and the hits themselves are
+    /// published through the fold's mutex.
+    fn chunk(&self, words: Range<usize>, bound: &AtomicUsize) -> Vec<(usize, RecordId)> {
+        let none = ProbeFilter {
+            biased: &[],
+            bcast: &[],
+        };
+        let (pd, vstart, pf) = self.plane.map_or((0, 0, none), |p| {
+            (p.plane.dims(), p.plane.verify_start(), p.pf)
+        });
+        let mut open: Vec<OpenProbe<'_, C>> = (0..self.n)
+            .map(|k| OpenProbe {
+                k,
+                left: self.budget,
+                suffix: &self.probes[k * self.dim + vstart..(k + 1) * self.dim],
+                pf: ProbeFilter {
+                    biased: &pf.biased[k * pd..(k + 1) * pd],
+                    bcast: &pf.bcast[k * pd..(k + 1) * pd],
+                },
+            })
+            .collect();
+        let mut hits = Vec::new();
+        let mut tile = words.start;
+        while tile < words.end && bound.load(Ordering::Relaxed) >= tile {
+            let tile_end = (tile + TILE_WORDS).min(words.end);
+            let mut i = 0;
+            while i < open.len() {
+                self.walk(tile..tile_end, &mut open[i], &mut hits);
+                if open[i].left == 0 {
+                    open.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            if open.is_empty() {
+                bound.fetch_min(tile, Ordering::Relaxed);
+                break;
+            }
+            tile = tile_end;
+        }
+        hits
+    }
+
+    /// The row walker — the only code that iterates liveness words and
+    /// verifies rows. Sweeps one tile (`words`, at most [`TILE_WORDS`])
+    /// for one probe, pushing its hits in row order until the tile or
+    /// the probe's budget runs out.
+    ///
+    /// Phase 1 turns each word's visitable bits into a candidate mask
+    /// on the plane, software-prefetching each survivor's verify cells
+    /// as its mask comes out; phase 2 then exact-verifies the tile's
+    /// survivors with the scalar early-abort kernel from
+    /// [`FilterPlane::verify_start`] on: the 16-bit plane already
+    /// tested its dimensions exactly, the byte plane over-accepts and
+    /// the whole row is re-checked. Either way the two phases equal a
+    /// full-row `rows_match`; running phase 1 a whole tile ahead is
+    /// what hides phase 2's scattered loads behind phase 1's compute.
+    fn walk(
+        &self,
+        words: Range<usize>,
+        probe: &mut OpenProbe<'_, C>,
+        hits: &mut Vec<(usize, RecordId)>,
+    ) {
+        debug_assert!(words.len() <= TILE_WORDS);
+        let dim = self.dim;
+        let vstart = dim - probe.suffix.len();
+        let mut cands = [0u64; TILE_WORDS];
+        for (wi, cand) in words.clone().zip(&mut cands) {
+            *cand = self.rows.apply(wi, self.live[wi]);
+            if let (Some(p), true) = (self.plane, *cand != 0) {
+                *cand = p.plane.block_candidates(p.kernel, probe.pf, wi, *cand);
+                for bit in set_bits(*cand) {
+                    fetch::prefetch_read(self.cells, (wi * 64 + bit) * dim + vstart);
+                }
+            }
+        }
+        for (wi, cand) in words.zip(cands) {
+            for row in set_bits(cand).map(|bit| wi * 64 + bit) {
+                let s = &self.cells[row * dim + vstart..(row + 1) * dim];
+                if rows_match(s, probe.suffix, self.t, self.ka) {
+                    hits.push((probe.k, row));
+                    probe.left -= 1;
+                    if probe.left == 0 {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl SketchArena {
+    /// First live row matching the probe (lowest id). `None` for no
+    /// match or a dimension-mismatched probe.
+    pub fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
+        let hits = self.sweep(&[probe], RowFilter::All, 1);
+        hits.first().map(|&(_, row)| row)
+    }
+
+    /// Resolves a whole batch of probes with **one pass** over the
+    /// column buffer: N concurrent queries share a single memory sweep
+    /// instead of issuing N (the scan at scale is memory-bound, making
+    /// this the amortization that turns batched service into a
+    /// throughput win — see `scheduler_throughput` in `fe-bench`).
+    ///
+    /// Results are position-aligned with `probes` and identical to
+    /// calling [`SketchArena::find_first`] per probe. Probes whose
+    /// dimension differs from the stamped one resolve to `None`, as
+    /// everywhere else.
+    pub fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
+        let refs: Vec<&[i64]> = probes.iter().map(Vec::as_slice).collect();
+        let mut firsts = vec![None; probes.len()];
+        for (p, row) in self.sweep(&refs, RowFilter::All, 1) {
+            firsts[p] = Some(row);
+        }
+        firsts
+    }
+
+    /// Every live row matching the probe, ascending.
+    pub fn find_all(&self, probe: &[i64]) -> Vec<RecordId> {
+        self.find_at_most(probe, usize::MAX)
+    }
+
+    /// The `budget` lowest-id live rows matching the probe, ascending —
+    /// the count-bounded lookup behind reset-style decisions (0 /
+    /// exactly-1 / ≥2 without scanning past the `budget`-th hit).
+    pub fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
+        let hits = self.sweep(&[probe], RowFilter::All, budget);
+        hits.into_iter().map(|(_, row)| row).collect()
+    }
+
+    /// [`SketchArena::find_at_most`] restricted to the rows selected by
+    /// `mask`: unselected rows are never visited, which is what makes
+    /// local-uniqueness checks over a small id subset cheap even on a
+    /// large arena.
+    pub fn find_at_most_masked(
+        &self,
+        probe: &[i64],
+        mask: &RowMask,
+        budget: usize,
+    ) -> Vec<RecordId> {
+        let hits = self.sweep(&[probe], RowFilter::Only(mask.words()), budget);
+        hits.into_iter().map(|(_, row)| row).collect()
+    }
+
+    /// The sweep every lookup above (and every epoch tier) is a wrapper
+    /// over: for each probe, its `budget` lowest live matching rows
+    /// among those `rows` lets through, as `(index into probes, row)`
+    /// pairs — ascending per probe. Probes of the wrong dimension match
+    /// nothing.
+    ///
+    /// Prepares the probes once in the thread-local scratch (normalized
+    /// to the cell width, plus their prefilter state when a plane is
+    /// live) and hands the typed columns to [`SketchArena::run`]. The
+    /// scratch stays borrowed for the whole sweep; nothing below
+    /// re-enters an arena lookup on this thread.
+    pub(crate) fn sweep(
+        &self,
+        probes: &[&[i64]],
+        rows: RowFilter<'_>,
+        budget: usize,
+    ) -> Vec<(usize, RecordId)> {
+        let Some(dim) = self.dim else {
+            return Vec::new();
+        };
+        if budget == 0 || self.live == 0 {
+            return Vec::new();
+        }
+        SCRATCH.with(|scratch| {
+            let s = &mut *scratch.borrow_mut();
+            s.active.clear();
+            s.active
+                .extend((0..probes.len()).filter(|&p| probes[p].len() == dim));
+            if s.active.is_empty() {
+                return Vec::new();
+            }
+            match &self.cells {
+                Cells::I16(v) => {
+                    normalize_into(&mut s.i16s, probes, &s.active, self.ka);
+                    let plane = self.active_plane();
+                    if let Some((plane, _)) = plane {
+                        build_filter_probes(
+                            &s.i16s,
+                            dim,
+                            plane.dims(),
+                            plane.ka16,
+                            plane.probe_quant(),
+                            &mut s.biased,
+                            &mut s.bcast,
+                        );
+                    }
+                    let plane = plane.map(|(plane, kernel)| PlaneProbes {
+                        plane,
+                        kernel,
+                        pf: ProbeFilter {
+                            biased: &s.biased,
+                            bcast: &s.bcast,
+                        },
+                    });
+                    self.run(v, &s.i16s, plane, &s.active, rows, budget)
+                }
+                Cells::I32(v) => {
+                    normalize_into(&mut s.i32s, probes, &s.active, self.ka);
+                    self.run(v, &s.i32s, None, &s.active, rows, budget)
+                }
+                Cells::I64(v) => {
+                    normalize_into(&mut s.i64s, probes, &s.active, self.ka);
+                    self.run(v, &s.i64s, None, &s.active, rows, budget)
+                }
+            }
+        })
+    }
+
+    /// Runs one prepared sweep: splits the liveness words into
+    /// [`SketchArena::chunk_count`] contiguous chunks (one, for a
+    /// sequential sweep), walks each with [`Sweep::chunk`] on the
+    /// worker pool, and folds the chunks' hits in chunk order. Chunks
+    /// partition the rows in ascending order, so that concatenation,
+    /// cut to `budget` per probe, is exactly what one chunk over the
+    /// whole range returns. `active[k]` is the caller's index of
+    /// prepared probe `k`.
+    fn run<C: Cell>(
+        &self,
+        cells: &[C],
+        probes: &[C],
+        plane: Option<PlaneProbes<'_>>,
+        active: &[usize],
+        rows: RowFilter<'_>,
+        budget: usize,
+    ) -> Vec<(usize, RecordId)> {
+        let sweep = Sweep {
+            cells,
+            live: &self.live_bits,
+            dim: self.dim.unwrap_or(0),
+            t: self.t,
+            ka: self.ka,
+            probes,
+            n: active.len(),
+            plane,
+            rows,
+            budget,
+        };
+        let (chunks, words) = (self.chunk_count(), self.live_bits.len());
+        let bound = AtomicUsize::new(usize::MAX);
+        let found = Mutex::new(Vec::new());
+        rayon::scope_for_each(chunks, &|i| {
+            let start = |i: usize| words / chunks * i + (words % chunks).min(i);
+            let hits = sweep.chunk(start(i)..start(i + 1), &bound);
+            if !hits.is_empty() {
+                found.lock().expect("sweep worker panicked").push((i, hits));
+            }
+        });
+        let mut found = found.into_inner().expect("sweep worker panicked");
+        if found.is_empty() {
+            return Vec::new(); // a miss: nothing to fold
+        }
+        found.sort_unstable_by_key(|&(i, _)| i);
+        let mut left = vec![budget; active.len()];
+        let mut out = Vec::new();
+        for (k, row) in found.into_iter().flat_map(|(_, hits)| hits) {
+            if left[k] > 0 {
+                left[k] -= 1;
+                out.push((active[k], row));
+            }
+        }
+        out
+    }
+
+    /// How many chunks a sweep splits into: two per participating
+    /// thread (so early-stopped sweeps load-balance), or 1 — the
+    /// sequential sweep — when fan-out is disabled, the arena is too
+    /// small to amortize pool dispatch, this thread is already *on* a
+    /// pool worker (a sharded index fanned out per shard — nesting
+    /// would oversubscribe the same cores), or there is no second
+    /// thread to fan out to.
+    fn chunk_count(&self) -> usize {
+        let pc = self.filter.parallel;
+        if pc.max_threads == 1 || self.rows < pc.min_rows.max(1) || rayon::in_pool_worker() {
+            return 1;
+        }
+        let mut threads = rayon::current_num_threads();
+        if pc.max_threads != 0 {
+            threads = threads.min(pc.max_threads);
+        }
+        if threads <= 1 {
+            return 1;
+        }
+        (threads * 2).min(self.live_bits.len()).max(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{FilterConfig, ParallelConfig, PlaneWidth};
+    use super::*;
+
+    /// The sweep driver against the scalar `cyclic_close` oracle over
+    /// its whole input table: probe count (with a wrong-dimension probe
+    /// in every batch) × row filter × budget × kernel × plane width ×
+    /// fan-out × cell width. Every public `find_*` only picks a point
+    /// in this table.
+    #[test]
+    fn sweep_matches_cyclic_close_oracle() {
+        use crate::conditions::cyclic_close;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const ROWS: usize = 300; // 4 full liveness words and a 44-row tail
+        const DIM: usize = 8;
+        rayon::ensure_threads(4);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut configs = Vec::new();
+        for kernel in [
+            FilterConfig::disabled(),
+            FilterConfig::swar(),
+            FilterConfig::default(),
+        ] {
+            for width in [PlaneWidth::U16, PlaneWidth::U8] {
+                for parallel in [
+                    ParallelConfig::disabled(),
+                    ParallelConfig::forced(2),
+                    ParallelConfig::forced(4),
+                ] {
+                    configs.push(kernel.with_width(width).with_parallel(parallel));
+                }
+            }
+        }
+        // i16, i32 and i64 cells.
+        for ka in [400u64, 1 << 20, 1 << 40] {
+            let t = ka / 4;
+            let (half, noise) = ((ka / 2) as i64, (t / 2) as i64);
+            // Ten clusters of rows within t/2 of a centre: a probe near
+            // a centre matches its whole cluster, so budgets 2 and ∞
+            // have something to bound.
+            let centres: Vec<Vec<i64>> = (0..10)
+                .map(|_| (0..DIM).map(|_| rng.gen_range(-half..=half)).collect())
+                .collect();
+            let mut near = |centre: &[i64]| -> Vec<i64> {
+                centre
+                    .iter()
+                    .map(|&c| c + rng.gen_range(-noise..=noise))
+                    .collect()
+            };
+            let rows: Vec<Vec<i64>> = (0..ROWS).map(|r| near(&centres[r % 10])).collect();
+            let dead = |r: usize| r.is_multiple_of(7);
+            let mut probes: Vec<Vec<i64>> = (0..32).map(|p| near(&centres[p % 16 % 10])).collect();
+            for impostor in probes.iter_mut().skip(10).step_by(3) {
+                impostor.iter_mut().for_each(|v| *v += half);
+            }
+            let random = RowMask::from_rows((0..ROWS).filter(|_| rng.gen_range(0..2) == 1));
+            let masks = [
+                None,
+                Some(random),
+                Some(RowMask::new()),
+                Some(RowMask::from_rows([17])),
+                Some(RowMask::from_rows(256..ROWS)),
+            ];
+            for &config in &configs {
+                let mut arena = SketchArena::with_filter(t, ka, config);
+                for row in &rows {
+                    arena.push(row);
+                }
+                (0..ROWS).filter(|&r| dead(r)).for_each(|r| {
+                    arena.remove(r);
+                });
+                for n in [1, 3, 32] {
+                    let mut refs: Vec<&[i64]> = probes[..n].iter().map(Vec::as_slice).collect();
+                    if n > 1 {
+                        refs[1] = &[1, 2, 3];
+                    }
+                    for mask in &masks {
+                        // The same subset as tombstone words, the way an
+                        // epoch segment hands it over.
+                        let except: Vec<AtomicU64> = (0..ROWS.div_ceil(64))
+                            .map(|w| {
+                                let keep = mask
+                                    .as_ref()
+                                    .map_or(!0, |m| m.words().get(w).copied().unwrap_or(0));
+                                AtomicU64::new(!keep)
+                            })
+                            .collect();
+                        for budget in [1, 2, usize::MAX] {
+                            let want: Vec<Vec<RecordId>> = refs
+                                .iter()
+                                .map(|probe| {
+                                    (0..ROWS)
+                                        .filter(|&r| !dead(r))
+                                        .filter(|&r| mask.as_ref().is_none_or(|m| m.contains(r)))
+                                        .filter(|&r| {
+                                            probe.len() == DIM
+                                                && rows[r]
+                                                    .iter()
+                                                    .zip(probe.iter())
+                                                    .all(|(&a, &b)| cyclic_close(a, b, t, ka))
+                                        })
+                                        .take(budget)
+                                        .collect()
+                                })
+                                .collect();
+                            let only = mask
+                                .as_ref()
+                                .map_or(RowFilter::All, |m| RowFilter::Only(m.words()));
+                            for filter in [only, RowFilter::Except(&except)] {
+                                let mut got = vec![Vec::new(); n];
+                                for (p, row) in arena.sweep(&refs, filter, budget) {
+                                    got[p].push(row);
+                                }
+                                assert_eq!(
+                                    got, want,
+                                    "ka={ka} n={n} budget={budget} mask={mask:?} {config:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_scan_on_empty_and_unstamped_arena() {
+        let arena = SketchArena::new(100, 400);
+        assert_eq!(arena.find_first_batch(&[vec![1, 2]]), vec![None]);
+        let mut arena = SketchArena::new(100, 400);
+        let a = arena.push(&[5, 5]);
+        arena.remove(a);
+        assert_eq!(arena.find_first_batch(&[vec![5, 5]]), vec![None]);
+        assert_eq!(arena.find_first_batch(&[]), Vec::<Option<RecordId>>::new());
+    }
+
+    #[test]
+    fn parallel_cancellation_keeps_lowest_match() {
+        // Identical rows everywhere: every chunk finds a match, the
+        // later chunks' finds must all lose to row 0. Run repeatedly to
+        // shake scheduling interleavings.
+        rayon::ensure_threads(4);
+        let mut arena = SketchArena::with_filter(
+            100,
+            400,
+            FilterConfig::default().with_parallel(ParallelConfig::forced(4)),
+        );
+        for _ in 0..1000 {
+            arena.push(&[7, -7, 7, -7]);
+        }
+        for _ in 0..50 {
+            assert_eq!(arena.find_first(&[7, -7, 7, -7]), Some(0));
+        }
+        // With the first rows dead, the lowest live id must win.
+        for id in 0..130 {
+            arena.remove(id);
+        }
+        for _ in 0..50 {
+            assert_eq!(arena.find_first(&[7, -7, 7, -7]), Some(130));
+        }
+    }
+}

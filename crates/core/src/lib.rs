@@ -82,10 +82,9 @@ pub use encode::{decode_i64_vector, encode_i64_vector};
 pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
-    BucketIndex, CellWidth, Combine, EpochIndex, EpochRead, EpochReader, FilterConfig,
-    FilterKernel, IndexReader, PairedArena, ParallelConfig, PlaneDepth, PlaneWidth, RecordId,
-    RowMask, ScanIndex, Segment, SegmentBacking, ShardedIndex, ShardedReader, SketchArena,
-    SketchIndex,
+    BucketIndex, CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel,
+    IndexReader, ParallelConfig, PlaneDepth, PlaneWidth, RecordId, RowMask, ScanIndex, Segment,
+    SegmentBacking, ShardedIndex, ShardedReader, SketchArena, SketchIndex,
 };
 pub use key::ExtractedKey;
 pub use numberline::NumberLine;

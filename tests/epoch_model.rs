@@ -271,6 +271,46 @@ proptest! {
     }
 }
 
+/// The shape the random scripts (≤ 64 ops) do not reach: three sealed
+/// segments, a frozen run and a head, with rows tombstoned in every
+/// frozen tier, then a 32-probe batch (the model check re-runs
+/// `find_first_batch` over every probe seen so far) mixing hits in the
+/// first tier, hits behind tombstones in a later segment, hits only
+/// the head still holds, probes whose every match is revoked, and
+/// plain misses.
+#[test]
+fn batch_over_tombstoned_tiers_matches_model() {
+    let (t, ka) = (10u64, 4096u64);
+    // Freeze at 4 rows, merge at 2 runs, seal at 8 rows: 30 inserts
+    // leave sealed segments 0..8, 8..16, 16..24, the run 24..28 and a
+    // 2-row head. Value class `i % 10` repeats every 10 ids, so each
+    // probe has one candidate row per decade.
+    let mut ops: Vec<Op> = (0..30i64)
+        .map(|i| Op::Insert(vec![100 * (i % 10), 100 * (i % 10)]))
+        .collect();
+    // Class 1 and 5: every copy revoked. Class 3: only the third
+    // segment's copy survives. Class 8: only the head's copy survives.
+    ops.extend([1, 11, 21, 5, 15, 25, 3, 13, 8, 18].map(Op::Remove));
+    ops.extend((0..10i64).map(|class| Op::Probe(vec![100 * class + 3, 100 * class - 3])));
+    ops.extend((0..10i64).map(|class| Op::Probe(vec![100 * class - 9, 100 * class + 9])));
+    ops.extend((0..12i64).map(|miss| Op::Probe(vec![2000 + 100 * miss, 50])));
+    for filter in [FilterConfig::default(), FilterConfig::disabled()] {
+        let mut shape = EpochIndex::with_thresholds(t, ka, filter, 4, 2, 8);
+        for op in &ops {
+            if let Op::Insert(sketch) = op {
+                shape.insert(sketch);
+            }
+        }
+        let sealed = shape.segments().iter().filter(|s| s.is_sealed()).count();
+        assert_eq!(
+            (sealed, shape.segments().len(), shape.staging_rows()),
+            (3, 4, 2)
+        );
+        let index = EpochIndex::with_thresholds(t, ka, filter, 4, 2, 8);
+        check_epoch_against_model(index, t, ka, &ops);
+    }
+}
+
 /// Readers racing a writer: N reader threads hammer lock-free scans
 /// while the writer churns enrolls, revocations, and maintenance under
 /// them. Every reader observation must be explainable by *some*

@@ -1,12 +1,12 @@
 //! Matching-modes suite: the count-bounded and subset-masked scan
-//! kernels, multi-template (paired) records, and the four server-side
-//! matching modes — each checked against a naive oracle built from
-//! nothing but the scalar `cyclic_close` test, across every kernel
-//! (scalar / SWAR / auto-dispatched SIMD), sequential and parallel
-//! sweeps, and every cell-width class.
+//! kernels and the four server-side matching modes — each checked
+//! against a naive oracle built from nothing but the scalar
+//! `cyclic_close` test, across every kernel (scalar / SWAR /
+//! auto-dispatched SIMD), sequential and parallel sweeps, and every
+//! cell-width class.
 
 use fuzzy_id::core::conditions::{cyclic_close, sketches_match};
-use fuzzy_id::core::{Combine, FilterConfig, PairedArena, ParallelConfig, RowMask, SketchArena};
+use fuzzy_id::core::{FilterConfig, ParallelConfig, RowMask, SketchArena};
 use fuzzy_id::protocol::{
     AuthenticationServer, BiometricDevice, ProtocolError, SystemParams, UserId,
 };
@@ -64,48 +64,6 @@ impl Model {
             .collect();
         all.truncate(budget);
         all
-    }
-}
-
-struct PairedModel {
-    t: u64,
-    ka: u64,
-    rows: Vec<Option<(Vec<i64>, Vec<i64>)>>,
-}
-
-impl PairedModel {
-    fn matches(&self, row: &(Vec<i64>, Vec<i64>), lp: &[i64], rp: &[i64], c: Combine) -> bool {
-        let l = row_matches(&row.0, lp, self.t, self.ka);
-        let r = row_matches(&row.1, rp, self.t, self.ka);
-        match c {
-            Combine::Max => l && r,
-            Combine::Min => l || r,
-        }
-    }
-
-    fn at_most(&self, lp: &[i64], rp: &[i64], c: Combine, budget: usize) -> Vec<usize> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| row.as_ref().is_some_and(|row| self.matches(row, lp, rp, c)))
-            .map(|(i, _)| i)
-            .take(budget)
-            .collect()
-    }
-
-    fn at_most_masked(
-        &self,
-        lp: &[i64],
-        rp: &[i64],
-        c: Combine,
-        mask: &RowMask,
-        budget: usize,
-    ) -> Vec<usize> {
-        self.at_most(lp, rp, c, usize::MAX)
-            .into_iter()
-            .filter(|&i| mask.contains(i))
-            .take(budget)
-            .collect()
     }
 }
 
@@ -234,61 +192,6 @@ proptest! {
                         "masked(budget={}) diverged on kernel {}",
                         budget, arena.filter_kernel()
                     );
-                }
-            }
-        }
-    }
-
-    /// Tentpole equivalence, multi-template: `PairedArena` under both
-    /// combines ≡ the oracle's per-side boolean algebra
-    /// (`Max`: both sides ≤ t; `Min`: either side ≤ t), masked and
-    /// unmasked, across the same kernel × thread sweep.
-    #[test]
-    fn paired_arena_matches_oracle(
-        (t, ka, bases, rows, probes, mask_seed) in population(),
-    ) {
-        rayon::ensure_threads(4);
-        // Right templates reuse the base pool rotated by one, so the
-        // two sides agree on some rows and disagree on others.
-        let right_of = |d: &Derived| -> Vec<i64> {
-            materialize(&bases, &(d.0 + 1, d.1.clone(), d.2))
-        };
-        let model = PairedModel {
-            t,
-            ka,
-            rows: rows
-                .iter()
-                .map(|r| r.2.then(|| (materialize(&bases, r), right_of(r))))
-                .collect(),
-        };
-        let mask = RowMask::from_rows(
-            (0..rows.len()).filter(|i| mask_seed & (1u64 << (i % 64)) != 0),
-        );
-        for filter in kernel_sweep() {
-            let mut arena = PairedArena::with_filter(t, ka, filter);
-            for row in &rows {
-                let id = arena.push(&materialize(&bases, row), &right_of(row));
-                if !row.2 {
-                    arena.remove(id);
-                }
-            }
-            for probe in &probes {
-                let (lp, rp) = (materialize(&bases, probe), right_of(probe));
-                for combine in [Combine::Max, Combine::Min] {
-                    for budget in BUDGETS {
-                        prop_assert_eq!(
-                            arena.find_at_most(&lp, &rp, combine, budget),
-                            model.at_most(&lp, &rp, combine, budget),
-                            "paired {:?} (budget={}) diverged on kernel {}",
-                            combine, budget, arena.left().filter_kernel()
-                        );
-                        prop_assert_eq!(
-                            arena.find_at_most_masked(&lp, &rp, combine, &mask, budget),
-                            model.at_most_masked(&lp, &rp, combine, &mask, budget),
-                            "paired masked {:?} (budget={}) diverged on kernel {}",
-                            combine, budget, arena.left().filter_kernel()
-                        );
-                    }
                 }
             }
         }
