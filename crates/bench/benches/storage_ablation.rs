@@ -19,7 +19,10 @@
 //!   snapshot recovery pre-sizes it (`vectorized` includes plane
 //!   maintenance);
 //! * bytes/record — reported to stdout and
-//!   `target/experiments/storage_ablation.csv` from `heap_bytes()`.
+//!   `target/experiments/storage_ablation.csv` from `heap_bytes()`;
+//!   `record_table_bytes_per_record_*` is what an
+//!   `AuthenticationServer` holds per user *besides* the index row
+//!   (`record_heap_bytes()`), gated at 1.1× the committed value.
 //!
 //! Kernel variants: `columnar` = the PR 3 scalar columnar kernel
 //! (`FilterConfig::disabled()`), `swar` = portable packed-lane SWAR
@@ -42,8 +45,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
 use fe_core::{
-    CellWidth, FilterConfig, ParallelConfig, PlaneDepth, PlaneWidth, ScanIndex, SketchIndex,
+    CellWidth, FilterConfig, HelperData, ParallelConfig, PlaneDepth, PlaneWidth, RobustData,
+    ScanIndex, SketchIndex,
 };
+use fe_protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -102,6 +107,28 @@ fn synth_sketches(n: usize, ka: u64, rng: &mut StdRng) -> Vec<Vec<i64>> {
         .collect()
 }
 
+/// Bytes per user of a server's record table (everything but the index
+/// rows) after enrolling `sketches` under records of the paper's shape:
+/// 128 key bytes, a 32-byte tag, a 32-byte seed.
+fn record_table_bytes_per_record(sketches: &[Vec<i64>]) -> f64 {
+    let mut server = AuthenticationServer::new(SystemParams::paper_defaults());
+    for (u, sketch) in sketches.iter().enumerate() {
+        let record = EnrollmentRecord {
+            id: format!("user-{u}"),
+            public_key: vec![0x5a; 128],
+            helper: HelperData {
+                sketch: RobustData {
+                    inner: sketch.clone(),
+                    tag: vec![0xa5; 32],
+                },
+                seed: vec![0x3c; 32],
+            },
+        };
+        server.enroll(record).expect("enroll a synthetic record");
+    }
+    server.record_heap_bytes() as f64 / sketches.len() as f64
+}
+
 /// A probe that matches `sketch` on every coordinate (distance ≤ t).
 fn matching_probe(sketch: &[i64], t: u64, ka: u64, rng: &mut StdRng) -> Vec<i64> {
     let half = (ka / 2) as i64;
@@ -144,6 +171,8 @@ fn bench_storage(c: &mut Criterion) {
     // and which plane width `Auto` resolved to ("u8"/"u16").
     let mut kernel_label = "scalar";
     let mut width_label = "none";
+    // (committed, measured) record-table bytes/record, same population.
+    let mut record_gate = (None, 0.0f64);
     // Best-of iterations for the single-shot smoke timings.
     let iters = if smoke { 9 } else { 5 };
     for &n in sizes {
@@ -328,6 +357,12 @@ fn bench_storage(c: &mut Criterion) {
         smoke_metrics.push((format!("baseline_bytes_per_record_{n}"), base_bpr));
         smoke_metrics.push((format!("columnar_bytes_per_record_{n}"), col_bpr));
         smoke_metrics.push((format!("vectorized_bytes_per_record_{n}"), vect_bpr));
+        let table_key = format!("record_table_bytes_per_record_{n}");
+        let table_bpr = record_table_bytes_per_record(&sketches);
+        // Read before `smoke::record` below rewrites the report.
+        record_gate = (smoke::baseline("storage_ablation", &table_key), table_bpr);
+        smoke_metrics.push((table_key, table_bpr));
+        println!("storage_ablation/record_table_bytes_per_record/{n}: {table_bpr:.1} B");
         println!(
             "storage_ablation/bytes_per_record/{n}: baseline {base_bpr:.1} B, \
              columnar {col_bpr:.1} B ({:.1}× smaller), vectorized {vect_bpr:.1} B \
@@ -385,6 +420,15 @@ fn bench_storage(c: &mut Criterion) {
             "FE_BENCH_GATE: u8-plane no-match lookup ({u8_us:.1} µs) is slower than \
              the u16 plane ({u16_us:.1} µs)"
         );
+        // A byte count, so it repeats exactly: any growth is a layout
+        // change, and one past a tenth must be a deliberate one.
+        if let (Some(committed), measured) = record_gate {
+            assert!(
+                measured <= committed * 1.1,
+                "FE_BENCH_GATE: record table holds {measured:.1} B/record, more than 1.1× \
+                 the committed {committed:.1} B"
+            );
+        }
     }
 }
 

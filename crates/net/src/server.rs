@@ -325,7 +325,11 @@ fn serve_connection<I: EpochRead + Send + Sync + 'static>(
     let mut reader = stream;
     // The read timeout is the poll tick that lets blocked reads observe
     // the idle clock and the shutdown flag (see `frame::Session`).
-    if reader.set_read_timeout(Some(config.poll_tick)).is_err() {
+    // Nagle off, as on the client: replies are small frames, and with it
+    // on the second reply to a pipelining client waits for the ACK of
+    // the first, which rides on the client's *next* request.
+    if reader.set_read_timeout(Some(config.poll_tick)).is_err() || reader.set_nodelay(true).is_err()
+    {
         return;
     }
     let session = Session {

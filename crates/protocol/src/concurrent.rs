@@ -886,6 +886,16 @@ impl<I: EpochRead> SharedServer<I> {
             .sum()
     }
 
+    /// Heap bytes of every shard's record table (see
+    /// [`AuthenticationServer::record_heap_bytes`]): what the server
+    /// holds per user besides the index rows.
+    pub fn record_heap_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.state.read().record_heap_bytes())
+            .sum()
+    }
+
     /// Total sketch lookups served across all shards (diagnostics):
     /// lock-free reader sweeps plus the state-locked helpers' own
     /// counts.

@@ -19,7 +19,7 @@ use crate::params::SystemParams;
 use crate::server::AuthenticationServer;
 use crate::ProtocolError;
 use fe_core::{encode_i64_vector, SecureSketch};
-use fe_crypto::dsa::DsaSignature;
+use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
 use fe_crypto::extractor::StrongExtractor;
 use fe_crypto::sig::SignatureScheme;
 use rand::Rng;
@@ -100,7 +100,7 @@ impl NormalIdentification {
         let mode = self.mode;
 
         let mut challenge_err: Option<ProtocolError> = None;
-        let identified = server.visit_records(|id, stored_vk, helper| {
+        let identified = server.visit_records(|id, stored_key, helper| {
             // Device side: attempt Rep with this record's helper data.
             stats.rep_attempts += 1;
             let recovered = match mode {
@@ -136,8 +136,8 @@ impl NormalIdentification {
                 }
             };
             stats.verifications += 1;
-            if dsa.verify(stored_vk, &msg, &parsed) {
-                Some(IdentOutcome::Identified(id.clone()))
+            if dsa.verify(&DsaVerifyingKey::from_bytes(stored_key), &msg, &parsed) {
+                Some(IdentOutcome::Identified(id.to_string()))
             } else {
                 None
             }

@@ -12,9 +12,9 @@ use crate::messages::{
     UserId, WireHelper,
 };
 use crate::params::{DedupPolicy, SystemParams};
-use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow};
+use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
-use fe_core::{BucketIndex, EpochIndex, ScanIndex, ShardedIndex, SketchIndex};
+use fe_core::{BucketIndex, EpochIndex, RobustData, ScanIndex, ShardedIndex, SketchIndex};
 use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
 use fe_crypto::sig::SignatureScheme;
 use rand::Rng;
@@ -100,12 +100,155 @@ impl BuildIndex for ShardedIndex<BucketIndex> {
     }
 }
 
-/// A stored enrollment record.
-#[derive(Debug, Clone)]
+/// What the server keeps of one enrollment *besides its index row*:
+/// the row is the only copy of the sketch, so a record is its other
+/// public fields, packed into one heap block, plus a patch for the
+/// coordinates the row does not reproduce.
+///
+/// The index stores canonical ring residues (`−ka/2` folds to `+ka/2`,
+/// out-of-range values reduce), but the robust sketch's tag is
+/// `H(x ‖ s)` over the sketch *as sent* — `Rep` on a helper rebuilt
+/// from canonical values alone fails its tag check. So every coordinate
+/// whose stored cell differs from the enrolled value is kept verbatim;
+/// a record whose sketch round-trips through the index (twelve in
+/// thirteen at the paper's parameters) carries no patch bytes at all.
+#[derive(Debug)]
 struct StoredRecord {
-    id: UserId,
-    public_key: DsaVerifyingKey,
+    /// `id ‖ public key ‖ tag ‖ seed ‖ patches`; a patch is a `u32`
+    /// dimension then the enrolled `i64`, little-endian. The key stays
+    /// bytes as received: only `finish_identification` needs it parsed,
+    /// and one signature verification dwarfs the parse.
+    bytes: Box<[u8]>,
+    /// End offsets in `bytes` of the id, key, tag and seed.
+    ends: [u32; 4],
+}
+
+/// The record table is `Vec<Option<StoredRecord>>`: 32 bytes a slot,
+/// with `None` in the box pointer's niche.
+const _: () = assert!(std::mem::size_of::<Option<StoredRecord>>() == 32);
+
+/// Bytes of one sketch patch.
+const PATCH_BYTES: usize = 4 + 8;
+
+impl StoredRecord {
+    /// Whether `record` packs within the `u32` offsets even if every
+    /// coordinate needs a patch.
+    fn fits(record: &EnrollmentRecord) -> bool {
+        let helper = &record.helper;
+        helper
+            .sketch
+            .inner
+            .len()
+            .saturating_mul(PATCH_BYTES)
+            .saturating_add(record.id.len())
+            .saturating_add(record.public_key.len())
+            .saturating_add(helper.sketch.tag.len())
+            .saturating_add(helper.seed.len())
+            <= u32::MAX as usize
+    }
+
+    /// Packs `record`, whose sketch the index holds as `row`.
+    fn pack(record: &EnrollmentRecord, row: &[i64]) -> StoredRecord {
+        let helper = &record.helper;
+        let fields: [&[u8]; 4] = [
+            record.id.as_bytes(),
+            &record.public_key,
+            &helper.sketch.tag,
+            &helper.seed,
+        ];
+        let enrolled = helper.sketch.inner.iter().zip(row);
+        let patches = enrolled.clone().filter(|(want, got)| want != got).count();
+        let fixed: usize = fields.iter().map(|f| f.len()).sum();
+        let mut bytes = Vec::with_capacity(fixed + patches * PATCH_BYTES);
+        let mut ends = [0u32; 4];
+        for (end, field) in ends.iter_mut().zip(fields) {
+            bytes.extend_from_slice(field);
+            *end = u32::try_from(bytes.len()).expect("validate_enroll bounds the packed length");
+        }
+        for (dim, (want, got)) in enrolled.enumerate() {
+            if want != got {
+                bytes.extend_from_slice(&(dim as u32).to_le_bytes());
+                bytes.extend_from_slice(&want.to_le_bytes());
+            }
+        }
+        StoredRecord {
+            bytes: bytes.into_boxed_slice(),
+            ends,
+        }
+    }
+
+    fn field(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start as usize..self.ends[i] as usize]
+    }
+
+    fn id(&self) -> &str {
+        std::str::from_utf8(self.field(0)).expect("packed from a String")
+    }
+
+    fn public_key(&self) -> &[u8] {
+        self.field(1)
+    }
+
+    /// Completes `helper`, whose sketch is this record's index row, to
+    /// the helper data that was enrolled: the patched coordinates over
+    /// the row, then tag and seed.
+    fn restore(&self, helper: &mut WireHelper) {
+        for patch in self.bytes[self.ends[3] as usize..].chunks_exact(PATCH_BYTES) {
+            let (dim, value) = patch.split_at(4);
+            let dim = u32::from_le_bytes(dim.try_into().expect("4 bytes")) as usize;
+            helper.sketch.inner[dim] = i64::from_le_bytes(value.try_into().expect("8 bytes"));
+        }
+        helper.sketch.tag.clear();
+        helper.sketch.tag.extend_from_slice(self.field(2));
+        helper.seed.clear();
+        helper.seed.extend_from_slice(self.field(3));
+    }
+
+    /// Heap bytes this record accounts for: its block plus the id copy
+    /// that keys `by_id`.
+    fn heap_bytes(&self) -> usize {
+        self.bytes.len() + self.ends[0] as usize
+    }
+}
+
+/// Helper data with nothing in it yet: the scratch value the record
+/// readers rebuild rows into.
+fn empty_helper() -> WireHelper {
+    WireHelper {
+        sketch: RobustData {
+            inner: Vec::new(),
+            tag: Vec::new(),
+        },
+        seed: Vec::new(),
+    }
+}
+
+/// Streams a server's live records in enrollment order, each rebuilt
+/// into one scratch [`WireHelper`] — the walk behind every bulk reader
+/// (snapshot, export, the normal-approach baseline).
+struct LiveRows<'s, I: SketchIndex> {
+    server: &'s AuthenticationServer<I>,
+    next: usize,
     helper: WireHelper,
+}
+
+impl<I: SketchIndex> SnapshotRows for LiveRows<'_, I> {
+    fn next_row(&mut self) -> Option<SnapshotRow<'_>> {
+        loop {
+            let slot = self.next;
+            let entry = self.server.records.get(slot)?;
+            self.next += 1;
+            if let Some(record) = entry {
+                self.server.helper_into(slot, record, &mut self.helper);
+                return Some(SnapshotRow {
+                    id: record.id(),
+                    public_key: record.public_key(),
+                    helper: &self.helper,
+                });
+            }
+        }
+    }
 }
 
 /// An outstanding challenge (single-use → replay protection).
@@ -118,7 +261,8 @@ struct PendingChallenge {
 /// The authentication server of Figs. 1–3, generic over its sketch
 /// index (default: the paper's early-abort scan).
 ///
-/// Holds only public data: `(ID, pk, P)` per user. Sketch lookup uses
+/// Holds only public data: `(ID, pk, P)` per user, the sketch `s` inside
+/// `P` once — as the user's index row. Sketch lookup uses
 /// conditions (1)–(4) through the index; the heavy crypto per
 /// identification is exactly one signature verification regardless of the
 /// number of enrolled users.
@@ -129,7 +273,12 @@ pub struct AuthenticationServer<I: SketchIndex = ScanIndex> {
     /// outstanding indices never shift.
     records: Vec<Option<StoredRecord>>,
     by_id: HashMap<UserId, usize>,
+    /// Running sum of [`StoredRecord::heap_bytes`] over live records, so
+    /// [`AuthenticationServer::record_heap_bytes`] is a read-out.
+    record_bytes: usize,
     index: I,
+    /// Scratch for the index row of the record being enrolled.
+    row: Vec<i64>,
     pending: HashMap<SessionId, PendingChallenge>,
     next_session: SessionId,
     /// Session-id step, so shard replicas can interleave disjoint
@@ -300,7 +449,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             params,
             records: Vec::new(),
             by_id: HashMap::new(),
+            record_bytes: 0,
             index,
+            row: Vec::new(),
             pending: HashMap::new(),
             next_session: 1,
             session_stride: 1,
@@ -344,38 +495,63 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         self.session_stride = stride;
     }
 
+    /// Rebuilds the helper data of the live `record` in `slot` into
+    /// `helper`, bit-identical to what was enrolled: the index row, the
+    /// record's patch over it, then tag and seed.
+    fn helper_into(&self, slot: usize, record: &StoredRecord, helper: &mut WireHelper) {
+        let live = self.index.copy_row_into(slot, &mut helper.sketch.inner);
+        assert!(live, "a stored record's index row must be live");
+        record.restore(helper);
+    }
+
+    fn live_rows(&self) -> LiveRows<'_, I> {
+        LiveRows {
+            server: self,
+            next: 0,
+            helper: empty_helper(),
+        }
+    }
+
+    /// One value per live record, in enrollment order.
+    fn map_live<T>(&self, mut f: impl FnMut(SnapshotRow<'_>) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.by_id.len());
+        let mut rows = self.live_rows();
+        while let Some(row) = rows.next_row() {
+            out.push(f(row));
+        }
+        out
+    }
+
     /// All enrolled helper data, in enrollment order (needed by the
     /// normal-approach baseline, which ships every record to the device).
     pub fn all_helpers(&self) -> Vec<(UserId, WireHelper)> {
-        self.records
-            .iter()
-            .flatten()
-            .map(|r| (r.id.clone(), r.helper.clone()))
-            .collect()
+        self.map_live(|row| (row.id.to_string(), row.helper.clone()))
     }
 
     /// Full record view — id, stored public key and helper data — in
-    /// enrollment order. The normal-approach baseline verifies responses
-    /// against these stored keys.
+    /// enrollment order.
     pub fn enrolled_records(&self) -> Vec<(UserId, DsaVerifyingKey, WireHelper)> {
-        self.records
-            .iter()
-            .flatten()
-            .map(|r| (r.id.clone(), r.public_key.clone(), r.helper.clone()))
-            .collect()
+        self.map_live(|row| {
+            let public_key = DsaVerifyingKey::from_bytes(row.public_key);
+            (row.id.to_string(), public_key, row.helper.clone())
+        })
     }
 
-    /// Visits records by reference in enrollment order, stopping at the
-    /// first `Some` returned by the visitor (avoids cloning helper data
-    /// in the O(N) baseline).
+    /// Visits records in enrollment order — id, public key bytes as
+    /// enrolled, helper data — stopping at the first `Some` returned by
+    /// the visitor. The helper data is one scratch value rebuilt per
+    /// record (no clone per record in the O(N) baseline).
     pub fn visit_records<T>(
         &self,
-        mut visit: impl FnMut(&UserId, &DsaVerifyingKey, &WireHelper) -> Option<T>,
+        mut visit: impl FnMut(&str, &[u8], &WireHelper) -> Option<T>,
     ) -> Option<T> {
-        self.records
-            .iter()
-            .flatten()
-            .find_map(|r| visit(&r.id, &r.public_key, &r.helper))
+        let mut rows = self.live_rows();
+        while let Some(row) = rows.next_row() {
+            if let Some(found) = visit(row.id, row.public_key, row.helper) {
+                return Some(found);
+            }
+        }
+        None
     }
 
     /// Revokes a user: the record and its sketch are removed and every
@@ -406,7 +582,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         let Some(idx) = self.by_id.remove(id) else {
             return false;
         };
-        self.records[idx] = None;
+        let record = self.records[idx].take().expect("by_id names live slots");
+        self.record_bytes -= record.heap_bytes();
         self.index.remove(idx);
         self.pending.retain(|_, p| p.record_idx != idx);
         true
@@ -433,6 +610,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         if !self.index.sketch_dim_ok(record.helper.sketch.inner.len()) {
             return Err(ProtocolError::Malformed("sketch dimension mismatch"));
         }
+        if !StoredRecord::fits(record) {
+            return Err(ProtocolError::Malformed("record too large"));
+        }
         Ok(())
     }
 
@@ -444,28 +624,11 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// [`AuthenticationServer::apply_enroll`] with recovery's segment
     /// fast path: when `preindexed`, the sketch row is already in the
     /// index (installed wholesale from an imported segment cache) and
-    /// must not be inserted twice — the id-mirror contract is checked
-    /// against the cached row instead.
+    /// must not be inserted twice. Either way the record is packed
+    /// against the row the index now holds in its slot.
     fn apply_enroll_replayed(&mut self, record: EnrollmentRecord, preindexed: bool) {
-        let public_key = DsaVerifyingKey::from_bytes(&record.public_key);
         let idx = self.records.len();
-        if preindexed {
-            debug_assert!(
-                {
-                    // The arena stores coordinates canonically reduced
-                    // into `[0, ka)`; compare modulo the ring, not raw.
-                    let ka = self.params.sketch().line().interval_len() as i64;
-                    let mut row = Vec::new();
-                    self.index.copy_row_into(idx, &mut row)
-                        && row.len() == record.helper.sketch.inner.len()
-                        && row
-                            .iter()
-                            .zip(&record.helper.sketch.inner)
-                            .all(|(&got, &want)| got.rem_euclid(ka) == want.rem_euclid(ka))
-                },
-                "segment cache row must mirror the replayed record"
-            );
-        } else {
+        if !preindexed {
             let index_id = self.index.insert(&record.helper.sketch.inner);
             // Release-enforced: an index that had records inserted and
             // then removed passes the `is_empty` construction check but
@@ -474,12 +637,27 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             // silently.
             assert_eq!(index_id, idx, "index ids must mirror record slots");
         }
-        self.by_id.insert(record.id.clone(), idx);
-        self.records.push(Some(StoredRecord {
-            id: record.id,
-            public_key,
-            helper: record.helper,
-        }));
+        // The row as the index holds it — canonical residues in
+        // `[−(ka−1)/2, ka/2]` — is the stored sketch; the record keeps
+        // only what that row does not reproduce.
+        let live = self.index.copy_row_into(idx, &mut self.row);
+        assert!(live, "an enrolled record's index row must be live");
+        debug_assert!(
+            {
+                let ka = self.params.sketch().line().interval_len() as i128;
+                self.row.len() == record.helper.sketch.inner.len()
+                    && self
+                        .row
+                        .iter()
+                        .zip(&record.helper.sketch.inner)
+                        .all(|(&got, &want)| (i128::from(got) - i128::from(want)) % ka == 0)
+            },
+            "index row must mirror the enrolled sketch on the ring"
+        );
+        let stored = StoredRecord::pack(&record, &self.row);
+        self.record_bytes += stored.heap_bytes();
+        self.by_id.insert(record.id, idx);
+        self.records.push(Some(stored));
     }
 
     /// Stores an enrollment record (Fig. 1, final step). With a store
@@ -526,8 +704,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             let matched = self.records[idx]
                 .as_ref()
                 .expect("index only matches live records")
-                .id
-                .clone();
+                .id()
+                .to_string();
             if let Some(store) = &mut self.store {
                 store.append(LogEventRef::EnrollRejected {
                     id: &record.id,
@@ -556,10 +734,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// out-of-range slots) — lets concurrent wrappers resolve slots
     /// found under a shared lock.
     pub fn user_at(&self, record_idx: usize) -> Option<&str> {
-        self.records
-            .get(record_idx)?
-            .as_ref()
-            .map(|r| r.id.as_str())
+        self.records.get(record_idx)?.as_ref().map(StoredRecord::id)
     }
 
     /// Reset / account-recovery lookup: succeeds only when **exactly
@@ -578,8 +753,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             [idx] => Ok(self.records[idx]
                 .as_ref()
                 .expect("index only matches live records")
-                .id
-                .clone()),
+                .id()
+                .to_string()),
             _ => Err(ProtocolError::AmbiguousMatch),
         }
     }
@@ -738,9 +913,11 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         let record = self.records[record_idx]
             .as_ref()
             .expect("challenges are only issued for live records");
+        let mut helper = empty_helper();
+        self.helper_into(record_idx, record, &mut helper);
         IdentChallenge {
             session,
-            helper: record.helper.clone(),
+            helper,
             challenge,
         }
     }
@@ -768,8 +945,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             .ok_or(ProtocolError::Malformed("signature length"))?;
         let msg = challenge_message(response.session, pending.challenge, response.nonce);
         let dsa = self.params.dsa();
-        if dsa.verify(&record.public_key, &msg, &signature) {
-            Ok(IdentOutcome::Identified(record.id.clone()))
+        let public_key = DsaVerifyingKey::from_bytes(record.public_key());
+        if dsa.verify(&public_key, &msg, &signature) {
+            Ok(IdentOutcome::Identified(record.id().to_string()))
         } else {
             Ok(IdentOutcome::Rejected)
         }
@@ -792,17 +970,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// storage. Only public data leaves the server — exactly what an
     /// insider adversary could read anyway (Sec. VI-B threat model).
     pub fn export_records(&self) -> Vec<Vec<u8>> {
-        self.records
-            .iter()
-            .flatten()
-            .map(|r| {
-                crate::wire::encode(&crate::wire::Message::Enroll(EnrollmentRecord {
-                    id: r.id.clone(),
-                    public_key: r.public_key.to_bytes(self.params.dsa_params()),
-                    helper: r.helper.clone(),
-                }))
-            })
-            .collect()
+        self.map_live(|row| crate::wire::encode(&crate::wire::Message::Enroll(row.to_record())))
     }
 
     /// Restores records exported by [`AuthenticationServer::export_records`]
@@ -901,6 +1069,20 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         self.records.len()
     }
 
+    /// Heap bytes of the record table, read out in O(1): the slot
+    /// vector, every live record's block (patches included), and
+    /// `by_id` — the id copies that key it plus its bucket array,
+    /// estimated from its capacity (hash-map internals are not
+    /// observable). Allocator headers are not counted, nor is the index
+    /// (see [`SketchIndex::heap_bytes`]), which holds the sketches.
+    pub fn record_heap_bytes(&self) -> usize {
+        let slots = self.records.capacity() * std::mem::size_of::<Option<StoredRecord>>();
+        // A hashbrown table fills 7/8 of its buckets; a bucket is the
+        // pair plus one control byte.
+        let buckets = self.by_id.capacity() / 7 * 8;
+        slots + buckets * (std::mem::size_of::<(UserId, usize)>() + 1) + self.record_bytes
+    }
+
     /// Reclaims tombstone slots left by revocation: live records are
     /// renumbered densely (preserving enrollment order), the sketch
     /// index is compacted in lockstep, and outstanding challenge
@@ -918,27 +1100,38 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         if reclaimed == 0 {
             return 0;
         }
-        let mapping: HashMap<usize, usize> = self.index.compact().into_iter().collect();
-        let old_records = std::mem::take(&mut self.records);
-        for (old_idx, slot) in old_records.into_iter().enumerate() {
-            let Some(record) = slot else { continue };
-            let new_idx = *mapping
-                .get(&old_idx)
-                .expect("live record must appear in the index compaction mapping");
-            // Both structures drop tombstones in ascending order, so the
-            // index's renumbering must equal the record table's.
+        // Both structures drop tombstones in ascending order, so the
+        // index's (old, new) pairs and the live record slots advance in
+        // lockstep: the table compacts in place and `by_id` values are
+        // rewritten where they sit — nothing proportional to the
+        // population is allocated here.
+        let mapping = self.index.compact();
+        let mut pairs = mapping.iter();
+        let mut kept = 0;
+        for old_idx in 0..self.records.len() {
+            let Some(record) = self.records[old_idx].take() else {
+                continue;
+            };
             assert_eq!(
-                new_idx,
-                self.records.len(),
+                pairs.next(),
+                Some(&(old_idx, kept)),
                 "index compaction must renumber densely in enrollment order"
             );
-            self.by_id.insert(record.id.clone(), new_idx);
-            self.records.push(Some(record));
+            *self
+                .by_id
+                .get_mut(record.id())
+                .expect("live records are in by_id") = kept;
+            self.records[kept] = Some(record);
+            kept += 1;
         }
+        assert!(pairs.next().is_none(), "index holds rows without records");
+        self.records.truncate(kept);
+        self.records.shrink_to_fit();
         for pending in self.pending.values_mut() {
-            pending.record_idx = *mapping
-                .get(&pending.record_idx)
+            let at = mapping
+                .binary_search_by_key(&pending.record_idx, |&(old, _)| old)
                 .expect("pending challenges only reference live records");
+            pending.record_idx = mapping[at].1;
         }
         reclaimed
     }
@@ -947,15 +1140,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// [`EnrollmentRecord`] (public data only), in enrollment order —
     /// the snapshot payload.
     pub fn live_enrollment_records(&self) -> Vec<EnrollmentRecord> {
-        self.records
-            .iter()
-            .flatten()
-            .map(|r| EnrollmentRecord {
-                id: r.id.clone(),
-                public_key: r.public_key.to_bytes(self.params.dsa_params()),
-                helper: r.helper.clone(),
-            })
-            .collect()
+        self.map_live(|row| row.to_record())
     }
 
     /// Compacts in memory, then (with a store attached) writes a fresh
@@ -963,11 +1148,10 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// bounding storage, recovery time *and* in-memory tombstone growth
     /// in one pass. Returns the number of record slots reclaimed.
     ///
-    /// Snapshot rows are **streamed** out of the record table
-    /// ([`crate::store::SnapshotRow`] borrows the id and helper data),
-    /// so a checkpoint never clones the enrolled population into an
-    /// intermediate vector — the only per-row materialization is the
-    /// serialized public key.
+    /// Snapshot rows are **streamed** out of the record table and the
+    /// index (each [`crate::store::SnapshotRow`] is rebuilt into one
+    /// scratch buffer), so a checkpoint never materializes the enrolled
+    /// population in an intermediate vector.
     ///
     /// # Errors
     /// [`ProtocolError::Storage`] when the snapshot cannot be written;
@@ -1007,14 +1191,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// (the coherence the segment fast path in
     /// [`AuthenticationServer::recover_with_store`] relies on).
     fn write_snapshot(&self, store: &mut dyn EnrollmentStore) -> Result<(), ProtocolError> {
-        let count = self.by_id.len();
-        let dsa_params = self.params.dsa_params();
-        let mut rows = self.records.iter().flatten().map(|r| SnapshotRow {
-            id: &r.id,
-            public_key: r.public_key.to_bytes(dsa_params),
-            helper: &r.helper,
-        });
-        store.compact(count, &mut rows)?;
+        store.compact(self.by_id.len(), &mut self.live_rows())?;
         if let Some(blob) = self.index.export_segments() {
             store.save_index_cache(&blob)?;
         }

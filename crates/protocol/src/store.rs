@@ -132,18 +132,18 @@ const EVENT_ENROLL: u8 = 1;
 const EVENT_REVOKE: u8 = 2;
 const EVENT_ENROLL_REJECTED: u8 = 3;
 
-/// One snapshot row, borrowed from the server's live record table: what
-/// [`EnrollmentStore::compact`] streams instead of taking an owned
-/// `Vec<EnrollmentRecord>` of the whole population. The id and helper
-/// data (which holds the sketch — the bulk of a record) stay borrowed;
-/// only the small serialized public key is materialized per row.
-#[derive(Debug)]
+/// One snapshot row, borrowed: what [`EnrollmentStore::compact`]
+/// streams instead of taking an owned `Vec<EnrollmentRecord>` of the
+/// whole population. The server keeps a record's sketch only as its
+/// index row, so the helper data here is a scratch value the row source
+/// rebuilds for each row (see [`SnapshotRows`]).
+#[derive(Debug, Clone, Copy)]
 pub struct SnapshotRow<'a> {
     /// The enrolled user's identity.
     pub id: &'a str,
-    /// Serialized DSA verification key bytes.
-    pub public_key: Vec<u8>,
-    /// Borrowed public helper data `P = (s, h, r)`.
+    /// Serialized DSA verification key bytes, as enrolled.
+    pub public_key: &'a [u8],
+    /// Public helper data `P = (s, h, r)`.
     pub helper: &'a crate::messages::WireHelper,
 }
 
@@ -152,7 +152,7 @@ impl SnapshotRow<'_> {
     pub fn of(record: &EnrollmentRecord) -> SnapshotRow<'_> {
         SnapshotRow {
             id: &record.id,
-            public_key: record.public_key.clone(),
+            public_key: &record.public_key,
             helper: &record.helper,
         }
     }
@@ -162,9 +162,27 @@ impl SnapshotRow<'_> {
     pub fn to_record(&self) -> EnrollmentRecord {
         EnrollmentRecord {
             id: self.id.to_string(),
-            public_key: self.public_key.clone(),
+            public_key: self.public_key.to_vec(),
             helper: self.helper.clone(),
         }
+    }
+}
+
+/// The row stream of [`EnrollmentStore::compact`]: a lending iterator,
+/// so the source can rebuild every row into one scratch buffer instead
+/// of holding (or cloning) a [`WireHelper`](crate::messages::WireHelper)
+/// per record.
+pub trait SnapshotRows {
+    /// The next live record in enrollment order, valid until the next
+    /// call; `None` when the population is exhausted.
+    fn next_row(&mut self) -> Option<SnapshotRow<'_>>;
+}
+
+/// A slice of owned records is a row stream (what
+/// [`EnrollmentStore::compact_records`] feeds a store).
+impl SnapshotRows for std::slice::Iter<'_, EnrollmentRecord> {
+    fn next_row(&mut self) -> Option<SnapshotRow<'_>> {
+        self.next().map(SnapshotRow::of)
     }
 }
 
@@ -179,7 +197,7 @@ pub fn put_record(w: &mut Writer, record: &EnrollmentRecord) {
 /// [`put_record`] for a borrowed snapshot row (identical byte layout).
 pub fn put_row(w: &mut Writer, row: &SnapshotRow<'_>) {
     w.put_str(row.id);
-    w.put_bytes(&row.public_key);
+    w.put_bytes(row.public_key);
     codec::put_helper(w, row.helper);
 }
 
@@ -269,7 +287,7 @@ pub trait EnrollmentStore: std::fmt::Debug + Send + Sync {
     /// Atomically replaces history with a snapshot of exactly `count`
     /// live records, streamed one [`SnapshotRow`] at a time, and
     /// truncates the journal. Streaming is the point: a checkpoint of
-    /// 10⁶ users must not clone 10⁶ sketches into an intermediate
+    /// 10⁶ users must not rebuild 10⁶ sketches into an intermediate
     /// vector before the first byte hits disk.
     ///
     /// Implementations may rely on `rows` yielding exactly `count`
@@ -278,11 +296,7 @@ pub trait EnrollmentStore: std::fmt::Debug + Send + Sync {
     /// # Errors
     /// [`ProtocolError::Storage`] when the snapshot could not be
     /// written; the previous snapshot/journal remain in effect.
-    fn compact<'a>(
-        &mut self,
-        count: usize,
-        rows: &mut (dyn Iterator<Item = SnapshotRow<'a>> + 'a),
-    ) -> Result<(), ProtocolError>;
+    fn compact(&mut self, count: usize, rows: &mut dyn SnapshotRows) -> Result<(), ProtocolError>;
 
     /// [`EnrollmentStore::compact`] over an owned record slice — the
     /// convenience form tests and small deployments use.
@@ -290,7 +304,7 @@ pub trait EnrollmentStore: std::fmt::Debug + Send + Sync {
     /// # Errors
     /// As [`EnrollmentStore::compact`].
     fn compact_records(&mut self, live: &[EnrollmentRecord]) -> Result<(), ProtocolError> {
-        self.compact(live.len(), &mut live.iter().map(SnapshotRow::of))
+        self.compact(live.len(), &mut live.iter())
     }
 
     /// Events appended since the last snapshot (the journal tail length):
@@ -359,13 +373,11 @@ impl EnrollmentStore for MemoryStore {
         Ok(events)
     }
 
-    fn compact<'a>(
-        &mut self,
-        count: usize,
-        rows: &mut (dyn Iterator<Item = SnapshotRow<'a>> + 'a),
-    ) -> Result<(), ProtocolError> {
+    fn compact(&mut self, count: usize, rows: &mut dyn SnapshotRows) -> Result<(), ProtocolError> {
         let mut snapshot = Vec::with_capacity(count);
-        snapshot.extend(rows.map(|row| row.to_record()));
+        while let Some(row) = rows.next_row() {
+            snapshot.push(row.to_record());
+        }
         self.snapshot = snapshot;
         self.journal.clear();
         // Any previously saved cache described the *old* snapshot.
@@ -809,15 +821,11 @@ impl EnrollmentStore for FileStore {
         Ok(events)
     }
 
-    fn compact<'a>(
-        &mut self,
-        count: usize,
-        rows: &mut (dyn Iterator<Item = SnapshotRow<'a>> + 'a),
-    ) -> Result<(), ProtocolError> {
+    fn compact(&mut self, count: usize, rows: &mut dyn SnapshotRows) -> Result<(), ProtocolError> {
         // 1. Stream the snapshot to a temporary file, one framed row at
         //    a time — the whole population is never materialized in
-        //    memory (the server side borrows rows straight out of its
-        //    record table).
+        //    memory (the server side rebuilds each row into one scratch
+        //    buffer from its record table and index).
         let tmp = self.dir.join("snapshot.fes.tmp");
         let file = File::create(&tmp).map_err(|e| io_err("create snapshot tmp", e))?;
         let mut out = std::io::BufWriter::new(file);
@@ -831,7 +839,7 @@ impl EnrollmentStore for FileStore {
         // 10⁶-user snapshot performs O(1) writer allocations, not 2·10⁶.
         let mut payload = Writer::new();
         let mut frame = Writer::new();
-        for row in rows {
+        while let Some(row) = rows.next_row() {
             payload.clear();
             put_row(&mut payload, &row);
             frame.clear();

@@ -262,6 +262,47 @@ fn overload_is_shed_as_wire_responses_not_dropped_connections() {
     server.shutdown();
 }
 
+#[test]
+fn pipelined_replies_do_not_wait_for_the_next_request() {
+    // Two requests in flight, then silence: both replies must come back
+    // before a third request is sent. With Nagle's algorithm on at the
+    // server, the second reply is held until the first is acknowledged,
+    // and a client with nothing to send acknowledges on its delayed-ACK
+    // timer (40 ms or more) — every reply arrives one request late.
+    let (params, _sched, server, _device, _rng) = stack(64, NetConfig::default(), 0x9A61E);
+    let mut stream = handshaken(&server, &params);
+    stream.set_nodelay(true).unwrap();
+    let mut read_half = stream.try_clone().unwrap();
+    // Revocations of an unknown user are answered without a batch
+    // window, so a round is network time alone. A new connection
+    // acknowledges at once for its first segments; the median over
+    // many rounds looks past that.
+    const ROUNDS: u64 = 31;
+    let mut rounds = Vec::new();
+    for round in 0..ROUNDS {
+        let start = std::time::Instant::now();
+        for id in [2 * round, 2 * round + 1] {
+            let req = envelope::encode_request(id, &Message::Revoke { id: "ghost".into() });
+            write_frame(&mut stream, &req, DEFAULT_MAX_FRAME).unwrap();
+        }
+        for expect in [2 * round, 2 * round + 1] {
+            let payload = read_frame(&mut read_half, DEFAULT_MAX_FRAME).unwrap();
+            let (id, response) = envelope::decode_response(&payload).unwrap();
+            assert_eq!(id, expect);
+            assert_eq!(response.unwrap_err().code, ErrorCode::UnknownUser);
+        }
+        rounds.push(start.elapsed());
+    }
+    rounds.sort();
+    let median = rounds[rounds.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "a pair of pipelined replies took {median:?} (median of {ROUNDS}): \
+         the second is waiting for an acknowledgement"
+    );
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Hostile handshakes.
 // ---------------------------------------------------------------------

@@ -1020,3 +1020,222 @@ proptest! {
         prop_assert_eq!(reader.find_first(&vec![0; dim]), index.lookup(&vec![0; dim]));
     }
 }
+
+// ---------------------------------------------------------------------
+// The index row is the only copy of a record's sketch: every reader of
+// the stored helper data must hand back exactly what was enrolled.
+// ---------------------------------------------------------------------
+
+mod helper_round_trip {
+    use super::*;
+    use fuzzy_id::core::EpochIndex;
+    use fuzzy_id::protocol::wire::{self, Message};
+    use fuzzy_id::protocol::{
+        AuthenticationServer, BiometricDevice, BuildIndex, EnrollmentRecord, FileStore,
+        IndexConfig, SystemParams,
+    };
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const DIM: usize = 8;
+    const KA: i64 = 400;
+
+    /// Sketch coordinates the arena cannot hold verbatim (`−ka/2`, which
+    /// `Gen` really emits, and out-of-range values only a client could
+    /// send) among ones it can.
+    fn coordinate() -> impl Strategy<Value = i64> {
+        (0u8..8, -(KA / 2 - 1)..KA / 2).prop_map(|(sel, ordinary)| match sel {
+            0 => -KA / 2,
+            1 => KA / 2,
+            2 => KA / 2 + 1,
+            3 => i64::MIN,
+            _ => ordinary,
+        })
+    }
+
+    /// Records with arbitrary (not necessarily honest) public fields:
+    /// the server stores what it is sent.
+    fn records() -> impl Strategy<Value = Vec<EnrollmentRecord>> {
+        let bytes = |len| prop::collection::vec(any::<u8>(), len);
+        let record = (
+            prop::collection::vec(coordinate(), DIM..DIM + 1),
+            bytes(1..40),
+            bytes(0..40),
+            bytes(0..40),
+        );
+        prop::collection::vec(record, 6..14).prop_map(|fields| {
+            fields
+                .into_iter()
+                .enumerate()
+                .map(|(u, (inner, public_key, tag, seed))| EnrollmentRecord {
+                    id: format!("user-{u}"),
+                    public_key,
+                    helper: HelperData {
+                        sketch: RobustData { inner, tag },
+                        seed,
+                    },
+                })
+                .collect()
+        })
+    }
+
+    fn temp_dir() -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "fe-helper-round-trip-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every reader of the stored helper data against the records that
+    /// should be live, in enrollment order.
+    fn assert_reads<I: SketchIndex>(
+        server: &mut AuthenticationServer<I>,
+        live: &[EnrollmentRecord],
+    ) {
+        let helpers: Vec<_> = live
+            .iter()
+            .map(|r| (r.id.clone(), r.helper.clone()))
+            .collect();
+        assert_eq!(server.all_helpers(), helpers);
+        assert_eq!(server.live_enrollment_records(), live);
+        let exported: Vec<_> = server
+            .export_records()
+            .iter()
+            .map(|blob| match wire::decode(blob).unwrap() {
+                Message::Enroll(record) => record,
+                other => panic!("exported {other:?}"),
+            })
+            .collect();
+        assert_eq!(exported, live);
+        let mut rng = StdRng::seed_from_u64(7);
+        for record in live {
+            // A record's own sketch is a probe at distance 0: the hit is
+            // the earliest live record it matches.
+            let probe = &record.helper.sketch.inner;
+            let slot = server.lookup_probe(probe).expect("a sketch matches itself");
+            let hit = server.user_at(slot).unwrap().to_string();
+            let challenge = server.begin_identification(probe, &mut rng).unwrap();
+            let expected = live.iter().find(|r| r.id == hit).unwrap();
+            assert_eq!(challenge.helper, expected.helper, "hit on {hit}");
+            server.cancel_session(challenge.session);
+            let challenge = server.begin_verification(&record.id, &mut rng).unwrap();
+            assert_eq!(challenge.helper, record.helper, "claim of {}", record.id);
+            server.cancel_session(challenge.session);
+        }
+    }
+
+    fn reopen<I: BuildIndex>(
+        mut server: AuthenticationServer<I>,
+        params: &SystemParams,
+        dir: &Path,
+    ) -> AuthenticationServer<I> {
+        server.checkpoint().unwrap();
+        drop(server);
+        AuthenticationServer::recover(params.clone(), dir).unwrap()
+    }
+
+    /// Enroll, checkpoint + recover, revoke, compact, enroll more,
+    /// checkpoint + recover — reading everything back at every step.
+    /// `recovered` sees the index the first recovery built.
+    fn check<I: BuildIndex>(
+        params: &SystemParams,
+        index: I,
+        records: &[EnrollmentRecord],
+        revoke: &[usize],
+        recovered: impl Fn(&I),
+    ) {
+        let dir = temp_dir();
+        let mut server = AuthenticationServer::with_index(params.clone(), index);
+        let store = FileStore::open(&dir, params.fingerprint()).unwrap();
+        server.attach_store(Box::new(store)).unwrap();
+
+        let (early, late) = records.split_at(records.len() - 2);
+        let mut live = early.to_vec();
+        for record in early {
+            server.enroll(record.clone()).unwrap();
+        }
+        assert_reads(&mut server, &live);
+        let mut server = reopen(server, params, &dir);
+        recovered(server.index());
+        assert_reads(&mut server, &live);
+
+        for pick in revoke {
+            let gone = live.remove(pick % live.len());
+            server.revoke(&gone.id).unwrap();
+            assert_reads(&mut server, &live);
+        }
+        assert_eq!(server.compact(), revoke.len());
+        assert_reads(&mut server, &live);
+        for record in late {
+            server.enroll(record.clone()).unwrap();
+            live.push(record.clone());
+        }
+        assert_reads(&mut server, &live);
+        let mut server = reopen(server, params, &dir);
+        assert_reads(&mut server, &live);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn every_reader_returns_the_enrolled_helper_byte_for_byte(
+            records in records(),
+            revoke in prop::collection::vec(any::<usize>(), 1..4),
+        ) {
+            let params = SystemParams::insecure_test_defaults();
+            prop_assert_eq!(params.sketch().line().interval_len() as i64, KA);
+            check(&params, ScanIndex::build(&params), &records, &revoke, |_| ());
+            check(&params, BucketIndex::build(&params), &records, &revoke, |_| ());
+            let sharded = params.clone().with_index_config(IndexConfig::ShardedScan { shards: 3 });
+            let index = ShardedIndex::<ScanIndex>::build(&sharded);
+            check(&sharded, index, &records, &revoke, |_| ());
+            // Thresholds this small freeze, merge and seal within the
+            // first enrollments; the checkpoint then exports sealed
+            // segments and recovery adopts their rows without
+            // re-inserting them.
+            let t = params.sketch().threshold();
+            let tiny = EpochIndex::with_thresholds(t, KA as u64, params.filter_config(), 2, 2, 4);
+            check(&params, tiny, &records, &revoke, |recovered| {
+                assert!(recovered.segments().iter().any(|s| s.is_sealed()));
+            });
+        }
+    }
+
+    /// `Gen` on a biometric with a coordinate on an interval boundary
+    /// emits `+ka/2` or `−ka/2` on a coin flip, and the tag covers
+    /// whichever it was: the login must succeed both ways.
+    #[test]
+    fn boundary_biometric_logs_in_on_either_coin_flip() {
+        let params = SystemParams::insecure_test_defaults();
+        let device = BiometricDevice::new(params.clone());
+        let mut bio = params
+            .sketch()
+            .line()
+            .random_vector(DIM, &mut StdRng::seed_from_u64(1));
+        bio[3] = 2 * KA;
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let record = device.enroll("edge", &bio, &mut rng).unwrap();
+            let flip = record.helper.sketch.inner[3];
+            if !seen.insert(flip) {
+                continue;
+            }
+            let mut server = AuthenticationServer::new(params.clone());
+            server.enroll(record).unwrap();
+            let reading: Vec<i64> = bio.iter().map(|&x| x + 5).collect();
+            let probe = device.probe_sketch(&reading, &mut rng).unwrap();
+            let challenge = server.begin_identification(&probe, &mut rng).unwrap();
+            let response = device.respond(&reading, &challenge, &mut rng).unwrap();
+            let outcome = server.finish_identification(&response).unwrap();
+            assert_eq!(outcome.identity(), Some("edge"), "sketch coordinate {flip}");
+        }
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), vec![-KA / 2, KA / 2]);
+    }
+}
