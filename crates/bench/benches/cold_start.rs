@@ -5,10 +5,11 @@
 //! * **How fast does a crashed server come back?** `recover/*` measures
 //!   [`AuthenticationServer::recover`] — snapshot load (or full journal
 //!   replay) plus sketch-index rebuild — against populations of
-//!   10³–10⁵ enrolled users, for both the plain scan index and the
-//!   sharded index. Snapshot recovery should beat journal replay (one
-//!   framed record per user, no revocation interleaving) and both
-//!   should scale linearly.
+//!   10³–10⁵ enrolled users, into the epoch engine every server runs.
+//!   Snapshot recovery should beat journal replay (one framed record
+//!   per user, no revocation interleaving, and above 65 536 records the
+//!   sealed segments import from the checkpoint's sidecar instead of
+//!   being re-inserted) and both should scale linearly.
 //! * **What does durability cost on the enroll path?** `enroll/*`
 //!   compares a memory-only server against a journaled one
 //!   (OS-buffered appends, the default) and an fsync-per-event one
@@ -27,9 +28,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fe_bench::{smoke, time_it, SynthPopulation};
-use fe_core::{ScanIndex, ShardedIndex};
 use fe_protocol::store::FileStore;
-use fe_protocol::{AuthenticationServer, EnrollmentRecord, IndexConfig, SystemParams};
+use fe_protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -65,7 +65,7 @@ fn populate(params: &SystemParams, dir: &PathBuf, records: &[EnrollmentRecord], 
 }
 
 /// Snapshot-load + index-rebuild time versus population, journal replay
-/// versus snapshot, scan versus sharded rebuild target.
+/// versus snapshot.
 fn bench_recover(c: &mut Criterion) {
     let smoke_run = smoke::smoke_mode();
     let populations: &[usize] = if smoke_run { &[2_000] } else { &POPULATIONS };
@@ -116,27 +116,6 @@ fn bench_recover(c: &mut Criterion) {
                 server
             })
         });
-        // Rebuilding the sharded index from the same snapshot: the
-        // recovery path the sharded engine of PR 1 takes.
-        let sharded_params = params
-            .clone()
-            .with_index_config(IndexConfig::ShardedScan { shards: 4 });
-        group.bench_with_input(
-            BenchmarkId::new("recover/snapshot_sharded4", n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    let server = AuthenticationServer::<ShardedIndex<ScanIndex>>::recover(
-                        sharded_params.clone(),
-                        &snap_dir,
-                    )
-                    .unwrap();
-                    assert_eq!(server.user_count(), n);
-                    server
-                })
-            },
-        );
-
         std::fs::remove_dir_all(&journal_dir).unwrap();
         std::fs::remove_dir_all(&snap_dir).unwrap();
     }

@@ -1,18 +1,16 @@
 //! **Server throughput (ours)**: identification service rate at scale,
-//! sweeping enrolled population × shard count.
+//! sweeping the enrolled population and the server shard count.
 //!
 //! Two layers are measured:
 //!
 //! * `lookup` / `batch` — the raw sketch-index layer on up to 10⁵
-//!   enrolled sketches (paper parameters, worst-case probe): the plain
-//!   early-abort scan vs [`ShardedIndex`] with 2/4/8 parallel shards,
-//!   plus the batch path that resolves a whole probe queue per call.
-//!   This is the acceptance benchmark for the sharded-index refactor:
-//!   at 10⁵ records the scan is pure memory-bandwidth-bound compare
-//!   work, so N shards approach an N-fold speedup on an idle machine.
+//!   enrolled sketches (paper parameters, worst-case probe): the
+//!   early-abort scan, plus the batch path that resolves a whole probe
+//!   queue per call.
 //! * `identify_batch` — the full [`SharedServer`] protocol layer
-//!   (challenge issue included): one lock acquisition per shard per
-//!   batch instead of two exclusive acquisitions per device.
+//!   (challenge issue included) at 1 and 4 shards: one lock acquisition
+//!   per shard per batch instead of two exclusive acquisitions per
+//!   device.
 //!
 //! Populations are built once per size from real Chebyshev sketches so
 //! the early-abort profile matches production data.
@@ -23,9 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fe_bench::{smoke, time_it};
-use fe_core::{
-    ChebyshevSketch, EpochIndex, NumberLine, ScanIndex, SecureSketch, ShardedIndex, SketchIndex,
-};
+use fe_core::{ChebyshevSketch, EpochIndex, NumberLine, ScanIndex, SecureSketch, SketchIndex};
 use fe_protocol::concurrent::SharedServer;
 use fe_protocol::{BiometricDevice, SystemParams};
 use rand::rngs::StdRng;
@@ -37,7 +33,6 @@ const T: u64 = 100;
 const KA: u64 = 400;
 /// ≥ 10⁵ enrolled sketches: the acceptance-criterion scale (full mode).
 const INDEX_SIZES: [usize; 2] = [10_000, 100_000];
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 const BATCH: usize = 256;
 
 fn build_population(users: usize, rng: &mut StdRng) -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
@@ -61,12 +56,11 @@ fn build_population(users: usize, rng: &mut StdRng) -> (Vec<Vec<i64>>, Vec<Vec<i
     (sketches, probes)
 }
 
-/// Index layer: single worst-case lookup and a 256-probe batch, scan vs
-/// sharded, over the population sweep.
+/// Index layer: single worst-case lookup and a 256-probe batch over
+/// the population sweep.
 fn bench_index_scaling(c: &mut Criterion) {
     let smoke_run = smoke::smoke_mode();
     let sizes: &[usize] = if smoke_run { &[20_000] } else { &INDEX_SIZES };
-    let shard_counts: &[usize] = if smoke_run { &[2, 4] } else { &SHARD_COUNTS };
     let mut group = c.benchmark_group("server_throughput");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(if smoke_run { 1 } else { 3 }));
@@ -108,29 +102,6 @@ fn bench_index_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batch/scan", users), &users, |b, _| {
             b.iter(|| scan.lookup_batch(std::hint::black_box(&batch)))
         });
-
-        for &shards in shard_counts {
-            let mut sharded = ShardedIndex::scan(shards, T, KA);
-            for s in &sketches {
-                sharded.insert(s);
-            }
-            group.bench_with_input(
-                BenchmarkId::new(format!("lookup/sharded{shards}"), users),
-                &users,
-                |b, _| {
-                    b.iter(|| {
-                        sharded
-                            .lookup(std::hint::black_box(&worst_probe))
-                            .expect("found")
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("batch/sharded{shards}"), users),
-                &users,
-                |b, _| b.iter(|| sharded.lookup_batch(std::hint::black_box(&batch))),
-            );
-        }
     }
     group.finish();
     let named: Vec<(&str, f64)> = smoke_metrics

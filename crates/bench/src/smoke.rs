@@ -9,14 +9,17 @@
 //!   are written to a per-bench fragment under
 //!   `target/experiments/bench_smoke/`;
 //! * after every write the fragments are merged into **`BENCH_SMOKE.json`
-//!   at the repository root** (bench name → metric map), so the file is
-//!   complete no matter which subset of benches ran or in what order;
+//!   at the repository root** (bench name → metric map), over the
+//!   sections the file already holds, so it is complete no matter which
+//!   subset of benches ran or in what order — on a fresh checkout, where
+//!   the git-ignored fragment directory is empty, included;
 //! * CI uploads the merged file as a workflow artifact.
 //!
 //! Values are recorded under whatever run mode was active; the `smoke`
 //! key in every section says which (`1` = reduced CI sizes, `0` = full
 //! sweep), so numbers from different modes are never conflated.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// `true` when `FE_BENCH_SMOKE=1` (or any value) asks benches to run
@@ -129,9 +132,24 @@ pub fn baseline(bench: &str, metric: &str) -> Option<f64> {
     value[..end].trim().parse().ok()
 }
 
-/// Rebuilds the merged report from every fragment present.
+/// The `(bench, body)` sections of a merged report, bodies verbatim
+/// (a body is a flat `{ … }` map: the first `}` ends it).
+fn sections(report: &str) -> Vec<(String, String)> {
+    report
+        .split("\n  \"")
+        .skip(1)
+        .filter_map(|piece| {
+            let (name, rest) = piece.split_once("\": ")?;
+            let body = &rest[..=rest.find('}')?];
+            Some((name.to_string(), body.to_string()))
+        })
+        .collect()
+}
+
+/// Rebuilds the merged report: every fragment present, plus every
+/// section of the existing report that no fragment replaces.
 fn merge(dir: &PathBuf, path: PathBuf) -> PathBuf {
-    let mut fragments: Vec<(String, String)> = std::fs::read_dir(dir)
+    let fragments = std::fs::read_dir(dir)
         .expect("read bench_smoke dir")
         .filter_map(|entry| {
             let path = entry.ok()?.path();
@@ -140,12 +158,16 @@ fn merge(dir: &PathBuf, path: PathBuf) -> PathBuf {
                 return None;
             }
             Some((name, std::fs::read_to_string(&path).ok()?))
-        })
-        .collect();
-    fragments.sort();
+        });
+    // Sorted by bench name; a fragment replaces the section it names.
+    let mut merged: BTreeMap<String, String> =
+        sections(&std::fs::read_to_string(&path).unwrap_or_default())
+            .into_iter()
+            .collect();
+    merged.extend(fragments);
 
     let mut out = String::from("{\n");
-    for (i, (name, body)) in fragments.iter().enumerate() {
+    for (i, (name, body)) in merged.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
@@ -159,9 +181,45 @@ fn merge(dir: &PathBuf, path: PathBuf) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// `FE_BENCH_SMOKE_OUT` is process-wide: tests that point it at
+    /// their scratch root take turns.
+    static OUT_ENV: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn record_keeps_committed_sections_without_fragments() {
+        let _turn = OUT_ENV.lock().unwrap_or_else(|p| p.into_inner());
+        let scratch = std::env::temp_dir().join(format!("fe-smoke-keep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        std::env::set_var("FE_BENCH_SMOKE_OUT", &scratch);
+        // A fresh checkout: a committed two-section report, no fragments.
+        let alpha = "{\n    \"smoke\": 1,\n    \"p50_us\": 42\n  }";
+        let omega = "{\n    \"smoke\": 0,\n    \"rps\": 1234.568,\n    \"x\": null\n  }";
+        let committed = format!("{{\n  \"alpha\": {alpha},\n  \"omega\": {omega}\n}}\n");
+        std::fs::write(scratch.join("BENCH_SMOKE.json"), &committed).unwrap();
+
+        let path = record("middle", &[("y", 7.0)]);
+        let merged = std::fs::read_to_string(&path).unwrap();
+        let found = sections(&merged);
+        let names: Vec<&str> = found.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["alpha", "middle", "omega"], "{merged}");
+        assert_eq!(found[0].1, alpha);
+        assert_eq!(found[2].1, omega);
+        // Re-recording a bench replaces its own section and nothing else.
+        let path = record("alpha", &[("p50_us", 40.0)]);
+        let merged = std::fs::read_to_string(&path).unwrap();
+        assert!(merged.contains("\"p50_us\": 40"), "{merged}");
+        assert!(!merged.contains("\"p50_us\": 42"), "{merged}");
+        assert_eq!(sections(&merged)[2].1, omega);
+        std::env::remove_var("FE_BENCH_SMOKE_OUT");
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
 
     #[test]
     fn record_and_merge_roundtrip() {
+        let _turn = OUT_ENV.lock().unwrap_or_else(|p| p.into_inner());
         // Redirect output to a scratch root: a unit-test run must never
         // rewrite the repository's real BENCH_SMOKE.json.
         let scratch = std::env::temp_dir().join(format!("fe-smoke-test-{}", std::process::id()));

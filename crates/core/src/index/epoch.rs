@@ -770,10 +770,6 @@ impl SketchIndex for EpochIndex {
         self.dim
     }
 
-    fn sketch_dim_ok(&self, dim: usize) -> bool {
-        self.dim.is_none_or(|stamped| stamped == dim)
-    }
-
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
         if id >= self.staging_base {
             return self.staging.copy_row_into(id - self.staging_base, out);
@@ -795,8 +791,8 @@ impl SketchIndex for EpochIndex {
         }
     }
 
-    // The default walks ids `0..slots()`, but merges drop dead rows, so
-    // live ids can exceed `slots()`; walk the tiers directly instead.
+    // Merges drop dead rows, so live ids can exceed `slots()`: walk
+    // the tiers, not an id range.
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
         let mut scratch = Vec::new();
         for seg in &self.segments {

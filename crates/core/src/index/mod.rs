@@ -1,49 +1,43 @@
 //! Server-side sketch lookup for the identification protocol.
 //!
 //! Given an incoming probe sketch `s'`, the server must find the enrolled
-//! record whose sketch matches under conditions (1)–(4). Three strategies:
+//! record whose sketch matches under conditions (1)–(4). The paper's
+//! strategy is a scan: apply the cheap integer conditions record by
+//! record with early abort. At the paper's parameters a non-matching
+//! record fails after ~2 coordinates in expectation (pass probability
+//! per coordinate ≈ (2t+1)/ka ≈ ½), so the scan is orders of magnitude
+//! cheaper than one signature operation — the observed "constant"
+//! identification cost. One engine and one reference run it:
 //!
-//! * [`ScanIndex`] — the paper-faithful approach: scan records, applying
-//!   the cheap integer conditions with early abort. At the paper's
-//!   parameters a non-matching record fails after ~2 coordinates in
-//!   expectation (pass probability per coordinate ≈ (2t+1)/ka ≈ ½), so the
-//!   scan is orders of magnitude cheaper than one signature operation —
-//!   the observed "constant" identification cost.
-//! * [`BucketIndex`] — an engineering extension: an LSH-style hash index
-//!   on a coarse quantization of the leading coordinates, with multi-probe
-//!   lookup. Genuinely sublinear in the number of records; documented as
-//!   an extension in DESIGN.md and quantified in the index ablation bench.
-//! * [`ShardedIndex`] — a horizontal-scaling wrapper: records are
-//!   partitioned round-robin across N inner indexes and looked up on all
-//!   shards in parallel, with stable *global* record ids. Any
-//!   [`SketchIndex`] (scan, bucket, or epoch) can serve as the shard
-//!   backend.
-//! * [`EpochIndex`] — the read-mostly production engine: a mutable head
-//!   arena plus immutable sealed segments, published through an
-//!   epoch-reclaimed snapshot so identification scans never take a lock
-//!   even while enroll/revoke/compact churn runs (see [`epoch`]).
+//! * [`EpochIndex`] — the production engine, the index every server
+//!   builds: a mutable head arena plus immutable sealed segments,
+//!   published through an epoch-reclaimed snapshot so identification
+//!   scans never take a lock even while enroll/revoke/compact churn
+//!   runs (see [`epoch`]).
+//! * [`ScanIndex`] — the reference: the same scan over exactly one
+//!   arena, with no tiers and no publication step. The oracle suites
+//!   and the kernel benches compare the engine against it.
 //!
-//! All three store their rows in the columnar [`store::SketchArena`]:
+//! Both store their rows in the columnar [`store::SketchArena`]:
 //! one contiguous width-adaptive buffer (`i16` cells at the paper's
 //! `ka = 400`) with a tombstone bitmap and an in-place compactor, so
 //! the conditions (1)–(4) scan streams through memory instead of
-//! chasing one heap pointer per record. See [`store`] for the layout
-//! and the blocked early-abort match kernel.
+//! chasing one heap pointer per record. The arena's sweep is also the
+//! one place a lookup fans out over cores (see
+//! [`store::ParallelConfig`]). See [`store`] for the layout and the
+//! blocked early-abort match kernel.
 //!
-//! The trade-offs between the three — and the early-abort cost model that
-//! makes the plain scan so strong at the paper's parameters — are worked
-//! through in `DESIGN.md` at the repository root.
+//! The early-abort cost model that makes the plain scan so strong at
+//! the paper's parameters — and why no coordinate-level index can
+//! prune there — is worked through in `DESIGN.md` at the repository
+//! root.
 
-mod bucket;
 pub mod epoch;
 mod scan;
-mod sharded;
 pub mod store;
 
-pub use bucket::BucketIndex;
 pub use epoch::{EpochIndex, EpochRead, EpochReader, IndexReader, Segment, SegmentBacking};
 pub use scan::ScanIndex;
-pub use sharded::{ShardedIndex, ShardedReader};
 pub use store::{
     CellWidth, FilterConfig, FilterKernel, ParallelConfig, PlaneDepth, PlaneWidth, RowMask,
     SketchArena,
@@ -116,52 +110,24 @@ pub trait SketchIndex {
     /// The `budget` lowest matching records, ascending — the
     /// count-bounded lookup behind reset-style decisions: with
     /// `budget = 2` the caller can distinguish 0 / exactly-1 / ≥2
-    /// matches without the index scanning past the second hit.
-    ///
-    /// The default delegates to [`SketchIndex::lookup_all`] and
-    /// truncates; scan-backed implementations override it with the
-    /// arena's bounded sweep so the scan actually stops at the
-    /// `budget`-th match.
-    fn lookup_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        let mut all = self.lookup_all(probe);
-        all.truncate(budget);
-        all
-    }
+    /// matches without the index scanning past the second hit (the
+    /// arena's bounded sweep stops at the `budget`-th match).
+    fn lookup_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId>;
 
     /// The `budget` lowest matching records **among `subset`**,
     /// ascending — the primitive behind local-uniqueness checks over a
     /// caller-supplied id set. Ids in `subset` that are dead or unknown
-    /// simply never match; duplicates are redundant.
-    ///
-    /// The default intersects [`SketchIndex::lookup_all`] with the
-    /// subset; scan-backed implementations override it by compiling the
-    /// subset into a row-mask overlay so the sweep only touches masked
-    /// rows.
-    fn lookup_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        if budget == 0 || subset.is_empty() {
-            return Vec::new();
-        }
-        let set: std::collections::HashSet<RecordId> = subset.iter().copied().collect();
-        let mut out: Vec<RecordId> = self
-            .lookup_all(probe)
-            .into_iter()
-            .filter(|id| set.contains(id))
-            .collect();
-        out.truncate(budget);
-        out
-    }
+    /// simply never match; duplicates are redundant. The subset is
+    /// compiled into a row-mask overlay, so the sweep only touches
+    /// masked rows.
+    fn lookup_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId>;
 
     /// Resolves a batch of probes in one call, returning the first match
-    /// per probe (position-aligned with `probes`).
-    ///
-    /// The default implementation is a sequential loop over
-    /// [`SketchIndex::lookup`]; implementations with internal parallelism
-    /// ([`ShardedIndex`]) override it to fan the batch out across worker
-    /// threads. Batch entry points exist so a server can amortize one
-    /// lock acquisition over many concurrent identification requests.
-    fn lookup_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        probes.iter().map(|p| self.lookup(p)).collect()
-    }
+    /// per probe (position-aligned with `probes`). One pass over the
+    /// rows serves the whole batch — the scan is memory-bound at scale
+    /// — so a server can amortize one sweep over many concurrent
+    /// identification requests.
+    fn lookup_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>>;
 
     /// Removes a record (revocation). Record ids are stable: removal
     /// never renumbers other records. Returns `false` if the id was
@@ -188,10 +154,8 @@ pub trait SketchIndex {
     fn dim(&self) -> Option<usize>;
 
     /// Would [`SketchIndex::insert`] accept a sketch of this dimension
-    /// without panicking? The complete non-panicking preflight: it
-    /// covers the dimension stamp *and* any implementation-specific
-    /// constraint (the bucket index additionally requires
-    /// `dim >= prefix_dims`).
+    /// without panicking? The non-panicking preflight of the dimension
+    /// stamp.
     fn sketch_dim_ok(&self, dim: usize) -> bool {
         self.dim().is_none_or(|stamped| stamped == dim)
     }
@@ -209,14 +173,7 @@ pub trait SketchIndex {
     /// borrowed row — the zero-clone iteration primitive snapshot and
     /// compaction passes use instead of [`SketchIndex::live_records`].
     /// The `&[i64]` row is only valid for the duration of the call.
-    fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
-        let mut scratch = Vec::new();
-        for id in 0..self.slots() {
-            if self.copy_row_into(id, &mut scratch) {
-                f(id, &scratch);
-            }
-        }
-    }
+    fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64]));
 
     /// Every live record as `(id, sketch)` pairs in ascending id order.
     /// Clones every sketch — prefer [`SketchIndex::for_each_live`] on
@@ -235,8 +192,8 @@ pub trait SketchIndex {
         let _ = (additional, dim);
     }
 
-    /// Heap bytes held by the index's storage (buffers, bitmaps, and —
-    /// for hashed indexes — an estimate of table overhead). The
+    /// Heap bytes held by the index's storage (buffers, bitmaps,
+    /// segment metadata and published snapshots). The
     /// storage-ablation bench divides this by [`SketchIndex::len`] to
     /// report bytes/record.
     fn heap_bytes(&self) -> usize;
@@ -252,18 +209,11 @@ pub trait SketchIndex {
     /// id mapping is returned so callers can remap stored [`RecordId`]s.
     ///
     /// This is the fix for unbounded growth under enroll/revoke churn:
-    /// without it, [`ScanIndex`]/[`BucketIndex`] entry tables (and every
-    /// shard of a [`ShardedIndex`]) grow with the number of enrollments
+    /// without it, slot tables grow with the number of enrollments
     /// *ever*, not the number currently live. Servers expose it through
     /// their snapshot-compaction pass, where record slots are being
     /// rewritten anyway.
-    fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
-        let live = self.live_records();
-        self.clear();
-        live.into_iter()
-            .map(|(old, sketch)| (old, self.insert(&sketch)))
-            .collect()
-    }
+    fn compact(&mut self) -> Vec<(RecordId, RecordId)>;
 
     /// Makes every pending write visible to detached readers (see
     /// [`epoch::EpochRead::reader`]) and ends any bulk-load deferral a
@@ -372,30 +322,6 @@ mod tests {
         check_index(ScanIndex::new(T, KA), &mut rng);
     }
 
-    #[test]
-    fn bucket_index_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(901);
-        check_index(BucketIndex::new(T, KA, 4), &mut rng);
-    }
-
-    #[test]
-    fn sharded_scan_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(904);
-        check_index(ShardedIndex::scan(4, T, KA), &mut rng);
-    }
-
-    #[test]
-    fn sharded_bucket_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(905);
-        check_index(ShardedIndex::bucket(3, T, KA, 4), &mut rng);
-    }
-
-    #[test]
-    fn sharded_single_shard_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(906);
-        check_index(ShardedIndex::scan(1, T, KA), &mut rng);
-    }
-
     /// Tiny epoch thresholds so a 50-record population exercises
     /// freeze/merge/seal, not just the staging arena.
     fn small_epoch() -> EpochIndex {
@@ -415,87 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_epoch_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(916);
-        check_index(ShardedIndex::from_fn(3, |_| small_epoch()), &mut rng);
-    }
-
-    #[test]
-    fn bucket_index_agrees_with_scan() {
-        let mut rng = StdRng::seed_from_u64(902);
-        let (sketches, probes) = make_population(100, 16, &mut rng);
-        let mut scan = ScanIndex::new(T, KA);
-        let mut bucket = BucketIndex::new(T, KA, 3);
-        for s in &sketches {
-            scan.insert(s);
-            bucket.insert(s);
-        }
-        for probe in &probes {
-            assert_eq!(scan.lookup_all(probe), bucket.lookup_all(probe));
-        }
-    }
-
-    #[test]
-    fn sharded_agrees_with_scan_including_removals() {
-        let mut rng = StdRng::seed_from_u64(907);
-        let (sketches, probes) = make_population(120, 16, &mut rng);
-        let mut scan = ScanIndex::new(T, KA);
-        let mut sharded = ShardedIndex::scan(5, T, KA);
-        for s in &sketches {
-            let a = scan.insert(s);
-            let b = sharded.insert(s);
-            assert_eq!(a, b, "global ids must mirror single-index ids");
-        }
-        // Remove every seventh record from both.
-        for id in (0..120).step_by(7) {
-            assert!(scan.remove(id));
-            assert!(sharded.remove(id));
-        }
-        assert_eq!(scan.len(), sharded.len());
-        for probe in &probes {
-            assert_eq!(scan.lookup_all(probe), sharded.lookup_all(probe));
-            assert_eq!(scan.lookup(probe), sharded.lookup(probe));
-        }
-    }
-
-    #[test]
-    fn bucket_candidates_are_pruned_when_noise_is_small() {
-        // Pruning requires ka >> t (see type docs): use t = 25 on the
-        // paper's line, where each coordinate has 7 cells.
-        let t = 25u64;
-        let scheme = ChebyshevSketch::new(*ChebyshevSketch::paper_defaults().line(), t).unwrap();
-        let mut rng = StdRng::seed_from_u64(903);
-        let mut bucket = BucketIndex::new(t, KA, 4);
-        let mut probes = Vec::new();
-        for _ in 0..500 {
-            let x = scheme.line().random_vector(16, &mut rng);
-            bucket.insert(&scheme.sketch(&x, &mut rng).unwrap());
-            let noisy: Vec<i64> = x
-                .iter()
-                .map(|&v| {
-                    use rand::Rng;
-                    scheme
-                        .line()
-                        .wrap(v + rng.gen_range(-(t as i64)..=t as i64))
-                })
-                .collect();
-            probes.push(scheme.sketch(&noisy, &mut rng).unwrap());
-        }
-        // Every genuine probe still matches its record…
-        for (uid, probe) in probes.iter().enumerate() {
-            assert_eq!(bucket.lookup(probe), Some(uid));
-        }
-        // …and candidate sets are far smaller than the population:
-        // expected fraction (3/7)^4 ≈ 3.4% → ~17 of 500.
-        let total: usize = probes.iter().map(|p| bucket.candidates(p).len()).sum();
-        let avg = total as f64 / probes.len() as f64;
-        assert!(
-            avg < 100.0,
-            "bucket index barely prunes: avg candidates {avg}"
-        );
-    }
-
-    #[test]
     fn lookup_all_finds_duplicates() {
         let mut scan = ScanIndex::new(T, KA);
         scan.insert(&[10, 20, 30]);
@@ -510,12 +355,10 @@ mod tests {
         let scan = ScanIndex::new(T, KA);
         assert!(scan.is_empty());
         assert_eq!(scan.lookup(&[1, 2, 3]), None);
-        let bucket = BucketIndex::new(T, KA, 2);
-        assert_eq!(bucket.lookup(&[1, 2, 3]), None);
-        let sharded = ShardedIndex::scan(4, T, KA);
-        assert!(sharded.is_empty());
-        assert_eq!(sharded.lookup(&[1, 2, 3]), None);
-        assert_eq!(sharded.lookup_batch(&[vec![1, 2, 3]]), vec![None]);
+        let epoch = EpochIndex::new(T, KA);
+        assert!(epoch.is_empty());
+        assert_eq!(epoch.lookup(&[1, 2, 3]), None);
+        assert_eq!(epoch.lookup_batch(&[vec![1, 2, 3]]), vec![None]);
     }
 
     /// The trait-level dimension contract, on every implementation: a
@@ -536,11 +379,8 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_no_match() {
         check_probe_dimension_contract(ScanIndex::new(T, KA));
-        check_probe_dimension_contract(BucketIndex::new(T, KA, 2));
-        check_probe_dimension_contract(ShardedIndex::scan(3, T, KA));
-        check_probe_dimension_contract(ShardedIndex::bucket(2, T, KA, 2));
         check_probe_dimension_contract(EpochIndex::new(T, KA));
-        check_probe_dimension_contract(ShardedIndex::from_fn(2, |_| small_epoch()));
+        check_probe_dimension_contract(small_epoch());
     }
 
     /// The other half of the contract: mixed-dimension *inserts* panic,
@@ -551,35 +391,6 @@ mod tests {
         let mut scan = ScanIndex::new(T, KA);
         scan.insert(&[1, 2, 3]);
         scan.insert(&[1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "stamped dimension")]
-    fn bucket_insert_dimension_mismatch_panics() {
-        let mut bucket = BucketIndex::new(T, KA, 2);
-        bucket.insert(&[1, 2, 3]);
-        bucket.insert(&[1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "stamped dimension")]
-    fn sharded_insert_dimension_mismatch_panics() {
-        let mut sharded = ShardedIndex::scan(2, T, KA);
-        sharded.insert(&[1, 2, 3]);
-        sharded.insert(&[1, 2, 3]);
-        sharded.insert(&[1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix_dims")]
-    fn bucket_prefix_validation() {
-        BucketIndex::new(T, KA, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn sharded_rejects_zero_shards() {
-        ShardedIndex::scan(0, T, KA);
     }
 
     #[test]
@@ -599,25 +410,6 @@ mod tests {
         let c = scan.insert(&[1, 2, 3]);
         assert_ne!(c, a);
         assert!(!scan.remove(999), "unknown id");
-    }
-
-    #[test]
-    fn sharded_removal_keeps_ids_stable() {
-        let mut sharded = ShardedIndex::scan(3, T, KA);
-        let a = sharded.insert(&[10, 20, 30]);
-        let b = sharded.insert(&[150, -150, 90]);
-        let c = sharded.insert(&[-120, 60, 10]);
-        assert_eq!((a, b, c), (0, 1, 2));
-        assert!(sharded.remove(b));
-        assert!(!sharded.remove(b), "double removal must report false");
-        assert_eq!(sharded.len(), 2);
-        assert_eq!(sharded.lookup(&[150, -150, 90]), None);
-        assert_eq!(sharded.lookup(&[10, 20, 30]), Some(a));
-        assert_eq!(sharded.lookup(&[-120, 60, 10]), Some(c));
-        // New inserts continue the global sequence.
-        let d = sharded.insert(&[77, 77, 77]);
-        assert_eq!(d, 3);
-        assert!(!sharded.remove(999), "unknown id");
     }
 
     /// Shared churn scenario: heavy enroll/revoke cycles must not grow
@@ -674,51 +466,9 @@ mod tests {
     }
 
     #[test]
-    fn bucket_compaction_reclaims_tombstones() {
-        let mut rng = StdRng::seed_from_u64(911);
-        check_compaction(BucketIndex::new(T, KA, 4), &mut rng);
-    }
-
-    #[test]
-    fn sharded_compaction_reclaims_tombstones() {
-        let mut rng = StdRng::seed_from_u64(912);
-        check_compaction(ShardedIndex::scan(3, T, KA), &mut rng);
-    }
-
-    #[test]
     fn epoch_compaction_reclaims_tombstones() {
         let mut rng = StdRng::seed_from_u64(918);
         check_compaction(small_epoch(), &mut rng);
-    }
-
-    #[test]
-    fn sharded_compaction_rebalances_and_stays_consistent() {
-        // Remove a skewed subset (everything on shard 0), compact, and
-        // verify the rebuilt sharded index agrees with a compacted scan.
-        let mut rng = StdRng::seed_from_u64(913);
-        let (sketches, probes) = make_population(60, 16, &mut rng);
-        let mut scan = ScanIndex::new(T, KA);
-        let mut sharded = ShardedIndex::scan(4, T, KA);
-        for s in &sketches {
-            scan.insert(s);
-            sharded.insert(s);
-        }
-        for id in (0..60).step_by(4) {
-            // Global ids ≡ 0 (mod 4) all live on shard 0.
-            assert!(scan.remove(id));
-            assert!(sharded.remove(id));
-        }
-        assert_eq!(scan.compact(), sharded.compact());
-        assert_eq!(scan.len(), sharded.len());
-        for probe in &probes {
-            assert_eq!(scan.lookup(probe), sharded.lookup(probe));
-            assert_eq!(scan.lookup_all(probe), sharded.lookup_all(probe));
-        }
-        // Fresh inserts continue dense after compaction.
-        let a = scan.insert(&[0; 16]);
-        let b = sharded.insert(&[0; 16]);
-        assert_eq!(a, b);
-        assert_eq!(a, 45);
     }
 
     #[test]
@@ -731,34 +481,23 @@ mod tests {
         assert_eq!(scan.slots(), 0);
         assert_eq!(scan.insert(&[7, 8, 9]), 0, "ids restart after clear");
 
-        let mut sharded = ShardedIndex::scan(2, T, KA);
-        sharded.insert(&[1, 2]);
-        sharded.clear();
-        assert_eq!(sharded.insert(&[3, 4]), 0);
+        let mut epoch = small_epoch();
+        epoch.insert(&[1, 2]);
+        epoch.clear();
+        assert_eq!(epoch.insert(&[3, 4]), 0);
     }
 
     #[test]
     fn live_records_are_ascending_and_live_only() {
-        let mut sharded = ShardedIndex::scan(3, T, KA);
+        // Nine rows over a staging cap of 8: one frozen run plus the head.
+        let mut epoch = small_epoch();
         for i in 0..9 {
-            sharded.insert(&[i, i, i]);
+            epoch.insert(&[i, i, i]);
         }
-        sharded.remove(4);
-        let live = sharded.live_records();
+        epoch.remove(4);
+        let live = epoch.live_records();
         let ids: Vec<RecordId> = live.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 5, 6, 7, 8]);
         assert_eq!(live[4].1, vec![5, 5, 5]);
-    }
-
-    #[test]
-    fn bucket_removal_works() {
-        let mut bucket = BucketIndex::new(T, KA, 2);
-        let a = bucket.insert(&[10, 20, 30]);
-        let b = bucket.insert(&[12, 22, 32]);
-        assert_eq!(bucket.lookup_all(&[11, 21, 31]), vec![a, b]);
-        assert!(bucket.remove(a));
-        assert_eq!(bucket.lookup_all(&[11, 21, 31]), vec![b]);
-        assert_eq!(bucket.len(), 1);
-        assert!(!bucket.remove(a));
     }
 }

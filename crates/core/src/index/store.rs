@@ -68,7 +68,7 @@ pub(crate) use sweep::RowFilter;
 pub use sweep::RowMask;
 
 use super::RecordId;
-use cells::{canonical_fast, canonical_range, rows_match, Cell, Cells};
+use cells::{canonical_fast, canonical_range, Cell, Cells};
 use kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use kernels::{avx2, avx512};
@@ -288,19 +288,10 @@ impl Default for FilterConfig {
     }
 }
 
-/// A probe sketch pre-normalized into an arena's cell width, so a
-/// multi-candidate lookup (the bucket index verifies many rows per
-/// probe) converts the probe exactly once.
-#[derive(Debug, Clone)]
-pub struct NormalizedProbe {
-    cells: Cells,
-}
-
 /// Contiguous, width-adaptive columnar storage for sketches — the
 /// storage engine under every index: the head, the frozen runs and
 /// the sealed segments of an [`EpochIndex`](super::EpochIndex) are one
-/// arena each, as are a [`ScanIndex`](super::ScanIndex) and the rows
-/// behind a [`BucketIndex`](super::BucketIndex).
+/// arena each, as is a [`ScanIndex`](super::ScanIndex).
 ///
 /// Every lookup is one sweep (`SketchArena::sweep`): `n ≥ 1` probes
 /// over the live rows an optional row subset lets through, keeping
@@ -781,54 +772,6 @@ impl SketchArena {
         Some(arena)
     }
 
-    /// Normalizes a probe into this arena's cell width, or `None` when
-    /// its dimension cannot match any stored row (the trait-level
-    /// "mismatched probes match nothing" contract).
-    pub fn normalize_probe(&self, probe: &[i64]) -> Option<NormalizedProbe> {
-        if self.dim != Some(probe.len()) {
-            return None;
-        }
-        let ka = self.ka;
-        let (lo, hi) = canonical_range(ka);
-        let cells = match self.width {
-            CellWidth::I16 => Cells::I16(
-                probe
-                    .iter()
-                    .map(|&c| i16::narrow(canonical_fast(c, lo, hi, ka)))
-                    .collect(),
-            ),
-            CellWidth::I32 => Cells::I32(
-                probe
-                    .iter()
-                    .map(|&c| i32::narrow(canonical_fast(c, lo, hi, ka)))
-                    .collect(),
-            ),
-            CellWidth::I64 => Cells::I64(
-                probe
-                    .iter()
-                    .map(|&c| canonical_fast(c, lo, hi, ka))
-                    .collect(),
-            ),
-        };
-        Some(NormalizedProbe { cells })
-    }
-
-    /// Does the (live) row match the pre-normalized probe under
-    /// conditions (1)–(4)? Dead and unknown rows never match.
-    pub fn row_matches(&self, id: RecordId, probe: &NormalizedProbe) -> bool {
-        if !self.is_live(id) {
-            return false;
-        }
-        let dim = self.dim.expect("live rows imply a stamped dimension");
-        let range = id * dim..(id + 1) * dim;
-        match (&self.cells, &probe.cells) {
-            (Cells::I16(v), Cells::I16(p)) => rows_match(&v[range], p, self.t, self.ka),
-            (Cells::I32(v), Cells::I32(p)) => rows_match(&v[range], p, self.t, self.ka),
-            (Cells::I64(v), Cells::I64(p)) => rows_match(&v[range], p, self.t, self.ka),
-            _ => unreachable!("probe was normalized for this arena's width"),
-        }
-    }
-
     /// Drops every row and resets id assignment; the width, `t`, `ka`,
     /// dimension stamp and prefilter plane are retained, as is the
     /// allocated capacity.
@@ -937,7 +880,6 @@ mod tests {
         arena.push(&[1, 2, 3]);
         assert_eq!(arena.find_first(&[1, 2]), None);
         assert_eq!(arena.find_all(&[1, 2, 3, 4]), Vec::<RecordId>::new());
-        assert!(arena.normalize_probe(&[1, 2]).is_none());
     }
 
     #[test]

@@ -132,10 +132,8 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 
 /// Per-thread reusable scan state: normalized-probe buffers for every
 /// cell width, the prefilter probe state, and the indices of the
-/// probes a sweep actually prepared.
-/// Hoisting these off the per-call hot path matters because a sharded
-/// lookup re-normalizes the same probes once *per shard* — previously
-/// a fresh `Vec` each time.
+/// probes a sweep actually prepared. Hoisted off the per-call hot
+/// path: a tiered lookup prepares the same probes once *per tier*.
 #[derive(Default)]
 struct ScanScratch {
     i16s: Vec<i16>,
@@ -148,7 +146,7 @@ struct ScanScratch {
 
 thread_local! {
     /// The scan scratch is thread-local (lookups are `&self` and run
-    /// under shared locks, possibly on rayon workers) and never held
+    /// on whichever thread serves the request) and never held
     /// across user code — match callbacks on the scan paths are
     /// internal closures, so the `RefCell` cannot be re-entered.
     static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
@@ -483,13 +481,12 @@ impl SketchArena {
     /// How many chunks a sweep splits into: two per participating
     /// thread (so early-stopped sweeps load-balance), or 1 — the
     /// sequential sweep — when fan-out is disabled, the arena is too
-    /// small to amortize pool dispatch, this thread is already *on* a
-    /// pool worker (a sharded index fanned out per shard — nesting
-    /// would oversubscribe the same cores), or there is no second
-    /// thread to fan out to.
+    /// small to amortize pool dispatch, or there is no second thread
+    /// to fan out to. (Pool workers only ever run one chunk of a
+    /// sweep, which never asks this: fan-out cannot nest.)
     fn chunk_count(&self) -> usize {
         let pc = self.filter.parallel;
-        if pc.max_threads == 1 || self.rows < pc.min_rows.max(1) || rayon::in_pool_worker() {
+        if pc.max_threads == 1 || self.rows < pc.min_rows.max(1) {
             return 1;
         }
         let mut threads = rayon::current_num_threads();

@@ -15,10 +15,11 @@
 //! * [`conditions`] — the per-coordinate match conditions (1)–(4) of the
 //!   identification protocol (Theorem 2), equivalent to a cyclic Chebyshev
 //!   test on the sketch ring.
-//! * [`index`] — the server-side sketch lookup: the paper-faithful
-//!   early-abort [`ScanIndex`], the sublinear [`BucketIndex`] extension,
-//!   and the horizontally-scaling [`ShardedIndex`] wrapper with parallel
-//!   shard scans and a batch lookup API (see `DESIGN.md`).
+//! * [`index`] — the server-side sketch lookup: the paper's early-abort
+//!   scan over columnar storage, as the epoch-published [`EpochIndex`]
+//!   every server builds (lock-free reads, batch lookups, one sweep
+//!   that fans out over cores) and the one-arena [`ScanIndex`]
+//!   reference the oracle suites compare it against (see `DESIGN.md`).
 //! * [`codec`] — the canonical, versioned binary codec for durable
 //!   sketch/helper storage: magic + format version + system-parameter
 //!   [`codec::Fingerprint`], length-prefixed fields, CRC-framed journal
@@ -82,9 +83,9 @@ pub use encode::{decode_i64_vector, encode_i64_vector};
 pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
-    BucketIndex, CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel,
-    IndexReader, ParallelConfig, PlaneDepth, PlaneWidth, RecordId, RowMask, ScanIndex, Segment,
-    SegmentBacking, ShardedIndex, ShardedReader, SketchArena, SketchIndex,
+    CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel, IndexReader,
+    ParallelConfig, PlaneDepth, PlaneWidth, RecordId, RowMask, ScanIndex, Segment, SegmentBacking,
+    SketchArena, SketchIndex,
 };
 pub use key::ExtractedKey;
 pub use numberline::NumberLine;

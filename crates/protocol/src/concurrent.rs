@@ -217,8 +217,8 @@ impl<I: BuildIndex + EpochRead> SharedServer<I> {
     /// `shard-NNN/` store per server shard, each an append-only journal
     /// plus compacted snapshots (see [`crate::store::FileStore`]).
     /// Every shard replays its own snapshot + journal tail (using the
-    /// sealed-segment cache when one rides along), rebuilding the full
-    /// sharded index; enroll/revoke are journaled from then on — with
+    /// sealed-segment cache when one rides along), rebuilding its
+    /// index; enroll/revoke are journaled from then on — with
     /// the journal held outside the state lock, so appends and fsyncs
     /// never stall a reader.
     ///

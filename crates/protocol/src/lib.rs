@@ -14,9 +14,9 @@
 //!   matches incoming sketches with conditions (1)–(4), and verifies
 //!   challenge responses. Never sees a biometric or a secret key.
 //!   Generic over its sketch index (`I:`[`fe_core::SketchIndex`],
-//!   default [`fe_core::ScanIndex`]); the [`IndexConfig`] knob on
-//!   [`SystemParams`] carries the tunables, and [`BuildIndex`] turns
-//!   them into a concrete index. Batch identification
+//!   default [`fe_core::EpochIndex`], which every layer below runs
+//!   too); [`BuildIndex`] builds it from [`SystemParams`]. Batch
+//!   identification
 //!   ([`AuthenticationServer::identify_batch`]) resolves many probes
 //!   per call.
 //! * [`concurrent::SharedServer`] — the scaling wrapper: users
@@ -92,7 +92,7 @@ pub use messages::{
     EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId, UserId, WireHelper,
 };
 pub use normal::{NormalIdentification, NormalStats, ScanMode};
-pub use params::{DedupPolicy, IndexConfig, SystemParams};
+pub use params::{DedupPolicy, SystemParams};
 pub use runner::{IdentifyStats, ProtocolRunner};
 pub use scheduler::{IdentifyTicket, ScheduledServer, SchedulerConfig, SchedulerMetrics};
 pub use server::{AuthenticationServer, BuildIndex};

@@ -5,66 +5,6 @@ use fe_core::codec::{Fingerprint, Writer};
 use fe_core::{ChebyshevSketch, FilterConfig};
 use fe_crypto::dsa::{Dsa, DsaParams};
 
-/// Which sketch-lookup structure the authentication server should build,
-/// with its tunables.
-///
-/// The server type is generic over the index
-/// ([`AuthenticationServer<I>`](crate::AuthenticationServer)); this knob
-/// travels with [`SystemParams`] so deployments can publish their index
-/// choice alongside the sketch parameters, and so index builders
-/// ([`BuildIndex`](crate::BuildIndex)) can pick up the tunables without
-/// extra plumbing. Irrelevant fields are ignored by backends that do not
-/// use them (e.g. a plain [`ScanIndex`](fe_core::ScanIndex) ignores
-/// everything).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexConfig {
-    /// Paper-faithful early-abort linear scan (the default).
-    #[default]
-    Scan,
-    /// LSH-style bucket index keyed on the first `prefix_dims`
-    /// coordinates.
-    Bucket {
-        /// Coordinates used for the bucket key (1..=8).
-        prefix_dims: usize,
-    },
-    /// Round-robin sharding over scan backends.
-    ShardedScan {
-        /// Number of shards (≥ 1).
-        shards: usize,
-    },
-    /// Round-robin sharding over bucket backends.
-    ShardedBucket {
-        /// Number of shards (≥ 1).
-        shards: usize,
-        /// Coordinates used for the bucket key (1..=8).
-        prefix_dims: usize,
-    },
-}
-
-impl IndexConfig {
-    /// Default bucket key width when the config does not specify one.
-    pub const DEFAULT_PREFIX_DIMS: usize = 4;
-
-    /// The configured shard count (`1` for unsharded configs).
-    pub fn shards(&self) -> usize {
-        match *self {
-            IndexConfig::Scan | IndexConfig::Bucket { .. } => 1,
-            IndexConfig::ShardedScan { shards } | IndexConfig::ShardedBucket { shards, .. } => {
-                shards.max(1)
-            }
-        }
-    }
-
-    /// The configured bucket key width (defaulted for scan configs).
-    pub fn prefix_dims(&self) -> usize {
-        match *self {
-            IndexConfig::Bucket { prefix_dims }
-            | IndexConfig::ShardedBucket { prefix_dims, .. } => prefix_dims,
-            _ => Self::DEFAULT_PREFIX_DIMS,
-        }
-    }
-}
-
 /// What a plain [`enroll`](crate::AuthenticationServer::enroll) does
 /// when the new record's sketch already matches an enrolled record
 /// (the *same biometric* re-enrolling under a fresh id — a different
@@ -87,8 +27,8 @@ pub enum DedupPolicy {
 }
 
 /// Public system parameters: the number line + threshold, the extracted
-/// key length, the DSA domain parameters, and the server's index
-/// configuration.
+/// key length and the DSA domain parameters, plus two server-side
+/// settings that ride along (prefilter tuning and the dedup policy).
 ///
 /// Produced once by the authentication server and published
 /// (`params = (La, t, H, Ext)` in Sec. V, plus the signature group).
@@ -97,44 +37,28 @@ pub struct SystemParams {
     sketch: ChebyshevSketch,
     key_len: usize,
     dsa: DsaParams,
-    index: IndexConfig,
     filter: FilterConfig,
     dedup: DedupPolicy,
 }
 
 impl SystemParams {
-    /// Assembles system parameters (with the default scan index; see
-    /// [`SystemParams::with_index_config`]).
+    /// Assembles system parameters (default prefilter, permissive dedup).
     pub fn new(sketch: ChebyshevSketch, key_len: usize, dsa: DsaParams) -> Self {
         SystemParams {
             sketch,
             key_len,
             dsa,
-            index: IndexConfig::default(),
             filter: FilterConfig::default(),
             dedup: DedupPolicy::default(),
         }
     }
 
-    /// Selects the server-side index structure.
-    #[must_use]
-    pub fn with_index_config(mut self, index: IndexConfig) -> Self {
-        self.index = index;
-        self
-    }
-
-    /// The configured server-side index structure.
-    pub fn index_config(&self) -> &IndexConfig {
-        &self.index
-    }
-
     /// Tunes the server-side SWAR/SIMD prefilter plane and sweep
-    /// policy for the conditions (1)–(4) scan (scan-backed indexes
-    /// only; the bucket index verifies hashed candidates and ignores
-    /// it). The default keeps the plane on at an adaptive depth chosen
-    /// from the ring's rejection rate, with auto-dispatched SIMD and
-    /// multi-core fan-out once an arena is large enough;
-    /// [`FilterConfig::disabled`] restores the pure scalar kernel.
+    /// policy for the conditions (1)–(4) scan. The default keeps the
+    /// plane on at an adaptive depth chosen from the ring's rejection
+    /// rate, with auto-dispatched SIMD and multi-core fan-out once an
+    /// arena is large enough; [`FilterConfig::disabled`] restores the
+    /// pure scalar kernel.
     #[must_use]
     pub fn with_filter_config(mut self, filter: FilterConfig) -> Self {
         self.filter = filter;
@@ -216,13 +140,13 @@ impl SystemParams {
     /// parameters fails with
     /// [`CodecError::FingerprintMismatch`](fe_core::codec::CodecError)
     /// instead of silently matching probes against a re-interpreted ring.
-    /// The [`IndexConfig`], [`FilterConfig`] and [`DedupPolicy`] are
-    /// deliberately **excluded**: index and prefilter are lookup
-    /// accelerators rebuilt at recovery time, and the dedup policy
-    /// governs *future* enrollments without changing how stored
-    /// records are read — so snapshots stay portable across index
-    /// backends, shard counts, prefilter settings and admission
-    /// policies.
+    /// The [`FilterConfig`] and [`DedupPolicy`] are deliberately
+    /// **excluded**, as is the index type the server was built with:
+    /// index and prefilter are lookup accelerators rebuilt at recovery
+    /// time, and the dedup policy governs *future* enrollments without
+    /// changing how stored records are read — so snapshots stay
+    /// portable across index engines, shard counts, prefilter settings
+    /// and admission policies.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut w = Writer::new();
         w.put_u64(self.sketch.line().a());
@@ -261,14 +185,8 @@ mod tests {
     fn fingerprint_tracks_interpretation_not_index() {
         let p = SystemParams::insecure_test_defaults();
         let fp = p.fingerprint();
-        // Stable across calls, index configs, and prefilter configs…
+        // Stable across calls and prefilter configs…
         assert_eq!(fp, p.fingerprint());
-        assert_eq!(
-            fp,
-            p.clone()
-                .with_index_config(IndexConfig::ShardedScan { shards: 8 })
-                .fingerprint()
-        );
         assert_eq!(
             fp,
             p.clone()
@@ -279,26 +197,6 @@ mod tests {
         let other = SystemParams::new(*p.sketch(), p.key_len() + 1, p.dsa_params().clone());
         assert_ne!(fp, other.fingerprint());
         assert_ne!(fp, SystemParams::paper_defaults().fingerprint());
-    }
-
-    #[test]
-    fn index_config_defaults_and_builder() {
-        let p = SystemParams::insecure_test_defaults();
-        assert_eq!(*p.index_config(), IndexConfig::Scan);
-        assert_eq!(p.index_config().shards(), 1);
-        assert_eq!(
-            p.index_config().prefix_dims(),
-            IndexConfig::DEFAULT_PREFIX_DIMS
-        );
-
-        let p = p.with_index_config(IndexConfig::ShardedBucket {
-            shards: 8,
-            prefix_dims: 3,
-        });
-        assert_eq!(p.index_config().shards(), 8);
-        assert_eq!(p.index_config().prefix_dims(), 3);
-        // Degenerate shard counts are clamped to 1.
-        assert_eq!(IndexConfig::ShardedScan { shards: 0 }.shards(), 1);
     }
 
     #[test]

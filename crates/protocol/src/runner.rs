@@ -8,7 +8,7 @@ use crate::normal::{NormalIdentification, NormalStats};
 use crate::params::SystemParams;
 use crate::server::{AuthenticationServer, BuildIndex};
 use crate::ProtocolError;
-use fe_core::{ScanIndex, SketchIndex};
+use fe_core::{EpochIndex, SketchIndex};
 use rand::RngCore;
 use std::time::{Duration, Instant};
 
@@ -24,15 +24,15 @@ pub struct IdentifyStats {
 }
 
 /// Drives complete protocol runs between one device and one server,
-/// generic over the server's sketch index (default: the paper's scan).
+/// generic over the server's sketch index (default: the epoch engine).
 #[derive(Debug)]
-pub struct ProtocolRunner<I: SketchIndex = ScanIndex> {
+pub struct ProtocolRunner<I: SketchIndex = EpochIndex> {
     device: BiometricDevice,
     server: AuthenticationServer<I>,
 }
 
-impl ProtocolRunner<ScanIndex> {
-    /// Creates a runner with a fresh scan-index server.
+impl ProtocolRunner<EpochIndex> {
+    /// Creates a runner with a fresh epoch-engine server.
     pub fn new(params: SystemParams) -> Self {
         Self::from_params(params)
     }

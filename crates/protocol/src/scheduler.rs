@@ -45,8 +45,8 @@
 //! Scheduler workers are plain threads; the scan kernel they call fans
 //! out on the process-wide worker pool (`ParallelConfig`). Those two
 //! layers cannot oversubscribe each other: the pool is sized once from
-//! available parallelism, arenas refuse to fan out when already *on* a
-//! pool worker (a sharded index's per-shard tasks), and the default
+//! available parallelism, pool workers only ever run one chunk of a
+//! sweep (which never fans out again), and the default
 //! worker count below is capped at the hardware thread count — so a
 //! micro-batch is handed to the parallel kernel as-is, not split again.
 //!

@@ -2,9 +2,10 @@
 //! challenge management, response verification.
 //!
 //! [`AuthenticationServer`] is generic over its sketch-lookup structure
-//! `I:`[`SketchIndex`] (defaulting to the paper's [`ScanIndex`]), and the
-//! read path ([`AuthenticationServer::lookup_probe`]) is `&self` so a
-//! concurrent wrapper can serve many lookups under a shared lock — see
+//! `I:`[`SketchIndex`] (defaulting to [`EpochIndex`], the one engine
+//! every server layer runs), and the read path
+//! ([`AuthenticationServer::lookup_probe`]) is `&self` so a concurrent
+//! wrapper can serve many lookups under a shared lock — see
 //! [`crate::concurrent::SharedServer`].
 
 use crate::messages::{
@@ -14,7 +15,7 @@ use crate::messages::{
 use crate::params::{DedupPolicy, SystemParams};
 use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
-use fe_core::{BucketIndex, EpochIndex, RobustData, ScanIndex, ShardedIndex, SketchIndex};
+use fe_core::{EpochIndex, RobustData, ScanIndex, SketchIndex};
 use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
 use fe_crypto::sig::SignatureScheme;
 use rand::Rng;
@@ -23,14 +24,11 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Index types the server can build from published [`SystemParams`]
-/// (consulting [`SystemParams::index_config`] for tunables).
-///
-/// This is the bridge between the *runtime* index-selection knob on the
-/// parameters and the *compile-time* index type parameter of
-/// [`AuthenticationServer`]: pick the type, and its builder reads the
-/// matching tunables (shard count, bucket key width) from the config,
-/// ignoring fields that do not apply.
+/// Index types the server can build from published [`SystemParams`]:
+/// [`EpochIndex`], the engine, and [`ScanIndex`], the one-arena
+/// reference the oracle suites and kernel benches run servers over.
+/// Stores are portable between the two (see
+/// [`SystemParams::fingerprint`]).
 pub trait BuildIndex: SketchIndex + Sized {
     /// Builds an empty index for the given parameters.
     fn build(params: &SystemParams) -> Self;
@@ -50,53 +48,10 @@ impl BuildIndex for ScanIndex {
     }
 }
 
-impl BuildIndex for BucketIndex {
-    fn build(params: &SystemParams) -> Self {
-        // The bucket index ignores `filter_config()`: it verifies
-        // hashed candidates row-by-row and never runs a full scan.
-        let (t, ka) = sketch_ring(params);
-        BucketIndex::new(t, ka, params.index_config().prefix_dims())
-    }
-}
-
-impl BuildIndex for ShardedIndex<ScanIndex> {
-    fn build(params: &SystemParams) -> Self {
-        let (t, ka) = sketch_ring(params);
-        ShardedIndex::scan_with_filter(
-            params.index_config().shards(),
-            t,
-            ka,
-            params.filter_config(),
-        )
-    }
-}
-
 impl BuildIndex for EpochIndex {
     fn build(params: &SystemParams) -> Self {
         let (t, ka) = sketch_ring(params);
         EpochIndex::with_filter(t, ka, params.filter_config())
-    }
-}
-
-impl BuildIndex for ShardedIndex<EpochIndex> {
-    fn build(params: &SystemParams) -> Self {
-        let (t, ka) = sketch_ring(params);
-        let filter = params.filter_config();
-        ShardedIndex::from_fn(params.index_config().shards(), |_| {
-            EpochIndex::with_filter(t, ka, filter)
-        })
-    }
-}
-
-impl BuildIndex for ShardedIndex<BucketIndex> {
-    fn build(params: &SystemParams) -> Self {
-        let (t, ka) = sketch_ring(params);
-        ShardedIndex::bucket(
-            params.index_config().shards(),
-            t,
-            ka,
-            params.index_config().prefix_dims(),
-        )
     }
 }
 
@@ -259,7 +214,8 @@ struct PendingChallenge {
 }
 
 /// The authentication server of Figs. 1–3, generic over its sketch
-/// index (default: the paper's early-abort scan).
+/// index (default: the epoch engine, the paper's early-abort scan over
+/// epoch-published segments).
 ///
 /// Holds only public data: `(ID, pk, P)` per user, the sketch `s` inside
 /// `P` once — as the user's index row. Sketch lookup uses
@@ -267,7 +223,7 @@ struct PendingChallenge {
 /// identification is exactly one signature verification regardless of the
 /// number of enrolled users.
 #[derive(Debug)]
-pub struct AuthenticationServer<I: SketchIndex = ScanIndex> {
+pub struct AuthenticationServer<I: SketchIndex = EpochIndex> {
     params: SystemParams,
     /// Slot-stable record storage: revocation leaves a tombstone so
     /// outstanding indices never shift.
@@ -292,8 +248,8 @@ pub struct AuthenticationServer<I: SketchIndex = ScanIndex> {
     store: Option<Box<dyn EnrollmentStore>>,
 }
 
-impl AuthenticationServer<ScanIndex> {
-    /// Creates an empty server with the paper's scan index.
+impl AuthenticationServer<EpochIndex> {
+    /// Creates an empty server over the epoch engine.
     pub fn new(params: SystemParams) -> Self {
         Self::from_params(params)
     }
@@ -599,11 +555,10 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             return Err(ProtocolError::Malformed("empty public key"));
         }
         // The index panics on sketches it cannot store (mixed
-        // dimensions, or shorter than a bucket index's prefix), and
-        // validation runs *before* the write-ahead journal append — an
-        // unstorable record must be refused here, not journaled and
-        // then panicked on (which would poison every future recovery
-        // of the store). This also means a journal written before the
+        // dimensions), and validation runs *before* the write-ahead
+        // journal append — an unstorable record must be refused here,
+        // not journaled and then panicked on (which would poison every
+        // future recovery of the store). This also means a journal written before the
         // one-dimension contract (mixed-dimension enrollments) now
         // fails recovery with this clean error instead of replaying:
         // no index can hold such a population any more.
@@ -815,7 +770,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     }
 
     /// Batch sketch lookup: resolves many probes in one call (through
-    /// the index's batch path, which parallelizes for sharded indexes).
+    /// the index's batch path: one sweep serves every probe).
     /// `&self`: safe under a shared read lock.
     pub fn lookup_probe_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<usize>> {
         self.lookups
@@ -1202,7 +1157,6 @@ impl<I: SketchIndex> AuthenticationServer<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::IndexConfig;
     use crate::BiometricDevice;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1244,10 +1198,9 @@ mod tests {
 
     #[test]
     fn generic_servers_identify_across_index_backends() {
-        // The same protocol flow works with every index type the server
-        // can build from params — including the sharded ones.
-        let params = SystemParams::insecure_test_defaults()
-            .with_index_config(IndexConfig::ShardedScan { shards: 3 });
+        // The same protocol flow works with both index types the server
+        // can build from params: the engine and the one-arena reference.
+        let params = SystemParams::insecure_test_defaults();
         let device = BiometricDevice::new(params.clone());
         let mut rng = StdRng::seed_from_u64(77_500);
 
@@ -1280,22 +1233,12 @@ mod tests {
         }
 
         run(
-            AuthenticationServer::<ScanIndex>::from_params(params.clone()),
+            AuthenticationServer::<EpochIndex>::from_params(params.clone()),
             &device,
             &mut rng,
         );
         run(
-            AuthenticationServer::<BucketIndex>::from_params(params.clone()),
-            &device,
-            &mut rng,
-        );
-        run(
-            AuthenticationServer::<ShardedIndex<ScanIndex>>::from_params(params.clone()),
-            &device,
-            &mut rng,
-        );
-        run(
-            AuthenticationServer::<ShardedIndex<BucketIndex>>::from_params(params),
+            AuthenticationServer::<ScanIndex>::from_params(params),
             &device,
             &mut rng,
         );
@@ -1690,15 +1633,10 @@ mod tests {
         let blobs = server.export_records();
         assert_eq!(blobs.len(), 3);
 
-        // Cold restart: a fresh server imports the records — into a
-        // *sharded* index this time, proving exports are portable across
-        // index backends.
-        let mut restored = AuthenticationServer::<ShardedIndex<ScanIndex>>::from_params(
-            server
-                .params()
-                .clone()
-                .with_index_config(IndexConfig::ShardedScan { shards: 2 }),
-        );
+        // Cold restart: a fresh server imports the records — into the
+        // one-arena reference index this time, proving exports are
+        // portable across index engines.
+        let mut restored = AuthenticationServer::<ScanIndex>::from_params(server.params().clone());
         assert_eq!(restored.import_records(&blobs).unwrap(), 3);
         assert_eq!(restored.user_count(), 3);
 
@@ -1942,38 +1880,6 @@ mod tests {
         ));
         // Only alice reached the journal; the server still works.
         assert_eq!(server.store().unwrap().journal_len(), 1);
-        assert_eq!(server.user_count(), 1);
-    }
-
-    #[test]
-    fn bucket_prefix_shortfall_is_refused_before_journaling() {
-        // A bucket index also refuses sketches shorter than its key
-        // prefix — including the very FIRST enrollment, where no
-        // dimension stamp exists yet. Like the mixed-dimension case,
-        // this must fail validation, not panic after the journal
-        // append.
-        let params = SystemParams::insecure_test_defaults()
-            .with_index_config(IndexConfig::Bucket { prefix_dims: 4 });
-        let device = BiometricDevice::new(params.clone());
-        let mut rng = StdRng::seed_from_u64(85_000);
-        let mut server = AuthenticationServer::<BucketIndex>::from_params(params.clone());
-        server
-            .attach_store(Box::new(crate::store::MemoryStore::new()))
-            .unwrap();
-
-        let bio2 = params.sketch().line().random_vector(2, &mut rng);
-        let short = device.enroll("shorty", &bio2, &mut rng).unwrap();
-        assert!(matches!(
-            server.enroll(short),
-            Err(ProtocolError::Malformed("sketch dimension mismatch"))
-        ));
-        assert_eq!(server.store().unwrap().journal_len(), 0);
-
-        // A long-enough first enrollment is accepted as before.
-        let bio8 = params.sketch().line().random_vector(8, &mut rng);
-        server
-            .enroll(device.enroll("ok", &bio8, &mut rng).unwrap())
-            .unwrap();
         assert_eq!(server.user_count(), 1);
     }
 

@@ -10,9 +10,8 @@
 //!
 //! Run with: `cargo run --release --example watchlist_identification`
 
-use fuzzy_id::core::{EpochIndex, ShardedIndex};
 use fuzzy_id::protocol::concurrent::SharedServer;
-use fuzzy_id::protocol::{BiometricDevice, IndexConfig, ProtocolRunner, SystemParams};
+use fuzzy_id::protocol::{BiometricDevice, ProtocolRunner, SystemParams};
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
@@ -69,14 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ── Scaling out: the sharded server ────────────────────────────────
-    // The same watch list, now partitioned across 4 server shards whose
-    // per-shard index is itself a 2-way sharded scan (the IndexConfig
-    // knob), serving a whole batch of camera frames per lock acquisition.
-    let sharded_params = params
-        .clone()
-        .with_index_config(IndexConfig::ShardedScan { shards: 2 });
-    let server = SharedServer::<ShardedIndex<EpochIndex>>::with_shards(sharded_params.clone(), 4);
-    let device = BiometricDevice::new(sharded_params);
+    // The same watch list, now partitioned across 4 server shards,
+    // serving a whole batch of camera frames per lock acquisition.
+    let server: SharedServer = SharedServer::with_shards(params.clone(), 4);
+    let device = BiometricDevice::new(params);
     println!(
         "\nsharded server:     {} shards, re-enrolling watch list…",
         server.num_shards()

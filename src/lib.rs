@@ -12,7 +12,7 @@
 //!   fuzzy extractor, sketch matching/index, security analysis, baselines.
 //! * [`protocol`] (`fe-protocol`) — enrollment, verification and
 //!   identification protocols (proposed + normal approach); the
-//!   authentication server is generic over its sketch index and scales
+//!   authentication server runs the epoch index engine and scales
 //!   out via the sharded, batch-capable `concurrent::SharedServer`.
 //! * [`crypto`] (`fe-crypto`) — SHA-256/SHA-512, HMAC, HMAC-DRBG, DSA,
 //!   Schnorr, strong extractors.
@@ -57,3 +57,9 @@ pub use fe_ecc as ecc;
 pub use fe_metrics as metrics;
 pub use fe_net as net;
 pub use fe_protocol as protocol;
+
+/// Compiles and runs every `rust` block of the README under
+/// `cargo test --doc`, so its examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -1,12 +1,12 @@
 //! Concurrency integration: one shared authentication server, many
 //! devices enrolling, identifying, verifying and revoking in parallel —
 //! exercised on both the seed-compatible single-shard configuration and
-//! the sharded configurations (per-shard locks, sharded indexes,
-//! batched identification).
+//! the sharded configurations (per-shard locks, batched
+//! identification).
 
-use fuzzy_id::core::{EpochIndex, EpochRead, ShardedIndex};
+use fuzzy_id::core::{EpochIndex, EpochRead};
 use fuzzy_id::protocol::concurrent::SharedServer;
-use fuzzy_id::protocol::{BiometricDevice, IndexConfig, SystemParams};
+use fuzzy_id::protocol::{BiometricDevice, SystemParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,7 +54,7 @@ fn run_identification_storm<I: EpochRead + Send + Sync>(server: SharedServer<I>,
 
 #[test]
 fn parallel_identification_storm_single_shard() {
-    // The seed-compatible configuration: one shard, scan index.
+    // The seed-compatible configuration: one shard.
     run_identification_storm(
         SharedServer::new(SystemParams::insecure_test_defaults()),
         7_000,
@@ -63,11 +63,9 @@ fn parallel_identification_storm_single_shard() {
 
 #[test]
 fn parallel_identification_storm_sharded() {
-    // Four server shards, each with a 2-way sharded scan index.
-    let params = SystemParams::insecure_test_defaults()
-        .with_index_config(IndexConfig::ShardedScan { shards: 2 });
+    // Four server shards, each its own epoch engine and lock.
     run_identification_storm(
-        SharedServer::<ShardedIndex<EpochIndex>>::with_shards(params, 4),
+        SharedServer::<EpochIndex>::with_shards(SystemParams::insecure_test_defaults(), 4),
         7_001,
     );
 }

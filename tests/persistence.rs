@@ -6,7 +6,7 @@ use fuzzy_id::core::{EpochIndex, ScanIndex};
 use fuzzy_id::protocol::concurrent::SharedServer;
 use fuzzy_id::protocol::store::{EnrollmentStore, FileStore, LogEventRef, MemoryStore};
 use fuzzy_id::protocol::{
-    AuthenticationServer, BiometricDevice, EnrollmentRecord, IndexConfig, ProtocolError,
+    AuthenticationServer, BiometricDevice, BuildIndex, EnrollmentRecord, ProtocolError,
     SystemParams,
 };
 use proptest::prelude::*;
@@ -56,16 +56,94 @@ fn synthetic_record(
     (record, bio)
 }
 
+/// A fresh reading of an enrolled biometric, within Chebyshev
+/// distance `t` of it.
+fn noisy_reading(params: &SystemParams, bio: &[i64], rng: &mut StdRng) -> Vec<i64> {
+    let t = params.sketch().threshold() as i64;
+    bio.iter()
+        .map(|&x| params.sketch().line().wrap(x + rng.gen_range(-t..=t)))
+        .collect()
+}
+
 /// A genuine probe for an enrolled biometric: a fresh sketch of a
-/// reading within Chebyshev distance `t`.
+/// [`noisy_reading`].
 fn genuine_probe(params: &SystemParams, bio: &[i64], rng: &mut StdRng) -> Vec<i64> {
     use fuzzy_id::core::SecureSketch;
-    let t = params.sketch().threshold() as i64;
-    let reading: Vec<i64> = bio
-        .iter()
-        .map(|&x| params.sketch().line().wrap(x + rng.gen_range(-t..=t)))
-        .collect();
+    let reading = noisy_reading(params, bio, rng);
     params.sketch().sketch(&reading, rng).unwrap()
+}
+
+/// The body of `recovered_server_answers_lookups_identically`: engine
+/// `W` writes the store, engine `R` rebuilds from it.
+fn recovery_equivalence<W: BuildIndex, R: BuildIndex>(
+    users: usize,
+    dim: usize,
+    seed: u64,
+    removal_mask: u32,
+    checkpoint_mid: bool,
+) {
+    let dir = scratch_dir("equiv-single");
+    let params = SystemParams::insecure_test_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let donor = {
+        let bio = params.sketch().line().random_vector(4, &mut rng);
+        device.enroll("donor", &bio, &mut rng).unwrap().public_key
+    };
+
+    let mut original = AuthenticationServer::<W>::recover(params.clone(), &dir).unwrap();
+    let mut bios = Vec::new();
+    for u in 0..users {
+        let (record, bio) = synthetic_record(&params, &donor, &format!("user-{u}"), dim, &mut rng);
+        original.enroll(record).unwrap();
+        bios.push(bio);
+    }
+    // Random revocations; a mid-history checkpoint exercises the
+    // snapshot + journal-tail replay path (and slot renumbering).
+    for u in 0..users.min(16) {
+        if removal_mask & (1 << u) != 0 {
+            original.revoke(&format!("user-{u}")).unwrap();
+        }
+        if checkpoint_mid && u == users / 2 {
+            original.checkpoint().unwrap();
+        }
+    }
+    for u in 16..users {
+        if removal_mask & (1 << (u % 16)) != 0 {
+            // Second wave reuses mask bits; ignore already-revoked.
+            let _ = original.revoke(&format!("user-{u}"));
+        }
+    }
+
+    // Probes: one genuine per enrolled user + a few impostors.
+    let mut probes: Vec<Vec<i64>> = bios
+        .iter()
+        .map(|bio| genuine_probe(&params, bio, &mut rng))
+        .collect();
+    for _ in 0..4 {
+        let stranger = params.sketch().line().random_vector(dim, &mut rng);
+        probes.push(genuine_probe(&params, &stranger, &mut rng));
+    }
+    // Capture the never-restarted server's answers, then "kill" it
+    // (dropping releases the store lock; the on-disk state is
+    // exactly what a SIGKILL would leave, since every append is
+    // flushed before enroll/revoke returns).
+    let expected_users = original.user_count();
+    let expected_single: Vec<Option<usize>> =
+        probes.iter().map(|p| original.lookup_probe(p)).collect();
+    let expected_batch = original.lookup_probe_batch(&probes);
+    drop(original);
+
+    // Rebuild — under the *other* engine, to prove recovery is
+    // index-portable.
+    let rebuilt = AuthenticationServer::<R>::recover(params.clone(), &dir).unwrap();
+
+    assert_eq!(expected_users, rebuilt.user_count());
+    for (probe, expected) in probes.iter().zip(&expected_single) {
+        assert_eq!(*expected, rebuilt.lookup_probe(probe));
+    }
+    assert_eq!(expected_batch, rebuilt.lookup_probe_batch(&probes));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {
@@ -75,7 +153,8 @@ proptest! {
     /// enroll/revoke history — optionally with a checkpoint in the
     /// middle — a server rebuilt from the on-disk store answers
     /// `lookup_probe` and `lookup_probe_batch` identically to the
-    /// never-restarted original.
+    /// never-restarted original, whichever engine wrote the store and
+    /// whichever rebuilds from it.
     #[test]
     fn recovered_server_answers_lookups_identically(
         users in 1usize..24,
@@ -83,79 +162,15 @@ proptest! {
         seed in any::<u64>(),
         removal_mask in any::<u32>(),
         checkpoint_mid in any::<bool>(),
+        scan_writes in any::<bool>(),
     ) {
-        let dir = scratch_dir("equiv-single");
-        let params = SystemParams::insecure_test_defaults();
-        let device = BiometricDevice::new(params.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let donor = {
-            let bio = params.sketch().line().random_vector(4, &mut rng);
-            device.enroll("donor", &bio, &mut rng).unwrap().public_key
+        let run = if scan_writes {
+            recovery_equivalence::<ScanIndex, EpochIndex>
+        } else {
+            recovery_equivalence::<EpochIndex, ScanIndex>
         };
-
-        let mut original: AuthenticationServer =
-            AuthenticationServer::recover(params.clone(), &dir).unwrap();
-        let mut bios = Vec::new();
-        for u in 0..users {
-            let (record, bio) =
-                synthetic_record(&params, &donor, &format!("user-{u}"), dim, &mut rng);
-            original.enroll(record).unwrap();
-            bios.push(bio);
-        }
-        // Random revocations; a mid-history checkpoint exercises the
-        // snapshot + journal-tail replay path (and slot renumbering).
-        for u in 0..users.min(16) {
-            if removal_mask & (1 << u) != 0 {
-                original.revoke(&format!("user-{u}")).unwrap();
-            }
-            if checkpoint_mid && u == users / 2 {
-                original.checkpoint().unwrap();
-            }
-        }
-        for u in 16..users {
-            if removal_mask & (1 << (u % 16)) != 0 {
-                // Second wave reuses mask bits; ignore already-revoked.
-                let _ = original.revoke(&format!("user-{u}"));
-            }
-        }
-
-        // Probes: one genuine per enrolled user + a few impostors.
-        let mut probes: Vec<Vec<i64>> = bios
-            .iter()
-            .map(|bio| genuine_probe(&params, bio, &mut rng))
-            .collect();
-        for _ in 0..4 {
-            let stranger = params.sketch().line().random_vector(dim, &mut rng);
-            probes.push(genuine_probe(&params, &stranger, &mut rng));
-        }
-        // Capture the never-restarted server's answers, then "kill" it
-        // (dropping releases the store lock; the on-disk state is
-        // exactly what a SIGKILL would leave, since every append is
-        // flushed before enroll/revoke returns).
-        let expected_users = original.user_count();
-        let expected_single: Vec<Option<usize>> =
-            probes.iter().map(|p| original.lookup_probe(p)).collect();
-        let expected_batch = original.lookup_probe_batch(&probes);
-        drop(original);
-
-        // Rebuild — into a *sharded* index config to prove recovery is
-        // index-portable.
-        let rebuilt = AuthenticationServer::<fuzzy_id::core::ShardedIndex<ScanIndex>>::recover(
-            params
-                .clone()
-                .with_index_config(IndexConfig::ShardedScan { shards: 3 }),
-            &dir,
-        )
-        .unwrap();
-
-        prop_assert_eq!(expected_users, rebuilt.user_count());
-        for (probe, expected) in probes.iter().zip(&expected_single) {
-            prop_assert_eq!(*expected, rebuilt.lookup_probe(probe));
-        }
-        prop_assert_eq!(expected_batch, rebuilt.lookup_probe_batch(&probes));
-        std::fs::remove_dir_all(&dir).unwrap();
+        run(users, dim, seed, removal_mask, checkpoint_mid);
     }
-
     /// Replay through a `MemoryStore` behaves exactly like the
     /// file-backed path: `recover_with_store` rebuilds the same
     /// population a straight re-application of the events would.
@@ -196,6 +211,58 @@ proptest! {
             prop_assert_eq!(direct.lookup_probe(&probe), replayed.lookup_probe(&probe));
         }
     }
+}
+
+/// Stores are portable between the two engines: everyone enrolled by
+/// an `AuthenticationServer<W>` — before its checkpoint (snapshot) and
+/// after it (journal tail) — completes a full login on the
+/// `AuthenticationServer<R>` recovered from the same directory, and
+/// the revoked user does not.
+fn every_user_logs_in_after_engine_swap<W: BuildIndex, R: BuildIndex>(tag: &str) {
+    let dir = scratch_dir(tag);
+    let params = SystemParams::insecure_test_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(0xE46_1E5);
+
+    let mut writer = AuthenticationServer::<W>::recover(params.clone(), &dir).unwrap();
+    let mut bios = Vec::new();
+    for u in 0..8 {
+        let bio = params.sketch().line().random_vector(24, &mut rng);
+        writer
+            .enroll(device.enroll(&format!("user-{u}"), &bio, &mut rng).unwrap())
+            .unwrap();
+        bios.push(bio);
+        if u == 4 {
+            writer.revoke("user-1").unwrap();
+            writer.checkpoint().unwrap();
+        }
+    }
+    drop(writer);
+
+    let mut reader = AuthenticationServer::<R>::recover(params.clone(), &dir).unwrap();
+    assert_eq!(reader.user_count(), 7);
+    for (u, bio) in bios.iter().enumerate() {
+        let reading = noisy_reading(&params, bio, &mut rng);
+        let probe = device.probe_sketch(&reading, &mut rng).unwrap();
+        if u == 1 {
+            assert_eq!(
+                reader.begin_identification(&probe, &mut rng).unwrap_err(),
+                ProtocolError::NoMatch
+            );
+            continue;
+        }
+        let chal = reader.begin_identification(&probe, &mut rng).unwrap();
+        let resp = device.respond(&reading, &chal, &mut rng).unwrap();
+        let outcome = reader.finish_identification(&resp).unwrap();
+        assert_eq!(outcome.identity(), Some(format!("user-{u}").as_str()));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn scan_written_store_recovers_under_epoch_and_the_reverse() {
+    every_user_logs_in_after_engine_swap::<ScanIndex, EpochIndex>("swap-scan-epoch");
+    every_user_logs_in_after_engine_swap::<EpochIndex, ScanIndex>("swap-epoch-scan");
 }
 
 /// The acceptance scenario: a `SharedServer` journaled to disk, "killed"
@@ -277,11 +344,7 @@ fn sharded_server_recovery_equivalence() {
     // server (fresh probes: the batch above consumed their sessions).
     for u in [0usize, 10, 20, 30] {
         use fuzzy_id::core::SecureSketch;
-        let t = params.sketch().threshold() as i64;
-        let reading: Vec<i64> = bios[u]
-            .iter()
-            .map(|&x| params.sketch().line().wrap(x + rng.gen_range(-t..=t)))
-            .collect();
+        let reading = noisy_reading(&params, &bios[u], &mut rng);
         let probe = params.sketch().sketch(&reading, &mut rng).unwrap();
         let chal = recovered.begin_identification(&probe, &mut rng).unwrap();
         let resp = device.respond(&reading, &chal, &mut rng).unwrap();
@@ -447,7 +510,6 @@ proptest! {
         seed in any::<u64>(),
         removal_mask in any::<u32>(),
     ) {
-        use fuzzy_id::core::CellWidth;
 
         let dir = scratch_dir("arena-roundtrip");
         let params = SystemParams::insecure_test_defaults();
@@ -493,8 +555,6 @@ proptest! {
 
         let mut recovered: AuthenticationServer =
             AuthenticationServer::recover(params.clone(), &dir).unwrap();
-        // The paper-parameter ring (ka = 400) auto-selects i16 cells.
-        prop_assert_eq!(recovered.index().arena().width(), CellWidth::I16);
         prop_assert_eq!(recovered.user_count(), expected_users);
 
         let got: Vec<Option<_>> = recovered

@@ -6,9 +6,8 @@ use fuzzy_id::core::codec::{
 };
 use fuzzy_id::core::conditions::{cyclic_close, paper_conditions_hold, sketches_match};
 use fuzzy_id::core::{
-    BucketIndex, ChebyshevSketch, FilterConfig, FuzzyExtractor, HelperData, NumberLine,
-    ParallelConfig, PlaneDepth, PlaneWidth, RobustData, ScanIndex, SecureSketch, ShardedIndex,
-    SketchIndex,
+    ChebyshevSketch, EpochIndex, FilterConfig, FuzzyExtractor, HelperData, NumberLine,
+    ParallelConfig, PlaneDepth, PlaneWidth, RobustData, ScanIndex, SecureSketch, SketchIndex,
 };
 use fuzzy_id::metrics::{Metric, RingChebyshev};
 use proptest::prelude::*;
@@ -159,14 +158,15 @@ proptest! {
         prop_assert_eq!(fe.reproduce(&noisy, &helper).unwrap(), key);
     }
 
-    /// Sharding is transparent: on a random sketch population,
-    /// `ShardedIndex<ScanIndex>` and a plain `ScanIndex` assign the same
-    /// record ids and return identical `lookup` / `lookup_all` /
+    /// Tiering is transparent: on a random sketch population, an
+    /// `EpochIndex` (thresholds small enough to freeze, merge and seal
+    /// within it) and the one-arena `ScanIndex` reference assign the
+    /// same record ids and return identical `lookup` / `lookup_all` /
     /// `lookup_batch` results — including after random removals, which
     /// must leave the surviving ids stable.
     #[test]
-    fn sharded_index_equivalent_to_scan(
-        shards in 1usize..=6,
+    fn epoch_index_equivalent_to_scan(
+        staging_cap in 1usize..=6,
         users in 1usize..60,
         dim in 1usize..8,
         seed in any::<u64>(),
@@ -192,20 +192,21 @@ proptest! {
             .collect();
 
         let mut scan = ScanIndex::new(T, KA);
-        let mut sharded = ShardedIndex::scan(shards, T, KA);
+        let mut epoch =
+            EpochIndex::with_thresholds(T, KA, FilterConfig::default(), staging_cap, 2, 16);
         for s in &sketches {
             let a = scan.insert(s);
-            let b = sharded.insert(s);
+            let b = epoch.insert(s);
             prop_assert_eq!(a, b, "ids must be assigned identically");
         }
 
         // Random removals (bit u of the mask removes user u).
         for u in 0..users.min(64) {
             if removal_mask & (1 << u) != 0 {
-                prop_assert_eq!(scan.remove(u), sharded.remove(u));
+                prop_assert_eq!(scan.remove(u), epoch.remove(u));
             }
         }
-        prop_assert_eq!(scan.len(), sharded.len());
+        prop_assert_eq!(scan.len(), epoch.len());
 
         // Probes: every enrolled sketch plus a perturbed copy.
         let mut probes = sketches.clone();
@@ -219,10 +220,10 @@ proptest! {
         }));
 
         for probe in &probes {
-            prop_assert_eq!(scan.lookup(probe), sharded.lookup(probe));
-            prop_assert_eq!(scan.lookup_all(probe), sharded.lookup_all(probe));
+            prop_assert_eq!(scan.lookup(probe), epoch.lookup(probe));
+            prop_assert_eq!(scan.lookup_all(probe), epoch.lookup_all(probe));
         }
-        prop_assert_eq!(scan.lookup_batch(&probes), sharded.lookup_batch(&probes));
+        prop_assert_eq!(scan.lookup_batch(&probes), epoch.lookup_batch(&probes));
     }
 
     /// Codec round-trip: any sketch a legal scheme can produce survives
@@ -602,20 +603,6 @@ proptest! {
         );
     }
 
-    /// Arena-backed `BucketIndex` ≡ the Vec-of-Vec model (the packed
-    /// u64 bucket keys and multi-probe path included).
-    #[test]
-    fn bucket_index_matches_vec_of_vec_model((t, ka, dim, ops) in index_case()) {
-        check_against_model(BucketIndex::new(t, ka, dim.min(4)), t, ka, &ops);
-    }
-
-    /// Arena-backed shards behind `ShardedIndex` ≡ the model (global id
-    /// arithmetic over per-shard arenas, vectorized by default).
-    #[test]
-    fn sharded_index_matches_vec_of_vec_model((t, ka, _dim, ops) in index_case()) {
-        check_against_model(ShardedIndex::scan(3, t, ka), t, ka, &ops);
-    }
-
     /// The kernel's no-`%` cyclic test on canonical values agrees with
     /// `cyclic_close` on raw values — for every width class (including
     /// the `ka ≥ 2⁶³` ring whose subtraction must widen through i128)
@@ -911,7 +898,7 @@ fn heap_bytes_accounting_under_churn() {
 /// snapshots reclaimable-but-pinned.
 #[test]
 fn epoch_heap_bytes_covers_segments_planes_and_garbage() {
-    use fuzzy_id::core::{EpochIndex, EpochRead};
+    use fuzzy_id::core::EpochRead;
 
     let (t, ka, dim) = (100u64, 400u64, 64usize);
     // Tiny tiers: 1 000 rows spread over many sealed segments.
@@ -987,7 +974,7 @@ proptest! {
         churn in 100usize..400,
         dim in 2usize..16,
     ) {
-        use fuzzy_id::core::{EpochIndex, EpochRead, IndexReader};
+        use fuzzy_id::core::{EpochRead, IndexReader};
 
         let (t, ka) = (100u64, 400u64);
         let seal_rows = staging_cap * merge_runs * seal_mul;
@@ -1028,11 +1015,10 @@ proptest! {
 
 mod helper_round_trip {
     use super::*;
-    use fuzzy_id::core::EpochIndex;
     use fuzzy_id::protocol::wire::{self, Message};
     use fuzzy_id::protocol::{
         AuthenticationServer, BiometricDevice, BuildIndex, EnrollmentRecord, FileStore,
-        IndexConfig, SystemParams,
+        SystemParams,
     };
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1191,10 +1177,7 @@ mod helper_round_trip {
             let params = SystemParams::insecure_test_defaults();
             prop_assert_eq!(params.sketch().line().interval_len() as i64, KA);
             check(&params, ScanIndex::build(&params), &records, &revoke, |_| ());
-            check(&params, BucketIndex::build(&params), &records, &revoke, |_| ());
-            let sharded = params.clone().with_index_config(IndexConfig::ShardedScan { shards: 3 });
-            let index = ShardedIndex::<ScanIndex>::build(&sharded);
-            check(&sharded, index, &records, &revoke, |_| ());
+            check(&params, EpochIndex::build(&params), &records, &revoke, |_| ());
             // Thresholds this small freeze, merge and seal within the
             // first enrollments; the checkpoint then exports sealed
             // segments and recovery adopts their rows without
