@@ -18,6 +18,12 @@
 //! * `bulk_load/*` — enrollment rate, with the arena pre-sized the way
 //!   snapshot recovery pre-sizes it (`vectorized` includes plane
 //!   maintenance);
+//! * `epoch_insert_us` / `epoch_insert_reserved_us` — µs per enrolled
+//!   row into the production `EpochIndex`, as built and after
+//!   `reserve(n)`. A row is published by one atomic store either way,
+//!   so the two agree; `FE_BENCH_GATE` fails the run when the first
+//!   exceeds 1.25× the second (a per-insert publication cost has come
+//!   back);
 //! * bytes/record — reported to stdout and
 //!   `target/experiments/storage_ablation.csv` from `heap_bytes()`;
 //!   `record_table_bytes_per_record_*` is what an
@@ -45,8 +51,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
 use fe_core::{
-    CellWidth, FilterConfig, HelperData, ParallelConfig, PlaneDepth, PlaneWidth, RobustData,
-    ScanIndex, SketchIndex,
+    CellWidth, EpochIndex, FilterConfig, HelperData, ParallelConfig, PlaneDepth, PlaneWidth,
+    RobustData, ScanIndex, SketchIndex,
 };
 use fe_protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
 use rand::rngs::StdRng;
@@ -171,6 +177,8 @@ fn bench_storage(c: &mut Criterion) {
     // and which plane width `Auto` resolved to ("u8"/"u16").
     let mut kernel_label = "scalar";
     let mut width_label = "none";
+    // (default, reserved) µs per row enrolled into an `EpochIndex`.
+    let mut insert_gate_pair = (0.0f64, 0.0f64);
     // (committed, measured) record-table bytes/record, same population.
     let mut record_gate = (None, 0.0f64);
     // Best-of iterations for the single-shot smoke timings.
@@ -332,6 +340,30 @@ fn bench_storage(c: &mut Criterion) {
         smoke_metrics.push((format!("u8_nomatch_us_{n}"), u8_miss * 1e6));
         gate_pair = (col_miss, vect_miss);
         width_gate_pair = (u16_miss, u8_miss);
+        // Enrollment into the production index, gated as a ratio and
+        // therefore interleaved like the width pair above.
+        let epoch_load_us = |reserved: bool| {
+            let (_, secs) = time_best(1, || {
+                let mut idx = EpochIndex::new(T, KA);
+                if reserved {
+                    idx.reserve(load.len(), DIM);
+                }
+                for s in load {
+                    idx.insert(s);
+                }
+                idx.len()
+            });
+            secs * 1e6 / load.len() as f64
+        };
+        insert_gate_pair = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..iters {
+            insert_gate_pair.0 = insert_gate_pair.0.min(epoch_load_us(false));
+            insert_gate_pair.1 = insert_gate_pair.1.min(epoch_load_us(true));
+        }
+        println!(
+            "storage_ablation/epoch_insert/{n}: {:.3} µs per row, {:.3} µs after reserve",
+            insert_gate_pair.0, insert_gate_pair.1
+        );
         println!(
             "storage_ablation/kernels/{n}: no-match scalar {:.1} µs, swar {:.1} µs \
              ({:.2}×), {} {:.1} µs ({:.2}×)",
@@ -397,6 +429,8 @@ fn bench_storage(c: &mut Criterion) {
     ));
     let auto_u8 = width_label == "u8";
     smoke_metrics.push(("vectorized_is_u8".to_string(), f64::from(u8::from(auto_u8))));
+    smoke_metrics.push(("epoch_insert_us".to_string(), insert_gate_pair.0));
+    smoke_metrics.push(("epoch_insert_reserved_us".to_string(), insert_gate_pair.1));
     let named: Vec<(&str, f64)> = smoke_metrics
         .iter()
         .map(|(k, v)| (k.as_str(), *v))
@@ -419,6 +453,12 @@ fn bench_storage(c: &mut Criterion) {
             u8_us <= u16_us,
             "FE_BENCH_GATE: u8-plane no-match lookup ({u8_us:.1} µs) is slower than \
              the u16 plane ({u16_us:.1} µs)"
+        );
+        let (insert_us, reserved_us) = insert_gate_pair;
+        assert!(
+            insert_us <= 1.25 * reserved_us,
+            "FE_BENCH_GATE: an EpochIndex insert costs {insert_us:.3} µs, more than 1.25× the \
+             {reserved_us:.3} µs it costs after reserve(n): publishing a row is no longer O(1)"
         );
         // A byte count, so it repeats exactly: any growth is a layout
         // change, and one past a tenth must be a deliberate one.

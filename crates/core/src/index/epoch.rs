@@ -1,5 +1,6 @@
-//! Epoch-published storage engine: a small mutable **head** arena plus
-//! immutable **sealed segments**, with a lock-free read path.
+//! Epoch-published storage engine: a small append-only **head**
+//! segment plus immutable **sealed segments**, with a lock-free read
+//! path.
 //!
 //! # Shape
 //!
@@ -7,29 +8,36 @@
 //!
 //! ```text
 //!   writer state                      published snapshot (ArcCell)
-//!   ┌──────────────────────┐          ┌───────────────────────────┐
-//!   │ staging SketchArena  │──clone──▶│ head: Arc<SketchArena>    │
+//!   ┌──────────────────────┐          ┌────────────────────────────┐
+//!   │ head: Arc<Segment>   │──Arc────▶│ head: Arc<Segment>         │
 //!   │ segments:            │──Arc────▶│ segments: Vec<Arc<Segment>>│
-//!   │   [run][run][sealed] │          │ head_base, generation     │
-//!   └──────────────────────┘          └───────────────────────────┘
+//!   │   [run][run][sealed] │          │ generation                 │
+//!   └──────────────────────┘          └────────────────────────────┘
 //! ```
 //!
-//! Writers (`insert`/`remove`/`compact`, all `&mut self`) mutate only
-//! the staging arena and the segment *list*; every visible change is
-//! published as a fresh immutable `Snapshot` through the vendored
-//! [`crossbeam::epoch::ArcCell`]. Readers obtained via
+//! Writers (`insert`/`remove`/`compact`, all `&mut self`) and readers
+//! share every segment — the head included — through `Arc`s. The head
+//! is allocated once, for `staging_cap` rows, and never moves: an
+//! insert writes its row past the published row count and then
+//! release-stores the count, a scan acquire-loads the count once and
+//! reads nothing at or past it (DESIGN.md "Publication invariant"), so
+//! showing a row to readers costs one atomic store and no copy. Only a
+//! change to the segment *list* (freeze, merge, `maintain`, `compact`,
+//! `clear`, import) publishes a fresh immutable `Snapshot` through the
+//! vendored [`crossbeam::epoch::ArcCell`] — once per `staging_cap`
+//! inserts, not once per insert. Readers obtained via
 //! [`EpochRead::reader`] load the current snapshot (an epoch pin plus
 //! one atomic pointer read — **no `RwLock`, no `Mutex`**) and sweep
-//! head + segments against it; a snapshot stays valid for the whole
+//! segments + head against it; a snapshot stays valid for the whole
 //! sweep because the reader holds an `Arc`, and superseded snapshots
 //! are reclaimed only once every reader pinned before the swap has
 //! unpinned (the epoch reclamation rule).
 //!
 //! # Tiers and lifecycle
 //!
-//! * **staging** — the mutable head arena. Inserts append here; once it
-//!   reaches `staging_cap` rows it is *frozen* into an immutable run
-//!   segment and a fresh staging arena starts.
+//! * **head** — the open segment. Inserts append here; once it holds
+//!   `staging_cap` rows it is *frozen* — the same allocation joins the
+//!   segment list as a run — and a fresh head starts.
 //! * **runs** — small frozen segments awaiting consolidation. When
 //!   `merge_runs` of them accumulate they are merged (live rows only)
 //!   into one larger segment; this *is* the incremental compaction:
@@ -41,11 +49,10 @@
 //!   tombstoned), and their on-disk form is the columnar snapshot
 //!   frame (see [`SketchIndex::export_segments`]).
 //!
-//! Revoking a row in a frozen segment flips a bit in the segment's
-//! *tombstone words* — per-segment `AtomicU64`s read by in-flight
-//! scans through the already-published `Arc<Segment>`, so revocation
-//! needs no republish and never blocks a reader. Revoking a staging
-//! row republishes the head clone.
+//! Revoking a row — in the head or in a frozen segment alike — flips a
+//! bit in its segment's *tombstone words*: `AtomicU64`s read by
+//! in-flight scans through the already-published `Arc<Segment>`, so
+//! revocation needs no republish and never blocks a reader.
 //!
 //! # Id assignment
 //!
@@ -53,24 +60,24 @@
 //! outside [`SketchIndex::compact`]/[`SketchIndex::clear`]. Segments
 //! hold ascending, disjoint id ranges (dense-from-base right after a
 //! freeze, a sorted sparse id list after a merge dropped tombstoned
-//! rows), and the staging arena holds the tail `head_base..`; scanning
-//! segments in list order therefore yields globally ascending matches
-//! and first-hit-wins reproduces earliest-enrolled-wins exactly.
+//! rows), and the head holds the tail; scanning segments in list order
+//! and the head last therefore yields globally ascending matches and
+//! first-hit-wins reproduces earliest-enrolled-wins exactly.
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::epoch::ArcCell;
 
-use super::store::{FilterConfig, RowFilter, RowMask, SketchArena};
+use super::store::{FilterConfig, Row, RowMask, SketchArena};
 use super::{RecordId, SketchIndex};
 
-/// Rows the staging arena may hold before it is frozen into a run
-/// segment. Small enough that the per-insert head republish (a clone
-/// of the staging arena) stays cheap, large enough that runs are
-/// worth scanning.
+/// Rows the head holds before it is frozen into a run segment: the
+/// unit the head is allocated in and the publish interval. Large
+/// enough that a run is worth a sweep of its own and the snapshot swap
+/// amortises to nothing per insert, small enough (≈ 140 KB at the
+/// paper's dimension) that an idle index wastes little.
 const DEFAULT_STAGING_CAP: usize = 1024;
 
 /// Frozen runs that trigger a consolidating merge.
@@ -79,12 +86,6 @@ const DEFAULT_MERGE_RUNS: usize = 8;
 /// Rows at which a merged segment is sealed (exempt from routine
 /// merging, exported verbatim by checkpoints).
 const DEFAULT_SEAL_ROWS: usize = 65_536;
-
-/// `reserve` hints at or above this many rows switch the index into
-/// bulk-load mode (no per-insert publish) until [`SketchIndex::flush`];
-/// smaller hints keep the publish-per-write contract so interactive
-/// callers never observe a stale snapshot.
-const BULK_RESERVE_THRESHOLD: usize = 4096;
 
 /// A sealed segment rewrite triggers once this fraction of its rows
 /// are tombstoned (numerator/denominator of `rows / 4`).
@@ -109,11 +110,11 @@ pub enum SegmentBacking {
     File(std::path::PathBuf),
 }
 
-/// Global-id map for a frozen segment's rows.
-#[derive(Debug)]
+/// Global-id map for a segment's rows.
+#[derive(Debug, Clone)]
 enum Ids {
-    /// Rows `0..rows` are ids `base..base + rows` (a freshly frozen
-    /// staging arena, or a merge that dropped nothing).
+    /// Rows `0..rows` are ids `base..base + rows` (the head, a frozen
+    /// head, or a merge that dropped nothing).
     Dense(RecordId),
     /// Row `r` is `ids[r]`; strictly ascending (a merge that dropped
     /// tombstoned rows).
@@ -157,48 +158,31 @@ impl Ids {
     }
 }
 
-/// An immutable frozen arena plus revocation state.
+/// One arena of the index plus the ids of its rows: the open head
+/// while the writer appends to it, a frozen run or a sealed segment
+/// afterwards — the same allocation throughout.
 ///
-/// The arena (rows, liveness words, prefilter plane) never changes
-/// after construction; post-freeze revocations land in the `tombstones`
-/// words, which concurrent scans read atomically through the published
-/// `Arc<Segment>` — a row is live iff its arena liveness bit is set
-/// *and* its tombstone bit is clear.
-#[derive(Debug)]
+/// Rows only ever arrive at the end (and only in the head); a row that
+/// is there never changes. Revocations flip the arena's atomic
+/// tombstone bits, which concurrent scans read through the published
+/// `Arc<Segment>`.
+#[derive(Debug, Clone)]
 pub struct Segment {
     arena: SketchArena,
     ids: Ids,
-    /// Post-freeze revocations, bit `r % 64` of word `r / 64`.
-    tombstones: Vec<AtomicU64>,
-    /// Count of set tombstone bits (all flips go through `revoke`,
-    /// which runs under the index's `&mut self`, so this never races
-    /// with itself — it is atomic only so readers may load it).
-    revoked: AtomicUsize,
     sealed: bool,
     backing: SegmentBacking,
 }
 
 impl Segment {
-    fn from_arena(arena: SketchArena, ids: Ids, sealed: bool, backing: SegmentBacking) -> Segment {
-        let words = arena.rows().div_ceil(64);
-        Segment {
-            tombstones: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            revoked: AtomicUsize::new(0),
-            arena,
-            ids,
-            sealed,
-            backing,
-        }
-    }
-
-    /// Frozen row count (live and dead).
+    /// Row count (live and dead).
     pub fn rows(&self) -> usize {
         self.arena.rows()
     }
 
-    /// Live rows: arena-live minus post-freeze tombstones.
+    /// Live rows.
     pub fn live(&self) -> usize {
-        self.arena.len() - self.revoked.load(Ordering::SeqCst)
+        self.arena.len()
     }
 
     /// Sealed segments are exempt from routine merging and are what
@@ -212,41 +196,23 @@ impl Segment {
         &self.backing
     }
 
-    fn is_tombstoned(&self, row: usize) -> bool {
-        self.tombstones[row / 64].load(Ordering::SeqCst) & (1 << (row % 64)) != 0
-    }
-
-    /// Flips the tombstone bit for `row`; `true` if the row was live.
-    /// Writer-side only (`&mut` on the owning index), but the flip is
-    /// atomic so a published scan observes either the row or its
-    /// absence — never a torn word.
-    fn revoke(&self, row: usize) -> bool {
-        if !self.arena.is_live(row) {
-            return false;
-        }
-        let bit = 1u64 << (row % 64);
-        if self.tombstones[row / 64].fetch_or(bit, Ordering::SeqCst) & bit != 0 {
-            return false;
-        }
-        self.revoked.fetch_add(1, Ordering::SeqCst);
-        true
+    /// The rows a merge or a compaction carries over, ascending.
+    fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rows()).filter(|&row| self.arena.is_live(row))
     }
 
     fn heap_bytes(&self) -> usize {
-        self.arena.heap_bytes()
-            + self.tombstones.capacity() * std::mem::size_of::<AtomicU64>()
-            + self.ids.heap_bytes()
-            + std::mem::size_of::<Segment>()
+        self.arena.heap_bytes() + self.ids.heap_bytes() + std::mem::size_of::<Segment>()
     }
 }
 
-/// One immutable published view: the segment list plus a clone of the
-/// staging arena at publish time.
+/// One immutable published view: the segment list and the head. It
+/// holds no row data of its own — rows appended to the head after the
+/// snapshot was published are visible through it.
 #[derive(Debug)]
 struct Snapshot {
     segments: Vec<Arc<Segment>>,
-    head: Arc<SketchArena>,
-    head_base: RecordId,
+    head: Arc<Segment>,
     generation: u64,
 }
 
@@ -255,14 +221,7 @@ impl Snapshot {
         View {
             segments: &self.segments,
             head: &self.head,
-            head_base: self.head_base,
         }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.head.heap_bytes()
-            + self.segments.capacity() * std::mem::size_of::<Arc<Segment>>()
-            + std::mem::size_of::<Snapshot>()
     }
 }
 
@@ -270,8 +229,7 @@ impl Snapshot {
 /// live writer state) and the lock-free reader (over a snapshot).
 struct View<'a> {
     segments: &'a [Arc<Segment>],
-    head: &'a SketchArena,
-    head_base: RecordId,
+    head: &'a Segment,
 }
 
 impl View<'_> {
@@ -290,34 +248,24 @@ impl View<'_> {
     ) -> Vec<Vec<RecordId>> {
         let mut out = vec![Vec::new(); probes.len()];
         let mut open: Vec<usize> = (0..probes.len()).collect();
-        for tier in 0..=self.segments.len() {
+        let tiers = self.segments.iter().map(Arc::as_ref).chain([self.head]);
+        for seg in tiers {
             // Every open probe still lacks at least `budget - found`.
             let Some(found) = open.iter().map(|&p| out[p].len()).min() else {
                 break;
             };
-            let seg = self.segments.get(tier); // `None`: the head
-            let arena = seg.map_or(self.head, |s| &s.arena);
+            let rows = seg.rows();
             let mask = subset.map(|ids| {
-                RowMask::from_rows(ids.iter().filter_map(|&id| match seg {
-                    Some(s) => s.ids.row_of(id, s.rows()).filter(|&r| !s.is_tombstoned(r)),
-                    None => id.checked_sub(self.head_base).filter(|&r| r < arena.rows()),
-                }))
+                RowMask::from_rows(ids.iter().filter_map(|&id| seg.ids.row_of(id, rows)))
             });
             if mask.as_ref().is_some_and(RowMask::is_empty) {
                 continue;
             }
-            let rows = match (&mask, seg) {
-                (Some(mask), _) => RowFilter::Only(mask.words()),
-                (None, Some(s)) if s.revoked.load(Ordering::SeqCst) > 0 => {
-                    RowFilter::Except(&s.tombstones)
-                }
-                _ => RowFilter::All,
-            };
             let refs: Vec<&[i64]> = open.iter().map(|&p| probes[p]).collect();
-            for (k, row) in arena.sweep(&refs, rows, budget - found) {
+            for (k, row) in seg.arena.sweep(&refs, mask.as_ref(), budget - found) {
                 let hits = &mut out[open[k]];
                 if hits.len() < budget {
-                    hits.push(seg.map_or(self.head_base + row, |s| s.ids.id_of(row)));
+                    hits.push(seg.ids.id_of(row));
                 }
             }
             open.retain(|&p| out[p].len() < budget);
@@ -342,8 +290,7 @@ impl View<'_> {
 ///
 /// Implementors are cheap-to-clone handles that can be scanned from
 /// any thread while the owning index keeps mutating; every call
-/// observes some published snapshot that is at least as fresh as the
-/// last write completed before the call.
+/// observes every write completed before the call.
 pub trait IndexReader: Send + Sync + 'static {
     /// The structural generation of the snapshot the last/next scan
     /// observes (see [`SketchIndex::generation`]); callers compare it
@@ -432,16 +379,13 @@ pub struct EpochIndex {
     seal_rows: usize,
     /// Frozen segments, ascending disjoint id ranges.
     segments: Vec<Arc<Segment>>,
-    /// The mutable head; rows here are ids `staging_base..`.
-    staging: SketchArena,
-    staging_base: RecordId,
+    /// The open segment, shared with the published snapshot: this index
+    /// is its only writer, under its own `&mut self`.
+    head: Arc<Segment>,
     /// Stamped by the first insert (or `reserve`); enforced here, not
-    /// only by the arenas, because each freeze starts an unstamped
-    /// staging arena that would otherwise accept a new dimension.
+    /// only by the arenas, because it is what sizes each fresh head.
     dim: Option<usize>,
     generation: u64,
-    /// Bulk-load mode: publishes suppressed until `flush`.
-    bulk: bool,
     cell: Arc<ArcCell<Snapshot>>,
 }
 
@@ -451,8 +395,8 @@ impl fmt::Debug for EpochIndex {
             .field("t", &self.t)
             .field("ka", &self.ka)
             .field("segments", &self.segments.len())
-            .field("staging_rows", &self.staging.rows())
-            .field("staging_base", &self.staging_base)
+            .field("staging_rows", &self.head.rows())
+            .field("staging_base", &self.head_base())
             .field("generation", &self.generation)
             .field("live", &self.len())
             .finish()
@@ -461,30 +405,26 @@ impl fmt::Debug for EpochIndex {
 
 impl Clone for EpochIndex {
     /// Clones the *contents* into an independent index with its own
-    /// publication cell: readers of the original never observe the
-    /// clone's writes. Frozen segments are shared (`Arc`) until the
+    /// head and publication cell: readers of the original never observe
+    /// the clone's writes. Frozen segments are shared (`Arc`) until the
     /// clone merges or compacts them away.
     fn clone(&self) -> EpochIndex {
-        EpochIndex {
-            t: self.t,
-            ka: self.ka,
-            filter: self.filter,
-            staging_cap: self.staging_cap,
-            merge_runs: self.merge_runs,
-            seal_rows: self.seal_rows,
+        let mut clone = EpochIndex {
             segments: self.segments.clone(),
-            staging: self.staging.clone(),
-            staging_base: self.staging_base,
+            head: Arc::new(Segment::clone(&self.head)),
             dim: self.dim,
             generation: self.generation,
-            bulk: self.bulk,
-            cell: Arc::new(ArcCell::new(Arc::new(Snapshot {
-                segments: self.segments.clone(),
-                head: Arc::new(self.staging.clone()),
-                head_base: self.staging_base,
-                generation: self.generation,
-            }))),
-        }
+            ..EpochIndex::with_thresholds(
+                self.t,
+                self.ka,
+                self.filter,
+                self.staging_cap,
+                self.merge_runs,
+                self.seal_rows,
+            )
+        };
+        clone.publish();
+        clone
     }
 }
 
@@ -528,11 +468,17 @@ impl EpochIndex {
             staging_cap > 0 && merge_runs > 0 && seal_rows > 0,
             "epoch thresholds must be positive"
         );
-        let staging = SketchArena::with_filter(t, ka, filter);
+        // Unstamped, so nothing is allocated yet: the first insert or
+        // `reserve` swaps in a head sized for the dimension it brings.
+        let head = Arc::new(Segment {
+            arena: SketchArena::with_filter(t, ka, filter),
+            ids: Ids::Dense(0),
+            sealed: false,
+            backing: SegmentBacking::Anon,
+        });
         let cell = Arc::new(ArcCell::new(Arc::new(Snapshot {
             segments: Vec::new(),
-            head: Arc::new(staging.clone()),
-            head_base: 0,
+            head: Arc::clone(&head),
             generation: 0,
         })));
         EpochIndex {
@@ -543,11 +489,9 @@ impl EpochIndex {
             merge_runs,
             seal_rows,
             segments: Vec::new(),
-            staging,
-            staging_base: 0,
+            head,
             dim: None,
             generation: 0,
-            bulk: false,
             cell,
         }
     }
@@ -557,48 +501,95 @@ impl EpochIndex {
         &self.segments
     }
 
-    /// Rows currently in the mutable head.
+    /// Rows currently in the open head.
     pub fn staging_rows(&self) -> usize {
-        self.staging.rows()
+        self.head.rows()
+    }
+
+    /// The id of the head's row 0.
+    fn head_base(&self) -> RecordId {
+        self.head.ids.id_of(0)
+    }
+
+    /// Every tier in id order: the frozen segments, then the head.
+    fn tiers(&self) -> impl Iterator<Item = &Segment> {
+        let head = std::iter::once(self.head.as_ref());
+        self.segments.iter().map(Arc::as_ref).chain(head)
     }
 
     fn view(&self) -> View<'_> {
         View {
             segments: &self.segments,
-            head: &self.staging,
-            head_base: self.staging_base,
+            head: &self.head,
         }
     }
 
-    /// Publishes the current writer state as a fresh snapshot.
+    /// Publishes the segment list and the head as a fresh snapshot —
+    /// needed only when one of the two was *replaced*; rows appended to
+    /// the head and tombstones flipped anywhere are visible through the
+    /// snapshot already out.
     fn publish(&mut self) {
         self.cell.store(Arc::new(Snapshot {
             segments: self.segments.clone(),
-            head: Arc::new(self.staging.clone()),
-            head_base: self.staging_base,
+            head: Arc::clone(&self.head),
             generation: self.generation,
         }));
     }
 
-    /// Freezes the staging arena into a run segment (no publish).
-    fn freeze(&mut self) {
-        let rows = self.staging.rows();
-        if rows == 0 {
-            return;
-        }
-        let mut fresh = SketchArena::with_filter(self.t, self.ka, self.filter);
-        if let Some(dim) = self.dim {
-            fresh.reserve(self.staging_cap, dim);
-        }
-        let arena = std::mem::replace(&mut self.staging, fresh);
-        let sealed = rows >= self.seal_rows;
-        self.segments.push(Arc::new(Segment::from_arena(
+    /// A segment over `arena` whose `sealed` flag follows its capacity
+    /// (a head is frozen exactly when full, so capacity is its final
+    /// row count).
+    fn segment(&self, arena: SketchArena, ids: Ids, rows: usize) -> Arc<Segment> {
+        Arc::new(Segment {
             arena,
-            Ids::Dense(self.staging_base),
-            sealed,
-            SegmentBacking::Anon,
-        )));
-        self.staging_base += rows;
+            ids,
+            sealed: rows >= self.seal_rows,
+            backing: SegmentBacking::Anon,
+        })
+    }
+
+    /// Starts an empty head for ids `base..`, allocated in full once
+    /// the dimension is known (no publish).
+    fn start_head(&mut self, base: RecordId) {
+        let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
+        if let Some(dim) = self.dim {
+            arena.reserve(self.staging_cap, dim);
+        }
+        self.head = self.segment(arena, Ids::Dense(base), self.staging_cap);
+    }
+
+    /// Stamps the dimension on first use and checks it afterwards.
+    /// `true` when this call stamped it — the head was replaced by an
+    /// allocated one, which the caller must publish.
+    fn stamp(&mut self, dim: usize) -> bool {
+        let fresh = self.dim.is_none();
+        let stamped = *self.dim.get_or_insert(dim);
+        assert_eq!(
+            dim, stamped,
+            "sketch dimension {dim} does not match the index's stamped dimension {stamped}"
+        );
+        if fresh {
+            self.start_head(self.head_base());
+        }
+        fresh
+    }
+
+    /// Appends one row to the head, freezing (and merging) when that
+    /// fills it. Returns the row's id and whether the segment list or
+    /// the head was replaced; publishing is the caller's, so `compact`
+    /// can rebuild unseen.
+    fn append(&mut self, row: Row<'_>, dim: usize) -> (RecordId, bool) {
+        let mut replaced = self.stamp(dim);
+        let id = self.head_base() + self.head.arena.append(row);
+        if self.head.rows() >= self.staging_cap {
+            // The full head joins the list as it is — same allocation,
+            // same `Arc` — and a fresh one takes the ids after it.
+            self.segments.push(Arc::clone(&self.head));
+            self.start_head(id + 1);
+            self.maybe_merge();
+            replaced = true;
+        }
+        (id, replaced)
     }
 
     /// Merges the trailing unsealed runs once `merge_runs` of them
@@ -618,7 +609,8 @@ impl EpochIndex {
     }
 
     /// Rewrites `range` (adjacent segments) into at most one live-only
-    /// segment. Does not publish; callers do.
+    /// segment, copying cells arena to arena. Does not publish; callers
+    /// do.
     fn merge_range(&mut self, range: Range<usize>) {
         let start = range.start;
         let merged: Vec<Arc<Segment>> = self.segments.drain(range).collect();
@@ -632,13 +624,9 @@ impl EpochIndex {
         let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
         arena.reserve(total_live, dim);
         let mut ids: Vec<RecordId> = Vec::with_capacity(total_live);
-        let mut scratch = Vec::new();
         for seg in &merged {
-            for row in 0..seg.rows() {
-                if seg.is_tombstoned(row) || !seg.arena.copy_row_into(row, &mut scratch) {
-                    continue;
-                }
-                arena.push(&scratch);
+            for row in seg.live_rows() {
+                arena.append(Row::Stored(&seg.arena, row));
                 ids.push(seg.ids.id_of(row));
             }
         }
@@ -649,16 +637,8 @@ impl EpochIndex {
         } else {
             Ids::Sparse(ids)
         };
-        let sealed = arena.rows() >= self.seal_rows;
-        self.segments.insert(
-            start,
-            Arc::new(Segment::from_arena(
-                arena,
-                ids,
-                sealed,
-                SegmentBacking::Anon,
-            )),
-        );
+        let rows = arena.rows();
+        self.segments.insert(start, self.segment(arena, ids, rows));
     }
 
     /// Background maintenance: rewrites any **sealed** segment whose
@@ -673,7 +653,7 @@ impl EpochIndex {
         let mut i = 0;
         while i < self.segments.len() {
             let seg = &self.segments[i];
-            let revoked = seg.revoked.load(Ordering::SeqCst);
+            let revoked = seg.rows() - seg.live();
             if seg.sealed && revoked > 0 && revoked * MAINTAIN_TOMBSTONE_DIVISOR >= seg.rows() {
                 let had = self.segments.len();
                 self.merge_range(i..i + 1);
@@ -686,37 +666,26 @@ impl EpochIndex {
                 i += 1;
             }
         }
-        if rewritten > 0 && !self.bulk {
+        if rewritten > 0 {
             self.publish();
         }
         rewritten
     }
 
-    fn segment_of(&self, id: RecordId) -> Option<(usize, usize)> {
+    /// The tier holding `id` and the row it has there.
+    fn locate(&self, id: RecordId) -> Option<(&Segment, usize)> {
         let i = self
             .segments
             .partition_point(|s| s.ids.end_id(s.rows()) <= id);
-        let seg = self.segments.get(i)?;
-        seg.ids.row_of(id, seg.rows()).map(|row| (i, row))
+        let seg = self.segments.get(i).map_or(&*self.head, Arc::as_ref);
+        seg.ids.row_of(id, seg.rows()).map(|row| (seg, row))
     }
 }
 
 impl SketchIndex for EpochIndex {
     fn insert(&mut self, sketch: &[i64]) -> RecordId {
-        let dim = *self.dim.get_or_insert(sketch.len());
-        assert_eq!(
-            sketch.len(),
-            dim,
-            "sketch dimension {} does not match the index's stamped dimension {dim}",
-            sketch.len()
-        );
-        let row = self.staging.push(sketch);
-        let id = self.staging_base + row;
-        if self.staging.rows() >= self.staging_cap {
-            self.freeze();
-            self.maybe_merge();
-        }
-        if !self.bulk {
+        let (id, replaced) = self.append(Row::Sketch(sketch), sketch.len());
+        if replaced {
             self.publish();
         }
         id
@@ -742,28 +711,19 @@ impl SketchIndex for EpochIndex {
         self.view().find_first_batch(probes)
     }
 
+    // Head or frozen, the atomic tombstone flip is visible through the
+    // already-published `Arc<Segment>` — no republish needed.
     fn remove(&mut self, id: RecordId) -> bool {
-        if id >= self.staging_base {
-            let removed = self.staging.remove(id - self.staging_base);
-            if removed && !self.bulk {
-                self.publish();
-            }
-            return removed;
-        }
-        // Frozen row: the atomic tombstone flip is visible through the
-        // already-published Arc<Segment> — no republish needed.
-        match self.segment_of(id) {
-            Some((i, row)) => self.segments[i].revoke(row),
-            None => false,
-        }
+        self.locate(id)
+            .is_some_and(|(seg, row)| seg.arena.revoke(row))
     }
 
     fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.live()).sum::<usize>() + self.staging.len()
+        self.tiers().map(Segment::live).sum()
     }
 
     fn slots(&self) -> usize {
-        self.segments.iter().map(|s| s.rows()).sum::<usize>() + self.staging.rows()
+        self.tiers().map(Segment::rows).sum()
     }
 
     fn dim(&self) -> Option<usize> {
@@ -771,102 +731,63 @@ impl SketchIndex for EpochIndex {
     }
 
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
-        if id >= self.staging_base {
-            return self.staging.copy_row_into(id - self.staging_base, out);
-        }
-        match self.segment_of(id) {
-            Some((i, row)) => {
-                let seg = &self.segments[i];
-                if seg.is_tombstoned(row) {
-                    out.clear();
-                    false
-                } else {
-                    seg.arena.copy_row_into(row, out)
-                }
-            }
-            None => {
-                out.clear();
-                false
-            }
-        }
+        out.clear();
+        self.locate(id)
+            .is_some_and(|(seg, row)| seg.arena.copy_row_into(row, out))
     }
 
     // Merges drop dead rows, so live ids can exceed `slots()`: walk
     // the tiers, not an id range.
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
-        let mut scratch = Vec::new();
-        for seg in &self.segments {
-            for row in 0..seg.rows() {
-                if !seg.is_tombstoned(row) && seg.arena.copy_row_into(row, &mut scratch) {
-                    f(seg.ids.id_of(row), &scratch);
-                }
-            }
+        for seg in self.tiers() {
+            seg.arena
+                .for_each_live(|row, sketch| f(seg.ids.id_of(row), sketch));
         }
-        let base = self.staging_base;
-        self.staging
-            .for_each_live(|row, sketch| f(base + row, sketch));
     }
 
-    fn reserve(&mut self, additional: usize, dim: usize) {
-        let stamped = *self.dim.get_or_insert(dim);
-        assert_eq!(dim, stamped, "reserve dimension must match the stamp");
-        self.staging.reserve(additional.min(self.staging_cap), dim);
-        if additional >= BULK_RESERVE_THRESHOLD {
-            // Bulk load: suppress per-insert publishes until `flush`
-            // (recovery calls it; readers created mid-load would see a
-            // stale but consistent snapshot, which recovery never does).
-            self.bulk = true;
+    // The head is allocated whole when the dimension is stamped and
+    // segments are sized when they are built, so a hint only stamps.
+    fn reserve(&mut self, _additional: usize, dim: usize) {
+        if self.stamp(dim) {
+            self.publish();
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        let mut bytes = self.staging.heap_bytes()
-            + self.segments.capacity() * std::mem::size_of::<Arc<Segment>>();
-        for seg in &self.segments {
-            bytes += seg.heap_bytes();
-        }
-        // The published snapshot duplicates the head clone and segment
-        // list; superseded snapshots awaiting epoch reclamation cost
-        // about the same each (their heads were ≤ one staging_cap of
-        // the current one), so estimate the garbage list at the live
-        // snapshot's footprint per retiree.
-        let snap = self.cell.load();
-        let snap_bytes = snap.heap_bytes();
-        bytes + snap_bytes + self.cell.retired_len() * snap_bytes
+        let list = |segments: &Vec<Arc<Segment>>| {
+            segments.capacity() * std::mem::size_of::<Arc<Segment>>()
+        };
+        // Writer and snapshot share every segment, head included, so
+        // each is counted once; the snapshot adds its own list.
+        let snapshot = list(&self.cell.load().segments) + std::mem::size_of::<Snapshot>();
+        list(&self.segments) + snapshot + self.tiers().map(Segment::heap_bytes).sum::<usize>()
     }
 
     fn clear(&mut self) {
         self.segments.clear();
-        self.staging.clear();
-        self.staging_base = 0;
+        self.start_head(0);
         self.generation += 1;
-        self.bulk = false;
         self.publish();
     }
 
+    // Rebuilt tier by tier, copying cells: the old tiers stay published
+    // (and untouched) until the one publish at the end swaps in the
+    // renumbered list together with the new generation.
     fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
-        let live = self.live_records();
-        self.segments.clear();
-        self.staging.clear();
-        self.staging_base = 0;
-        let was_bulk = self.bulk;
-        self.bulk = true;
-        let mut mapping = Vec::with_capacity(live.len());
-        for (old_id, sketch) in &live {
-            let new_id = self.insert(sketch);
-            mapping.push((*old_id, new_id));
+        let mut mapping = Vec::with_capacity(self.len());
+        let old_head = Arc::clone(&self.head);
+        let old: Vec<Arc<Segment>> = self.segments.drain(..).chain([old_head]).collect();
+        self.start_head(0);
+        for seg in &old {
+            for row in seg.live_rows() {
+                let dim = self.dim.expect("a row exists, so the dimension is stamped");
+                let (new_id, _) = self.append(Row::Stored(&seg.arena, row), dim);
+                mapping.push((seg.ids.id_of(row), new_id));
+            }
         }
-        self.bulk = was_bulk;
         self.generation += 1;
-        if !self.bulk {
-            self.publish();
-        }
-        mapping
-    }
-
-    fn flush(&mut self) {
-        self.bulk = false;
         self.publish();
+        mapping
     }
 
     fn generation(&self) -> u64 {
@@ -971,7 +892,7 @@ fn export_blob(index: &EpochIndex) -> Option<Vec<u8>> {
         put_u64(&mut out, cells.len() as u64);
         out.extend_from_slice(&cells);
         put_u32(&mut out, live_words.len() as u32);
-        for &w in live_words {
+        for w in live_words {
             put_u64(&mut out, w);
         }
     }
@@ -1008,35 +929,34 @@ fn import_blob(index: &mut EpochIndex, blob: &[u8]) -> Option<usize> {
             live.push(r.u64()?);
         }
         let arena =
-            SketchArena::from_parts(index.t, index.ka, index.filter, dim, rows, cells, live)?;
+            SketchArena::from_parts(index.t, index.ka, index.filter, dim, rows, cells, &live)?;
         // The export contract is a fully-live prefix; reject anything
         // else rather than silently resurrecting or dropping rows.
         if arena.len() != rows || rows == 0 {
             return None;
         }
-        segments.push(Arc::new(Segment::from_arena(
+        segments.push(Arc::new(Segment {
             arena,
-            Ids::Dense(base),
-            true,
-            SegmentBacking::Anon,
-        )));
+            ids: Ids::Dense(base),
+            sealed: true,
+            backing: SegmentBacking::Anon,
+        }));
         base += rows;
     }
     if !r.buf.is_empty() || segments.is_empty() {
         return None;
     }
     index.segments = segments;
-    index.staging_base = base;
     index.dim = Some(dim);
-    if !index.bulk {
-        index.publish();
-    }
+    index.start_head(base);
+    index.publish();
     Some(base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn tiny(t: u64, ka: u64) -> EpochIndex {
         // Thresholds small enough that a 50-record test population
@@ -1050,9 +970,9 @@ mod tests {
     fn mixed_dimension_insert_panics_across_freeze() {
         let mut index = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 1, 2, 16);
         index.insert(&[1, 2, 3]);
-        // First insert froze immediately (cap 1), so the staging arena
-        // is fresh and unstamped — the index-level stamp must still
-        // reject a different dimension.
+        // First insert froze immediately (cap 1), so the head is a
+        // fresh one — the index-level stamp must still reject a
+        // different dimension.
         index.insert(&[1, 2]);
     }
 
@@ -1220,20 +1140,50 @@ mod tests {
         assert_eq!(index.maintain(), 0, "second pass finds nothing to do");
     }
 
+    /// The publication rule, counted: rows appended to the head and
+    /// tombstones flipped in it reach readers through the snapshot
+    /// already out — zero swaps — and a freeze swaps exactly once.
     #[test]
-    fn bulk_reserve_defers_publish_until_flush() {
+    fn only_a_changed_segment_list_swaps_the_snapshot() {
+        let cap = 100; // not a multiple of 64: the freeze lands mid-group
+        let mut index = EpochIndex::with_thresholds(10, 4096, FilterConfig::default(), cap, 4, 512);
+        let reader = index.reader();
+        index.reserve(0, 2); // stamps the dimension: the one allocation
+        let (stores, snapshot) = (index.cell.store_count(), index.cell.load());
+        for i in 0..cap - 1 {
+            assert_eq!(index.insert(&[40 * i as i64, 7]), i);
+            assert_eq!(reader.find_first(&[40 * i as i64, 7]), Some(i));
+        }
+        for i in 0..cap - 1 {
+            assert!(index.remove(i));
+            assert_eq!(reader.find_first(&[40 * i as i64, 7]), None);
+        }
+        assert_eq!(
+            index.cell.store_count(),
+            stores,
+            "head writes must not swap"
+        );
+        assert!(Arc::ptr_eq(&snapshot, &index.cell.load()));
+        assert_eq!(format!("{reader:?}"), format!("{:?}", index.reader()));
+        assert!(format!("{reader:?}").contains("head_rows: 99"));
+
+        index.insert(&[3960, 7]); // row `cap`: the freeze
+        assert_eq!(index.cell.store_count(), stores + 1, "a freeze swaps once");
+        assert_eq!((index.segments().len(), index.staging_rows()), (1, 0));
+        assert_eq!(reader.find_first(&[3960, 7]), Some(cap - 1));
+        // The frozen run is the old head itself, not a copy of it.
+        assert!(Arc::ptr_eq(&snapshot.head, &index.segments()[0]));
+    }
+
+    #[test]
+    fn reserve_is_only_a_size_hint() {
         let mut index = tiny(10, 64);
-        index.reserve(BULK_RESERVE_THRESHOLD, 2);
+        index.reserve(1 << 20, 2);
         let reader = index.reader();
         let id = index.insert(&[9, 9]);
-        assert_eq!(
-            reader.find_first(&[9, 9]),
-            None,
-            "bulk mode must not publish per insert"
-        );
-        assert_eq!(index.lookup(&[9, 9]), Some(id), "writer view stays fresh");
-        index.flush();
         assert_eq!(reader.find_first(&[9, 9]), Some(id));
+        assert_eq!(index.lookup(&[9, 9]), Some(id));
+        assert!(index.heap_bytes() < 4096, "nothing is sized by the hint");
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! identification cost. One engine and one reference run it:
 //!
 //! * [`EpochIndex`] — the production engine, the index every server
-//!   builds: a mutable head arena plus immutable sealed segments,
-//!   published through an epoch-reclaimed snapshot so identification
+//!   builds: an append-only head plus immutable sealed segments, shared
+//!   with readers through an epoch-reclaimed snapshot so identification
 //!   scans never take a lock even while enroll/revoke/compact churn
-//!   runs (see [`epoch`]).
+//!   runs, and an enroll publishes its row with one atomic store (see
+//!   [`epoch`]).
 //! * [`ScanIndex`] — the reference: the same scan over exactly one
 //!   arena, with no tiers and no publication step. The oracle suites
 //!   and the kernel benches compare the engine against it.
@@ -185,15 +186,15 @@ pub trait SketchIndex {
     }
 
     /// Pre-sizes the index for `additional` more sketches of `dim`
-    /// coordinates (the bulk-load hint recovery uses to build a
-    /// pre-sized arena instead of growing it row by row). A no-op by
-    /// default.
+    /// coordinates (the hint recovery uses to build a pre-sized arena
+    /// instead of growing it row by row) and stamps `dim`. Never
+    /// changes what any lookup or reader observes. A no-op by default.
     fn reserve(&mut self, additional: usize, dim: usize) {
         let _ = (additional, dim);
     }
 
     /// Heap bytes held by the index's storage (buffers, bitmaps,
-    /// segment metadata and published snapshots). The
+    /// segment metadata and the published snapshot). The
     /// storage-ablation bench divides this by [`SketchIndex::len`] to
     /// report bytes/record.
     fn heap_bytes(&self) -> usize;
@@ -201,7 +202,7 @@ pub trait SketchIndex {
     /// Drops every record — live and tombstoned — and resets id
     /// assignment to zero, as if freshly constructed (tuning parameters
     /// are retained). Ids *are* reused after a clear; this is a
-    /// compaction/rebuild primitive, not a bulk [`SketchIndex::remove`].
+    /// compaction/rebuild primitive, not a mass [`SketchIndex::remove`].
     fn clear(&mut self);
 
     /// Reclaims tombstone slots: live records are renumbered densely
@@ -216,9 +217,11 @@ pub trait SketchIndex {
     fn compact(&mut self) -> Vec<(RecordId, RecordId)>;
 
     /// Makes every pending write visible to detached readers (see
-    /// [`epoch::EpochRead::reader`]) and ends any bulk-load deferral a
-    /// [`SketchIndex::reserve`] hint began. A no-op for indexes without
-    /// a publication step — their writes are immediately visible.
+    /// [`epoch::EpochRead::reader`]). A no-op for every index in this
+    /// crate: an [`EpochIndex`] publishes each write before the call
+    /// that made it returns, and a [`ScanIndex`] has no readers to
+    /// publish to. Kept for callers (recovery, the benchmark) written
+    /// against an index that deferred.
     fn flush(&mut self) {}
 
     /// Monotone *structural* generation: bumped whenever record ids are

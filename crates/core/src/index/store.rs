@@ -19,9 +19,17 @@
 //!   paper parameters take 2 bytes/coordinate instead of 8, quadrupling
 //!   the number of records per cache line.
 //! * **Tombstone bitmap.** Liveness is one bit per row (not an `Option`
-//!   discriminant per record), removal is O(1), and
+//!   discriminant per record), removal is one atomic bit flip — O(1),
+//!   and safe under a sweep that is reading the row — and
 //!   [`SketchArena::compact`] reclaims dead rows in place by sliding
 //!   live rows down the same buffer.
+//! * **Append under readers.** Cells and plane lanes live in
+//!   fixed-capacity `Column`s (`shared`): one writer appends a row and
+//!   then release-stores the row count, a sweep acquire-loads the count
+//!   once and reads nothing at or past it — so an
+//!   [`EpochIndex`](super::EpochIndex) shares its head with lock-free
+//!   readers instead of copying it (DESIGN.md "Publication
+//!   invariant").
 //! * **Borrowing iteration.** [`SketchArena::for_each_live`] streams
 //!   rows through a caller-visible `&[i64]` scratch row, so snapshot and
 //!   compaction passes never clone the whole population.
@@ -48,27 +56,29 @@
 //! knob and `DESIGN.md` for the lane math; rings whose cells are wider
 //! than `i16` bypass the plane and use the scalar kernel unchanged.
 //!
-//! # One sweep, four files
+//! # One sweep, one row writer, five files
 //!
 //! Every lookup — lowest id, all matches, a bounded count, a row
 //! subset, a batch of probes — is one driver with three inputs
-//! (`SketchArena::sweep(probes, rows, budget)` in `sweep`); the public
-//! `find_*` names only choose them. This file holds the arena and its
-//! configuration; `cells` the width-typed column buffer and the scalar
-//! match kernel, `plane` the prefilter plane and its depth/width model,
-//! `kernels` the isolated SIMD backends.
+//! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the public
+//! `find_*` names only choose them. Every row — a pushed sketch, a row
+//! a merge carries over — enters through `SketchArena::append`. This
+//! file holds the arena and its configuration; `cells` the width-typed
+//! column buffer and the scalar match kernel, `plane` the prefilter
+//! plane and its depth/width model, `kernels` the isolated SIMD
+//! backends, `shared` the append-under-readers buffer.
 
 mod cells;
 mod kernels;
 mod plane;
+mod shared;
 mod sweep;
 
 pub use cells::CellWidth;
-pub(crate) use sweep::RowFilter;
 pub use sweep::RowMask;
 
 use super::RecordId;
-use cells::{canonical_fast, canonical_range, Cell, Cells};
+use cells::Cells;
 use kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use kernels::{avx2, avx512};
@@ -76,6 +86,7 @@ use plane::{
     adaptive_depth, adaptive_depth_for_rate, byte_plane_eligible, quantize_ring, FilterPlane,
     PlaneRepr,
 };
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How (and whether) a [`SketchArena`] builds its SWAR/SIMD prefilter
 /// plane for the conditions (1)–(4) scan, and whether a scan may fan
@@ -301,7 +312,7 @@ impl Default for FilterConfig {
 /// [`SketchArena::find_first_batch`] only choose those three inputs.
 ///
 /// Rows are assigned densely in insertion order and never renumbered;
-/// [`SketchArena::remove`] flips a liveness bit, and
+/// [`SketchArena::remove`] flips a tombstone bit, and
 /// [`SketchArena::compact`] slides live rows down in place, returning
 /// the renumbering. The arena's dimension is stamped by the first
 /// [`SketchArena::push`]; pushing a different dimension panics, and
@@ -321,7 +332,7 @@ impl Default for FilterConfig {
 /// assert_eq!(arena.compact(), vec![(b, 0)]);
 /// assert_eq!(arena.row(0), Some(vec![180, 180, -180]));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SketchArena {
     t: u64,
     ka: u64,
@@ -329,15 +340,52 @@ pub struct SketchArena {
     /// Stamped by the first push (`None` while empty-and-unstamped).
     dim: Option<usize>,
     cells: Cells,
-    /// Liveness bitmap, one bit per row (1 = live).
-    live_bits: Vec<u64>,
-    rows: usize,
-    live: usize,
+    /// Rows `append` has room for before `&mut self` must grow.
+    capacity: usize,
+    /// The publication counter: rows `..rows` are complete — cells
+    /// written, and every whole 64-row group among them planed.
+    /// `Release`-stored by `append` after those writes, `Acquire`-loaded
+    /// once per sweep.
+    rows: AtomicUsize,
+    /// Tombstones, one bit per row (1 = removed), flipped atomically so
+    /// a sweep reading the word sees the row or its absence.
+    dead: Vec<AtomicU64>,
+    dead_rows: AtomicUsize,
     /// The prefilter knob (applied lazily: the plane itself exists only
     /// once the dimension is stamped, and only on `i16` rings).
     filter: FilterConfig,
     /// The dimension-major prefilter plane, when active.
     plane: Option<FilterPlane>,
+}
+
+/// What [`SketchArena::append`] copies a row from.
+#[derive(Clone, Copy)]
+pub(crate) enum Row<'a> {
+    /// A caller's sketch: canonicalised and narrowed on the way in.
+    Sketch(&'a [i64]),
+    /// This row of another arena over the same ring and dimension: its
+    /// cells are canonical already, so they are copied verbatim.
+    Stored(&'a SketchArena, RecordId),
+}
+
+impl Clone for SketchArena {
+    /// A private copy with the same capacity.
+    fn clone(&self) -> SketchArena {
+        let dead = self.dead.iter().map(|w| w.load(Ordering::SeqCst));
+        SketchArena {
+            t: self.t,
+            ka: self.ka,
+            width: self.width,
+            dim: self.dim,
+            cells: self.cells.clone(),
+            capacity: self.capacity,
+            rows: AtomicUsize::new(self.rows()),
+            dead: dead.map(AtomicU64::new).collect(),
+            dead_rows: AtomicUsize::new(self.dead_rows.load(Ordering::SeqCst)),
+            filter: self.filter,
+            plane: self.plane.clone(),
+        }
+    }
 }
 
 impl SketchArena {
@@ -361,16 +409,17 @@ impl SketchArena {
             width,
             dim: None,
             cells: Cells::with_capacity(width, 0),
-            live_bits: Vec::new(),
-            rows: 0,
-            live: 0,
+            capacity: 0,
+            rows: AtomicUsize::new(0),
+            dead: Vec::new(),
+            dead_rows: AtomicUsize::new(0),
             filter,
             plane: None,
         }
     }
 
     /// An empty arena pre-sized for `rows` sketches of `dim` coordinates
-    /// (the bulk-load path: snapshot recovery knows both up front).
+    /// (snapshot recovery knows both up front).
     pub fn with_capacity(t: u64, ka: u64, rows: usize, dim: usize) -> SketchArena {
         let mut arena = SketchArena::new(t, ka);
         arena.reserve(rows, dim);
@@ -378,27 +427,40 @@ impl SketchArena {
     }
 
     /// Pre-sizes for `additional` more rows of `dim` coordinates —
-    /// the column buffer, the liveness bitmap, **and** the prefilter
-    /// plane lanes, so a pre-sized bulk load reallocates nothing.
+    /// the column buffer, the tombstone words, **and** the prefilter
+    /// plane lanes, so a pre-sized load reallocates nothing.
     ///
     /// # Panics
     /// Panics if the arena is already stamped with a different
     /// dimension.
     pub fn reserve(&mut self, additional: usize, dim: usize) {
-        match self.dim {
-            None => {
-                self.dim = Some(dim);
-                self.stamp_plane();
-            }
-            Some(stamped) => {
-                assert_eq!(dim, stamped, "reserve dimension must match the stamp")
-            }
+        let stamped = self.stamp(dim);
+        assert_eq!(dim, stamped, "reserve dimension must match the stamp");
+        self.grow(self.rows() + additional);
+    }
+
+    /// The stamped dimension, stamping `dim` (and building the plane)
+    /// when this is the first row or reservation.
+    fn stamp(&mut self, dim: usize) -> usize {
+        if self.dim.is_none() {
+            self.dim = Some(dim);
+            self.stamp_plane();
         }
-        self.cells.reserve(additional * dim);
-        self.live_bits
-            .reserve((self.rows + additional).div_ceil(64) - self.live_bits.len());
+        self.dim.unwrap_or(dim)
+    }
+
+    /// Makes room for `capacity` rows in total. The buffers move, which
+    /// is why growth needs `&mut self` and `append` does not do it.
+    fn grow(&mut self, capacity: usize) {
+        if capacity <= self.capacity {
+            return;
+        }
+        self.capacity = capacity;
+        self.cells.grow(capacity * self.dim.unwrap_or(0));
+        self.dead
+            .resize_with(capacity.div_ceil(64), || AtomicU64::new(0));
         if let Some(plane) = &mut self.plane {
-            plane.reserve_rows(self.rows + additional);
+            plane.grow(capacity);
         }
     }
 
@@ -586,25 +648,29 @@ impl SketchArena {
 
     /// Live rows.
     pub fn len(&self) -> usize {
-        self.live
+        // Tombstones first: a row is counted before it can be removed,
+        // so this order never subtracts a removal from a count that
+        // does not hold its row yet.
+        let dead = self.dead_rows.load(Ordering::SeqCst);
+        self.rows() - dead
     }
 
     /// `true` when no live rows remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Total rows, live and tombstoned.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.rows.load(Ordering::Acquire)
     }
 
-    /// Heap bytes held by the arena: the column buffer, the liveness
-    /// bitmap, and the prefilter plane lanes (capacities, not lengths —
+    /// Heap bytes held by the arena: the column buffer, the tombstone
+    /// words, and the prefilter plane lanes (capacities, not lengths —
     /// this is what the allocator has actually handed out).
     pub fn heap_bytes(&self) -> usize {
         self.cells.capacity_bytes()
-            + self.live_bits.capacity() * 8
+            + self.dead.capacity() * 8
             + self.plane.as_ref().map_or(0, FilterPlane::heap_bytes)
     }
 
@@ -616,65 +682,76 @@ impl SketchArena {
     /// # Panics
     /// Panics if `sketch`'s dimension differs from the stamped one.
     pub fn push(&mut self, sketch: &[i64]) -> RecordId {
-        let dim = match self.dim {
-            Some(dim) => dim,
-            None => {
-                self.dim = Some(sketch.len());
-                self.stamp_plane();
-                sketch.len()
+        self.stamp(sketch.len());
+        if self.rows() == self.capacity {
+            self.grow((2 * self.capacity).max(64));
+        }
+        self.append(Row::Sketch(sketch))
+    }
+
+    /// The one routine that writes a row — through `&self`, so the
+    /// owner of an arena that lock-free sweeps are reading can keep
+    /// appending to it: the cells land past the published row count,
+    /// a group the row completes is planed, and only then does the
+    /// `Release` store of `rows` let a sweep (which `Acquire`-loads it
+    /// once) reach any of it.
+    ///
+    /// One caller at a time: `&mut self` callers ([`SketchArena::push`])
+    /// are that by construction, an [`EpochIndex`](super::EpochIndex)
+    /// appends to its head under its own `&mut self`, and the columns
+    /// refuse — by panicking — a second concurrent writer.
+    ///
+    /// # Panics
+    /// Panics if the arena is unstamped or full (see
+    /// [`SketchArena::reserve`]), or on a dimension mismatch.
+    pub(crate) fn append(&self, src: Row<'_>) -> RecordId {
+        let dim = self.dim.expect("append needs a stamped, reserved arena");
+        let row = self.rows.load(Ordering::Relaxed);
+        assert!(row < self.capacity, "arena capacity exceeded");
+        match src {
+            Row::Sketch(sketch) => {
+                assert_eq!(
+                    sketch.len(),
+                    dim,
+                    "sketch dimension {} does not match the arena's stamped dimension {dim}",
+                    sketch.len()
+                );
+                self.cells.append_sketch(sketch, self.ka);
             }
-        };
-        assert_eq!(
-            sketch.len(),
-            dim,
-            "sketch dimension {} does not match the arena's stamped dimension {dim}",
-            sketch.len()
-        );
-        let ka = self.ka;
-        let (lo, hi) = canonical_range(ka);
-        match &mut self.cells {
-            Cells::I16(v) => v.extend(
-                sketch
-                    .iter()
-                    .map(|&c| i16::narrow(canonical_fast(c, lo, hi, ka))),
-            ),
-            Cells::I32(v) => v.extend(
-                sketch
-                    .iter()
-                    .map(|&c| i32::narrow(canonical_fast(c, lo, hi, ka))),
-            ),
-            Cells::I64(v) => v.extend(sketch.iter().map(|&c| canonical_fast(c, lo, hi, ka))),
+            Row::Stored(from, r) => {
+                assert_eq!((from.ka, from.dim), (self.ka, self.dim), "foreign row");
+                self.cells
+                    .append_stored(&from.cells, r * dim..(r + 1) * dim);
+            }
         }
-        let row = self.rows;
-        // Mirror the row's leading coordinates into the prefilter plane
-        // (reading back the just-stored canonical residues).
-        if let (Some(plane), Cells::I16(v)) = (&mut self.plane, &self.cells) {
-            let pd = plane.dims();
-            plane.push_row(row, &v[row * dim..row * dim + pd]);
+        if let (63, Some(plane), Cells::I16(cells)) = (row % 64, &self.plane, &self.cells) {
+            plane.fill_group(&cells.published()[(row - 63) * dim..], dim);
         }
-        if row / 64 == self.live_bits.len() {
-            self.live_bits.push(0);
-        }
-        self.live_bits[row / 64] |= 1 << (row % 64);
-        self.rows += 1;
-        self.live += 1;
+        self.rows.store(row + 1, Ordering::Release);
         row
     }
 
     /// Is this row live (assigned and not tombstoned)?
     pub fn is_live(&self, id: RecordId) -> bool {
-        id < self.rows && self.live_bits[id / 64] & (1 << (id % 64)) != 0
+        id < self.rows() && self.dead[id / 64].load(Ordering::SeqCst) & (1 << (id % 64)) == 0
     }
 
     /// Tombstones a row. Returns `false` for unknown or already-dead
     /// ids. O(1): one bitmap bit flips; the cells stay until
     /// [`SketchArena::compact`].
     pub fn remove(&mut self, id: RecordId) -> bool {
-        if !self.is_live(id) {
+        self.revoke(id)
+    }
+
+    /// [`SketchArena::remove`] through `&self`: the flip is atomic, so
+    /// a sweep in flight observes either the row or its absence — never
+    /// a torn word. One caller at a time, like `append`.
+    pub(crate) fn revoke(&self, id: RecordId) -> bool {
+        let bit = 1u64 << (id % 64);
+        if id >= self.rows() || self.dead[id / 64].fetch_or(bit, Ordering::SeqCst) & bit != 0 {
             return false;
         }
-        self.live_bits[id / 64] &= !(1 << (id % 64));
-        self.live -= 1;
+        self.dead_rows.fetch_add(1, Ordering::SeqCst);
         true
     }
 
@@ -696,12 +773,7 @@ impl SketchArena {
             return false;
         }
         let dim = self.dim.expect("live rows imply a stamped dimension");
-        let range = id * dim..(id + 1) * dim;
-        match &self.cells {
-            Cells::I16(v) => out.extend(v[range].iter().map(|&c| c.widen())),
-            Cells::I32(v) => out.extend(v[range].iter().map(|&c| c.widen())),
-            Cells::I64(v) => out.extend_from_slice(&v[range]),
-        }
+        self.cells.widen_into(id * dim..(id + 1) * dim, out);
         true
     }
 
@@ -710,18 +782,30 @@ impl SketchArena {
     /// `Vec<(RecordId, Vec<i64>)>` for snapshot and compaction passes.
     pub fn for_each_live(&self, mut f: impl FnMut(RecordId, &[i64])) {
         let mut scratch = Vec::new();
-        for id in 0..self.rows {
+        for id in 0..self.rows() {
             if self.copy_row_into(id, &mut scratch) {
                 f(id, &scratch);
             }
         }
     }
 
+    /// The liveness word of rows `64·w ..` among the first `rows`: one
+    /// bit per row that exists and is not tombstoned.
+    fn live_word(&self, w: usize, rows: usize) -> u64 {
+        let exist = match rows - w * 64 {
+            n @ 0..64 => (1u64 << n) - 1,
+            _ => !0,
+        };
+        exist & !self.dead[w].load(Ordering::SeqCst)
+    }
+
     /// The column buffer as little-endian bytes in storage order plus
     /// the liveness words — the payload of a sealed-segment frame
     /// (round-tripped by [`SketchArena::from_parts`]).
-    pub(crate) fn export_parts(&self) -> (Vec<u8>, &[u64]) {
-        (self.cells.to_le_bytes(), &self.live_bits)
+    pub(crate) fn export_parts(&self) -> (Vec<u8>, Vec<u64>) {
+        let rows = self.rows();
+        let live = (0..rows.div_ceil(64)).map(|w| self.live_word(w, rows));
+        (self.cells.to_le_bytes(), live.collect())
     }
 
     /// Rebuilds an arena from a sealed-segment frame: `rows` rows of
@@ -739,7 +823,7 @@ impl SketchArena {
         dim: usize,
         rows: usize,
         cell_bytes: &[u8],
-        mut live_words: Vec<u64>,
+        live_words: &[u64],
     ) -> Option<SketchArena> {
         let width = CellWidth::for_ring(ka);
         if cell_bytes.len() != rows * dim * width.cell_bytes()
@@ -747,42 +831,55 @@ impl SketchArena {
         {
             return None;
         }
-        let cells = Cells::from_le_bytes(width, cell_bytes)?;
-        debug_assert_eq!(cells.len_cells(), rows * dim);
-        // Mask bits past the last row defensively: `live` is counted
-        // from these words, and stray tail bits would corrupt it.
-        if let (Some(last), tail @ 1..) = (live_words.last_mut(), rows % 64) {
-            *last &= (1u64 << tail) - 1;
-        }
-        let live = live_words.iter().map(|w| w.count_ones() as usize).sum();
         let mut arena = SketchArena::with_filter(t, ka, filter);
-        arena.cells = cells;
-        arena.live_bits = live_words;
-        arena.rows = rows;
-        arena.live = live;
-        arena.dim = Some(dim);
-        arena.stamp_plane();
-        if let (Some(plane), Cells::I16(v)) = (&mut arena.plane, &arena.cells) {
-            let pd = plane.dims();
-            plane.reserve_rows(rows);
-            for row in 0..rows {
-                plane.push_row(row, &v[row * dim..row * dim + pd]);
-            }
+        arena.cells = Cells::from_le_bytes(width, cell_bytes)?;
+        arena.capacity = rows;
+        arena.rows = AtomicUsize::new(rows);
+        arena.stamp(dim);
+        arena.dead = live_words.iter().map(|&w| AtomicU64::new(!w)).collect();
+        // Bits past the last row are not tombstones: a row pushed there
+        // later must be born live.
+        if let (Some(last), tail @ 1..) = (arena.dead.last_mut(), rows % 64) {
+            *last.get_mut() &= (1u64 << tail) - 1;
         }
+        let dead = arena
+            .dead
+            .iter_mut()
+            .map(|w| w.get_mut().count_ones() as usize);
+        arena.dead_rows = AtomicUsize::new(dead.sum());
+        arena.rebuild_plane();
         Some(arena)
+    }
+
+    /// Rebuilds the plane's complete groups from the cells (exclusive
+    /// access: the rows were installed or slid wholesale).
+    fn rebuild_plane(&mut self) {
+        if let (Some(plane), Cells::I16(cells), Some(dim)) =
+            (&mut self.plane, &self.cells, self.dim)
+        {
+            plane.grow(self.capacity);
+            plane.rebuild(cells.published(), *self.rows.get_mut(), dim);
+        }
     }
 
     /// Drops every row and resets id assignment; the width, `t`, `ka`,
     /// dimension stamp and prefilter plane are retained, as is the
     /// allocated capacity.
     pub fn clear(&mut self) {
-        self.cells.clear();
-        self.live_bits.clear();
+        self.reset_rows(0);
         if let Some(plane) = &mut self.plane {
             plane.clear();
         }
-        self.rows = 0;
-        self.live = 0;
+    }
+
+    /// Keeps the first `rows` rows, all live.
+    fn reset_rows(&mut self, rows: usize) {
+        self.cells.truncate(rows * self.dim.unwrap_or(0));
+        *self.rows.get_mut() = rows;
+        *self.dead_rows.get_mut() = 0;
+        for word in &mut self.dead {
+            *word.get_mut() = 0;
+        }
     }
 
     /// Reclaims tombstoned rows **in place**: live rows slide down the
@@ -790,50 +887,37 @@ impl SketchArena {
     /// dense, and the old → new renumbering is returned. No row data is
     /// cloned and no new buffer is allocated.
     pub fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
+        let rows = self.rows();
         let dim = match self.dim {
-            Some(dim) if self.live < self.rows => dim,
+            Some(dim) if self.len() < rows => dim,
             // Nothing stored, or nothing tombstoned: identity mapping.
             _ => {
-                return (0..self.rows).map(|id| (id, id)).collect();
+                return (0..rows).map(|id| (id, id)).collect();
             }
         };
-        let mut mapping = Vec::with_capacity(self.live);
-        let mut next = 0usize;
-        for id in 0..self.rows {
+        let mut mapping = Vec::with_capacity(self.len());
+        for id in 0..rows {
             if !self.is_live(id) {
                 continue;
             }
+            let next = mapping.len();
             if next != id {
-                match &mut self.cells {
-                    Cells::I16(v) => v.copy_within(id * dim..(id + 1) * dim, next * dim),
-                    Cells::I32(v) => v.copy_within(id * dim..(id + 1) * dim, next * dim),
-                    Cells::I64(v) => v.copy_within(id * dim..(id + 1) * dim, next * dim),
-                }
+                self.cells.slide(id * dim, next * dim, dim);
             }
             mapping.push((id, next));
-            next += 1;
         }
-        self.rows = next;
-        self.cells.truncate(next * dim);
-        self.live_bits.clear();
-        self.live_bits.resize(next.div_ceil(64), 0);
-        for id in 0..next {
-            self.live_bits[id / 64] |= 1 << (id % 64);
-        }
-        self.live = next;
+        self.reset_rows(mapping.len());
         // The plane's packed words cannot slide at sub-word granularity
         // the way the cells did — rebuild its lanes from the compacted
         // buffer (same O(rows) order as the slide itself).
-        if let (Some(plane), Cells::I16(v)) = (&mut self.plane, &self.cells) {
-            plane.rebuild(v, next, dim);
-        }
+        self.rebuild_plane();
         mapping
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::cells::canonical;
+    use super::cells::{canonical, canonical_range};
     use super::*;
 
     #[test]
@@ -1146,7 +1230,7 @@ mod tests {
         assert_eq!(
             arena.heap_bytes(),
             sized,
-            "a pre-sized bulk load must not reallocate cells, bitmap, or plane"
+            "a pre-sized load must not reallocate cells, bitmap, or plane"
         );
     }
 

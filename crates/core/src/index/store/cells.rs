@@ -1,6 +1,9 @@
 //! The width-typed column buffer of a [`SketchArena`](super::SketchArena),
 //! canonical ring representatives, and the scalar match kernel.
 
+use super::shared::Column;
+use std::ops::Range;
+
 /// Cell type a [`SketchArena`](super::SketchArena) stores coordinates
 /// in, chosen from the ring circumference `ka` at construction (see
 /// [`CellWidth::for_ring`]).
@@ -88,68 +91,86 @@ impl Cell for i64 {
 /// The one column buffer, typed by the arena's cell width.
 #[derive(Debug, Clone)]
 pub(super) enum Cells {
-    I16(Vec<i16>),
-    I32(Vec<i32>),
-    I64(Vec<i64>),
+    I16(Column<i16>),
+    I32(Column<i32>),
+    I64(Column<i64>),
+}
+
+/// Runs `$body` with `$col` bound to the typed column of `$cells`.
+macro_rules! each_width {
+    ($cells:expr, $col:ident => $body:expr) => {
+        match $cells {
+            Cells::I16($col) => $body,
+            Cells::I32($col) => $body,
+            Cells::I64($col) => $body,
+        }
+    };
 }
 
 impl Cells {
     pub(super) fn with_capacity(width: CellWidth, cells: usize) -> Cells {
         match width {
-            CellWidth::I16 => Cells::I16(Vec::with_capacity(cells)),
-            CellWidth::I32 => Cells::I32(Vec::with_capacity(cells)),
-            CellWidth::I64 => Cells::I64(Vec::with_capacity(cells)),
+            CellWidth::I16 => Cells::I16(Column::with_capacity(cells)),
+            CellWidth::I32 => Cells::I32(Column::with_capacity(cells)),
+            CellWidth::I64 => Cells::I64(Column::with_capacity(cells)),
         }
     }
 
     pub(super) fn capacity_bytes(&self) -> usize {
         match self {
-            Cells::I16(v) => v.capacity() * 2,
-            Cells::I32(v) => v.capacity() * 4,
-            Cells::I64(v) => v.capacity() * 8,
+            Cells::I16(col) => col.capacity() * 2,
+            Cells::I32(col) => col.capacity() * 4,
+            Cells::I64(col) => col.capacity() * 8,
         }
     }
 
-    pub(super) fn reserve(&mut self, cells: usize) {
-        match self {
-            Cells::I16(v) => v.reserve(cells),
-            Cells::I32(v) => v.reserve(cells),
-            Cells::I64(v) => v.reserve(cells),
-        }
-    }
-
-    pub(super) fn clear(&mut self) {
-        match self {
-            Cells::I16(v) => v.clear(),
-            Cells::I32(v) => v.clear(),
-            Cells::I64(v) => v.clear(),
-        }
+    /// Makes room for `cells` values in total (exclusive access: the
+    /// buffer may move).
+    pub(super) fn grow(&mut self, cells: usize) {
+        each_width!(self, col => col.grow(cells))
     }
 
     pub(super) fn truncate(&mut self, cells: usize) {
-        match self {
-            Cells::I16(v) => v.truncate(cells),
-            Cells::I32(v) => v.truncate(cells),
-            Cells::I64(v) => v.truncate(cells),
+        each_width!(self, col => col.truncate(cells))
+    }
+
+    /// Slides the `len` cells at `from` down to `to` (in-place
+    /// compaction; exclusive access).
+    pub(super) fn slide(&mut self, from: usize, to: usize, len: usize) {
+        each_width!(self, col => col.as_mut_slice().copy_within(from..from + len, to))
+    }
+
+    /// Appends one row from a caller's sketch, canonicalised and
+    /// narrowed to the cell width on the way in.
+    pub(super) fn append_sketch(&self, sketch: &[i64], ka: u64) {
+        let (lo, hi) = canonical_range(ka);
+        each_width!(self, col => col.extend(sketch.len(), |cells| {
+            for (cell, &v) in cells.iter_mut().zip(sketch) {
+                *cell = Cell::narrow(canonical_fast(v, lo, hi, ka));
+            }
+        }))
+    }
+
+    /// Appends cells `at` of `from` verbatim — a stored row is already
+    /// canonical, so moving it between arenas of one ring is a copy.
+    pub(super) fn append_stored(&self, from: &Cells, at: Range<usize>) {
+        match (self, from) {
+            (Cells::I16(to), Cells::I16(from)) => to.extend_from_slice(&from.published()[at]),
+            (Cells::I32(to), Cells::I32(from)) => to.extend_from_slice(&from.published()[at]),
+            (Cells::I64(to), Cells::I64(from)) => to.extend_from_slice(&from.published()[at]),
+            _ => panic!("rows move only between arenas of one cell width"),
         }
     }
 
-    pub(super) fn len_cells(&self) -> usize {
-        match self {
-            Cells::I16(v) => v.len(),
-            Cells::I32(v) => v.len(),
-            Cells::I64(v) => v.len(),
-        }
+    /// Widens cells `at` into `out`.
+    pub(super) fn widen_into(&self, at: Range<usize>, out: &mut Vec<i64>) {
+        each_width!(self, col => out.extend(col.published()[at].iter().map(|&c| c.widen())))
     }
 
     /// The column buffer as little-endian bytes, in storage order —
     /// the sealed-segment frame payload.
     pub(super) fn to_le_bytes(&self) -> Vec<u8> {
-        match self {
-            Cells::I16(v) => v.iter().flat_map(|c| c.to_le_bytes()).collect(),
-            Cells::I32(v) => v.iter().flat_map(|c| c.to_le_bytes()).collect(),
-            Cells::I64(v) => v.iter().flat_map(|c| c.to_le_bytes()).collect(),
-        }
+        each_width!(self, col => col.published().iter().flat_map(|c| c.to_le_bytes()).collect())
     }
 
     /// Rebuilds a column buffer from little-endian bytes. `None` when
@@ -158,27 +179,27 @@ impl Cells {
         if !bytes.len().is_multiple_of(width.cell_bytes()) {
             return None;
         }
-        Some(match width {
-            CellWidth::I16 => Cells::I16(
-                bytes
-                    .chunks_exact(2)
-                    .map(|b| i16::from_le_bytes([b[0], b[1]]))
-                    .collect(),
-            ),
-            CellWidth::I32 => Cells::I32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect(),
-            ),
-            CellWidth::I64 => Cells::I64(
-                bytes
-                    .chunks_exact(8)
-                    .map(|b| i64::from_le_bytes(b.try_into().expect("chunk of 8")))
-                    .collect(),
-            ),
-        })
+        let cells = Cells::with_capacity(width, bytes.len() / width.cell_bytes());
+        match &cells {
+            Cells::I16(col) => decode_cells(col, bytes, i16::from_le_bytes),
+            Cells::I32(col) => decode_cells(col, bytes, i32::from_le_bytes),
+            Cells::I64(col) => decode_cells(col, bytes, i64::from_le_bytes),
+        }
+        Some(cells)
     }
+}
+
+/// Fills an empty column of `bytes.len() / N` cells from `bytes`.
+fn decode_cells<C: Copy + Default, const N: usize>(
+    col: &Column<C>,
+    bytes: &[u8],
+    decode: fn([u8; N]) -> C,
+) {
+    col.extend(col.capacity(), |cells| {
+        for (cell, chunk) in cells.iter_mut().zip(bytes.chunks_exact(N)) {
+            *cell = decode(chunk.try_into().expect("chunks_exact yields N bytes"));
+        }
+    });
 }
 
 /// The canonical ring representative of `v` in `Z_ka`: the minimal
@@ -196,7 +217,7 @@ pub(super) fn canonical(v: i64, ka: u64) -> i64 {
 }
 
 /// The closed interval of already-canonical values for `Z_ka`, clamped
-/// to `i64`. Real sketches always land inside it, so the bulk-load hot
+/// to `i64`. Real sketches always land inside it, so the insert hot
 /// path reduces canonicalization to two compares per coordinate
 /// ([`canonical`]'s `i128` division only runs for out-of-range input).
 pub(super) fn canonical_range(ka: u64) -> (i64, i64) {

@@ -1,6 +1,6 @@
 //! The isolated SIMD prefilter backends (AVX2, AVX-512, NEON and its
-//! portable emulation) and the phase-2 software prefetch: the only
-//! `unsafe` in the index.
+//! portable emulation) and the phase-2 software prefetch: the index's
+//! `unsafe`, together with the `shared` buffer.
 
 /// The vector kernel actually chosen for a scan, after runtime feature
 /// detection resolved [`FilterKernel::Auto`].
@@ -57,14 +57,14 @@ pub(super) mod avx2 {
     /// # Panics
     /// Panics when AVX2 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn quad(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
+    pub fn quad(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
         assert!(available(), "AVX2 kernel dispatched without AVX2");
         // SAFETY: the avx2 target feature was just verified above.
         unsafe { quad_avx2(lanes, biased, t, ka, wi) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn quad_avx2(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
+    fn quad_avx2(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
         let zero = _mm256_setzero_si256();
         let tv = _mm256_set1_epi16(t as i16);
         let kav = _mm256_set1_epi16(ka as i16);
@@ -104,14 +104,14 @@ pub(super) mod avx2 {
     /// # Panics
     /// Panics when AVX2 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn quad8(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
+    pub fn quad8(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
         assert!(available(), "AVX2 kernel dispatched without AVX2");
         // SAFETY: the avx2 target feature was just verified above.
         unsafe { quad8_avx2(lanes, biased, t, ka, wi) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn quad8_avx2(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
+    fn quad8_avx2(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
         let zero = _mm256_setzero_si256();
         let tv = _mm256_set1_epi8(t as i8);
         // `ka` is the bucket count ≤ 256; 256 wraps to 0, which is
@@ -172,7 +172,7 @@ pub(super) mod avx512 {
     /// # Panics
     /// Panics when AVX-512 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn octo(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
+    pub fn octo(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         // SAFETY: the avx512f/avx512bw target features were just
         // verified above.
@@ -180,7 +180,7 @@ pub(super) mod avx512 {
     }
 
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo_avx512(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
+    fn octo_avx512(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
         let tv = _mm512_set1_epi16(t as i16);
         let kav = _mm512_set1_epi16(ka as i16);
         let mut acc: u32 = !0;
@@ -214,7 +214,7 @@ pub(super) mod avx512 {
     /// # Panics
     /// Panics when AVX-512 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn octo8(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
+    pub fn octo8(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         // SAFETY: the avx512f/avx512bw target features were just
         // verified above.
@@ -222,7 +222,7 @@ pub(super) mod avx512 {
     }
 
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo8_avx512(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
+    fn octo8_avx512(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
         let tv = _mm512_set1_epi8(t as i8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
         // which passes regardless (see the AVX2 byte kernel).
@@ -264,7 +264,7 @@ pub(super) mod neon {
 
     /// Prefilters 8 rows (plane words `wi`, `wi+1` of every lane)
     /// against a probe, returning one bit per passing row.
-    pub fn eight(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u8 {
+    pub fn eight(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u8 {
         let tv = intr::dup(t);
         let kav = intr::dup(ka);
         let mut acc = intr::dup(u16::MAX);
@@ -287,7 +287,7 @@ pub(super) mod neon {
     /// Prefilters 16 rows of a quantized byte plane (plane words `wi`,
     /// `wi+1` of every lane) against a probe's bucket values, returning
     /// one bit per passing row — twice [`eight`]'s rows per step.
-    pub fn sixteen(lanes: &[Vec<u64>], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
+    pub fn sixteen(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
         let tv = intr::dup8(t as u8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
         // which passes regardless (buckets are < ka, so d ≤ ka − 1 and

@@ -7,6 +7,7 @@ use super::kernels::neon;
 use super::kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use super::kernels::{avx2, avx512};
+use super::shared::Column;
 use super::FilterConfig;
 
 /// Resolves [`PlaneDepth::Adaptive`] for a ring: the smallest depth
@@ -121,12 +122,19 @@ pub(super) enum PlaneRepr {
 /// quantized 8-bit buckets packed eight rows per word.
 ///
 /// Only rows' *positions* live here — liveness stays in the arena's
-/// bitmap, which the candidate masks are intersected with, so `remove`
-/// never touches the plane and stale tombstone lanes are harmless.
+/// tombstone words, which the candidate masks are intersected with, so
+/// `remove` never touches the plane and stale tombstone lanes are
+/// harmless.
+///
+/// Lanes are written one complete 64-row group at a time
+/// ([`FilterPlane::fill_group`]), after the group's last row landed in
+/// the cells and before the row count that publishes it: a plane word
+/// is never seen with an unwritten lane, and the rows of the open group
+/// (at most 63 per arena) are verified straight from their cells.
 #[derive(Debug, Clone)]
 pub(super) struct FilterPlane {
     /// One packed lane per filter dimension (`min(config.dims, dim)`).
-    lanes: Vec<Vec<u64>>,
+    lanes: Vec<Column<u64>>,
     /// Lane cell representation (16-bit exact / 8-bit quantized).
     pub(super) repr: PlaneRepr,
     /// The ring circumference (fits: planes only exist for `ka < 2¹⁵`).
@@ -172,7 +180,7 @@ impl FilterPlane {
             }
         };
         FilterPlane {
-            lanes: vec![Vec::new(); dims],
+            lanes: (0..dims).map(|_| Column::with_capacity(0)).collect(),
             repr,
             ka16,
             cmp_t,
@@ -186,10 +194,10 @@ impl FilterPlane {
         self.lanes.len()
     }
 
-    /// Rows packed per `u64` lane word: 4 × u16 or 8 × u8.
-    fn rows_per_word(&self) -> usize {
+    /// Lane words per 64-row group: 16 × (4 × u16) or 8 × (8 × u8).
+    fn group_words(&self) -> usize {
         match self.repr {
-            PlaneRepr::U16 => 4,
+            PlaneRepr::U16 => 16,
             PlaneRepr::U8 { .. } => 8,
         }
     }
@@ -217,48 +225,74 @@ impl FilterPlane {
         self.lanes.iter().map(|l| l.capacity() * 8).sum()
     }
 
-    pub(super) fn reserve_rows(&mut self, total_rows: usize) {
-        let words = total_rows.div_ceil(self.rows_per_word());
+    /// Makes room for the complete groups of `total_rows` rows
+    /// (exclusive access: the lanes may move).
+    pub(super) fn grow(&mut self, total_rows: usize) {
+        let words = total_rows / 64 * self.group_words();
         for lane in &mut self.lanes {
-            lane.reserve(words.saturating_sub(lane.len()));
+            lane.grow(words);
         }
     }
 
     pub(super) fn clear(&mut self) {
         for lane in &mut self.lanes {
-            lane.clear();
+            lane.truncate(0);
         }
     }
 
-    /// Appends row `row`'s leading coordinates (canonical `i16`
-    /// residues) to every lane. Rows must arrive densely in order.
-    pub(super) fn push_row(&mut self, row: usize, leading: &[i16]) {
-        debug_assert_eq!(leading.len(), self.lanes.len());
-        let rpw = self.rows_per_word();
-        let (word, slot) = (row / rpw, row % rpw);
+    /// Appends one complete group to every lane: `cells` holds the
+    /// group's 64 rows, `dim` canonical `i16` residues each. Groups
+    /// must arrive densely in order.
+    pub(super) fn fill_group(&self, cells: &[i16], dim: usize) {
+        debug_assert_eq!(cells.len(), 64 * dim);
         let (quant, bits) = match self.repr {
             PlaneRepr::U16 => (1, 16),
             PlaneRepr::U8 { q } => (q, 8),
         };
-        for (lane, &c) in self.lanes.iter_mut().zip(leading) {
-            let b = u64::from(bias16(c, self.ka16) / quant);
-            if slot == 0 {
-                debug_assert_eq!(lane.len(), word);
-                lane.push(b);
-            } else {
-                lane[word] |= b << (bits * slot);
-            }
+        let per_word = 64 / bits;
+        for (d, lane) in self.lanes.iter().enumerate() {
+            lane.extend(self.group_words(), |words| {
+                words.fill(0);
+                for (r, row) in cells.chunks_exact(dim).enumerate() {
+                    let b = u64::from(bias16(row[d], self.ka16) / quant);
+                    words[r / per_word] |= b << (bits * (r % per_word));
+                }
+            });
         }
     }
 
     /// Rebuilds every lane from the (compacted) row-major cell buffer.
     pub(super) fn rebuild(&mut self, cells: &[i16], rows: usize, dim: usize) {
         self.clear();
-        let pd = self.dims();
-        for row in 0..rows {
-            let base = row * dim;
-            self.push_row(row, &cells[base..base + pd]);
+        for group in cells[..rows / 64 * 64 * dim].chunks_exact(64 * dim) {
+            self.fill_group(group, dim);
         }
+    }
+
+    /// The complete groups published so far, for one sweep.
+    pub(super) fn view(&self) -> PlaneView<'_> {
+        PlaneView {
+            plane: self,
+            lanes: self.lanes.iter().map(Column::published).collect(),
+        }
+    }
+}
+
+/// One sweep's view of a [`FilterPlane`]: every lane's published
+/// words, sliced once so the kernels index plain slices.
+pub(super) struct PlaneView<'a> {
+    pub(super) plane: &'a FilterPlane,
+    lanes: Vec<&'a [u64]>,
+}
+
+impl PlaneView<'_> {
+    /// Complete 64-row groups every lane of this view holds: liveness
+    /// words below this go through phase 1, the rest are verified from
+    /// their cells. The minimum, because the lanes were sliced one
+    /// after another while the writer may have been extending them.
+    pub(super) fn groups(&self) -> usize {
+        let words = self.lanes.iter().map(|l| l.len()).min();
+        words.map_or(0, |w| w / self.plane.group_words())
     }
 
     /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
@@ -279,10 +313,10 @@ impl FilterPlane {
         // |a − b| per lane, MSB bias stripped.
         let absd = ((d1 & ge) | (d2 & !ge)) & !MSBS;
         // Cyclic pass: absd ≤ cmp_t  OR  absd ≥ cmp_ka − cmp_t.
-        ((self.th - absd) | ((absd | MSBS) - self.kmt)) & MSBS
+        ((self.plane.th - absd) | ((absd | MSBS) - self.plane.kmt)) & MSBS
     }
 
-    /// Gathers [`FilterPlane::swar_pass`] survivor MSBs into 4 low
+    /// Gathers [`PlaneView::swar_pass`] survivor MSBs into 4 low
     /// bits.
     #[inline]
     fn swar_gather(acc: u64) -> u64 {
@@ -332,10 +366,11 @@ impl FilterPlane {
         spread(Self::swar_gather(acc_e)) | (spread(Self::swar_gather(acc_o)) << 1)
     }
 
-    /// Candidate mask for one 64-row block: prefilters the block's
-    /// plane words (16 on the 16-bit plane, 8 on the byte plane)
-    /// against the probe and intersects with the block's liveness word
-    /// (which also discards tail lanes past the last real row).
+    /// Candidate mask for one complete 64-row group (`w <
+    /// self.groups()`): prefilters the group's plane words (16 on the
+    /// 16-bit plane, 8 on the byte plane) against the probe and
+    /// intersects with the group's liveness word. Groups are whole, so
+    /// every backend runs full vectors — there is no buffer tail.
     pub(super) fn block_candidates(
         &self,
         kernel: ActiveKernel,
@@ -343,10 +378,10 @@ impl FilterPlane {
         w: usize,
         lw: u64,
     ) -> u64 {
-        if let PlaneRepr::U8 { .. } = self.repr {
+        if let PlaneRepr::U8 { .. } = self.plane.repr {
             return self.block_candidates_u8(kernel, pf, w, lw);
         }
-        let words = self.lanes[0].len();
+        let (t, ka) = (self.plane.cmp_t, self.plane.cmp_ka);
         let base = w * 16;
         let mut out = 0u64;
         match kernel {
@@ -354,19 +389,9 @@ impl FilterPlane {
             ActiveKernel::Avx512 => {
                 for half in 0..2 {
                     // Wholly-dead 32-row runs need no prefilter at all.
-                    if (lw >> (half * 32)) & 0xFFFF_FFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + half * 8;
-                    if wi + 8 <= words {
-                        let m = avx512::octo(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                    if (lw >> (half * 32)) & 0xFFFF_FFFF != 0 {
+                        let m = avx512::octo(&self.lanes, pf.biased, t, ka, base + half * 8);
                         out |= u64::from(m) << (half * 32);
-                    } else {
-                        // Tail of the buffer: too few words for a full
-                        // 32-row vector — finish with SWAR words.
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word(pf, wi) << (half * 32 + sub * 4);
-                        }
                     }
                 }
             }
@@ -374,17 +399,9 @@ impl FilterPlane {
             ActiveKernel::Neon => {
                 for group in 0..8 {
                     // Wholly-dead 8-row runs need no prefilter at all.
-                    if (lw >> (group * 8)) & 0xFF == 0 {
-                        continue;
-                    }
-                    let wi = base + group * 2;
-                    if wi + 2 <= words {
-                        let m = neon::eight(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                    if (lw >> (group * 8)) & 0xFF != 0 {
+                        let m = neon::eight(&self.lanes, pf.biased, t, ka, base + group * 2);
                         out |= u64::from(m) << (group * 8);
-                    } else {
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word(pf, wi) << (group * 8 + sub * 4);
-                        }
                     }
                 }
             }
@@ -392,42 +409,27 @@ impl FilterPlane {
             ActiveKernel::Avx2 => {
                 for chunk in 0..4 {
                     // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (chunk * 16)) & 0xFFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + chunk * 4;
-                    if wi + 4 <= words {
-                        let m = avx2::quad(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                    if (lw >> (chunk * 16)) & 0xFFFF != 0 {
+                        let m = avx2::quad(&self.lanes, pf.biased, t, ka, base + chunk * 4);
                         out |= u64::from(m) << (chunk * 16);
-                    } else {
-                        // Tail of the buffer: too few words for a full
-                        // 16-row vector — finish with SWAR words.
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word(pf, wi) << (chunk * 16 + sub * 4);
-                        }
                     }
                 }
             }
             ActiveKernel::Swar => {
                 for sub in 0..16 {
-                    if (lw >> (sub * 4)) & 0xF == 0 {
-                        continue;
+                    if (lw >> (sub * 4)) & 0xF != 0 {
+                        out |= self.swar_word(pf, base + sub) << (sub * 4);
                     }
-                    let wi = base + sub;
-                    if wi >= words {
-                        break;
-                    }
-                    out |= self.swar_word(pf, wi) << (sub * 4);
                 }
             }
         }
         out & lw
     }
 
-    /// [`FilterPlane::block_candidates`] for the byte plane: one
-    /// 64-row block is 8 plane words, so every backend covers twice
-    /// the rows per step — AVX-512 masks the whole block in a single
-    /// 512-bit compare.
+    /// [`PlaneView::block_candidates`] for the byte plane: one 64-row
+    /// group is 8 plane words, so every backend covers twice the rows
+    /// per step — AVX-512 masks the whole group in a single 512-bit
+    /// compare.
     fn block_candidates_u8(
         &self,
         kernel: ActiveKernel,
@@ -435,37 +437,19 @@ impl FilterPlane {
         w: usize,
         lw: u64,
     ) -> u64 {
-        let words = self.lanes[0].len();
+        let (t, ka) = (self.plane.cmp_t, self.plane.cmp_ka);
         let base = w * 8;
         let mut out = 0u64;
         match kernel {
             #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => {
-                if base + 8 <= words {
-                    out = avx512::octo8(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, base);
-                } else {
-                    // Tail of the buffer: too few words for a full
-                    // 64-row vector — finish with SWAR words.
-                    for (sub, wi) in (base..words).enumerate() {
-                        out |= self.swar_word_u8(pf, wi) << (sub * 8);
-                    }
-                }
-            }
+            ActiveKernel::Avx512 => out = avx512::octo8(&self.lanes, pf.biased, t, ka, base),
             #[cfg(target_arch = "aarch64")]
             ActiveKernel::Neon => {
                 for group in 0..4 {
                     // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (group * 16)) & 0xFFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + group * 2;
-                    if wi + 2 <= words {
-                        let m = neon::sixteen(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                    if (lw >> (group * 16)) & 0xFFFF != 0 {
+                        let m = neon::sixteen(&self.lanes, pf.biased, t, ka, base + group * 2);
                         out |= u64::from(m) << (group * 16);
-                    } else {
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word_u8(pf, wi) << (group * 16 + sub * 8);
-                        }
                     }
                 }
             }
@@ -473,32 +457,17 @@ impl FilterPlane {
             ActiveKernel::Avx2 => {
                 for half in 0..2 {
                     // Wholly-dead 32-row runs need no prefilter at all.
-                    if (lw >> (half * 32)) & 0xFFFF_FFFF == 0 {
-                        continue;
-                    }
-                    let wi = base + half * 4;
-                    if wi + 4 <= words {
-                        let m = avx2::quad8(&self.lanes, pf.biased, self.cmp_t, self.cmp_ka, wi);
+                    if (lw >> (half * 32)) & 0xFFFF_FFFF != 0 {
+                        let m = avx2::quad8(&self.lanes, pf.biased, t, ka, base + half * 4);
                         out |= u64::from(m) << (half * 32);
-                    } else {
-                        // Tail of the buffer: too few words for a full
-                        // 32-row vector — finish with SWAR words.
-                        for (sub, wi) in (wi..words).enumerate() {
-                            out |= self.swar_word_u8(pf, wi) << (half * 32 + sub * 8);
-                        }
                     }
                 }
             }
             ActiveKernel::Swar => {
                 for sub in 0..8 {
-                    if (lw >> (sub * 8)) & 0xFF == 0 {
-                        continue;
+                    if (lw >> (sub * 8)) & 0xFF != 0 {
+                        out |= self.swar_word_u8(pf, base + sub) << (sub * 8);
                     }
-                    let wi = base + sub;
-                    if wi >= words {
-                        break;
-                    }
-                    out |= self.swar_word_u8(pf, wi) << (sub * 8);
                 }
             }
         }
@@ -542,6 +511,28 @@ mod tests {
     use super::super::cells::canonical;
     use super::super::SketchArena;
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A plane of `dims` lanes holding `rows` (whole groups) random
+    /// rows.
+    fn random_plane(
+        rng: &mut StdRng,
+        dims: usize,
+        (t, ka): (u64, u64),
+        repr: PlaneRepr,
+        rows: usize,
+    ) -> FilterPlane {
+        let mut plane = FilterPlane::new(dims, t, ka, repr);
+        plane.grow(rows);
+        for _ in 0..rows / 64 {
+            let cells: Vec<i16> = (0..64 * dims)
+                .map(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16)
+                .collect();
+            plane.fill_group(&cells, dims);
+        }
+        plane
+    }
 
     #[test]
     fn adaptive_depth_model() {
@@ -571,16 +562,10 @@ mod tests {
     fn neon_kernel_matches_swar() {
         // The NEON kernel body runs everywhere through the emulated
         // `intr` façade: its 8-row masks must equal two SWAR words.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x9E09);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let mut plane = FilterPlane::new(3, t, ka, PlaneRepr::U16);
-            for row in 0..64 {
-                let coords: [i16; 3] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
+            let plane = random_plane(&mut rng, 3, (t, ka), PlaneRepr::U16, 64);
+            let view = plane.view();
             for _ in 0..40 {
                 let probe: Vec<u16> = (0..3)
                     .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
@@ -591,8 +576,8 @@ mod tests {
                     bcast: &bcast,
                 };
                 for wi in (0..16).step_by(2) {
-                    let neon = neon::eight(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let swar = plane.swar_word(pf, wi) | (plane.swar_word(pf, wi + 1) << 4);
+                    let neon = neon::eight(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let swar = view.swar_word(pf, wi) | (view.swar_word(pf, wi + 1) << 4);
                     assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
                 }
             }
@@ -605,16 +590,10 @@ mod tests {
         if !avx512::available() {
             return;
         }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5125);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U16);
-            for row in 0..64 {
-                let coords: [i16; 4] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
+            let plane = random_plane(&mut rng, 4, (t, ka), PlaneRepr::U16, 64);
+            let view = plane.view();
             for _ in 0..40 {
                 let probe: Vec<u16> = (0..4)
                     .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
@@ -625,10 +604,10 @@ mod tests {
                     bcast: &bcast,
                 };
                 for wi in [0, 8] {
-                    let wide = avx512::octo(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let wide = avx512::octo(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
                     let mut swar = 0u64;
                     for sub in 0..8 {
-                        swar |= plane.swar_word(pf, wi + sub) << (sub * 4);
+                        swar |= view.swar_word(pf, wi + sub) << (sub * 4);
                     }
                     assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
                 }
@@ -644,14 +623,12 @@ mod tests {
         for t in [0u64, 1, 57, 200, 400] {
             let plane = FilterPlane::new(1, t, ka, PlaneRepr::U16);
             for a in 0..ka as i64 {
-                let mut lanes = vec![Vec::new()];
                 let c = canonical(a, ka) as i16;
                 // Pack the same row value in all four lanes.
-                let b = u64::from(bias16(c, ka as u16));
-                lanes[0].push(b * LANES);
-                let plane = FilterPlane {
-                    lanes,
-                    ..plane.clone()
+                let word = [u64::from(bias16(c, ka as u16)) * LANES];
+                let view = PlaneView {
+                    plane: &plane,
+                    lanes: vec![&word],
                 };
                 for bval in (0..ka as i64).step_by(7) {
                     let pc = canonical(bval, ka) as i16;
@@ -662,13 +639,27 @@ mod tests {
                         biased: &biased,
                         bcast: &bcast,
                     };
-                    let mask = plane.swar_word(pf, 0);
+                    let mask = view.swar_word(pf, 0);
                     let expect = crate::conditions::cyclic_close(a, bval, t, ka);
                     assert_eq!(mask == 0xF, expect, "a={a} b={bval} t={t}: mask {mask:#x}");
                     assert!(mask == 0 || mask == 0xF, "lanes disagree: {mask:#x}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_view_holds_the_groups_all_its_lanes_hold() {
+        // Lanes are sliced one after another while the writer may be
+        // extending them, so a later lane can come out a group longer
+        // than an earlier one: phase 1 must stop at the shortest.
+        let plane = FilterPlane::new(2, 100, 400, PlaneRepr::U8 { q: 2 });
+        let (one_group, two_groups) = ([0u64; 8], [0u64; 16]);
+        let view = PlaneView {
+            plane: &plane,
+            lanes: vec![&one_group, &two_groups],
+        };
+        assert_eq!(view.groups(), 1);
     }
 
     #[test]
@@ -706,17 +697,11 @@ mod tests {
     fn neon_u8_kernel_matches_swar() {
         // The NEON byte kernel runs everywhere through the emulated
         // `intr` façade: its 16-row masks must equal two SWAR u8 words.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x8E08);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
             let (q, _, _) = quantize_ring(t, ka);
-            let mut plane = FilterPlane::new(3, t, ka, PlaneRepr::U8 { q });
-            for row in 0..128 {
-                let coords: [i16; 3] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
+            let plane = random_plane(&mut rng, 3, (t, ka), PlaneRepr::U8 { q }, 128);
+            let view = plane.view();
             for _ in 0..40 {
                 let probe: Vec<u16> = (0..3)
                     .map(|_| {
@@ -729,8 +714,8 @@ mod tests {
                     bcast: &bcast,
                 };
                 for wi in (0..16).step_by(2) {
-                    let neon = neon::sixteen(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let swar = plane.swar_word_u8(pf, wi) | (plane.swar_word_u8(pf, wi + 1) << 8);
+                    let neon = neon::sixteen(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let swar = view.swar_word_u8(pf, wi) | (view.swar_word_u8(pf, wi + 1) << 8);
                     assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
                 }
             }
@@ -743,17 +728,11 @@ mod tests {
         if !avx2::available() {
             return;
         }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xA208);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
             let (q, _, _) = quantize_ring(t, ka);
-            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U8 { q });
-            for row in 0..128 {
-                let coords: [i16; 4] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
+            let plane = random_plane(&mut rng, 4, (t, ka), PlaneRepr::U8 { q }, 128);
+            let view = plane.view();
             for _ in 0..40 {
                 let probe: Vec<u16> = (0..4)
                     .map(|_| {
@@ -766,10 +745,10 @@ mod tests {
                     bcast: &bcast,
                 };
                 for wi in (0..16).step_by(4) {
-                    let wide = avx2::quad8(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let wide = avx2::quad8(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
                     let mut swar = 0u64;
                     for sub in 0..4 {
-                        swar |= plane.swar_word_u8(pf, wi + sub) << (sub * 8);
+                        swar |= view.swar_word_u8(pf, wi + sub) << (sub * 8);
                     }
                     assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
                 }
@@ -783,17 +762,11 @@ mod tests {
         if !avx512::available() {
             return;
         }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5128);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
             let (q, _, _) = quantize_ring(t, ka);
-            let mut plane = FilterPlane::new(4, t, ka, PlaneRepr::U8 { q });
-            for row in 0..128 {
-                let coords: [i16; 4] =
-                    std::array::from_fn(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16);
-                plane.push_row(row, &coords);
-            }
+            let plane = random_plane(&mut rng, 4, (t, ka), PlaneRepr::U8 { q }, 128);
+            let view = plane.view();
             for _ in 0..40 {
                 let probe: Vec<u16> = (0..4)
                     .map(|_| {
@@ -806,10 +779,10 @@ mod tests {
                     bcast: &bcast,
                 };
                 for wi in [0, 8] {
-                    let wide = avx512::octo8(&plane.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let wide = avx512::octo8(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
                     let mut swar = 0u64;
                     for sub in 0..8 {
-                        swar |= plane.swar_word_u8(pf, wi + sub) << (sub * 8);
+                        swar |= view.swar_word_u8(pf, wi + sub) << (sub * 8);
                     }
                     assert_eq!(wide, swar, "t={t} ka={ka} wi={wi}");
                 }
@@ -831,10 +804,10 @@ mod tests {
             for a in 0..ka as i64 {
                 let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
                 // Pack the same row bucket in all eight byte slots.
-                let lanes = vec![vec![u64::from(row_bucket) * 0x0101_0101_0101_0101]];
-                let plane = FilterPlane {
-                    lanes,
-                    ..plane.clone()
+                let word = [u64::from(row_bucket) * 0x0101_0101_0101_0101];
+                let view = PlaneView {
+                    plane: &plane,
+                    lanes: vec![&word],
                 };
                 for bval in (0..ka as i64).step_by(3) {
                     let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
@@ -844,7 +817,7 @@ mod tests {
                         biased: &biased,
                         bcast: &bcast,
                     };
-                    let mask = plane.swar_word_u8(pf, 0);
+                    let mask = view.swar_word_u8(pf, 0);
                     assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
                     let d = row_bucket.abs_diff(pb);
                     let bucket_close = d.min(kq - d) <= tq;

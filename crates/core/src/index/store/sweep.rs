@@ -4,11 +4,11 @@
 
 use super::cells::{normalize_into, rows_match, Cell, Cells};
 use super::kernels::{fetch, ActiveKernel};
-use super::plane::{build_filter_probes, FilterPlane, ProbeFilter};
+use super::plane::{build_filter_probes, PlaneView, ProbeFilter};
 use super::{RecordId, SketchArena};
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Liveness words per tile — the unit a sweep hands to one probe at a
@@ -21,7 +21,7 @@ use std::sync::Mutex;
 const TILE_WORDS: usize = 16;
 
 /// A caller-supplied row subset for masked sweeps, stored exactly like
-/// the arena's liveness bitmap (one bit per row, 64 rows per word) so
+/// the arena's liveness words (one bit per row, 64 rows per word) so
 /// the sweep can AND it into the liveness word for free.
 ///
 /// Used by [`SketchArena::find_at_most_masked`] and the index-level
@@ -83,38 +83,11 @@ impl RowMask {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// The packed bitmap words (liveness-word layout).
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
-/// Which live rows a sweep may visit. Applied to each liveness word
-/// ahead of phase 1, so excluded rows cost nothing and a wholly
-/// excluded 64-row block is skipped after one load.
-#[derive(Clone, Copy)]
-pub(crate) enum RowFilter<'a> {
-    /// Every live row.
-    All,
-    /// Only rows whose bit is set: a [`RowMask`]'s words (words past
-    /// the end select nothing).
-    Only(&'a [u64]),
-    /// Every row whose bit is clear: an epoch segment's tombstone
-    /// words, read in place while revocations keep landing.
-    Except(&'a [AtomicU64]),
-}
-
-impl RowFilter<'_> {
-    /// The visitable bits of liveness word `word_idx`.
+    /// The mask's bits for liveness word `w` (words past the end select
+    /// nothing).
     #[inline]
-    fn apply(self, word_idx: usize, live: u64) -> u64 {
-        match self {
-            RowFilter::All => live,
-            RowFilter::Only(mask) => live & mask.get(word_idx).copied().unwrap_or(0),
-            RowFilter::Except(dead) => {
-                live & !dead.get(word_idx).map_or(0, |w| w.load(Ordering::SeqCst))
-            }
-        }
+    fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
     }
 }
 
@@ -153,11 +126,13 @@ thread_local! {
 }
 
 /// Phase 1 of a sweep over an arena with a live prefilter plane: the
-/// plane, its resolved kernel, and every probe's prefilter state
-/// (`plane.dims()` entries apart).
+/// plane's published groups, its resolved kernel, and every probe's
+/// prefilter state (`plane.dims()` entries apart).
 #[derive(Clone, Copy)]
 struct PlaneProbes<'a> {
-    plane: &'a FilterPlane,
+    view: &'a PlaneView<'a>,
+    /// Liveness words the plane covers: the complete 64-row groups.
+    groups: usize,
     kernel: ActiveKernel,
     pf: ProbeFilter<'a>,
 }
@@ -167,8 +142,11 @@ struct PlaneProbes<'a> {
 /// hits each probe may collect. Borrows only — built once on the
 /// calling thread's scratch and shared by every chunk.
 struct Sweep<'a, C> {
+    arena: &'a SketchArena,
+    /// The arena's rows as of this sweep's one `Acquire` load of the
+    /// row count, and their cells: nothing past them is read.
+    rows: usize,
     cells: &'a [C],
-    live: &'a [u64],
     dim: usize,
     t: u64,
     ka: u64,
@@ -179,7 +157,10 @@ struct Sweep<'a, C> {
     /// reject on: phase 1 is then the identity — every visitable row
     /// is a candidate and phase 2 verifies it from dimension 0.
     plane: Option<PlaneProbes<'a>>,
-    rows: RowFilter<'a>,
+    /// The row subset of a masked sweep, ANDed into each liveness word
+    /// ahead of phase 1: excluded rows cost nothing, and a wholly
+    /// excluded 64-row block is skipped after one load.
+    only: Option<&'a RowMask>,
     budget: usize,
 }
 
@@ -189,8 +170,8 @@ struct OpenProbe<'a, C> {
     k: usize,
     /// Hits it may still take.
     left: usize,
-    /// Its cells from the first dimension phase 2 verifies.
-    suffix: &'a [C],
+    /// Its `dim` cells.
+    cells: &'a [C],
     /// Its prefilter state (empty without a plane).
     pf: ProbeFilter<'a>,
 }
@@ -217,14 +198,14 @@ impl<C: Cell> Sweep<'_, C> {
             biased: &[],
             bcast: &[],
         };
-        let (pd, vstart, pf) = self.plane.map_or((0, 0, none), |p| {
-            (p.plane.dims(), p.plane.verify_start(), p.pf)
-        });
+        let (pd, pf) = self
+            .plane
+            .map_or((0, none), |p| (p.view.plane.dims(), p.pf));
         let mut open: Vec<OpenProbe<'_, C>> = (0..self.n)
             .map(|k| OpenProbe {
                 k,
                 left: self.budget,
-                suffix: &self.probes[k * self.dim + vstart..(k + 1) * self.dim],
+                cells: &self.probes[k * self.dim..(k + 1) * self.dim],
                 pf: ProbeFilter {
                     biased: &pf.biased[k * pd..(k + 1) * pd],
                     bcast: &pf.bcast[k * pd..(k + 1) * pd],
@@ -262,11 +243,14 @@ impl<C: Cell> Sweep<'_, C> {
     /// on the plane, software-prefetching each survivor's verify cells
     /// as its mask comes out; phase 2 then exact-verifies the tile's
     /// survivors with the scalar early-abort kernel from
-    /// [`FilterPlane::verify_start`] on: the 16-bit plane already
-    /// tested its dimensions exactly, the byte plane over-accepts and
-    /// the whole row is re-checked. Either way the two phases equal a
-    /// full-row `rows_match`; running phase 1 a whole tile ahead is
-    /// what hides phase 2's scattered loads behind phase 1's compute.
+    /// [`FilterPlane::verify_start`](super::plane::FilterPlane::verify_start)
+    /// on: the 16-bit plane already tested its dimensions exactly, the
+    /// byte plane over-accepts and the whole row is re-checked. Either
+    /// way the two phases equal a full-row `rows_match`; running phase
+    /// 1 a whole tile ahead is what hides phase 2's scattered loads
+    /// behind phase 1's compute. A word past the plane's complete
+    /// groups — the open group, at most 63 rows — has no phase 1: all
+    /// its visitable rows are verified whole.
     fn walk(
         &self,
         words: Range<usize>,
@@ -275,21 +259,27 @@ impl<C: Cell> Sweep<'_, C> {
     ) {
         debug_assert!(words.len() <= TILE_WORDS);
         let dim = self.dim;
-        let vstart = dim - probe.suffix.len();
+        let (planed, vstart) = self
+            .plane
+            .map_or((0, 0), |p| (p.groups, p.view.plane.verify_start()));
         let mut cands = [0u64; TILE_WORDS];
         for (wi, cand) in words.clone().zip(&mut cands) {
-            *cand = self.rows.apply(wi, self.live[wi]);
-            if let (Some(p), true) = (self.plane, *cand != 0) {
-                *cand = p.plane.block_candidates(p.kernel, probe.pf, wi, *cand);
+            *cand = self.arena.live_word(wi, self.rows);
+            if let Some(only) = self.only {
+                *cand &= only.word(wi);
+            }
+            if let (Some(p), true) = (self.plane, wi < planed && *cand != 0) {
+                *cand = p.view.block_candidates(p.kernel, probe.pf, wi, *cand);
                 for bit in set_bits(*cand) {
                     fetch::prefetch_read(self.cells, (wi * 64 + bit) * dim + vstart);
                 }
             }
         }
         for (wi, cand) in words.zip(cands) {
+            let from = if wi < planed { vstart } else { 0 };
             for row in set_bits(cand).map(|bit| wi * 64 + bit) {
-                let s = &self.cells[row * dim + vstart..(row + 1) * dim];
-                if rows_match(s, probe.suffix, self.t, self.ka) {
+                let s = &self.cells[row * dim + from..(row + 1) * dim];
+                if rows_match(s, &probe.cells[from..], self.t, self.ka) {
                     hits.push((probe.k, row));
                     probe.left -= 1;
                     if probe.left == 0 {
@@ -305,7 +295,7 @@ impl SketchArena {
     /// First live row matching the probe (lowest id). `None` for no
     /// match or a dimension-mismatched probe.
     pub fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
-        let hits = self.sweep(&[probe], RowFilter::All, 1);
+        let hits = self.sweep(&[probe], None, 1);
         hits.first().map(|&(_, row)| row)
     }
 
@@ -322,7 +312,7 @@ impl SketchArena {
     pub fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
         let refs: Vec<&[i64]> = probes.iter().map(Vec::as_slice).collect();
         let mut firsts = vec![None; probes.len()];
-        for (p, row) in self.sweep(&refs, RowFilter::All, 1) {
+        for (p, row) in self.sweep(&refs, None, 1) {
             firsts[p] = Some(row);
         }
         firsts
@@ -337,7 +327,7 @@ impl SketchArena {
     /// the count-bounded lookup behind reset-style decisions (0 /
     /// exactly-1 / ≥2 without scanning past the `budget`-th hit).
     pub fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        let hits = self.sweep(&[probe], RowFilter::All, budget);
+        let hits = self.sweep(&[probe], None, budget);
         hits.into_iter().map(|(_, row)| row).collect()
     }
 
@@ -351,17 +341,19 @@ impl SketchArena {
         mask: &RowMask,
         budget: usize,
     ) -> Vec<RecordId> {
-        let hits = self.sweep(&[probe], RowFilter::Only(mask.words()), budget);
+        let hits = self.sweep(&[probe], Some(mask), budget);
         hits.into_iter().map(|(_, row)| row).collect()
     }
 
     /// The sweep every lookup above (and every epoch tier) is a wrapper
-    /// over: for each probe, its `budget` lowest live matching rows
-    /// among those `rows` lets through, as `(index into probes, row)`
-    /// pairs — ascending per probe. Probes of the wrong dimension match
-    /// nothing.
+    /// over: for each probe, its `budget` lowest live matching rows —
+    /// among those `only` selects, when given — as `(index into probes,
+    /// row)` pairs, ascending per probe. Probes of the wrong dimension
+    /// match nothing.
     ///
-    /// Prepares the probes once in the thread-local scratch (normalized
+    /// Loads the row count once (`Acquire`), so the sweep covers
+    /// exactly the rows complete by then however many land meanwhile;
+    /// prepares the probes once in the thread-local scratch (normalized
     /// to the cell width, plus their prefilter state when a plane is
     /// live) and hands the typed columns to [`SketchArena::run`]. The
     /// scratch stays borrowed for the whole sweep; nothing below
@@ -369,15 +361,16 @@ impl SketchArena {
     pub(crate) fn sweep(
         &self,
         probes: &[&[i64]],
-        rows: RowFilter<'_>,
+        only: Option<&RowMask>,
         budget: usize,
     ) -> Vec<(usize, RecordId)> {
         let Some(dim) = self.dim else {
             return Vec::new();
         };
-        if budget == 0 || self.live == 0 {
+        if budget == 0 || self.is_empty() {
             return Vec::new();
         }
+        let rows = self.rows();
         SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
             s.active.clear();
@@ -387,10 +380,9 @@ impl SketchArena {
                 return Vec::new();
             }
             match &self.cells {
-                Cells::I16(v) => {
+                Cells::I16(col) => {
                     normalize_into(&mut s.i16s, probes, &s.active, self.ka);
-                    let plane = self.active_plane();
-                    if let Some((plane, _)) = plane {
+                    let view = self.active_plane().map(|(plane, kernel)| {
                         build_filter_probes(
                             &s.i16s,
                             dim,
@@ -400,59 +392,68 @@ impl SketchArena {
                             &mut s.biased,
                             &mut s.bcast,
                         );
-                    }
-                    let plane = plane.map(|(plane, kernel)| PlaneProbes {
-                        plane,
-                        kernel,
+                        (plane.view(), kernel)
+                    });
+                    let plane = view.as_ref().map(|(view, kernel)| PlaneProbes {
+                        view,
+                        groups: view.groups(),
+                        kernel: *kernel,
                         pf: ProbeFilter {
                             biased: &s.biased,
                             bcast: &s.bcast,
                         },
                     });
-                    self.run(v, &s.i16s, plane, &s.active, rows, budget)
+                    let cells = &col.published()[..rows * dim];
+                    self.run(rows, cells, &s.i16s, plane, &s.active, only, budget)
                 }
-                Cells::I32(v) => {
+                Cells::I32(col) => {
                     normalize_into(&mut s.i32s, probes, &s.active, self.ka);
-                    self.run(v, &s.i32s, None, &s.active, rows, budget)
+                    let cells = &col.published()[..rows * dim];
+                    self.run(rows, cells, &s.i32s, None, &s.active, only, budget)
                 }
-                Cells::I64(v) => {
+                Cells::I64(col) => {
                     normalize_into(&mut s.i64s, probes, &s.active, self.ka);
-                    self.run(v, &s.i64s, None, &s.active, rows, budget)
+                    let cells = &col.published()[..rows * dim];
+                    self.run(rows, cells, &s.i64s, None, &s.active, only, budget)
                 }
             }
         })
     }
 
-    /// Runs one prepared sweep: splits the liveness words into
-    /// [`SketchArena::chunk_count`] contiguous chunks (one, for a
-    /// sequential sweep), walks each with [`Sweep::chunk`] on the
-    /// worker pool, and folds the chunks' hits in chunk order. Chunks
-    /// partition the rows in ascending order, so that concatenation,
-    /// cut to `budget` per probe, is exactly what one chunk over the
-    /// whole range returns. `active[k]` is the caller's index of
-    /// prepared probe `k`.
+    /// Runs one prepared sweep over the first `rows` rows: splits their
+    /// liveness words into [`SketchArena::chunk_count`] contiguous
+    /// chunks (one, for a sequential sweep), walks each with
+    /// [`Sweep::chunk`] on the worker pool, and folds the chunks' hits
+    /// in chunk order. Chunks partition the rows in ascending order, so
+    /// that concatenation, cut to `budget` per probe, is exactly what
+    /// one chunk over the whole range returns. `active[k]` is the
+    /// caller's index of prepared probe `k`.
+    #[allow(clippy::too_many_arguments)]
     fn run<C: Cell>(
         &self,
+        rows: usize,
         cells: &[C],
         probes: &[C],
         plane: Option<PlaneProbes<'_>>,
         active: &[usize],
-        rows: RowFilter<'_>,
+        only: Option<&RowMask>,
         budget: usize,
     ) -> Vec<(usize, RecordId)> {
         let sweep = Sweep {
+            arena: self,
+            rows,
             cells,
-            live: &self.live_bits,
             dim: self.dim.unwrap_or(0),
             t: self.t,
             ka: self.ka,
             probes,
             n: active.len(),
             plane,
-            rows,
+            only,
             budget,
         };
-        let (chunks, words) = (self.chunk_count(), self.live_bits.len());
+        let words = rows.div_ceil(64);
+        let chunks = self.chunk_count(rows);
         let bound = AtomicUsize::new(usize::MAX);
         let found = Mutex::new(Vec::new());
         rayon::scope_for_each(chunks, &|i| {
@@ -484,9 +485,9 @@ impl SketchArena {
     /// small to amortize pool dispatch, or there is no second thread
     /// to fan out to. (Pool workers only ever run one chunk of a
     /// sweep, which never asks this: fan-out cannot nest.)
-    fn chunk_count(&self) -> usize {
+    fn chunk_count(&self, rows: usize) -> usize {
         let pc = self.filter.parallel;
-        if pc.max_threads == 1 || self.rows < pc.min_rows.max(1) {
+        if pc.max_threads == 1 || rows < pc.min_rows.max(1) {
             return 1;
         }
         let mut threads = rayon::current_num_threads();
@@ -496,7 +497,7 @@ impl SketchArena {
         if threads <= 1 {
             return 1;
         }
-        (threads * 2).min(self.live_bits.len()).max(1)
+        (threads * 2).min(rows.div_ceil(64)).max(1)
     }
 }
 
@@ -507,7 +508,7 @@ mod tests {
 
     /// The sweep driver against the scalar `cyclic_close` oracle over
     /// its whole input table: probe count (with a wrong-dimension probe
-    /// in every batch) × row filter × budget × kernel × plane width ×
+    /// in every batch) × row subset × budget × kernel × plane width ×
     /// fan-out × cell width. Every public `find_*` only picks a point
     /// in this table.
     #[test]
@@ -579,16 +580,15 @@ mod tests {
                         refs[1] = &[1, 2, 3];
                     }
                     for mask in &masks {
-                        // The same subset as tombstone words, the way an
-                        // epoch segment hands it over.
-                        let except: Vec<AtomicU64> = (0..ROWS.div_ceil(64))
-                            .map(|w| {
-                                let keep = mask
-                                    .as_ref()
-                                    .map_or(!0, |m| m.words().get(w).copied().unwrap_or(0));
-                                AtomicU64::new(!keep)
-                            })
-                            .collect();
+                        // The same subset as tombstones: every row
+                        // outside it revoked while the arena is shared,
+                        // the way an epoch segment loses rows.
+                        let revoked = arena.clone();
+                        for r in
+                            (0..ROWS).filter(|&r| mask.as_ref().is_some_and(|m| !m.contains(r)))
+                        {
+                            revoked.revoke(r);
+                        }
                         for budget in [1, 2, usize::MAX] {
                             let want: Vec<Vec<RecordId>> = refs
                                 .iter()
@@ -607,12 +607,9 @@ mod tests {
                                         .collect()
                                 })
                                 .collect();
-                            let only = mask
-                                .as_ref()
-                                .map_or(RowFilter::All, |m| RowFilter::Only(m.words()));
-                            for filter in [only, RowFilter::Except(&except)] {
+                            for (arena, only) in [(&arena, mask.as_ref()), (&revoked, None)] {
                                 let mut got = vec![Vec::new(); n];
-                                for (p, row) in arena.sweep(&refs, filter, budget) {
+                                for (p, row) in arena.sweep(&refs, only, budget) {
                                     got[p].push(row);
                                 }
                                 assert_eq!(

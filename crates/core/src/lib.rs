@@ -55,10 +55,11 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// AVX2 prefilter kernel in `index::store` (std::arch intrinsics behind
-// runtime feature detection), which scopes its own narrow
-// `#[allow(unsafe_code)]` with the safety argument documented there.
+// `deny` rather than `forbid`: the sanctioned exceptions are the SIMD
+// prefilter kernels in `index::store::kernels` (std::arch intrinsics
+// behind runtime feature detection) and the append-under-readers
+// buffer in `index::store::shared`; each scopes its own narrow
+// `allow(unsafe_code)` with the safety argument documented there.
 // Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

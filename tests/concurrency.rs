@@ -4,7 +4,7 @@
 //! the sharded configurations (per-shard locks, batched
 //! identification).
 
-use fuzzy_id::core::{EpochIndex, EpochRead};
+use fuzzy_id::core::{EpochIndex, EpochRead, FilterConfig, IndexReader, SketchIndex};
 use fuzzy_id::protocol::concurrent::SharedServer;
 use fuzzy_id::protocol::{BiometricDevice, SystemParams};
 use rand::rngs::StdRng;
@@ -204,4 +204,120 @@ fn concurrent_batches_from_many_frontends() {
         }
     })
     .expect("no thread panicked");
+}
+
+/// The head's publication rule under a live race (DESIGN.md
+/// "Publication invariant"): one writer appends — across dozens of
+/// freezes and merges, revoking some rows while they are still in the
+/// head — and readers that never take a lock must see
+///
+/// * every row whose `insert` returned (read-your-writes: `done` is
+///   bumped after the insert and any revoke of that row, and a lookup
+///   that starts after observing it must find — or, revoked, not
+///   find — the row), and
+/// * nothing that is not written yet: a hit on a row the writer has not
+///   started is impossible, and a probe of all zeros — what an unwritten
+///   slot holds — never matches, because no row has a coordinate near 0.
+///
+/// Row `i` is a pattern only row `i` matches. The writer waits for the
+/// readers every few rows, so lookups and inserts interleave for the
+/// whole run rather than by scheduling luck.
+#[test]
+fn readers_see_every_finished_insert_and_nothing_unwritten() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const ROWS: usize = 30_000;
+    const DIM: usize = 64;
+    let (t, ka) = (10u64, 4096u64);
+    // Base-64 digits of `i`, each mapped to 200, 240, … 2 720: distinct
+    // digits are ≥ 40 > t apart (also around the ring), every value is
+    // > t away from 0.
+    let pattern = |i: usize| -> Vec<i64> {
+        (0..DIM)
+            .map(|d| 200 + 40 * ((i >> (6 * (d % 3))) & 63) as i64)
+            .collect()
+    };
+    let revoked = |i: usize| i % 7 == 3;
+
+    // Freeze every 96 rows (mid-group: 96 = 64 + 32), merge every 3
+    // runs, never seal: 312 freezes and 150-odd merges.
+    let mut index = EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 96, 3, usize::MAX);
+    let reader = index.reader();
+    let (started, done, checks) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+
+    static PHASE: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    static WRITER: AtomicUsize = AtomicUsize::new(0);
+    std::thread::spawn(|| {
+        std::thread::sleep(std::time::Duration::from_secs(20));
+        eprintln!(
+            "WATCHDOG phases {:?} {:?} writer {:?}",
+            PHASE[0], PHASE[1], WRITER
+        );
+        std::process::abort();
+    });
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|seed| {
+                let reader = reader.clone();
+                let (started, done, checks) = (&started, &done, &checks);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let zeros = vec![0i64; DIM];
+                    loop {
+                        PHASE[seed as usize].store(1, Ordering::SeqCst);
+                        let finished = done.load(Ordering::Acquire);
+                        if finished > 0 {
+                            let j = rng.gen_range(0..finished);
+                            let expect = (!revoked(j)).then_some(j);
+                            assert_eq!(reader.find_first(&pattern(j)), expect, "finished row {j}");
+                        }
+                        // A row at or past `done` may be in flight: it
+                        // is found whole or not at all, and never
+                        // before the writer started it.
+                        PHASE[seed as usize].store(2, Ordering::SeqCst);
+                        let k = (finished + rng.gen_range(0..3usize)).min(ROWS - 1);
+                        let batch = reader.find_first_batch(&[pattern(k), zeros.clone()]);
+                        PHASE[seed as usize].store(3, Ordering::SeqCst);
+                        let begun = started.load(Ordering::Acquire);
+                        if let Some(id) = batch[0] {
+                            assert_eq!(id, k, "pattern {k} matched another row");
+                            assert!(id < begun, "row {id} seen before its insert began");
+                        }
+                        assert_eq!(batch[1], None, "an unwritten row was visible");
+                        checks.fetch_add(1, Ordering::Release);
+                        if finished == ROWS {
+                            PHASE[seed as usize].store(9, Ordering::SeqCst);
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        // A reader that stopped early failed an assertion; the scope
+        // re-raises it once the writer stops too.
+        let alive = || readers.iter().all(|r| !r.is_finished());
+        for i in (0..ROWS).take_while(|_| alive()) {
+            started.store(i + 1, Ordering::Release);
+            WRITER.store(i * 10 + 1, Ordering::SeqCst);
+            assert_eq!(index.insert(&pattern(i)), i);
+            WRITER.store(i * 10 + 2, Ordering::SeqCst);
+            if revoked(i) {
+                assert!(index.remove(i));
+            }
+            done.store(i + 1, Ordering::Release);
+            WRITER.store(i * 10 + 3, Ordering::SeqCst);
+            if i % 128 == 0 {
+                let seen = checks.load(Ordering::Acquire);
+                while checks.load(Ordering::Acquire) == seen && alive() {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+    });
+    assert!(index.segments().len() < 312, "merges must have run");
+    assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
 }

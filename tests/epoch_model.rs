@@ -239,14 +239,15 @@ proptest! {
         }
     }
 
-    /// Bulk-mode equivalence: the same scripts driven through a
-    /// `reserve`-primed index (publishes suppressed until `flush`, as
-    /// recovery does) end in the same observable state.
+    /// A large `reserve` changes nothing observable: the same scripts
+    /// driven through a `reserve`-primed index assign the same ids, and
+    /// a reader handed out *before* the inserts sees each row as soon as
+    /// its insert returns — no `flush`, no deferral — and the hint
+    /// sizes nothing.
     #[test]
-    fn epoch_bulk_load_matches_incremental((t, ka, ops) in epoch_case()) {
-        let mut bulk = EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 3, 2, 6);
-        let mut incremental =
-            EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 3, 2, 6);
+    fn large_reserve_changes_nothing_observable((t, ka, ops) in epoch_case()) {
+        let mut reserved = EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 3, 2, 6);
+        let mut plain = EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 3, 2, 6);
         let sketches: Vec<&Vec<i64>> = ops
             .iter()
             .filter_map(|op| match op {
@@ -255,17 +256,61 @@ proptest! {
             })
             .collect();
         if !sketches.is_empty() {
-            let dim = sketches[0].len();
-            // Large `additional` arms bulk mode regardless of count.
-            bulk.reserve(5000, dim);
+            reserved.reserve(5000, sketches[0].len());
+            let reader = reserved.reader();
             for s in &sketches {
-                prop_assert_eq!(bulk.insert(s), incremental.insert(s));
+                prop_assert_eq!(reserved.insert(s), plain.insert(s));
+                prop_assert_eq!(reader.find_first(s), plain.lookup(s));
+                prop_assert_eq!(reader.find_at_most(s, usize::MAX), plain.lookup_all(s));
             }
-            bulk.flush();
-            prop_assert_eq!(bulk.len(), incremental.len());
-            let reader = bulk.reader();
-            for s in &sketches {
-                prop_assert_eq!(reader.find_first(s), incremental.lookup(s));
+            prop_assert_eq!(reserved.len(), plain.len());
+            prop_assert_eq!(reserved.segments().len(), plain.segments().len());
+            prop_assert_eq!(reserved.heap_bytes(), plain.heap_bytes());
+        }
+    }
+}
+
+/// The head sizes around the plane's 64-row group boundary, which the
+/// random scripts (≤ 64 ops) never reach: a head that is all open group
+/// (1, 63 rows), exactly one planed group (64), a planed group plus an
+/// open one (65, 127), two planed groups (128) and two plus one row
+/// (129) — in a head that holds them all (`staging_cap` 200) and in one
+/// that freezes mid-group at 100 rows — against the Vec-of-Vec model,
+/// on every kernel and both plane widths. Rows come in five clusters
+/// within `t` of their centre, so a probe has hits in the planed groups
+/// *and* the open group, and revocations land in both.
+#[test]
+fn head_sizes_around_the_group_boundary_match_model() {
+    let (t, ka, dim) = (100u64, 400u64, 12usize);
+    let centre = |c: usize, d: usize| -> i64 { ((c * 83 + d * 37) % 400) as i64 - 200 };
+    let row = |i: usize| -> Vec<i64> {
+        (0..dim)
+            .map(|d| centre(i % 5, d) + ((i * 7 + d * 13) % 41) as i64 - 20)
+            .collect()
+    };
+    let probe =
+        |c: usize, shift: i64| -> Vec<i64> { (0..dim).map(|d| centre(c, d) + shift).collect() };
+    let filters = [
+        FilterConfig::default(),
+        FilterConfig::disabled(),
+        FilterConfig::default().with_width(PlaneWidth::U16),
+        FilterConfig::swar().with_width(PlaneWidth::U16),
+        FilterConfig::swar().with_width(PlaneWidth::U8),
+    ];
+    for n in [1usize, 63, 64, 65, 127, 128, 129] {
+        let mut ops: Vec<Op> = (0..n).map(|i| Op::Insert(row(i))).collect();
+        ops.extend([0, n / 2, n - 1, 63 % n, 64 % n].map(Op::Remove));
+        // Hits in every cluster, the same probes shifted out of reach
+        // in one coordinate class, then maintenance and a renumbering
+        // compaction under the same probes.
+        ops.extend((0..5).map(|c| Op::Probe(probe(c, 30))));
+        ops.push(Op::Probe(probe(0, 200)));
+        ops.extend([Op::Maintain, Op::Probe(probe(1, -30)), Op::Compact]);
+        ops.push(Op::Probe(probe(2, 0)));
+        for filter in filters {
+            for staging_cap in [200, 100] {
+                let index = EpochIndex::with_thresholds(t, ka, filter, staging_cap, 2, 400);
+                check_epoch_against_model(index, t, ka, &ops);
             }
         }
     }
