@@ -397,9 +397,11 @@ impl<I: EpochRead> SharedServer<I> {
             return shard.state.write().enroll(record);
         };
         let mut store = journal.lock();
-        shard.state.read().validate_enroll(&record)?;
+        // The vacancy outlives the read lock because the journal mutex
+        // held here is what serializes this shard's writers.
+        let vacancy = shard.state.read().validate_enroll(&record)?;
         store.append(LogEventRef::Enroll(&record))?;
-        shard.state.write().apply_enroll(record);
+        shard.state.write().apply_enroll(record, vacancy);
         Ok(())
     }
 
@@ -415,9 +417,9 @@ impl<I: EpochRead> SharedServer<I> {
             return shard.state.write().enroll_unique(record);
         };
         let mut store = journal.lock();
-        {
+        let vacancy = {
             let server = shard.state.read();
-            server.validate_enroll(&record)?;
+            let vacancy = server.validate_enroll(&record)?;
             if let Some(&idx) = server.match_at_most(&record.helper.sketch.inner, 1).first() {
                 let matched = server
                     .user_at(idx)
@@ -432,9 +434,10 @@ impl<I: EpochRead> SharedServer<I> {
                 })?;
                 return Err(ProtocolError::DuplicateBiometric(matched));
             }
-        }
+            vacancy
+        };
         store.append(LogEventRef::Enroll(&record))?;
-        shard.state.write().apply_enroll(record);
+        shard.state.write().apply_enroll(record, vacancy);
         Ok(())
     }
 
@@ -893,6 +896,16 @@ impl<I: EpochRead> SharedServer<I> {
         self.shards
             .iter()
             .map(|s| s.state.read().record_heap_bytes())
+            .sum()
+    }
+
+    /// Arena bytes every shard still holds for revoked records (see
+    /// [`AuthenticationServer::dead_record_bytes`]); 0 after a
+    /// [`SharedServer::checkpoint`].
+    pub fn dead_record_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.state.read().dead_record_bytes())
             .sum()
     }
 

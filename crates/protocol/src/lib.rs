@@ -78,6 +78,7 @@ mod error;
 mod messages;
 mod normal;
 mod params;
+mod records;
 mod runner;
 pub mod scheduler;
 mod server;

@@ -1,0 +1,687 @@
+//! The record table: what the server keeps of each enrollment *besides
+//! its index row*, in three flat parts and no per-record allocation.
+//!
+//! * a **byte arena** of fixed-size chunks holding each record as one
+//!   block, `4 × u32 ends ‖ id ‖ public key ‖ tag ‖ seed ‖ patches`,
+//!   appended at the tail of the last chunk. A chunk is allocated once
+//!   at its full capacity and never reallocated, so growth never copies
+//!   and never leaves a freed doubling behind; a block never straddles
+//!   two chunks (one larger than [`CHUNK`] gets a chunk of its own);
+//! * `slots`, one `u64` per record slot: where the slot's block starts,
+//!   and sixteen bits of the id's hash;
+//! * an open-addressed **id table** of `u32` slot numbers that hashes and
+//!   compares the id bytes where they sit in the arena — after the
+//!   sixteen bits in the slot agree, so a lookup passes over the other
+//!   ids of its run without touching the arena.
+//!
+//! **Arena order is slot order is enrollment order.** A block therefore
+//! ends where the next slot's block starts (or at its chunk's fill), a
+//! table rebuild is one sequential read of the arena, and
+//! [`RecordTable::compact`] slides live blocks down in one ascending
+//! pass. Revocation zeroes a block at once — the stored helper data is
+//! gone when `revoke` returns — but its bytes, like its slot and its
+//! index row, are reclaimed by `compact`.
+
+use crate::messages::{EnrollmentRecord, WireHelper};
+use std::hash::{BuildHasher, RandomState};
+use std::ops::Range;
+
+const CHUNK_BITS: u32 = 20;
+/// Bytes of one arena chunk.
+pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
+/// Bytes of a block's header: the end offsets of its id, key, tag and
+/// seed within the payload that follows.
+const HEADER: usize = 16;
+const _: () = assert!(HEADER == std::mem::size_of::<[u32; 4]>());
+/// Bytes of one sketch patch.
+const PATCH_BYTES: usize = 4 + 8;
+/// Set in a slot whose record was revoked. The slot keeps its block's
+/// position, which is where the block before it ends.
+const DEAD: u64 = 1 << 63;
+/// The bits of a slot that hold the top sixteen bits of its id's hash.
+const TAG_SHIFT: u32 = 47;
+const TAG: u64 = 0xffff << TAG_SHIFT;
+/// The bits of a slot that say where its block starts: chunk number
+/// (27 bits), then offset within the chunk.
+const POSITION: u64 = !(DEAD | TAG);
+/// An id-table entry naming no slot.
+const EMPTY: u32 = u32::MAX;
+/// Entries of the smallest id table.
+const MIN_TABLE: usize = 4;
+
+/// One stored record, borrowed from the arena.
+///
+/// The index stores canonical ring residues (`−ka/2` folds to `+ka/2`,
+/// out-of-range values reduce), but the robust sketch's tag is
+/// `H(x ‖ s)` over the sketch *as sent* — `Rep` on a helper rebuilt
+/// from canonical values alone fails its tag check. So every coordinate
+/// whose stored cell differs from the enrolled value is kept verbatim;
+/// a record whose sketch round-trips through the index (twelve in
+/// thirteen at the paper's parameters) carries no patch bytes at all.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StoredRecord<'a> {
+    /// `id ‖ public key ‖ tag ‖ seed ‖ patches`; a patch is a `u32`
+    /// dimension then the enrolled `i64`, little-endian. The key stays
+    /// bytes as received: only `finish_identification` needs it parsed,
+    /// and one signature verification dwarfs the parse.
+    bytes: &'a [u8],
+    /// End offsets in `bytes` of the id, key, tag and seed.
+    ends: [u32; 4],
+}
+
+impl<'a> StoredRecord<'a> {
+    /// The record whose block (header, then payload) is `block`.
+    fn view(block: &'a [u8]) -> Self {
+        let (header, bytes) = block.split_at(HEADER);
+        let mut ends = [0u32; 4];
+        for (end, word) in ends.iter_mut().zip(header.chunks_exact(4)) {
+            *end = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+        }
+        StoredRecord { bytes, ends }
+    }
+
+    fn field(&self, i: usize) -> &'a [u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start as usize..self.ends[i] as usize]
+    }
+
+    pub(crate) fn id(&self) -> &'a str {
+        std::str::from_utf8(self.field(0)).expect("packed from a String")
+    }
+
+    pub(crate) fn public_key(&self) -> &'a [u8] {
+        self.field(1)
+    }
+
+    /// Completes `helper`, whose sketch is this record's index row, to
+    /// the helper data that was enrolled: the patched coordinates over
+    /// the row, then tag and seed.
+    pub(crate) fn restore(&self, helper: &mut WireHelper) {
+        for patch in self.bytes[self.ends[3] as usize..].chunks_exact(PATCH_BYTES) {
+            let (dim, value) = patch.split_at(4);
+            let dim = u32::from_le_bytes(dim.try_into().expect("4 bytes")) as usize;
+            helper.sketch.inner[dim] = i64::from_le_bytes(value.try_into().expect("8 bytes"));
+        }
+        helper.sketch.tag.clear();
+        helper.sketch.tag.extend_from_slice(self.field(2));
+        helper.seed.clear();
+        helper.seed.extend_from_slice(self.field(3));
+    }
+}
+
+/// Proof that an id was absent when the table was probed: the id's
+/// hash, which [`RecordTable::push`] files the new slot under without
+/// hashing or comparing again. Good until that id is enrolled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Vacancy(u64);
+
+/// The [`TAG`] bits of a slot whose id hashes to `hash`.
+fn tag_of(hash: u64) -> u64 {
+    (hash >> 48) << TAG_SHIFT
+}
+
+/// See the module docs.
+pub(crate) struct RecordTable {
+    /// Each allocated once, at `CHUNK` bytes of capacity (or one
+    /// oversized block's length); `len` is the fill.
+    chunks: Vec<Vec<u8>>,
+    /// `chunk << CHUNK_BITS | offset` of each slot's block, ascending,
+    /// under [`TAG`] and [`DEAD`].
+    slots: Vec<u64>,
+    /// Power-of-two capacity, at most 7/8 full, linear probing; an entry
+    /// is a live slot number or [`EMPTY`]. Deletion shifts the rest of
+    /// the run back, so churn leaves no tombstones.
+    table: Vec<u32>,
+    live: usize,
+    /// Bytes of the revoked blocks `compact` has not yet reclaimed.
+    dead_bytes: usize,
+    /// Keyed SipHash, one key per table: ids arrive over the wire.
+    hasher: RandomState,
+}
+
+/// Counts, not contents: the arena is the whole population's records.
+impl std::fmt::Debug for RecordTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecordTable")
+            .field("live", &self.live)
+            .field("slots", &self.slots.len())
+            .field("chunks", &self.chunks.len())
+            .field("dead_bytes", &self.dead_bytes)
+            .finish_non_exhaustive()
+    }
+}
+
+impl RecordTable {
+    pub(crate) fn new() -> Self {
+        RecordTable {
+            chunks: Vec::new(),
+            slots: Vec::new(),
+            table: Vec::new(),
+            live: 0,
+            dead_bytes: 0,
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// Live records.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Slots held, live and revoked.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether every slot number the id table can name is taken.
+    pub(crate) fn is_full(&self) -> bool {
+        self.slots.len() >= EMPTY as usize
+    }
+
+    /// Exact heap bytes held: slot vector, arena chunks (and the vector
+    /// of them), id table.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let arena: usize = self.chunks.iter().map(Vec::capacity).sum();
+        self.slots.capacity() * 8
+            + arena
+            + self.chunks.capacity() * std::mem::size_of::<Vec<u8>>()
+            + self.table.capacity() * 4
+    }
+
+    /// Arena bytes of revoked blocks awaiting [`RecordTable::compact`].
+    pub(crate) fn dead_bytes(&self) -> usize {
+        self.dead_bytes
+    }
+
+    /// Whether `record` packs within the `u32` offsets even if every
+    /// coordinate needs a patch.
+    pub(crate) fn fits(record: &EnrollmentRecord) -> bool {
+        let helper = &record.helper;
+        helper
+            .sketch
+            .inner
+            .len()
+            .saturating_mul(PATCH_BYTES)
+            .saturating_add(record.id.len())
+            .saturating_add(record.public_key.len())
+            .saturating_add(helper.sketch.tag.len())
+            .saturating_add(helper.seed.len())
+            <= u32::MAX as usize
+    }
+
+    /// The chunk and byte range of `slot`'s block, live or revoked.
+    fn extent(&self, slot: usize) -> (usize, Range<usize>) {
+        let at = self.slots[slot] & POSITION;
+        let (chunk, start) = ((at >> CHUNK_BITS) as usize, at as usize & (CHUNK - 1));
+        let end = match self.slots.get(slot + 1).map(|next| next & POSITION) {
+            Some(next) if (next >> CHUNK_BITS) as usize == chunk => next as usize & (CHUNK - 1),
+            _ => self.chunks[chunk].len(),
+        };
+        (chunk, start..end)
+    }
+
+    /// The record in `slot`; `None` for revoked and out-of-range slots.
+    pub(crate) fn get(&self, slot: usize) -> Option<StoredRecord<'_>> {
+        if self.slots.get(slot)? & DEAD != 0 {
+            return None;
+        }
+        let (chunk, range) = self.extent(slot);
+        Some(StoredRecord::view(&self.chunks[chunk][range]))
+    }
+
+    fn id_bytes(&self, slot: u32) -> &[u8] {
+        let record = self
+            .get(slot as usize)
+            .expect("the id table names live slots");
+        record.field(0)
+    }
+
+    /// Where `id` is in the id table (`Ok`: position and slot), or the
+    /// hash to file it under.
+    fn locate(&self, id: &[u8]) -> Result<(usize, usize), Vacancy> {
+        let hash = self.hasher.hash_one(id);
+        if self.table.is_empty() {
+            return Err(Vacancy(hash));
+        }
+        let (mask, tag) = (self.table.len() - 1, tag_of(hash));
+        let mut at = hash as usize & mask;
+        loop {
+            match self.table[at] {
+                EMPTY => return Err(Vacancy(hash)),
+                slot if self.slots[slot as usize] & TAG == tag && self.id_bytes(slot) == id => {
+                    return Ok((at, slot as usize));
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot `id` lives in.
+    pub(crate) fn find(&self, id: &str) -> Option<usize> {
+        self.locate(id.as_bytes()).ok().map(|(_, slot)| slot)
+    }
+
+    /// Find-or-vacant: `None` when `id` is stored, else the vacancy a
+    /// following [`RecordTable::push`] of that id consumes.
+    pub(crate) fn probe(&self, id: &str) -> Option<Vacancy> {
+        self.locate(id.as_bytes()).err()
+    }
+
+    /// Smallest id-table capacity that holds `entries` at 7/8 load.
+    fn table_capacity(entries: usize) -> usize {
+        let mut capacity = MIN_TABLE;
+        while entries * 8 > capacity * 7 {
+            capacity *= 2;
+        }
+        capacity
+    }
+
+    /// Files `slot` under `hash`; the id is known to be absent, so the
+    /// first empty entry of its run is its place.
+    fn file(&mut self, hash: u64, slot: u32) {
+        let mask = self.table.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.table[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.table[at] = slot;
+    }
+
+    /// Replaces the id table by one of `capacity` entries: one
+    /// sequential read of the arena.
+    fn rebuild_table(&mut self, capacity: usize) {
+        self.table = vec![EMPTY; capacity];
+        for slot in 0..self.slots.len() {
+            if self.slots[slot] & DEAD == 0 {
+                let hash = self.hasher.hash_one(self.id_bytes(slot as u32));
+                self.file(hash, slot as u32);
+            }
+        }
+    }
+
+    /// Room for `additional` more records in the slot vector and the id
+    /// table (the arena grows a chunk at a time either way).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+        let capacity = Self::table_capacity(self.live + additional);
+        if capacity > self.table.len() {
+            self.rebuild_table(capacity);
+        }
+    }
+
+    /// Appends `record`, whose sketch the index holds as `row` and
+    /// whose id `vacancy` proved absent; returns its slot.
+    pub(crate) fn push(
+        &mut self,
+        vacancy: Vacancy,
+        record: &EnrollmentRecord,
+        row: &[i64],
+    ) -> usize {
+        let helper = &record.helper;
+        let fields: [&[u8]; 4] = [
+            record.id.as_bytes(),
+            &record.public_key,
+            &helper.sketch.tag,
+            &helper.seed,
+        ];
+        let enrolled = helper.sketch.inner.iter().zip(row);
+        let patches = enrolled.clone().filter(|(want, got)| want != got).count();
+        let fixed: usize = fields.iter().map(|f| f.len()).sum();
+        let len = HEADER + fixed + patches * PATCH_BYTES;
+
+        assert!(!self.is_full(), "validate_enroll refuses a full table");
+        let slot = self.slots.len() as u32;
+        if self
+            .chunks
+            .last()
+            .is_none_or(|last| last.len() + len > CHUNK)
+        {
+            self.chunks.push(Vec::with_capacity(len.max(CHUNK)));
+        }
+        let last = self.chunks.len() - 1;
+        assert!((last as u64) << CHUNK_BITS <= POSITION, "arena exhausted");
+        let chunk = &mut self.chunks[last];
+        self.slots
+            .push(tag_of(vacancy.0) | ((last as u64) << CHUNK_BITS) | chunk.len() as u64);
+        let mut end = 0usize;
+        for field in fields {
+            end += field.len();
+            let end = u32::try_from(end).expect("validate_enroll bounds the packed length");
+            chunk.extend_from_slice(&end.to_le_bytes());
+        }
+        for field in fields {
+            chunk.extend_from_slice(field);
+        }
+        for (dim, (want, got)) in enrolled.enumerate() {
+            if want != got {
+                chunk.extend_from_slice(&(dim as u32).to_le_bytes());
+                chunk.extend_from_slice(&want.to_le_bytes());
+            }
+        }
+
+        if (self.live + 1) * 8 > self.table.len() * 7 {
+            // The new slot is live already, so the rebuild files it.
+            self.rebuild_table(Self::table_capacity(self.live + 1));
+        } else {
+            self.file(vacancy.0, slot);
+        }
+        self.live += 1;
+        slot as usize
+    }
+
+    /// Revokes `id`: its slot is marked, its block zeroed and its table
+    /// entry removed. Returns the slot, `None` when `id` is not stored.
+    pub(crate) fn revoke(&mut self, id: &str) -> Option<usize> {
+        let (at, slot) = self.locate(id.as_bytes()).ok()?;
+        // Backward-shift deletion: each later entry of the run moves
+        // into the hole unless that would put it before its home.
+        let mask = self.table.len() - 1;
+        let (mut hole, mut next) = (at, (at + 1) & mask);
+        while self.table[next] != EMPTY {
+            let home = self.hasher.hash_one(self.id_bytes(self.table[next])) as usize & mask;
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.table[hole] = self.table[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.table[hole] = EMPTY;
+
+        let (chunk, range) = self.extent(slot);
+        self.dead_bytes += range.len();
+        self.chunks[chunk][range].fill(0);
+        self.slots[slot] |= DEAD;
+        self.live -= 1;
+        Some(slot)
+    }
+
+    /// Ends the filling of `chunk` at `fill` bytes during
+    /// [`RecordTable::compact`]: what lay beyond was moved down or was
+    /// dead, and is zeroed so no second copy of a record outlives it.
+    fn seal(&mut self, chunk: usize, fill: usize) {
+        let chunk = &mut self.chunks[chunk];
+        chunk[fill..].fill(0);
+        chunk.truncate(fill);
+        // Only a chunk that held an oversized block has more to give.
+        chunk.shrink_to(fill.max(CHUNK));
+    }
+
+    /// Reclaims revoked slots and their bytes: live blocks slide down
+    /// over dead ones in one ascending pass (chunk boundaries stay, a
+    /// block still never straddles one), slots renumber densely —
+    /// `renumbered(old, new)` is told each — emptied chunks are freed
+    /// and the id table is rebuilt once.
+    pub(crate) fn compact(&mut self, mut renumbered: impl FnMut(usize, usize)) {
+        // Greedy placement of a subsequence never overtakes greedy
+        // placement of the whole sequence, so the write cursor stays at
+        // or below every block still to be read.
+        let (mut to, mut fill, mut kept) = (0usize, 0usize, 0usize);
+        for old in 0..self.slots.len() {
+            if self.slots[old] & DEAD != 0 {
+                continue;
+            }
+            let (from, range) = self.extent(old);
+            let len = range.len();
+            if fill > 0 && fill + len > CHUNK {
+                self.seal(to, fill);
+                (to, fill) = (to + 1, 0);
+            }
+            if to == from {
+                self.chunks[from].copy_within(range, fill);
+            } else if len > CHUNK {
+                // An oversized block is its chunk: move the chunk.
+                self.chunks.swap(to, from);
+            } else {
+                let (low, high) = self.chunks.split_at_mut(from);
+                let target = &mut low[to];
+                if target.len() < fill + len {
+                    target.resize(fill + len, 0);
+                }
+                target[fill..fill + len].copy_from_slice(&high[0][range]);
+            }
+            self.slots[kept] = self.slots[old] & TAG | ((to as u64) << CHUNK_BITS) | fill as u64;
+            fill += len;
+            renumbered(old, kept);
+            kept += 1;
+        }
+        if fill > 0 {
+            self.seal(to, fill);
+            to += 1;
+        }
+        self.chunks.truncate(to);
+        self.chunks.shrink_to_fit();
+        self.slots.truncate(kept);
+        self.slots.shrink_to_fit();
+        self.dead_bytes = 0;
+        self.rebuild_table(Self::table_capacity(self.live));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fe_core::RobustData;
+
+    fn record(id: &str, fill: u8) -> EnrollmentRecord {
+        EnrollmentRecord {
+            id: id.to_string(),
+            public_key: vec![fill; 24],
+            helper: WireHelper {
+                sketch: RobustData {
+                    inner: vec![i64::from(fill), -200, 7],
+                    tag: vec![fill ^ 0x55; 16],
+                },
+                seed: vec![fill ^ 0xaa; 16],
+            },
+        }
+    }
+
+    /// Pushes `record` as a server does: probe, then file under the
+    /// vacancy. The row reads `-200` back as `200`, so every record
+    /// carries one patch.
+    fn push(table: &mut RecordTable, record: &EnrollmentRecord) -> usize {
+        let vacancy = table.probe(&record.id).expect("id is new");
+        let mut row = record.helper.sketch.inner.clone();
+        row[1] = 200;
+        table.push(vacancy, record, &row)
+    }
+
+    fn helper_of(table: &RecordTable, slot: usize) -> WireHelper {
+        let mut helper = WireHelper {
+            sketch: RobustData {
+                inner: vec![0, 200, 7],
+                tag: Vec::new(),
+            },
+            seed: Vec::new(),
+        };
+        let stored = table.get(slot).expect("live slot");
+        helper.sketch.inner[0] = i64::from(stored.public_key()[0]);
+        stored.restore(&mut helper);
+        helper
+    }
+
+    /// Entries examined to find every stored id once: the mean probe
+    /// length times the population.
+    fn total_probe_length(table: &RecordTable) -> usize {
+        let mask = table.table.len() - 1;
+        let mut examined = 0usize;
+        for (at, &slot) in table.table.iter().enumerate() {
+            if slot != EMPTY {
+                let home = table.hasher.hash_one(table.id_bytes(slot)) as usize & mask;
+                examined += (at.wrapping_sub(home) & mask) + 1;
+            }
+        }
+        examined
+    }
+
+    #[test]
+    fn lookups_growth_and_patches_round_trip() {
+        let mut table = RecordTable::new();
+        let records: Vec<_> = (0..200u8).map(|u| record(&format!("u{u}"), u)).collect();
+        for (u, r) in records.iter().enumerate() {
+            assert_eq!(push(&mut table, r), u);
+            assert!(table.probe(&r.id).is_none(), "now a duplicate");
+        }
+        assert_eq!((table.len(), table.slots()), (200, 200));
+        assert_eq!(table.table.len(), 256);
+        for (u, r) in records.iter().enumerate() {
+            assert_eq!(table.find(&r.id), Some(u));
+            let stored = table.get(u).unwrap();
+            assert_eq!((stored.id(), stored.public_key()), (&*r.id, &*r.public_key));
+            assert_eq!(helper_of(&table, u), r.helper);
+        }
+        assert_eq!(table.find("u200"), None);
+        assert_eq!(
+            table.heap_bytes(),
+            table.slots.capacity() * 8 + CHUNK + table.chunks.capacity() * 24 + 256 * 4
+        );
+    }
+
+    #[test]
+    fn ids_agreeing_on_length_tag_and_home_are_told_apart_by_their_bytes() {
+        // The tag spares most comparisons, so a lookup that compared
+        // less than every byte would pass every other test: search this
+        // table's keyed hash for two ids it cannot tell apart cheaply.
+        let mut table = RecordTable::new();
+        let mut seen = std::collections::HashMap::new();
+        let (a, b) = (0u32..)
+            .find_map(|n| {
+                let id = format!("c{n:07}");
+                let hash = table.hasher.hash_one(id.as_bytes());
+                let key = (tag_of(hash), hash as usize & (MIN_TABLE - 1));
+                seen.insert(key, id.clone()).map(|first| (first, id))
+            })
+            .expect("a collision on 18 bits");
+        assert_eq!(push(&mut table, &record(&a, 1)), 0);
+        assert_eq!(table.find(&b), None);
+        assert_eq!(push(&mut table, &record(&b, 2)), 1);
+        assert_eq!((table.find(&a), table.find(&b)), (Some(0), Some(1)));
+        assert_eq!(table.revoke(&a), Some(0));
+        assert_eq!((table.find(&a), table.find(&b)), (None, Some(1)));
+    }
+
+    #[test]
+    fn churn_leaves_capacity_and_probe_length_where_they_started() {
+        let mut table = RecordTable::new();
+        for u in 0..100u8 {
+            push(&mut table, &record(&format!("u{u}"), u));
+        }
+        let (capacity, before) = (table.table.len(), total_probe_length(&table));
+        // 10× the population in revoke / re-enroll pairs, never
+        // compacted, so the table is never rebuilt.
+        for round in 0..1000usize {
+            let id = format!("u{}", (round * 37) % 100);
+            assert!(table.revoke(&id).is_some());
+            assert_eq!(table.find(&id), None);
+            push(&mut table, &record(&id, round as u8));
+            assert_eq!(table.len(), 100);
+        }
+        assert_eq!((table.slots(), table.table.len()), (1100, capacity));
+        let entries = table.table.iter().filter(|&&e| e != EMPTY).count();
+        assert_eq!(entries, 100, "no tombstones, no lost entries");
+        for u in 0..100 {
+            assert!(table.find(&format!("u{u}")).is_some());
+        }
+        // Linear probing fills the same entries whatever order the keys
+        // went in, and backward shift leaves a table some insertion
+        // order of the remaining keys builds: the same hundred ids cost
+        // exactly the probes they cost at the start.
+        assert_eq!(total_probe_length(&table), before);
+    }
+
+    #[test]
+    fn backward_shift_keeps_every_run_reachable_across_the_wrap() {
+        // At 4..16 entries every run wraps sooner or later: remove each
+        // id in turn from small tables and look all the others up.
+        for population in 1..=14u8 {
+            for victim in 0..population {
+                let mut table = RecordTable::new();
+                for u in 0..population {
+                    push(&mut table, &record(&format!("u{u}"), u));
+                }
+                assert_eq!(table.revoke(&format!("u{victim}")), Some(victim as usize));
+                assert_eq!(table.revoke(&format!("u{victim}")), None);
+                for u in (0..population).filter(|&u| u != victim) {
+                    assert_eq!(table.find(&format!("u{u}")), Some(u as usize));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn revoke_leaves_no_byte_of_key_tag_or_seed_in_the_arena() {
+        let contains = |table: &RecordTable, needle: &[u8]| {
+            table
+                .chunks
+                .iter()
+                .any(|chunk| chunk.windows(needle.len()).any(|w| w == needle))
+        };
+        let mut table = RecordTable::new();
+        for u in 0..40u8 {
+            push(&mut table, &record(&format!("u{u}"), u));
+        }
+        let gone = record("u17", 17);
+        let secrets: [&[u8]; 3] = [&gone.public_key, &gone.helper.sketch.tag, &gone.helper.seed];
+        assert!(secrets.iter().all(|s| contains(&table, s)));
+        let bytes = table.extent(17).1.len();
+        assert_eq!(table.revoke("u17"), Some(17));
+        assert!(secrets.iter().all(|s| !contains(&table, s)));
+        assert_eq!(table.dead_bytes(), bytes);
+        assert!(table.get(17).is_none());
+        // Sliding blocks down leaves no second copy within a chunk's
+        // fill either (what `seal` zeroes past the fill, safe code
+        // cannot read back).
+        table.revoke("u3").unwrap();
+        let moved = record("u39", 39);
+        table.compact(|_, _| ());
+        assert_eq!(table.dead_bytes(), 0);
+        table.revoke("u39").unwrap();
+        assert!(!contains(&table, &moved.public_key));
+        assert!(!contains(&table, &moved.helper.seed));
+    }
+
+    #[test]
+    fn blocks_never_straddle_chunks_and_compaction_frees_them() {
+        let mut table = RecordTable::new();
+        let mut records = Vec::new();
+        // ~300 KiB blocks: three to a chunk; one block larger than a
+        // chunk in the middle.
+        for u in 0..10u8 {
+            let mut r = record(&format!("big{u}"), u);
+            r.helper.seed = vec![u; if u == 4 { CHUNK + 5 } else { 300 << 10 }];
+            push(&mut table, &r);
+            records.push(r);
+        }
+        let check = |table: &RecordTable, live: &[&EnrollmentRecord]| {
+            for (slot, r) in live.iter().enumerate() {
+                assert_eq!(table.find(&r.id), Some(slot));
+                assert_eq!(helper_of(table, slot), r.helper);
+            }
+            for slot in 0..table.slots() {
+                let (chunk, range) = table.extent(slot);
+                assert!(range.end <= table.chunks[chunk].len());
+                assert!(range.start == 0 || range.end <= CHUNK);
+            }
+        };
+        check(&table, &records.iter().collect::<Vec<_>>());
+        assert_eq!(table.chunks.len(), 5); // 3 + 1 | oversized | 3 + 2
+        for gone in ["big0", "big1", "big2", "big5", "big8"] {
+            table.revoke(gone).unwrap();
+        }
+        let mut pairs = Vec::new();
+        table.compact(|old, new| pairs.push((old, new)));
+        assert_eq!(pairs, [(3, 0), (4, 1), (6, 2), (7, 3), (9, 4)]);
+        let live: Vec<_> = [3, 4, 6, 7, 9].iter().map(|&u| &records[u]).collect();
+        check(&table, &live);
+        // big3 | oversized | big6 big7 big9
+        let capacities: Vec<_> = table.chunks.iter().map(Vec::capacity).collect();
+        let oversized = HEADER + 4 + 24 + 16 + (CHUNK + 5) + PATCH_BYTES;
+        assert_eq!(capacities, [CHUNK, oversized, CHUNK]);
+        // Revoking the oversized record and compacting gives its chunk back.
+        table.revoke("big4").unwrap();
+        table.compact(|_, _| ());
+        let live: Vec<_> = [3, 6, 7, 9].iter().map(|&u| &records[u]).collect();
+        check(&table, &live);
+        assert!(table.chunks.iter().all(|c| c.capacity() == CHUNK));
+    }
+}

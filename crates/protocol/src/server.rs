@@ -13,6 +13,7 @@ use crate::messages::{
     UserId, WireHelper,
 };
 use crate::params::{DedupPolicy, SystemParams};
+use crate::records::{RecordTable, StoredRecord, Vacancy};
 use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
 use fe_core::{EpochIndex, RobustData, ScanIndex, SketchIndex};
@@ -55,118 +56,6 @@ impl BuildIndex for EpochIndex {
     }
 }
 
-/// What the server keeps of one enrollment *besides its index row*:
-/// the row is the only copy of the sketch, so a record is its other
-/// public fields, packed into one heap block, plus a patch for the
-/// coordinates the row does not reproduce.
-///
-/// The index stores canonical ring residues (`−ka/2` folds to `+ka/2`,
-/// out-of-range values reduce), but the robust sketch's tag is
-/// `H(x ‖ s)` over the sketch *as sent* — `Rep` on a helper rebuilt
-/// from canonical values alone fails its tag check. So every coordinate
-/// whose stored cell differs from the enrolled value is kept verbatim;
-/// a record whose sketch round-trips through the index (twelve in
-/// thirteen at the paper's parameters) carries no patch bytes at all.
-#[derive(Debug)]
-struct StoredRecord {
-    /// `id ‖ public key ‖ tag ‖ seed ‖ patches`; a patch is a `u32`
-    /// dimension then the enrolled `i64`, little-endian. The key stays
-    /// bytes as received: only `finish_identification` needs it parsed,
-    /// and one signature verification dwarfs the parse.
-    bytes: Box<[u8]>,
-    /// End offsets in `bytes` of the id, key, tag and seed.
-    ends: [u32; 4],
-}
-
-/// The record table is `Vec<Option<StoredRecord>>`: 32 bytes a slot,
-/// with `None` in the box pointer's niche.
-const _: () = assert!(std::mem::size_of::<Option<StoredRecord>>() == 32);
-
-/// Bytes of one sketch patch.
-const PATCH_BYTES: usize = 4 + 8;
-
-impl StoredRecord {
-    /// Whether `record` packs within the `u32` offsets even if every
-    /// coordinate needs a patch.
-    fn fits(record: &EnrollmentRecord) -> bool {
-        let helper = &record.helper;
-        helper
-            .sketch
-            .inner
-            .len()
-            .saturating_mul(PATCH_BYTES)
-            .saturating_add(record.id.len())
-            .saturating_add(record.public_key.len())
-            .saturating_add(helper.sketch.tag.len())
-            .saturating_add(helper.seed.len())
-            <= u32::MAX as usize
-    }
-
-    /// Packs `record`, whose sketch the index holds as `row`.
-    fn pack(record: &EnrollmentRecord, row: &[i64]) -> StoredRecord {
-        let helper = &record.helper;
-        let fields: [&[u8]; 4] = [
-            record.id.as_bytes(),
-            &record.public_key,
-            &helper.sketch.tag,
-            &helper.seed,
-        ];
-        let enrolled = helper.sketch.inner.iter().zip(row);
-        let patches = enrolled.clone().filter(|(want, got)| want != got).count();
-        let fixed: usize = fields.iter().map(|f| f.len()).sum();
-        let mut bytes = Vec::with_capacity(fixed + patches * PATCH_BYTES);
-        let mut ends = [0u32; 4];
-        for (end, field) in ends.iter_mut().zip(fields) {
-            bytes.extend_from_slice(field);
-            *end = u32::try_from(bytes.len()).expect("validate_enroll bounds the packed length");
-        }
-        for (dim, (want, got)) in enrolled.enumerate() {
-            if want != got {
-                bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-                bytes.extend_from_slice(&want.to_le_bytes());
-            }
-        }
-        StoredRecord {
-            bytes: bytes.into_boxed_slice(),
-            ends,
-        }
-    }
-
-    fn field(&self, i: usize) -> &[u8] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start as usize..self.ends[i] as usize]
-    }
-
-    fn id(&self) -> &str {
-        std::str::from_utf8(self.field(0)).expect("packed from a String")
-    }
-
-    fn public_key(&self) -> &[u8] {
-        self.field(1)
-    }
-
-    /// Completes `helper`, whose sketch is this record's index row, to
-    /// the helper data that was enrolled: the patched coordinates over
-    /// the row, then tag and seed.
-    fn restore(&self, helper: &mut WireHelper) {
-        for patch in self.bytes[self.ends[3] as usize..].chunks_exact(PATCH_BYTES) {
-            let (dim, value) = patch.split_at(4);
-            let dim = u32::from_le_bytes(dim.try_into().expect("4 bytes")) as usize;
-            helper.sketch.inner[dim] = i64::from_le_bytes(value.try_into().expect("8 bytes"));
-        }
-        helper.sketch.tag.clear();
-        helper.sketch.tag.extend_from_slice(self.field(2));
-        helper.seed.clear();
-        helper.seed.extend_from_slice(self.field(3));
-    }
-
-    /// Heap bytes this record accounts for: its block plus the id copy
-    /// that keys `by_id`.
-    fn heap_bytes(&self) -> usize {
-        self.bytes.len() + self.ends[0] as usize
-    }
-}
-
 /// Helper data with nothing in it yet: the scratch value the record
 /// readers rebuild rows into.
 fn empty_helper() -> WireHelper {
@@ -190,12 +79,12 @@ struct LiveRows<'s, I: SketchIndex> {
 
 impl<I: SketchIndex> SnapshotRows for LiveRows<'_, I> {
     fn next_row(&mut self) -> Option<SnapshotRow<'_>> {
-        loop {
+        let server = self.server;
+        while self.next < server.records.slots() {
             let slot = self.next;
-            let entry = self.server.records.get(slot)?;
             self.next += 1;
-            if let Some(record) = entry {
-                self.server.helper_into(slot, record, &mut self.helper);
+            if let Some(record) = server.records.get(slot) {
+                server.helper_into(slot, record, &mut self.helper);
                 return Some(SnapshotRow {
                     id: record.id(),
                     public_key: record.public_key(),
@@ -203,6 +92,7 @@ impl<I: SketchIndex> SnapshotRows for LiveRows<'_, I> {
                 });
             }
         }
+        None
     }
 }
 
@@ -227,11 +117,7 @@ pub struct AuthenticationServer<I: SketchIndex = EpochIndex> {
     params: SystemParams,
     /// Slot-stable record storage: revocation leaves a tombstone so
     /// outstanding indices never shift.
-    records: Vec<Option<StoredRecord>>,
-    by_id: HashMap<UserId, usize>,
-    /// Running sum of [`StoredRecord::heap_bytes`] over live records, so
-    /// [`AuthenticationServer::record_heap_bytes`] is a read-out.
-    record_bytes: usize,
+    records: RecordTable,
     index: I,
     /// Scratch for the index row of the record being enrolled.
     row: Vec<i64>,
@@ -351,8 +237,8 @@ impl<I: BuildIndex> AuthenticationServer<I> {
             }
         }
         // Bulk-load hint: recovery knows the population size and sketch
-        // dimension up front, so the index builds a pre-sized arena
-        // instead of growing (and re-normalizing capacity) row by row.
+        // dimension up front, so the index and the record table are
+        // sized once instead of growing row by row.
         if let Some(LogEvent::Enroll(first)) =
             events.iter().find(|e| matches!(e, LogEvent::Enroll(_)))
         {
@@ -360,18 +246,20 @@ impl<I: BuildIndex> AuthenticationServer<I> {
                 .index
                 .reserve(enrolls - preindexed, first.helper.sketch.inner.len());
             server.records.reserve(enrolls);
-            server.by_id.reserve(enrolls);
         }
         let mut replayed = 0usize;
         for event in events {
             match event {
-                LogEvent::Enroll(record) => {
-                    if !server.by_id.contains_key(&record.id) {
-                        server.validate_enroll(&record)?;
-                        server.apply_enroll_replayed(record, replayed < preindexed);
+                LogEvent::Enroll(record) => match server.validate_enroll(&record) {
+                    Ok(vacancy) => {
+                        server.apply_enroll_replayed(record, vacancy, replayed < preindexed);
                         replayed += 1;
                     }
-                }
+                    // Already present: the snapshot and the journal
+                    // tail overlap after a crash between the two.
+                    Err(ProtocolError::DuplicateUser(_)) => {}
+                    Err(refused) => return Err(refused),
+                },
                 LogEvent::Revoke(id) => {
                     let _ = server.apply_revoke(&id);
                 }
@@ -380,8 +268,6 @@ impl<I: BuildIndex> AuthenticationServer<I> {
                 LogEvent::EnrollRejected { .. } => {}
             }
         }
-        // End any bulk-mode deferral the reserve hint started, so the
-        // recovered population is published to lock-free readers.
         server.index.flush();
         server.store = Some(store);
         Ok(server)
@@ -403,9 +289,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         assert!(index.is_empty(), "server index must start empty");
         AuthenticationServer {
             params,
-            records: Vec::new(),
-            by_id: HashMap::new(),
-            record_bytes: 0,
+            records: RecordTable::new(),
             index,
             row: Vec::new(),
             pending: HashMap::new(),
@@ -428,7 +312,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
 
     /// Number of enrolled (non-revoked) users.
     pub fn user_count(&self) -> usize {
-        self.by_id.len()
+        self.records.len()
     }
 
     /// Restricts this server to the session ids
@@ -454,7 +338,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// Rebuilds the helper data of the live `record` in `slot` into
     /// `helper`, bit-identical to what was enrolled: the index row, the
     /// record's patch over it, then tag and seed.
-    fn helper_into(&self, slot: usize, record: &StoredRecord, helper: &mut WireHelper) {
+    fn helper_into(&self, slot: usize, record: StoredRecord<'_>, helper: &mut WireHelper) {
         let live = self.index.copy_row_into(slot, &mut helper.sketch.inner);
         assert!(live, "a stored record's index row must be live");
         record.restore(helper);
@@ -470,7 +354,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
 
     /// One value per live record, in enrollment order.
     fn map_live<T>(&self, mut f: impl FnMut(SnapshotRow<'_>) -> T) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.by_id.len());
+        let mut out = Vec::with_capacity(self.records.len());
         let mut rows = self.live_rows();
         while let Some(row) = rows.next_row() {
             out.push(f(row));
@@ -520,7 +404,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// # Errors
     /// [`ProtocolError::UnknownUser`] if the id is not enrolled.
     pub fn revoke(&mut self, id: &str) -> Result<(), ProtocolError> {
-        if !self.by_id.contains_key(id) {
+        if !self.is_enrolled(id) {
             return Err(ProtocolError::UnknownUser(id.to_string()));
         }
         // Write-ahead: the journal accepts the revocation before memory
@@ -535,11 +419,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// In-memory revocation; `false` when the id is unknown (replay
     /// tolerance). Infallible by construction for validated ids.
     pub(crate) fn apply_revoke(&mut self, id: &str) -> bool {
-        let Some(idx) = self.by_id.remove(id) else {
+        let Some(idx) = self.records.revoke(id) else {
             return false;
         };
-        let record = self.records[idx].take().expect("by_id names live slots");
-        self.record_bytes -= record.heap_bytes();
         self.index.remove(idx);
         self.pending.retain(|_, p| p.record_idx != idx);
         true
@@ -547,10 +429,17 @@ impl<I: SketchIndex> AuthenticationServer<I> {
 
     /// Checks everything that could make [`AuthenticationServer::enroll`]
     /// fail, so the journal append can safely precede the mutation.
-    pub(crate) fn validate_enroll(&self, record: &EnrollmentRecord) -> Result<(), ProtocolError> {
-        if self.by_id.contains_key(&record.id) {
-            return Err(ProtocolError::DuplicateUser(record.id.clone()));
-        }
+    /// The one id lookup of an enrollment happens here: the returned
+    /// [`Vacancy`] is what [`AuthenticationServer::apply_enroll`] files
+    /// the record under, good until someone else enrolls that id.
+    pub(crate) fn validate_enroll(
+        &self,
+        record: &EnrollmentRecord,
+    ) -> Result<Vacancy, ProtocolError> {
+        let vacancy = self
+            .records
+            .probe(&record.id)
+            .ok_or_else(|| ProtocolError::DuplicateUser(record.id.clone()))?;
         if record.public_key.is_empty() {
             return Err(ProtocolError::Malformed("empty public key"));
         }
@@ -565,15 +454,18 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         if !self.index.sketch_dim_ok(record.helper.sketch.inner.len()) {
             return Err(ProtocolError::Malformed("sketch dimension mismatch"));
         }
-        if !StoredRecord::fits(record) {
+        if !RecordTable::fits(record) {
             return Err(ProtocolError::Malformed("record too large"));
         }
-        Ok(())
+        if self.records.is_full() {
+            return Err(ProtocolError::Malformed("record table full"));
+        }
+        Ok(vacancy)
     }
 
     /// In-memory enrollment of a pre-validated record.
-    pub(crate) fn apply_enroll(&mut self, record: EnrollmentRecord) {
-        self.apply_enroll_replayed(record, false);
+    pub(crate) fn apply_enroll(&mut self, record: EnrollmentRecord, vacancy: Vacancy) {
+        self.apply_enroll_replayed(record, vacancy, false);
     }
 
     /// [`AuthenticationServer::apply_enroll`] with recovery's segment
@@ -581,8 +473,13 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// index (installed wholesale from an imported segment cache) and
     /// must not be inserted twice. Either way the record is packed
     /// against the row the index now holds in its slot.
-    fn apply_enroll_replayed(&mut self, record: EnrollmentRecord, preindexed: bool) {
-        let idx = self.records.len();
+    fn apply_enroll_replayed(
+        &mut self,
+        record: EnrollmentRecord,
+        vacancy: Vacancy,
+        preindexed: bool,
+    ) {
+        let idx = self.records.slots();
         if !preindexed {
             let index_id = self.index.insert(&record.helper.sketch.inner);
             // Release-enforced: an index that had records inserted and
@@ -609,10 +506,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             },
             "index row must mirror the enrolled sketch on the ring"
         );
-        let stored = StoredRecord::pack(&record, &self.row);
-        self.record_bytes += stored.heap_bytes();
-        self.by_id.insert(record.id, idx);
-        self.records.push(Some(stored));
+        let slot = self.records.push(vacancy, &record, &self.row);
+        debug_assert_eq!(slot, idx);
     }
 
     /// Stores an enrollment record (Fig. 1, final step). With a store
@@ -629,11 +524,11 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         if self.params.dedup_policy() == DedupPolicy::RejectMatching {
             return self.enroll_unique(record);
         }
-        self.validate_enroll(&record)?;
+        let vacancy = self.validate_enroll(&record)?;
         if let Some(store) = &mut self.store {
             store.append(LogEventRef::Enroll(&record))?;
         }
-        self.apply_enroll(record);
+        self.apply_enroll(record, vacancy);
         Ok(())
     }
 
@@ -652,14 +547,13 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// enrolled id) when a matching record exists; otherwise as
     /// [`AuthenticationServer::enroll`].
     pub fn enroll_unique(&mut self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
-        self.validate_enroll(&record)?;
+        let vacancy = self.validate_enroll(&record)?;
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let hits = self.index.lookup_at_most(&record.helper.sketch.inner, 1);
         if let Some(&idx) = hits.first() {
-            let matched = self.records[idx]
-                .as_ref()
+            let matched = self
+                .user_at(idx)
                 .expect("index only matches live records")
-                .id()
                 .to_string();
             if let Some(store) = &mut self.store {
                 store.append(LogEventRef::EnrollRejected {
@@ -672,7 +566,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         if let Some(store) = &mut self.store {
             store.append(LogEventRef::Enroll(&record))?;
         }
-        self.apply_enroll(record);
+        self.apply_enroll(record, vacancy);
         Ok(())
     }
 
@@ -689,7 +583,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// out-of-range slots) — lets concurrent wrappers resolve slots
     /// found under a shared lock.
     pub fn user_at(&self, record_idx: usize) -> Option<&str> {
-        self.records.get(record_idx)?.as_ref().map(StoredRecord::id)
+        self.records.get(record_idx).map(|record| record.id())
     }
 
     /// Reset / account-recovery lookup: succeeds only when **exactly
@@ -705,10 +599,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     pub fn reset(&self, probe: &[i64]) -> Result<UserId, ProtocolError> {
         match *self.match_at_most(probe, 2).as_slice() {
             [] => Err(ProtocolError::NoMatch),
-            [idx] => Ok(self.records[idx]
-                .as_ref()
+            [idx] => Ok(self
+                .user_at(idx)
                 .expect("index only matches live records")
-                .id()
                 .to_string()),
             _ => Err(ProtocolError::AmbiguousMatch),
         }
@@ -727,9 +620,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         claimed_id: &str,
         probe: &[i64],
     ) -> Result<bool, ProtocolError> {
-        let idx = *self
-            .by_id
-            .get(claimed_id)
+        let idx = self
+            .slot_of(claimed_id)
             .ok_or_else(|| ProtocolError::UnknownUser(claimed_id.to_string()))?;
         self.lookups.fetch_add(1, Ordering::Relaxed);
         Ok(!self.index.lookup_in_subset(probe, &[idx], 1).is_empty())
@@ -752,10 +644,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         let mut subset = Vec::with_capacity(ids.len());
         for id in ids {
             let idx = self
-                .by_id
-                .get(id)
+                .slot_of(id)
                 .ok_or_else(|| ProtocolError::UnknownUser(id.clone()))?;
-            subset.push(*idx);
+            subset.push(idx);
         }
         self.lookups.fetch_add(1, Ordering::Relaxed);
         Ok(self.index.lookup_in_subset(probe, &subset, 1).is_empty())
@@ -788,10 +679,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         record_idx: usize,
         rng: &mut R,
     ) -> Option<IdentChallenge> {
-        match self.records.get(record_idx) {
-            Some(Some(_)) => Some(self.issue_challenge(record_idx, rng)),
-            _ => None,
-        }
+        self.records.get(record_idx)?;
+        Some(self.issue_challenge(record_idx, rng))
     }
 
     /// Identification phase 1 (Fig. 3): match the probe sketch against
@@ -843,9 +732,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         claimed_id: &str,
         rng: &mut R,
     ) -> Result<IdentChallenge, ProtocolError> {
-        let record_idx = *self
-            .by_id
-            .get(claimed_id)
+        let record_idx = self
+            .slot_of(claimed_id)
             .ok_or_else(|| ProtocolError::UnknownUser(claimed_id.to_string()))?;
         Ok(self.issue_challenge(record_idx, rng))
     }
@@ -865,8 +753,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
                 challenge,
             },
         );
-        let record = self.records[record_idx]
-            .as_ref()
+        let record = self
+            .records
+            .get(record_idx)
             .expect("challenges are only issued for live records");
         let mut helper = empty_helper();
         self.helper_into(record_idx, record, &mut helper);
@@ -893,8 +782,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             .remove(&response.session)
             .ok_or(ProtocolError::UnknownSession)?;
         // A user can be revoked between challenge and response.
-        let record = self.records[pending.record_idx]
-            .as_ref()
+        let record = self
+            .records
+            .get(pending.record_idx)
             .ok_or(ProtocolError::UnknownSession)?;
         let signature = DsaSignature::from_bytes(&response.signature, self.params.dsa_params())
             .ok_or(ProtocolError::Malformed("signature length"))?;
@@ -970,7 +860,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         mut store: Box<dyn EnrollmentStore>,
     ) -> Result<(), ProtocolError> {
         assert!(
-            self.records.is_empty(),
+            self.records.slots() == 0,
             "attach_store requires an empty server (existing records would not be journaled)"
         );
         let persisted = store.load()?.len();
@@ -991,15 +881,15 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// Whether `id` is currently enrolled — pre-validation for journal
     /// appends that happen outside the state lock (see
     /// [`crate::concurrent::SharedServer`]).
-    pub(crate) fn is_enrolled(&self, id: &str) -> bool {
-        self.by_id.contains_key(id)
+    pub fn is_enrolled(&self, id: &str) -> bool {
+        self.slot_of(id).is_some()
     }
 
     /// The record slot a user id currently occupies (`None` when not
     /// enrolled) — the inverse of [`AuthenticationServer::user_at`],
     /// for concurrent wrappers that scan lock-free by slot.
-    pub(crate) fn slot_of(&self, id: &str) -> Option<usize> {
-        self.by_id.get(id).copied()
+    pub fn slot_of(&self, id: &str) -> Option<usize> {
+        self.records.find(id)
     }
 
     /// Detaches and returns the enrollment store, leaving the server
@@ -1021,21 +911,22 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// Total record slots held, live **and** tombstoned — what revocation
     /// leaves behind until [`AuthenticationServer::compact`] runs.
     pub fn record_slots(&self) -> usize {
-        self.records.len()
+        self.records.slots()
     }
 
-    /// Heap bytes of the record table, read out in O(1): the slot
-    /// vector, every live record's block (patches included), and
-    /// `by_id` — the id copies that key it plus its bucket array,
-    /// estimated from its capacity (hash-map internals are not
-    /// observable). Allocator headers are not counted, nor is the index
-    /// (see [`SketchIndex::heap_bytes`]), which holds the sketches.
+    /// Heap bytes of the record table, exact and read out without
+    /// walking the records: the slot vector (8 bytes a slot), the arena's chunks (1 MiB each,
+    /// so a small population reads as its one chunk) and the id table
+    /// (4 bytes an entry). The index, which holds the sketches, is not
+    /// counted (see [`SketchIndex::heap_bytes`]).
     pub fn record_heap_bytes(&self) -> usize {
-        let slots = self.records.capacity() * std::mem::size_of::<Option<StoredRecord>>();
-        // A hashbrown table fills 7/8 of its buckets; a bucket is the
-        // pair plus one control byte.
-        let buckets = self.by_id.capacity() / 7 * 8;
-        slots + buckets * (std::mem::size_of::<(UserId, usize)>() + 1) + self.record_bytes
+        self.records.heap_bytes()
+    }
+
+    /// Arena bytes still held by revoked records — zeroed when they
+    /// were revoked, reclaimed by [`AuthenticationServer::compact`].
+    pub fn dead_record_bytes(&self) -> usize {
+        self.records.dead_bytes()
     }
 
     /// Reclaims tombstone slots left by revocation: live records are
@@ -1051,37 +942,24 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// but checkpointing is the natural trigger: the snapshot pass
     /// rewrites every live record anyway.
     pub fn compact(&mut self) -> usize {
-        let reclaimed = self.records.len() - self.by_id.len();
+        let reclaimed = self.records.slots() - self.records.len();
         if reclaimed == 0 {
             return 0;
         }
         // Both structures drop tombstones in ascending order, so the
-        // index's (old, new) pairs and the live record slots advance in
-        // lockstep: the table compacts in place and `by_id` values are
-        // rewritten where they sit — nothing proportional to the
-        // population is allocated here.
+        // index's (old, new) pairs and the table's advance in lockstep;
+        // the table slides its blocks down in place, and nothing
+        // proportional to the population is allocated but its id table.
         let mapping = self.index.compact();
         let mut pairs = mapping.iter();
-        let mut kept = 0;
-        for old_idx in 0..self.records.len() {
-            let Some(record) = self.records[old_idx].take() else {
-                continue;
-            };
+        self.records.compact(|old, new| {
             assert_eq!(
                 pairs.next(),
-                Some(&(old_idx, kept)),
+                Some(&(old, new)),
                 "index compaction must renumber densely in enrollment order"
             );
-            *self
-                .by_id
-                .get_mut(record.id())
-                .expect("live records are in by_id") = kept;
-            self.records[kept] = Some(record);
-            kept += 1;
-        }
+        });
         assert!(pairs.next().is_none(), "index holds rows without records");
-        self.records.truncate(kept);
-        self.records.shrink_to_fit();
         for pending in self.pending.values_mut() {
             let at = mapping
                 .binary_search_by_key(&pending.record_idx, |&(old, _)| old)
@@ -1146,7 +1024,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// (the coherence the segment fast path in
     /// [`AuthenticationServer::recover_with_store`] relies on).
     fn write_snapshot(&self, store: &mut dyn EnrollmentStore) -> Result<(), ProtocolError> {
-        store.compact(self.by_id.len(), &mut self.live_rows())?;
+        store.compact(self.records.len(), &mut self.live_rows())?;
         if let Some(blob) = self.index.export_segments() {
             store.save_index_cache(&blob)?;
         }

@@ -1222,3 +1222,215 @@ mod helper_round_trip {
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), vec![-KA / 2, KA / 2]);
     }
 }
+
+// ---------------------------------------------------------------------
+// The record table (byte arena + slot vector + id table) against a
+// `HashMap` model, under ids and records chosen to hurt.
+// ---------------------------------------------------------------------
+
+mod record_table {
+    use super::*;
+    use fuzzy_id::protocol::{AuthenticationServer, EnrollmentRecord, ProtocolError, SystemParams};
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const DIM: usize = 4;
+    /// The arena's chunk size: a block longer than this gets a chunk of
+    /// its own.
+    const CHUNK: usize = 1 << 20;
+
+    /// The ids a case draws from: the empty id, a 70 000-byte one, ids
+    /// that are prefixes of one another, ids equal except in the last
+    /// byte, the id whose record outgrows a chunk, and enough ordinary
+    /// ones for the id table to grow from 4 entries to 16 and wrap.
+    fn id_pool() -> Vec<String> {
+        let mut ids = vec![
+            String::new(),
+            "x".repeat(70_000),
+            "a".into(),
+            "ab".into(),
+            "abc".into(),
+            "user-0000".into(),
+            "user-0001".into(),
+            "big".into(),
+        ];
+        ids.extend((0..5).map(|u| format!("u{u}")));
+        ids
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Enroll the pool's id `pick` with fields derived from `salt`:
+        /// refused as a duplicate when the id is live.
+        Enroll {
+            pick: usize,
+            salt: u8,
+            inner: Vec<i64>,
+        },
+        Revoke {
+            pick: usize,
+        },
+        Compact,
+        /// `checkpoint()`, drop, `recover()`.
+        Reopen,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // −200 reads back from the index as +200: a patched coordinate.
+        let coordinate = (0u8..4, -199i64..=200)
+            .prop_map(|(sel, ordinary)| if sel == 0 { -200 } else { ordinary });
+        (
+            0u8..12,
+            any::<usize>(),
+            any::<u8>(),
+            prop::collection::vec(coordinate, DIM..DIM + 1),
+        )
+            .prop_map(|(kind, pick, salt, inner)| match kind {
+                0..=5 => Op::Enroll { pick, salt, inner },
+                6..=9 => Op::Revoke { pick },
+                10 => Op::Compact,
+                _ => Op::Reopen,
+            })
+    }
+
+    fn record(id: &str, salt: u8, inner: Vec<i64>) -> EnrollmentRecord {
+        let len = usize::from(salt % 37);
+        EnrollmentRecord {
+            id: id.to_string(),
+            public_key: vec![salt; 1 + len],
+            helper: HelperData {
+                sketch: RobustData {
+                    inner,
+                    tag: vec![!salt; len],
+                },
+                seed: vec![salt ^ 0x5a; if id == "big" { CHUNK + 1 } else { len / 2 }],
+            },
+        }
+    }
+
+    /// What the server must hold: the record of every live id, and
+    /// which id each slot holds.
+    #[derive(Default)]
+    struct Model {
+        records: HashMap<String, EnrollmentRecord>,
+        slots: Vec<Option<String>>,
+    }
+
+    impl Model {
+        fn compact(&mut self) {
+            self.slots.retain(Option::is_some);
+        }
+
+        fn check(&self, server: &AuthenticationServer, pool: &[String]) {
+            assert_eq!(server.user_count(), self.records.len());
+            assert_eq!(server.record_slots(), self.slots.len());
+            for (slot, id) in self.slots.iter().enumerate() {
+                assert_eq!(server.user_at(slot), id.as_deref(), "slot {slot}");
+            }
+            assert_eq!(server.user_at(self.slots.len()), None);
+            for id in pool {
+                let slot = self.slots.iter().position(|s| s.as_ref() == Some(id));
+                assert_eq!(server.slot_of(id), slot, "id of {} bytes", id.len());
+                assert_eq!(server.is_enrolled(id), self.records.contains_key(id));
+            }
+            let helpers: Vec<_> = self
+                .slots
+                .iter()
+                .flatten()
+                .map(|id| (id.clone(), self.records[id].helper.clone()))
+                .collect();
+            assert_eq!(server.all_helpers(), helpers);
+        }
+    }
+
+    fn run(ops: &[Op]) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "fe-record-table-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let params = SystemParams::insecure_test_defaults();
+        let pool = id_pool();
+        let mut model = Model::default();
+        let mut server: AuthenticationServer =
+            AuthenticationServer::recover(params.clone(), &dir).unwrap();
+        for op in ops {
+            match op {
+                Op::Enroll { pick, salt, inner } => {
+                    let id = &pool[pick % pool.len()];
+                    let record = record(id, *salt, inner.clone());
+                    let outcome = server.enroll(record.clone());
+                    if model.records.contains_key(id) {
+                        assert_eq!(outcome, Err(ProtocolError::DuplicateUser(id.clone())));
+                    } else {
+                        assert_eq!(outcome, Ok(()));
+                        model.records.insert(id.clone(), record);
+                        model.slots.push(Some(id.clone()));
+                    }
+                }
+                Op::Revoke { pick } => {
+                    let id = &pool[pick % pool.len()];
+                    let dead = server.dead_record_bytes();
+                    let outcome = server.revoke(id);
+                    if model.records.remove(id).is_some() {
+                        assert_eq!(outcome, Ok(()));
+                        let slot = model.slots.iter().position(|s| s.as_ref() == Some(id));
+                        model.slots[slot.unwrap()] = None;
+                        assert!(server.dead_record_bytes() > dead + id.len());
+                    } else {
+                        assert_eq!(outcome, Err(ProtocolError::UnknownUser(id.clone())));
+                    }
+                }
+                Op::Compact => {
+                    let dead = model.slots.iter().filter(|s| s.is_none()).count();
+                    assert_eq!(server.compact(), dead);
+                    model.compact();
+                    assert_eq!(server.dead_record_bytes(), 0);
+                }
+                Op::Reopen => {
+                    server.checkpoint().unwrap();
+                    drop(server);
+                    server = AuthenticationServer::recover(params.clone(), &dir).unwrap();
+                    model.compact();
+                    assert_eq!(server.dead_record_bytes(), 0);
+                }
+            }
+            model.check(&server, &pool);
+        }
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn record_table_matches_model(ops in prop::collection::vec(op(), 1..60)) {
+            run(&ops);
+        }
+    }
+
+    /// The case a random draw seldom reaches: every id of the pool live
+    /// at once (the oversized record among ordinary ones), most revoked
+    /// in an order that leaves holes on both sides of the big block,
+    /// compacted, re-enrolled and recovered.
+    #[test]
+    fn record_table_matches_model_on_a_full_pool() {
+        let enroll = |pick, salt| Op::Enroll {
+            pick,
+            salt,
+            inner: vec![-200, 3, 200, -7],
+        };
+        let mut ops: Vec<Op> = (0..13).map(|pick| enroll(pick, pick as u8 * 7)).collect();
+        ops.extend([1, 6, 8, 0, 12, 3].map(|pick| Op::Revoke { pick }));
+        ops.push(Op::Compact);
+        ops.extend([6, 0, 1].map(|pick| enroll(pick, 99)));
+        ops.push(Op::Reopen);
+        ops.push(Op::Revoke { pick: 7 });
+        ops.push(enroll(7, 1));
+        ops.push(Op::Reopen);
+        run(&ops);
+    }
+}
