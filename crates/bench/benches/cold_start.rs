@@ -23,8 +23,9 @@
 //! while making a 10⁵-record setup tractable.
 
 //! `FE_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run and
-//! records recovery/journaling rates in `BENCH_SMOKE.json` (see
-//! `fe_bench::smoke`).
+//! records recovery rates (`recover_*_rps_*`) and the per-enroll cost
+//! with and without the journal (`enroll_in_memory_us`,
+//! `enroll_journaled_us`) in `BENCH_SMOKE.json` (see `fe_bench::smoke`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fe_bench::{smoke, time_it, SynthPopulation};
@@ -65,8 +66,8 @@ fn populate(params: &SystemParams, dir: &PathBuf, records: &[EnrollmentRecord], 
 }
 
 /// Snapshot-load + index-rebuild time versus population, journal replay
-/// versus snapshot.
-fn bench_recover(c: &mut Criterion) {
+/// versus snapshot. Returns the smoke numbers it took.
+fn bench_recover(c: &mut Criterion) -> Vec<(String, f64)> {
     let smoke_run = smoke::smoke_mode();
     let populations: &[usize] = if smoke_run { &[2_000] } else { &POPULATIONS };
     let mut group = c.benchmark_group("cold_start");
@@ -120,16 +121,13 @@ fn bench_recover(c: &mut Criterion) {
         std::fs::remove_dir_all(&snap_dir).unwrap();
     }
     group.finish();
-    let named: Vec<(&str, f64)> = smoke_metrics
-        .iter()
-        .map(|(k, v)| (k.as_str(), *v))
-        .collect();
-    smoke::record("cold_start", &named);
+    smoke_metrics
 }
 
 /// Write-ahead journaling overhead on the enroll path: memory-only vs
-/// OS-buffered journal vs fsync-per-event.
-fn bench_enroll_overhead(c: &mut Criterion) {
+/// OS-buffered journal vs fsync-per-event. Returns the smoke numbers it
+/// took.
+fn bench_enroll_overhead(c: &mut Criterion) -> Vec<(String, f64)> {
     let smoke_run = smoke::smoke_mode();
     let mut group = c.benchmark_group("cold_start");
     group.sample_size(10);
@@ -141,6 +139,7 @@ fn bench_enroll_overhead(c: &mut Criterion) {
     // A pool of pre-built records so the measured loop is enroll-only.
     let pool = synthesize_records(&params, if smoke_run { 4_000 } else { 50_000 }, &mut rng);
 
+    let mut smoke_metrics: Vec<(String, f64)> = Vec::new();
     let configs: [(&str, bool, Option<bool>); 3] = [
         ("enroll/in_memory", false, None),
         ("enroll/journaled", true, Some(false)),
@@ -159,6 +158,19 @@ fn bench_enroll_overhead(c: &mut Criterion) {
         } else {
             AuthenticationServer::new(params.clone())
         };
+        // Machine-readable smoke numbers: one timed pass over the pool
+        // into the fresh server (the fsync row is left to criterion — it
+        // measures the disk, not the code).
+        if sync != Some(true) {
+            let batch = pool.clone();
+            let (_, secs) = time_it(|| {
+                for record in batch {
+                    server.enroll(record).unwrap();
+                }
+            });
+            let key = format!("{}_us", name.replace('/', "_"));
+            smoke_metrics.push((key, secs * 1e6 / pool.len() as f64));
+        }
         let mut next = 0usize;
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new(name, DIM), &DIM, |b, _| {
@@ -178,7 +190,21 @@ fn bench_enroll_overhead(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
+    smoke_metrics
 }
 
-criterion_group!(benches, bench_recover, bench_enroll_overhead);
+/// Both halves, then one `BENCH_SMOKE.json` section for the two.
+fn bench_cold_start(c: &mut Criterion) {
+    let mut smoke_metrics = bench_recover(c);
+    smoke_metrics.extend(bench_enroll_overhead(c));
+    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    smoke_metrics.push(("hw_threads".to_string(), hw_threads as f64));
+    let named: Vec<(&str, f64)> = smoke_metrics
+        .iter()
+        .map(|(k, v)| (k.as_str(), *v))
+        .collect();
+    smoke::record("cold_start", &named);
+}
+
+criterion_group!(benches, bench_cold_start);
 criterion_main!(benches);

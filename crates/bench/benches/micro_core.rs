@@ -1,7 +1,10 @@
 //! Micro-benchmarks of the core sketch pipeline: `SS`, `Rec`, the match
-//! conditions and the robust-tag overhead, at the paper's n = 5000.
+//! conditions and the robust-tag overhead, at the paper's n = 5000 —
+//! and of the frame checksum every journal, snapshot, sidecar and wire
+//! frame pays.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fe_core::codec::crc32;
 use fe_core::conditions::sketches_match;
 use fe_core::{ChebyshevSketch, RobustSketch, SecureSketch};
 use fe_crypto::Sha256;
@@ -63,5 +66,22 @@ fn bench_core(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_core);
+/// `crc32` at a handshake-sized payload, at the journal frame of a
+/// paper-dimension enroll (743 bytes) and at a maximal 1 MiB wire frame.
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(1));
+    group.warm_up_time(Duration::from_millis(200));
+    for len in [64usize, 743, 1 << 20] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(len.to_string(), |b| {
+            b.iter(|| crc32(std::hint::black_box(&data)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_core, bench_crc32);
 criterion_main!(benches);

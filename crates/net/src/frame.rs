@@ -252,6 +252,26 @@ mod tests {
     }
 
     #[test]
+    fn revoke_request_frame_bytes_are_pinned() {
+        // As put on the wire by the commit before the checksum went
+        // table-driven: len ‖ crc32 ‖ request id 7 ‖ "FEID" Revoke.
+        let request = crate::envelope::encode_request(
+            7,
+            &fe_protocol::wire::Message::Revoke {
+                id: "user-7".into(),
+            },
+        );
+        let hex: String = frame_bytes(&request)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "0000001941644b9300000000000000074645494409000100000006757365722d37"
+        );
+    }
+
+    #[test]
     fn eof_at_boundary_is_clean_close() {
         let err = read_frame(&mut Cursor::new(&[]), DEFAULT_MAX_FRAME).unwrap_err();
         assert!(matches!(err, NetError::ConnectionClosed), "{err}");

@@ -216,13 +216,13 @@ pub fn get_record(r: &mut Reader<'_>) -> Result<EnrollmentRecord, CodecError> {
     })
 }
 
-/// Encodes one journal event as a frame payload.
-fn encode_event(event: LogEventRef<'_>) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Encodes one journal event as a frame payload, where the caller's
+/// frame will hold it.
+fn put_event(w: &mut Writer, event: LogEventRef<'_>) {
     match event {
         LogEventRef::Enroll(record) => {
             w.put_u8(EVENT_ENROLL);
-            put_record(&mut w, record);
+            put_record(w, record);
         }
         LogEventRef::Revoke(id) => {
             w.put_u8(EVENT_REVOKE);
@@ -234,7 +234,6 @@ fn encode_event(event: LogEventRef<'_>) -> Vec<u8> {
             w.put_str(matched);
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes one journal-frame payload.
@@ -426,12 +425,17 @@ fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
 /// mismatch at the end of the file. [`FileStore::open`] detects it and
 /// truncates the journal back to the last complete frame immediately —
 /// *before* handing out an append handle — so the surviving events are
-/// exactly those whose `append` had returned `Ok`, and a fresh append
-/// can never land behind torn bytes. A CRC failure with intact frames
-/// *behind* it is damage at rest, not a crash: `open` refuses and
-/// leaves the file untouched for salvage. A crash mid-compaction leaves
-/// at worst a stale `.tmp` file, which the next compaction overwrites;
-/// the rename is the commit point.
+/// exactly those whose `append` had returned `Ok`. The running store
+/// keeps the same promise: it knows the length of the journal's good
+/// prefix, and an append whose write (or `sync_data`) fails part-way —
+/// a full disk, an I/O error — cuts the file back to that length before
+/// returning its error; if the cut fails too, every later append on the
+/// handle is refused until the store is reopened. Either way a fresh
+/// append never lands behind torn bytes. A CRC failure with intact
+/// frames *behind* it is damage at rest, not a crash: `open` refuses
+/// and leaves the file untouched for salvage. A crash mid-compaction
+/// leaves at worst a stale `.tmp` file, which the next compaction
+/// overwrites; the rename is the commit point.
 ///
 /// # Single-writer lock
 ///
@@ -452,7 +456,7 @@ fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
 pub struct FileStore {
     dir: PathBuf,
     fingerprint: Fingerprint,
-    journal: File,
+    journal: Journal,
     journal_events: usize,
     sync_every_append: bool,
     torn_bytes_discarded: u64,
@@ -573,10 +577,110 @@ fn acquire_dir_lock(dir: &Path) -> Result<PathBuf, ProtocolError> {
     result
 }
 
+/// What [`Journal::append`] needs of its file, and no more — the seam
+/// the failed-append tests put a failing file behind.
+trait JournalFile: std::io::Write {
+    fn set_len(&mut self, len: u64) -> std::io::Result<()>;
+    fn sync_data(&mut self) -> std::io::Result<()>;
+}
+
+impl JournalFile for File {
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        File::set_len(self, len)
+    }
+
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        File::sync_data(self)
+    }
+}
+
+/// The journal's append handle: the `O_APPEND` file, the length of its
+/// good prefix, and the one buffer every frame is encoded in.
+struct Journal<F = File> {
+    file: F,
+    /// Bytes of header plus acknowledged frames — where the file is cut
+    /// back to when an append fails part-way.
+    good_len: u64,
+    /// That cut failed (or a compaction died while resetting the file):
+    /// the journal may end in part of a frame, and a frame appended
+    /// behind it would read as damage at rest. Appends are refused.
+    poisoned: bool,
+    scratch: Writer,
+}
+
+impl<F: JournalFile> Journal<F> {
+    fn new(file: F, good_len: u64) -> Journal<F> {
+        Journal {
+            file,
+            good_len,
+            poisoned: false,
+            scratch: Writer::new(),
+        }
+    }
+
+    /// Points the handle at a journal file just rewritten to `good_len`
+    /// bytes, keeping the scratch buffer.
+    fn replace_file(&mut self, file: F, good_len: u64) {
+        self.file = file;
+        self.good_len = good_len;
+        self.poisoned = false;
+    }
+
+    /// Frames `event` in the scratch buffer — encoded once, where it is
+    /// checksummed and written from — and appends it with one
+    /// `write_all` (plus `sync_data` when `sync`).
+    fn append(&mut self, event: LogEventRef<'_>, sync: bool) -> Result<(), ProtocolError> {
+        if self.poisoned {
+            return Err(ProtocolError::Storage(
+                "an earlier failure left the journal's tail in doubt; reopen the store".into(),
+            ));
+        }
+        self.scratch.clear();
+        let mark = self.scratch.begin_frame();
+        put_event(&mut self.scratch, event);
+        self.scratch.end_frame(mark);
+        let frame = self.scratch.as_slice();
+        match write_through(&mut self.file, frame, sync) {
+            Ok(()) => {
+                self.good_len += frame.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                // Nobody was told about whatever part of the frame
+                // landed; left in place, the next good frame would sit
+                // behind it and the next `open` would refuse the store.
+                if let Err(cut) = self.file.set_len(self.good_len) {
+                    self.poisoned = true;
+                    return Err(ProtocolError::Storage(format!(
+                        "{e}; cutting the partial frame off failed too: {cut}"
+                    )));
+                }
+                Err(e)
+            }
+        }
+    }
+}
+
+fn write_through(
+    file: &mut impl JournalFile,
+    frame: &[u8],
+    sync: bool,
+) -> Result<(), ProtocolError> {
+    file.write_all(frame)
+        .map_err(|e| io_err("append journal event", e))?;
+    file.flush().map_err(|e| io_err("flush journal", e))?;
+    if sync {
+        file.sync_data().map_err(|e| io_err("sync journal", e))?;
+    }
+    Ok(())
+}
+
 /// Result of one journal scan-and-repair pass.
 struct JournalScan {
     events: Vec<LogEvent>,
     torn_bytes: u64,
+    /// Length of the file once the torn tail (if any) is cut off.
+    good_len: u64,
 }
 
 /// Reads the journal, validates its header, decodes every frame, and
@@ -623,7 +727,11 @@ fn scan_and_repair_journal(
         file.set_len(good_end as u64)
             .map_err(|e| io_err("truncate torn journal tail", e))?;
     }
-    Ok(JournalScan { events, torn_bytes })
+    Ok(JournalScan {
+        events,
+        torn_bytes,
+        good_len: good_end as u64,
+    })
 }
 
 impl std::fmt::Debug for FileStore {
@@ -696,6 +804,7 @@ impl FileStore {
                 JournalScan {
                     events: Vec::new(),
                     torn_bytes: 0,
+                    good_len: HEADER_LEN,
                 }
             }
             None => {
@@ -704,6 +813,7 @@ impl FileStore {
                 JournalScan {
                     events: Vec::new(),
                     torn_bytes: 0,
+                    good_len: HEADER_LEN,
                 }
             }
         };
@@ -715,7 +825,7 @@ impl FileStore {
         Ok(FileStore {
             dir,
             fingerprint,
-            journal,
+            journal: Journal::new(journal, scan.good_len),
             journal_events: scan.events.len(),
             sync_every_append: false,
             torn_bytes_discarded: scan.torn_bytes,
@@ -790,25 +900,14 @@ impl FileStore {
         let scan = scan_and_repair_journal(&self.journal_path(), &self.fingerprint)?;
         self.torn_bytes_discarded += scan.torn_bytes;
         self.journal_events = scan.events.len();
+        self.journal.good_len = scan.good_len;
         Ok(scan.events)
     }
 }
 
 impl EnrollmentStore for FileStore {
     fn append(&mut self, event: LogEventRef<'_>) -> Result<(), ProtocolError> {
-        let mut w = Writer::new();
-        w.put_framed(&encode_event(event));
-        self.journal
-            .write_all(w.as_slice())
-            .map_err(|e| io_err("append journal event", e))?;
-        self.journal
-            .flush()
-            .map_err(|e| io_err("flush journal", e))?;
-        if self.sync_every_append {
-            self.journal
-                .sync_data()
-                .map_err(|e| io_err("sync journal", e))?;
-        }
+        self.journal.append(event, self.sync_every_append)?;
         self.journal_events += 1;
         // The open-time scan no longer reflects the file.
         self.scanned = None;
@@ -835,15 +934,15 @@ impl EnrollmentStore for FileStore {
         out.write_all(header.as_slice())
             .map_err(|e| io_err("write snapshot header", e))?;
         let mut written = 0usize;
-        // One payload + one frame buffer, reused across every row: a
-        // 10⁶-user snapshot performs O(1) writer allocations, not 2·10⁶.
-        let mut payload = Writer::new();
-        let mut frame = Writer::new();
+        // Every row is framed in place in the journal's scratch buffer:
+        // a 10⁶-user snapshot allocates no writer and copies each row
+        // once, into the `BufWriter`.
+        let frame = &mut self.journal.scratch;
         while let Some(row) = rows.next_row() {
-            payload.clear();
-            put_row(&mut payload, &row);
             frame.clear();
-            frame.put_framed(payload.as_slice());
+            let mark = frame.begin_frame();
+            put_row(frame, &row);
+            frame.end_frame(mark);
             out.write_all(frame.as_slice())
                 .map_err(|e| io_err("write snapshot row", e))?;
             written += 1;
@@ -882,6 +981,9 @@ impl EnrollmentStore for FileStore {
         // `AuthenticationServer::recover`.)
         let mut header = Writer::new();
         header.put_header(ArtifactKind::Journal, &self.fingerprint);
+        // Until the handle is re-pointed below, its `good_len` describes
+        // a file that no longer exists: refuse appends if this fails.
+        self.journal.poisoned = true;
         let mut journal =
             File::create(self.journal_path()).map_err(|e| io_err("reset journal", e))?;
         journal
@@ -891,10 +993,11 @@ impl EnrollmentStore for FileStore {
             .sync_all()
             .map_err(|e| io_err("sync reset journal", e))?;
         drop(journal);
-        self.journal = OpenOptions::new()
+        let journal = OpenOptions::new()
             .append(true)
             .open(self.journal_path())
             .map_err(|e| io_err("reopen journal", e))?;
+        self.journal.replace_file(journal, HEADER_LEN);
         self.journal_events = 0;
         self.scanned = Some(Vec::new());
         Ok(())
@@ -979,8 +1082,218 @@ mod tests {
                 matched: "alice".into(),
             },
         ] {
-            assert_eq!(decode_event(&encode_event(event.as_ref())).unwrap(), event);
+            let mut w = Writer::new();
+            put_event(&mut w, event.as_ref());
+            assert_eq!(decode_event(w.as_slice()).unwrap(), event);
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn revoke_frame_bytes_are_pinned() {
+        // As written by the commit before frames were encoded in place
+        // and the checksum went table-driven: len ‖ crc32 ‖ tag ‖ id.
+        let dir = temp_dir("pinned-frame");
+        let (params, _) = sample_records(0);
+        let mut store = FileStore::open(&dir, params.fingerprint()).unwrap();
+        store.append(LogEventRef::Revoke("user-7")).unwrap();
+        let journal = fs::read(dir.join("journal.fel")).unwrap();
+        assert_eq!(
+            hex(&journal[HEADER_LEN as usize..]),
+            "0000000b76bc7f950200000006757365722d37"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_reuses_its_scratch_buffer() {
+        let dir = temp_dir("scratch");
+        let (params, records) = sample_records(2);
+        let mut store = FileStore::open(&dir, params.fingerprint()).unwrap();
+        store.append(LogEventRef::Enroll(&records[0])).unwrap();
+        let grown = store.journal.scratch.capacity();
+        for i in 0..1_000 {
+            store.append(LogEventRef::Enroll(&records[i % 2])).unwrap();
+            store.append(LogEventRef::Revoke("user-0")).unwrap();
+        }
+        assert_eq!(store.journal.scratch.capacity(), grown);
+        assert_eq!(store.journal_len(), 2_001);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A journal file whose next write fails once `budget` more bytes
+    /// have landed, whose next `sync_data` fails if `fail_sync`, and
+    /// whose `set_len` fails if `fail_set_len`. Each write and sync
+    /// fault fires once; everything else goes to the real file.
+    struct FaultyFile {
+        file: File,
+        budget: Option<usize>,
+        fail_sync: bool,
+        fail_set_len: bool,
+    }
+
+    impl FaultyFile {
+        fn append_to(dir: &Path) -> FaultyFile {
+            FaultyFile {
+                file: OpenOptions::new()
+                    .append(true)
+                    .open(dir.join("journal.fel"))
+                    .unwrap(),
+                budget: None,
+                fail_sync: false,
+                fail_set_len: false,
+            }
+        }
+    }
+
+    impl std::io::Write for FaultyFile {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match self.budget {
+                None => self.file.write(buf),
+                Some(0) => {
+                    self.budget = None;
+                    Err(std::io::Error::other("no space left on device"))
+                }
+                Some(left) => {
+                    let n = left.min(buf.len());
+                    self.budget = Some(left - n);
+                    self.file.write(&buf[..n])
+                }
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl JournalFile for FaultyFile {
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            if self.fail_set_len {
+                return Err(std::io::Error::other("read-only file system"));
+            }
+            self.file.set_len(len)
+        }
+
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            if std::mem::take(&mut self.fail_sync) {
+                return Err(std::io::Error::other("input/output error"));
+            }
+            self.file.sync_data()
+        }
+    }
+
+    /// A store holding one acknowledged enroll, reopened as a bare
+    /// [`Journal`] over a [`FaultyFile`].
+    fn faulty_journal(
+        dir: &Path,
+        first: &EnrollmentRecord,
+        fp: Fingerprint,
+    ) -> Journal<FaultyFile> {
+        let _ = fs::remove_dir_all(dir);
+        let mut store = FileStore::open(dir, fp).unwrap();
+        store.append(LogEventRef::Enroll(first)).unwrap();
+        let good_len = store.journal.good_len;
+        drop(store);
+        assert_eq!(
+            fs::metadata(dir.join("journal.fel")).unwrap().len(),
+            good_len
+        );
+        Journal::new(FaultyFile::append_to(dir), good_len)
+    }
+
+    #[test]
+    fn failed_append_is_cut_off_at_every_byte() {
+        let dir = temp_dir("failed-append");
+        let (params, records) = sample_records(3);
+        let fp = params.fingerprint();
+        let mut w = Writer::new();
+        let mark = w.begin_frame();
+        put_event(&mut w, LogEventRef::Enroll(&records[1]));
+        w.end_frame(mark);
+        let frame_len = w.as_slice().len();
+        let acknowledged = vec![
+            LogEvent::Enroll(records[0].clone()),
+            LogEvent::Enroll(records[2].clone()),
+            LogEvent::Revoke("user-0".into()),
+        ];
+
+        // `cut` bytes of the second enroll land, then the disk is full;
+        // `cut == frame_len` is the whole frame down and the sync failing.
+        for cut in 0..=frame_len {
+            let mut journal = faulty_journal(&dir, &records[0], fp);
+            let before = journal.good_len;
+            if cut < frame_len {
+                journal.file.budget = Some(cut);
+            } else {
+                journal.file.fail_sync = true;
+            }
+            let refused = journal.append(LogEventRef::Enroll(&records[1]), true);
+            assert!(
+                matches!(refused, Err(ProtocolError::Storage(_))),
+                "cut {cut}"
+            );
+            assert_eq!(journal.good_len, before, "cut {cut}");
+            assert_eq!(
+                fs::metadata(dir.join("journal.fel")).unwrap().len(),
+                before,
+                "cut {cut}: the partial frame is still in the file"
+            );
+
+            // Later appends on the same handle succeed…
+            journal
+                .append(LogEventRef::Enroll(&records[2]), true)
+                .unwrap();
+            journal
+                .append(LogEventRef::Revoke("user-0"), false)
+                .unwrap();
+            drop(journal);
+            // …and a reopen replays exactly what was acknowledged.
+            let mut store = FileStore::open(&dir, fp).unwrap();
+            assert_eq!(store.torn_bytes_discarded(), 0, "cut {cut}");
+            assert_eq!(store.load().unwrap(), acknowledged, "cut {cut}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_is_refused_after_a_failed_cut_until_reopen() {
+        let dir = temp_dir("failed-cut");
+        let (params, records) = sample_records(3);
+        let fp = params.fingerprint();
+        let mut journal = faulty_journal(&dir, &records[0], fp);
+        journal.file.budget = Some(5);
+        journal.file.fail_set_len = true;
+        assert!(journal
+            .append(LogEventRef::Enroll(&records[1]), false)
+            .is_err());
+        // The residue is still there, so nothing may land behind it —
+        // not even once the file would take writes again.
+        journal.file.fail_set_len = false;
+        for _ in 0..2 {
+            assert!(matches!(
+                journal.append(LogEventRef::Enroll(&records[2]), false),
+                Err(ProtocolError::Storage(_))
+            ));
+        }
+        drop(journal);
+
+        // Reopening finds the residue at the tail, cuts it off as the
+        // torn write it is, and appends work again.
+        let mut store = FileStore::open(&dir, fp).unwrap();
+        assert_eq!(store.torn_bytes_discarded(), 5);
+        store.append(LogEventRef::Enroll(&records[2])).unwrap();
+        assert_eq!(
+            store.load().unwrap(),
+            vec![
+                LogEvent::Enroll(records[0].clone()),
+                LogEvent::Enroll(records[2].clone())
+            ]
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

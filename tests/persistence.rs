@@ -2,6 +2,7 @@
 //! killed at arbitrary points, and rebuilt via `recover()` must answer
 //! identification queries exactly like the never-restarted original.
 
+use fuzzy_id::core::codec::Reader;
 use fuzzy_id::core::{EpochIndex, ScanIndex};
 use fuzzy_id::protocol::concurrent::SharedServer;
 use fuzzy_id::protocol::store::{EnrollmentStore, FileStore, LogEventRef, MemoryStore};
@@ -800,5 +801,161 @@ fn journal_tail_replays_over_imported_segments() {
         got[2], None,
         "revoked user-2 must stay revoked on the imported segment"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Single-bit damage at rest: every bit the frame checksum covers — the
+// CRC word and the payload of every journal, snapshot and sidecar frame
+// — flipped one at a time. (Length words and artifact headers are not
+// under the CRC; ROADMAP item 5a keeps them.)
+// ---------------------------------------------------------------------------
+
+/// Byte ranges `len ‖ crc32 ‖ payload` of the `count` frames that start
+/// at `bytes[start]`.
+fn frame_ranges(bytes: &[u8], start: usize, count: usize) -> Vec<std::ops::Range<usize>> {
+    let mut r = Reader::new(&bytes[start..]);
+    (0..count)
+        .map(|_| {
+            let from = start + r.position();
+            r.get_framed().unwrap();
+            from..start + r.position()
+        })
+        .collect()
+}
+
+/// Calls `check(damaged, bit)` with each bit of `pristine[range]`
+/// flipped in turn, one at a time.
+fn for_each_flip(
+    pristine: &[u8],
+    range: std::ops::Range<usize>,
+    mut check: impl FnMut(&[u8], usize),
+) {
+    let mut damaged = pristine.to_vec();
+    for bit in range.start * 8..range.end * 8 {
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        check(&damaged, bit);
+        damaged[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+#[test]
+fn single_bit_flips_at_rest_are_detected() {
+    const HEADER: usize = 15; // magic ‖ version ‖ kind ‖ fingerprint
+    let dir = scratch_dir("bitflips");
+    let params = SystemParams::insecure_test_defaults();
+    let fp = params.fingerprint();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(0xB17F);
+    let donor = {
+        let bio = params.sketch().line().random_vector(4, &mut rng);
+        device.enroll("donor", &bio, &mut rng).unwrap().public_key
+    };
+
+    // Snapshot + sidecar of 10 users, then a journal tail of four
+    // events ending in an enroll.
+    let mut server = small_epoch_server(&params);
+    server
+        .attach_store(Box::new(FileStore::open(&dir, fp).unwrap()))
+        .unwrap();
+    let mut bios = Vec::new();
+    let mut enroll = |server: &mut AuthenticationServer<EpochIndex>, u: usize| {
+        let (record, bio) = synthetic_record(&params, &donor, &format!("user-{u}"), 4, &mut rng);
+        server.enroll(record).unwrap();
+        bios.push(bio);
+    };
+    for u in 0..10 {
+        enroll(&mut server, u);
+    }
+    server.checkpoint().unwrap();
+    enroll(&mut server, 10);
+    server.revoke("user-2").unwrap();
+    enroll(&mut server, 11);
+    enroll(&mut server, 12);
+    assert!(!server.index().segments().is_empty());
+    let mut rng = StdRng::seed_from_u64(0xB180);
+    let probes: Vec<Vec<i64>> = bios
+        .iter()
+        .map(|bio| genuine_probe(&params, bio, &mut rng))
+        .collect();
+    let answers: Vec<Option<usize>> = probes.iter().map(|p| server.lookup_probe(p)).collect();
+    let users = server.user_count();
+    drop(server);
+
+    let journal_path = dir.join("journal.fel");
+    let snapshot_path = dir.join("snapshot.fes");
+    let sidecar_path = dir.join("segments.fsg");
+    let journal = std::fs::read(&journal_path).unwrap();
+    let snapshot = std::fs::read(&snapshot_path).unwrap();
+    let sidecar = std::fs::read(&sidecar_path).unwrap();
+    let history = FileStore::open(&dir, fp).unwrap().load().unwrap();
+    assert_eq!(history.len(), 10 + 4);
+
+    // Journal. A frame that is not the last: the store is refused and
+    // the file left as found. The last frame: indistinguishable from a
+    // torn write — cut off, and the history loses exactly its last event.
+    let frames = frame_ranges(&journal, HEADER, 4);
+    assert_eq!(frames[3].end, journal.len());
+    for (i, frame) in frames.iter().enumerate() {
+        let last = i == frames.len() - 1;
+        for_each_flip(&journal, frame.start + 4..frame.end, |damaged, bit| {
+            std::fs::write(&journal_path, damaged).unwrap();
+            match FileStore::open(&dir, fp) {
+                Err(_) if !last => {
+                    assert_eq!(std::fs::read(&journal_path).unwrap(), damaged, "bit {bit}");
+                }
+                Ok(mut store) if last => {
+                    assert_eq!(
+                        store.torn_bytes_discarded(),
+                        frame.len() as u64,
+                        "bit {bit}"
+                    );
+                    assert_eq!(
+                        store.load().unwrap(),
+                        history[..history.len() - 1],
+                        "bit {bit}"
+                    );
+                }
+                other => panic!("journal frame {i} bit {bit}: {:?}", other.map(|_| ())),
+            }
+        });
+    }
+    std::fs::write(&journal_path, &journal).unwrap();
+
+    // Snapshot: written atomically, so any damage is an error.
+    for frame in frame_ranges(&snapshot, HEADER + 8, 10) {
+        for_each_flip(&snapshot, frame.start + 4..frame.end, |damaged, bit| {
+            std::fs::write(&snapshot_path, damaged).unwrap();
+            assert!(
+                AuthenticationServer::<EpochIndex>::recover(params.clone(), &dir).is_err(),
+                "snapshot bit {bit}"
+            );
+        });
+    }
+    std::fs::write(&snapshot_path, &snapshot).unwrap();
+
+    // Sidecar — the bound snapshot CRC, the blob's CRC and the blob: an
+    // accelerator only, so damage means the slow path and equal answers.
+    let recovered_answers = |imported: bool, what: &str| {
+        let recovered: AuthenticationServer<EpochIndex> =
+            AuthenticationServer::recover(params.clone(), &dir).unwrap();
+        assert_eq!(recovered.index().segments().is_empty(), !imported, "{what}");
+        assert_eq!(recovered.user_count(), users, "{what}");
+        let got: Vec<Option<usize>> = probes.iter().map(|p| recovered.lookup_probe(p)).collect();
+        assert_eq!(got, answers, "{what}");
+    };
+    let blob = frame_ranges(&sidecar, HEADER + 4, 1).remove(0);
+    assert_eq!(blob.end, sidecar.len());
+    for range in [HEADER..HEADER + 4, blob.start + 4..blob.end] {
+        for_each_flip(&sidecar, range, |damaged, bit| {
+            std::fs::write(&sidecar_path, damaged).unwrap();
+            recovered_answers(false, &format!("sidecar bit {bit}"));
+        });
+    }
+    std::fs::write(&sidecar_path, &sidecar).unwrap();
+
+    // Everything restored: the undamaged store still imports its
+    // segments and answers as before.
+    recovered_answers(true, "restored");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -26,6 +26,20 @@ fn line_and_t() -> impl Strategy<Value = (NumberLine, u64)> {
     })
 }
 
+/// CRC-32 (reflected `0xEDB88320`) one bit at a time: the loop
+/// `codec::crc32` was before it went table-driven, and its oracle here.
+fn crc32_bit_serial(data: &[u8]) -> u32 {
+    let mut crc: u32 = 0xffff_ffff;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -330,6 +344,54 @@ proptest! {
             }
         }
         prop_assert!(recovered <= payloads.len());
+    }
+
+    /// The table-driven checksum equals the bit-serial definition on
+    /// random bytes up to 4 KiB, from every alignment of the buffer.
+    #[test]
+    fn checksum_kernel_matches_bit_serial_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+        start in 0usize..16,
+    ) {
+        let data = &bytes[start.min(bytes.len())..];
+        prop_assert_eq!(codec::crc32(data), crc32_bit_serial(data));
+    }
+
+    /// A frame encoded in place (`begin_frame` … `end_frame`) is byte
+    /// for byte what `put_framed` wrote before frames were encoded in
+    /// place — `len ‖ crc32 ‖ payload`, spelled out here over the
+    /// bit-serial checksum — including a frame begun behind other bytes
+    /// and two frames back to back in one writer.
+    #[test]
+    fn frames_in_place_match_put_framed_bytes(
+        prefix in proptest::collection::vec(any::<u8>(), 0..20),
+        first in proptest::collection::vec(any::<u8>(), 0..900),
+        second in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let mut expected = prefix.clone();
+        let mut w = codec::Writer::new();
+        for &b in &prefix {
+            w.put_u8(b);
+        }
+        for payload in [&first, &second] {
+            expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            expected.extend_from_slice(&crc32_bit_serial(payload).to_be_bytes());
+            expected.extend_from_slice(payload);
+
+            let mark = w.begin_frame();
+            for &b in payload {
+                w.put_u8(b);
+            }
+            w.end_frame(mark);
+        }
+        prop_assert_eq!(w.as_slice(), &expected[..]);
+
+        let mut copied = codec::Writer::new();
+        copied.put_framed(&first);
+        prop_assert_eq!(
+            copied.as_slice(),
+            &expected[prefix.len()..prefix.len() + 8 + first.len()]
+        );
     }
 
     /// Ring-wrap invariance: shifting the whole input by one full period
