@@ -51,8 +51,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
 use fe_core::{
-    CellWidth, EpochIndex, FilterConfig, HelperData, ParallelConfig, PlaneDepth, PlaneWidth,
-    RobustData, ScanIndex, SketchIndex,
+    CellWidth, EpochIndex, FilterConfig, HelperData, ParallelConfig, PlaneDepth, RobustData,
+    ScanIndex, SketchIndex,
 };
 use fe_protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
 use rand::rngs::StdRng;
@@ -168,15 +168,12 @@ fn bench_storage(c: &mut Criterion) {
 
     let mut csv_rows = Vec::new();
     let mut smoke_metrics: Vec<(String, f64)> = Vec::new();
-    // The FE_BENCH_GATE comparisons run on the largest population of
+    // The FE_BENCH_GATE comparison runs on the largest population of
     // the sweep: (scalar_us, vectorized_us) for the no-match worst
-    // case, and (u16_us, u8_us) for the plane-width ablation.
+    // case.
     let mut gate_pair = (0.0f64, 0.0f64);
-    let mut width_gate_pair = (0.0f64, 0.0f64);
-    // Which kernel `vectorized` actually dispatched to ("avx2"/"swar"),
-    // and which plane width `Auto` resolved to ("u8"/"u16").
+    // Which kernel `vectorized` actually dispatched to ("avx2"/"swar").
     let mut kernel_label = "scalar";
-    let mut width_label = "none";
     // (default, reserved) µs per row enrolled into an `EpochIndex`.
     let mut insert_gate_pair = (0.0f64, 0.0f64);
     // (committed, measured) record-table bytes/record, same population.
@@ -196,38 +193,22 @@ fn bench_storage(c: &mut Criterion) {
         let mut columnar = ScanIndex::with_filter(T, KA, FilterConfig::disabled());
         let mut swar_idx = ScanIndex::with_filter(T, KA, FilterConfig::swar());
         let mut vectorized = ScanIndex::new(T, KA);
-        // Plane-width ablation on the dispatched kernel: the exact
-        // 16-bit plane vs the quantized byte plane, pinned so each run
-        // measures both no matter what `Auto` resolves to.
-        let mut u16_idx =
-            ScanIndex::with_filter(T, KA, FilterConfig::default().with_width(PlaneWidth::U16));
-        let mut u8_idx =
-            ScanIndex::with_filter(T, KA, FilterConfig::default().with_width(PlaneWidth::U8));
         columnar.reserve(n, DIM);
         swar_idx.reserve(n, DIM);
         vectorized.reserve(n, DIM);
-        u16_idx.reserve(n, DIM);
-        u8_idx.reserve(n, DIM);
         for s in &sketches {
             baseline.insert(s.clone());
             columnar.insert(s);
             swar_idx.insert(s);
             vectorized.insert(s);
-            u16_idx.insert(s);
-            u8_idx.insert(s);
         }
         assert_eq!(columnar.arena().width(), CellWidth::I16);
         assert_eq!(columnar.arena().filter_kernel(), "scalar");
         assert_eq!(swar_idx.arena().filter_kernel(), "swar");
-        assert_eq!(u16_idx.arena().plane_width(), "u16");
-        assert_eq!(u8_idx.arena().plane_width(), "u8");
         kernel_label = vectorized.arena().filter_kernel();
-        width_label = vectorized.arena().plane_width();
         assert_eq!(baseline.lookup(&probe), columnar.lookup(&probe));
         assert_eq!(columnar.lookup(&probe), swar_idx.lookup(&probe));
         assert_eq!(columnar.lookup(&probe), vectorized.lookup(&probe));
-        assert_eq!(columnar.lookup(&probe), u16_idx.lookup(&probe));
-        assert_eq!(columnar.lookup(&probe), u8_idx.lookup(&probe));
 
         // Worst case for a *miss* (the acceptance criterion): a fresh
         // sketch that matches nothing, so every row must be rejected.
@@ -239,8 +220,6 @@ fn bench_storage(c: &mut Criterion) {
         };
         assert_eq!(swar_idx.lookup(&miss), None);
         assert_eq!(vectorized.lookup(&miss), None);
-        assert_eq!(u16_idx.lookup(&miss), None);
-        assert_eq!(u8_idx.lookup(&miss), None);
 
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("lookup/baseline", n), &n, |b, _| {
@@ -263,8 +242,6 @@ fn bench_storage(c: &mut Criterion) {
             ("nomatch/columnar", &columnar),
             ("nomatch/swar", &swar_idx),
             ("nomatch/vectorized", &vectorized),
-            ("nomatch/u16", &u16_idx),
-            ("nomatch/u8", &u8_idx),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| index.lookup(std::hint::black_box(&miss)))
@@ -317,31 +294,17 @@ fn bench_storage(c: &mut Criterion) {
         smoke_metrics.push((format!("columnar_lookup_us_{n}"), col_secs * 1e6));
         smoke_metrics.push((format!("swar_lookup_us_{n}"), swar_secs * 1e6));
         smoke_metrics.push((format!("vectorized_lookup_us_{n}"), vect_secs * 1e6));
-        let (_, u16_secs) = time_best(iters, || u16_idx.lookup(&probe).expect("found"));
-        let (_, u8_secs) = time_best(iters, || u8_idx.lookup(&probe).expect("found"));
-        smoke_metrics.push((format!("u16_lookup_us_{n}"), u16_secs * 1e6));
-        smoke_metrics.push((format!("u8_lookup_us_{n}"), u8_secs * 1e6));
         let (_, col_miss) = time_best(iters, || columnar.lookup(&miss));
         let (_, swar_miss) = time_best(iters, || swar_idx.lookup(&miss));
         let (_, vect_miss) = time_best(iters, || vectorized.lookup(&miss));
-        // The width pair is gated against each other, so take both
-        // best-of numbers from interleaved rounds: comparands must
-        // share one measurement neighborhood (see bench_sweep_policy).
-        let mut u16_miss = f64::INFINITY;
-        let mut u8_miss = f64::INFINITY;
-        for _ in 0..iters * 3 {
-            u16_miss = u16_miss.min(time_best(1, || u16_idx.lookup(&miss)).1);
-            u8_miss = u8_miss.min(time_best(1, || u8_idx.lookup(&miss)).1);
-        }
         smoke_metrics.push((format!("columnar_nomatch_us_{n}"), col_miss * 1e6));
         smoke_metrics.push((format!("swar_nomatch_us_{n}"), swar_miss * 1e6));
         smoke_metrics.push((format!("vectorized_nomatch_us_{n}"), vect_miss * 1e6));
-        smoke_metrics.push((format!("u16_nomatch_us_{n}"), u16_miss * 1e6));
-        smoke_metrics.push((format!("u8_nomatch_us_{n}"), u8_miss * 1e6));
         gate_pair = (col_miss, vect_miss);
-        width_gate_pair = (u16_miss, u8_miss);
-        // Enrollment into the production index, gated as a ratio and
-        // therefore interleaved like the width pair above.
+        // Enrollment into the production index, gated as a ratio, so
+        // both best-of numbers come from interleaved rounds: comparands
+        // must share one measurement neighborhood (see
+        // bench_sweep_policy).
         let epoch_load_us = |reserved: bool| {
             let (_, secs) = time_best(1, || {
                 let mut idx = EpochIndex::new(T, KA);
@@ -373,14 +336,6 @@ fn bench_storage(c: &mut Criterion) {
             vectorized.arena().filter_kernel(),
             vect_miss * 1e6,
             col_miss / vect_miss,
-        );
-        println!(
-            "storage_ablation/plane_width/{n}: no-match u16 {:.1} µs, u8 {:.1} µs \
-             ({:.2}×; auto resolved to {})",
-            u16_miss * 1e6,
-            u8_miss * 1e6,
-            u16_miss / u8_miss,
-            vectorized.arena().plane_width(),
         );
 
         let base_bpr = baseline.heap_bytes() as f64 / n as f64;
@@ -427,10 +382,10 @@ fn bench_storage(c: &mut Criterion) {
         "vectorized_is_avx512".to_string(),
         f64::from(u8::from(avx512)),
     ));
-    let auto_u8 = width_label == "u8";
-    smoke_metrics.push(("vectorized_is_u8".to_string(), f64::from(u8::from(auto_u8))));
     smoke_metrics.push(("epoch_insert_us".to_string(), insert_gate_pair.0));
     smoke_metrics.push(("epoch_insert_reserved_us".to_string(), insert_gate_pair.1));
+    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    smoke_metrics.push(("hw_threads".to_string(), hw_threads as f64));
     let named: Vec<(&str, f64)> = smoke_metrics
         .iter()
         .map(|(k, v)| (k.as_str(), *v))
@@ -438,21 +393,13 @@ fn bench_storage(c: &mut Criterion) {
     smoke::record("storage_ablation", &named);
 
     // The CI perf gates: on the smoke population the vectorized kernel
-    // must not lose to the scalar one it claims to replace, and the
-    // quantized byte plane must not lose to the exact 16-bit plane it
-    // halves the traffic of.
+    // must not lose to the scalar one it claims to replace.
     if std::env::var_os("FE_BENCH_GATE").is_some() {
         let (scalar_us, vect_us) = (gate_pair.0 * 1e6, gate_pair.1 * 1e6);
         assert!(
             vect_us <= scalar_us,
             "FE_BENCH_GATE: vectorized no-match lookup ({vect_us:.1} µs) is slower than \
              the scalar kernel ({scalar_us:.1} µs)"
-        );
-        let (u16_us, u8_us) = (width_gate_pair.0 * 1e6, width_gate_pair.1 * 1e6);
-        assert!(
-            u8_us <= u16_us,
-            "FE_BENCH_GATE: u8-plane no-match lookup ({u8_us:.1} µs) is slower than \
-             the u16 plane ({u16_us:.1} µs)"
         );
         let (insert_us, reserved_us) = insert_gate_pair;
         assert!(

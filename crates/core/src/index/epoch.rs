@@ -94,22 +94,6 @@ const MAINTAIN_TOMBSTONE_DIVISOR: usize = 4;
 /// Version tag leading every exported segment blob.
 const SEGMENT_BLOB_VERSION: u32 = 1;
 
-/// Where a segment's column data lives.
-///
-/// The trait seam for the beyond-RAM cold tier: `Anon` segments own
-/// their arena in heap memory; `File` names a columnar snapshot frame
-/// on disk that a future mmap backend will map read-only instead of
-/// materializing. Today every constructed segment is `Anon` — the
-/// variant (and [`Segment::backing`]) pin down the API so the mmap
-/// work is a backend swap, not an index redesign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SegmentBacking {
-    /// Heap-resident arena (the only backing constructed today).
-    Anon,
-    /// Columnar frame at this path, to be mapped rather than loaded.
-    File(std::path::PathBuf),
-}
-
 /// Global-id map for a segment's rows.
 #[derive(Debug, Clone)]
 enum Ids {
@@ -171,7 +155,6 @@ pub struct Segment {
     arena: SketchArena,
     ids: Ids,
     sealed: bool,
-    backing: SegmentBacking,
 }
 
 impl Segment {
@@ -189,11 +172,6 @@ impl Segment {
     /// checkpoints export verbatim.
     pub fn is_sealed(&self) -> bool {
         self.sealed
-    }
-
-    /// Where this segment's columns live (the mmap seam).
-    pub fn backing(&self) -> &SegmentBacking {
-        &self.backing
     }
 
     /// The rows a merge or a compaction carries over, ascending.
@@ -474,7 +452,6 @@ impl EpochIndex {
             arena: SketchArena::with_filter(t, ka, filter),
             ids: Ids::Dense(0),
             sealed: false,
-            backing: SegmentBacking::Anon,
         });
         let cell = Arc::new(ArcCell::new(Arc::new(Snapshot {
             segments: Vec::new(),
@@ -544,7 +521,6 @@ impl EpochIndex {
             arena,
             ids,
             sealed: rows >= self.seal_rows,
-            backing: SegmentBacking::Anon,
         })
     }
 
@@ -916,18 +892,25 @@ fn import_blob(index: &mut EpochIndex, blob: &[u8]) -> Option<usize> {
     if !index.sketch_dim_ok(dim) || dim == 0 {
         return None;
     }
+    // Both counts come straight from the blob: neither may size an
+    // allocation beyond what the bytes left could hold (a segment costs
+    // at least its 20 header bytes, a liveness word 8).
     let count = r.u32()? as usize;
+    if count > r.buf.len() / 20 {
+        return None;
+    }
     let mut segments = Vec::with_capacity(count);
     let mut base = 0usize;
     for _ in 0..count {
-        let rows = r.u64()? as usize;
-        let cell_len = r.u64()? as usize;
+        let rows = usize::try_from(r.u64()?).ok()?;
+        let cell_len = usize::try_from(r.u64()?).ok()?;
         let cells = r.take(cell_len)?;
         let words = r.u32()? as usize;
-        let mut live = Vec::with_capacity(words);
-        for _ in 0..words {
-            live.push(r.u64()?);
-        }
+        let live: Vec<u64> = r
+            .take(words.checked_mul(8)?)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("a chunk of 8 bytes")))
+            .collect();
         let arena =
             SketchArena::from_parts(index.t, index.ka, index.filter, dim, rows, cells, &live)?;
         // The export contract is a fully-live prefix; reject anything
@@ -939,7 +922,6 @@ fn import_blob(index: &mut EpochIndex, blob: &[u8]) -> Option<usize> {
             arena,
             ids: Ids::Dense(base),
             sealed: true,
-            backing: SegmentBacking::Anon,
         }));
         base += rows;
     }
@@ -989,9 +971,6 @@ mod tests {
         );
         assert_eq!(index.len(), 50);
         assert_eq!(index.slots(), 50);
-        for seg in index.segments() {
-            assert_eq!(*seg.backing(), SegmentBacking::Anon);
-        }
     }
 
     #[test]
@@ -1235,6 +1214,26 @@ mod tests {
         let mut fresh = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 4, 2, 8);
         assert_eq!(fresh.import_segments(&blob[..blob.len() - 1]), None);
         assert!(fresh.is_empty(), "failed import must leave the index empty");
+        // Counts the bytes behind them cannot back: 2³² − 1 segments in
+        // a 28-byte blob, 2³² − 1 liveness words in a 48-byte one, and
+        // a row count whose `rows · dim` overflows. Each must be
+        // refused before anything is sized from it.
+        let header = &blob[..24]; // version ‖ t ‖ ka ‖ dim
+        let segment = |rows: u64, words: u32| {
+            let mut hostile = [header, &1u32.to_le_bytes()].concat();
+            hostile.extend_from_slice(&rows.to_le_bytes());
+            hostile.extend_from_slice(&0u64.to_le_bytes()); // no cell bytes
+            hostile.extend_from_slice(&words.to_le_bytes());
+            hostile
+        };
+        for hostile in [
+            [header, &u32::MAX.to_le_bytes()].concat(),
+            segment(1, u32::MAX),
+            segment(1 << 63, 0),
+        ] {
+            assert_eq!(fresh.import_segments(&hostile), None);
+            assert!(fresh.is_empty(), "failed import must leave the index empty");
+        }
     }
 
     #[test]

@@ -37,11 +37,10 @@ pub mod epoch;
 mod scan;
 pub mod store;
 
-pub use epoch::{EpochIndex, EpochRead, EpochReader, IndexReader, Segment, SegmentBacking};
+pub use epoch::{EpochIndex, EpochRead, EpochReader, IndexReader, Segment};
 pub use scan::ScanIndex;
 pub use store::{
-    CellWidth, FilterConfig, FilterKernel, ParallelConfig, PlaneDepth, PlaneWidth, RowMask,
-    SketchArena,
+    CellWidth, FilterConfig, FilterKernel, ParallelConfig, PlaneDepth, RowMask, SketchArena,
 };
 
 /// A unique record handle assigned by the index.

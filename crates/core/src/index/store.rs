@@ -44,17 +44,20 @@
 //! # The two-phase vectorized scan
 //!
 //! On the paper's ring (`ka < 2¹⁵`, `i16` cells) the arena additionally
-//! maintains a **prefilter plane**: the leading `F` (default 8)
-//! coordinates of every row stored *dimension-major* — one contiguous
-//! lane per dimension, four 16-bit row values packed per `u64` word —
-//! so the cyclic-distance-≤`t` test runs as packed-lane SWAR (or 16
-//! lanes at a time under runtime-dispatched AVX2). Per-coordinate pass
-//! probability is ≈ `(2t+1)/ka` ≈ ½ at paper parameters, so eight
-//! filter dimensions reject ~255/256 rows in the vector pass; the
-//! sparse survivors get exact verification of the *remaining*
-//! dimensions on the row-major buffer. See [`FilterConfig`] for the
-//! knob and `DESIGN.md` for the lane math; rings whose cells are wider
-//! than `i16` bypass the plane and use the scalar kernel unchanged.
+//! maintains a **prefilter plane**: the leading `F` (adaptive; 8 at the
+//! paper ring) coordinates of every row stored *dimension-major* — one
+//! contiguous lane per dimension, eight row values packed per `u64`
+//! word as byte buckets (`residue / q`, `q = ⌈ka/256⌉`) — so a
+//! conservative cyclic-distance test runs 64 rows at a time under
+//! runtime-dispatched AVX-512 (32 under AVX2, 16 under NEON, 8 as
+//! packed-lane SWAR). A bucket lane passes ≈ `(2t+1)/ka` ≈ ½ of the
+//! ring at paper parameters, so eight filter dimensions reject
+//! ~255/256 rows in the vector pass; the sparse survivors get exact
+//! verification of the whole row on the row-major buffer (the buckets
+//! over-accept, never over-reject). See [`FilterConfig`] for the knobs
+//! and `DESIGN.md` for the bucket math; rings whose cells are wider
+//! than `i16`, and rings so loose that no bucket lane could reject,
+//! have no plane and use the scalar kernel unchanged.
 //!
 //! # One sweep, one row writer, five files
 //!
@@ -65,7 +68,7 @@
 //! a merge carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the width-typed
 //! column buffer and the scalar match kernel, `plane` the prefilter
-//! plane and its depth/width model, `kernels` the isolated SIMD
+//! plane and its depth model, `kernels` the isolated SIMD
 //! backends, `shared` the append-under-readers buffer.
 
 mod cells;
@@ -82,10 +85,7 @@ use cells::Cells;
 use kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use kernels::{avx2, avx512};
-use plane::{
-    adaptive_depth, adaptive_depth_for_rate, byte_plane_eligible, quantize_ring, FilterPlane,
-    PlaneRepr,
-};
+use plane::{adaptive_depth_for_rate, byte_plane_eligible, quantize_ring, FilterPlane};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How (and whether) a [`SketchArena`] builds its SWAR/SIMD prefilter
@@ -93,11 +93,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// out across cores.
 ///
 /// The plane stores the leading [`PlaneDepth`] coordinates of every
-/// row dimension-major (one contiguous packed lane per dimension) so
-/// the per-coordinate cyclic test vectorizes; survivors are
-/// exact-verified on the remaining coordinates. It only exists on
-/// `i16`-cell rings (`ka < 2¹⁵` — the paper's parameters); wider rings
-/// always use the scalar kernel, whatever this config says.
+/// row dimension-major, one contiguous lane of byte buckets per
+/// dimension (`bucket = residue / q` with `q = ⌈ka/256⌉`, eight rows
+/// per `u64` word), so a conservative per-coordinate cyclic test
+/// vectorizes: the quantized threshold `t_q = ⌈t'/q⌉ + 1` over-accepts
+/// by construction, every true match survives, and survivors are
+/// exact-verified on all coordinates. It only exists on `i16`-cell
+/// rings (`ka < 2¹⁵` — the paper's parameters) on which a bucket lane
+/// can still reject (`2·t_q + 1 < ⌈ka/q⌉`); every other ring uses the
+/// scalar kernel, whatever this config says.
 ///
 /// Like [`CellWidth`], this is a lookup accelerator knob: it never
 /// changes match results (property-tested in `tests/properties.rs`)
@@ -112,10 +116,6 @@ pub struct FilterConfig {
     pub kernel: FilterKernel,
     /// Multi-core fan-out policy for arena sweeps.
     pub parallel: ParallelConfig,
-    /// Lane width of the plane cells (see [`PlaneWidth`]): 16-bit exact
-    /// residues (4 rows per word) or quantized 8-bit buckets (8 rows
-    /// per word, over-accepting; phase 2 restores exactness).
-    pub width: PlaneWidth,
 }
 
 /// Prefilter plane depth: how many leading coordinates get a packed
@@ -123,51 +123,18 @@ pub struct FilterConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneDepth {
     /// Choose per arena from the ring's per-dimension rejection rate:
-    /// a coordinate passes with probability `(2·min(t, ka/2)+1)/ka`,
-    /// and lanes are added until the expected survivor rate clears
-    /// 1/128 — past that, another lane's phase-1 cost (memory + ops on
-    /// *every* row) outweighs the phase-2 work it removes. Small rings
-    /// need fewer lanes; sparse-rejection rings get deeper planes, up
-    /// to [`FilterConfig::MAX_ADAPTIVE_DIMS`]. Resolves to 0 (no
-    /// plane) when `2t+1 ≥ ka` — every coordinate always passes, so a
-    /// plane could never reject anything. At the paper's `t = 100`,
-    /// `ka = 400` this resolves to 8, the previously hard-coded depth.
+    /// a bucket lane passes `2·t_q+1` of the `⌈ka/q⌉` buckets, and
+    /// lanes are added until the expected survivor rate clears 1/128 —
+    /// past that, another lane's phase-1 cost (memory + ops on *every*
+    /// row) outweighs the phase-2 work it removes. Small rings need
+    /// fewer lanes; sparse-rejection rings get deeper planes, up to
+    /// [`FilterConfig::MAX_ADAPTIVE_DIMS`]. At the paper's `t = 100`,
+    /// `ka = 400` (`q = 2`, 103 of 200 buckets pass) this resolves
+    /// to 8.
     #[default]
     Adaptive,
     /// Exactly this many lanes; `Fixed(0)` disables the prefilter.
     Fixed(usize),
-}
-
-/// Lane width of a [`FilterConfig`] prefilter plane.
-///
-/// The 16-bit plane stores each leading coordinate's biased residue
-/// exactly, so its phase-1 test is exact on the plane dimensions. The
-/// 8-bit plane packs twice as many rows per word by storing
-/// *conservatively quantized* residues instead: `bucket = residue / q`
-/// with `q = ⌈ka/256⌉` (the smallest divisor giving ≤ 256 buckets) and
-/// a quantized threshold `t_q = ⌈t'/q⌉ + 1` that over-accepts by
-/// construction — `|bucket_a − bucket_b|` cyclic over `⌈ka/q⌉` buckets
-/// never exceeds `⌈|a − b|_cyc / q⌉ + 1` — so every true match
-/// survives phase 1 and phase 2's exact verify (which re-checks *all*
-/// coordinates under a byte plane) keeps results bit-identical to the
-/// scalar kernel. Speed knob only, like [`FilterKernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlaneWidth {
-    /// Pick per arena: the byte plane when the ring is eligible
-    /// (`2·t_q + 1 < ⌈ka/q⌉` — a quantized lane can still reject) and
-    /// its modeled plane traffic (adaptive depth × 1 byte/row) does not
-    /// exceed the 16-bit plane's (depth × 2 bytes/row); the 16-bit
-    /// plane otherwise. At the paper ring (`t = 100, ka = 400`, `q = 2`)
-    /// this picks the byte plane. Never changes results, only speed.
-    #[default]
-    Auto,
-    /// Pin the exact 16-bit plane (4 rows per word).
-    U16,
-    /// Request the quantized 8-bit plane (8 rows per word). Rings where
-    /// quantization leaves no rejection power (`2·t_q + 1 ≥ ⌈ka/q⌉`)
-    /// fall back to the 16-bit plane — a plane that cannot reject is
-    /// pure overhead, whatever the knob says.
-    U8,
 }
 
 /// The vector kernel that scans a [`FilterConfig`] prefilter plane.
@@ -178,9 +145,9 @@ pub enum FilterKernel {
     /// then AVX2, then portable SWAR; NEON on aarch64.
     #[default]
     Auto,
-    /// Force the portable SWAR path (4 × 16-bit lanes per `u64` word,
-    /// no `unsafe`) even where SIMD is available — the bench ablation
-    /// uses this to separate SWAR from SIMD wins.
+    /// Force the portable SWAR path (one `u64` word — 8 bucket bytes —
+    /// at a time, no `unsafe`) even where SIMD is available — the
+    /// bench ablation uses this to separate SWAR from SIMD wins.
     Swar,
     /// Cap dispatch at AVX2 even where AVX-512 is available (falls back
     /// to SWAR off x86-64) — the ablation knob that separates the
@@ -225,11 +192,14 @@ impl ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
         ParallelConfig {
-            // A 128k-row i16 sweep is ~100 µs vectorized — comfortably
-            // above the pooled fan-out cost (a few µs). The threshold
-            // doubled when the quantized byte plane halved phase-1
-            // traffic per row (the `sweep_policy` bench gates parallel
-            // vs sequential at 10⁶ rows, far past this break-even).
+            // A 128k-row i16 sweep is ~100 µs vectorized; handing a
+            // sweep to the pool costs ~50 µs on a 2-thread host (a
+            // row-0 hit goes from 0.6 to 53 µs under fan-out), so this
+            // is about where two threads stop losing. The `sweep_policy`
+            // bench gates parallel vs sequential at 10⁶ rows, where two
+            // threads read 1.3×. No arena an `EpochIndex` builds is
+            // this large (they seal at 65 536 rows): today only a
+            // single-arena `ScanIndex` fans out (DESIGN.md, *Reach*).
             min_rows: 1 << 17,
             max_threads: 0,
         }
@@ -279,13 +249,6 @@ impl FilterConfig {
         self.parallel = parallel;
         self
     }
-
-    /// Replaces the plane lane width.
-    #[must_use]
-    pub fn with_width(mut self, width: PlaneWidth) -> FilterConfig {
-        self.width = width;
-        self
-    }
 }
 
 impl Default for FilterConfig {
@@ -294,7 +257,6 @@ impl Default for FilterConfig {
             depth: PlaneDepth::Adaptive,
             kernel: FilterKernel::Auto,
             parallel: ParallelConfig::default(),
-            width: PlaneWidth::Auto,
         }
     }
 }
@@ -352,7 +314,7 @@ pub struct SketchArena {
     dead: Vec<AtomicU64>,
     dead_rows: AtomicUsize,
     /// The prefilter knob (applied lazily: the plane itself exists only
-    /// once the dimension is stamped, and only on `i16` rings).
+    /// once the dimension is stamped, and only on rings that get one).
     filter: FilterConfig,
     /// The dimension-major prefilter plane, when active.
     plane: Option<FilterPlane>,
@@ -398,8 +360,9 @@ impl SketchArena {
     }
 
     /// Creates an empty arena with an explicit prefilter configuration.
-    /// The plane only materializes on `i16` rings (`ka < 2¹⁵`); wider
-    /// rings ignore `filter` and always scan with the scalar kernel.
+    /// The plane only materializes on `i16` rings (`ka < 2¹⁵`) a bucket
+    /// lane can reject on; every other ring ignores `filter`'s depth
+    /// and kernel and always scans with the scalar kernel.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> SketchArena {
         assert!(ka >= 1, "ring circumference must be at least 1");
         let width = CellWidth::for_ring(ka);
@@ -465,81 +428,37 @@ impl SketchArena {
     }
 
     /// The plane depth this arena's config resolves to for its ring
-    /// (before clamping to the stamped dimension):
-    /// [`PlaneDepth::Fixed`] verbatim, [`PlaneDepth::Adaptive`] from
-    /// the per-dimension rejection model (see [`PlaneDepth`]) — on a
-    /// byte plane, the quantized per-bucket acceptance rate
-    /// `(2·t_q+1)/⌈ka/q⌉`, since byte lanes individually accept more
-    /// often than exact 16-bit lanes.
+    /// (before clamping to the stamped dimension): 0 — no plane — on a
+    /// ring no bucket lane can reject on (which every ring too wide for
+    /// `i16` cells is); otherwise [`PlaneDepth::Fixed`] verbatim, and
+    /// [`PlaneDepth::Adaptive`] from the per-bucket acceptance rate
+    /// `(2·t_q+1)/⌈ka/q⌉` (see [`PlaneDepth`]).
     pub fn resolved_depth(&self) -> usize {
+        if !byte_plane_eligible(self.t, self.ka) {
+            return 0;
+        }
         match self.filter.depth {
             PlaneDepth::Fixed(d) => d,
-            PlaneDepth::Adaptive => self.adaptive_depth_for(self.resolved_repr()),
-        }
-    }
-
-    /// [`PlaneDepth::Adaptive`] under a given plane representation.
-    fn adaptive_depth_for(&self, repr: PlaneRepr) -> usize {
-        match repr {
-            PlaneRepr::U16 => adaptive_depth(self.t, self.ka),
-            PlaneRepr::U8 { .. } => {
+            PlaneDepth::Adaptive => {
                 let (_, kq, tq) = quantize_ring(self.t, self.ka);
                 adaptive_depth_for_rate(2 * u64::from(tq) + 1, u64::from(kq))
             }
         }
     }
 
-    /// Resolves [`FilterConfig::width`] for this arena's ring: `U8`
-    /// only when the quantized plane can still reject
-    /// ([`byte_plane_eligible`]); `Auto` additionally requires the
-    /// byte plane's modeled traffic (its depth × 1 byte/row) to not
-    /// exceed the 16-bit plane's (its depth × 2 bytes/row). Only
-    /// meaningful on `i16` rings — wider rings never build a plane.
-    fn resolved_repr(&self) -> PlaneRepr {
-        let byte_repr = || {
-            let (q, _, _) = quantize_ring(self.t, self.ka);
-            PlaneRepr::U8 { q }
-        };
-        match self.filter.width {
-            PlaneWidth::U16 => PlaneRepr::U16,
-            PlaneWidth::U8 if byte_plane_eligible(self.t, self.ka) => byte_repr(),
-            PlaneWidth::U8 => PlaneRepr::U16,
-            PlaneWidth::Auto => {
-                if !byte_plane_eligible(self.t, self.ka) {
-                    return PlaneRepr::U16;
-                }
-                let repr = byte_repr();
-                let (u8_depth, u16_depth) = match self.filter.depth {
-                    // A pinned depth costs the same lanes either way:
-                    // the byte plane halves the traffic outright.
-                    PlaneDepth::Fixed(d) => (d, d),
-                    PlaneDepth::Adaptive => (
-                        self.adaptive_depth_for(repr),
-                        self.adaptive_depth_for(PlaneRepr::U16),
-                    ),
-                };
-                if u8_depth <= u16_depth * 2 {
-                    repr
-                } else {
-                    PlaneRepr::U16
-                }
-            }
-        }
-    }
-
     /// Builds the plane when the freshly stamped dimension and the ring
-    /// width allow one. Called exactly once, at stamp time.
+    /// allow one. Called exactly once, at stamp time.
     fn stamp_plane(&mut self) {
         debug_assert!(self.plane.is_none());
-        let dim = self.dim.unwrap_or(0);
-        let pd = self.resolved_depth().min(dim);
-        if self.width == CellWidth::I16 && pd > 0 {
-            self.plane = Some(FilterPlane::new(pd, self.t, self.ka, self.resolved_repr()));
+        let pd = self.resolved_depth().min(self.dim.unwrap_or(0));
+        if pd > 0 {
+            self.plane = Some(FilterPlane::new(pd, self.t, self.ka));
         }
     }
 
     /// The vector kernel a scan would use right now: `"scalar"` (no
-    /// plane — wide ring, disabled filter, or nothing stamped),
+    /// plane — wide or too-loose ring, disabled filter, or nothing
+    /// stamped),
     /// `"swar"`, `"avx2"`, `"avx512"`, or `"neon"`. Benches use this to
     /// label ablations.
     pub fn filter_kernel(&self) -> &'static str {
@@ -561,18 +480,17 @@ impl SketchArena {
         self.plane.as_ref().map_or(0, FilterPlane::dims)
     }
 
-    /// The lane width the live plane was built with — `"u8"`, `"u16"`,
-    /// or `"none"` when no plane exists. Benches use this to label
-    /// ablations, like [`SketchArena::filter_kernel`].
+    /// The lane width of the live plane — `"u8"`, or `"none"` when no
+    /// plane exists. Benches use this to label runs, like
+    /// [`SketchArena::filter_kernel`].
     pub fn plane_width(&self) -> &'static str {
-        match self.plane.as_ref().map(|p| p.repr) {
+        match self.plane {
+            Some(_) => "u8",
             None => "none",
-            Some(PlaneRepr::U16) => "u16",
-            Some(PlaneRepr::U8 { .. }) => "u8",
         }
     }
 
-    /// The configured prefilter knob (which the ring width may have
+    /// The configured prefilter knob (which the ring may have
     /// overridden — see [`SketchArena::plane_dims`] for what is live).
     pub fn filter_config(&self) -> FilterConfig {
         self.filter
@@ -826,9 +744,10 @@ impl SketchArena {
         live_words: &[u64],
     ) -> Option<SketchArena> {
         let width = CellWidth::for_ring(ka);
-        if cell_bytes.len() != rows * dim * width.cell_bytes()
-            || live_words.len() != rows.div_ceil(64)
-        {
+        // `rows` and `dim` are a frame's claims: an overflowing product
+        // is a size mismatch like any other.
+        let expect_bytes = rows.checked_mul(dim)?.checked_mul(width.cell_bytes())?;
+        if cell_bytes.len() != expect_bytes || live_words.len() != rows.div_ceil(64) {
             return None;
         }
         let mut arena = SketchArena::with_filter(t, ka, filter);
@@ -1031,32 +950,16 @@ mod tests {
             wide.heap_bytes()
         );
         // The prefilter plane is accounted for: an identical filtered
-        // arena holds strictly more heap (1 extra byte per plane cell
-        // on the default quantized byte plane, 2 on a pinned 16-bit
-        // plane).
+        // arena holds strictly more heap (1 extra byte per plane cell).
         let mut filtered = SketchArena::with_capacity(100, 400, 64, 8);
-        let mut filtered16 = SketchArena::with_filter(
-            100,
-            400,
-            FilterConfig::default().with_width(PlaneWidth::U16),
-        );
-        filtered16.reserve(64, 8);
         for i in 0..64i64 {
             filtered.push(&[i; 8]);
-            filtered16.push(&[i; 8]);
         }
         assert_eq!(filtered.plane_width(), "u8");
-        assert_eq!(filtered16.plane_width(), "u16");
         assert!(
             filtered.heap_bytes() >= narrow.heap_bytes() + 64 * 8,
             "byte-plane bytes missing from heap_bytes: {} vs {}",
             filtered.heap_bytes(),
-            narrow.heap_bytes()
-        );
-        assert!(
-            filtered16.heap_bytes() >= narrow.heap_bytes() + 64 * 8 * 2,
-            "u16-plane bytes missing from heap_bytes: {} vs {}",
-            filtered16.heap_bytes(),
             narrow.heap_bytes()
         );
     }
@@ -1180,9 +1083,9 @@ mod tests {
 
     #[test]
     fn threshold_above_half_ring_matches_everything() {
-        // t ≥ ka/2 means every row matches; adaptive depth resolves to
-        // 0 (no plane could reject), and a pinned fixed-depth plane
-        // clamps t_eff — both must agree with the scalar kernel.
+        // t ≥ ka/2 means every row matches; no plane could reject, so
+        // none is built, whatever depth is asked for — every config
+        // must agree with the scalar kernel.
         check_filtered_matches_scalar(FilterConfig::swar(), 399, 400, 6);
         check_filtered_matches_scalar(
             FilterConfig::swar().with_depth(PlaneDepth::Fixed(8)),
@@ -1235,92 +1138,51 @@ mod tests {
     }
 
     #[test]
-    fn auto_width_resolution() {
-        // Paper ring, default config: Auto picks the byte plane (equal
-        // adaptive depth, half the traffic).
-        let mut arena = SketchArena::new(100, 400);
-        arena.push(&[1; 16]);
-        assert_eq!(arena.plane_width(), "u8");
-        assert_eq!(arena.resolved_depth(), 8);
-        // Pinning U16 keeps the exact plane.
-        let mut arena = SketchArena::with_filter(
-            100,
-            400,
-            FilterConfig::default().with_width(PlaneWidth::U16),
-        );
-        arena.push(&[1; 16]);
-        assert_eq!(arena.plane_width(), "u16");
-        // U8 on an ineligible ring (2·tq+1 ≥ kq) silently falls back.
-        let mut arena =
-            SketchArena::with_filter(198, 400, FilterConfig::default().with_width(PlaneWidth::U8));
-        arena.push(&[1; 16]);
-        assert_eq!(arena.plane_width(), "u16");
+    fn plane_resolution() {
+        let resolved = |t: u64, ka: u64, filter: FilterConfig| {
+            let mut arena = SketchArena::with_filter(t, ka, filter);
+            arena.push(&[1; 16]);
+            (
+                arena.plane_width(),
+                arena.filter_kernel(),
+                arena.plane_dims(),
+            )
+        };
+        // Paper ring, default config: the byte plane, 8 lanes deep.
+        let (width, kernel, dims) = resolved(100, 400, FilterConfig::default());
+        assert_eq!((width, dims), ("u8", 8));
+        assert_ne!(kernel, "scalar");
+        assert_eq!(SketchArena::new(100, 400).resolved_depth(), 8);
+        // Rings no bucket lane can reject on (2·tq+1 ≥ kq): no plane,
+        // the scalar kernel — even when a depth is pinned.
+        let none = ("none", "scalar", 0);
+        assert_eq!(resolved(198, 400, FilterConfig::default()), none);
+        assert_eq!(resolved(125, 258, FilterConfig::default()), none);
+        let pinned = FilterConfig::default().with_depth(PlaneDepth::Fixed(3));
+        assert_eq!(resolved(198, 400, pinned), none);
         // Wider rings never build a plane, whatever the knob says.
-        let mut arena = SketchArena::with_filter(
-            100,
-            1 << 20,
-            FilterConfig::default().with_width(PlaneWidth::U8),
-        );
-        arena.push(&[1; 16]);
-        assert_eq!(arena.plane_width(), "none");
+        assert_eq!(resolved(100, 1 << 20, FilterConfig::default()), none);
+        assert_eq!(resolved(100, 1 << 20, pinned), none);
         // Disabled filter: no plane either.
-        let mut arena = SketchArena::with_filter(100, 400, FilterConfig::disabled());
-        arena.push(&[1; 16]);
-        assert_eq!(arena.plane_width(), "none");
+        assert_eq!(resolved(100, 400, FilterConfig::disabled()), none);
     }
 
     #[test]
     fn byte_plane_matches_scalar() {
-        // Pinned byte plane across the dim/plane size relations the u16
-        // tests cover, through the widest available dispatch.
-        for dim in [32, 8, 3] {
-            check_filtered_matches_scalar(
-                FilterConfig::default().with_width(PlaneWidth::U8),
-                100,
-                400,
-                dim,
-            );
-        }
-        // The portable SWAR u8 word (even/odd byte split) explicitly.
-        let swar8 = FilterConfig::swar().with_width(PlaneWidth::U8);
-        check_filtered_matches_scalar(swar8, 100, 400, 12);
-        // q = 1 rings: buckets are the residues themselves.
-        check_filtered_matches_scalar(swar8, 1, 7, 5);
-        check_filtered_matches_scalar(swar8, 100, 256, 6);
-        // Largest i16 ring: q = 128, kq = 256 — the wrapped broadcast.
-        check_filtered_matches_scalar(swar8, 1000, (1 << 15) - 1, 12);
-        check_filtered_matches_scalar(
-            FilterConfig::default().with_width(PlaneWidth::U8),
-            1000,
-            (1 << 15) - 1,
-            12,
-        );
-        // Ineligible ring: the knob falls back to u16, results identical.
-        check_filtered_matches_scalar(
-            FilterConfig::default().with_width(PlaneWidth::U8),
-            198,
-            400,
-            6,
-        );
-        // AVX2 pin (SWAR off x86-64) on the byte plane.
-        check_filtered_matches_scalar(
-            FilterConfig::default()
-                .with_kernel(FilterKernel::Avx2)
-                .with_width(PlaneWidth::U8),
-            100,
-            400,
-            12,
-        );
-        // Fixed depths, including deeper than the sketch.
-        for depth in [1, 3, 16] {
-            check_filtered_matches_scalar(
-                FilterConfig::default()
-                    .with_width(PlaneWidth::U8)
-                    .with_depth(PlaneDepth::Fixed(depth)),
-                100,
-                400,
-                12,
-            );
+        // The portable SWAR word (even/odd byte split) on the paper
+        // ring, and on a q = 1 ring at a byte's capacity, where buckets
+        // are the residues themselves.
+        let swar = FilterConfig::swar();
+        check_filtered_matches_scalar(swar, 100, 400, 12);
+        check_filtered_matches_scalar(swar, 100, 256, 6);
+        // Largest i16 ring through the dispatched kernel: q = 128,
+        // kq = 256 — the wrapped broadcast.
+        check_filtered_matches_scalar(FilterConfig::default(), 1000, (1 << 15) - 1, 12);
+        // Rings no bucket lane can reject on: no plane is built and the
+        // scalar fallback answers, results identical.
+        for (t, ka) in [(198, 400), (125, 258), (16_200, (1 << 15) - 1)] {
+            check_filtered_matches_scalar(FilterConfig::default(), t, ka, 6);
+            check_filtered_matches_scalar(swar, t, ka, 6);
         }
     }
 }

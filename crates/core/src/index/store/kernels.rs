@@ -26,23 +26,10 @@ pub(super) enum ActiveKernel {
 #[allow(unsafe_code)]
 pub(super) mod avx2 {
     use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_cmpeq_epi16, _mm256_cmpeq_epi8, _mm256_min_epu16,
-        _mm256_min_epu8, _mm256_movemask_epi8, _mm256_or_si256, _mm256_set1_epi16,
-        _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256, _mm256_sub_epi16,
-        _mm256_sub_epi8, _mm256_subs_epu16, _mm256_subs_epu8, _mm256_testz_si256,
+        __m256i, _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_min_epu8, _mm256_movemask_epi8,
+        _mm256_or_si256, _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256,
+        _mm256_sub_epi8, _mm256_subs_epu8, _mm256_testz_si256,
     };
-
-    /// Compacts the even bits of a 32-bit mask into 16 bits (AVX2's
-    /// byte-granular `movemask` emits two identical bits per 16-bit
-    /// lane).
-    fn even_bits(m: u32) -> u16 {
-        let mut x = u64::from(m) & 0x5555_5555;
-        x = (x | (x >> 1)) & 0x3333_3333;
-        x = (x | (x >> 2)) & 0x0F0F_0F0F;
-        x = (x | (x >> 4)) & 0x00FF_00FF;
-        x = (x | (x >> 8)) & 0x0000_FFFF;
-        x as u16
-    }
 
     /// `true` once per process: does this CPU have AVX2?
     pub fn available() -> bool {
@@ -51,73 +38,27 @@ pub(super) mod avx2 {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
-    /// Prefilters 16 rows (plane words `wi .. wi+4` of every lane)
-    /// against a probe, returning one bit per passing row.
+    /// Prefilters 32 rows (plane words `wi .. wi+4` of every lane)
+    /// against a probe's bucket values, returning one bit per passing
+    /// row: the byte-granular `movemask` is the row mask directly.
     ///
     /// # Panics
     /// Panics when AVX2 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn quad(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
+    pub fn quad(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
         assert!(available(), "AVX2 kernel dispatched without AVX2");
         // SAFETY: the avx2 target feature was just verified above.
-        unsafe { quad_avx2(lanes, biased, t, ka, wi) }
+        unsafe { quad_avx2(lanes, biased, tq, kq, wi) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn quad_avx2(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
+    fn quad_avx2(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
         let zero = _mm256_setzero_si256();
-        let tv = _mm256_set1_epi16(t as i16);
-        let kav = _mm256_set1_epi16(ka as i16);
-        let mut acc = _mm256_set1_epi16(-1);
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 16 rows of this dimension: 4 packed u64 words, lane 0 of
-            // word `wi` = row `4·wi`. Little-endian lane order matches
-            // `movemask` bit order.
-            let v: __m256i = _mm256_set_epi64x(
-                lane[wi + 3] as i64,
-                lane[wi + 2] as i64,
-                lane[wi + 1] as i64,
-                lane[wi] as i64,
-            );
-            let p = _mm256_set1_epi16(pb as i16);
-            // |a − b| on unsigned residues: one of the saturating
-            // differences is zero, the other the distance.
-            let diff = _mm256_or_si256(_mm256_subs_epu16(v, p), _mm256_subs_epu16(p, v));
-            // Cyclic distance min(d, ka − d); ka − d ∈ [1, ka] fits.
-            let cyc = _mm256_min_epu16(diff, _mm256_sub_epi16(kav, diff));
-            // cyc ≤ t ⟺ saturating cyc − t == 0.
-            let pass = _mm256_cmpeq_epi16(_mm256_subs_epu16(cyc, tv), zero);
-            acc = _mm256_and_si256(acc, pass);
-            if _mm256_testz_si256(acc, acc) == 1 {
-                return 0;
-            }
-        }
-        even_bits(_mm256_movemask_epi8(acc) as u32)
-    }
-
-    /// Prefilters 32 rows of a quantized byte plane (plane words
-    /// `wi .. wi+4` of every lane) against a probe's bucket values,
-    /// returning one bit per passing row — twice [`quad`]'s rows per
-    /// step, and the byte-granular `movemask` is the row mask directly
-    /// (no even-bit compaction).
-    ///
-    /// # Panics
-    /// Panics when AVX2 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn quad8(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        assert!(available(), "AVX2 kernel dispatched without AVX2");
-        // SAFETY: the avx2 target feature was just verified above.
-        unsafe { quad8_avx2(lanes, biased, t, ka, wi) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn quad8_avx2(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        let zero = _mm256_setzero_si256();
-        let tv = _mm256_set1_epi8(t as i8);
-        // `ka` is the bucket count ≤ 256; 256 wraps to 0, which is
-        // still correct below: only d = 0 reaches the wrapped lane
-        // (buckets are < ka, so d ≤ ka − 1), and d = 0 always passes.
-        let kav = _mm256_set1_epi8(ka as u8 as i8);
+        let tv = _mm256_set1_epi8(tq as i8);
+        // The bucket count is ≤ 256; 256 wraps to 0, which is still
+        // correct below: only d = 0 reaches the wrapped lane (buckets
+        // are < kq, so d ≤ kq − 1), and d = 0 always passes.
+        let kv = _mm256_set1_epi8(kq as u8 as i8);
         let mut acc = _mm256_set1_epi8(-1);
         for (lane, &pb) in lanes.iter().zip(biased) {
             // 32 rows of this dimension: 4 packed u64 words, 8 bucket
@@ -130,10 +71,12 @@ pub(super) mod avx2 {
                 lane[wi] as i64,
             );
             let p = _mm256_set1_epi8(pb as u8 as i8);
-            // Same shape as the u16 kernel, one byte per row: |a − b|,
-            // cyclic min(d, ka − d), then d ≤ t via saturating − t.
+            // |a − b| on unsigned buckets: one of the saturating
+            // differences is zero, the other the distance.
             let diff = _mm256_or_si256(_mm256_subs_epu8(v, p), _mm256_subs_epu8(p, v));
-            let cyc = _mm256_min_epu8(diff, _mm256_sub_epi8(kav, diff));
+            // Cyclic distance min(d, kq − d), then d ≤ tq ⟺ the
+            // saturating d − tq is 0.
+            let cyc = _mm256_min_epu8(diff, _mm256_sub_epi8(kv, diff));
             let pass = _mm256_cmpeq_epi8(_mm256_subs_epu8(cyc, tv), zero);
             acc = _mm256_and_si256(acc, pass);
             if _mm256_testz_si256(acc, acc) == 1 {
@@ -144,19 +87,20 @@ pub(super) mod avx2 {
     }
 }
 
-/// The AVX-512 prefilter kernel: 32 rows per iteration (8 contiguous
-/// packed `u64` lane words per 512-bit load), with native `__mmask32`
-/// comparison results instead of AVX2's movemask-and-compact dance.
-/// Uses only `avx512f` + `avx512bw` — no VBMI — so it runs on every
-/// AVX-512 server core back to Skylake-SP. Isolated `unsafe`, same
-/// soundness argument as [`avx2`]: the dispatch is gated on runtime
-/// detection, and the one raw load is bounds-checked by a slice first.
+/// The AVX-512 prefilter kernel: 64 rows per iteration (8 contiguous
+/// packed `u64` lane words per 512-bit load — one whole liveness
+/// block), with native `__mmask64` comparison results instead of
+/// AVX2's movemask. Uses only `avx512f` + `avx512bw` — no VBMI — so it
+/// runs on every AVX-512 server core back to Skylake-SP. Isolated
+/// `unsafe`, same soundness argument as [`avx2`]: the dispatch is gated
+/// on runtime detection, and the one raw load is bounds-checked by a
+/// slice first.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(super) mod avx512 {
     use std::arch::x86_64::{
-        _mm512_loadu_si512, _mm512_min_epu16, _mm512_min_epu8, _mm512_or_si512, _mm512_set1_epi16,
-        _mm512_set1_epi8, _mm512_sub_epi16, _mm512_sub_epi8, _mm512_subs_epu16, _mm512_subs_epu8,
+        _mm512_loadu_si512, _mm512_min_epu8, _mm512_or_si512, _mm512_set1_epi8, _mm512_sub_epi8,
+        _mm512_subs_epu8,
     };
 
     /// `true` once per process: does this CPU have the foundation +
@@ -166,79 +110,41 @@ pub(super) mod avx512 {
             && std::arch::is_x86_feature_detected!("avx512bw")
     }
 
-    /// Prefilters 32 rows (plane words `wi .. wi+8` of every lane)
-    /// against a probe, returning one bit per passing row.
+    /// Prefilters 64 rows (plane words `wi .. wi+8` of every lane)
+    /// against a probe's bucket values, returning one bit per passing
+    /// row: a whole 64-row liveness block's candidate mask from one
+    /// `cmple_epu8` per dimension.
     ///
     /// # Panics
     /// Panics when AVX-512 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn octo(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
+    pub fn octo(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u64 {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         // SAFETY: the avx512f/avx512bw target features were just
         // verified above.
-        unsafe { octo_avx512(lanes, biased, t, ka, wi) }
+        unsafe { octo_avx512(lanes, biased, tq, kq, wi) }
     }
 
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo_avx512(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u32 {
-        let tv = _mm512_set1_epi16(t as i16);
-        let kav = _mm512_set1_epi16(ka as i16);
-        let mut acc: u32 = !0;
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 32 rows of this dimension: 8 packed u64 words, contiguous
-            // in the lane, so one unaligned 512-bit load covers them.
-            // Little-endian element order matches the mask bit order.
-            let words = &lane[wi..wi + 8];
-            // SAFETY: the bounds-checked slice above spans exactly the
-            // 64 bytes the unaligned load reads.
-            let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
-            let p = _mm512_set1_epi16(pb as i16);
-            // Same lane algebra as the AVX2 kernel, with native mask
-            // registers for the ≤ comparison.
-            let diff = _mm512_or_si512(_mm512_subs_epu16(v, p), _mm512_subs_epu16(p, v));
-            let cyc = _mm512_min_epu16(diff, _mm512_sub_epi16(kav, diff));
-            acc &= std::arch::x86_64::_mm512_cmple_epu16_mask(cyc, tv);
-            if acc == 0 {
-                return 0;
-            }
-        }
-        acc
-    }
-
-    /// Prefilters 64 rows of a quantized byte plane (plane words
-    /// `wi .. wi+8` of every lane) against a probe's bucket values,
-    /// returning one bit per passing row: a whole 64-row liveness
-    /// block's candidate mask from one `cmple_epu8` per dimension —
-    /// twice [`octo`]'s rows per step.
-    ///
-    /// # Panics
-    /// Panics when AVX-512 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn octo8(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
-        assert!(available(), "AVX-512 kernel dispatched without AVX-512");
-        // SAFETY: the avx512f/avx512bw target features were just
-        // verified above.
-        unsafe { octo8_avx512(lanes, biased, t, ka, wi) }
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo8_avx512(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u64 {
-        let tv = _mm512_set1_epi8(t as i8);
+    fn octo_avx512(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u64 {
+        let tv = _mm512_set1_epi8(tq as i8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
-        // which passes regardless (see the AVX2 byte kernel).
-        let kav = _mm512_set1_epi8(ka as u8 as i8);
+        // which passes regardless (see the AVX2 kernel).
+        let kv = _mm512_set1_epi8(kq as u8 as i8);
         let mut acc: u64 = !0;
         for (lane, &pb) in lanes.iter().zip(biased) {
             // 64 rows of this dimension: 8 packed u64 words, 8 bucket
-            // bytes each, contiguous in the lane — one unaligned
-            // 512-bit load covers a full liveness block.
+            // bytes each, contiguous in the lane. Little-endian element
+            // order matches the mask bit order.
             let words = &lane[wi..wi + 8];
             // SAFETY: the bounds-checked slice above spans exactly the
             // 64 bytes the unaligned load reads.
             let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
             let p = _mm512_set1_epi8(pb as u8 as i8);
+            // Same lane algebra as the AVX2 kernel, with native mask
+            // registers for the ≤ comparison.
             let diff = _mm512_or_si512(_mm512_subs_epu8(v, p), _mm512_subs_epu8(p, v));
-            let cyc = _mm512_min_epu8(diff, _mm512_sub_epi8(kav, diff));
+            let cyc = _mm512_min_epu8(diff, _mm512_sub_epi8(kv, diff));
             acc &= std::arch::x86_64::_mm512_cmple_epu8_mask(cyc, tv);
             if acc == 0 {
                 return 0;
@@ -248,7 +154,7 @@ pub(super) mod avx512 {
     }
 }
 
-/// The NEON prefilter kernel: 8 rows per iteration (2 packed `u64`
+/// The NEON prefilter kernel: 16 rows per iteration (2 packed `u64`
 /// lane words per 128-bit vector).
 ///
 /// The intrinsics go through the `intr` façade: real
@@ -262,37 +168,15 @@ pub(super) mod avx512 {
 pub(super) mod neon {
     use super::intr;
 
-    /// Prefilters 8 rows (plane words `wi`, `wi+1` of every lane)
-    /// against a probe, returning one bit per passing row.
-    pub fn eight(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u8 {
-        let tv = intr::dup(t);
-        let kav = intr::dup(ka);
-        let mut acc = intr::dup(u16::MAX);
-        for (lane, &pb) in lanes.iter().zip(biased) {
-            // 8 rows of this dimension: 2 packed u64 words, loaded as
-            // 8 little-endian u16 lanes.
-            let v = intr::load_pair(lane[wi], lane[wi + 1]);
-            let p = intr::dup(pb);
-            // |a − b| directly (vabd), then cyclic min(d, ka − d).
-            let d = intr::abd(v, p);
-            let cyc = intr::min(d, intr::sub(kav, d));
-            acc = intr::and(acc, intr::cle(cyc, tv));
-            if intr::maxv(acc) == 0 {
-                return 0;
-            }
-        }
-        intr::lane_bits(acc)
-    }
-
-    /// Prefilters 16 rows of a quantized byte plane (plane words `wi`,
-    /// `wi+1` of every lane) against a probe's bucket values, returning
-    /// one bit per passing row — twice [`eight`]'s rows per step.
-    pub fn sixteen(lanes: &[&[u64]], biased: &[u16], t: u16, ka: u16, wi: usize) -> u16 {
-        let tv = intr::dup8(t as u8);
+    /// Prefilters 16 rows (plane words `wi`, `wi+1` of every lane)
+    /// against a probe's bucket values, returning one bit per passing
+    /// row.
+    pub fn sixteen(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u16 {
+        let tv = intr::dup8(tq as u8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
-        // which passes regardless (buckets are < ka, so d ≤ ka − 1 and
+        // which passes regardless (buckets are < kq, so d ≤ kq − 1 and
         // the wrapped subtraction is exact for every d ≥ 1).
-        let kav = intr::dup8(ka as u8);
+        let kav = intr::dup8(kq as u8);
         let mut acc = intr::dup8(u8::MAX);
         for (lane, &pb) in lanes.iter().zip(biased) {
             // 16 rows of this dimension: 2 packed u64 words, loaded as
@@ -311,89 +195,24 @@ pub(super) mod neon {
 }
 
 /// The NEON intrinsics façade for [`neon`]: thin real wrappers on
-/// aarch64, a portable `[u16; 8]` emulation elsewhere (test builds
+/// aarch64, a portable `[u8; 16]` emulation elsewhere (test builds
 /// only). Both sides implement the identical lane semantics, so the
 /// kernel body above means the same thing wherever it compiles.
 #[cfg(any(target_arch = "aarch64", test))]
 #[allow(unsafe_code)]
 mod intr {
-    /// Per-lane bit weights for [`lane_bits`]: anding with a lane mask
-    /// and summing across lanes yields one bit per all-ones lane.
-    const BIT_WEIGHTS: [u16; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-    /// Per-lane bit weights for [`lane_bits16`], one byte lane each;
-    /// the two 8-lane halves are summed separately (16 weighted bytes
-    /// would overflow a u8 accumulator) and recombined as low/high
-    /// mask bytes.
+    /// Per-lane bit weights for [`lane_bits16`], one byte lane each:
+    /// anding with a lane mask and summing across lanes yields one bit
+    /// per all-ones lane. The two 8-lane halves are summed separately
+    /// (16 weighted bytes would overflow a u8 accumulator) and
+    /// recombined as low/high mask bytes.
     const BIT_WEIGHTS8: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 1, 2, 4, 8, 16, 32, 64, 128];
 
     #[cfg(target_arch = "aarch64")]
     mod imp {
         use core::arch::aarch64 as a;
 
-        pub type V = a::uint16x8_t;
-
-        #[inline]
-        pub fn dup(x: u16) -> V {
-            // SAFETY: NEON is mandatory on aarch64 (baseline feature).
-            unsafe { a::vdupq_n_u16(x) }
-        }
-
-        #[inline]
-        pub fn load_pair(w0: u64, w1: u64) -> V {
-            let words = [w0, w1];
-            // SAFETY: `words` spans the 16 bytes read; aarch64 is
-            // little-endian, so u64 packing order equals lane order.
-            unsafe { a::vld1q_u16(words.as_ptr().cast()) }
-        }
-
-        #[inline]
-        pub fn abd(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vabdq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn min(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vminq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn sub(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vsubq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn and(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vandq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn cle(x: V, y: V) -> V {
-            // SAFETY: baseline NEON.
-            unsafe { a::vcleq_u16(x, y) }
-        }
-
-        #[inline]
-        pub fn maxv(x: V) -> u16 {
-            // SAFETY: baseline NEON.
-            unsafe { a::vmaxvq_u16(x) }
-        }
-
-        #[inline]
-        pub fn lane_bits(mask: V) -> u8 {
-            // SAFETY: `BIT_WEIGHTS` spans the 16 bytes read; the
-            // horizontal add is baseline NEON.
-            unsafe {
-                let weights = a::vld1q_u16(super::BIT_WEIGHTS.as_ptr());
-                a::vaddvq_u16(a::vandq_u16(mask, weights)) as u8
-            }
-        }
-
-        /// Byte-lane twin of [`V`] for the quantized plane kernel.
+        /// Sixteen byte lanes: one bucket per row.
         pub type W = a::uint8x16_t;
 
         #[inline]
@@ -462,65 +281,6 @@ mod intr {
 
     #[cfg(not(target_arch = "aarch64"))]
     mod imp {
-        /// Portable stand-in for `uint16x8_t`.
-        #[derive(Clone, Copy)]
-        pub struct V(pub [u16; 8]);
-
-        fn zip(x: V, y: V, f: impl Fn(u16, u16) -> u16) -> V {
-            let mut out = [0u16; 8];
-            for (o, (a, b)) in out.iter_mut().zip(x.0.iter().zip(y.0.iter())) {
-                *o = f(*a, *b);
-            }
-            V(out)
-        }
-
-        pub fn dup(x: u16) -> V {
-            V([x; 8])
-        }
-
-        pub fn load_pair(w0: u64, w1: u64) -> V {
-            let mut out = [0u16; 8];
-            for (i, o) in out.iter_mut().enumerate() {
-                let w = if i < 4 { w0 } else { w1 };
-                *o = (w >> (16 * (i % 4))) as u16;
-            }
-            V(out)
-        }
-
-        pub fn abd(x: V, y: V) -> V {
-            zip(x, y, u16::abs_diff)
-        }
-
-        pub fn min(x: V, y: V) -> V {
-            zip(x, y, u16::min)
-        }
-
-        pub fn sub(x: V, y: V) -> V {
-            // vsubq wraps, like the real thing (the kernel never
-            // actually wraps: d ≤ ka − 1 keeps ka − d in range).
-            zip(x, y, u16::wrapping_sub)
-        }
-
-        pub fn and(x: V, y: V) -> V {
-            zip(x, y, |a, b| a & b)
-        }
-
-        pub fn cle(x: V, y: V) -> V {
-            zip(x, y, |a, b| if a <= b { u16::MAX } else { 0 })
-        }
-
-        pub fn maxv(x: V) -> u16 {
-            x.0.into_iter().max().unwrap_or(0)
-        }
-
-        pub fn lane_bits(mask: V) -> u8 {
-            mask.0
-                .iter()
-                .zip(super::BIT_WEIGHTS)
-                .map(|(&m, w)| (m & w) as u8)
-                .sum()
-        }
-
         /// Portable stand-in for `uint8x16_t`.
         #[derive(Clone, Copy)]
         pub struct W(pub [u8; 16]);
@@ -588,7 +348,6 @@ mod intr {
         }
     }
 
-    pub use imp::{abd, and, cle, dup, lane_bits, load_pair, maxv, min, sub};
     pub use imp::{abd8, and8, cle8, dup8, lane_bits16, load_pair8, maxv8, min8, sub8};
 }
 

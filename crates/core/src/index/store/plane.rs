@@ -1,6 +1,6 @@
 //! The prefilter plane: the leading coordinates of every row stored
-//! dimension-major for the vector phase 1, its depth/width model, and
-//! the portable SWAR kernel.
+//! dimension-major as quantized byte buckets for the vector phase 1,
+//! its depth and eligibility model, and the portable SWAR kernel.
 
 #[cfg(any(target_arch = "aarch64", test))]
 use super::kernels::neon;
@@ -10,27 +10,15 @@ use super::kernels::{avx2, avx512};
 use super::shared::Column;
 use super::FilterConfig;
 
-/// Resolves [`PlaneDepth::Adaptive`] for a ring: the smallest depth
-/// whose expected survivor rate clears 1/128, capped at
-/// [`FilterConfig::MAX_ADAPTIVE_DIMS`]; `0` when a lane could never
-/// reject (`2·t_eff+1 ≥ ka`). Computed by repeated multiplication
-/// rather than a log ratio so boundary cases (exact powers of the pass
-/// rate) resolve deterministically.
-pub(super) fn adaptive_depth(t: u64, ka: u64) -> usize {
-    let t_eff = t.min(ka / 2);
-    // Coordinates passing one lane: the 2·t_eff+1 residues within
-    // cyclic distance t_eff (no overflow: t_eff ≤ ka/2).
-    adaptive_depth_for_rate(2 * t_eff + 1, ka)
-}
-
-/// The shared depth model behind [`adaptive_depth`], parameterized by
-/// the per-lane acceptance count over an arbitrary ring: the 16-bit
-/// plane passes `2·t_eff+1` of `ka` residues, the quantized byte plane
-/// passes `2·t_q+1` of `⌈ka/q⌉` buckets.
+/// Resolves [`PlaneDepth::Adaptive`](super::PlaneDepth::Adaptive) from
+/// a lane's acceptance rate — `passing` of `ring` buckets, `2·t_q+1` of
+/// `⌈ka/q⌉` — as the smallest depth whose expected survivor rate clears
+/// 1/128, capped at [`FilterConfig::MAX_ADAPTIVE_DIMS`]. Computed by
+/// repeated multiplication rather than a log ratio so boundary cases
+/// (exact powers of the pass rate) resolve deterministically. Only
+/// asked about rings a lane can reject on ([`byte_plane_eligible`]).
 pub(super) fn adaptive_depth_for_rate(passing: u64, ring: u64) -> usize {
-    if passing >= ring {
-        return 0;
-    }
+    debug_assert!(passing < ring);
     let rate = passing as f64 / ring as f64;
     const TARGET: f64 = 1.0 / 128.0;
     let mut depth = 1usize;
@@ -42,10 +30,10 @@ pub(super) fn adaptive_depth_for_rate(passing: u64, ring: u64) -> usize {
     depth
 }
 
-/// The byte plane's quantization for a ring with `ka < 2¹⁵`:
-/// `(q, kq, tq)` where `q = ⌈ka/256⌉` is the bucket width (1 when the
-/// ring already fits a byte), `kq = ⌈ka/q⌉` the bucket count, and `tq`
-/// the conservative bucket-distance threshold. With `t' = min(t, ka/2)`
+/// The plane's quantization for a ring with `ka < 2¹⁵`: `(q, kq, tq)`
+/// where `q = ⌈ka/256⌉` is the bucket width (1 when the ring already
+/// fits a byte), `kq = ⌈ka/q⌉` the bucket count, and `tq` the
+/// conservative bucket-distance threshold. With `t' = min(t, ka/2)`
 /// the exact residue test `|a − b|_cyc ≤ t'` implies the bucket test
 /// `|a/q − b/q|_cyc ≤ ⌈t'/q⌉ + 1` (bucketing moves each endpoint by
 /// < q, and the wrap-around leg over `kq` buckets shrinks by at most
@@ -65,11 +53,12 @@ pub(super) fn quantize_ring(t: u64, ka: u64) -> (u16, u16, u16) {
     (q, kq, tq)
 }
 
-/// Whether the quantized byte plane can reject anything on this ring:
-/// a bucket lane passes `2·t_q+1` of `kq` buckets, so once that count
-/// reaches `kq` the plane is pure overhead and [`PlaneWidth::Auto`] /
-/// [`PlaneWidth::U8`] fall back to the exact 16-bit plane. Wider rings
-/// (`ka ≥ 2¹⁵`) never build any plane, so they are never eligible.
+/// Whether a ring gets a plane at all: a bucket lane passes `2·t_q+1`
+/// of `kq` buckets, so once that count reaches `kq` no lane can reject
+/// anything and the arena scans with the scalar early-abort kernel
+/// alone — as it does on wider rings (`ka ≥ 2¹⁵`), whose residues no
+/// byte bucket holds. The rings this turns away accept ≥ 97% of the
+/// ring per coordinate (`rings_without_a_plane_cannot_identify`).
 pub(super) fn byte_plane_eligible(t: u64, ka: u64) -> bool {
     if ka >= 1 << 15 {
         return false;
@@ -81,45 +70,28 @@ pub(super) fn byte_plane_eligible(t: u64, ka: u64) -> bool {
 /// `0x0001` in every 16-bit lane: broadcasts a lane value by
 /// multiplication.
 const LANES: u64 = 0x0001_0001_0001_0001;
-/// The spare most-significant bit of every 16-bit lane. Plane values
-/// are residues in `[0, ka)` with `ka < 2¹⁵`, so this bit is always
-/// free to carry per-lane comparison results without cross-lane
-/// borrows.
+/// The most-significant bit of every 16-bit SWAR lane. The lanes hold
+/// buckets ≤ 255, so this bit is always free to carry per-lane
+/// comparison results without cross-lane borrows.
 const MSBS: u64 = 0x8000_8000_8000_8000;
+/// Lane words per 64-row group: 8 bucket bytes a word.
+const GROUP_WORDS: usize = 8;
 
 /// One probe's prefilter state, borrowed from the scan scratch: the
-/// biased residues of its leading plane coordinates, and the same
-/// values broadcast across SWAR lanes.
+/// buckets of its leading plane coordinates, and the same values
+/// broadcast across SWAR lanes.
 #[derive(Clone, Copy)]
 pub(super) struct ProbeFilter<'a> {
     pub(super) biased: &'a [u16],
     pub(super) bcast: &'a [u64],
 }
 
-/// The lane cell representation a [`FilterPlane`] was built with,
-/// after [`PlaneWidth`] resolution (`Auto` and ineligible-`U8` rings
-/// have already fallen back by the time a plane exists).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum PlaneRepr {
-    /// Exact biased residues, 4 × 16-bit lanes per word. Phase 1 is
-    /// exact on the plane dimensions, so phase 2 verifies only the
-    /// remaining `dim − F` coordinates.
-    U16,
-    /// Quantized buckets (`residue / q`), 8 × 8-bit lanes per word.
-    /// Phase 1 over-accepts (see [`PlaneWidth`]), so phase 2 verifies
-    /// *all* coordinates — still a net win: byte lanes reject ≈ as
-    /// sharply per dimension while the plane moves half the bytes.
-    U8 {
-        /// Bucket width `⌈ka/256⌉`.
-        q: u16,
-    },
-}
-
 /// The leading dimensions of every row, stored dimension-major for the
 /// vector prefilter: lane `d` holds coordinate `d` of rows
-/// `0, 1, 2, …` as biased 16-bit residues (`(value mod ka) ∈ [0, ka)`)
-/// packed four rows per `u64` word — or, under [`PlaneRepr::U8`], as
-/// quantized 8-bit buckets packed eight rows per word.
+/// `0, 1, 2, …` as quantized 8-bit buckets (`(value mod ka) / q`)
+/// packed eight rows per `u64` word. Phase 1 over-accepts (see
+/// [`quantize_ring`]), so phase 2 verifies *all* coordinates of a
+/// survivor.
 ///
 /// Only rows' *positions* live here — liveness stays in the arena's
 /// tombstone words, which the candidate masks are intersected with, so
@@ -135,24 +107,18 @@ pub(super) enum PlaneRepr {
 pub(super) struct FilterPlane {
     /// One packed lane per filter dimension (`min(config.dims, dim)`).
     lanes: Vec<Column<u64>>,
-    /// Lane cell representation (16-bit exact / 8-bit quantized).
-    pub(super) repr: PlaneRepr,
     /// The ring circumference (fits: planes only exist for `ka < 2¹⁵`).
     /// Used for biasing rows and probes into `[0, ka)`.
-    pub(super) ka16: u16,
-    /// Threshold the phase-1 kernels compare against: on a 16-bit
-    /// plane the effective threshold `min(t, ka/2)` (the cyclic
-    /// distance never exceeds `ka/2`, so clamping preserves the
-    /// predicate while keeping every SWAR constant inside a 15-bit
-    /// lane), on a byte plane the quantized `t_q`.
-    cmp_t: u16,
-    /// Ring the phase-1 kernels wrap over: `ka` on a 16-bit plane, the
-    /// bucket count `⌈ka/q⌉` (≤ 256) on a byte plane.
-    cmp_ka: u16,
-    /// `0x8000 + cmp_t` broadcast: SWAR `absd ≤ cmp_t` comparand.
+    ka16: u16,
+    /// Bucket width `⌈ka/256⌉`: rows and probes are divided by it.
+    q: u16,
+    /// Bucket-distance threshold the phase-1 kernels compare against.
+    tq: u16,
+    /// Bucket count `⌈ka/q⌉` (≤ 256) the phase-1 kernels wrap over.
+    kq: u16,
+    /// `0x8000 + tq` broadcast: SWAR `absd ≤ tq` comparand.
     th: u64,
-    /// `cmp_ka − cmp_t` broadcast: SWAR `absd ≥ cmp_ka − cmp_t`
-    /// comparand.
+    /// `kq − tq` broadcast: SWAR `absd ≥ kq − tq` comparand.
     kmt: u64,
 }
 
@@ -167,58 +133,22 @@ fn bias16(c: i16, ka16: u16) -> u16 {
 }
 
 impl FilterPlane {
-    pub(super) fn new(dims: usize, t: u64, ka: u64, repr: PlaneRepr) -> FilterPlane {
+    pub(super) fn new(dims: usize, t: u64, ka: u64) -> FilterPlane {
         debug_assert!(dims >= 1 && ka < 1 << 15);
-        let ka16 = ka as u16;
-        let t_eff = t.min(ka / 2) as u16;
-        let (cmp_t, cmp_ka) = match repr {
-            PlaneRepr::U16 => (t_eff, ka16),
-            PlaneRepr::U8 { q } => {
-                let (rq, kq, tq) = quantize_ring(t, ka);
-                debug_assert_eq!(rq, q);
-                (tq, kq)
-            }
-        };
+        let (q, kq, tq) = quantize_ring(t, ka);
         FilterPlane {
             lanes: (0..dims).map(|_| Column::with_capacity(0)).collect(),
-            repr,
-            ka16,
-            cmp_t,
-            cmp_ka,
-            th: (0x8000 + u64::from(cmp_t)) * LANES,
-            kmt: (u64::from(cmp_ka) - u64::from(cmp_t)) * LANES,
+            ka16: ka as u16,
+            q,
+            tq,
+            kq,
+            th: (0x8000 + u64::from(tq)) * LANES,
+            kmt: (u64::from(kq) - u64::from(tq)) * LANES,
         }
     }
 
     pub(super) fn dims(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Lane words per 64-row group: 16 × (4 × u16) or 8 × (8 × u8).
-    fn group_words(&self) -> usize {
-        match self.repr {
-            PlaneRepr::U16 => 16,
-            PlaneRepr::U8 { .. } => 8,
-        }
-    }
-
-    /// First coordinate phase 2 must verify: the 16-bit plane tests
-    /// its dimensions exactly (verify resumes after them), the byte
-    /// plane over-accepts (verify re-checks everything).
-    pub(super) fn verify_start(&self) -> usize {
-        match self.repr {
-            PlaneRepr::U16 => self.dims(),
-            PlaneRepr::U8 { .. } => 0,
-        }
-    }
-
-    /// Divisor applied to biased probe residues when building
-    /// [`ProbeFilter`] state (1 on the exact 16-bit plane).
-    pub(super) fn probe_quant(&self) -> u16 {
-        match self.repr {
-            PlaneRepr::U16 => 1,
-            PlaneRepr::U8 { q } => q,
-        }
     }
 
     pub(super) fn heap_bytes(&self) -> usize {
@@ -228,7 +158,7 @@ impl FilterPlane {
     /// Makes room for the complete groups of `total_rows` rows
     /// (exclusive access: the lanes may move).
     pub(super) fn grow(&mut self, total_rows: usize) {
-        let words = total_rows / 64 * self.group_words();
+        let words = total_rows / 64 * GROUP_WORDS;
         for lane in &mut self.lanes {
             lane.grow(words);
         }
@@ -245,17 +175,12 @@ impl FilterPlane {
     /// must arrive densely in order.
     pub(super) fn fill_group(&self, cells: &[i16], dim: usize) {
         debug_assert_eq!(cells.len(), 64 * dim);
-        let (quant, bits) = match self.repr {
-            PlaneRepr::U16 => (1, 16),
-            PlaneRepr::U8 { q } => (q, 8),
-        };
-        let per_word = 64 / bits;
         for (d, lane) in self.lanes.iter().enumerate() {
-            lane.extend(self.group_words(), |words| {
+            lane.extend(GROUP_WORDS, |words| {
                 words.fill(0);
                 for (r, row) in cells.chunks_exact(dim).enumerate() {
-                    let b = u64::from(bias16(row[d], self.ka16) / quant);
-                    words[r / per_word] |= b << (bits * (r % per_word));
+                    let b = u64::from(bias16(row[d], self.ka16) / self.q);
+                    words[r / 8] |= b << (8 * (r % 8));
                 }
             });
         }
@@ -292,15 +217,14 @@ impl PlaneView<'_> {
     /// after another while the writer may have been extending them.
     pub(super) fn groups(&self) -> usize {
         let words = self.lanes.iter().map(|l| l.len()).min();
-        words.map_or(0, |w| w / self.plane.group_words())
+        words.map_or(0, |w| w / GROUP_WORDS)
     }
 
     /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
     /// against the broadcast probe `pb`, returning the per-lane pass
     /// MSBs. See `DESIGN.md` for the lane algebra; every intermediate
-    /// stays within its 16-bit lane because values are 15-bit residues
-    /// (buckets ≤ 256 on the byte plane) and `MSBS` supplies the
-    /// borrow headroom.
+    /// stays within its 16-bit lane because values are buckets ≤ 255
+    /// and `MSBS` supplies the borrow headroom.
     #[inline]
     fn swar_pass(&self, a: u64, pb: u64) -> u64 {
         // Per lane: a − b + 0x8000 and b − a + 0x8000 (exact; no
@@ -312,7 +236,7 @@ impl PlaneView<'_> {
         let ge = ((d1 >> 15) & LANES) * 0xFFFF;
         // |a − b| per lane, MSB bias stripped.
         let absd = ((d1 & ge) | (d2 & !ge)) & !MSBS;
-        // Cyclic pass: absd ≤ cmp_t  OR  absd ≥ cmp_ka − cmp_t.
+        // Cyclic pass: absd ≤ tq  OR  absd ≥ kq − tq.
         ((self.plane.th - absd) | ((absd | MSBS) - self.plane.kmt)) & MSBS
     }
 
@@ -323,32 +247,17 @@ impl PlaneView<'_> {
         ((acc >> 15) & 1) | ((acc >> 30) & 2) | ((acc >> 45) & 4) | ((acc >> 60) & 8)
     }
 
-    /// SWAR-prefilters the 4 rows of 16-bit plane word `wi`, returning
-    /// one low bit per passing row.
-    #[inline]
-    fn swar_word(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
-        let mut acc = MSBS;
-        for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
-            acc &= self.swar_pass(lane[wi], pb);
-            if acc == 0 {
-                return 0;
-            }
-        }
-        Self::swar_gather(acc)
-    }
-
-    /// SWAR-prefilters the 8 rows of byte plane word `wi`, returning
-    /// one low bit per passing row.
+    /// SWAR-prefilters the 8 rows of plane word `wi`, returning one low
+    /// bit per passing row.
     ///
     /// Bytes have no spare MSB, so the word is split into its even and
     /// odd bytes — each a 4 × 16-bit-lane value whose lanes hold a
-    /// bucket ≤ 255, leaving the usual `0x8000` headroom — and both
-    /// halves run the existing 16-bit lane algebra (which computes the
-    /// exact `cmp_ka − absd`, so even the `kq = 256` ring needs no
-    /// wrap-around trick here). The two 4-bit results interleave back
-    /// into byte order.
+    /// bucket ≤ 255, leaving `0x8000` of headroom — and both halves run
+    /// the 16-bit lane algebra (which computes the exact `kq − absd`,
+    /// so even the `kq = 256` ring needs no wrap-around trick here).
+    /// The two 4-bit results interleave back into byte order.
     #[inline]
-    fn swar_word_u8(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
+    fn swar_word(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
         const EVENS: u64 = 0x00FF_00FF_00FF_00FF;
         let (mut acc_e, mut acc_o) = (MSBS, MSBS);
         for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
@@ -367,10 +276,11 @@ impl PlaneView<'_> {
     }
 
     /// Candidate mask for one complete 64-row group (`w <
-    /// self.groups()`): prefilters the group's plane words (16 on the
-    /// 16-bit plane, 8 on the byte plane) against the probe and
-    /// intersects with the group's liveness word. Groups are whole, so
-    /// every backend runs full vectors — there is no buffer tail.
+    /// self.groups()`): prefilters the group's 8 plane words against
+    /// the probe and intersects with the group's liveness word — AVX-512
+    /// masks the whole group in a single 512-bit compare. Groups are
+    /// whole, so every backend runs full vectors — there is no buffer
+    /// tail.
     pub(super) fn block_candidates(
         &self,
         kernel: ActiveKernel,
@@ -378,77 +288,18 @@ impl PlaneView<'_> {
         w: usize,
         lw: u64,
     ) -> u64 {
-        if let PlaneRepr::U8 { .. } = self.plane.repr {
-            return self.block_candidates_u8(kernel, pf, w, lw);
-        }
-        let (t, ka) = (self.plane.cmp_t, self.plane.cmp_ka);
-        let base = w * 16;
+        let (tq, kq) = (self.plane.tq, self.plane.kq);
+        let base = w * GROUP_WORDS;
         let mut out = 0u64;
         match kernel {
             #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => {
-                for half in 0..2 {
-                    // Wholly-dead 32-row runs need no prefilter at all.
-                    if (lw >> (half * 32)) & 0xFFFF_FFFF != 0 {
-                        let m = avx512::octo(&self.lanes, pf.biased, t, ka, base + half * 8);
-                        out |= u64::from(m) << (half * 32);
-                    }
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            ActiveKernel::Neon => {
-                for group in 0..8 {
-                    // Wholly-dead 8-row runs need no prefilter at all.
-                    if (lw >> (group * 8)) & 0xFF != 0 {
-                        let m = neon::eight(&self.lanes, pf.biased, t, ka, base + group * 2);
-                        out |= u64::from(m) << (group * 8);
-                    }
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx2 => {
-                for chunk in 0..4 {
-                    // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (chunk * 16)) & 0xFFFF != 0 {
-                        let m = avx2::quad(&self.lanes, pf.biased, t, ka, base + chunk * 4);
-                        out |= u64::from(m) << (chunk * 16);
-                    }
-                }
-            }
-            ActiveKernel::Swar => {
-                for sub in 0..16 {
-                    if (lw >> (sub * 4)) & 0xF != 0 {
-                        out |= self.swar_word(pf, base + sub) << (sub * 4);
-                    }
-                }
-            }
-        }
-        out & lw
-    }
-
-    /// [`PlaneView::block_candidates`] for the byte plane: one 64-row
-    /// group is 8 plane words, so every backend covers twice the rows
-    /// per step — AVX-512 masks the whole group in a single 512-bit
-    /// compare.
-    fn block_candidates_u8(
-        &self,
-        kernel: ActiveKernel,
-        pf: ProbeFilter<'_>,
-        w: usize,
-        lw: u64,
-    ) -> u64 {
-        let (t, ka) = (self.plane.cmp_t, self.plane.cmp_ka);
-        let base = w * 8;
-        let mut out = 0u64;
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => out = avx512::octo8(&self.lanes, pf.biased, t, ka, base),
+            ActiveKernel::Avx512 => out = avx512::octo(&self.lanes, pf.biased, tq, kq, base),
             #[cfg(target_arch = "aarch64")]
             ActiveKernel::Neon => {
                 for group in 0..4 {
                     // Wholly-dead 16-row runs need no prefilter at all.
                     if (lw >> (group * 16)) & 0xFFFF != 0 {
-                        let m = neon::sixteen(&self.lanes, pf.biased, t, ka, base + group * 2);
+                        let m = neon::sixteen(&self.lanes, pf.biased, tq, kq, base + group * 2);
                         out |= u64::from(m) << (group * 16);
                     }
                 }
@@ -458,7 +309,7 @@ impl PlaneView<'_> {
                 for half in 0..2 {
                     // Wholly-dead 32-row runs need no prefilter at all.
                     if (lw >> (half * 32)) & 0xFFFF_FFFF != 0 {
-                        let m = avx2::quad8(&self.lanes, pf.biased, t, ka, base + half * 4);
+                        let m = avx2::quad(&self.lanes, pf.biased, tq, kq, base + half * 4);
                         out |= u64::from(m) << (half * 32);
                     }
                 }
@@ -466,7 +317,7 @@ impl PlaneView<'_> {
             ActiveKernel::Swar => {
                 for sub in 0..8 {
                     if (lw >> (sub * 8)) & 0xFF != 0 {
-                        out |= self.swar_word_u8(pf, base + sub) << (sub * 8);
+                        out |= self.swar_word(pf, base + sub) << (sub * 8);
                     }
                 }
             }
@@ -475,23 +326,22 @@ impl PlaneView<'_> {
     }
 }
 
-/// Builds the prefilter probe state (biased residues + SWAR broadcasts)
-/// for every probe in `cells16`: canonical `i16` probe rows laid out
-/// `dim` apart, `pd` plane dimensions each, into the scratch's reused
-/// `biased`/`bcast` buffers. On a quantized byte plane (`quant > 1`)
-/// the stored values are the probe's *bucket* coordinates, so each
-/// probe of a micro-batch is quantized exactly once here — never per
-/// block inside the sweep. Probes that cannot match (wrong dimension,
-/// pre-zeroed rows) keep their slots so indexing stays uniform.
+/// Builds the prefilter probe state (buckets + SWAR broadcasts) for
+/// every probe in `cells16`: canonical `i16` probe rows laid out `dim`
+/// apart, into the scratch's reused `biased`/`bcast` buffers,
+/// `plane.dims()` entries per probe. The stored values are the probe's
+/// *bucket* coordinates, so each probe of a micro-batch is quantized
+/// exactly once here — never per block inside the sweep. Probes that
+/// cannot match (wrong dimension, pre-zeroed rows) keep their slots so
+/// indexing stays uniform.
 pub(super) fn build_filter_probes(
+    plane: &FilterPlane,
     cells16: &[i16],
     dim: usize,
-    pd: usize,
-    ka16: u16,
-    quant: u16,
     biased: &mut Vec<u16>,
     bcast: &mut Vec<u64>,
 ) {
+    let pd = plane.dims();
     let count = cells16.len().checked_div(dim).unwrap_or(0);
     biased.clear();
     bcast.clear();
@@ -499,7 +349,7 @@ pub(super) fn build_filter_probes(
     bcast.reserve(count * pd);
     for p in 0..count {
         for &c in &cells16[p * dim..p * dim + pd] {
-            let b = bias16(c, ka16) / quant;
+            let b = bias16(c, plane.ka16) / plane.q;
             biased.push(b);
             bcast.push(u64::from(b) * LANES);
         }
@@ -520,10 +370,9 @@ mod tests {
         rng: &mut StdRng,
         dims: usize,
         (t, ka): (u64, u64),
-        repr: PlaneRepr,
         rows: usize,
     ) -> FilterPlane {
-        let mut plane = FilterPlane::new(dims, t, ka, repr);
+        let mut plane = FilterPlane::new(dims, t, ka);
         plane.grow(rows);
         for _ in 0..rows / 64 {
             let cells: Vec<i16> = (0..64 * dims)
@@ -534,118 +383,35 @@ mod tests {
         plane
     }
 
+    /// `dims` random probe buckets and their SWAR broadcasts.
+    fn random_probe(rng: &mut StdRng, dims: usize, ka: u64, q: u16) -> (Vec<u16>, Vec<u64>) {
+        let probe: Vec<u16> = (0..dims)
+            .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q)
+            .collect();
+        let bcast = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+        (probe, bcast)
+    }
+
     #[test]
     fn adaptive_depth_model() {
-        // Paper ring: pass rate 201/400 ≈ ½ → exactly the previously
-        // hard-coded 8 lanes.
-        assert_eq!(adaptive_depth(100, 400), 8);
+        // Paper ring: 103 of 200 buckets pass, ≈ ½ → 8 lanes.
+        assert_eq!(adaptive_depth_for_rate(103, 200), 8);
         // Rate exactly ½: (½)⁷ = 1/128 hits the target at 7 lanes.
-        assert_eq!(adaptive_depth(0, 2), 7);
+        assert_eq!(adaptive_depth_for_rate(1, 2), 7);
         // Rate 3/7: 6 lanes clear 1/128.
-        assert_eq!(adaptive_depth(1, 7), 6);
-        // Nothing to reject: every coordinate always passes.
-        assert_eq!(adaptive_depth(399, 400), 0);
-        assert_eq!(adaptive_depth(200, 400), 0);
-        assert_eq!(adaptive_depth(u64::MAX, 400), 0);
-        // Huge sparse ring: one lane rejects nearly everything.
-        assert_eq!(adaptive_depth(0, u64::MAX), 1);
+        assert_eq!(adaptive_depth_for_rate(3, 7), 6);
+        // Sparse ring: one lane rejects nearly everything.
+        assert_eq!(adaptive_depth_for_rate(1, 256), 1);
         // Near-1 pass rate: capped at MAX_ADAPTIVE_DIMS.
-        assert_eq!(adaptive_depth(199, 400), FilterConfig::MAX_ADAPTIVE_DIMS);
+        assert_eq!(
+            adaptive_depth_for_rate(199, 200),
+            FilterConfig::MAX_ADAPTIVE_DIMS
+        );
         // Deeper adaptive planes clamp to the sketch dimension.
-        let mut arena = SketchArena::new(199, 402);
+        let mut arena = SketchArena::new(160, 400);
         arena.push(&[1, 2, 3]);
         assert_eq!(arena.plane_dims(), 3);
         assert_eq!(arena.resolved_depth(), FilterConfig::MAX_ADAPTIVE_DIMS);
-    }
-
-    #[test]
-    fn neon_kernel_matches_swar() {
-        // The NEON kernel body runs everywhere through the emulated
-        // `intr` façade: its 8-row masks must equal two SWAR words.
-        let mut rng = StdRng::seed_from_u64(0x9E09);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let plane = random_plane(&mut rng, 3, (t, ka), PlaneRepr::U16, 64);
-            let view = plane.view();
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..3)
-                    .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in (0..16).step_by(2) {
-                    let neon = neon::eight(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let swar = view.swar_word(pf, wi) | (view.swar_word(pf, wi + 1) << 4);
-                    assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_kernel_matches_swar() {
-        if !avx512::available() {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(0x5125);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let plane = random_plane(&mut rng, 4, (t, ka), PlaneRepr::U16, 64);
-            let view = plane.view();
-            for _ in 0..40 {
-                let probe: Vec<u16> = (0..4)
-                    .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16))
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for wi in [0, 8] {
-                    let wide = avx512::octo(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let mut swar = 0u64;
-                    for sub in 0..8 {
-                        swar |= view.swar_word(pf, wi + sub) << (sub * 4);
-                    }
-                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn swar_word_algebra_is_exact() {
-        // Exhaustive single-coordinate check of the SWAR lane math
-        // against the scalar predicate, on an awkward odd ring.
-        let ka = 401u64;
-        for t in [0u64, 1, 57, 200, 400] {
-            let plane = FilterPlane::new(1, t, ka, PlaneRepr::U16);
-            for a in 0..ka as i64 {
-                let c = canonical(a, ka) as i16;
-                // Pack the same row value in all four lanes.
-                let word = [u64::from(bias16(c, ka as u16)) * LANES];
-                let view = PlaneView {
-                    plane: &plane,
-                    lanes: vec![&word],
-                };
-                for bval in (0..ka as i64).step_by(7) {
-                    let pc = canonical(bval, ka) as i16;
-                    let pb = u64::from(bias16(pc, ka as u16)) * LANES;
-                    let biased = [bias16(pc, ka as u16)];
-                    let bcast = [pb];
-                    let pf = ProbeFilter {
-                        biased: &biased,
-                        bcast: &bcast,
-                    };
-                    let mask = view.swar_word(pf, 0);
-                    let expect = crate::conditions::cyclic_close(a, bval, t, ka);
-                    assert_eq!(mask == 0xF, expect, "a={a} b={bval} t={t}: mask {mask:#x}");
-                    assert!(mask == 0 || mask == 0xF, "lanes disagree: {mask:#x}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -653,7 +419,7 @@ mod tests {
         // Lanes are sliced one after another while the writer may be
         // extending them, so a later lane can come out a group longer
         // than an earlier one: phase 1 must stop at the shortest.
-        let plane = FilterPlane::new(2, 100, 400, PlaneRepr::U8 { q: 2 });
+        let plane = FilterPlane::new(2, 100, 400);
         let (one_group, two_groups) = ([0u64; 8], [0u64; 16]);
         let view = PlaneView {
             plane: &plane,
@@ -687,35 +453,53 @@ mod tests {
         assert!(!byte_plane_eligible(198, 400));
         // Rings wider than i16 never build any plane.
         assert!(!byte_plane_eligible(100, 1 << 20));
+    }
 
-        // Byte-plane adaptive depth at the paper ring: bucket pass rate
-        // 103/200 ≈ ½ lands on the same 8 lanes as the exact plane.
-        assert_eq!(adaptive_depth_for_rate(2 * 51 + 1, 200), 8);
+    /// The arithmetic fact that makes one plane width enough: every
+    /// `i16` ring that gets no plane accepts at least 97% of the ring
+    /// per coordinate — sixteen exact lanes would reject at most 39% of
+    /// rows there, and such a ring identifies no one. Swept in full:
+    /// every `ka < 2¹⁵` and every `t ≤ ka/2` with `2t + 1 < ka`. A
+    /// change to [`quantize_ring`]'s slack that widens the no-plane set
+    /// fails here instead of silently moving real rings onto the scalar
+    /// kernel.
+    #[test]
+    fn rings_without_a_plane_cannot_identify() {
+        let mut loosest = (1.0f64, 0, 0);
+        for ka in 2u64..1 << 15 {
+            for t in (0..=ka / 2).filter(|t| 2 * t + 1 < ka) {
+                if !byte_plane_eligible(t, ka) {
+                    let pass = (2 * t + 1) as f64 / ka as f64;
+                    if pass < loosest.0 {
+                        loosest = (pass, t, ka);
+                    }
+                }
+            }
+        }
+        let (pass, t, ka) = loosest;
+        assert!(
+            pass >= 0.97,
+            "t = {t}, ka = {ka} gets no plane but passes only {pass:.4} of the ring"
+        );
     }
 
     #[test]
     fn neon_u8_kernel_matches_swar() {
-        // The NEON byte kernel runs everywhere through the emulated
-        // `intr` façade: its 16-row masks must equal two SWAR u8 words.
+        // The NEON kernel runs everywhere through the emulated `intr`
+        // façade: its 16-row masks must equal two SWAR words.
         let mut rng = StdRng::seed_from_u64(0x8E08);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let (q, _, _) = quantize_ring(t, ka);
-            let plane = random_plane(&mut rng, 3, (t, ka), PlaneRepr::U8 { q }, 128);
+            let plane = random_plane(&mut rng, 3, (t, ka), 128);
             let view = plane.view();
             for _ in 0..40 {
-                let probe: Vec<u16> = (0..3)
-                    .map(|_| {
-                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
-                    })
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let (probe, bcast) = random_probe(&mut rng, 3, ka, plane.q);
                 let pf = ProbeFilter {
                     biased: &probe,
                     bcast: &bcast,
                 };
                 for wi in (0..16).step_by(2) {
-                    let neon = neon::sixteen(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
-                    let swar = view.swar_word_u8(pf, wi) | (view.swar_word_u8(pf, wi + 1) << 8);
+                    let neon = neon::sixteen(&view.lanes, &probe, plane.tq, plane.kq, wi);
+                    let swar = view.swar_word(pf, wi) | (view.swar_word(pf, wi + 1) << 8);
                     assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
                 }
             }
@@ -730,25 +514,19 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(0xA208);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let (q, _, _) = quantize_ring(t, ka);
-            let plane = random_plane(&mut rng, 4, (t, ka), PlaneRepr::U8 { q }, 128);
+            let plane = random_plane(&mut rng, 4, (t, ka), 128);
             let view = plane.view();
             for _ in 0..40 {
-                let probe: Vec<u16> = (0..4)
-                    .map(|_| {
-                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
-                    })
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let (probe, bcast) = random_probe(&mut rng, 4, ka, plane.q);
                 let pf = ProbeFilter {
                     biased: &probe,
                     bcast: &bcast,
                 };
                 for wi in (0..16).step_by(4) {
-                    let wide = avx2::quad8(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let wide = avx2::quad(&view.lanes, &probe, plane.tq, plane.kq, wi);
                     let mut swar = 0u64;
                     for sub in 0..4 {
-                        swar |= view.swar_word_u8(pf, wi + sub) << (sub * 8);
+                        swar |= view.swar_word(pf, wi + sub) << (sub * 8);
                     }
                     assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
                 }
@@ -764,25 +542,19 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(0x5128);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let (q, _, _) = quantize_ring(t, ka);
-            let plane = random_plane(&mut rng, 4, (t, ka), PlaneRepr::U8 { q }, 128);
+            let plane = random_plane(&mut rng, 4, (t, ka), 128);
             let view = plane.view();
             for _ in 0..40 {
-                let probe: Vec<u16> = (0..4)
-                    .map(|_| {
-                        bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q
-                    })
-                    .collect();
-                let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                let (probe, bcast) = random_probe(&mut rng, 4, ka, plane.q);
                 let pf = ProbeFilter {
                     biased: &probe,
                     bcast: &bcast,
                 };
                 for wi in [0, 8] {
-                    let wide = avx512::octo8(&view.lanes, &probe, plane.cmp_t, plane.cmp_ka, wi);
+                    let wide = avx512::octo(&view.lanes, &probe, plane.tq, plane.kq, wi);
                     let mut swar = 0u64;
                     for sub in 0..8 {
-                        swar |= view.swar_word_u8(pf, wi + sub) << (sub * 8);
+                        swar |= view.swar_word(pf, wi + sub) << (sub * 8);
                     }
                     assert_eq!(wide, swar, "t={t} ka={ka} wi={wi}");
                 }
@@ -792,42 +564,50 @@ mod tests {
 
     #[test]
     fn swar_word_u8_implements_bucket_predicate() {
-        // Exhaustive single-coordinate check of the u8 SWAR algebra on
-        // an awkward odd ring (q = 2, kq = 201): the mask must equal
-        // the bucket-distance predicate exactly, and must accept every
-        // pair the scalar residue predicate accepts (over-accept only —
-        // phase 2 can prune, never resurrect).
-        let ka = 401u64;
-        for t in [0u64, 1, 57, 100, 199] {
-            let (q, kq, tq) = quantize_ring(t, ka);
-            let plane = FilterPlane::new(1, t, ka, PlaneRepr::U8 { q });
-            for a in 0..ka as i64 {
-                let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
-                // Pack the same row bucket in all eight byte slots.
-                let word = [u64::from(row_bucket) * 0x0101_0101_0101_0101];
-                let view = PlaneView {
-                    plane: &plane,
-                    lanes: vec![&word],
-                };
-                for bval in (0..ka as i64).step_by(3) {
-                    let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
-                    let biased = [pb];
-                    let bcast = [u64::from(pb) * LANES];
-                    let pf = ProbeFilter {
-                        biased: &biased,
-                        bcast: &bcast,
+        // Exhaustive single-coordinate check of the SWAR algebra on an
+        // awkward odd ring (q = 2, kq = 201): the mask must equal the
+        // bucket-distance predicate exactly, and must accept every pair
+        // the scalar residue predicate accepts (over-accept only —
+        // phase 2 can prune, never resurrect). And on a q = 1 ring
+        // (ka = 251), where a bucket is the residue itself and the
+        // bucket predicate *is* `cyclic_close`: the 16-bit lane algebra
+        // held to the exact predicate.
+        for ka in [401u64, 251] {
+            for t in [0u64, 1, 57, 100, 199] {
+                let (q, kq, tq) = quantize_ring(t, ka);
+                let plane = FilterPlane::new(1, t, ka);
+                for a in 0..ka as i64 {
+                    let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
+                    // Pack the same row bucket in all eight byte slots.
+                    let word = [u64::from(row_bucket) * 0x0101_0101_0101_0101];
+                    let view = PlaneView {
+                        plane: &plane,
+                        lanes: vec![&word],
                     };
-                    let mask = view.swar_word_u8(pf, 0);
-                    assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
-                    let d = row_bucket.abs_diff(pb);
-                    let bucket_close = d.min(kq - d) <= tq;
-                    assert_eq!(
-                        mask == 0xFF,
-                        bucket_close,
-                        "a={a} b={bval} t={t}: mask {mask:#x}"
-                    );
-                    if crate::conditions::cyclic_close(a, bval, t, ka) {
-                        assert_eq!(mask, 0xFF, "a={a} b={bval} t={t}: over-rejected");
+                    for bval in (0..ka as i64).step_by(3) {
+                        let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
+                        let biased = [pb];
+                        let bcast = [u64::from(pb) * LANES];
+                        let pf = ProbeFilter {
+                            biased: &biased,
+                            bcast: &bcast,
+                        };
+                        let mask = view.swar_word(pf, 0);
+                        assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
+                        let d = row_bucket.abs_diff(pb);
+                        let bucket_close = d.min(kq - d) <= tq;
+                        assert_eq!(
+                            mask == 0xFF,
+                            bucket_close,
+                            "a={a} b={bval} t={t} ka={ka}: mask {mask:#x}"
+                        );
+                        let close = crate::conditions::cyclic_close(a, bval, t, ka);
+                        if close {
+                            assert_eq!(mask, 0xFF, "a={a} b={bval} t={t} ka={ka}: over-rejected");
+                        }
+                        if q == 1 {
+                            assert_eq!(bucket_close, close, "a={a} b={bval} t={t} ka={ka}");
+                        }
                     }
                 }
             }

@@ -240,17 +240,15 @@ impl<C: Cell> Sweep<'_, C> {
     /// the probe's budget runs out.
     ///
     /// Phase 1 turns each word's visitable bits into a candidate mask
-    /// on the plane, software-prefetching each survivor's verify cells
-    /// as its mask comes out; phase 2 then exact-verifies the tile's
-    /// survivors with the scalar early-abort kernel from
-    /// [`FilterPlane::verify_start`](super::plane::FilterPlane::verify_start)
-    /// on: the 16-bit plane already tested its dimensions exactly, the
-    /// byte plane over-accepts and the whole row is re-checked. Either
-    /// way the two phases equal a full-row `rows_match`; running phase
-    /// 1 a whole tile ahead is what hides phase 2's scattered loads
-    /// behind phase 1's compute. A word past the plane's complete
-    /// groups — the open group, at most 63 rows — has no phase 1: all
-    /// its visitable rows are verified whole.
+    /// on the plane, software-prefetching each survivor's cells as its
+    /// mask comes out; phase 2 then exact-verifies the tile's survivors
+    /// with the scalar early-abort kernel over the whole row (the plane
+    /// over-accepts, so every coordinate is re-checked). The two phases
+    /// equal a full-row `rows_match`; running phase 1 a whole tile
+    /// ahead is what hides phase 2's scattered loads behind phase 1's
+    /// compute. A word past the plane's complete groups — the open
+    /// group, at most 63 rows — has no phase 1: all its visitable rows
+    /// are verified.
     fn walk(
         &self,
         words: Range<usize>,
@@ -259,9 +257,7 @@ impl<C: Cell> Sweep<'_, C> {
     ) {
         debug_assert!(words.len() <= TILE_WORDS);
         let dim = self.dim;
-        let (planed, vstart) = self
-            .plane
-            .map_or((0, 0), |p| (p.groups, p.view.plane.verify_start()));
+        let planed = self.plane.map_or(0, |p| p.groups);
         let mut cands = [0u64; TILE_WORDS];
         for (wi, cand) in words.clone().zip(&mut cands) {
             *cand = self.arena.live_word(wi, self.rows);
@@ -271,15 +267,14 @@ impl<C: Cell> Sweep<'_, C> {
             if let (Some(p), true) = (self.plane, wi < planed && *cand != 0) {
                 *cand = p.view.block_candidates(p.kernel, probe.pf, wi, *cand);
                 for bit in set_bits(*cand) {
-                    fetch::prefetch_read(self.cells, (wi * 64 + bit) * dim + vstart);
+                    fetch::prefetch_read(self.cells, (wi * 64 + bit) * dim);
                 }
             }
         }
         for (wi, cand) in words.zip(cands) {
-            let from = if wi < planed { vstart } else { 0 };
             for row in set_bits(cand).map(|bit| wi * 64 + bit) {
-                let s = &self.cells[row * dim + from..(row + 1) * dim];
-                if rows_match(s, &probe.cells[from..], self.t, self.ka) {
+                let s = &self.cells[row * dim..(row + 1) * dim];
+                if rows_match(s, probe.cells, self.t, self.ka) {
                     hits.push((probe.k, row));
                     probe.left -= 1;
                     if probe.left == 0 {
@@ -383,15 +378,7 @@ impl SketchArena {
                 Cells::I16(col) => {
                     normalize_into(&mut s.i16s, probes, &s.active, self.ka);
                     let view = self.active_plane().map(|(plane, kernel)| {
-                        build_filter_probes(
-                            &s.i16s,
-                            dim,
-                            plane.dims(),
-                            plane.ka16,
-                            plane.probe_quant(),
-                            &mut s.biased,
-                            &mut s.bcast,
-                        );
+                        build_filter_probes(plane, &s.i16s, dim, &mut s.biased, &mut s.bcast);
                         (plane.view(), kernel)
                     });
                     let plane = view.as_ref().map(|(view, kernel)| PlaneProbes {
@@ -503,14 +490,13 @@ impl SketchArena {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{FilterConfig, ParallelConfig, PlaneWidth};
+    use super::super::{FilterConfig, ParallelConfig};
     use super::*;
 
     /// The sweep driver against the scalar `cyclic_close` oracle over
     /// its whole input table: probe count (with a wrong-dimension probe
-    /// in every batch) × row subset × budget × kernel × plane width ×
-    /// fan-out × cell width. Every public `find_*` only picks a point
-    /// in this table.
+    /// in every batch) × row subset × budget × kernel × fan-out × cell
+    /// width. Every public `find_*` only picks a point in this table.
     #[test]
     fn sweep_matches_cyclic_close_oracle() {
         use crate::conditions::cyclic_close;
@@ -526,14 +512,12 @@ mod tests {
             FilterConfig::swar(),
             FilterConfig::default(),
         ] {
-            for width in [PlaneWidth::U16, PlaneWidth::U8] {
-                for parallel in [
-                    ParallelConfig::disabled(),
-                    ParallelConfig::forced(2),
-                    ParallelConfig::forced(4),
-                ] {
-                    configs.push(kernel.with_width(width).with_parallel(parallel));
-                }
+            for parallel in [
+                ParallelConfig::disabled(),
+                ParallelConfig::forced(2),
+                ParallelConfig::forced(4),
+            ] {
+                configs.push(kernel.with_parallel(parallel));
             }
         }
         // i16, i32 and i64 cells.

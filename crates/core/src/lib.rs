@@ -85,8 +85,7 @@ pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
     CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel, IndexReader,
-    ParallelConfig, PlaneDepth, PlaneWidth, RecordId, RowMask, ScanIndex, Segment, SegmentBacking,
-    SketchArena, SketchIndex,
+    ParallelConfig, PlaneDepth, RecordId, RowMask, ScanIndex, Segment, SketchArena, SketchIndex,
 };
 pub use key::ExtractedKey;
 pub use numberline::NumberLine;

@@ -223,12 +223,5 @@ mod tests {
         let p =
             p.with_filter_config(FilterConfig::default().with_parallel(ParallelConfig::forced(2)));
         assert_eq!(p.filter_config().parallel.max_threads, 2);
-        // The plane width knob rides along like the rest of the config.
-        use fe_core::PlaneWidth;
-        assert_eq!(p.filter_config().width, PlaneWidth::Auto);
-        let p = p.with_filter_config(FilterConfig::default().with_width(PlaneWidth::U16));
-        assert_eq!(p.filter_config().width, PlaneWidth::U16);
-        let p = p.with_filter_config(FilterConfig::default().with_width(PlaneWidth::U8));
-        assert_eq!(p.filter_config().width, PlaneWidth::U8);
     }
 }

@@ -6,7 +6,7 @@
 //! point *and* stay coherent while a writer churns under them.
 
 use fuzzy_id::core::conditions::sketches_match;
-use fuzzy_id::core::{EpochIndex, EpochRead, FilterConfig, IndexReader, PlaneWidth, SketchIndex};
+use fuzzy_id::core::{EpochIndex, EpochRead, FilterConfig, IndexReader, SketchIndex};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -218,9 +218,8 @@ proptest! {
     /// of insert/remove/maintain/compact, with tier thresholds tiny
     /// enough (freeze at 3 rows, merge at 2 runs, seal at 6 rows) that
     /// every script exercises the full staging → run → merged → sealed
-    /// pipeline — for each vector kernel and plane width (the sealed
-    /// segments rebuild their quantized byte plane on seal when
-    /// `PlaneWidth::U8` is pinned), across every cell width the ring
+    /// pipeline — for each vector kernel (the sealed segments rebuild
+    /// their byte plane on seal), across every cell width the ring
     /// strategy spans.
     #[test]
     fn epoch_index_matches_vec_of_vec_model((t, ka, ops) in epoch_case()) {
@@ -228,9 +227,6 @@ proptest! {
             FilterConfig::default(),
             FilterConfig::swar(),
             FilterConfig::disabled(),
-            FilterConfig::default().with_width(PlaneWidth::U8),
-            FilterConfig::swar().with_width(PlaneWidth::U8),
-            FilterConfig::default().with_width(PlaneWidth::U16),
         ] {
             check_epoch_against_model(
                 EpochIndex::with_thresholds(t, ka, filter, 3, 2, 6),
@@ -276,9 +272,9 @@ proptest! {
 /// open one (65, 127), two planed groups (128) and two plus one row
 /// (129) — in a head that holds them all (`staging_cap` 200) and in one
 /// that freezes mid-group at 100 rows — against the Vec-of-Vec model,
-/// on every kernel and both plane widths. Rows come in five clusters
-/// within `t` of their centre, so a probe has hits in the planed groups
-/// *and* the open group, and revocations land in both.
+/// on every kernel. Rows come in five clusters within `t` of their
+/// centre, so a probe has hits in the planed groups *and* the open
+/// group, and revocations land in both.
 #[test]
 fn head_sizes_around_the_group_boundary_match_model() {
     let (t, ka, dim) = (100u64, 400u64, 12usize);
@@ -293,9 +289,7 @@ fn head_sizes_around_the_group_boundary_match_model() {
     let filters = [
         FilterConfig::default(),
         FilterConfig::disabled(),
-        FilterConfig::default().with_width(PlaneWidth::U16),
-        FilterConfig::swar().with_width(PlaneWidth::U16),
-        FilterConfig::swar().with_width(PlaneWidth::U8),
+        FilterConfig::swar(),
     ];
     for n in [1usize, 63, 64, 65, 127, 128, 129] {
         let mut ops: Vec<Op> = (0..n).map(|i| Op::Insert(row(i))).collect();

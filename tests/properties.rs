@@ -7,7 +7,7 @@ use fuzzy_id::core::codec::{
 use fuzzy_id::core::conditions::{cyclic_close, paper_conditions_hold, sketches_match};
 use fuzzy_id::core::{
     ChebyshevSketch, EpochIndex, FilterConfig, FuzzyExtractor, HelperData, NumberLine,
-    ParallelConfig, PlaneDepth, PlaneWidth, RobustData, ScanIndex, SecureSketch, SketchIndex,
+    ParallelConfig, PlaneDepth, RobustData, ScanIndex, SecureSketch, SketchIndex,
 };
 use fuzzy_id::metrics::{Metric, RingChebyshev};
 use proptest::prelude::*;
@@ -506,13 +506,18 @@ enum IndexOp {
     Compact,
 }
 
+/// `i16` rings `(t, ka)` so loose that no bucket lane of the prefilter
+/// plane could reject (`2·t_q+1 ≥ ⌈ka/q⌉`): the default builds no plane
+/// there and the scalar early-abort kernel answers alone.
+const NO_PLANE_RINGS: [(u64, u64); 3] = [(125, 258), (198, 400), (16_200, 32_767)];
+
 /// Ring parameters spanning all three arena cell widths (`i16`, `i32`,
 /// `i64`) **plus** the `ka ≥ 2⁶³` regime where the `i64` kernel must
 /// widen through `i128` (and, like every non-`i16` ring, skip the SWAR
 /// prefilter plane), with `t < ka/2` and capped so noise offsets stay
-/// sane.
+/// sane — and, three cases in sixteen, one of [`NO_PLANE_RINGS`].
 fn ring_params() -> impl Strategy<Value = (u64, u64)> {
-    (0u8..4)
+    let random = (0u8..4)
         .prop_flat_map(|width| {
             let (lo, hi) = match width {
                 0 => (2u64, (1 << 15) - 1),
@@ -522,7 +527,8 @@ fn ring_params() -> impl Strategy<Value = (u64, u64)> {
             };
             lo..=hi
         })
-        .prop_flat_map(|ka| (1u64..(ka / 2).clamp(2, 1 << 30), Just(ka)))
+        .prop_flat_map(|ka| (1u64..(ka / 2).clamp(2, 1 << 30), Just(ka)));
+    (random, 0usize..16).prop_map(|(ring, sel)| NO_PLANE_RINGS.get(sel).copied().unwrap_or(ring))
 }
 
 /// A full test case: ring, dimension, and an operation script.
@@ -669,9 +675,10 @@ proptest! {
     /// `cyclic_close` on raw values — for every width class (including
     /// the `ka ≥ 2⁶³` ring whose subtraction must widen through i128)
     /// and every kernel: runtime-dispatched (AVX2 where available),
-    /// forced SWAR, and scalar. A one-dimensional sketch makes the
-    /// prefilter the *entire* match decision on `i16` rings, so the
-    /// lane algebra itself is what's being pinned here.
+    /// forced SWAR, and scalar. Sixty-four copies of a one-dimensional
+    /// sketch fill one plane group, so on `i16` rings phase 1 decides
+    /// which of them phase 2 sees at all: an over-rejecting lane
+    /// algebra shows up as a miss.
     #[test]
     fn arena_kernel_agrees_with_cyclic_close(
         (t, ka) in ring_params(),
@@ -684,7 +691,9 @@ proptest! {
             FilterConfig::disabled(),
         ] {
             let mut arena = fuzzy_id::core::SketchArena::with_filter(t, ka, filter);
-            arena.push(&[a]);
+            for _ in 0..64 {
+                arena.push(&[a]);
+            }
             prop_assert_eq!(
                 arena.find_first(&[b]).is_some(),
                 cyclic_close(a, b, t, ka),
@@ -695,7 +704,7 @@ proptest! {
     }
 }
 
-/// `i16`-capable rings biased toward the u8-eligibility cliff: the
+/// `i16`-capable rings biased toward the plane-eligibility cliff: the
 /// byte plane quantizes residues into `kq = ⌈ka/⌈ka/256⌉⌉` buckets and
 /// stands down when `2·tq+1 ≥ kq`, so rings right at a byte's capacity
 /// (255/256/257) and the extremes (tiny, paper, largest i16) are where
@@ -714,19 +723,14 @@ fn byte_edge_ring() -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The quantized byte plane (pinned `PlaneWidth::U8`) ≡ the model
-    /// across every cell-width class and kernel — on wide rings (i32/
-    /// i64/i128 cells) and rings where quantization leaves nothing to
-    /// reject, the knob must *transparently* fall back and still agree.
-    /// `U16` pinned runs against the same scripts so both widths of the
-    /// plane are exercised whatever `Auto` resolves to.
+    /// The quantized byte plane ≡ the model across every cell-width
+    /// class and kernel — on wide rings (i32/i64/i128 cells) and rings
+    /// where quantization leaves nothing to reject ([`NO_PLANE_RINGS`]
+    /// among them), no plane is built and the scalar fallback must
+    /// still agree.
     #[test]
     fn byte_plane_kernel_scan_index_matches_model((t, ka, _dim, ops) in index_case()) {
-        for filter in [
-            FilterConfig::default().with_width(PlaneWidth::U8),
-            FilterConfig::swar().with_width(PlaneWidth::U8),
-            FilterConfig::default().with_width(PlaneWidth::U16),
-        ] {
+        for filter in [FilterConfig::default(), FilterConfig::swar()] {
             check_against_model(ScanIndex::with_filter(t, ka, filter), t, ka, &ops);
         }
     }
@@ -741,9 +745,7 @@ proptest! {
             check_against_model(
                 ScanIndex::with_filter(
                     t, ka,
-                    FilterConfig::default()
-                        .with_width(PlaneWidth::U8)
-                        .with_parallel(ParallelConfig::forced(threads)),
+                    FilterConfig::default().with_parallel(ParallelConfig::forced(threads)),
                 ),
                 t, ka, &ops,
             );
@@ -752,37 +754,38 @@ proptest! {
 
     /// Quantization boundaries: coordinates pinned to bucket edges
     /// (multiples of `q = ⌈ka/256⌉`, ±1) and to the ring wrap (`ka−1`
-    /// wrapping to `0`), with thresholds straddling the u8-eligibility
+    /// wrapping to `0`), with thresholds straddling the eligibility
     /// cliff — `2t+1 = 255` (the last byte-sized acceptance window) and
-    /// `2t+1 = 257` (one past it; 256 is unreachable, `2t+1` is odd).
-    /// One dimension makes the plane the entire phase-1 decision: u8,
-    /// u16, and scalar must all equal `cyclic_close`, exactly.
+    /// `2t+1 = 257` (one past it; 256 is unreachable, `2t+1` is odd) —
+    /// and the three [`NO_PLANE_RINGS`] beyond it. One dimension and
+    /// one full plane group make the plane the entire phase-1
+    /// decision: dispatched, SWAR and the no-plane fallback must all
+    /// equal `cyclic_close`, exactly.
     #[test]
     fn byte_plane_bucket_edge_kernel_agrees_with_cyclic_close(
         ka in byte_edge_ring(),
-        t_sel in 0u8..5,
+        t_sel in 0usize..8,
         edge_a in 0u64..512,
         edge_b in 0u64..512,
         off_a in -1i64..=1,
         off_b in -1i64..=1,
     ) {
-        let q = ka.div_ceil(256).max(1);
-        let t = match t_sel {
-            0 => 127,    // 2t+1 = 255: barely byte-sized
-            1 => 128,    // 2t+1 = 257: just past a byte
-            2 => ka / 2, // clamp regime: nothing to reject
-            3 => 0,      // exact-match-only
-            _ => ka / 4,
+        let (t, ka) = match t_sel {
+            0 => (127, ka),    // 2t+1 = 255: barely byte-sized
+            1 => (128, ka),    // 2t+1 = 257: just past a byte
+            2 => (ka / 2, ka), // clamp regime: nothing to reject
+            3 => (0, ka),      // exact-match-only
+            4 => (ka / 4, ka),
+            _ => NO_PLANE_RINGS[t_sel - 5],
         };
+        let q = ka.div_ceil(256).max(1);
         let a = ((edge_a * q) as i64 + off_a).rem_euclid(ka as i64);
         let b = ((edge_b * q) as i64 + off_b).rem_euclid(ka as i64);
-        for filter in [
-            FilterConfig::default().with_width(PlaneWidth::U8),
-            FilterConfig::swar().with_width(PlaneWidth::U8),
-            FilterConfig::default().with_width(PlaneWidth::U16),
-        ] {
+        for filter in [FilterConfig::default(), FilterConfig::swar()] {
             let mut arena = fuzzy_id::core::SketchArena::with_filter(t, ka, filter);
-            arena.push(&[a]);
+            for _ in 0..64 {
+                arena.push(&[a]);
+            }
             prop_assert_eq!(
                 arena.find_first(&[b]).is_some(),
                 cyclic_close(a, b, t, ka),
