@@ -131,7 +131,8 @@ impl ChebyshevSketch {
     /// Sketches a single coordinate, returning the movement `s_i`.
     fn sketch_point<R: RngCore + ?Sized>(&self, x: i64, rng: &mut R) -> i64 {
         let ka = self.line.interval_len() as i64;
-        let x = self.line.wrap(x);
+        // One division, not two: `ka` divides the period, so wrapping
+        // `x` onto the line first cannot change its offset mod `ka`.
         let r = x.rem_euclid(ka); // offset within the interval, [0, ka)
         if r == 0 {
             // Special case 1: boundary point — coin flip picks a side.

@@ -1,55 +1,57 @@
-//! Epoch-published storage engine: a small append-only **head**
-//! segment plus immutable **sealed segments**, with a lock-free read
-//! path.
+//! Epoch-published storage engine: one append-only **head** segment
+//! that is filled in place until it seals, plus the immutable **sealed
+//! segments** it became, with a lock-free read path.
 //!
 //! # Shape
-//!
-//! [`EpochIndex`] splits storage into tiers:
 //!
 //! ```text
 //!   writer state                      published snapshot (ArcCell)
 //!   ┌──────────────────────┐          ┌────────────────────────────┐
 //!   │ head: Arc<Segment>   │──Arc────▶│ head: Arc<Segment>         │
 //!   │ segments:            │──Arc────▶│ segments: Vec<Arc<Segment>>│
-//!   │   [run][run][sealed] │          │ generation                 │
+//!   │   [sealed][sealed]   │          │ generation                 │
 //!   └──────────────────────┘          └────────────────────────────┘
 //! ```
 //!
 //! Writers (`insert`/`remove`/`compact`, all `&mut self`) and readers
 //! share every segment — the head included — through `Arc`s. The head
-//! is allocated once, for `staging_cap` rows, and never moves: an
-//! insert writes its row past the published row count and then
-//! release-stores the count, a scan acquire-loads the count once and
-//! reads nothing at or past it (DESIGN.md "Publication invariant"), so
-//! showing a row to readers costs one atomic store and no copy. Only a
-//! change to the segment *list* (freeze, merge, `maintain`, `compact`,
-//! `clear`, import) publishes a fresh immutable `Snapshot` through the
-//! vendored [`crossbeam::epoch::ArcCell`] — once per `staging_cap`
-//! inserts, not once per insert. Readers obtained via
-//! [`EpochRead::reader`] load the current snapshot (an epoch pin plus
-//! one atomic pointer read — **no `RwLock`, no `Mutex`**) and sweep
-//! segments + head against it; a snapshot stays valid for the whole
-//! sweep because the reader holds an `Arc`, and superseded snapshots
-//! are reclaimed only once every reader pinned before the swap has
-//! unpinned (the epoch reclamation rule).
+//! is reserved once, for `seal_rows` rows, and never moves: an insert
+//! writes its row past the published row count and then release-stores
+//! the count, a scan acquire-loads the count once and reads nothing at
+//! or past it (DESIGN.md "Publication invariant"), so showing a row to
+//! readers costs one atomic store and no copy — and no later copy
+//! either: a row is written once and stays where it was written. Only
+//! a change to the segment *list* (the head sealing, a tombstone
+//! rewrite, `compact`, `clear`, import) publishes a fresh immutable
+//! `Snapshot` through the vendored [`crossbeam::epoch::ArcCell`] —
+//! once per `seal_rows` inserts, not once per insert. Readers obtained
+//! via [`EpochRead::reader`] load the current snapshot (an epoch pin
+//! plus one atomic pointer read — **no `RwLock`, no `Mutex`**) and
+//! sweep segments + head against it; a snapshot stays valid for the
+//! whole sweep because the reader holds an `Arc`, and superseded
+//! snapshots are reclaimed only once every reader pinned before the
+//! swap has unpinned (the epoch reclamation rule).
 //!
 //! # Tiers and lifecycle
 //!
-//! * **head** — the open segment. Inserts append here; once it holds
-//!   `staging_cap` rows it is *frozen* — the same allocation joins the
-//!   segment list as a run — and a fresh head starts.
-//! * **runs** — small frozen segments awaiting consolidation. When
-//!   `merge_runs` of them accumulate they are merged (live rows only)
-//!   into one larger segment; this *is* the incremental compaction:
-//!   tombstoned rows vanish from the merged output off the read path,
-//!   while readers keep scanning the pre-merge snapshot.
-//! * **sealed** — segments whose merged size reached `seal_rows`. They
-//!   are never merged again by routine churn ([`EpochIndex::maintain`]
-//!   rewrites a sealed segment only once a quarter of its rows are
-//!   tombstoned), and their on-disk form is the columnar snapshot
-//!   frame (see [`SketchIndex::export_segments`]).
+//! * **head** — the open segment. Its columns are *reserved* at
+//!   `seal_rows` rows when the dimension is stamped — uninitialised
+//!   memory nothing touches, so pages the process does not pay for
+//!   until rows land in them — and inserts append there. The insert that fills it **seals** it: the same
+//!   `Arc`, the same allocation, joins the segment list, and a fresh
+//!   head starts.
+//! * **sealed** — every listed segment. Its rows never change and are
+//!   never copied by routine inserts; full, dense, fully-live ones are
+//!   what checkpoints export verbatim as the columnar snapshot frame
+//!   (see [`SketchIndex::export_segments`]). The one thing that
+//!   rewrites a sealed segment is revocation: once a quarter of its
+//!   rows are tombstoned, the `remove` that got it there (or the seal
+//!   of a head that filled already that dead) copies its live rows
+//!   into a smaller segment, off the read path — readers keep scanning
+//!   the previous snapshot. [`EpochIndex::maintain`] applies the same
+//!   rule to every segment on demand.
 //!
-//! Revoking a row — in the head or in a frozen segment alike — flips a
+//! Revoking a row — in the head or in a sealed segment alike — flips a
 //! bit in its segment's *tombstone words*: `AtomicU64`s read by
 //! in-flight scans through the already-published `Arc<Segment>`, so
 //! revocation needs no republish and never blocks a reader.
@@ -58,37 +60,44 @@
 //!
 //! Ids are assigned densely in insertion order and never renumbered
 //! outside [`SketchIndex::compact`]/[`SketchIndex::clear`]. Segments
-//! hold ascending, disjoint id ranges (dense-from-base right after a
-//! freeze, a sorted sparse id list after a merge dropped tombstoned
-//! rows), and the head holds the tail; scanning segments in list order
-//! and the head last therefore yields globally ascending matches and
+//! hold ascending, disjoint id ranges (dense-from-base when sealed, a
+//! sorted sparse id list after a rewrite dropped tombstoned rows), and
+//! the head holds the tail; scanning segments in list order and the
+//! head last therefore yields globally ascending matches and
 //! first-hit-wins reproduces earliest-enrolled-wins exactly.
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 use crossbeam::epoch::ArcCell;
 
-use super::store::{FilterConfig, Row, RowMask, SketchArena};
+use super::store::{CellWidth, FilterConfig, Row, RowMask, SketchArena, TILE_ROWS};
 use super::{RecordId, SketchIndex};
 
-/// Rows the head holds before it is frozen into a run segment: the
-/// unit the head is allocated in and the publish interval. Large
-/// enough that a run is worth a sweep of its own and the snapshot swap
-/// amortises to nothing per insert, small enough (≈ 140 KB at the
-/// paper's dimension) that an idle index wastes little.
-const DEFAULT_STAGING_CAP: usize = 1024;
-
-/// Frozen runs that trigger a consolidating merge.
-const DEFAULT_MERGE_RUNS: usize = 8;
-
-/// Rows at which a merged segment is sealed (exempt from routine
-/// merging, exported verbatim by checkpoints).
+/// Rows at which the head seals, unless 8 MiB of cells is fewer (see
+/// [`default_seal_rows`]): large enough that the per-segment sweep
+/// set-up and the snapshot swap amortise to nothing, small enough that
+/// a tombstone rewrite under the writer's lock copies at most this
+/// many rows.
 const DEFAULT_SEAL_ROWS: usize = 65_536;
 
-/// A sealed segment rewrite triggers once this fraction of its rows
-/// are tombstoned (numerator/denominator of `rows / 4`).
+/// Cell bytes the default head reserves at most, whatever the
+/// dimension: exactly [`DEFAULT_SEAL_ROWS`] rows at the paper's
+/// `64 × i16`.
+const DEFAULT_SEAL_BYTES: usize = 8 << 20;
+
+/// The default seal threshold for rows of `row_bytes` cell bytes:
+/// [`DEFAULT_SEAL_ROWS`] rows or [`DEFAULT_SEAL_BYTES`] of cells,
+/// whichever is fewer rows — in whole tiles, at least one — so what a
+/// first enroll reserves is bounded for any dimension (8 MiB per
+/// index at `dim = 1 024`, not 128).
+fn default_seal_rows(row_bytes: usize) -> usize {
+    let by_bytes = DEFAULT_SEAL_BYTES / row_bytes.max(1) / TILE_ROWS * TILE_ROWS;
+    by_bytes.clamp(TILE_ROWS, DEFAULT_SEAL_ROWS)
+}
+
+/// A segment is rewritten live-only once this fraction of its rows is
+/// tombstoned (the denominator of `rows / 4`).
 const MAINTAIN_TOMBSTONE_DIVISOR: usize = 4;
 
 /// Version tag leading every exported segment blob.
@@ -97,10 +106,10 @@ const SEGMENT_BLOB_VERSION: u32 = 1;
 /// Global-id map for a segment's rows.
 #[derive(Debug, Clone)]
 enum Ids {
-    /// Rows `0..rows` are ids `base..base + rows` (the head, a frozen
-    /// head, or a merge that dropped nothing).
+    /// Rows `0..rows` are ids `base..base + rows` (the head, and every
+    /// segment as it seals).
     Dense(RecordId),
-    /// Row `r` is `ids[r]`; strictly ascending (a merge that dropped
+    /// Row `r` is `ids[r]`; strictly ascending (a rewrite that dropped
     /// tombstoned rows).
     Sparse(Vec<RecordId>),
 }
@@ -143,8 +152,8 @@ impl Ids {
 }
 
 /// One arena of the index plus the ids of its rows: the open head
-/// while the writer appends to it, a frozen run or a sealed segment
-/// afterwards — the same allocation throughout.
+/// while the writer appends to it, a sealed segment afterwards — the
+/// same allocation throughout.
 ///
 /// Rows only ever arrive at the end (and only in the head); a row that
 /// is there never changes. Revocations flip the arena's atomic
@@ -154,7 +163,6 @@ impl Ids {
 pub struct Segment {
     arena: SketchArena,
     ids: Ids,
-    sealed: bool,
 }
 
 impl Segment {
@@ -168,19 +176,21 @@ impl Segment {
         self.arena.len()
     }
 
-    /// Sealed segments are exempt from routine merging and are what
-    /// checkpoints export verbatim.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// The rows a merge or a compaction carries over, ascending.
+    /// The rows a rewrite or a compaction carries over, ascending.
     fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.rows()).filter(|&row| self.arena.is_live(row))
     }
 
+    /// Has the tombstone share reached the rewrite threshold?
+    fn is_sparse(&self) -> bool {
+        let revoked = self.rows() - self.live();
+        revoked > 0 && revoked * MAINTAIN_TOMBSTONE_DIVISOR >= self.rows()
+    }
+
+    /// Bytes the rows held occupy (see [`SketchArena::used_bytes`]):
+    /// all of a sealed segment, the written part of the head.
     fn heap_bytes(&self) -> usize {
-        self.arena.heap_bytes() + self.ids.heap_bytes() + std::mem::size_of::<Segment>()
+        self.arena.used_bytes() + self.ids.heap_bytes() + std::mem::size_of::<Segment>()
     }
 }
 
@@ -352,10 +362,10 @@ pub struct EpochIndex {
     t: u64,
     ka: u64,
     filter: FilterConfig,
-    staging_cap: usize,
-    merge_runs: usize,
-    seal_rows: usize,
-    /// Frozen segments, ascending disjoint id ranges.
+    /// Rows the head is reserved for and seals at; `None` takes
+    /// [`default_seal_rows`] of the stamped dimension.
+    seal_rows: Option<usize>,
+    /// Sealed segments, ascending disjoint id ranges.
     segments: Vec<Arc<Segment>>,
     /// The open segment, shared with the published snapshot: this index
     /// is its only writer, under its own `&mut self`.
@@ -384,22 +394,15 @@ impl fmt::Debug for EpochIndex {
 impl Clone for EpochIndex {
     /// Clones the *contents* into an independent index with its own
     /// head and publication cell: readers of the original never observe
-    /// the clone's writes. Frozen segments are shared (`Arc`) until the
-    /// clone merges or compacts them away.
+    /// the clone's writes. Sealed segments are shared (`Arc`) until the
+    /// clone rewrites or compacts them away.
     fn clone(&self) -> EpochIndex {
         let mut clone = EpochIndex {
             segments: self.segments.clone(),
             head: Arc::new(Segment::clone(&self.head)),
             dim: self.dim,
             generation: self.generation,
-            ..EpochIndex::with_thresholds(
-                self.t,
-                self.ka,
-                self.filter,
-                self.staging_cap,
-                self.merge_runs,
-                self.seal_rows,
-            )
+            ..EpochIndex::with_seal(self.t, self.ka, self.filter, self.seal_rows)
         };
         clone.publish();
         clone
@@ -415,43 +418,29 @@ impl EpochIndex {
 
     /// Like [`EpochIndex::new`] with an explicit prefilter
     /// configuration (applied to the head and every future segment).
+    /// The head seals at 65 536 rows or 8 MiB of cells, whichever is
+    /// fewer rows for the stamped dimension.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> EpochIndex {
-        EpochIndex::with_thresholds(
-            t,
-            ka,
-            filter,
-            DEFAULT_STAGING_CAP,
-            DEFAULT_MERGE_RUNS,
-            DEFAULT_SEAL_ROWS,
-        )
+        EpochIndex::with_seal(t, ka, filter, None)
     }
 
-    /// Full-control constructor: `staging_cap` rows freeze the head
-    /// into a run, `merge_runs` runs trigger a consolidating merge,
-    /// `seal_rows` rows seal a merged segment. Tests drive tiny
-    /// thresholds to exercise every tier; production uses the
-    /// defaults.
+    /// Like [`EpochIndex::with_filter`], sealing the head at exactly
+    /// `seal_rows` rows. Tests drive tiny thresholds so a small
+    /// population crosses many seals; production uses the default.
     ///
     /// # Panics
-    /// Panics if any threshold is zero.
-    pub fn with_thresholds(
-        t: u64,
-        ka: u64,
-        filter: FilterConfig,
-        staging_cap: usize,
-        merge_runs: usize,
-        seal_rows: usize,
-    ) -> EpochIndex {
-        assert!(
-            staging_cap > 0 && merge_runs > 0 && seal_rows > 0,
-            "epoch thresholds must be positive"
-        );
-        // Unstamped, so nothing is allocated yet: the first insert or
+    /// Panics if `seal_rows` is zero.
+    pub fn with_seal_rows(t: u64, ka: u64, filter: FilterConfig, seal_rows: usize) -> EpochIndex {
+        assert!(seal_rows > 0, "the seal threshold must be positive");
+        EpochIndex::with_seal(t, ka, filter, Some(seal_rows))
+    }
+
+    fn with_seal(t: u64, ka: u64, filter: FilterConfig, seal_rows: Option<usize>) -> EpochIndex {
+        // Unstamped, so nothing is reserved yet: the first insert or
         // `reserve` swaps in a head sized for the dimension it brings.
         let head = Arc::new(Segment {
             arena: SketchArena::with_filter(t, ka, filter),
             ids: Ids::Dense(0),
-            sealed: false,
         });
         let cell = Arc::new(ArcCell::new(Arc::new(Snapshot {
             segments: Vec::new(),
@@ -462,8 +451,6 @@ impl EpochIndex {
             t,
             ka,
             filter,
-            staging_cap,
-            merge_runs,
             seal_rows,
             segments: Vec::new(),
             head,
@@ -473,7 +460,7 @@ impl EpochIndex {
         }
     }
 
-    /// The frozen segments (diagnostics, benches, checkpoint export).
+    /// The sealed segments (diagnostics, benches, checkpoint export).
     pub fn segments(&self) -> &[Arc<Segment>] {
         &self.segments
     }
@@ -488,7 +475,7 @@ impl EpochIndex {
         self.head.ids.id_of(0)
     }
 
-    /// Every tier in id order: the frozen segments, then the head.
+    /// Every tier in id order: the sealed segments, then the head.
     fn tiers(&self) -> impl Iterator<Item = &Segment> {
         let head = std::iter::once(self.head.as_ref());
         self.segments.iter().map(Arc::as_ref).chain(head)
@@ -513,30 +500,24 @@ impl EpochIndex {
         }));
     }
 
-    /// A segment over `arena` whose `sealed` flag follows its capacity
-    /// (a head is frozen exactly when full, so capacity is its final
-    /// row count).
-    fn segment(&self, arena: SketchArena, ids: Ids, rows: usize) -> Arc<Segment> {
-        Arc::new(Segment {
-            arena,
-            ids,
-            sealed: rows >= self.seal_rows,
-        })
-    }
-
-    /// Starts an empty head for ids `base..`, allocated in full once
-    /// the dimension is known (no publish).
+    /// Starts an empty head for ids `base..`, reserved in full once the
+    /// dimension is known (no publish).
     fn start_head(&mut self, base: RecordId) {
         let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
         if let Some(dim) = self.dim {
-            arena.reserve(self.staging_cap, dim);
+            let row_bytes = dim * CellWidth::for_ring(self.ka).cell_bytes();
+            let rows = self
+                .seal_rows
+                .unwrap_or_else(|| default_seal_rows(row_bytes));
+            arena.reserve(rows, dim);
         }
-        self.head = self.segment(arena, Ids::Dense(base), self.staging_cap);
+        let ids = Ids::Dense(base);
+        self.head = Arc::new(Segment { arena, ids });
     }
 
     /// Stamps the dimension on first use and checks it afterwards.
-    /// `true` when this call stamped it — the head was replaced by an
-    /// allocated one, which the caller must publish.
+    /// `true` when this call stamped it — the head was replaced by a
+    /// reserved one, which the caller must publish.
     fn stamp(&mut self, dim: usize) -> bool {
         let fresh = self.dim.is_none();
         let stamped = *self.dim.get_or_insert(dim);
@@ -550,97 +531,66 @@ impl EpochIndex {
         fresh
     }
 
-    /// Appends one row to the head, freezing (and merging) when that
-    /// fills it. Returns the row's id and whether the segment list or
-    /// the head was replaced; publishing is the caller's, so `compact`
-    /// can rebuild unseen.
+    /// Appends one row to the head, sealing it when that fills it.
+    /// Returns the row's id and whether the segment list or the head
+    /// was replaced; publishing is the caller's, so `compact` can
+    /// rebuild unseen.
     fn append(&mut self, row: Row<'_>, dim: usize) -> (RecordId, bool) {
-        let mut replaced = self.stamp(dim);
+        let stamped = self.stamp(dim);
         let id = self.head_base() + self.head.arena.append(row);
-        if self.head.rows() >= self.staging_cap {
+        let full = self.head.arena.is_full();
+        if full {
             // The full head joins the list as it is — same allocation,
-            // same `Arc` — and a fresh one takes the ids after it.
+            // same `Arc` — unless it filled a quarter dead already; a
+            // fresh one takes the ids after it.
             self.segments.push(Arc::clone(&self.head));
+            self.rewrite_if_sparse(self.segments.len() - 1);
             self.start_head(id + 1);
-            self.maybe_merge();
-            replaced = true;
         }
-        (id, replaced)
+        (id, stamped || full)
     }
 
-    /// Merges the trailing unsealed runs once `merge_runs` of them
-    /// accumulate. Copies live rows only — this is the incremental
-    /// compaction: tombstoned rows vanish here, off the read path
-    /// (readers keep sweeping the previous snapshot until the next
-    /// publish swaps in the merged list).
-    fn maybe_merge(&mut self) {
-        let tail_start = self
-            .segments
-            .iter()
-            .rposition(|s| s.sealed)
-            .map_or(0, |i| i + 1);
-        if self.segments.len() - tail_start >= self.merge_runs {
-            self.merge_range(tail_start..self.segments.len());
+    /// The tombstone rule, one segment at a time: rewrites segment `i`
+    /// live-only (or drops it, all dead) once a quarter of its rows are
+    /// tombstoned, so revocation-heavy workloads do not sweep dead rows
+    /// forever. `true` when the list changed; publishing is the
+    /// caller's.
+    fn rewrite_if_sparse(&mut self, i: usize) -> bool {
+        if !self.segments[i].is_sparse() {
+            return false;
         }
-    }
-
-    /// Rewrites `range` (adjacent segments) into at most one live-only
-    /// segment, copying cells arena to arena. Does not publish; callers
-    /// do.
-    fn merge_range(&mut self, range: Range<usize>) {
-        let start = range.start;
-        let merged: Vec<Arc<Segment>> = self.segments.drain(range).collect();
-        let total_live: usize = merged.iter().map(|s| s.live()).sum();
-        if total_live == 0 {
-            return;
+        let old = Arc::clone(&self.segments[i]);
+        let live = old.live();
+        if live == 0 {
+            self.segments.remove(i);
+            return true;
         }
-        let dim = self
-            .dim
-            .expect("segments exist, so the dimension is stamped");
+        let dim = self.dim.expect("a row exists, so the dimension is stamped");
         let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
-        arena.reserve(total_live, dim);
-        let mut ids: Vec<RecordId> = Vec::with_capacity(total_live);
-        for seg in &merged {
-            for row in seg.live_rows() {
-                arena.append(Row::Stored(&seg.arena, row));
-                ids.push(seg.ids.id_of(row));
-            }
+        arena.reserve(live, dim);
+        let mut ids = Vec::with_capacity(live);
+        for row in old.live_rows() {
+            arena.append(Row::Stored(&old.arena, row));
+            ids.push(old.ids.id_of(row));
         }
-        let base = ids[0];
-        let dense = ids.iter().enumerate().all(|(i, &id)| id == base + i);
-        let ids = if dense {
-            Ids::Dense(base)
-        } else {
-            Ids::Sparse(ids)
-        };
-        let rows = arena.rows();
-        self.segments.insert(start, self.segment(arena, ids, rows));
+        let ids = Ids::Sparse(ids);
+        self.segments[i] = Arc::new(Segment { arena, ids });
+        true
     }
 
-    /// Background maintenance: rewrites any **sealed** segment whose
-    /// tombstone count reached a quarter of its rows (routine merging
-    /// never touches sealed segments, so without this a revocation-
-    /// heavy workload would scan dead rows forever). Returns the
-    /// number of segments rewritten. Cheap no-op when nothing
-    /// qualifies, so callers may invoke it opportunistically after
-    /// revocation bursts.
+    /// Applies the tombstone rule to every sealed segment and returns
+    /// how many it rewrote. `remove` and the seal already apply it to
+    /// the segment they touch, so on an index driven through its own
+    /// methods this finds nothing to do, cheaply; it stays for callers
+    /// written to invoke it after revocation bursts.
     pub fn maintain(&mut self) -> usize {
         let mut rewritten = 0;
         let mut i = 0;
         while i < self.segments.len() {
-            let seg = &self.segments[i];
-            let revoked = seg.rows() - seg.live();
-            if seg.sealed && revoked > 0 && revoked * MAINTAIN_TOMBSTONE_DIVISOR >= seg.rows() {
-                let had = self.segments.len();
-                self.merge_range(i..i + 1);
-                rewritten += 1;
-                // A fully-dead segment merges to nothing.
-                if self.segments.len() == had {
-                    i += 1;
-                }
-            } else {
-                i += 1;
-            }
+            let had = self.segments.len();
+            rewritten += usize::from(self.rewrite_if_sparse(i));
+            // An all-dead segment leaves the list: `i` names the next.
+            i += usize::from(self.segments.len() == had);
         }
         if rewritten > 0 {
             self.publish();
@@ -648,13 +598,14 @@ impl EpochIndex {
         rewritten
     }
 
-    /// The tier holding `id` and the row it has there.
-    fn locate(&self, id: RecordId) -> Option<(&Segment, usize)> {
+    /// The tier holding `id` — its position in the segment list, or one
+    /// past the list for the head — and the row `id` has there.
+    fn locate(&self, id: RecordId) -> Option<(usize, &Segment, usize)> {
         let i = self
             .segments
             .partition_point(|s| s.ids.end_id(s.rows()) <= id);
         let seg = self.segments.get(i).map_or(&*self.head, Arc::as_ref);
-        seg.ids.row_of(id, seg.rows()).map(|row| (seg, row))
+        seg.ids.row_of(id, seg.rows()).map(|row| (i, seg, row))
     }
 }
 
@@ -687,11 +638,20 @@ impl SketchIndex for EpochIndex {
         self.view().find_first_batch(probes)
     }
 
-    // Head or frozen, the atomic tombstone flip is visible through the
-    // already-published `Arc<Segment>` — no republish needed.
+    // Head or sealed, the atomic tombstone flip is visible through the
+    // already-published `Arc<Segment>` — no republish needed, unless
+    // the flip is the one that makes a sealed segment worth rewriting.
     fn remove(&mut self, id: RecordId) -> bool {
-        self.locate(id)
-            .is_some_and(|(seg, row)| seg.arena.revoke(row))
+        let Some((i, seg, row)) = self.locate(id) else {
+            return false;
+        };
+        if !seg.arena.revoke(row) {
+            return false;
+        }
+        if i < self.segments.len() && self.rewrite_if_sparse(i) {
+            self.publish();
+        }
+        true
     }
 
     fn len(&self) -> usize {
@@ -709,10 +669,10 @@ impl SketchIndex for EpochIndex {
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
         out.clear();
         self.locate(id)
-            .is_some_and(|(seg, row)| seg.arena.copy_row_into(row, out))
+            .is_some_and(|(_, seg, row)| seg.arena.copy_row_into(row, out))
     }
 
-    // Merges drop dead rows, so live ids can exceed `slots()`: walk
+    // Rewrites drop dead rows, so live ids can exceed `slots()`: walk
     // the tiers, not an id range.
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
         for seg in self.tiers() {
@@ -721,7 +681,7 @@ impl SketchIndex for EpochIndex {
         }
     }
 
-    // The head is allocated whole when the dimension is stamped and
+    // The head is reserved whole when the dimension is stamped and
     // segments are sized when they are built, so a hint only stamps.
     fn reserve(&mut self, _additional: usize, dim: usize) {
         if self.stamp(dim) {
@@ -729,12 +689,16 @@ impl SketchIndex for EpochIndex {
         }
     }
 
+    // The open head is charged for the rows it holds — their cells,
+    // complete plane groups and tombstone words — not for the untouched
+    // reservation behind them, which is address space, not memory: the
+    // figure tracks what the process has resident. Writer and snapshot
+    // share every segment, head included, so each is counted once; the
+    // snapshot adds its own list.
     fn heap_bytes(&self) -> usize {
         let list = |segments: &Vec<Arc<Segment>>| {
             segments.capacity() * std::mem::size_of::<Arc<Segment>>()
         };
-        // Writer and snapshot share every segment, head included, so
-        // each is counted once; the snapshot adds its own list.
         let snapshot = list(&self.cell.load().segments) + std::mem::size_of::<Snapshot>();
         list(&self.segments) + snapshot + self.tiers().map(Segment::heap_bytes).sum::<usize>()
     }
@@ -845,7 +809,6 @@ fn export_blob(index: &EpochIndex) -> Option<Vec<u8>> {
     let mut expected_base = 0usize;
     for seg in &index.segments {
         let full = matches!(seg.ids, Ids::Dense(base) if base == expected_base)
-            && seg.sealed
             && seg.live() == seg.rows();
         if !full {
             break;
@@ -918,11 +881,8 @@ fn import_blob(index: &mut EpochIndex, blob: &[u8]) -> Option<usize> {
         if arena.len() != rows || rows == 0 {
             return None;
         }
-        segments.push(Arc::new(Segment {
-            arena,
-            ids: Ids::Dense(base),
-            sealed: true,
-        }));
+        let ids = Ids::Dense(base);
+        segments.push(Arc::new(Segment { arena, ids }));
         base += rows;
     }
     if !r.buf.is_empty() || segments.is_empty() {
@@ -940,49 +900,63 @@ mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
 
+    fn sealing_at(t: u64, ka: u64, seal_rows: usize) -> EpochIndex {
+        EpochIndex::with_seal_rows(t, ka, FilterConfig::default(), seal_rows)
+    }
+
     fn tiny(t: u64, ka: u64) -> EpochIndex {
-        // Thresholds small enough that a 50-record test population
-        // exercises freeze, merge, and seal. (The shared trait-contract
-        // suites in `index::tests` also run over `EpochIndex`.)
-        EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 4, 2, 16)
+        // A threshold small enough that a 50-record test population
+        // seals a dozen heads. (The shared trait-contract suites in
+        // `index::tests` also run over `EpochIndex`.)
+        sealing_at(t, ka, 4)
     }
 
     #[test]
     #[should_panic(expected = "stamped dimension")]
-    fn mixed_dimension_insert_panics_across_freeze() {
-        let mut index = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 1, 2, 16);
+    fn mixed_dimension_insert_panics_across_seal() {
+        let mut index = sealing_at(10, 64, 1);
         index.insert(&[1, 2, 3]);
-        // First insert froze immediately (cap 1), so the head is a
-        // fresh one — the index-level stamp must still reject a
+        // The first insert sealed at once (threshold 1), so the head is
+        // a fresh one — the index-level stamp must still reject a
         // different dimension.
         index.insert(&[1, 2]);
     }
 
+    /// The head is handed over, not copied, and counted: inserting
+    /// `3·64 + 5` rows swaps the snapshot four times — the stamp and
+    /// three seals — and each listed segment *is* the head that was
+    /// filling when its rows arrived.
     #[test]
-    fn tiers_form_and_merge() {
-        let mut index = tiny(10, 64);
-        for i in 0..50 {
-            index.insert(&[i, i + 1]);
+    fn a_full_head_joins_the_list_without_a_copy() {
+        let mut index = sealing_at(10, 4096, 64);
+        let mut heads = Vec::new();
+        for i in 0..3 * 64 + 5 {
+            assert_eq!(index.insert(&[40 * (i % 100) as i64, i as i64]), i);
+            if i % 64 == 0 {
+                heads.push(Arc::clone(&index.head));
+            }
         }
-        assert!(!index.segments().is_empty(), "freezes must have fired");
-        assert!(
-            index.segments().iter().any(|s| s.is_sealed()),
-            "merges must have sealed at least one segment"
-        );
-        assert_eq!(index.len(), 50);
-        assert_eq!(index.slots(), 50);
+        assert_eq!(index.cell.store_count(), 4, "the stamp and three seals");
+        assert_eq!((index.segments().len(), index.staging_rows()), (3, 5));
+        for (head, segment) in heads.iter().zip(index.segments()) {
+            assert!(Arc::ptr_eq(head, segment), "a sealed segment is its head");
+            assert_eq!((segment.rows(), segment.live()), (64, 64));
+        }
+        assert!(Arc::ptr_eq(&heads[3], &index.head));
+        assert_eq!((index.len(), index.slots()), (3 * 64 + 5, 3 * 64 + 5));
     }
 
     #[test]
-    fn frozen_rows_revoke_via_tombstones() {
+    fn sealed_rows_revoke_via_tombstones() {
         // Ring 4096 with spacing 100 ≫ t keeps every record distinct
         // under the cyclic-distance-≤-t predicate.
-        let mut index = tiny(10, 4096);
+        let mut index = sealing_at(10, 4096, 8);
         for i in 0..20 {
             index.insert(&[100 * i, 100 * i]);
         }
         let reader = index.reader();
-        // Row 3 froze long ago; revoke it and check both paths agree.
+        // Row 3 sealed long ago; revoke it (one row in eight: no
+        // rewrite) and check both paths agree.
         assert!(index.remove(3));
         assert!(!index.remove(3), "double revoke reports false");
         assert_eq!(index.lookup(&[300, 300]), None);
@@ -992,26 +966,54 @@ mod tests {
         assert!(!index.copy_row_into(3, &mut out));
         assert!(index.copy_row_into(4, &mut out));
         assert_eq!(out, vec![400, 400]);
+        assert_eq!((index.slots(), index.segments()[0].rows()), (20, 8));
     }
 
+    /// The tombstone rule runs itself: the `remove` that brings a
+    /// sealed segment to a quarter dead rewrites it live-only, a head
+    /// that fills already that dead is rewritten as it seals, ids
+    /// survive both, and `maintain` finds nothing left to do.
     #[test]
-    fn merges_drop_dead_rows_but_keep_ids() {
-        let mut index = EpochIndex::with_thresholds(10, 4096, FilterConfig::default(), 2, 2, 1024);
-        for i in 0..4 {
+    fn the_tombstone_rule_is_self_triggering() {
+        let mut index = sealing_at(10, 4096, 8);
+        let reader = index.reader();
+        for i in 0..8 {
             index.insert(&[100 * i, 100 * i]);
         }
-        // Two runs of 2 merged into one segment of 4; revoke inside it,
-        // then force another merge cycle over fresh runs.
         assert!(index.remove(1));
-        for i in 4..8 {
-            index.insert(&[100 * i, 100 * i]);
+        assert_eq!(index.segments()[0].rows(), 8, "one dead row in eight stays");
+        let stores = index.cell.store_count();
+        assert!(index.remove(6));
+        assert_eq!(
+            index.cell.store_count(),
+            stores + 1,
+            "the rewrite publishes"
+        );
+        assert_eq!((index.segments()[0].rows(), index.slots()), (6, 6));
+        // A head that is half dead when its eighth row lands.
+        for i in 8..16 {
+            let id = index.insert(&[100 * i, 100 * i]);
+            if i < 12 {
+                assert!(index.remove(id));
+            }
         }
-        assert_eq!(index.len(), 7);
-        assert_eq!(index.lookup(&[100, 100]), None);
-        for i in [0usize, 2, 3, 4, 5, 6, 7] {
+        assert_eq!((index.segments().len(), index.segments()[1].rows()), (2, 4));
+        assert_eq!(
+            (index.len(), index.slots(), index.staging_rows()),
+            (10, 10, 0)
+        );
+        for i in 0..16usize {
             let p = [100 * i as i64, 100 * i as i64];
-            assert_eq!(index.lookup(&p), Some(i), "id {i} must survive merges");
+            let expect = (![1, 6, 8, 9, 10, 11].contains(&i)).then_some(i);
+            assert_eq!(index.lookup(&p), expect, "id {i} across rewrites");
+            assert_eq!(reader.find_first(&p), expect);
         }
+        assert!(!index.remove(6), "a row a rewrite dropped stays revoked");
+        // Going one by one, rows 12..16 shrink their segment to nothing
+        // and it leaves the list.
+        assert!((12..16).all(|id| index.remove(id)));
+        assert_eq!((index.segments().len(), index.len()), (1, 6));
+        assert_eq!(index.maintain(), 0, "every segment already obeys the rule");
     }
 
     #[test]
@@ -1059,7 +1061,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_block_and_see_published_rows() {
-        let mut index = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 8, 2, 64);
+        let mut index = sealing_at(10, 64, 8);
         let reader = index.reader();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -1094,46 +1096,23 @@ mod tests {
         assert_eq!(index.lookup(&[7, 7]).map(|id| id % 2), Some(1));
     }
 
-    #[test]
-    fn maintain_rewrites_tombstone_heavy_sealed_segments() {
-        let mut index = EpochIndex::with_thresholds(10, 4096, FilterConfig::default(), 4, 2, 8);
-        for i in 0..16i64 {
-            index.insert(&[i * 100, i * 100]);
-        }
-        let sealed_rows: usize = index
-            .segments()
-            .iter()
-            .filter(|s| s.is_sealed())
-            .map(|s| s.rows())
-            .sum();
-        assert!(sealed_rows >= 8, "setup must have sealed a segment");
-        for id in 0..8 {
-            index.remove(id);
-        }
-        let before: usize = index.slots();
-        assert!(index.maintain() > 0, "a sealed segment was tombstone-heavy");
-        assert!(index.slots() < before, "rewrite must drop dead rows");
-        for i in 8..16i64 {
-            assert_eq!(index.lookup(&[i * 100, i * 100]), Some(i as usize));
-        }
-        assert_eq!(index.maintain(), 0, "second pass finds nothing to do");
-    }
-
     /// The publication rule, counted: rows appended to the head and
     /// tombstones flipped in it reach readers through the snapshot
-    /// already out — zero swaps — and a freeze swaps exactly once.
+    /// already out — zero swaps — and a seal swaps exactly once.
     #[test]
     fn only_a_changed_segment_list_swaps_the_snapshot() {
-        let cap = 100; // not a multiple of 64: the freeze lands mid-group
-        let mut index = EpochIndex::with_thresholds(10, 4096, FilterConfig::default(), cap, 4, 512);
+        let cap = 100; // not a multiple of 64: the seal lands mid-group
+        let mut index = sealing_at(10, 4096, cap);
         let reader = index.reader();
-        index.reserve(0, 2); // stamps the dimension: the one allocation
+        index.reserve(0, 2); // stamps the dimension: the one reservation
         let (stores, snapshot) = (index.cell.store_count(), index.cell.load());
         for i in 0..cap - 1 {
             assert_eq!(index.insert(&[40 * i as i64, 7]), i);
             assert_eq!(reader.find_first(&[40 * i as i64, 7]), Some(i));
         }
-        for i in 0..cap - 1 {
+        // One row in five: short of the quarter that would have the
+        // seal rewrite the head instead of listing it.
+        for i in (0..cap - 1).step_by(5) {
             assert!(index.remove(i));
             assert_eq!(reader.find_first(&[40 * i as i64, 7]), None);
         }
@@ -1146,11 +1125,11 @@ mod tests {
         assert_eq!(format!("{reader:?}"), format!("{:?}", index.reader()));
         assert!(format!("{reader:?}").contains("head_rows: 99"));
 
-        index.insert(&[3960, 7]); // row `cap`: the freeze
-        assert_eq!(index.cell.store_count(), stores + 1, "a freeze swaps once");
+        index.insert(&[3960, 7]); // row `cap`: the seal
+        assert_eq!(index.cell.store_count(), stores + 1, "a seal swaps once");
         assert_eq!((index.segments().len(), index.staging_rows()), (1, 0));
         assert_eq!(reader.find_first(&[3960, 7]), Some(cap - 1));
-        // The frozen run is the old head itself, not a copy of it.
+        // The sealed segment is the old head itself, not a copy of it.
         assert!(Arc::ptr_eq(&snapshot.head, &index.segments()[0]));
     }
 
@@ -1162,12 +1141,12 @@ mod tests {
         let id = index.insert(&[9, 9]);
         assert_eq!(reader.find_first(&[9, 9]), Some(id));
         assert_eq!(index.lookup(&[9, 9]), Some(id));
-        assert!(index.heap_bytes() < 4096, "nothing is sized by the hint");
+        assert!(index.heap_bytes() < 4096, "nothing is charged for the hint");
     }
 
     #[test]
     fn export_import_round_trip() {
-        let mut index = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 4, 2, 8);
+        let mut index = sealing_at(10, 64, 8);
         for i in 0..20i64 {
             index.insert(&[i * 10, i * 10]);
         }
@@ -1175,7 +1154,7 @@ mod tests {
         // fully-live dense sealed prefix.
         index.compact();
         let blob = index.export_segments().expect("sealed prefix exists");
-        let mut restored = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 4, 2, 8);
+        let mut restored = sealing_at(10, 64, 8);
         let covered = restored.import_segments(&blob).expect("import");
         assert!(covered > 0 && covered <= 20);
         // Replay the uncovered tail exactly as recovery would.
@@ -1197,7 +1176,7 @@ mod tests {
 
     #[test]
     fn import_rejects_mismatches() {
-        let mut index = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 4, 2, 8);
+        let mut index = sealing_at(10, 64, 8);
         for i in 0..20i64 {
             index.insert(&[i * 10, i * 10]);
         }
@@ -1207,11 +1186,11 @@ mod tests {
         let mut other = EpochIndex::new(10, 128);
         assert_eq!(other.import_segments(&blob), None);
         // Non-empty target.
-        let mut busy = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 4, 2, 8);
+        let mut busy = sealing_at(10, 64, 8);
         busy.insert(&[1, 1]);
         assert_eq!(busy.import_segments(&blob), None);
         // Truncated blob.
-        let mut fresh = EpochIndex::with_thresholds(10, 64, FilterConfig::default(), 4, 2, 8);
+        let mut fresh = sealing_at(10, 64, 8);
         assert_eq!(fresh.import_segments(&blob[..blob.len() - 1]), None);
         assert!(fresh.is_empty(), "failed import must leave the index empty");
         // Counts the bytes behind them cannot back: 2³² − 1 segments in
@@ -1238,7 +1217,7 @@ mod tests {
 
     #[test]
     fn export_declines_without_sealed_prefix() {
-        let mut index = EpochIndex::new(10, 64); // seal_rows = 65536
+        let mut index = EpochIndex::new(10, 64); // seals at 65 536 rows
         for i in 0..50i64 {
             index.insert(&[i, i]);
         }

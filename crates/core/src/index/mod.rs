@@ -324,10 +324,10 @@ mod tests {
         check_index(ScanIndex::new(T, KA), &mut rng);
     }
 
-    /// Tiny epoch thresholds so a 50-record population exercises
-    /// freeze/merge/seal, not just the staging arena.
+    /// A tiny seal threshold so a 50-record population spans six
+    /// sealed segments, not just the head.
     fn small_epoch() -> EpochIndex {
-        EpochIndex::with_thresholds(T, KA, FilterConfig::default(), 8, 2, 32)
+        EpochIndex::with_seal_rows(T, KA, FilterConfig::default(), 8)
     }
 
     #[test]
@@ -428,7 +428,10 @@ mod tests {
             }
         }
         assert_eq!(index.len(), 10);
-        assert_eq!(index.slots(), 40);
+        // Tombstones hold their slots until `compact` — except in the
+        // sealed segments an epoch index has already rewritten
+        // live-only on their way past a quarter dead.
+        assert!((10..=40).contains(&index.slots()));
 
         let mapping = index.compact();
         // Survivors renumber densely, preserving order.
@@ -491,7 +494,8 @@ mod tests {
 
     #[test]
     fn live_records_are_ascending_and_live_only() {
-        // Nine rows over a staging cap of 8: one frozen run plus the head.
+        // Nine rows over a seal threshold of 8: one sealed segment plus
+        // the head.
         let mut epoch = small_epoch();
         for i in 0..9 {
             epoch.insert(&[i, i, i]);

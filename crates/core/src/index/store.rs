@@ -45,9 +45,10 @@
 //!
 //! On the paper's ring (`ka < 2¹⁵`, `i16` cells) the arena additionally
 //! maintains a **prefilter plane**: the leading `F` (adaptive; 8 at the
-//! paper ring) coordinates of every row stored *dimension-major* — one
-//! contiguous lane per dimension, eight row values packed per `u64`
-//! word as byte buckets (`residue / q`, `q = ⌈ka/256⌉`) — so a
+//! paper ring) coordinates of every row stored 64 rows a group and
+//! *dimension-major* within the group — a 64-byte lane per dimension,
+//! eight row values packed per `u64` word as byte buckets
+//! (`residue / q`, `q = ⌈ka/256⌉`) — so a
 //! conservative cyclic-distance test runs 64 rows at a time under
 //! runtime-dispatched AVX-512 (32 under AVX2, 16 under NEON, 8 as
 //! packed-lane SWAR). A bucket lane passes ≈ `(2t+1)/ka` ≈ ½ of the
@@ -65,7 +66,7 @@
 //! subset, a batch of probes — is one driver with three inputs
 //! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the public
 //! `find_*` names only choose them. Every row — a pushed sketch, a row
-//! a merge carries over — enters through `SketchArena::append`. This
+//! a rewrite carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the width-typed
 //! column buffer and the scalar match kernel, `plane` the prefilter
 //! plane and its depth model, `kernels` the isolated SIMD
@@ -88,14 +89,19 @@ use kernels::{avx2, avx512};
 use plane::{adaptive_depth_for_rate, byte_plane_eligible, quantize_ring, FilterPlane};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+/// Rows per sweep tile: what an [`EpochIndex`](super::EpochIndex) sizes
+/// its default head in.
+pub(crate) const TILE_ROWS: usize = sweep::TILE_WORDS * 64;
+
 /// How (and whether) a [`SketchArena`] builds its SWAR/SIMD prefilter
 /// plane for the conditions (1)–(4) scan, and whether a scan may fan
 /// out across cores.
 ///
 /// The plane stores the leading [`PlaneDepth`] coordinates of every
-/// row dimension-major, one contiguous lane of byte buckets per
-/// dimension (`bucket = residue / q` with `q = ⌈ka/256⌉`, eight rows
-/// per `u64` word), so a conservative per-coordinate cyclic test
+/// row 64 rows a group, dimension-major within the group: one 64-byte
+/// lane of byte buckets per dimension (`bucket = residue / q` with
+/// `q = ⌈ka/256⌉`, eight rows per `u64` word), so a conservative
+/// per-coordinate cyclic test
 /// vectorizes: the quantized threshold `t_q = ⌈t'/q⌉ + 1` over-accepts
 /// by construction, every true match survives, and survivors are
 /// exact-verified on all coordinates. It only exists on `i16`-cell
@@ -262,9 +268,9 @@ impl Default for FilterConfig {
 }
 
 /// Contiguous, width-adaptive columnar storage for sketches — the
-/// storage engine under every index: the head, the frozen runs and
-/// the sealed segments of an [`EpochIndex`](super::EpochIndex) are one
-/// arena each, as is a [`ScanIndex`](super::ScanIndex).
+/// storage engine under every index: the head and the sealed segments
+/// of an [`EpochIndex`](super::EpochIndex) are one arena each, as is a
+/// [`ScanIndex`](super::ScanIndex).
 ///
 /// Every lookup is one sweep (`SketchArena::sweep`): `n ≥ 1` probes
 /// over the live rows an optional row subset lets through, keeping
@@ -316,7 +322,7 @@ pub struct SketchArena {
     /// The prefilter knob (applied lazily: the plane itself exists only
     /// once the dimension is stamped, and only on rings that get one).
     filter: FilterConfig,
-    /// The dimension-major prefilter plane, when active.
+    /// The prefilter plane, when active.
     plane: Option<FilterPlane>,
 }
 
@@ -590,6 +596,24 @@ impl SketchArena {
         self.cells.capacity_bytes()
             + self.dead.capacity() * 8
             + self.plane.as_ref().map_or(0, FilterPlane::heap_bytes)
+    }
+
+    /// Bytes the rows held occupy: their cells, their tombstone words
+    /// and the plane words of their complete groups. Equal to
+    /// [`SketchArena::heap_bytes`] on a full arena; on one reserved
+    /// ahead of its rows — an [`EpochIndex`](super::EpochIndex) head —
+    /// it leaves out the reservation nothing has been written to, which
+    /// the process holds as address space, not as memory.
+    pub(crate) fn used_bytes(&self) -> usize {
+        let rows = self.rows();
+        rows * self.dim.unwrap_or(0) * self.width.cell_bytes()
+            + rows.div_ceil(64) * 8
+            + self.plane.as_ref().map_or(0, FilterPlane::used_bytes)
+    }
+
+    /// Has `append` run out of reserved rows?
+    pub(crate) fn is_full(&self) -> bool {
+        self.rows() == self.capacity
     }
 
     /// Appends a sketch, returning its row id (dense, insertion order).

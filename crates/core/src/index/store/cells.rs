@@ -144,11 +144,8 @@ impl Cells {
     /// narrowed to the cell width on the way in.
     pub(super) fn append_sketch(&self, sketch: &[i64], ka: u64) {
         let (lo, hi) = canonical_range(ka);
-        each_width!(self, col => col.extend(sketch.len(), |cells| {
-            for (cell, &v) in cells.iter_mut().zip(sketch) {
-                *cell = Cell::narrow(canonical_fast(v, lo, hi, ka));
-            }
-        }))
+        let canonical = sketch.iter().map(|&v| canonical_fast(v, lo, hi, ka));
+        each_width!(self, col => col.extend(canonical.map(Cell::narrow)))
     }
 
     /// Appends cells `at` of `from` verbatim — a stored row is already
@@ -190,16 +187,9 @@ impl Cells {
 }
 
 /// Fills an empty column of `bytes.len() / N` cells from `bytes`.
-fn decode_cells<C: Copy + Default, const N: usize>(
-    col: &Column<C>,
-    bytes: &[u8],
-    decode: fn([u8; N]) -> C,
-) {
-    col.extend(col.capacity(), |cells| {
-        for (cell, chunk) in cells.iter_mut().zip(bytes.chunks_exact(N)) {
-            *cell = decode(chunk.try_into().expect("chunks_exact yields N bytes"));
-        }
-    });
+fn decode_cells<C: Copy, const N: usize>(col: &Column<C>, bytes: &[u8], decode: fn([u8; N]) -> C) {
+    let chunks = bytes.chunks_exact(N);
+    col.extend(chunks.map(|chunk| decode(chunk.try_into().expect("chunks_exact yields N bytes"))));
 }
 
 /// The canonical ring representative of `v` in `Z_ka`: the minimal

@@ -25,6 +25,7 @@ pub(super) enum ActiveKernel {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(super) mod avx2 {
+    use super::super::plane::GROUP_WORDS;
     use std::arch::x86_64::{
         __m256i, _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_min_epu8, _mm256_movemask_epi8,
         _mm256_or_si256, _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256,
@@ -38,21 +39,22 @@ pub(super) mod avx2 {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
-    /// Prefilters 32 rows (plane words `wi .. wi+4` of every lane)
-    /// against a probe's bucket values, returning one bit per passing
-    /// row: the byte-granular `movemask` is the row mask directly.
+    /// Prefilters 32 rows (words `wi .. wi+4` of every lane of one
+    /// plane group) against a probe's bucket values, returning one bit
+    /// per passing row: the byte-granular `movemask` is the row mask
+    /// directly.
     ///
     /// # Panics
     /// Panics when AVX2 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn quad(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
+    pub fn quad(group: &[u64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
         assert!(available(), "AVX2 kernel dispatched without AVX2");
         // SAFETY: the avx2 target feature was just verified above.
-        unsafe { quad_avx2(lanes, biased, tq, kq, wi) }
+        unsafe { quad_avx2(group, biased, tq, kq, wi) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn quad_avx2(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
+    fn quad_avx2(group: &[u64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
         let zero = _mm256_setzero_si256();
         let tv = _mm256_set1_epi8(tq as i8);
         // The bucket count is ≤ 256; 256 wraps to 0, which is still
@@ -60,7 +62,7 @@ pub(super) mod avx2 {
         // are < kq, so d ≤ kq − 1), and d = 0 always passes.
         let kv = _mm256_set1_epi8(kq as u8 as i8);
         let mut acc = _mm256_set1_epi8(-1);
-        for (lane, &pb) in lanes.iter().zip(biased) {
+        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(biased) {
             // 32 rows of this dimension: 4 packed u64 words, 8 bucket
             // bytes each. Little-endian byte order matches `movemask`
             // bit order.
@@ -87,9 +89,9 @@ pub(super) mod avx2 {
     }
 }
 
-/// The AVX-512 prefilter kernel: 64 rows per iteration (8 contiguous
-/// packed `u64` lane words per 512-bit load — one whole liveness
-/// block), with native `__mmask64` comparison results instead of
+/// The AVX-512 prefilter kernel: 64 rows per iteration (the 8
+/// contiguous packed `u64` words of one lane per 512-bit load — one
+/// whole liveness block), with native `__mmask64` comparison results instead of
 /// AVX2's movemask. Uses only `avx512f` + `avx512bw` — no VBMI — so it
 /// runs on every AVX-512 server core back to Skylake-SP. Isolated
 /// `unsafe`, same soundness argument as [`avx2`]: the dispatch is gated
@@ -98,6 +100,7 @@ pub(super) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(super) mod avx512 {
+    use super::super::plane::GROUP_WORDS;
     use std::arch::x86_64::{
         _mm512_loadu_si512, _mm512_min_epu8, _mm512_or_si512, _mm512_set1_epi8, _mm512_sub_epi8,
         _mm512_subs_epu8,
@@ -110,33 +113,33 @@ pub(super) mod avx512 {
             && std::arch::is_x86_feature_detected!("avx512bw")
     }
 
-    /// Prefilters 64 rows (plane words `wi .. wi+8` of every lane)
-    /// against a probe's bucket values, returning one bit per passing
-    /// row: a whole 64-row liveness block's candidate mask from one
+    /// Prefilters 64 rows (every lane of one plane group) against a
+    /// probe's bucket values, returning one bit per passing row: a
+    /// whole 64-row liveness block's candidate mask from one
     /// `cmple_epu8` per dimension.
     ///
     /// # Panics
     /// Panics when AVX-512 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn octo(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u64 {
+    pub fn octo(group: &[u64], biased: &[u16], tq: u16, kq: u16) -> u64 {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         // SAFETY: the avx512f/avx512bw target features were just
         // verified above.
-        unsafe { octo_avx512(lanes, biased, tq, kq, wi) }
+        unsafe { octo_avx512(group, biased, tq, kq) }
     }
 
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo_avx512(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u64 {
+    fn octo_avx512(group: &[u64], biased: &[u16], tq: u16, kq: u16) -> u64 {
         let tv = _mm512_set1_epi8(tq as i8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
         // which passes regardless (see the AVX2 kernel).
         let kv = _mm512_set1_epi8(kq as u8 as i8);
         let mut acc: u64 = !0;
-        for (lane, &pb) in lanes.iter().zip(biased) {
+        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(biased) {
             // 64 rows of this dimension: 8 packed u64 words, 8 bucket
             // bytes each, contiguous in the lane. Little-endian element
             // order matches the mask bit order.
-            let words = &lane[wi..wi + 8];
+            let words = &lane[..8];
             // SAFETY: the bounds-checked slice above spans exactly the
             // 64 bytes the unaligned load reads.
             let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
@@ -166,19 +169,20 @@ pub(super) mod avx512 {
 #[cfg(any(target_arch = "aarch64", test))]
 #[allow(unsafe_code)]
 pub(super) mod neon {
+    use super::super::plane::GROUP_WORDS;
     use super::intr;
 
-    /// Prefilters 16 rows (plane words `wi`, `wi+1` of every lane)
-    /// against a probe's bucket values, returning one bit per passing
-    /// row.
-    pub fn sixteen(lanes: &[&[u64]], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u16 {
+    /// Prefilters 16 rows (words `wi`, `wi+1` of every lane of one
+    /// plane group) against a probe's bucket values, returning one bit
+    /// per passing row.
+    pub fn sixteen(group: &[u64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u16 {
         let tv = intr::dup8(tq as u8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
         // which passes regardless (buckets are < kq, so d ≤ kq − 1 and
         // the wrapped subtraction is exact for every d ≥ 1).
         let kav = intr::dup8(kq as u8);
         let mut acc = intr::dup8(u8::MAX);
-        for (lane, &pb) in lanes.iter().zip(biased) {
+        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(biased) {
             // 16 rows of this dimension: 2 packed u64 words, loaded as
             // 16 little-endian u8 lanes.
             let v = intr::load_pair8(lane[wi], lane[wi + 1]);

@@ -1,6 +1,7 @@
 //! The prefilter plane: the leading coordinates of every row stored
-//! dimension-major as quantized byte buckets for the vector phase 1,
-//! its depth and eligibility model, and the portable SWAR kernel.
+//! as quantized byte buckets — 64 rows a group, dimension-major within
+//! the group — for the vector phase 1, its depth and eligibility model,
+//! and the portable SWAR kernel.
 
 #[cfg(any(target_arch = "aarch64", test))]
 use super::kernels::neon;
@@ -74,8 +75,8 @@ const LANES: u64 = 0x0001_0001_0001_0001;
 /// buckets ≤ 255, so this bit is always free to carry per-lane
 /// comparison results without cross-lane borrows.
 const MSBS: u64 = 0x8000_8000_8000_8000;
-/// Lane words per 64-row group: 8 bucket bytes a word.
-const GROUP_WORDS: usize = 8;
+/// Words one lane of a 64-row group takes: 8 bucket bytes a word.
+pub(super) const GROUP_WORDS: usize = 8;
 
 /// One probe's prefilter state, borrowed from the scan scratch: the
 /// buckets of its leading plane coordinates, and the same values
@@ -86,27 +87,38 @@ pub(super) struct ProbeFilter<'a> {
     pub(super) bcast: &'a [u64],
 }
 
-/// The leading dimensions of every row, stored dimension-major for the
-/// vector prefilter: lane `d` holds coordinate `d` of rows
-/// `0, 1, 2, …` as quantized 8-bit buckets (`(value mod ka) / q`)
-/// packed eight rows per `u64` word. Phase 1 over-accepts (see
-/// [`quantize_ring`]), so phase 2 verifies *all* coordinates of a
-/// survivor.
+/// The leading dimensions of every row, stored for the vector
+/// prefilter one 64-row **group** after another, and dimension-major
+/// within a group: group `g` is `dims` lanes of [`GROUP_WORDS`] words,
+/// lane `d` holding coordinate `d` of rows `64g .. 64g + 64` as
+/// quantized 8-bit buckets (`(value mod ka) / q`) packed eight rows per
+/// `u64` word. Phase 1 over-accepts (see [`quantize_ring`]), so phase 2
+/// verifies *all* coordinates of a survivor.
+///
+/// Everything phase 1 reads for a group is one contiguous run of
+/// `dims × 64` bytes, and a sweep reads the plane front to back as one
+/// stream. (A buffer per dimension does not: a 65 536-row arena's
+/// eight 64 KiB lanes, allocated back to back, sit exactly 16 pages
+/// apart — eight streams whose pages all index one set of a 4-way
+/// first-level DTLB; DESIGN.md "The prefilter plane".)
 ///
 /// Only rows' *positions* live here — liveness stays in the arena's
 /// tombstone words, which the candidate masks are intersected with, so
 /// `remove` never touches the plane and stale tombstone lanes are
 /// harmless.
 ///
-/// Lanes are written one complete 64-row group at a time
-/// ([`FilterPlane::fill_group`]), after the group's last row landed in
-/// the cells and before the row count that publishes it: a plane word
-/// is never seen with an unwritten lane, and the rows of the open group
-/// (at most 63 per arena) are verified straight from their cells.
+/// A group is written whole ([`FilterPlane::fill_group`]), after its
+/// last row landed in the cells and before the row count that
+/// publishes it: a plane word is never seen with an unwritten lane, and
+/// the rows of the open group (at most 63 per arena) are verified
+/// straight from their cells.
 #[derive(Debug, Clone)]
 pub(super) struct FilterPlane {
-    /// One packed lane per filter dimension (`min(config.dims, dim)`).
-    lanes: Vec<Column<u64>>,
+    /// The groups, `dims × GROUP_WORDS` words each.
+    words: Column<u64>,
+    /// Lanes per group: one per filter dimension
+    /// (`min(config.dims, dim)`).
+    dims: usize,
     /// The ring circumference (fits: planes only exist for `ka < 2¹⁵`).
     /// Used for biasing rows and probes into `[0, ka)`.
     ka16: u16,
@@ -137,7 +149,8 @@ impl FilterPlane {
         debug_assert!(dims >= 1 && ka < 1 << 15);
         let (q, kq, tq) = quantize_ring(t, ka);
         FilterPlane {
-            lanes: (0..dims).map(|_| Column::with_capacity(0)).collect(),
+            words: Column::with_capacity(0),
+            dims,
             ka16: ka as u16,
             q,
             tq,
@@ -148,42 +161,48 @@ impl FilterPlane {
     }
 
     pub(super) fn dims(&self) -> usize {
-        self.lanes.len()
+        self.dims
+    }
+
+    /// Words per group.
+    fn stride(&self) -> usize {
+        self.dims * GROUP_WORDS
     }
 
     pub(super) fn heap_bytes(&self) -> usize {
-        self.lanes.iter().map(|l| l.capacity() * 8).sum()
+        self.words.capacity() * 8
+    }
+
+    /// Bytes of the groups filled so far ([`FilterPlane::heap_bytes`]
+    /// counts the capacity).
+    pub(super) fn used_bytes(&self) -> usize {
+        self.words.published().len() * 8
     }
 
     /// Makes room for the complete groups of `total_rows` rows
-    /// (exclusive access: the lanes may move).
+    /// (exclusive access: the buffer may move).
     pub(super) fn grow(&mut self, total_rows: usize) {
-        let words = total_rows / 64 * GROUP_WORDS;
-        for lane in &mut self.lanes {
-            lane.grow(words);
-        }
+        self.words.grow(total_rows / 64 * self.stride());
     }
 
     pub(super) fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.truncate(0);
-        }
+        self.words.truncate(0);
     }
 
-    /// Appends one complete group to every lane: `cells` holds the
-    /// group's 64 rows, `dim` canonical `i16` residues each. Groups
-    /// must arrive densely in order.
+    /// Appends one complete group: `cells` holds its 64 rows, `dim`
+    /// canonical `i16` residues each. Groups must arrive densely in
+    /// order.
     pub(super) fn fill_group(&self, cells: &[i16], dim: usize) {
         debug_assert_eq!(cells.len(), 64 * dim);
-        for (d, lane) in self.lanes.iter().enumerate() {
-            lane.extend(GROUP_WORDS, |words| {
-                words.fill(0);
-                for (r, row) in cells.chunks_exact(dim).enumerate() {
-                    let b = u64::from(bias16(row[d], self.ka16) / self.q);
-                    words[r / 8] |= b << (8 * (r % 8));
-                }
-            });
-        }
+        let (ka16, q) = (self.ka16, self.q);
+        // Word `k` of lane `d`: rows `8k .. 8k + 8`, low byte first.
+        let word = |i: usize| {
+            let (d, k) = (i / GROUP_WORDS, i % GROUP_WORDS);
+            let rows = cells[8 * k * dim..8 * (k + 1) * dim].chunks_exact(dim);
+            let buckets = rows.map(|row| bias16(row[d], ka16) / q);
+            buckets.rev().fold(0, |w, b| w << 8 | u64::from(b))
+        };
+        self.words.extend((0..self.stride()).map(word));
     }
 
     /// Rebuilds every lane from the (compacted) row-major cell buffer.
@@ -198,26 +217,30 @@ impl FilterPlane {
     pub(super) fn view(&self) -> PlaneView<'_> {
         PlaneView {
             plane: self,
-            lanes: self.lanes.iter().map(Column::published).collect(),
+            words: self.words.published(),
         }
     }
 }
 
-/// One sweep's view of a [`FilterPlane`]: every lane's published
-/// words, sliced once so the kernels index plain slices.
+/// One sweep's view of a [`FilterPlane`]: the published groups, sliced
+/// once so the kernels index a plain slice.
 pub(super) struct PlaneView<'a> {
     pub(super) plane: &'a FilterPlane,
-    lanes: Vec<&'a [u64]>,
+    words: &'a [u64],
 }
 
 impl PlaneView<'_> {
-    /// Complete 64-row groups every lane of this view holds: liveness
-    /// words below this go through phase 1, the rest are verified from
-    /// their cells. The minimum, because the lanes were sliced one
-    /// after another while the writer may have been extending them.
+    /// Complete 64-row groups this view holds: liveness words below
+    /// this go through phase 1, the rest are verified from their cells.
     pub(super) fn groups(&self) -> usize {
-        let words = self.lanes.iter().map(|l| l.len()).min();
-        words.map_or(0, |w| w / GROUP_WORDS)
+        self.words.len() / self.plane.stride()
+    }
+
+    /// The lanes of group `w`, [`GROUP_WORDS`] words each.
+    #[inline]
+    fn group(&self, w: usize) -> &[u64] {
+        let stride = self.plane.stride();
+        &self.words[w * stride..(w + 1) * stride]
     }
 
     /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
@@ -247,8 +270,8 @@ impl PlaneView<'_> {
         ((acc >> 15) & 1) | ((acc >> 30) & 2) | ((acc >> 45) & 4) | ((acc >> 60) & 8)
     }
 
-    /// SWAR-prefilters the 8 rows of plane word `wi`, returning one low
-    /// bit per passing row.
+    /// SWAR-prefilters the 8 rows of word `wi` of every lane of `group`,
+    /// returning one low bit per passing row.
     ///
     /// Bytes have no spare MSB, so the word is split into its even and
     /// odd bytes — each a 4 × 16-bit-lane value whose lanes hold a
@@ -257,10 +280,10 @@ impl PlaneView<'_> {
     /// so even the `kq = 256` ring needs no wrap-around trick here).
     /// The two 4-bit results interleave back into byte order.
     #[inline]
-    fn swar_word(&self, pf: ProbeFilter<'_>, wi: usize) -> u64 {
+    fn swar_word(&self, group: &[u64], pf: ProbeFilter<'_>, wi: usize) -> u64 {
         const EVENS: u64 = 0x00FF_00FF_00FF_00FF;
         let (mut acc_e, mut acc_o) = (MSBS, MSBS);
-        for (lane, &pb) in self.lanes.iter().zip(pf.bcast) {
+        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(pf.bcast) {
             let w = lane[wi];
             acc_e &= self.swar_pass(w & EVENS, pb);
             acc_o &= self.swar_pass((w >> 8) & EVENS, pb);
@@ -276,11 +299,10 @@ impl PlaneView<'_> {
     }
 
     /// Candidate mask for one complete 64-row group (`w <
-    /// self.groups()`): prefilters the group's 8 plane words against
-    /// the probe and intersects with the group's liveness word — AVX-512
-    /// masks the whole group in a single 512-bit compare. Groups are
-    /// whole, so every backend runs full vectors — there is no buffer
-    /// tail.
+    /// self.groups()`): prefilters the group's lanes against the probe
+    /// and intersects with the group's liveness word — AVX-512 masks a
+    /// whole lane in a single 512-bit compare. Groups are whole, so
+    /// every backend runs full vectors — there is no buffer tail.
     pub(super) fn block_candidates(
         &self,
         kernel: ActiveKernel,
@@ -289,18 +311,18 @@ impl PlaneView<'_> {
         lw: u64,
     ) -> u64 {
         let (tq, kq) = (self.plane.tq, self.plane.kq);
-        let base = w * GROUP_WORDS;
+        let group = self.group(w);
         let mut out = 0u64;
         match kernel {
             #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => out = avx512::octo(&self.lanes, pf.biased, tq, kq, base),
+            ActiveKernel::Avx512 => out = avx512::octo(group, pf.biased, tq, kq),
             #[cfg(target_arch = "aarch64")]
             ActiveKernel::Neon => {
-                for group in 0..4 {
+                for pair in 0..4 {
                     // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (group * 16)) & 0xFFFF != 0 {
-                        let m = neon::sixteen(&self.lanes, pf.biased, tq, kq, base + group * 2);
-                        out |= u64::from(m) << (group * 16);
+                    if (lw >> (pair * 16)) & 0xFFFF != 0 {
+                        let m = neon::sixteen(group, pf.biased, tq, kq, pair * 2);
+                        out |= u64::from(m) << (pair * 16);
                     }
                 }
             }
@@ -309,7 +331,7 @@ impl PlaneView<'_> {
                 for half in 0..2 {
                     // Wholly-dead 32-row runs need no prefilter at all.
                     if (lw >> (half * 32)) & 0xFFFF_FFFF != 0 {
-                        let m = avx2::quad(&self.lanes, pf.biased, tq, kq, base + half * 4);
+                        let m = avx2::quad(group, pf.biased, tq, kq, half * 4);
                         out |= u64::from(m) << (half * 32);
                     }
                 }
@@ -317,7 +339,7 @@ impl PlaneView<'_> {
             ActiveKernel::Swar => {
                 for sub in 0..8 {
                     if (lw >> (sub * 8)) & 0xFF != 0 {
-                        out |= self.swar_word(pf, base + sub) << (sub * 8);
+                        out |= self.swar_word(group, pf, sub) << (sub * 8);
                     }
                 }
             }
@@ -415,17 +437,21 @@ mod tests {
     }
 
     #[test]
-    fn a_view_holds_the_groups_all_its_lanes_hold() {
-        // Lanes are sliced one after another while the writer may be
-        // extending them, so a later lane can come out a group longer
-        // than an earlier one: phase 1 must stop at the shortest.
-        let plane = FilterPlane::new(2, 100, 400);
-        let (one_group, two_groups) = ([0u64; 8], [0u64; 16]);
-        let view = PlaneView {
-            plane: &plane,
-            lanes: vec![&one_group, &two_groups],
-        };
-        assert_eq!(view.groups(), 1);
+    fn groups_are_whole_and_lane_after_lane() {
+        // Row r of the group carries bucket r in lane 0 and 63 − r in
+        // lane 1 (q = 1 on this ring): lane d is words 8d .. 8d + 8 of
+        // the group, eight rows a word, low byte first.
+        let mut plane = FilterPlane::new(2, 10, 256);
+        plane.grow(130);
+        assert_eq!((plane.view().groups(), plane.heap_bytes()), (0, 2 * 2 * 64));
+        let cells: Vec<i16> = (0..64).flat_map(|r| [r, 63 - r, 99]).collect();
+        plane.fill_group(&cells, 3);
+        plane.fill_group(&cells, 3);
+        let view = plane.view();
+        assert_eq!((view.groups(), plane.used_bytes()), (2, 2 * 2 * 64));
+        let bytes: Vec<u8> = view.group(1).iter().flat_map(|w| w.to_le_bytes()).collect();
+        let expect: Vec<u8> = (0..64).chain((0..64).rev()).collect();
+        assert_eq!(bytes, expect);
     }
 
     #[test]
@@ -497,10 +523,16 @@ mod tests {
                     biased: &probe,
                     bcast: &bcast,
                 };
-                for wi in (0..16).step_by(2) {
-                    let neon = neon::sixteen(&view.lanes, &probe, plane.tq, plane.kq, wi);
-                    let swar = view.swar_word(pf, wi) | (view.swar_word(pf, wi + 1) << 8);
-                    assert_eq!(u64::from(neon), swar, "t={t} ka={ka} wi={wi}");
+                for g in [0, 1] {
+                    let group = view.group(g);
+                    for wi in (0..GROUP_WORDS).step_by(2) {
+                        let neon = neon::sixteen(group, &probe, plane.tq, plane.kq, wi);
+                        let (lo, hi) = (
+                            view.swar_word(group, pf, wi),
+                            view.swar_word(group, pf, wi + 1),
+                        );
+                        assert_eq!(u64::from(neon), lo | hi << 8, "t={t} ka={ka} g={g} wi={wi}");
+                    }
                 }
             }
         }
@@ -522,13 +554,14 @@ mod tests {
                     biased: &probe,
                     bcast: &bcast,
                 };
-                for wi in (0..16).step_by(4) {
-                    let wide = avx2::quad(&view.lanes, &probe, plane.tq, plane.kq, wi);
+                for (g, wi) in [(0, 0), (0, 4), (1, 0), (1, 4)] {
+                    let group = view.group(g);
+                    let wide = avx2::quad(group, &probe, plane.tq, plane.kq, wi);
                     let mut swar = 0u64;
                     for sub in 0..4 {
-                        swar |= view.swar_word(pf, wi + sub) << (sub * 8);
+                        swar |= view.swar_word(group, pf, wi + sub) << (sub * 8);
                     }
-                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} wi={wi}");
+                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} g={g} wi={wi}");
                 }
             }
         }
@@ -550,13 +583,14 @@ mod tests {
                     biased: &probe,
                     bcast: &bcast,
                 };
-                for wi in [0, 8] {
-                    let wide = avx512::octo(&view.lanes, &probe, plane.tq, plane.kq, wi);
+                for g in [0, 1] {
+                    let group = view.group(g);
+                    let wide = avx512::octo(group, &probe, plane.tq, plane.kq);
                     let mut swar = 0u64;
                     for sub in 0..8 {
-                        swar |= view.swar_word(pf, wi + sub) << (sub * 8);
+                        swar |= view.swar_word(group, pf, sub) << (sub * 8);
                     }
-                    assert_eq!(wide, swar, "t={t} ka={ka} wi={wi}");
+                    assert_eq!(wide, swar, "t={t} ka={ka} g={g}");
                 }
             }
         }
@@ -579,10 +613,10 @@ mod tests {
                 for a in 0..ka as i64 {
                     let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
                     // Pack the same row bucket in all eight byte slots.
-                    let word = [u64::from(row_bucket) * 0x0101_0101_0101_0101];
+                    let group = [u64::from(row_bucket) * 0x0101_0101_0101_0101; GROUP_WORDS];
                     let view = PlaneView {
                         plane: &plane,
-                        lanes: vec![&word],
+                        words: &group,
                     };
                     for bval in (0..ka as i64).step_by(3) {
                         let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
@@ -592,7 +626,7 @@ mod tests {
                             biased: &biased,
                             bcast: &bcast,
                         };
-                        let mask = view.swar_word(pf, 0);
+                        let mask = view.swar_word(&group, pf, 0);
                         assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
                         let d = row_bucket.abs_diff(pb);
                         let bucket_close = d.min(kq - d) <= tq;

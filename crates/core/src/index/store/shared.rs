@@ -1,17 +1,21 @@
 //! [`Column`]: the one buffer the index reads while it is still being
 //! written, and the index's only `unsafe` outside the SIMD kernels.
 //!
-//! A column is allocated once, at a fixed capacity, and never moves.
-//! One writer fills slots past the published length and then
-//! release-stores the new length; readers acquire-load the length and
-//! slice the prefix below it. That is the **publication invariant**
-//! (DESIGN.md "Publication invariant") every `unsafe` block here
+//! A column is reserved once, at a fixed capacity, and never moves.
+//! Reserving writes nothing: the slots are uninitialised until a value
+//! lands in them, so a large column costs address space, not memory,
+//! for as long as the allocator's pages stay untouched. One writer
+//! fills slots past the published length and then release-stores the
+//! new length; readers acquire-load the length and slice the prefix
+//! below it. That is the **publication invariant** (DESIGN.md
+//! "Publication invariant") every `unsafe` block that touches a slot
 //! cites:
 //!
-//! 1. a slot below `len` is never written again while the column is
-//!    shared (`&self`);
-//! 2. a slot at or past `len` is touched by the writer alone, and there
-//!    is at most one writer at a time (`writing`);
+//! 1. a slot below `len` is initialised and never written again while
+//!    the column is shared (`&self`);
+//! 2. a slot at or past `len` is touched by the writer alone — written,
+//!    never read — and there is at most one writer at a time
+//!    (`writing`);
 //! 3. `len` grows only by a `Release` store that follows the writes it
 //!    covers, and readers learn it only by an `Acquire` load.
 //!
@@ -22,12 +26,13 @@
 
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A fixed-capacity append-only buffer with one writer and any number
 /// of lock-free readers (module docs: the publication invariant).
 pub(crate) struct Column<T> {
-    slots: Box<[UnsafeCell<T>]>,
+    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     /// Published length: `Release`-stored by the writer after it filled
     /// the slots below it, `Acquire`-loaded by readers.
     len: AtomicUsize,
@@ -42,13 +47,24 @@ pub(crate) struct Column<T> {
 // invariant 2 reserves for the single writer.
 unsafe impl<T: Send + Sync> Sync for Column<T> {}
 
-impl<T: Copy + Default> Column<T> {
-    /// An empty column that can hold `capacity` values.
+impl<T: Copy> Column<T> {
+    /// An empty column that can hold `capacity` values: a reservation,
+    /// not a write. The slots are left uninitialised — nothing reads
+    /// one before `extend` has written it — so creating a column
+    /// neither clears nor touches its memory: pages the allocator
+    /// hands out fresh stay the kernel's zero page until rows land in
+    /// them, and a block it recycled is not swept first. (A zeroed
+    /// allocation is not the same thing: `calloc` clears a recycled
+    /// block, and glibc's clears — and so faults in — a whole fresh
+    /// 8 MiB one once the process has freed another that size.)
     pub(crate) fn with_capacity(capacity: usize) -> Column<T> {
+        let mut slots = Vec::with_capacity(capacity);
+        // SAFETY: the capacity was just reserved, and a
+        // `MaybeUninit` — in an `UnsafeCell` or not — is valid
+        // uninitialised.
+        unsafe { slots.set_len(capacity) };
         Column {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(T::default()))
-                .collect(),
+            slots: slots.into_boxed_slice(),
             len: AtomicUsize::new(0),
             writing: AtomicBool::new(false),
         }
@@ -64,43 +80,47 @@ impl<T: Copy + Default> Column<T> {
     pub(crate) fn published(&self) -> &[T] {
         let len = self.len.load(Ordering::Acquire);
         // SAFETY: the Acquire load pairs with the Release store in
-        // `extend` (invariant 3), so the writes to slots `..len`
-        // happened before it, and invariant 1 says nothing writes them
-        // again while this `&self` borrow lives. `len ≤ capacity` is
-        // checked where it is stored; `UnsafeCell<T>` has `T`'s layout.
+        // `extend` (invariant 3), so the writes that initialised slots
+        // `..len` happened before it, and invariant 1 says nothing
+        // writes them again while this `&self` borrow lives.
+        // `len ≤ capacity` is checked where it is stored;
+        // `UnsafeCell<MaybeUninit<T>>` has `T`'s layout.
         unsafe { std::slice::from_raw_parts(self.slots.as_ptr().cast::<T>(), len) }
     }
 
-    /// Appends `n` values: `fill` receives the `n` slots past the
-    /// published length (holding `T::default()` or stale values), and
-    /// once it returns they are published together.
+    /// Appends `values` — all of them, published together once the
+    /// last is written.
     ///
     /// # Panics
-    /// Panics when `n` exceeds the spare capacity, or when another
-    /// `extend` on this column is still running — which is what lets a
-    /// shared column keep invariant 2 without an `unsafe fn`.
-    pub(crate) fn extend(&self, n: usize, fill: impl FnOnce(&mut [T])) {
+    /// Panics when `values` is longer than the spare capacity, or when
+    /// another `extend` on this column is still running — which is what
+    /// lets a shared column keep invariant 2 without an `unsafe fn`.
+    pub(crate) fn extend(&self, values: impl ExactSizeIterator<Item = T>) {
         assert!(
             !self.writing.swap(true, Ordering::Acquire),
             "a column has one writer at a time"
         );
         let len = self.len.load(Ordering::Relaxed);
+        let n = values.len();
         assert!(n <= self.slots.len() - len, "column capacity exceeded");
-        // SAFETY: slots `len..len + n` are in bounds (asserted) and at
-        // or past the published length, so no reader slices them
-        // (invariant 3) and — holding `writing` — no other writer does
-        // either (invariant 2): the `&mut` is exclusive.
-        let slots = unsafe {
-            std::slice::from_raw_parts_mut(UnsafeCell::raw_get(self.slots.as_ptr().add(len)), n)
-        };
-        fill(slots);
-        self.len.store(len + n, Ordering::Release);
+        let mut written = 0;
+        for (slot, value) in self.slots[len..len + n].iter().zip(values) {
+            // SAFETY: the slot is at or past the published length, so
+            // no reader slices it (invariant 3) and — holding `writing`
+            // — no other writer touches it either (invariant 2): this
+            // write is the only access, and it reads nothing.
+            unsafe { slot.get().write(MaybeUninit::new(value)) };
+            written += 1;
+        }
+        // Only what was written is published, whatever `len()` claimed.
+        debug_assert_eq!(written, n, "the iterator's length was not exact");
+        self.len.store(len + written, Ordering::Release);
         self.writing.store(false, Ordering::Release);
     }
 
     /// Appends a copy of `values`.
     pub(crate) fn extend_from_slice(&self, values: &[T]) {
-        self.extend(values.len(), |slots| slots.copy_from_slice(values));
+        self.extend(values.iter().copied());
     }
 
     /// The published values, mutable: exclusive access means nobody is
@@ -108,7 +128,8 @@ impl<T: Copy + Default> Column<T> {
     pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         let len = *self.len.get_mut();
         // SAFETY: `&mut self` proves no reader or writer borrows the
-        // column; `len ≤ capacity`, and `UnsafeCell<T>` has `T`'s
+        // column; slots `..len` are initialised (invariant 1),
+        // `len ≤ capacity`, and `UnsafeCell<MaybeUninit<T>>` has `T`'s
         // layout.
         unsafe { std::slice::from_raw_parts_mut(self.slots.as_mut_ptr().cast::<T>(), len) }
     }
@@ -135,7 +156,7 @@ impl<T: Copy + Default> Column<T> {
     }
 }
 
-impl<T: Copy + Default> Clone for Column<T> {
+impl<T: Copy> Clone for Column<T> {
     fn clone(&self) -> Column<T> {
         self.with_room(self.capacity())
     }
@@ -168,7 +189,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity exceeded")]
     fn extend_past_capacity_panics() {
-        Column::<u8>::with_capacity(2).extend(3, |_| {});
+        Column::<u8>::with_capacity(2).extend([0; 3].into_iter());
     }
 
     #[test]
@@ -180,25 +201,51 @@ mod tests {
         assert_eq!(column.published(), [9, 10]);
         column.grow(16);
         assert_eq!((column.published(), column.capacity()), (&[9, 10][..], 16));
-        column.extend(1, |slots| slots[0] = 11);
+        column.extend([11].into_iter());
         let copy = column.clone();
         column.truncate(0);
         assert_eq!((copy.published(), copy.capacity()), (&[9, 10, 11][..], 16));
+    }
+
+    /// The uninitialised reservation at its edges (Miri runs this): a
+    /// column with no slots — a dangling, zero-length box — and one
+    /// with a single slot are allocated, extended, cloned, grown and
+    /// dropped, and nothing unwritten is ever read.
+    #[test]
+    fn zero_and_one_slot_columns_allocate_clone_and_grow() {
+        for capacity in [0usize, 1] {
+            let mut column = Column::<i64>::with_capacity(capacity);
+            let values = vec![-7i64; capacity];
+            column.extend_from_slice(&values);
+            assert_eq!(
+                (column.published(), column.capacity()),
+                (&values[..], capacity)
+            );
+            let copy = column.clone();
+            assert_eq!((copy.published(), copy.capacity()), (&values[..], capacity));
+            column.grow(capacity + 2);
+            column.extend_from_slice(&[8, 9]);
+            assert_eq!(column.published(), [&values[..], &[8, 9]].concat());
+            assert_eq!(copy.published(), values, "a clone owns its slots");
+        }
     }
 
     #[test]
     fn a_second_writer_is_refused_not_raced() {
         let column = Column::<u64>::with_capacity(4);
         let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            column.extend(1, |_| column.extend(1, |_| {}));
+            column.extend((0..1).map(|_| {
+                column.extend([2].into_iter());
+                1
+            }));
         }));
         assert!(nested.is_err(), "a nested extend must panic");
         assert!(column.published().is_empty());
     }
 
     /// A reader that sees `n` values published sees exactly the values
-    /// written — never a default-filled slot (the writer's stores
-    /// happen before the length that covers them).
+    /// written — never an unwritten slot (the writer's stores happen
+    /// before the length that covers them).
     #[test]
     fn readers_see_only_fully_written_prefixes() {
         const N: usize = if cfg!(miri) { 200 } else { 20_000 };
@@ -218,12 +265,12 @@ mod tests {
                 });
             }
             for i in 0..N {
-                column.extend(1, |slots| {
+                column.extend((0..1).map(|_| {
                     // Dawdle inside the window a misplaced length store
                     // would open.
                     (0..32).for_each(|_| std::hint::spin_loop());
-                    slots[0] = i as u64 + 1;
-                });
+                    i as u64 + 1
+                }));
             }
         });
     }

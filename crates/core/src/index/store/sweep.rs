@@ -18,7 +18,7 @@ use std::sync::Mutex;
 /// probe of a batch to the next; large enough that a survivor's
 /// prefetch, issued as its mask comes out of phase 1, has on average
 /// half a tile of phase-1 compute to land before phase 2 reads the row.
-const TILE_WORDS: usize = 16;
+pub(super) const TILE_WORDS: usize = 16;
 
 /// A caller-supplied row subset for masked sweeps, stored exactly like
 /// the arena's liveness words (one bit per row, 64 rows per word) so

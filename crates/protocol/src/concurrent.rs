@@ -1010,6 +1010,66 @@ mod tests {
         assert_eq!(server.user_count(), 16);
     }
 
+    /// Nothing in the server calls `maintain()`: the index applies its
+    /// tombstone rule itself. Two default-threshold segments of
+    /// synthetic users, every third user of the first one revoked: the
+    /// revocation that brings the segment to a quarter dead rewrites it
+    /// live-only, the ones after it stay tombstones short of the next
+    /// quarter, and the lock-free reader and the locked path both
+    /// answer exactly as a one-arena `ScanIndex` server fed the same
+    /// script.
+    #[test]
+    fn revocations_rewrite_a_sealed_segment_without_maintain() {
+        use fe_core::{ScanIndex, SecureSketch};
+        const SEAL: usize = 65_536; // the default threshold at this dimension
+        let params = SystemParams::insecure_test_defaults();
+        let mut rng = StdRng::seed_from_u64(0x5EA1);
+        let line = *params.sketch().line();
+        let donor = BiometricDevice::new(params.clone())
+            .enroll("donor", &line.random_vector(4, &mut rng), &mut rng)
+            .unwrap();
+        let server = SharedServer::new(params.clone());
+        let mut reference = AuthenticationServer::<ScanIndex>::from_params(params.clone());
+        let mut probes = Vec::new();
+        for u in 0..2 * SEAL + 100 {
+            let mut record = donor.clone();
+            record.id = format!("user-{u}");
+            record.helper.sketch.inner = params
+                .sketch()
+                .sketch(&line.random_vector(24, &mut rng), &mut rng)
+                .unwrap();
+            if u % 1_000 < 3 {
+                probes.push(record.helper.sketch.inner.clone());
+            }
+            server.enroll(record.clone()).unwrap();
+            reference.enroll(record).unwrap();
+        }
+        for u in (0..SEAL).step_by(3) {
+            server.revoke(&format!("user-{u}")).unwrap();
+            reference.revoke(&format!("user-{u}")).unwrap();
+        }
+
+        let shard = &server.shards[0];
+        let state = shard.state.read();
+        let shape = |s: &Arc<fe_core::Segment>| (s.rows(), s.live());
+        let segments = state.index().segments();
+        assert_eq!(segments.len(), 2);
+        assert_eq!(
+            shape(&segments[0]),
+            (SEAL - SEAL / 4, SEAL - SEAL.div_ceil(3))
+        );
+        assert_eq!(shape(&segments[1]), (SEAL, SEAL));
+        assert_eq!(state.index().staging_rows(), 100);
+        // user-0 is gone, user-1 kept its id through the rewrite.
+        assert_ne!(reference.lookup_probe(&probes[0]), Some(0));
+        assert_eq!(reference.lookup_probe(&probes[1]), Some(1));
+        for probe in &probes {
+            let expect = reference.lookup_probe(probe);
+            assert_eq!(shard.reader.find_first(probe), expect);
+            assert_eq!(state.lookup_probe(probe), expect);
+        }
+    }
+
     #[test]
     fn batch_identification_resolves_whole_queue() {
         let params = SystemParams::insecure_test_defaults();
@@ -1292,7 +1352,7 @@ mod tests {
         // Readers identify continuously while writers enroll and revoke
         // on the same shards — the lock-free path must keep returning
         // consistent results (matched users are genuine, no panics)
-        // through head freezes, merges and revocation tombstones.
+        // through head appends and revocation tombstones.
         let params = SystemParams::insecure_test_defaults();
         let server = SharedServer::<EpochIndex>::with_shards(params.clone(), 2);
         let device = BiometricDevice::new(params.clone());

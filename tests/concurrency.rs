@@ -207,9 +207,9 @@ fn concurrent_batches_from_many_frontends() {
 }
 
 /// The head's publication rule under a live race (DESIGN.md
-/// "Publication invariant"): one writer appends — across dozens of
-/// freezes and merges, revoking some rows while they are still in the
-/// head — and readers that never take a lock must see
+/// "Publication invariant"): one writer appends — across hundreds of
+/// seals, revoking some rows while they are still in the head — and
+/// readers that never take a lock must see
 ///
 /// * every row whose `insert` returned (read-your-writes: `done` is
 ///   bumped after the insert and any revoke of that row, and a lookup
@@ -239,9 +239,10 @@ fn readers_see_every_finished_insert_and_nothing_unwritten() {
     };
     let revoked = |i: usize| i % 7 == 3;
 
-    // Freeze every 96 rows (mid-group: 96 = 64 + 32), merge every 3
-    // runs, never seal: 312 freezes and 150-odd merges.
-    let mut index = EpochIndex::with_thresholds(t, ka, FilterConfig::default(), 96, 3, usize::MAX);
+    // Seal every 96 rows (mid-group: 96 = 64 + 32): 312 seals, each a
+    // head handed over while the readers sweep it. One row in seven is
+    // revoked, short of the quarter that would rewrite a segment.
+    let mut index = EpochIndex::with_seal_rows(t, ka, FilterConfig::default(), 96);
     let reader = index.reader();
     let (started, done, checks) = (
         AtomicUsize::new(0),
@@ -318,6 +319,6 @@ fn readers_see_every_finished_insert_and_nothing_unwritten() {
             }
         }
     });
-    assert!(index.segments().len() < 312, "merges must have run");
+    assert_eq!((index.segments().len(), index.staging_rows()), (312, 48));
     assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
 }

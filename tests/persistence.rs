@@ -578,21 +578,21 @@ proptest! {
 // the sidecar is missing, torn, or bound to a different snapshot.
 // ---------------------------------------------------------------------------
 
-/// An epoch-index server with tiny tier thresholds (freeze at 4 rows,
-/// merge at 2 runs, seal at 8 rows) so small test populations actually
-/// produce sealed segments — the default seal point is 65 536 rows.
+/// An epoch-index server whose head seals at 8 rows, so small test
+/// populations actually produce sealed segments — the default seal
+/// point is 65 536 rows.
 fn small_epoch_server(params: &SystemParams) -> AuthenticationServer<EpochIndex> {
     let t = params.sketch().threshold();
     let ka = params.sketch().line().interval_len();
     AuthenticationServer::with_index(
         params.clone(),
-        EpochIndex::with_thresholds(t, ka, params.filter_config(), 4, 2, 8),
+        EpochIndex::with_seal_rows(t, ka, params.filter_config(), 8),
     )
 }
 
 /// Checkpoint writes the sealed segments as a sidecar; recovery imports
 /// them (visible as non-empty `segments()` on an index whose default
-/// thresholds would have kept every row in staging) and answers lookups
+/// threshold would have kept every row in the head) and answers lookups
 /// exactly like the never-restarted original.
 #[test]
 fn segment_cache_round_trips_through_checkpoint() {
