@@ -45,8 +45,8 @@
 //! the scalar one on the smoke population.
 //!
 //! The `sweep_policy` group ablates the sweep *policy* on top of the
-//! dispatched kernel: adaptive vs fixed plane depth and the parallel
-//! block-sweep thread cap (see [`bench_sweep_policy`]).
+//! dispatched kernel: adaptive vs fixed plane depth (see
+//! [`bench_sweep_policy`]).
 //!
 //! `FE_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run that
 //! still executes every cell-width dispatch path (`i16`/`i32`/`i64`),
@@ -56,8 +56,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
 use fe_core::{
-    CellWidth, EpochIndex, FilterConfig, HelperData, ParallelConfig, PlaneDepth, RobustData,
-    ScanIndex, SketchIndex,
+    CellWidth, EpochIndex, FilterConfig, HelperData, PlaneDepth, RobustData, ScanIndex, SketchIndex,
 };
 use fe_protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
 use rand::rngs::StdRng;
@@ -478,25 +477,13 @@ fn bench_width_dispatch(c: &mut Criterion) {
 }
 
 /// The sweep-policy ablation on top of the vectorized kernel: adaptive
-/// vs fixed plane depth, and the rayon-chunked parallel block-sweep at
-/// 1/2/4 worker threads.
+/// vs fixed plane depth.
 ///
-/// Every variant must return the same answers as the sequential default
-/// (asserted before timing). Timings land in `BENCH_SMOKE.json`
-/// (`adaptive_f_depth`, `fixed8_nomatch_us`,
-/// `parallel_lookup_us_{1,2,4}t`). With `FE_BENCH_GATE` set the run
-/// fails if the adaptive depth loses to the old constant `F = 8`, or if
-/// the parallel path capped at one thread (which must stand down to the
-/// sequential sweep) is slower than the sequential default — both with
-/// a noise tolerance. Multi-thread timings are gated (parallel must stay
-/// within 1.1× the sequential sweep) only where fan-out is supposed to
-/// pay: the host has a second core (`hw_threads > 1`) and the swept
-/// population reaches `ParallelConfig::default().min_rows`, the
-/// break-even the default policy encodes — the full 10⁶-row run does,
-/// the 20 000-row smoke run does not. Otherwise — a 1-CPU box
-/// time-slicing one core, or `forced(n)` fanning out below break-even —
-/// the 2t/4t sweeps keep an `*_informational` key and only result
-/// equality is asserted.
+/// Both variants must return the same answers (asserted before timing).
+/// Timings land in `BENCH_SMOKE.json` (`adaptive_f_depth`,
+/// `adaptive_nomatch_us`, `fixed8_nomatch_us`). With `FE_BENCH_GATE` set
+/// the run fails if the adaptive depth loses to the old constant
+/// `F = 8`, with a noise tolerance.
 fn bench_sweep_policy(c: &mut Criterion) {
     let smoke = smoke::smoke_mode();
     let n = if smoke { 20_000 } else { 1_000_000 };
@@ -512,10 +499,10 @@ fn bench_sweep_policy(c: &mut Criterion) {
         }
         idx
     };
-    let sequential = build(FilterConfig::default());
+    let adaptive = build(FilterConfig::default());
     let miss = loop {
         let candidate = synth_sketches(1, KA, &mut rng).pop().unwrap();
-        if sequential.lookup(&candidate).is_none() {
+        if adaptive.lookup(&candidate).is_none() {
             break candidate;
         }
     };
@@ -525,23 +512,8 @@ fn bench_sweep_policy(c: &mut Criterion) {
     // gate is a strict no-regression check; on other rings it is where a
     // mis-tuned depth model would surface.
     let fixed8 = build(FilterConfig::default().with_depth(PlaneDepth::Fixed(8)));
-    assert_eq!(sequential.lookup(&probe), fixed8.lookup(&probe));
+    assert_eq!(adaptive.lookup(&probe), fixed8.lookup(&probe));
     assert_eq!(fixed8.lookup(&miss), None);
-
-    // Parallel block-sweep at 1/2/4 worker threads. `forced(1)` must
-    // stand down to the sequential sweep (gated below); 2t/4t record
-    // whatever scaling the host can actually show.
-    rayon::ensure_threads(4);
-    let par: Vec<(usize, ScanIndex)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let idx = build(FilterConfig::default().with_parallel(ParallelConfig::forced(threads)));
-            assert_eq!(sequential.lookup(&probe), idx.lookup(&probe));
-            assert_eq!(sequential.lookup_all(&probe), idx.lookup_all(&probe));
-            assert_eq!(idx.lookup(&miss), None);
-            (threads, idx)
-        })
-        .collect();
 
     let mut group = c.benchmark_group("sweep_policy");
     group.sample_size(10);
@@ -549,16 +521,11 @@ fn bench_sweep_policy(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(100));
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function(BenchmarkId::new("depth/adaptive", n), |b| {
-        b.iter(|| sequential.lookup(std::hint::black_box(&miss)))
+        b.iter(|| adaptive.lookup(std::hint::black_box(&miss)))
     });
     group.bench_function(BenchmarkId::new("depth/fixed8", n), |b| {
         b.iter(|| fixed8.lookup(std::hint::black_box(&miss)))
     });
-    for (threads, idx) in &par {
-        group.bench_function(BenchmarkId::new("parallel", format!("{threads}t")), |b| {
-            b.iter(|| idx.lookup(std::hint::black_box(&miss)))
-        });
-    }
     group.finish();
 
     // The smoke/gate timings run *after* criterion, back to back and
@@ -571,48 +538,24 @@ fn bench_sweep_policy(c: &mut Criterion) {
     let rounds = 25;
     let mut adaptive_miss = f64::INFINITY;
     let mut fixed8_miss = f64::INFINITY;
-    let mut par_miss = vec![f64::INFINITY; par.len()];
     for _ in 0..rounds {
-        adaptive_miss = adaptive_miss.min(time_best(1, || sequential.lookup(&miss)).1);
+        adaptive_miss = adaptive_miss.min(time_best(1, || adaptive.lookup(&miss)).1);
         fixed8_miss = fixed8_miss.min(time_best(1, || fixed8.lookup(&miss)).1);
-        for ((_, idx), best) in par.iter().zip(par_miss.iter_mut()) {
-            *best = best.min(time_best(1, || idx.lookup(&miss)).1);
-        }
     }
-    let one_thread_miss = par_miss[0];
-
-    // Recorded so smoke-file consumers can judge the multi-thread
-    // numbers: where fan-out cannot pay (see the function docs) the
-    // 2t/4t timings say nothing about it — they get an
-    // `_informational` suffix instead of the gateable key.
-    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let fanout_pays = hw_threads > 1 && n >= ParallelConfig::default().min_rows;
-    let mut metrics: Vec<(String, f64)> = vec![
-        (
-            "adaptive_f_depth".into(),
-            sequential.arena().resolved_depth() as f64,
-        ),
-        ("adaptive_nomatch_us".into(), adaptive_miss * 1e6),
-        ("fixed8_nomatch_us".into(), fixed8_miss * 1e6),
-        ("hw_threads".into(), hw_threads as f64),
-    ];
-    for ((threads, _), best) in par.iter().zip(&par_miss) {
-        let key = if *threads > 1 && !fanout_pays {
-            format!("parallel_lookup_us_{threads}t_informational")
-        } else {
-            format!("parallel_lookup_us_{threads}t")
-        };
-        metrics.push((key, best * 1e6));
-    }
+    let depth = adaptive.arena().resolved_depth();
     println!(
-        "sweep_policy/{n}: adaptive F={} {:.1} µs vs fixed8 {:.1} µs; parallel 1t {:.1} µs",
-        sequential.arena().resolved_depth(),
+        "sweep_policy/{n}: adaptive F={depth} {:.1} µs vs fixed8 {:.1} µs",
         adaptive_miss * 1e6,
         fixed8_miss * 1e6,
-        one_thread_miss * 1e6,
     );
-    let named: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    smoke::record("sweep_policy", &named);
+    smoke::record(
+        "sweep_policy",
+        &[
+            ("adaptive_f_depth", depth as f64),
+            ("adaptive_nomatch_us", adaptive_miss * 1e6),
+            ("fixed8_nomatch_us", fixed8_miss * 1e6),
+        ],
+    );
 
     if std::env::var_os("FE_BENCH_GATE").is_some() {
         // 25% tolerance: even interleaved best-of timings jitter on a
@@ -624,29 +567,6 @@ fn bench_sweep_policy(c: &mut Criterion) {
             adaptive_miss * 1e6,
             fixed8_miss * 1e6
         );
-        assert!(
-            one_thread_miss <= adaptive_miss * tol,
-            "FE_BENCH_GATE: parallel sweep capped at 1 thread ({:.1} µs) is slower than \
-             the sequential sweep ({:.1} µs) — the stand-down path regressed",
-            one_thread_miss * 1e6,
-            adaptive_miss * 1e6
-        );
-        // Where fan-out is supposed to pay, the multi-thread sweeps
-        // are gated, not informational: parallel must never lose to the
-        // sequential sweep by more than scheduling noise. (This is also
-        // the measurement `ParallelConfig::min_rows` is tuned from: past
-        // the fan-out break-even, losing means dispatch overhead grew.)
-        if fanout_pays {
-            for ((threads, _), best) in par.iter().zip(&par_miss).skip(1) {
-                assert!(
-                    *best <= adaptive_miss * 1.1,
-                    "FE_BENCH_GATE: parallel sweep at {threads} threads ({:.1} µs) exceeds \
-                     1.1× the sequential sweep ({:.1} µs) on a {hw_threads}-thread host",
-                    best * 1e6,
-                    adaptive_miss * 1e6
-                );
-            }
-        }
     }
 }
 

@@ -23,10 +23,9 @@
 //! one contiguous width-adaptive buffer (`i16` cells at the paper's
 //! `ka = 400`) with a tombstone bitmap and an in-place compactor, so
 //! the conditions (1)–(4) scan streams through memory instead of
-//! chasing one heap pointer per record. The arena's sweep is also the
-//! one place a lookup fans out over cores (see
-//! [`store::ParallelConfig`]). See [`store`] for the layout and the
-//! blocked early-abort match kernel.
+//! chasing one heap pointer per record. A sweep runs on the thread
+//! that asked for it. See [`store`] for the layout and the blocked
+//! early-abort match kernel.
 //!
 //! The early-abort cost model that makes the plain scan so strong at
 //! the paper's parameters — and why no coordinate-level index can
@@ -39,9 +38,7 @@ pub mod store;
 
 pub use epoch::{EpochIndex, EpochRead, EpochReader, IndexReader, Segment};
 pub use scan::ScanIndex;
-pub use store::{
-    CellWidth, FilterConfig, FilterKernel, ParallelConfig, PlaneDepth, RowMask, SketchArena,
-};
+pub use store::{CellWidth, FilterConfig, FilterKernel, PlaneDepth, RowMask, SketchArena};
 
 /// A unique record handle assigned by the index.
 ///

@@ -61,7 +61,7 @@ impl SketchIndex for ScanIndex {
 
     fn lookup_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
         // The arena's bounded sweep: stops at the budget-th hit while
-        // keeping the prefilter plane and parallel fan-out.
+        // keeping the prefilter plane.
         self.arena.find_at_most(probe, budget)
     }
 
@@ -69,7 +69,10 @@ impl SketchIndex for ScanIndex {
         if budget == 0 || subset.is_empty() {
             return Vec::new();
         }
-        let mask = RowMask::from_rows(subset.iter().copied());
+        // Unknown ids never match; kept out so the bitmap is sized by the
+        // arena, not by the largest id a caller names.
+        let rows = self.arena.rows();
+        let mask = RowMask::from_rows(subset.iter().copied().filter(|&id| id < rows));
         self.arena.find_at_most_masked(probe, &mask, budget)
     }
 

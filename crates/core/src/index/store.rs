@@ -94,8 +94,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub(crate) const TILE_ROWS: usize = sweep::TILE_WORDS * 64;
 
 /// How (and whether) a [`SketchArena`] builds its SWAR/SIMD prefilter
-/// plane for the conditions (1)–(4) scan, and whether a scan may fan
-/// out across cores.
+/// plane for the conditions (1)–(4) scan.
 ///
 /// The plane stores the leading [`PlaneDepth`] coordinates of every
 /// row 64 rows a group, dimension-major within the group: one 64-byte
@@ -120,8 +119,6 @@ pub struct FilterConfig {
     pub depth: PlaneDepth,
     /// Which vector kernel scans the plane.
     pub kernel: FilterKernel,
-    /// Multi-core fan-out policy for arena sweeps.
-    pub parallel: ParallelConfig,
 }
 
 /// Prefilter plane depth: how many leading coordinates get a packed
@@ -161,57 +158,6 @@ pub enum FilterKernel {
     Avx2,
 }
 
-/// When (and how wide) arena sweeps fan out across the shared worker
-/// pool. The parallel block-sweep splits the liveness bitmap's 64-row
-/// blocks into contiguous chunks; results are bit-identical to the
-/// sequential sweep (lowest-id match wins, verified by proptest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Minimum rows in the swept range before fanning out; below this
-    /// the pool dispatch overhead outweighs the sweep itself.
-    pub min_rows: usize,
-    /// Upper bound on participating threads (`0` = the whole pool).
-    /// `1` forces the sequential sweep.
-    pub max_threads: usize,
-}
-
-impl ParallelConfig {
-    /// Never fan out (the sequential sweep, exactly as before).
-    pub fn disabled() -> ParallelConfig {
-        ParallelConfig {
-            min_rows: usize::MAX,
-            max_threads: 1,
-        }
-    }
-
-    /// Fan out regardless of size, on at most `max_threads` threads —
-    /// the test/bench knob for exercising the parallel path on small
-    /// arenas.
-    pub fn forced(max_threads: usize) -> ParallelConfig {
-        ParallelConfig {
-            min_rows: 0,
-            max_threads,
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
-        ParallelConfig {
-            // A 128k-row i16 sweep is ~100 µs vectorized; handing a
-            // sweep to the pool costs ~50 µs on a 2-thread host (a
-            // row-0 hit goes from 0.6 to 53 µs under fan-out), so this
-            // is about where two threads stop losing. The `sweep_policy`
-            // bench gates parallel vs sequential at 10⁶ rows, where two
-            // threads read 1.3×. No arena an `EpochIndex` builds is
-            // this large (they seal at 65 536 rows): today only a
-            // single-arena `ScanIndex` fans out (DESIGN.md, *Reach*).
-            min_rows: 1 << 17,
-            max_threads: 0,
-        }
-    }
-}
-
 impl FilterConfig {
     /// Ceiling on [`PlaneDepth::Adaptive`] lanes: past 16 dimensions
     /// the plane's memory traffic grows faster than any realistic
@@ -248,13 +194,6 @@ impl FilterConfig {
         self.kernel = kernel;
         self
     }
-
-    /// Replaces the multi-core fan-out policy.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> FilterConfig {
-        self.parallel = parallel;
-        self
-    }
 }
 
 impl Default for FilterConfig {
@@ -262,7 +201,6 @@ impl Default for FilterConfig {
         FilterConfig {
             depth: PlaneDepth::Adaptive,
             kernel: FilterKernel::Auto,
-            parallel: ParallelConfig::default(),
         }
     }
 }

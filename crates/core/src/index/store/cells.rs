@@ -40,9 +40,8 @@ impl CellWidth {
     }
 }
 
-/// A coordinate cell: the width-generic bound of the match kernel
-/// (`Sync`: the chunks of a parallel sweep share the column buffer).
-pub(super) trait Cell: Copy + Sync {
+/// A coordinate cell: the width-generic bound of the match kernel.
+pub(super) trait Cell: Copy {
     fn widen(self) -> i64;
     fn narrow(v: i64) -> Self;
     /// `|a − b|` as a `u64`, exact for every canonical value of this

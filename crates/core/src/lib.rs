@@ -18,7 +18,7 @@
 //! * [`index`] — the server-side sketch lookup: the paper's early-abort
 //!   scan over columnar storage, as the epoch-published [`EpochIndex`]
 //!   every server builds (lock-free reads, batch lookups, one sweep
-//!   that fans out over cores) and the one-arena [`ScanIndex`]
+//!   driver behind every lookup) and the one-arena [`ScanIndex`]
 //!   reference the oracle suites compare it against (see `DESIGN.md`).
 //! * [`codec`] — the canonical, versioned binary codec for durable
 //!   sketch/helper storage: magic + format version + system-parameter
@@ -85,7 +85,7 @@ pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
     CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel, IndexReader,
-    ParallelConfig, PlaneDepth, RecordId, RowMask, ScanIndex, Segment, SketchArena, SketchIndex,
+    PlaneDepth, RecordId, RowMask, ScanIndex, Segment, SketchArena, SketchIndex,
 };
 pub use key::ExtractedKey;
 pub use numberline::NumberLine;

@@ -53,11 +53,10 @@ impl SystemParams {
         }
     }
 
-    /// Tunes the server-side SWAR/SIMD prefilter plane and sweep
-    /// policy for the conditions (1)–(4) scan. The default keeps the
-    /// plane on at an adaptive depth chosen from the ring's rejection
-    /// rate, with auto-dispatched SIMD and multi-core fan-out once an
-    /// arena is large enough; [`FilterConfig::disabled`] restores the
+    /// Tunes the server-side SWAR/SIMD prefilter plane for the
+    /// conditions (1)–(4) scan. The default keeps the plane on at an
+    /// adaptive depth chosen from the ring's rejection rate, with
+    /// auto-dispatched SIMD; [`FilterConfig::disabled`] restores the
     /// pure scalar kernel.
     #[must_use]
     pub fn with_filter_config(mut self, filter: FilterConfig) -> Self {
@@ -212,16 +211,11 @@ mod tests {
 
     #[test]
     fn filter_config_defaults_and_builder() {
-        use fe_core::{ParallelConfig, PlaneDepth};
+        use fe_core::PlaneDepth;
         let p = SystemParams::insecure_test_defaults();
         assert_eq!(p.filter_config(), FilterConfig::default());
         assert_eq!(p.filter_config().depth, PlaneDepth::Adaptive);
-        assert_eq!(p.filter_config().parallel, ParallelConfig::default());
         let p = p.with_filter_config(FilterConfig::disabled());
         assert_eq!(p.filter_config().depth, PlaneDepth::Fixed(0));
-        // The whole sweep policy travels through SystemParams.
-        let p =
-            p.with_filter_config(FilterConfig::default().with_parallel(ParallelConfig::forced(2)));
-        assert_eq!(p.filter_config().parallel.max_threads, 2);
     }
 }

@@ -29,9 +29,9 @@
 //!
 //! # Batching is overload control, not a speedup dial
 //!
-//! With the vectorized, prefiltered (and now multi-core) scan kernel,
-//! the measured batched-vs-direct *throughput* ratio on a warm server
-//! collapses to ≈1.0 (`scheduler_batch_speedup` in BENCH_SMOKE): one
+//! With the vectorized, prefiltered scan kernel, the measured
+//! batched-vs-direct *throughput* ratio on a warm server collapses to
+//! ≈1.0 (`scheduler_batch_speedup` in BENCH_SMOKE): one
 //! probe already streams the arena at close to memory bandwidth, so
 //! coalescing probes no longer multiplies throughput the way it did
 //! against the scalar kernel. What batching still buys — and why the
@@ -42,13 +42,10 @@
 //!
 //! # One level of parallelism
 //!
-//! Scheduler workers are plain threads; the scan kernel they call fans
-//! out on the process-wide worker pool (`ParallelConfig`). Those two
-//! layers cannot oversubscribe each other: the pool is sized once from
-//! available parallelism, pool workers only ever run one chunk of a
-//! sweep (which never fans out again), and the default
-//! worker count below is capped at the hardware thread count — so a
-//! micro-batch is handed to the parallel kernel as-is, not split again.
+//! Scheduler workers are plain threads, and they are the only threads
+//! a lookup ever runs on: a sweep stays on the worker that called it.
+//! The default worker count below is capped at the hardware thread
+//! count, because more drainers than cores only time-slice.
 //!
 //! # Backpressure
 //!
@@ -95,9 +92,9 @@ pub struct SchedulerConfig {
     pub queue_capacity: usize,
     /// Worker threads draining the queue. `0` (the default) means one
     /// per server shard, capped at the hardware thread count (more
-    /// drainers than cores would only contend with the scan kernel's
-    /// own pool fan-out): with `W` workers, `W` micro-batches execute
-    /// concurrently, each taking the per-shard read locks in turn.
+    /// drainers than cores would only time-slice): with `W` workers,
+    /// `W` micro-batches execute concurrently, each taking the
+    /// per-shard read locks in turn.
     pub workers: usize,
     /// Seed for the workers' challenge RNG (worker `i` derives its own
     /// stream from `rng_seed + i`). The default is drawn from OS

@@ -703,7 +703,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// Results are position-aligned with `probes`.
     ///
     /// This is the entry point that lets a server amortize both the
-    /// index traversal (batched, possibly parallel) and — through
+    /// index traversal (one pass for the whole batch) and — through
     /// [`crate::concurrent::SharedServer::identify_batch`] — one lock
     /// acquisition over many concurrent devices.
     pub fn identify_batch<R: RngCore + ?Sized>(

@@ -145,8 +145,11 @@ fn check_reader_quiescent(index: &EpochIndex, model: &ModelIndex, probes: &[Vec<
         prop_assert_eq!(reader.find_first(probe), all.first().copied());
         prop_assert_eq!(&reader.find_at_most(probe, 2), &all[..all.len().min(2)]);
         prop_assert_eq!(&reader.find_at_most(probe, usize::MAX), &all);
-        // Subset-masked scan over every other logged slot.
-        let subset: Vec<usize> = (0..model.entries.len()).step_by(2).collect();
+        // Subset-masked scan over every other logged slot, and over
+        // ids no slot has.
+        let slots = model.entries.len();
+        let mut subset: Vec<usize> = (0..slots).step_by(2).collect();
+        subset.extend([slots, 1 << 40, usize::MAX]);
         let want: Vec<usize> = all.iter().copied().filter(|id| id % 2 == 0).collect();
         prop_assert_eq!(
             reader.find_in_subset(probe, &subset, usize::MAX),

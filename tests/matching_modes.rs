@@ -2,11 +2,10 @@
 //! kernels and the four server-side matching modes — each checked
 //! against a naive oracle built from nothing but the scalar
 //! `cyclic_close` test, across every kernel (scalar / SWAR /
-//! auto-dispatched SIMD), sequential and parallel sweeps, and every
-//! cell-width class.
+//! auto-dispatched SIMD) and every cell-width class.
 
 use fuzzy_id::core::conditions::{cyclic_close, sketches_match};
-use fuzzy_id::core::{FilterConfig, ParallelConfig, RowMask, SketchArena};
+use fuzzy_id::core::{FilterConfig, RowMask, SketchArena};
 use fuzzy_id::protocol::{
     AuthenticationServer, BiometricDevice, ProtocolError, SystemParams, UserId,
 };
@@ -126,23 +125,14 @@ fn materialize(bases: &[Vec<i64>], (sel, noise, _): &Derived) -> Vec<i64> {
         .collect()
 }
 
-/// Every kernel × sweep-shape combination under test: auto-dispatched
-/// SIMD, forced SWAR, and plain scalar, each sequential (the default
-/// threshold never triggers on these tiny populations) and forced
-/// parallel at 2, 4, and uncapped workers.
-fn kernel_sweep() -> Vec<FilterConfig> {
-    let mut out = Vec::new();
-    for filter in [
+/// Every kernel under test: auto-dispatched SIMD, forced SWAR, and
+/// plain scalar.
+fn kernel_sweep() -> [FilterConfig; 3] {
+    [
         FilterConfig::default(),
         FilterConfig::swar(),
         FilterConfig::disabled(),
-    ] {
-        out.push(filter);
-        for threads in [2usize, 4, 0] {
-            out.push(filter.with_parallel(ParallelConfig::forced(threads)));
-        }
-    }
-    out
+    ]
 }
 
 const BUDGETS: [usize; 5] = [0, 1, 2, 3, usize::MAX];
@@ -152,12 +142,11 @@ proptest! {
 
     /// Tentpole equivalence, single-template: `find_at_most` and
     /// `find_at_most_masked` ≡ the oracle for every budget, every mask,
-    /// every kernel, sequential and parallel.
+    /// every kernel.
     #[test]
     fn bounded_and_masked_scan_match_oracle(
         (t, ka, bases, rows, probes, mask_seed) in population(),
     ) {
-        rayon::ensure_threads(4);
         let model = Model {
             t,
             ka,
@@ -200,33 +189,23 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Edge cases the proptests reach only by luck: budgets filling exactly
-// at chunk boundaries, cancellation racing tombstones, and the three
+// at word and tile boundaries, a budget over tombstones, and the three
 // degenerate mask shapes.
 // ---------------------------------------------------------------------------
 
 const T: u64 = 100;
 const KA: u64 = 400;
 
-fn forced(threads: usize) -> FilterConfig {
-    FilterConfig::default().with_parallel(ParallelConfig::forced(threads))
-}
-
-/// The `budget`-th match landing exactly on a 64-row liveness-word (and
-/// parallel chunk) boundary must neither duplicate nor drop hits: the
-/// fetch-min bound published by one chunk cancels the ones above it.
+/// The `budget`-th match landing exactly on a 64-row liveness-word or
+/// a 1 024-row tile boundary must neither duplicate nor drop hits: the
+/// probe leaves the sweep at that hit, whichever side of the boundary
+/// it is on.
 #[test]
-fn exactly_k_at_chunk_boundaries() {
-    rayon::ensure_threads(4);
-    let hits = [0usize, 63, 64, 65, 127, 128, 191, 255];
-    for filter in [
-        FilterConfig::default(),
-        FilterConfig::swar(),
-        FilterConfig::disabled(),
-        forced(2),
-        forced(4),
-    ] {
+fn exactly_k_at_word_and_tile_boundaries() {
+    let hits = [0usize, 63, 64, 65, 1023, 1024, 1025, 2047, 2048];
+    for filter in kernel_sweep() {
         let mut arena = SketchArena::with_filter(T, KA, filter);
-        for row in 0..256usize {
+        for row in 0..2100usize {
             // Matching rows sit at `hits`; everything else is far away.
             let v = if hits.contains(&row) { 0i64 } else { 195 };
             arena.push(&[v]);
@@ -242,15 +221,13 @@ fn exactly_k_at_chunk_boundaries() {
     }
 }
 
-/// Cancellation under tombstones: with every row matching and a prefix
+/// A budget under tombstones: with every row matching and a prefix
 /// revoked, the bounded sweep must return the first `budget` *live*
-/// ids — chunks whose range was cancelled by an earlier winner must not
-/// have consumed the budget with rows that later turn out dead.
+/// ids — the lowest live id wins, and dead rows consume no budget.
 #[test]
 fn budget_cancellation_survives_tombstones() {
-    rayon::ensure_threads(4);
     for kill in [0usize, 1, 63, 64, 65, 130] {
-        let mut arena = SketchArena::with_filter(T, KA, forced(4));
+        let mut arena = SketchArena::new(T, KA);
         for _ in 0..257 {
             arena.push(&[7]);
         }
@@ -269,32 +246,29 @@ fn budget_cancellation_survives_tombstones() {
 /// match decision (dead rows stay unmatchable even when selected).
 #[test]
 fn masks_empty_full_and_one_row() {
-    rayon::ensure_threads(4);
-    for filter in [FilterConfig::default(), forced(4)] {
-        let mut arena = SketchArena::with_filter(T, KA, filter);
-        for row in 0..130i64 {
-            arena.push(&[if row % 3 == 0 { 10 } else { 190 }]);
-        }
-        arena.remove(6);
-        let probe = [5i64];
+    let mut arena = SketchArena::new(T, KA);
+    for row in 0..130i64 {
+        arena.push(&[if row % 3 == 0 { 10 } else { 190 }]);
+    }
+    arena.remove(6);
+    let probe = [5i64];
 
-        assert_eq!(
-            arena.find_at_most_masked(&probe, &RowMask::new(), 8),
-            vec![]
-        );
+    assert_eq!(
+        arena.find_at_most_masked(&probe, &RowMask::new(), 8),
+        vec![]
+    );
 
-        let full = RowMask::from_rows(0..130);
-        assert_eq!(
-            arena.find_at_most_masked(&probe, &full, usize::MAX),
-            arena.find_at_most(&probe, usize::MAX)
-        );
+    let full = RowMask::from_rows(0..130);
+    assert_eq!(
+        arena.find_at_most_masked(&probe, &full, usize::MAX),
+        arena.find_at_most(&probe, usize::MAX)
+    );
 
-        for row in 0..130usize {
-            let one = RowMask::from_rows([row]);
-            let got = arena.find_at_most_masked(&probe, &one, 8);
-            let matches = row % 3 == 0 && row != 6;
-            assert_eq!(got, if matches { vec![row] } else { vec![] }, "row {row}");
-        }
+    for row in 0..130usize {
+        let one = RowMask::from_rows([row]);
+        let got = arena.find_at_most_masked(&probe, &one, 8);
+        let matches = row % 3 == 0 && row != 6;
+        assert_eq!(got, if matches { vec![row] } else { vec![] }, "row {row}");
     }
 }
 

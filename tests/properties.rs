@@ -6,8 +6,8 @@ use fuzzy_id::core::codec::{
 };
 use fuzzy_id::core::conditions::{cyclic_close, paper_conditions_hold, sketches_match};
 use fuzzy_id::core::{
-    ChebyshevSketch, EpochIndex, FilterConfig, FuzzyExtractor, HelperData, NumberLine,
-    ParallelConfig, PlaneDepth, RobustData, ScanIndex, SecureSketch, SketchIndex,
+    ChebyshevSketch, EpochIndex, FilterConfig, FuzzyExtractor, HelperData, NumberLine, PlaneDepth,
+    RobustData, ScanIndex, SecureSketch, SketchIndex,
 };
 use fuzzy_id::metrics::{Metric, RingChebyshev};
 use proptest::prelude::*;
@@ -617,8 +617,8 @@ fn index_case() -> impl Strategy<Value = (u64, u64, usize, Vec<IndexOp>)> {
 
 /// Drives one implementation and the model through the same script,
 /// checking every observable output pairwise: ids, lookup, lookup_all,
-/// lookup_batch, remove results, compact mappings, live/slot counts,
-/// and the streaming iterator.
+/// lookup_batch, lookup_in_subset, remove results, compact mappings,
+/// live/slot counts, and the streaming iterator.
 fn check_against_model<I: SketchIndex>(mut index: I, t: u64, ka: u64, ops: &[IndexOp]) {
     let mut model = ModelIndex::new(t, ka);
     let mut inserted: Vec<Vec<i64>> = Vec::new();
@@ -673,6 +673,20 @@ fn check_against_model<I: SketchIndex>(mut index: I, t: u64, ka: u64, ops: &[Ind
     let batch = index.lookup_batch(&probes_seen);
     for (probe, got) in probes_seen.iter().zip(batch) {
         prop_assert_eq!(model.lookup(probe), got);
+    }
+    // A subset lookup over every other slot — and over ids no slot has,
+    // which "simply never match" however large they are.
+    let slots = model.entries.len();
+    let mut subset: Vec<usize> = (0..slots).step_by(2).collect();
+    subset.extend([slots, 1 << 40, usize::MAX]);
+    for probe in &probes_seen {
+        let mut want = model.lookup_all(probe);
+        want.retain(|id| id % 2 == 0);
+        prop_assert_eq!(
+            index.lookup_in_subset(probe, &subset, usize::MAX),
+            want,
+            "subset lookup diverged"
+        );
     }
     // The streaming iterator sees exactly the model's live rows, in
     // ascending order, congruent mod ka (the arena stores canonical
@@ -792,23 +806,6 @@ proptest! {
         }
     }
 
-    /// Byte plane × parallel block-sweep: the quantized phase-1 masks
-    /// feed the same chunked verify, so every thread count must return
-    /// results identical to the sequential model sweep.
-    #[test]
-    fn byte_plane_parallel_kernel_matches_model((t, ka, _dim, ops) in index_case()) {
-        rayon::ensure_threads(4);
-        for threads in [2usize, 4] {
-            check_against_model(
-                ScanIndex::with_filter(
-                    t, ka,
-                    FilterConfig::default().with_parallel(ParallelConfig::forced(threads)),
-                ),
-                t, ka, &ops,
-            );
-        }
-    }
-
     /// Quantization boundaries: coordinates pinned to bucket edges
     /// (multiples of `q = ⌈ka/256⌉`, ±1) and to the ring wrap (`ka−1`
     /// wrapping to `0`), with thresholds straddling the eligibility
@@ -856,36 +853,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The rayon-chunked parallel block-sweep ≡ the model for every
-    /// cell width (the `index_case` ring strategy spans i16/i32/i64 and
-    /// the i128-widening class) × kernel (auto-dispatched SIMD, forced
-    /// SWAR, plain scalar) × thread count: `lookup` must return the
-    /// identical lowest-global-id match, and `lookup_all` /
-    /// `lookup_batch` the identical full results, as the sequential
-    /// sweep — cooperative cancellation between chunks included.
-    /// `ParallelConfig::forced` drops the row threshold to zero so even
-    /// tiny populations exercise the chunked path.
-    #[test]
-    fn parallel_sweep_kernel_matches_model((t, ka, _dim, ops) in index_case()) {
-        rayon::ensure_threads(4);
-        for filter in [
-            FilterConfig::default(),
-            FilterConfig::swar(),
-            FilterConfig::disabled(),
-        ] {
-            // `0` = no cap: every pool worker the machine offers.
-            for threads in [2usize, 4, 0] {
-                check_against_model(
-                    ScanIndex::with_filter(
-                        t, ka,
-                        filter.with_parallel(ParallelConfig::forced(threads)),
-                    ),
-                    t, ka, &ops,
-                );
-            }
-        }
-    }
-
     /// A plane pinned to the pre-adaptive constant depth `F = 8` ≡ the
     /// model on arbitrary populations. Together with
     /// `scan_index_matches_vec_of_vec_model` (which runs the default
@@ -901,34 +868,6 @@ proptest! {
             ),
             t, ka, &ops,
         );
-    }
-
-    /// Cancellation never drops a match: with *every* row matching the
-    /// probe and the sweep forced parallel, workers racing to publish
-    /// "best id so far" must still surface the lowest live id — also
-    /// after the current winner is revoked, which forces a later chunk
-    /// to win against an already-cancelled earlier one.
-    #[test]
-    fn parallel_cancellation_kernel_keeps_lowest_match(
-        (t, ka) in ring_params(),
-        rows in 65usize..257,
-        kill in 0usize..64,
-    ) {
-        rayon::ensure_threads(4);
-        let mut arena = fuzzy_id::core::SketchArena::with_filter(
-            t, ka,
-            FilterConfig::default().with_parallel(ParallelConfig::forced(4)),
-        );
-        let base = (ka / 2) as i64;
-        for _ in 0..rows {
-            arena.push(&[base]);
-        }
-        prop_assert_eq!(arena.find_first(&[base]), Some(0));
-        let kill = kill.min(rows - 1);
-        for id in 0..kill {
-            arena.remove(id);
-        }
-        prop_assert_eq!(arena.find_first(&[base]), Some(kill));
     }
 }
 
