@@ -33,7 +33,10 @@
 //!   `target/experiments/storage_ablation.csv` from `heap_bytes()`;
 //!   `record_table_bytes_per_record_*` is what an
 //!   `AuthenticationServer` holds per user *besides* the index row
-//!   (`record_heap_bytes()`), gated at 1.1× the committed value.
+//!   (`record_heap_bytes()`), and `index_bytes_per_record_*` what the
+//!   index row itself takes in a default `EpochIndex` at the paper
+//!   shape (`dim` 64, `ka` 400: 72 B of packed row, 8 B of plane, a
+//!   liveness bit) — each gated at 1.1× the committed value.
 //!
 //! Kernel variants: `columnar` = the PR 3 scalar columnar kernel
 //! (`FilterConfig::disabled()`), `swar` = portable packed-lane SWAR
@@ -49,7 +52,7 @@
 //! [`bench_sweep_policy`]).
 //!
 //! `FE_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run that
-//! still executes every cell-width dispatch path (`i16`/`i32`/`i64`),
+//! still executes every row-layout dispatch path (packed/`i32`/`i64`),
 //! every kernel variant, and the pre-sized bulk-load path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -117,6 +120,19 @@ fn synth_sketches(n: usize, ka: u64, rng: &mut StdRng) -> Vec<Vec<i64>> {
         .collect()
 }
 
+/// Bytes per row of a default [`EpochIndex`] over `n` sketches of the
+/// paper's shape — `dim` 64 on the paper ring, whatever `DIM` the
+/// timing arms use.
+fn index_bytes_per_record(n: usize, rng: &mut StdRng) -> f64 {
+    let mut index = EpochIndex::new(T, KA);
+    let half = (KA / 2) as i64;
+    for _ in 0..n {
+        let sketch: Vec<i64> = (0..64).map(|_| rng.gen_range(-half..=half)).collect();
+        index.insert(&sketch);
+    }
+    index.heap_bytes() as f64 / n as f64
+}
+
 /// Bytes per user of a server's record table (everything but the index
 /// rows) after enrolling `sketches` under records of the paper's shape:
 /// 128 key bytes, a 32-byte tag, a 32-byte seed.
@@ -182,8 +198,9 @@ fn bench_storage(c: &mut Criterion) {
     let mut insert_gate_pair = (0.0f64, 0.0f64);
     // µs per row over enough inserts to seal four segments.
     let mut insert_amortised_us = 0.0f64;
-    // (committed, measured) record-table bytes/record, same population.
-    let mut record_gate = (None, 0.0f64);
+    // (name, committed, measured) bytes/record of the record table and
+    // of the index row, same population.
+    let mut byte_gates: Vec<(&str, Option<f64>, f64)> = Vec::new();
     // Best-of iterations for the single-shot smoke timings.
     let iters = if smoke { 9 } else { 5 };
     for &n in sizes {
@@ -208,7 +225,7 @@ fn bench_storage(c: &mut Criterion) {
             swar_idx.insert(s);
             vectorized.insert(s);
         }
-        assert_eq!(columnar.arena().width(), CellWidth::I16);
+        assert_eq!(columnar.arena().width(), CellWidth::Packed);
         assert_eq!(columnar.arena().filter_kernel(), "scalar");
         assert_eq!(swar_idx.arena().filter_kernel(), "swar");
         kernel_label = vectorized.arena().filter_kernel();
@@ -368,10 +385,18 @@ fn bench_storage(c: &mut Criterion) {
         smoke_metrics.push((format!("vectorized_bytes_per_record_{n}"), vect_bpr));
         let table_key = format!("record_table_bytes_per_record_{n}");
         let table_bpr = record_table_bytes_per_record(&sketches);
+        let index_key = format!("index_bytes_per_record_{n}");
+        let index_bpr = index_bytes_per_record(n, &mut rng);
         // Read before `smoke::record` below rewrites the report.
-        record_gate = (smoke::baseline("storage_ablation", &table_key), table_bpr);
+        let committed = |key: &str| smoke::baseline("storage_ablation", key);
+        byte_gates = vec![
+            ("record table", committed(&table_key), table_bpr),
+            ("index row", committed(&index_key), index_bpr),
+        ];
         smoke_metrics.push((table_key, table_bpr));
+        smoke_metrics.push((index_key, index_bpr));
         println!("storage_ablation/record_table_bytes_per_record/{n}: {table_bpr:.1} B");
+        println!("storage_ablation/index_bytes_per_record/{n}: {index_bpr:.1} B");
         println!(
             "storage_ablation/bytes_per_record/{n}: baseline {base_bpr:.1} B, \
              columnar {col_bpr:.1} B ({:.1}× smaller), vectorized {vect_bpr:.1} B \
@@ -430,20 +455,22 @@ fn bench_storage(c: &mut Criterion) {
             "FE_BENCH_GATE: an EpochIndex insert costs {insert_us:.3} µs, more than 1.25× the \
              {reserved_us:.3} µs it costs after reserve(n): publishing a row is no longer O(1)"
         );
-        // A byte count, so it repeats exactly: any growth is a layout
+        // Byte counts, so they repeat exactly: any growth is a layout
         // change, and one past a tenth must be a deliberate one.
-        if let (Some(committed), measured) = record_gate {
-            assert!(
-                measured <= committed * 1.1,
-                "FE_BENCH_GATE: record table holds {measured:.1} B/record, more than 1.1× \
-                 the committed {committed:.1} B"
-            );
+        for (what, committed, measured) in byte_gates {
+            if let Some(committed) = committed {
+                assert!(
+                    measured <= committed * 1.1,
+                    "FE_BENCH_GATE: the {what} holds {measured:.1} B/record, more than 1.1× \
+                     the committed {committed:.1} B"
+                );
+            }
         }
     }
 }
 
-/// Executes the two wide cell-width dispatch paths (`i32`, `i64`) so a
-/// smoke run covers every kernel instantiation, and checks the widths
+/// Executes every row-layout dispatch path (packed, `i32`, `i64`) so a
+/// smoke run covers every kernel instantiation, and checks the layouts
 /// actually selected.
 fn bench_width_dispatch(c: &mut Criterion) {
     let smoke = smoke::smoke_mode();
@@ -454,7 +481,7 @@ fn bench_width_dispatch(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(100));
 
     for (name, ka, expect) in [
-        ("i16", KA, CellWidth::I16),
+        ("packed", KA, CellWidth::Packed),
         ("i32", 1u64 << 20, CellWidth::I32),
         ("i64", 1u64 << 40, CellWidth::I64),
     ] {

@@ -82,15 +82,15 @@ use super::{RecordId, SketchIndex};
 const DEFAULT_SEAL_ROWS: usize = 65_536;
 
 /// Cell bytes the default head reserves at most, whatever the
-/// dimension: exactly [`DEFAULT_SEAL_ROWS`] rows at the paper's
-/// `64 × i16`.
+/// dimension; [`DEFAULT_SEAL_ROWS`] of the paper's 72-byte rows are
+/// 4.5 MiB of it.
 const DEFAULT_SEAL_BYTES: usize = 8 << 20;
 
 /// The default seal threshold for rows of `row_bytes` cell bytes:
 /// [`DEFAULT_SEAL_ROWS`] rows or [`DEFAULT_SEAL_BYTES`] of cells,
 /// whichever is fewer rows — in whole tiles, at least one — so what a
 /// first enroll reserves is bounded for any dimension (8 MiB per
-/// index at `dim = 1 024`, not 128).
+/// index at `dim = 1 024`, not 72).
 fn default_seal_rows(row_bytes: usize) -> usize {
     let by_bytes = DEFAULT_SEAL_BYTES / row_bytes.max(1) / TILE_ROWS * TILE_ROWS;
     by_bytes.clamp(TILE_ROWS, DEFAULT_SEAL_ROWS)
@@ -101,7 +101,7 @@ fn default_seal_rows(row_bytes: usize) -> usize {
 const MAINTAIN_TOMBSTONE_DIVISOR: usize = 4;
 
 /// Version tag leading every exported segment blob.
-const SEGMENT_BLOB_VERSION: u32 = 1;
+const SEGMENT_BLOB_VERSION: u32 = 2;
 
 /// Global-id map for a segment's rows.
 #[derive(Debug, Clone)]
@@ -505,7 +505,7 @@ impl EpochIndex {
     fn start_head(&mut self, base: RecordId) {
         let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
         if let Some(dim) = self.dim {
-            let row_bytes = dim * CellWidth::for_ring(self.ka).cell_bytes();
+            let row_bytes = CellWidth::row_bytes(self.ka, dim);
             let rows = self
                 .seal_rows
                 .unwrap_or_else(|| default_seal_rows(row_bytes));
@@ -1213,6 +1213,86 @@ mod tests {
             assert_eq!(fresh.import_segments(&hostile), None);
             assert!(fresh.is_empty(), "failed import must leave the index empty");
         }
+    }
+
+    /// A one-segment blob over `index`'s ring: `rows` rows of `dim`
+    /// coordinates claimed, `cells` as their cell run, every row live.
+    fn one_segment_blob(index: &EpochIndex, dim: u32, rows: u64, cells: &[u8]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        put_u32(&mut blob, SEGMENT_BLOB_VERSION);
+        put_u64(&mut blob, index.t);
+        put_u64(&mut blob, index.ka);
+        put_u32(&mut blob, dim);
+        put_u32(&mut blob, 1);
+        put_u64(&mut blob, rows);
+        put_u64(&mut blob, cells.len() as u64);
+        blob.extend_from_slice(cells);
+        put_u32(&mut blob, rows.div_ceil(64) as u32);
+        for w in 0..rows.div_ceil(64) {
+            put_u64(&mut blob, !0 >> (64 * (w + 1)).saturating_sub(rows));
+        }
+        blob
+    }
+
+    /// `import_segments` is a public method: a blob's cells are outside
+    /// input, and a coordinate that is no residue of the ring must be
+    /// refused at the door — a sweep computes `ka − d` on whatever it
+    /// finds stored (the parent took such a blob and panicked, or in a
+    /// release build wrapped, on the next lookup). So must a cell run
+    /// that is not a whole number of rows.
+    #[test]
+    fn import_refuses_cells_outside_the_ring() {
+        // (ka, cells of one 2-coordinate row, why they are refused).
+        // 400: q = 2, 200 buckets; 401: a last bucket of one residue;
+        // 251: q = 1, a byte is the residue; 2²⁰: canonical i32 cells.
+        let i32s = |a: i32, b: i32| [a.to_le_bytes(), b.to_le_bytes()].concat();
+        let hostile: [(u64, Vec<u8>, &str); 7] = [
+            (400, vec![7, 200, 0], "bucket 200 of 200"),
+            (
+                401,
+                vec![7, 200, 0b10],
+                "residue 401 in the short last bucket",
+            ),
+            (401, vec![7, 201, 0], "bucket 201 of 201"),
+            (251, vec![7, 251], "residue 251"),
+            (700, vec![7, 8, 0b0011], "remainder 3 with q = 3"),
+            (1 << 20, i32s(7, (1 << 19) + 1), "cell above ka/2"),
+            (1 << 20, i32s(-(1 << 19), 7), "cell below −(ka−1)/2"),
+        ];
+        for (ka, cells, why) in hostile {
+            let mut index = sealing_at(100, ka, 8);
+            let blob = one_segment_blob(&index, 2, 1, &cells);
+            assert_eq!(index.import_segments(&blob), None, "ka = {ka}: {why}");
+            assert!(index.is_empty() && index.slots() == 0, "ka = {ka}: {why}");
+            assert_eq!(index.lookup(&[7, 7]), None);
+        }
+        // Their nearest valid neighbours import, and answer.
+        let valid: [(u64, Vec<u8>, [i64; 2]); 5] = [
+            (400, vec![7, 199, 0b10], [14, -1]),
+            (401, vec![7, 200, 0], [14, -1]),
+            (251, vec![7, 250], [7, -1]),
+            (700, vec![7, 8, 0b0010], [23, 24]),
+            (1 << 20, i32s(7, 1 << 19), [7, 1 << 19]),
+        ];
+        for (ka, cells, row) in valid {
+            let mut index = sealing_at(100, ka, 8);
+            let blob = one_segment_blob(&index, 2, 1, &cells);
+            assert_eq!(index.import_segments(&blob), Some(1), "ka = {ka}");
+            assert_eq!(index.lookup(&row), Some(0), "ka = {ka}");
+            let mut out = Vec::new();
+            assert!(index.copy_row_into(0, &mut out));
+            assert_eq!(out, row, "ka = {ka}");
+        }
+        // A cell run one byte short of, and one past, its three rows;
+        // and rows that claim no coordinates at all.
+        let mut index = sealing_at(100, 400, 8);
+        for (dim, rows, cells) in [(2, 3, vec![1; 8]), (2, 3, vec![1; 10]), (0, 3, vec![])] {
+            let blob = one_segment_blob(&index, dim, rows, &cells);
+            assert_eq!(index.import_segments(&blob), None);
+            assert!(index.is_empty() && index.slots() == 0);
+        }
+        let blob = one_segment_blob(&index, 2, 3, &[1; 9]);
+        assert_eq!(index.import_segments(&blob), Some(3));
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   and the kernel benches compare the engine against it.
 //!
 //! Both store their rows in the columnar [`store::SketchArena`]:
-//! one contiguous width-adaptive buffer (`i16` cells at the paper's
-//! `ka = 400`) with a tombstone bitmap and an in-place compactor, so
-//! the conditions (1)–(4) scan streams through memory instead of
-//! chasing one heap pointer per record. A sweep runs on the thread
-//! that asked for it. See [`store`] for the layout and the blocked
-//! early-abort match kernel.
+//! one contiguous ring-adaptive buffer (packed 9-bit coordinates at
+//! the paper's `ka = 400`) with a tombstone bitmap and an in-place
+//! compactor, so the conditions (1)–(4) scan streams through memory
+//! instead of chasing one heap pointer per record. A sweep runs on the
+//! thread that asked for it. See [`store`] for the layout and the
+//! blocked early-abort match kernel.
 //!
 //! The early-abort cost model that makes the plain scan so strong at
 //! the paper's parameters — and why no coordinate-level index can

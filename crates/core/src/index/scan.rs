@@ -4,9 +4,9 @@ use super::store::{FilterConfig, RowMask, SketchArena};
 use super::{RecordId, SketchIndex};
 
 /// Early-abort linear scan (the paper's strategy), backed by a
-/// [`SketchArena`]: one contiguous width-adaptive buffer instead of a
+/// [`SketchArena`]: one contiguous ring-adaptive buffer instead of a
 /// `Vec` of boxed rows, so the conditions (1)–(4) scan streams through
-/// memory with no pointer chasing. On `i16` rings the arena's
+/// memory with no pointer chasing. On narrow rings the arena's
 /// prefilter plane turns full scans into the two-phase vectorized
 /// kernel (see [`FilterConfig`]).
 #[derive(Debug, Clone)]

@@ -7,17 +7,20 @@
 //! not compute-bound. Row-of-pointers storage fights the hardware three
 //! ways: one heap allocation and one pointer chase per record, 8 bytes
 //! per coordinate when the ring (`ka = 400` at the paper's parameters)
-//! fits in 2, and a cloned copy of every sketch on each snapshot or
-//! compaction pass. [`SketchArena`] fixes all three:
+//! fits in 9 bits, and a cloned copy of every sketch on each snapshot
+//! or compaction pass. [`SketchArena`] fixes all three:
 //!
 //! * **One contiguous buffer.** All sketches live in a single
-//!   dimension-stamped column buffer (`rows × dim` cells, row-major), so
-//!   the early-abort scan walks memory linearly and the prefetcher wins.
-//! * **Width-adaptive cells.** Every stored coordinate is the canonical
-//!   ring representative (minimal signed residue mod `ka`), so the cell
-//!   type — `i16`, `i32` or `i64` — is chosen from `ka` at construction:
-//!   paper parameters take 2 bytes/coordinate instead of 8, quadrupling
-//!   the number of records per cache line.
+//!   dimension-stamped column buffer (row-major, one stride), so the
+//!   early-abort scan walks memory linearly and the prefetcher wins.
+//! * **Ring-adaptive rows.** Every stored coordinate is a residue mod
+//!   `ka`, so the row layout is chosen from `ka` at construction: on a
+//!   narrow ring (`ka < 2¹⁵`) a **packed** row of one bucket byte and
+//!   `⌈log₂⌈ka/256⌉⌉` remainder bits a coordinate — the paper's
+//!   `log₂(ka + 1)` bits (Theorem 3) rounded up, 72 bytes at the
+//!   paper's `64 × ka = 400` instead of 512 — and `i32` or `i64`
+//!   canonical cells on wider ones (`cells`: the layout and why the
+//!   bucket bytes lead).
 //! * **Tombstone bitmap.** Liveness is one bit per row (not an `Option`
 //!   discriminant per record), removal is one atomic bit flip — O(1),
 //!   and safe under a sweep that is reading the row — and
@@ -34,16 +37,16 @@
 //!   rows through a caller-visible `&[i64]` scratch row, so snapshot and
 //!   compaction passes never clone the whole population.
 //!
-//! The per-coordinate test itself lives here too, as a slice kernel
-//! (`rows_match`) generic over the cell width: normalization makes the
-//! cyclic-distance check branch-free (`min(d, ka − d) ≤ t` with no
-//! `%`), which is exactly the [`crate::conditions::cyclic_close`]
-//! predicate — the equivalence is property-tested in
-//! `tests/properties.rs`.
+//! The per-coordinate test itself lives here too, as one row kernel
+//! per layout (`Layout::row_matches`): both sides reduced into the
+//! ring make the cyclic-distance check `min(d, ka − d) ≤ t` with no
+//! `%`, which is exactly the [`crate::conditions::cyclic_close`]
+//! predicate — checked exhaustively beside the kernels and
+//! property-tested in `tests/properties.rs`.
 //!
 //! # The two-phase vectorized scan
 //!
-//! On the paper's ring (`ka < 2¹⁵`, `i16` cells) the arena additionally
+//! On the paper's ring (`ka < 2¹⁵`, packed rows) the arena additionally
 //! maintains a **prefilter plane**: the leading `F` (adaptive; 8 at the
 //! paper ring) coordinates of every row stored 64 rows a group and
 //! *dimension-major* within the group — a 64-byte lane per dimension,
@@ -56,9 +59,9 @@
 //! ~255/256 rows in the vector pass; the sparse survivors get exact
 //! verification of the whole row on the row-major buffer (the buckets
 //! over-accept, never over-reject). See [`FilterConfig`] for the knobs
-//! and `DESIGN.md` for the bucket math; rings whose cells are wider
-//! than `i16`, and rings so loose that no bucket lane could reject,
-//! have no plane and use the scalar kernel unchanged.
+//! and `DESIGN.md` for the bucket math; rings too wide for packed
+//! rows, and rings so loose that no bucket lane could reject, have no
+//! plane and use the scalar kernel alone.
 //!
 //! # One sweep, one row writer, five files
 //!
@@ -67,10 +70,10 @@
 //! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the public
 //! `find_*` names only choose them. Every row — a pushed sketch, a row
 //! a rewrite carries over — enters through `SketchArena::append`. This
-//! file holds the arena and its configuration; `cells` the width-typed
-//! column buffer and the scalar match kernel, `plane` the prefilter
-//! plane and its depth model, `kernels` the isolated SIMD
-//! backends, `shared` the append-under-readers buffer.
+//! file holds the arena and its configuration; `cells` the column
+//! buffer in its three row layouts and their scalar match kernels,
+//! `plane` the prefilter plane and its depth model, `kernels` the
+//! isolated SIMD backends, `shared` the append-under-readers buffer.
 
 mod cells;
 mod kernels;
@@ -82,11 +85,11 @@ pub use cells::CellWidth;
 pub use sweep::RowMask;
 
 use super::RecordId;
-use cells::Cells;
+use cells::{quantize_ring, Cells, Layout};
 use kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use kernels::{avx2, avx512};
-use plane::{adaptive_depth_for_rate, byte_plane_eligible, quantize_ring, FilterPlane};
+use plane::{adaptive_depth_for_rate, byte_plane_eligible, FilterPlane};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Rows per sweep tile: what an [`EpochIndex`](super::EpochIndex) sizes
@@ -103,7 +106,7 @@ pub(crate) const TILE_ROWS: usize = sweep::TILE_WORDS * 64;
 /// per-coordinate cyclic test
 /// vectorizes: the quantized threshold `t_q = ⌈t'/q⌉ + 1` over-accepts
 /// by construction, every true match survives, and survivors are
-/// exact-verified on all coordinates. It only exists on `i16`-cell
+/// exact-verified on all coordinates. It only exists on packed-row
 /// rings (`ka < 2¹⁵` — the paper's parameters) on which a bucket lane
 /// can still reject (`2·t_q + 1 < ⌈ka/q⌉`); every other ring uses the
 /// scalar kernel, whatever this config says.
@@ -228,7 +231,7 @@ impl Default for FilterConfig {
 /// use fe_core::index::store::{CellWidth, SketchArena};
 ///
 /// let mut arena = SketchArena::new(100, 400); // t, ka
-/// assert_eq!(arena.width(), CellWidth::I16);  // chosen from ka
+/// assert_eq!(arena.width(), CellWidth::Packed); // chosen from ka
 /// let a = arena.push(&[10, -20, 30]);
 /// let b = arena.push(&[180, 180, -180]);
 /// assert_eq!(arena.find_first(&[15, -25, 35]), Some(a));
@@ -242,7 +245,6 @@ impl Default for FilterConfig {
 pub struct SketchArena {
     t: u64,
     ka: u64,
-    width: CellWidth,
     /// Stamped by the first push (`None` while empty-and-unstamped).
     dim: Option<usize>,
     cells: Cells,
@@ -281,7 +283,6 @@ impl Clone for SketchArena {
         SketchArena {
             t: self.t,
             ka: self.ka,
-            width: self.width,
             dim: self.dim,
             cells: self.cells.clone(),
             capacity: self.capacity,
@@ -297,25 +298,23 @@ impl Clone for SketchArena {
 impl SketchArena {
     /// Creates an empty arena for sketches over a ring of circumference
     /// `ka` with threshold `t`, with the default prefilter
-    /// configuration (see [`SketchArena::with_filter`]). The cell width
+    /// configuration (see [`SketchArena::with_filter`]). The row layout
     /// is fixed here, from `ka`.
     pub fn new(t: u64, ka: u64) -> SketchArena {
         SketchArena::with_filter(t, ka, FilterConfig::default())
     }
 
     /// Creates an empty arena with an explicit prefilter configuration.
-    /// The plane only materializes on `i16` rings (`ka < 2¹⁵`) a bucket
+    /// The plane only materializes on narrow rings (`ka < 2¹⁵`) a bucket
     /// lane can reject on; every other ring ignores `filter`'s depth
     /// and kernel and always scans with the scalar kernel.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> SketchArena {
         assert!(ka >= 1, "ring circumference must be at least 1");
-        let width = CellWidth::for_ring(ka);
         SketchArena {
             t,
             ka,
-            width,
             dim: None,
-            cells: Cells::with_capacity(width, 0),
+            cells: Cells::for_ring(t, ka),
             capacity: 0,
             rows: AtomicUsize::new(0),
             dead: Vec::new(),
@@ -363,7 +362,7 @@ impl SketchArena {
             return;
         }
         self.capacity = capacity;
-        self.cells.grow(capacity * self.dim.unwrap_or(0));
+        self.cells.grow(capacity, self.dim.unwrap_or(0));
         self.dead
             .resize_with(capacity.div_ceil(64), || AtomicU64::new(0));
         if let Some(plane) = &mut self.plane {
@@ -374,7 +373,7 @@ impl SketchArena {
     /// The plane depth this arena's config resolves to for its ring
     /// (before clamping to the stamped dimension): 0 — no plane — on a
     /// ring no bucket lane can reject on (which every ring too wide for
-    /// `i16` cells is); otherwise [`PlaneDepth::Fixed`] verbatim, and
+    /// packed rows is); otherwise [`PlaneDepth::Fixed`] verbatim, and
     /// [`PlaneDepth::Adaptive`] from the per-bucket acceptance rate
     /// `(2·t_q+1)/⌈ka/q⌉` (see [`PlaneDepth`]).
     pub fn resolved_depth(&self) -> usize {
@@ -498,9 +497,9 @@ impl SketchArena {
         self.ka
     }
 
-    /// The cell width chosen from `ka`.
+    /// The row layout chosen from `ka`.
     pub fn width(&self) -> CellWidth {
-        self.width
+        CellWidth::for_ring(self.ka)
     }
 
     /// The stamped sketch dimension (`None` until the first push).
@@ -544,7 +543,7 @@ impl SketchArena {
     /// the process holds as address space, not as memory.
     pub(crate) fn used_bytes(&self) -> usize {
         let rows = self.rows();
-        rows * self.dim.unwrap_or(0) * self.width.cell_bytes()
+        rows * CellWidth::row_bytes(self.ka, self.dim.unwrap_or(0))
             + rows.div_ceil(64) * 8
             + self.plane.as_ref().map_or(0, FilterPlane::used_bytes)
     }
@@ -596,16 +595,18 @@ impl SketchArena {
                     "sketch dimension {} does not match the arena's stamped dimension {dim}",
                     sketch.len()
                 );
-                self.cells.append_sketch(sketch, self.ka);
+                self.cells.append_sketch(sketch);
             }
             Row::Stored(from, r) => {
                 assert_eq!((from.ka, from.dim), (self.ka, self.dim), "foreign row");
-                self.cells
-                    .append_stored(&from.cells, r * dim..(r + 1) * dim);
+                self.cells.append_stored(&from.cells, r, dim);
             }
         }
-        if let (63, Some(plane), Cells::I16(cells)) = (row % 64, &self.plane, &self.cells) {
-            plane.fill_group(&cells.published()[(row - 63) * dim..], dim);
+        if let (63, Some(plane), Cells::Packed(packed, cells)) =
+            (row % 64, &self.plane, &self.cells)
+        {
+            let stride = packed.stride(dim);
+            plane.fill_group(&cells.published()[(row - 63) * stride..], stride);
         }
         self.rows.store(row + 1, Ordering::Release);
         row
@@ -653,7 +654,7 @@ impl SketchArena {
             return false;
         }
         let dim = self.dim.expect("live rows imply a stamped dimension");
-        self.cells.widen_into(id * dim..(id + 1) * dim, out);
+        self.cells.decode_into(id, dim, out);
         true
     }
 
@@ -691,11 +692,12 @@ impl SketchArena {
     /// Rebuilds an arena from a sealed-segment frame: `rows` rows of
     /// `dim` little-endian cells plus the liveness words. Returns
     /// `None` on any size mismatch (a corrupt or truncated frame —
-    /// callers fall back to replaying the journal). The prefilter
-    /// plane is rebuilt from the imported cells; cell values are
-    /// trusted to be canonical ring representatives, which the
-    /// exporting arena guarantees and the enclosing frame's checksum
-    /// protects.
+    /// callers fall back to replaying the journal) and when any
+    /// coordinate is not a residue of the ring in this layout's
+    /// encoding: `import_segments` is a public method, so the bytes are
+    /// outside input, and a sweep's `ka − d` relies on every stored
+    /// value lying inside the ring. The prefilter plane is rebuilt
+    /// from the imported rows.
     pub(crate) fn from_parts(
         t: u64,
         ka: u64,
@@ -705,15 +707,20 @@ impl SketchArena {
         cell_bytes: &[u8],
         live_words: &[u64],
     ) -> Option<SketchArena> {
-        let width = CellWidth::for_ring(ka);
-        // `rows` and `dim` are a frame's claims: an overflowing product
-        // is a size mismatch like any other.
-        let expect_bytes = rows.checked_mul(dim)?.checked_mul(width.cell_bytes())?;
+        // `rows` and `dim` are a frame's claims. Every layout takes at
+        // least a byte a coordinate, so an overflowing product — or one
+        // of no coordinates, or of more than there are bytes — is a size
+        // mismatch, refused before a row size is worked out from `dim`.
+        let coordinates = rows.checked_mul(dim)?;
+        if coordinates == 0 || coordinates > cell_bytes.len() {
+            return None;
+        }
+        let expect_bytes = rows.checked_mul(CellWidth::row_bytes(ka, dim))?;
         if cell_bytes.len() != expect_bytes || live_words.len() != rows.div_ceil(64) {
             return None;
         }
         let mut arena = SketchArena::with_filter(t, ka, filter);
-        arena.cells = Cells::from_le_bytes(width, cell_bytes)?;
+        arena.cells = Cells::from_le_bytes(t, ka, dim, cell_bytes)?;
         arena.capacity = rows;
         arena.rows = AtomicUsize::new(rows);
         arena.stamp(dim);
@@ -735,11 +742,11 @@ impl SketchArena {
     /// Rebuilds the plane's complete groups from the cells (exclusive
     /// access: the rows were installed or slid wholesale).
     fn rebuild_plane(&mut self) {
-        if let (Some(plane), Cells::I16(cells), Some(dim)) =
+        if let (Some(plane), Cells::Packed(packed, cells), Some(dim)) =
             (&mut self.plane, &self.cells, self.dim)
         {
             plane.grow(self.capacity);
-            plane.rebuild(cells.published(), *self.rows.get_mut(), dim);
+            plane.rebuild(cells.published(), *self.rows.get_mut(), packed.stride(dim));
         }
     }
 
@@ -755,7 +762,7 @@ impl SketchArena {
 
     /// Keeps the first `rows` rows, all live.
     fn reset_rows(&mut self, rows: usize) {
-        self.cells.truncate(rows * self.dim.unwrap_or(0));
+        self.cells.truncate(rows, self.dim.unwrap_or(0));
         *self.rows.get_mut() = rows;
         *self.dead_rows.get_mut() = 0;
         for word in &mut self.dead {
@@ -783,7 +790,7 @@ impl SketchArena {
             }
             let next = mapping.len();
             if next != id {
-                self.cells.slide(id * dim, next * dim, dim);
+                self.cells.slide(id, next, dim);
             }
             mapping.push((id, next));
         }
@@ -895,35 +902,36 @@ mod tests {
 
     #[test]
     fn heap_bytes_tracks_width() {
-        // Filter disabled so the comparison isolates the cell width
-        // (the i64 arena can never build a plane anyway).
-        let mut narrow = SketchArena::with_filter(100, 400, FilterConfig::disabled());
-        narrow.reserve(64, 8);
-        let mut wide = SketchArena::with_capacity(100, 1 << 40, 64, 8);
-        for i in 0..64i64 {
-            narrow.push(&[i; 8]);
-            wide.push(&[i; 8]);
-        }
-        assert!(narrow.heap_bytes() >= 64 * 8 * 2 + 8);
-        assert!(
-            narrow.heap_bytes() * 3 < wide.heap_bytes(),
-            "i16 cells must be ~4× smaller than i64: {} vs {}",
-            narrow.heap_bytes(),
-            wide.heap_bytes()
-        );
+        // Filter disabled so the figure isolates the row layout: 64
+        // rows of 64 coordinates and their one tombstone word. The
+        // paper ring packs 9 bits a coordinate, a byte-sized ring 8,
+        // the wide rings keep 4- and 8-byte cells.
+        let cell_bytes_per_row = |ka: u64| {
+            let mut arena = SketchArena::with_filter(100, ka, FilterConfig::disabled());
+            arena.reserve(64, 64);
+            for i in 0..64i64 {
+                arena.push(&[i; 64]);
+            }
+            // A full arena holds what it uses, and a few spare
+            // tombstone words.
+            let spare = arena.heap_bytes() - arena.used_bytes();
+            assert!(spare < 64, "{spare} B unaccounted on a full arena");
+            (arena.used_bytes() - 8) / 64
+        };
+        assert_eq!(cell_bytes_per_row(400), 72);
+        assert_eq!(cell_bytes_per_row(256), 64);
+        assert_eq!(cell_bytes_per_row((1 << 15) - 1), 64 + 56);
+        assert_eq!(cell_bytes_per_row(1 << 20), 256);
+        assert_eq!(cell_bytes_per_row(1 << 40), 512);
         // The prefilter plane is accounted for: an identical filtered
-        // arena holds strictly more heap (1 extra byte per plane cell).
-        let mut filtered = SketchArena::with_capacity(100, 400, 64, 8);
+        // arena holds 1 extra byte per plane cell, 8 B a row.
+        let mut filtered = SketchArena::with_capacity(100, 400, 64, 64);
         for i in 0..64i64 {
-            filtered.push(&[i; 8]);
+            filtered.push(&[i; 64]);
         }
         assert_eq!(filtered.plane_width(), "u8");
-        assert!(
-            filtered.heap_bytes() >= narrow.heap_bytes() + 64 * 8,
-            "byte-plane bytes missing from heap_bytes: {} vs {}",
-            filtered.heap_bytes(),
-            narrow.heap_bytes()
-        );
+        assert_eq!(filtered.used_bytes(), 64 * (72 + 8) + 8);
+        assert!(filtered.heap_bytes() >= filtered.used_bytes());
     }
 
     #[test]
@@ -1006,7 +1014,7 @@ mod tests {
         // Tiny and odd rings.
         check_filtered_matches_scalar(FilterConfig::swar(), 1, 7, 5);
         check_filtered_matches_scalar(FilterConfig::swar(), 0, 2, 4);
-        // Largest i16 ring.
+        // Largest narrow ring.
         check_filtered_matches_scalar(FilterConfig::swar(), 1000, (1 << 15) - 1, 12);
     }
 
@@ -1062,7 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn plane_only_exists_on_i16_rings() {
+    fn plane_only_exists_on_narrow_rings() {
         for (ka, expect_dims) in [(400u64, 8), (1 << 20, 0), (1 << 40, 0)] {
             let mut arena = SketchArena::new(100, ka);
             arena.push(&[1; 16]);
@@ -1137,7 +1145,7 @@ mod tests {
         let swar = FilterConfig::swar();
         check_filtered_matches_scalar(swar, 100, 400, 12);
         check_filtered_matches_scalar(swar, 100, 256, 6);
-        // Largest i16 ring through the dispatched kernel: q = 128,
+        // Largest narrow ring through the dispatched kernel: q = 128,
         // kq = 256 — the wrapped broadcast.
         check_filtered_matches_scalar(FilterConfig::default(), 1000, (1 << 15) - 1, 12);
         // Rings no bucket lane can reject on: no plane is built and the

@@ -3,6 +3,7 @@
 //! the group — for the vector phase 1, its depth and eligibility model,
 //! and the portable SWAR kernel.
 
+use super::cells::{quantize_ring, Reduced};
 #[cfg(any(target_arch = "aarch64", test))]
 use super::kernels::neon;
 use super::kernels::ActiveKernel;
@@ -29,29 +30,6 @@ pub(super) fn adaptive_depth_for_rate(passing: u64, ring: u64) -> usize {
         depth += 1;
     }
     depth
-}
-
-/// The plane's quantization for a ring with `ka < 2¹⁵`: `(q, kq, tq)`
-/// where `q = ⌈ka/256⌉` is the bucket width (1 when the ring already
-/// fits a byte), `kq = ⌈ka/q⌉` the bucket count, and `tq` the
-/// conservative bucket-distance threshold. With `t' = min(t, ka/2)`
-/// the exact residue test `|a − b|_cyc ≤ t'` implies the bucket test
-/// `|a/q − b/q|_cyc ≤ ⌈t'/q⌉ + 1` (bucketing moves each endpoint by
-/// < q, and the wrap-around leg over `kq` buckets shrinks by at most
-/// one extra bucket when `q ∤ ka`), so `tq = ⌈t'/q⌉ + 1` over-accepts
-/// and never over-rejects; `q = 1` needs no slack and keeps `t'`.
-pub(super) fn quantize_ring(t: u64, ka: u64) -> (u16, u16, u16) {
-    debug_assert!(ka < 1 << 15);
-    let t_eff = t.min(ka / 2) as u16;
-    let ka16 = ka as u16;
-    let q = ka16.div_ceil(256).max(1);
-    let kq = ka16.div_ceil(q);
-    let tq = if q == 1 {
-        t_eff
-    } else {
-        (t_eff.div_ceil(q) + 1).min(kq / 2)
-    };
-    (q, kq, tq)
 }
 
 /// Whether a ring gets a plane at all: a bucket lane passes `2·t_q+1`
@@ -92,8 +70,10 @@ pub(super) struct ProbeFilter<'a> {
 /// within a group: group `g` is `dims` lanes of [`GROUP_WORDS`] words,
 /// lane `d` holding coordinate `d` of rows `64g .. 64g + 64` as
 /// quantized 8-bit buckets (`(value mod ka) / q`) packed eight rows per
-/// `u64` word. Phase 1 over-accepts (see [`quantize_ring`]), so phase 2
-/// verifies *all* coordinates of a survivor.
+/// `u64` word — the bucket bytes the rows themselves lead with, copied
+/// (DESIGN.md "The prefilter plane": why the copy stays). Phase 1
+/// over-accepts (see [`quantize_ring`]), so phase 2 verifies *all*
+/// coordinates of a survivor.
 ///
 /// Everything phase 1 reads for a group is one contiguous run of
 /// `dims × 64` bytes, and a sweep reads the plane front to back as one
@@ -119,11 +99,6 @@ pub(super) struct FilterPlane {
     /// Lanes per group: one per filter dimension
     /// (`min(config.dims, dim)`).
     dims: usize,
-    /// The ring circumference (fits: planes only exist for `ka < 2¹⁵`).
-    /// Used for biasing rows and probes into `[0, ka)`.
-    ka16: u16,
-    /// Bucket width `⌈ka/256⌉`: rows and probes are divided by it.
-    q: u16,
     /// Bucket-distance threshold the phase-1 kernels compare against.
     tq: u16,
     /// Bucket count `⌈ka/q⌉` (≤ 256) the phase-1 kernels wrap over.
@@ -134,25 +109,13 @@ pub(super) struct FilterPlane {
     kmt: u64,
 }
 
-/// Biases a canonical `i16` ring representative into `[0, ka)`.
-#[inline]
-fn bias16(c: i16, ka16: u16) -> u16 {
-    if c < 0 {
-        (i32::from(c) + i32::from(ka16)) as u16
-    } else {
-        c as u16
-    }
-}
-
 impl FilterPlane {
     pub(super) fn new(dims: usize, t: u64, ka: u64) -> FilterPlane {
         debug_assert!(dims >= 1 && ka < 1 << 15);
-        let (q, kq, tq) = quantize_ring(t, ka);
+        let (_, kq, tq) = quantize_ring(t, ka);
         FilterPlane {
             words: Column::with_capacity(0),
             dims,
-            ka16: ka as u16,
-            q,
             tq,
             kq,
             th: (0x8000 + u64::from(tq)) * LANES,
@@ -189,27 +152,25 @@ impl FilterPlane {
         self.words.truncate(0);
     }
 
-    /// Appends one complete group: `cells` holds its 64 rows, `dim`
-    /// canonical `i16` residues each. Groups must arrive densely in
-    /// order.
-    pub(super) fn fill_group(&self, cells: &[i16], dim: usize) {
-        debug_assert_eq!(cells.len(), 64 * dim);
-        let (ka16, q) = (self.ka16, self.q);
+    /// Appends one complete group: `rows` holds its 64 packed rows,
+    /// `stride` bytes each, bucket bytes first. Groups must arrive
+    /// densely in order.
+    pub(super) fn fill_group(&self, rows: &[u8], stride: usize) {
+        debug_assert_eq!(rows.len(), 64 * stride);
         // Word `k` of lane `d`: rows `8k .. 8k + 8`, low byte first.
         let word = |i: usize| {
             let (d, k) = (i / GROUP_WORDS, i % GROUP_WORDS);
-            let rows = cells[8 * k * dim..8 * (k + 1) * dim].chunks_exact(dim);
-            let buckets = rows.map(|row| bias16(row[d], ka16) / q);
-            buckets.rev().fold(0, |w, b| w << 8 | u64::from(b))
+            let rows = rows[8 * k * stride..8 * (k + 1) * stride].chunks_exact(stride);
+            rows.rev().fold(0, |w, row| w << 8 | u64::from(row[d]))
         };
         self.words.extend((0..self.stride()).map(word));
     }
 
-    /// Rebuilds every lane from the (compacted) row-major cell buffer.
-    pub(super) fn rebuild(&mut self, cells: &[i16], rows: usize, dim: usize) {
+    /// Rebuilds every lane from the (compacted) packed row buffer.
+    pub(super) fn rebuild(&mut self, cells: &[u8], rows: usize, stride: usize) {
         self.clear();
-        for group in cells[..rows / 64 * 64 * dim].chunks_exact(64 * dim) {
-            self.fill_group(group, dim);
+        for group in cells[..rows / 64 * 64 * stride].chunks_exact(64 * stride) {
+            self.fill_group(group, stride);
         }
     }
 
@@ -349,38 +310,36 @@ impl PlaneView<'_> {
 }
 
 /// Builds the prefilter probe state (buckets + SWAR broadcasts) for
-/// every probe in `cells16`: canonical `i16` probe rows laid out `dim`
-/// apart, into the scratch's reused `biased`/`bcast` buffers,
+/// every probe in `probes` — prepared probe rows laid out `dim` apart —
+/// into the scratch's reused `biased`/`bcast` buffers,
 /// `plane.dims()` entries per probe. The stored values are the probe's
-/// *bucket* coordinates, so each probe of a micro-batch is quantized
-/// exactly once here — never per block inside the sweep. Probes that
+/// *bucket* coordinates, quantized once when the probe was prepared —
+/// never per block inside the sweep. Probes that
 /// cannot match (wrong dimension, pre-zeroed rows) keep their slots so
 /// indexing stays uniform.
 pub(super) fn build_filter_probes(
     plane: &FilterPlane,
-    cells16: &[i16],
+    probes: &[Reduced],
     dim: usize,
     biased: &mut Vec<u16>,
     bcast: &mut Vec<u64>,
 ) {
     let pd = plane.dims();
-    let count = cells16.len().checked_div(dim).unwrap_or(0);
+    let count = probes.len().checked_div(dim).unwrap_or(0);
     biased.clear();
     bcast.clear();
     biased.reserve(count * pd);
     bcast.reserve(count * pd);
     for p in 0..count {
-        for &c in &cells16[p * dim..p * dim + pd] {
-            let b = bias16(c, plane.ka16) / plane.q;
-            biased.push(b);
-            bcast.push(u64::from(b) * LANES);
+        for coordinate in &probes[p * dim..p * dim + pd] {
+            biased.push(coordinate.bucket);
+            bcast.push(u64::from(coordinate.bucket) * LANES);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::cells::canonical;
     use super::super::SketchArena;
     use super::*;
     use rand::rngs::StdRng;
@@ -395,21 +354,20 @@ mod tests {
         rows: usize,
     ) -> FilterPlane {
         let mut plane = FilterPlane::new(dims, t, ka);
+        let (q, ..) = quantize_ring(t, ka);
         plane.grow(rows);
         for _ in 0..rows / 64 {
-            let cells: Vec<i16> = (0..64 * dims)
-                .map(|_| canonical(rng.gen_range(0..ka as i64), ka) as i16)
+            let buckets: Vec<u8> = (0..64 * dims)
+                .map(|_| (rng.gen_range(0..ka as u16) / q) as u8)
                 .collect();
-            plane.fill_group(&cells, dims);
+            plane.fill_group(&buckets, dims);
         }
         plane
     }
 
     /// `dims` random probe buckets and their SWAR broadcasts.
     fn random_probe(rng: &mut StdRng, dims: usize, ka: u64, q: u16) -> (Vec<u16>, Vec<u64>) {
-        let probe: Vec<u16> = (0..dims)
-            .map(|_| bias16(canonical(rng.gen_range(0..ka as i64), ka) as i16, ka as u16) / q)
-            .collect();
+        let probe: Vec<u16> = (0..dims).map(|_| rng.gen_range(0..ka as u16) / q).collect();
         let bcast = probe.iter().map(|&b| u64::from(b) * LANES).collect();
         (probe, bcast)
     }
@@ -439,12 +397,12 @@ mod tests {
     #[test]
     fn groups_are_whole_and_lane_after_lane() {
         // Row r of the group carries bucket r in lane 0 and 63 − r in
-        // lane 1 (q = 1 on this ring): lane d is words 8d .. 8d + 8 of
-        // the group, eight rows a word, low byte first.
+        // lane 1, and its rows are 3 bytes apart: lane d is words
+        // 8d .. 8d + 8 of the group, eight rows a word, low byte first.
         let mut plane = FilterPlane::new(2, 10, 256);
         plane.grow(130);
         assert_eq!((plane.view().groups(), plane.heap_bytes()), (0, 2 * 2 * 64));
-        let cells: Vec<i16> = (0..64).flat_map(|r| [r, 63 - r, 99]).collect();
+        let cells: Vec<u8> = (0..64).flat_map(|r| [r, 63 - r, 99]).collect();
         plane.fill_group(&cells, 3);
         plane.fill_group(&cells, 3);
         let view = plane.view();
@@ -461,7 +419,7 @@ mod tests {
         // Byte-native rings (ka ≤ 256): no quantization, no slack.
         assert_eq!(quantize_ring(100, 256), (1, 256, 100));
         assert_eq!(quantize_ring(1, 7), (1, 7, 1));
-        // Largest i16 ring: q = 128 → exactly 256 buckets (the kernels
+        // Largest narrow ring: q = 128 → exactly 256 buckets (the kernels
         // broadcast the wrapped 0; see `neon::sixteen`).
         assert_eq!(quantize_ring(1000, (1 << 15) - 1), (128, 256, 9));
         // t clamps to the half-ring before quantizing, and tq clamps to
@@ -477,12 +435,12 @@ mod tests {
         assert!(!byte_plane_eligible(127, 255));
         // tq saturates at kq/2 = 100: 201 ≥ 200 buckets.
         assert!(!byte_plane_eligible(198, 400));
-        // Rings wider than i16 never build any plane.
+        // Rings too wide for packed rows never build any plane.
         assert!(!byte_plane_eligible(100, 1 << 20));
     }
 
     /// The arithmetic fact that makes one plane width enough: every
-    /// `i16` ring that gets no plane accepts at least 97% of the ring
+    /// narrow ring that gets no plane accepts at least 97% of the ring
     /// per coordinate — sixteen exact lanes would reject at most 39% of
     /// rows there, and such a ring identifies no one. Swept in full:
     /// every `ka < 2¹⁵` and every `t ≤ ka/2` with `2t + 1 < ka`. A
@@ -518,7 +476,7 @@ mod tests {
             let plane = random_plane(&mut rng, 3, (t, ka), 128);
             let view = plane.view();
             for _ in 0..40 {
-                let (probe, bcast) = random_probe(&mut rng, 3, ka, plane.q);
+                let (probe, bcast) = random_probe(&mut rng, 3, ka, quantize_ring(t, ka).0);
                 let pf = ProbeFilter {
                     biased: &probe,
                     bcast: &bcast,
@@ -549,7 +507,7 @@ mod tests {
             let plane = random_plane(&mut rng, 4, (t, ka), 128);
             let view = plane.view();
             for _ in 0..40 {
-                let (probe, bcast) = random_probe(&mut rng, 4, ka, plane.q);
+                let (probe, bcast) = random_probe(&mut rng, 4, ka, quantize_ring(t, ka).0);
                 let pf = ProbeFilter {
                     biased: &probe,
                     bcast: &bcast,
@@ -578,7 +536,7 @@ mod tests {
             let plane = random_plane(&mut rng, 4, (t, ka), 128);
             let view = plane.view();
             for _ in 0..40 {
-                let (probe, bcast) = random_probe(&mut rng, 4, ka, plane.q);
+                let (probe, bcast) = random_probe(&mut rng, 4, ka, quantize_ring(t, ka).0);
                 let pf = ProbeFilter {
                     biased: &probe,
                     bcast: &bcast,
@@ -611,7 +569,7 @@ mod tests {
                 let (q, kq, tq) = quantize_ring(t, ka);
                 let plane = FilterPlane::new(1, t, ka);
                 for a in 0..ka as i64 {
-                    let row_bucket = bias16(canonical(a, ka) as i16, ka as u16) / q;
+                    let row_bucket = a as u16 / q;
                     // Pack the same row bucket in all eight byte slots.
                     let group = [u64::from(row_bucket) * 0x0101_0101_0101_0101; GROUP_WORDS];
                     let view = PlaneView {
@@ -619,7 +577,7 @@ mod tests {
                         words: &group,
                     };
                     for bval in (0..ka as i64).step_by(3) {
-                        let pb = bias16(canonical(bval, ka) as i16, ka as u16) / q;
+                        let pb = bval as u16 / q;
                         let biased = [pb];
                         let bcast = [u64::from(pb) * LANES];
                         let pf = ProbeFilter {

@@ -2,7 +2,7 @@
 //! sweep that every `find_*` of the arena (and every epoch tier) is a
 //! wrapper over.
 
-use super::cells::{normalize_into, rows_match, Cell, Cells};
+use super::cells::{prepare_into, Cells, Layout, Reduced};
 use super::kernels::{fetch, ActiveKernel};
 use super::plane::{build_filter_probes, PlaneView, ProbeFilter};
 use super::{RecordId, SketchArena};
@@ -102,12 +102,12 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Per-thread reusable scan state: normalized-probe buffers for every
-/// cell width, the prefilter probe state, and the indices of the
+/// row layout, the prefilter probe state, and the indices of the
 /// probes a sweep actually prepared. Hoisted off the per-call hot
 /// path: a tiered lookup prepares the same probes once *per tier*.
 #[derive(Default)]
 struct ScanScratch {
-    i16s: Vec<i16>,
+    reduced: Vec<Reduced>,
     i32s: Vec<i32>,
     i64s: Vec<i64>,
     biased: Vec<u16>,
@@ -135,22 +135,23 @@ struct PlaneProbes<'a> {
     pf: ProbeFilter<'a>,
 }
 
-/// One prepared sweep: the probes normalized into the arena's cell
-/// width and bound to its columns, the rows they may visit, and the
+/// One prepared sweep: the probes normalized for the arena's row
+/// layout and bound to its column, the rows they may visit, and the
 /// hits each probe may collect. Borrows only — built once on the
 /// calling thread's scratch.
-struct Sweep<'a, C> {
+struct Sweep<'a, L: Layout> {
     arena: &'a SketchArena,
+    layout: L,
     /// The arena's rows as of this sweep's one `Acquire` load of the
-    /// row count, and their cells: nothing past them is read.
+    /// row count, and their cells, `stride` units a row: nothing past
+    /// them is read.
     rows: usize,
-    cells: &'a [C],
+    cells: &'a [L::Unit],
+    stride: usize,
     dim: usize,
-    t: u64,
-    ka: u64,
-    /// The prepared probes, `dim` cells each, and for each the
+    /// The prepared probes, `dim` values each, and for each the
     /// caller's index of it — what its hits are reported under.
-    probes: &'a [C],
+    probes: &'a [L::Probe],
     active: &'a [usize],
     /// `None` on wide rings, disabled filters and rings no lane can
     /// reject on: phase 1 is then the identity — every visitable row
@@ -164,18 +165,18 @@ struct Sweep<'a, C> {
 }
 
 /// One probe's state within a sweep, while it is short of its budget.
-struct OpenProbe<'a, C> {
+struct OpenProbe<'a, P> {
     /// The caller's index of this probe.
     k: usize,
     /// Hits it may still take.
     left: usize,
-    /// Its `dim` cells.
-    cells: &'a [C],
+    /// Its `dim` prepared values.
+    cells: &'a [P],
     /// Its prefilter state (empty without a plane).
     pf: ProbeFilter<'a>,
 }
 
-impl<C: Cell> Sweep<'_, C> {
+impl<L: Layout> Sweep<'_, L> {
     /// The whole sweep: every liveness word of the arena's `rows` on
     /// behalf of every probe, returning `(probe, row)` hits — ascending
     /// per probe, at most `budget` each.
@@ -193,7 +194,7 @@ impl<C: Cell> Sweep<'_, C> {
         let (pd, pf) = self
             .plane
             .map_or((0, none), |p| (p.view.plane.dims(), p.pf));
-        let mut open: Vec<OpenProbe<'_, C>> = self
+        let mut open: Vec<OpenProbe<'_, L::Probe>> = self
             .active
             .iter()
             .enumerate()
@@ -234,11 +235,15 @@ impl<C: Cell> Sweep<'_, C> {
     /// the probe's budget runs out.
     ///
     /// Phase 1 turns each word's visitable bits into a candidate mask
-    /// on the plane, software-prefetching each survivor's cells as its
-    /// mask comes out; phase 2 then exact-verifies the tile's survivors
+    /// on the plane, software-prefetching each survivor's row as its
+    /// mask comes out — the bucket bytes of the plane's `F` coordinates
+    /// and of the `F` after them, which is as far as a packed row that
+    /// does not match is read (a 72-byte row starts anywhere in its
+    /// cache line, so that can be two lines); phase 2 then
+    /// exact-verifies the tile's survivors
     /// with the scalar early-abort kernel over the whole row (the plane
     /// over-accepts, so every coordinate is re-checked). The two phases
-    /// equal a full-row `rows_match`; running phase 1 a whole tile
+    /// equal a full-row `row_matches`; running phase 1 a whole tile
     /// ahead is what hides phase 2's scattered loads behind phase 1's
     /// compute. A word past the plane's complete groups — the open
     /// group, at most 63 rows — has no phase 1: all its visitable rows
@@ -246,12 +251,13 @@ impl<C: Cell> Sweep<'_, C> {
     fn walk(
         &self,
         words: Range<usize>,
-        probe: &mut OpenProbe<'_, C>,
+        probe: &mut OpenProbe<'_, L::Probe>,
         hits: &mut Vec<(usize, RecordId)>,
     ) {
         debug_assert!(words.len() <= TILE_WORDS);
-        let dim = self.dim;
+        let stride = self.stride;
         let planed = self.plane.map_or(0, |p| p.groups);
+        let pd = probe.pf.biased.len();
         let mut cands = [0u64; TILE_WORDS];
         for (wi, cand) in words.clone().zip(&mut cands) {
             *cand = self.arena.live_word(wi, self.rows);
@@ -260,15 +266,19 @@ impl<C: Cell> Sweep<'_, C> {
             }
             if let (Some(p), true) = (self.plane, wi < planed && *cand != 0) {
                 *cand = p.view.block_candidates(p.kernel, probe.pf, wi, *cand);
-                for bit in set_bits(*cand) {
-                    fetch::prefetch_read(self.cells, (wi * 64 + bit) * dim);
+                for at in set_bits(*cand).map(|bit| (wi * 64 + bit) * stride) {
+                    fetch::prefetch_read(self.cells, at);
+                    fetch::prefetch_read(self.cells, at + 2 * pd - 1);
                 }
             }
         }
         for (wi, cand) in words.zip(cands) {
+            // A planed word's candidates passed phase 1 on the plane's
+            // leading coordinates; the open group's passed nothing.
+            let passed = if wi < planed { pd } else { 0 };
             for row in set_bits(cand).map(|bit| wi * 64 + bit) {
-                let s = &self.cells[row * dim..(row + 1) * dim];
-                if rows_match(s, probe.cells, self.t, self.ka) {
+                let s = &self.cells[row * stride..(row + 1) * stride];
+                if self.layout.row_matches(s, probe.cells, passed) {
                     hits.push((probe.k, row));
                     probe.left -= 1;
                     if probe.left == 0 {
@@ -343,8 +353,8 @@ impl SketchArena {
     /// Loads the row count once (`Acquire`), so the sweep covers
     /// exactly the rows complete by then however many land meanwhile;
     /// prepares the probes once in the thread-local scratch (normalized
-    /// to the cell width, plus their prefilter state when a plane is
-    /// live) and hands the typed columns to [`SketchArena::run`]. The
+    /// for the row layout, plus their prefilter state when a plane is
+    /// live) and hands the typed column to [`SketchArena::run`]. The
     /// scratch stays borrowed for the whole sweep; nothing below
     /// re-enters an arena lookup on this thread.
     pub(crate) fn sweep(
@@ -369,10 +379,10 @@ impl SketchArena {
                 return Vec::new();
             }
             match &self.cells {
-                Cells::I16(col) => {
-                    normalize_into(&mut s.i16s, probes, &s.active, self.ka);
+                Cells::Packed(packed, col) => {
+                    prepare_into(*packed, &mut s.reduced, probes, &s.active);
                     let view = self.active_plane().map(|(plane, kernel)| {
-                        build_filter_probes(plane, &s.i16s, dim, &mut s.biased, &mut s.bcast);
+                        build_filter_probes(plane, &s.reduced, dim, &mut s.biased, &mut s.bcast);
                         (plane.view(), kernel)
                     });
                     let plane = view.as_ref().map(|(view, kernel)| PlaneProbes {
@@ -384,45 +394,48 @@ impl SketchArena {
                             bcast: &s.bcast,
                         },
                     });
-                    let cells = &col.published()[..rows * dim];
-                    self.run(rows, cells, &s.i16s, plane, &s.active, only, budget)
+                    let (cells, probes) = (col.published(), &s.reduced);
+                    self.run(*packed, rows, cells, probes, plane, &s.active, only, budget)
                 }
-                Cells::I32(col) => {
-                    normalize_into(&mut s.i32s, probes, &s.active, self.ka);
-                    let cells = &col.published()[..rows * dim];
-                    self.run(rows, cells, &s.i32s, None, &s.active, only, budget)
+                Cells::I32(wide, col) => {
+                    prepare_into(*wide, &mut s.i32s, probes, &s.active);
+                    let (cells, probes) = (col.published(), &s.i32s);
+                    self.run(*wide, rows, cells, probes, None, &s.active, only, budget)
                 }
-                Cells::I64(col) => {
-                    normalize_into(&mut s.i64s, probes, &s.active, self.ka);
-                    let cells = &col.published()[..rows * dim];
-                    self.run(rows, cells, &s.i64s, None, &s.active, only, budget)
+                Cells::I64(wide, col) => {
+                    prepare_into(*wide, &mut s.i64s, probes, &s.active);
+                    let (cells, probes) = (col.published(), &s.i64s);
+                    self.run(*wide, rows, cells, probes, None, &s.active, only, budget)
                 }
             }
         })
     }
 
-    /// Runs one prepared sweep over the first `rows` rows, on the
-    /// calling thread: binds the typed columns and probes into a
+    /// Runs one prepared sweep over the first `rows` rows of `cells`,
+    /// on the calling thread: binds the typed column and probes into a
     /// [`Sweep`] and walks it once. `active[k]` is the caller's index
     /// of prepared probe `k`.
     #[allow(clippy::too_many_arguments)]
-    fn run<C: Cell>(
+    fn run<L: Layout>(
         &self,
+        layout: L,
         rows: usize,
-        cells: &[C],
-        probes: &[C],
+        cells: &[L::Unit],
+        probes: &[L::Probe],
         plane: Option<PlaneProbes<'_>>,
         active: &[usize],
         only: Option<&RowMask>,
         budget: usize,
     ) -> Vec<(usize, RecordId)> {
+        let dim = self.dim.unwrap_or(0);
+        let stride = layout.stride(dim);
         let sweep = Sweep {
             arena: self,
+            layout,
             rows,
-            cells,
-            dim: self.dim.unwrap_or(0),
-            t: self.t,
-            ka: self.ka,
+            cells: &cells[..rows * stride],
+            stride,
+            dim,
             probes,
             active,
             plane,
@@ -455,7 +468,7 @@ mod tests {
             FilterConfig::swar(),
             FilterConfig::default(),
         ];
-        // i16, i32 and i64 cells.
+        // Packed rows, i32 and i64 cells.
         for ka in [400u64, 1 << 20, 1 << 40] {
             let t = ka / 4;
             let (half, noise) = ((ka / 2) as i64, (t / 2) as i64);

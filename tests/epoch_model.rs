@@ -98,7 +98,7 @@ enum Op {
     Compact,
 }
 
-/// Ring parameters spanning all three arena cell widths (i16 / i32 /
+/// Ring parameters spanning all three arena row layouts (packed / i32 /
 /// i64, the latter including the `ka ≥ 2⁶³` i128-widening class).
 fn ring_params() -> impl Strategy<Value = (u64, u64)> {
     (0u8..4)
@@ -370,15 +370,16 @@ fn batch_over_tombstoned_tiers_matches_model() {
 
 /// The default seal threshold is 65 536 rows or 8 MiB of cells,
 /// whichever is fewer rows, in whole 1 024-row tiles and at least one:
-/// 65 536 at the paper's `64 × i16`, 4 096 at `dim = 1 024`, and one
-/// 16 MiB tile on a ring that needs `i64` cells at `dim = 2 048`. Each
+/// 65 536 at the paper's 64 packed coordinates (72-byte rows, 4.5 MiB),
+/// 7 168 at `dim = 1 024` (1 152-byte rows), and one 16 MiB tile on a
+/// ring that needs `i64` cells at `dim = 2 048`. Each
 /// head seals exactly there, and lookups, batches and revocations on
 /// both sides of the boundary answer as one `ScanIndex` arena does.
 #[test]
 fn default_head_is_capped_by_rows_and_by_bytes() {
     let shapes = [
         (100u64, 400u64, 64usize, 65_536usize),
-        (100, 400, 1_024, 4_096),
+        (100, 400, 1_024, 7_168),
         (1_000, 1 << 40, 2_048, 1_024),
     ];
     for (t, ka, dim, seal) in shapes {
@@ -418,7 +419,8 @@ fn default_head_is_capped_by_rows_and_by_bytes() {
 }
 
 /// Reserving is not residing: 64 default indices that each took one
-/// row have 64 × 8.5 MiB of head reserved, and the process must not
+/// row have 64 × 5 MiB of head reserved (4.5 of packed rows, 0.5 of
+/// plane), and the process must not
 /// have grown by even an eighth of that — the reservation is left
 /// uninitialised and untouched, the kernel's zero page until rows land
 /// in it. Reads `VmRSS` as the
@@ -445,8 +447,8 @@ fn a_reserved_head_is_not_resident() {
     let grown = rss().saturating_sub(before);
     assert!(indices.iter().all(|index| index.staging_rows() == 1));
     assert!(
-        grown < 64 << 20,
-        "64 one-row indices made {} MiB resident of the 544 MiB they reserve",
+        grown < 40 << 20,
+        "64 one-row indices made {} MiB resident of the 320 MiB they reserve",
         grown >> 20
     );
 }

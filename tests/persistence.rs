@@ -742,6 +742,115 @@ fn damaged_or_stale_segment_cache_falls_back_to_replay() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A sidecar in the retired version-1 format — `i16` cells, 2 bytes a
+/// coordinate — is *ignored*, not migrated: built by hand here for the
+/// checkpointed population and saved through the store, so its snapshot
+/// binding verifies and only the blob's version is old, it fails the
+/// version check, recovery replays the snapshot, and `identify_batch`
+/// answers as the uncrashed server does. The version-2 sidecar the
+/// checkpoint itself wrote is imported, and is at most 0.6× the
+/// version-1 file for the same rows (72 against 128 bytes a row at the
+/// paper ring).
+#[test]
+fn version_one_segment_cache_is_ignored_not_migrated() {
+    use fuzzy_id::core::SketchIndex;
+    let dir = scratch_dir("segcache-v1");
+    let params = SystemParams::insecure_test_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(0x0F51);
+    let donor = {
+        let bio = params.sketch().line().random_vector(4, &mut rng);
+        device.enroll("donor", &bio, &mut rng).unwrap().public_key
+    };
+    let (t, ka) = (
+        params.sketch().threshold(),
+        params.sketch().line().interval_len(),
+    );
+    let (dim, seal, users) = (64usize, 64usize, 70usize);
+
+    let mut server = AuthenticationServer::with_index(
+        params.clone(),
+        EpochIndex::with_seal_rows(t, ka, params.filter_config(), seal),
+    );
+    server
+        .attach_store(Box::new(
+            FileStore::open(&dir, params.fingerprint()).unwrap(),
+        ))
+        .unwrap();
+    let mut bios = Vec::new();
+    for u in 0..users {
+        let (record, bio) = synthetic_record(&params, &donor, &format!("user-{u}"), dim, &mut rng);
+        server.enroll(record).unwrap();
+        bios.push(bio);
+    }
+    server.checkpoint().unwrap();
+    let sidecar = dir.join("segments.fsg");
+    let v2_len = std::fs::metadata(&sidecar).unwrap().len();
+    assert_eq!(server.index().segments().len(), 1);
+
+    let mut probes: Vec<Vec<i64>> = bios
+        .iter()
+        .map(|bio| genuine_probe(&params, bio, &mut rng))
+        .collect();
+    let stranger = params.sketch().line().random_vector(dim, &mut rng);
+    probes.push(genuine_probe(&params, &stranger, &mut rng));
+    let answers = |server: &mut AuthenticationServer<EpochIndex>, rng: &mut StdRng| {
+        let challenges = server.identify_batch(&probes, rng);
+        let helpers = challenges.into_iter().map(|r| r.ok().map(|c| c.helper));
+        helpers.collect::<Vec<_>>()
+    };
+    let expected = answers(&mut server, &mut rng);
+    assert_eq!(expected.iter().flatten().count(), users);
+
+    // The sealed rows as a version-1 blob: header, one segment, its
+    // canonical residues as little-endian `i16` cells, liveness.
+    let mut blob = Vec::new();
+    blob.extend_from_slice(&1u32.to_le_bytes());
+    blob.extend_from_slice(&t.to_le_bytes());
+    blob.extend_from_slice(&ka.to_le_bytes());
+    blob.extend_from_slice(&(dim as u32).to_le_bytes());
+    blob.extend_from_slice(&1u32.to_le_bytes());
+    blob.extend_from_slice(&(seal as u64).to_le_bytes());
+    blob.extend_from_slice(&((seal * dim * 2) as u64).to_le_bytes());
+    let mut row = Vec::new();
+    for id in 0..seal {
+        assert!(server.index().copy_row_into(id, &mut row));
+        for &c in &row {
+            blob.extend_from_slice(&(c as i16).to_le_bytes());
+        }
+    }
+    blob.extend_from_slice(&1u32.to_le_bytes());
+    blob.extend_from_slice(&u64::MAX.to_le_bytes());
+    drop(server); // crash
+
+    // The version-2 sidecar as written: imported.
+    let mut recovered: AuthenticationServer<EpochIndex> =
+        AuthenticationServer::recover(params.clone(), &dir).unwrap();
+    assert_eq!(recovered.index().segments().len(), 1);
+    assert_eq!(answers(&mut recovered, &mut rng), expected);
+    drop(recovered);
+
+    FileStore::open(&dir, params.fingerprint())
+        .unwrap()
+        .save_index_cache(&blob)
+        .unwrap();
+    let v1_len = std::fs::metadata(&sidecar).unwrap().len();
+    assert!(
+        v2_len * 10 <= v1_len * 6,
+        "a version-2 sidecar is {v2_len} B, more than 0.6× the {v1_len} B of version 1"
+    );
+
+    let mut recovered: AuthenticationServer<EpochIndex> =
+        AuthenticationServer::recover(params.clone(), &dir).unwrap();
+    assert_eq!(recovered.user_count(), users);
+    assert!(
+        recovered.index().segments().is_empty(),
+        "a version-1 sidecar must fail the version check and be replayed around"
+    );
+    assert_eq!(answers(&mut recovered, &mut rng), expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Kill *after* a checkpoint with a journal tail on top (enrolls and a
 /// revocation of a sealed, cache-covered row): recovery imports the
 /// sealed prefix, replays the tail over it, and the tombstone flip

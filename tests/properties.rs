@@ -563,14 +563,14 @@ enum IndexOp {
     Compact,
 }
 
-/// `i16` rings `(t, ka)` so loose that no bucket lane of the prefilter
+/// Narrow rings `(t, ka)` so loose that no bucket lane of the prefilter
 /// plane could reject (`2·t_q+1 ≥ ⌈ka/q⌉`): the default builds no plane
 /// there and the scalar early-abort kernel answers alone.
 const NO_PLANE_RINGS: [(u64, u64); 3] = [(125, 258), (198, 400), (16_200, 32_767)];
 
-/// Ring parameters spanning all three arena cell widths (`i16`, `i32`,
+/// Ring parameters spanning all three arena row layouts (packed, `i32`,
 /// `i64`) **plus** the `ka ≥ 2⁶³` regime where the `i64` kernel must
-/// widen through `i128` (and, like every non-`i16` ring, skip the SWAR
+/// widen through `i128` (and, like every wide ring, skip the SWAR
 /// prefilter plane), with `t < ka/2` and capped so noise offsets stay
 /// sane — and, three cases in sixteen, one of [`NO_PLANE_RINGS`].
 fn ring_params() -> impl Strategy<Value = (u64, u64)> {
@@ -713,7 +713,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Arena-backed `ScanIndex` ≡ the Vec-of-Vec model — with the
-    /// default prefilter plane (the vectorized two-phase scan on `i16`
+    /// default prefilter plane (the vectorized two-phase scan on narrow
     /// rings, the plain scalar kernel elsewhere).
     #[test]
     fn scan_index_matches_vec_of_vec_model((t, ka, _dim, ops) in index_case()) {
@@ -747,7 +747,7 @@ proptest! {
     /// the `ka ≥ 2⁶³` ring whose subtraction must widen through i128)
     /// and every kernel: runtime-dispatched (AVX2 where available),
     /// forced SWAR, and scalar. Sixty-four copies of a one-dimensional
-    /// sketch fill one plane group, so on `i16` rings phase 1 decides
+    /// sketch fill one plane group, so on narrow rings phase 1 decides
     /// which of them phase 2 sees at all: an over-rejecting lane
     /// algebra shows up as a miss.
     #[test]
@@ -775,10 +775,10 @@ proptest! {
     }
 }
 
-/// `i16`-capable rings biased toward the plane-eligibility cliff: the
+/// Narrow rings biased toward the plane-eligibility cliff: the
 /// byte plane quantizes residues into `kq = ⌈ka/⌈ka/256⌉⌉` buckets and
 /// stands down when `2·tq+1 ≥ kq`, so rings right at a byte's capacity
-/// (255/256/257) and the extremes (tiny, paper, largest i16) are where
+/// (255/256/257) and the extremes (tiny, paper, largest narrow) are where
 /// an off-by-one in eligibility or bucket math would first surface.
 fn byte_edge_ring() -> impl Strategy<Value = u64> {
     (0u8..8, 2u64..(1 << 15)).prop_map(|(sel, rand_ka)| match sel {
@@ -871,9 +871,81 @@ proptest! {
     }
 }
 
+/// A stored row reads back as the canonical residues of what was
+/// pushed, on **every** narrow ring (`2 ≤ ka < 2¹⁵`): at the bucket
+/// edges (`0`, `q − 1`, `q`, `ka − 1`), at the half ring where the
+/// canonical sign flips (`±ka/2`, `ka/2 + 1` — the `−ka/2` a helper
+/// patch is compared against), at the ends of `i64`, and at odd
+/// dimensions (1, 3, 13) whose remainder bits end mid-byte.
+#[test]
+fn packed_rows_read_back_canonical_on_every_narrow_ring() {
+    let canonical = |v: i64, ka: u64| -> i64 {
+        let r = i128::from(v).rem_euclid(i128::from(ka));
+        (if 2 * r > i128::from(ka) {
+            r - i128::from(ka)
+        } else {
+            r
+        }) as i64
+    };
+    for ka in 2u64..1 << 15 {
+        let (q, half) = (ka.div_ceil(256) as i64, (ka / 2) as i64);
+        let edges = [
+            0,
+            q - 1,
+            q,
+            ka as i64 - 1,
+            half,
+            -half,
+            half + 1,
+            i64::MIN,
+            i64::MAX,
+        ];
+        for dim in [1usize, 3, 13] {
+            let mut arena = fuzzy_id::core::SketchArena::new(ka / 4, ka);
+            for start in 0..edges.len() {
+                let sketch: Vec<i64> = (0..dim).map(|j| edges[(start + j) % edges.len()]).collect();
+                let id = arena.push(&sketch);
+                let want: Vec<i64> = sketch.iter().map(|&v| canonical(v, ka)).collect();
+                assert_eq!(arena.row(id), Some(want), "ka={ka} dim={dim} {sketch:?}");
+            }
+        }
+    }
+}
+
+/// A stored coordinate takes `max(8, ⌈log₂ ka⌉)` bits on every narrow
+/// ring, and wherever the ring outgrows a byte (`ka ≥ 256`) that is
+/// within one bit of Theorem 3's `log₂(ka + 1)` — read off
+/// `SketchAnalysis::storage_bits` on every ring a number line can have
+/// (`ka` even).
+#[test]
+fn packed_bits_per_coordinate_track_theorem_3() {
+    use fuzzy_id::core::analysis::SketchAnalysis;
+    use fuzzy_id::core::CellWidth;
+    for ka in 2u64..1 << 15 {
+        // Eight coordinates take as many bytes as one takes bits.
+        let bits = CellWidth::row_bytes(ka, 8) as f64;
+        let ring_bits = f64::from(u64::BITS - (ka - 1).leading_zeros());
+        assert_eq!(bits, ring_bits.max(8.0), "ka = {ka}");
+        if ka >= 256 {
+            let paper = ((ka + 1) as f64).log2();
+            assert!(
+                (bits - paper).abs() < 1.0,
+                "ka = {ka}: {bits} vs {paper:.2}"
+            );
+            if ka % 2 == 0 {
+                let line = NumberLine::new(ka / 2, 2, 2).unwrap();
+                let n = 64;
+                let theorem = SketchAnalysis::new(line, 1, n).unwrap().storage_bits();
+                let stored = 8.0 * CellWidth::row_bytes(ka, n) as f64;
+                assert!((stored - theorem).abs() < n as f64, "ka = {ka}");
+            }
+        }
+    }
+}
+
 /// `heap_bytes` accounting under enroll/revoke/compact churn: memory
 /// tracks the live population (bounded under churn with compaction)
-/// and the width-adaptive layout (2 bytes/coordinate at paper `ka`),
+/// and the ring-adaptive layout (9 bits/coordinate at paper `ka`),
 /// **including** the prefilter plane's packed lanes (1 byte per plane
 /// cell on the default vectorized index — paper `ka` takes the
 /// quantized byte plane).
@@ -885,12 +957,12 @@ fn heap_bytes_accounting_under_churn() {
         index.insert(&vec![i % 200; dim]);
     }
     let full = index.heap_bytes();
-    // i16 cells: the column buffer is dim × 2 bytes per row; the plane
-    // adds 8 lanes × 1 byte per row; the bitmap 1 bit per row;
+    // Packed rows: the column buffer is dim × 9 bits per row; the
+    // plane adds 8 lanes × 1 byte per row; the bitmap 1 bit per row;
     // capacity slack stays below one doubling.
-    assert!(full >= 1_000 * dim * 2 + 1_000 * 8 + 1_000 / 8);
+    assert!(full >= 1_000 * dim * 9 / 8 + 1_000 / 64 * 64 * 8 + 1_000 / 8);
     assert!(
-        full <= 2 * (2 * 1_000 * (dim + 8) * 2),
+        full <= 2 * 1_000 * (dim * 9 / 8 + 8 + 1),
         "unexpected slack: {full}"
     );
     // The plane is the only difference from a scalar index over the
@@ -945,12 +1017,12 @@ fn heap_bytes_accounting_under_churn() {
         );
     }
 
-    // The same sketches on a wide ring cost ~4× more per coordinate.
+    // The same sketches on a wide ring cost ~7× more per coordinate.
     let mut wide = fuzzy_id::core::SketchArena::new(t, 1 << 40);
     for i in 0..1_000i64 {
         wide.push(&vec![i % 200; dim]);
     }
-    assert!(wide.heap_bytes() >= 3 * index.heap_bytes());
+    assert!(wide.heap_bytes() >= 5 * index.heap_bytes());
 }
 
 /// `heap_bytes` accounting for the epoch engine: it must cover segment
@@ -972,16 +1044,16 @@ fn epoch_heap_bytes_covers_segments_planes_and_garbage() {
     }
     assert_eq!((index.segments().len(), index.staging_rows()), (15, 40));
     let full = index.heap_bytes();
-    // Floor: cells (2 bytes × dim) and the tombstone bitmap per row,
+    // Floor: packed rows (9 bits × dim) and the tombstone bitmap per row,
     // plus plane lanes (8 × 1 byte — paper `ka` takes the quantized
     // byte plane) for the rows in complete 64-row groups, across all
     // tiers. Ceiling: the same plus per-segment metadata and two
-    // segment lists — 4% more, not a multiple: nothing is held twice,
-    // and the head is charged for its 40 rows, not for the 64 it has
-    // reserved.
-    let floor = 1_000 * dim * 2 + 960 * 8 + 1_000 / 8;
+    // segment lists — under 300 B for each of the 16 tiers, 6% more,
+    // not a multiple: nothing is held twice, and the head is charged
+    // for its 40 rows, not for the 64 it has reserved.
+    let floor = 1_000 * dim * 9 / 8 + 960 * 8 + 1_000 / 8;
     assert!(full >= floor);
-    assert!(full <= floor + floor / 25, "unexpected slack: {full}");
+    assert!(full <= floor + 16 * 300, "unexpected slack: {full}");
 
     // Segment metadata must be accounted: more segments over the same
     // rows cost more than one head holding them — which, reserved for
@@ -1050,14 +1122,14 @@ proptest! {
         }
         index.compact();
         prop_assert_eq!(index.len(), keep);
-        // Ceiling: every live row at 2 bytes per canonical cell
-        // (ka = 400) and up to 9 of plane and tombstone words; and 400
+        // Ceiling: every live row at 9 bits per coordinate, rounded up
+        // (ka = 400), and up to 9 bytes of plane and tombstone words; and 400
         // bytes of metadata and list slots per tier, of which
         // compaction leaves one per `seal_rows` rows plus the head and
         // the index's own fixed part.
         let tiers = keep / seal_rows + 2;
         prop_assert!(
-            index.heap_bytes() <= keep * (dim * 2 + 9) + 400 * tiers,
+            index.heap_bytes() <= keep * (dim + dim.div_ceil(8) + 9) + 400 * tiers,
             "heap {} not bounded by live population ({} rows of {}, {} churned)",
             index.heap_bytes(), keep, dim, churn
         );
