@@ -21,9 +21,9 @@
 //! * `epoch_insert_us` / `epoch_insert_reserved_us` — µs per enrolled
 //!   row into the production `EpochIndex`, as built and after
 //!   `reserve(n)`. A row is published by one atomic store either way,
-//!   so the two agree; `FE_BENCH_GATE` fails the run when the first
-//!   exceeds 1.25× the second (a per-insert publication cost has come
-//!   back). Both are taken on the sweep's own population — 2 000 rows
+//!   so the two agree; a smoke run fails when the first exceeds 1.25×
+//!   the second (a per-insert publication cost has come back). Both
+//!   are taken on the sweep's own population — 2 000 rows
 //!   in smoke mode, a corner of one head — so
 //!   `epoch_insert_amortised_us` is the wall time of 262 144 inserts
 //!   into one default index over their count: four seals, and whatever
@@ -36,16 +36,20 @@
 //!   (`record_heap_bytes()`), and `index_bytes_per_record_*` what the
 //!   index row itself takes in a default `EpochIndex` at the paper
 //!   shape (`dim` 64, `ka` 400: 72 B of packed row, 8 B of plane, a
-//!   liveness bit) — each gated at 1.1× the committed value.
+//!   liveness bit). Recorded, not asserted: `fe-benchmark` bounds the
+//!   same bytes as `rss_bytes_per_record` at 0.02 and prints the index
+//!   row as `core.index.heap_bytes_per_record`.
 //!
 //! Kernel variants: `columnar` = the PR 3 scalar columnar kernel
 //! (`FilterConfig::disabled()`), `swar` = portable packed-lane SWAR
 //! forced, `vectorized` = runtime dispatch (AVX-512 → AVX2 → SWAR on
 //! x86-64, NEON on aarch64 — the `vectorized_is_avx2` /
 //! `vectorized_is_avx512` smoke metrics say which ran). Headline smoke
-//! numbers land in `BENCH_SMOKE.json`; with `FE_BENCH_GATE` set, the
-//! run **fails** if the vectorized kernel is not at least as fast as
-//! the scalar one on the smoke population.
+//! numbers land in `BENCH_SMOKE.json`; a smoke run **fails** if the
+//! vectorized kernel is not at least as fast as the scalar one on the
+//! smoke population. Every assert here is a ratio between two arms
+//! timed inside the run — the only kind of time gate a host with two
+//! speeds can hold.
 //!
 //! The `sweep_policy` group ablates the sweep *policy* on top of the
 //! dispatched kernel: adaptive vs fixed plane depth (see
@@ -188,9 +192,8 @@ fn bench_storage(c: &mut Criterion) {
 
     let mut csv_rows = Vec::new();
     let mut smoke_metrics: Vec<(String, f64)> = Vec::new();
-    // The FE_BENCH_GATE comparison runs on the largest population of
-    // the sweep: (scalar_us, vectorized_us) for the no-match worst
-    // case.
+    // The smoke assert compares on the largest population of the
+    // sweep: (scalar_us, vectorized_us) for the no-match worst case.
     let mut gate_pair = (0.0f64, 0.0f64);
     // Which kernel `vectorized` actually dispatched to ("avx2"/"swar").
     let mut kernel_label = "scalar";
@@ -198,9 +201,6 @@ fn bench_storage(c: &mut Criterion) {
     let mut insert_gate_pair = (0.0f64, 0.0f64);
     // µs per row over enough inserts to seal four segments.
     let mut insert_amortised_us = 0.0f64;
-    // (name, committed, measured) bytes/record of the record table and
-    // of the index row, same population.
-    let mut byte_gates: Vec<(&str, Option<f64>, f64)> = Vec::new();
     // Best-of iterations for the single-shot smoke timings.
     let iters = if smoke { 9 } else { 5 };
     for &n in sizes {
@@ -383,18 +383,10 @@ fn bench_storage(c: &mut Criterion) {
         smoke_metrics.push((format!("baseline_bytes_per_record_{n}"), base_bpr));
         smoke_metrics.push((format!("columnar_bytes_per_record_{n}"), col_bpr));
         smoke_metrics.push((format!("vectorized_bytes_per_record_{n}"), vect_bpr));
-        let table_key = format!("record_table_bytes_per_record_{n}");
         let table_bpr = record_table_bytes_per_record(&sketches);
-        let index_key = format!("index_bytes_per_record_{n}");
         let index_bpr = index_bytes_per_record(n, &mut rng);
-        // Read before `smoke::record` below rewrites the report.
-        let committed = |key: &str| smoke::baseline("storage_ablation", key);
-        byte_gates = vec![
-            ("record table", committed(&table_key), table_bpr),
-            ("index row", committed(&index_key), index_bpr),
-        ];
-        smoke_metrics.push((table_key, table_bpr));
-        smoke_metrics.push((index_key, index_bpr));
+        smoke_metrics.push((format!("record_table_bytes_per_record_{n}"), table_bpr));
+        smoke_metrics.push((format!("index_bytes_per_record_{n}"), index_bpr));
         println!("storage_ablation/record_table_bytes_per_record/{n}: {table_bpr:.1} B");
         println!("storage_ablation/index_bytes_per_record/{n}: {index_bpr:.1} B");
         println!(
@@ -432,40 +424,27 @@ fn bench_storage(c: &mut Criterion) {
     smoke_metrics.push(("epoch_insert_us".to_string(), insert_gate_pair.0));
     smoke_metrics.push(("epoch_insert_reserved_us".to_string(), insert_gate_pair.1));
     smoke_metrics.push(("epoch_insert_amortised_us".to_string(), insert_amortised_us));
-    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    smoke_metrics.push(("hw_threads".to_string(), hw_threads as f64));
     let named: Vec<(&str, f64)> = smoke_metrics
         .iter()
         .map(|(k, v)| (k.as_str(), *v))
         .collect();
     smoke::record("storage_ablation", &named);
 
-    // The CI perf gates: on the smoke population the vectorized kernel
-    // must not lose to the scalar one it claims to replace.
-    if std::env::var_os("FE_BENCH_GATE").is_some() {
+    // On the smoke population the vectorized kernel must not lose to
+    // the scalar one it claims to replace.
+    if smoke {
         let (scalar_us, vect_us) = (gate_pair.0 * 1e6, gate_pair.1 * 1e6);
         assert!(
             vect_us <= scalar_us,
-            "FE_BENCH_GATE: vectorized no-match lookup ({vect_us:.1} µs) is slower than \
+            "vectorized no-match lookup ({vect_us:.1} µs) is slower than \
              the scalar kernel ({scalar_us:.1} µs)"
         );
         let (insert_us, reserved_us) = insert_gate_pair;
         assert!(
             insert_us <= 1.25 * reserved_us,
-            "FE_BENCH_GATE: an EpochIndex insert costs {insert_us:.3} µs, more than 1.25× the \
+            "an EpochIndex insert costs {insert_us:.3} µs, more than 1.25× the \
              {reserved_us:.3} µs it costs after reserve(n): publishing a row is no longer O(1)"
         );
-        // Byte counts, so they repeat exactly: any growth is a layout
-        // change, and one past a tenth must be a deliberate one.
-        for (what, committed, measured) in byte_gates {
-            if let Some(committed) = committed {
-                assert!(
-                    measured <= committed * 1.1,
-                    "FE_BENCH_GATE: the {what} holds {measured:.1} B/record, more than 1.1× \
-                     the committed {committed:.1} B"
-                );
-            }
-        }
     }
 }
 
@@ -508,9 +487,9 @@ fn bench_width_dispatch(c: &mut Criterion) {
 ///
 /// Both variants must return the same answers (asserted before timing).
 /// Timings land in `BENCH_SMOKE.json` (`adaptive_f_depth`,
-/// `adaptive_nomatch_us`, `fixed8_nomatch_us`). With `FE_BENCH_GATE` set
-/// the run fails if the adaptive depth loses to the old constant
-/// `F = 8`, with a noise tolerance.
+/// `adaptive_nomatch_us`, `fixed8_nomatch_us`). A smoke run fails if the
+/// adaptive depth loses to the old constant `F = 8`, with a noise
+/// tolerance.
 fn bench_sweep_policy(c: &mut Criterion) {
     let smoke = smoke::smoke_mode();
     let n = if smoke { 20_000 } else { 1_000_000 };
@@ -584,13 +563,13 @@ fn bench_sweep_policy(c: &mut Criterion) {
         ],
     );
 
-    if std::env::var_os("FE_BENCH_GATE").is_some() {
+    if smoke {
         // 25% tolerance: even interleaved best-of timings jitter on a
         // shared CI box; the gate is for losing a kernel, not a run.
         let tol = 1.25;
         assert!(
             adaptive_miss <= fixed8_miss * tol,
-            "FE_BENCH_GATE: adaptive plane depth ({:.1} µs) lost to fixed F=8 ({:.1} µs)",
+            "adaptive plane depth ({:.1} µs) lost to fixed F=8 ({:.1} µs)",
             adaptive_miss * 1e6,
             fixed8_miss * 1e6
         );

@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod netload;
 pub mod smoke;
 
 use fe_core::SecureSketch;

@@ -1,23 +1,23 @@
 //! Machine-readable smoke-bench reporting: `BENCH_SMOKE.json`.
 //!
-//! CI smoke-runs the bench matrix (`FE_BENCH_SMOKE=1`) on every PR, but
-//! criterion's console output is write-only history — nobody diffs it.
-//! This module gives each bench a one-call way to record its headline
-//! numbers as JSON so the perf trajectory is an artifact:
+//! CI smoke-runs `storage_ablation` and `scheduler_throughput`
+//! (`FE_BENCH_SMOKE=1`) on every PR, but criterion's console output is
+//! write-only history — nobody diffs it. [`record`] lets a bench put its
+//! headline numbers into **`BENCH_SMOKE.json` at the repository root**
+//! (bench name → metric map): it reads the report, replaces the one
+//! section it was asked about and writes the file back, so every other
+//! section stays byte for byte what is on disk — whichever subset of
+//! benches ran, in whatever order. CI uploads the file as a workflow
+//! artifact.
 //!
-//! * each bench calls [`record`] with `(metric, value)` pairs; the pairs
-//!   are written to a per-bench fragment under
-//!   `target/experiments/bench_smoke/`;
-//! * after every write the fragments are merged into **`BENCH_SMOKE.json`
-//!   at the repository root** (bench name → metric map), over the
-//!   sections the file already holds, so it is complete no matter which
-//!   subset of benches ran or in what order — on a fresh checkout, where
-//!   the git-ignored fragment directory is empty, included;
-//! * CI uploads the merged file as a workflow artifact.
+//! Nothing reads a recorded value back: the host has two speeds, so a
+//! time taken on another day says which speed that day had. What a
+//! smoke run asserts are ratios between arms timed inside that run.
 //!
-//! Values are recorded under whatever run mode was active; the `smoke`
-//! key in every section says which (`1` = reduced CI sizes, `0` = full
-//! sweep), so numbers from different modes are never conflated.
+//! Every section carries the run mode it was recorded under (`smoke`:
+//! `1` = reduced CI sizes, `0` = full sweep) and the host's
+//! `hw_threads`, so numbers from different modes or hosts are never
+//! conflated.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -28,23 +28,20 @@ pub fn smoke_mode() -> bool {
     std::env::var_os("FE_BENCH_SMOKE").is_some()
 }
 
-/// Where the fragments and the merged report live: the repository by
-/// default (`target/experiments/bench_smoke/` + `BENCH_SMOKE.json` at
-/// the root), or under `FE_BENCH_SMOKE_OUT` when set (tests point this
-/// at a scratch directory so unit runs never touch the real report).
-fn report_root() -> (PathBuf, PathBuf) {
-    if let Some(out) = std::env::var_os("FE_BENCH_SMOKE_OUT") {
-        let root = PathBuf::from(out);
-        (root.join("bench_smoke"), root.join("BENCH_SMOKE.json"))
-    } else {
-        let mut repo_root = crate::experiments_dir();
-        repo_root.pop(); // target/experiments → target
-        repo_root.pop(); // target → repo root
-        (
-            crate::experiments_dir().join("bench_smoke"),
-            repo_root.join("BENCH_SMOKE.json"),
-        )
-    }
+/// Where the report lives: `BENCH_SMOKE.json` at the repository root,
+/// or under `FE_BENCH_SMOKE_OUT` when set (tests point this at a scratch
+/// directory so unit runs never touch the real report).
+fn report_path() -> PathBuf {
+    let root = match std::env::var_os("FE_BENCH_SMOKE_OUT") {
+        Some(out) => PathBuf::from(out),
+        None => {
+            let mut root = crate::experiments_dir();
+            root.pop(); // target/experiments → target
+            root.pop(); // target → repo root
+            root
+        }
+    };
+    root.join("BENCH_SMOKE.json")
 }
 
 /// Keys must stay valid JSON without escaping: keep them to
@@ -74,66 +71,50 @@ fn format_value(v: f64) -> String {
     }
 }
 
-/// Records one bench's headline metrics and re-merges
-/// `BENCH_SMOKE.json` at the repository root. Returns the merged file's
-/// path.
+/// Records one bench's headline metrics as its section of
+/// `BENCH_SMOKE.json`, leaving every other section as it is on disk.
+/// Returns the report's path.
 ///
 /// # Panics
 /// Panics on I/O errors — a perf record that silently fails to write
 /// would defeat its purpose.
 pub fn record(bench: &str, metrics: &[(&str, f64)]) -> PathBuf {
-    let (dir, merged) = report_root();
-    std::fs::create_dir_all(&dir).expect("create bench_smoke dir");
-
-    let mut body = String::from("{\n");
-    body.push_str(&format!(
-        "    \"smoke\": {}",
-        if smoke_mode() { 1 } else { 0 }
-    ));
+    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut body = format!(
+        "{{\n    \"smoke\": {},\n    \"hw_threads\": {hw_threads}",
+        u8::from(smoke_mode())
+    );
     for (key, value) in metrics {
-        body.push_str(",\n");
         body.push_str(&format!(
-            "    \"{}\": {}",
+            ",\n    \"{}\": {}",
             sanitize(key),
             format_value(*value)
         ));
     }
     body.push_str("\n  }");
-    std::fs::write(dir.join(format!("{}.json", sanitize(bench))), &body)
-        .expect("write bench fragment");
 
-    merge(&dir, merged)
-}
+    let path = report_path();
+    // Sorted by bench name.
+    let mut report: BTreeMap<String, String> =
+        sections(&std::fs::read_to_string(&path).unwrap_or_default())
+            .into_iter()
+            .collect();
+    report.insert(sanitize(bench), body);
 
-/// Reads the previously recorded value of `bench.metric` from the
-/// merged report — the committed `BENCH_SMOKE.json` at the repository
-/// root, i.e. the fail-if-slower baseline for `FE_BENCH_GATE` checks.
-///
-/// Returns `None` when the file, section, or key is missing, when the
-/// value is `null`, or when the section was recorded under a different
-/// run mode than the current one (full-sweep and smoke numbers must
-/// never be compared). Call this **before** [`record`] — recording
-/// rewrites the report and clobbers the baseline.
-pub fn baseline(bench: &str, metric: &str) -> Option<f64> {
-    let (_, merged) = report_root();
-    let text = std::fs::read_to_string(merged).ok()?;
-    let header = format!("\"{}\": {{", sanitize(bench));
-    let section = text.split(&header).nth(1)?;
-    let section = &section[..section.find('}')?];
-    let mode = section.split("\"smoke\": ").nth(1)?;
-    let recorded_smoke = mode.trim_start().starts_with('1');
-    if recorded_smoke != smoke_mode() {
-        return None;
+    let entries: Vec<String> = report
+        .iter()
+        .map(|(name, body)| format!("  \"{name}\": {body}"))
+        .collect();
+    let out = format!("{{\n{}\n}}\n", entries.join(",\n"));
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create the report's directory");
     }
-    let value = section
-        .split(&format!("\"{}\": ", sanitize(metric)))
-        .nth(1)?;
-    let end = value.find([',', '\n', '}']).unwrap_or(value.len());
-    value[..end].trim().parse().ok()
+    std::fs::write(&path, out).expect("write BENCH_SMOKE.json");
+    path
 }
 
-/// The `(bench, body)` sections of a merged report, bodies verbatim
-/// (a body is a flat `{ … }` map: the first `}` ends it).
+/// The `(bench, body)` sections of a report, bodies verbatim (a body is
+/// a flat `{ … }` map: the first `}` ends it).
 fn sections(report: &str) -> Vec<(String, String)> {
     report
         .split("\n  \"")
@@ -144,38 +125,6 @@ fn sections(report: &str) -> Vec<(String, String)> {
             Some((name.to_string(), body.to_string()))
         })
         .collect()
-}
-
-/// Rebuilds the merged report: every fragment present, plus every
-/// section of the existing report that no fragment replaces.
-fn merge(dir: &PathBuf, path: PathBuf) -> PathBuf {
-    let fragments = std::fs::read_dir(dir)
-        .expect("read bench_smoke dir")
-        .filter_map(|entry| {
-            let path = entry.ok()?.path();
-            let name = path.file_stem()?.to_str()?.to_string();
-            if path.extension()?.to_str()? != "json" {
-                return None;
-            }
-            Some((name, std::fs::read_to_string(&path).ok()?))
-        });
-    // Sorted by bench name; a fragment replaces the section it names.
-    let mut merged: BTreeMap<String, String> =
-        sections(&std::fs::read_to_string(&path).unwrap_or_default())
-            .into_iter()
-            .collect();
-    merged.extend(fragments);
-
-    let mut out = String::from("{\n");
-    for (i, (name, body)) in merged.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!("  \"{name}\": {body}"));
-    }
-    out.push_str("\n}\n");
-    std::fs::write(&path, out).expect("write BENCH_SMOKE.json");
-    path
 }
 
 #[cfg(test)]
@@ -194,7 +143,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
         std::env::set_var("FE_BENCH_SMOKE_OUT", &scratch);
-        // A fresh checkout: a committed two-section report, no fragments.
+        // A fresh checkout: a committed two-section report.
         let alpha = "{\n    \"smoke\": 1,\n    \"p50_us\": 42\n  }";
         let omega = "{\n    \"smoke\": 0,\n    \"rps\": 1234.568,\n    \"x\": null\n  }";
         let committed = format!("{{\n  \"alpha\": {alpha},\n  \"omega\": {omega}\n}}\n");
@@ -212,6 +161,13 @@ mod tests {
         let merged = std::fs::read_to_string(&path).unwrap();
         assert!(merged.contains("\"p50_us\": 40"), "{merged}");
         assert!(!merged.contains("\"p50_us\": 42"), "{merged}");
+        assert_eq!(sections(&merged)[2].1, omega);
+        // `git checkout -- BENCH_SMOKE.json`, then another bench runs:
+        // what is on disk wins over anything an earlier run recorded.
+        std::fs::write(&path, &committed).unwrap();
+        let path = record("middle", &[("y", 8.0)]);
+        let merged = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(sections(&merged)[0].1, alpha, "{merged}");
         assert_eq!(sections(&merged)[2].1, omega);
         std::env::remove_var("FE_BENCH_SMOKE_OUT");
         std::fs::remove_dir_all(&scratch).unwrap();
@@ -247,17 +203,6 @@ mod tests {
         let merged2 = std::fs::read_to_string(&path2).unwrap();
         assert!(merged2.contains("\"unit-test-bench\""));
         assert!(merged2.contains("\"x\": null"));
-        // The baseline reader round-trips what record wrote (run modes
-        // match: both sides of the round trip saw the same env).
-        assert_eq!(baseline("unit-test-bench", "p50_us"), Some(42.0));
-        assert_eq!(
-            baseline("unit-test-bench", "throughput_rps"),
-            Some(1234.568)
-        );
-        // Missing key, null value, missing bench: all `None`.
-        assert_eq!(baseline("unit-test-bench", "nope"), None);
-        assert_eq!(baseline("unit-test-bench2", "x"), None);
-        assert_eq!(baseline("no-such-bench", "p50_us"), None);
         std::env::remove_var("FE_BENCH_SMOKE_OUT");
         std::fs::remove_dir_all(&scratch).unwrap();
     }

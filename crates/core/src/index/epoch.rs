@@ -391,24 +391,6 @@ impl fmt::Debug for EpochIndex {
     }
 }
 
-impl Clone for EpochIndex {
-    /// Clones the *contents* into an independent index with its own
-    /// head and publication cell: readers of the original never observe
-    /// the clone's writes. Sealed segments are shared (`Arc`) until the
-    /// clone rewrites or compacts them away.
-    fn clone(&self) -> EpochIndex {
-        let mut clone = EpochIndex {
-            segments: self.segments.clone(),
-            head: Arc::new(Segment::clone(&self.head)),
-            dim: self.dim,
-            generation: self.generation,
-            ..EpochIndex::with_seal(self.t, self.ka, self.filter, self.seal_rows)
-        };
-        clone.publish();
-        clone
-    }
-}
-
 impl EpochIndex {
     /// An epoch index over a ring of circumference `ka` with threshold
     /// `t` and the default prefilter.

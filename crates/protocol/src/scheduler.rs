@@ -30,8 +30,11 @@
 //! # Batching is overload control, not a speedup dial
 //!
 //! With the vectorized, prefiltered scan kernel, the measured
-//! batched-vs-direct *throughput* ratio on a warm server collapses to
-//! ≈1.0 (`scheduler_batch_speedup` in BENCH_SMOKE): one
+//! batched-vs-direct *throughput* ratio on a warm server is at or below
+//! 1.0 (`speedup_c8`, the `scheduler_throughput` bench's within-run
+//! ratio, reads 0.5–0.9 from run to run on a 2-thread host; a probe of
+//! a batch of 32 costs `core.index.batch32_us_per_probe` 60 µs against
+//! a lone `find_first_miss_us` of 66 µs at 10⁵ rows in `fe-benchmark`): one
 //! probe already streams the arena at close to memory bandwidth, so
 //! coalescing probes no longer multiplies throughput the way it did
 //! against the scalar kernel. What batching still buys — and why the
@@ -61,8 +64,9 @@
 //!
 //! The scheduler exports [`SchedulerMetrics`]: latency, queue-depth and
 //! batch-size histograms (lock-free, see [`fe_metrics::telemetry`])
-//! plus admission/shed/flush counters — the numbers the
-//! `scheduler_throughput` bench and the CI smoke report read out.
+//! plus admission/shed/flush counters — the numbers `fe-benchmark`
+//! prints as `protocol.scheduler.*` and the `scheduler_throughput`
+//! bench reads out.
 
 use crate::concurrent::SharedServer;
 use crate::messages::{EnrollmentRecord, IdentChallenge, UserId};

@@ -451,8 +451,10 @@ fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
 /// By default appends are pushed to the OS (`write` + flush): they
 /// survive *process* death — the kill-mid-log scenario — but not kernel
 /// panic or power loss. [`FileStore::set_sync`] upgrades every append to
-/// an `fsync`, trading enroll throughput (quantified in the `cold_start`
-/// bench) for full power-failure durability.
+/// an `fsync`, trading enroll throughput for full power-failure
+/// durability: an unsynced append is `protocol.store.append_us` in
+/// `fe-benchmark`'s `churn_durable` (0.87 µs on a 2-thread sandbox);
+/// a synced one costs what the device's `fsync` does.
 pub struct FileStore {
     dir: PathBuf,
     fingerprint: Fingerprint,
