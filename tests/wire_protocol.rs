@@ -146,3 +146,280 @@ fn adversarial_byte_tampering_on_link() {
         Ok(other) => panic!("unexpected message {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------
+// Golden vectors: one pinned encoding of every message tag, response
+// kind and handshake payload. PROTOCOL.md is the prose; these are the
+// bytes. A change here is a wire-format change and needs a version bump.
+// ---------------------------------------------------------------------
+
+mod golden {
+    use fuzzy_id::core::codec::Fingerprint;
+    use fuzzy_id::core::{HelperData, RobustData};
+    use fuzzy_id::net::envelope::{
+        decode_request, decode_response, encode_request, encode_response, Response, ResponseBody,
+    };
+    use fuzzy_id::net::handshake::{
+        decode_hello, decode_reply, encode_hello, encode_reply, HandshakeStatus, NET_VERSION,
+    };
+    use fuzzy_id::net::{ErrorCode, WireError};
+    use fuzzy_id::protocol::wire::{decode, encode, Message};
+    use fuzzy_id::protocol::{
+        EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, WireHelper,
+    };
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn helper() -> WireHelper {
+        HelperData {
+            sketch: RobustData {
+                inner: vec![-200, 137, 0],
+                tag: vec![0xaa; 4],
+            },
+            seed: vec![1, 2, 3],
+        }
+    }
+
+    fn empty_helper() -> WireHelper {
+        HelperData {
+            sketch: RobustData {
+                inner: Vec::new(),
+                tag: Vec::new(),
+            },
+            seed: Vec::new(),
+        }
+    }
+
+    fn challenge() -> IdentChallenge {
+        IdentChallenge {
+            session: 77,
+            helper: helper(),
+            challenge: u64::MAX,
+        }
+    }
+
+    /// Every message tag 0–10, in tag order.
+    fn messages() -> Vec<(Message, &'static str)> {
+        vec![
+            (
+                Message::Identify {
+                    probe: vec![1, -2, 300],
+                },
+                "4645494400000100000003\
+                 0000000000000001fffffffffffffffe000000000000012c",
+            ),
+            (
+                Message::Identify { probe: Vec::new() },
+                "4645494400000100000000",
+            ),
+            (
+                Message::Enroll(EnrollmentRecord {
+                    id: "alice".into(),
+                    public_key: vec![9, 8, 7],
+                    helper: helper(),
+                }),
+                "4645494401000100000005616c6963650000000309080700000003ffffffffff\
+                 ffff380000000000000089000000000000000000000004aaaaaaaa0000000301\
+                 0203",
+            ),
+            (
+                Message::Challenge(challenge()),
+                "46454944020001000000000000004dffffffffffffffff00000003ffffffffff\
+                 ffff380000000000000089000000000000000000000004aaaaaaaa0000000301\
+                 0203",
+            ),
+            (
+                Message::Response(IdentResponse {
+                    session: 3,
+                    signature: vec![0xde, 0xad],
+                    nonce: 5,
+                }),
+                "464549440300010000000000000003000000000000000500000002dead",
+            ),
+            (
+                Message::Outcome(IdentOutcome::Identified("alice".into())),
+                "464549440400010100000005616c696365",
+            ),
+            (Message::Outcome(IdentOutcome::Rejected), "4645494404000100"),
+            (
+                Message::EnrollUnique(EnrollmentRecord {
+                    id: String::new(),
+                    public_key: Vec::new(),
+                    helper: empty_helper(),
+                }),
+                "464549440500010000000000000000000000000000000000000000",
+            ),
+            (
+                Message::Reset {
+                    probe: vec![i64::MIN, 0],
+                },
+                "464549440600010000000280000000000000000000000000000000",
+            ),
+            (
+                Message::AuthenticateClaimed {
+                    id: "bob".into(),
+                    probe: vec![7],
+                },
+                "4645494407000100000003626f62000000010000000000000007",
+            ),
+            (
+                Message::CheckLocalUniqueness {
+                    probe: vec![5],
+                    ids: vec!["a".into(), String::new(), "c".into()],
+                },
+                "4645494408000100000001000000000000000500000003000000016100000000\
+                 0000000163",
+            ),
+            (
+                Message::CheckLocalUniqueness {
+                    probe: Vec::new(),
+                    ids: Vec::new(),
+                },
+                "464549440800010000000000000000",
+            ),
+            (
+                Message::Revoke {
+                    id: "user-7".into(),
+                },
+                "4645494409000100000006757365722d37",
+            ),
+            (
+                Message::IdentifyBatch {
+                    probes: vec![vec![1, 2], Vec::new(), vec![3]],
+                },
+                "464549440a000100000003000000020000000000000001000000000000000200\
+                 000000000000010000000000000003",
+            ),
+            (
+                Message::IdentifyBatch { probes: Vec::new() },
+                "464549440a000100000000",
+            ),
+        ]
+    }
+
+    /// Every response kind 0–5 and an error envelope, under one id.
+    fn responses() -> Vec<(Response, &'static str)> {
+        let no_match = WireError {
+            code: ErrorCode::NoMatch,
+            detail: "no enrolled record".into(),
+        };
+        vec![
+            (Ok(ResponseBody::Empty), "01020304050607080000"),
+            (
+                Ok(ResponseBody::Challenge(challenge())),
+                "0102030405060708000146454944020001000000000000004dffffffffffffff\
+                 ff00000003ffffffffffffff3800000000000000890000000000000000000000\
+                 04aaaaaaaa00000003010203",
+            ),
+            (
+                Ok(ResponseBody::Outcome(IdentOutcome::Identified(
+                    "alice".into(),
+                ))),
+                "01020304050607080002464549440400010100000005616c696365",
+            ),
+            (
+                Ok(ResponseBody::Outcome(IdentOutcome::Rejected)),
+                "010203040506070800024645494404000100",
+            ),
+            (
+                Ok(ResponseBody::UserId("reset-winner".into())),
+                "010203040506070800030000000c72657365742d77696e6e6572",
+            ),
+            (Ok(ResponseBody::Flag(true)), "0102030405060708000401"),
+            (Ok(ResponseBody::Flag(false)), "0102030405060708000400"),
+            (
+                Ok(ResponseBody::Batch(vec![
+                    Ok(challenge()),
+                    Err(no_match.clone()),
+                ])),
+                "0102030405060708000500000002000000004246454944020001000000000000\
+                 004dffffffffffffffff00000003ffffffffffffff3800000000000000890000\
+                 00000000000000000004aaaaaaaa0000000301020301000000126e6f20656e72\
+                 6f6c6c6564207265636f7264",
+            ),
+            (
+                Ok(ResponseBody::Batch(Vec::new())),
+                "0102030405060708000500000000",
+            ),
+            (
+                Err(WireError {
+                    code: ErrorCode::Overloaded,
+                    detail: String::new(),
+                }),
+                "01020304050607080c00000000",
+            ),
+            (
+                Err(no_match),
+                "010203040506070801000000126e6f20656e726f6c6c6564207265636f7264",
+            ),
+        ]
+    }
+
+    const ID: u64 = 0x0102_0304_0506_0708;
+
+    #[test]
+    fn every_message_tag_encodes_to_its_pinned_bytes() {
+        let mut wrong = Vec::new();
+        for (msg, pinned) in messages() {
+            let bytes = encode(&msg);
+            if hex(&bytes) != pinned {
+                wrong.push(format!("{msg:?}\n    {}", hex(&bytes)));
+            }
+            assert_eq!(decode(&bytes).unwrap(), msg);
+        }
+        assert!(wrong.is_empty(), "wire bytes moved:\n{}", wrong.join("\n"));
+    }
+
+    #[test]
+    fn request_and_response_envelopes_encode_to_their_pinned_bytes() {
+        let revoke = Message::Revoke {
+            id: "user-7".into(),
+        };
+        let request = encode_request(7, &revoke);
+        assert_eq!(
+            hex(&request),
+            "00000000000000074645494409000100000006757365722d37"
+        );
+        let (id, got) = decode_request(&request).unwrap();
+        assert_eq!((id, got.unwrap()), (7, revoke));
+
+        let mut wrong = Vec::new();
+        for (response, pinned) in responses() {
+            let bytes = encode_response(ID, &response);
+            if hex(&bytes) != pinned {
+                wrong.push(format!("{response:?}\n    {}", hex(&bytes)));
+            }
+            assert_eq!(decode_response(&bytes).unwrap(), (ID, response));
+        }
+        assert!(
+            wrong.is_empty(),
+            "envelope bytes moved:\n{}",
+            wrong.join("\n")
+        );
+    }
+
+    #[test]
+    fn handshake_payloads_encode_to_their_pinned_bytes() {
+        let fp = Fingerprint([0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88]);
+        let hello = encode_hello(&fp);
+        assert_eq!(hex(&hello), "46454e4800011122334455667788");
+        assert_eq!(decode_hello(&hello).unwrap(), (NET_VERSION, fp));
+        for (status, pinned) in [
+            (HandshakeStatus::Accepted, "46454e480001001122334455667788"),
+            (
+                HandshakeStatus::VersionMismatch,
+                "46454e480001011122334455667788",
+            ),
+            (
+                HandshakeStatus::FingerprintMismatch,
+                "46454e480001021122334455667788",
+            ),
+        ] {
+            let reply = encode_reply(status, &fp);
+            assert_eq!(hex(&reply), pinned, "{status:?}");
+            assert_eq!(decode_reply(&reply).unwrap(), (NET_VERSION, status, fp));
+        }
+    }
+}
