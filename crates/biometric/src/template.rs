@@ -1,7 +1,5 @@
 //! The [`Template`] newtype: an encoded biometric feature vector.
 
-use serde::{Deserialize, Serialize};
-
 /// An encoded biometric template: an `n`-dimensional integer feature
 /// vector, the common input format of both the proposed protocol and the
 /// normal approach (Sec. VII: "both … use the same format of data as
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.dim(), 3);
 /// assert_eq!(t.features()[1], -20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Template {
     features: Vec<i64>,
 }

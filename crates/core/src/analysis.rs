@@ -12,7 +12,6 @@
 
 use crate::numberline::NumberLine;
 use crate::SketchError;
-use serde::{Deserialize, Serialize};
 
 /// Analytic security figures for a sketch configuration.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SketchAnalysis {
     line: NumberLine,
     t: u64,

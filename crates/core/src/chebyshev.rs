@@ -6,7 +6,6 @@ use crate::sketch::SecureSketch;
 use crate::SketchError;
 use rand::Rng;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The maximum-norm secure sketch over a [`NumberLine`].
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChebyshevSketch {
     line: NumberLine,
     t: u64,

@@ -333,8 +333,15 @@ impl Writer {
         self.put_bytes(s.as_bytes());
     }
 
+    /// Appends bytes as they are, with no length prefix: a magic, or a
+    /// payload whose end the enclosing frame marks.
+    pub fn put_raw(&mut self, data: &[u8]) {
+        self.buf.extend_from_slice(data);
+    }
+
     /// Appends an `i64` vector, length-prefixed.
     pub fn put_i64s(&mut self, v: &[i64]) {
+        self.buf.reserve(4 + 8 * v.len());
         self.put_u32(v.len() as u32);
         for &x in v {
             self.put_i64(x);
@@ -347,6 +354,7 @@ impl Writer {
     /// a short frame (caught by the length) or a payload whose checksum
     /// fails — both recognized as a torn tail by [`Reader::get_framed`].
     pub fn put_framed(&mut self, payload: &[u8]) {
+        self.buf.reserve(FRAME_HEADER_LEN + payload.len());
         let mark = self.begin_frame();
         self.buf.extend_from_slice(payload);
         self.end_frame(mark);
@@ -426,7 +434,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// Reads the next `n` bytes as they are, borrowed from the input
+    /// (`n = remaining()` is "everything up to the end").
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] when fewer than `n` bytes are left.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated);
         }
@@ -447,7 +460,7 @@ impl<'a> Reader<'a> {
         kind: ArtifactKind,
         fingerprint: &Fingerprint,
     ) -> Result<(), CodecError> {
-        let magic = self.take(4)?;
+        let magic = self.get_raw(4)?;
         if magic != MAGIC {
             return Err(CodecError::BadMagic);
         }
@@ -463,7 +476,7 @@ impl<'a> Reader<'a> {
             });
         }
         let mut found = [0u8; 8];
-        found.copy_from_slice(self.take(8)?);
+        found.copy_from_slice(self.get_raw(8)?);
         let found = Fingerprint(found);
         if &found != fingerprint {
             return Err(CodecError::FingerprintMismatch {
@@ -476,33 +489,33 @@ impl<'a> Reader<'a> {
 
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(self.get_raw(1)?[0])
     }
 
     /// Reads a big-endian `u16`.
     pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_be_bytes(self.get_raw(2)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.get_raw(4)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_be_bytes(self.get_raw(8)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian `i64`.
     pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_be_bytes(self.get_raw(8)?.try_into().unwrap()))
     }
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        Ok(self.get_raw(len)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -513,10 +526,13 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed `i64` vector.
     pub fn get_i64s(&mut self) -> Result<Vec<i64>, CodecError> {
         let len = self.get_u32()? as usize;
-        if self.remaining() < len.saturating_mul(8) {
-            return Err(CodecError::Truncated);
-        }
-        (0..len).map(|_| self.get_i64()).collect()
+        // One bounds check for the whole vector, before any allocation:
+        // a count the input cannot back is `Truncated`, however large.
+        let bytes = self.get_raw(len.checked_mul(8).ok_or(CodecError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| i64::from_be_bytes(c.try_into().expect("chunks_exact(8)")))
+            .collect())
     }
 
     /// Reads one CRC-framed payload written by [`Writer::put_framed`].
@@ -529,7 +545,7 @@ impl<'a> Reader<'a> {
     pub fn get_framed(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.get_u32()? as usize;
         let crc = self.get_u32()?;
-        let payload = self.take(len)?;
+        let payload = self.get_raw(len)?;
         if crc32(payload) != crc {
             return Err(CodecError::BadChecksum);
         }

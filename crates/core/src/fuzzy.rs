@@ -10,14 +10,13 @@ use crate::SketchError;
 use fe_crypto::extractor::{HmacExtractor, StrongExtractor};
 use fe_crypto::{Digest, Sha256};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Public helper data `P = (s, r)`: the sketch plus the extractor seed
 /// (Sec. IV-C `Gen`).
 ///
 /// Publishing `P` leaks at most the sketch's entropy loss (Theorem 3);
 /// the extracted key stays statistically close to uniform given `P`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HelperData<S> {
     /// The (robust) sketch `s`.
     pub sketch: S,
@@ -128,8 +127,8 @@ impl FuzzyExtractor<RobustSketch<ChebyshevSketch, Sha256>, HmacExtractor> {
 // Re-check the SketchBytes bound is satisfied for the default stack (a
 // compile-time assertion more than anything).
 const _: fn() = || {
-    fn assert_bytes<T: SketchBytes>() {}
-    assert_bytes::<Vec<i64>>();
+    fn assert_impl<T: SketchBytes>() {}
+    assert_impl::<Vec<i64>>();
 };
 
 #[cfg(test)]

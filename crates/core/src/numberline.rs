@@ -4,7 +4,6 @@
 use crate::SketchError;
 use rand::Rng;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The number line `La` with parameters `(a, k, v)`.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NumberLine {
     a: u64,
     k: u64,

@@ -1,7 +1,6 @@
 //! A compact bit vector used by the Hamming-metric constructions
 //! (code-offset sketch, fuzzy commitment, BCH codewords).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::BitXor;
 
@@ -17,7 +16,7 @@ use std::ops::BitXor;
 /// assert!(v.get(3));
 /// assert!(!v.get(4));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,

@@ -9,13 +9,14 @@
 
 use crate::envelope::{self, ResponseBody};
 use crate::error::{NetError, WireError};
-use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+use crate::frame::{encode_frame, read_frame, DEFAULT_MAX_FRAME};
 use crate::handshake::client_handshake;
-use fe_core::codec::Fingerprint;
+use fe_core::codec::{Fingerprint, Writer};
 use fe_protocol::wire::Message;
 use fe_protocol::{
     EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SystemParams, UserId,
 };
+use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A connected, handshaken client.
@@ -30,16 +31,13 @@ use std::net::{TcpStream, ToSocketAddrs};
 /// use fe_protocol::scheduler::{ScheduledServer, SchedulerConfig};
 /// use fe_protocol::{BiometricDevice, SystemParams};
 /// use rand::SeedableRng;
+/// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let params = SystemParams::insecure_test_defaults();
-/// let (server, _scheduler) = NetServer::scan(
-///     params.clone(),
-///     1,
-///     SchedulerConfig { rng_seed: 7, ..SchedulerConfig::default() },
-///     "127.0.0.1:0",
-///     NetConfig::default(),
-/// )?;
+/// let config = SchedulerConfig { rng_seed: 7, ..SchedulerConfig::default() };
+/// let scheduler = Arc::new(ScheduledServer::scan(params.clone(), 1, config));
+/// let server = NetServer::spawn(scheduler, "127.0.0.1:0", NetConfig::default())?;
 ///
 /// // Client side: a device enrolls, then identifies itself.
 /// let device = BiometricDevice::new(params.clone());
@@ -64,6 +62,8 @@ pub struct Client {
     stream: TcpStream,
     max_frame: usize,
     next_id: u64,
+    /// The request frame, encoded in place and reused call to call.
+    frame: Writer,
 }
 
 impl Client {
@@ -95,6 +95,7 @@ impl Client {
             stream,
             max_frame,
             next_id: 0,
+            frame: Writer::new(),
         })
     }
 
@@ -103,8 +104,10 @@ impl Client {
     fn call(&mut self, msg: &Message) -> Result<ResponseBody, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let request = envelope::encode_request(id, msg);
-        write_frame(&mut self.stream, &request, self.max_frame)?;
+        encode_frame(&mut self.frame, self.max_frame, |w| {
+            envelope::put_request(w, id, msg)
+        })?;
+        self.stream.write_all(self.frame.as_slice())?;
         let payload = read_frame(&mut self.stream, self.max_frame)?;
         let (got_id, response) = envelope::decode_response(&payload)?;
         if got_id != id {

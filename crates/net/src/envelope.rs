@@ -32,6 +32,7 @@
 //! answer with [`ErrorCode::Malformed`] and keep the connection.
 
 use crate::error::{ErrorCode, NetError, WireError};
+use fe_core::codec::{CodecError, Reader, Writer};
 use fe_protocol::wire::{self, Message};
 use fe_protocol::{IdentChallenge, IdentOutcome, ProtocolError, UserId};
 
@@ -64,13 +65,23 @@ pub enum ResponseBody {
 /// A decoded response: the success body or the peer-reported error.
 pub type Response = Result<ResponseBody, WireError>;
 
+/// Writes a request envelope where the caller's buffer will hold it.
+pub(crate) fn put_request(w: &mut Writer, id: u64, msg: &Message) {
+    w.put_u64(id);
+    wire::put_message(w, msg);
+}
+
 /// Encodes a request envelope.
 pub fn encode_request(id: u64, msg: &Message) -> Vec<u8> {
-    let body = wire::encode(msg);
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&id.to_be_bytes());
-    buf.extend_from_slice(&body);
-    buf
+    let mut w = Writer::new();
+    put_request(&mut w, id, msg);
+    w.into_bytes()
+}
+
+/// Everything up to the end of the payload: an embedded wire message
+/// carries no length of its own, the frame around the envelope ends it.
+fn rest<'a>(r: &mut Reader<'a>) -> &'a [u8] {
+    r.get_raw(r.remaining()).expect("the bytes that remain")
 }
 
 /// Decodes a request envelope into its id and message.
@@ -81,129 +92,129 @@ pub fn encode_request(id: u64, msg: &Message) -> Vec<u8> {
 /// as `Ok((id, Err(_)))` so the caller can respond with
 /// [`ErrorCode::Malformed`].
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Result<Message, ProtocolError>), NetError> {
-    if payload.len() < 8 {
-        return Err(NetError::BadFrame("request envelope too short for an id"));
+    let mut r = Reader::new(payload);
+    let id = r
+        .get_u64()
+        .map_err(|_| NetError::BadFrame("request envelope too short for an id"))?;
+    Ok((id, wire::decode(rest(&mut r))))
+}
+
+fn put_error(w: &mut Writer, err: &WireError) {
+    w.put_u8(err.code.as_u8());
+    w.put_str(&err.detail);
+}
+
+/// Writes a response envelope where the caller's buffer will hold it.
+/// Challenges and outcomes go in borrowed, through the arms
+/// [`wire::encode`] uses.
+pub(crate) fn put_response(w: &mut Writer, id: u64, response: &Response) {
+    w.put_u64(id);
+    let body = match response {
+        Ok(body) => body,
+        Err(e) => return put_error(w, e),
+    };
+    w.put_u8(0);
+    match body {
+        ResponseBody::Empty => w.put_u8(KIND_EMPTY),
+        ResponseBody::Challenge(c) => {
+            w.put_u8(KIND_CHALLENGE);
+            wire::put_challenge(w, c);
+        }
+        ResponseBody::Outcome(o) => {
+            w.put_u8(KIND_OUTCOME);
+            wire::put_outcome(w, o);
+        }
+        ResponseBody::UserId(id) => {
+            w.put_u8(KIND_USER_ID);
+            w.put_str(id);
+        }
+        ResponseBody::Flag(v) => {
+            w.put_u8(KIND_FLAG);
+            w.put_u8(u8::from(*v));
+        }
+        ResponseBody::Batch(items) => {
+            w.put_u8(KIND_BATCH);
+            w.put_u32(items.len() as u32);
+            // An item's length goes ahead of its challenge, so each is
+            // encoded aside (one buffer for the batch) and copied in.
+            let mut challenge = Writer::new();
+            for item in items {
+                match item {
+                    Ok(c) => {
+                        w.put_u8(0);
+                        challenge.clear();
+                        wire::put_challenge(&mut challenge, c);
+                        w.put_bytes(challenge.as_slice());
+                    }
+                    Err(e) => put_error(w, e),
+                }
+            }
+        }
     }
-    let id = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-    Ok((id, wire::decode(&payload[8..])))
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_error(buf: &mut Vec<u8>, err: &WireError) {
-    buf.push(err.code.as_u8());
-    put_str(buf, &err.detail);
 }
 
 /// Encodes a response envelope.
 pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&id.to_be_bytes());
-    match response {
-        Ok(body) => {
-            buf.push(0);
-            match body {
-                ResponseBody::Empty => buf.push(KIND_EMPTY),
-                ResponseBody::Challenge(c) => {
-                    buf.push(KIND_CHALLENGE);
-                    buf.extend_from_slice(&wire::encode(&Message::Challenge(c.clone())));
-                }
-                ResponseBody::Outcome(o) => {
-                    buf.push(KIND_OUTCOME);
-                    buf.extend_from_slice(&wire::encode(&Message::Outcome(o.clone())));
-                }
-                ResponseBody::UserId(id) => {
-                    buf.push(KIND_USER_ID);
-                    put_str(&mut buf, id);
-                }
-                ResponseBody::Flag(v) => {
-                    buf.push(KIND_FLAG);
-                    buf.push(u8::from(*v));
-                }
-                ResponseBody::Batch(items) => {
-                    buf.push(KIND_BATCH);
-                    buf.extend_from_slice(&(items.len() as u32).to_be_bytes());
-                    for item in items {
-                        match item {
-                            Ok(c) => {
-                                buf.push(0);
-                                let bytes = wire::encode(&Message::Challenge(c.clone()));
-                                buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                                buf.extend_from_slice(&bytes);
-                            }
-                            Err(e) => put_error(&mut buf, e),
-                        }
-                    }
-                }
-            }
-        }
-        Err(e) => put_error(&mut buf, e),
-    }
-    buf
+    let mut w = Writer::new();
+    put_response(&mut w, id, response);
+    w.into_bytes()
 }
 
-/// A cursor over a response body; every read is bounds-checked so a
-/// hostile or truncated response can never panic the client.
-struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// A read the response envelope could not satisfy, as the fatal framing
+/// error it is.
+fn bad_frame(e: CodecError) -> NetError {
+    NetError::BadFrame(match e {
+        CodecError::TrailingBytes => "trailing bytes in response envelope",
+        CodecError::Malformed(_) => "response string not utf-8",
+        _ => "truncated response envelope",
+    })
 }
 
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.data.len() - self.pos < n {
-            return Err(NetError::BadFrame("truncated response envelope"));
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn str(&mut self) -> Result<String, NetError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| NetError::BadFrame("response string not utf-8"))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let out = &self.data[self.pos..];
-        self.pos = self.data.len();
-        out
-    }
-
-    fn end(&self) -> Result<(), NetError> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(NetError::BadFrame("trailing bytes in response envelope"))
-        }
-    }
-}
-
-fn decode_challenge(bytes: &[u8]) -> Result<IdentChallenge, NetError> {
-    match wire::decode(bytes).map_err(NetError::Protocol)? {
+fn get_challenge(bytes: &[u8]) -> Result<IdentChallenge, NetError> {
+    match wire::decode(bytes)? {
         Message::Challenge(c) => Ok(c),
         _ => Err(NetError::UnexpectedResponse("challenge payload expected")),
     }
 }
 
-fn take_error(cur: &mut Cur<'_>, status: u8) -> Result<WireError, NetError> {
+fn get_error(r: &mut Reader<'_>, status: u8) -> Result<WireError, NetError> {
     let code = ErrorCode::from_u8(status).ok_or(NetError::BadFrame("unknown error code"))?;
-    let detail = cur.str()?;
+    let detail = r.get_str().map_err(bad_frame)?;
     Ok(WireError { code, detail })
+}
+
+fn get_body(r: &mut Reader<'_>) -> Result<ResponseBody, NetError> {
+    Ok(match r.get_u8().map_err(bad_frame)? {
+        KIND_EMPTY => ResponseBody::Empty,
+        KIND_CHALLENGE => ResponseBody::Challenge(get_challenge(rest(r))?),
+        KIND_OUTCOME => match wire::decode(rest(r))? {
+            Message::Outcome(o) => ResponseBody::Outcome(o),
+            _ => return Err(NetError::UnexpectedResponse("outcome payload expected")),
+        },
+        KIND_USER_ID => ResponseBody::UserId(r.get_str().map_err(bad_frame)?),
+        KIND_FLAG => match r.get_u8().map_err(bad_frame)? {
+            0 => ResponseBody::Flag(false),
+            1 => ResponseBody::Flag(true),
+            _ => return Err(NetError::BadFrame("bad flag byte")),
+        },
+        KIND_BATCH => {
+            let count = r.get_u32().map_err(bad_frame)? as usize;
+            // Prealloc capped by the bytes actually present (5 bytes is
+            // the smallest possible item).
+            let mut items = Vec::with_capacity(count.min(r.remaining() / 5));
+            for _ in 0..count {
+                let status = r.get_u8().map_err(bad_frame)?;
+                items.push(if status == 0 {
+                    let len = r.get_u32().map_err(bad_frame)? as usize;
+                    Ok(get_challenge(r.get_raw(len).map_err(bad_frame)?)?)
+                } else {
+                    Err(get_error(r, status)?)
+                });
+            }
+            ResponseBody::Batch(items)
+        }
+        _ => return Err(NetError::BadFrame("unknown response kind")),
+    })
 }
 
 /// Decodes a response envelope into its id and [`Response`].
@@ -214,50 +225,14 @@ fn take_error(cur: &mut Cur<'_>, status: u8) -> Result<WireError, NetError> {
 /// [`NetError::Protocol`] when an embedded wire message fails to
 /// decode.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), NetError> {
-    let mut cur = Cur {
-        data: payload,
-        pos: 0,
+    let mut r = Reader::new(payload);
+    let id = r.get_u64().map_err(bad_frame)?;
+    let response = match r.get_u8().map_err(bad_frame)? {
+        0 => Ok(get_body(&mut r)?),
+        status => Err(get_error(&mut r, status)?),
     };
-    let id = u64::from_be_bytes(cur.take(8)?.try_into().expect("8 bytes"));
-    let status = cur.u8()?;
-    if status != 0 {
-        let err = take_error(&mut cur, status)?;
-        cur.end()?;
-        return Ok((id, Err(err)));
-    }
-    let body = match cur.u8()? {
-        KIND_EMPTY => ResponseBody::Empty,
-        KIND_CHALLENGE => ResponseBody::Challenge(decode_challenge(cur.rest())?),
-        KIND_OUTCOME => match wire::decode(cur.rest()).map_err(NetError::Protocol)? {
-            Message::Outcome(o) => ResponseBody::Outcome(o),
-            _ => return Err(NetError::UnexpectedResponse("outcome payload expected")),
-        },
-        KIND_USER_ID => ResponseBody::UserId(cur.str()?),
-        KIND_FLAG => match cur.u8()? {
-            0 => ResponseBody::Flag(false),
-            1 => ResponseBody::Flag(true),
-            _ => return Err(NetError::BadFrame("bad flag byte")),
-        },
-        KIND_BATCH => {
-            let count = cur.u32()? as usize;
-            // Prealloc capped by the bytes actually present (5 bytes is
-            // the smallest possible item).
-            let mut items = Vec::with_capacity(count.min(payload.len() / 5));
-            for _ in 0..count {
-                let status = cur.u8()?;
-                if status == 0 {
-                    let len = cur.u32()? as usize;
-                    items.push(Ok(decode_challenge(cur.take(len)?)?));
-                } else {
-                    items.push(Err(take_error(&mut cur, status)?));
-                }
-            }
-            ResponseBody::Batch(items)
-        }
-        _ => return Err(NetError::BadFrame("unknown response kind")),
-    };
-    cur.end()?;
-    Ok((id, Ok(body)))
+    r.expect_end().map_err(bad_frame)?;
+    Ok((id, response))
 }
 
 #[cfg(test)]
@@ -371,6 +346,10 @@ mod tests {
                     decode_response(&bytes[..cut]).is_err(),
                     "prefix {cut} accepted"
                 );
+                assert!(matches!(
+                    decode_response(&bytes[..cut]),
+                    Err(NetError::BadFrame(_) | NetError::Protocol(ProtocolError::Malformed(_)))
+                ));
             }
         }
     }

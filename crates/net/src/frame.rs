@@ -25,14 +25,18 @@
 //! read timeout is set to a short tick.
 
 use crate::error::NetError;
-use fe_core::codec::crc32;
+use fe_core::codec::{crc32, Writer};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Default ceiling on frame payload length: 1 MiB. Large enough for a
-/// 4096-probe identify batch at paper dimensions, small enough that a
-/// hostile length prefix cannot balloon server memory.
+/// Default ceiling on frame payload length: 1 MiB, small enough that a
+/// hostile length prefix cannot balloon server memory. At 64
+/// coordinates a probe costs 516 bytes going in and a challenge item
+/// 616 coming out: an identify batch of up to 2 032 probes fits a
+/// request frame, and its response fits while at most 1 702 of them
+/// match (past that the server answers the request with a `CODEC`
+/// error instead, see [`crate::server`]).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
 /// Bytes of frame overhead ahead of the payload (length + CRC).
@@ -46,20 +50,45 @@ pub const FRAME_HEADER: usize = 8;
 /// [`NetError::BadFrame`] on an empty payload; [`NetError::Io`] on
 /// socket failure.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: usize) -> Result<(), NetError> {
-    if payload.is_empty() {
+    check_len(payload.len(), max_frame)?;
+    let mut frame = Writer::new();
+    frame.put_framed(payload);
+    w.write_all(frame.as_slice())?;
+    Ok(())
+}
+
+/// The two lengths no frame may have, sent or received.
+fn check_len(len: usize, max_frame: usize) -> Result<(), NetError> {
+    if len == 0 {
         return Err(NetError::BadFrame("zero-length frame"));
     }
-    if payload.len() > max_frame {
+    if len > max_frame {
         return Err(NetError::Oversize {
-            claimed: payload.len(),
+            claimed: len,
             max: max_frame,
         });
     }
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&crc32(payload).to_be_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)?;
+    Ok(())
+}
+
+/// Encodes one frame in `frame`, in place: whatever `payload` writes
+/// lies between [`Writer::begin_frame`] and [`Writer::end_frame`], so
+/// an envelope is encoded where it is sent from — one buffer, reused
+/// from frame to frame, and one `write_all`. `frame` is emptied first
+/// and holds exactly the frame after.
+///
+/// # Errors
+/// As [`write_frame`], with nothing usable left in `frame`.
+pub(crate) fn encode_frame(
+    frame: &mut Writer,
+    max_frame: usize,
+    payload: impl FnOnce(&mut Writer),
+) -> Result<(), NetError> {
+    frame.clear();
+    let mark = frame.begin_frame();
+    payload(frame);
+    check_len(frame.as_slice().len() - FRAME_HEADER, max_frame)?;
+    frame.end_frame(mark);
     Ok(())
 }
 
@@ -140,15 +169,7 @@ pub fn read_frame_session(
     }
     let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
     let expected_crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
-    if len == 0 {
-        return Err(NetError::BadFrame("zero-length frame"));
-    }
-    if len > max_frame {
-        return Err(NetError::Oversize {
-            claimed: len,
-            max: max_frame,
-        });
-    }
+    check_len(len, max_frame)?;
     let mut payload = vec![0u8; len];
     match fill(r, &mut payload, false, session.as_ref())? {
         Filled::Complete => {}
@@ -239,16 +260,6 @@ mod tests {
         assert_eq!(bytes.len(), FRAME_HEADER + payload.len());
         let got = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(got, payload);
-    }
-
-    #[test]
-    fn layout_matches_codec_put_framed() {
-        // The wire frame IS the journal frame: byte-identical to
-        // Writer::put_framed so the two contracts cannot drift apart.
-        let payload = b"shared layout";
-        let mut w = fe_core::codec::Writer::new();
-        w.put_framed(payload);
-        assert_eq!(frame_bytes(payload), w.into_bytes());
     }
 
     #[test]

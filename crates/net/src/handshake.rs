@@ -26,7 +26,7 @@
 
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame};
-use fe_core::codec::Fingerprint;
+use fe_core::codec::{CodecError, Fingerprint, Reader, Writer};
 use std::io::{Read, Write};
 
 /// Magic prefix of both handshake messages.
@@ -64,13 +64,41 @@ impl HandshakeStatus {
     }
 }
 
+fn put_preamble(w: &mut Writer) {
+    w.put_raw(&HANDSHAKE_MAGIC);
+    w.put_u16(NET_VERSION);
+}
+
+/// The magic, then the peer's version: how both payloads start.
+fn get_preamble(r: &mut Reader<'_>) -> Result<u16, CodecError> {
+    if r.get_raw(HANDSHAKE_MAGIC.len())? != HANDSHAKE_MAGIC {
+        return Err(CodecError::Malformed("magic"));
+    }
+    r.get_u16()
+}
+
+/// The fingerprint that ends both payloads, and nothing after it.
+fn get_fingerprint(r: &mut Reader<'_>) -> Result<Fingerprint, CodecError> {
+    let fingerprint = r.get_raw(8)?.try_into().expect("8 bytes");
+    r.expect_end()?;
+    Ok(Fingerprint(fingerprint))
+}
+
+/// A payload of the wrong length reads as truncated or as trailing
+/// bytes; a wrong field names itself.
+fn bad_handshake(e: CodecError) -> NetError {
+    NetError::BadHandshake(match e {
+        CodecError::Malformed(what) => what,
+        _ => "length",
+    })
+}
+
 /// Encodes the client hello payload.
 pub fn encode_hello(fingerprint: &Fingerprint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(14);
-    buf.extend_from_slice(&HANDSHAKE_MAGIC);
-    buf.extend_from_slice(&NET_VERSION.to_be_bytes());
-    buf.extend_from_slice(fingerprint.as_bytes());
-    buf
+    let mut w = Writer::new();
+    put_preamble(&mut w);
+    w.put_raw(fingerprint.as_bytes());
+    w.into_bytes()
 }
 
 /// Decodes a client hello payload into `(version, fingerprint)`.
@@ -80,26 +108,18 @@ pub fn encode_hello(fingerprint: &Fingerprint) -> Vec<u8> {
 /// well-formed hello. The version is *returned*, not validated — the
 /// server decides how to answer a mismatch.
 pub fn decode_hello(payload: &[u8]) -> Result<(u16, Fingerprint), NetError> {
-    if payload.len() != 14 {
-        return Err(NetError::BadHandshake("hello length"));
-    }
-    if payload[..4] != HANDSHAKE_MAGIC {
-        return Err(NetError::BadHandshake("hello magic"));
-    }
-    let version = u16::from_be_bytes(payload[4..6].try_into().expect("2 bytes"));
-    let mut fp = [0u8; 8];
-    fp.copy_from_slice(&payload[6..14]);
-    Ok((version, Fingerprint(fp)))
+    let mut r = Reader::new(payload);
+    let hello = get_preamble(&mut r).and_then(|version| Ok((version, get_fingerprint(&mut r)?)));
+    hello.map_err(bad_handshake)
 }
 
 /// Encodes the server reply payload.
 pub fn encode_reply(status: HandshakeStatus, fingerprint: &Fingerprint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(15);
-    buf.extend_from_slice(&HANDSHAKE_MAGIC);
-    buf.extend_from_slice(&NET_VERSION.to_be_bytes());
-    buf.push(status as u8);
-    buf.extend_from_slice(fingerprint.as_bytes());
-    buf
+    let mut w = Writer::new();
+    put_preamble(&mut w);
+    w.put_u8(status as u8);
+    w.put_raw(fingerprint.as_bytes());
+    w.into_bytes()
 }
 
 /// Decodes a server reply payload into `(version, status, fingerprint)`.
@@ -107,18 +127,13 @@ pub fn encode_reply(status: HandshakeStatus, fingerprint: &Fingerprint) -> Vec<u
 /// # Errors
 /// [`NetError::BadHandshake`] on anything but a well-formed reply.
 pub fn decode_reply(payload: &[u8]) -> Result<(u16, HandshakeStatus, Fingerprint), NetError> {
-    if payload.len() != 15 {
-        return Err(NetError::BadHandshake("reply length"));
-    }
-    if payload[..4] != HANDSHAKE_MAGIC {
-        return Err(NetError::BadHandshake("reply magic"));
-    }
-    let version = u16::from_be_bytes(payload[4..6].try_into().expect("2 bytes"));
-    let status =
-        HandshakeStatus::from_u8(payload[6]).ok_or(NetError::BadHandshake("reply status"))?;
-    let mut fp = [0u8; 8];
-    fp.copy_from_slice(&payload[7..15]);
-    Ok((version, status, Fingerprint(fp)))
+    let mut r = Reader::new(payload);
+    let reply = get_preamble(&mut r).and_then(|version| {
+        let status =
+            HandshakeStatus::from_u8(r.get_u8()?).ok_or(CodecError::Malformed("reply status"))?;
+        Ok((version, status, get_fingerprint(&mut r)?))
+    });
+    reply.map_err(bad_handshake)
 }
 
 /// Runs the client side of the handshake on a fresh stream: sends the

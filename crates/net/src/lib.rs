@@ -2,9 +2,8 @@
 //! identification service: a framed TCP server, a blocking client, and
 //! the wire plumbing between them.
 //!
-//! Until this crate, every deployment surface was in-process: library
-//! calls, or the in-memory adversarial links of
-//! `fe_protocol::transport`. `fe-net` carries the same
+//! Below this crate every deployment surface is in-process: library
+//! calls. `fe-net` carries the
 //! [`fe_protocol::wire`] messages over real sockets, so a biometric
 //! device and the authentication server can live in different
 //! processes — the deployment the paper actually describes (device and
@@ -15,7 +14,9 @@
 //! `PROTOCOL.md` at the repo root is the normative byte-level spec):
 //!
 //! * [`frame`] — length-prefixed, CRC-checked frames; the same layout
-//!   as `fe_core::codec`'s journal records, on a socket.
+//!   as `fe_core::codec`'s journal records, on a socket. Every layer
+//!   from here up reads and writes its bytes with that module's
+//!   `Reader` and `Writer`, the cursor the journal and snapshot use.
 //! * [`handshake`] — version + [`SystemParams`] fingerprint agreement
 //!   before any request flows.
 //! * [`envelope`] — request ids and self-describing response bodies

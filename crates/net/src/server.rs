@@ -25,8 +25,7 @@
 //! Identification dispatch is [`ScheduledServer::submit`]: when the
 //! admission queue is full the submit fails **immediately** with
 //! [`ProtocolError::Overloaded`], and the reader queues an error reply
-//! carrying [`ErrorCode::Overloaded`](crate::ErrorCode::Overloaded)
-//! instead of a ticket. An overloaded server answers every request it
+//! carrying [`ErrorCode::Overloaded`] instead of a ticket. An overloaded server answers every request it
 //! sheds — it never silently drops a frame or the connection.
 //!
 //! # Failure severities
@@ -36,17 +35,24 @@
 //! itself — bad CRC, oversized length prefix, mid-frame EOF, an
 //! envelope too short to carry a request id — is connection-fatal:
 //! past that point the byte stream cannot be trusted to re-synchronise.
+//! One failure is the server's own: a response that outgrows
+//! `max_frame` (a batch whose probes all match) is cut back where its
+//! frame is closed and the request is answered with
+//! [`ErrorCode::Codec`], "response exceeds the
+//! frame limit", on a connection that keeps serving.
 
 use crate::envelope::{self, Response, ResponseBody};
-use crate::error::WireError;
-use crate::frame::{read_frame_session, write_frame, FrameEvent, Session, DEFAULT_MAX_FRAME};
+use crate::error::{ErrorCode, WireError};
+use crate::frame::{
+    encode_frame, read_frame_session, write_frame, FrameEvent, Session, DEFAULT_MAX_FRAME,
+};
 use crate::handshake::{self, HandshakeStatus, NET_VERSION};
-use fe_core::codec::Fingerprint;
-use fe_core::{EpochIndex, EpochRead};
+use fe_core::codec::{Fingerprint, Writer};
+use fe_core::EpochRead;
 use fe_protocol::scheduler::{IdentifyTicket, ScheduledServer};
 use fe_protocol::wire::Message;
 use fe_protocol::{IdentChallenge, ProtocolError};
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -208,28 +214,6 @@ impl NetServer {
             accept_thread: Some(accept),
             metrics,
         })
-    }
-
-    /// A front door over a fresh scan-backed scheduler — the one-call
-    /// setup used by examples and tests
-    /// ([`ScheduledServer::scan`] + [`NetServer::spawn`]).
-    ///
-    /// # Errors
-    /// Any [`io::Error`] from binding the listener.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the scheduler config is degenerate
-    /// (see [`ScheduledServer::new`]).
-    pub fn scan<A: ToSocketAddrs>(
-        params: fe_protocol::SystemParams,
-        shards: usize,
-        sched: fe_protocol::scheduler::SchedulerConfig,
-        addr: A,
-        config: NetConfig,
-    ) -> io::Result<(NetServer, Arc<ScheduledServer<EpochIndex>>)> {
-        let scheduler = Arc::new(ScheduledServer::scan(params, shards, sched));
-        let server = NetServer::spawn(Arc::clone(&scheduler), addr, config)?;
-        Ok((server, scheduler))
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -452,6 +436,7 @@ fn dispatch<I: EpochRead + Send + Sync + 'static>(
             id,
             to_response(
                 scheduler
+                    .server()
                     .enroll_unique(record)
                     .map(|()| ResponseBody::Empty),
             ),
@@ -467,12 +452,13 @@ fn dispatch<I: EpochRead + Send + Sync + 'static>(
         ),
         Message::Reset { probe } => Reply::Ready(
             id,
-            to_response(scheduler.reset(&probe).map(ResponseBody::UserId)),
+            to_response(scheduler.server().reset(&probe).map(ResponseBody::UserId)),
         ),
         Message::AuthenticateClaimed { id: user, probe } => Reply::Ready(
             id,
             to_response(
                 scheduler
+                    .server()
                     .authenticate_claimed(&user, &probe)
                     .map(ResponseBody::Flag),
             ),
@@ -481,6 +467,7 @@ fn dispatch<I: EpochRead + Send + Sync + 'static>(
             id,
             to_response(
                 scheduler
+                    .server()
                     .check_local_uniqueness(&probe, &ids)
                     .map(ResponseBody::Flag),
             ),
@@ -514,8 +501,11 @@ fn writer_loop(
     max_frame: usize,
     metrics: Arc<NetMetrics>,
 ) {
+    // One buffer for every response of the connection: each envelope is
+    // encoded inside its frame, and the frame leaves in one write.
+    let mut frame = Writer::new();
     for reply in rx {
-        let (id, response) = match reply {
+        let (id, mut response) = match reply {
             Reply::Ready(id, response) => (id, response),
             Reply::Ticket(id, ticket) => {
                 (id, ticket_result(Ok(ticket)).map(ResponseBody::Challenge))
@@ -527,6 +517,27 @@ fn writer_loop(
                 )),
             ),
         };
+        let mut encode = |response: &Response| {
+            encode_frame(&mut frame, max_frame, |w| {
+                envelope::put_response(w, id, response)
+            })
+        };
+        if encode(&response).is_err() {
+            // The request fitted a frame and its answer does not (a
+            // batch of matches): the frame is cut back and the id is
+            // answered all the same, with an error that always fits,
+            // and the connection lives on.
+            response = Err(WireError {
+                code: ErrorCode::Codec,
+                detail: "response exceeds the frame limit".into(),
+            });
+            if encode(&response).is_err() {
+                return; // a frame limit too small for any answer
+            }
+        }
+        if stream.write_all(frame.as_slice()).is_err() {
+            return; // peer gone; reader will notice EOF and wind down
+        }
         match &response {
             Ok(ResponseBody::Batch(items)) => {
                 metrics.responses_ok.fetch_add(1, Ordering::Relaxed);
@@ -545,10 +556,6 @@ fn writer_loop(
                     metrics.shed.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-        let frame = envelope::encode_response(id, &response);
-        if write_frame(&mut stream, &frame, max_frame).is_err() {
-            return; // peer gone; reader will notice EOF and wind down
         }
     }
 }

@@ -953,11 +953,11 @@ mod tests {
         let bios = enroll_population(&server, &device, users, 32, &mut rng);
         assert_eq!(server.user_count(), users);
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (u, bio) in bios.iter().enumerate() {
                 let server = server.clone();
                 let device = device.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(9_000 + u as u64);
                     let reading: Vec<i64> = bio
                         .iter()
@@ -970,8 +970,7 @@ mod tests {
                     assert_eq!(outcome.identity(), Some(format!("user-{u}").as_str()));
                 });
             }
-        })
-        .expect("threads must not panic");
+        });
     }
 
     #[test]
@@ -993,11 +992,11 @@ mod tests {
         let server = SharedServer::<EpochIndex>::with_shards(params.clone(), 3);
         let device = BiometricDevice::new(params.clone());
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for u in 0..16 {
                 let server = server.clone();
                 let device = device.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(42 + u as u64);
                     let bio = device.params().sketch().line().random_vector(16, &mut rng);
                     server
@@ -1005,8 +1004,7 @@ mod tests {
                         .unwrap();
                 });
             }
-        })
-        .expect("threads must not panic");
+        });
         assert_eq!(server.user_count(), 16);
     }
 
@@ -1360,12 +1358,12 @@ mod tests {
         let bios = enroll_population(&server, &device, 6, 32, &mut rng);
 
         let stop = std::sync::atomic::AtomicBool::new(false);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (u, bio) in bios.iter().enumerate() {
                 let server = server.clone();
                 let device = device.clone();
                 let stop = &stop;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(32_000 + u as u64);
                     while !stop.load(Ordering::Relaxed) {
                         let reading: Vec<i64> = bio
@@ -1391,8 +1389,7 @@ mod tests {
                 server.revoke(&id).unwrap();
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .expect("threads must not panic");
+        });
         assert_eq!(server.user_count(), 6);
     }
 }

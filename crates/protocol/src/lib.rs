@@ -83,7 +83,6 @@ mod runner;
 pub mod scheduler;
 mod server;
 pub mod store;
-pub mod transport;
 pub mod wire;
 
 pub use device::BiometricDevice;

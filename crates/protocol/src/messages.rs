@@ -2,7 +2,6 @@
 //! authentication server.
 
 use fe_core::{HelperData, RobustData};
-use serde::{Deserialize, Serialize};
 
 /// User identity string (`ID` in the paper).
 pub type UserId = String;
@@ -18,7 +17,7 @@ pub type WireHelper = HelperData<RobustData<Vec<i64>>>;
 /// Enrollment message (`BioD → AS` in Fig. 1): identity, DSA public key
 /// bytes, helper data. The biometric and private key never leave the
 /// device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnrollmentRecord {
     /// The user's claimed identity.
     pub id: UserId,
@@ -30,7 +29,7 @@ pub struct EnrollmentRecord {
 
 /// Challenge message (`AS → BioD` in Fig. 3): the matched record's helper
 /// data and a fresh random challenge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdentChallenge {
     /// Session handle to correlate the response.
     pub session: SessionId,
@@ -42,7 +41,7 @@ pub struct IdentChallenge {
 
 /// Response message (`BioD → AS` in Fig. 3): a signature over
 /// `(c, a)` plus the device nonce `a`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdentResponse {
     /// Session handle echoed from the challenge.
     pub session: SessionId,
@@ -53,7 +52,7 @@ pub struct IdentResponse {
 }
 
 /// Result of an identification or verification run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdentOutcome {
     /// The user was identified / verified as `ID`.
     Identified(UserId),

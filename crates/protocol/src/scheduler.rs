@@ -69,9 +69,8 @@
 //! bench reads out.
 
 use crate::concurrent::SharedServer;
-use crate::messages::{EnrollmentRecord, IdentChallenge, UserId};
+use crate::messages::IdentChallenge;
 use crate::params::SystemParams;
-use crate::server::BuildIndex;
 use crate::ProtocolError;
 use fe_core::{EpochIndex, EpochRead};
 use fe_metrics::telemetry::Histogram;
@@ -410,71 +409,6 @@ impl<I: EpochRead + Send + Sync + 'static> ScheduledServer<I> {
             .into_iter()
             .map(|ticket| ticket.and_then(IdentifyTicket::wait))
             .collect()
-    }
-
-    /// Uniqueness-checked enrollment, delegated to
-    /// [`SharedServer::enroll_unique`]. Enrollment is a write path —
-    /// rare next to identification — so it bypasses the micro-batch
-    /// queue like [`SharedServer::enroll`] does.
-    ///
-    /// # Errors
-    /// Same as [`SharedServer::enroll_unique`].
-    pub fn enroll_unique(&self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
-        self.server.enroll_unique(record)
-    }
-
-    /// Reset lookup (exactly-one-match), delegated to
-    /// [`SharedServer::reset`]. Resets are rare administrative events;
-    /// they run directly under the shard read locks rather than queueing
-    /// behind identification micro-batches.
-    ///
-    /// # Errors
-    /// Same as [`SharedServer::reset`].
-    pub fn reset(&self, probe: &[i64]) -> Result<UserId, ProtocolError> {
-        self.server.reset(probe)
-    }
-
-    /// Targeted claimed-identity check, delegated to
-    /// [`SharedServer::authenticate_claimed`] (a one-row sweep — nothing
-    /// for the batch kernel to amortize).
-    ///
-    /// # Errors
-    /// Same as [`SharedServer::authenticate_claimed`].
-    pub fn authenticate_claimed(
-        &self,
-        claimed_id: &str,
-        probe: &[i64],
-    ) -> Result<bool, ProtocolError> {
-        self.server.authenticate_claimed(claimed_id, probe)
-    }
-
-    /// Subset uniqueness check, delegated to
-    /// [`SharedServer::check_local_uniqueness`].
-    ///
-    /// # Errors
-    /// Same as [`SharedServer::check_local_uniqueness`].
-    pub fn check_local_uniqueness(
-        &self,
-        probe: &[i64],
-        ids: &[UserId],
-    ) -> Result<bool, ProtocolError> {
-        self.server.check_local_uniqueness(probe, ids)
-    }
-}
-
-impl<I: BuildIndex + EpochRead + Send + Sync + 'static> SharedServer<I> {
-    /// A fresh shard-partitioned server behind a request scheduler —
-    /// the heavy-traffic entry point (see
-    /// [`ScheduledServer`] and the [`crate::scheduler`] module docs).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0` or the config is degenerate.
-    pub fn scheduled(
-        params: SystemParams,
-        shards: usize,
-        config: SchedulerConfig,
-    ) -> ScheduledServer<I> {
-        ScheduledServer::new(SharedServer::with_shards(params, shards), config)
     }
 }
 

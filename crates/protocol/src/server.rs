@@ -815,7 +815,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// storage. Only public data leaves the server — exactly what an
     /// insider adversary could read anyway (Sec. VI-B threat model).
     pub fn export_records(&self) -> Vec<Vec<u8>> {
-        self.map_live(|row| crate::wire::encode(&crate::wire::Message::Enroll(row.to_record())))
+        self.map_live(|row| crate::wire::encode_enroll(&row))
     }
 
     /// Restores records exported by [`AuthenticationServer::export_records`]

@@ -189,12 +189,12 @@ impl SnapshotRows for std::slice::Iter<'_, EnrollmentRecord> {
 /// Encodes an enrollment record's fields (no artifact header — callers
 /// embed this in framed journal entries or snapshot rows).
 pub fn put_record(w: &mut Writer, record: &EnrollmentRecord) {
-    w.put_str(&record.id);
-    w.put_bytes(&record.public_key);
-    codec::put_helper(w, &record.helper);
+    put_row(w, &SnapshotRow::of(record));
 }
 
-/// [`put_record`] for a borrowed snapshot row (identical byte layout).
+/// [`put_record`] for a borrowed snapshot row: the one place the record
+/// layout is written, for the journal, the snapshot and the wire's two
+/// enroll messages alike.
 pub fn put_row(w: &mut Writer, row: &SnapshotRow<'_>) {
     w.put_str(row.id);
     w.put_bytes(row.public_key);

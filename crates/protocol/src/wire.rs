@@ -3,10 +3,11 @@
 //!
 //! A compact, self-describing encoding: every message starts with a
 //! 4-byte magic (`FEID`) + 1-byte message tag + 2-byte version,
-//! followed by big-endian, length-prefixed fields. The codec is
-//! independent of serde so the protocol can run over raw sockets
-//! without a serialization framework; the serde derives on the message
-//! types remain available for downstream users with their own format.
+//! followed by big-endian, length-prefixed fields — written and read
+//! with [`fe_core::codec`]'s [`Writer`] and [`Reader`], the cursor the
+//! journal and the snapshot use, so an enrollment record has one byte
+//! layout ([`store::put_record`]) whether it rides in an `Enroll`
+//! message, a journal frame or a snapshot row.
 //!
 //! # Message tags
 //!
@@ -52,12 +53,10 @@
 //! assert!(decode(&bytes[..bytes.len() - 1]).is_err());
 //! ```
 
-use crate::messages::{
-    EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, UserId, WireHelper,
-};
+use crate::messages::{EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, UserId};
+use crate::store::{self, SnapshotRow};
 use crate::ProtocolError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fe_core::RobustData;
+use fe_core::codec::{self, CodecError, Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"FEID";
 const VERSION: u16 = 1;
@@ -136,180 +135,138 @@ pub enum Message {
     },
 }
 
-fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32(data.len() as u32);
-    buf.put_slice(data);
+fn put_header(w: &mut Writer, tag: u8) {
+    w.put_raw(MAGIC);
+    w.put_u8(tag);
+    w.put_u16(VERSION);
 }
 
-fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>, ProtocolError> {
-    if buf.remaining() < 4 {
-        return Err(ProtocolError::Malformed("truncated length"));
+/// Writes a [`Message::Challenge`] from a borrowed challenge — the arm
+/// [`encode`] uses, for callers that hold the challenge and not a
+/// [`Message`] (`fe-net`'s response envelope).
+pub fn put_challenge(w: &mut Writer, c: &IdentChallenge) {
+    put_header(w, TAG_CHALLENGE);
+    w.put_u64(c.session);
+    w.put_u64(c.challenge);
+    codec::put_helper(w, &c.helper);
+}
+
+/// Writes a [`Message::Outcome`] from a borrowed outcome (see
+/// [`put_challenge`]).
+pub fn put_outcome(w: &mut Writer, o: &IdentOutcome) {
+    put_header(w, TAG_OUTCOME);
+    match o {
+        IdentOutcome::Identified(id) => {
+            w.put_u8(1);
+            w.put_str(id);
+        }
+        IdentOutcome::Rejected => w.put_u8(0),
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(ProtocolError::Malformed("truncated payload"));
+}
+
+/// Either enroll message: the header, then the record as the journal
+/// and the snapshot lay it out.
+fn put_enrollment(w: &mut Writer, tag: u8, row: &SnapshotRow<'_>) {
+    put_header(w, tag);
+    store::put_row(w, row);
+}
+
+/// [`encode`] of a [`Message::Enroll`], from a borrowed row.
+pub(crate) fn encode_enroll(row: &SnapshotRow<'_>) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_enrollment(&mut w, TAG_ENROLL, row);
+    w.into_bytes()
+}
+
+/// Writes a message's wire representation where the caller's buffer
+/// will hold it — inside a frame, say — instead of into a `Vec` of its
+/// own.
+pub fn put_message(w: &mut Writer, msg: &Message) {
+    match msg {
+        Message::Identify { probe } => {
+            put_header(w, TAG_IDENTIFY);
+            w.put_i64s(probe);
+        }
+        Message::Enroll(r) => put_enrollment(w, TAG_ENROLL, &SnapshotRow::of(r)),
+        Message::Challenge(c) => put_challenge(w, c),
+        Message::Response(r) => {
+            put_header(w, TAG_RESPONSE);
+            w.put_u64(r.session);
+            w.put_u64(r.nonce);
+            w.put_bytes(&r.signature);
+        }
+        Message::Outcome(o) => put_outcome(w, o),
+        Message::EnrollUnique(r) => put_enrollment(w, TAG_ENROLL_UNIQUE, &SnapshotRow::of(r)),
+        Message::Reset { probe } => {
+            put_header(w, TAG_RESET);
+            w.put_i64s(probe);
+        }
+        Message::AuthenticateClaimed { id, probe } => {
+            put_header(w, TAG_AUTH_CLAIMED);
+            w.put_str(id);
+            w.put_i64s(probe);
+        }
+        Message::CheckLocalUniqueness { probe, ids } => {
+            put_header(w, TAG_LOCAL_UNIQUE);
+            w.put_i64s(probe);
+            w.put_u32(ids.len() as u32);
+            for id in ids {
+                w.put_str(id);
+            }
+        }
+        Message::Revoke { id } => {
+            put_header(w, TAG_REVOKE);
+            w.put_str(id);
+        }
+        Message::IdentifyBatch { probes } => {
+            put_header(w, TAG_IDENTIFY_BATCH);
+            w.put_u32(probes.len() as u32);
+            for probe in probes {
+                w.put_i64s(probe);
+            }
+        }
     }
-    Ok(buf.copy_to_bytes(len).to_vec())
-}
-
-fn put_i64s(buf: &mut BytesMut, data: &[i64]) {
-    buf.put_u32(data.len() as u32);
-    for &v in data {
-        buf.put_i64(v);
-    }
-}
-
-fn get_i64s(buf: &mut Bytes) -> Result<Vec<i64>, ProtocolError> {
-    if buf.remaining() < 4 {
-        return Err(ProtocolError::Malformed("truncated vector length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len.saturating_mul(8) {
-        return Err(ProtocolError::Malformed("truncated vector"));
-    }
-    Ok((0..len).map(|_| buf.get_i64()).collect())
-}
-
-fn put_helper(buf: &mut BytesMut, helper: &WireHelper) {
-    put_i64s(buf, &helper.sketch.inner);
-    put_bytes(buf, &helper.sketch.tag);
-    put_bytes(buf, &helper.seed);
-}
-
-fn get_helper(buf: &mut Bytes) -> Result<WireHelper, ProtocolError> {
-    let inner = get_i64s(buf)?;
-    let tag = get_bytes(buf)?;
-    let seed = get_bytes(buf)?;
-    Ok(WireHelper {
-        sketch: RobustData { inner, tag },
-        seed,
-    })
-}
-
-fn header(tag: u8) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_slice(MAGIC);
-    buf.put_u8(tag);
-    buf.put_u16(VERSION);
-    buf
 }
 
 /// Encodes a message to its wire representation.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut buf;
-    match msg {
-        Message::Identify { probe } => {
-            buf = header(TAG_IDENTIFY);
-            put_i64s(&mut buf, probe);
-        }
-        Message::Enroll(r) => {
-            buf = header(TAG_ENROLL);
-            put_bytes(&mut buf, r.id.as_bytes());
-            put_bytes(&mut buf, &r.public_key);
-            put_helper(&mut buf, &r.helper);
-        }
-        Message::Challenge(c) => {
-            buf = header(TAG_CHALLENGE);
-            buf.put_u64(c.session);
-            buf.put_u64(c.challenge);
-            put_helper(&mut buf, &c.helper);
-        }
-        Message::Response(r) => {
-            buf = header(TAG_RESPONSE);
-            buf.put_u64(r.session);
-            buf.put_u64(r.nonce);
-            put_bytes(&mut buf, &r.signature);
-        }
-        Message::Outcome(o) => {
-            buf = header(TAG_OUTCOME);
-            match o {
-                IdentOutcome::Identified(id) => {
-                    buf.put_u8(1);
-                    put_bytes(&mut buf, id.as_bytes());
-                }
-                IdentOutcome::Rejected => buf.put_u8(0),
-            }
-        }
-        Message::EnrollUnique(r) => {
-            buf = header(TAG_ENROLL_UNIQUE);
-            put_bytes(&mut buf, r.id.as_bytes());
-            put_bytes(&mut buf, &r.public_key);
-            put_helper(&mut buf, &r.helper);
-        }
-        Message::Reset { probe } => {
-            buf = header(TAG_RESET);
-            put_i64s(&mut buf, probe);
-        }
-        Message::AuthenticateClaimed { id, probe } => {
-            buf = header(TAG_AUTH_CLAIMED);
-            put_bytes(&mut buf, id.as_bytes());
-            put_i64s(&mut buf, probe);
-        }
-        Message::CheckLocalUniqueness { probe, ids } => {
-            buf = header(TAG_LOCAL_UNIQUE);
-            put_i64s(&mut buf, probe);
-            buf.put_u32(ids.len() as u32);
-            for id in ids {
-                put_bytes(&mut buf, id.as_bytes());
-            }
-        }
-        Message::Revoke { id } => {
-            buf = header(TAG_REVOKE);
-            put_bytes(&mut buf, id.as_bytes());
-        }
-        Message::IdentifyBatch { probes } => {
-            buf = header(TAG_IDENTIFY_BATCH);
-            buf.put_u32(probes.len() as u32);
-            for probe in probes {
-                put_i64s(&mut buf, probe);
-            }
-        }
-    }
-    buf.to_vec()
+    let mut w = Writer::new();
+    put_message(&mut w, msg);
+    w.into_bytes()
 }
 
-/// Decodes a wire message.
-///
-/// # Errors
-/// [`ProtocolError::Malformed`] on bad magic, unknown version or tag,
-/// truncation, or trailing garbage.
-pub fn decode(data: &[u8]) -> Result<Message, ProtocolError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 7 {
-        return Err(ProtocolError::Malformed("short header"));
+/// A count-prefixed list. The preallocation is capped by what the bytes
+/// left could hold (every item carries at least its own 4-byte length),
+/// so a lying count cannot trigger a huge allocation.
+fn get_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let count = r.get_u32()? as usize;
+    let mut items = Vec::with_capacity(count.min(r.remaining() / 4));
+    for _ in 0..count {
+        items.push(item(r)?);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(ProtocolError::Malformed("bad magic"));
+    Ok(items)
+}
+
+fn get_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
+    if r.get_raw(MAGIC.len())? != MAGIC {
+        return Err(CodecError::Malformed("bad magic"));
     }
-    let tag = buf.get_u8();
-    let version = buf.get_u16();
-    if version != VERSION {
-        return Err(ProtocolError::Malformed("unsupported version"));
+    let tag = r.get_u8()?;
+    if r.get_u16()? != VERSION {
+        return Err(CodecError::Malformed("unsupported version"));
     }
     let msg = match tag {
         TAG_IDENTIFY => Message::Identify {
-            probe: get_i64s(&mut buf)?,
+            probe: r.get_i64s()?,
         },
-        TAG_ENROLL => {
-            let id = String::from_utf8(get_bytes(&mut buf)?)
-                .map_err(|_| ProtocolError::Malformed("id not utf-8"))?;
-            let public_key = get_bytes(&mut buf)?;
-            let helper = get_helper(&mut buf)?;
-            Message::Enroll(EnrollmentRecord {
-                id,
-                public_key,
-                helper,
-            })
-        }
+        TAG_ENROLL => Message::Enroll(store::get_record(r)?),
         TAG_CHALLENGE => {
-            if buf.remaining() < 16 {
-                return Err(ProtocolError::Malformed("truncated challenge"));
-            }
-            let session = buf.get_u64();
-            let challenge = buf.get_u64();
-            let helper = get_helper(&mut buf)?;
+            let session = r.get_u64()?;
+            let challenge = r.get_u64()?;
+            let helper = codec::get_helper(r)?;
             Message::Challenge(IdentChallenge {
                 session,
                 helper,
@@ -317,96 +274,57 @@ pub fn decode(data: &[u8]) -> Result<Message, ProtocolError> {
             })
         }
         TAG_RESPONSE => {
-            if buf.remaining() < 16 {
-                return Err(ProtocolError::Malformed("truncated response"));
-            }
-            let session = buf.get_u64();
-            let nonce = buf.get_u64();
-            let signature = get_bytes(&mut buf)?;
+            let session = r.get_u64()?;
+            let nonce = r.get_u64()?;
+            let signature = r.get_bytes()?;
             Message::Response(IdentResponse {
                 session,
                 signature,
                 nonce,
             })
         }
-        TAG_OUTCOME => {
-            if buf.remaining() < 1 {
-                return Err(ProtocolError::Malformed("truncated outcome"));
-            }
-            match buf.get_u8() {
-                1 => {
-                    let id = String::from_utf8(get_bytes(&mut buf)?)
-                        .map_err(|_| ProtocolError::Malformed("id not utf-8"))?;
-                    Message::Outcome(IdentOutcome::Identified(id))
-                }
-                0 => Message::Outcome(IdentOutcome::Rejected),
-                _ => return Err(ProtocolError::Malformed("bad outcome flag")),
-            }
-        }
-        TAG_ENROLL_UNIQUE => {
-            let id = String::from_utf8(get_bytes(&mut buf)?)
-                .map_err(|_| ProtocolError::Malformed("id not utf-8"))?;
-            let public_key = get_bytes(&mut buf)?;
-            let helper = get_helper(&mut buf)?;
-            Message::EnrollUnique(EnrollmentRecord {
-                id,
-                public_key,
-                helper,
-            })
-        }
+        TAG_OUTCOME => Message::Outcome(match r.get_u8()? {
+            1 => IdentOutcome::Identified(r.get_str()?),
+            0 => IdentOutcome::Rejected,
+            _ => return Err(CodecError::Malformed("bad outcome flag")),
+        }),
+        TAG_ENROLL_UNIQUE => Message::EnrollUnique(store::get_record(r)?),
         TAG_RESET => Message::Reset {
-            probe: get_i64s(&mut buf)?,
+            probe: r.get_i64s()?,
         },
-        TAG_AUTH_CLAIMED => {
-            let id = String::from_utf8(get_bytes(&mut buf)?)
-                .map_err(|_| ProtocolError::Malformed("id not utf-8"))?;
-            let probe = get_i64s(&mut buf)?;
-            Message::AuthenticateClaimed { id, probe }
-        }
-        TAG_LOCAL_UNIQUE => {
-            let probe = get_i64s(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(ProtocolError::Malformed("truncated id count"));
-            }
-            let count = buf.get_u32() as usize;
-            // Like the snapshot loader, cap the preallocation by what
-            // the remaining bytes could possibly hold (4-byte length
-            // prefix per id minimum) so a lying count cannot trigger a
-            // huge allocation.
-            let mut ids = Vec::with_capacity(count.min(buf.remaining() / 4));
-            for _ in 0..count {
-                ids.push(
-                    String::from_utf8(get_bytes(&mut buf)?)
-                        .map_err(|_| ProtocolError::Malformed("id not utf-8"))?,
-                );
-            }
-            Message::CheckLocalUniqueness { probe, ids }
-        }
-        TAG_REVOKE => {
-            let id = String::from_utf8(get_bytes(&mut buf)?)
-                .map_err(|_| ProtocolError::Malformed("id not utf-8"))?;
-            Message::Revoke { id }
-        }
-        TAG_IDENTIFY_BATCH => {
-            if buf.remaining() < 4 {
-                return Err(ProtocolError::Malformed("truncated probe count"));
-            }
-            let count = buf.get_u32() as usize;
-            // Prealloc capped by what the remaining bytes could hold
-            // (each probe carries at least its own 4-byte length), so a
-            // lying count cannot trigger a huge allocation.
-            let mut probes = Vec::with_capacity(count.min(buf.remaining() / 4));
-            for _ in 0..count {
-                probes.push(get_i64s(&mut buf)?);
-            }
-            Message::IdentifyBatch { probes }
-        }
-        _ => return Err(ProtocolError::Malformed("unknown tag")),
+        TAG_AUTH_CLAIMED => Message::AuthenticateClaimed {
+            id: r.get_str()?,
+            probe: r.get_i64s()?,
+        },
+        TAG_LOCAL_UNIQUE => Message::CheckLocalUniqueness {
+            probe: r.get_i64s()?,
+            ids: get_list(r, Reader::get_str)?,
+        },
+        TAG_REVOKE => Message::Revoke { id: r.get_str()? },
+        TAG_IDENTIFY_BATCH => Message::IdentifyBatch {
+            probes: get_list(r, Reader::get_i64s)?,
+        },
+        _ => return Err(CodecError::Malformed("unknown tag")),
     };
-    if buf.has_remaining() {
-        return Err(ProtocolError::Malformed("trailing bytes"));
-    }
+    r.expect_end()?;
     Ok(msg)
+}
+
+/// Decodes a wire message.
+///
+/// # Errors
+/// [`ProtocolError::Malformed`] on bad magic, unknown version or tag,
+/// truncation, or trailing garbage — and on nothing else:
+/// [`ProtocolError::Codec`] means a durable artifact failed to decode,
+/// which a message off the wire never is.
+pub fn decode(data: &[u8]) -> Result<Message, ProtocolError> {
+    get_message(&mut Reader::new(data)).map_err(|e| {
+        ProtocolError::Malformed(match e {
+            CodecError::Malformed(what) => what,
+            CodecError::TrailingBytes => "trailing bytes",
+            _ => "truncated",
+        })
+    })
 }
 
 #[cfg(test)]
@@ -422,6 +340,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let bio = params.sketch().line().random_vector(16, &mut rng);
         device.enroll("wire-user", &bio, &mut rng).unwrap()
+    }
+
+    /// A message off the wire that does not decode is `Malformed` (code
+    /// 8 to the peer) — never `Codec`, which means a durable artifact.
+    fn assert_malformed(bytes: &[u8]) {
+        if let Err(e) = decode(bytes) {
+            assert!(matches!(e, ProtocolError::Malformed(_)), "{e:?}");
+        }
     }
 
     #[test]
@@ -520,6 +446,7 @@ mod tests {
             let bytes = encode(&msg);
             for cut in 0..bytes.len() {
                 assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} accepted");
+                assert_malformed(&bytes[..cut]);
             }
             let mut extended = bytes;
             extended.push(0);
@@ -550,6 +477,7 @@ mod tests {
         let bytes = encode(&msg);
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} accepted");
+            assert_malformed(&bytes[..cut]);
         }
         let mut extended = bytes;
         extended.push(0);
@@ -605,6 +533,7 @@ mod tests {
         // Every proper prefix must fail cleanly, never panic.
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} accepted");
+            assert_malformed(&bytes[..cut]);
         }
     }
 
@@ -625,7 +554,7 @@ mod tests {
         for _ in 0..2000 {
             let len = rng.gen_range(0..200);
             let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-            let _ = decode(&data); // must not panic
+            assert_malformed(&data); // and must not panic
         }
     }
 }

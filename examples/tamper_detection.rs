@@ -4,10 +4,8 @@
 //!
 //! Run with: `cargo run --release --example tamper_detection`
 
-use fuzzy_id::protocol::transport::{Link, Tamper};
 use fuzzy_id::protocol::{AuthenticationServer, BiometricDevice, IdentChallenge, SystemParams};
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -25,12 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Honest run over a clean link.
     let probe = device.probe_sketch(&reading, &mut rng)?;
-    let mut link: Link<IdentChallenge> = Link::new();
-    let challenge = server.begin_identification(&probe, &mut rng)?;
-    link.send(challenge).map_err(|_| "link closed")?;
-    let delivered = link
-        .recv(Duration::from_secs(1))
-        .expect("message delivered");
+    let delivered = server.begin_identification(&probe, &mut rng)?;
     let response = device.respond(&reading, &delivered, &mut rng)?;
     let outcome = server.finish_identification(&response)?;
     println!("clean link:     {outcome:?} ✓");
@@ -38,28 +31,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. A man-in-the-middle perturbs the helper data in flight: the
     //    robust sketch's hash check on the device catches it.
     let probe = device.probe_sketch(&reading, &mut rng)?;
-    let mut evil_link: Link<IdentChallenge> = Link::new().with_adversary(Box::new(|mut msg| {
+    let evil_link = |mut msg: IdentChallenge| {
         msg.helper.sketch.inner[0] += 4; // nudge one movement
-        Tamper::Modify(msg)
-    }));
-    let challenge = server.begin_identification(&probe, &mut rng)?;
-    evil_link.send(challenge).map_err(|_| "link closed")?;
-    let tampered = evil_link.recv(Duration::from_secs(1)).expect("delivered");
+        msg
+    };
+    let tampered = evil_link(server.begin_identification(&probe, &mut rng)?);
     match device.respond(&reading, &tampered, &mut rng) {
         Err(e) => println!("tampered link:  device refuses to answer ({e}) ✓"),
         Ok(_) => println!("tampered link:  UNEXPECTED response"),
     }
 
-    // 3. The adversary drops the challenge entirely: the device times out
-    //    and the pending session on the server can never be replayed.
+    // 3. The adversary drops the challenge entirely: the device never
+    //    sees it and the pending session on the server stays unanswered.
     let probe = device.probe_sketch(&reading, &mut rng)?;
-    let mut black_hole: Link<IdentChallenge> =
-        Link::new().with_adversary(Box::new(|_| Tamper::Drop));
+    let black_hole = |_: IdentChallenge| None::<IdentChallenge>;
     let challenge = server.begin_identification(&probe, &mut rng)?;
     let session = challenge.session;
-    black_hole.send(challenge).map_err(|_| "link closed")?;
-    assert!(black_hole.recv(Duration::from_millis(50)).is_none());
-    println!("dropped link:   device times out (session {session} stays unanswered) ✓");
+    assert!(black_hole(challenge).is_none());
+    println!("dropped link:   nothing reaches the device (session {session} stays unanswered) ✓");
 
     Ok(())
 }

@@ -9,7 +9,9 @@
 use fuzzy_id::net::envelope;
 use fuzzy_id::net::frame::{read_frame, write_frame, FRAME_HEADER};
 use fuzzy_id::net::handshake::{self, client_handshake, HandshakeStatus, NET_VERSION};
-use fuzzy_id::net::{Client, ErrorCode, NetConfig, NetError, NetServer, DEFAULT_MAX_FRAME};
+use fuzzy_id::net::{
+    Client, ErrorCode, NetConfig, NetError, NetServer, ResponseBody, DEFAULT_MAX_FRAME,
+};
 use fuzzy_id::protocol::scheduler::{ScheduledServer, SchedulerConfig};
 use fuzzy_id::protocol::wire::Message;
 use fuzzy_id::protocol::{BiometricDevice, IdentOutcome, SystemParams};
@@ -300,6 +302,57 @@ fn pipelined_replies_do_not_wait_for_the_next_request() {
         "a pair of pipelined replies took {median:?} (median of {ROUNDS}): \
          the second is waiting for an acknowledgement"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_response_over_the_frame_limit_is_answered_with_an_error() {
+    // A batch whose request fits `max_frame` and whose response does not:
+    // seven genuine probes are 943 bytes going in and seven challenges
+    // about 1.5 KiB coming out. The request's id gets a CODEC answer and
+    // the connection goes on serving.
+    const MAX_FRAME: usize = 1024;
+    let config = NetConfig {
+        max_frame: MAX_FRAME,
+        ..NetConfig::default()
+    };
+    let (params, scheduler, server, device, mut rng) = stack(64, config, 0x0B16);
+    let bio = params.sketch().line().random_vector(DIM, &mut rng);
+    let record = device.enroll("alice", &bio, &mut rng).unwrap();
+    scheduler.server().enroll(record).unwrap();
+    let probe = device.probe_sketch(&bio, &mut rng).unwrap();
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    client_handshake(&mut stream, &params.fingerprint(), MAX_FRAME).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let request = envelope::encode_request(
+        41,
+        &Message::IdentifyBatch {
+            probes: vec![probe.clone(); 7],
+        },
+    );
+    assert!(request.len() <= MAX_FRAME);
+    write_frame(&mut stream, &request, MAX_FRAME).unwrap();
+    let payload = read_frame(&mut stream, MAX_FRAME).expect("an answer within a second");
+    let (id, response) = envelope::decode_response(&payload).unwrap();
+    assert_eq!(id, 41);
+    let err = response.unwrap_err();
+    assert_eq!(err.code, ErrorCode::Codec);
+    assert_eq!(err.detail, "response exceeds the frame limit");
+    assert_eq!(server.metrics().responses_err(), 1);
+    assert_eq!(server.metrics().responses_ok(), 0);
+    assert_eq!(server.metrics().fatal_frames(), 0);
+
+    // Same connection, next request: served.
+    let request = envelope::encode_request(42, &Message::Identify { probe });
+    write_frame(&mut stream, &request, MAX_FRAME).unwrap();
+    let payload = read_frame(&mut stream, MAX_FRAME).unwrap();
+    let (id, response) = envelope::decode_response(&payload).unwrap();
+    assert_eq!(id, 42);
+    assert!(matches!(response, Ok(ResponseBody::Challenge(_))));
+    assert_eq!(server.metrics().responses_ok(), 1);
     server.shutdown();
 }
 

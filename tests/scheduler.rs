@@ -240,9 +240,8 @@ fn lone_query_flushes_within_the_window() {
     let params = server.params().clone();
     let mut rng = StdRng::seed_from_u64(78);
     let window = Duration::from_millis(50);
-    // Exercise the SharedServer::scheduled constructor path against an
-    // equivalent fresh population.
-    let scheduler = SharedServer::<EpochIndex>::scheduled(
+    // A fresh scheduler over an equivalent fresh population.
+    let scheduler = ScheduledServer::scan(
         params,
         2,
         SchedulerConfig {

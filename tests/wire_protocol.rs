@@ -1,15 +1,11 @@
-//! Full protocol run over the binary wire codec and simulated links —
-//! the closest this repository gets to a deployed client/server split:
-//! every message crosses an encode → transport → decode boundary.
+//! Full protocol run over the binary wire codec: every message crosses
+//! an encode → decode boundary, as it does between a deployed client
+//! and server (`tests/net_front_door.rs` adds the sockets).
 
-use fuzzy_id::protocol::transport::{Link, Tamper};
 use fuzzy_id::protocol::wire::{decode, encode, Message};
 use fuzzy_id::protocol::{AuthenticationServer, BiometricDevice, IdentOutcome, SystemParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
-
-const TIMEOUT: Duration = Duration::from_secs(1);
 
 #[test]
 fn end_to_end_over_wire() {
@@ -18,15 +14,10 @@ fn end_to_end_over_wire() {
     let mut server = AuthenticationServer::new(params.clone());
     let mut rng = StdRng::seed_from_u64(0x31_7e);
 
-    // Byte-level links in both directions.
-    let mut to_server: Link<Vec<u8>> = Link::new();
-    let mut to_device: Link<Vec<u8>> = Link::new();
-
     // --- Enrollment over the wire ---
     let bio = params.sketch().line().random_vector(300, &mut rng);
     let record = device.enroll("alice", &bio, &mut rng).unwrap();
-    to_server.send(encode(&Message::Enroll(record))).unwrap();
-    let bytes = to_server.recv(TIMEOUT).unwrap();
+    let bytes = encode(&Message::Enroll(record));
     match decode(&bytes).unwrap() {
         Message::Enroll(r) => server.enroll(r).unwrap(),
         other => panic!("expected Enroll, got {other:?}"),
@@ -42,19 +33,13 @@ fn end_to_end_over_wire() {
     // (probe travels as part of an outer request in a real deployment;
     // here the server consumes it directly)
     let challenge = server.begin_identification(&probe, &mut rng).unwrap();
-    to_device
-        .send(encode(&Message::Challenge(challenge)))
-        .unwrap();
-    let bytes = to_device.recv(TIMEOUT).unwrap();
+    let bytes = encode(&Message::Challenge(challenge));
     let challenge = match decode(&bytes).unwrap() {
         Message::Challenge(c) => c,
         other => panic!("expected Challenge, got {other:?}"),
     };
     let response = device.respond(&reading, &challenge, &mut rng).unwrap();
-    to_server
-        .send(encode(&Message::Response(response)))
-        .unwrap();
-    let bytes = to_server.recv(TIMEOUT).unwrap();
+    let bytes = encode(&Message::Response(response));
     let response = match decode(&bytes).unwrap() {
         Message::Response(r) => r,
         other => panic!("expected Response, got {other:?}"),
@@ -63,8 +48,7 @@ fn end_to_end_over_wire() {
     assert_eq!(outcome.identity(), Some("alice"));
 
     // --- Outcome notification back to the device ---
-    to_device.send(encode(&Message::Outcome(outcome))).unwrap();
-    let bytes = to_device.recv(TIMEOUT).unwrap();
+    let bytes = encode(&Message::Outcome(outcome));
     assert!(matches!(
         decode(&bytes).unwrap(),
         Message::Outcome(IdentOutcome::Identified(id)) if id == "alice"
@@ -128,15 +112,14 @@ fn adversarial_byte_tampering_on_link() {
     let reading: Vec<i64> = bio.iter().map(|&x| x - 33).collect();
     let probe = device.probe_sketch(&reading, &mut rng).unwrap();
 
-    let mut evil: Link<Vec<u8>> = Link::new().with_adversary(Box::new(|mut bytes: Vec<u8>| {
+    let evil = |mut bytes: Vec<u8>| {
         // Flip a byte in the middle of the helper data payload.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
-        Tamper::Modify(bytes)
-    }));
+        bytes
+    };
     let challenge = server.begin_identification(&probe, &mut rng).unwrap();
-    evil.send(encode(&Message::Challenge(challenge))).unwrap();
-    let bytes = evil.recv(TIMEOUT).unwrap();
+    let bytes = evil(encode(&Message::Challenge(challenge)));
     match decode(&bytes) {
         Err(_) => {} // framing rejected
         Ok(Message::Challenge(c)) => {
