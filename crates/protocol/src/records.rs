@@ -2,8 +2,11 @@
 //! its index row*, in three flat parts and no per-record allocation.
 //!
 //! * a **byte arena** of fixed-size chunks holding each record as one
-//!   block, `4 × u32 ends ‖ id ‖ public key ‖ tag ‖ seed ‖ patches`,
-//!   appended at the tail of the last chunk. A chunk is allocated once
+//!   block, `len(id) ‖ len(key) ‖ len(tag) ‖ len(seed) ‖ id ‖ public
+//!   key ‖ tag ‖ seed ‖ patches`, appended at the tail of the last
+//!   chunk. A length is one byte below 255 and `0xff ‖ u32` otherwise,
+//!   so a block at the paper's parameters is its payload and four bytes,
+//!   and one rule spells every length. A chunk is allocated once
 //!   at its full capacity and never reallocated, so growth never copies
 //!   and never leaves a freed doubling behind; a block never straddles
 //!   two chunks (one larger than [`CHUNK`] gets a chunk of its own);
@@ -29,12 +32,9 @@ use std::ops::Range;
 const CHUNK_BITS: u32 = 20;
 /// Bytes of one arena chunk.
 pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
-/// Bytes of a block's header: the end offsets of its id, key, tag and
-/// seed within the payload that follows.
-const HEADER: usize = 16;
-const _: () = assert!(HEADER == std::mem::size_of::<[u32; 4]>());
-/// Bytes of one sketch patch.
-const PATCH_BYTES: usize = 4 + 8;
+/// A length (or patch dimension) this large or larger is this byte,
+/// then the value as a little-endian `u32`; a smaller one is its byte.
+const ESCAPE: u8 = 0xff;
 /// Set in a slot whose record was revoked. The slot keeps its block's
 /// position, which is where the block before it ends.
 const DEAD: u64 = 1 << 63;
@@ -49,35 +49,93 @@ const EMPTY: u32 = u32::MAX;
 /// Entries of the smallest id table.
 const MIN_TABLE: usize = 4;
 
+/// Bytes [`put_len`] writes for `len`.
+fn len_bytes(len: usize) -> usize {
+    1 + 4 * usize::from(len >= usize::from(ESCAPE))
+}
+
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    if len < usize::from(ESCAPE) {
+        out.push(len as u8);
+    } else {
+        let len = u32::try_from(len).expect("fits bounds every length");
+        out.push(ESCAPE);
+        out.extend_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Reads the length [`put_len`] wrote at the front of `bytes`, and
+/// steps past it.
+fn get_len(bytes: &mut &[u8]) -> u32 {
+    let len = match bytes[0] {
+        ESCAPE => u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")),
+        byte => u32::from(byte),
+    };
+    *bytes = &bytes[len_bytes(len as usize)..];
+    len
+}
+
+/// A patch's value, `enrolled − row` mod 2⁶⁴ zigzagged: a difference of
+/// either sign that is small in magnitude is a small number.
+fn zigzag(enrolled: i64, row: i64) -> u64 {
+    let delta = enrolled.wrapping_sub(row);
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+/// Bytes of the LEB128 form of `z`, seven bits a byte.
+fn varint_bytes(z: u64) -> usize {
+    (u64::BITS - z.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+fn put_varint(out: &mut Vec<u8>, mut z: u64) {
+    while z >= 0x80 {
+        out.push(z as u8 | 0x80);
+        z >>= 7;
+    }
+    out.push(z as u8);
+}
+
+/// Reads a [`zigzag`] value [`put_varint`] wrote at the front of
+/// `bytes`, steps past it and returns the difference it encodes.
+fn get_delta(bytes: &mut &[u8]) -> i64 {
+    let last = bytes.iter().position(|&b| b < 0x80).expect("a varint ends");
+    let z = (bytes[..=last].iter().rev()).fold(0, |z, &b| z << 7 | u64::from(b & 0x7f));
+    *bytes = &bytes[last + 1..];
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
 /// One stored record, borrowed from the arena.
 ///
 /// The index stores canonical ring residues (`−ka/2` folds to `+ka/2`,
 /// out-of-range values reduce), but the robust sketch's tag is
 /// `H(x ‖ s)` over the sketch *as sent* — `Rep` on a helper rebuilt
 /// from canonical values alone fails its tag check. So every coordinate
-/// whose stored cell differs from the enrolled value is kept verbatim;
-/// a record whose sketch round-trips through the index (twelve in
-/// thirteen at the paper's parameters) carries no patch bytes at all.
+/// whose stored cell differs from the enrolled value is patched: its
+/// dimension, under the block's length rule, then the [`zigzag`]
+/// difference from the row in LEB128 — three bytes for the common
+/// `−ka/2`, at most fifteen for any `i64`. A record whose sketch
+/// round-trips through the index (twelve in thirteen at the paper's
+/// parameters) carries no patch bytes at all.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StoredRecord<'a> {
-    /// `id ‖ public key ‖ tag ‖ seed ‖ patches`; a patch is a `u32`
-    /// dimension then the enrolled `i64`, little-endian. The key stays
-    /// bytes as received: only `finish_identification` needs it parsed,
-    /// and one signature verification dwarfs the parse.
+    /// `id ‖ public key ‖ tag ‖ seed ‖ patches`: the block past its four
+    /// lengths. The key stays bytes as received: only
+    /// `finish_identification` needs it parsed, and one signature
+    /// verification dwarfs the parse.
     bytes: &'a [u8],
     /// End offsets in `bytes` of the id, key, tag and seed.
     ends: [u32; 4],
 }
 
 impl<'a> StoredRecord<'a> {
-    /// The record whose block (header, then payload) is `block`.
-    fn view(block: &'a [u8]) -> Self {
-        let (header, bytes) = block.split_at(HEADER);
-        let mut ends = [0u32; 4];
-        for (end, word) in ends.iter_mut().zip(header.chunks_exact(4)) {
-            *end = u32::from_le_bytes(word.try_into().expect("4 bytes"));
-        }
-        StoredRecord { bytes, ends }
+    /// The record whose block (four lengths, then payload) is `block`.
+    fn view(mut block: &'a [u8]) -> Self {
+        let mut end = 0;
+        let ends = [(); 4].map(|()| {
+            end += get_len(&mut block);
+            end
+        });
+        StoredRecord { bytes: block, ends }
     }
 
     fn field(&self, i: usize) -> &'a [u8] {
@@ -97,10 +155,10 @@ impl<'a> StoredRecord<'a> {
     /// the helper data that was enrolled: the patched coordinates over
     /// the row, then tag and seed.
     pub(crate) fn restore(&self, helper: &mut WireHelper) {
-        for patch in self.bytes[self.ends[3] as usize..].chunks_exact(PATCH_BYTES) {
-            let (dim, value) = patch.split_at(4);
-            let dim = u32::from_le_bytes(dim.try_into().expect("4 bytes")) as usize;
-            helper.sketch.inner[dim] = i64::from_le_bytes(value.try_into().expect("8 bytes"));
+        let mut patches = &self.bytes[self.ends[3] as usize..];
+        while !patches.is_empty() {
+            let value = &mut helper.sketch.inner[get_len(&mut patches) as usize];
+            *value = value.wrapping_add(get_delta(&mut patches));
         }
         helper.sketch.tag.clear();
         helper.sketch.tag.extend_from_slice(self.field(2));
@@ -193,20 +251,13 @@ impl RecordTable {
         self.dead_bytes
     }
 
-    /// Whether `record` packs within the `u32` offsets even if every
-    /// coordinate needs a patch.
+    /// Whether `record` packs: the sum of its field lengths (so each
+    /// field, and each end offset a view sums them into) and each
+    /// dimension a patch can name fit a `u32`.
     pub(crate) fn fits(record: &EnrollmentRecord) -> bool {
-        let helper = &record.helper;
-        helper
-            .sketch
-            .inner
-            .len()
-            .saturating_mul(PATCH_BYTES)
-            .saturating_add(record.id.len())
-            .saturating_add(record.public_key.len())
-            .saturating_add(helper.sketch.tag.len())
-            .saturating_add(helper.seed.len())
-            <= u32::MAX as usize
+        let h = &record.helper;
+        let fields = record.id.len() + record.public_key.len() + h.sketch.tag.len() + h.seed.len();
+        u32::try_from(fields).is_ok() && u32::try_from(h.sketch.inner.len()).is_ok()
     }
 
     /// The chunk and byte range of `slot`'s block, live or revoked.
@@ -324,10 +375,13 @@ impl RecordTable {
             &helper.sketch.tag,
             &helper.seed,
         ];
-        let enrolled = helper.sketch.inner.iter().zip(row);
-        let patches = enrolled.clone().filter(|(want, got)| want != got).count();
-        let fixed: usize = fields.iter().map(|f| f.len()).sum();
-        let len = HEADER + fixed + patches * PATCH_BYTES;
+        let patches = (helper.sketch.inner.iter().zip(row).enumerate())
+            .filter(|(_, (want, got))| want != got)
+            .map(|(dim, (&want, &got))| (dim, zigzag(want, got)));
+        let mut len: usize = fields.iter().map(|f| len_bytes(f.len()) + f.len()).sum();
+        len += (patches.clone())
+            .map(|(dim, z)| len_bytes(dim) + varint_bytes(z))
+            .sum::<usize>();
 
         assert!(!self.is_full(), "validate_enroll refuses a full table");
         let slot = self.slots.len() as u32;
@@ -343,21 +397,18 @@ impl RecordTable {
         let chunk = &mut self.chunks[last];
         self.slots
             .push(tag_of(vacancy.0) | ((last as u64) << CHUNK_BITS) | chunk.len() as u64);
-        let mut end = 0usize;
+        let start = chunk.len();
         for field in fields {
-            end += field.len();
-            let end = u32::try_from(end).expect("validate_enroll bounds the packed length");
-            chunk.extend_from_slice(&end.to_le_bytes());
+            put_len(chunk, field.len());
         }
         for field in fields {
             chunk.extend_from_slice(field);
         }
-        for (dim, (want, got)) in enrolled.enumerate() {
-            if want != got {
-                chunk.extend_from_slice(&(dim as u32).to_le_bytes());
-                chunk.extend_from_slice(&want.to_le_bytes());
-            }
+        for (dim, z) in patches {
+            put_len(chunk, dim);
+            put_varint(chunk, z);
         }
+        debug_assert_eq!(chunk.len() - start, len, "the block is the length reserved");
 
         if (self.live + 1) * 8 > self.table.len() * 7 {
             // The new slot is live already, so the rebuild files it.
@@ -476,27 +527,31 @@ mod tests {
         }
     }
 
-    /// Pushes `record` as a server does: probe, then file under the
-    /// vacancy. The row reads `-200` back as `200`, so every record
-    /// carries one patch.
-    fn push(table: &mut RecordTable, record: &EnrollmentRecord) -> usize {
-        let vacancy = table.probe(&record.id).expect("id is new");
+    /// The row an index holds for `record`: it reads `-200` back as
+    /// `200`, so every record above carries one patch.
+    fn row_of(record: &EnrollmentRecord) -> Vec<i64> {
         let mut row = record.helper.sketch.inner.clone();
         row[1] = 200;
-        table.push(vacancy, record, &row)
+        row
     }
 
-    fn helper_of(table: &RecordTable, slot: usize) -> WireHelper {
+    /// Pushes `record` as a server does: probe, then file under the
+    /// vacancy.
+    fn push(table: &mut RecordTable, record: &EnrollmentRecord) -> usize {
+        let vacancy = table.probe(&record.id).expect("id is new");
+        table.push(vacancy, record, &row_of(record))
+    }
+
+    /// The helper a server rebuilds from `slot` and `record`'s row.
+    fn helper_of(table: &RecordTable, slot: usize, record: &EnrollmentRecord) -> WireHelper {
         let mut helper = WireHelper {
             sketch: RobustData {
-                inner: vec![0, 200, 7],
+                inner: row_of(record),
                 tag: Vec::new(),
             },
             seed: Vec::new(),
         };
-        let stored = table.get(slot).expect("live slot");
-        helper.sketch.inner[0] = i64::from(stored.public_key()[0]);
-        stored.restore(&mut helper);
+        table.get(slot).expect("live slot").restore(&mut helper);
         helper
     }
 
@@ -528,13 +583,76 @@ mod tests {
             assert_eq!(table.find(&r.id), Some(u));
             let stored = table.get(u).unwrap();
             assert_eq!((stored.id(), stored.public_key()), (&*r.id, &*r.public_key));
-            assert_eq!(helper_of(&table, u), r.helper);
+            assert_eq!(helper_of(&table, u, r), r.helper);
         }
         assert_eq!(table.find("u200"), None);
         assert_eq!(
             table.heap_bytes(),
             table.slots.capacity() * 8 + CHUNK + table.chunks.capacity() * 24 + 256 * 4
         );
+    }
+
+    #[test]
+    fn a_paper_parameter_block_is_its_payload_and_four_length_bytes() {
+        // 11-byte id, 128-byte key, 32-byte tag and seed: 203 payload
+        // bytes. A row of 200s reproduces the first sketch; the second
+        // enrolled −ka/2 at ka = 400, a 3-byte patch.
+        let mut r = record("user-000000", 1);
+        r.public_key = vec![1; 128];
+        r.helper.sketch = RobustData {
+            inner: vec![200; 64],
+            tag: vec![2; 32],
+        };
+        r.helper.seed = vec![3; 32];
+        let mut table = RecordTable::new();
+        let plain = push(&mut table, &r);
+        r.id = "user-000001".into();
+        r.helper.sketch.inner[1] = -200;
+        let patched = push(&mut table, &r);
+        assert_eq!(table.extent(plain).1.len(), 207);
+        assert_eq!(table.extent(patched).1.len(), 210);
+        assert_eq!(helper_of(&table, patched, &r), r.helper);
+    }
+
+    #[test]
+    fn lengths_on_both_sides_of_the_escape_round_trip() {
+        const LENS: [usize; 5] = [0, 254, 255, 256, 65_536];
+        // Each field takes each length once, in a different record.
+        let records: Vec<_> = (0..LENS.len())
+            .map(|u| {
+                let len = |field: usize| LENS[(u + field) % LENS.len()];
+                let mut r = record(&"i".repeat(len(0)), u as u8);
+                r.public_key = vec![u as u8; len(1)];
+                r.helper.sketch.tag = vec![0x55; len(2)];
+                r.helper.seed = vec![0xaa; len(3)];
+                r
+            })
+            .collect();
+        let check = |table: &RecordTable, live: &[&EnrollmentRecord]| {
+            for (slot, r) in live.iter().enumerate() {
+                let stored = table.get(slot).unwrap();
+                assert_eq!((stored.id(), stored.public_key()), (&*r.id, &*r.public_key));
+                assert_eq!(helper_of(table, slot, r), r.helper);
+                // A length byte, or 0xff and four; the payload; a patch.
+                let h = &r.helper;
+                let lens = [
+                    r.id.len(),
+                    r.public_key.len(),
+                    h.sketch.tag.len(),
+                    h.seed.len(),
+                ];
+                let len: usize = lens.iter().map(|&l| l + if l < 255 { 1 } else { 5 }).sum();
+                assert_eq!(table.extent(slot).1.len(), len + 3, "slot {slot}");
+            }
+        };
+        let mut table = RecordTable::new();
+        for r in &records {
+            push(&mut table, r);
+        }
+        check(&table, &records.iter().collect::<Vec<_>>());
+        table.revoke(&records[0].id).unwrap();
+        table.compact(|_, _| ());
+        check(&table, &records[1..].iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -655,7 +773,7 @@ mod tests {
         let check = |table: &RecordTable, live: &[&EnrollmentRecord]| {
             for (slot, r) in live.iter().enumerate() {
                 assert_eq!(table.find(&r.id), Some(slot));
-                assert_eq!(helper_of(table, slot), r.helper);
+                assert_eq!(helper_of(table, slot, r), r.helper);
             }
             for slot in 0..table.slots() {
                 let (chunk, range) = table.extent(slot);
@@ -675,7 +793,8 @@ mod tests {
         check(&table, &live);
         // big3 | oversized | big6 big7 big9
         let capacities: Vec<_> = table.chunks.iter().map(Vec::capacity).collect();
-        let oversized = HEADER + 4 + 24 + 16 + (CHUNK + 5) + PATCH_BYTES;
+        // Lengths 1 + 1 + 1 + 5; the patch is dimension 1 and zigzag(−400).
+        let oversized = 8 + 4 + 24 + 16 + (CHUNK + 5) + 3;
         assert_eq!(capacities, [CHUNK, oversized, CHUNK]);
         // Revoking the oversized record and compacting gives its chunk back.
         table.revoke("big4").unwrap();

@@ -431,9 +431,10 @@ fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
 /// a full disk, an I/O error — cuts the file back to that length before
 /// returning its error; if the cut fails too, every later append on the
 /// handle is refused until the store is reopened. Either way a fresh
-/// append never lands behind torn bytes. A CRC failure with intact
-/// frames *behind* it is damage at rest, not a crash: `open` refuses
-/// and leaves the file untouched for salvage. A crash mid-compaction
+/// append never lands behind torn bytes. A bad frame with an intact
+/// frame anywhere *behind* it — a CRC failure, or a length word grown
+/// past the end of the file — is damage at rest, not a crash: `open`
+/// refuses and leaves the file untouched for salvage. A crash mid-compaction
 /// leaves at worst a stale `.tmp` file, which the next compaction
 /// overwrites; the rename is the commit point.
 ///
@@ -692,9 +693,11 @@ struct JournalScan {
 /// always last) and is truncated in place; a CRC failure with intact
 /// data *behind* it is damage at rest, which errors with the file
 /// preserved for salvage (truncating would destroy acknowledged
-/// events). Shared by `open` (so an append handle never points behind
-/// torn bytes) and `load` (when appends have invalidated the cached
-/// scan).
+/// events). No CRC covers a length word, so a grown one makes a middle
+/// frame look like the last: a bad frame is only cut when no intact
+/// frame starts anywhere behind its first byte. Shared by `open` (so an
+/// append handle never points behind torn bytes) and `load` (when
+/// appends have invalidated the cached scan).
 fn scan_and_repair_journal(
     path: &Path,
     fingerprint: &Fingerprint,
@@ -708,17 +711,24 @@ fn scan_and_repair_journal(
             break bytes.len();
         }
         let frame_start = r.position();
-        match r.get_framed() {
+        let torn = match r.get_framed() {
             Ok(payload) => match decode_event(payload) {
-                Ok(event) => events.push(event),
+                Ok(event) => {
+                    events.push(event);
+                    continue;
+                }
                 // A frame with a valid CRC but undecodable contents is
                 // corruption, not a torn write.
                 Err(e) => return Err(ProtocolError::Codec(e)),
             },
-            Err(CodecError::Truncated) => break frame_start,
-            Err(CodecError::BadChecksum) if r.is_empty() => break frame_start,
+            Err(CodecError::Truncated) => CodecError::Truncated,
+            Err(CodecError::BadChecksum) if r.is_empty() => CodecError::BadChecksum,
             Err(e) => return Err(ProtocolError::Codec(e)),
+        };
+        if intact_frame_after(&bytes, frame_start) {
+            return Err(ProtocolError::Codec(torn));
         }
+        break frame_start;
     };
     let torn_bytes = (bytes.len() - good_end) as u64;
     if torn_bytes > 0 {
@@ -733,6 +743,17 @@ fn scan_and_repair_journal(
         events,
         torn_bytes,
         good_len: good_end as u64,
+    })
+}
+
+/// Whether a frame whose CRC checks and whose payload decodes starts at
+/// some offset of `bytes` after `from`: what a damaged frame with
+/// acknowledged frames behind it has, and a torn final write does not.
+fn intact_frame_after(bytes: &[u8], from: usize) -> bool {
+    (from + 1..bytes.len()).any(|at| {
+        Reader::new(&bytes[at..])
+            .get_framed()
+            .is_ok_and(|payload| decode_event(payload).is_ok())
     })
 }
 

@@ -914,10 +914,12 @@ fn journal_tail_replays_over_imported_segments() {
 }
 
 // ---------------------------------------------------------------------------
-// Single-bit damage at rest: every bit the frame checksum covers — the
-// CRC word and the payload of every journal, snapshot and sidecar frame
-// — flipped one at a time. (Length words and artifact headers are not
-// under the CRC; ROADMAP item 5a keeps them.)
+// Single-bit damage at rest, one bit at a time: every bit of every
+// journal frame — its length word too, which no CRC covers, so the scan
+// looks for an intact frame behind a frame that overruns — and every bit
+// the CRC covers of each snapshot and sidecar frame. (Artifact headers,
+// and the length words of the two files written whole, are ROADMAP item
+// 8a's.)
 // ---------------------------------------------------------------------------
 
 /// Byte ranges `len ‖ crc32 ‖ payload` of the `count` frames that start
@@ -1002,15 +1004,18 @@ fn single_bit_flips_at_rest_are_detected() {
 
     // Journal. A frame that is not the last: the store is refused and
     // the file left as found. The last frame: indistinguishable from a
-    // torn write — cut off, and the history loses exactly its last event.
+    // torn write — cut off, and the history loses exactly its last event
+    // — except that a length word shrunk short of the file's end leaves
+    // bytes no frame accounts for, and is refused like a middle frame.
     let frames = frame_ranges(&journal, HEADER, 4);
     assert_eq!(frames[3].end, journal.len());
     for (i, frame) in frames.iter().enumerate() {
         let last = i == frames.len() - 1;
-        for_each_flip(&journal, frame.start + 4..frame.end, |damaged, bit| {
+        let length_word = frame.start * 8..(frame.start + 4) * 8;
+        for_each_flip(&journal, frame.clone(), |damaged, bit| {
             std::fs::write(&journal_path, damaged).unwrap();
             match FileStore::open(&dir, fp) {
-                Err(_) if !last => {
+                Err(_) if !last || length_word.contains(&bit) => {
                     assert_eq!(std::fs::read(&journal_path).unwrap(), damaged, "bit {bit}");
                 }
                 Ok(mut store) if last => {
@@ -1066,5 +1071,34 @@ fn single_bit_flips_at_rest_are_detected() {
     // Everything restored: the undamaged store still imports its
     // segments and answers as before.
     recovered_answers(true, "restored");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Bit 31 of a middle frame's length word makes that frame run past
+/// end-of-file, just as a torn final write does. The intact frame behind
+/// it says otherwise: the store is refused and the file left as found,
+/// where cutting it at the damaged frame would lose the acknowledged
+/// frame behind.
+#[test]
+fn journal_length_word_flip_in_a_middle_frame_is_refused() {
+    let dir = scratch_dir("length-word");
+    let params = SystemParams::insecure_test_defaults();
+    let fp = params.fingerprint();
+    let mut rng = StdRng::seed_from_u64(0x1E27);
+    let mut store = FileStore::open(&dir, fp).unwrap();
+    for u in 0..3 {
+        let (record, _) = synthetic_record(&params, &[7; 24], &format!("user-{u}"), 4, &mut rng);
+        store.append(LogEventRef::Enroll(&record)).unwrap();
+    }
+    drop(store);
+
+    let path = dir.join("journal.fel");
+    let mut journal = std::fs::read(&path).unwrap();
+    let frames = frame_ranges(&journal, 15, 3);
+    assert_eq!(frames[2].end, journal.len());
+    journal[frames[1].start] ^= 0x80; // the length word is big-endian
+    std::fs::write(&path, &journal).unwrap();
+    assert!(FileStore::open(&dir, fp).is_err());
+    assert_eq!(std::fs::read(&path).unwrap(), journal);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1319,6 +1319,44 @@ mod helper_round_trip {
         }
     }
 
+    /// A record block's length rule at its edges: patches at dimensions
+    /// 0, 254, 255 and 299 of a 300-coordinate sketch (one byte, one
+    /// byte, escaped, escaped), holding values far from any row and the
+    /// common `−ka/2`, read back through revoke, `compact()` and recovery.
+    #[test]
+    fn patches_at_the_length_byte_edges_restore_byte_for_byte() {
+        let params = SystemParams::insecure_test_defaults();
+        let edges = [
+            (0, i64::MIN),
+            (254, i64::MAX),
+            (255, KA / 2 + 1),
+            (299, -KA / 2),
+        ];
+        let records: Vec<_> = (0..4i64)
+            .map(|u| {
+                let mut inner: Vec<i64> = (0..300)
+                    .map(|x| (x * 37 + u * 11) % (KA - 1) - (KA / 2 - 1))
+                    .collect();
+                for (dim, value) in edges {
+                    inner[dim] = value;
+                }
+                EnrollmentRecord {
+                    id: format!("wide-{u}"),
+                    public_key: vec![u as u8 + 1; 128],
+                    helper: HelperData {
+                        sketch: RobustData {
+                            inner,
+                            tag: vec![2; 32],
+                        },
+                        seed: vec![3; 32],
+                    },
+                }
+            })
+            .collect();
+        check(&params, ScanIndex::build(&params), &records, &[0], |_| ());
+        check(&params, EpochIndex::build(&params), &records, &[0], |_| ());
+    }
+
     /// `Gen` on a biometric with a coordinate on an interval boundary
     /// emits `+ka/2` or `−ka/2` on a coin flip, and the tag covers
     /// whichever it was: the login must succeed both ways.
@@ -1423,16 +1461,29 @@ mod record_table {
     }
 
     fn record(id: &str, salt: u8, inner: Vec<i64>) -> EnrollmentRecord {
-        let len = usize::from(salt % 37);
+        // Mostly short, but each field also meets 254 and 255: the last
+        // length a block spells in one byte, and the first it escapes.
+        let len = |salt: u8| match salt % 40 {
+            38 => 254,
+            39 => 255,
+            short => usize::from(short),
+        };
         EnrollmentRecord {
             id: id.to_string(),
-            public_key: vec![salt; 1 + len],
+            public_key: vec![salt; len(salt).max(1)],
             helper: HelperData {
                 sketch: RobustData {
                     inner,
-                    tag: vec![!salt; len],
+                    tag: vec![!salt; len(salt ^ 1)],
                 },
-                seed: vec![salt ^ 0x5a; if id == "big" { CHUNK + 1 } else { len / 2 }],
+                seed: vec![
+                    salt ^ 0x5a;
+                    if id == "big" {
+                        CHUNK + 1
+                    } else {
+                        len(salt ^ 2)
+                    }
+                ],
             },
         }
     }
