@@ -122,12 +122,14 @@ impl NetMetrics {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// Success responses written.
+    /// Success responses sent, each counted just before its frame is
+    /// written.
     pub fn responses_ok(&self) -> u64 {
         self.responses_ok.load(Ordering::Relaxed)
     }
 
-    /// Error responses written (any code, including `OVERLOADED`).
+    /// Error responses sent (any code, including `OVERLOADED`), counted
+    /// as [`NetMetrics::responses_ok`] is.
     pub fn responses_err(&self) -> u64 {
         self.responses_err.load(Ordering::Relaxed)
     }
@@ -535,9 +537,8 @@ fn writer_loop(
                 return; // a frame limit too small for any answer
             }
         }
-        if stream.write_all(frame.as_slice()).is_err() {
-            return; // peer gone; reader will notice EOF and wind down
-        }
+        // Counted before the bytes leave, so a client that has read a
+        // response never finds it missing from the metrics.
         match &response {
             Ok(ResponseBody::Batch(items)) => {
                 metrics.responses_ok.fetch_add(1, Ordering::Relaxed);
@@ -556,6 +557,9 @@ fn writer_loop(
                     metrics.shed.fetch_add(1, Ordering::Relaxed);
                 }
             }
+        }
+        if stream.write_all(frame.as_slice()).is_err() {
+            return; // peer gone; reader will notice EOF and wind down
         }
     }
 }

@@ -15,14 +15,15 @@
 //!   The expensive part of identification — the sweep over conditions
 //!   (1)–(4) — runs on the reader with no `RwLock`, no mutex, and no
 //!   wait on enrollment churn; only the brief challenge bookkeeping
-//!   afterwards takes the shard's write lock, re-validated by a
-//!   generation check (see below).
-//! * **Journal I/O stays off the read path.** Durable shards keep their
-//!   write-ahead journal *outside* the state lock, behind a dedicated
-//!   per-shard mutex: validate under a read lock, append (+ optional
-//!   fsync) with **no state lock held**, then apply under the write
-//!   lock. A reader never observes a critical section that contains
-//!   disk I/O.
+//!   afterwards takes the shard's write lock, revalidated against
+//!   renumbering and revocation (see below).
+//! * **One write sequence, journal I/O off the read path.** Every shard
+//!   keeps its write-ahead journal — `None` in memory — *outside* the
+//!   state lock, behind a per-shard mutex, and every enroll, refusal
+//!   and revocation runs the same steps under it: plan under a read
+//!   lock, append (+ optional fsync) with **no state lock held** when
+//!   there is a journal, then apply under the write lock. A reader
+//!   never observes a critical section that contains disk I/O.
 //! * **Writes are fine-grained.** Enrollment, revocation and challenge
 //!   bookkeeping take the write lock of one shard only, leaving the
 //!   other `N − 1` shards untouched.
@@ -32,7 +33,7 @@
 //!   routed back to its shard by arithmetic alone.
 //! * **Batching amortizes publication loads.** [`SharedServer::identify_batch`]
 //!   resolves a whole queue of probes with one snapshot load per shard
-//!   sweep and one write-lock acquisition per shard-with-matches.
+//!   sweep and one write-lock acquisition per shard it visits.
 //!
 //! # The generation check
 //!
@@ -42,44 +43,65 @@
 //! helper re-validates liveness), but **compaction renumbers**. Every
 //! structural renumbering bumps the index's generation
 //! ([`fe_core::SketchIndex::generation`]), so the scan captures the
-//! published generation first, and any code that consumes scanned slots
-//! under a state lock re-checks it there: mismatch → rescan. Generations
-//! are monotone and renumbering requires the write lock, so an equal
-//! generation under the lock proves the slots are current.
+//! published generation first and re-checks it under the state lock
+//! before consuming a slot: mismatch → rescan. Generations are monotone
+//! and renumbering requires the write lock, so an equal generation under
+//! the lock proves the slots are current.
+//!
+//! A revoked hit forces a rescan too, and so does any revocation on the
+//! shard while the sweep ran. A sweep reads each row's tombstone as it
+//! passes the row, and covers only the rows published when it reached
+//! them. So a record revoked ahead of the sweep and re-enrolled behind
+//! it is missed, though it matched throughout; a reset would then count
+//! one match where two remain. Each shard counts its revocations, and
+//! the sweep compares the count taken before it with the count under
+//! the lock. Equal, with an equal generation, means the sweep saw the
+//! match set of one instant, every hit live. Otherwise the shard is
+//! swept once more with the lock held, where the published snapshot is
+//! the state, so no lookup retries more than once. One shard method
+//! runs this step for every lookup.
 //!
 //! Users are assigned to shards by a stable hash of their id; probes
 //! (which carry no identity — that is the point of the protocol) are
 //! searched on all shards.
 
-use crate::messages::{EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId};
+use crate::messages::{
+    EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId, UserId,
+};
 use crate::params::{DedupPolicy, SystemParams};
-use crate::server::{AuthenticationServer, BuildIndex};
-use crate::store::{EnrollmentStore, LogEventRef};
+use crate::server::{AuthenticationServer, BuildIndex, Write};
+use crate::store::EnrollmentStore;
 use crate::ProtocolError;
 use fe_core::{EpochIndex, EpochRead, IndexReader};
 use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
 use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One server shard: the locked writer state, its lock-free index
-/// reader, and (for durable servers) the journal held outside the lock.
+/// reader, and the journal held outside the lock.
 struct Shard<I: EpochRead> {
     /// Record table, session bookkeeping and the index *writer*.
     state: RwLock<AuthenticationServer<I>>,
-    /// The shard's write-ahead journal. Held **outside** the state
-    /// lock: appends (and their fsyncs) serialize writers on this
-    /// mutex instead of the state lock, so no reader ever waits on
-    /// disk. The mutex is also what serializes the full
-    /// validate → append → apply write sequence — journal order *is*
-    /// replay order.
-    journal: Option<Mutex<Box<dyn EnrollmentStore>>>,
+    /// The shard's write-ahead journal, `None` for an in-memory shard.
+    /// Held **outside** the state lock: appends (and their fsyncs)
+    /// serialize writers on this mutex instead of the state lock, so no
+    /// reader ever waits on disk. The mutex is also what serializes the
+    /// full plan → append → apply write sequence — journal order *is*
+    /// replay order — and an in-memory shard takes it too, so there is
+    /// one write path, not one per kind of shard.
+    journal: Mutex<Option<Box<dyn EnrollmentStore>>>,
     /// Lock-free reader over the index's published snapshots.
     reader: I::Reader,
-    /// Lock-free scans served (diagnostics; state-locked paths count
-    /// theirs in the server's own counter).
+    /// Revocations applied, bumped under the write lock once the
+    /// tombstone is published: a sweep that saw it move may have missed
+    /// a record that was live throughout (see [`Shard::sweep`]).
+    revocations: AtomicU64,
+    /// Sweeps run on the reader (diagnostics; the server's own helpers
+    /// count theirs in the server's counter).
     reads: AtomicU64,
 }
 
@@ -87,14 +109,74 @@ impl<I: EpochRead> Shard<I> {
     /// Wraps a built (or recovered) server, detaching its store into
     /// the journal mutex and taking the index's reader handle.
     fn from_server(mut server: AuthenticationServer<I>) -> Shard<I> {
-        let journal = server.detach_store().map(Mutex::new);
+        let journal = Mutex::new(server.detach_store());
         let reader = server.index().reader();
         Shard {
             state: RwLock::new(server),
             journal,
             reader,
+            revocations: AtomicU64::new(0),
             reads: AtomicU64::new(0),
         }
+    }
+
+    /// The write sequence, journal-outside-lock: under the journal
+    /// mutex, `plan` runs under the read lock, the append (with any
+    /// fsync) under **no state lock**, and only the in-memory apply
+    /// takes the write lock. Readers on the lock-free path never wait;
+    /// even read-locked helpers never sit behind disk I/O.
+    fn write(
+        &self,
+        plan: impl FnOnce(&AuthenticationServer<I>) -> Result<Write, ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        let mut journal = self.journal.lock();
+        // The plan outlives the read lock because the journal mutex
+        // held here is what serializes this shard's writers.
+        let write = plan(&self.state.read())?;
+        write.journal(&mut journal)?;
+        let revokes = matches!(write, Write::Revoke(_));
+        let mut state = self.state.write();
+        state.apply(write)?;
+        if revokes {
+            // Release, after the tombstone: pairs with the Acquire load
+            // at the start of `sweep`, which then sees the tombstone.
+            self.revocations.fetch_add(1, Ordering::Release);
+        }
+        Ok(())
+    }
+
+    /// The read step of every lookup (module docs, "The generation
+    /// check"): `scan` sweeps the lock-free reader, then the state lock
+    /// is taken with `lock`. If the index renumbered or a record was
+    /// revoked since the sweep began, `scan` runs again with the lock
+    /// held, where the published snapshot *is* the state. Either way
+    /// the result is the match set of one instant, returned with the
+    /// guard still held so every slot in it is live and current.
+    fn sweep<'s, T, G: Deref<Target = AuthenticationServer<I>>>(
+        &'s self,
+        scan: impl Fn(&I::Reader) -> T,
+        lock: impl FnOnce(&'s RwLock<AuthenticationServer<I>>) -> G,
+    ) -> (T, G) {
+        let generation = self.reader.generation();
+        let revocations = self.revocations.load(Ordering::Acquire);
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        let mut found = scan(&self.reader);
+        let server = lock(&self.state);
+        if server.index_generation() != generation
+            || self.revocations.load(Ordering::Relaxed) != revocations
+        {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            found = scan(&self.reader);
+        }
+        (found, server)
+    }
+
+    /// The ids of the (at most `budget`) lowest-slot records matching
+    /// `probe`, at one instant.
+    fn matches(&self, probe: &[i64], budget: usize) -> Vec<UserId> {
+        let (hits, server) = self.sweep(|r| r.find_at_most(probe, budget), RwLock::read);
+        let id = |slot| server.user_at(slot).expect("swept hits are live");
+        hits.into_iter().map(|slot| id(slot).to_string()).collect()
     }
 }
 
@@ -380,67 +462,6 @@ impl<I: EpochRead> SharedServer<I> {
         &self.shards[((session.wrapping_sub(1)) % self.shards.len() as u64) as usize]
     }
 
-    /// The write sequence for one shard, journal-outside-lock: the
-    /// journal mutex serializes this shard's writers end to end, the
-    /// append (with any fsync) runs under **no state lock**, and only
-    /// the in-memory apply takes the write lock. Readers on the
-    /// lock-free path never wait; even read-locked helpers never sit
-    /// behind disk I/O.
-    fn shard_enroll(
-        &self,
-        shard: &Shard<I>,
-        record: EnrollmentRecord,
-    ) -> Result<(), ProtocolError> {
-        let Some(journal) = &shard.journal else {
-            // No journal: the plain server path (which also has no
-            // store attached) under the write lock.
-            return shard.state.write().enroll(record);
-        };
-        let mut store = journal.lock();
-        // The vacancy outlives the read lock because the journal mutex
-        // held here is what serializes this shard's writers.
-        let vacancy = shard.state.read().validate_enroll(&record)?;
-        store.append(LogEventRef::Enroll(&record))?;
-        shard.state.write().apply_enroll(record, vacancy);
-        Ok(())
-    }
-
-    /// [`SharedServer::shard_enroll`] with the home shard's duplicate-
-    /// biometric check (see [`AuthenticationServer::enroll_unique`]),
-    /// journal-outside-lock.
-    fn shard_enroll_unique(
-        &self,
-        shard: &Shard<I>,
-        record: EnrollmentRecord,
-    ) -> Result<(), ProtocolError> {
-        let Some(journal) = &shard.journal else {
-            return shard.state.write().enroll_unique(record);
-        };
-        let mut store = journal.lock();
-        let vacancy = {
-            let server = shard.state.read();
-            let vacancy = server.validate_enroll(&record)?;
-            if let Some(&idx) = server.match_at_most(&record.helper.sketch.inner, 1).first() {
-                let matched = server
-                    .user_at(idx)
-                    .expect("matched slots are live")
-                    .to_string();
-                drop(server);
-                // Audit trail: the refusal is journaled (outside the
-                // state lock), exactly as the single-server path does.
-                store.append(LogEventRef::EnrollRejected {
-                    id: &record.id,
-                    matched: &matched,
-                })?;
-                return Err(ProtocolError::DuplicateBiometric(matched));
-            }
-            vacancy
-        };
-        store.append(LogEventRef::Enroll(&record))?;
-        shard.state.write().apply_enroll(record, vacancy);
-        Ok(())
-    }
-
     /// Enrolls a record (journal append outside the state lock; the
     /// write lock of exactly one shard, briefly, for the in-memory
     /// apply).
@@ -451,7 +472,8 @@ impl<I: EpochRead> SharedServer<I> {
         if self.params.dedup_policy() == DedupPolicy::RejectMatching {
             return self.enroll_unique(record);
         }
-        self.shard_enroll(self.shard_for_user(&record.id), record)
+        self.shard_for_user(&record.id)
+            .write(|server| server.plan_enroll(record, false))
     }
 
     /// Revokes a user (journal append outside the state lock; one
@@ -460,41 +482,8 @@ impl<I: EpochRead> SharedServer<I> {
     /// # Errors
     /// Same as [`AuthenticationServer::revoke`].
     pub fn revoke(&self, id: &str) -> Result<(), ProtocolError> {
-        let shard = self.shard_for_user(id);
-        let Some(journal) = &shard.journal else {
-            return shard.state.write().revoke(id);
-        };
-        let mut store = journal.lock();
-        if !shard.state.read().is_enrolled(id) {
-            return Err(ProtocolError::UnknownUser(id.to_string()));
-        }
-        store.append(LogEventRef::Revoke(id))?;
-        assert!(
-            shard.state.write().apply_revoke(id),
-            "validated id must be revocable"
-        );
-        Ok(())
-    }
-
-    /// Lock-free find-first on `shard`, resolved to the matched user id
-    /// under a brief generation-checked read lock. `None` when nothing
-    /// (still) matches.
-    fn resolve_first_match(&self, shard: &Shard<I>, probe: &[i64]) -> Option<String> {
-        loop {
-            let generation = shard.reader.generation();
-            shard.reads.fetch_add(1, Ordering::Relaxed);
-            let hit = shard.reader.find_first(probe)?;
-            let server = shard.state.read();
-            if server.index_generation() != generation {
-                continue; // renumbered mid-scan: the slot is suspect
-            }
-            match server.user_at(hit) {
-                Some(id) => return Some(id.to_string()),
-                // Revoked in the window; the tombstone is already
-                // published, so the rescan sees a smaller match set.
-                None => continue,
-            }
-        }
+        self.shard_for_user(id)
+            .write(|server| server.plan_revoke(id))
     }
 
     /// Uniqueness-checked enrollment across the whole partitioned
@@ -518,58 +507,41 @@ impl<I: EpochRead> SharedServer<I> {
             if i == home {
                 continue;
             }
-            if let Some(matched) = self.resolve_first_match(shard, &record.helper.sketch.inner) {
+            if let Some(matched) = shard.matches(&record.helper.sketch.inner, 1).pop() {
                 return Err(ProtocolError::DuplicateBiometric(matched));
             }
         }
-        self.shard_enroll_unique(&self.shards[home], record)
+        self.shards[home].write(|server| server.plan_enroll(record, true))
     }
 
     /// Reset / account-recovery lookup across all shards: succeeds only
     /// when **exactly one** enrolled record in the whole population
     /// matches the probe. Each shard contributes a **lock-free**
     /// find-at-most-2 sweep on its reader; matched slots are resolved
-    /// to user ids under a brief generation-checked read lock, and the
-    /// scan stops at the first shard that pushes the global tally past
-    /// one.
+    /// to user ids under a brief read lock, and the scan stops at the
+    /// first shard that pushes the global tally past one. A revoked hit
+    /// forces a rescan of its shard, as does any revocation there while
+    /// the sweep ran (module docs, "The generation check"). Dropping the
+    /// hit from the tally instead would count one match where two
+    /// remain, and reset a user.
     ///
     /// # Errors
     /// [`ProtocolError::NoMatch`] / [`ProtocolError::AmbiguousMatch`] as
     /// [`AuthenticationServer::reset`].
-    pub fn reset(&self, probe: &[i64]) -> Result<crate::messages::UserId, ProtocolError> {
-        let mut found: Option<crate::messages::UserId> = None;
+    pub fn reset(&self, probe: &[i64]) -> Result<UserId, ProtocolError> {
+        let mut found = Vec::new();
         for shard in self.shards.iter() {
-            loop {
-                let generation = shard.reader.generation();
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                let hits = shard.reader.find_at_most(probe, 2);
-                if hits.is_empty() {
-                    break;
-                }
-                let server = shard.state.read();
-                if server.index_generation() != generation {
-                    continue; // renumbered mid-scan: rescan this shard
-                }
-                for idx in hits {
-                    // Slots revoked in the scan→lock window resolve to
-                    // None and simply no longer count as matches.
-                    let Some(id) = server.user_at(idx) else {
-                        continue;
-                    };
-                    if found.is_some() {
-                        return Err(ProtocolError::AmbiguousMatch);
-                    }
-                    found = Some(id.to_string());
-                }
-                break;
+            found.extend(shard.matches(probe, 2));
+            if found.len() > 1 {
+                return Err(ProtocolError::AmbiguousMatch);
             }
         }
-        found.ok_or(ProtocolError::NoMatch)
+        found.pop().ok_or(ProtocolError::NoMatch)
     }
 
     /// Targeted sketch check against a claimed identity, routed straight
     /// to the user's shard (read lock; no cross-shard search — the O(1)
-    /// subset probe is not worth a generation-checked round trip).
+    /// subset probe is not worth a revalidated round trip).
     ///
     /// # Errors
     /// Same as [`AuthenticationServer::authenticate_claimed`].
@@ -585,65 +557,37 @@ impl<I: EpochRead> SharedServer<I> {
     }
 
     /// Subset uniqueness check: `Ok(true)` when the probe matches none
-    /// of the listed users' records. Ids are grouped by home shard;
-    /// each shard maps them to record slots under a brief read lock
-    /// (erroring deterministically on unknown ids), then runs the
-    /// masked find-at-most-1 sweep **lock-free** on its reader,
-    /// rescanning if the generation moved mid-flight. Every listed id
-    /// is validated even after a match is found, so an unknown id fails
-    /// regardless of subset order.
+    /// of the listed users' records. Ids are grouped by home shard, and
+    /// each shard runs its masked find-at-most-1 sweep under its read
+    /// lock — like [`SharedServer::authenticate_claimed`], a sweep that
+    /// visits only the listed rows is not worth a revalidated
+    /// round trip. Every shard is checked even after a match is found,
+    /// so an unknown id fails regardless of subset order.
     ///
     /// # Errors
     /// Same as [`AuthenticationServer::check_local_uniqueness`].
     pub fn check_local_uniqueness(
         &self,
         probe: &[i64],
-        ids: &[crate::messages::UserId],
+        ids: &[UserId],
     ) -> Result<bool, ProtocolError> {
-        let n = self.shards.len() as u64;
-        let mut by_shard: Vec<Vec<&str>> = vec![Vec::new(); self.shards.len()];
+        let mut by_shard: Vec<Vec<UserId>> = vec![Vec::new(); self.shards.len()];
         for id in ids {
-            by_shard[(route_hash(id) % n) as usize].push(id.as_str());
+            by_shard[self.shard_index_for_user(id)].push(id.clone());
         }
         let mut unique = true;
         for (shard, subset) in self.shards.iter().zip(&by_shard) {
-            if subset.is_empty() {
-                continue;
-            }
-            loop {
-                // Map ids → slots under the read lock (no scan there);
-                // the generation captured inside the lock is what the
-                // slots are valid against.
-                let (generation, slots) = {
-                    let server = shard.state.read();
-                    let mut slots = Vec::with_capacity(subset.len());
-                    for id in subset {
-                        match server.slot_of(id) {
-                            Some(slot) => slots.push(slot),
-                            None => return Err(ProtocolError::UnknownUser((*id).to_string())),
-                        }
-                    }
-                    (server.index_generation(), slots)
-                };
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                if !shard.reader.find_in_subset(probe, &slots, 1).is_empty() {
-                    unique = false;
-                }
-                // The scan ran without the lock: if the numbering moved
-                // while it ran, the slots (and any hit) are suspect —
-                // remap and rescan.
-                if shard.reader.generation() == generation {
-                    break;
-                }
+            if !subset.is_empty() {
+                unique &= shard.state.read().check_local_uniqueness(probe, subset)?;
             }
         }
         Ok(unique)
     }
 
-    /// Identification phase 1: the sketch lookup runs **lock-free** on
-    /// each shard's reader; only the matched shard is write-locked,
-    /// briefly, to issue the challenge (generation-checked, see the
-    /// module docs).
+    /// Identification phase 1: [`SharedServer::identify_batch`] on one
+    /// probe. The sketch lookup runs **lock-free** on each shard's
+    /// reader; the write lock is taken, briefly, to issue the challenge
+    /// (revalidated, see the module docs).
     ///
     /// With more than one shard, *which* record wins when several
     /// enrolled users match the same probe (a false-close or duplicate
@@ -662,33 +606,8 @@ impl<I: EpochRead> SharedServer<I> {
         probe: &[i64],
         rng: &mut R,
     ) -> Result<IdentChallenge, ProtocolError> {
-        for shard in self.shards.iter() {
-            // Scan→lock window: the matched record can be revoked (or
-            // the numbering compacted) between the lock-free lookup
-            // and the exclusive-lock challenge issue;
-            // `challenge_for_record` re-validates liveness, the
-            // generation check catches renumbering, and we then
-            // *re-search this shard* — another live record may still
-            // match. Progress is guaranteed for revocations: a refused
-            // record's tombstone was published before our write lock
-            // was acquired, so each retry sees a strictly smaller
-            // candidate set.
-            loop {
-                let generation = shard.reader.generation();
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                let Some(record_idx) = shard.reader.find_first(probe) else {
-                    break;
-                };
-                let mut server = shard.state.write();
-                if server.index_generation() != generation {
-                    continue;
-                }
-                if let Some(chal) = server.challenge_for_record(record_idx, rng) {
-                    return Ok(chal);
-                }
-            }
-        }
-        Err(ProtocolError::NoMatch)
+        let mut results = self.identify_batch(&[probe.to_vec()], rng);
+        results.pop().expect("one result per probe")
     }
 
     /// Batch identification phase 1: resolves many probes per snapshot
@@ -698,8 +617,8 @@ impl<I: EpochRead> SharedServer<I> {
     /// the shard's storage for the entire batch**, the multi-query
     /// kernel the request scheduler is built on; the first shard scans
     /// the caller's slice directly, later shards scan only the probes
-    /// the earlier ones missed. Each shard with matches is write-locked
-    /// once per round to issue its challenges (generation-checked).
+    /// the earlier ones missed. Each shard's write lock is taken once
+    /// to issue its challenges (revalidated, see the module docs).
     /// Results are position-aligned with `probes`.
     ///
     /// Cross-shard match selection follows the same routing-order rule
@@ -724,82 +643,26 @@ impl<I: EpochRead> SharedServer<I> {
             if unresolved.is_empty() {
                 break;
             }
-            // Re-search the shard until a round issues every challenge
-            // it found (a record revoked in the scan→lock window is
-            // re-resolved against this shard's remaining records, as in
-            // `begin_identification`; a generation change rescans the
-            // same workload). Retry rounds only re-check the *refused*
-            // probes: a probe that missed this shard cannot newly match
-            // it — removals only shrink the match set.
-            let mut retry: Option<Vec<usize>> = None;
-            loop {
-                let generation = shard.reader.generation();
-                shard.reads.fetch_add(1, Ordering::Relaxed);
-                let hits: Vec<(usize, usize)> = match &retry {
-                    None if unresolved.len() == probes.len() => {
-                        // Whole batch untouched: use the reader's batch
-                        // path directly on the caller's slice.
-                        shard
-                            .reader
-                            .find_first_batch(probes)
-                            .into_iter()
-                            .enumerate()
-                            .filter_map(|(p, m)| m.map(|idx| (p, idx)))
-                            .collect()
-                    }
-                    None => {
-                        // Later shards get the batch path too: the
-                        // unresolved subset is gathered so the shard's
-                        // storage is swept once for all of it, not once
-                        // per probe (in the reused scratch table
-                        // declared above).
-                        subset.truncate(unresolved.len());
-                        for (slot, &p) in subset.iter_mut().zip(unresolved.iter()) {
-                            slot.clone_from(&probes[p]);
-                        }
-                        for &p in unresolved.iter().skip(subset.len()) {
-                            subset.push(probes[p].clone());
-                        }
-                        shard
-                            .reader
-                            .find_first_batch(&subset)
-                            .into_iter()
-                            .zip(unresolved.iter())
-                            .filter_map(|(m, &p)| m.map(|idx| (p, idx)))
-                            .collect()
-                    }
-                    // Refusals come from revocation races — rare
-                    // enough that the retry round stays per-probe.
-                    Some(refused) => refused
-                        .iter()
-                        .filter_map(|&p| shard.reader.find_first(&probes[p]).map(|idx| (p, idx)))
-                        .collect(),
-                };
-                if hits.is_empty() {
-                    break;
+            let batch = if unresolved.len() == probes.len() {
+                probes // whole batch untouched: the caller's slice
+            } else {
+                subset.truncate(unresolved.len());
+                for (slot, &p) in subset.iter_mut().zip(&unresolved) {
+                    slot.clone_from(&probes[p]);
                 }
-                // One exclusive-lock acquisition issues every challenge
-                // this shard owes the batch this round.
-                let mut refused = Vec::new();
-                let mut server = shard.state.write();
-                if server.index_generation() != generation {
-                    continue; // renumbered mid-scan: every hit is suspect
+                for &p in &unresolved[subset.len()..] {
+                    subset.push(probes[p].clone());
                 }
-                for (p, record_idx) in hits {
-                    match server.challenge_for_record(record_idx, rng) {
-                        Some(chal) => results[p] = Ok(chal),
-                        None => refused.push(p),
-                    }
+                &subset
+            };
+            let (firsts, mut server) = shard.sweep(|r| r.find_first_batch(batch), RwLock::write);
+            for (&p, first) in unresolved.iter().zip(firsts) {
+                if let Some(slot) = first {
+                    let chal = server.challenge_for_record(slot, rng);
+                    results[p] = Ok(chal.expect("swept hits are live"));
                 }
-                drop(server);
-                unresolved.retain(|&p| results[p].is_err());
-                // Another round is only needed when a found record was
-                // revoked in the scan→lock window.
-                if refused.is_empty() || unresolved.is_empty() {
-                    break;
-                }
-                retry = Some(refused);
             }
+            unresolved.retain(|&p| results[p].is_err());
         }
         results
     }
@@ -861,13 +724,9 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn checkpoint(&self) -> Result<usize, ProtocolError> {
         let mut reclaimed = 0;
         for shard in self.shards.iter() {
-            reclaimed += match &shard.journal {
-                Some(journal) => {
-                    let mut store = journal.lock();
-                    shard.state.write().checkpoint_into(&mut **store)?
-                }
-                None => shard.state.write().checkpoint()?,
-            };
+            // Journal mutex first, as in every write.
+            let mut journal = shard.journal.lock();
+            reclaimed += shard.state.write().checkpoint_into(&mut journal)?;
         }
         Ok(reclaimed)
     }
@@ -877,7 +736,7 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn journal_len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.journal.as_ref().map_or(0, |j| j.lock().journal_len()))
+            .map(|s| s.journal.lock().as_ref().map_or(0, |j| j.journal_len()))
             .sum()
     }
 

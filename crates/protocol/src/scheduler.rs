@@ -348,11 +348,6 @@ impl<I: EpochRead + Send + Sync + 'static> ScheduledServer<I> {
         &self.inner.metrics
     }
 
-    /// Worker threads serving the queue.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Admits one identification request without blocking on its
     /// result; redeem the returned ticket with [`IdentifyTicket::wait`].
     ///

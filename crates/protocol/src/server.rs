@@ -96,6 +96,40 @@ impl<I: SketchIndex> SnapshotRows for LiveRows<'_, I> {
     }
 }
 
+/// A write planned against the server's state and not yet applied.
+/// Every enroll, uniqueness refusal and revocation — a lone server's and
+/// each shard's of [`crate::concurrent::SharedServer`] — is planned
+/// (`plan_enroll` / `plan_revoke`, which hold every check that can fail),
+/// journaled when there is a store, then applied
+/// ([`AuthenticationServer::apply`]), in that order.
+pub(crate) enum Write {
+    /// A validated enrollment and the id-table vacancy it fills.
+    Enroll(EnrollmentRecord, Vacancy),
+    /// A uniqueness refusal: journaled as an audit record, reported as
+    /// [`ProtocolError::DuplicateBiometric`], memory unchanged.
+    Refuse { id: UserId, matched: UserId },
+    /// Revocation of an enrolled id.
+    Revoke(UserId),
+}
+
+impl Write {
+    /// Appends the write to `store`, when there is one — before it is
+    /// applied, so an acknowledged write survives a crash.
+    pub(crate) fn journal(
+        &self,
+        store: &mut Option<Box<dyn EnrollmentStore>>,
+    ) -> Result<(), ProtocolError> {
+        let Some(store) = store else {
+            return Ok(());
+        };
+        store.append(match self {
+            Write::Enroll(record, _) => LogEventRef::Enroll(record),
+            Write::Refuse { id, matched } => LogEventRef::EnrollRejected { id, matched },
+            Write::Revoke(id) => LogEventRef::Revoke(id),
+        })
+    }
+}
+
 /// An outstanding challenge (single-use → replay protection).
 #[derive(Debug, Clone)]
 struct PendingChallenge {
@@ -252,7 +286,7 @@ impl<I: BuildIndex> AuthenticationServer<I> {
             match event {
                 LogEvent::Enroll(record) => match server.validate_enroll(&record) {
                     Ok(vacancy) => {
-                        server.apply_enroll_replayed(record, vacancy, replayed < preindexed);
+                        server.apply_enroll(record, vacancy, replayed < preindexed);
                         replayed += 1;
                     }
                     // Already present: the snapshot and the journal
@@ -368,15 +402,6 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         self.map_live(|row| (row.id.to_string(), row.helper.clone()))
     }
 
-    /// Full record view — id, stored public key and helper data — in
-    /// enrollment order.
-    pub fn enrolled_records(&self) -> Vec<(UserId, DsaVerifyingKey, WireHelper)> {
-        self.map_live(|row| {
-            let public_key = DsaVerifyingKey::from_bytes(row.public_key);
-            (row.id.to_string(), public_key, row.helper.clone())
-        })
-    }
-
     /// Visits records in enrollment order — id, public key bytes as
     /// enrolled, helper data — stopping at the first `Some` returned by
     /// the visitor. The helper data is one scratch value rebuilt per
@@ -404,21 +429,20 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// # Errors
     /// [`ProtocolError::UnknownUser`] if the id is not enrolled.
     pub fn revoke(&mut self, id: &str) -> Result<(), ProtocolError> {
+        self.commit(|server| server.plan_revoke(id))
+    }
+
+    /// Plans a revocation (see [`Write`]).
+    pub(crate) fn plan_revoke(&self, id: &str) -> Result<Write, ProtocolError> {
         if !self.is_enrolled(id) {
             return Err(ProtocolError::UnknownUser(id.to_string()));
         }
-        // Write-ahead: the journal accepts the revocation before memory
-        // forgets the record.
-        if let Some(store) = &mut self.store {
-            store.append(LogEventRef::Revoke(id))?;
-        }
-        assert!(self.apply_revoke(id), "validated id must be revocable");
-        Ok(())
+        Ok(Write::Revoke(id.to_string()))
     }
 
     /// In-memory revocation; `false` when the id is unknown (replay
     /// tolerance). Infallible by construction for validated ids.
-    pub(crate) fn apply_revoke(&mut self, id: &str) -> bool {
+    fn apply_revoke(&mut self, id: &str) -> bool {
         let Some(idx) = self.records.revoke(id) else {
             return false;
         };
@@ -432,10 +456,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// The one id lookup of an enrollment happens here: the returned
     /// [`Vacancy`] is what [`AuthenticationServer::apply_enroll`] files
     /// the record under, good until someone else enrolls that id.
-    pub(crate) fn validate_enroll(
-        &self,
-        record: &EnrollmentRecord,
-    ) -> Result<Vacancy, ProtocolError> {
+    fn validate_enroll(&self, record: &EnrollmentRecord) -> Result<Vacancy, ProtocolError> {
         let vacancy = self
             .records
             .probe(&record.id)
@@ -463,22 +484,12 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         Ok(vacancy)
     }
 
-    /// In-memory enrollment of a pre-validated record.
-    pub(crate) fn apply_enroll(&mut self, record: EnrollmentRecord, vacancy: Vacancy) {
-        self.apply_enroll_replayed(record, vacancy, false);
-    }
-
-    /// [`AuthenticationServer::apply_enroll`] with recovery's segment
-    /// fast path: when `preindexed`, the sketch row is already in the
+    /// In-memory enrollment of a pre-validated record. With recovery's
+    /// segment fast path, `preindexed`, the sketch row is already in the
     /// index (installed wholesale from an imported segment cache) and
     /// must not be inserted twice. Either way the record is packed
     /// against the row the index now holds in its slot.
-    fn apply_enroll_replayed(
-        &mut self,
-        record: EnrollmentRecord,
-        vacancy: Vacancy,
-        preindexed: bool,
-    ) {
+    fn apply_enroll(&mut self, record: EnrollmentRecord, vacancy: Vacancy, preindexed: bool) {
         let idx = self.records.slots();
         if !preindexed {
             let index_id = self.index.insert(&record.helper.sketch.inner);
@@ -521,15 +532,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// [`ProtocolError::Storage`] when journaling fails (the server
     /// state is then unchanged).
     pub fn enroll(&mut self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
-        if self.params.dedup_policy() == DedupPolicy::RejectMatching {
-            return self.enroll_unique(record);
-        }
-        let vacancy = self.validate_enroll(&record)?;
-        if let Some(store) = &mut self.store {
-            store.append(LogEventRef::Enroll(&record))?;
-        }
-        self.apply_enroll(record, vacancy);
-        Ok(())
+        let unique = self.params.dedup_policy() == DedupPolicy::RejectMatching;
+        self.commit(|server| server.plan_enroll(record, unique))
     }
 
     /// Uniqueness-checked enrollment: stores the record only when **no**
@@ -547,27 +551,55 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// enrolled id) when a matching record exists; otherwise as
     /// [`AuthenticationServer::enroll`].
     pub fn enroll_unique(&mut self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
+        self.commit(|server| server.plan_enroll(record, true))
+    }
+
+    /// Plans an enrollment (see [`Write`]): validated, and with `unique`
+    /// swept for an enrolled sketch that matches it (find-at-most-1),
+    /// which plans a [`Write::Refuse`] instead.
+    pub(crate) fn plan_enroll(
+        &self,
+        record: EnrollmentRecord,
+        unique: bool,
+    ) -> Result<Write, ProtocolError> {
         let vacancy = self.validate_enroll(&record)?;
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let hits = self.index.lookup_at_most(&record.helper.sketch.inner, 1);
-        if let Some(&idx) = hits.first() {
-            let matched = self
-                .user_at(idx)
-                .expect("index only matches live records")
-                .to_string();
-            if let Some(store) = &mut self.store {
-                store.append(LogEventRef::EnrollRejected {
-                    id: &record.id,
-                    matched: &matched,
-                })?;
+        if unique {
+            if let Some(&idx) = self.match_at_most(&record.helper.sketch.inner, 1).first() {
+                let matched = self.user_at(idx).expect("index only matches live records");
+                return Ok(Write::Refuse {
+                    id: record.id,
+                    matched: matched.to_string(),
+                });
             }
-            return Err(ProtocolError::DuplicateBiometric(matched));
         }
-        if let Some(store) = &mut self.store {
-            store.append(LogEventRef::Enroll(&record))?;
+        Ok(Write::Enroll(record, vacancy))
+    }
+
+    /// Applies a planned write to memory, after the journal took it.
+    ///
+    /// # Errors
+    /// [`ProtocolError::DuplicateBiometric`] for a [`Write::Refuse`],
+    /// which leaves memory as it was.
+    pub(crate) fn apply(&mut self, write: Write) -> Result<(), ProtocolError> {
+        match write {
+            Write::Enroll(record, vacancy) => self.apply_enroll(record, vacancy, false),
+            Write::Refuse { matched, .. } => {
+                return Err(ProtocolError::DuplicateBiometric(matched))
+            }
+            Write::Revoke(id) => assert!(self.apply_revoke(&id), "validated id must be revocable"),
         }
-        self.apply_enroll(record, vacancy);
         Ok(())
+    }
+
+    /// The write sequence over the attached store: plan, journal
+    /// (write-ahead), apply.
+    fn commit(
+        &mut self,
+        plan: impl FnOnce(&Self) -> Result<Write, ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        let write = plan(self)?;
+        write.journal(&mut self.store)?;
+        self.apply(write)
     }
 
     /// Bounded sketch lookup: the record slots of at most `budget`
@@ -991,44 +1023,36 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// the in-memory compaction still took effect (it is not undone),
     /// and the previous snapshot + journal remain authoritative on disk.
     pub fn checkpoint(&mut self) -> Result<usize, ProtocolError> {
-        let reclaimed = self.compact();
-        if let Some(mut store) = self.store.take() {
-            let result = self.write_snapshot(&mut *store);
-            self.store = Some(store);
-            result?;
-        }
-        Ok(reclaimed)
+        let mut store = self.store.take();
+        let result = self.checkpoint_into(&mut store);
+        self.store = store;
+        result
     }
 
-    /// [`AuthenticationServer::checkpoint`] against an *external* store
-    /// — the sharded server keeps each shard's journal outside the
-    /// state lock (see [`crate::concurrent::SharedServer`]) and hands
-    /// it in here while holding both.
+    /// [`AuthenticationServer::checkpoint`] against the store handed in
+    /// — this server's own, or a shard's journal that
+    /// [`crate::concurrent::SharedServer`] holds outside the state lock.
+    /// The snapshot is the streamed [`SnapshotRow`] rewrite, then — when
+    /// the index can export one — the sealed-segment sidecar bound to
+    /// it. Both run *after* [`AuthenticationServer::compact`], which is
+    /// what makes snapshot row `i` and index row `i` the same record
+    /// (the coherence the segment fast path in
+    /// [`AuthenticationServer::recover_with_store`] relies on).
     ///
     /// # Errors
     /// As [`AuthenticationServer::checkpoint`].
     pub(crate) fn checkpoint_into(
         &mut self,
-        store: &mut dyn EnrollmentStore,
+        store: &mut Option<Box<dyn EnrollmentStore>>,
     ) -> Result<usize, ProtocolError> {
         let reclaimed = self.compact();
-        self.write_snapshot(store)?;
-        Ok(reclaimed)
-    }
-
-    /// The snapshot pass shared by both checkpoint entry points: the
-    /// streamed [`SnapshotRow`] rewrite, then — when the index can
-    /// export one — the sealed-segment sidecar bound to that snapshot.
-    /// Must run *after* [`AuthenticationServer::compact`], which is
-    /// what makes snapshot row `i` and index row `i` the same record
-    /// (the coherence the segment fast path in
-    /// [`AuthenticationServer::recover_with_store`] relies on).
-    fn write_snapshot(&self, store: &mut dyn EnrollmentStore) -> Result<(), ProtocolError> {
-        store.compact(self.records.len(), &mut self.live_rows())?;
-        if let Some(blob) = self.index.export_segments() {
-            store.save_index_cache(&blob)?;
+        if let Some(store) = store {
+            store.compact(self.records.len(), &mut self.live_rows())?;
+            if let Some(blob) = self.index.export_segments() {
+                store.save_index_cache(&blob)?;
+            }
         }
-        Ok(())
+        Ok(reclaimed)
     }
 }
 

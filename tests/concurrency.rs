@@ -203,6 +203,63 @@ fn concurrent_batches_from_many_frontends() {
     });
 }
 
+/// Reset's "exactly one match" rule under churn: one biometric enrolled
+/// under three ids, a writer that keeps revoking whichever of them holds
+/// the lowest slot and re-enrolling it (with a checkpoint now and then,
+/// so the numbering moves too), and a reader whose every `reset` must
+/// come back ambiguous — at least two of the three records match at
+/// every instant. A hit revoked between the lock-free sweep and the lock
+/// has to send the shard back to a rescan; dropping it from the tally
+/// would leave one match standing and reset a user.
+#[test]
+fn reset_stays_ambiguous_while_matches_are_revoked_and_re_enrolled() {
+    use fuzzy_id::protocol::ProtocolError;
+
+    let params = SystemParams::insecure_test_defaults();
+    let server = SharedServer::new(params.clone());
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(7_400);
+    let bio = params.sketch().line().random_vector(32, &mut rng);
+    let records: Vec<_> = ["x", "y", "z"]
+        .iter()
+        .map(|id| device.enroll(id, &bio, &mut rng).unwrap())
+        .collect();
+    for record in &records {
+        server.enroll(record.clone()).unwrap();
+    }
+    let probe = device.probe_sketch(&bio, &mut rng).unwrap();
+
+    let answers = std::thread::scope(|scope| {
+        let resets = scope.spawn(|| {
+            let answers: Vec<_> = (0..10_000).map(|_| server.reset(&probe)).collect();
+            answers
+        });
+        // Enrollment order cycles x, y, z: the id in the lowest slot is
+        // always the next one. The writer runs until the resets are
+        // done, however they end.
+        for round in (0usize..).take_while(|_| !resets.is_finished()) {
+            let record = &records[round % 3];
+            server.revoke(&record.id).unwrap();
+            server.enroll(record.clone()).unwrap();
+            if round % 1_024 == 1_023 {
+                server.checkpoint().unwrap();
+            }
+        }
+        resets.join().expect("reset panicked")
+    });
+    let wrong: Vec<_> = answers
+        .into_iter()
+        .filter(|answer| *answer != Err(ProtocolError::AmbiguousMatch))
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "{} of 10 000 resets: {:?}",
+        wrong.len(),
+        &wrong[..wrong.len().min(3)]
+    );
+    assert_eq!(server.user_count(), 3);
+}
+
 /// The head's publication rule under a live race (DESIGN.md
 /// "Publication invariant"): one writer appends — across hundreds of
 /// seals, revoking some rows while they are still in the head — and

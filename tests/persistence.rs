@@ -358,6 +358,140 @@ fn sharded_server_recovery_equivalence() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// One write path for both kinds of shard: an in-memory and a durable
+/// `SharedServer` (2–3 shards) fed the same random script answer every
+/// op alike — `enroll`, `enroll_unique` with its `DuplicateBiometric`
+/// refusals, `revoke`, `reset`, `check_local_uniqueness`,
+/// `identify_batch` (same challenges, from equally seeded rngs) and
+/// `checkpoint` — and the durable one, killed and recovered, still
+/// answers as the in-memory one does. Five biometrics shared by six
+/// ids make duplicates, refusals and ambiguous resets common; the run
+/// checks that every interesting answer occurred at least once.
+#[test]
+fn in_memory_and_durable_shared_servers_answer_alike() {
+    let params = SystemParams::insecure_test_defaults();
+    let mut cases = proptest::rng_for("in_memory_and_durable_shared_servers_answer_alike");
+    let script = (
+        2usize..4,
+        any::<u64>(),
+        prop::collection::vec((0u8..7, 0usize..6, 0usize..5), 20..60),
+    );
+    // Answers the scripts must reach at least once between them.
+    const NOTABLE: [&str; 7] = [
+        "DuplicateBiometric",
+        "DuplicateUser",
+        "UnknownUser",
+        "AmbiguousMatch",
+        "Ok(\"u",
+        "Ok(true)",
+        "Ok(IdentChallenge",
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..16 {
+        let (shards, seed, ops) = script.sample(&mut cases);
+        let dir = scratch_dir("equiv-kinds");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let donor = {
+            let bio = params.sketch().line().random_vector(4, &mut rng);
+            BiometricDevice::new(params.clone())
+                .enroll("donor", &bio, &mut rng)
+                .unwrap()
+                .public_key
+        };
+        let bios: Vec<Vec<i64>> = (0..5)
+            .map(|_| params.sketch().line().random_vector(16, &mut rng))
+            .collect();
+        let memory = SharedServer::<EpochIndex>::with_shards(params.clone(), shards);
+        let durable = SharedServer::<EpochIndex>::durable(params.clone(), shards, &dir).unwrap();
+        let (mut memory_rng, mut durable_rng) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+
+        for (step, &(kind, id, b)) in ops.iter().enumerate() {
+            let name = format!("u{id}");
+            let probe = genuine_probe(&params, &bios[b], &mut rng);
+            let (m, d) = match kind {
+                0 | 1 => {
+                    use fuzzy_id::core::SecureSketch;
+                    let (mut record, _) = synthetic_record(&params, &donor, &name, 16, &mut rng);
+                    record.helper.sketch.inner =
+                        params.sketch().sketch(&bios[b], &mut rng).unwrap();
+                    let (m, d) = if kind == 0 {
+                        (memory.enroll(record.clone()), durable.enroll(record))
+                    } else {
+                        (
+                            memory.enroll_unique(record.clone()),
+                            durable.enroll_unique(record),
+                        )
+                    };
+                    (format!("{m:?}"), format!("{d:?}"))
+                }
+                2 => (
+                    format!("{:?}", memory.revoke(&name)),
+                    format!("{:?}", durable.revoke(&name)),
+                ),
+                3 => (
+                    format!("{:?}", memory.reset(&probe)),
+                    format!("{:?}", durable.reset(&probe)),
+                ),
+                4 => {
+                    let ids: Vec<String> = (0..=id).map(|i| format!("u{i}")).collect();
+                    (
+                        format!("{:?}", memory.check_local_uniqueness(&probe, &ids)),
+                        format!("{:?}", durable.check_local_uniqueness(&probe, &ids)),
+                    )
+                }
+                5 => {
+                    let batch: Vec<Vec<i64>> = (0..=b)
+                        .map(|x| genuine_probe(&params, &bios[x], &mut rng))
+                        .collect();
+                    (
+                        format!("{:?}", memory.identify_batch(&batch, &mut memory_rng)),
+                        format!("{:?}", durable.identify_batch(&batch, &mut durable_rng)),
+                    )
+                }
+                _ => (
+                    format!("{:?}", memory.checkpoint()),
+                    format!("{:?}", durable.checkpoint()),
+                ),
+            };
+            assert_eq!(m, d, "shards {shards}, seed {seed}, step {step}: op {kind}");
+            seen.extend(NOTABLE.iter().filter(|answer| m.contains(*answer)));
+            if kind == 6 && m != "Ok(0)" {
+                seen.insert(&"a checkpoint that reclaimed slots");
+            }
+        }
+
+        // Kill the durable server and recover it: it answers as the
+        // in-memory one still does (challenges compared by the record's
+        // helper data — a recovered server numbers its sessions afresh).
+        let probes: Vec<Vec<i64>> = bios
+            .iter()
+            .map(|bio| genuine_probe(&params, bio, &mut rng))
+            .collect();
+        drop(durable);
+        let recovered = SharedServer::<EpochIndex>::recover(params.clone(), &dir).unwrap();
+        assert_eq!(recovered.user_count(), memory.user_count(), "seed {seed}");
+        let answers = |server: &SharedServer<EpochIndex>, rng: &mut StdRng| {
+            let resets: Vec<_> = probes.iter().map(|p| server.reset(p)).collect();
+            let found: Vec<_> = server
+                .identify_batch(&probes, rng)
+                .into_iter()
+                .map(|r| r.map(|chal| chal.helper))
+                .collect();
+            (resets, found)
+        };
+        assert_eq!(
+            answers(&recovered, &mut rng),
+            answers(&memory, &mut rng),
+            "seed {seed}: the recovered server answers differently"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    for answer in NOTABLE.iter().chain([&"a checkpoint that reclaimed slots"]) {
+        assert!(seen.contains(answer), "no {answer} answer in {seen:?}");
+    }
+}
+
 /// Kill mid-journal-write: the torn final record is dropped, every
 /// previously acknowledged enrollment survives, and the full protocol
 /// (challenge + signature) still works after recovery.
