@@ -405,4 +405,27 @@ mod golden {
             assert_eq!(decode_reply(&reply).unwrap(), (NET_VERSION, status, fp));
         }
     }
+
+    /// The public key an `Enroll` carries is `g^x` for the `x` derived from
+    /// `Gen`'s `R`: both are deterministic in a seeded RNG, so one record's
+    /// key pins the whole device-side chain at the paper's 1024-bit DSA.
+    #[test]
+    fn an_enrolled_public_key_is_pinned() {
+        use fuzzy_id::protocol::{BiometricDevice, SystemParams};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let params = SystemParams::paper_defaults();
+        let device = BiometricDevice::new(params.clone());
+        let mut rng = StdRng::seed_from_u64(27);
+        let bio = params.sketch().line().random_vector(64, &mut rng);
+        let record = device.enroll("golden", &bio, &mut rng).unwrap();
+        assert_eq!(
+            hex(&record.public_key),
+            "44ef0b7515e2fe2c0f81849f51f999470aafb522629a60be5ea0022fb17c5d5e\
+             229e22e279e1d8670a1e6de21b397e3851ece15c1f6d5e8f8cc2937c9b5b358b\
+             02f24d540292ffa80ac2b48f1c66a38f23b96138544a3a6de1f132d06fa2f20e\
+             481b295b9d694e15ea8a88bb0cc0e90d8da7f7e825ff1bc80701b54e91d3c1a0"
+        );
+    }
 }
