@@ -6,6 +6,18 @@ use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 /// Limb count above which multiplication switches to Karatsuba.
 const KARATSUBA_THRESHOLD: usize = 32;
 
+/// `len` zero limbs. Not `vec![0; len]`: that asks the allocator for
+/// zeroed memory (`calloc`), which glibc serves past its per-thread cache,
+/// from bins every thread shares. In a long-running process's fragmented
+/// heap one such 128-B request measured 25–50 µs (DESIGN.md, "Modular
+/// exponentiation").
+#[allow(clippy::slow_vector_initialization)] // not `calloc`, on purpose
+pub(crate) fn zeros(len: usize) -> Vec<u64> {
+    let mut limbs = Vec::with_capacity(len);
+    limbs.resize(len, 0);
+    limbs
+}
+
 pub(crate) fn add_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::with_capacity(long.len() + 1);
@@ -38,12 +50,25 @@ pub(crate) fn sub_limbs_in_place(a: &mut [u64], b: &[u64]) -> bool {
     borrow
 }
 
+/// Adds `b` to `a` in place (equal lengths), returning the final carry.
+pub(crate) fn add_limbs_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut carry = false;
+    for (limb, &rhs) in a.iter_mut().zip(b) {
+        let (s1, c1) = limb.overflowing_add(rhs);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *limb = s2;
+        carry = c1 || c2;
+    }
+    carry
+}
+
 /// Schoolbook multiplication: `out = a * b` (out is zeroed and resized).
 fn mul_schoolbook(a: &[u64], b: &[u64]) -> Vec<u64> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
-    let mut out = vec![0u64; a.len() + b.len()];
+    let mut out = zeros(a.len() + b.len());
     for (i, &ai) in a.iter().enumerate() {
         if ai == 0 {
             continue;
@@ -85,7 +110,7 @@ fn mul_karatsuba(a: &[u64], b: &[u64]) -> Vec<u64> {
     debug_assert!(!borrow0 && !borrow2, "karatsuba middle term underflow");
     trim(&mut z1);
 
-    let mut out = vec![0u64; a.len() + b.len()];
+    let mut out = zeros(a.len() + b.len());
     add_shifted(&mut out, &z0, 0);
     add_shifted(&mut out, &z1, split);
     add_shifted(&mut out, &z2, 2 * split);

@@ -53,7 +53,7 @@ impl Natural {
         }
         let limb_shift = bits / 64;
         let bit_shift = bits % 64;
-        let mut out = vec![0u64; self.limbs.len() + limb_shift + 1];
+        let mut out = crate::arith::zeros(self.limbs.len() + limb_shift + 1);
         for (i, &l) in self.limbs.iter().enumerate() {
             out[i + limb_shift] |= l << bit_shift;
             if bit_shift != 0 {

@@ -10,7 +10,7 @@ impl Natural {
     /// Panics if `d == 0`.
     pub fn div_rem_u64(&self, d: u64) -> (Natural, u64) {
         assert!(d != 0, "division by zero");
-        let mut q = vec![0u64; self.limbs.len()];
+        let mut q = crate::arith::zeros(self.limbs.len());
         let mut rem = 0u128;
         for i in (0..self.limbs.len()).rev() {
             let cur = (rem << 64) | self.limbs[i] as u128;
@@ -54,13 +54,17 @@ impl Natural {
         let n = v.limbs.len();
         let m = u.limbs.len() - n;
 
-        let mut un = u.limbs.clone();
-        un.push(0); // extra headroom limb
+        // One extra headroom limb, allocated with the rest: growing the
+        // vector by `push` would `realloc`, which bypasses the allocator's
+        // per-thread cache.
+        let mut un = Vec::with_capacity(u.limbs.len() + 1);
+        un.extend_from_slice(&u.limbs);
+        un.push(0);
         let vn = &v.limbs;
         let v_top = vn[n - 1];
         let v_second = vn[n - 2];
 
-        let mut q = vec![0u64; m + 1];
+        let mut q = crate::arith::zeros(m + 1);
         for j in (0..=m).rev() {
             // Estimate q̂ from the top two dividend limbs.
             let numerator = ((un[j + n] as u128) << 64) | un[j + n - 1] as u128;

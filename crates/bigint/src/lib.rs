@@ -10,7 +10,10 @@
 //! * [`Integer`] — a signed wrapper used by the extended Euclidean algorithm.
 //! * Modular arithmetic: [`Natural::mod_pow`], [`Natural::mod_inv`],
 //!   [`Natural::mod_mul`], with a Montgomery (CIOS) fast path for odd moduli
-//!   (see [`montgomery::Montgomery`]).
+//!   (see [`montgomery::Montgomery`], whose per-thread operation counts
+//!   [`montgomery::counts`] reads).
+//! * [`FixedBase`] — a Lim–Lee comb for powers of one fixed base (a DSA
+//!   generator), and the two-base product a signature verification checks.
 //! * Primality testing (Miller–Rabin with trial division) and random prime
 //!   generation driven by any [`rand::RngCore`].
 //!
@@ -40,6 +43,7 @@ mod bits;
 mod convert;
 mod div;
 mod error;
+mod fixed_base;
 mod integer;
 mod modular;
 pub mod montgomery;
@@ -48,6 +52,7 @@ mod prime;
 mod rand_util;
 
 pub use error::ParseNaturalError;
+pub use fixed_base::FixedBase;
 pub use integer::{Integer, Sign};
 pub use natural::Natural;
 pub use prime::gen_prime;

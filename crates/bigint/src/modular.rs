@@ -115,12 +115,77 @@ impl Natural {
         if a.is_zero() {
             return None;
         }
+        if m.is_odd() {
+            return binary_inverse(&a, m);
+        }
         let ext = a.extended_gcd(m);
         if !ext.gcd.is_one() {
             return None;
         }
         Some(ext.x.mod_floor(m))
     }
+}
+
+/// `a^{-1} mod m` for odd `m` and `0 < a < m`, or `None` if
+/// `gcd(a, m) ≠ 1`: the binary extended Euclidean algorithm, with only
+/// shifts, additions and subtractions on `m`-wide limbs (no division and
+/// no allocation per step, where `extended_gcd` divides and allocates
+/// signed values every round).
+fn binary_inverse(a: &Natural, m: &Natural) -> Option<Natural> {
+    use crate::arith::sub_limbs_in_place;
+    let m = m.limbs();
+    let len = m.len();
+    let widen = |x: &[u64]| {
+        let mut v = crate::arith::zeros(len);
+        v[..x.len()].copy_from_slice(x);
+        v
+    };
+    // Invariants: x·a ≡ u and y·a ≡ v (mod m), with 0 ≤ x, y < m.
+    let (mut u, mut v) = (widen(a.limbs()), m.to_vec());
+    let (mut x, mut y) = (widen(&[1]), widen(&[]));
+    let is_zero = |w: &[u64]| w.iter().all(|&l| l == 0);
+    while !is_zero(&u) {
+        while u[0] & 1 == 0 {
+            halve(&mut u, 0);
+            halve_mod(&mut x, m);
+        }
+        while v[0] & 1 == 0 {
+            halve(&mut v, 0);
+            halve_mod(&mut y, m);
+        }
+        // Both odd: the larger less the smaller is even.
+        let (big, small, bx, sx) = if u.iter().rev().ge(v.iter().rev()) {
+            (&mut u, &v, &mut x, &y)
+        } else {
+            (&mut v, &u, &mut y, &x)
+        };
+        sub_limbs_in_place(big, small);
+        if sub_limbs_in_place(bx, sx) {
+            crate::arith::add_limbs_in_place(bx, m);
+        }
+    }
+    // u = 0, so v = gcd(a, m).
+    (v[0] == 1 && v[1..].iter().all(|&l| l == 0)).then(|| Natural::from_limbs(y))
+}
+
+/// `w ← (w + top·2^(64·len)) / 2`.
+fn halve(w: &mut [u64], top: u64) {
+    let mut carry = top;
+    for limb in w.iter_mut().rev() {
+        let out = *limb & 1;
+        *limb = (*limb >> 1) | (carry << 63);
+        carry = out;
+    }
+}
+
+/// `x ← x / 2 mod m` for odd `m` and `x < m`.
+fn halve_mod(x: &mut [u64], m: &[u64]) {
+    let top = if x[0] & 1 == 1 {
+        crate::arith::add_limbs_in_place(x, m) as u64
+    } else {
+        0
+    };
+    halve(x, top);
 }
 
 #[cfg(test)]
@@ -190,6 +255,19 @@ mod tests {
         assert_eq!(n(2).mod_inv(&n(4)), None); // not coprime
         assert_eq!(n(0).mod_inv(&n(7)), None);
         assert_eq!(n(1).mod_inv(&n(7)), Some(n(1)));
+    }
+
+    #[test]
+    fn binary_inverse_matches_extended_gcd() {
+        for m in [1u128, 3, 9, 15, 97, 105, 1009] {
+            let m = n(m);
+            for a in 1..m.to_u64().unwrap() {
+                let a = n(a as u128);
+                let ext = a.extended_gcd(&m);
+                let want = ext.gcd.is_one().then(|| ext.x.mod_floor(&m));
+                assert_eq!(binary_inverse(&a, &m), want, "{a:?} mod {m:?}");
+            }
+        }
     }
 
     #[test]

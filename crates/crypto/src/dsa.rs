@@ -7,18 +7,42 @@
 
 use crate::sig::SignatureScheme;
 use crate::{Digest, HmacDrbg, Sha256};
-use fe_bigint::{gen_prime, random_below, random_bits, Natural};
+use fe_bigint::{gen_prime, random_below, random_bits, FixedBase, Natural};
 use rand::RngCore;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// DSA domain parameters `(p, q, g)`: `p` prime, `q` prime dividing `p-1`,
 /// `g` a generator of the order-`q` subgroup of `Z_p^*`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every power of `g` goes through one fixed-base comb table
+/// ([`FixedBase`]), built on first use and shared by every clone, so a
+/// [`Dsa`] made per call from a clone never builds a second one. The
+/// table is a cache: equality and `Debug` see only `(p, q, g)`.
+#[derive(Clone)]
 pub struct DsaParams {
     p: Natural,
     q: Natural,
     g: Natural,
+    g_table: Arc<OnceLock<Option<FixedBase>>>,
+}
+
+impl PartialEq for DsaParams {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.p, &self.q, &self.g) == (&other.p, &other.q, &other.g)
+    }
+}
+
+impl Eq for DsaParams {}
+
+impl fmt::Debug for DsaParams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DsaParams")
+            .field("p", &self.p)
+            .field("q", &self.q)
+            .field("g", &self.g)
+            .finish()
+    }
 }
 
 /// Errors from DSA parameter validation.
@@ -82,7 +106,7 @@ impl DsaParams {
             }
             h = h.add_u64(1);
         };
-        DsaParams { p, q, g }
+        DsaParams::from_parts(p, q, g)
     }
 
     /// Deterministically generates parameters from a seed string
@@ -95,7 +119,12 @@ impl DsaParams {
     /// Builds parameters from raw components without validation.
     /// Prefer [`DsaParams::validate`] afterwards for untrusted inputs.
     pub fn from_parts(p: Natural, q: Natural, g: Natural) -> DsaParams {
-        DsaParams { p, q, g }
+        DsaParams {
+            p,
+            q,
+            g,
+            g_table: Arc::default(),
+        }
     }
 
     /// Validates primality of `p` and `q`, the divisibility relation and
@@ -172,6 +201,31 @@ impl DsaParams {
     pub fn dsa_2048_256() -> &'static DsaParams {
         static PARAMS: OnceLock<DsaParams> = OnceLock::new();
         PARAMS.get_or_init(|| DsaParams::generate_deterministic(2048, 256, b"fe-dsa-2048-fixed"))
+    }
+
+    /// The comb for `g` over exponents below `2^N`; `None` if `p` is even
+    /// (no Montgomery form), where the generic `mod_pow` answers instead.
+    fn g_table(&self) -> Option<&FixedBase> {
+        self.g_table
+            .get_or_init(|| FixedBase::new(&self.g, &self.p, self.q.bit_length()))
+            .as_ref()
+    }
+
+    /// `g^e mod p`, from the fixed-base table when `e < 2^N`.
+    pub fn pow_g(&self, e: &Natural) -> Natural {
+        match self.g_table() {
+            Some(table) => table.pow(e),
+            None => self.g.mod_pow(e, &self.p),
+        }
+    }
+
+    /// `g^e · y^f mod p`, the product a DSA or Schnorr verification checks:
+    /// the table's columns ride on the squarings of `y`'s window.
+    pub fn pow_g_mul(&self, e: &Natural, y: &Natural, f: &Natural) -> Natural {
+        match self.g_table() {
+            Some(table) => table.pow_mul(e, y, f),
+            None => self.pow_g(e).mod_mul(&y.mod_pow(f, &self.p), &self.p),
+        }
     }
 
     /// Reduces a message to the scalar `z`: the leftmost `N` bits of
@@ -306,7 +360,7 @@ impl Dsa {
     pub fn keypair<R: RngCore + ?Sized>(&self, rng: &mut R) -> (DsaSigningKey, DsaVerifyingKey) {
         let q_minus_1 = self.params.q.checked_sub(&Natural::one()).expect("q >= 2");
         let x = &random_below(&q_minus_1, rng) + &Natural::one();
-        let y = self.params.g.mod_pow(&x, &self.params.p);
+        let y = self.params.pow_g(&x);
         (DsaSigningKey { x }, DsaVerifyingKey { y })
     }
 }
@@ -318,12 +372,11 @@ impl SignatureScheme for Dsa {
 
     fn keypair_from_seed(&self, seed: &[u8]) -> (DsaSigningKey, DsaVerifyingKey) {
         let x = self.params.scalar_from_seed(seed, b"fe-dsa-keygen");
-        let y = self.params.g.mod_pow(&x, &self.params.p);
+        let y = self.params.pow_g(&x);
         (DsaSigningKey { x }, DsaVerifyingKey { y })
     }
 
     fn sign(&self, key: &DsaSigningKey, msg: &[u8]) -> DsaSignature {
-        let p = &self.params.p;
         let q = &self.params.q;
         let z = self.params.hash_to_scalar(msg);
 
@@ -337,7 +390,7 @@ impl SignatureScheme for Dsa {
             seed.extend_from_slice(&digest);
             seed.push(retry);
             let k = self.params.scalar_from_seed(&seed, b"fe-dsa-nonce");
-            let r = self.params.g.mod_pow(&k, p).rem_nat(q);
+            let r = self.params.pow_g(&k).rem_nat(q);
             if r.is_zero() {
                 retry = retry.wrapping_add(1);
                 continue;
@@ -368,12 +421,7 @@ impl SignatureScheme for Dsa {
         };
         let u1 = z.mod_mul(&w, q);
         let u2 = sig.r.mod_mul(&w, q);
-        let v = self
-            .params
-            .g
-            .mod_pow(&u1, p)
-            .mod_mul(&key.y.mod_pow(&u2, p), p)
-            .rem_nat(q);
+        let v = self.params.pow_g_mul(&u1, &key.y, &u2).rem_nat(q);
         v == sig.r
     }
 }
@@ -503,6 +551,61 @@ mod tests {
         let dsa = scheme();
         let (sk, _) = dsa.keypair_from_seed(b"seed");
         assert_eq!(format!("{sk:?}"), "DsaSigningKey { .. }");
+    }
+
+    #[test]
+    fn clones_share_one_table_built_once() {
+        let params = DsaParams::generate_deterministic(512, 160, b"one table");
+        let copy = params.clone();
+        assert!(Arc::ptr_eq(&params.g_table, &copy.g_table));
+        assert!(params.g_table.get().is_none(), "built lazily");
+        let table = copy.g_table().expect("odd p") as *const FixedBase;
+        assert!(std::ptr::eq(params.g_table().unwrap(), table));
+
+        // A `Dsa` per call, as `SystemParams::dsa()` makes one: no call
+        // after the first builds anything (no Montgomery context, and a
+        // comb's product count, not a table's ≈ 390).
+        for _ in 0..3 {
+            let before = fe_bigint::montgomery::counts();
+            Dsa::new(params.clone()).keypair_from_seed(b"seed");
+            let spent = fe_bigint::montgomery::counts() - before;
+            assert_eq!(spent.contexts, 0);
+            assert!(spent.products() <= 40, "{spent:?}");
+        }
+        assert!(std::ptr::eq(params.g_table().unwrap(), table));
+    }
+
+    #[test]
+    fn equality_and_debug_see_only_p_q_g() {
+        let params = DsaParams::insecure_512();
+        let fresh =
+            DsaParams::from_parts(params.p().clone(), params.q().clone(), params.g().clone());
+        params.pow_g(&Natural::one());
+        assert_eq!(params, &fresh);
+        let (p, q, g) = (params.p(), params.q(), params.g());
+        let want = format!("DsaParams {{ p: {p:?}, q: {q:?}, g: {g:?} }}");
+        assert_eq!(format!("{params:?}"), want);
+        assert_eq!(format!("{fresh:?}"), want);
+    }
+
+    #[test]
+    fn an_even_modulus_falls_back_to_mod_pow() {
+        let params = DsaParams::from_parts(
+            Natural::from(1000u64),
+            Natural::from(37u64),
+            Natural::from(3u64),
+        );
+        let (e, y, f) = (
+            Natural::from(21u64),
+            Natural::from(7u64),
+            Natural::from(30u64),
+        );
+        let p = params.p();
+        assert_eq!(params.pow_g(&e), params.g().mod_pow(&e, p));
+        assert_eq!(
+            params.pow_g_mul(&e, &y, &f),
+            params.g().mod_pow(&e, p).mod_mul(&y.mod_pow(&f, p), p)
+        );
     }
 
     #[test]

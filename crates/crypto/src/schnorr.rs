@@ -104,7 +104,7 @@ impl SignatureScheme for Schnorr {
 
     fn keypair_from_seed(&self, seed: &[u8]) -> (SchnorrSigningKey, SchnorrVerifyingKey) {
         let x = self.params.scalar_from_seed(seed, b"fe-schnorr-keygen");
-        let y = self.params.g().mod_pow(&x, self.params.p());
+        let y = self.params.pow_g(&x);
         (SchnorrSigningKey { x }, SchnorrVerifyingKey { y })
     }
 
@@ -114,7 +114,7 @@ impl SignatureScheme for Schnorr {
         let mut seed = key.x.to_bytes_be_padded(self.params.scalar_len());
         seed.extend(Sha256::digest(msg));
         let k = self.params.scalar_from_seed(&seed, b"fe-schnorr-nonce");
-        let r = self.params.g().mod_pow(&k, self.params.p());
+        let r = self.params.pow_g(&k);
         let e = self.challenge(&r, msg);
         let s = k.mod_add(&key.x.mod_mul(&e, q), q);
         SchnorrSignature { e, s }
@@ -135,11 +135,7 @@ impl SignatureScheme for Schnorr {
         } else {
             q.checked_sub(&sig.e).expect("e < q")
         };
-        let r = self
-            .params
-            .g()
-            .mod_pow(&sig.s, p)
-            .mod_mul(&key.y.mod_pow(&neg_e, p), p);
+        let r = self.params.pow_g_mul(&sig.s, &key.y, &neg_e);
         self.challenge(&r, msg) == sig.e
     }
 }
