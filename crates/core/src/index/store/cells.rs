@@ -331,17 +331,9 @@ impl<C: Cell> Layout for Wide<C> {
         dim
     }
 
-    /// Real sketches always land inside the canonical range, so this
-    /// is two compares ([`canonical`]'s `i128` division only runs for
-    /// out-of-range input).
     #[inline]
     fn prepare(self, v: i64) -> C {
-        let (lo, hi) = canonical_range(self.ka);
-        C::narrow(if (lo..=hi).contains(&v) {
-            v
-        } else {
-            canonical(v, self.ka)
-        })
+        C::narrow(canonical(v, self.ka))
     }
 
     #[inline]
@@ -535,7 +527,28 @@ fn decode_cells<C: Cell, const N: usize>(
 /// cyclic distance on `Z_ka`, so they cannot distinguish `v` from
 /// `v ± ka` — storing the canonical form loses nothing and is what lets
 /// the row layout follow `ka` instead of `i64`.
-pub(super) fn canonical(v: i64, ka: u64) -> i64 {
+///
+/// This is the one definition of what an index row reads back as:
+/// every layout stores it (the wide cells verbatim, the packed row as
+/// its residue, which `Cells::decode_into` folds back the same way),
+/// so a caller that must restore the value it inserted — a server's
+/// record patches — compares against this instead of decoding the row.
+/// Real sketches land inside the canonical range, where this is two
+/// compares; the `i128` division only runs for out-of-range input.
+///
+/// ```
+/// use fe_core::index::store::canonical;
+///
+/// assert_eq!(canonical(-200, 400), 200); // −ka/2 folds to +ka/2
+/// assert_eq!(canonical(201, 400), -199);
+/// assert_eq!(canonical(-199, 400), -199);
+/// ```
+#[inline]
+pub fn canonical(v: i64, ka: u64) -> i64 {
+    let (lo, hi) = canonical_range(ka);
+    if (lo..=hi).contains(&v) {
+        return v;
+    }
     // i128: `ka` is a u64, so `v.rem_euclid(ka as i64)` could overflow
     // for ka > i64::MAX; widen once instead of trusting the caller.
     let ka = i128::from(ka);
@@ -545,9 +558,7 @@ pub(super) fn canonical(v: i64, ka: u64) -> i64 {
 }
 
 /// The closed interval of already-canonical values for `Z_ka`, clamped
-/// to `i64`. Real sketches always land inside it, so the insert hot
-/// path reduces canonicalization to two compares per coordinate
-/// ([`canonical`]'s `i128` division only runs for out-of-range input).
+/// to `i64`: the values [`canonical`] returns unchanged.
 pub(super) fn canonical_range(ka: u64) -> (i64, i64) {
     let hi = (ka / 2).min(i64::MAX as u64) as i64;
     let lo = -(((ka - 1) / 2).min(i64::MAX as u64) as i64);

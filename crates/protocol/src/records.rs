@@ -12,10 +12,12 @@
 //!   two chunks (one larger than [`CHUNK`] gets a chunk of its own);
 //! * `slots`, one `u64` per record slot: where the slot's block starts,
 //!   and sixteen bits of the id's hash;
-//! * an open-addressed **id table** of `u32` slot numbers that hashes and
-//!   compares the id bytes where they sit in the arena — after the
-//!   sixteen bits in the slot agree, so a lookup passes over the other
-//!   ids of its run without touching the arena.
+//! * an open-addressed **id table** of `u32` entries, each a slot number
+//!   in its low bits under as many of the id's hash bits as the slot
+//!   count leaves free. It hashes and compares the id bytes where they
+//!   sit in the arena — after those bits, then the sixteen in the slot
+//!   word, agree — so a lookup passes over the other ids of its run
+//!   reading nothing but the table.
 //!
 //! **Arena order is slot order is enrollment order.** A block therefore
 //! ends where the next slot's block starts (or at its chunk's fill), a
@@ -44,7 +46,8 @@ const TAG: u64 = 0xffff << TAG_SHIFT;
 /// The bits of a slot that say where its block starts: chunk number
 /// (27 bits), then offset within the chunk.
 const POSITION: u64 = !(DEAD | TAG);
-/// An id-table entry naming no slot.
+/// An id-table entry naming no slot. A live entry's slot bits are
+/// never all ones ([`RecordTable::width`]), so no fingerprint makes one.
 const EMPTY: u32 = u32::MAX;
 /// Entries of the smallest id table.
 const MIN_TABLE: usize = 4;
@@ -178,6 +181,13 @@ fn tag_of(hash: u64) -> u64 {
     (hash >> 48) << TAG_SHIFT
 }
 
+/// Slot-number bits of an id-table entry in a table of `slots` slots:
+/// one more than their bit width, so at least as many slots again fit
+/// before the entries must widen; all 32 from 2³¹ slots on.
+fn width_for(slots: usize) -> u32 {
+    (usize::BITS - slots.leading_zeros() + 1).min(u32::BITS)
+}
+
 /// See the module docs.
 pub(crate) struct RecordTable {
     /// Each allocated once, at `CHUNK` bytes of capacity (or one
@@ -187,9 +197,15 @@ pub(crate) struct RecordTable {
     /// under [`TAG`] and [`DEAD`].
     slots: Vec<u64>,
     /// Power-of-two capacity, at most 7/8 full, linear probing; an entry
-    /// is a live slot number or [`EMPTY`]. Deletion shifts the rest of
-    /// the run back, so churn leaves no tombstones.
+    /// is [`EMPTY`] or a live slot number in its low `width` bits under
+    /// the top `32 − width` bits of its id's hash, the fingerprint.
+    /// Deletion shifts the rest of the run back, so churn leaves no
+    /// tombstones.
     table: Vec<u32>,
+    /// [`width_for`] the slot count (or reservation) at the last
+    /// rebuild; [`RecordTable::push`] rebuilds before a slot number
+    /// would fill all of them.
+    width: u32,
     live: usize,
     /// Bytes of the revoked blocks `compact` has not yet reclaimed.
     dead_bytes: usize,
@@ -215,6 +231,7 @@ impl RecordTable {
             chunks: Vec::new(),
             slots: Vec::new(),
             table: Vec::new(),
+            width: width_for(0),
             live: 0,
             dead_bytes: 0,
             hasher: RandomState::new(),
@@ -280,31 +297,53 @@ impl RecordTable {
         Some(StoredRecord::view(&self.chunks[chunk][range]))
     }
 
-    fn id_bytes(&self, slot: u32) -> &[u8] {
-        let record = self
-            .get(slot as usize)
-            .expect("the id table names live slots");
+    /// The bits of an id-table entry that hold its slot number.
+    fn slot_bits(&self) -> u32 {
+        u32::MAX >> (u32::BITS - self.width)
+    }
+
+    /// The id-table entry that files `slot` under `hash`.
+    fn entry(&self, hash: u64, slot: u32) -> u32 {
+        (hash >> 32) as u32 & !self.slot_bits() | slot
+    }
+
+    /// The id in the slot an id-table entry names (a slot number names
+    /// itself: its fingerprint bits are zero).
+    fn id_bytes(&self, entry: u32) -> &[u8] {
+        let record =
+            (self.get((entry & self.slot_bits()) as usize)).expect("the id table names live slots");
         record.field(0)
+    }
+
+    /// Position and slot of each entry of `hash`'s run whose fingerprint
+    /// is `hash`'s, up to the empty entry that ends the run: the only
+    /// slots whose word a lookup of an id with this hash reads.
+    fn candidates(&self, hash: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (mask, slot_bits) = (self.table.len().wrapping_sub(1), self.slot_bits());
+        let fingerprint = self.entry(hash, 0);
+        let mut at = hash as usize & mask;
+        std::iter::from_fn(move || loop {
+            // An empty table has no entry at any position.
+            let entry = *self.table.get(at)?;
+            if entry == EMPTY {
+                return None;
+            }
+            let here = at;
+            at = (at + 1) & mask;
+            if entry & !slot_bits == fingerprint {
+                return Some((here, (entry & slot_bits) as usize));
+            }
+        })
     }
 
     /// Where `id` is in the id table (`Ok`: position and slot), or the
     /// hash to file it under.
     fn locate(&self, id: &[u8]) -> Result<(usize, usize), Vacancy> {
         let hash = self.hasher.hash_one(id);
-        if self.table.is_empty() {
-            return Err(Vacancy(hash));
-        }
-        let (mask, tag) = (self.table.len() - 1, tag_of(hash));
-        let mut at = hash as usize & mask;
-        loop {
-            match self.table[at] {
-                EMPTY => return Err(Vacancy(hash)),
-                slot if self.slots[slot as usize] & TAG == tag && self.id_bytes(slot) == id => {
-                    return Ok((at, slot as usize));
-                }
-                _ => at = (at + 1) & mask,
-            }
-        }
+        let tag = tag_of(hash);
+        self.candidates(hash)
+            .find(|&(_, slot)| self.slots[slot] & TAG == tag && self.id_bytes(slot as u32) == id)
+            .ok_or(Vacancy(hash))
     }
 
     /// The slot `id` lives in.
@@ -335,13 +374,14 @@ impl RecordTable {
         while self.table[at] != EMPTY {
             at = (at + 1) & mask;
         }
-        self.table[at] = slot;
+        self.table[at] = self.entry(hash, slot);
     }
 
-    /// Replaces the id table by one of `capacity` entries: one
-    /// sequential read of the arena.
-    fn rebuild_table(&mut self, capacity: usize) {
+    /// Replaces the id table by one of `capacity` entries of `width`
+    /// slot bits: one sequential read of the arena.
+    fn rebuild_table(&mut self, capacity: usize, width: u32) {
         self.table = vec![EMPTY; capacity];
+        self.width = width;
         for slot in 0..self.slots.len() {
             if self.slots[slot] & DEAD == 0 {
                 let hash = self.hasher.hash_one(self.id_bytes(slot as u32));
@@ -351,12 +391,14 @@ impl RecordTable {
     }
 
     /// Room for `additional` more records in the slot vector and the id
-    /// table (the arena grows a chunk at a time either way).
+    /// table, entries wide enough for every slot number among them (the
+    /// arena grows a chunk at a time either way).
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
-        let capacity = Self::table_capacity(self.live + additional);
-        if capacity > self.table.len() {
-            self.rebuild_table(capacity);
+        let capacity = Self::table_capacity(self.live + additional).max(self.table.len());
+        let width = width_for(self.slots.len() + additional);
+        if capacity > self.table.len() || width > self.width {
+            self.rebuild_table(capacity, width);
         }
     }
 
@@ -375,7 +417,12 @@ impl RecordTable {
             &helper.sketch.tag,
             &helper.seed,
         ];
-        let patches = (helper.sketch.inner.iter().zip(row).enumerate())
+        // Twelve sketches in thirteen are their own row at the paper's
+        // parameters: one comparison of the two finds that, and the
+        // coordinates zipped with no row then yield no patch.
+        let inner = &helper.sketch.inner;
+        let row = if inner[..] == *row { &[][..] } else { row };
+        let patches = (inner.iter().zip(row).enumerate())
             .filter(|(_, (want, got))| want != got)
             .map(|(dim, (&want, &got))| (dim, zigzag(want, got)));
         let mut len: usize = fields.iter().map(|f| len_bytes(f.len()) + f.len()).sum();
@@ -410,9 +457,11 @@ impl RecordTable {
         }
         debug_assert_eq!(chunk.len() - start, len, "the block is the length reserved");
 
-        if (self.live + 1) * 8 > self.table.len() * 7 {
-            // The new slot is live already, so the rebuild files it.
-            self.rebuild_table(Self::table_capacity(self.live + 1));
+        // Too full, or the slot number would fill every slot bit: the
+        // rebuild files the new slot, which is live already.
+        if (self.live + 1) * 8 > self.table.len() * 7 || slot >= self.slot_bits() {
+            let capacity = Self::table_capacity(self.live + 1).max(self.table.len());
+            self.rebuild_table(capacity, width_for(self.slots.len()));
         } else {
             self.file(vacancy.0, slot);
         }
@@ -504,7 +553,7 @@ impl RecordTable {
         self.slots.truncate(kept);
         self.slots.shrink_to_fit();
         self.dead_bytes = 0;
-        self.rebuild_table(Self::table_capacity(self.live));
+        self.rebuild_table(Self::table_capacity(self.live), width_for(self.live));
     }
 }
 
@@ -724,6 +773,128 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Slot words a lookup of `id` reads, walking its run as `locate`
+    /// does: one per entry whose fingerprint agrees — every one of them
+    /// when `id` is absent.
+    fn slot_words_read(table: &RecordTable, id: &str) -> usize {
+        table
+            .candidates(table.hasher.hash_one(id.as_bytes()))
+            .count()
+    }
+
+    /// Entries a lookup of the absent `id` passes before its run ends:
+    /// the slot words it read before entries carried fingerprints.
+    fn entries_passed(table: &RecordTable, id: &str) -> usize {
+        let mask = table.table.len().wrapping_sub(1);
+        let home = table.hasher.hash_one(id.as_bytes()) as usize & mask;
+        let run = (0..table.table.len()).map(|i| table.table[(home + i) & mask]);
+        run.take_while(|&entry| entry != EMPTY).count()
+    }
+
+    #[test]
+    fn a_vacancy_probe_reads_almost_no_slot_word() {
+        const IDS: usize = 100_000;
+        let mut table = RecordTable::new();
+        let (mut read, mut passed) = (0, 0);
+        for u in 0..IDS {
+            let r = record(&format!("user-{u:06}"), u as u8);
+            read += slot_words_read(&table, &r.id);
+            passed += entries_passed(&table, &r.id);
+            push(&mut table, &r);
+        }
+        let (read, passed) = (read as f64 / IDS as f64, passed as f64 / IDS as f64);
+        assert!(read <= 0.01, "{read} slot words a vacancy probe");
+        // Linear probing at up to 7/8 load passes about five entries a
+        // probe here (5.2 in one run), and each was a slot word read
+        // before entries carried fingerprints.
+        assert!(passed >= 4.0, "{passed} entries passed a vacancy probe");
+        for u in (0..IDS).step_by(997) {
+            assert_eq!(table.find(&format!("user-{u:06}")), Some(u));
+        }
+    }
+
+    #[test]
+    fn ids_agreeing_on_fingerprint_tag_and_home_are_told_apart_by_their_bytes() {
+        // What the first push's 4-entry table keeps of a hash: the
+        // fingerprint above its slot bits, and two bits of home. Search
+        // its keyed hash for two ids that agree on all of it.
+        let mut table = RecordTable::new();
+        let width = width_for(1);
+        let mut seen = std::collections::HashMap::new();
+        let (a, b) = (0u32..)
+            .find_map(|n| {
+                let id = format!("f{n:08}");
+                let hash = table.hasher.hash_one(id.as_bytes());
+                let key = (
+                    (hash >> 32) as u32 >> width,
+                    hash as usize & (MIN_TABLE - 1),
+                );
+                seen.insert(key, id.clone()).map(|first| (first, id))
+            })
+            .expect("a collision on 32 bits");
+        assert_eq!(push(&mut table, &record(&a, 1)), 0);
+        assert_eq!(table.find(&b), None);
+        assert_eq!(push(&mut table, &record(&b, 2)), 1);
+        assert_eq!(table.width, width);
+        assert_eq!(
+            slot_words_read(&table, &b),
+            2,
+            "both entries match b's fingerprint"
+        );
+        assert_eq!((table.find(&a), table.find(&b)), (Some(0), Some(1)));
+        assert_eq!(table.revoke(&a), Some(0));
+        assert_eq!((table.find(&a), table.find(&b)), (None, Some(1)));
+    }
+
+    #[test]
+    fn churn_past_each_slot_width_rebuilds_and_keeps_every_run_reachable() {
+        const LIVE: usize = 60;
+        let id = |u: usize| format!("u{u}");
+        let mut table = RecordTable::new();
+        for u in 0..LIVE {
+            push(&mut table, &record(&id(u), u as u8));
+        }
+        let capacity = table.table.len();
+        // Every entry is where a lookup of its id arrives.
+        let check = |table: &RecordTable| {
+            let slot_bits = table.slot_bits();
+            for (at, &entry) in table.table.iter().enumerate() {
+                if entry != EMPTY {
+                    let slot = (entry & slot_bits) as usize;
+                    let stored = table.get(slot).expect("entries name live slots");
+                    assert_eq!(table.locate(stored.id().as_bytes()).ok(), Some((at, slot)));
+                }
+            }
+            for u in 0..LIVE {
+                assert!(
+                    table.find(&id(u)).is_some(),
+                    "u{u} lost at {} bits",
+                    table.width
+                );
+            }
+        };
+        // Revoke / re-enroll pairs, never compacted: the live count and
+        // the capacity stay, the slot count climbs past 2^w − 1 again
+        // and again, and each revoke shifts a run back over entries
+        // refiled at the new width since they were first filed.
+        let mut widths = vec![table.width];
+        for round in 0..5_000usize {
+            let u = (round * 37) % LIVE;
+            assert!(table.revoke(&id(u)).is_some());
+            push(&mut table, &record(&id(u), round as u8));
+            let before = widths[widths.len() - 1];
+            if table.width != before {
+                // Widened by the slot whose number fills `before` bits.
+                assert_eq!(table.slots() - 1, (1 << before) - 1);
+                widths.push(table.width);
+                check(&table);
+            }
+        }
+        assert_eq!(widths, [7, 9, 11, 13]);
+        assert_eq!((table.len(), table.table.len()), (LIVE, capacity));
+        check(&table);
     }
 
     #[test]

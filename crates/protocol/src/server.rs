@@ -16,6 +16,7 @@ use crate::params::{DedupPolicy, SystemParams};
 use crate::records::{RecordTable, StoredRecord, Vacancy};
 use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
+use fe_core::index::store::canonical;
 use fe_core::{EpochIndex, RobustData, ScanIndex, SketchIndex};
 use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
 use fe_crypto::sig::SignatureScheme;
@@ -243,33 +244,49 @@ impl<I: BuildIndex> AuthenticationServer<I> {
         mut store: Box<dyn EnrollmentStore>,
     ) -> Result<Self, ProtocolError> {
         let events = store.load()?;
+        let cached = match store.load_index_cache() {
+            Some(blob) => Self::replay(params.clone(), &events, Some(&blob))?,
+            None => None,
+        };
+        let mut server = match cached {
+            Some(server) => server,
+            None => Self::replay(params, &events, None)?
+                .expect("a replay without a cache has nothing to contradict"),
+        };
+        server.store = Some(store);
+        Ok(server)
+    }
+
+    /// A server rebuilt from `events`; `Ok(None)` when `cache`
+    /// contradicts them.
+    ///
+    /// Segment fast path: a checkpoint may have saved the index's sealed
+    /// columnar segments alongside the snapshot. Importing them installs
+    /// the first `preindexed` snapshot rows wholesale (the snapshot
+    /// streams records in index-id order, so segment row `i` *is*
+    /// snapshot row `i`), and replay skips the per-row index insert for
+    /// exactly that prefix. The cache is an accelerator, not a source:
+    /// an [`EnrollmentStore`] is a public trait, and one whose cache
+    /// holds another population's rows would otherwise recover and then
+    /// answer lookups against them. So each installed row must be the
+    /// canonical row of the sketch the log enrolled in its slot, and the
+    /// prefix must replay one enrollment per row; anything else discards
+    /// the attempt, and the caller replays the log in full.
+    fn replay(
+        params: SystemParams,
+        events: &[LogEvent],
+        cache: Option<&[u8]>,
+    ) -> Result<Option<Self>, ProtocolError> {
         let mut server = Self::from_params(params);
         let enrolls = events
             .iter()
             .filter(|e| matches!(e, LogEvent::Enroll(_)))
             .count();
-        // Segment fast path: a checkpoint may have saved the index's
-        // sealed columnar segments alongside the snapshot. Importing
-        // them installs the first `preindexed` snapshot rows wholesale
-        // (the snapshot streams records in index-id order, so segment
-        // row `i` *is* snapshot row `i`); replay then skips the
-        // per-row index insert for exactly that prefix. Purely an
-        // accelerator — `None` at any step falls back to full replay.
-        let mut preindexed = 0usize;
-        if enrolls > 0 {
-            if let Some(blob) = store.load_index_cache() {
-                if let Some(covered) = server.index.import_segments(&blob) {
-                    if covered <= enrolls {
-                        preindexed = covered;
-                    } else {
-                        // A cache claiming more rows than the log holds
-                        // cannot belong to it (contract violation by the
-                        // store); discard and replay from scratch.
-                        server.index = I::build(&server.params);
-                    }
-                }
-            }
-        }
+        let preindexed = match cache.and_then(|blob| server.index.import_segments(blob)) {
+            None => 0,
+            Some(covered) if covered <= enrolls => covered,
+            Some(_) => return Ok(None),
+        };
         // Bulk-load hint: recovery knows the population size and sketch
         // dimension up front, so the index and the record table are
         // sized once instead of growing row by row.
@@ -281,13 +298,28 @@ impl<I: BuildIndex> AuthenticationServer<I> {
                 .reserve(enrolls - preindexed, first.helper.sketch.inner.len());
             server.records.reserve(enrolls);
         }
+        let mut installed = Vec::new();
         let mut replayed = 0usize;
         for event in events {
             match event {
-                LogEvent::Enroll(record) => match server.validate_enroll(&record) {
-                    Ok(vacancy) => {
-                        server.apply_enroll(record, vacancy, replayed < preindexed);
+                LogEvent::Enroll(record) => match server.validate_enroll(record) {
+                    Ok(vacancy) if replayed < preindexed => {
+                        server.canonical_row(record);
+                        let live = server.index.copy_row_into(replayed, &mut installed);
+                        if !live || installed != server.row {
+                            return Ok(None);
+                        }
+                        server.records.push(vacancy, record, &server.row);
                         replayed += 1;
+                    }
+                    Ok(vacancy) => {
+                        server.apply_enroll(record, vacancy);
+                        replayed += 1;
+                    }
+                    // A skipped enrollment would shift every later
+                    // record off the cached row it was checked against.
+                    Err(ProtocolError::DuplicateUser(_)) if replayed < preindexed => {
+                        return Ok(None)
                     }
                     // Already present: the snapshot and the journal
                     // tail overlap after a crash between the two.
@@ -295,7 +327,7 @@ impl<I: BuildIndex> AuthenticationServer<I> {
                     Err(refused) => return Err(refused),
                 },
                 LogEvent::Revoke(id) => {
-                    let _ = server.apply_revoke(&id);
+                    let _ = server.apply_revoke(id);
                 }
                 // Audit record of a refused enrollment: nothing to
                 // replay — the population never changed.
@@ -303,8 +335,7 @@ impl<I: BuildIndex> AuthenticationServer<I> {
             }
         }
         server.index.flush();
-        server.store = Some(store);
-        Ok(server)
+        Ok(Some(server))
     }
 }
 
@@ -484,41 +515,32 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         Ok(vacancy)
     }
 
-    /// In-memory enrollment of a pre-validated record. With recovery's
-    /// segment fast path, `preindexed`, the sketch row is already in the
-    /// index (installed wholesale from an imported segment cache) and
-    /// must not be inserted twice. Either way the record is packed
-    /// against the row the index now holds in its slot.
-    fn apply_enroll(&mut self, record: EnrollmentRecord, vacancy: Vacancy, preindexed: bool) {
-        let idx = self.records.slots();
-        if !preindexed {
-            let index_id = self.index.insert(&record.helper.sketch.inner);
-            // Release-enforced: an index that had records inserted and
-            // then removed passes the `is_empty` construction check but
-            // assigns ids offset from the record slots — that must fail
-            // loudly at the first enrollment, not corrupt lookups
-            // silently.
-            assert_eq!(index_id, idx, "index ids must mirror record slots");
-        }
-        // The row as the index holds it — canonical residues in
-        // `[−(ka−1)/2, ka/2]` — is the stored sketch; the record keeps
-        // only what that row does not reproduce.
-        let live = self.index.copy_row_into(idx, &mut self.row);
-        assert!(live, "an enrolled record's index row must be live");
-        debug_assert!(
-            {
-                let ka = self.params.sketch().line().interval_len() as i128;
-                self.row.len() == record.helper.sketch.inner.len()
-                    && self
-                        .row
-                        .iter()
-                        .zip(&record.helper.sketch.inner)
-                        .all(|(&got, &want)| (i128::from(got) - i128::from(want)) % ka == 0)
-            },
-            "index row must mirror the enrolled sketch on the ring"
+    /// In-memory enrollment of a pre-validated record: its sketch into
+    /// the index, the rest into the record table.
+    fn apply_enroll(&mut self, record: &EnrollmentRecord, vacancy: Vacancy) {
+        let index_id = self.index.insert(&record.helper.sketch.inner);
+        // Release-enforced: an index that had records inserted and then
+        // removed passes the `is_empty` construction check but assigns
+        // ids offset from the record slots — that must fail loudly at
+        // the first enrollment, not corrupt lookups silently.
+        assert_eq!(
+            index_id,
+            self.records.slots(),
+            "index ids must mirror record slots"
         );
-        let slot = self.records.push(vacancy, &record, &self.row);
-        debug_assert_eq!(slot, idx);
+        self.canonical_row(record);
+        self.records.push(vacancy, record, &self.row);
+    }
+
+    /// Sets the scratch row to the row the index holds for `record`'s
+    /// sketch: its canonical ring residues, in `[−(ka−1)/2, ka/2]`, by
+    /// [`canonical`] — the one definition every index layout writes and
+    /// reads back, so nothing is decoded to learn it. The record table
+    /// keeps only what that row does not reproduce.
+    fn canonical_row(&mut self, record: &EnrollmentRecord) {
+        let ka = self.params.sketch().line().interval_len();
+        self.row.clear();
+        (self.row).extend(record.helper.sketch.inner.iter().map(|&v| canonical(v, ka)));
     }
 
     /// Stores an enrollment record (Fig. 1, final step). With a store
@@ -582,7 +604,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// which leaves memory as it was.
     pub(crate) fn apply(&mut self, write: Write) -> Result<(), ProtocolError> {
         match write {
-            Write::Enroll(record, vacancy) => self.apply_enroll(record, vacancy, false),
+            Write::Enroll(record, vacancy) => self.apply_enroll(&record, vacancy),
             Write::Refuse { matched, .. } => {
                 return Err(ProtocolError::DuplicateBiometric(matched))
             }

@@ -1047,6 +1047,75 @@ fn journal_tail_replays_over_imported_segments() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A segment cache is checked, not trusted. `EnrollmentStore` is a
+/// public trait, and this store hands back the sealed rows of another
+/// population of the same size, same ids, bound to its own snapshot
+/// through `save_index_cache`, so it imports cleanly. Each installed row
+/// must still be the canonical row of the sketch the log enrolled in its
+/// slot: this cache's are not, so recovery discards it and replays, and
+/// answers every lookup as a recovery without the cache does.
+#[test]
+fn a_foreign_segment_cache_is_checked_against_the_log_and_replayed_around() {
+    use fuzzy_id::core::SketchIndex;
+    let dir = scratch_dir("segcache-foreign");
+    let params = SystemParams::insecure_test_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(0xF0E1);
+    let donor = {
+        let bio = params.sketch().line().random_vector(4, &mut rng);
+        device.enroll("donor", &bio, &mut rng).unwrap().public_key
+    };
+    let mut populate = |server: &mut AuthenticationServer<EpochIndex>| {
+        let bios: Vec<Vec<i64>> = (0..20)
+            .map(|u| {
+                let (record, bio) =
+                    synthetic_record(&params, &donor, &format!("user-{u}"), 6, &mut rng);
+                server.enroll(record).unwrap();
+                bio
+            })
+            .collect();
+        bios
+    };
+
+    let mut server = small_epoch_server(&params);
+    server
+        .attach_store(Box::new(
+            FileStore::open(&dir, params.fingerprint()).unwrap(),
+        ))
+        .unwrap();
+    let mut bios = populate(&mut server);
+    server.checkpoint().unwrap();
+    let mut other = small_epoch_server(&params);
+    bios.extend(populate(&mut other));
+    other.compact();
+    let foreign = other.index().export_segments().expect("sealed rows");
+    drop(server);
+    FileStore::open(&dir, params.fingerprint())
+        .unwrap()
+        .save_index_cache(&foreign)
+        .unwrap();
+
+    let probes: Vec<Vec<i64>> = bios
+        .iter()
+        .map(|bio| genuine_probe(&params, bio, &mut rng))
+        .collect();
+    let recovered: AuthenticationServer<EpochIndex> =
+        AuthenticationServer::recover(params.clone(), &dir).unwrap();
+    assert!(
+        recovered.index().segments().is_empty(),
+        "a default-threshold replay seals nothing: the foreign rows must be gone"
+    );
+    let got: Vec<Option<usize>> = probes.iter().map(|p| recovered.lookup_probe(p)).collect();
+    drop(recovered);
+    std::fs::remove_file(dir.join("segments.fsg")).unwrap();
+    let replayed: AuthenticationServer<EpochIndex> =
+        AuthenticationServer::recover(params.clone(), &dir).unwrap();
+    let expected: Vec<Option<usize>> = probes.iter().map(|p| replayed.lookup_probe(p)).collect();
+    assert_eq!(got, expected);
+    assert!(expected[..20].iter().all(Option::is_some));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Single-bit damage at rest, one bit at a time: every bit of every
 // journal frame — its length word too, which no CRC covers, so the scan

@@ -1145,6 +1145,9 @@ proptest! {
 
 mod helper_round_trip {
     use super::*;
+    use fuzzy_id::core::index::store::canonical;
+    use fuzzy_id::core::CellWidth;
+    use fuzzy_id::crypto::dsa::DsaParams;
     use fuzzy_id::protocol::wire::{self, Message};
     use fuzzy_id::protocol::{
         AuthenticationServer, BiometricDevice, BuildIndex, EnrollmentRecord, FileStore,
@@ -1355,6 +1358,81 @@ mod helper_round_trip {
             .collect();
         check(&params, ScanIndex::build(&params), &records, &[0], |_| ());
         check(&params, EpochIndex::build(&params), &records, &[0], |_| ());
+    }
+
+    /// Test parameters on the ring `ka = 2a`, whose rows the index lays
+    /// out as `width`.
+    fn ring_params(a: u64, width: CellWidth) -> SystemParams {
+        let line = NumberLine::new(a, 2, 2).unwrap();
+        let sketch = ChebyshevSketch::new(line, 100).unwrap();
+        let params = SystemParams::new(sketch, 32, DsaParams::insecure_512().clone());
+        assert_eq!(CellWidth::for_ring(2 * a), width);
+        params
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// One patch rule, held to the decoder: a server patches a
+        /// coordinate iff `canonical` folds it, and never decodes the
+        /// row to find out — so on each row layout (the packed paper
+        /// ring, an `i32` ring, an `i64` ring) the row every index type
+        /// decodes must be `canonical` of what was inserted, and every
+        /// reader must hand back the enrolled helper byte for byte.
+        #[test]
+        fn one_patch_rule_holds_to_the_decoder_on_every_row_layout(
+            coordinates in prop::collection::vec(
+                prop::collection::vec((0u8..8, any::<i64>()), DIM..DIM + 1),
+                6..10,
+            ),
+            revoke in prop::collection::vec(any::<usize>(), 1..4),
+        ) {
+            let rings = [
+                ring_params(200, CellWidth::Packed),
+                ring_params(50_000, CellWidth::I32),
+                ring_params(3_000_000_000, CellWidth::I64),
+            ];
+            for params in rings {
+                let ka = params.sketch().line().interval_len();
+                let half = (ka / 2) as i64;
+                let records: Vec<EnrollmentRecord> = (coordinates.iter().enumerate())
+                    .map(|(u, coordinates)| {
+                        let inner = (coordinates.iter())
+                            .map(|&(sel, raw)| match sel {
+                                0 => i64::MIN,
+                                1 => i64::MAX,
+                                2 => half,
+                                3 => -half,
+                                4 => half + 1,
+                                5 | 6 => raw,
+                                _ => raw.rem_euclid(ka as i64) - half + 1,
+                            })
+                            .collect();
+                        EnrollmentRecord {
+                            id: format!("ring-{u}"),
+                            public_key: vec![u as u8 + 1; 16],
+                            helper: HelperData {
+                                sketch: RobustData { inner, tag: vec![u as u8; 32] },
+                                seed: vec![!(u as u8); 32],
+                            },
+                        }
+                    })
+                    .collect();
+                let (mut scan, mut epoch) = (ScanIndex::build(&params), EpochIndex::build(&params));
+                let mut decoded = Vec::new();
+                for (id, record) in records.iter().enumerate() {
+                    let sketch = &record.helper.sketch.inner;
+                    let rule: Vec<i64> = sketch.iter().map(|&v| canonical(v, ka)).collect();
+                    for index in [&mut scan as &mut dyn SketchIndex, &mut epoch] {
+                        prop_assert_eq!(index.insert(sketch), id);
+                        prop_assert!(index.copy_row_into(id, &mut decoded));
+                        prop_assert_eq!(&decoded, &rule, "ka = {}", ka);
+                    }
+                }
+                check(&params, ScanIndex::build(&params), &records, &revoke, |_| ());
+                check(&params, EpochIndex::build(&params), &records, &revoke, |_| ());
+            }
+        }
     }
 
     /// `Gen` on a biometric with a coordinate on an interval boundary
