@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the core sketch pipeline: `SS`, `Rec`, the match
 //! conditions and the robust-tag overhead, at the paper's n = 5000 —
-//! and of the frame checksum every journal, snapshot, sidecar and wire
-//! frame pays.
+//! and of the frame checksum every journal, snapshot and wire frame
+//! pays.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fe_core::codec::crc32;

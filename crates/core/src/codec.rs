@@ -70,9 +70,11 @@ pub enum ArtifactKind {
     Snapshot = 4,
     /// An append-only enrollment/revocation journal.
     Journal = 5,
-    /// A sealed-segment cache: the epoch index's sealed columnar
-    /// segments exported verbatim alongside a snapshot, so recovery
-    /// maps them back in instead of rebuilding the index row by row.
+    /// Retired: the sealed-segment cache that older builds wrote beside
+    /// a snapshot. No current writer produces it and recovery never
+    /// reads it: the snapshot and the journal are the only durable
+    /// record. The tag is reserved so it can never be reassigned to a
+    /// different layout.
     Segment = 6,
 }
 

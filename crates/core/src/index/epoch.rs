@@ -22,7 +22,7 @@
 //! readers costs one atomic store and no copy — and no later copy
 //! either: a row is written once and stays where it was written. Only
 //! a change to the segment *list* (the head sealing, a tombstone
-//! rewrite, `compact`, `clear`, import) publishes a fresh immutable
+//! rewrite, `compact`, `clear`) publishes a fresh immutable
 //! `Snapshot` through the vendored [`crossbeam::epoch::ArcCell`] —
 //! once per `seal_rows` inserts, not once per insert. Readers obtained
 //! via [`EpochRead::reader`] load the current snapshot (an epoch pin
@@ -41,14 +41,12 @@
 //!   `Arc`, the same allocation, joins the segment list, and a fresh
 //!   head starts.
 //! * **sealed** — every listed segment. Its rows never change and are
-//!   never copied by routine inserts; full, dense, fully-live ones are
-//!   what checkpoints export verbatim as the columnar snapshot frame
-//!   (see [`SketchIndex::export_segments`]). The one thing that
-//!   rewrites a sealed segment is revocation: once a quarter of its
-//!   rows are tombstoned, the `remove` that got it there (or the seal
-//!   of a head that filled already that dead) copies its live rows
-//!   into a smaller segment, off the read path — readers keep scanning
-//!   the previous snapshot. [`EpochIndex::maintain`] applies the same
+//!   never copied by routine inserts. The one thing that rewrites a
+//!   sealed segment is revocation: once a quarter of its rows are
+//!   tombstoned, the `remove` that got it there (or the seal of a head
+//!   that filled already that dead) copies its live rows into a
+//!   smaller segment, off the read path — readers keep scanning the
+//!   previous snapshot. [`EpochIndex::maintain`] applies the same
 //!   rule to every segment on demand.
 //!
 //! Revoking a row — in the head or in a sealed segment alike — flips a
@@ -99,9 +97,6 @@ fn default_seal_rows(row_bytes: usize) -> usize {
 /// A segment is rewritten live-only once this fraction of its rows is
 /// tombstoned (the denominator of `rows / 4`).
 const MAINTAIN_TOMBSTONE_DIVISOR: usize = 4;
-
-/// Version tag leading every exported segment blob.
-const SEGMENT_BLOB_VERSION: u32 = 2;
 
 /// Global-id map for a segment's rows.
 #[derive(Debug, Clone)]
@@ -442,7 +437,7 @@ impl EpochIndex {
         }
     }
 
-    /// The sealed segments (diagnostics, benches, checkpoint export).
+    /// The sealed segments (diagnostics, benches).
     pub fn segments(&self) -> &[Arc<Segment>] {
         &self.segments
     }
@@ -715,14 +710,6 @@ impl SketchIndex for EpochIndex {
     fn generation(&self) -> u64 {
         self.generation
     }
-
-    fn export_segments(&self) -> Option<Vec<u8>> {
-        export_blob(self)
-    }
-
-    fn import_segments(&mut self, blob: &[u8]) -> Option<usize> {
-        import_blob(self, blob)
-    }
 }
 
 impl EpochRead for EpochIndex {
@@ -733,148 +720,6 @@ impl EpochRead for EpochIndex {
             cell: Arc::clone(&self.cell),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Sealed-segment blob: the checkpoint sidecar format.
-//
-// Layout (all little-endian):
-//   u32 version · u64 t · u64 ka · u32 dim · u32 segment-count
-//   per segment: u64 rows · u64 cell-byte-len · cells · u32 word-count
-//                · liveness words (tombstones already folded in)
-//
-// Only a fully-live dense prefix is exportable: `checkpoint()` compacts
-// first, so its segments are exactly that shape, and the snapshot rows
-// it writes are numbered `0..count` in the same order — which is what
-// lets recovery skip re-inserting the covered prefix.
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct BlobReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> BlobReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Some(head)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-}
-
-/// Encodes the sealed, fully-live, dense-from-zero prefix of the
-/// segment list; `None` when there is nothing exportable in that shape
-/// (callers then persist nothing and recovery replays the journal).
-fn export_blob(index: &EpochIndex) -> Option<Vec<u8>> {
-    let dim = index.dim?;
-    let mut prefix = Vec::new();
-    let mut expected_base = 0usize;
-    for seg in &index.segments {
-        let full = matches!(seg.ids, Ids::Dense(base) if base == expected_base)
-            && seg.live() == seg.rows();
-        if !full {
-            break;
-        }
-        expected_base += seg.rows();
-        prefix.push(seg);
-    }
-    if prefix.is_empty() {
-        return None;
-    }
-    let mut out = Vec::new();
-    put_u32(&mut out, SEGMENT_BLOB_VERSION);
-    put_u64(&mut out, index.t);
-    put_u64(&mut out, index.ka);
-    put_u32(&mut out, dim as u32);
-    put_u32(&mut out, prefix.len() as u32);
-    for seg in prefix {
-        let (cells, live_words) = seg.arena.export_parts();
-        put_u64(&mut out, seg.rows() as u64);
-        put_u64(&mut out, cells.len() as u64);
-        out.extend_from_slice(&cells);
-        put_u32(&mut out, live_words.len() as u32);
-        for w in live_words {
-            put_u64(&mut out, w);
-        }
-    }
-    Some(out)
-}
-
-/// Installs a blob produced by [`export_blob`] into an **empty** index
-/// with matching ring parameters; returns the number of records the
-/// imported segments cover (ids `0..n`), which recovery uses to skip
-/// that many snapshot re-inserts. `None` (leaving the index empty) on
-/// any mismatch — the caller then falls back to a full replay.
-fn import_blob(index: &mut EpochIndex, blob: &[u8]) -> Option<usize> {
-    if !index.is_empty() || index.slots() != 0 {
-        return None;
-    }
-    let mut r = BlobReader { buf: blob };
-    if r.u32()? != SEGMENT_BLOB_VERSION || r.u64()? != index.t || r.u64()? != index.ka {
-        return None;
-    }
-    let dim = r.u32()? as usize;
-    if !index.sketch_dim_ok(dim) || dim == 0 {
-        return None;
-    }
-    // Both counts come straight from the blob: neither may size an
-    // allocation beyond what the bytes left could hold (a segment costs
-    // at least its 20 header bytes, a liveness word 8).
-    let count = r.u32()? as usize;
-    if count > r.buf.len() / 20 {
-        return None;
-    }
-    let mut segments = Vec::with_capacity(count);
-    let mut base = 0usize;
-    for _ in 0..count {
-        let rows = usize::try_from(r.u64()?).ok()?;
-        let cell_len = usize::try_from(r.u64()?).ok()?;
-        let cells = r.take(cell_len)?;
-        let words = r.u32()? as usize;
-        let live: Vec<u64> = r
-            .take(words.checked_mul(8)?)?
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("a chunk of 8 bytes")))
-            .collect();
-        let arena =
-            SketchArena::from_parts(index.t, index.ka, index.filter, dim, rows, cells, &live)?;
-        // The export contract is a fully-live prefix; reject anything
-        // else rather than silently resurrecting or dropping rows.
-        if arena.len() != rows || rows == 0 {
-            return None;
-        }
-        let ids = Ids::Dense(base);
-        segments.push(Arc::new(Segment { arena, ids }));
-        base += rows;
-    }
-    if !r.buf.is_empty() || segments.is_empty() {
-        return None;
-    }
-    index.segments = segments;
-    index.dim = Some(dim);
-    index.start_head(base);
-    index.publish();
-    Some(base)
 }
 
 #[cfg(test)]
@@ -1124,167 +969,6 @@ mod tests {
         assert_eq!(reader.find_first(&[9, 9]), Some(id));
         assert_eq!(index.lookup(&[9, 9]), Some(id));
         assert!(index.heap_bytes() < 4096, "nothing is charged for the hint");
-    }
-
-    #[test]
-    fn export_import_round_trip() {
-        let mut index = sealing_at(10, 64, 8);
-        for i in 0..20i64 {
-            index.insert(&[i * 10, i * 10]);
-        }
-        // Compact first, as checkpoint() does: export wants the
-        // fully-live dense sealed prefix.
-        index.compact();
-        let blob = index.export_segments().expect("sealed prefix exists");
-        let mut restored = sealing_at(10, 64, 8);
-        let covered = restored.import_segments(&blob).expect("import");
-        assert!(covered > 0 && covered <= 20);
-        // Replay the uncovered tail exactly as recovery would.
-        let mut scratch = Vec::new();
-        for id in covered..20 {
-            assert!(index.copy_row_into(id, &mut scratch));
-            assert_eq!(restored.insert(&scratch), id);
-        }
-        assert_eq!(restored.len(), index.len());
-        for i in 0..20i64 {
-            assert_eq!(
-                restored.lookup(&[i * 10, i * 10]),
-                index.lookup(&[i * 10, i * 10])
-            );
-        }
-        // Readers see the imported rows.
-        assert_eq!(restored.reader().find_first(&[0, 0]), Some(0));
-    }
-
-    #[test]
-    fn import_rejects_mismatches() {
-        let mut index = sealing_at(10, 64, 8);
-        for i in 0..20i64 {
-            index.insert(&[i * 10, i * 10]);
-        }
-        index.compact();
-        let blob = index.export_segments().expect("sealed prefix exists");
-        // Wrong ring.
-        let mut other = EpochIndex::new(10, 128);
-        assert_eq!(other.import_segments(&blob), None);
-        // Non-empty target.
-        let mut busy = sealing_at(10, 64, 8);
-        busy.insert(&[1, 1]);
-        assert_eq!(busy.import_segments(&blob), None);
-        // Truncated blob.
-        let mut fresh = sealing_at(10, 64, 8);
-        assert_eq!(fresh.import_segments(&blob[..blob.len() - 1]), None);
-        assert!(fresh.is_empty(), "failed import must leave the index empty");
-        // Counts the bytes behind them cannot back: 2³² − 1 segments in
-        // a 28-byte blob, 2³² − 1 liveness words in a 48-byte one, and
-        // a row count whose `rows · dim` overflows. Each must be
-        // refused before anything is sized from it.
-        let header = &blob[..24]; // version ‖ t ‖ ka ‖ dim
-        let segment = |rows: u64, words: u32| {
-            let mut hostile = [header, &1u32.to_le_bytes()].concat();
-            hostile.extend_from_slice(&rows.to_le_bytes());
-            hostile.extend_from_slice(&0u64.to_le_bytes()); // no cell bytes
-            hostile.extend_from_slice(&words.to_le_bytes());
-            hostile
-        };
-        for hostile in [
-            [header, &u32::MAX.to_le_bytes()].concat(),
-            segment(1, u32::MAX),
-            segment(1 << 63, 0),
-        ] {
-            assert_eq!(fresh.import_segments(&hostile), None);
-            assert!(fresh.is_empty(), "failed import must leave the index empty");
-        }
-    }
-
-    /// A one-segment blob over `index`'s ring: `rows` rows of `dim`
-    /// coordinates claimed, `cells` as their cell run, every row live.
-    fn one_segment_blob(index: &EpochIndex, dim: u32, rows: u64, cells: &[u8]) -> Vec<u8> {
-        let mut blob = Vec::new();
-        put_u32(&mut blob, SEGMENT_BLOB_VERSION);
-        put_u64(&mut blob, index.t);
-        put_u64(&mut blob, index.ka);
-        put_u32(&mut blob, dim);
-        put_u32(&mut blob, 1);
-        put_u64(&mut blob, rows);
-        put_u64(&mut blob, cells.len() as u64);
-        blob.extend_from_slice(cells);
-        put_u32(&mut blob, rows.div_ceil(64) as u32);
-        for w in 0..rows.div_ceil(64) {
-            put_u64(&mut blob, !0 >> (64 * (w + 1)).saturating_sub(rows));
-        }
-        blob
-    }
-
-    /// `import_segments` is a public method: a blob's cells are outside
-    /// input, and a coordinate that is no residue of the ring must be
-    /// refused at the door — a sweep computes `ka − d` on whatever it
-    /// finds stored (the parent took such a blob and panicked, or in a
-    /// release build wrapped, on the next lookup). So must a cell run
-    /// that is not a whole number of rows.
-    #[test]
-    fn import_refuses_cells_outside_the_ring() {
-        // (ka, cells of one 2-coordinate row, why they are refused).
-        // 400: q = 2, 200 buckets; 401: a last bucket of one residue;
-        // 251: q = 1, a byte is the residue; 2²⁰: canonical i32 cells.
-        let i32s = |a: i32, b: i32| [a.to_le_bytes(), b.to_le_bytes()].concat();
-        let hostile: [(u64, Vec<u8>, &str); 7] = [
-            (400, vec![7, 200, 0], "bucket 200 of 200"),
-            (
-                401,
-                vec![7, 200, 0b10],
-                "residue 401 in the short last bucket",
-            ),
-            (401, vec![7, 201, 0], "bucket 201 of 201"),
-            (251, vec![7, 251], "residue 251"),
-            (700, vec![7, 8, 0b0011], "remainder 3 with q = 3"),
-            (1 << 20, i32s(7, (1 << 19) + 1), "cell above ka/2"),
-            (1 << 20, i32s(-(1 << 19), 7), "cell below −(ka−1)/2"),
-        ];
-        for (ka, cells, why) in hostile {
-            let mut index = sealing_at(100, ka, 8);
-            let blob = one_segment_blob(&index, 2, 1, &cells);
-            assert_eq!(index.import_segments(&blob), None, "ka = {ka}: {why}");
-            assert!(index.is_empty() && index.slots() == 0, "ka = {ka}: {why}");
-            assert_eq!(index.lookup(&[7, 7]), None);
-        }
-        // Their nearest valid neighbours import, and answer.
-        let valid: [(u64, Vec<u8>, [i64; 2]); 5] = [
-            (400, vec![7, 199, 0b10], [14, -1]),
-            (401, vec![7, 200, 0], [14, -1]),
-            (251, vec![7, 250], [7, -1]),
-            (700, vec![7, 8, 0b0010], [23, 24]),
-            (1 << 20, i32s(7, 1 << 19), [7, 1 << 19]),
-        ];
-        for (ka, cells, row) in valid {
-            let mut index = sealing_at(100, ka, 8);
-            let blob = one_segment_blob(&index, 2, 1, &cells);
-            assert_eq!(index.import_segments(&blob), Some(1), "ka = {ka}");
-            assert_eq!(index.lookup(&row), Some(0), "ka = {ka}");
-            let mut out = Vec::new();
-            assert!(index.copy_row_into(0, &mut out));
-            assert_eq!(out, row, "ka = {ka}");
-        }
-        // A cell run one byte short of, and one past, its three rows;
-        // and rows that claim no coordinates at all.
-        let mut index = sealing_at(100, 400, 8);
-        for (dim, rows, cells) in [(2, 3, vec![1; 8]), (2, 3, vec![1; 10]), (0, 3, vec![])] {
-            let blob = one_segment_blob(&index, dim, rows, &cells);
-            assert_eq!(index.import_segments(&blob), None);
-            assert!(index.is_empty() && index.slots() == 0);
-        }
-        let blob = one_segment_blob(&index, 2, 3, &[1; 9]);
-        assert_eq!(index.import_segments(&blob), Some(3));
-    }
-
-    #[test]
-    fn export_declines_without_sealed_prefix() {
-        let mut index = EpochIndex::new(10, 64); // seals at 65 536 rows
-        for i in 0..50i64 {
-            index.insert(&[i, i]);
-        }
-        assert_eq!(index.export_segments(), None);
-        assert_eq!(EpochIndex::new(10, 64).export_segments(), None);
     }
 
     #[test]

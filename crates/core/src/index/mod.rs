@@ -229,25 +229,6 @@ pub trait SketchIndex {
     fn generation(&self) -> u64 {
         0
     }
-
-    /// Serializes the index's sealed, fully-live, dense-from-zero
-    /// segment prefix as a checkpoint sidecar blob, or `None` when the
-    /// index holds no such prefix (or does not segment its storage).
-    /// See [`SketchIndex::import_segments`] for the recovery half.
-    fn export_segments(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Installs a blob from [`SketchIndex::export_segments`] into this
-    /// **empty** index, returning how many leading records (ids
-    /// `0..n`) it covers so recovery can skip re-inserting them; `None`
-    /// (leaving the index unchanged) when the blob does not fit this
-    /// index. The default refuses every blob — callers fall back to a
-    /// full replay.
-    fn import_segments(&mut self, blob: &[u8]) -> Option<usize> {
-        let _ = blob;
-        None
-    }
 }
 
 #[cfg(test)]

@@ -680,67 +680,8 @@ impl SketchArena {
         exist & !self.dead[w].load(Ordering::SeqCst)
     }
 
-    /// The column buffer as little-endian bytes in storage order plus
-    /// the liveness words — the payload of a sealed-segment frame
-    /// (round-tripped by [`SketchArena::from_parts`]).
-    pub(crate) fn export_parts(&self) -> (Vec<u8>, Vec<u64>) {
-        let rows = self.rows();
-        let live = (0..rows.div_ceil(64)).map(|w| self.live_word(w, rows));
-        (self.cells.to_le_bytes(), live.collect())
-    }
-
-    /// Rebuilds an arena from a sealed-segment frame: `rows` rows of
-    /// `dim` little-endian cells plus the liveness words. Returns
-    /// `None` on any size mismatch (a corrupt or truncated frame —
-    /// callers fall back to replaying the journal) and when any
-    /// coordinate is not a residue of the ring in this layout's
-    /// encoding: `import_segments` is a public method, so the bytes are
-    /// outside input, and a sweep's `ka − d` relies on every stored
-    /// value lying inside the ring. The prefilter plane is rebuilt
-    /// from the imported rows.
-    pub(crate) fn from_parts(
-        t: u64,
-        ka: u64,
-        filter: FilterConfig,
-        dim: usize,
-        rows: usize,
-        cell_bytes: &[u8],
-        live_words: &[u64],
-    ) -> Option<SketchArena> {
-        // `rows` and `dim` are a frame's claims. Every layout takes at
-        // least a byte a coordinate, so an overflowing product — or one
-        // of no coordinates, or of more than there are bytes — is a size
-        // mismatch, refused before a row size is worked out from `dim`.
-        let coordinates = rows.checked_mul(dim)?;
-        if coordinates == 0 || coordinates > cell_bytes.len() {
-            return None;
-        }
-        let expect_bytes = rows.checked_mul(CellWidth::row_bytes(ka, dim))?;
-        if cell_bytes.len() != expect_bytes || live_words.len() != rows.div_ceil(64) {
-            return None;
-        }
-        let mut arena = SketchArena::with_filter(t, ka, filter);
-        arena.cells = Cells::from_le_bytes(t, ka, dim, cell_bytes)?;
-        arena.capacity = rows;
-        arena.rows = AtomicUsize::new(rows);
-        arena.stamp(dim);
-        arena.dead = live_words.iter().map(|&w| AtomicU64::new(!w)).collect();
-        // Bits past the last row are not tombstones: a row pushed there
-        // later must be born live.
-        if let (Some(last), tail @ 1..) = (arena.dead.last_mut(), rows % 64) {
-            *last.get_mut() &= (1u64 << tail) - 1;
-        }
-        let dead = arena
-            .dead
-            .iter_mut()
-            .map(|w| w.get_mut().count_ones() as usize);
-        arena.dead_rows = AtomicUsize::new(dead.sum());
-        arena.rebuild_plane();
-        Some(arena)
-    }
-
     /// Rebuilds the plane's complete groups from the cells (exclusive
-    /// access: the rows were installed or slid wholesale).
+    /// access: the rows were slid wholesale).
     fn rebuild_plane(&mut self) {
         if let (Some(plane), Cells::Packed(packed, cells), Some(dim)) =
             (&mut self.plane, &self.cells, self.dim)

@@ -224,12 +224,6 @@ impl Packed {
         }
         true
     }
-
-    /// Is every coordinate of `row` what [`Packed::encode`] writes for
-    /// some residue — a remainder below `q`, a value below `ka`?
-    fn is_valid_row(self, row: &[u8], dim: usize) -> bool {
-        self.all_coords(row, dim, |_, b, r| r < self.q && b * self.q + r < self.ka)
-    }
 }
 
 impl Layout for Packed {
@@ -461,65 +455,6 @@ impl Cells {
             Cells::I64(_, col) => out.extend(col.published()[at].iter().map(|&c| c.widen())),
         }
     }
-
-    /// The column buffer as little-endian bytes, in storage order —
-    /// the sealed-segment frame payload.
-    pub(super) fn to_le_bytes(&self) -> Vec<u8> {
-        match self {
-            Cells::Packed(_, col) => col.published().to_vec(),
-            Cells::I32(_, col) => col
-                .published()
-                .iter()
-                .flat_map(|c| c.to_le_bytes())
-                .collect(),
-            Cells::I64(_, col) => col
-                .published()
-                .iter()
-                .flat_map(|c| c.to_le_bytes())
-                .collect(),
-        }
-    }
-
-    /// Rebuilds the column buffer of the ring `ka` from little-endian
-    /// bytes, whole rows of `dim ≥ 1` coordinates (the caller checked
-    /// the length against [`CellWidth::row_bytes`]). `None` when some
-    /// coordinate is not a residue of the ring as this layout writes
-    /// it — which a sweep's `ka − d` relies on.
-    pub(super) fn from_le_bytes(t: u64, ka: u64, dim: usize, bytes: &[u8]) -> Option<Cells> {
-        let mut cells = Cells::for_ring(t, ka);
-        match &mut cells {
-            Cells::Packed(packed, col) => {
-                let mut rows = bytes.chunks_exact(packed.stride(dim));
-                if !rows.all(|row| packed.is_valid_row(row, dim)) {
-                    return None;
-                }
-                col.grow(bytes.len());
-                col.extend_from_slice(bytes);
-            }
-            Cells::I32(_, col) => decode_cells(col, ka, bytes, i32::from_le_bytes)?,
-            Cells::I64(_, col) => decode_cells(col, ka, bytes, i64::from_le_bytes)?,
-        }
-        Some(cells)
-    }
-}
-
-/// Fills an empty column from `bytes`, `N` a cell; `None` when a cell
-/// is not a canonical representative of `Z_ka`.
-fn decode_cells<C: Cell, const N: usize>(
-    col: &mut Column<C>,
-    ka: u64,
-    bytes: &[u8],
-    decode: fn([u8; N]) -> C,
-) -> Option<()> {
-    let (lo, hi) = canonical_range(ka);
-    let chunks = bytes.chunks_exact(N);
-    let cells = chunks.map(|chunk| decode(chunk.try_into().expect("chunks_exact yields N bytes")));
-    if !cells.clone().all(|c| (lo..=hi).contains(&c.widen())) {
-        return None;
-    }
-    col.grow(bytes.len() / N);
-    col.extend(cells);
-    Some(())
 }
 
 /// The canonical ring representative of `v` in `Z_ka`: the minimal

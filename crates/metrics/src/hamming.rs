@@ -1,5 +1,5 @@
-//! Hamming distance over bit vectors and byte strings — the metric of the
-//! code-offset sketch and fuzzy commitment baselines.
+//! Hamming distance over bit vectors — the metric of the code-offset
+//! sketch and fuzzy commitment baselines.
 
 use crate::{BitVec, Metric};
 
@@ -25,22 +25,6 @@ impl Metric<BitVec> for Hamming {
     }
 }
 
-/// Hamming distance on byte slices (per-byte inequality count — the
-/// "symbol Hamming distance" used by Reed–Solomon style codes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ByteHamming;
-
-impl Metric<[u8]> for ByteHamming {
-    type Distance = u64;
-
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    fn distance(&self, a: &[u8], b: &[u8]) -> u64 {
-        assert_eq!(a.len(), b.len(), "length mismatch");
-        a.iter().zip(b.iter()).filter(|(x, y)| x != y).count() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,12 +35,6 @@ mod tests {
         let b = BitVec::from_fn(128, |i| i % 4 == 0);
         assert_eq!(Hamming.distance(&a, &b), 32);
         assert_eq!(Hamming.distance(&a, &a), 0);
-    }
-
-    #[test]
-    fn byte_hamming() {
-        assert_eq!(ByteHamming.distance(b"karolin", b"kathrin"), 3);
-        assert_eq!(ByteHamming.distance(b"", b""), 0);
     }
 
     #[test]

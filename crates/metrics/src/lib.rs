@@ -3,10 +3,10 @@
 //! Secure sketches are defined relative to a metric space `(M, dis)`. The
 //! paper's contribution uses the **Chebyshev distance** (maximum norm, the
 //! `p → ∞` limit of the Lp norms); the classical constructions it compares
-//! against use **Hamming distance** (code-offset / fuzzy commitment) and
-//! **set difference** (fuzzy vault). This crate provides all of them behind
-//! one [`Metric`] trait, plus the [`BitVec`] bit-vector type shared by the
-//! Hamming-metric code paths.
+//! against use **Hamming distance** (code-offset / fuzzy commitment). This
+//! crate provides both behind one [`Metric`] trait — [`Chebyshev`], its
+//! cyclic form [`RingChebyshev`], and [`Hamming`] — plus the [`BitVec`]
+//! bit-vector type shared by the Hamming-metric code paths.
 //!
 //! The crate also hosts the workspace's *service* metrics: the
 //! lock-free [`telemetry::Histogram`] the request scheduler exports its
@@ -26,18 +26,12 @@
 
 pub mod bitvec;
 mod chebyshev;
-mod edit;
 mod hamming;
-mod lp;
-mod set;
 pub mod telemetry;
 
 pub use bitvec::BitVec;
 pub use chebyshev::{Chebyshev, RingChebyshev};
-pub use edit::Levenshtein;
-pub use hamming::{ByteHamming, Hamming};
-pub use lp::{LpNorm, L1, L2, LINF};
-pub use set::SetDifference;
+pub use hamming::Hamming;
 
 use std::fmt::Debug;
 

@@ -298,9 +298,8 @@ impl<I: BuildIndex + EpochRead> SharedServer<I> {
     /// Opens (or creates) a **durable** shared server at `dir`: one
     /// `shard-NNN/` store per server shard, each an append-only journal
     /// plus compacted snapshots (see [`crate::store::FileStore`]).
-    /// Every shard replays its own snapshot + journal tail (using the
-    /// sealed-segment cache when one rides along), rebuilding its
-    /// index; enroll/revoke are journaled from then on — with
+    /// Every shard replays its own snapshot + journal tail, rebuilding
+    /// its index; enroll/revoke are journaled from then on — with
     /// the journal held outside the state lock, so appends and fsyncs
     /// never stall a reader.
     ///
@@ -708,8 +707,8 @@ impl<I: EpochRead> SharedServer<I> {
     }
 
     /// Checkpoints every shard: compacts tombstones in memory and (for
-    /// durable servers) writes a fresh snapshot — with the sealed-
-    /// segment cache riding along — and truncates each shard's journal.
+    /// durable servers) writes a fresh snapshot and truncates each
+    /// shard's journal.
     /// Shards are checkpointed one at a time, each under its journal
     /// mutex + write lock, so the server keeps serving on the other
     /// `N − 1` shards (and lock-free reads on *this* shard keep

@@ -244,49 +244,19 @@ impl<I: BuildIndex> AuthenticationServer<I> {
         mut store: Box<dyn EnrollmentStore>,
     ) -> Result<Self, ProtocolError> {
         let events = store.load()?;
-        let cached = match store.load_index_cache() {
-            Some(blob) => Self::replay(params.clone(), &events, Some(&blob))?,
-            None => None,
-        };
-        let mut server = match cached {
-            Some(server) => server,
-            None => Self::replay(params, &events, None)?
-                .expect("a replay without a cache has nothing to contradict"),
-        };
+        let mut server = Self::replay(params, &events)?;
         server.store = Some(store);
         Ok(server)
     }
 
-    /// A server rebuilt from `events`; `Ok(None)` when `cache`
-    /// contradicts them.
-    ///
-    /// Segment fast path: a checkpoint may have saved the index's sealed
-    /// columnar segments alongside the snapshot. Importing them installs
-    /// the first `preindexed` snapshot rows wholesale (the snapshot
-    /// streams records in index-id order, so segment row `i` *is*
-    /// snapshot row `i`), and replay skips the per-row index insert for
-    /// exactly that prefix. The cache is an accelerator, not a source:
-    /// an [`EnrollmentStore`] is a public trait, and one whose cache
-    /// holds another population's rows would otherwise recover and then
-    /// answer lookups against them. So each installed row must be the
-    /// canonical row of the sketch the log enrolled in its slot, and the
-    /// prefix must replay one enrollment per row; anything else discards
-    /// the attempt, and the caller replays the log in full.
-    fn replay(
-        params: SystemParams,
-        events: &[LogEvent],
-        cache: Option<&[u8]>,
-    ) -> Result<Option<Self>, ProtocolError> {
+    /// A server rebuilt from `events`, every enrollment through the one
+    /// enroll path a live server takes.
+    fn replay(params: SystemParams, events: &[LogEvent]) -> Result<Self, ProtocolError> {
         let mut server = Self::from_params(params);
         let enrolls = events
             .iter()
             .filter(|e| matches!(e, LogEvent::Enroll(_)))
             .count();
-        let preindexed = match cache.and_then(|blob| server.index.import_segments(blob)) {
-            None => 0,
-            Some(covered) if covered <= enrolls => covered,
-            Some(_) => return Ok(None),
-        };
         // Bulk-load hint: recovery knows the population size and sketch
         // dimension up front, so the index and the record table are
         // sized once instead of growing row by row.
@@ -295,32 +265,13 @@ impl<I: BuildIndex> AuthenticationServer<I> {
         {
             server
                 .index
-                .reserve(enrolls - preindexed, first.helper.sketch.inner.len());
+                .reserve(enrolls, first.helper.sketch.inner.len());
             server.records.reserve(enrolls);
         }
-        let mut installed = Vec::new();
-        let mut replayed = 0usize;
         for event in events {
             match event {
                 LogEvent::Enroll(record) => match server.validate_enroll(record) {
-                    Ok(vacancy) if replayed < preindexed => {
-                        server.canonical_row(record);
-                        let live = server.index.copy_row_into(replayed, &mut installed);
-                        if !live || installed != server.row {
-                            return Ok(None);
-                        }
-                        server.records.push(vacancy, record, &server.row);
-                        replayed += 1;
-                    }
-                    Ok(vacancy) => {
-                        server.apply_enroll(record, vacancy);
-                        replayed += 1;
-                    }
-                    // A skipped enrollment would shift every later
-                    // record off the cached row it was checked against.
-                    Err(ProtocolError::DuplicateUser(_)) if replayed < preindexed => {
-                        return Ok(None)
-                    }
+                    Ok(vacancy) => server.apply_enroll(record, vacancy),
                     // Already present: the snapshot and the journal
                     // tail overlap after a crash between the two.
                     Err(ProtocolError::DuplicateUser(_)) => {}
@@ -335,7 +286,7 @@ impl<I: BuildIndex> AuthenticationServer<I> {
             }
         }
         server.index.flush();
-        Ok(Some(server))
+        Ok(server)
     }
 }
 
@@ -865,34 +816,6 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Serializes every live record with the wire codec, for durable
-    /// storage. Only public data leaves the server — exactly what an
-    /// insider adversary could read anyway (Sec. VI-B threat model).
-    pub fn export_records(&self) -> Vec<Vec<u8>> {
-        self.map_live(|row| crate::wire::encode_enroll(&row))
-    }
-
-    /// Restores records exported by [`AuthenticationServer::export_records`]
-    /// into this server, returning how many were imported.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Malformed`] on undecodable blobs (import stops at
-    /// the first bad blob); [`ProtocolError::DuplicateUser`] if an id is
-    /// already enrolled.
-    pub fn import_records(&mut self, blobs: &[Vec<u8>]) -> Result<usize, ProtocolError> {
-        let mut imported = 0;
-        for blob in blobs {
-            match crate::wire::decode(blob)? {
-                crate::wire::Message::Enroll(record) => {
-                    self.enroll(record)?;
-                    imported += 1;
-                }
-                _ => return Err(ProtocolError::Malformed("expected enrollment record")),
-            }
-        }
-        Ok(imported)
-    }
-
     /// Attaches a durable store to an **empty** server: subsequent
     /// enroll/revoke calls are journaled through it. The store must be
     /// empty too — to resume from a store that already holds events,
@@ -1054,12 +977,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// [`AuthenticationServer::checkpoint`] against the store handed in
     /// — this server's own, or a shard's journal that
     /// [`crate::concurrent::SharedServer`] holds outside the state lock.
-    /// The snapshot is the streamed [`SnapshotRow`] rewrite, then — when
-    /// the index can export one — the sealed-segment sidecar bound to
-    /// it. Both run *after* [`AuthenticationServer::compact`], which is
-    /// what makes snapshot row `i` and index row `i` the same record
-    /// (the coherence the segment fast path in
-    /// [`AuthenticationServer::recover_with_store`] relies on).
+    /// The snapshot is the streamed [`SnapshotRow`] rewrite, run *after*
+    /// [`AuthenticationServer::compact`].
     ///
     /// # Errors
     /// As [`AuthenticationServer::checkpoint`].
@@ -1070,9 +989,6 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         let reclaimed = self.compact();
         if let Some(store) = store {
             store.compact(self.records.len(), &mut self.live_rows())?;
-            if let Some(blob) = self.index.export_segments() {
-                store.save_index_cache(&blob)?;
-            }
         }
         Ok(reclaimed)
     }
@@ -1548,53 +1464,6 @@ mod tests {
             server.finish_identification(&resp).unwrap().identity(),
             Some("user-0")
         );
-    }
-
-    #[test]
-    fn export_import_roundtrip_preserves_identification() {
-        let (device, mut server, bios, mut rng) = setup(4);
-        server.revoke("user-2").unwrap(); // tombstones are not exported
-        let blobs = server.export_records();
-        assert_eq!(blobs.len(), 3);
-
-        // Cold restart: a fresh server imports the records — into the
-        // one-arena reference index this time, proving exports are
-        // portable across index engines.
-        let mut restored = AuthenticationServer::<ScanIndex>::from_params(server.params().clone());
-        assert_eq!(restored.import_records(&blobs).unwrap(), 3);
-        assert_eq!(restored.user_count(), 3);
-
-        // Identification still works against the restored state.
-        let reading = noisy(&bios[0], &mut rng);
-        let probe = device.probe_sketch(&reading, &mut rng).unwrap();
-        let chal = restored.begin_identification(&probe, &mut rng).unwrap();
-        let resp = device.respond(&reading, &chal, &mut rng).unwrap();
-        assert_eq!(
-            restored.finish_identification(&resp).unwrap().identity(),
-            Some("user-0")
-        );
-        // The revoked user stays revoked.
-        let reading2 = noisy(&bios[2], &mut rng);
-        let probe2 = device.probe_sketch(&reading2, &mut rng).unwrap();
-        assert!(restored.begin_identification(&probe2, &mut rng).is_err());
-    }
-
-    #[test]
-    fn import_rejects_garbage_and_duplicates() {
-        let (_device, mut server, _bios, _rng) = setup(2);
-        let blobs = server.export_records();
-        let mut fresh = AuthenticationServer::new(server.params().clone());
-        fresh.import_records(&blobs).unwrap();
-        // Importing the same records again duplicates ids.
-        assert!(matches!(
-            fresh.import_records(&blobs),
-            Err(ProtocolError::DuplicateUser(_))
-        ));
-        // Garbage bytes are rejected cleanly.
-        assert!(matches!(
-            server.import_records(&[vec![1, 2, 3]]),
-            Err(ProtocolError::Malformed(_))
-        ));
     }
 
     #[test]

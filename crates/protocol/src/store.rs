@@ -310,33 +310,6 @@ pub trait EnrollmentStore: std::fmt::Debug + Send + Sync {
     /// the replay work a recovery would have to do beyond snapshot load,
     /// and the usual trigger for scheduling [`EnrollmentStore::compact`].
     fn journal_len(&self) -> usize;
-
-    /// Saves an opaque index-cache sidecar bound to the *current*
-    /// snapshot — the epoch index's sealed columnar segments, exported
-    /// verbatim so recovery can map them back in instead of re-inserting
-    /// every snapshot row (see `fe_core::index::epoch`).
-    ///
-    /// The cache is purely an accelerator: implementations that ignore
-    /// it (the default) lose nothing but recovery speed. Callers must
-    /// invoke this *after* a successful [`EnrollmentStore::compact`] so
-    /// the sidecar describes the snapshot it rides along with.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Storage`] when the sidecar could not be
-    /// persisted; the snapshot and journal remain valid without it.
-    fn save_index_cache(&mut self, blob: &[u8]) -> Result<(), ProtocolError> {
-        let _ = blob;
-        Ok(())
-    }
-
-    /// Loads the index-cache sidecar, if one exists *and* it provably
-    /// belongs to the current snapshot. Implementations must return
-    /// `None` (never an error) on any doubt — a missing, stale, foreign
-    /// or corrupt cache simply means recovery replays the snapshot the
-    /// slow way.
-    fn load_index_cache(&mut self) -> Option<Vec<u8>> {
-        None
-    }
 }
 
 /// In-memory [`EnrollmentStore`]: replay/compaction semantics without
@@ -345,7 +318,6 @@ pub trait EnrollmentStore: std::fmt::Debug + Send + Sync {
 pub struct MemoryStore {
     snapshot: Vec<EnrollmentRecord>,
     journal: Vec<LogEvent>,
-    index_cache: Option<Vec<u8>>,
 }
 
 impl MemoryStore {
@@ -379,22 +351,11 @@ impl EnrollmentStore for MemoryStore {
         }
         self.snapshot = snapshot;
         self.journal.clear();
-        // Any previously saved cache described the *old* snapshot.
-        self.index_cache = None;
         Ok(())
     }
 
     fn journal_len(&self) -> usize {
         self.journal.len()
-    }
-
-    fn save_index_cache(&mut self, blob: &[u8]) -> Result<(), ProtocolError> {
-        self.index_cache = Some(blob.to_vec());
-        Ok(())
-    }
-
-    fn load_index_cache(&mut self) -> Option<Vec<u8>> {
-        self.index_cache.clone()
     }
 }
 
@@ -882,10 +843,6 @@ impl FileStore {
         self.dir.join("snapshot.fes")
     }
 
-    fn segments_path(&self) -> PathBuf {
-        self.dir.join("segments.fsg")
-    }
-
     fn load_snapshot(&self) -> Result<Vec<LogEvent>, ProtocolError> {
         let bytes = match fs::read(self.snapshot_path()) {
             Ok(bytes) => bytes,
@@ -991,12 +948,6 @@ impl EnrollmentStore for FileStore {
         File::open(&self.dir)
             .and_then(|d| d.sync_all())
             .map_err(|e| io_err("sync store dir", e))?;
-        // Any index-cache sidecar on disk described the snapshot just
-        // replaced. Its CRC binding would reject it on load anyway
-        // (belt), but remove it eagerly (braces) — best-effort, because
-        // failing a durable compaction over a cosmetic delete would be
-        // backwards.
-        let _ = fs::remove_file(self.segments_path());
         // 3. Only now reset the journal to its bare header, and push
         // the truncation to stable storage too. (A crash between 2 and
         // 3 replays journal events already covered by the snapshot;
@@ -1028,42 +979,6 @@ impl EnrollmentStore for FileStore {
 
     fn journal_len(&self) -> usize {
         self.journal_events
-    }
-
-    fn save_index_cache(&mut self, blob: &[u8]) -> Result<(), ProtocolError> {
-        // Bind the sidecar to the exact snapshot bytes it accelerates:
-        // a CRC of the committed snapshot file travels inside the
-        // sidecar header, so `load_index_cache` can prove the pairing
-        // even after a crash that lands between a future compaction's
-        // snapshot rename and its cache delete.
-        let snapshot = fs::read(self.snapshot_path())
-            .map_err(|e| io_err("read snapshot for cache binding", e))?;
-        let mut w = Writer::new();
-        w.put_header(ArtifactKind::Segment, &self.fingerprint);
-        w.put_u32(codec::crc32(&snapshot));
-        w.put_framed(blob);
-        let tmp = self.dir.join("segments.fsg.tmp");
-        fs::write(&tmp, w.as_slice()).map_err(|e| io_err("write segment cache tmp", e))?;
-        fs::rename(&tmp, self.segments_path()).map_err(|e| io_err("commit segment cache", e))?;
-        Ok(())
-    }
-
-    fn load_index_cache(&mut self) -> Option<Vec<u8>> {
-        // Strictly best-effort: *any* irregularity — missing file,
-        // foreign fingerprint, snapshot mismatch, torn frame — returns
-        // `None` and recovery falls back to plain snapshot replay.
-        let bytes = fs::read(self.segments_path()).ok()?;
-        let snapshot = fs::read(self.snapshot_path()).ok()?;
-        let mut r = Reader::new(&bytes);
-        r.read_header(ArtifactKind::Segment, &self.fingerprint)
-            .ok()?;
-        let bound_crc = r.get_u32().ok()?;
-        if bound_crc != codec::crc32(&snapshot) {
-            return None;
-        }
-        let blob = r.get_framed().ok()?;
-        r.expect_end().ok()?;
-        Some(blob.to_vec())
     }
 }
 

@@ -171,13 +171,6 @@ fn put_enrollment(w: &mut Writer, tag: u8, row: &SnapshotRow<'_>) {
     store::put_row(w, row);
 }
 
-/// [`encode`] of a [`Message::Enroll`], from a borrowed row.
-pub(crate) fn encode_enroll(row: &SnapshotRow<'_>) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_enrollment(&mut w, TAG_ENROLL, row);
-    w.into_bytes()
-}
-
 /// Writes a message's wire representation where the caller's buffer
 /// will hold it — inside a frame, say — instead of into a `Vec` of its
 /// own.
