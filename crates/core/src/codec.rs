@@ -20,6 +20,12 @@
 //!   append-only journal layered on top frames each entry with a CRC32 so
 //!   a torn tail write is distinguishable from corruption
 //!   ([`crc32`], [`Writer::put_framed`], [`Reader::get_framed`]).
+//! * **The paper's bits** — format [`Version::V2`] spells each length in
+//!   one byte ([`put_len`]) and a sketch as one-width [`zigzag`] codes
+//!   ([`Writer::put_sketch`]): 9 bits a coordinate at the paper ring,
+//!   where [`Version::V1`] spent 64. Writers write version 2; readers
+//!   read both, dispatching on the version [`Reader::read_header`]
+//!   returns.
 //!
 //! The module exposes two layers: raw [`Writer`]/[`Reader`] primitives
 //! (big-endian, length-prefixed) used by `fe-protocol`'s enrollment log,
@@ -33,6 +39,8 @@
 //! let sketch = vec![-200i64, 137, 0, 55];
 //! let bytes = encode_sketch(&sketch, &fp);
 //! assert_eq!(decode_sketch(&bytes, &fp).unwrap(), sketch);
+//! // 15-byte header, dimension, width, then 4 × 9 bits in 5 bytes.
+//! assert_eq!(bytes.len(), 15 + 1 + 1 + 5);
 //!
 //! // The same bytes refuse to decode under different parameters.
 //! let other = Fingerprint::of(b"params: a=50 k=8 v=250 t=20");
@@ -48,9 +56,35 @@ use std::fmt;
 /// Magic prefix shared by every durable artifact of this workspace.
 pub const MAGIC: [u8; 4] = *b"FECD";
 
-/// Current on-disk format version. Bump on any incompatible layout
-/// change; decoders reject versions they do not know.
-pub const FORMAT_VERSION: u16 = 1;
+/// The on-disk format version every writer writes. Bump on any
+/// incompatible layout change; decoders reject versions they do not
+/// know.
+pub const FORMAT_VERSION: Version = Version::V2;
+
+/// The durable layouts this build reads, named by the `u16` in an
+/// artifact header. Only the record row differs between them: the
+/// header, the frames and the snapshot's count are the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u16)]
+pub enum Version {
+    /// Every length a big-endian `u32`, a sketch `u32 count ‖ count ×
+    /// i64`. Still read from stores written before version 2, and still
+    /// the wire's record row (`PROTOCOL.md` §4).
+    V1 = 1,
+    /// Lengths by the one-byte rule ([`put_len`]), a sketch as one-width
+    /// zigzag codes ([`Writer::put_sketch`]).
+    V2 = 2,
+}
+
+impl Version {
+    fn from_u16(v: u16) -> Option<Version> {
+        match v {
+            1 => Some(Version::V1),
+            2 => Some(Version::V2),
+            _ => None,
+        }
+    }
+}
 
 /// Artifact kind tags carried in the header, so a snapshot can never be
 /// replayed as a journal (and vice versa).
@@ -264,6 +298,69 @@ fn crc32_reference(data: &[u8]) -> u32 {
     !crc
 }
 
+/// A length this large or larger is this byte, then the length as a
+/// little-endian `u32` ([`put_len`]).
+const LEN_ESCAPE: u8 = 0xff;
+
+/// Bytes [`put_len`] writes for `len`.
+#[inline]
+pub fn len_bytes(len: usize) -> usize {
+    1 + 4 * usize::from(len >= usize::from(LEN_ESCAPE))
+}
+
+/// The one-byte length rule: a length below 255 is its byte, any other
+/// is `0xff` then the length as a little-endian `u32`. The record
+/// table spells every length of a block with it, and a version-2
+/// artifact every length of a record row.
+///
+/// # Panics
+/// When `len` does not fit a `u32`.
+#[inline]
+pub fn put_len(out: &mut Vec<u8>, len: usize) {
+    if len < usize::from(LEN_ESCAPE) {
+        out.push(len as u8);
+    } else {
+        let len = u32::try_from(len).expect("a length fits a u32");
+        out.push(LEN_ESCAPE);
+        out.extend_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// The length [`put_len`] wrote at the front of `bytes`, and the bytes
+/// it takes there.
+///
+/// # Errors
+/// [`CodecError::Truncated`] when `bytes` ends inside it;
+/// [`CodecError::Malformed`] for an escape spelling a length below 255.
+#[inline]
+pub fn peek_len(bytes: &[u8]) -> Result<(u32, usize), CodecError> {
+    match *bytes {
+        [] => Err(CodecError::Truncated),
+        [LEN_ESCAPE, ref rest @ ..] => {
+            let word = rest.get(..4).ok_or(CodecError::Truncated)?;
+            let len = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+            if len < u32::from(LEN_ESCAPE) {
+                return Err(CodecError::Malformed("escaped length below 255"));
+            }
+            Ok((len, 5))
+        }
+        [byte, ..] => Ok((u32::from(byte), 1)),
+    }
+}
+
+/// `v` as an unsigned code whose bit length grows with `|v|`:
+/// `0, −1, 1, −2, …` map to `0, 1, 2, 3, …`.
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
 /// Bytes of frame header ahead of a payload: `len (u32) ‖ crc32 (u32)`.
 const FRAME_HEADER_LEN: usize = 8;
 
@@ -291,10 +388,11 @@ impl Writer {
         self.buf.clear();
     }
 
-    /// Writes the artifact header: magic, version, kind, fingerprint.
+    /// Writes the artifact header: magic, [`FORMAT_VERSION`], kind,
+    /// fingerprint.
     pub fn put_header(&mut self, kind: ArtifactKind, fingerprint: &Fingerprint) {
         self.buf.extend_from_slice(&MAGIC);
-        self.put_u16(FORMAT_VERSION);
+        self.put_u16(FORMAT_VERSION as u16);
         self.put_u8(kind as u8);
         self.buf.extend_from_slice(fingerprint.as_bytes());
     }
@@ -348,6 +446,53 @@ impl Writer {
         for &x in v {
             self.put_i64(x);
         }
+    }
+
+    /// Appends a byte string under `version`'s length rule: a `u32`
+    /// prefix in version 1 ([`Writer::put_bytes`]), [`put_len`]'s in
+    /// version 2.
+    pub fn put_field(&mut self, data: &[u8], version: Version) {
+        match version {
+            Version::V1 => self.put_bytes(data),
+            Version::V2 => {
+                put_len(&mut self.buf, data.len());
+                self.buf.extend_from_slice(data);
+            }
+        }
+    }
+
+    /// Appends a sketch in `version`'s layout: [`Writer::put_i64s`] in
+    /// version 1; in version 2 `len(dim) ‖ width ‖ ⌈dim·width/8⌉ bytes`,
+    /// each coordinate [`zigzag`]ged into `width` bits, least
+    /// significant bit first, where `width` is the bit length of the OR
+    /// of the codes (at least 1). Lossless for every `i64`, and no ring
+    /// parameter is needed to read it back: the paper ring's sketches
+    /// (`|s| ≤ ka/2 = 200`) take 9 bits a coordinate.
+    pub fn put_sketch(&mut self, sketch: &[i64], version: Version) {
+        if version == Version::V1 {
+            return self.put_i64s(sketch);
+        }
+        let or = sketch.iter().fold(0, |or, &v| or | zigzag(v));
+        let width = (u64::BITS - or.leading_zeros()).max(1);
+        put_len(&mut self.buf, sketch.len());
+        self.put_u8(width as u8);
+        self.buf
+            .reserve((sketch.len() * width as usize).div_ceil(8));
+        // Whole words out as they fill; a code that straddles a word
+        // leaves its high `bits` bits to start the next.
+        let (mut acc, mut bits) = (0u64, 0);
+        for &v in sketch {
+            let z = zigzag(v);
+            acc |= z << bits;
+            bits += width;
+            if bits >= u64::BITS {
+                self.buf.extend_from_slice(&acc.to_le_bytes());
+                bits -= u64::BITS;
+                acc = z.checked_shr(width - bits).unwrap_or(0);
+            }
+        }
+        let tail = bits.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&acc.to_le_bytes()[..tail]);
     }
 
     /// Appends a CRC-framed payload: `len (u32) ‖ crc32 (u32) ‖ payload`.
@@ -451,7 +596,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads and validates an artifact header written by
-    /// [`Writer::put_header`].
+    /// [`Writer::put_header`] (by this build or one that wrote an older
+    /// [`Version`]), and returns the version, which names the layout of
+    /// the record rows behind it.
     ///
     /// # Errors
     /// [`CodecError::BadMagic`] / [`CodecError::UnsupportedVersion`] /
@@ -461,15 +608,13 @@ impl<'a> Reader<'a> {
         &mut self,
         kind: ArtifactKind,
         fingerprint: &Fingerprint,
-    ) -> Result<(), CodecError> {
+    ) -> Result<Version, CodecError> {
         let magic = self.get_raw(4)?;
         if magic != MAGIC {
             return Err(CodecError::BadMagic);
         }
-        let version = self.get_u16()?;
-        if version != FORMAT_VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
+        let raw = self.get_u16()?;
+        let version = Version::from_u16(raw).ok_or(CodecError::UnsupportedVersion(raw))?;
         let tag = self.get_u8()?;
         if ArtifactKind::from_u8(tag) != Some(kind) {
             return Err(CodecError::WrongKind {
@@ -486,7 +631,7 @@ impl<'a> Reader<'a> {
                 found,
             });
         }
-        Ok(())
+        Ok(version)
     }
 
     /// Reads one byte.
@@ -525,6 +670,81 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.get_bytes()?).map_err(|_| CodecError::Malformed("not utf-8"))
     }
 
+    /// Reads a length written by the one-byte rule ([`peek_len`]).
+    fn get_len(&mut self) -> Result<usize, CodecError> {
+        let (len, n) = peek_len(&self.data[self.pos..])?;
+        self.pos += n;
+        Ok(len as usize)
+    }
+
+    /// Reads a byte string written by [`Writer::put_field`] under
+    /// `version`, borrowed from the input.
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] on short input; as [`peek_len`] in
+    /// version 2.
+    pub fn get_field(&mut self, version: Version) -> Result<&'a [u8], CodecError> {
+        let len = match version {
+            Version::V1 => self.get_u32()? as usize,
+            Version::V2 => self.get_len()?,
+        };
+        self.get_raw(len)
+    }
+
+    /// Reads a sketch written by [`Writer::put_sketch`] under `version`.
+    ///
+    /// Version 2 is read canonically, so re-encoding an accepted sketch
+    /// gives back its bytes: a width outside `1..=64`, a width the codes
+    /// do not need, and a set padding bit are all refused. The width is
+    /// at least one bit a coordinate, so a dimension the input cannot
+    /// back is [`CodecError::Truncated`] before anything is allocated.
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] on short input;
+    /// [`CodecError::Malformed`] for a non-canonical encoding.
+    pub fn get_sketch(&mut self, version: Version) -> Result<Vec<i64>, CodecError> {
+        if version == Version::V1 {
+            return self.get_i64s();
+        }
+        let dim = self.get_len()?;
+        let width = u32::from(self.get_u8()?);
+        if !(1..=u64::BITS).contains(&width) {
+            return Err(CodecError::Malformed("sketch width outside 1..=64"));
+        }
+        let bits = dim as u64 * u64::from(width);
+        let src =
+            self.get_raw(usize::try_from(bits.div_ceil(8)).map_err(|_| CodecError::Truncated)?)?;
+        let pad = (bits % 8) as u32;
+        if pad != 0 && src.last().is_some_and(|&last| last >> pad != 0) {
+            return Err(CodecError::Malformed("sketch padding bits set"));
+        }
+        // Code `i` read from the eight bytes its first bit lies in, each
+        // code on its own (no carry from one to the next); a code that
+        // runs past them (`width` > 57) takes its top bits from the
+        // ninth. Fewer than eight bytes are left only at the end, where
+        // the code lies within them.
+        let (w, mask) = (width as usize, u64::MAX >> (u64::BITS - width));
+        let mut or = 0;
+        let sketch = (0..dim)
+            .map(|i| {
+                let (at, shift) = (i * w / 8, (i * w % 8) as u32);
+                let mut z = match src.get(at..at + 8) {
+                    Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+                    None => (src[at..].iter().rev()).fold(0, |z, &b| z << 8 | u64::from(b)),
+                } >> shift;
+                if shift + width > u64::BITS {
+                    z |= u64::from(src[at + 8]) << (u64::BITS - shift);
+                }
+                or |= z & mask;
+                unzigzag(z & mask)
+            })
+            .collect();
+        if width > 1 && or >> (width - 1) == 0 {
+            return Err(CodecError::Malformed("sketch wider than its codes"));
+        }
+        Ok(sketch)
+    }
+
     /// Reads a length-prefixed `i64` vector.
     pub fn get_i64s(&mut self) -> Result<Vec<i64>, CodecError> {
         let len = self.get_u32()? as usize;
@@ -559,19 +779,19 @@ impl<'a> Reader<'a> {
 pub fn encode_sketch(sketch: &[i64], fingerprint: &Fingerprint) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_header(ArtifactKind::Sketch, fingerprint);
-    w.put_i64s(sketch);
+    w.put_sketch(sketch, FORMAT_VERSION);
     w.into_bytes()
 }
 
-/// Decodes a sketch encoded by [`encode_sketch`], validating magic,
-/// version and parameter fingerprint.
+/// Decodes a sketch encoded by [`encode_sketch`] (in either
+/// [`Version`]), validating magic, version and parameter fingerprint.
 ///
 /// # Errors
 /// Any [`CodecError`] raised by header validation or truncation.
 pub fn decode_sketch(bytes: &[u8], fingerprint: &Fingerprint) -> Result<Vec<i64>, CodecError> {
     let mut r = Reader::new(bytes);
-    r.read_header(ArtifactKind::Sketch, fingerprint)?;
-    let sketch = r.get_i64s()?;
+    let version = r.read_header(ArtifactKind::Sketch, fingerprint)?;
+    let sketch = r.get_sketch(version)?;
     r.expect_end()?;
     Ok(sketch)
 }
@@ -580,22 +800,24 @@ pub fn decode_sketch(bytes: &[u8], fingerprint: &Fingerprint) -> Result<Vec<i64>
 /// Chebyshev sketch (movement vector + binding tag) plus extractor seed.
 pub type CanonicalHelper = HelperData<RobustData<Vec<i64>>>;
 
-/// Writes helper data fields (no header — callers embed this in larger
-/// records; see [`encode_helper`] for the standalone artifact).
-pub fn put_helper(w: &mut Writer, helper: &CanonicalHelper) {
-    w.put_i64s(&helper.sketch.inner);
-    w.put_bytes(&helper.sketch.tag);
-    w.put_bytes(&helper.seed);
+/// Writes helper data fields in `version`'s layout (no header — callers
+/// embed this in larger records; see [`encode_helper`] for the
+/// standalone artifact).
+pub fn put_helper(w: &mut Writer, helper: &CanonicalHelper, version: Version) {
+    w.put_sketch(&helper.sketch.inner, version);
+    w.put_field(&helper.sketch.tag, version);
+    w.put_field(&helper.seed, version);
 }
 
-/// Reads helper-data fields written by [`put_helper`].
+/// Reads helper-data fields written by [`put_helper`] in `version`.
 ///
 /// # Errors
-/// [`CodecError::Truncated`] on short input.
-pub fn get_helper(r: &mut Reader<'_>) -> Result<CanonicalHelper, CodecError> {
-    let inner = r.get_i64s()?;
-    let tag = r.get_bytes()?;
-    let seed = r.get_bytes()?;
+/// [`CodecError::Truncated`] on short input; [`CodecError::Malformed`]
+/// on a non-canonical version-2 field.
+pub fn get_helper(r: &mut Reader<'_>, version: Version) -> Result<CanonicalHelper, CodecError> {
+    let inner = r.get_sketch(version)?;
+    let tag = r.get_field(version)?.to_vec();
+    let seed = r.get_field(version)?.to_vec();
     Ok(HelperData {
         sketch: RobustData { inner, tag },
         seed,
@@ -606,11 +828,12 @@ pub fn get_helper(r: &mut Reader<'_>) -> Result<CanonicalHelper, CodecError> {
 pub fn encode_helper(helper: &CanonicalHelper, fingerprint: &Fingerprint) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_header(ArtifactKind::Helper, fingerprint);
-    put_helper(&mut w, helper);
+    put_helper(&mut w, helper, FORMAT_VERSION);
     w.into_bytes()
 }
 
-/// Decodes helper data encoded by [`encode_helper`].
+/// Decodes helper data encoded by [`encode_helper`] (in either
+/// [`Version`]).
 ///
 /// # Errors
 /// Any [`CodecError`] raised by header validation or truncation.
@@ -619,8 +842,8 @@ pub fn decode_helper(
     fingerprint: &Fingerprint,
 ) -> Result<CanonicalHelper, CodecError> {
     let mut r = Reader::new(bytes);
-    r.read_header(ArtifactKind::Helper, fingerprint)?;
-    let helper = get_helper(&mut r)?;
+    let version = r.read_header(ArtifactKind::Helper, fingerprint)?;
+    let helper = get_helper(&mut r, version)?;
     r.expect_end()?;
     Ok(helper)
 }
@@ -713,6 +936,67 @@ mod tests {
                 "prefix {cut} accepted"
             );
         }
+    }
+
+    #[test]
+    fn version_1_artifacts_still_decode() {
+        let sketch = vec![i64::MIN, -200, 0, 200, i64::MAX];
+        let helper = CanonicalHelper {
+            sketch: RobustData {
+                inner: sketch.clone(),
+                tag: vec![7; 32],
+            },
+            seed: vec![3; 300],
+        };
+        // Version 1 by hand: the header with a 1, then `u32` lengths.
+        let v1 = |kind: ArtifactKind, body: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.put_raw(&MAGIC);
+            w.put_u16(1);
+            w.put_u8(kind as u8);
+            w.put_raw(fp().as_bytes());
+            body(&mut w);
+            w.into_bytes()
+        };
+        let bytes = v1(ArtifactKind::Sketch, &|w| w.put_i64s(&sketch));
+        assert_eq!(decode_sketch(&bytes, &fp()).unwrap(), sketch);
+        let bytes = v1(ArtifactKind::Helper, &|w| {
+            put_helper(w, &helper, Version::V1)
+        });
+        assert_eq!(bytes.len(), 15 + (4 + 40) + (4 + 32) + (4 + 300));
+        assert_eq!(decode_helper(&bytes, &fp()).unwrap(), helper);
+        // Version 2 of the same helper: 64-bit codes, a 300-byte seed
+        // behind the escape.
+        let bytes = encode_helper(&helper, &fp());
+        assert_eq!(bytes.len(), 15 + (2 + 40) + (1 + 32) + (5 + 300));
+        assert_eq!(decode_helper(&bytes, &fp()).unwrap(), helper);
+    }
+
+    #[test]
+    fn length_rule_at_its_edges() {
+        for (len, spelled) in [
+            (0, vec![0]),
+            (254, vec![254]),
+            (255, vec![0xff, 255, 0, 0, 0]),
+            (65_536, vec![0xff, 0, 0, 1, 0]),
+        ] {
+            let mut out = Vec::new();
+            put_len(&mut out, len);
+            assert_eq!((out.len(), len_bytes(len)), (spelled.len(), spelled.len()));
+            assert_eq!(out, spelled);
+            assert_eq!(peek_len(&out), Ok((len as u32, out.len())));
+            for cut in 0..out.len() {
+                assert_eq!(peek_len(&out[..cut]), Err(CodecError::Truncated));
+            }
+        }
+        assert!(matches!(
+            peek_len(&[0xff, 254, 0, 0, 0]),
+            Err(CodecError::Malformed(_))
+        ));
+        for v in [i64::MIN, -2, -1, 0, 1, 2, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert_eq!([0, -1, 1, -2].map(zigzag), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -81,7 +81,7 @@ mod plane;
 mod shared;
 mod sweep;
 
-pub use cells::{canonical, CellWidth};
+pub use cells::{canonical, canonical_range, CellWidth};
 pub use sweep::RowMask;
 
 use super::RecordId;

@@ -494,7 +494,13 @@ pub fn canonical(v: i64, ka: u64) -> i64 {
 
 /// The closed interval of already-canonical values for `Z_ka`, clamped
 /// to `i64`: the values [`canonical`] returns unchanged.
-pub(super) fn canonical_range(ka: u64) -> (i64, i64) {
+///
+/// ```
+/// use fe_core::index::store::canonical_range;
+///
+/// assert_eq!(canonical_range(400), (-199, 200));
+/// ```
+pub fn canonical_range(ka: u64) -> (i64, i64) {
     let hi = (ka / 2).min(i64::MAX as u64) as i64;
     let lo = -(((ka - 1) / 2).min(i64::MAX as u64) as i64);
     (lo, hi)

@@ -6,10 +6,12 @@
 //!   key ‖ tag ‖ seed ‖ patches`, appended at the tail of the last
 //!   chunk. A length is one byte below 255 and `0xff ‖ u32` otherwise,
 //!   so a block at the paper's parameters is its payload and four bytes,
-//!   and one rule spells every length. A chunk is allocated once
-//!   at its full capacity and never reallocated, so growth never copies
-//!   and never leaves a freed doubling behind; a block never straddles
-//!   two chunks (one larger than [`CHUNK`] gets a chunk of its own);
+//!   and one rule spells every length — `fe_core::codec::put_len`, the
+//!   rule a version-2 record row on disk spells its lengths with too. A
+//!   chunk is allocated once at its full capacity and never
+//!   reallocated, so growth never copies and never leaves a freed
+//!   doubling behind; a block never straddles two chunks (one larger
+//!   than [`CHUNK`] gets a chunk of its own);
 //! * `slots`, one `u64` per record slot: where the slot's block starts,
 //!   and sixteen bits of the id's hash;
 //! * an open-addressed **id table** of `u32` entries, each a slot number
@@ -28,15 +30,13 @@
 //! index row, are reclaimed by `compact`.
 
 use crate::messages::{EnrollmentRecord, WireHelper};
+use fe_core::codec::{len_bytes, peek_len, put_len, unzigzag, zigzag};
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 
 const CHUNK_BITS: u32 = 20;
 /// Bytes of one arena chunk.
 pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
-/// A length (or patch dimension) this large or larger is this byte,
-/// then the value as a little-endian `u32`; a smaller one is its byte.
-const ESCAPE: u8 = 0xff;
 /// Set in a slot whose record was revoked. The slot keeps its block's
 /// position, which is where the block before it ends.
 const DEAD: u64 = 1 << 63;
@@ -52,37 +52,18 @@ const EMPTY: u32 = u32::MAX;
 /// Entries of the smallest id table.
 const MIN_TABLE: usize = 4;
 
-/// Bytes [`put_len`] writes for `len`.
-fn len_bytes(len: usize) -> usize {
-    1 + 4 * usize::from(len >= usize::from(ESCAPE))
-}
-
-fn put_len(out: &mut Vec<u8>, len: usize) {
-    if len < usize::from(ESCAPE) {
-        out.push(len as u8);
-    } else {
-        let len = u32::try_from(len).expect("fits bounds every length");
-        out.push(ESCAPE);
-        out.extend_from_slice(&len.to_le_bytes());
-    }
-}
-
 /// Reads the length [`put_len`] wrote at the front of `bytes`, and
 /// steps past it.
 fn get_len(bytes: &mut &[u8]) -> u32 {
-    let len = match bytes[0] {
-        ESCAPE => u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")),
-        byte => u32::from(byte),
-    };
-    *bytes = &bytes[len_bytes(len as usize)..];
+    let (len, n) = peek_len(bytes).expect("the table wrote this length");
+    *bytes = &bytes[n..];
     len
 }
 
 /// A patch's value, `enrolled − row` mod 2⁶⁴ zigzagged: a difference of
 /// either sign that is small in magnitude is a small number.
-fn zigzag(enrolled: i64, row: i64) -> u64 {
-    let delta = enrolled.wrapping_sub(row);
-    ((delta << 1) ^ (delta >> 63)) as u64
+fn patch(enrolled: i64, row: i64) -> u64 {
+    zigzag(enrolled.wrapping_sub(row))
 }
 
 /// Bytes of the LEB128 form of `z`, seven bits a byte.
@@ -98,13 +79,13 @@ fn put_varint(out: &mut Vec<u8>, mut z: u64) {
     out.push(z as u8);
 }
 
-/// Reads a [`zigzag`] value [`put_varint`] wrote at the front of
+/// Reads a [`patch`] value [`put_varint`] wrote at the front of
 /// `bytes`, steps past it and returns the difference it encodes.
 fn get_delta(bytes: &mut &[u8]) -> i64 {
     let last = bytes.iter().position(|&b| b < 0x80).expect("a varint ends");
     let z = (bytes[..=last].iter().rev()).fold(0, |z, &b| z << 7 | u64::from(b & 0x7f));
     *bytes = &bytes[last + 1..];
-    (z >> 1) as i64 ^ -((z & 1) as i64)
+    unzigzag(z)
 }
 
 /// One stored record, borrowed from the arena.
@@ -114,7 +95,7 @@ fn get_delta(bytes: &mut &[u8]) -> i64 {
 /// `H(x ‖ s)` over the sketch *as sent* — `Rep` on a helper rebuilt
 /// from canonical values alone fails its tag check. So every coordinate
 /// whose stored cell differs from the enrolled value is patched: its
-/// dimension, under the block's length rule, then the [`zigzag`]
+/// dimension, under the block's length rule, then the [`patch`]
 /// difference from the row in LEB128 — three bytes for the common
 /// `−ka/2`, at most fifteen for any `i64`. A record whose sketch
 /// round-trips through the index (twelve in thirteen at the paper's
@@ -402,13 +383,13 @@ impl RecordTable {
         }
     }
 
-    /// Appends `record`, whose sketch the index holds as `row` and
-    /// whose id `vacancy` proved absent; returns its slot.
+    /// Appends `record`, whose sketch the index holds as `row` (`None`:
+    /// as it is) and whose id `vacancy` proved absent; returns its slot.
     pub(crate) fn push(
         &mut self,
         vacancy: Vacancy,
         record: &EnrollmentRecord,
-        row: &[i64],
+        row: Option<&[i64]>,
     ) -> usize {
         let helper = &record.helper;
         let fields: [&[u8]; 4] = [
@@ -418,13 +399,12 @@ impl RecordTable {
             &helper.seed,
         ];
         // Twelve sketches in thirteen are their own row at the paper's
-        // parameters: one comparison of the two finds that, and the
-        // coordinates zipped with no row then yield no patch.
+        // parameters, and the coordinates zipped with no row yield no
+        // patch.
         let inner = &helper.sketch.inner;
-        let row = if inner[..] == *row { &[][..] } else { row };
-        let patches = (inner.iter().zip(row).enumerate())
+        let patches = (inner.iter().zip(row.unwrap_or_default()).enumerate())
             .filter(|(_, (want, got))| want != got)
-            .map(|(dim, (&want, &got))| (dim, zigzag(want, got)));
+            .map(|(dim, (&want, &got))| (dim, patch(want, got)));
         let mut len: usize = fields.iter().map(|f| len_bytes(f.len()) + f.len()).sum();
         len += (patches.clone())
             .map(|(dim, z)| len_bytes(dim) + varint_bytes(z))
@@ -588,7 +568,7 @@ mod tests {
     /// vacancy.
     fn push(table: &mut RecordTable, record: &EnrollmentRecord) -> usize {
         let vacancy = table.probe(&record.id).expect("id is new");
-        table.push(vacancy, record, &row_of(record))
+        table.push(vacancy, record, Some(&row_of(record)))
     }
 
     /// The helper a server rebuilds from `slot` and `record`'s row.

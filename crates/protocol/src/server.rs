@@ -16,7 +16,7 @@ use crate::params::{DedupPolicy, SystemParams};
 use crate::records::{RecordTable, StoredRecord, Vacancy};
 use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
-use fe_core::index::store::canonical;
+use fe_core::index::store::{canonical, canonical_range};
 use fe_core::{EpochIndex, RobustData, ScanIndex, SketchIndex};
 use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
 use fe_crypto::sig::SignatureScheme;
@@ -67,6 +67,24 @@ fn empty_helper() -> WireHelper {
         },
         seed: Vec::new(),
     }
+}
+
+/// The row the index holds for `sketch`, when it differs from the
+/// sketch: its canonical ring residues, by [`canonical`] — the one
+/// definition every index layout writes and reads back, so nothing is
+/// decoded to learn it — built in `row`. The two differ only where a
+/// coordinate lies outside `[−(ka−1)/2, ka/2]` (one record in thirteen
+/// at the paper's parameters), so one range test over the sketch
+/// answers `None` for the rest and the fold runs only for those. The
+/// record table keeps only what the row does not reproduce.
+fn canonical_row<'a>(row: &'a mut Vec<i64>, sketch: &[i64], ka: u64) -> Option<&'a [i64]> {
+    let (lo, hi) = canonical_range(ka);
+    if sketch.iter().all(|v| (lo..=hi).contains(v)) {
+        return None;
+    }
+    row.clear();
+    row.extend(sketch.iter().map(|&v| canonical(v, ka)));
+    Some(row)
 }
 
 /// Streams a server's live records in enrollment order, each rebuilt
@@ -479,19 +497,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             self.records.slots(),
             "index ids must mirror record slots"
         );
-        self.canonical_row(record);
-        self.records.push(vacancy, record, &self.row);
-    }
-
-    /// Sets the scratch row to the row the index holds for `record`'s
-    /// sketch: its canonical ring residues, in `[−(ka−1)/2, ka/2]`, by
-    /// [`canonical`] — the one definition every index layout writes and
-    /// reads back, so nothing is decoded to learn it. The record table
-    /// keeps only what that row does not reproduce.
-    fn canonical_row(&mut self, record: &EnrollmentRecord) {
         let ka = self.params.sketch().line().interval_len();
-        self.row.clear();
-        (self.row).extend(record.helper.sketch.inner.iter().map(|&v| canonical(v, ka)));
+        let row = canonical_row(&mut self.row, &record.helper.sketch.inner, ka);
+        self.records.push(vacancy, record, row);
     }
 
     /// Stores an enrollment record (Fig. 1, final step). With a store

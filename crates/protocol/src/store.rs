@@ -58,7 +58,9 @@
 
 use crate::messages::{EnrollmentRecord, UserId};
 use crate::ProtocolError;
-use fe_core::codec::{self, ArtifactKind, CodecError, Fingerprint, Reader, Writer};
+use fe_core::codec::{
+    self, ArtifactKind, CodecError, Fingerprint, Reader, Version, Writer, FORMAT_VERSION,
+};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -186,19 +188,23 @@ impl SnapshotRows for std::slice::Iter<'_, EnrollmentRecord> {
     }
 }
 
-/// Encodes an enrollment record's fields (no artifact header — callers
-/// embed this in framed journal entries or snapshot rows).
+/// Encodes an enrollment record's fields in the layout of
+/// [`FORMAT_VERSION`] (no artifact header — callers embed this in
+/// framed journal entries or snapshot rows).
 pub fn put_record(w: &mut Writer, record: &EnrollmentRecord) {
-    put_row(w, &SnapshotRow::of(record));
+    put_row(w, &SnapshotRow::of(record), FORMAT_VERSION);
 }
 
-/// [`put_record`] for a borrowed snapshot row: the one place the record
-/// layout is written, for the journal, the snapshot and the wire's two
-/// enroll messages alike.
-pub fn put_row(w: &mut Writer, row: &SnapshotRow<'_>) {
-    w.put_str(row.id);
-    w.put_bytes(row.public_key);
-    codec::put_helper(w, row.helper);
+/// [`put_record`] for a borrowed snapshot row, in `version`'s layout:
+/// `id ‖ public key ‖ sketch ‖ tag ‖ seed`, each length and the sketch
+/// as [`Writer::put_field`] and [`Writer::put_sketch`] spell them. The
+/// one place the record row is written: version 2 for the journal and
+/// the snapshot, version 1 for a journal opened at version 1 and for the
+/// wire's two enroll messages.
+pub fn put_row(w: &mut Writer, row: &SnapshotRow<'_>, version: Version) {
+    w.put_field(row.id.as_bytes(), version);
+    w.put_field(row.public_key, version);
+    codec::put_helper(w, row.helper, version);
 }
 
 /// Decodes a record written by [`put_record`].
@@ -206,9 +212,17 @@ pub fn put_row(w: &mut Writer, row: &SnapshotRow<'_>) {
 /// # Errors
 /// [`CodecError`] on truncation or malformed fields.
 pub fn get_record(r: &mut Reader<'_>) -> Result<EnrollmentRecord, CodecError> {
-    let id = r.get_str()?;
-    let public_key = r.get_bytes()?;
-    let helper = codec::get_helper(r)?;
+    get_row(r, FORMAT_VERSION)
+}
+
+/// Decodes a record row written by [`put_row`] in `version`.
+///
+/// # Errors
+/// [`CodecError`] on truncation or malformed fields.
+pub fn get_row(r: &mut Reader<'_>, version: Version) -> Result<EnrollmentRecord, CodecError> {
+    let id = get_id(r, version)?;
+    let public_key = r.get_field(version)?.to_vec();
+    let helper = codec::get_helper(r, version)?;
     Ok(EnrollmentRecord {
         id,
         public_key,
@@ -216,35 +230,41 @@ pub fn get_record(r: &mut Reader<'_>) -> Result<EnrollmentRecord, CodecError> {
     })
 }
 
-/// Encodes one journal event as a frame payload, where the caller's
-/// frame will hold it.
-fn put_event(w: &mut Writer, event: LogEventRef<'_>) {
+/// Reads a user id written by [`Writer::put_field`] in `version`.
+fn get_id(r: &mut Reader<'_>, version: Version) -> Result<UserId, CodecError> {
+    let bytes = r.get_field(version)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Malformed("not utf-8"))
+}
+
+/// Encodes one journal event in `version`'s layout as a frame
+/// payload, where the caller's frame will hold it.
+fn put_event(w: &mut Writer, event: LogEventRef<'_>, version: Version) {
     match event {
         LogEventRef::Enroll(record) => {
             w.put_u8(EVENT_ENROLL);
-            put_record(w, record);
+            put_row(w, &SnapshotRow::of(record), version);
         }
         LogEventRef::Revoke(id) => {
             w.put_u8(EVENT_REVOKE);
-            w.put_str(id);
+            w.put_field(id.as_bytes(), version);
         }
         LogEventRef::EnrollRejected { id, matched } => {
             w.put_u8(EVENT_ENROLL_REJECTED);
-            w.put_str(id);
-            w.put_str(matched);
+            w.put_field(id.as_bytes(), version);
+            w.put_field(matched.as_bytes(), version);
         }
     }
 }
 
-/// Decodes one journal-frame payload.
-fn decode_event(payload: &[u8]) -> Result<LogEvent, CodecError> {
+/// Decodes one journal-frame payload written in `version`.
+fn decode_event(payload: &[u8], version: Version) -> Result<LogEvent, CodecError> {
     let mut r = Reader::new(payload);
     let event = match r.get_u8()? {
-        EVENT_ENROLL => LogEvent::Enroll(get_record(&mut r)?),
-        EVENT_REVOKE => LogEvent::Revoke(r.get_str()?),
+        EVENT_ENROLL => LogEvent::Enroll(get_row(&mut r, version)?),
+        EVENT_REVOKE => LogEvent::Revoke(get_id(&mut r, version)?),
         EVENT_ENROLL_REJECTED => LogEvent::EnrollRejected {
-            id: r.get_str()?,
-            matched: r.get_str()?,
+            id: get_id(&mut r, version)?,
+            matched: get_id(&mut r, version)?,
         },
         _ => return Err(CodecError::Malformed("unknown event tag")),
     };
@@ -375,8 +395,13 @@ fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
 /// * `journal.fel` — artifact header (kind [`ArtifactKind::Journal`]),
 ///   then zero or more CRC-framed [`LogEvent`]s. Appended on every
 ///   enroll/revoke; never rewritten except by compaction.
+///   Frames are written in the header's [`Version`]: a journal created
+///   by an older build keeps taking version-1 frames until the next
+///   compaction resets it to a [`FORMAT_VERSION`] header, so no file
+///   ever mixes layouts.
 /// * `snapshot.fes` — artifact header (kind [`ArtifactKind::Snapshot`]),
-///   a `u64` record count, then that many CRC-framed records. Written to
+///   a `u64` record count, then that many CRC-framed records, always
+///   written at [`FORMAT_VERSION`] and read at either version. Written to
 ///   `snapshot.fes.tmp` first, fsynced, and renamed into place — readers
 ///   only ever observe a complete snapshot.
 ///
@@ -559,9 +584,13 @@ impl JournalFile for File {
 }
 
 /// The journal's append handle: the `O_APPEND` file, the length of its
-/// good prefix, and the one buffer every frame is encoded in.
+/// good prefix, the layout its header names, and the one buffer every
+/// frame is encoded in.
 struct Journal<F = File> {
     file: F,
+    /// The version of the file's header, which every frame appended to
+    /// it is written in.
+    version: Version,
     /// Bytes of header plus acknowledged frames — where the file is cut
     /// back to when an append fails part-way.
     good_len: u64,
@@ -573,19 +602,22 @@ struct Journal<F = File> {
 }
 
 impl<F: JournalFile> Journal<F> {
-    fn new(file: F, good_len: u64) -> Journal<F> {
+    fn new(file: F, version: Version, good_len: u64) -> Journal<F> {
         Journal {
             file,
+            version,
             good_len,
             poisoned: false,
             scratch: Writer::new(),
         }
     }
 
-    /// Points the handle at a journal file just rewritten to `good_len`
-    /// bytes, keeping the scratch buffer.
+    /// Points the handle at a journal file just rewritten to a
+    /// [`FORMAT_VERSION`] header and `good_len` bytes, keeping the
+    /// scratch buffer.
     fn replace_file(&mut self, file: F, good_len: u64) {
         self.file = file;
+        self.version = FORMAT_VERSION;
         self.good_len = good_len;
         self.poisoned = false;
     }
@@ -601,7 +633,7 @@ impl<F: JournalFile> Journal<F> {
         }
         self.scratch.clear();
         let mark = self.scratch.begin_frame();
-        put_event(&mut self.scratch, event);
+        put_event(&mut self.scratch, event, self.version);
         self.scratch.end_frame(mark);
         let frame = self.scratch.as_slice();
         match write_through(&mut self.file, frame, sync) {
@@ -641,6 +673,7 @@ fn write_through(
 
 /// Result of one journal scan-and-repair pass.
 struct JournalScan {
+    version: Version,
     events: Vec<LogEvent>,
     torn_bytes: u64,
     /// Length of the file once the torn tail (if any) is cut off.
@@ -665,7 +698,7 @@ fn scan_and_repair_journal(
 ) -> Result<JournalScan, ProtocolError> {
     let bytes = fs::read(path).map_err(|e| io_err("read journal", e))?;
     let mut r = Reader::new(&bytes);
-    r.read_header(ArtifactKind::Journal, fingerprint)?;
+    let version = r.read_header(ArtifactKind::Journal, fingerprint)?;
     let mut events = Vec::new();
     let good_end = loop {
         if r.is_empty() {
@@ -673,7 +706,7 @@ fn scan_and_repair_journal(
         }
         let frame_start = r.position();
         let torn = match r.get_framed() {
-            Ok(payload) => match decode_event(payload) {
+            Ok(payload) => match decode_event(payload, version) {
                 Ok(event) => {
                     events.push(event);
                     continue;
@@ -686,7 +719,7 @@ fn scan_and_repair_journal(
             Err(CodecError::BadChecksum) if r.is_empty() => CodecError::BadChecksum,
             Err(e) => return Err(ProtocolError::Codec(e)),
         };
-        if intact_frame_after(&bytes, frame_start) {
+        if intact_frame_after(&bytes, frame_start, version) {
             return Err(ProtocolError::Codec(torn));
         }
         break frame_start;
@@ -701,6 +734,7 @@ fn scan_and_repair_journal(
             .map_err(|e| io_err("truncate torn journal tail", e))?;
     }
     Ok(JournalScan {
+        version,
         events,
         torn_bytes,
         good_len: good_end as u64,
@@ -710,11 +744,11 @@ fn scan_and_repair_journal(
 /// Whether a frame whose CRC checks and whose payload decodes starts at
 /// some offset of `bytes` after `from`: what a damaged frame with
 /// acknowledged frames behind it has, and a torn final write does not.
-fn intact_frame_after(bytes: &[u8], from: usize) -> bool {
+fn intact_frame_after(bytes: &[u8], from: usize, version: Version) -> bool {
     (from + 1..bytes.len()).any(|at| {
         Reader::new(&bytes[at..])
             .get_framed()
-            .is_ok_and(|payload| decode_event(payload).is_ok())
+            .is_ok_and(|payload| decode_event(payload, version).is_ok())
     })
 }
 
@@ -786,6 +820,7 @@ impl FileStore {
                 fs::write(&journal_path, fresh_header.as_slice())
                     .map_err(|e| io_err("rewrite torn journal header", e))?;
                 JournalScan {
+                    version: FORMAT_VERSION,
                     events: Vec::new(),
                     torn_bytes: 0,
                     good_len: HEADER_LEN,
@@ -795,6 +830,7 @@ impl FileStore {
                 fs::write(&journal_path, fresh_header.as_slice())
                     .map_err(|e| io_err("create journal", e))?;
                 JournalScan {
+                    version: FORMAT_VERSION,
                     events: Vec::new(),
                     torn_bytes: 0,
                     good_len: HEADER_LEN,
@@ -809,7 +845,7 @@ impl FileStore {
         Ok(FileStore {
             dir,
             fingerprint,
-            journal: Journal::new(journal, scan.good_len),
+            journal: Journal::new(journal, scan.version, scan.good_len),
             journal_events: scan.events.len(),
             sync_every_append: false,
             torn_bytes_discarded: scan.torn_bytes,
@@ -850,7 +886,7 @@ impl FileStore {
             Err(e) => return Err(io_err("read snapshot", e)),
         };
         let mut r = Reader::new(&bytes);
-        r.read_header(ArtifactKind::Snapshot, &self.fingerprint)?;
+        let version = r.read_header(ArtifactKind::Snapshot, &self.fingerprint)?;
         let count = r.get_u64()?;
         // The count field is not self-validating; cap the preallocation
         // by what the remaining bytes could possibly hold (8 bytes of
@@ -864,7 +900,7 @@ impl FileStore {
             // damage here is corruption, not a torn write → hard error.
             let payload = r.get_framed()?;
             events.push(LogEvent::Enroll(
-                get_record(&mut Reader::new(payload)).map_err(ProtocolError::Codec)?,
+                get_row(&mut Reader::new(payload), version).map_err(ProtocolError::Codec)?,
             ));
         }
         r.expect_end().map_err(ProtocolError::Codec)?;
@@ -880,6 +916,7 @@ impl FileStore {
         let scan = scan_and_repair_journal(&self.journal_path(), &self.fingerprint)?;
         self.torn_bytes_discarded += scan.torn_bytes;
         self.journal_events = scan.events.len();
+        self.journal.version = scan.version;
         self.journal.good_len = scan.good_len;
         Ok(scan.events)
     }
@@ -921,7 +958,7 @@ impl EnrollmentStore for FileStore {
         while let Some(row) = rows.next_row() {
             frame.clear();
             let mark = frame.begin_frame();
-            put_row(frame, &row);
+            put_row(frame, &row, FORMAT_VERSION);
             frame.end_frame(mark);
             out.write_all(frame.as_slice())
                 .map_err(|e| io_err("write snapshot row", e))?;
@@ -1020,9 +1057,11 @@ mod tests {
                 matched: "alice".into(),
             },
         ] {
-            let mut w = Writer::new();
-            put_event(&mut w, event.as_ref());
-            assert_eq!(decode_event(w.as_slice()).unwrap(), event);
+            for version in [Version::V1, Version::V2] {
+                let mut w = Writer::new();
+                put_event(&mut w, event.as_ref(), version);
+                assert_eq!(decode_event(w.as_slice(), version).unwrap(), event);
+            }
         }
     }
 
@@ -1032,8 +1071,7 @@ mod tests {
 
     #[test]
     fn revoke_frame_bytes_are_pinned() {
-        // As written by the commit before frames were encoded in place
-        // and the checksum went table-driven: len ‖ crc32 ‖ tag ‖ id.
+        // len ‖ crc32 ‖ tag ‖ len(id) ‖ id, the length one byte.
         let dir = temp_dir("pinned-frame");
         let (params, _) = sample_records(0);
         let mut store = FileStore::open(&dir, params.fingerprint()).unwrap();
@@ -1041,9 +1079,17 @@ mod tests {
         let journal = fs::read(dir.join("journal.fel")).unwrap();
         assert_eq!(
             hex(&journal[HEADER_LEN as usize..]),
-            "0000000b76bc7f950200000006757365722d37"
+            "000000086250afac0206757365722d37"
         );
         fs::remove_dir_all(&dir).unwrap();
+
+        // Version 1, as written by the commit before frames were encoded
+        // in place and the checksum went table-driven: the length a u32.
+        let mut w = Writer::new();
+        let mark = w.begin_frame();
+        put_event(&mut w, LogEventRef::Revoke("user-7"), Version::V1);
+        w.end_frame(mark);
+        assert_eq!(hex(w.as_slice()), "0000000b76bc7f950200000006757365722d37");
     }
 
     #[test]
@@ -1140,7 +1186,7 @@ mod tests {
             fs::metadata(dir.join("journal.fel")).unwrap().len(),
             good_len
         );
-        Journal::new(FaultyFile::append_to(dir), good_len)
+        Journal::new(FaultyFile::append_to(dir), FORMAT_VERSION, good_len)
     }
 
     #[test]
@@ -1150,7 +1196,7 @@ mod tests {
         let fp = params.fingerprint();
         let mut w = Writer::new();
         let mark = w.begin_frame();
-        put_event(&mut w, LogEventRef::Enroll(&records[1]));
+        put_event(&mut w, LogEventRef::Enroll(&records[1]), FORMAT_VERSION);
         w.end_frame(mark);
         let frame_len = w.as_slice().len();
         let acknowledged = vec![

@@ -5,9 +5,10 @@
 //! 4-byte magic (`FEID`) + 1-byte message tag + 2-byte version,
 //! followed by big-endian, length-prefixed fields — written and read
 //! with [`fe_core::codec`]'s [`Writer`] and [`Reader`], the cursor the
-//! journal and the snapshot use, so an enrollment record has one byte
-//! layout ([`store::put_record`]) whether it rides in an `Enroll`
-//! message, a journal frame or a snapshot row.
+//! journal and the snapshot use. An enrollment record in an `Enroll`
+//! message is the version-1 record row ([`store::put_row`] at
+//! [`Version::V1`]): what a journal or a snapshot held before disk
+//! format version 2 packed its sketch, kept byte for byte here.
 //!
 //! # Message tags
 //!
@@ -56,7 +57,7 @@
 use crate::messages::{EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, UserId};
 use crate::store::{self, SnapshotRow};
 use crate::ProtocolError;
-use fe_core::codec::{self, CodecError, Reader, Writer};
+use fe_core::codec::{self, CodecError, Reader, Version, Writer};
 
 const MAGIC: &[u8; 4] = b"FEID";
 const VERSION: u16 = 1;
@@ -148,7 +149,7 @@ pub fn put_challenge(w: &mut Writer, c: &IdentChallenge) {
     put_header(w, TAG_CHALLENGE);
     w.put_u64(c.session);
     w.put_u64(c.challenge);
-    codec::put_helper(w, &c.helper);
+    codec::put_helper(w, &c.helper, Version::V1);
 }
 
 /// Writes a [`Message::Outcome`] from a borrowed outcome (see
@@ -164,11 +165,10 @@ pub fn put_outcome(w: &mut Writer, o: &IdentOutcome) {
     }
 }
 
-/// Either enroll message: the header, then the record as the journal
-/// and the snapshot lay it out.
+/// Either enroll message: the header, then the version-1 record row.
 fn put_enrollment(w: &mut Writer, tag: u8, row: &SnapshotRow<'_>) {
     put_header(w, tag);
-    store::put_row(w, row);
+    store::put_row(w, row, Version::V1);
 }
 
 /// Writes a message's wire representation where the caller's buffer
@@ -255,11 +255,11 @@ fn get_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
         TAG_IDENTIFY => Message::Identify {
             probe: r.get_i64s()?,
         },
-        TAG_ENROLL => Message::Enroll(store::get_record(r)?),
+        TAG_ENROLL => Message::Enroll(store::get_row(r, Version::V1)?),
         TAG_CHALLENGE => {
             let session = r.get_u64()?;
             let challenge = r.get_u64()?;
-            let helper = codec::get_helper(r)?;
+            let helper = codec::get_helper(r, Version::V1)?;
             Message::Challenge(IdentChallenge {
                 session,
                 helper,
@@ -281,7 +281,7 @@ fn get_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
             0 => IdentOutcome::Rejected,
             _ => return Err(CodecError::Malformed("bad outcome flag")),
         }),
-        TAG_ENROLL_UNIQUE => Message::EnrollUnique(store::get_record(r)?),
+        TAG_ENROLL_UNIQUE => Message::EnrollUnique(store::get_row(r, Version::V1)?),
         TAG_RESET => Message::Reset {
             probe: r.get_i64s()?,
         },

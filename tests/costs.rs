@@ -1,6 +1,8 @@
 //! Exact costs, counted rather than timed: Montgomery products per DSA
-//! operation and per login, from `fe-bigint`'s per-thread counters, and
-//! the hardware divides `SS` and `Rec` fall back to, from `fe-core`'s.
+//! operation and per login, from `fe-bigint`'s per-thread counters, the
+//! hardware divides `SS` and `Rec` fall back to, from `fe-core`'s, and
+//! the bytes a record takes in the journal, in a snapshot row and on
+//! the wire.
 //!
 //! A count does not move with the host's speed, so these are equalities.
 //! Each pinned number is beside what the same operation took with one
@@ -10,10 +12,12 @@
 //! replaced.
 
 use fuzzy_id::bigint::montgomery::{counts, Counts};
+use fuzzy_id::core::codec::Writer;
 use fuzzy_id::core::{ring_divides, ChebyshevSketch, SecureSketch};
 use fuzzy_id::crypto::dsa::{Dsa, DsaParams};
 use fuzzy_id::crypto::sig::SignatureScheme;
-use fuzzy_id::protocol::{AuthenticationServer, BiometricDevice, IdentOutcome, SystemParams};
+use fuzzy_id::protocol::store::{put_record, EnrollmentStore, FileStore, LogEventRef};
+use fuzzy_id::protocol::{wire, AuthenticationServer, BiometricDevice, IdentOutcome, SystemParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -180,4 +184,78 @@ fn each_far_coordinate_costs_one_divide() {
     }
     let (_, spent) = divides(|| scheme.sketch(&[i64::MIN, 0, i64::MAX], &mut rng));
     assert_eq!(spent, 2);
+}
+
+/// A scratch directory for one test's store.
+fn scratch_store(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fe-costs-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Bytes `event` adds to the journal in `dir`.
+fn journaled(dir: &std::path::Path, params: &SystemParams, event: LogEventRef<'_>) -> u64 {
+    let journal = dir.join("journal.fel");
+    let mut store = FileStore::open(dir, params.fingerprint()).unwrap();
+    let before = std::fs::metadata(&journal).unwrap().len();
+    store.append(event).unwrap();
+    std::fs::metadata(&journal).unwrap().len() - before
+}
+
+/// The bytes of a paper-dimension record (64 coordinates, a 32-byte
+/// tag and a 32-byte seed), as equalities in `|id|` and `|pk|`. Its
+/// sketch is 72 bytes of 9-bit zigzag codes behind a dimension and a
+/// width byte (Theorem 3 prices it at 69.2), and every other length is
+/// one byte: 142 + |id| + |pk| a row, 151 a journal frame (`len ‖ crc ‖
+/// tag` ahead of the row). Version 1 spent a `u32` on each of five
+/// lengths and 8 bytes a coordinate: 596 a row, 605 a frame, which the
+/// wire's `Enroll` body still is. A revocation is `10 + |id|`, was
+/// `13 + |id|`.
+#[test]
+fn a_record_costs_its_bytes_exactly() {
+    let params = SystemParams::paper_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(33);
+    let bio = params.sketch().line().random_vector(64, &mut rng);
+    let record = device.enroll("user-33", &bio, &mut rng).unwrap();
+    let helper = &record.helper;
+    assert_eq!((helper.sketch.tag.len(), helper.seed.len()), (32, 32));
+    let fields = record.id.len() + record.public_key.len();
+
+    let mut w = Writer::new();
+    put_record(&mut w, &record);
+    assert_eq!(w.as_slice().len(), 142 + fields);
+
+    let dir = scratch_store("bytes");
+    assert_eq!(
+        journaled(&dir, &params, LogEventRef::Enroll(&record)),
+        151 + fields as u64
+    );
+    assert_eq!(
+        journaled(&dir, &params, LogEventRef::Revoke(&record.id)),
+        10 + record.id.len() as u64
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A journal created before version 2 takes version-1 frames.
+    let dir = scratch_store("bytes-v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/v1-store/shard-000"
+    );
+    std::fs::copy(format!("{fixture}/journal.fel"), dir.join("journal.fel")).unwrap();
+    assert_eq!(
+        journaled(&dir, &params, LogEventRef::Enroll(&record)),
+        605 + fields as u64
+    );
+    assert_eq!(
+        journaled(&dir, &params, LogEventRef::Revoke(&record.id)),
+        13 + record.id.len() as u64
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // magic ‖ tag ‖ version, then the body.
+    let wire = wire::encode(&wire::Message::Enroll(record.clone()));
+    assert_eq!(wire.len() - 7, 596 + fields);
 }

@@ -2,7 +2,7 @@
 //! killed at arbitrary points, and rebuilt via `recover()` must answer
 //! identification queries exactly like the never-restarted original.
 
-use fuzzy_id::core::codec::Reader;
+use fuzzy_id::core::codec::{Fingerprint, Reader};
 use fuzzy_id::core::{EpochIndex, ScanIndex};
 use fuzzy_id::protocol::concurrent::SharedServer;
 use fuzzy_id::protocol::store::{EnrollmentStore, FileStore, LogEventRef, MemoryStore};
@@ -13,7 +13,7 @@ use fuzzy_id::protocol::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -793,12 +793,16 @@ fn journal_tail_replays_over_imported_segments() {
 }
 
 // ---------------------------------------------------------------------------
-// Single-bit damage at rest, one bit at a time: every bit of every
-// journal frame — its length word too, which no CRC covers, so the scan
-// looks for an intact frame behind a frame that overruns — and every bit
-// the CRC covers of each snapshot frame. (Artifact headers, and the
-// snapshot's length words, are ROADMAP item 8a's.)
+// Single-bit damage at rest, one bit at a time: every bit of both
+// artifact headers, of every journal frame — its length word too, which
+// no CRC covers, so the scan looks for an intact frame behind a frame
+// that overruns — of the snapshot's record count, and of every snapshot
+// frame, length word included. On a version-2 store and on the
+// committed version-1 fixture.
 // ---------------------------------------------------------------------------
+
+/// Bytes of an artifact header: magic ‖ version ‖ kind ‖ fingerprint.
+const HEADER: usize = 15;
 
 /// Byte ranges `len ‖ crc32 ‖ payload` of the `count` frames that start
 /// at `bytes[start]`.
@@ -828,9 +832,87 @@ fn for_each_flip(
     }
 }
 
+/// Flips every bit of the `FileStore` directory `dir` — a snapshot of
+/// `rows` records and a journal of `events` frames — one at a time.
+/// `refused` attempts the whole recovery the store belongs to and says
+/// whether it failed.
+///
+/// A journal header flip is refused at `FileStore::open`. A journal
+/// frame that is not the last: refused, the file left as found. The
+/// last frame: indistinguishable from a torn write — cut off, and the
+/// history loses exactly its last event — except that a length word
+/// shrunk short of the file's end leaves bytes no frame accounts for,
+/// and is refused like a middle frame. Any snapshot flip (written
+/// atomically, so damage is never a torn write) fails the recovery with
+/// both files byte-identical. No flip can turn one format version into
+/// the other: `0x0001` and `0x0002` differ in two bits.
+fn sweep_store(
+    dir: &Path,
+    fp: Fingerprint,
+    rows: usize,
+    events: usize,
+    refused: &dyn Fn() -> bool,
+) {
+    let journal_path = dir.join("journal.fel");
+    let snapshot_path = dir.join("snapshot.fes");
+    let journal = std::fs::read(&journal_path).unwrap();
+    let snapshot = std::fs::read(&snapshot_path).unwrap();
+    let history = FileStore::open(dir, fp).unwrap().load().unwrap();
+    assert_eq!(history.len(), rows + events);
+
+    for_each_flip(&journal, 0..HEADER, |damaged, bit| {
+        std::fs::write(&journal_path, damaged).unwrap();
+        assert!(
+            FileStore::open(dir, fp).is_err(),
+            "journal header bit {bit}"
+        );
+        assert_eq!(std::fs::read(&journal_path).unwrap(), damaged, "bit {bit}");
+    });
+    let frames = frame_ranges(&journal, HEADER, events);
+    assert_eq!(frames[events - 1].end, journal.len());
+    for (i, frame) in frames.iter().enumerate() {
+        let last = i == frames.len() - 1;
+        let length_word = frame.start * 8..(frame.start + 4) * 8;
+        for_each_flip(&journal, frame.clone(), |damaged, bit| {
+            std::fs::write(&journal_path, damaged).unwrap();
+            match FileStore::open(dir, fp) {
+                Err(_) if !last || length_word.contains(&bit) => {
+                    assert_eq!(std::fs::read(&journal_path).unwrap(), damaged, "bit {bit}");
+                }
+                Ok(mut store) if last => {
+                    assert_eq!(
+                        store.torn_bytes_discarded(),
+                        frame.len() as u64,
+                        "bit {bit}"
+                    );
+                    assert_eq!(
+                        store.load().unwrap(),
+                        history[..history.len() - 1],
+                        "bit {bit}"
+                    );
+                }
+                other => panic!("journal frame {i} bit {bit}: {:?}", other.map(|_| ())),
+            }
+        });
+    }
+    std::fs::write(&journal_path, &journal).unwrap();
+
+    let frames = frame_ranges(&snapshot, HEADER + 8, rows);
+    assert_eq!(frames[rows - 1].end, snapshot.len());
+    // The header and the `u64` count, then each frame whole.
+    for range in std::iter::once(0..HEADER + 8).chain(frames) {
+        for_each_flip(&snapshot, range, |damaged, bit| {
+            std::fs::write(&snapshot_path, damaged).unwrap();
+            assert!(refused(), "snapshot bit {bit}");
+            assert_eq!(std::fs::read(&snapshot_path).unwrap(), damaged, "bit {bit}");
+            assert_eq!(std::fs::read(&journal_path).unwrap(), journal, "bit {bit}");
+        });
+    }
+    std::fs::write(&snapshot_path, &snapshot).unwrap();
+}
+
 #[test]
 fn single_bit_flips_at_rest_are_detected() {
-    const HEADER: usize = 15; // magic ‖ version ‖ kind ‖ fingerprint
     let dir = scratch_dir("bitflips");
     let params = SystemParams::insecure_test_defaults();
     let fp = params.fingerprint();
@@ -870,59 +952,13 @@ fn single_bit_flips_at_rest_are_detected() {
     let answers: Vec<Option<usize>> = probes.iter().map(|p| server.lookup_probe(p)).collect();
     let users = server.user_count();
     drop(server);
-
-    let journal_path = dir.join("journal.fel");
-    let snapshot_path = dir.join("snapshot.fes");
-    let journal = std::fs::read(&journal_path).unwrap();
-    let snapshot = std::fs::read(&snapshot_path).unwrap();
-    let history = FileStore::open(&dir, fp).unwrap().load().unwrap();
-    assert_eq!(history.len(), 10 + 4);
-
-    // Journal. A frame that is not the last: the store is refused and
-    // the file left as found. The last frame: indistinguishable from a
-    // torn write — cut off, and the history loses exactly its last event
-    // — except that a length word shrunk short of the file's end leaves
-    // bytes no frame accounts for, and is refused like a middle frame.
-    let frames = frame_ranges(&journal, HEADER, 4);
-    assert_eq!(frames[3].end, journal.len());
-    for (i, frame) in frames.iter().enumerate() {
-        let last = i == frames.len() - 1;
-        let length_word = frame.start * 8..(frame.start + 4) * 8;
-        for_each_flip(&journal, frame.clone(), |damaged, bit| {
-            std::fs::write(&journal_path, damaged).unwrap();
-            match FileStore::open(&dir, fp) {
-                Err(_) if !last || length_word.contains(&bit) => {
-                    assert_eq!(std::fs::read(&journal_path).unwrap(), damaged, "bit {bit}");
-                }
-                Ok(mut store) if last => {
-                    assert_eq!(
-                        store.torn_bytes_discarded(),
-                        frame.len() as u64,
-                        "bit {bit}"
-                    );
-                    assert_eq!(
-                        store.load().unwrap(),
-                        history[..history.len() - 1],
-                        "bit {bit}"
-                    );
-                }
-                other => panic!("journal frame {i} bit {bit}: {:?}", other.map(|_| ())),
-            }
-        });
+    for file in ["journal.fel", "snapshot.fes"] {
+        assert_eq!(format_version(&dir.join(file)), 2, "{file}");
     }
-    std::fs::write(&journal_path, &journal).unwrap();
 
-    // Snapshot: written atomically, so any damage is an error.
-    for frame in frame_ranges(&snapshot, HEADER + 8, 10) {
-        for_each_flip(&snapshot, frame.start + 4..frame.end, |damaged, bit| {
-            std::fs::write(&snapshot_path, damaged).unwrap();
-            assert!(
-                AuthenticationServer::<EpochIndex>::recover(params.clone(), &dir).is_err(),
-                "snapshot bit {bit}"
-            );
-        });
-    }
-    std::fs::write(&snapshot_path, &snapshot).unwrap();
+    sweep_store(&dir, fp, 10, 4, &|| {
+        AuthenticationServer::<EpochIndex>::recover(params.clone(), &dir).is_err()
+    });
 
     // Everything restored: the undamaged store recovers and answers as
     // before.
@@ -960,5 +996,172 @@ fn journal_length_word_flip_in_a_middle_frame_is_refused() {
     std::fs::write(&path, &journal).unwrap();
     assert!(FileStore::open(&dir, fp).is_err());
     assert_eq!(std::fs::read(&path).unwrap(), journal);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// A store written before format version 2, as committed bytes:
+// `tests/fixtures/v1-store` is a two-shard `SharedServer::durable` store
+// at the paper's parameters and dimension 16, written by the build
+// before the record row packed its sketch. Twelve users were enrolled
+// from `V1_FIXTURE_SEED` (user-5, in a snapshot, and user-8, in a
+// journal tail, each carry a `−ka/2` coordinate), a checkpoint was
+// taken after the first eight, and the journal tails hold the last four
+// enrolls and the revocation of user-2.
+// ---------------------------------------------------------------------------
+
+const V1_FIXTURE_SEED: u64 = 58;
+const V1_FIXTURE_USERS: usize = 12;
+const V1_FIXTURE_REVOKED: usize = 2;
+
+/// The fixture's records regenerated from its seed, and one more drawn
+/// after them.
+fn v1_fixture_records(params: &SystemParams) -> Vec<EnrollmentRecord> {
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(V1_FIXTURE_SEED);
+    (0..=V1_FIXTURE_USERS)
+        .map(|u| {
+            let bio = params.sketch().line().random_vector(16, &mut rng);
+            device.enroll(&format!("user-{u}"), &bio, &mut rng).unwrap()
+        })
+        .collect()
+}
+
+/// A scratch copy of the fixture (no `lock.pid`: none is committed).
+fn v1_fixture_copy(tag: &str) -> PathBuf {
+    let from = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-store");
+    let dir = scratch_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(from.join("shards.meta"), dir.join("shards.meta")).unwrap();
+    for shard in ["shard-000", "shard-001"] {
+        std::fs::create_dir_all(dir.join(shard)).unwrap();
+        for file in ["journal.fel", "snapshot.fes"] {
+            std::fs::copy(from.join(shard).join(file), dir.join(shard).join(file)).unwrap();
+        }
+    }
+    dir
+}
+
+/// The format version in an artifact's header.
+fn format_version(path: &Path) -> u16 {
+    let bytes = std::fs::read(path).unwrap();
+    u16::from_be_bytes([bytes[4], bytes[5]])
+}
+
+/// Each of `records`' ids: the helper its challenge carries, or `None`
+/// when the server does not know it.
+fn challenge_helpers(
+    server: &SharedServer,
+    records: &[EnrollmentRecord],
+) -> Vec<Option<fuzzy_id::protocol::WireHelper>> {
+    let mut rng = StdRng::seed_from_u64(1);
+    records
+        .iter()
+        .map(|r| match server.begin_verification(&r.id, &mut rng) {
+            Ok(challenge) => Some(challenge.helper),
+            Err(ProtocolError::UnknownUser(_)) => None,
+            Err(e) => panic!("{}: {e:?}", r.id),
+        })
+        .collect()
+}
+
+#[test]
+fn a_version_1_store_recovers_and_checkpoints_to_version_2() {
+    let params = SystemParams::paper_defaults();
+    let records = v1_fixture_records(&params);
+    let dir = v1_fixture_copy("v1-fixture");
+    let shards = ["shard-000", "shard-001"].map(|s| dir.join(s));
+    for shard in &shards {
+        for file in ["journal.fel", "snapshot.fes"] {
+            assert_eq!(format_version(&shard.join(file)), 1);
+        }
+    }
+
+    // Recovered: every live user's challenge carries the enrolled
+    // helper byte for byte (the −ka/2 coordinates of user-5 and user-8
+    // included), and the revoked user is gone.
+    let server = SharedServer::<EpochIndex>::recover(params.clone(), &dir).unwrap();
+    assert_eq!(server.user_count(), V1_FIXTURE_USERS - 1);
+    let mut expected: Vec<_> = records.iter().map(|r| Some(r.helper.clone())).collect();
+    expected[V1_FIXTURE_REVOKED] = None;
+    expected[V1_FIXTURE_USERS] = None;
+    assert_eq!(challenge_helpers(&server, &records), expected);
+    for u in [5, 8] {
+        assert!(records[u].helper.sketch.inner.contains(&-200), "user-{u}");
+    }
+
+    // An enroll lands in its shard's version-1 journal as a version-1
+    // frame: `len ‖ crc ‖ tag` and the row with `u32` lengths and `i64`s.
+    let lens = shards
+        .clone()
+        .map(|s| std::fs::metadata(s.join("journal.fel")).unwrap().len());
+    let extra = &records[V1_FIXTURE_USERS];
+    server.enroll(extra.clone()).unwrap();
+    let grown: Vec<u64> = (0..2)
+        .map(|i| {
+            std::fs::metadata(shards[i].join("journal.fel"))
+                .unwrap()
+                .len()
+                - lens[i]
+        })
+        .collect();
+    let v1_frame = 8 + 1 + 4 + extra.id.len() + 4 + extra.public_key.len() + 4 + 8 * 16;
+    let v1_frame = (v1_frame + 4 + 32 + 4 + extra.helper.seed.len()) as u64;
+    assert!(
+        grown == [v1_frame, 0] || grown == [0, v1_frame],
+        "{grown:?}"
+    );
+    for shard in &shards {
+        assert_eq!(format_version(&shard.join("journal.fel")), 1);
+    }
+    expected[V1_FIXTURE_USERS] = Some(extra.helper.clone());
+    assert_eq!(challenge_helpers(&server, &records), expected);
+
+    // The checkpoint rewrites both artifacts of both shards at version
+    // 2, and the journals take version-2 frames from then on: a revoke
+    // is `len ‖ crc ‖ tag ‖ len(id) ‖ id`.
+    server.checkpoint().unwrap();
+    for shard in &shards {
+        for file in ["journal.fel", "snapshot.fes"] {
+            assert_eq!(format_version(&shard.join(file)), 2, "{}", file);
+        }
+        assert_eq!(
+            std::fs::metadata(shard.join("journal.fel")).unwrap().len(),
+            HEADER as u64
+        );
+    }
+    server.revoke(&records[0].id).unwrap();
+    let grown = shards
+        .clone()
+        .map(|s| std::fs::metadata(s.join("journal.fel")).unwrap().len());
+    let v2_frame = HEADER as u64 + 10 + records[0].id.len() as u64;
+    assert!(grown.contains(&v2_frame), "{grown:?}");
+    expected[0] = None;
+
+    // A second recovery answers as the first server did.
+    drop(server);
+    let server = SharedServer::<EpochIndex>::recover(params.clone(), &dir).unwrap();
+    assert_eq!(server.user_count(), V1_FIXTURE_USERS - 1);
+    assert_eq!(challenge_helpers(&server, &records), expected);
+    drop(server);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn single_bit_flips_in_a_version_1_store_are_detected() {
+    let params = SystemParams::paper_defaults();
+    let fp = params.fingerprint();
+    let dir = v1_fixture_copy("v1-bitflips");
+    // (snapshot rows, journal events) of each shard.
+    let shards = [("shard-000", 4, 2), ("shard-001", 4, 3)];
+    for (shard, rows, events) in shards {
+        sweep_store(&dir.join(shard), fp, rows, events, &|| {
+            SharedServer::<EpochIndex>::recover(params.clone(), &dir).is_err()
+        });
+    }
+    // Restored, the fixture recovers whole.
+    let server = SharedServer::<EpochIndex>::recover(params.clone(), &dir).unwrap();
+    assert_eq!(server.user_count(), V1_FIXTURE_USERS - 1);
+    drop(server);
     std::fs::remove_dir_all(&dir).unwrap();
 }

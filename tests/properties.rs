@@ -3,6 +3,7 @@
 
 use fuzzy_id::core::codec::{
     self, decode_helper, decode_sketch, encode_helper, encode_sketch, CodecError, Fingerprint,
+    Version,
 };
 use fuzzy_id::core::conditions::{cyclic_close, paper_conditions_hold, sketches_match};
 use fuzzy_id::core::{
@@ -55,6 +56,106 @@ fn crc32_bit_serial(data: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// A sketch-codec test row of dimension `dim`, drawn from `seed`:
+/// kind 0 arbitrary `i64`s; 1 the extremes (`i64::MIN`, `i64::MAX`, 0,
+/// `±ka/2` and `±(ka/2 − 1)` of a random ring); 2 all zero; 3 paper-ring
+/// values with one arbitrary outlier; 4 paper-ring values.
+fn sketch_row(kind: u8, dim: usize, seed: u64) -> Vec<i64> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let half = rng.gen_range(1i64..1 << 40);
+    let mut row: Vec<i64> = (0..dim)
+        .map(|_| match kind {
+            0 => rng.gen(),
+            1 => [i64::MIN, i64::MAX, 0, half, -half, half - 1, 1 - half][rng.gen_range(0..7usize)],
+            2 => 0,
+            _ => rng.gen_range(-200..=200),
+        })
+        .collect();
+    if kind == 3 && dim > 0 {
+        row[rng.gen_range(0..dim)] = rng.gen();
+    }
+    row
+}
+
+/// The version-2 sketch as its definition spells it, one bit at a time:
+/// the dimension by the one-byte length rule, the width (`width`, or the
+/// bit length of the widest zigzag code and at least 1), then code `i`'s
+/// bit `b` at stream bit `i·width + b`, byte `j`'s bit `j mod 8` holding
+/// stream bit `j`.
+fn packed_sketch_oracle(sketch: &[i64], width: Option<u32>) -> Vec<u8> {
+    let codes: Vec<u64> = sketch
+        .iter()
+        .map(|&v| {
+            if v >= 0 {
+                2 * v as u64
+            } else {
+                2 * !(v as u64) + 1
+            }
+        })
+        .collect();
+    let needed = codes
+        .iter()
+        .map(|z| 64 - z.leading_zeros())
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    let width = width.unwrap_or(needed) as usize;
+    let mut out = Vec::new();
+    if sketch.len() < 255 {
+        out.push(sketch.len() as u8);
+    } else {
+        out.push(0xff);
+        out.extend_from_slice(&(sketch.len() as u32).to_le_bytes());
+    }
+    out.push(width as u8);
+    let mut stream = vec![0u8; (sketch.len() * width).div_ceil(8)];
+    for (i, z) in codes.iter().enumerate() {
+        for b in 0..width {
+            if b < 64 && z >> b & 1 == 1 {
+                let at = i * width + b;
+                stream[at / 8] |= 1 << (at % 8);
+            }
+        }
+    }
+    out.extend_from_slice(&stream);
+    out
+}
+
+/// A few bytes claiming 2³² − 1 coordinates are `Truncated` before
+/// anything is allocated: each coordinate costs at least one bit, so the
+/// claim needs half a gigabyte the input does not have. A length escape
+/// spelling a length one byte holds is refused as not canonical.
+#[test]
+fn codec_hostile_lengths_are_refused_before_allocating() {
+    for width in [1u8, 9, 64] {
+        let bytes = [0xff, 0xff, 0xff, 0xff, 0xff, width, 0, 0, 0];
+        assert_eq!(
+            codec::Reader::new(&bytes).get_sketch(Version::V2),
+            Err(CodecError::Truncated),
+            "width {width}"
+        );
+    }
+    for short in [0u32, 1, 254] {
+        let mut bytes = vec![0xff];
+        bytes.extend_from_slice(&short.to_le_bytes());
+        bytes.extend_from_slice(&[1, 0, 0]);
+        assert!(matches!(
+            codec::Reader::new(&bytes).get_sketch(Version::V2),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+    // 255 coordinates take the escape, and are read back through it.
+    let row = vec![-1i64; 255];
+    let mut w = codec::Writer::new();
+    w.put_sketch(&row, Version::V2);
+    assert_eq!(w.as_slice()[..6], [0xff, 255, 0, 0, 0, 1]);
+    assert_eq!(
+        codec::Reader::new(w.as_slice()).get_sketch(Version::V2),
+        Ok(row)
+    );
 }
 
 proptest! {
@@ -359,6 +460,154 @@ proptest! {
         if cut < bytes.len() {
             prop_assert!(decode_helper(&bytes[..cut], &fp).is_err());
         }
+    }
+
+    /// The version-2 sketch codec against a bit-serial oracle, on rows
+    /// of dimension 0–70: arbitrary `i64`s, `i64::MIN` / `i64::MAX` /
+    /// `±ka/2` and their neighbours, all-zero rows, rows of small values
+    /// with one outlier, and paper-ring sketches. The bytes are the
+    /// oracle's, they decode to the row, and the row re-encodes to them.
+    #[test]
+    fn codec_packed_sketch_matches_its_oracle(
+        kind in 0u8..5,
+        dim in 0usize..71,
+        seed in any::<u64>(),
+    ) {
+        let sketch = sketch_row(kind, dim, seed);
+        let oracle = packed_sketch_oracle(&sketch, None);
+        let mut w = codec::Writer::new();
+        w.put_sketch(&sketch, Version::V2);
+        prop_assert_eq!(w.as_slice(), &oracle[..]);
+        let mut r = codec::Reader::new(&oracle);
+        prop_assert_eq!(r.get_sketch(Version::V2).unwrap(), sketch.clone());
+        prop_assert!(r.is_empty());
+
+        // The same row at version 1 is `u32 count ‖ count × i64`.
+        let mut w = codec::Writer::new();
+        w.put_sketch(&sketch, Version::V1);
+        prop_assert_eq!(w.as_slice().len(), 4 + 8 * dim);
+        prop_assert_eq!(
+            codec::Reader::new(w.as_slice()).get_sketch(Version::V1).unwrap(),
+            sketch.clone()
+        );
+
+        // Every strict prefix is refused, and never panics.
+        for cut in 0..oracle.len() {
+            prop_assert!(codec::Reader::new(&oracle[..cut]).get_sketch(Version::V2).is_err());
+        }
+    }
+
+    /// The decoder is canonical: a width outside 1..=64, a width one
+    /// bit wider than the codes need, and a set padding bit are
+    /// refused, so every sketch it accepts re-encodes to exactly the
+    /// bytes it read — checked on the oracle's bytes, on their
+    /// deliberately non-canonical variants, and on random bytes.
+    #[test]
+    fn codec_packed_sketch_decoder_is_canonical(
+        kind in 0u8..5,
+        dim in 0usize..71,
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let malformed = |bytes: &[u8]| {
+            matches!(
+                codec::Reader::new(bytes).get_sketch(Version::V2),
+                Err(CodecError::Malformed(_))
+            )
+        };
+        let sketch = sketch_row(kind, dim, seed);
+        let canonical = packed_sketch_oracle(&sketch, None);
+        let width = u32::from(canonical[1]);
+
+        // One bit wider than the codes need.
+        if width < 64 {
+            prop_assert!(malformed(&packed_sketch_oracle(&sketch, Some(width + 1))));
+        }
+        // Widths 0 and 65..=255, with as many bytes as they would need.
+        if dim > 0 {
+            prop_assert!(malformed(&[dim as u8, 0]));
+        }
+        for wide in [65u32, 128, 255] {
+            let mut bytes = vec![dim as u8, wide as u8];
+            bytes.resize(2 + (dim * wide as usize).div_ceil(8), 0);
+            prop_assert!(malformed(&bytes));
+        }
+        // Each padding bit of the last byte.
+        let used = dim * width as usize % 8;
+        if used != 0 {
+            for bit in used..8 {
+                let mut bytes = canonical.clone();
+                *bytes.last_mut().unwrap() |= 1 << bit;
+                prop_assert!(malformed(&bytes));
+            }
+        }
+
+        // Random bytes behind a small dimension and any width: whatever
+        // is accepted is its own encoding.
+        let mut bytes = vec![(seed % 20) as u8, (seed >> 8) as u8 % 67];
+        bytes.extend_from_slice(&noise);
+        let mut r = codec::Reader::new(&bytes);
+        if let Ok(decoded) = r.get_sketch(Version::V2) {
+            let mut w = codec::Writer::new();
+            w.put_sketch(&decoded, Version::V2);
+            prop_assert_eq!(w.as_slice(), &bytes[..r.position()]);
+        }
+    }
+
+    /// A version-2 record row round-trips through `put_record` /
+    /// `get_record` with fields on both sides of the one-byte length
+    /// rule's escape, spends exactly one length byte per short field,
+    /// and every strict prefix of it errors without panicking.
+    #[test]
+    fn codec_v2_record_roundtrip_and_truncation(
+        kind in 0u8..5,
+        dim in 0usize..71,
+        seed in any::<u64>(),
+        lens in (0usize..300, 0usize..300, 0usize..300, 0usize..300),
+    ) {
+        use fuzzy_id::protocol::store::{get_record, get_row, put_record, put_row, SnapshotRow};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = |n: usize| {
+            use rand::RngCore;
+            let mut b = vec![0u8; n];
+            rng.fill_bytes(&mut b);
+            b
+        };
+        let record = fuzzy_id::protocol::EnrollmentRecord {
+            id: "u".repeat(lens.0),
+            public_key: bytes(lens.1),
+            helper: HelperData {
+                sketch: RobustData {
+                    inner: sketch_row(kind, dim, seed),
+                    tag: bytes(lens.2),
+                },
+                seed: bytes(lens.3),
+            },
+        };
+        let mut w = codec::Writer::new();
+        put_record(&mut w, &record);
+        let encoded = w.into_bytes();
+        let lengths: usize = [lens.0, lens.1, lens.2, lens.3]
+            .iter()
+            .map(|&n| codec::len_bytes(n) + n)
+            .sum();
+        let sketch = packed_sketch_oracle(&record.helper.sketch.inner, None).len();
+        prop_assert_eq!(encoded.len(), lengths + sketch);
+
+        let mut r = codec::Reader::new(&encoded);
+        prop_assert_eq!(get_record(&mut r).unwrap(), record.clone());
+        prop_assert!(r.is_empty());
+        for cut in 0..encoded.len() {
+            prop_assert!(get_record(&mut codec::Reader::new(&encoded[..cut])).is_err());
+        }
+
+        // The version-1 row of the same record reads back under
+        // version 1, as the wire and older stores hold it.
+        let mut w = codec::Writer::new();
+        put_row(&mut w, &SnapshotRow::of(&record), Version::V1);
+        let v1 = w.into_bytes();
+        prop_assert_eq!(v1.len(), 16 + lens.0 + lens.1 + lens.2 + lens.3 + 4 + 8 * dim);
+        prop_assert_eq!(get_row(&mut codec::Reader::new(&v1), Version::V1).unwrap(), record);
     }
 
     /// Journal-frame robustness: a stream of CRC-framed payloads reads
