@@ -134,7 +134,7 @@ impl<I: EpochRead> Shard<I> {
         // held here is what serializes this shard's writers.
         let write = plan(&self.state.read())?;
         write.journal(&mut journal)?;
-        let revokes = matches!(write, Write::Revoke(_));
+        let revokes = matches!(write, Write::Revoke(..));
         let mut state = self.state.write();
         state.apply(write)?;
         if revokes {

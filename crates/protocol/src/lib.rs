@@ -93,6 +93,7 @@ pub use messages::{
 };
 pub use normal::{NormalIdentification, NormalStats, ScanMode};
 pub use params::{DedupPolicy, SystemParams};
+pub use records::id_hashes;
 pub use runner::{IdentifyStats, ProtocolRunner};
 pub use scheduler::{IdentifyTicket, ScheduledServer, SchedulerConfig, SchedulerMetrics};
 pub use server::{AuthenticationServer, BuildIndex};

@@ -1,5 +1,5 @@
 //! The record table: what the server keeps of each enrollment *besides
-//! its index row*, in three flat parts and no per-record allocation.
+//! its index row*, in four flat parts and no per-record allocation.
 //!
 //! * a **byte arena** of fixed-size chunks holding each record as one
 //!   block, `len(id) ‖ len(key) ‖ len(tag) ‖ len(seed) ‖ id ‖ public
@@ -12,18 +12,23 @@
 //!   reallocated, so growth never copies and never leaves a freed
 //!   doubling behind; a block never straddles two chunks (one larger
 //!   than [`CHUNK`] gets a chunk of its own);
-//! * `slots`, one `u64` per record slot: where the slot's block starts,
-//!   and sixteen bits of the id's hash;
+//! * `starts`, the first slot of each chunk, so a slot's chunk is a
+//!   binary search of one `u32` per MiB of records;
+//! * `slots`, one `u64` per record slot: a dead bit, 43 bits of the id's
+//!   keyed hash, and where in its chunk the slot's block starts;
 //! * an open-addressed **id table** of `u32` entries, each a slot number
-//!   in its low bits under as many of the id's hash bits as the slot
-//!   count leaves free. It hashes and compares the id bytes where they
-//!   sit in the arena — after those bits, then the sixteen in the slot
-//!   word, agree — so a lookup passes over the other ids of its run
-//!   reading nothing but the table.
+//!   in its low bits under as many of those 43 hash bits as the slot
+//!   count leaves free. A lookup passes over the other ids of its run
+//!   reading nothing but the table, and compares an id's bytes, where
+//!   they sit in the arena, only after all 43 bits agree.
+//!
+//! **An id is hashed once**, when it is looked up: the slot word keeps
+//! every hash bit the table uses, so growth, `reserve`, `compact` and a
+//! revoke's backward shift re-file entries from the slot words alone,
+//! never re-hashing an id or reading the arena ([`id_hashes`] counts).
 //!
 //! **Arena order is slot order is enrollment order.** A block therefore
-//! ends where the next slot's block starts (or at its chunk's fill), a
-//! table rebuild is one sequential read of the arena, and
+//! ends where the next slot's block starts (or at its chunk's fill), and
 //! [`RecordTable::compact`] slides live blocks down in one ascending
 //! pass. Revocation zeroes a block at once — the stored helper data is
 //! gone when `revoke` returns — but its bytes, like its slot and its
@@ -31,6 +36,7 @@
 
 use crate::messages::{EnrollmentRecord, WireHelper};
 use fe_core::codec::{len_bytes, peek_len, put_len, unzigzag, zigzag};
+use std::cell::Cell;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 
@@ -38,19 +44,38 @@ const CHUNK_BITS: u32 = 20;
 /// Bytes of one arena chunk.
 pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
 /// Set in a slot whose record was revoked. The slot keeps its block's
-/// position, which is where the block before it ends.
+/// offset, which is where the block before it ends.
 const DEAD: u64 = 1 << 63;
-/// The bits of a slot that hold the top sixteen bits of its id's hash.
-const TAG_SHIFT: u32 = 47;
-const TAG: u64 = 0xffff << TAG_SHIFT;
-/// The bits of a slot that say where its block starts: chunk number
-/// (27 bits), then offset within the chunk.
-const POSITION: u64 = !(DEAD | TAG);
+/// Bits of an id's keyed hash a slot word keeps: all the word has left
+/// beside [`DEAD`] and an offset in a chunk.
+const HASH_BITS: u32 = 43;
+/// The bits of a slot word that hold its id's kept hash.
+const HASH: u64 = ((1 << HASH_BITS) - 1) << CHUNK_BITS;
+/// The bits of a slot word that say where in its chunk its block starts.
+const OFFSET: u64 = CHUNK as u64 - 1;
 /// An id-table entry naming no slot. A live entry's slot bits are
 /// never all ones ([`RecordTable::width`]), so no fingerprint makes one.
 const EMPTY: u32 = u32::MAX;
 /// Entries of the smallest id table.
 const MIN_TABLE: usize = 4;
+
+thread_local! {
+    static ID_HASHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Keyed hashes of user ids the calling thread's record tables have
+/// computed so far: one per lookup — an enroll's vacancy probe, a
+/// revoke, `is_enrolled` — and none when an id table grows, compacts or
+/// shifts a run back after a revoke, which re-file entries from the
+/// hash bits each slot keeps. Subtract two readings to count one call.
+pub fn id_hashes() -> u64 {
+    ID_HASHES.with(Cell::get)
+}
+
+/// The kept bits of a slot word's hash.
+fn kept_hash(word: u64) -> u64 {
+    (word & HASH) >> CHUNK_BITS
+}
 
 /// Reads the length [`put_len`] wrote at the front of `bytes`, and
 /// steps past it.
@@ -152,14 +177,18 @@ impl<'a> StoredRecord<'a> {
 }
 
 /// Proof that an id was absent when the table was probed: the id's
-/// hash, which [`RecordTable::push`] files the new slot under without
-/// hashing or comparing again. Good until that id is enrolled.
+/// kept hash, which [`RecordTable::push`] files the new slot under
+/// without hashing or comparing again. Good until that id is enrolled.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Vacancy(u64);
 
-/// The [`TAG`] bits of a slot whose id hashes to `hash`.
-fn tag_of(hash: u64) -> u64 {
-    (hash >> 48) << TAG_SHIFT
+/// Where an enrolled id is filed: its id-table position and its slot.
+/// [`RecordTable::revoke`] removes the entry without looking the id up
+/// again. Good until the table next changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Located {
+    at: usize,
+    slot: usize,
 }
 
 /// Slot-number bits of an id-table entry in a table of `slots` slots:
@@ -174,12 +203,15 @@ pub(crate) struct RecordTable {
     /// Each allocated once, at `CHUNK` bytes of capacity (or one
     /// oversized block's length); `len` is the fill.
     chunks: Vec<Vec<u8>>,
-    /// `chunk << CHUNK_BITS | offset` of each slot's block, ascending,
-    /// under [`TAG`] and [`DEAD`].
+    /// The first slot of each chunk, ascending; every chunk holds one
+    /// slot at least.
+    starts: Vec<u32>,
+    /// `kept hash << CHUNK_BITS | offset` of each slot's block, under
+    /// [`DEAD`].
     slots: Vec<u64>,
     /// Power-of-two capacity, at most 7/8 full, linear probing; an entry
     /// is [`EMPTY`] or a live slot number in its low `width` bits under
-    /// the top `32 − width` bits of its id's hash, the fingerprint.
+    /// the top `32 − width` of its id's kept hash bits, the fingerprint.
     /// Deletion shifts the rest of the run back, so churn leaves no
     /// tombstones.
     table: Vec<u32>,
@@ -210,6 +242,7 @@ impl RecordTable {
     pub(crate) fn new() -> Self {
         RecordTable {
             chunks: Vec::new(),
+            starts: Vec::new(),
             slots: Vec::new(),
             table: Vec::new(),
             width: width_for(0),
@@ -235,12 +268,13 @@ impl RecordTable {
     }
 
     /// Exact heap bytes held: slot vector, arena chunks (and the vector
-    /// of them), id table.
+    /// of them), first-slot list, id table.
     pub(crate) fn heap_bytes(&self) -> usize {
         let arena: usize = self.chunks.iter().map(Vec::capacity).sum();
         self.slots.capacity() * 8
             + arena
             + self.chunks.capacity() * std::mem::size_of::<Vec<u8>>()
+            + self.starts.capacity() * 4
             + self.table.capacity() * 4
     }
 
@@ -258,15 +292,27 @@ impl RecordTable {
         u32::try_from(fields).is_ok() && u32::try_from(h.sketch.inner.len()).is_ok()
     }
 
+    /// One past the last slot of `chunk`.
+    fn chunk_end(&self, chunk: usize) -> usize {
+        (self.starts.get(chunk + 1)).map_or(self.slots.len(), |&next| next as usize)
+    }
+
+    /// The byte range of `slot`'s block, live or revoked, in `chunk`,
+    /// the chunk that holds it.
+    fn range(&self, chunk: usize, slot: usize) -> Range<usize> {
+        let start = (self.slots[slot] & OFFSET) as usize;
+        let end = if slot + 1 < self.chunk_end(chunk) {
+            (self.slots[slot + 1] & OFFSET) as usize
+        } else {
+            self.chunks[chunk].len()
+        };
+        start..end
+    }
+
     /// The chunk and byte range of `slot`'s block, live or revoked.
     fn extent(&self, slot: usize) -> (usize, Range<usize>) {
-        let at = self.slots[slot] & POSITION;
-        let (chunk, start) = ((at >> CHUNK_BITS) as usize, at as usize & (CHUNK - 1));
-        let end = match self.slots.get(slot + 1).map(|next| next & POSITION) {
-            Some(next) if (next >> CHUNK_BITS) as usize == chunk => next as usize & (CHUNK - 1),
-            _ => self.chunks[chunk].len(),
-        };
-        (chunk, start..end)
+        let chunk = self.starts.partition_point(|&first| first as usize <= slot) - 1;
+        (chunk, self.range(chunk, slot))
     }
 
     /// The record in `slot`; `None` for revoked and out-of-range slots.
@@ -278,22 +324,46 @@ impl RecordTable {
         Some(StoredRecord::view(&self.chunks[chunk][range]))
     }
 
+    /// The live records and their slots, in slot order: a walk that
+    /// steps through `starts` beside the slots instead of searching it
+    /// for each.
+    pub(crate) fn live(&self) -> Live<'_> {
+        Live {
+            table: self,
+            slot: 0,
+            chunk: 0,
+        }
+    }
+
+    /// The id's keyed hash, cut to the bits a slot word keeps.
+    fn hash_id(&self, id: &[u8]) -> u64 {
+        ID_HASHES.with(|n| n.set(n.get() + 1));
+        self.hasher.hash_one(id) & (HASH >> CHUNK_BITS)
+    }
+
     /// The bits of an id-table entry that hold its slot number.
     fn slot_bits(&self) -> u32 {
         u32::MAX >> (u32::BITS - self.width)
     }
 
-    /// The id-table entry that files `slot` under `hash`.
+    /// The id-table entry that files `slot` under the kept `hash`: the
+    /// hash's top `32 − width` bits above the slot number. Home is its
+    /// low bits, fewer than the `11 + width` below the fingerprint (a
+    /// table's capacity stays below `2^(width + 2)`), so the two are
+    /// independent.
     fn entry(&self, hash: u64, slot: u32) -> u32 {
-        (hash >> 32) as u32 & !self.slot_bits() | slot
+        (hash >> (HASH_BITS - u32::BITS)) as u32 & !self.slot_bits() | slot
     }
 
-    /// The id in the slot an id-table entry names (a slot number names
-    /// itself: its fingerprint bits are zero).
-    fn id_bytes(&self, entry: u32) -> &[u8] {
-        let record =
-            (self.get((entry & self.slot_bits()) as usize)).expect("the id table names live slots");
+    /// The id in `slot`, which the id table names, so it is live.
+    fn id_bytes(&self, slot: usize) -> &[u8] {
+        let record = self.get(slot).expect("the id table names live slots");
         record.field(0)
+    }
+
+    /// The kept hash of the id in the slot an id-table entry names.
+    fn hash_of(&self, entry: u32) -> u64 {
+        kept_hash(self.slots[(entry & self.slot_bits()) as usize])
     }
 
     /// Position and slot of each entry of `hash`'s run whose fingerprint
@@ -317,19 +387,26 @@ impl RecordTable {
         })
     }
 
-    /// Where `id` is in the id table (`Ok`: position and slot), or the
-    /// hash to file it under.
-    fn locate(&self, id: &[u8]) -> Result<(usize, usize), Vacancy> {
-        let hash = self.hasher.hash_one(id);
-        let tag = tag_of(hash);
+    /// Where `id` is filed, or the hash to file it under: the one place
+    /// an id is hashed. Its bytes are compared only where all the kept
+    /// hash bits agree.
+    fn locate(&self, id: &[u8]) -> Result<Located, Vacancy> {
+        let hash = self.hash_id(id);
         self.candidates(hash)
-            .find(|&(_, slot)| self.slots[slot] & TAG == tag && self.id_bytes(slot as u32) == id)
+            .find(|&(_, slot)| kept_hash(self.slots[slot]) == hash && self.id_bytes(slot) == id)
+            .map(|(at, slot)| Located { at, slot })
             .ok_or(Vacancy(hash))
+    }
+
+    /// Where `id` is filed, for a following [`RecordTable::revoke`];
+    /// `None` when it is not stored.
+    pub(crate) fn located(&self, id: &str) -> Option<Located> {
+        self.locate(id.as_bytes()).ok()
     }
 
     /// The slot `id` lives in.
     pub(crate) fn find(&self, id: &str) -> Option<usize> {
-        self.locate(id.as_bytes()).ok().map(|(_, slot)| slot)
+        self.located(id).map(|located| located.slot)
     }
 
     /// Find-or-vacant: `None` when `id` is stored, else the vacancy a
@@ -359,14 +436,14 @@ impl RecordTable {
     }
 
     /// Replaces the id table by one of `capacity` entries of `width`
-    /// slot bits: one sequential read of the arena.
+    /// slot bits: one sequential read of the slot words.
     fn rebuild_table(&mut self, capacity: usize, width: u32) {
         self.table = vec![EMPTY; capacity];
         self.width = width;
         for slot in 0..self.slots.len() {
-            if self.slots[slot] & DEAD == 0 {
-                let hash = self.hasher.hash_one(self.id_bytes(slot as u32));
-                self.file(hash, slot as u32);
+            let word = self.slots[slot];
+            if word & DEAD == 0 {
+                self.file(kept_hash(word), slot as u32);
             }
         }
     }
@@ -412,19 +489,15 @@ impl RecordTable {
 
         assert!(!self.is_full(), "validate_enroll refuses a full table");
         let slot = self.slots.len() as u32;
-        if self
-            .chunks
-            .last()
-            .is_none_or(|last| last.len() + len > CHUNK)
-        {
+        if (self.chunks.last()).is_none_or(|last| last.len() + len > CHUNK) {
             self.chunks.push(Vec::with_capacity(len.max(CHUNK)));
+            self.starts.push(slot);
         }
-        let last = self.chunks.len() - 1;
-        assert!((last as u64) << CHUNK_BITS <= POSITION, "arena exhausted");
-        let chunk = &mut self.chunks[last];
-        self.slots
-            .push(tag_of(vacancy.0) | ((last as u64) << CHUNK_BITS) | chunk.len() as u64);
+        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
+        // A block is never empty and ends within its chunk (or is the
+        // chunk), so it starts below `CHUNK`.
         let start = chunk.len();
+        self.slots.push(vacancy.0 << CHUNK_BITS | start as u64);
         for field in fields {
             put_len(chunk, field.len());
         }
@@ -449,16 +522,20 @@ impl RecordTable {
         slot as usize
     }
 
-    /// Revokes `id`: its slot is marked, its block zeroed and its table
-    /// entry removed. Returns the slot, `None` when `id` is not stored.
-    pub(crate) fn revoke(&mut self, id: &str) -> Option<usize> {
-        let (at, slot) = self.locate(id.as_bytes()).ok()?;
+    /// Revokes the id filed at `located`: its slot is marked, its block
+    /// zeroed and its table entry removed. Returns the slot.
+    pub(crate) fn revoke(&mut self, located: Located) -> usize {
+        let Located { at, slot } = located;
+        assert!(
+            self.table[at] & self.slot_bits() == slot as u32 && self.slots[slot] & DEAD == 0,
+            "a located entry is current until the table changes"
+        );
         // Backward-shift deletion: each later entry of the run moves
         // into the hole unless that would put it before its home.
         let mask = self.table.len() - 1;
         let (mut hole, mut next) = (at, (at + 1) & mask);
         while self.table[next] != EMPTY {
-            let home = self.hasher.hash_one(self.id_bytes(self.table[next])) as usize & mask;
+            let home = self.hash_of(self.table[next]) as usize & mask;
             if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
                 self.table[hole] = self.table[next];
                 hole = next;
@@ -472,7 +549,7 @@ impl RecordTable {
         self.chunks[chunk][range].fill(0);
         self.slots[slot] |= DEAD;
         self.live -= 1;
-        Some(slot)
+        slot
     }
 
     /// Ends the filling of `chunk` at `fill` bytes during
@@ -494,17 +571,24 @@ impl RecordTable {
     pub(crate) fn compact(&mut self, mut renumbered: impl FnMut(usize, usize)) {
         // Greedy placement of a subsequence never overtakes greedy
         // placement of the whole sequence, so the write cursor stays at
-        // or below every block still to be read.
-        let (mut to, mut fill, mut kept) = (0usize, 0usize, 0usize);
+        // or below every block still to be read — and `starts[to]` is
+        // rewritten only once the read cursor `from` no longer needs it.
+        let (mut from, mut to, mut fill, mut kept) = (0usize, 0usize, 0usize, 0usize);
         for old in 0..self.slots.len() {
+            while old >= self.chunk_end(from) {
+                from += 1;
+            }
             if self.slots[old] & DEAD != 0 {
                 continue;
             }
-            let (from, range) = self.extent(old);
+            let range = self.range(from, old);
             let len = range.len();
             if fill > 0 && fill + len > CHUNK {
                 self.seal(to, fill);
                 (to, fill) = (to + 1, 0);
+            }
+            if fill == 0 {
+                self.starts[to] = kept as u32;
             }
             if to == from {
                 self.chunks[from].copy_within(range, fill);
@@ -519,7 +603,7 @@ impl RecordTable {
                 }
                 target[fill..fill + len].copy_from_slice(&high[0][range]);
             }
-            self.slots[kept] = self.slots[old] & TAG | ((to as u64) << CHUNK_BITS) | fill as u64;
+            self.slots[kept] = self.slots[old] & HASH | fill as u64;
             fill += len;
             renumbered(old, kept);
             kept += 1;
@@ -530,10 +614,40 @@ impl RecordTable {
         }
         self.chunks.truncate(to);
         self.chunks.shrink_to_fit();
+        self.starts.truncate(to);
+        self.starts.shrink_to_fit();
         self.slots.truncate(kept);
         self.slots.shrink_to_fit();
         self.dead_bytes = 0;
         self.rebuild_table(Self::table_capacity(self.live), width_for(self.live));
+    }
+}
+
+/// [`RecordTable::live`]'s walk.
+pub(crate) struct Live<'a> {
+    table: &'a RecordTable,
+    slot: usize,
+    /// The chunk that holds `slot`, once `slot` is in range.
+    chunk: usize,
+}
+
+impl<'a> Iterator for Live<'a> {
+    type Item = (usize, StoredRecord<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let table = self.table;
+        while self.slot < table.slots.len() {
+            let slot = self.slot;
+            self.slot += 1;
+            while slot >= table.chunk_end(self.chunk) {
+                self.chunk += 1;
+            }
+            if table.slots[slot] & DEAD == 0 {
+                let block = &table.chunks[self.chunk][table.range(self.chunk, slot)];
+                return Some((slot, StoredRecord::view(block)));
+            }
+        }
+        None
     }
 }
 
@@ -571,6 +685,12 @@ mod tests {
         table.push(vacancy, record, Some(&row_of(record)))
     }
 
+    /// Revokes `id` as a server does: locate, then remove.
+    fn revoke(table: &mut RecordTable, id: &str) -> Option<usize> {
+        let located = table.located(id)?;
+        Some(table.revoke(located))
+    }
+
     /// The helper a server rebuilds from `slot` and `record`'s row.
     fn helper_of(table: &RecordTable, slot: usize, record: &EnrollmentRecord) -> WireHelper {
         let mut helper = WireHelper {
@@ -591,7 +711,7 @@ mod tests {
         let mut examined = 0usize;
         for (at, &slot) in table.table.iter().enumerate() {
             if slot != EMPTY {
-                let home = table.hasher.hash_one(table.id_bytes(slot)) as usize & mask;
+                let home = table.hash_of(slot) as usize & mask;
                 examined += (at.wrapping_sub(home) & mask) + 1;
             }
         }
@@ -617,7 +737,11 @@ mod tests {
         assert_eq!(table.find("u200"), None);
         assert_eq!(
             table.heap_bytes(),
-            table.slots.capacity() * 8 + CHUNK + table.chunks.capacity() * 24 + 256 * 4
+            table.slots.capacity() * 8
+                + CHUNK
+                + table.chunks.capacity() * 24
+                + table.starts.capacity() * 4
+                + 256 * 4
         );
     }
 
@@ -679,32 +803,9 @@ mod tests {
             push(&mut table, r);
         }
         check(&table, &records.iter().collect::<Vec<_>>());
-        table.revoke(&records[0].id).unwrap();
+        revoke(&mut table, &records[0].id).unwrap();
         table.compact(|_, _| ());
         check(&table, &records[1..].iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ids_agreeing_on_length_tag_and_home_are_told_apart_by_their_bytes() {
-        // The tag spares most comparisons, so a lookup that compared
-        // less than every byte would pass every other test: search this
-        // table's keyed hash for two ids it cannot tell apart cheaply.
-        let mut table = RecordTable::new();
-        let mut seen = std::collections::HashMap::new();
-        let (a, b) = (0u32..)
-            .find_map(|n| {
-                let id = format!("c{n:07}");
-                let hash = table.hasher.hash_one(id.as_bytes());
-                let key = (tag_of(hash), hash as usize & (MIN_TABLE - 1));
-                seen.insert(key, id.clone()).map(|first| (first, id))
-            })
-            .expect("a collision on 18 bits");
-        assert_eq!(push(&mut table, &record(&a, 1)), 0);
-        assert_eq!(table.find(&b), None);
-        assert_eq!(push(&mut table, &record(&b, 2)), 1);
-        assert_eq!((table.find(&a), table.find(&b)), (Some(0), Some(1)));
-        assert_eq!(table.revoke(&a), Some(0));
-        assert_eq!((table.find(&a), table.find(&b)), (None, Some(1)));
     }
 
     #[test]
@@ -718,7 +819,7 @@ mod tests {
         // compacted, so the table is never rebuilt.
         for round in 0..1000usize {
             let id = format!("u{}", (round * 37) % 100);
-            assert!(table.revoke(&id).is_some());
+            assert!(revoke(&mut table, &id).is_some());
             assert_eq!(table.find(&id), None);
             push(&mut table, &record(&id, round as u8));
             assert_eq!(table.len(), 100);
@@ -746,8 +847,11 @@ mod tests {
                 for u in 0..population {
                     push(&mut table, &record(&format!("u{u}"), u));
                 }
-                assert_eq!(table.revoke(&format!("u{victim}")), Some(victim as usize));
-                assert_eq!(table.revoke(&format!("u{victim}")), None);
+                assert_eq!(
+                    revoke(&mut table, &format!("u{victim}")),
+                    Some(victim as usize)
+                );
+                assert_eq!(revoke(&mut table, &format!("u{victim}")), None);
                 for u in (0..population).filter(|&u| u != victim) {
                     assert_eq!(table.find(&format!("u{u}")), Some(u as usize));
                 }
@@ -759,16 +863,14 @@ mod tests {
     /// does: one per entry whose fingerprint agrees — every one of them
     /// when `id` is absent.
     fn slot_words_read(table: &RecordTable, id: &str) -> usize {
-        table
-            .candidates(table.hasher.hash_one(id.as_bytes()))
-            .count()
+        table.candidates(table.hash_id(id.as_bytes())).count()
     }
 
     /// Entries a lookup of the absent `id` passes before its run ends:
     /// the slot words it read before entries carried fingerprints.
     fn entries_passed(table: &RecordTable, id: &str) -> usize {
         let mask = table.table.len().wrapping_sub(1);
-        let home = table.hasher.hash_one(id.as_bytes()) as usize & mask;
+        let home = table.hash_id(id.as_bytes()) as usize & mask;
         let run = (0..table.table.len()).map(|i| table.table[(home + i) & mask]);
         run.take_while(|&entry| entry != EMPTY).count()
     }
@@ -795,36 +897,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ids_agreeing_on_fingerprint_tag_and_home_are_told_apart_by_their_bytes() {
-        // What the first push's 4-entry table keeps of a hash: the
-        // fingerprint above its slot bits, and two bits of home. Search
-        // its keyed hash for two ids that agree on all of it.
-        let mut table = RecordTable::new();
-        let width = width_for(1);
-        let mut seen = std::collections::HashMap::new();
-        let (a, b) = (0u32..)
-            .find_map(|n| {
-                let id = format!("f{n:08}");
-                let hash = table.hasher.hash_one(id.as_bytes());
-                let key = (
-                    (hash >> 32) as u32 >> width,
-                    hash as usize & (MIN_TABLE - 1),
-                );
-                seen.insert(key, id.clone()).map(|first| (first, id))
+    /// Two ids of one length whose hashes agree on every bit `table`
+    /// keeps: a birthday collision on 43 bits, found in constant memory
+    /// by Floyd's cycle search over `v ↦ kept hash of "c{v}"` (about
+    /// 10⁷ hashes).
+    fn colliding_ids(table: &RecordTable) -> (String, String) {
+        let id = |v: u64| format!("c{v:013}");
+        let f = |v: u64| table.hash_id(id(v).as_bytes());
+        (0..)
+            .find_map(|start| {
+                // The hare meets the tortoise on the cycle; walked on in
+                // step from the start and from there, the two first map
+                // to one value at the cycle's entry.
+                let (mut slow, mut fast) = (f(start), f(f(start)));
+                while slow != fast {
+                    (slow, fast) = (f(slow), f(f(fast)));
+                }
+                let mut slow = start;
+                while f(slow) != f(fast) {
+                    (slow, fast) = (f(slow), f(fast));
+                }
+                // Equal only when `start` was on the cycle itself.
+                (slow != fast).then(|| (id(slow), id(fast)))
             })
-            .expect("a collision on 32 bits");
+            .expect("a collision on 43 bits")
+    }
+
+    #[test]
+    fn ids_agreeing_on_every_kept_hash_bit_are_told_apart_by_their_bytes() {
+        // Home, fingerprint and the slot word's 43 bits spare every
+        // comparison of bytes but the one that finds the id, so a lookup
+        // that compared less would pass every other test: search this
+        // table's keyed hash for two ids nothing but their bytes tells
+        // apart.
+        let mut table = RecordTable::new();
+        let (a, b) = colliding_ids(&table);
+        assert_eq!(table.hash_id(a.as_bytes()), table.hash_id(b.as_bytes()));
         assert_eq!(push(&mut table, &record(&a, 1)), 0);
         assert_eq!(table.find(&b), None);
         assert_eq!(push(&mut table, &record(&b, 2)), 1);
-        assert_eq!(table.width, width);
         assert_eq!(
             slot_words_read(&table, &b),
             2,
             "both entries match b's fingerprint"
         );
         assert_eq!((table.find(&a), table.find(&b)), (Some(0), Some(1)));
-        assert_eq!(table.revoke(&a), Some(0));
+        assert_eq!(revoke(&mut table, &a), Some(0));
         assert_eq!((table.find(&a), table.find(&b)), (None, Some(1)));
     }
 
@@ -844,7 +962,7 @@ mod tests {
                 if entry != EMPTY {
                     let slot = (entry & slot_bits) as usize;
                     let stored = table.get(slot).expect("entries name live slots");
-                    assert_eq!(table.locate(stored.id().as_bytes()).ok(), Some((at, slot)));
+                    assert_eq!(table.located(stored.id()), Some(Located { at, slot }));
                 }
             }
             for u in 0..LIVE {
@@ -862,7 +980,7 @@ mod tests {
         let mut widths = vec![table.width];
         for round in 0..5_000usize {
             let u = (round * 37) % LIVE;
-            assert!(table.revoke(&id(u)).is_some());
+            assert!(revoke(&mut table, &id(u)).is_some());
             push(&mut table, &record(&id(u), round as u8));
             let before = widths[widths.len() - 1];
             if table.width != before {
@@ -893,18 +1011,18 @@ mod tests {
         let secrets: [&[u8]; 3] = [&gone.public_key, &gone.helper.sketch.tag, &gone.helper.seed];
         assert!(secrets.iter().all(|s| contains(&table, s)));
         let bytes = table.extent(17).1.len();
-        assert_eq!(table.revoke("u17"), Some(17));
+        assert_eq!(revoke(&mut table, "u17"), Some(17));
         assert!(secrets.iter().all(|s| !contains(&table, s)));
         assert_eq!(table.dead_bytes(), bytes);
         assert!(table.get(17).is_none());
         // Sliding blocks down leaves no second copy within a chunk's
         // fill either (what `seal` zeroes past the fill, safe code
         // cannot read back).
-        table.revoke("u3").unwrap();
+        revoke(&mut table, "u3").unwrap();
         let moved = record("u39", 39);
         table.compact(|_, _| ());
         assert_eq!(table.dead_bytes(), 0);
-        table.revoke("u39").unwrap();
+        revoke(&mut table, "u39").unwrap();
         assert!(!contains(&table, &moved.public_key));
         assert!(!contains(&table, &moved.helper.seed));
     }
@@ -935,7 +1053,7 @@ mod tests {
         check(&table, &records.iter().collect::<Vec<_>>());
         assert_eq!(table.chunks.len(), 5); // 3 + 1 | oversized | 3 + 2
         for gone in ["big0", "big1", "big2", "big5", "big8"] {
-            table.revoke(gone).unwrap();
+            revoke(&mut table, gone).unwrap();
         }
         let mut pairs = Vec::new();
         table.compact(|old, new| pairs.push((old, new)));
@@ -948,10 +1066,86 @@ mod tests {
         let oversized = 8 + 4 + 24 + 16 + (CHUNK + 5) + 3;
         assert_eq!(capacities, [CHUNK, oversized, CHUNK]);
         // Revoking the oversized record and compacting gives its chunk back.
-        table.revoke("big4").unwrap();
+        revoke(&mut table, "big4").unwrap();
         table.compact(|_, _| ());
         let live: Vec<_> = [3, 6, 7, 9].iter().map(|&u| &records[u]).collect();
         check(&table, &live);
         assert!(table.chunks.iter().all(|c| c.capacity() == CHUNK));
+    }
+
+    #[test]
+    fn the_first_slot_list_follows_revokes_and_compaction() {
+        // ~300 KiB blocks, three to a chunk, around one larger than a
+        // chunk: big0-2 | big3-5 | big6 (oversized) | big7-9 | big10-12.
+        let mut table = RecordTable::new();
+        let records: Vec<_> = (0..13u8)
+            .map(|u| {
+                let mut r = record(&format!("big{u}"), u);
+                r.helper.seed = vec![u; if u == 6 { CHUNK + 5 } else { 300 << 10 }];
+                push(&mut table, &r);
+                r
+            })
+            .collect();
+        let oversized = 8 + 4 + 24 + 16 + (CHUNK + 5) + 3;
+        // Every slot through `get`, `find`, `restore` and the walk, and
+        // the exact heap bytes; `records[u]` lives in slot `s` where
+        // `slots[s]` is `Some(u)`.
+        let check = |table: &RecordTable, slots: &[Option<usize>], capacities: &[usize]| {
+            assert_eq!(table.slots(), slots.len());
+            let mut walked = table.live();
+            for (slot, &u) in slots.iter().enumerate() {
+                let Some(u) = u else {
+                    assert!(table.get(slot).is_none(), "slot {slot} is revoked");
+                    assert_eq!(table.find(&records[slot].id), None);
+                    continue;
+                };
+                let r = &records[u];
+                let stored = table.get(slot).expect("live slot");
+                assert_eq!((stored.id(), stored.public_key()), (&*r.id, &*r.public_key));
+                assert_eq!(table.find(&r.id), Some(slot));
+                assert_eq!(helper_of(table, slot, r), r.helper);
+                let (at, record) = walked.next().expect("the walk meets every live slot");
+                assert_eq!((at, record.id()), (slot, &*r.id));
+            }
+            assert!(walked.next().is_none());
+            let chunks: Vec<_> = table.chunks.iter().map(Vec::capacity).collect();
+            assert_eq!(chunks, capacities);
+            assert_eq!(
+                table.heap_bytes(),
+                table.slots.capacity() * 8
+                    + capacities.iter().sum::<usize>()
+                    + table.chunks.capacity() * 24
+                    + table.starts.capacity() * 4
+                    + table.table.capacity() * 4
+            );
+        };
+        let full = [CHUNK, CHUNK, oversized, CHUNK, CHUNK];
+        assert_eq!(table.starts, [0, 3, 6, 7, 10]);
+        check(&table, &(0..13).map(Some).collect::<Vec<_>>(), &full);
+
+        // The first and last block of the second chunk and every block
+        // of the fourth: the list stays, revoked slots keep their place.
+        let live = [0, 1, 2, 4, 6, 10, 11, 12];
+        for gone in [3, 5, 7, 8, 9] {
+            assert_eq!(revoke(&mut table, &records[gone].id), Some(gone));
+        }
+        assert_eq!(table.starts, [0, 3, 6, 7, 10]);
+        let slots: Vec<_> = (0..13).map(|u| live.contains(&u).then_some(u)).collect();
+        check(&table, &slots, &full);
+
+        let mut pairs = Vec::new();
+        table.compact(|old, new| pairs.push((old, new)));
+        let renumbered: Vec<_> = live
+            .iter()
+            .enumerate()
+            .map(|(new, &old)| (old, new))
+            .collect();
+        assert_eq!(pairs, renumbered);
+        // big0-2 | big4 | big6 | big10-12: the second chunk keeps its
+        // survivor, the oversized chunk stays its own, and the emptied
+        // fourth chunk takes the fifth's blocks.
+        assert_eq!(table.starts, [0, 3, 4, 5]);
+        assert_eq!(table.starts.capacity(), 4);
+        check(&table, &live.map(Some), &[CHUNK, CHUNK, oversized, CHUNK]);
     }
 }

@@ -13,7 +13,7 @@ use crate::messages::{
     UserId, WireHelper,
 };
 use crate::params::{DedupPolicy, SystemParams};
-use crate::records::{RecordTable, StoredRecord, Vacancy};
+use crate::records::{Live, Located, RecordTable, StoredRecord, Vacancy};
 use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
 use fe_core::index::store::{canonical, canonical_range};
@@ -92,26 +92,20 @@ fn canonical_row<'a>(row: &'a mut Vec<i64>, sketch: &[i64], ka: u64) -> Option<&
 /// (snapshot, export, the normal-approach baseline).
 struct LiveRows<'s, I: SketchIndex> {
     server: &'s AuthenticationServer<I>,
-    next: usize,
+    records: Live<'s>,
     helper: WireHelper,
 }
 
 impl<I: SketchIndex> SnapshotRows for LiveRows<'_, I> {
     fn next_row(&mut self) -> Option<SnapshotRow<'_>> {
         let server = self.server;
-        while self.next < server.records.slots() {
-            let slot = self.next;
-            self.next += 1;
-            if let Some(record) = server.records.get(slot) {
-                server.helper_into(slot, record, &mut self.helper);
-                return Some(SnapshotRow {
-                    id: record.id(),
-                    public_key: record.public_key(),
-                    helper: &self.helper,
-                });
-            }
-        }
-        None
+        let (slot, record) = self.records.next()?;
+        server.helper_into(slot, record, &mut self.helper);
+        Some(SnapshotRow {
+            id: record.id(),
+            public_key: record.public_key(),
+            helper: &self.helper,
+        })
     }
 }
 
@@ -127,8 +121,8 @@ pub(crate) enum Write {
     /// A uniqueness refusal: journaled as an audit record, reported as
     /// [`ProtocolError::DuplicateBiometric`], memory unchanged.
     Refuse { id: UserId, matched: UserId },
-    /// Revocation of an enrolled id.
-    Revoke(UserId),
+    /// Revocation of an enrolled id, and where the id table files it.
+    Revoke(UserId, Located),
 }
 
 impl Write {
@@ -144,7 +138,7 @@ impl Write {
         store.append(match self {
             Write::Enroll(record, _) => LogEventRef::Enroll(record),
             Write::Refuse { id, matched } => LogEventRef::EnrollRejected { id, matched },
-            Write::Revoke(id) => LogEventRef::Revoke(id),
+            Write::Revoke(id, _) => LogEventRef::Revoke(id),
         })
     }
 }
@@ -295,8 +289,11 @@ impl<I: BuildIndex> AuthenticationServer<I> {
                     Err(ProtocolError::DuplicateUser(_)) => {}
                     Err(refused) => return Err(refused),
                 },
+                // Tolerated when absent, as a replayed enroll is.
                 LogEvent::Revoke(id) => {
-                    let _ = server.apply_revoke(id);
+                    if let Some(located) = server.records.located(id) {
+                        server.apply_revoke(located);
+                    }
                 }
                 // Audit record of a refused enrollment: nothing to
                 // replay — the population never changed.
@@ -381,7 +378,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     fn live_rows(&self) -> LiveRows<'_, I> {
         LiveRows {
             server: self,
-            next: 0,
+            records: self.records.live(),
             helper: empty_helper(),
         }
     }
@@ -432,23 +429,21 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         self.commit(|server| server.plan_revoke(id))
     }
 
-    /// Plans a revocation (see [`Write`]).
+    /// Plans a revocation (see [`Write`]). The one id lookup of a
+    /// revocation happens here: the returned write carries where the id
+    /// is filed, which stays true until the apply because nothing else
+    /// writes in between (the shard's journal mutex, or `&mut self`).
     pub(crate) fn plan_revoke(&self, id: &str) -> Result<Write, ProtocolError> {
-        if !self.is_enrolled(id) {
-            return Err(ProtocolError::UnknownUser(id.to_string()));
-        }
-        Ok(Write::Revoke(id.to_string()))
+        let located =
+            (self.records.located(id)).ok_or_else(|| ProtocolError::UnknownUser(id.to_string()))?;
+        Ok(Write::Revoke(id.to_string(), located))
     }
 
-    /// In-memory revocation; `false` when the id is unknown (replay
-    /// tolerance). Infallible by construction for validated ids.
-    fn apply_revoke(&mut self, id: &str) -> bool {
-        let Some(idx) = self.records.revoke(id) else {
-            return false;
-        };
+    /// In-memory revocation of the record filed at `located`.
+    fn apply_revoke(&mut self, located: Located) {
+        let idx = self.records.revoke(located);
         self.index.remove(idx);
         self.pending.retain(|_, p| p.record_idx != idx);
-        true
     }
 
     /// Checks everything that could make [`AuthenticationServer::enroll`]
@@ -567,7 +562,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             Write::Refuse { matched, .. } => {
                 return Err(ProtocolError::DuplicateBiometric(matched))
             }
-            Write::Revoke(id) => assert!(self.apply_revoke(&id), "validated id must be revocable"),
+            Write::Revoke(_, located) => self.apply_revoke(located),
         }
         Ok(())
     }

@@ -1,25 +1,31 @@
 //! Exact costs, counted rather than timed: Montgomery products per DSA
 //! operation and per login, from `fe-bigint`'s per-thread counters, the
-//! hardware divides `SS` and `Rec` fall back to, from `fe-core`'s, and
-//! the bytes a record takes in the journal, in a snapshot row and on
-//! the wire.
+//! hardware divides `SS` and `Rec` fall back to, from `fe-core`'s, the
+//! keyed id hashes of the record table, from `fe-protocol`'s, and the
+//! bytes a record takes in the journal, in a snapshot row and on the
+//! wire.
 //!
 //! A count does not move with the host's speed, so these are equalities.
 //! Each pinned number is beside what the same operation took with one
 //! generic 4-bit-window `mod_pow` per power of `g` (and two per
-//! verification), the code the fixed-base comb replaced, or with a
+//! verification), the code the fixed-base comb replaced, with a
 //! hardware divide per residue on the ring, the code the reciprocals
-//! replaced.
+//! replaced, or with an id table that re-hashed every id it re-filed,
+//! the code the 43 hash bits in a slot word replaced.
 
 use fuzzy_id::bigint::montgomery::{counts, Counts};
 use fuzzy_id::core::codec::Writer;
 use fuzzy_id::core::{ring_divides, ChebyshevSketch, SecureSketch};
 use fuzzy_id::crypto::dsa::{Dsa, DsaParams};
 use fuzzy_id::crypto::sig::SignatureScheme;
+use fuzzy_id::protocol::concurrent::SharedServer;
 use fuzzy_id::protocol::store::{put_record, EnrollmentStore, FileStore, LogEventRef};
-use fuzzy_id::protocol::{wire, AuthenticationServer, BiometricDevice, IdentOutcome, SystemParams};
+use fuzzy_id::protocol::{
+    id_hashes, wire, AuthenticationServer, BiometricDevice, EnrollmentRecord, IdentOutcome,
+    SystemParams,
+};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// `f`'s result and the Montgomery operations it ran on this thread.
 fn cost<T>(f: impl FnOnce() -> T) -> (T, Counts) {
@@ -184,6 +190,66 @@ fn each_far_coordinate_costs_one_divide() {
     }
     let (_, spent) = divides(|| scheme.sketch(&[i64::MIN, 0, i64::MAX], &mut rng));
     assert_eq!(spent, 2);
+}
+
+/// `f`'s result and the keyed id hashes the record tables computed on
+/// this thread.
+fn id_hashed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = id_hashes();
+    let out = f();
+    (out, id_hashes() - before)
+}
+
+/// An id is hashed once a lookup, whatever the population: once by an
+/// enroll's vacancy probe, once by a revoke's plan, and never by
+/// `compact`, because the id table re-files its entries from the 43
+/// hash bits each slot word keeps. `scan_inproc`'s two shards, and
+/// records synthesized as `fe-benchmark`'s generator builds them: a
+/// fresh sketch under one donor's key bytes and seed. While every
+/// id-table rebuild re-hashed each live id from the arena, the same
+/// enrolls cost 2, 2.80 and 2.15 hashes each at N = 1, 10³ and 10⁵
+/// (2.84 at 10⁶); a revoke cost 2 (plan and apply) plus one per entry
+/// its backward shift passed, 3.7 and 9.1 on average here at 10³ and
+/// 10⁵; and `compact` one per live record. The count is exactly 1 at
+/// 10⁶ too, a population too large to enroll here.
+#[test]
+fn an_enroll_hashes_its_id_once_at_any_population() {
+    let params = SystemParams::paper_defaults();
+    let scheme = *params.sketch();
+    let line = *scheme.line();
+    let mut rng = StdRng::seed_from_u64(34);
+    let donor_bio = line.random_vector(64, &mut rng);
+    let device = BiometricDevice::new(params.clone());
+    let donor = device.enroll("donor", &donor_bio, &mut rng).unwrap();
+    let id = |u: usize| format!("user-{u:06}");
+    for n in [1, 1_000, 100_000] {
+        let server: SharedServer = SharedServer::with_shards(params.clone(), 2);
+        let (_, spent) = id_hashed(|| {
+            for u in 0..n {
+                let mut helper = donor.helper.clone();
+                let bio = line.random_vector(64, &mut rng);
+                helper.sketch.inner = scheme.sketch(&bio, &mut rng).unwrap();
+                rng.fill_bytes(&mut helper.sketch.tag);
+                let public_key = donor.public_key.clone();
+                server
+                    .enroll(EnrollmentRecord {
+                        id: id(u),
+                        public_key,
+                        helper,
+                    })
+                    .unwrap();
+            }
+        });
+        assert_eq!(spent, n as u64, "enrolls at N = {n}");
+
+        let gone: Vec<_> = (0..n).step_by(7).map(id).collect();
+        let (_, spent) = id_hashed(|| gone.iter().for_each(|u| server.revoke(u).unwrap()));
+        assert_eq!(spent, gone.len() as u64, "revokes at N = {n}");
+        // No store: a checkpoint is the shards' `compact`.
+        let (reclaimed, spent) = id_hashed(|| server.checkpoint().unwrap());
+        assert_eq!((reclaimed, spent), (gone.len(), 0), "compact at N = {n}");
+        assert_eq!(server.user_count(), n - gone.len());
+    }
 }
 
 /// A scratch directory for one test's store.
