@@ -13,10 +13,9 @@
 
 pub mod smoke;
 
-use fe_core::SecureSketch;
-use fe_protocol::{BiometricDevice, EnrollmentRecord, ProtocolRunner, SystemParams};
+use fe_protocol::{ProtocolRunner, SystemParams};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -73,59 +72,6 @@ impl Population {
             .sketch()
             .line()
             .random_vector(dim, &mut self.rng)
-    }
-}
-
-/// A synthesized enrolled population for *server-side* benches: real
-/// Chebyshev sketches (so the early-abort profile matches production
-/// data) under one shared donor key pair — recovery, journaling and
-/// sketch lookup never run per-record asymmetric crypto, so reusing the
-/// key bytes changes nothing about the measured paths while making a
-/// 10⁵-record setup tractable. The biometrics are kept so benches can
-/// draw genuine probe sketches.
-pub struct SynthPopulation {
-    /// Ready-to-enroll records, `user-0 … user-{n-1}`.
-    pub records: Vec<EnrollmentRecord>,
-    /// The biometric each record was sketched from, by user index.
-    pub bios: Vec<Vec<i64>>,
-}
-
-impl SynthPopulation {
-    /// Synthesizes `users` records of `dim`-dimensional sketches.
-    pub fn build(params: &SystemParams, users: usize, dim: usize, rng: &mut StdRng) -> Self {
-        // One real enrollment donates plausibly-shaped public-key bytes.
-        let device = BiometricDevice::new(params.clone());
-        let bio = params.sketch().line().random_vector(dim, rng);
-        let donor = device.enroll("donor", &bio, rng).unwrap();
-
-        let scheme = params.sketch();
-        let mut records = Vec::with_capacity(users);
-        let mut bios = Vec::with_capacity(users);
-        for u in 0..users {
-            let x = scheme.line().random_vector(dim, rng);
-            let mut helper = donor.helper.clone();
-            helper.sketch.inner = scheme.sketch(&x, rng).unwrap();
-            rng.fill_bytes(&mut helper.sketch.tag);
-            records.push(EnrollmentRecord {
-                id: format!("user-{u}"),
-                public_key: donor.public_key.clone(),
-                helper,
-            });
-            bios.push(x);
-        }
-        SynthPopulation { records, bios }
-    }
-
-    /// A genuine probe sketch for user `u`: the sketch of a reading
-    /// within the acceptance threshold of the enrolled biometric.
-    pub fn genuine_probe(&self, params: &SystemParams, u: usize, rng: &mut StdRng) -> Vec<i64> {
-        let scheme = params.sketch();
-        let t = scheme.threshold() as i64;
-        let noisy: Vec<i64> = self.bios[u]
-            .iter()
-            .map(|&x| scheme.line().wrap(x + rng.gen_range(-t..=t)))
-            .collect();
-        scheme.sketch(&noisy, rng).unwrap()
     }
 }
 

@@ -1,10 +1,10 @@
 //! Machine-readable smoke-bench reporting: `BENCH_SMOKE.json`.
 //!
-//! CI smoke-runs `storage_ablation` and `scheduler_throughput`
-//! (`FE_BENCH_SMOKE=1`) on every PR, but criterion's console output is
-//! write-only history — nobody diffs it. [`record`] lets a bench put its
-//! headline numbers into **`BENCH_SMOKE.json` at the repository root**
-//! (bench name → metric map): it reads the report, replaces the one
+//! CI smoke-runs `storage_ablation` (`FE_BENCH_SMOKE=1`) on every pull
+//! request, but criterion's console output is write-only history —
+//! nobody diffs it. [`record`] lets a bench put its headline numbers
+//! into **`BENCH_SMOKE.json` at the repository root** (bench name →
+//! metric map): it reads the report, replaces the one
 //! section it was asked about and writes the file back, so every other
 //! section stays byte for byte what is on disk — whichever subset of
 //! benches ran, in whatever order. CI uploads the file as a workflow

@@ -48,7 +48,6 @@ use crate::frame::{
 };
 use crate::handshake::{self, HandshakeStatus, NET_VERSION};
 use fe_core::codec::{Fingerprint, Writer};
-use fe_core::EpochRead;
 use fe_protocol::scheduler::{IdentifyTicket, ScheduledServer};
 use fe_protocol::wire::Message;
 use fe_protocol::{IdentChallenge, ProtocolError};
@@ -185,15 +184,11 @@ impl NetServer {
     ///
     /// # Errors
     /// Any [`io::Error`] from binding the listener.
-    pub fn spawn<I, A>(
-        scheduler: Arc<ScheduledServer<I>>,
-        addr: A,
+    pub fn spawn(
+        scheduler: Arc<ScheduledServer>,
+        addr: impl ToSocketAddrs,
         config: NetConfig,
-    ) -> io::Result<NetServer>
-    where
-        I: EpochRead + Send + Sync + 'static,
-        A: ToSocketAddrs,
-    {
+    ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
@@ -250,9 +245,9 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_loop<I: EpochRead + Send + Sync + 'static>(
+fn accept_loop(
     listener: TcpListener,
-    scheduler: Arc<ScheduledServer<I>>,
+    scheduler: Arc<ScheduledServer>,
     fingerprint: Fingerprint,
     config: NetConfig,
     shutdown: Arc<AtomicBool>,
@@ -300,9 +295,9 @@ fn accept_loop<I: EpochRead + Send + Sync + 'static>(
 }
 
 /// Runs the handshake, then the reader loop; owns the writer thread.
-fn serve_connection<I: EpochRead + Send + Sync + 'static>(
+fn serve_connection(
     stream: TcpStream,
-    scheduler: Arc<ScheduledServer<I>>,
+    scheduler: Arc<ScheduledServer>,
     fingerprint: Fingerprint,
     config: NetConfig,
     shutdown: Arc<AtomicBool>,
@@ -411,11 +406,7 @@ fn to_response(result: Result<ResponseBody, ProtocolError>) -> Response {
 /// Dispatches one decoded request. Identification rides the scheduler
 /// (tickets resolve in the writer); every other op is synchronous on
 /// the wrapped server — none of them scan-bound.
-fn dispatch<I: EpochRead + Send + Sync + 'static>(
-    scheduler: &ScheduledServer<I>,
-    id: u64,
-    msg: Message,
-) -> Reply {
+fn dispatch(scheduler: &ScheduledServer, id: u64, msg: Message) -> Reply {
     match msg {
         Message::Identify { probe } => match scheduler.submit(probe) {
             Ok(ticket) => Reply::Ticket(id, ticket),

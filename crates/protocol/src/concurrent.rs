@@ -68,9 +68,9 @@
 use crate::messages::{
     EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId, UserId,
 };
-use crate::params::{DedupPolicy, SystemParams};
+use crate::params::SystemParams;
 use crate::server::{AuthenticationServer, BuildIndex, Write};
-use crate::store::EnrollmentStore;
+use crate::store::{EnrollmentStore, FileStore};
 use crate::ProtocolError;
 use fe_core::{EpochIndex, EpochRead, IndexReader};
 use parking_lot::{Mutex, RwLock};
@@ -361,44 +361,33 @@ impl<I: BuildIndex + EpochRead> SharedServer<I> {
             }
             Some(_) => {
                 // The meta file is only committed after every shard
-                // store exists, so a missing journal now means shard
+                // store exists, so a missing store now means shard
                 // data was *lost* — refuse rather than silently
                 // recreate the shard empty (a third of the population
                 // vanishing on recovery must not look like success).
                 for i in 0..shards {
-                    let journal = Self::shard_dir(dir, i).join("journal.fel");
-                    if !journal.is_file() {
+                    let shard_dir = Self::shard_dir(dir, i);
+                    if !FileStore::exists(&shard_dir) {
                         return Err(ProtocolError::Storage(format!(
-                            "shard store {} is missing (its journal {} does not exist); \
+                            "shard store {} is missing ({} holds no store); \
                              refusing to recreate it empty — restore the shard directory \
                              from backup or remove {} to start over",
                             i,
-                            journal.display(),
+                            shard_dir.display(),
                             dir.display()
                         )));
                     }
                 }
             }
-            // Fresh store: create every shard journal (header only)
-            // first, then commit the topology. After a crash at any
-            // point, either the meta is absent (retry re-runs this
-            // fresh path; existing header-only journals are adopted) or
-            // the meta exists and every shard journal is guaranteed on
-            // disk.
+            // Fresh store: create every shard store (an empty
+            // journal) first, then commit the topology. After a crash at
+            // any point, either the meta is absent (retry re-runs this
+            // fresh path; stores already created are adopted) or the
+            // meta exists and every shard store is guaranteed on disk.
             None => {
                 let fingerprint = params.fingerprint();
                 for i in 0..shards {
-                    let shard_dir = Self::shard_dir(dir, i);
-                    std::fs::create_dir_all(&shard_dir)
-                        .map_err(|e| ProtocolError::Storage(format!("create shard dir: {e}")))?;
-                    let journal = shard_dir.join("journal.fel");
-                    if !journal.exists() {
-                        let mut header = fe_core::codec::Writer::new();
-                        header.put_header(fe_core::codec::ArtifactKind::Journal, &fingerprint);
-                        std::fs::write(&journal, header.as_slice()).map_err(|e| {
-                            ProtocolError::Storage(format!("create shard journal: {e}"))
-                        })?;
-                    }
+                    FileStore::open(Self::shard_dir(dir, i), fingerprint)?;
                 }
                 Self::commit_shard_count(dir, shards)?;
             }
@@ -468,9 +457,6 @@ impl<I: EpochRead> SharedServer<I> {
     /// # Errors
     /// Same as [`AuthenticationServer::enroll`].
     pub fn enroll(&self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
-        if self.params.dedup_policy() == DedupPolicy::RejectMatching {
-            return self.enroll_unique(record);
-        }
         self.shard_for_user(&record.id)
             .write(|server| server.plan_enroll(record, false))
     }
@@ -1132,7 +1118,7 @@ mod tests {
         let stranger = params.sketch().line().random_vector(32, &mut rng);
         let miss = device.probe_sketch(&stranger, &mut rng).unwrap();
         assert_eq!(server.reset(&miss).unwrap_err(), ProtocolError::NoMatch);
-        // A cross-shard duplicate (enrolled via plain permissive enroll)
+        // A cross-shard duplicate (admitted by plain enroll)
         // turns reset ambiguous even when the two matches live on
         // different shards.
         server

@@ -25,7 +25,8 @@
 //!   acquisition per shard per batch.
 //! * [`scheduler::ScheduledServer`] — the heavy-traffic front door: a
 //!   bounded admission queue coalesces concurrent `identify` calls
-//!   into adaptive micro-batches (flush on size or deadline), executes
+//!   into adaptive micro-batches (whatever queued during the last
+//!   sweep, up to a size cap), executes
 //!   them through the shards' single-pass multi-query scan kernel, and
 //!   sheds excess load with [`ProtocolError::Overloaded`] instead of
 //!   queueing without bound.
@@ -91,8 +92,8 @@ pub use fe_core::{FilterConfig, FilterKernel, PlaneDepth};
 pub use messages::{
     EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId, UserId, WireHelper,
 };
-pub use normal::{NormalIdentification, NormalStats, ScanMode};
-pub use params::{DedupPolicy, SystemParams};
+pub use normal::{NormalIdentification, NormalStats};
+pub use params::SystemParams;
 pub use records::id_hashes;
 pub use runner::{IdentifyStats, ProtocolRunner};
 pub use scheduler::{IdentifyTicket, ScheduledServer, SchedulerConfig, SchedulerMetrics};

@@ -7,35 +7,21 @@
 //! challenge — `O(N)` heavy crypto per identification. This module
 //! implements that protocol faithfully so Fig. 4 can be regenerated.
 //!
-//! Two fidelity modes control the per-record `Rec` cost
-//! ([`ScanMode`]): the paper's *pseudocode* aborts at the first
-//! out-of-threshold coordinate (`EarlyAbort`), while the paper's
-//! *measurements* (Python) paid the full n-coordinate pass per record —
-//! `Exhaustive` reproduces that cost profile and is the default for the
-//! Fig. 4 reproduction.
+//! The device's `Rec` pays the full n-coordinate pass per record, as the
+//! paper's *measurements* (Python) did, rather than aborting at the
+//! first out-of-threshold coordinate as its pseudocode does: that is
+//! the cost profile Fig. 4 reproduces.
 
 use crate::messages::{challenge_message, IdentOutcome};
 use crate::params::SystemParams;
 use crate::server::AuthenticationServer;
 use crate::ProtocolError;
-use fe_core::{encode_i64_vector, SecureSketch};
+use fe_core::encode_i64_vector;
 use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
 use fe_crypto::extractor::StrongExtractor;
 use fe_crypto::sig::SignatureScheme;
 use rand::Rng;
 use rand::RngCore;
-
-/// How the device-side `Rec` treats out-of-threshold coordinates during
-/// the exhaustive search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Full per-record pass (the paper's measured behaviour; default).
-    #[default]
-    Exhaustive,
-    /// Abort a record at the first failing coordinate (the paper's
-    /// pseudocode; much cheaper per non-matching record).
-    EarlyAbort,
-}
 
 /// Operation counters from one normal-approach identification run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,27 +38,12 @@ pub struct NormalStats {
 #[derive(Debug)]
 pub struct NormalIdentification {
     params: SystemParams,
-    mode: ScanMode,
 }
 
 impl NormalIdentification {
-    /// Creates the baseline protocol runner (exhaustive scan mode).
+    /// Creates the baseline protocol runner.
     pub fn new(params: SystemParams) -> Self {
-        NormalIdentification {
-            params,
-            mode: ScanMode::Exhaustive,
-        }
-    }
-
-    /// Selects the per-record `Rec` cost model.
-    pub fn with_mode(mut self, mode: ScanMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The configured scan mode.
-    pub fn mode(&self) -> ScanMode {
-        self.mode
+        NormalIdentification { params }
     }
 
     /// Runs one full identification: the server hands the device every
@@ -97,17 +68,12 @@ impl NormalIdentification {
         let robust = fe.sketch_scheme();
         let dsa = self.params.dsa();
         let mut stats = NormalStats::default();
-        let mode = self.mode;
 
         let mut challenge_err: Option<ProtocolError> = None;
         let identified = server.visit_records(|id, stored_key, helper| {
             // Device side: attempt Rep with this record's helper data.
             stats.rep_attempts += 1;
-            let recovered = match mode {
-                ScanMode::Exhaustive => scheme.recover_exhaustive(bio, &helper.sketch.inner),
-                ScanMode::EarlyAbort => scheme.recover(bio, &helper.sketch.inner),
-            };
-            let recovered = match recovered {
+            let recovered = match scheme.recover_exhaustive(bio, &helper.sketch.inner) {
                 Ok(r) => r,
                 Err(_) => return None, // wrong record (or too noisy): next
             };
@@ -173,18 +139,16 @@ mod tests {
     }
 
     #[test]
-    fn identifies_each_user_in_both_modes() {
+    fn identifies_each_user() {
         let (server, bios, mut rng) = setup(8);
-        for mode in [ScanMode::Exhaustive, ScanMode::EarlyAbort] {
-            let normal = NormalIdentification::new(server.params().clone()).with_mode(mode);
-            for (u, bio) in bios.iter().enumerate() {
-                let reading: Vec<i64> = bio.iter().map(|&x| x + 60).collect();
-                let (outcome, stats) = normal.identify(&server, &reading, &mut rng).unwrap();
-                assert_eq!(outcome.identity(), Some(format!("user-{u}").as_str()));
-                // Found at position u+1 → exactly u+1 Rep attempts.
-                assert_eq!(stats.rep_attempts, u + 1, "mode {mode:?}");
-                assert_eq!(stats.signatures, 1);
-            }
+        let normal = NormalIdentification::new(server.params().clone());
+        for (u, bio) in bios.iter().enumerate() {
+            let reading: Vec<i64> = bio.iter().map(|&x| x + 60).collect();
+            let (outcome, stats) = normal.identify(&server, &reading, &mut rng).unwrap();
+            assert_eq!(outcome.identity(), Some(format!("user-{u}").as_str()));
+            // Found at position u+1 → exactly u+1 Rep attempts.
+            assert_eq!(stats.rep_attempts, u + 1);
+            assert_eq!(stats.signatures, 1);
         }
     }
 
@@ -209,20 +173,5 @@ mod tests {
         assert_eq!(outcome, IdentOutcome::Rejected);
         assert_eq!(stats.rep_attempts, 6); // tried everyone
         assert_eq!(stats.signatures, 0);
-    }
-
-    #[test]
-    fn modes_agree_on_outcomes() {
-        let (server, bios, mut rng) = setup(5);
-        let exhaustive = NormalIdentification::new(server.params().clone());
-        let early =
-            NormalIdentification::new(server.params().clone()).with_mode(ScanMode::EarlyAbort);
-        for bio in &bios {
-            let reading: Vec<i64> = bio.iter().map(|&x| x + 25).collect();
-            let (o1, s1) = exhaustive.identify(&server, &reading, &mut rng).unwrap();
-            let (o2, s2) = early.identify(&server, &reading, &mut rng).unwrap();
-            assert_eq!(o1, o2);
-            assert_eq!(s1.rep_attempts, s2.rep_attempts);
-        }
     }
 }

@@ -5,30 +5,9 @@ use fe_core::codec::{Fingerprint, Writer};
 use fe_core::{ChebyshevSketch, FilterConfig};
 use fe_crypto::dsa::{Dsa, DsaParams};
 
-/// What a plain [`enroll`](crate::AuthenticationServer::enroll) does
-/// when the new record's sketch already matches an enrolled record
-/// (the *same biometric* re-enrolling under a fresh id — a different
-/// situation from [`DuplicateUser`](crate::ProtocolError::DuplicateUser),
-/// which is about the id string).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupPolicy {
-    /// Accept it (the paper's behavior): every enrollment is an
-    /// independent record, and the same biometric may exist under
-    /// several ids as unlinked duplicates.
-    #[default]
-    Permissive,
-    /// Refuse it with
-    /// [`DuplicateBiometric`](crate::ProtocolError::DuplicateBiometric),
-    /// journaling the rejection: plain `enroll` gains
-    /// [`enroll_unique`](crate::AuthenticationServer::enroll_unique)
-    /// semantics, closing the dedup gap where one biometric silently
-    /// double-enrolls.
-    RejectMatching,
-}
-
 /// Public system parameters: the number line + threshold, the extracted
-/// key length and the DSA domain parameters, plus two server-side
-/// settings that ride along (prefilter tuning and the dedup policy).
+/// key length and the DSA domain parameters, plus one server-side
+/// setting that rides along (prefilter tuning).
 ///
 /// Produced once by the authentication server and published
 /// (`params = (La, t, H, Ext)` in Sec. V, plus the signature group).
@@ -38,18 +17,16 @@ pub struct SystemParams {
     key_len: usize,
     dsa: DsaParams,
     filter: FilterConfig,
-    dedup: DedupPolicy,
 }
 
 impl SystemParams {
-    /// Assembles system parameters (default prefilter, permissive dedup).
+    /// Assembles system parameters (default prefilter).
     pub fn new(sketch: ChebyshevSketch, key_len: usize, dsa: DsaParams) -> Self {
         SystemParams {
             sketch,
             key_len,
             dsa,
             filter: FilterConfig::default(),
-            dedup: DedupPolicy::default(),
         }
     }
 
@@ -67,21 +44,6 @@ impl SystemParams {
     /// The configured prefilter plane knob.
     pub fn filter_config(&self) -> FilterConfig {
         self.filter
-    }
-
-    /// Selects what plain
-    /// [`enroll`](crate::AuthenticationServer::enroll) does when the
-    /// new sketch already matches an enrolled record (see
-    /// [`DedupPolicy`]).
-    #[must_use]
-    pub fn with_dedup_policy(mut self, dedup: DedupPolicy) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// The configured enrollment dedup policy.
-    pub fn dedup_policy(&self) -> DedupPolicy {
-        self.dedup
     }
 
     /// The paper's Table II configuration with 1024-bit DSA (the classic
@@ -139,13 +101,11 @@ impl SystemParams {
     /// parameters fails with
     /// [`CodecError::FingerprintMismatch`](fe_core::codec::CodecError)
     /// instead of silently matching probes against a re-interpreted ring.
-    /// The [`FilterConfig`] and [`DedupPolicy`] are deliberately
-    /// **excluded**, as is the index type the server was built with:
-    /// index and prefilter are lookup accelerators rebuilt at recovery
-    /// time, and the dedup policy governs *future* enrollments without
-    /// changing how stored records are read — so snapshots stay
-    /// portable across index engines, shard counts, prefilter settings
-    /// and admission policies.
+    /// The [`FilterConfig`] is deliberately **excluded**, as is the
+    /// index type the server was built with: index and prefilter are
+    /// lookup accelerators rebuilt at recovery time — so snapshots stay
+    /// portable across index engines, shard counts and prefilter
+    /// settings.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut w = Writer::new();
         w.put_u64(self.sketch.line().a());
@@ -196,17 +156,6 @@ mod tests {
         let other = SystemParams::new(*p.sketch(), p.key_len() + 1, p.dsa_params().clone());
         assert_ne!(fp, other.fingerprint());
         assert_ne!(fp, SystemParams::paper_defaults().fingerprint());
-    }
-
-    #[test]
-    fn dedup_policy_defaults_builder_and_fingerprint_neutrality() {
-        let p = SystemParams::insecure_test_defaults();
-        assert_eq!(p.dedup_policy(), DedupPolicy::Permissive);
-        let fp = p.fingerprint();
-        let p = p.with_dedup_policy(DedupPolicy::RejectMatching);
-        assert_eq!(p.dedup_policy(), DedupPolicy::RejectMatching);
-        // Admission policy never changes how stored records are read.
-        assert_eq!(fp, p.fingerprint());
     }
 
     #[test]

@@ -6,9 +6,9 @@ use crate::device::BiometricDevice;
 use crate::messages::IdentOutcome;
 use crate::normal::{NormalIdentification, NormalStats};
 use crate::params::SystemParams;
-use crate::server::{AuthenticationServer, BuildIndex};
+use crate::server::AuthenticationServer;
 use crate::ProtocolError;
-use fe_core::{EpochIndex, SketchIndex};
+use fe_core::EpochIndex;
 use rand::RngCore;
 use std::time::{Duration, Instant};
 
@@ -23,40 +23,30 @@ pub struct IdentifyStats {
     pub signature_ops: usize,
 }
 
-/// Drives complete protocol runs between one device and one server,
-/// generic over the server's sketch index (default: the epoch engine).
+/// Drives complete protocol runs between one device and one
+/// epoch-engine server.
 #[derive(Debug)]
-pub struct ProtocolRunner<I: SketchIndex = EpochIndex> {
+pub struct ProtocolRunner {
     device: BiometricDevice,
-    server: AuthenticationServer<I>,
+    server: AuthenticationServer<EpochIndex>,
 }
 
-impl ProtocolRunner<EpochIndex> {
+impl ProtocolRunner {
     /// Creates a runner with a fresh epoch-engine server.
     pub fn new(params: SystemParams) -> Self {
-        Self::from_params(params)
-    }
-}
-
-impl<I: BuildIndex> ProtocolRunner<I> {
-    /// Creates a runner whose server index is built from `params` (see
-    /// [`BuildIndex`]).
-    pub fn from_params(params: SystemParams) -> Self {
         ProtocolRunner {
             device: BiometricDevice::new(params.clone()),
-            server: AuthenticationServer::<I>::from_params(params),
+            server: AuthenticationServer::new(params),
         }
     }
-}
 
-impl<I: SketchIndex> ProtocolRunner<I> {
     /// The device role.
     pub fn device(&self) -> &BiometricDevice {
         &self.device
     }
 
     /// The server role.
-    pub fn server(&self) -> &AuthenticationServer<I> {
+    pub fn server(&self) -> &AuthenticationServer<EpochIndex> {
         &self.server
     }
 

@@ -11,34 +11,37 @@
 //! (`SketchArena::find_first_batch`) can resolve both in *one* pass.
 //! The scheduler is the piece that turns that kernel into service-level
 //! throughput: concurrent callers land in one admission queue, a small
-//! pool of workers drains the queue in **micro-batches** — flushed when
-//! the batch fills *or* when the oldest request has waited out the
-//! batch window, whichever comes first — and each batch runs through
-//! [`SharedServer::identify_batch`], which hands the whole batch to
-//! every shard's single-pass batch kernel.
+//! pool of workers drains the queue in **micro-batches**, and each
+//! batch runs through [`SharedServer::identify_batch`], which hands the
+//! whole batch to every shard's single-pass batch kernel.
 //!
-//! The flush rule is the latency/throughput dial:
+//! The batch window is the sweep in flight. A free worker takes
+//! whatever is queued, up to [`SchedulerConfig::max_batch`], at once:
 //!
-//! * **quiet server** — a lone request waits at most
-//!   [`SchedulerConfig::max_delay`] before a batch of one flushes, so
-//!   the added latency is bounded by the window;
-//! * **busy server** — the queue reaches
-//!   [`SchedulerConfig::max_batch`] long before the deadline, batches
-//!   flush full, and the per-request scan cost approaches
-//!   `1/max_batch` of a solo scan.
+//! * **quiet server** — a lone request leaves as a batch of one with no
+//!   wait, so the scheduler adds only the hand-off to a worker;
+//! * **busy server** — requests that arrive while the workers sweep
+//!   queue up and leave together as the next batch, so batches grow
+//!   with the load and with the sweep's length, which follows the
+//!   population size with no tuning. Under sustained load they flush
+//!   full, and the per-request scan cost approaches `1/max_batch` of a
+//!   solo scan.
+//!
+//! A non-zero [`SchedulerConfig::max_delay`] holds a batch open instead
+//! until it fills or its oldest request has waited that long.
 //!
 //! # Batching is overload control, not a speedup dial
 //!
-//! With the vectorized, prefiltered scan kernel, the measured
-//! batched-vs-direct *throughput* ratio on a warm server is at or below
-//! 1.0 (`speedup_c8`, the `scheduler_throughput` bench's within-run
-//! ratio, reads 0.5–0.9 from run to run on a 2-thread host; a probe of
-//! a batch of 32 costs `core.index.batch32_us_per_probe` 60 µs against
-//! a lone `find_first_miss_us` of 66 µs at 10⁵ rows in `fe-benchmark`): one
-//! probe already streams the arena at close to memory bandwidth, so
-//! coalescing probes no longer multiplies throughput the way it did
-//! against the scalar kernel. What batching still buys — and why the
-//! scheduler stays in front of the server — is **overload behaviour**:
+//! With the vectorized, prefiltered scan kernel, batching buys little
+//! *throughput* on a warm server: a probe of a batch of 32 costs
+//! `core.index.batch32_us_per_probe` 60 µs against a lone
+//! `find_first_miss_us` of 66 µs at 10⁵ rows in `fe-benchmark`, and at
+//! concurrency 8 the scheduler serves 1.0–1.7× what direct calls do
+//! (DESIGN.md "Request scheduling"). One probe already streams the
+//! arena at close to memory bandwidth, so coalescing probes no longer
+//! multiplies throughput the way it did against the scalar kernel.
+//! What batching still buys — and why the scheduler stays in front of
+//! the server — is **overload behaviour**:
 //! bounded admission, fail-fast shedding, one queue discipline instead
 //! of a thundering herd of callers, and a per-request latency bound
 //! under load (`1/max_batch` of a sweep instead of a whole sweep).
@@ -65,14 +68,13 @@
 //! The scheduler exports [`SchedulerMetrics`]: latency, queue-depth and
 //! batch-size histograms (lock-free, see [`fe_metrics::telemetry`])
 //! plus admission/shed/flush counters — the numbers `fe-benchmark`
-//! prints as `protocol.scheduler.*` and the `scheduler_throughput`
-//! bench reads out.
+//! prints as `protocol.scheduler.*`.
 
 use crate::concurrent::SharedServer;
 use crate::messages::IdentChallenge;
 use crate::params::SystemParams;
 use crate::ProtocolError;
-use fe_core::{EpochIndex, EpochRead};
+use fe_core::EpochIndex;
 use fe_metrics::telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,8 +89,11 @@ use std::time::{Duration, Instant};
 pub struct SchedulerConfig {
     /// Flush a batch as soon as this many requests are queued.
     pub max_batch: usize,
-    /// Flush a batch once its *oldest* request has waited this long —
-    /// the worst-case scheduling latency a quiet server adds.
+    /// Hold a batch open until it fills or its *oldest* request has
+    /// waited this long. The default, zero, sets no timer: a free worker
+    /// takes whatever is queued at once, and requests that arrive
+    /// during a sweep form the next batch. A non-zero window is the
+    /// worst-case scheduling latency a quiet server adds.
     pub max_delay: Duration,
     /// Admission bound: requests beyond this many queued are shed with
     /// [`ProtocolError::Overloaded`].
@@ -130,7 +135,7 @@ impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
         SchedulerConfig {
             max_batch: 32,
-            max_delay: Duration::from_millis(2),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             workers: 0,
             rng_seed: entropy_seed(),
@@ -174,8 +179,9 @@ impl SchedulerMetrics {
         self.size_flushes.load(Ordering::Relaxed)
     }
 
-    /// Batches flushed by the [`SchedulerConfig::max_delay`] deadline
-    /// (or by shutdown drain) before filling.
+    /// Batches flushed before filling: at once under a zero
+    /// [`SchedulerConfig::max_delay`], by its deadline under a non-zero
+    /// one, or by shutdown drain.
     pub fn deadline_flushes(&self) -> u64 {
         self.deadline_flushes.load(Ordering::Relaxed)
     }
@@ -271,13 +277,13 @@ impl IdentifyTicket {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct ScheduledServer<I: EpochRead = EpochIndex> {
-    server: SharedServer<I>,
+pub struct ScheduledServer {
+    server: SharedServer<EpochIndex>,
     inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl ScheduledServer<EpochIndex> {
+impl ScheduledServer {
     /// A scheduled server over `shards` epoch-index shards — the common
     /// configuration ([`SharedServer::with_shards`] +
     /// [`ScheduledServer::new`]).
@@ -288,16 +294,14 @@ impl ScheduledServer<EpochIndex> {
     pub fn scan(params: SystemParams, shards: usize, config: SchedulerConfig) -> Self {
         ScheduledServer::new(SharedServer::with_shards(params, shards), config)
     }
-}
 
-impl<I: EpochRead + Send + Sync + 'static> ScheduledServer<I> {
     /// Wraps an existing server (in-memory or durable) in a scheduler
     /// and starts its worker pool.
     ///
     /// # Panics
     /// Panics if `config.max_batch == 0` or
     /// `config.queue_capacity == 0`.
-    pub fn new(server: SharedServer<I>, config: SchedulerConfig) -> Self {
+    pub fn new(server: SharedServer<EpochIndex>, config: SchedulerConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(
             config.queue_capacity >= 1,
@@ -339,7 +343,7 @@ impl<I: EpochRead + Send + Sync + 'static> ScheduledServer<I> {
     /// The wrapped server: enrollment, revocation, phase-2
     /// (`finish_identification`), cancellation and diagnostics all go
     /// here — only phase-1 identification is scheduled.
-    pub fn server(&self) -> &SharedServer<I> {
+    pub fn server(&self) -> &SharedServer<EpochIndex> {
         &self.server
     }
 
@@ -407,7 +411,7 @@ impl<I: EpochRead + Send + Sync + 'static> ScheduledServer<I> {
     }
 }
 
-impl<I: EpochRead> Drop for ScheduledServer<I> {
+impl Drop for ScheduledServer {
     fn drop(&mut self) {
         {
             let mut q = lock(&self.inner.queue);
@@ -422,14 +426,10 @@ impl<I: EpochRead> Drop for ScheduledServer<I> {
     }
 }
 
-/// One worker: wait for work, hold the batch window open until the
-/// batch fills or the oldest request's deadline passes, drain up to
+/// One worker: wait for work, hold a non-zero batch window open until
+/// the batch fills or the oldest request's deadline passes, drain up to
 /// `max_batch`, execute through the server's batch path, deliver.
-fn worker_loop<I: EpochRead + Send + Sync + 'static>(
-    server: SharedServer<I>,
-    inner: Arc<Inner>,
-    seed: u64,
-) {
+fn worker_loop(server: SharedServer<EpochIndex>, inner: Arc<Inner>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let cfg = &inner.config;
     'serve: loop {
@@ -448,7 +448,8 @@ fn worker_loop<I: EpochRead + Send + Sync + 'static>(
             }
             // Batch window: the oldest queued request anchors the
             // deadline, so scheduling latency is bounded per request,
-            // not reset by late arrivals.
+            // not reset by late arrivals. A zero window has passed
+            // already, so the loop below exits at once.
             let deadline = q.items.front().expect("non-empty").enqueued + cfg.max_delay;
             while q.items.len() < cfg.max_batch && !q.shutdown {
                 let now = Instant::now();
@@ -509,7 +510,7 @@ mod tests {
     use crate::BiometricDevice;
 
     fn population(
-        scheduler: &ScheduledServer<EpochIndex>,
+        scheduler: &ScheduledServer,
         users: usize,
         dim: usize,
         rng: &mut StdRng,
@@ -594,7 +595,17 @@ mod tests {
     #[test]
     fn no_match_and_match_coexist_in_one_batch() {
         let params = SystemParams::insecure_test_defaults();
-        let scheduler = ScheduledServer::scan(params.clone(), 2, SchedulerConfig::default());
+        let scheduler = ScheduledServer::scan(
+            params.clone(),
+            2,
+            SchedulerConfig {
+                max_batch: 4,
+                // Only the size trigger can flush: all four probes
+                // leave in one batch.
+                max_delay: Duration::from_secs(30),
+                ..SchedulerConfig::default()
+            },
+        );
         let mut rng = StdRng::seed_from_u64(102);
         let (device, bios) = population(&scheduler, 3, 16, &mut rng);
         let mut probes = Vec::new();
@@ -610,6 +621,44 @@ mod tests {
             assert!(r.is_ok());
         }
         assert_eq!(results[3], Err(ProtocolError::NoMatch));
+        assert_eq!(scheduler.metrics().size_flushes(), 1);
+        assert_eq!(scheduler.metrics().batch_size.snapshot().max, 4);
+    }
+
+    #[test]
+    fn a_lone_request_waits_for_no_window_by_default() {
+        let params = SystemParams::insecure_test_defaults();
+        let zero = ScheduledServer::scan(params.clone(), 1, SchedulerConfig::default());
+        let windowed = ScheduledServer::scan(
+            params.clone(),
+            1,
+            SchedulerConfig {
+                max_delay: Duration::from_millis(2),
+                ..SchedulerConfig::default()
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(104);
+        let device = BiometricDevice::new(params.clone());
+        let stranger = params.sketch().line().random_vector(16, &mut rng);
+        let probe = device.probe_sketch(&stranger, &mut rng).unwrap();
+        // Alternate, so both sides see the same phases of a loaded host.
+        for i in 0..20 {
+            let scheduler = if i % 2 == 0 { &zero } else { &windowed };
+            assert_eq!(
+                scheduler.identify(probe.clone()),
+                Err(ProtocolError::NoMatch)
+            );
+        }
+        let p50 = |s: &ScheduledServer| s.metrics().latency_us.snapshot().p50 as f64;
+        // A ratio within one run: the only kind of timing assert that
+        // holds on a host whose speed drifts.
+        let ratio = p50(&zero) / p50(&windowed);
+        assert!(
+            ratio < 0.25,
+            "zero window p50 {} µs vs 2 ms window p50 {} µs",
+            p50(&zero),
+            p50(&windowed)
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::messages::{
     challenge_message, EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId,
     UserId, WireHelper,
 };
-use crate::params::{DedupPolicy, SystemParams};
+use crate::params::SystemParams;
 use crate::records::{Live, Located, RecordTable, StoredRecord, Vacancy};
 use crate::store::{EnrollmentStore, FileStore, LogEvent, LogEventRef, SnapshotRow, SnapshotRows};
 use crate::ProtocolError;
@@ -508,8 +508,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// [`ProtocolError::Storage`] when journaling fails (the server
     /// state is then unchanged).
     pub fn enroll(&mut self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
-        let unique = self.params.dedup_policy() == DedupPolicy::RejectMatching;
-        self.commit(|server| server.plan_enroll(record, unique))
+        self.commit(|server| server.plan_enroll(record, false))
     }
 
     /// Uniqueness-checked enrollment: stores the record only when **no**
@@ -518,9 +517,6 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// The duplicate scan uses the find-at-most-1 kernel, so it costs no
     /// more than one identification lookup. A refusal is journaled as a
     /// [`LogEvent::EnrollRejected`] audit record (replayed as a no-op).
-    ///
-    /// Plain [`AuthenticationServer::enroll`] routes here when the
-    /// parameters carry [`DedupPolicy::RejectMatching`].
     ///
     /// # Errors
     /// [`ProtocolError::DuplicateBiometric`] (carrying the already
@@ -1272,40 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_policy_routes_plain_enroll() {
-        use crate::params::DedupPolicy;
-        let params =
-            SystemParams::insecure_test_defaults().with_dedup_policy(DedupPolicy::RejectMatching);
-        let device = BiometricDevice::new(params.clone());
-        let mut server = AuthenticationServer::new(params.clone());
-        let mut rng = StdRng::seed_from_u64(86_000);
-        let bio = params.sketch().line().random_vector(48, &mut rng);
-        server
-            .enroll(device.enroll("alice", &bio, &mut rng).unwrap())
-            .unwrap();
-        let dup = device
-            .enroll("alice-2", &noisy(&bio, &mut rng), &mut rng)
-            .unwrap();
-        assert!(matches!(
-            server.enroll(dup),
-            Err(ProtocolError::DuplicateBiometric(_))
-        ));
-        // The permissive default accepts the same double-enrollment.
-        let mut permissive = AuthenticationServer::new(SystemParams::insecure_test_defaults());
-        permissive
-            .enroll(device.enroll("alice", &bio, &mut rng).unwrap())
-            .unwrap();
-        permissive
-            .enroll(
-                device
-                    .enroll("alice-2", &noisy(&bio, &mut rng), &mut rng)
-                    .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(permissive.user_count(), 2);
-    }
-
-    #[test]
     fn reset_requires_exactly_one_match() {
         let (device, mut server, bios, mut rng) = setup(3);
         // One clean match → the id.
@@ -1317,8 +1279,8 @@ mod tests {
         let stranger = server.params().sketch().line().random_vector(48, &mut rng);
         let probe = device.probe_sketch(&stranger, &mut rng).unwrap();
         assert_eq!(server.reset(&probe).unwrap_err(), ProtocolError::NoMatch);
-        // Enroll the same biometric under a second id (permissive
-        // default): a probe that matches both is ambiguous.
+        // Enroll the same biometric under a second id (plain enroll
+        // admits it): a probe that matches both is ambiguous.
         let record = device
             .enroll("user-1-dup", &noisy(&bios[1], &mut rng), &mut rng)
             .unwrap();

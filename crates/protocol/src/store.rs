@@ -383,6 +383,9 @@ impl EnrollmentStore for MemoryStore {
 /// (magic ‖ version ‖ kind ‖ fingerprint).
 const HEADER_LEN: u64 = 4 + 2 + 1 + 8;
 
+/// The journal's file name inside a store directory.
+const JOURNAL_FILE: &str = "journal.fel";
+
 fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
     ProtocolError::Storage(format!("{context}: {e}"))
 }
@@ -792,12 +795,19 @@ impl FileStore {
         }
     }
 
+    /// Whether `dir` holds a store. [`FileStore::open`] creates the
+    /// journal and nothing deletes it, so a store exists exactly when
+    /// its journal does.
+    pub fn exists(dir: impl AsRef<Path>) -> bool {
+        dir.as_ref().join(JOURNAL_FILE).is_file()
+    }
+
     fn open_locked(
         dir: PathBuf,
         fingerprint: Fingerprint,
         lock_path: PathBuf,
     ) -> Result<FileStore, ProtocolError> {
-        let journal_path = dir.join("journal.fel");
+        let journal_path = dir.join(JOURNAL_FILE);
 
         let mut fresh_header = Writer::new();
         fresh_header.put_header(ArtifactKind::Journal, &fingerprint);
@@ -872,7 +882,7 @@ impl FileStore {
     }
 
     fn journal_path(&self) -> PathBuf {
-        self.dir.join("journal.fel")
+        self.dir.join(JOURNAL_FILE)
     }
 
     fn snapshot_path(&self) -> PathBuf {

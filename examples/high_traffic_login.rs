@@ -5,8 +5,8 @@
 //! request paying its own sweep over the enrolled population, the
 //! [`ScheduledServer`] coalesces concurrent requests into adaptive
 //! micro-batches: one pass over each shard's columnar arena answers a
-//! whole batch (flushed when it fills or when the oldest request has
-//! waited out the batch window), and a bounded admission queue sheds
+//! whole batch (the requests that queued while the previous sweep ran),
+//! and a bounded admission queue sheds
 //! excess load with `Overloaded` instead of queueing without bound.
 //!
 //! The demo:
@@ -20,7 +20,6 @@
 //!
 //! Run with: `cargo run --release --example high_traffic_login`
 
-use fuzzy_id::core::EpochIndex;
 use fuzzy_id::protocol::scheduler::{ScheduledServer, SchedulerConfig};
 use fuzzy_id::protocol::{BiometricDevice, ProtocolError, SystemParams};
 use rand::rngs::StdRng;
@@ -33,13 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7);
 
     // A 2-shard server behind the scheduler: micro-batches of up to 8,
-    // flushed after at most 2 ms of coalescing.
-    let scheduler: ScheduledServer<EpochIndex> = ScheduledServer::scan(
+    // each what queued while the workers were sweeping.
+    let scheduler = ScheduledServer::scan(
         params.clone(),
         2,
         SchedulerConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 256,
             ..SchedulerConfig::default()
         },
@@ -135,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // immediately with `Overloaded` — the server never builds an
     // unbounded backlog.
     println!("backpressure: flooding a 2-slot admission queue…");
-    let tiny: ScheduledServer<EpochIndex> = ScheduledServer::scan(
+    let tiny = ScheduledServer::scan(
         params.clone(),
         1,
         SchedulerConfig {

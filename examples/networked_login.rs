@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2,
         SchedulerConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             ..SchedulerConfig::default()
         },
     ));
