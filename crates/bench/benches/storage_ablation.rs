@@ -9,7 +9,8 @@
 //! record, 8 bytes per coordinate) against the arena (one contiguous
 //! width-adaptive buffer + tombstone bitmap), and the scalar
 //! early-abort kernel against the two-phase vectorized scan
-//! (dimension-major prefilter plane; see `FilterConfig`):
+//! (dimension-major prefilter plane; see `FilterConfig`). Every arm is
+//! timed best-of-N with [`time_best`] and printed on a line of its own:
 //!
 //! * `lookup/*` — worst-case *matching* probe (resolves at the last
 //!   enrolled record, so the whole population is scanned);
@@ -51,7 +52,7 @@
 //! timed inside the run — the only kind of time gate a host with two
 //! speeds can hold.
 //!
-//! The `sweep_policy` group ablates the sweep *policy* on top of the
+//! The `sweep_policy` arms ablate the sweep *policy* on top of the
 //! dispatched kernel: adaptive vs fixed plane depth (see
 //! [`bench_sweep_policy`]).
 //!
@@ -59,7 +60,6 @@
 //! still executes every row-layout dispatch path (packed/`i32`/`i64`),
 //! every kernel variant, and the pre-sized bulk-load path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
 use fe_core::{
@@ -69,6 +69,10 @@ use fe_protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
+
+/// What an arm's runs take at least: on a shared host a best of nine
+/// microsecond runs reads up to twice the best of a few hundred.
+const ARM_TIME: Duration = Duration::from_millis(100);
 
 const DIM: usize = 32;
 const T: u64 = 100;
@@ -113,6 +117,22 @@ impl VecOfVecScan {
             .sum();
         table + rows
     }
+}
+
+/// Times one arm as the best of `iters` runs of `f`, or of as many as
+/// fill [`ARM_TIME`] if that is more, prints it with its throughput over
+/// `rows` rows, and returns the seconds. Each result goes through
+/// `black_box`, so no run can be optimised away.
+fn arm<T>(label: &str, rows: usize, iters: usize, mut f: impl FnMut() -> T) -> f64 {
+    let (_, once) = time_best(1, || std::hint::black_box(f()));
+    let runs = iters.max((ARM_TIME.as_secs_f64() / once) as usize);
+    let (_, secs) = time_best(runs, || std::hint::black_box(f()));
+    println!(
+        "{label}: {:.3} µs ({:.1} M rows/s)",
+        secs * 1e6,
+        rows as f64 / secs / 1e6
+    );
+    secs
 }
 
 /// Uniform sketch vectors over the ring (storage is what's measured;
@@ -177,18 +197,13 @@ fn matching_probe(sketch: &[i64], t: u64, ka: u64, rng: &mut StdRng) -> Vec<i64>
         .collect()
 }
 
-fn bench_storage(c: &mut Criterion) {
+fn bench_storage() {
     let smoke = smoke::smoke_mode();
     let sizes: &[usize] = if smoke {
         &[2_000]
     } else {
         &[10_000, 100_000, 1_000_000]
     };
-
-    let mut group = c.benchmark_group("storage_ablation");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(if smoke { 1 } else { 2 }));
-    group.warm_up_time(Duration::from_millis(if smoke { 100 } else { 500 }));
 
     let mut csv_rows = Vec::new();
     let mut smoke_metrics: Vec<(String, f64)> = Vec::new();
@@ -201,7 +216,7 @@ fn bench_storage(c: &mut Criterion) {
     let mut insert_gate_pair = (0.0f64, 0.0f64);
     // µs per row over enough inserts to seal four segments.
     let mut insert_amortised_us = 0.0f64;
-    // Best-of iterations for the single-shot smoke timings.
+    // Timed runs an arm takes at least.
     let iters = if smoke { 9 } else { 5 };
     for &n in sizes {
         let mut rng = StdRng::seed_from_u64(0x5704 + n as u64);
@@ -244,85 +259,57 @@ fn bench_storage(c: &mut Criterion) {
         assert_eq!(swar_idx.lookup(&miss), None);
         assert_eq!(vectorized.lookup(&miss), None);
 
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("lookup/baseline", n), &n, |b, _| {
-            b.iter(|| {
-                baseline
-                    .lookup(std::hint::black_box(&probe))
-                    .expect("found")
-            })
+        let at = |label: &str| format!("storage_ablation/{label}/{n}");
+        let base_secs = arm(&at("lookup/baseline"), n, iters, || {
+            baseline.lookup(&probe).expect("found")
         });
-        for (label, index) in [
-            ("lookup/columnar", &columnar),
-            ("lookup/swar", &swar_idx),
-            ("lookup/vectorized", &vectorized),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| index.lookup(std::hint::black_box(&probe)).expect("found"))
-            });
-        }
-        for (label, index) in [
-            ("nomatch/columnar", &columnar),
-            ("nomatch/swar", &swar_idx),
-            ("nomatch/vectorized", &vectorized),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| index.lookup(std::hint::black_box(&miss)))
-            });
-        }
-
-        // Bulk load: the recovery path (pre-sized arena) vs pushing
-        // boxed rows. Loads are re-done per iteration, so keep the
-        // budget in check by loading a slice at the larger sizes.
-        // `vectorized` includes the prefilter-plane maintenance cost.
-        let load = &sketches[..n.min(100_000)];
-        group.throughput(Throughput::Elements(load.len() as u64));
-        group.bench_with_input(BenchmarkId::new("bulk_load/baseline", n), &n, |b, _| {
-            b.iter(|| {
-                let mut idx = VecOfVecScan::new(T, KA);
-                for s in load {
-                    idx.insert(s.clone());
-                }
-                idx.entries.len()
-            })
+        let col_secs = arm(&at("lookup/columnar"), n, iters, || {
+            columnar.lookup(&probe).expect("found")
         });
-        group.bench_with_input(BenchmarkId::new("bulk_load/columnar", n), &n, |b, _| {
-            b.iter(|| {
-                let mut idx = ScanIndex::with_filter(T, KA, FilterConfig::disabled());
-                idx.reserve(load.len(), DIM);
-                for s in load {
-                    idx.insert(s);
-                }
-                idx.len()
-            })
+        let swar_secs = arm(&at("lookup/swar"), n, iters, || {
+            swar_idx.lookup(&probe).expect("found")
         });
-        group.bench_with_input(BenchmarkId::new("bulk_load/vectorized", n), &n, |b, _| {
-            b.iter(|| {
-                let mut idx = ScanIndex::new(T, KA);
-                idx.reserve(load.len(), DIM);
-                for s in load {
-                    idx.insert(s);
-                }
-                idx.len()
-            })
+        let vect_secs = arm(&at("lookup/vectorized"), n, iters, || {
+            vectorized.lookup(&probe).expect("found")
         });
-
-        // Machine-readable smoke numbers: best-of-timed worst-case
-        // lookups per layout and kernel, plus bytes/record.
-        let (_, base_secs) = time_best(iters, || baseline.lookup(&probe).expect("found"));
-        let (_, col_secs) = time_best(iters, || columnar.lookup(&probe).expect("found"));
-        let (_, swar_secs) = time_best(iters, || swar_idx.lookup(&probe).expect("found"));
-        let (_, vect_secs) = time_best(iters, || vectorized.lookup(&probe).expect("found"));
+        let col_miss = arm(&at("nomatch/columnar"), n, iters, || columnar.lookup(&miss));
+        let swar_miss = arm(&at("nomatch/swar"), n, iters, || swar_idx.lookup(&miss));
+        let vect_miss = arm(&at("nomatch/vectorized"), n, iters, || {
+            vectorized.lookup(&miss)
+        });
         smoke_metrics.push((format!("baseline_lookup_us_{n}"), base_secs * 1e6));
         smoke_metrics.push((format!("columnar_lookup_us_{n}"), col_secs * 1e6));
         smoke_metrics.push((format!("swar_lookup_us_{n}"), swar_secs * 1e6));
         smoke_metrics.push((format!("vectorized_lookup_us_{n}"), vect_secs * 1e6));
-        let (_, col_miss) = time_best(iters, || columnar.lookup(&miss));
-        let (_, swar_miss) = time_best(iters, || swar_idx.lookup(&miss));
-        let (_, vect_miss) = time_best(iters, || vectorized.lookup(&miss));
         smoke_metrics.push((format!("columnar_nomatch_us_{n}"), col_miss * 1e6));
         smoke_metrics.push((format!("swar_nomatch_us_{n}"), swar_miss * 1e6));
         smoke_metrics.push((format!("vectorized_nomatch_us_{n}"), vect_miss * 1e6));
+
+        // Bulk load: the recovery path (pre-sized arena) vs pushing
+        // boxed rows. Keep the budget in check by loading a slice at
+        // the larger sizes. `vectorized` includes the prefilter-plane
+        // maintenance cost.
+        let load = &sketches[..n.min(100_000)];
+        arm(&at("bulk_load/baseline"), load.len(), iters, || {
+            let mut idx = VecOfVecScan::new(T, KA);
+            for s in load {
+                idx.insert(s.clone());
+            }
+            idx.entries.len()
+        });
+        for (label, filter) in [
+            ("bulk_load/columnar", FilterConfig::disabled()),
+            ("bulk_load/vectorized", FilterConfig::default()),
+        ] {
+            arm(&at(label), load.len(), iters, || {
+                let mut idx = ScanIndex::with_filter(T, KA, filter);
+                idx.reserve(load.len(), DIM);
+                for s in load {
+                    idx.insert(s);
+                }
+                idx.len()
+            });
+        }
         gate_pair = (col_miss, vect_miss);
         // Enrollment into the production index, gated as a ratio, so
         // both best-of numbers come from interleaved rounds: comparands
@@ -403,7 +390,6 @@ fn bench_storage(c: &mut Criterion) {
             vect_miss * 1e6
         ));
     }
-    group.finish();
     let path = write_csv(
         "storage_ablation.csv",
         "records,baseline_bytes_per_record,columnar_bytes_per_record,\
@@ -451,13 +437,8 @@ fn bench_storage(c: &mut Criterion) {
 /// Executes every row-layout dispatch path (packed, `i32`, `i64`) so a
 /// smoke run covers every kernel instantiation, and checks the layouts
 /// actually selected.
-fn bench_width_dispatch(c: &mut Criterion) {
-    let smoke = smoke::smoke_mode();
-    let n = if smoke { 2_000 } else { 50_000 };
-    let mut group = c.benchmark_group("storage_ablation_widths");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(1));
-    group.warm_up_time(Duration::from_millis(100));
+fn bench_width_dispatch() {
+    let n = if smoke::smoke_mode() { 2_000 } else { 50_000 };
 
     for (name, ka, expect) in [
         ("packed", KA, CellWidth::Packed),
@@ -474,12 +455,13 @@ fn bench_width_dispatch(c: &mut Criterion) {
             index.insert(s);
         }
         assert_eq!(index.arena().width(), expect);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("lookup", name), &n, |b, _| {
-            b.iter(|| index.lookup(std::hint::black_box(&probe)).expect("found"))
-        });
+        arm(
+            &format!("storage_ablation_widths/lookup/{name}"),
+            n,
+            5,
+            || index.lookup(&probe).expect("found"),
+        );
     }
-    group.finish();
 }
 
 /// The sweep-policy ablation on top of the vectorized kernel: adaptive
@@ -490,7 +472,7 @@ fn bench_width_dispatch(c: &mut Criterion) {
 /// `adaptive_nomatch_us`, `fixed8_nomatch_us`). A smoke run fails if the
 /// adaptive depth loses to the old constant `F = 8`, with a noise
 /// tolerance.
-fn bench_sweep_policy(c: &mut Criterion) {
+fn bench_sweep_policy() {
     let smoke = smoke::smoke_mode();
     let n = if smoke { 20_000 } else { 1_000_000 };
     let mut rng = StdRng::seed_from_u64(0x9A7A);
@@ -521,21 +503,8 @@ fn bench_sweep_policy(c: &mut Criterion) {
     assert_eq!(adaptive.lookup(&probe), fixed8.lookup(&probe));
     assert_eq!(fixed8.lookup(&miss), None);
 
-    let mut group = c.benchmark_group("sweep_policy");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(1));
-    group.warm_up_time(Duration::from_millis(100));
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function(BenchmarkId::new("depth/adaptive", n), |b| {
-        b.iter(|| adaptive.lookup(std::hint::black_box(&miss)))
-    });
-    group.bench_function(BenchmarkId::new("depth/fixed8", n), |b| {
-        b.iter(|| fixed8.lookup(std::hint::black_box(&miss)))
-    });
-    group.finish();
-
-    // The smoke/gate timings run *after* criterion, back to back and
-    // interleaved: the gate compares variants against each other, so
+    // The two arms are timed back to back and interleaved: the gate
+    // compares variants against each other, so
     // the comparands must share one measurement neighborhood — a pair
     // of best-of numbers taken minutes apart mostly measures how the
     // box drifted in between. Best-of over interleaved rounds keeps
@@ -576,10 +545,8 @@ fn bench_sweep_policy(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_storage,
-    bench_width_dispatch,
-    bench_sweep_policy
-);
-criterion_main!(benches);
+fn main() {
+    bench_storage();
+    bench_width_dispatch();
+    bench_sweep_policy();
+}

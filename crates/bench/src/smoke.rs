@@ -1,8 +1,8 @@
 //! Machine-readable smoke-bench reporting: `BENCH_SMOKE.json`.
 //!
 //! CI smoke-runs `storage_ablation` (`FE_BENCH_SMOKE=1`) on every pull
-//! request, but criterion's console output is write-only history —
-//! nobody diffs it. [`record`] lets a bench put its headline numbers
+//! request, but its console output is write-only history — nobody
+//! diffs it. [`record`] lets a bench put its headline numbers
 //! into **`BENCH_SMOKE.json` at the repository root** (bench name →
 //! metric map): it reads the report, replaces the one
 //! section it was asked about and writes the file back, so every other

@@ -86,8 +86,8 @@ impl FixedBase {
         }
     }
 
-    /// `base^exp · other^other_exp mod n`, the two-base product a DSA or
-    /// Schnorr verification checks: the comb's columns ride on the
+    /// `base^exp · other^other_exp mod n`, the two-base product a DSA
+    /// verification checks: the comb's columns ride on the
     /// squarings of `other`'s window, one chain for both powers.
     pub fn pow_mul(&self, exp: &Natural, other: &Natural, other_exp: &Natural) -> Natural {
         let Some(comb) = self.comb(exp) else {

@@ -1,6 +1,6 @@
 //! Arbitrary-precision integer arithmetic for the `fuzzy-id` workspace.
 //!
-//! This crate is a self-contained bignum substrate built for the DSA/Schnorr
+//! This crate is a self-contained bignum substrate built for the DSA
 //! signatures used by the biometric identification protocol of *Fuzzy
 //! Extractors for Biometric Identification* (ICDCS 2017). It provides:
 //!

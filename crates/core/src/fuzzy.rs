@@ -91,17 +91,31 @@ where
     /// # Errors
     /// [`SketchError::OutOfRange`] / [`SketchError::TagMismatch`] when `y`
     /// is too far from the enrolled value or the helper data was tampered
-    /// with.
+    /// with; [`SketchError::BadParameters`] when the helper's seed is
+    /// shorter than the extractor needs (see [`Self::extract_key`]).
     pub fn reproduce(
         &self,
         reading: &[i64],
         helper: &HelperData<S::Sketch>,
     ) -> Result<ExtractedKey, SketchError> {
         let recovered = self.sketcher.recover(reading, &helper.sketch)?;
-        Ok(ExtractedKey::new(
-            self.extractor
-                .extract(&encode_i64_vector(&recovered), &helper.seed),
-        ))
+        self.extract_key(&recovered, &helper.seed)
+    }
+
+    /// `Ext(w; r)`: the key of a recovered value `w` under the helper's
+    /// extractor seed `r`.
+    ///
+    /// # Errors
+    /// [`SketchError::BadParameters`] when `seed` is shorter than the
+    /// extractor's `seed_len`: helper data arrives from storage or the
+    /// network, so a short seed is refused rather than left to the
+    /// extractor's panic.
+    pub fn extract_key(&self, recovered: &[i64], seed: &[u8]) -> Result<ExtractedKey, SketchError> {
+        let input = encode_i64_vector(recovered);
+        if seed.len() < self.extractor.seed_len(input.len()) {
+            return Err(SketchError::BadParameters);
+        }
+        Ok(ExtractedKey::new(self.extractor.extract(&input, seed)))
     }
 }
 

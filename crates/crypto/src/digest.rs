@@ -2,7 +2,7 @@
 
 /// A cryptographic hash function with incremental input.
 ///
-/// Implemented by [`crate::Sha256`] and [`crate::Sha512`]; consumed
+/// Implemented by [`crate::Sha256`]; consumed
 /// generically by [`crate::Hmac`], [`crate::Hkdf`] and the robust-sketch
 /// construction in `fe-core`.
 ///

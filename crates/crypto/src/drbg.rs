@@ -1,7 +1,7 @@
 //! HMAC-DRBG (NIST SP 800-90A style) — a deterministic random bit generator.
 //!
 //! Used for (a) reproducible test/benchmark randomness, (b) RFC-6979-style
-//! deterministic DSA/Schnorr nonces, and (c) deriving key material from the
+//! deterministic DSA nonces, and (c) deriving key material from the
 //! fuzzy-extractor output. Implements [`rand::RngCore`] so it can feed the
 //! `fe-bigint` generators directly.
 

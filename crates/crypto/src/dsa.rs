@@ -219,7 +219,7 @@ impl DsaParams {
         }
     }
 
-    /// `g^e · y^f mod p`, the product a DSA or Schnorr verification checks:
+    /// `g^e · y^f mod p`, the product a DSA verification checks:
     /// the table's columns ride on the squarings of `y`'s window.
     pub fn pow_g_mul(&self, e: &Natural, y: &Natural, f: &Natural) -> Natural {
         match self.g_table() {

@@ -5,16 +5,9 @@
 //! public random seed `r` and a source `x` with enough min-entropy, the
 //! output is statistically close to uniform even conditioned on `r`.
 //!
-//! Two implementations are provided:
-//!
-//! * [`HmacExtractor`] — HMAC-SHA-256 keyed by the seed. This is what the
-//!   paper's Table II lists ("Random Extractor: SHA256"); it is an
-//!   extractor under a random-oracle-style assumption on the compression
-//!   function.
-//! * [`ToeplitzExtractor`] — multiplication by a random Toeplitz matrix
-//!   over GF(2), a 2-universal family, so the leftover hash lemma applies
-//!   *unconditionally*. The paper glosses over this gap; we provide both
-//!   and compare their cost in the ablation bench.
+//! [`HmacExtractor`] is HMAC-SHA-256 keyed by the seed. This is what the
+//! paper's Table II lists ("Random Extractor: SHA256"); it is an extractor
+//! under a random-oracle-style assumption on the compression function.
 
 use crate::{Hkdf, Hmac, Sha256};
 
@@ -81,95 +74,6 @@ impl StrongExtractor for HmacExtractor {
     }
 }
 
-/// Toeplitz-matrix extractor over GF(2) — a 2-universal hash family.
-///
-/// A Toeplitz matrix is constant along diagonals, so an `ℓ × n` matrix is
-/// described by `n + ℓ - 1` seed bits. Output bit `i` is the parity of
-/// `x · row_i`. We exploit the structure: for every set input bit `j`, XOR
-/// the `ℓ`-bit seed window starting at bit `n - 1 - j` into the output.
-/// Cost is `O(weight(x) · ℓ/64)` word operations.
-///
-/// ```rust
-/// use fe_crypto::extractor::{StrongExtractor, ToeplitzExtractor};
-///
-/// let ext = ToeplitzExtractor::new(16);
-/// let input = b"some biometric bytes";
-/// let seed = vec![0xa7u8; ext.seed_len(input.len())];
-/// let out = ext.extract(input, &seed);
-/// assert_eq!(out.len(), 16);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ToeplitzExtractor {
-    output_len: usize,
-}
-
-impl ToeplitzExtractor {
-    /// Creates an extractor producing `output_len` bytes.
-    pub fn new(output_len: usize) -> Self {
-        ToeplitzExtractor { output_len }
-    }
-
-    /// Reads `count` bits of `bytes` starting at bit offset `start`
-    /// (LSB-first within each byte) into a little-endian word vector.
-    fn bit_window(bytes: &[u8], start: usize, count: usize) -> Vec<u64> {
-        let words = count.div_ceil(64);
-        let mut out = vec![0u64; words];
-        for i in 0..count {
-            let bit_idx = start + i;
-            let bit = (bytes[bit_idx / 8] >> (bit_idx % 8)) & 1;
-            if bit == 1 {
-                out[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        out
-    }
-}
-
-impl StrongExtractor for ToeplitzExtractor {
-    fn output_len(&self) -> usize {
-        self.output_len
-    }
-
-    fn seed_len(&self, input_len: usize) -> usize {
-        // n + ℓ - 1 bits, rounded up to bytes.
-        (input_len * 8 + self.output_len * 8 - 1).div_ceil(8)
-    }
-
-    fn extract(&self, input: &[u8], seed: &[u8]) -> Vec<u8> {
-        let n_bits = input.len() * 8;
-        let l_bits = self.output_len * 8;
-        assert!(
-            seed.len() >= self.seed_len(input.len()),
-            "ToeplitzExtractor seed too short: need {} bytes, got {}",
-            self.seed_len(input.len()),
-            seed.len()
-        );
-
-        let words = l_bits.div_ceil(64);
-        let mut acc = vec![0u64; words];
-        for (byte_idx, &byte) in input.iter().enumerate() {
-            if byte == 0 {
-                continue;
-            }
-            for bit in 0..8 {
-                if (byte >> bit) & 1 == 1 {
-                    let j = byte_idx * 8 + bit;
-                    let window = Self::bit_window(seed, n_bits - 1 - j, l_bits);
-                    for (a, w) in acc.iter_mut().zip(window.iter()) {
-                        *a ^= w;
-                    }
-                }
-            }
-        }
-
-        let mut out = vec![0u8; self.output_len];
-        for (i, out_byte) in out.iter_mut().enumerate() {
-            *out_byte = (acc[i / 8] >> ((i % 8) * 8)) as u8;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,62 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn toeplitz_linear_in_input() {
-        // T(x ⊕ y) = T(x) ⊕ T(y): the extractor is GF(2)-linear.
-        let ext = ToeplitzExtractor::new(8);
-        let x = [0b1010_1100u8, 0xff, 0x01, 0x7e];
-        let y = [0b0110_0011u8, 0x0f, 0x80, 0x55];
-        let xy: Vec<u8> = x.iter().zip(y.iter()).map(|(a, b)| a ^ b).collect();
-        let seed: Vec<u8> = (0..ext.seed_len(4)).map(|i| (i * 37 + 11) as u8).collect();
-        let tx = ext.extract(&x, &seed);
-        let ty = ext.extract(&y, &seed);
-        let txy = ext.extract(&xy, &seed);
-        let t_xor: Vec<u8> = tx.iter().zip(ty.iter()).map(|(a, b)| a ^ b).collect();
-        assert_eq!(txy, t_xor);
-    }
-
-    #[test]
-    fn toeplitz_zero_input_gives_zero() {
-        let ext = ToeplitzExtractor::new(16);
-        let seed = vec![0xffu8; ext.seed_len(10)];
-        assert_eq!(ext.extract(&[0u8; 10], &seed), vec![0u8; 16]);
-    }
-
-    #[test]
-    fn toeplitz_matches_naive_matrix_multiply() {
-        let ext = ToeplitzExtractor::new(2); // ℓ = 16 bits
-        let input = [0xc3u8, 0x5a, 0x99]; // n = 24 bits
-        let n = 24;
-        let l = 16;
-        let seed: Vec<u8> = (0..ext.seed_len(3)).map(|i| (i * 151 + 3) as u8).collect();
-        let seed_bit = |idx: usize| -> u8 { (seed[idx / 8] >> (idx % 8)) & 1 };
-        let input_bit = |idx: usize| -> u8 { (input[idx / 8] >> (idx % 8)) & 1 };
-        // T[i][j] = seed_bit(n - 1 + i - j); out_i = parity_j(T[i][j] & x_j).
-        let mut expected = vec![0u8; 2];
-        for i in 0..l {
-            let mut parity = 0u8;
-            for j in 0..n {
-                parity ^= seed_bit(n - 1 + i - j) & input_bit(j);
-            }
-            expected[i / 8] |= parity << (i % 8);
-        }
-        assert_eq!(ext.extract(&input, &seed), expected);
-    }
-
-    #[test]
-    fn toeplitz_seed_sensitivity() {
-        let ext = ToeplitzExtractor::new(8);
-        let input = [0x12u8, 0x34, 0x56, 0x78];
-        let seed1 = vec![0x11u8; ext.seed_len(4)];
-        let seed2 = vec![0x22u8; ext.seed_len(4)];
-        assert_ne!(ext.extract(&input, &seed1), ext.extract(&input, &seed2));
-    }
-
-    #[test]
     fn seed_len_formula() {
-        let ext = ToeplitzExtractor::new(32); // 256 output bits
-                                              // n=100 bytes → 800 bits; seed bits = 800 + 256 - 1 = 1055 → 132 bytes.
-        assert_eq!(ext.seed_len(100), 132);
         assert_eq!(HmacExtractor::new(32).seed_len(100), 32);
     }
 }

@@ -80,7 +80,7 @@ impl<D: Digest> Hmac<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hex_encode, Sha256, Sha512};
+    use crate::{hex_encode, Sha256};
 
     // RFC 4231 test vectors.
 
@@ -91,12 +91,6 @@ mod tests {
         assert_eq!(
             hex_encode(&Hmac::<Sha256>::mac(&key, data)),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex_encode(&Hmac::<Sha512>::mac(&key, data)),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
-                .replace(' ', "")
         );
     }
 

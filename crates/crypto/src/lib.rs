@@ -5,17 +5,14 @@
 //! "random extractor" and **DSA** as the signature scheme; the robust secure
 //! sketch needs a collision-resistant hash. This crate provides all of that:
 //!
-//! * [`Sha256`] / [`Sha512`] — FIPS 180-4 hash functions.
+//! * [`Sha256`] — the FIPS 180-4 hash function.
 //! * [`Hmac`] — RFC 2104 MAC, generic over any [`Digest`].
 //! * [`HmacDrbg`] — deterministic random bit generator in the style of NIST
 //!   SP 800-90A; implements [`rand::RngCore`] so it can drive `fe-bigint`
 //!   prime generation and protocol nonces reproducibly.
 //! * [`dsa`] — FIPS 186-4-style DSA over from-scratch bignums with
 //!   deterministic (RFC-6979-style) per-message nonces.
-//! * [`schnorr`] — Schnorr signatures over the same subgroup (used by the
-//!   ablation benchmarks).
-//! * [`extractor`] — strong randomness extractors: the paper's SHA-256-based
-//!   extractor and a provably 2-universal Toeplitz extractor.
+//! * [`extractor`] — the paper's HMAC-SHA-256 strong randomness extractor.
 //!
 //! # Example: hash and MAC
 //!
@@ -39,19 +36,16 @@ pub mod dsa;
 pub mod extractor;
 mod hkdf;
 mod hmac;
-pub mod schnorr;
 mod sha256;
-mod sha512;
 
 pub use digest::Digest;
 pub use drbg::HmacDrbg;
 pub use hkdf::Hkdf;
 pub use hmac::Hmac;
 pub use sha256::Sha256;
-pub use sha512::Sha512;
 
-/// Signature scheme abstraction shared by DSA and Schnorr so protocols can be
-/// generic over the signer.
+/// Signature scheme abstraction, so protocols can be generic over the
+/// signer ([`dsa::Dsa`] is the one the paper uses).
 pub mod sig {
     /// A detached signature scheme: key generation from seed material,
     /// signing and verification over byte messages.

@@ -4,7 +4,7 @@
 use crate::binpoly::BinPoly;
 use crate::gf2m::Gf2m;
 use crate::poly::Poly;
-use crate::{BinaryCode, CodeError};
+use crate::CodeError;
 use fe_metrics::BitVec;
 use std::collections::HashSet;
 
@@ -12,7 +12,7 @@ use std::collections::HashSet;
 /// error-correction capability `t`.
 ///
 /// ```rust
-/// use fe_ecc::{Bch, BinaryCode};
+/// use fe_ecc::Bch;
 /// use fe_metrics::BitVec;
 ///
 /// # fn main() -> Result<(), fe_ecc::CodeError> {
@@ -109,14 +109,43 @@ impl Bch {
         })
     }
 
+    /// Codeword length in bits.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Message length in bits.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Guaranteed error-correction radius (bit flips).
+    pub fn t(&self) -> usize {
+        self.t
+    }
+
+    /// Encodes a `k()`-bit message into an `n()`-bit systematic codeword.
+    ///
+    /// # Errors
+    /// Returns [`CodeError::WrongLength`] if the message size differs
+    /// from `k()`.
+    pub fn encode(&self, message: &BitVec) -> Result<BitVec, CodeError> {
+        if message.len() != self.k {
+            return Err(CodeError::WrongLength {
+                expected: self.k,
+                got: message.len(),
+            });
+        }
+        let parity_len = self.n - self.k;
+        let msg_poly = BinPoly::from_bitvec(message).shl(parity_len);
+        let parity = msg_poly.rem(&self.generator);
+        let codeword = msg_poly.add(&parity);
+        Ok(codeword.to_bitvec(self.n))
+    }
+
     /// The generator polynomial.
     pub fn generator(&self) -> &BinPoly {
         &self.generator
-    }
-
-    /// Borrows the underlying field.
-    pub fn field(&self) -> &Gf2m {
-        &self.field
     }
 
     /// Syndromes `S_j = r(α^j)` for `j = 1..=2t`.
@@ -158,7 +187,7 @@ impl Bch {
             });
         }
 
-        let sigma = crate::rs::berlekamp_massey(&self.field, &syn);
+        let sigma = berlekamp_massey(&self.field, &syn);
         let num_errors = sigma.degree().unwrap_or(0);
         if num_errors == 0 || num_errors > self.t {
             return Err(CodeError::TooManyErrors);
@@ -195,36 +224,39 @@ impl Bch {
     }
 }
 
-impl BinaryCode for Bch {
-    fn n(&self) -> usize {
-        self.n
-    }
+/// Berlekamp–Massey: finds the minimal LFSR (error-locator polynomial σ,
+/// with σ(0) = 1) generating the syndrome sequence.
+fn berlekamp_massey(f: &Gf2m, syndromes: &[u16]) -> Poly {
+    let mut c = Poly::one(); // current connection polynomial
+    let mut b = Poly::one(); // previous connection polynomial
+    let mut l = 0usize; // current LFSR length
+    let mut m = 1usize; // steps since last length change
+    let mut last_d = 1u16; // discrepancy at last length change
 
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn t(&self) -> usize {
-        self.t
-    }
-
-    fn encode(&self, message: &BitVec) -> Result<BitVec, CodeError> {
-        if message.len() != self.k {
-            return Err(CodeError::WrongLength {
-                expected: self.k,
-                got: message.len(),
-            });
+    for n in 0..syndromes.len() {
+        let mut d = syndromes[n];
+        for i in 1..=l {
+            d ^= f.mul(c.coeff(i), syndromes[n - i]);
         }
-        let parity_len = self.n - self.k;
-        let msg_poly = BinPoly::from_bitvec(message).shl(parity_len);
-        let parity = msg_poly.rem(&self.generator);
-        let codeword = msg_poly.add(&parity);
-        Ok(codeword.to_bitvec(self.n))
+        if d == 0 {
+            m += 1;
+        } else {
+            let coef = f.div(d, last_d).expect("last_d is non-zero");
+            let adjustment = b.scale(coef, f).mul(&Poly::monomial(1, m), f);
+            if 2 * l <= n {
+                let prev_c = c.clone();
+                c = c.add(&adjustment, f);
+                l = n + 1 - l;
+                b = prev_c;
+                last_d = d;
+                m = 1;
+            } else {
+                c = c.add(&adjustment, f);
+                m += 1;
+            }
+        }
     }
-
-    fn decode_message(&self, word: &BitVec) -> Result<BitVec, CodeError> {
-        self.decode(word).map(|d| d.message)
-    }
+    c
 }
 
 #[cfg(test)]
@@ -373,5 +405,19 @@ mod tests {
         let dec = code.decode(&corrupted).unwrap();
         assert_eq!(dec.message, msg);
         assert_eq!(dec.corrected_errors, 12);
+    }
+
+    #[test]
+    fn berlekamp_massey_finds_known_lfsr() {
+        // Syndromes of a single error at position p with magnitude e:
+        // S_j = e·α^{pj} → σ(x) = 1 - α^p x (degree 1).
+        let f = Gf2m::new(4).unwrap();
+        let p = 6i64;
+        let e = 9u16;
+        let syn: Vec<u16> = (1..=4).map(|j| f.mul(e, f.alpha_pow(p * j))).collect();
+        let sigma = berlekamp_massey(&f, &syn);
+        assert_eq!(sigma.degree(), Some(1));
+        // Root of sigma should be α^{-p}.
+        assert_eq!(sigma.eval(f.alpha_pow(-p), &f), 0);
     }
 }

@@ -79,11 +79,6 @@ impl Gf2m {
         })
     }
 
-    /// Field extension degree `m`.
-    pub fn m(&self) -> u32 {
-        self.m
-    }
-
     /// Field size `2^m`.
     pub fn size(&self) -> usize {
         1usize << self.m

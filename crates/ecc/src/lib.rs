@@ -4,13 +4,11 @@
 //! correction: the **code-offset construction / fuzzy commitment**
 //! (Juels–Wattenberg) needs a binary code with a syndrome-style decoder —
 //! we provide **BCH codes** — and the **fuzzy vault** (Juels–Sudan) needs
-//! polynomial reconstruction over a finite field — we provide
-//! **Reed–Solomon** with both Berlekamp–Massey decoding (contiguous
-//! codewords) and **Berlekamp–Welch** decoding (arbitrary support, as the
-//! vault requires).
+//! polynomial reconstruction over a finite field from points of arbitrary
+//! support — we provide **Berlekamp–Welch** decoding.
 //!
 //! ```rust
-//! use fe_ecc::{Bch, BinaryCode};
+//! use fe_ecc::Bch;
 //! use fe_metrics::BitVec;
 //!
 //! # fn main() -> Result<(), fe_ecc::CodeError> {
@@ -37,7 +35,6 @@ mod error;
 mod gf2m;
 mod linalg;
 mod poly;
-mod rs;
 
 pub use bch::{Bch, BchDecode};
 pub use berlekamp_welch::berlekamp_welch;
@@ -46,32 +43,3 @@ pub use error::CodeError;
 pub use gf2m::Gf2m;
 pub use linalg::solve_linear_system;
 pub use poly::Poly;
-pub use rs::{ReedSolomon, RsDecode};
-
-use fe_metrics::BitVec;
-
-/// A binary block code: fixed-length messages to fixed-length codewords
-/// with bounded-error decoding.
-pub trait BinaryCode {
-    /// Codeword length in bits.
-    fn n(&self) -> usize;
-    /// Message length in bits.
-    fn k(&self) -> usize;
-    /// Guaranteed error-correction radius (bit flips).
-    fn t(&self) -> usize;
-
-    /// Encodes a `k()`-bit message into an `n()`-bit codeword.
-    ///
-    /// # Errors
-    /// Returns [`CodeError::WrongLength`] if the message size differs
-    /// from `k()`.
-    fn encode(&self, message: &BitVec) -> Result<BitVec, CodeError>;
-
-    /// Decodes a (possibly corrupted) word back to a message, correcting up
-    /// to `t()` bit errors.
-    ///
-    /// # Errors
-    /// Returns [`CodeError::WrongLength`] on a size mismatch and
-    /// [`CodeError::TooManyErrors`] when decoding fails.
-    fn decode_message(&self, word: &BitVec) -> Result<BitVec, CodeError>;
-}

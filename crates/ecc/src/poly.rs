@@ -115,22 +115,6 @@ impl Poly {
         acc
     }
 
-    /// Formal derivative. In characteristic 2 the even-power terms vanish:
-    /// `d/dx Σ c_i x^i = Σ_{i odd} c_i x^{i-1}`.
-    pub fn derivative(&self, _f: &Gf2m) -> Poly {
-        let mut out = Vec::new();
-        for (i, &c) in self.coeffs.iter().enumerate().skip(1) {
-            if i % 2 == 1 {
-                // i·c = c when i odd (char 2)
-                if out.len() < i {
-                    out.resize(i, 0);
-                }
-                out[i - 1] = c;
-            }
-        }
-        Poly::from_coeffs(out)
-    }
-
     /// Division with remainder: `self = q·divisor + r`, `deg r < deg divisor`.
     ///
     /// # Panics
@@ -268,15 +252,6 @@ mod tests {
         assert_eq!(p.eval(r1, &f), 0);
         assert_eq!(p.eval(r2, &f), 0);
         assert_ne!(p.eval(r1 ^ 1, &f), 0);
-    }
-
-    #[test]
-    fn derivative_char2() {
-        let f = field();
-        // d/dx (c0 + c1 x + c2 x^2 + c3 x^3) = c1 + c3 x^2.
-        let p = Poly::from_coeffs(vec![9, 7, 5, 3]);
-        let d = p.derivative(&f);
-        assert_eq!(d.coeffs(), &[7, 0, 3]);
     }
 
     #[test]

@@ -170,4 +170,23 @@ mod tests {
             Err(ProtocolError::Sketch(fe_core::SketchError::BadParameters))
         ));
     }
+
+    /// The extractor seed arrives in the `CHALLENGE` too: one shorter than
+    /// the extractor's 32 bytes is an error, not a panic.
+    #[test]
+    fn respond_refuses_a_short_extractor_seed() {
+        let (device, mut rng) = setup();
+        let bio = device.params().sketch().line().random_vector(16, &mut rng);
+        let mut helper = device.enroll("a", &bio, &mut rng).unwrap().helper;
+        helper.seed.truncate(3);
+        let challenge = IdentChallenge {
+            session: 1,
+            helper,
+            challenge: 42,
+        };
+        assert!(matches!(
+            device.respond(&bio, &challenge, &mut rng),
+            Err(ProtocolError::Sketch(fe_core::SketchError::BadParameters))
+        ));
+    }
 }

@@ -16,9 +16,7 @@ use crate::messages::{challenge_message, IdentOutcome};
 use crate::params::SystemParams;
 use crate::server::AuthenticationServer;
 use crate::ProtocolError;
-use fe_core::encode_i64_vector;
 use fe_crypto::dsa::{DsaSignature, DsaVerifyingKey};
-use fe_crypto::extractor::StrongExtractor;
 use fe_crypto::sig::SignatureScheme;
 use rand::Rng;
 use rand::RngCore;
@@ -80,14 +78,14 @@ impl NormalIdentification {
             if !robust.verify_tag(&recovered, &helper.sketch) {
                 return None;
             }
-            let key = fe
-                .extractor()
-                .extract(&encode_i64_vector(&recovered), &helper.seed);
+            let Ok(key) = fe.extract_key(&recovered, &helper.seed) else {
+                return None; // a seed too short to extract with: next
+            };
 
             // Challenge-response for this record.
             let challenge: u64 = rng.gen();
             let nonce: u64 = rng.gen();
-            let (sk, _vk) = dsa.keypair_from_seed(&key);
+            let (sk, _vk) = dsa.keypair_from_seed(key.as_bytes());
             let msg = challenge_message(0, challenge, nonce);
             stats.signatures += 1;
             let signature = dsa.sign(&sk, &msg);
@@ -173,5 +171,23 @@ mod tests {
         assert_eq!(outcome, IdentOutcome::Rejected);
         assert_eq!(stats.rep_attempts, 6); // tried everyone
         assert_eq!(stats.signatures, 0);
+    }
+
+    /// A stored record whose extractor seed is too short to extract with
+    /// is passed over like a wrong record, not a panic.
+    #[test]
+    fn a_record_with_a_short_seed_is_passed_over() {
+        let params = SystemParams::insecure_test_defaults();
+        let device = BiometricDevice::new(params.clone());
+        let mut server = AuthenticationServer::new(params.clone());
+        let mut rng = StdRng::seed_from_u64(31_338);
+        let bio = params.sketch().line().random_vector(32, &mut rng);
+        let mut record = device.enroll("short", &bio, &mut rng).unwrap();
+        record.helper.seed.truncate(3);
+        server.enroll(record).unwrap();
+        let normal = NormalIdentification::new(params);
+        let (outcome, stats) = normal.identify(&server, &bio, &mut rng).unwrap();
+        assert_eq!(outcome, IdentOutcome::Rejected);
+        assert_eq!((stats.rep_attempts, stats.signatures), (1, 0));
     }
 }

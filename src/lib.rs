@@ -14,14 +14,15 @@
 //!   identification protocols (proposed + normal approach); the
 //!   authentication server runs the epoch index engine and scales
 //!   out via the sharded, batch-capable `concurrent::SharedServer`.
-//! * [`crypto`] (`fe-crypto`) — SHA-256/SHA-512, HMAC, HMAC-DRBG, DSA,
-//!   Schnorr, strong extractors.
+//! * [`crypto`] (`fe-crypto`) — SHA-256, HMAC, HKDF, HMAC-DRBG, DSA, the
+//!   HMAC-SHA-256 strong extractor.
 //! * [`net`] (`fe-net`) — the networked front door: framed TCP server,
 //!   blocking client, handshake and envelope codecs (see `PROTOCOL.md`
 //!   for the normative wire spec).
 //! * [`biometric`] (`fe-biometric`) — synthetic biometric workloads.
 //! * [`metrics`] (`fe-metrics`) — metric spaces (Chebyshev, Hamming, …).
-//! * [`ecc`] (`fe-ecc`) — BCH / Reed–Solomon codes for the baselines.
+//! * [`ecc`] (`fe-ecc`) — BCH codes and Berlekamp–Welch decoding for the
+//!   baselines.
 //! * [`bigint`] (`fe-bigint`) — arbitrary-precision arithmetic.
 //!
 //! ## Quickstart

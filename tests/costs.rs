@@ -124,6 +124,52 @@ fn a_login_costs_the_same_products_at_any_population() {
     assert_eq!(one.contexts, 0);
 }
 
+/// Sec. VII as an equality: identification costs what verification
+/// costs. Two servers enroll the same 100 users; on one the first user
+/// logs in by probe (`begin_identification`: a sweep of the population),
+/// on the other by claimed id (`begin_verification`). The device draws
+/// its probe sketch either way, so both servers draw the same challenge
+/// and the device signs the same message: finding the record by sketch
+/// adds no modular product, and each login costs 304.
+#[test]
+fn identification_costs_the_products_of_verification() {
+    dsa_1024();
+    let params = SystemParams::paper_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let line = params.sketch().line();
+    let login = |by_probe: bool| {
+        let mut server = AuthenticationServer::new(params.clone());
+        let mut rng = StdRng::seed_from_u64(7);
+        let bio = line.random_vector(64, &mut rng);
+        let record = device.enroll("target", &bio, &mut rng).unwrap();
+        server.enroll(record).unwrap();
+        let mut others = StdRng::seed_from_u64(8);
+        for i in 1..100 {
+            let other = line.random_vector(64, &mut others);
+            let record = device
+                .enroll(&format!("user-{i}"), &other, &mut others)
+                .unwrap();
+            server.enroll(record).unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let (outcome, spent) = cost(|| {
+            let probe = device.probe_sketch(&bio, &mut rng).unwrap();
+            let challenge = if by_probe {
+                server.begin_identification(&probe, &mut rng)
+            } else {
+                server.begin_verification("target", &mut rng)
+            };
+            let response = device.respond(&bio, &challenge.unwrap(), &mut rng);
+            server.finish_identification(&response.unwrap()).unwrap()
+        });
+        assert!(matches!(outcome, IdentOutcome::Identified(ref id) if id == "target"));
+        spent
+    };
+    let identified = login(true);
+    assert_eq!(identified, login(false));
+    assert_eq!(identified.products(), 304);
+}
+
 /// `f`'s result and the hardware divides the ring arithmetic fell back
 /// to on this thread.
 fn divides<T>(f: impl FnOnce() -> T) -> (T, u64) {
