@@ -1,11 +1,11 @@
 //! Epoch-published storage engine: one append-only **head** segment
 //! that is filled in place until it seals, plus the immutable **sealed
-//! segments** it became, with a lock-free read path.
+//! segments** it became, read without waiting for writers.
 //!
 //! # Shape
 //!
 //! ```text
-//!   writer state                      published snapshot (ArcCell)
+//!   writer state                      published snapshot (RwLock<Arc>)
 //!   ┌──────────────────────┐          ┌────────────────────────────┐
 //!   │ head: Arc<Segment>   │──Arc────▶│ head: Arc<Segment>         │
 //!   │ segments:            │──Arc────▶│ segments: Vec<Arc<Segment>>│
@@ -23,14 +23,14 @@
 //! either: a row is written once and stays where it was written. Only
 //! a change to the segment *list* (the head sealing, a tombstone
 //! rewrite, `compact`, `clear`) publishes a fresh immutable
-//! `Snapshot` through the vendored [`crossbeam::epoch::ArcCell`] —
-//! once per `seal_rows` inserts, not once per insert. Readers obtained
-//! via [`EpochRead::reader`] load the current snapshot (an epoch pin
-//! plus one atomic pointer read — **no `RwLock`, no `Mutex`**) and
-//! sweep segments + head against it; a snapshot stays valid for the
-//! whole sweep because the reader holds an `Arc`, and superseded
-//! snapshots are reclaimed only once every reader pinned before the
-//! swap has unpinned (the epoch reclamation rule).
+//! `Snapshot`, by replacing the `Arc` behind one shared
+//! `std::sync::RwLock` — once per `seal_rows` inserts, not once per
+//! insert. Readers obtained via [`EpochRead::reader`] take the read
+//! lock only to clone that `Arc`, release it, and sweep segments + head
+//! against the clone unsynchronized; a snapshot stays valid for the
+//! whole sweep because the reader holds an `Arc`, and a superseded
+//! snapshot is freed when its last `Arc` drops — the whole reclamation
+//! rule.
 //!
 //! # Tiers and lifecycle
 //!
@@ -65,9 +65,7 @@
 //! first-hit-wins reproduces earliest-enrolled-wins exactly.
 
 use std::fmt;
-use std::sync::Arc;
-
-use crossbeam::epoch::ArcCell;
+use std::sync::{Arc, RwLock};
 
 use super::store::{CellWidth, FilterConfig, Row, RowMask, SketchArena, TILE_ROWS};
 use super::{RecordId, SketchIndex};
@@ -209,7 +207,7 @@ impl Snapshot {
 }
 
 /// Borrowed scan view shared by the writer-side trait methods (over
-/// live writer state) and the lock-free reader (over a snapshot).
+/// live writer state) and the detached reader (over a snapshot).
 struct View<'a> {
     segments: &'a [Arc<Segment>],
     head: &'a Segment,
@@ -269,7 +267,7 @@ impl View<'_> {
     }
 }
 
-/// A lock-free identification reader over some epoch-published index.
+/// A detached identification reader over some epoch-published index.
 ///
 /// Implementors are cheap-to-clone handles that can be scanned from
 /// any thread while the owning index keeps mutating; every call
@@ -293,7 +291,7 @@ pub trait IndexReader: Send + Sync + 'static {
     fn find_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId>;
 }
 
-/// A [`SketchIndex`] that can hand out lock-free [`IndexReader`]s.
+/// A [`SketchIndex`] that can hand out detached [`IndexReader`]s.
 pub trait EpochRead: SketchIndex {
     /// The reader handle type.
     type Reader: IndexReader;
@@ -304,19 +302,31 @@ pub trait EpochRead: SketchIndex {
     fn reader(&self) -> Self::Reader;
 }
 
-/// The lock-free reader over an [`EpochIndex`] (see [`EpochRead`]).
+/// The shared slot a snapshot is published through: the write lock is
+/// held only to replace the `Arc`, a read lock only to clone it, so
+/// neither section can panic.
+type Published = Arc<RwLock<Arc<Snapshot>>>;
+
+/// The current snapshot of `cell`: one read-lock section, one `Arc`
+/// clone.
+fn load(cell: &Published) -> Arc<Snapshot> {
+    Arc::clone(&cell.read().expect("a snapshot section cannot panic"))
+}
+
+/// The reader over an [`EpochIndex`] (see [`EpochRead`]).
 ///
-/// Every scan loads the current snapshot under an epoch pin — one
-/// atomic pointer read plus an `Arc` refcount — then sweeps it
-/// unsynchronized; no scan ever takes a lock or blocks a writer.
+/// Every scan clones the current snapshot's `Arc` under the shared
+/// read lock, releases it, then sweeps the snapshot unsynchronized; a
+/// scan holds no lock while it sweeps and never waits for an insert or
+/// a revoke, only — for that one clone — for a publish in progress.
 #[derive(Clone)]
 pub struct EpochReader {
-    cell: Arc<ArcCell<Snapshot>>,
+    cell: Published,
 }
 
 impl fmt::Debug for EpochReader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snap = self.cell.load();
+        let snap = load(&self.cell);
         f.debug_struct("EpochReader")
             .field("segments", &snap.segments.len())
             .field("head_rows", &snap.head.rows())
@@ -327,12 +337,11 @@ impl fmt::Debug for EpochReader {
 
 impl IndexReader for EpochReader {
     fn generation(&self) -> u64 {
-        self.cell.load().generation
+        load(&self.cell).generation
     }
 
     fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
-        self.cell
-            .load()
+        load(&self.cell)
             .view()
             .find(probe, None, 1)
             .first()
@@ -340,15 +349,15 @@ impl IndexReader for EpochReader {
     }
 
     fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        self.cell.load().view().find_first_batch(probes)
+        load(&self.cell).view().find_first_batch(probes)
     }
 
     fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        self.cell.load().view().find(probe, None, budget)
+        load(&self.cell).view().find(probe, None, budget)
     }
 
     fn find_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        self.cell.load().view().find(probe, Some(subset), budget)
+        load(&self.cell).view().find(probe, Some(subset), budget)
     }
 }
 
@@ -369,7 +378,9 @@ pub struct EpochIndex {
     /// only by the arenas, because it is what sizes each fresh head.
     dim: Option<usize>,
     generation: u64,
-    cell: Arc<ArcCell<Snapshot>>,
+    cell: Published,
+    /// How many snapshots [`EpochIndex::publish`] has swapped in.
+    publishes: u64,
 }
 
 impl fmt::Debug for EpochIndex {
@@ -381,6 +392,7 @@ impl fmt::Debug for EpochIndex {
             .field("staging_rows", &self.head.rows())
             .field("staging_base", &self.head_base())
             .field("generation", &self.generation)
+            .field("publishes", &self.publishes())
             .field("live", &self.len())
             .finish()
     }
@@ -419,7 +431,7 @@ impl EpochIndex {
             arena: SketchArena::with_filter(t, ka, filter),
             ids: Ids::Dense(0),
         });
-        let cell = Arc::new(ArcCell::new(Arc::new(Snapshot {
+        let cell = Arc::new(RwLock::new(Arc::new(Snapshot {
             segments: Vec::new(),
             head: Arc::clone(&head),
             generation: 0,
@@ -434,7 +446,14 @@ impl EpochIndex {
             dim: None,
             generation: 0,
             cell,
+            publishes: 0,
         }
+    }
+
+    /// How many snapshots have been published: the swap gauge, which
+    /// shows that a head write did not swap.
+    pub(crate) fn publishes(&self) -> u64 {
+        self.publishes
     }
 
     /// The sealed segments (diagnostics, benches).
@@ -468,13 +487,22 @@ impl EpochIndex {
     /// Publishes the segment list and the head as a fresh snapshot —
     /// needed only when one of the two was *replaced*; rows appended to
     /// the head and tombstones flipped anywhere are visible through the
-    /// snapshot already out.
+    /// snapshot already out. The superseded snapshot is freed here, or
+    /// by whichever sweep drops the last `Arc` to it.
     fn publish(&mut self) {
-        self.cell.store(Arc::new(Snapshot {
+        let snapshot = Arc::new(Snapshot {
             segments: self.segments.clone(),
             head: Arc::clone(&self.head),
             generation: self.generation,
-        }));
+        });
+        let old = std::mem::replace(
+            &mut *self.cell.write().expect("a snapshot section cannot panic"),
+            snapshot,
+        );
+        self.publishes += 1;
+        // It may hold the last `Arc` of a rewritten segment: freed with
+        // the write lock already released.
+        drop(old);
     }
 
     /// Starts an empty head for ids `base..`, reserved in full once the
@@ -676,7 +704,7 @@ impl SketchIndex for EpochIndex {
         let list = |segments: &Vec<Arc<Segment>>| {
             segments.capacity() * std::mem::size_of::<Arc<Segment>>()
         };
-        let snapshot = list(&self.cell.load().segments) + std::mem::size_of::<Snapshot>();
+        let snapshot = list(&load(&self.cell).segments) + std::mem::size_of::<Snapshot>();
         list(&self.segments) + snapshot + self.tiers().map(Segment::heap_bytes).sum::<usize>()
     }
 
@@ -763,7 +791,7 @@ mod tests {
                 heads.push(Arc::clone(&index.head));
             }
         }
-        assert_eq!(index.cell.store_count(), 4, "the stamp and three seals");
+        assert_eq!(index.publishes(), 4, "the stamp and three seals");
         assert_eq!((index.segments().len(), index.staging_rows()), (3, 5));
         for (head, segment) in heads.iter().zip(index.segments()) {
             assert!(Arc::ptr_eq(head, segment), "a sealed segment is its head");
@@ -809,13 +837,9 @@ mod tests {
         }
         assert!(index.remove(1));
         assert_eq!(index.segments()[0].rows(), 8, "one dead row in eight stays");
-        let stores = index.cell.store_count();
+        let stores = index.publishes();
         assert!(index.remove(6));
-        assert_eq!(
-            index.cell.store_count(),
-            stores + 1,
-            "the rewrite publishes"
-        );
+        assert_eq!(index.publishes(), stores + 1, "the rewrite publishes");
         assert_eq!((index.segments()[0].rows(), index.slots()), (6, 6));
         // A head that is half dead when its eighth row lands.
         for i in 8..16 {
@@ -919,7 +943,6 @@ mod tests {
             index.maintain();
             stop.store(true, Ordering::SeqCst);
         });
-        crossbeam::epoch::pin(); // touch the epoch machinery once more
         assert_eq!(index.lookup(&[7, 7]).map(|id| id % 2), Some(1));
     }
 
@@ -932,7 +955,7 @@ mod tests {
         let mut index = sealing_at(10, 4096, cap);
         let reader = index.reader();
         index.reserve(0, 2); // stamps the dimension: the one reservation
-        let (stores, snapshot) = (index.cell.store_count(), index.cell.load());
+        let (stores, snapshot) = (index.publishes(), load(&index.cell));
         for i in 0..cap - 1 {
             assert_eq!(index.insert(&[40 * i as i64, 7]), i);
             assert_eq!(reader.find_first(&[40 * i as i64, 7]), Some(i));
@@ -943,21 +966,39 @@ mod tests {
             assert!(index.remove(i));
             assert_eq!(reader.find_first(&[40 * i as i64, 7]), None);
         }
-        assert_eq!(
-            index.cell.store_count(),
-            stores,
-            "head writes must not swap"
-        );
-        assert!(Arc::ptr_eq(&snapshot, &index.cell.load()));
+        assert_eq!(index.publishes(), stores, "head writes must not swap");
+        assert!(Arc::ptr_eq(&snapshot, &load(&index.cell)));
         assert_eq!(format!("{reader:?}"), format!("{:?}", index.reader()));
         assert!(format!("{reader:?}").contains("head_rows: 99"));
 
         index.insert(&[3960, 7]); // row `cap`: the seal
-        assert_eq!(index.cell.store_count(), stores + 1, "a seal swaps once");
+        assert_eq!(index.publishes(), stores + 1, "a seal swaps once");
         assert_eq!((index.segments().len(), index.staging_rows()), (1, 0));
         assert_eq!(reader.find_first(&[3960, 7]), Some(cap - 1));
         // The sealed segment is the old head itself, not a copy of it.
         assert!(Arc::ptr_eq(&snapshot.head, &index.segments()[0]));
+    }
+
+    /// Reclamation is the refcount: a sweep in flight keeps the
+    /// snapshot it cloned alive across a seal — nothing else does — and
+    /// dropping that clone frees it.
+    #[test]
+    fn a_superseded_snapshot_is_freed_by_its_last_holder() {
+        let mut index = sealing_at(10, 4096, 4);
+        index.insert(&[0, 0]);
+        let in_flight = load(&index.cell);
+        let weak = Arc::downgrade(&in_flight);
+        for i in 1..4 {
+            index.insert(&[100 * i, 0]); // the fourth row seals
+        }
+        assert_eq!(index.segments().len(), 1);
+        assert!(
+            !Arc::ptr_eq(&in_flight, &load(&index.cell)),
+            "the seal swapped"
+        );
+        assert_eq!(Arc::strong_count(&in_flight), 1, "only the sweep holds it");
+        drop(in_flight);
+        assert!(weak.upgrade().is_none(), "its last holder freed it");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! * [`EpochIndex`] — the production engine, the index every server
 //!   builds: an append-only head plus immutable sealed segments, shared
-//!   with readers through an epoch-reclaimed snapshot so identification
-//!   scans never take a lock even while enroll/revoke/compact churn
-//!   runs, and an enroll publishes its row with one atomic store (see
-//!   [`epoch`]).
+//!   with readers through a refcounted snapshot, so an identification
+//!   scan takes a read lock only to clone that snapshot's `Arc` — it
+//!   waits at most for a publish's `Arc` swap, never for
+//!   enroll/revoke/compact work — and an enroll publishes its row with
+//!   one atomic store (see [`epoch`]).
 //! * [`ScanIndex`] — the reference: the same scan over exactly one
 //!   arena, with no tiers and no publication step. The oracle suites
 //!   and the kernel benches compare the engine against it.

@@ -17,9 +17,10 @@
 //!   test on the sketch ring.
 //! * [`index`] — the server-side sketch lookup: the paper's early-abort
 //!   scan over columnar storage, as the epoch-published [`EpochIndex`]
-//!   every server builds (lock-free reads, batch lookups, one sweep
-//!   driver behind every lookup) and the one-arena [`ScanIndex`]
-//!   reference the oracle suites compare it against (see `DESIGN.md`).
+//!   every server builds (reads that never wait for a write, batch
+//!   lookups, one sweep driver behind every lookup) and the one-arena
+//!   [`ScanIndex`] reference the oracle suites compare it against (see
+//!   `DESIGN.md`).
 //! * [`codec`] — the canonical, versioned binary codec for durable
 //!   sketch/helper storage: magic + format version + system-parameter
 //!   [`codec::Fingerprint`], length-prefixed fields, CRC-framed journal

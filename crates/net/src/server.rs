@@ -3,9 +3,10 @@
 //!
 //! # Thread model
 //!
-//! One **accept thread** owns the (nonblocking) listener: it polls for
-//! new sockets, spawns a pair of threads per connection, and reaps
-//! finished pairs. Each connection gets
+//! One **accept thread** owns the (blocking) listener: it sleeps in
+//! `accept` until a socket arrives, spawns a pair of threads per
+//! connection, and reaps finished pairs. Shutdown wakes it with one
+//! connect of its own. Each connection gets
 //!
 //! * a **reader** thread — parses frames, decodes envelopes, dispatches
 //!   requests, and pushes one reply per request onto the writer's
@@ -52,7 +53,7 @@ use fe_protocol::scheduler::{IdentifyTicket, ScheduledServer};
 use fe_protocol::wire::Message;
 use fe_protocol::{IdentChallenge, ProtocolError};
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -66,10 +67,11 @@ pub struct NetConfig {
     pub max_frame: usize,
     /// Close a connection after this long without a complete frame.
     pub idle_timeout: Duration,
-    /// How often blocked reads and the accept loop wake to check the
-    /// idle clock and the shutdown flag. Purely an internal
-    /// responsiveness dial: shutdown and idle detection lag by at most
-    /// one tick.
+    /// How often blocked reads wake to check the idle clock and the
+    /// shutdown flag, and how long the accept loop backs off after a
+    /// failed `accept`. Purely an internal responsiveness dial:
+    /// shutdown and idle detection lag by at most one tick; accepting a
+    /// connection never waits for it.
     pub poll_tick: Duration,
 }
 
@@ -190,7 +192,6 @@ impl NetServer {
         config: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(NetMetrics::default());
@@ -234,6 +235,16 @@ impl NetServer {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
+            // The accept thread sleeps in `accept`: one connect wakes it
+            // to see the flag. An unspecified bind is reached on loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = handle.join();
         }
     }
@@ -254,8 +265,12 @@ fn accept_loop(
     metrics: Arc<NetMetrics>,
 ) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 metrics.accepted.fetch_add(1, Ordering::Relaxed);
                 let scheduler = Arc::clone(&scheduler);
@@ -281,11 +296,9 @@ fn accept_loop(
                 }
                 connections.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll_tick);
-            }
-            // Transient accept errors (e.g. a connection reset between
-            // readiness and accept) are not fatal to the listener.
+            // Transient accept errors (e.g. a connection reset before
+            // it was accepted, or no descriptor left) are not fatal to
+            // the listener.
             Err(_) => std::thread::sleep(config.poll_tick),
         }
     }

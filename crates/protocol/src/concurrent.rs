@@ -5,18 +5,20 @@
 //! authentication server handles concurrent identification sessions. The
 //! seed implementation serialized *everything* behind one global
 //! `RwLock<AuthenticationServer>`; this wrapper partitions users across
-//! `N` independent server shards and serves the hot path with **no lock
-//! at all**:
+//! `N` independent server shards and serves the hot path without the
+//! shards' state locks:
 //!
-//! * **Reads never block.** Each shard's sketch index is an
+//! * **Reads never wait for writers.** Each shard's sketch index is an
 //!   [`EpochIndex`]: writers publish immutable snapshots (sealed
-//!   segments + a frozen head) through an epoch-protected pointer, and
-//!   every shard keeps a detached [`IndexReader`] over that pointer.
-//!   The expensive part of identification — the sweep over conditions
-//!   (1)–(4) — runs on the reader with no `RwLock`, no mutex, and no
-//!   wait on enrollment churn; only the brief challenge bookkeeping
-//!   afterwards takes the shard's write lock, revalidated against
-//!   renumbering and revocation (see below).
+//!   segments + the open head) by swapping an `Arc` behind a shared
+//!   `RwLock`, and every shard keeps a detached [`IndexReader`] over
+//!   it. The expensive part of identification — the sweep over
+//!   conditions (1)–(4) — holds that read lock for one `Arc` clone,
+//!   then runs with no lock at all and no wait on enrollment churn;
+//!   only the brief challenge bookkeeping afterwards takes the shard's
+//!   write lock, revalidated against renumbering and revocation (see
+//!   below). "Lock-free" below means exactly this: a sweep that never
+//!   takes the shard's state lock.
 //! * **One write sequence, journal I/O off the read path.** Every shard
 //!   keeps its write-ahead journal — `None` in memory — *outside* the
 //!   state lock, behind a per-shard mutex, and every enroll, refusal

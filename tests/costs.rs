@@ -80,6 +80,18 @@ fn sign_and_verify_costs_are_pinned() {
 /// logs in (`begin_identification` → `respond` → `finish_identification`)
 /// with the same readings and randomness whatever `n` is.
 fn login_cost(n: usize) -> Counts {
+    login_cost_among(n, |device, i, others| {
+        let other = device.params().sketch().line().random_vector(64, others);
+        device.enroll(&format!("user-{i}"), &other, others).unwrap()
+    })
+}
+
+/// [`login_cost`] with the `n − 1` other users' records drawn by `other`
+/// (from their index and one shared generator), after the target's.
+fn login_cost_among(
+    n: usize,
+    mut other: impl FnMut(&BiometricDevice, usize, &mut StdRng) -> EnrollmentRecord,
+) -> Counts {
     let params = SystemParams::paper_defaults();
     let device = BiometricDevice::new(params.clone());
     let mut server = AuthenticationServer::new(params.clone());
@@ -91,11 +103,7 @@ fn login_cost(n: usize) -> Counts {
         .unwrap();
     let mut others = StdRng::seed_from_u64(8);
     for i in 1..n {
-        let other = line.random_vector(64, &mut others);
-        let record = device
-            .enroll(&format!("user-{i}"), &other, &mut others)
-            .unwrap();
-        server.enroll(record).unwrap();
+        server.enroll(other(&device, i, &mut others)).unwrap();
     }
     assert_eq!(server.user_count(), n);
 
@@ -122,6 +130,35 @@ fn a_login_costs_the_same_products_at_any_population() {
     assert_eq!(one, login_cost(1_000));
     assert_eq!(one.products(), 304);
     assert_eq!(one.contexts, 0);
+}
+
+/// Fig. 4 at the benchmark's population: among 10⁵ records a login still
+/// costs N = 1's 304 products. The others are built the way the
+/// benchmark's generator builds them — a real Chebyshev sketch of a fresh
+/// biometric under one donor's key bytes — so setting up takes well
+/// under a second, not 10⁵ key generations.
+#[test]
+fn a_login_costs_304_products_at_ten_to_the_fifth() {
+    dsa_1024();
+    let params = SystemParams::paper_defaults();
+    let scheme = *params.sketch();
+    let device = BiometricDevice::new(params);
+    let mut rng = StdRng::seed_from_u64(10);
+    let donor_bio = scheme.line().random_vector(64, &mut rng);
+    let donor = device.enroll("donor", &donor_bio, &mut rng).unwrap();
+    let crowd = login_cost_among(100_000, |_, i, others| {
+        let bio = scheme.line().random_vector(64, others);
+        let mut helper = donor.helper.clone();
+        helper.sketch.inner = scheme.sketch(&bio, others).unwrap();
+        others.fill_bytes(&mut helper.sketch.tag);
+        EnrollmentRecord {
+            id: format!("user-{i}"),
+            public_key: donor.public_key.clone(),
+            helper,
+        }
+    });
+    assert_eq!(crowd, login_cost(1));
+    assert_eq!(crowd.products(), 304);
 }
 
 /// Sec. VII as an equality: identification costs what verification

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 16;
 
@@ -509,6 +509,35 @@ fn idle_connections_are_reaped() {
             other => panic!("expected UNKNOWN_USER, got {other:?}"),
         }
     }
+    server.shutdown();
+}
+
+/// The accept loop sleeps in `accept`, not on the poll tick: with a
+/// two-second tick and the loop long idle, a connect, handshake and one
+/// request finish well inside one tick.
+#[test]
+fn a_connection_is_served_without_waiting_for_the_accept_tick() {
+    let (params, _sched, server, _device, _rng) = stack(
+        64,
+        NetConfig {
+            poll_tick: Duration::from_secs(2),
+            ..NetConfig::default()
+        },
+        0xFB,
+    );
+    std::thread::sleep(Duration::from_millis(200));
+    let start = Instant::now();
+    let mut client = Client::connect(server.local_addr(), &params).expect("connect");
+    match client.revoke("nobody") {
+        Err(NetError::Remote(e)) => assert_eq!(e.code, ErrorCode::UnknownUser),
+        other => panic!("expected UNKNOWN_USER, got {other:?}"),
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "connect + handshake + one request took {elapsed:?}"
+    );
+    drop(client);
     server.shutdown();
 }
 
