@@ -19,16 +19,14 @@
 //! connection** — once a length prefix or checksum lies, nothing later
 //! on the stream can be trusted.
 //!
-//! [`read_frame`] is the plain blocking reader; [`read_frame_session`]
-//! adds the server's connection-lifecycle concerns (idle timeout,
-//! shutdown flag, mid-frame stall detection) on top of a socket whose
-//! read timeout is set to a short tick.
+//! [`read_frame`] is the plain blocking reader; [`read_frame_event`]
+//! tells the server's connection-lifecycle cases apart (clean close,
+//! idle timeout, mid-frame stall) on a socket whose read timeout is the
+//! idle window.
 
 use crate::error::NetError;
 use fe_core::codec::{crc32, Writer};
 use std::io::{ErrorKind, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
 /// Default ceiling on frame payload length: 1 MiB, small enough that a
 /// hostile length prefix cannot balloon server memory. At 64
@@ -92,90 +90,64 @@ pub(crate) fn encode_frame(
     Ok(())
 }
 
-/// What a session read produced besides a frame.
+/// What a connection read produced besides a frame.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameEvent {
     /// A complete, CRC-valid frame payload.
     Frame(Vec<u8>),
     /// The peer closed the stream cleanly at a frame boundary.
     Closed,
-    /// No frame *started* within the idle window — the connection is
-    /// abandoned, not broken.
+    /// The stream's read timeout passed before a frame *started* — the
+    /// connection is abandoned, not broken.
     IdleTimeout,
-    /// The shutdown flag was observed; the caller should close.
-    Shutdown,
 }
 
 /// Reads one frame, blocking until it completes.
 ///
 /// EOF at a frame boundary is [`NetError::ConnectionClosed`]; EOF (or a
 /// read timeout, if the stream has one) mid-frame is a fatal
-/// [`NetError::BadFrame`].
+/// [`NetError::BadFrame`], and so is a timeout at the boundary.
 ///
 /// # Errors
 /// [`NetError::Oversize`] / [`NetError::CrcMismatch`] /
 /// [`NetError::BadFrame`] on framing violations, [`NetError::Io`] on
 /// socket failures.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Vec<u8>, NetError> {
-    match read_frame_session(r, max_frame, None)? {
+    match read_frame_event(r, max_frame)? {
         FrameEvent::Frame(payload) => Ok(payload),
         FrameEvent::Closed => Err(NetError::ConnectionClosed),
-        // Without a session, timeouts surface as BadFrame below; these
-        // variants are unreachable but must map to something sane.
-        FrameEvent::IdleTimeout | FrameEvent::Shutdown => Err(NetError::BadFrame("read timed out")),
+        FrameEvent::IdleTimeout => Err(NetError::BadFrame("read timed out")),
     }
 }
 
-/// Connection-lifecycle knobs for [`read_frame_session`].
-#[derive(Debug, Clone, Copy)]
-pub struct Session<'a> {
-    /// Close the connection after this long with no new frame started.
-    pub idle_timeout: Duration,
-    /// Checked at every read-timeout tick; when set, the read returns
-    /// [`FrameEvent::Shutdown`] immediately (even mid-frame).
-    pub shutdown: &'a AtomicBool,
-}
-
-/// Reads one frame with session lifecycle handling.
+/// Reads one frame, telling the ways a connection ends apart.
 ///
-/// The stream's read timeout (if any) acts as the polling tick: every
-/// time a read times out, the shutdown flag and the idle clock are
-/// consulted. Three stall cases are distinguished:
+/// The stream's read timeout (if any) is the idle window, and the
+/// kernel keeps it: a read either returns bytes, EOF, or the timeout,
+/// and nothing wakes in between. Where the timeout lands decides what
+/// it means:
 ///
-/// * **no frame started** and the idle window elapsed →
-///   [`FrameEvent::IdleTimeout`] (a clean close, not an error);
-/// * **mid-frame** with no forward progress for the idle window → a
-///   fatal [`NetError::BadFrame`] — a peer that sends half a frame and
-///   stops is indistinguishable from a torn stream;
-/// * **shutdown flag set** → [`FrameEvent::Shutdown`] regardless of
-///   progress.
-///
-/// With `session = None` the reader blocks indefinitely (timeouts, if
-/// the stream has any, become mid-frame errors at the first tick).
+/// * **no frame started** → [`FrameEvent::IdleTimeout`] (a clean
+///   close, not an error);
+/// * **mid-frame** → a fatal [`NetError::BadFrame`] — a peer that sends
+///   half a frame and stops is indistinguishable from a torn stream.
 ///
 /// # Errors
 /// As [`read_frame`].
-pub fn read_frame_session(
-    r: &mut impl Read,
-    max_frame: usize,
-    session: Option<Session<'_>>,
-) -> Result<FrameEvent, NetError> {
+pub fn read_frame_event(r: &mut impl Read, max_frame: usize) -> Result<FrameEvent, NetError> {
     let mut header = [0u8; FRAME_HEADER];
-    match fill(r, &mut header, true, session.as_ref())? {
+    match fill(r, &mut header, true)? {
         Filled::Complete => {}
         Filled::Eof => return Ok(FrameEvent::Closed),
         Filled::Idle => return Ok(FrameEvent::IdleTimeout),
-        Filled::Shutdown => return Ok(FrameEvent::Shutdown),
     }
     let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
     let expected_crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
     check_len(len, max_frame)?;
     let mut payload = vec![0u8; len];
-    match fill(r, &mut payload, false, session.as_ref())? {
+    match fill(r, &mut payload, false)? {
         Filled::Complete => {}
-        Filled::Eof => unreachable!("fill maps mid-frame EOF to an error"),
-        Filled::Idle => unreachable!("fill maps mid-frame stalls to an error"),
-        Filled::Shutdown => return Ok(FrameEvent::Shutdown),
+        Filled::Eof | Filled::Idle => unreachable!("fill maps mid-frame ends to errors"),
     }
     let found = crc32(&payload);
     if found != expected_crc {
@@ -191,22 +163,16 @@ enum Filled {
     Complete,
     /// EOF before the first byte (only reported when `at_boundary`).
     Eof,
+    /// A read timeout before the first byte (likewise).
     Idle,
-    Shutdown,
 }
 
 /// Fills `buf` completely, translating timeouts and EOF into lifecycle
 /// events. `at_boundary` marks the frame header read, where EOF and
 /// idleness are clean; once any byte has arrived (or for the payload,
 /// which always follows a header) both become errors.
-fn fill(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    at_boundary: bool,
-    session: Option<&Session<'_>>,
-) -> Result<Filled, NetError> {
+fn fill(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> Result<Filled, NetError> {
     let mut got = 0usize;
-    let mut last_progress = Instant::now();
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
             Ok(0) => {
@@ -216,25 +182,14 @@ fn fill(
                     Err(NetError::BadFrame("peer closed mid-frame"))
                 };
             }
-            Ok(n) => {
-                got += n;
-                last_progress = Instant::now();
-            }
+            Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                let Some(s) = session else {
-                    return Err(NetError::BadFrame("read timed out mid-frame"));
+                return if at_boundary && got == 0 {
+                    Ok(Filled::Idle)
+                } else {
+                    Err(NetError::BadFrame("mid-frame stall"))
                 };
-                if s.shutdown.load(Ordering::Relaxed) {
-                    return Ok(Filled::Shutdown);
-                }
-                if last_progress.elapsed() >= s.idle_timeout {
-                    return if at_boundary && got == 0 {
-                        Ok(Filled::Idle)
-                    } else {
-                        Err(NetError::BadFrame("mid-frame stall"))
-                    };
-                }
             }
             Err(e) => return Err(NetError::Io(e)),
         }
@@ -380,8 +335,8 @@ mod tests {
         ));
     }
 
-    /// A reader that yields `WouldBlock` forever after its data runs
-    /// out — models a socket with a read timeout and a stalled peer.
+    /// A reader that yields `WouldBlock` after its data runs out —
+    /// models a socket whose read timeout passed on a stalled peer.
     struct Stalling {
         data: Vec<u8>,
         pos: usize,
@@ -390,7 +345,7 @@ mod tests {
     impl Read for Stalling {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             if self.pos >= self.data.len() {
-                return Err(std::io::Error::new(ErrorKind::WouldBlock, "tick"));
+                return Err(std::io::Error::new(ErrorKind::WouldBlock, "timed out"));
             }
             let n = buf.len().min(self.data.len() - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
@@ -401,63 +356,37 @@ mod tests {
 
     #[test]
     fn idle_connection_times_out_cleanly() {
-        let shutdown = AtomicBool::new(false);
         let mut r = Stalling {
-            data: Vec::new(),
+            data: frame_bytes(b"one frame, then silence"),
             pos: 0,
         };
-        let event = read_frame_session(
-            &mut r,
-            DEFAULT_MAX_FRAME,
-            Some(Session {
-                idle_timeout: Duration::from_millis(0),
-                shutdown: &shutdown,
-            }),
-        )
-        .unwrap();
-        assert_eq!(event, FrameEvent::IdleTimeout);
+        assert_eq!(
+            read_frame_event(&mut r, DEFAULT_MAX_FRAME).unwrap(),
+            FrameEvent::Frame(b"one frame, then silence".to_vec())
+        );
+        assert_eq!(
+            read_frame_event(&mut r, DEFAULT_MAX_FRAME).unwrap(),
+            FrameEvent::IdleTimeout
+        );
+        // Without the event, a timeout is no frame.
+        let err = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(err, NetError::BadFrame("read timed out")), "{err}");
     }
 
     #[test]
     fn mid_frame_stall_is_fatal() {
-        let shutdown = AtomicBool::new(false);
         let bytes = frame_bytes(b"never finishes");
-        let mut r = Stalling {
-            data: bytes[..6].to_vec(),
-            pos: 0,
-        };
-        let err = read_frame_session(
-            &mut r,
-            DEFAULT_MAX_FRAME,
-            Some(Session {
-                idle_timeout: Duration::from_millis(0),
-                shutdown: &shutdown,
-            }),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, NetError::BadFrame("mid-frame stall")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn shutdown_flag_interrupts_even_mid_frame() {
-        let shutdown = AtomicBool::new(true);
-        let bytes = frame_bytes(b"interrupted");
-        let mut r = Stalling {
-            data: bytes[..10].to_vec(),
-            pos: 0,
-        };
-        let event = read_frame_session(
-            &mut r,
-            DEFAULT_MAX_FRAME,
-            Some(Session {
-                idle_timeout: Duration::from_secs(3600),
-                shutdown: &shutdown,
-            }),
-        )
-        .unwrap();
-        assert_eq!(event, FrameEvent::Shutdown);
+        // Cut inside the header and inside the payload.
+        for cut in [6, FRAME_HEADER + 3] {
+            let mut r = Stalling {
+                data: bytes[..cut].to_vec(),
+                pos: 0,
+            };
+            let err = read_frame_event(&mut r, DEFAULT_MAX_FRAME).unwrap_err();
+            assert!(
+                matches!(err, NetError::BadFrame("mid-frame stall")),
+                "cut {cut}: {err}"
+            );
+        }
     }
 }

@@ -21,6 +21,17 @@
 //! FIFO, responses leave the socket in request order — a pipelining
 //! client never needs to reorder.
 //!
+//! # Nothing polls
+//!
+//! Every server thread sleeps in the kernel until there is work: the
+//! accept thread in `accept`, a reader in `read`, a writer on its
+//! channel. A reader's socket read timeout *is* the idle window
+//! ([`NetConfig::idle_timeout`]), so an idle connection costs no
+//! wake-ups until it is reaped. Shutdown shuts the read half of every
+//! connection's socket: a blocked read returns end-of-stream at once,
+//! the reader ends as on a clean close, and the writer still drains
+//! every reply already queued before the socket closes.
+//!
 //! # Backpressure
 //!
 //! Identification dispatch is [`ScheduledServer::submit`]: when the
@@ -44,18 +55,16 @@
 
 use crate::envelope::{self, Response, ResponseBody};
 use crate::error::{ErrorCode, WireError};
-use crate::frame::{
-    encode_frame, read_frame_session, write_frame, FrameEvent, Session, DEFAULT_MAX_FRAME,
-};
+use crate::frame::{encode_frame, read_frame_event, write_frame, FrameEvent, DEFAULT_MAX_FRAME};
 use crate::handshake::{self, HandshakeStatus, NET_VERSION};
 use fe_core::codec::{Fingerprint, Writer};
 use fe_protocol::scheduler::{IdentifyTicket, ScheduledServer};
 use fe_protocol::wire::Message;
 use fe_protocol::{IdentChallenge, ProtocolError};
 use std::io::{self, Write as _};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,13 +74,13 @@ pub struct NetConfig {
     /// Largest frame payload accepted or sent
     /// ([`DEFAULT_MAX_FRAME`] unless raised; both peers must agree).
     pub max_frame: usize,
-    /// Close a connection after this long without a complete frame.
+    /// Close a connection after this long with no frame started; it is
+    /// the socket's read timeout, so it must not be zero.
     pub idle_timeout: Duration,
-    /// How often blocked reads wake to check the idle clock and the
-    /// shutdown flag, and how long the accept loop backs off after a
-    /// failed `accept`. Purely an internal responsiveness dial:
-    /// shutdown and idle detection lag by at most one tick; accepting a
-    /// connection never waits for it.
+    /// How long the accept loop backs off after a failed `accept` (a
+    /// connection reset before it was accepted, no descriptor left).
+    /// Nothing else waits on it: accepting a connection, reaping an
+    /// idle one and shutting down are all woken by the kernel.
     pub poll_tick: Duration,
 }
 
@@ -185,12 +194,20 @@ impl NetServer {
     /// serving `scheduler` under `config`.
     ///
     /// # Errors
-    /// Any [`io::Error`] from binding the listener.
+    /// [`io::ErrorKind::InvalidInput`] for a zero
+    /// [`NetConfig::idle_timeout`] (no socket takes a zero read
+    /// timeout); any [`io::Error`] from binding the listener.
     pub fn spawn(
         scheduler: Arc<ScheduledServer>,
         addr: impl ToSocketAddrs,
         config: NetConfig,
     ) -> io::Result<NetServer> {
+        if config.idle_timeout.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "idle_timeout must be non-zero",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -224,10 +241,10 @@ impl NetServer {
         &self.metrics
     }
 
-    /// Stops accepting, interrupts every connection at its next poll
-    /// tick, and joins all server threads. In-flight replies already
-    /// queued to writers are still delivered before their connections
-    /// close.
+    /// Stops accepting, shuts the read half of every connection (a
+    /// blocked read returns at once), and joins all server threads.
+    /// In-flight replies already queued to writers are still delivered
+    /// before their connections close.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -264,7 +281,10 @@ fn accept_loop(
     shutdown: Arc<AtomicBool>,
     metrics: Arc<NetMetrics>,
 ) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    // Each connection's socket beside its thread, so shutdown can wake
+    // a reader blocked in `read`. Weak: the socket still closes the
+    // moment its connection ends.
+    let mut connections: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
     loop {
         let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
@@ -273,10 +293,12 @@ fn accept_loop(
         match accepted {
             Ok((stream, _peer)) => {
                 metrics.accepted.fetch_add(1, Ordering::Relaxed);
+                let stream = Arc::new(stream);
                 let scheduler = Arc::clone(&scheduler);
                 let shutdown = Arc::clone(&shutdown);
                 let metrics = Arc::clone(&metrics);
                 let config = config.clone();
+                let socket = Arc::downgrade(&stream);
                 let handle = std::thread::Builder::new()
                     .name("fe-net-conn".into())
                     .spawn(move || {
@@ -292,9 +314,9 @@ fn accept_loop(
                         metrics.active.fetch_sub(1, Ordering::Relaxed);
                     });
                 if let Ok(h) = handle {
-                    connections.push(h);
+                    connections.push((socket, h));
                 }
-                connections.retain(|h| !h.is_finished());
+                connections.retain(|(_, h)| !h.is_finished());
             }
             // Transient accept errors (e.g. a connection reset before
             // it was accepted, or no descriptor left) are not fatal to
@@ -302,37 +324,40 @@ fn accept_loop(
             Err(_) => std::thread::sleep(config.poll_tick),
         }
     }
-    for handle in connections {
+    // A read blocked on a shut read half returns end-of-stream: every
+    // reader ends as on a clean close, and its writer drains.
+    for (socket, _) in &connections {
+        if let Some(stream) = socket.upgrade() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+    for (_, handle) in connections {
         let _ = handle.join();
     }
 }
 
 /// Runs the handshake, then the reader loop; owns the writer thread.
 fn serve_connection(
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     scheduler: Arc<ScheduledServer>,
     fingerprint: Fingerprint,
     config: NetConfig,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<NetMetrics>,
 ) {
-    let mut reader = stream;
-    // The read timeout is the poll tick that lets blocked reads observe
-    // the idle clock and the shutdown flag (see `frame::Session`).
+    // The read timeout is the idle window (see `frame::read_frame_event`).
     // Nagle off, as on the client: replies are small frames, and with it
     // on the second reply to a pipelining client waits for the ACK of
     // the first, which rides on the client's *next* request.
-    if reader.set_read_timeout(Some(config.poll_tick)).is_err() || reader.set_nodelay(true).is_err()
+    if stream.set_read_timeout(Some(config.idle_timeout)).is_err()
+        || stream.set_nodelay(true).is_err()
     {
         return;
     }
-    let session = Session {
-        idle_timeout: config.idle_timeout,
-        shutdown: &shutdown,
-    };
+    let mut reader = &*stream;
 
     // Handshake: first frame in, one frame out; any rejection closes.
-    let hello = match read_frame_session(&mut reader, config.max_frame, Some(session)) {
+    let hello = match read_frame_event(&mut reader, config.max_frame) {
         Ok(FrameEvent::Frame(payload)) => payload,
         _ => {
             metrics.handshake_failures.fetch_add(1, Ordering::Relaxed);
@@ -359,23 +384,20 @@ fn serve_connection(
     }
 
     // Writer thread: resolves replies FIFO, writes response frames.
-    let writer_stream = match reader.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
     let (tx, rx) = mpsc::channel::<Reply>();
     let max_frame = config.max_frame;
     let writer = std::thread::Builder::new()
         .name("fe-net-write".into())
         .spawn({
             let metrics = Arc::clone(&metrics);
-            move || writer_loop(writer_stream, rx, max_frame, metrics)
+            let stream = Arc::clone(&stream);
+            move || writer_loop(&stream, rx, max_frame, metrics)
         })
         .expect("spawn connection writer");
 
     // Reader loop: frame → envelope → dispatch → queue reply.
     loop {
-        match read_frame_session(&mut reader, config.max_frame, Some(session)) {
+        match read_frame_event(&mut reader, config.max_frame) {
             Ok(FrameEvent::Frame(payload)) => {
                 let (id, msg) = match envelope::decode_request(&payload) {
                     Ok(decoded) => decoded,
@@ -399,7 +421,9 @@ fn serve_connection(
                 metrics.idle_closed.fetch_add(1, Ordering::Relaxed);
                 break;
             }
-            Ok(FrameEvent::Shutdown) => break,
+            // A frame cut by shutdown's read-half close is not the
+            // peer's violation.
+            Err(_) if shutdown.load(Ordering::SeqCst) => break,
             Err(_) => {
                 metrics.fatal_frames.fetch_add(1, Ordering::Relaxed);
                 break;
@@ -408,7 +432,7 @@ fn serve_connection(
     }
     drop(tx);
     let _ = writer.join();
-    let _ = reader.shutdown(std::net::Shutdown::Both);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Maps a protocol-level result into the wire response.
@@ -502,7 +526,7 @@ fn ticket_result(t: Result<IdentifyTicket, ProtocolError>) -> Result<IdentChalle
 }
 
 fn writer_loop(
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     rx: mpsc::Receiver<Reply>,
     max_frame: usize,
     metrics: Arc<NetMetrics>,

@@ -73,15 +73,14 @@ use crate::messages::{
 use crate::params::SystemParams;
 use crate::server::{AuthenticationServer, BuildIndex, Write};
 use crate::store::{EnrollmentStore, FileStore};
-use crate::ProtocolError;
+use crate::{lock, read, write, ProtocolError};
 use fe_core::{EpochIndex, EpochRead, IndexReader};
-use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
 use std::fmt;
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One server shard: the locked writer state, its lock-free index
 /// reader, and the journal held outside the lock.
@@ -123,22 +122,23 @@ impl<I: EpochRead> Shard<I> {
     }
 
     /// The write sequence, journal-outside-lock: under the journal
-    /// mutex, `plan` runs under the read lock, the append (with any
-    /// fsync) under **no state lock**, and only the in-memory apply
-    /// takes the write lock. Readers on the lock-free path never wait;
-    /// even read-locked helpers never sit behind disk I/O.
+    /// mutex, which the caller holds and passes in, `plan` runs under
+    /// the read lock, the append (with any fsync) under **no state
+    /// lock**, and only the in-memory apply takes the write lock.
+    /// Readers on the lock-free path never wait; even read-locked
+    /// helpers never sit behind disk I/O.
     fn write(
         &self,
+        journal: &mut Option<Box<dyn EnrollmentStore>>,
         plan: impl FnOnce(&AuthenticationServer<I>) -> Result<Write, ProtocolError>,
     ) -> Result<(), ProtocolError> {
-        let mut journal = self.journal.lock();
         // The plan outlives the read lock because the journal mutex
-        // held here is what serializes this shard's writers.
-        let write = plan(&self.state.read())?;
-        write.journal(&mut journal)?;
-        let revokes = matches!(write, Write::Revoke(..));
-        let mut state = self.state.write();
-        state.apply(write)?;
+        // held by the caller is what serializes this shard's writers.
+        let planned = plan(&read(&self.state))?;
+        planned.journal(journal)?;
+        let revokes = matches!(planned, Write::Revoke(..));
+        let mut state = write(&self.state);
+        state.apply(planned)?;
         if revokes {
             // Release, after the tombstone: pairs with the Acquire load
             // at the start of `sweep`, which then sees the tombstone.
@@ -176,7 +176,7 @@ impl<I: EpochRead> Shard<I> {
     /// The ids of the (at most `budget`) lowest-slot records matching
     /// `probe`, at one instant.
     fn matches(&self, probe: &[i64], budget: usize) -> Vec<UserId> {
-        let (hits, server) = self.sweep(|r| r.find_at_most(probe, budget), RwLock::read);
+        let (hits, server) = self.sweep(|r| r.find_at_most(probe, budget), read);
         let id = |slot| server.user_at(slot).expect("swept hits are live");
         hits.into_iter().map(|slot| id(slot).to_string()).collect()
     }
@@ -459,8 +459,10 @@ impl<I: EpochRead> SharedServer<I> {
     /// # Errors
     /// Same as [`AuthenticationServer::enroll`].
     pub fn enroll(&self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
-        self.shard_for_user(&record.id)
-            .write(|server| server.plan_enroll(record, false))
+        let shard = self.shard_for_user(&record.id);
+        shard.write(&mut lock(&shard.journal), |server| {
+            server.plan_enroll(record, false)
+        })
     }
 
     /// Revokes a user (journal append outside the state lock; one
@@ -469,20 +471,19 @@ impl<I: EpochRead> SharedServer<I> {
     /// # Errors
     /// Same as [`AuthenticationServer::revoke`].
     pub fn revoke(&self, id: &str) -> Result<(), ProtocolError> {
-        self.shard_for_user(id)
-            .write(|server| server.plan_revoke(id))
+        let shard = self.shard_for_user(id);
+        shard.write(&mut lock(&shard.journal), |server| server.plan_revoke(id))
     }
 
     /// Uniqueness-checked enrollment across the whole partitioned
-    /// population: the non-home shards are swept **lock-free**
-    /// (find-at-most-1 on each shard's reader), then the record's home
-    /// shard runs the duplicate check + insert under its journal mutex
-    /// — so only the home shard's check is atomic with the insert. A
-    /// matching record enrolled on *another* shard in the window
-    /// between the sweep and the home-shard insert can slip through;
-    /// like the multi-match anomaly documented on
-    /// [`SharedServer::begin_identification`], the false-close bound
-    /// makes this a rarity partitioned deployments accept. Cross-shard
+    /// population: every shard's journal mutex is taken, in shard
+    /// order, then the non-home shards are swept (find-at-most-1 on
+    /// each shard's reader) and the record's home shard runs the
+    /// duplicate check + insert. Every enroll, revoke and checkpoint
+    /// holds its shard's journal mutex, so none lands anywhere between
+    /// the first sweep and the insert: the check is atomic with the
+    /// insert across the whole population. Lookups and challenges do
+    /// not take the journal mutex and keep being served. Cross-shard
     /// refusals are not journaled (no shard owns them); home-shard
     /// refusals are journaled as usual.
     ///
@@ -490,6 +491,8 @@ impl<I: EpochRead> SharedServer<I> {
     /// Same as [`AuthenticationServer::enroll_unique`].
     pub fn enroll_unique(&self, record: EnrollmentRecord) -> Result<(), ProtocolError> {
         let home = self.shard_index_for_user(&record.id);
+        // Shard order everywhere, and journal before state: no cycle.
+        let mut journals: Vec<_> = self.shards.iter().map(|s| lock(&s.journal)).collect();
         for (i, shard) in self.shards.iter().enumerate() {
             if i == home {
                 continue;
@@ -498,7 +501,9 @@ impl<I: EpochRead> SharedServer<I> {
                 return Err(ProtocolError::DuplicateBiometric(matched));
             }
         }
-        self.shards[home].write(|server| server.plan_enroll(record, true))
+        self.shards[home].write(&mut journals[home], |server| {
+            server.plan_enroll(record, true)
+        })
     }
 
     /// Reset / account-recovery lookup across all shards: succeeds only
@@ -537,10 +542,7 @@ impl<I: EpochRead> SharedServer<I> {
         claimed_id: &str,
         probe: &[i64],
     ) -> Result<bool, ProtocolError> {
-        self.shard_for_user(claimed_id)
-            .state
-            .read()
-            .authenticate_claimed(claimed_id, probe)
+        read(&self.shard_for_user(claimed_id).state).authenticate_claimed(claimed_id, probe)
     }
 
     /// Subset uniqueness check: `Ok(true)` when the probe matches none
@@ -565,7 +567,7 @@ impl<I: EpochRead> SharedServer<I> {
         let mut unique = true;
         for (shard, subset) in self.shards.iter().zip(&by_shard) {
             if !subset.is_empty() {
-                unique &= shard.state.read().check_local_uniqueness(probe, subset)?;
+                unique &= read(&shard.state).check_local_uniqueness(probe, subset)?;
             }
         }
         Ok(unique)
@@ -642,7 +644,7 @@ impl<I: EpochRead> SharedServer<I> {
                 }
                 &subset
             };
-            let (firsts, mut server) = shard.sweep(|r| r.find_first_batch(batch), RwLock::write);
+            let (firsts, mut server) = shard.sweep(|r| r.find_first_batch(batch), write);
             for (&p, first) in unresolved.iter().zip(firsts) {
                 if let Some(slot) = first {
                     let chal = server.challenge_for_record(slot, rng);
@@ -664,10 +666,7 @@ impl<I: EpochRead> SharedServer<I> {
         claimed_id: &str,
         rng: &mut R,
     ) -> Result<IdentChallenge, ProtocolError> {
-        self.shard_for_user(claimed_id)
-            .state
-            .write()
-            .begin_verification(claimed_id, rng)
+        write(&self.shard_for_user(claimed_id).state).begin_verification(claimed_id, rng)
     }
 
     /// Phase 2: verify the response, routed to the issuing shard by the
@@ -679,19 +678,13 @@ impl<I: EpochRead> SharedServer<I> {
         &self,
         response: &IdentResponse,
     ) -> Result<IdentOutcome, ProtocolError> {
-        self.shard_for_session(response.session)
-            .state
-            .write()
-            .finish_identification(response)
+        write(&self.shard_for_session(response.session).state).finish_identification(response)
     }
 
     /// Cancels an outstanding challenge (timeout handling), routed to
     /// the issuing shard by the session-id namespace.
     pub fn cancel_session(&self, session: SessionId) -> bool {
-        self.shard_for_session(session)
-            .state
-            .write()
-            .cancel_session(session)
+        write(&self.shard_for_session(session).state).cancel_session(session)
     }
 
     /// Checkpoints every shard: compacts tombstones in memory and (for
@@ -712,8 +705,8 @@ impl<I: EpochRead> SharedServer<I> {
         let mut reclaimed = 0;
         for shard in self.shards.iter() {
             // Journal mutex first, as in every write.
-            let mut journal = shard.journal.lock();
-            reclaimed += shard.state.write().checkpoint_into(&mut journal)?;
+            let mut journal = lock(&shard.journal);
+            reclaimed += write(&shard.state).checkpoint_into(&mut journal)?;
         }
         Ok(reclaimed)
     }
@@ -723,7 +716,7 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn journal_len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.journal.lock().as_ref().map_or(0, |j| j.journal_len()))
+            .map(|s| lock(&s.journal).as_ref().map_or(0, |j| j.journal_len()))
             .sum()
     }
 
@@ -731,7 +724,7 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn user_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.state.read().user_count())
+            .map(|s| read(&s.state).user_count())
             .sum()
     }
 
@@ -741,7 +734,7 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn record_heap_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.state.read().record_heap_bytes())
+            .map(|s| read(&s.state).record_heap_bytes())
             .sum()
     }
 
@@ -751,7 +744,7 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn dead_record_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.state.read().dead_record_bytes())
+            .map(|s| read(&s.state).dead_record_bytes())
             .sum()
     }
 
@@ -761,7 +754,7 @@ impl<I: EpochRead> SharedServer<I> {
     pub fn lookup_count(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.state.read().lookup_count() + s.reads.load(Ordering::Relaxed))
+            .map(|s| read(&s.state).lookup_count() + s.reads.load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -894,7 +887,7 @@ mod tests {
         }
 
         let shard = &server.shards[0];
-        let state = shard.state.read();
+        let state = read(&shard.state);
         let shape = |s: &Arc<fe_core::Segment>| (s.rows(), s.live());
         let segments = state.index().segments();
         assert_eq!(segments.len(), 2);

@@ -99,3 +99,24 @@ pub use runner::{IdentifyStats, ProtocolRunner};
 pub use scheduler::{IdentifyTicket, ScheduledServer, SchedulerConfig, SchedulerMetrics};
 pub use server::{AuthenticationServer, BuildIndex};
 pub use store::{EnrollmentStore, FileStore, LogEvent, MemoryStore};
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+// Std's locks with poisoning ignored: a thread that panics holding one
+// must not wedge every later caller, and each guarded state is valid
+// between operations.
+
+/// Locks `mutex`, shrugging off poisoning.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks `rwlock`, shrugging off poisoning.
+pub(crate) fn read<T: ?Sized>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rwlock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `rwlock`, shrugging off poisoning.
+pub(crate) fn write<T: ?Sized>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rwlock.write().unwrap_or_else(PoisonError::into_inner)
+}

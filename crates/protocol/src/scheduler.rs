@@ -73,15 +73,16 @@
 use crate::concurrent::SharedServer;
 use crate::messages::IdentChallenge;
 use crate::params::SystemParams;
-use crate::ProtocolError;
+use crate::{lock, ProtocolError};
 use fe_core::EpochIndex;
 use fe_metrics::telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tunables for the identification request scheduler.
@@ -113,22 +114,11 @@ pub struct SchedulerConfig {
     pub rng_seed: u64,
 }
 
-/// A per-process-unpredictable seed: OS entropy when available, clock ⊕
-/// pid otherwise. The vendored `rand` shim has no entropy hook, so the
-/// default config reads it directly.
+/// An unpredictable seed. The vendored `rand` shim has no entropy
+/// hook, but std's `RandomState` draws its keys from the OS: hashing
+/// nothing under fresh keys is a fresh random word.
 fn entropy_seed() -> u64 {
-    use std::io::Read;
-    let mut buf = [0u8; 8];
-    if std::fs::File::open("/dev/urandom")
-        .and_then(|mut f| f.read_exact(&mut buf))
-        .is_ok()
-    {
-        return u64::from_le_bytes(buf);
-    }
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_nanos() as u64);
-    nanos ^ u64::from(std::process::id()).rotate_left(32)
+    RandomState::new().hash_one(())
 }
 
 impl Default for SchedulerConfig {
@@ -211,12 +201,6 @@ struct Inner {
     wake: Condvar,
     config: SchedulerConfig,
     metrics: SchedulerMetrics,
-}
-
-/// Locks the queue, shrugging off poisoning (a panicking worker must
-/// not wedge admission; the queue's state is valid between operations).
-fn lock(queue: &Mutex<Queue>) -> MutexGuard<'_, Queue> {
-    queue.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// A handle to one in-flight scheduled identification: redeem it with
@@ -623,6 +607,12 @@ mod tests {
         assert_eq!(results[3], Err(ProtocolError::NoMatch));
         assert_eq!(scheduler.metrics().size_flushes(), 1);
         assert_eq!(scheduler.metrics().batch_size.snapshot().max, 4);
+    }
+
+    #[test]
+    fn default_seeds_differ() {
+        let seeds = [(); 2].map(|()| SchedulerConfig::default().rng_seed);
+        assert_ne!(seeds[0], seeds[1]);
     }
 
     #[test]

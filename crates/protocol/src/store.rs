@@ -61,7 +61,7 @@ use crate::ProtocolError;
 use fe_core::codec::{
     self, ArtifactKind, CodecError, Fingerprint, Reader, Version, Writer, FORMAT_VERSION,
 };
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -429,12 +429,16 @@ fn io_err(context: &str, e: std::io::Error) -> ProtocolError {
 ///
 /// # Single-writer lock
 ///
-/// The store directory is guarded by a pid lock file (`lock.pid`):
-/// a second process (or a second `FileStore` in the same process)
-/// opening the same directory fails loudly instead of interleaving
-/// appends into one journal. A lock left behind by a killed process is
-/// detected (the pid no longer exists) and stolen; the lock is removed
-/// on drop.
+/// The store holds an exclusive kernel lock (`flock`, through
+/// [`File::try_lock`]) on `lock.pid` in its directory for as long as it
+/// is open: a second process (or a second `FileStore` in the same
+/// process) opening the same directory fails loudly instead of
+/// interleaving appends into one journal. The kernel releases the lock
+/// when the store is dropped or its process dies, however it dies, so
+/// a crashed holder never leaves the store locked. The file itself
+/// holds the holder's pid for the refusal message only, and is never
+/// deleted: a second opener could lock a fresh file while the first
+/// still held the unlinked one.
 ///
 /// # Durability levels
 ///
@@ -452,121 +456,48 @@ pub struct FileStore {
     journal_events: usize,
     sync_every_append: bool,
     torn_bytes_discarded: u64,
-    lock_path: PathBuf,
+    /// `lock.pid`, exclusively locked; never read: dropping the store
+    /// closes it, which releases the lock.
+    _lock: File,
     /// Journal events decoded by the `open`-time scan, consumed by the
     /// first [`FileStore::load`] so recovery reads and checksums the
     /// journal exactly once. Invalidated by [`FileStore::append`].
     scanned: Option<Vec<LogEvent>>,
 }
 
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        // Only remove the lock if it is still ours (a dead-pid steal
-        // could have legitimately re-claimed it in the meantime).
-        let ours = fs::read_to_string(&self.lock_path)
-            .ok()
-            .as_deref()
-            .and_then(parse_lock)
-            .is_some_and(|(pid, _)| pid == std::process::id());
-        if ours {
-            let _ = fs::remove_file(&self.lock_path);
+/// Takes the store's single-writer lock (see [`FileStore`]): opens
+/// `dir/lock.pid` without truncating it, locks it exclusively, and only
+/// then writes this process's pid into it.
+fn lock_dir(dir: &Path) -> Result<File, ProtocolError> {
+    let path = dir.join("lock.pid");
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path)
+        .map_err(|e| io_err("open store lock", e))?;
+    match file.try_lock() {
+        Ok(()) => {}
+        Err(TryLockError::WouldBlock) => {
+            // Empty while the holder is between its lock and its write.
+            let holder = fs::read_to_string(&path).unwrap_or_default();
+            let holder = match holder.trim() {
+                "" => "?",
+                pid => pid,
+            };
+            return Err(ProtocolError::Storage(format!(
+                "store at {} is already open (lock {} held by pid {holder})",
+                dir.display(),
+                path.display(),
+            )));
         }
+        Err(TryLockError::Error(e)) => return Err(io_err("lock store", e)),
     }
-}
-
-/// Start time of a process (clock ticks since boot — field 22 of
-/// `/proc/<pid>/stat`), `None` when the pid does not exist or `/proc`
-/// is unavailable. Paired with the pid in the lock file, it makes a
-/// *recycled* pid (same number, different process, e.g. after a
-/// reboot) distinguishable from the original lock holder.
-fn process_start_time(pid: u32) -> Option<u64> {
-    let stat = fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    // The comm field (2) may itself contain spaces and parentheses;
-    // the numeric fields resume after the LAST ')'.
-    let rest = stat.rsplit_once(')')?.1;
-    // rest = " <state(3)> <field4> …": starttime is field 22 overall,
-    // i.e. the 20th whitespace token after the ')'.
-    rest.split_whitespace().nth(19)?.parse().ok()
-}
-
-/// Parses a lock file: `<pid> [<starttime>]`.
-fn parse_lock(contents: &str) -> Option<(u32, u64)> {
-    let mut tokens = contents.split_whitespace();
-    let pid = tokens.next()?.parse().ok()?;
-    let start = tokens.next().and_then(|t| t.parse().ok()).unwrap_or(0);
-    Some((pid, start))
-}
-
-/// Claims the store's lock file (`<pid> <starttime>`), stealing locks
-/// whose holder no longer exists (crashed process) or whose pid now
-/// names a *different* process (pid recycled after a reboot).
-///
-/// The claim is an atomic `hard_link` from a fully-written temp file,
-/// so `lock.pid` is never observable half-written — a garbage lock can
-/// only mean filesystem damage, not an in-flight claim. Stealing a
-/// stale lock goes through an atomic `rename`: of two racing stealers
-/// only one rename succeeds; the loser just retries and finds the
-/// winner's fresh lock. Best-effort advisory locking: it needs a
-/// `/proc` filesystem to judge liveness; without one, an existing lock
-/// is always treated as held. (An `flock` would be kernel-released and
-/// immune to all of this, but needs `libc`, which this offline,
-/// `forbid(unsafe_code)` workspace does not have.)
-fn acquire_dir_lock(dir: &Path) -> Result<PathBuf, ProtocolError> {
-    let lock_path = dir.join("lock.pid");
-    let my_pid = std::process::id();
-    let my_start = process_start_time(my_pid).unwrap_or(0);
-    let tmp = dir.join(format!("lock.pid.tmp.{my_pid}"));
-    fs::write(&tmp, format!("{my_pid} {my_start}\n")).map_err(|e| io_err("stage store lock", e))?;
-    let result = (|| {
-        for _ in 0..16 {
-            match fs::hard_link(&tmp, &lock_path) {
-                Ok(()) => return Ok(lock_path.clone()),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let holder = fs::read_to_string(&lock_path)
-                        .ok()
-                        .as_deref()
-                        .and_then(parse_lock);
-                    let stale = match holder {
-                        // Claims are atomic, so an unreadable lock is
-                        // damage, never a claim in flight.
-                        None => true,
-                        // Another handle in this very process.
-                        Some((pid, _)) if pid == my_pid => false,
-                        // No /proc: cannot judge liveness → treat held.
-                        _ if !Path::new("/proc").is_dir() => false,
-                        Some((pid, start)) => match process_start_time(pid) {
-                            // Holder pid is gone: crashed.
-                            None => true,
-                            // Pid alive but started at a different
-                            // time: the number was recycled — the real
-                            // holder is long dead.
-                            Some(live) => start != 0 && live != start,
-                        },
-                    };
-                    if stale {
-                        let grave = dir.join(format!("lock.pid.stale.{my_pid}"));
-                        if fs::rename(&lock_path, &grave).is_ok() {
-                            let _ = fs::remove_file(&grave);
-                        }
-                        continue; // retry the claim
-                    }
-                    return Err(ProtocolError::Storage(format!(
-                        "store at {} is already open (lock {} held by pid {})",
-                        dir.display(),
-                        lock_path.display(),
-                        holder.map_or_else(|| "?".into(), |(p, _)| p.to_string()),
-                    )));
-                }
-                Err(e) => return Err(io_err("claim store lock", e)),
-            }
-        }
-        Err(ProtocolError::Storage(format!(
-            "could not claim store lock at {} (contended)",
-            lock_path.display()
-        )))
-    })();
-    let _ = fs::remove_file(&tmp);
-    result
+    file.set_len(0)
+        .and_then(|()| writeln!(file, "{}", std::process::id()))
+        .map_err(|e| io_err("write store lock", e))?;
+    Ok(file)
 }
 
 /// What [`Journal::append`] needs of its file, and no more — the seam
@@ -784,29 +715,9 @@ impl FileStore {
     ) -> Result<FileStore, ProtocolError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| io_err("create store dir", e))?;
-        let lock_path = acquire_dir_lock(&dir)?;
-        // From here on, errors must release the claimed lock.
-        match Self::open_locked(dir, fingerprint, lock_path.clone()) {
-            Ok(store) => Ok(store),
-            Err(e) => {
-                let _ = fs::remove_file(&lock_path);
-                Err(e)
-            }
-        }
-    }
+        // Held from here on; an error below drops it, which unlocks.
+        let lock = lock_dir(&dir)?;
 
-    /// Whether `dir` holds a store. [`FileStore::open`] creates the
-    /// journal and nothing deletes it, so a store exists exactly when
-    /// its journal does.
-    pub fn exists(dir: impl AsRef<Path>) -> bool {
-        dir.as_ref().join(JOURNAL_FILE).is_file()
-    }
-
-    fn open_locked(
-        dir: PathBuf,
-        fingerprint: Fingerprint,
-        lock_path: PathBuf,
-    ) -> Result<FileStore, ProtocolError> {
         let journal_path = dir.join(JOURNAL_FILE);
 
         let mut fresh_header = Writer::new();
@@ -859,9 +770,16 @@ impl FileStore {
             journal_events: scan.events.len(),
             sync_every_append: false,
             torn_bytes_discarded: scan.torn_bytes,
-            lock_path,
+            _lock: lock,
             scanned: Some(scan.events),
         })
+    }
+
+    /// Whether `dir` holds a store. [`FileStore::open`] creates the
+    /// journal and nothing deletes it, so a store exists exactly when
+    /// its journal does.
+    pub fn exists(dir: impl AsRef<Path>) -> bool {
+        dir.as_ref().join(JOURNAL_FILE).is_file()
     }
 
     /// Upgrades (or downgrades) appends to fsync-per-event durability.
@@ -1436,6 +1354,16 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A refusal that names `pid` as the holder.
+    fn refused_by(result: Result<FileStore, ProtocolError>, pid: u32) {
+        match result {
+            Err(ProtocolError::Storage(msg)) => {
+                assert!(msg.ends_with(&format!("held by pid {pid})")), "{msg}");
+            }
+            other => panic!("expected a refusal naming pid {pid}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn second_open_of_a_live_store_is_refused() {
         let dir = temp_dir("lock");
@@ -1445,47 +1373,82 @@ mod tests {
         let mut store = FileStore::open(&dir, fp).unwrap();
         store.append(LogEventRef::Enroll(&records[0])).unwrap();
         // A second writer on the same directory must fail loudly…
-        assert!(matches!(
-            FileStore::open(&dir, fp),
-            Err(ProtocolError::Storage(_))
-        ));
+        refused_by(FileStore::open(&dir, fp), std::process::id());
         // …and the failed attempt must not have broken the first
         // holder's lock: a third attempt still fails.
-        assert!(FileStore::open(&dir, fp).is_err());
+        refused_by(FileStore::open(&dir, fp), std::process::id());
         drop(store);
         // Dropping releases the lock.
         let store = FileStore::open(&dir, fp).unwrap();
         assert_eq!(store.journal_len(), 1);
         drop(store);
 
-        // A stale lock from a dead process is stolen…
-        fs::write(dir.join("lock.pid"), "4294000001 12345\n").unwrap();
-        let store = FileStore::open(&dir, fp).unwrap();
-        assert_eq!(store.journal_len(), 1);
-        drop(store);
-
-        // …and so is a lock whose pid is alive but *recycled*: pid 1
-        // exists, but its start time cannot match the bogus one stored.
-        if process_start_time(1).is_some() {
-            fs::write(dir.join("lock.pid"), "1 18446744073709551614\n").unwrap();
+        // A leftover `lock.pid` is only a file: whatever it holds, no
+        // lock is on it.
+        for leftover in [
+            "4294000001 12345\n",
+            "1 18446744073709551614\n",
+            "garbage",
+            "",
+        ] {
+            fs::write(dir.join("lock.pid"), leftover).unwrap();
             let store = FileStore::open(&dir, fp).unwrap();
             assert_eq!(store.journal_len(), 1);
-            drop(store);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The kernel releases the lock of a process that dies holding it.
+    /// The test runs its own binary again as the holder: the child
+    /// opens the store named by [`HOLDER_DIR`], says so, and sleeps
+    /// until it is killed.
     #[test]
-    fn own_start_time_is_readable() {
-        // The lock's pid-recycling defense depends on this; if /proc is
-        // present it must parse (comm fields with spaces included).
-        if Path::new("/proc").is_dir() {
-            assert!(process_start_time(std::process::id()).is_some());
+    fn a_killed_holder_releases_the_store() {
+        const HOLDER_DIR: &str = "FE_STORE_TEST_HOLDER_DIR";
+        const READY: &str = "fe-store-test: holding the store";
+        let (params, _) = sample_records(0);
+        let fp = params.fingerprint();
+        if let Some(dir) = std::env::var_os(HOLDER_DIR) {
+            let _store = FileStore::open(dir, fp).unwrap();
+            println!("{READY}");
+            std::thread::sleep(std::time::Duration::from_secs(60));
+            return;
         }
-        assert_eq!(parse_lock("123 456"), Some((123, 456)));
-        assert_eq!(parse_lock("123\n"), Some((123, 0)));
-        assert_eq!(parse_lock("garbage"), None);
-        assert_eq!(parse_lock(""), None);
+
+        let dir = temp_dir("killed-holder");
+        let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "store::tests::a_killed_holder_releases_the_store",
+                "--nocapture",
+            ])
+            .env(HOLDER_DIR, &dir)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let ready = std::io::BufRead::lines(stdout)
+            .map_while(Result::ok)
+            .any(|line| line.contains(READY));
+        let while_alive = FileStore::open(&dir, fp);
+        child.kill().unwrap();
+        child.wait().unwrap();
+        assert!(ready, "the holder never opened the store");
+        refused_by(while_alive, child.id());
+
+        let killed = std::time::Instant::now();
+        let store = loop {
+            match FileStore::open(&dir, fp) {
+                Ok(store) => break store,
+                Err(_) if killed.elapsed() < std::time::Duration::from_secs(1) => {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                Err(e) => panic!("the killed holder's lock outlived it: {e}"),
+            }
+        };
+        assert_eq!(store.journal_len(), 0);
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -376,3 +376,81 @@ fn readers_see_every_finished_insert_and_nothing_unwritten() {
     assert_eq!((index.segments().len(), index.staging_rows()), (312, 48));
     assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
 }
+
+/// `enroll_unique` is atomic across shards: four threads enroll one
+/// biometric under four ids at once, released together by a barrier,
+/// round after round on a four-shard server. Each round exactly one id
+/// is admitted and the other three are refused as duplicates of it. A
+/// check that swept the other shards before taking the home shard's
+/// journal would let a match enrolled elsewhere in between through.
+#[test]
+fn racing_unique_enrolls_of_one_biometric_admit_exactly_one() {
+    use fuzzy_id::protocol::ProtocolError;
+    use std::sync::Barrier;
+
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 300;
+    let params = SystemParams::insecure_test_defaults();
+    let server = SharedServer::<EpochIndex>::with_shards(params.clone(), 4);
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(7_700);
+    // rounds[r][t]: round r's biometric, enrolled once, under thread t's id.
+    let rounds: Vec<Vec<_>> = (0..ROUNDS)
+        .map(|r| {
+            let bio = params.sketch().line().random_vector(64, &mut rng);
+            let record = device.enroll("", &bio, &mut rng).unwrap();
+            (0..THREADS)
+                .map(|t| {
+                    let mut record = record.clone();
+                    record.id = format!("round-{r}-thread-{t}");
+                    record
+                })
+                .collect()
+        })
+        .collect();
+
+    let barrier = Barrier::new(THREADS);
+    let outcomes: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (server, barrier, rounds) = (&server, &barrier, &rounds);
+                scope.spawn(move || {
+                    rounds
+                        .iter()
+                        .map(|round| {
+                            barrier.wait();
+                            server.enroll_unique(round[t].clone())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|thread| thread.join().expect("enroll_unique panicked"))
+            .collect()
+    });
+
+    let mut wrong = Vec::new();
+    for (r, round) in rounds.iter().enumerate() {
+        let answers: Vec<_> = outcomes.iter().map(|thread| &thread[r]).collect();
+        let admitted: Vec<_> = (0..THREADS).filter(|&t| answers[t].is_ok()).collect();
+        let exactly_one = match admitted[..] {
+            [winner] => answers.iter().enumerate().all(|(t, answer)| {
+                t == winner
+                    || *answer == &Err(ProtocolError::DuplicateBiometric(round[winner].id.clone()))
+            }),
+            _ => false,
+        };
+        if !exactly_one {
+            wrong.push((r, answers));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} of {ROUNDS} rounds did not admit exactly one id: {:?}",
+        wrong.len(),
+        &wrong[..wrong.len().min(2)]
+    );
+    assert_eq!(server.user_count(), ROUNDS);
+}

@@ -541,6 +541,80 @@ fn a_connection_is_served_without_waiting_for_the_accept_tick() {
     server.shutdown();
 }
 
+/// Nothing waits for the tick: the socket's read timeout is the idle
+/// window, so with a five-second tick a 100 ms window still closes the
+/// connection in about 100 ms.
+#[test]
+fn idle_connections_are_reaped_within_the_idle_window() {
+    let (params, _sched, server, _device, _rng) = stack(
+        64,
+        NetConfig {
+            idle_timeout: Duration::from_millis(100),
+            poll_tick: Duration::from_secs(5),
+            ..NetConfig::default()
+        },
+        0xFC,
+    );
+    let mut stream = handshaken(&server, &params);
+    let start = Instant::now();
+    assert_closed(&mut stream);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a 100 ms idle window closed its connection after {elapsed:?}"
+    );
+    assert_eq!(server.metrics().idle_closed(), 1);
+    assert_eq!(server.metrics().fatal_frames(), 0);
+    server.shutdown();
+}
+
+/// Shutdown shuts each connection's read half, so a reader blocked in
+/// `read` returns at once instead of at its next tick.
+#[test]
+fn shutdown_does_not_wait_for_the_poll_tick() {
+    let (params, _sched, server, _device, _rng) = stack(
+        64,
+        NetConfig {
+            poll_tick: Duration::from_secs(5),
+            ..NetConfig::default()
+        },
+        0xFD,
+    );
+    let mut stream = handshaken(&server, &params);
+    let start = Instant::now();
+    server.shutdown();
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "shutdown with one idle connection took {elapsed:?}"
+    );
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(
+        matches!(
+            read_frame(&mut stream, DEFAULT_MAX_FRAME),
+            Err(NetError::ConnectionClosed)
+        ),
+        "the client sees a clean end of stream"
+    );
+}
+
+/// The idle window is the socket's read timeout, which cannot be zero:
+/// a zero window is refused up front instead of closing every
+/// connection before its hello.
+#[test]
+fn a_zero_idle_timeout_is_refused() {
+    let params = SystemParams::insecure_test_defaults();
+    let scheduler = Arc::new(ScheduledServer::scan(params, 1, SchedulerConfig::default()));
+    let config = NetConfig {
+        idle_timeout: Duration::ZERO,
+        ..NetConfig::default()
+    };
+    let err = NetServer::spawn(scheduler, "127.0.0.1:0", config).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
 #[test]
 fn shutdown_closes_connections_and_stops_accepting() {
     let (params, _sched, server, _device, _rng) = stack(
