@@ -36,8 +36,8 @@
 //!   `AuthenticationServer` holds per user *besides* the index row
 //!   (`record_heap_bytes()`), and `index_bytes_per_record_*` what the
 //!   index row itself takes in a default `EpochIndex` at the paper
-//!   shape (`dim` 64, `ka` 400: 72 B of packed row, 8 B of plane, a
-//!   liveness bit). Recorded, not asserted: `fe-benchmark` bounds the
+//!   shape (`dim` 64, `ka` 400: a 72 B packed row — 64 B of row
+//!   column, 8 B of plane — and a liveness bit). Recorded, not asserted: `fe-benchmark` bounds the
 //!   same bytes as `rss_bytes_per_record` at 0.02 and prints the index
 //!   row as `core.index.heap_bytes_per_record`.
 //!

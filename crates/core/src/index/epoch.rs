@@ -70,20 +70,22 @@ use std::sync::{Arc, RwLock};
 use super::store::{CellWidth, FilterConfig, Row, RowMask, SketchArena, TILE_ROWS};
 use super::{RecordId, SketchIndex};
 
-/// Rows at which the head seals, unless 8 MiB of cells is fewer (see
+/// Rows at which the head seals, unless 8 MiB of rows is fewer (see
 /// [`default_seal_rows`]): large enough that the per-segment sweep
 /// set-up and the snapshot swap amortise to nothing, small enough that
 /// a tombstone rewrite under the writer's lock copies at most this
 /// many rows.
 const DEFAULT_SEAL_ROWS: usize = 65_536;
 
-/// Cell bytes the default head reserves at most, whatever the
-/// dimension; [`DEFAULT_SEAL_ROWS`] of the paper's 72-byte rows are
-/// 4.5 MiB of it.
+/// Row bytes the default head reserves at most, whatever the
+/// dimension — each row once, its row column and the plane lanes that
+/// hold its leading buckets together; [`DEFAULT_SEAL_ROWS`] of the
+/// paper's 72-byte rows (64 B of row column, 8 of plane) are 4.5 MiB
+/// of it.
 const DEFAULT_SEAL_BYTES: usize = 8 << 20;
 
-/// The default seal threshold for rows of `row_bytes` cell bytes:
-/// [`DEFAULT_SEAL_ROWS`] rows or [`DEFAULT_SEAL_BYTES`] of cells,
+/// The default seal threshold for rows that store `row_bytes` bytes:
+/// [`DEFAULT_SEAL_ROWS`] rows or [`DEFAULT_SEAL_BYTES`] of rows,
 /// whichever is fewer rows — in whole tiles, at least one — so what a
 /// first enroll reserves is bounded for any dimension (8 MiB per
 /// index at `dim = 1 024`, not 72).
@@ -407,7 +409,7 @@ impl EpochIndex {
 
     /// Like [`EpochIndex::new`] with an explicit prefilter
     /// configuration (applied to the head and every future segment).
-    /// The head seals at 65 536 rows or 8 MiB of cells, whichever is
+    /// The head seals at 65 536 rows or 8 MiB of rows, whichever is
     /// fewer rows for the stamped dimension.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> EpochIndex {
         EpochIndex::with_seal(t, ka, filter, None)

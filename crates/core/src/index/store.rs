@@ -18,18 +18,20 @@
 //!   narrow ring (`ka < 2¹⁵`) a **packed** row of one bucket byte and
 //!   `⌈log₂⌈ka/256⌉⌉` remainder bits a coordinate — the paper's
 //!   `log₂(ka + 1)` bits (Theorem 3) rounded up, 72 bytes at the
-//!   paper's `64 × ka = 400` instead of 512 — and `i32` or `i64`
-//!   canonical cells on wider ones (`cells`: the layout and why the
-//!   bucket bytes lead).
+//!   paper's `64 × ka = 400` instead of 512, of which the prefilter
+//!   plane holds the first 8 and the row column the other 64 — and
+//!   `i32` or `i64` canonical cells on wider ones (`cells`: the layout
+//!   and why the bucket bytes lead).
 //! * **Tombstone bitmap.** Liveness is one bit per row (not an `Option`
 //!   discriminant per record), removal is one atomic bit flip — O(1),
 //!   and safe under a sweep that is reading the row — and
 //!   [`SketchArena::compact`] reclaims dead rows in place by sliding
 //!   live rows down the same buffer.
 //! * **Append under readers.** Cells and plane lanes live in
-//!   fixed-capacity `Column`s (`shared`): one writer appends a row and
-//!   then release-stores the row count, a sweep acquire-loads the count
-//!   once and reads nothing at or past it — so an
+//!   fixed-capacity `Column`s (`shared`): one writer appends a row —
+//!   its column bytes, and its leading buckets into the plane's open
+//!   group — and then release-stores the row count, a sweep
+//!   acquire-loads the count once and reads nothing at or past it — so an
 //!   [`EpochIndex`](super::EpochIndex) shares its head with lock-free
 //!   readers instead of copying it (DESIGN.md "Publication
 //!   invariant").
@@ -59,9 +61,12 @@
 //! ~255/256 rows in the vector pass; the sparse survivors get exact
 //! verification of the whole row on the row-major buffer (the buckets
 //! over-accept, never over-reject). See [`FilterConfig`] for the knobs
-//! and `DESIGN.md` for the bucket math; rings too wide for packed
-//! rows, and rings so loose that no bucket lane could reject, have no
-//! plane and use the scalar kernel alone.
+//! and `DESIGN.md` for the bucket math. The plane is not a copy: a
+//! row's leading `F` bucket bytes live there and nowhere else, and
+//! phase 2 reads them back from the lanes phase 1 just scanned. Rings
+//! too wide for packed rows, and rings so loose that no bucket lane
+//! could reject, have no plane, keep whole rows and use the scalar
+//! kernel alone.
 //!
 //! # One sweep, one row writer, five files
 //!
@@ -85,7 +90,7 @@ pub use cells::{canonical, canonical_range, CellWidth};
 pub use sweep::RowMask;
 
 use super::RecordId;
-use cells::{quantize_ring, Cells, Layout};
+use cells::{quantize_ring, Cells};
 use kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use kernels::{avx2, avx512};
@@ -250,8 +255,8 @@ pub struct SketchArena {
     cells: Cells,
     /// Rows `append` has room for before `&mut self` must grow.
     capacity: usize,
-    /// The publication counter: rows `..rows` are complete — cells
-    /// written, and every whole 64-row group among them planed.
+    /// The publication counter: rows `..rows` are complete — column
+    /// bytes written and leading buckets stored in the plane.
     /// `Release`-stored by `append` after those writes, `Acquire`-loaded
     /// once per sweep.
     rows: AtomicUsize,
@@ -259,11 +264,10 @@ pub struct SketchArena {
     /// a sweep reading the word sees the row or its absence.
     dead: Vec<AtomicU64>,
     dead_rows: AtomicUsize,
-    /// The prefilter knob (applied lazily: the plane itself exists only
-    /// once the dimension is stamped, and only on rings that get one).
+    /// The prefilter knob (applied lazily: the plane itself — part of
+    /// `cells` — exists only once the dimension is stamped, and only on
+    /// rings that get one).
     filter: FilterConfig,
-    /// The prefilter plane, when active.
-    plane: Option<FilterPlane>,
 }
 
 /// What [`SketchArena::append`] copies a row from.
@@ -290,7 +294,6 @@ impl Clone for SketchArena {
             dead: dead.map(AtomicU64::new).collect(),
             dead_rows: AtomicUsize::new(self.dead_rows.load(Ordering::SeqCst)),
             filter: self.filter,
-            plane: self.plane.clone(),
         }
     }
 }
@@ -320,7 +323,6 @@ impl SketchArena {
             dead: Vec::new(),
             dead_rows: AtomicUsize::new(0),
             filter,
-            plane: None,
         }
     }
 
@@ -365,9 +367,6 @@ impl SketchArena {
         self.cells.grow(capacity, self.dim.unwrap_or(0));
         self.dead
             .resize_with(capacity.div_ceil(64), || AtomicU64::new(0));
-        if let Some(plane) = &mut self.plane {
-            plane.grow(capacity);
-        }
     }
 
     /// The plane depth this arena's config resolves to for its ring
@@ -390,12 +389,12 @@ impl SketchArena {
     }
 
     /// Builds the plane when the freshly stamped dimension and the ring
-    /// allow one. Called exactly once, at stamp time.
+    /// allow one. Called exactly once, at stamp time, before any row.
     fn stamp_plane(&mut self) {
-        debug_assert!(self.plane.is_none());
+        debug_assert!(self.cells.plane().is_none());
         let pd = self.resolved_depth().min(self.dim.unwrap_or(0));
         if pd > 0 {
-            self.plane = Some(FilterPlane::new(pd, self.t, self.ka));
+            self.cells.set_plane(FilterPlane::new(pd, self.t, self.ka));
         }
     }
 
@@ -420,14 +419,14 @@ impl SketchArena {
     /// The number of dimensions the prefilter plane holds (0 when
     /// inactive).
     pub fn plane_dims(&self) -> usize {
-        self.plane.as_ref().map_or(0, FilterPlane::dims)
+        self.cells.plane().map_or(0, FilterPlane::dims)
     }
 
     /// The lane width of the live plane — `"u8"`, or `"none"` when no
     /// plane exists. Benches use this to label runs, like
     /// [`SketchArena::filter_kernel`].
     pub fn plane_width(&self) -> &'static str {
-        match self.plane {
+        match self.cells.plane() {
             Some(_) => "u8",
             None => "none",
         }
@@ -442,11 +441,11 @@ impl SketchArena {
     /// The plane plus its resolved kernel when the prefilter is live —
     /// the one condition deciding whether a sweep has a phase 1.
     fn active_plane(&self) -> Option<(&FilterPlane, ActiveKernel)> {
-        Some((self.plane.as_ref()?, self.active_kernel()?))
+        Some((self.cells.plane()?, self.active_kernel()?))
     }
 
     fn active_kernel(&self) -> Option<ActiveKernel> {
-        self.plane.as_ref()?;
+        self.cells.plane()?;
         Some(match self.filter.kernel {
             FilterKernel::Swar => ActiveKernel::Swar,
             FilterKernel::Avx2 => {
@@ -530,22 +529,20 @@ impl SketchArena {
     /// words, and the prefilter plane lanes (capacities, not lengths —
     /// this is what the allocator has actually handed out).
     pub fn heap_bytes(&self) -> usize {
-        self.cells.capacity_bytes()
-            + self.dead.capacity() * 8
-            + self.plane.as_ref().map_or(0, FilterPlane::heap_bytes)
+        self.cells.capacity_bytes() + self.dead.capacity() * 8
     }
 
-    /// Bytes the rows held occupy: their cells, their tombstone words
-    /// and the plane words of their complete groups. Equal to
-    /// [`SketchArena::heap_bytes`] on a full arena; on one reserved
-    /// ahead of its rows — an [`EpochIndex`](super::EpochIndex) head —
-    /// it leaves out the reservation nothing has been written to, which
-    /// the process holds as address space, not as memory.
+    /// Bytes the rows held occupy: each row once — its column bytes
+    /// and the leading buckets the plane holds of it — and their
+    /// tombstone words. Equal to [`SketchArena::heap_bytes`] on a full
+    /// arena (to within the open group's lanes past its last row); on
+    /// one reserved ahead of its rows — an
+    /// [`EpochIndex`](super::EpochIndex) head — it leaves out the
+    /// reservation nothing has been written to, which the process holds
+    /// as address space, not as memory.
     pub(crate) fn used_bytes(&self) -> usize {
         let rows = self.rows();
-        rows * CellWidth::row_bytes(self.ka, self.dim.unwrap_or(0))
-            + rows.div_ceil(64) * 8
-            + self.plane.as_ref().map_or(0, FilterPlane::used_bytes)
+        rows * CellWidth::row_bytes(self.ka, self.dim.unwrap_or(0)) + rows.div_ceil(64) * 8
     }
 
     /// Has `append` run out of reserved rows?
@@ -570,10 +567,11 @@ impl SketchArena {
 
     /// The one routine that writes a row — through `&self`, so the
     /// owner of an arena that lock-free sweeps are reading can keep
-    /// appending to it: the cells land past the published row count,
-    /// a group the row completes is planed, and only then does the
-    /// `Release` store of `rows` let a sweep (which `Acquire`-loads it
-    /// once) reach any of it.
+    /// appending to it: the column bytes land past the published row
+    /// count, the leading buckets in the plane's open group (which the
+    /// group's first row published), and only then does the `Release`
+    /// store of `rows` let a sweep (which `Acquire`-loads it once)
+    /// reach any of it.
     ///
     /// One caller at a time: `&mut self` callers ([`SketchArena::push`])
     /// are that by construction, an [`EpochIndex`](super::EpochIndex)
@@ -595,18 +593,12 @@ impl SketchArena {
                     "sketch dimension {} does not match the arena's stamped dimension {dim}",
                     sketch.len()
                 );
-                self.cells.append_sketch(sketch);
+                self.cells.append_sketch(row, sketch);
             }
             Row::Stored(from, r) => {
                 assert_eq!((from.ka, from.dim), (self.ka, self.dim), "foreign row");
-                self.cells.append_stored(&from.cells, r, dim);
+                self.cells.append_stored(row, &from.cells, r, dim);
             }
-        }
-        if let (63, Some(plane), Cells::Packed(packed, cells)) =
-            (row % 64, &self.plane, &self.cells)
-        {
-            let stride = packed.stride(dim);
-            plane.fill_group(&cells.published()[(row - 63) * stride..], stride);
         }
         self.rows.store(row + 1, Ordering::Release);
         row
@@ -680,25 +672,11 @@ impl SketchArena {
         exist & !self.dead[w].load(Ordering::SeqCst)
     }
 
-    /// Rebuilds the plane's complete groups from the cells (exclusive
-    /// access: the rows were slid wholesale).
-    fn rebuild_plane(&mut self) {
-        if let (Some(plane), Cells::Packed(packed, cells), Some(dim)) =
-            (&mut self.plane, &self.cells, self.dim)
-        {
-            plane.grow(self.capacity);
-            plane.rebuild(cells.published(), *self.rows.get_mut(), packed.stride(dim));
-        }
-    }
-
     /// Drops every row and resets id assignment; the width, `t`, `ka`,
     /// dimension stamp and prefilter plane are retained, as is the
     /// allocated capacity.
     pub fn clear(&mut self) {
         self.reset_rows(0);
-        if let Some(plane) = &mut self.plane {
-            plane.clear();
-        }
     }
 
     /// Keeps the first `rows` rows, all live.
@@ -712,9 +690,9 @@ impl SketchArena {
     }
 
     /// Reclaims tombstoned rows **in place**: live rows slide down the
-    /// same column buffer (preserving order), the bitmap is rebuilt
-    /// dense, and the old → new renumbering is returned. No row data is
-    /// cloned and no new buffer is allocated.
+    /// same column buffer and plane lanes (preserving order), the
+    /// bitmap is rebuilt dense, and the old → new renumbering is
+    /// returned. No row data is cloned and no new buffer is allocated.
     pub fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
         let rows = self.rows();
         let dim = match self.dim {
@@ -736,10 +714,6 @@ impl SketchArena {
             mapping.push((id, next));
         }
         self.reset_rows(mapping.len());
-        // The plane's packed words cannot slide at sub-word granularity
-        // the way the cells did — rebuild its lanes from the compacted
-        // buffer (same O(rows) order as the slide itself).
-        self.rebuild_plane();
         mapping
     }
 }
@@ -864,14 +838,16 @@ mod tests {
         assert_eq!(cell_bytes_per_row((1 << 15) - 1), 64 + 56);
         assert_eq!(cell_bytes_per_row(1 << 20), 256);
         assert_eq!(cell_bytes_per_row(1 << 40), 512);
-        // The prefilter plane is accounted for: an identical filtered
-        // arena holds 1 extra byte per plane cell, 8 B a row.
+        // The prefilter plane holds a row's first 8 bucket bytes and
+        // the row column the other 64: an identical filtered arena
+        // holds each sketch once, in exactly the bytes a scalar one does.
         let mut filtered = SketchArena::with_capacity(100, 400, 64, 64);
         for i in 0..64i64 {
             filtered.push(&[i; 64]);
         }
         assert_eq!(filtered.plane_width(), "u8");
-        assert_eq!(filtered.used_bytes(), 64 * (72 + 8) + 8);
+        assert_eq!((filtered.plane_dims(), filtered.cells.stride(64)), (8, 64));
+        assert_eq!(filtered.used_bytes(), 64 * 72 + 8);
         assert!(filtered.heap_bytes() >= filtered.used_bytes());
     }
 

@@ -16,18 +16,21 @@
 //! first and eight coordinates — `rbits` whole bytes — a step:
 //!
 //! ```text
-//!   ┌ b₀ b₁ b₂ … b_{dim−1} ┬ r₀…r₇ │ r₈…r₁₅ │ … ┐   72 B at 64 × ka = 400
-//!   └── dim bucket bytes ──┴─ ⌈dim·rbits/8⌉ B ──┘   (128 B as i16 cells)
+//!   ┌ b₀ … b_{F−1} ┬ b_F … b_{dim−1} ┬ r₀…r₇ │ r₈…r₁₅ │ … ┐  72 B at 64 × ka = 400
+//!   └─ the plane ──┴────────── the row column, 64 B ──────┘  (128 B as i16 cells)
 //! ```
 //!
-//! The bucket bytes lead so that the prefilter plane copies a row's
-//! first `F` bytes as they are, so that a ring with `ka ≤ 256`
-//! (`q = 1`, `rbits = 0`) stores a byte a coordinate and nothing else,
-//! and so that a row which does not match is turned away on its
-//! buckets alone ([`Packed::row_matches`]): the remainder bits, a
-//! cache line further on, are read only for a row whose every bucket
-//! is within the plane's conservative distance of the probe's.
+//! The bucket bytes lead so that an arena with a prefilter plane
+//! stores a row's first `F` bytes there, as they are, and only the
+//! rest in its row column ([`Cells::Packed`]): each sketch is held
+//! once. They lead, too, so that a ring with `ka ≤ 256` (`q = 1`,
+//! `rbits = 0`) stores a byte a coordinate and nothing else, and so
+//! that a row which does not match is turned away on its buckets alone
+//! ([`Packed::row_matches`]): the remainder bits, at the row's end,
+//! are read only for a row whose every bucket is within the plane's
+//! conservative distance of the probe's.
 
+use super::plane::{FilterPlane, Lead};
 use super::shared::Column;
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -62,7 +65,7 @@ impl CellWidth {
     /// (saturating: `dim` may be a frame's claim).
     pub fn row_bytes(ka: u64, dim: usize) -> usize {
         match CellWidth::for_ring(ka) {
-            CellWidth::Packed => Packed::new(0, ka).stride(dim),
+            CellWidth::Packed => Packed::new(0, ka).encoded_bytes(dim),
             CellWidth::I32 => dim.saturating_mul(4),
             CellWidth::I64 => dim.saturating_mul(8),
         }
@@ -105,13 +108,20 @@ pub(super) trait Layout: Copy {
     /// A caller's coordinate reduced into the ring, as a probe holds
     /// it.
     fn prepare(self, v: i64) -> Self::Probe;
-    /// The early-abort row kernel: is every coordinate of `row` within
-    /// the arena's cyclic distance `t` of the probe's? The row's
-    /// leading `planed` coordinates have been through phase 1 — their
-    /// buckets are known to lie within the plane's distance of the
-    /// probe's — which a kernel may use to reject sooner, never to
-    /// accept.
-    fn row_matches(self, row: &[Self::Unit], probe: &[Self::Probe], planed: usize) -> bool;
+    /// The early-abort row kernel: is every coordinate of the row —
+    /// its leading buckets `lead`, if the plane holds them, and its
+    /// `row` units — within the arena's cyclic distance `t` of the
+    /// probe's? The row's leading `planed` coordinates have been
+    /// through phase 1 — their buckets are known to lie within the
+    /// plane's distance of the probe's — which a kernel may use to
+    /// reject sooner, never to accept.
+    fn row_matches(
+        self,
+        lead: Lead<'_>,
+        row: &[Self::Unit],
+        probe: &[Self::Probe],
+        planed: usize,
+    ) -> bool;
 }
 
 /// The packed layout of one narrow ring (module docs) and the
@@ -132,6 +142,9 @@ pub(super) struct Packed {
     /// and `q ≤ 128` (the rounding error `magic · q − 2²⁴ < q` times
     /// `v` stays below `2²⁴`).
     magic: u64,
+    /// Leading bucket bytes a row keeps in the prefilter plane instead
+    /// of its row column: the plane's depth `F`, 0 without a plane.
+    lead: usize,
 }
 
 /// A probe coordinate prepared for a packed arena: its residue and the
@@ -153,7 +166,15 @@ impl Packed {
             tq: u32::from(tq),
             rbits: (u16::BITS - (q - 1).leading_zeros()) as usize,
             magic: (1u64 << 24).div_ceil(u64::from(q)),
+            lead: 0,
         }
+    }
+
+    /// Bytes the packed encoding of `dim` coordinates takes, wherever
+    /// it is stored: `dim` bucket bytes, `rbits` bytes for every eight
+    /// remainders and what the last few need.
+    fn encoded_bytes(self, dim: usize) -> usize {
+        dim + dim / 8 * self.rbits + (dim % 8 * self.rbits).div_ceil(8)
     }
 
     /// `v mod ka` in `[0, ka)`. Real sketches lie within a ring of
@@ -177,7 +198,8 @@ impl Packed {
         (v * self.magic) >> 24
     }
 
-    /// Encodes `sketch` as one packed row into `out`, `stride` bytes.
+    /// Encodes `sketch` as one packed row into `out`,
+    /// [`Packed::encoded_bytes`] long.
     /// One width of integer from the coordinate to the packed word: at
     /// some thirteen operations a coordinate this loop is most of an
     /// insert, and narrowing on the way cost a fifth of it.
@@ -203,20 +225,26 @@ impl Packed {
     }
 
     /// Calls `keep(i, bucket, remainder)` for coordinate `i = 0, 1, …`
-    /// of a packed row until it says `false`; `true` when it never did.
+    /// of a packed row — its leading buckets `lead` and the `row`
+    /// column bytes after them — until it says `false`; `true` when it
+    /// never did.
     #[inline]
     fn all_coords(
         self,
+        lead: Lead<'_>,
         row: &[u8],
         dim: usize,
         mut keep: impl FnMut(usize, u32, u32) -> bool,
     ) -> bool {
-        let (buckets, rems) = row.split_at(dim);
+        let f = lead.len();
+        let (rest, rems) = row.split_at(dim - f);
+        let mut buckets = (0..f).map(|d| lead.bucket(d)).chain(rest.iter().copied());
         let (rbits, mask) = (self.rbits, (1u64 << self.rbits) - 1);
-        for (c, bs) in buckets.chunks(8).enumerate() {
-            let bytes = &rems[c * rbits..][..(bs.len() * rbits).div_ceil(8)];
+        for c in 0..dim.div_ceil(8) {
+            let n = (dim - 8 * c).min(8);
+            let bytes = &rems[c * rbits..][..(n * rbits).div_ceil(8)];
             let word = bytes.iter().rev().fold(0u64, |w, &x| w << 8 | u64::from(x));
-            for (j, &b) in bs.iter().enumerate() {
+            for (j, b) in buckets.by_ref().take(n).enumerate() {
                 if !keep(8 * c + j, u32::from(b), (word >> (j * rbits) & mask) as u32) {
                     return false;
                 }
@@ -230,10 +258,10 @@ impl Layout for Packed {
     type Unit = u8;
     type Probe = Reduced;
 
-    /// `dim` bucket bytes, `rbits` bytes for every eight remainders
-    /// and what the last few need: `dim + ⌈dim · rbits / 8⌉`.
+    /// The encoding but for the `lead` bytes the plane holds:
+    /// `dim − F + ⌈dim · rbits / 8⌉`.
     fn stride(self, dim: usize) -> usize {
-        dim + dim / 8 * self.rbits + (dim % 8 * self.rbits).div_ceil(8)
+        self.encoded_bytes(dim) - self.lead
     }
 
     fn prepare(self, v: i64) -> Reduced {
@@ -248,17 +276,24 @@ impl Layout for Packed {
     /// bytes go first, all that phase 1 has not been over already,
     /// under the plane's conservative test ([`quantize_ring`]: it
     /// turns away no coordinate that matches): a row that does not
-    /// match fails it within a few coordinates, so its remainder bits
-    /// — the row's second cache line — are never fetched. Acceptance
-    /// is the exact pass's alone, over every coordinate.
+    /// match fails it within a few coordinates of its row column, so
+    /// its remainder bits at the row's end are never fetched, nor its
+    /// leading buckets taken from the plane. Acceptance is the exact
+    /// pass's alone, over every coordinate.
     #[inline]
-    fn row_matches(self, row: &[u8], probe: &[Reduced], planed: usize) -> bool {
-        let may_match = row[planed..].iter().zip(&probe[planed..]).all(|(&b, p)| {
+    fn row_matches(self, lead: Lead<'_>, row: &[u8], probe: &[Reduced], planed: usize) -> bool {
+        let close = |b: u8, p: &Reduced| {
             let d = u32::from(b).abs_diff(u32::from(p.bucket));
             d.min(self.kq - d) <= self.tq
-        });
+        };
+        let (f, from) = (lead.len(), planed.max(lead.len()));
+        let may_match = row[from - f..]
+            .iter()
+            .zip(&probe[from..])
+            .all(|(&b, p)| close(b, p))
+            && (planed..f).all(|d| close(lead.bucket(d), &probe[d]));
         may_match
-            && self.all_coords(row, probe.len(), |i, b, r| {
+            && self.all_coords(lead, row, probe.len(), |i, b, r| {
                 let d = (b * self.q + r).abs_diff(u32::from(probe[i].residue));
                 d.min(self.ka - d) <= self.t
             })
@@ -331,15 +366,18 @@ impl<C: Cell> Layout for Wide<C> {
     }
 
     #[inline]
-    fn row_matches(self, row: &[C], probe: &[C], _planed: usize) -> bool {
+    fn row_matches(self, _lead: Lead<'_>, row: &[C], probe: &[C], _planed: usize) -> bool {
         rows_match(row, probe, self.t, self.ka)
     }
 }
 
-/// The one column buffer, typed by the arena's row layout.
+/// The one column buffer, typed by the arena's row layout — and on a
+/// packed ring the arena's prefilter plane, when it has one: the only
+/// home of each row's first [`Packed::lead`] bytes, which the row's
+/// column bytes leave out.
 #[derive(Debug, Clone)]
 pub(super) enum Cells {
-    Packed(Packed, Column<u8>),
+    Packed(Packed, Column<u8>, Option<FilterPlane>),
     I32(Wide<i32>, Column<i32>),
     I64(Wide<i64>, Column<i64>),
 }
@@ -349,7 +387,7 @@ pub(super) enum Cells {
 macro_rules! each_width {
     ($cells:expr, $layout:pat, $col:ident => $body:expr) => {
         match $cells {
-            Cells::Packed($layout, $col) => $body,
+            Cells::Packed($layout, $col, _) => $body,
             Cells::I32($layout, $col) => $body,
             Cells::I64($layout, $col) => $body,
         }
@@ -357,9 +395,25 @@ macro_rules! each_width {
 }
 
 thread_local! {
-    /// The row a packed append encodes before it lands in the column
-    /// in one `extend` (never held across user code).
+    /// A packed row's whole encoding on its way into the column and the
+    /// plane (never held across user code).
     static ENCODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Stores the packed encoding of row `row`: its first `packed.lead`
+/// bytes in the plane, the rest in the column.
+fn put_packed(
+    packed: Packed,
+    col: &Column<u8>,
+    plane: Option<&FilterPlane>,
+    row: usize,
+    encoded: &[u8],
+) {
+    let (lead, rest) = encoded.split_at(packed.lead);
+    col.extend_from_slice(rest);
+    if let Some(plane) = plane {
+        plane.put(row, lead);
+    }
 }
 
 impl Cells {
@@ -367,9 +421,27 @@ impl Cells {
     /// matched under the threshold `t`.
     pub(super) fn for_ring(t: u64, ka: u64) -> Cells {
         match CellWidth::for_ring(ka) {
-            CellWidth::Packed => Cells::Packed(Packed::new(t, ka), Column::with_capacity(0)),
+            CellWidth::Packed => Cells::Packed(Packed::new(t, ka), Column::with_capacity(0), None),
             CellWidth::I32 => Cells::I32(Wide::new(t, ka), Column::with_capacity(0)),
             CellWidth::I64 => Cells::I64(Wide::new(t, ka), Column::with_capacity(0)),
+        }
+    }
+
+    /// Gives an empty packed buffer its plane, which takes each row's
+    /// first `plane.dims()` bytes from then on.
+    pub(super) fn set_plane(&mut self, plane: FilterPlane) {
+        if let Cells::Packed(packed, col, slot) = self {
+            debug_assert!(col.published().is_empty(), "rows are split from the first");
+            packed.lead = plane.dims();
+            *slot = Some(plane);
+        }
+    }
+
+    /// The prefilter plane, when there is one.
+    pub(super) fn plane(&self) -> Option<&FilterPlane> {
+        match self {
+            Cells::Packed(_, _, plane) => plane.as_ref(),
+            Cells::I32(..) | Cells::I64(..) => None,
         }
     }
 
@@ -378,24 +450,33 @@ impl Cells {
         each_width!(self, layout, _col => layout.stride(dim))
     }
 
+    /// Bytes the column and the plane hold (capacities).
     pub(super) fn capacity_bytes(&self) -> usize {
         match self {
-            Cells::Packed(_, col) => col.capacity(),
+            Cells::Packed(_, col, plane) => {
+                col.capacity() + plane.as_ref().map_or(0, FilterPlane::heap_bytes)
+            }
             Cells::I32(_, col) => col.capacity() * 4,
             Cells::I64(_, col) => col.capacity() * 8,
         }
     }
 
     /// Makes room for `rows` rows in total (exclusive access: the
-    /// buffer may move).
+    /// buffers may move).
     pub(super) fn grow(&mut self, rows: usize, dim: usize) {
         let units = rows * self.stride(dim);
-        each_width!(self, _, col => col.grow(units))
+        each_width!(&mut *self, _, col => col.grow(units));
+        if let Cells::Packed(_, _, Some(plane)) = self {
+            plane.grow(rows);
+        }
     }
 
     pub(super) fn truncate(&mut self, rows: usize, dim: usize) {
         let units = rows * self.stride(dim);
-        each_width!(self, _, col => col.truncate(units))
+        each_width!(&mut *self, _, col => col.truncate(units));
+        if let Cells::Packed(_, _, Some(plane)) = self {
+            plane.truncate(rows);
+        }
     }
 
     /// Slides row `from` down to row `to` (in-place compaction;
@@ -403,38 +484,59 @@ impl Cells {
     pub(super) fn slide(&mut self, from: usize, to: usize, dim: usize) {
         let stride = self.stride(dim);
         let at = from * stride..(from + 1) * stride;
-        each_width!(self, _, col => col.as_mut_slice().copy_within(at, to * stride))
+        each_width!(&mut *self, _, col => col.as_mut_slice().copy_within(at, to * stride));
+        if let Cells::Packed(_, _, Some(plane)) = self {
+            plane.slide(from, to);
+        }
     }
 
-    /// Appends one row from a caller's sketch, reduced into the ring
+    /// Appends a caller's sketch as row `row`, reduced into the ring
     /// and laid out on the way in.
-    pub(super) fn append_sketch(&self, sketch: &[i64]) {
+    pub(super) fn append_sketch(&self, row: usize, sketch: &[i64]) {
         match self {
-            Cells::Packed(packed, col) => ENCODED.with(|row| {
-                let row = &mut *row.borrow_mut();
-                row.resize(packed.stride(sketch.len()), 0);
-                packed.encode(sketch, row);
-                col.extend_from_slice(row);
+            Cells::Packed(packed, col, plane) => ENCODED.with(|encoded| {
+                let encoded = &mut *encoded.borrow_mut();
+                encoded.resize(packed.encoded_bytes(sketch.len()), 0);
+                packed.encode(sketch, encoded);
+                put_packed(*packed, col, plane.as_ref(), row, encoded);
             }),
             Cells::I32(wide, col) => col.extend(sketch.iter().map(|&v| wide.prepare(v))),
             Cells::I64(wide, col) => col.extend(sketch.iter().map(|&v| wide.prepare(v))),
         }
     }
 
-    /// Appends row `row` of `from` verbatim — a stored row is already
+    /// Appends row `r` of `from` as row `row` — a stored row is already
     /// in this ring's layout, so moving it between arenas of one ring
-    /// and dimension is a copy.
-    pub(super) fn append_stored(&self, from: &Cells, row: usize, dim: usize) {
-        let stride = self.stride(dim);
-        let at = row * stride..(row + 1) * stride;
+    /// and dimension is a copy: of a packed row, gathered from `from`'s
+    /// column and plane and split between this one's.
+    pub(super) fn append_stored(&self, row: usize, from: &Cells, r: usize, dim: usize) {
+        let at = |stride: usize| r * stride..(r + 1) * stride;
         match (self, from) {
-            (Cells::Packed(a, to), Cells::Packed(b, from)) if a == b => {
-                to.extend_from_slice(&from.published()[at]);
+            (Cells::Packed(packed, to, plane), Cells::Packed(source, col, _)) => {
+                debug_assert_eq!(packed.ka, source.ka, "rows move only within one ring");
+                ENCODED.with(|encoded| {
+                    let encoded = &mut *encoded.borrow_mut();
+                    let lead = from.lead(r);
+                    encoded.clear();
+                    encoded.extend((0..lead.len()).map(|d| lead.bucket(d)));
+                    encoded.extend_from_slice(&col.published()[at(source.stride(dim))]);
+                    put_packed(*packed, to, plane.as_ref(), row, encoded);
+                });
             }
-            (Cells::I32(_, to), Cells::I32(_, from)) => to.extend_from_slice(&from.published()[at]),
-            (Cells::I64(_, to), Cells::I64(_, from)) => to.extend_from_slice(&from.published()[at]),
+            (Cells::I32(_, to), Cells::I32(_, from)) => {
+                to.extend_from_slice(&from.published()[at(dim)]);
+            }
+            (Cells::I64(_, to), Cells::I64(_, from)) => {
+                to.extend_from_slice(&from.published()[at(dim)]);
+            }
             _ => panic!("rows move only between arenas of one layout"),
         }
+    }
+
+    /// Row `row`'s leading buckets where the plane holds them.
+    fn lead(&self, row: usize) -> Lead<'_> {
+        self.plane()
+            .map_or_else(Lead::none, |plane| plane.lead(row))
     }
 
     /// Decodes row `row` into `out` as canonical representatives.
@@ -442,9 +544,9 @@ impl Cells {
         let stride = self.stride(dim);
         let at = row * stride..(row + 1) * stride;
         match self {
-            Cells::Packed(packed, col) => {
+            Cells::Packed(packed, col, _) => {
                 let (ka, half, q) = (i64::from(packed.ka), packed.ka / 2, packed.q);
-                packed.all_coords(&col.published()[at], dim, |_, b, r| {
+                packed.all_coords(self.lead(row), &col.published()[at], dim, |_, b, r| {
                     let v = b * q + r;
                     // `v − ka` past the half ring: `canonical`'s `2r > ka`.
                     out.push(i64::from(v) - if v > half { ka } else { 0 });
@@ -641,7 +743,7 @@ mod tests {
         fn new(ka: u64) -> Ring {
             let packed = Packed::new(0, ka);
             let row = |v: i64| {
-                let mut row = vec![0; packed.stride(1)];
+                let mut row = vec![0; packed.encoded_bytes(1)];
                 packed.encode(&[v], &mut row);
                 row
             };
@@ -651,7 +753,7 @@ mod tests {
         fn close(&self, a: i64, b: i64, t: u64) -> bool {
             let Ring(ka, rows) = self;
             let packed = Packed::new(t, *ka);
-            packed.row_matches(&rows[a as usize], &[packed.prepare(b)], 0)
+            packed.row_matches(Lead::none(), &rows[a as usize], &[packed.prepare(b)], 0)
         }
     }
 

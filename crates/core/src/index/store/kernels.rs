@@ -1,6 +1,12 @@
 //! The isolated SIMD prefilter backends (AVX2, AVX-512, NEON and its
 //! portable emulation) and the phase-2 software prefetch: the index's
 //! `unsafe`, together with the `shared` buffer.
+//!
+//! A kernel reads one complete plane group, whose words are atomics
+//! only because the open group is still being stored to (the `shared`
+//! module docs): a complete one is never stored to again, so the x86
+//! kernels load it through the slice's pointer, and NEON takes its
+//! words by `Relaxed` loads — the same instruction.
 
 /// The vector kernel actually chosen for a scan, after runtime feature
 /// detection resolved [`FilterKernel::Auto`].
@@ -17,9 +23,8 @@ pub(super) enum ActiveKernel {
 
 /// The AVX2 prefilter kernel, one of the crate's three isolated
 /// `unsafe` ISA modules (see also [`avx512`] and [`neon`]): the
-/// intrinsic body itself is safe inside the `#[target_feature]`
-/// function (no pointer dereferences — loads go through
-/// `_mm256_set_epi64x` on bounds-checked slice reads), and the one
+/// intrinsic body is safe inside the `#[target_feature]` function but
+/// for one raw load, bounds-checked by a slice first, and the one
 /// `unsafe` call site is guarded by an `is_x86_feature_detected!`
 /// assertion, so the target-feature contract can never be violated.
 #[cfg(target_arch = "x86_64")]
@@ -27,10 +32,11 @@ pub(super) enum ActiveKernel {
 pub(super) mod avx2 {
     use super::super::plane::GROUP_WORDS;
     use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_min_epu8, _mm256_movemask_epi8,
-        _mm256_or_si256, _mm256_set1_epi8, _mm256_set_epi64x, _mm256_setzero_si256,
+        _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_min_epu8,
+        _mm256_movemask_epi8, _mm256_or_si256, _mm256_set1_epi8, _mm256_setzero_si256,
         _mm256_sub_epi8, _mm256_subs_epu8, _mm256_testz_si256,
     };
+    use std::sync::atomic::AtomicU64;
 
     /// `true` once per process: does this CPU have AVX2?
     pub fn available() -> bool {
@@ -47,14 +53,14 @@ pub(super) mod avx2 {
     /// # Panics
     /// Panics when AVX2 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn quad(group: &[u64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
+    pub fn quad(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
         assert!(available(), "AVX2 kernel dispatched without AVX2");
         // SAFETY: the avx2 target feature was just verified above.
         unsafe { quad_avx2(group, biased, tq, kq, wi) }
     }
 
     #[target_feature(enable = "avx2")]
-    fn quad_avx2(group: &[u64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
+    fn quad_avx2(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
         let zero = _mm256_setzero_si256();
         let tv = _mm256_set1_epi8(tq as i8);
         // The bucket count is ≤ 256; 256 wraps to 0, which is still
@@ -66,12 +72,11 @@ pub(super) mod avx2 {
             // 32 rows of this dimension: 4 packed u64 words, 8 bucket
             // bytes each. Little-endian byte order matches `movemask`
             // bit order.
-            let v: __m256i = _mm256_set_epi64x(
-                lane[wi + 3] as i64,
-                lane[wi + 2] as i64,
-                lane[wi + 1] as i64,
-                lane[wi] as i64,
-            );
+            let words = &lane[wi..wi + 4];
+            // SAFETY: the bounds-checked slice above spans exactly the
+            // 32 bytes the unaligned load reads, of a complete group
+            // nothing stores to (module docs).
+            let v = unsafe { _mm256_loadu_si256(words.as_ptr().cast()) };
             let p = _mm256_set1_epi8(pb as u8 as i8);
             // |a − b| on unsigned buckets: one of the saturating
             // differences is zero, the other the distance.
@@ -105,6 +110,7 @@ pub(super) mod avx512 {
         _mm512_loadu_si512, _mm512_min_epu8, _mm512_or_si512, _mm512_set1_epi8, _mm512_sub_epi8,
         _mm512_subs_epu8,
     };
+    use std::sync::atomic::AtomicU64;
 
     /// `true` once per process: does this CPU have the foundation +
     /// byte/word AVX-512 subsets the kernel needs?
@@ -121,7 +127,7 @@ pub(super) mod avx512 {
     /// # Panics
     /// Panics when AVX-512 is unavailable — which makes the inner
     /// `unsafe` call sound unconditionally.
-    pub fn octo(group: &[u64], biased: &[u16], tq: u16, kq: u16) -> u64 {
+    pub fn octo(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16) -> u64 {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         // SAFETY: the avx512f/avx512bw target features were just
         // verified above.
@@ -129,7 +135,7 @@ pub(super) mod avx512 {
     }
 
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo_avx512(group: &[u64], biased: &[u16], tq: u16, kq: u16) -> u64 {
+    fn octo_avx512(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16) -> u64 {
         let tv = _mm512_set1_epi8(tq as i8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
         // which passes regardless (see the AVX2 kernel).
@@ -141,7 +147,8 @@ pub(super) mod avx512 {
             // order matches the mask bit order.
             let words = &lane[..8];
             // SAFETY: the bounds-checked slice above spans exactly the
-            // 64 bytes the unaligned load reads.
+            // 64 bytes the unaligned load reads, of a complete group
+            // nothing stores to (module docs).
             let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
             let p = _mm512_set1_epi8(pb as u8 as i8);
             // Same lane algebra as the AVX2 kernel, with native mask
@@ -171,11 +178,12 @@ pub(super) mod avx512 {
 pub(super) mod neon {
     use super::super::plane::GROUP_WORDS;
     use super::intr;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Prefilters 16 rows (words `wi`, `wi+1` of every lane of one
     /// plane group) against a probe's bucket values, returning one bit
     /// per passing row.
-    pub fn sixteen(group: &[u64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u16 {
+    pub fn sixteen(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u16 {
         let tv = intr::dup8(tq as u8);
         // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
         // which passes regardless (buckets are < kq, so d ≤ kq − 1 and
@@ -185,7 +193,10 @@ pub(super) mod neon {
         for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(biased) {
             // 16 rows of this dimension: 2 packed u64 words, loaded as
             // 16 little-endian u8 lanes.
-            let v = intr::load_pair8(lane[wi], lane[wi + 1]);
+            let v = intr::load_pair8(
+                lane[wi].load(Ordering::Relaxed),
+                lane[wi + 1].load(Ordering::Relaxed),
+            );
             let p = intr::dup8(pb as u8);
             let d = intr::abd8(v, p);
             let cyc = intr::min8(d, intr::sub8(kav, d));

@@ -11,6 +11,7 @@ use super::kernels::ActiveKernel;
 use super::kernels::{avx2, avx512};
 use super::shared::Column;
 use super::FilterConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Resolves [`PlaneDepth::Adaptive`](super::PlaneDepth::Adaptive) from
 /// a lane's acceptance rate — `passing` of `ring` buckets, `2·t_q+1` of
@@ -70,10 +71,12 @@ pub(super) struct ProbeFilter<'a> {
 /// within a group: group `g` is `dims` lanes of [`GROUP_WORDS`] words,
 /// lane `d` holding coordinate `d` of rows `64g .. 64g + 64` as
 /// quantized 8-bit buckets (`(value mod ka) / q`) packed eight rows per
-/// `u64` word — the bucket bytes the rows themselves lead with, copied
-/// (DESIGN.md "The prefilter plane": why the copy stays). Phase 1
+/// `u64` word. These are the first `dims` bytes of each row's packed
+/// encoding, and the plane is their only home: the arena's row column
+/// keeps the rest (DESIGN.md "The prefilter plane"). Phase 1
 /// over-accepts (see [`quantize_ring`]), so phase 2 verifies *all*
-/// coordinates of a survivor.
+/// coordinates of a survivor, reading these buckets back through
+/// [`Lead`].
 ///
 /// Everything phase 1 reads for a group is one contiguous run of
 /// `dims × 64` bytes, and a sweep reads the plane front to back as one
@@ -87,15 +90,17 @@ pub(super) struct ProbeFilter<'a> {
 /// `remove` never touches the plane and stale tombstone lanes are
 /// harmless.
 ///
-/// A group is written whole ([`FilterPlane::fill_group`]), after its
-/// last row landed in the cells and before the row count that
-/// publishes it: a plane word is never seen with an unwritten lane, and
-/// the rows of the open group (at most 63 per arena) are verified
-/// straight from their cells.
-#[derive(Debug, Clone)]
+/// A group is published, zeroed, when its first row lands
+/// ([`FilterPlane::put`]), and each row then stores its bytes into the
+/// group's words before the row count that publishes the row: the
+/// rule in the `shared` module docs. Phase 1 reads only complete
+/// groups; the rows of the open group (at most 63 per arena) are
+/// verified one by one, their buckets read by atomic loads.
+#[derive(Debug)]
 pub(super) struct FilterPlane {
-    /// The groups, `dims × GROUP_WORDS` words each.
-    words: Column<u64>,
+    /// The groups, `dims × GROUP_WORDS` words each: every complete
+    /// group, and the open one from its first row on.
+    words: Column<AtomicU64>,
     /// Lanes per group: one per filter dimension
     /// (`min(config.dims, dim)`).
     dims: usize,
@@ -107,6 +112,20 @@ pub(super) struct FilterPlane {
     th: u64,
     /// `kq − tq` broadcast: SWAR `absd ≥ kq − tq` comparand.
     kmt: u64,
+}
+
+/// A copy of a plane word.
+fn copy_word(word: &AtomicU64) -> AtomicU64 {
+    AtomicU64::new(word.load(Ordering::Relaxed))
+}
+
+impl Clone for FilterPlane {
+    fn clone(&self) -> FilterPlane {
+        FilterPlane {
+            words: self.words.copied(self.words.capacity(), copy_word),
+            ..*self
+        }
+    }
 }
 
 impl FilterPlane {
@@ -136,74 +155,161 @@ impl FilterPlane {
         self.words.capacity() * 8
     }
 
-    /// Bytes of the groups filled so far ([`FilterPlane::heap_bytes`]
-    /// counts the capacity).
-    pub(super) fn used_bytes(&self) -> usize {
-        self.words.published().len() * 8
-    }
-
-    /// Makes room for the complete groups of `total_rows` rows
-    /// (exclusive access: the buffer may move).
+    /// Makes room for the groups of `total_rows` rows (exclusive
+    /// access: the buffer may move).
     pub(super) fn grow(&mut self, total_rows: usize) {
-        self.words.grow(total_rows / 64 * self.stride());
-    }
-
-    pub(super) fn clear(&mut self) {
-        self.words.truncate(0);
-    }
-
-    /// Appends one complete group: `rows` holds its 64 packed rows,
-    /// `stride` bytes each, bucket bytes first. Groups must arrive
-    /// densely in order.
-    pub(super) fn fill_group(&self, rows: &[u8], stride: usize) {
-        debug_assert_eq!(rows.len(), 64 * stride);
-        // Word `k` of lane `d`: rows `8k .. 8k + 8`, low byte first.
-        let word = |i: usize| {
-            let (d, k) = (i / GROUP_WORDS, i % GROUP_WORDS);
-            let rows = rows[8 * k * stride..8 * (k + 1) * stride].chunks_exact(stride);
-            rows.rev().fold(0, |w, row| w << 8 | u64::from(row[d]))
-        };
-        self.words.extend((0..self.stride()).map(word));
-    }
-
-    /// Rebuilds every lane from the (compacted) packed row buffer.
-    pub(super) fn rebuild(&mut self, cells: &[u8], rows: usize, stride: usize) {
-        self.clear();
-        for group in cells[..rows / 64 * 64 * stride].chunks_exact(64 * stride) {
-            self.fill_group(group, stride);
+        let words = total_rows.div_ceil(64) * self.stride();
+        if words > self.words.capacity() {
+            self.words = self.words.copied(words, copy_word);
         }
     }
 
-    /// The complete groups published so far, for one sweep.
-    pub(super) fn view(&self) -> PlaneView<'_> {
+    /// Where `row`'s byte of lane `d` lies: its word, and its shift in
+    /// the word.
+    fn place(&self, row: usize, d: usize) -> (usize, usize) {
+        let word = row / 64 * self.stride() + d * GROUP_WORDS + row % 64 / 8;
+        (word, row % 8 * 8)
+    }
+
+    /// Stores row `row`'s leading `dims` buckets — the first bytes of
+    /// its packed encoding — in its group's lanes: the writer's half of
+    /// the rule in the `shared` module docs. The group's first row
+    /// publishes it, zeroed, with one `extend`; every row then ORs its
+    /// bytes into words no reader's phase 1 touches yet. Rows arrive
+    /// densely in order, from the one writer.
+    pub(super) fn put(&self, row: usize, buckets: &[u8]) {
+        debug_assert_eq!(buckets.len(), self.dims);
+        if row.is_multiple_of(64) {
+            self.words
+                .extend((0..self.stride()).map(|_| AtomicU64::new(0)));
+        }
+        let words = self.words.published();
+        for (d, &bucket) in buckets.iter().enumerate() {
+            let (at, shift) = self.place(row, d);
+            // One writer: a load and a store, not a locked `fetch_or`.
+            let word = &words[at];
+            word.store(
+                word.load(Ordering::Relaxed) | u64::from(bucket) << shift,
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    /// Moves row `from`'s buckets to row `to` (in-place compaction;
+    /// exclusive access).
+    pub(super) fn slide(&mut self, from: usize, to: usize) {
+        for d in 0..self.dims {
+            let ((src, from_shift), (dst, to_shift)) = (self.place(from, d), self.place(to, d));
+            let words = self.words.as_mut_slice();
+            let bucket = *words[src].get_mut() >> from_shift & 0xFF;
+            let word = words[dst].get_mut();
+            *word = *word & !(0xFF << to_shift) | bucket << to_shift;
+        }
+    }
+
+    /// Keeps the groups of the first `rows` rows, their bytes past the
+    /// last row zeroed so that [`FilterPlane::put`] can OR into them
+    /// (exclusive access).
+    pub(super) fn truncate(&mut self, rows: usize) {
+        let stride = self.stride();
+        self.words.truncate(rows.div_ceil(64) * stride);
+        let held = rows % 64;
+        if held > 0 {
+            let open = &mut self.words.as_mut_slice()[rows / 64 * stride..];
+            for (k, word) in open.iter_mut().enumerate() {
+                let bytes = held.saturating_sub(k % GROUP_WORDS * 8).min(8) as u32;
+                *word.get_mut() &= u64::MAX.checked_shr(64 - 8 * bytes).unwrap_or(0);
+            }
+        }
+    }
+
+    /// Row `row`'s leading buckets, for a row below the published row
+    /// count.
+    pub(super) fn lead(&self, row: usize) -> Lead<'_> {
+        Lead::of(self.words.published(), self.stride(), row)
+    }
+
+    /// The plane as a sweep of the first `rows` rows sees it. Slicing
+    /// the groups they span fails loudly should a row count ever be
+    /// published before its group.
+    pub(super) fn view(&self, rows: usize) -> PlaneView<'_> {
         PlaneView {
             plane: self,
-            words: self.words.published(),
+            words: &self.words.published()[..rows.div_ceil(64) * self.stride()],
+            groups: rows / 64,
         }
     }
 }
 
-/// One sweep's view of a [`FilterPlane`]: the published groups, sliced
-/// once so the kernels index a plain slice.
+/// A packed row's leading buckets where they live — its lanes of one
+/// plane group — read by `Relaxed` loads, in a complete group or the
+/// open one alike.
+#[derive(Clone, Copy)]
+pub(super) struct Lead<'a> {
+    /// The row's group, `dims × GROUP_WORDS` words; empty for a row of
+    /// an arena without a plane, which keeps every byte in its row.
+    group: &'a [AtomicU64],
+    /// The row's place in its group.
+    at: usize,
+}
+
+impl<'a> Lead<'a> {
+    /// No leading buckets: the row holds them all.
+    pub(super) fn none() -> Lead<'a> {
+        Lead { group: &[], at: 0 }
+    }
+
+    fn of(words: &'a [AtomicU64], stride: usize, row: usize) -> Lead<'a> {
+        Lead {
+            group: &words[row / 64 * stride..][..stride],
+            at: row % 64,
+        }
+    }
+
+    /// Leading buckets held here.
+    #[inline]
+    pub(super) fn len(&self) -> usize {
+        self.group.len() / GROUP_WORDS
+    }
+
+    /// Bucket `d` of the row, `d < self.len()`.
+    #[inline]
+    pub(super) fn bucket(&self, d: usize) -> u8 {
+        let word = &self.group[d * GROUP_WORDS + self.at / 8];
+        (word.load(Ordering::Relaxed) >> (self.at % 8 * 8)) as u8
+    }
+}
+
+/// One sweep's view of a [`FilterPlane`]: the groups of its rows,
+/// sliced once so the kernels index a plain slice.
 pub(super) struct PlaneView<'a> {
     pub(super) plane: &'a FilterPlane,
-    words: &'a [u64],
+    /// The groups the sweep's rows span, the open one included.
+    words: &'a [AtomicU64],
+    /// Complete 64-row groups among them: the only ones phase 1 reads.
+    groups: usize,
 }
 
 impl PlaneView<'_> {
     /// Complete 64-row groups this view holds: liveness words below
-    /// this go through phase 1, the rest are verified from their cells.
+    /// this go through phase 1, the rest are verified row by row.
     pub(super) fn groups(&self) -> usize {
-        self.words.len() / self.plane.stride()
+        self.groups
     }
 
     /// The lanes of group `w`, [`GROUP_WORDS`] words each.
     #[inline]
-    fn group(&self, w: usize) -> &[u64] {
+    fn group(&self, w: usize) -> &[AtomicU64] {
         let stride = self.plane.stride();
         &self.words[w * stride..(w + 1) * stride]
     }
 
+    /// Row `row`'s leading buckets: in a complete group, the lanes
+    /// phase 1 just read.
+    #[inline]
+    pub(super) fn lead(&self, row: usize) -> Lead<'_> {
+        Lead::of(self.words, self.plane.stride(), row)
+    }
     /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
     /// against the broadcast probe `pb`, returning the per-lane pass
     /// MSBs. See `DESIGN.md` for the lane algebra; every intermediate
@@ -241,11 +347,11 @@ impl PlaneView<'_> {
     /// so even the `kq = 256` ring needs no wrap-around trick here).
     /// The two 4-bit results interleave back into byte order.
     #[inline]
-    fn swar_word(&self, group: &[u64], pf: ProbeFilter<'_>, wi: usize) -> u64 {
+    fn swar_word(&self, group: &[AtomicU64], pf: ProbeFilter<'_>, wi: usize) -> u64 {
         const EVENS: u64 = 0x00FF_00FF_00FF_00FF;
         let (mut acc_e, mut acc_o) = (MSBS, MSBS);
         for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(pf.bcast) {
-            let w = lane[wi];
+            let w = lane[wi].load(Ordering::Relaxed);
             acc_e &= self.swar_pass(w & EVENS, pb);
             acc_o &= self.swar_pass((w >> 8) & EVENS, pb);
             if acc_e | acc_o == 0 {
@@ -260,7 +366,7 @@ impl PlaneView<'_> {
     }
 
     /// Candidate mask for one complete 64-row group (`w <
-    /// self.groups()`): prefilters the group's lanes against the probe
+    /// self.groups()`, so no store races it): prefilters the group's lanes against the probe
     /// and intersects with the group's liveness word — AVX-512 masks a
     /// whole lane in a single 512-bit compare. Groups are whole, so
     /// every backend runs full vectors — there is no buffer tail.
@@ -271,6 +377,7 @@ impl PlaneView<'_> {
         w: usize,
         lw: u64,
     ) -> u64 {
+        debug_assert!(w < self.groups, "phase 1 reads complete groups only");
         let (tq, kq) = (self.plane.tq, self.plane.kq);
         let group = self.group(w);
         let mut out = 0u64;
@@ -356,11 +463,11 @@ mod tests {
         let mut plane = FilterPlane::new(dims, t, ka);
         let (q, ..) = quantize_ring(t, ka);
         plane.grow(rows);
-        for _ in 0..rows / 64 {
-            let buckets: Vec<u8> = (0..64 * dims)
+        for row in 0..rows {
+            let buckets: Vec<u8> = (0..dims)
                 .map(|_| (rng.gen_range(0..ka as u16) / q) as u8)
                 .collect();
-            plane.fill_group(&buckets, dims);
+            plane.put(row, &buckets);
         }
         plane
     }
@@ -396,20 +503,42 @@ mod tests {
 
     #[test]
     fn groups_are_whole_and_lane_after_lane() {
-        // Row r of the group carries bucket r in lane 0 and 63 − r in
-        // lane 1, and its rows are 3 bytes apart: lane d is words
-        // 8d .. 8d + 8 of the group, eight rows a word, low byte first.
+        // Row r of a group carries bucket r in lane 0 and 63 − r in
+        // lane 1: lane d is words 8d .. 8d + 8 of the group, eight rows
+        // a word, low byte first. A group is published whole by its
+        // first row, and phase 1 sees it once its 64th is counted.
         let mut plane = FilterPlane::new(2, 10, 256);
         plane.grow(130);
-        assert_eq!((plane.view().groups(), plane.heap_bytes()), (0, 2 * 2 * 64));
-        let cells: Vec<u8> = (0..64).flat_map(|r| [r, 63 - r, 99]).collect();
-        plane.fill_group(&cells, 3);
-        plane.fill_group(&cells, 3);
-        let view = plane.view();
-        assert_eq!((view.groups(), plane.used_bytes()), (2, 2 * 2 * 64));
-        let bytes: Vec<u8> = view.group(1).iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(
+            (plane.view(0).groups(), plane.heap_bytes()),
+            (0, 3 * 2 * 64)
+        );
+        for row in 0..130 {
+            let r = (row % 64) as u8;
+            plane.put(row, &[r, 63 - r]);
+        }
+        let view = plane.view(130);
+        assert_eq!((view.groups(), view.words.len()), (2, 3 * 2 * GROUP_WORDS));
+        let bytes: Vec<u8> = view
+            .group(1)
+            .iter()
+            .flat_map(|w| w.load(Ordering::Relaxed).to_le_bytes())
+            .collect();
         let expect: Vec<u8> = (0..64).chain((0..64).rev()).collect();
         assert_eq!(bytes, expect);
+        assert_eq!(
+            (0..2).map(|d| view.lead(129).bucket(d)).collect::<Vec<_>>(),
+            [1, 62]
+        );
+        // Compaction slides bytes between groups and zeroes the open
+        // group past its last row, so the next row can OR into it.
+        plane.slide(129, 3);
+        plane.truncate(65);
+        assert_eq!([plane.lead(3).bucket(0), plane.lead(3).bucket(1)], [1, 62]);
+        plane.put(65, &[7, 9]);
+        let lead = plane.lead(65);
+        assert_eq!([lead.bucket(0), lead.bucket(1)], [7, 9]);
+        assert_eq!(plane.view(66).words.len(), 2 * 2 * GROUP_WORDS);
     }
 
     #[test]
@@ -474,7 +603,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x8E08);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
             let plane = random_plane(&mut rng, 3, (t, ka), 128);
-            let view = plane.view();
+            let view = plane.view(128);
             for _ in 0..40 {
                 let (probe, bcast) = random_probe(&mut rng, 3, ka, quantize_ring(t, ka).0);
                 let pf = ProbeFilter {
@@ -505,7 +634,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xA208);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
             let plane = random_plane(&mut rng, 4, (t, ka), 128);
-            let view = plane.view();
+            let view = plane.view(128);
             for _ in 0..40 {
                 let (probe, bcast) = random_probe(&mut rng, 4, ka, quantize_ring(t, ka).0);
                 let pf = ProbeFilter {
@@ -534,7 +663,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5128);
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
             let plane = random_plane(&mut rng, 4, (t, ka), 128);
-            let view = plane.view();
+            let view = plane.view(128);
             for _ in 0..40 {
                 let (probe, bcast) = random_probe(&mut rng, 4, ka, quantize_ring(t, ka).0);
                 let pf = ProbeFilter {
@@ -571,10 +700,13 @@ mod tests {
                 for a in 0..ka as i64 {
                     let row_bucket = a as u16 / q;
                     // Pack the same row bucket in all eight byte slots.
-                    let group = [u64::from(row_bucket) * 0x0101_0101_0101_0101; GROUP_WORDS];
+                    let group: [AtomicU64; GROUP_WORDS] = std::array::from_fn(|_| {
+                        AtomicU64::new(u64::from(row_bucket) * 0x0101_0101_0101_0101)
+                    });
                     let view = PlaneView {
                         plane: &plane,
                         words: &group,
+                        groups: 1,
                     };
                     for bval in (0..ka as i64).step_by(3) {
                         let pb = bval as u16 / q;

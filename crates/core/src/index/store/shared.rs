@@ -11,8 +11,8 @@
 //! "Publication invariant") every `unsafe` block that touches a slot
 //! cites:
 //!
-//! 1. a slot below `len` is initialised and never written again while
-//!    the column is shared (`&self`);
+//! 1. a slot below `len` is initialised, and changed only through its
+//!    own interior mutability while the column is shared (`&self`);
 //! 2. a slot at or past `len` is touched by the writer alone — written,
 //!    never read — and there is at most one writer at a time
 //!    (`writing`);
@@ -21,6 +21,21 @@
 //!
 //! `&mut self` methods are exempt: exclusive access rules out readers
 //! and writers alike.
+//!
+//! The prefilter plane is the one column whose published slots still
+//! change (invariant 1's interior mutability): a `Column<AtomicU64>`
+//! that publishes a 64-row group's lane words, zeroed, when the group's
+//! first row lands, and then takes each row's leading bucket bytes by
+//! atomic stores before the arena's `Release` store of its row count.
+//! The rule that keeps that sound without a lock:
+//!
+//! * an open group's words change only by atomic stores of the one
+//!   writer, and are read only by atomic loads;
+//! * a group whose 64th row is published is never stored to again;
+//! * phase 1 reads only the groups below `rows / 64` of the row count
+//!   its sweep acquired — complete, so frozen, and ordered before that
+//!   count — never the open group; the SIMD kernels load them through
+//!   the slice's pointer, which races with nothing.
 
 #![allow(unsafe_code)]
 
@@ -41,13 +56,14 @@ pub(crate) struct Column<T> {
     writing: AtomicBool,
 }
 
-// SAFETY: through `&Column` another thread can only read slots below
-// `len`, which invariant 1 makes immutable (`T: Sync`), or `extend`,
-// which moves `T`s from its own thread (`T: Send`) into slots that
-// invariant 2 reserves for the single writer.
+// SAFETY: through `&Column` another thread can only borrow slots below
+// `len`, which invariant 1 leaves changeable only through `T`'s own
+// interior mutability (`T: Sync`), or `extend`, which moves `T`s from
+// its own thread (`T: Send`) into slots that invariant 2 reserves for
+// the single writer.
 unsafe impl<T: Send + Sync> Sync for Column<T> {}
 
-impl<T: Copy> Column<T> {
+impl<T> Column<T> {
     /// An empty column that can hold `capacity` values: a reservation,
     /// not a write. The slots are left uninitialised — nothing reads
     /// one before `extend` has written it — so creating a column
@@ -82,7 +98,8 @@ impl<T: Copy> Column<T> {
         // SAFETY: the Acquire load pairs with the Release store in
         // `extend` (invariant 3), so the writes that initialised slots
         // `..len` happened before it, and invariant 1 says nothing
-        // writes them again while this `&self` borrow lives.
+        // changes them while this `&self` borrow lives but their own
+        // interior mutability, which `&T` permits.
         // `len ≤ capacity` is checked where it is stored;
         // `UnsafeCell<MaybeUninit<T>>` has `T`'s layout.
         unsafe { std::slice::from_raw_parts(self.slots.as_ptr().cast::<T>(), len) }
@@ -118,11 +135,6 @@ impl<T: Copy> Column<T> {
         self.writing.store(false, Ordering::Release);
     }
 
-    /// Appends a copy of `values`.
-    pub(crate) fn extend_from_slice(&self, values: &[T]) {
-        self.extend(values.iter().copied());
-    }
-
     /// The published values, mutable: exclusive access means nobody is
     /// reading them.
     pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
@@ -140,25 +152,33 @@ impl<T: Copy> Column<T> {
         *published = len.min(*published);
     }
 
+    /// A copy of the published values, each taken by `copy` (`T` need
+    /// not be `Copy`), in a fresh buffer of `capacity`.
+    pub(crate) fn copied(&self, capacity: usize, copy: impl FnMut(&T) -> T) -> Column<T> {
+        let fresh = Column::with_capacity(capacity);
+        fresh.extend(self.published().iter().map(copy));
+        fresh
+    }
+}
+
+impl<T: Copy> Column<T> {
+    /// Appends a copy of `values`.
+    pub(crate) fn extend_from_slice(&self, values: &[T]) {
+        self.extend(values.iter().copied());
+    }
+
     /// Moves the column into a buffer of at least `capacity` values —
     /// the one operation that reallocates, hence `&mut self`.
     pub(crate) fn grow(&mut self, capacity: usize) {
         if capacity > self.capacity() {
-            *self = self.with_room(capacity);
+            *self = self.copied(capacity, |&v| v);
         }
-    }
-
-    /// A copy of the published values in a fresh buffer of `capacity`.
-    fn with_room(&self, capacity: usize) -> Column<T> {
-        let copy = Column::with_capacity(capacity);
-        copy.extend_from_slice(self.published());
-        copy
     }
 }
 
 impl<T: Copy> Clone for Column<T> {
     fn clone(&self) -> Column<T> {
-        self.with_room(self.capacity())
+        self.copied(self.capacity(), |&v| v)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use super::cells::{prepare_into, Cells, Layout, Reduced};
 use super::kernels::{fetch, ActiveKernel};
-use super::plane::{build_filter_probes, PlaneView, ProbeFilter};
+use super::plane::{build_filter_probes, Lead, PlaneView, ProbeFilter};
 use super::{RecordId, SketchArena};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -124,8 +124,8 @@ thread_local! {
 }
 
 /// Phase 1 of a sweep over an arena with a live prefilter plane: the
-/// plane's published groups, its resolved kernel, and every probe's
-/// prefilter state (`plane.dims()` entries apart).
+/// plane's groups of the sweep's rows, its resolved kernel, and every
+/// probe's prefilter state (`plane.dims()` entries apart).
 #[derive(Clone, Copy)]
 struct PlaneProbes<'a> {
     view: &'a PlaneView<'a>,
@@ -143,8 +143,9 @@ struct Sweep<'a, L: Layout> {
     arena: &'a SketchArena,
     layout: L,
     /// The arena's rows as of this sweep's one `Acquire` load of the
-    /// row count, and their cells, `stride` units a row: nothing past
-    /// them is read.
+    /// row count, and their column units, `stride` a row (on a packed
+    /// ring with a plane, all but the leading buckets the plane
+    /// holds): nothing past them is read.
     rows: usize,
     cells: &'a [L::Unit],
     stride: usize,
@@ -235,19 +236,20 @@ impl<L: Layout> Sweep<'_, L> {
     /// the probe's budget runs out.
     ///
     /// Phase 1 turns each word's visitable bits into a candidate mask
-    /// on the plane, software-prefetching each survivor's row as its
-    /// mask comes out — the bucket bytes of the plane's `F` coordinates
-    /// and of the `F` after them, which is as far as a packed row that
-    /// does not match is read (a 72-byte row starts anywhere in its
-    /// cache line, so that can be two lines); phase 2 then
-    /// exact-verifies the tile's survivors
-    /// with the scalar early-abort kernel over the whole row (the plane
-    /// over-accepts, so every coordinate is re-checked). The two phases
-    /// equal a full-row `row_matches`; running phase 1 a whole tile
-    /// ahead is what hides phase 2's scattered loads behind phase 1's
-    /// compute. A word past the plane's complete groups — the open
-    /// group, at most 63 rows — has no phase 1: all its visitable rows
-    /// are verified.
+    /// on the plane, software-prefetching each survivor's column row as
+    /// its mask comes out — its first `F` bytes, the buckets of the `F`
+    /// coordinates after the plane's, which is as far as a packed row
+    /// that does not match is read (a 64-byte row starts anywhere in
+    /// its cache line, so that can be two lines); phase 2 then
+    /// exact-verifies the tile's survivors with the scalar early-abort
+    /// kernel over the whole row, its leading buckets taken back from
+    /// the group phase 1 just read (the plane over-accepts, so every
+    /// coordinate is re-checked). The two phases equal a full-row
+    /// `row_matches`; running phase 1 a whole tile ahead is what hides
+    /// phase 2's scattered loads behind phase 1's compute. A word past
+    /// the plane's complete groups — the open group, at most 63 rows —
+    /// has no phase 1: all its visitable rows are verified, their
+    /// leading buckets read by atomic loads.
     fn walk(
         &self,
         words: Range<usize>,
@@ -268,7 +270,7 @@ impl<L: Layout> Sweep<'_, L> {
                 *cand = p.view.block_candidates(p.kernel, probe.pf, wi, *cand);
                 for at in set_bits(*cand).map(|bit| (wi * 64 + bit) * stride) {
                     fetch::prefetch_read(self.cells, at);
-                    fetch::prefetch_read(self.cells, at + 2 * pd - 1);
+                    fetch::prefetch_read(self.cells, at + pd - 1);
                 }
             }
         }
@@ -278,7 +280,8 @@ impl<L: Layout> Sweep<'_, L> {
             let passed = if wi < planed { pd } else { 0 };
             for row in set_bits(cand).map(|bit| wi * 64 + bit) {
                 let s = &self.cells[row * stride..(row + 1) * stride];
-                if self.layout.row_matches(s, probe.cells, passed) {
+                let lead = self.plane.map_or_else(Lead::none, |p| p.view.lead(row));
+                if self.layout.row_matches(lead, s, probe.cells, passed) {
                     hits.push((probe.k, row));
                     probe.left -= 1;
                     if probe.left == 0 {
@@ -353,12 +356,13 @@ impl SketchArena {
     /// match nothing.
     ///
     /// Loads the row count once (`Acquire`), so the sweep covers
-    /// exactly the rows complete by then however many land meanwhile;
-    /// prepares the probes once in the thread-local scratch (normalized
-    /// for the row layout, plus their prefilter state when a plane is
-    /// live) and hands the typed column to [`SketchArena::run`]. The
-    /// scratch stays borrowed for the whole sweep; nothing below
-    /// re-enters an arena lookup on this thread.
+    /// exactly the rows complete by then however many land meanwhile,
+    /// and at once slices the plane groups they span; prepares the
+    /// probes once in the thread-local scratch (normalized for the row
+    /// layout, plus their prefilter state when a plane is live) and
+    /// hands the typed column to [`SketchArena::run`]. The scratch
+    /// stays borrowed for the whole sweep; nothing below re-enters an
+    /// arena lookup on this thread.
     pub(crate) fn sweep(
         &self,
         probes: &[&[i64]],
@@ -372,6 +376,9 @@ impl SketchArena {
             return Vec::new();
         }
         let rows = self.rows();
+        let view = self
+            .active_plane()
+            .map(|(plane, kernel)| (plane.view(rows), kernel));
         SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
             s.active.clear();
@@ -381,12 +388,17 @@ impl SketchArena {
                 return Vec::new();
             }
             match &self.cells {
-                Cells::Packed(packed, col) => {
+                Cells::Packed(packed, col, _) => {
                     prepare_into(*packed, &mut s.reduced, probes, &s.active);
-                    let view = self.active_plane().map(|(plane, kernel)| {
-                        build_filter_probes(plane, &s.reduced, dim, &mut s.biased, &mut s.bcast);
-                        (plane.view(), kernel)
-                    });
+                    if let Some((view, _)) = &view {
+                        build_filter_probes(
+                            view.plane,
+                            &s.reduced,
+                            dim,
+                            &mut s.biased,
+                            &mut s.bcast,
+                        );
+                    }
                     let plane = view.as_ref().map(|(view, kernel)| PlaneProbes {
                         view,
                         groups: view.groups(),

@@ -19,7 +19,10 @@
 //! reader is already admitting requests *n+1, n+2, …*. Because replies
 //! enter the channel in arrival order and the writer resolves them
 //! FIFO, responses leave the socket in request order — a pipelining
-//! client never needs to reorder.
+//! client never needs to reorder. The channel holds `REPLY_QUEUE` (64)
+//! replies; past that the reader waits for the writer, so a peer that
+//! pipelines without reading is read no faster than it takes its
+//! answers, and the replies it has not taken hold bounded memory.
 //!
 //! # Nothing polls
 //!
@@ -39,6 +42,12 @@
 //! [`ProtocolError::Overloaded`], and the reader queues an error reply
 //! carrying [`ErrorCode::Overloaded`] instead of a ticket. An overloaded server answers every request it
 //! sheds — it never silently drops a frame or the connection.
+//!
+//! A peer's own backpressure is its socket: the writer's write timeout
+//! is the idle window too, so a peer that takes no reply bytes for that
+//! long is closed as idle — its writer gives up, its reader finds the
+//! channel closed — and neither thread can hold up shutdown for longer
+//! than the window.
 //!
 //! # Failure severities
 //!
@@ -68,14 +77,20 @@ use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Replies a connection queues between its reader and its writer: twice
+/// the 32 requests the benchmark's saturating client keeps in flight,
+/// so a client that reads its answers never waits on it.
+const REPLY_QUEUE: usize = 64;
+
 /// Tunables for the TCP front door.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Largest frame payload accepted or sent
     /// ([`DEFAULT_MAX_FRAME`] unless raised; both peers must agree).
     pub max_frame: usize,
-    /// Close a connection after this long with no frame started; it is
-    /// the socket's read timeout, so it must not be zero.
+    /// Close a connection after this long with no frame started, or
+    /// with a reply it takes no bytes of; it is the socket's read and
+    /// write timeout, so it must not be zero.
     pub idle_timeout: Duration,
     /// How long the accept loop backs off after a failed `accept` (a
     /// connection reset before it was accepted, no descriptor left).
@@ -150,7 +165,8 @@ impl NetMetrics {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Connections closed by the idle timeout.
+    /// Connections closed by the idle timeout: no frame started, or no
+    /// bytes of a reply taken, for the idle window.
     pub fn idle_closed(&self) -> u64 {
         self.idle_closed.load(Ordering::Relaxed)
     }
@@ -345,11 +361,14 @@ fn serve_connection(
     shutdown: Arc<AtomicBool>,
     metrics: Arc<NetMetrics>,
 ) {
-    // The read timeout is the idle window (see `frame::read_frame_event`).
-    // Nagle off, as on the client: replies are small frames, and with it
-    // on the second reply to a pipelining client waits for the ACK of
-    // the first, which rides on the client's *next* request.
+    // The read timeout is the idle window (see `frame::read_frame_event`),
+    // and so is the write timeout: a peer that takes no reply bytes for
+    // that long is closed (see `writer_loop`). Nagle off, as on the
+    // client: replies are small frames, and with it on the second reply
+    // to a pipelining client waits for the ACK of the first, which rides
+    // on the client's *next* request.
     if stream.set_read_timeout(Some(config.idle_timeout)).is_err()
+        || stream.set_write_timeout(Some(config.idle_timeout)).is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;
@@ -384,7 +403,7 @@ fn serve_connection(
     }
 
     // Writer thread: resolves replies FIFO, writes response frames.
-    let (tx, rx) = mpsc::channel::<Reply>();
+    let (tx, rx) = mpsc::sync_channel::<Reply>(REPLY_QUEUE);
     let max_frame = config.max_frame;
     let writer = std::thread::Builder::new()
         .name("fe-net-write".into())
@@ -413,7 +432,7 @@ fn serve_connection(
                     Err(e) => Reply::Ready(id, Err(WireError::from_protocol(&e))),
                 };
                 if tx.send(reply).is_err() {
-                    break; // writer died (peer stopped reading)
+                    break; // writer gone (peer stopped reading)
                 }
             }
             Ok(FrameEvent::Closed) => break,
@@ -586,8 +605,16 @@ fn writer_loop(
                 }
             }
         }
-        if stream.write_all(frame.as_slice()).is_err() {
-            return; // peer gone; reader will notice EOF and wind down
+        if let Err(e) = stream.write_all(frame.as_slice()) {
+            // Peer gone, or it took no bytes for the idle window; the
+            // reader finds the channel closed and winds down.
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                metrics.idle_closed.fetch_add(1, Ordering::Relaxed);
+            }
+            return;
         }
     }
 }

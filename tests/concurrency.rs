@@ -377,6 +377,114 @@ fn readers_see_every_finished_insert_and_nothing_unwritten() {
     assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
 }
 
+/// The head's publication rule at the paper shape (`t = 100`,
+/// `ka = 400`, `dim = 64`), where the prefilter plane is 8 lanes deep
+/// and the only home of each row's first 8 bucket bytes: a row's
+/// column bytes and its plane bytes — in a group that the row opened,
+/// or in one still open — must both be in place before the row count
+/// that shows the row. One writer appends across dozens of seals and
+/// many more 64-row groups, revoking some rows while they are still in
+/// the head, and lock-free readers must find every finished row and
+/// never a half-written one: `torn(k)` is row `k` with its first 8
+/// coordinates at 0, what unstored plane bytes decode to, and no row
+/// has a coordinate within `t` of 0, so only a row read with its plane
+/// bytes missing could match it.
+///
+/// Row `i` is the only row `pattern(i)` matches: each coordinate is
+/// ±110 by one of the low 16 bits of `i`, and the two values are
+/// 180 > t apart. The first 8 bits decide phase 1, the next 8 phase 2,
+/// so both phases and the open group's row-by-row path are exercised.
+#[test]
+fn readers_see_every_finished_insert_at_the_paper_shape() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    const ROWS: usize = 30_000;
+    const DIM: usize = 64;
+    const PLANE: usize = 8;
+    let (t, ka) = (100u64, 400u64);
+    let pattern = |i: usize| -> Vec<i64> {
+        (0..DIM)
+            .map(|d| if (i >> (d % 16)) & 1 == 1 { 110 } else { -110 })
+            .collect()
+    };
+    let torn = |i: usize| -> Vec<i64> {
+        let mut row = pattern(i);
+        row[..PLANE].fill(0);
+        row
+    };
+    let revoked = |i: usize| i % 7 == 3;
+
+    // Seal every 352 rows (5½ groups): 85 seals, each a head handed
+    // over mid-group while the readers sweep it.
+    let mut index = EpochIndex::with_seal_rows(t, ka, FilterConfig::default(), 352);
+    let reader = index.reader();
+    let (started, done, checks) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+    // Set once the writer stops, finished or not, so that a reader
+    // outlives a sibling's failed assertion by one lookup at most.
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|seed| {
+                let reader = reader.clone();
+                let (started, done, checks, stop) = (&started, &done, &checks, &stop);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        if finished > 0 {
+                            let j = rng.gen_range(0..finished);
+                            let expect = (!revoked(j)).then_some(j);
+                            assert_eq!(reader.find_first(&pattern(j)), expect, "finished row {j}");
+                        }
+                        // A row at or past `done` may be in flight: it
+                        // is found whole or not at all, and never
+                        // before the writer started it.
+                        let k = (finished + rng.gen_range(0..3usize)).min(ROWS - 1);
+                        let batch = reader.find_first_batch(&[pattern(k), torn(k)]);
+                        let begun = started.load(Ordering::Acquire);
+                        if let Some(id) = batch[0] {
+                            assert_eq!(id, k, "pattern {k} matched another row");
+                            assert!(id < begun, "row {id} seen before its insert began");
+                        }
+                        assert_eq!(
+                            batch[1], None,
+                            "row {k} was visible without its plane bytes"
+                        );
+                        checks.fetch_add(1, Ordering::Release);
+                        if finished == ROWS || stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        // A reader that stopped early failed an assertion; the scope
+        // re-raises it once the writer stops too.
+        let alive = || readers.iter().all(|r| !r.is_finished());
+        for i in (0..ROWS).take_while(|_| alive()) {
+            started.store(i + 1, Ordering::Release);
+            assert_eq!(index.insert(&pattern(i)), i);
+            if revoked(i) {
+                assert!(index.remove(i));
+            }
+            done.store(i + 1, Ordering::Release);
+            if i % 32 == 0 {
+                let seen = checks.load(Ordering::Acquire);
+                while checks.load(Ordering::Acquire) == seen && alive() {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+        stop.store(true, Ordering::Release);
+    });
+    assert_eq!((index.segments().len(), index.staging_rows()), (85, 80));
+    assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
+}
+
 /// `enroll_unique` is atomic across shards: four threads enroll one
 /// biometric under four ids at once, released together by a barrier,
 /// round after round on a four-shard server. Each round exactly one id

@@ -418,8 +418,35 @@ fn default_head_is_capped_by_rows_and_by_bytes() {
     }
 }
 
+/// Each sketch is held once, at 9 bits a coordinate: past its first
+/// seal at the paper shape (`t = 100`, `ka = 400`, `dim = 64`, a plane
+/// 8 lanes deep), 64 more rows cost an index exactly 64 × 72 B — 64 of
+/// row column and 8 of plane each — and one tombstone word, 72.125 B a
+/// row (80.125 while the plane held a copy of each row's first 8
+/// bytes), and the whole index stays within a hundredth of a byte a row
+/// of that.
+#[test]
+fn a_paper_row_costs_nine_bits_a_coordinate_and_a_liveness_bit() {
+    let mut rng = StdRng::seed_from_u64(72);
+    let mut index = EpochIndex::new(100, 400);
+    let mut insert = |index: &mut EpochIndex, n: usize| {
+        for _ in 0..n {
+            let row: Vec<i64> = (0..64).map(|_| rng.gen_range(-199..=200)).collect();
+            index.insert(&row);
+        }
+    };
+    insert(&mut index, 65_536 + 64);
+    assert_eq!((index.segments().len(), index.staging_rows()), (1, 64));
+    let before = index.heap_bytes();
+    insert(&mut index, 64);
+    let per_row = (index.heap_bytes() - before) as f64 / 64.0;
+    assert_eq!(per_row, 72.125);
+    let overall = index.heap_bytes() as f64 / index.len() as f64;
+    assert!(overall - 72.125 < 0.01, "{overall} B a row");
+}
+
 /// Reserving is not residing: 64 default indices that each took one
-/// row have 64 × 5 MiB of head reserved (4.5 of packed rows, 0.5 of
+/// row have 64 × 4.5 MiB of head reserved (4 of row columns, 0.5 of
 /// plane), and the process must not
 /// have grown by even an eighth of that — the reservation is left
 /// uninitialised and untouched, the kernel's zero page until rows land
@@ -448,7 +475,7 @@ fn a_reserved_head_is_not_resident() {
     assert!(indices.iter().all(|index| index.staging_rows() == 1));
     assert!(
         grown < 40 << 20,
-        "64 one-row indices made {} MiB resident of the 320 MiB they reserve",
+        "64 one-row indices made {} MiB resident of the 288 MiB they reserve",
         grown >> 20
     );
 }

@@ -600,6 +600,57 @@ fn shutdown_does_not_wait_for_the_poll_tick() {
     );
 }
 
+/// A peer that pipelines requests and never reads its replies: the
+/// server reads no faster than the peer takes answers, so at most the
+/// connection's 64 queued replies and the one its reader holds are
+/// dispatched and unanswered, and a peer that takes no reply bytes for
+/// the idle window is closed — its writer's stalled write cannot wedge
+/// shutdown.
+#[test]
+fn a_peer_that_stops_reading_holds_bounded_memory_and_cannot_wedge_shutdown() {
+    let (params, _sched, server, _device, _rng) = stack(
+        64,
+        NetConfig {
+            idle_timeout: Duration::from_secs(1),
+            ..NetConfig::default()
+        },
+        0x5104,
+    );
+    let stream = handshaken(&server, &params);
+    let mut frames = Vec::new();
+    for id in 0..300_000u64 {
+        let req = envelope::encode_request(id, &Message::Revoke { id: "ghost".into() });
+        write_frame(&mut frames, &req, DEFAULT_MAX_FRAME).unwrap();
+    }
+    let mut write_half = stream.try_clone().unwrap();
+    // Ends when the server closes the connection.
+    let writer = std::thread::spawn(move || write_half.write_all(&frames).is_err());
+    std::thread::sleep(Duration::from_secs(1));
+    let m = server.metrics();
+    let unanswered = m.requests() - m.responses_ok() - m.responses_err();
+    assert!(
+        unanswered <= 65,
+        "{unanswered} requests dispatched and unanswered for a peer that reads nothing \
+         ({} dispatched)",
+        m.requests()
+    );
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        server.shutdown();
+        let _ = done.send(start.elapsed());
+    });
+    let elapsed = stopped
+        .recv_timeout(Duration::from_secs(3))
+        .expect("shutdown wedged behind a peer that stopped reading");
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "shutdown took {elapsed:?}"
+    );
+    assert!(writer.join().unwrap(), "the server closed the connection");
+    drop(stream);
+}
+
 /// The idle window is the socket's read timeout, which cannot be zero:
 /// a zero window is refused up front instead of closing every
 /// connection before its hello.

@@ -1195,9 +1195,9 @@ fn packed_bits_per_coordinate_track_theorem_3() {
 /// `heap_bytes` accounting under enroll/revoke/compact churn: memory
 /// tracks the live population (bounded under churn with compaction)
 /// and the ring-adaptive layout (9 bits/coordinate at paper `ka`),
-/// **including** the prefilter plane's packed lanes (1 byte per plane
-/// cell on the default vectorized index — paper `ka` takes the
-/// quantized byte plane).
+/// each sketch held once — the prefilter plane's packed lanes hold a
+/// row's first 8 bucket bytes on the default vectorized index, and its
+/// row column the rest.
 #[test]
 fn heap_bytes_accounting_under_churn() {
     let (t, ka, dim) = (100u64, 400u64, 64usize);
@@ -1206,17 +1206,18 @@ fn heap_bytes_accounting_under_churn() {
         index.insert(&vec![i % 200; dim]);
     }
     let full = index.heap_bytes();
-    // Packed rows: the column buffer is dim × 9 bits per row; the
-    // plane adds 8 lanes × 1 byte per row; the bitmap 1 bit per row;
-    // capacity slack stays below one doubling.
-    assert!(full >= 1_000 * dim * 9 / 8 + 1_000 / 64 * 64 * 8 + 1_000 / 8);
+    // Packed rows: dim × 9 bits per row, row column and plane lanes
+    // together; the bitmap 1 bit per row; capacity slack stays below
+    // one doubling.
+    assert!(full >= 1_000 * dim * 9 / 8 + 1_000 / 8);
     assert!(
-        full <= 2 * 1_000 * (dim * 9 / 8 + 8 + 1),
+        full <= 2 * 1_000 * (dim * 9 / 8 + 1),
         "unexpected slack: {full}"
     );
-    // The plane is the only difference from a scalar index over the
-    // same rows, and `reserve` pre-sizes it: a pre-sized load must
-    // end exactly where it started, plane lanes included.
+    // A filtered index holds what a scalar one over the same rows
+    // does — the plane is not a copy — and `reserve` pre-sizes it: a
+    // pre-sized load must end exactly where it started, plane lanes
+    // included.
     let mut scalar = ScanIndex::with_filter(t, ka, FilterConfig::disabled());
     let mut sized = ScanIndex::new(t, ka);
     scalar.reserve(1_000, dim);
@@ -1231,13 +1232,12 @@ fn heap_bytes_accounting_under_churn() {
         reserved,
         "reserve must pre-size the filter plane too"
     );
-    // (The plane holds whole 64-row groups; the open group's rows are
-    // verified from their cells.)
-    assert!(
-        sized.heap_bytes() >= scalar.heap_bytes() + 1_000 / 64 * 64 * 8,
-        "plane bytes unaccounted: {} vs {}",
+    // (The plane reserves whole 64-row groups: the open group's lanes
+    // past the last row are the only difference.)
+    assert_eq!(
         sized.heap_bytes(),
-        scalar.heap_bytes()
+        scalar.heap_bytes() + (1_000usize.div_ceil(64) * 64 - 1_000) * 8,
+        "plane bytes unaccounted or held twice"
     );
 
     // Revocation alone reclaims nothing (tombstones keep their cells)…
@@ -1293,14 +1293,14 @@ fn epoch_heap_bytes_covers_segments_planes_and_garbage() {
     }
     assert_eq!((index.segments().len(), index.staging_rows()), (15, 40));
     let full = index.heap_bytes();
-    // Floor: packed rows (9 bits × dim) and the tombstone bitmap per row,
-    // plus plane lanes (8 × 1 byte — paper `ka` takes the quantized
-    // byte plane) for the rows in complete 64-row groups, across all
-    // tiers. Ceiling: the same plus per-segment metadata and two
-    // segment lists — under 300 B for each of the 16 tiers, 6% more,
-    // not a multiple: nothing is held twice, and the head is charged
-    // for its 40 rows, not for the 64 it has reserved.
-    let floor = 1_000 * dim * 9 / 8 + 960 * 8 + 1_000 / 8;
+    // Floor: every row once at 9 bits × dim — row column and plane
+    // lanes (8 × 1 byte — paper `ka` takes the quantized byte plane)
+    // together — and the tombstone bitmap per row, across all tiers.
+    // Ceiling: the same plus per-segment metadata and two segment
+    // lists — under 300 B for each of the 16 tiers, 7% more, not a
+    // multiple: nothing is held twice, and the head is charged for its
+    // 40 rows, not for the 64 it has reserved.
+    let floor = 1_000 * dim * 9 / 8 + 1_000 / 8;
     assert!(full >= floor);
     assert!(full <= floor + 16 * 300, "unexpected slack: {full}");
 
