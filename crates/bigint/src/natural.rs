@@ -89,16 +89,6 @@ impl Natural {
             _ => None,
         }
     }
-
-    /// Converts to `u128` if the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some((self.limbs[0] as u128) | ((self.limbs[1] as u128) << 64)),
-            _ => None,
-        }
-    }
 }
 
 impl From<u64> for Natural {
@@ -184,10 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn u128_roundtrip() {
-        let v = 0x1234_5678_9abc_def0_1111_2222_3333_4444u128;
-        let n = Natural::from(v);
-        assert_eq!(n.to_u128(), Some(v));
+    fn from_u128_is_two_limbs() {
+        let n = Natural::from(0x1234_5678_9abc_def0_1111_2222_3333_4444u128);
+        assert_eq!(n.limbs(), &[0x1111_2222_3333_4444, 0x1234_5678_9abc_def0]);
         assert_eq!(n.to_u64(), None);
     }
 

@@ -61,29 +61,6 @@ impl Natural {
         }
         true
     }
-
-    /// Deterministic check against the small-prime table only (used in
-    /// tests and as a fast pre-filter). Returns `None` when the table is
-    /// not conclusive.
-    pub fn trial_division(&self) -> Option<bool> {
-        if self < &2u64 {
-            return Some(false);
-        }
-        for &p in &SMALL_PRIMES {
-            let pn = Natural::from(p);
-            if self == &pn {
-                return Some(true);
-            }
-            if self.rem_nat(&pn).is_zero() {
-                return Some(false);
-            }
-        }
-        let last = *SMALL_PRIMES.last().unwrap();
-        if self <= &(last * last) {
-            return Some(true); // no prime factor ≤ sqrt(self)
-        }
-        None
-    }
 }
 
 /// Generates a random probable prime with exactly `bits` bits
@@ -162,18 +139,5 @@ mod tests {
             assert_eq!(p.bit_length(), bits, "bits={bits}");
             assert!(p.is_probable_prime(16, &mut r));
         }
-    }
-
-    #[test]
-    fn trial_division_verdicts() {
-        assert_eq!(Natural::from(1u64).trial_division(), Some(false));
-        assert_eq!(Natural::from(2u64).trial_division(), Some(true));
-        assert_eq!(Natural::from(4u64).trial_division(), Some(false));
-        assert_eq!(Natural::from(283u64).trial_division(), Some(true)); // 283 < 281²
-                                                                        // Large number with no small factors: inconclusive.
-        let p = Natural::power_of_two(127)
-            .checked_sub(&Natural::one())
-            .unwrap();
-        assert_eq!(p.trial_division(), None);
     }
 }

@@ -48,11 +48,6 @@ impl UniformQuantizer {
         idx.min(self.levels as i64 - 1)
     }
 
-    /// Maps a vector of features.
-    pub fn quantize_vec(&self, values: &[f64]) -> Vec<i64> {
-        values.iter().map(|&v| self.quantize(v)).collect()
-    }
-
     /// Returns the centre of cell `level`.
     ///
     /// # Panics
@@ -63,15 +58,6 @@ impl UniformQuantizer {
             "level {level} out of range"
         );
         self.min + (level as f64 + 0.5) * self.step()
-    }
-
-    /// How many cells a continuous perturbation of magnitude `delta` can
-    /// move a feature by, in the worst case: `ceil(delta / step)`.
-    ///
-    /// Useful for choosing the sketch threshold `t` from a sensor noise
-    /// specification.
-    pub fn worst_case_cell_shift(&self, delta: f64) -> u64 {
-        (delta / self.step()).ceil() as u64
     }
 }
 
@@ -111,20 +97,6 @@ mod tests {
             let rt = q.dequantize(q.quantize(v));
             assert!((rt - v).abs() <= q.step() / 2.0 + 1e-12, "v={v}");
         }
-    }
-
-    #[test]
-    fn vector_quantization() {
-        let q = UniformQuantizer::new(0.0, 1.0, 10);
-        assert_eq!(q.quantize_vec(&[0.05, 0.55, 0.95]), vec![0, 5, 9]);
-    }
-
-    #[test]
-    fn worst_case_shift() {
-        let q = UniformQuantizer::new(0.0, 100.0, 100); // step = 1
-        assert_eq!(q.worst_case_cell_shift(2.5), 3);
-        assert_eq!(q.worst_case_cell_shift(1.0), 1);
-        assert_eq!(q.worst_case_cell_shift(0.0), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::key::ExtractedKey;
 use crate::SketchError;
 use fe_crypto::ct::ct_eq;
 use fe_crypto::extractor::{HmacExtractor, StrongExtractor};
-use fe_crypto::{Digest, Sha256};
+use fe_crypto::Sha256;
 use fe_ecc::Bch;
 use fe_metrics::BitVec;
 use rand::Rng;

@@ -81,11 +81,6 @@ impl FuzzyVault {
         })
     }
 
-    /// The secret length in field elements.
-    pub fn secret_len(&self) -> usize {
-        self.poly_len
-    }
-
     /// Locks `secret` under the feature set.
     ///
     /// # Errors

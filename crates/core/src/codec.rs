@@ -49,7 +49,7 @@
 
 use crate::fuzzy::HelperData;
 use crate::robust::RobustData;
-use fe_crypto::{Digest, Sha256};
+use fe_crypto::Sha256;
 use std::error::Error;
 use std::fmt;
 
@@ -796,14 +796,10 @@ pub fn decode_sketch(bytes: &[u8], fingerprint: &Fingerprint) -> Result<Vec<i64>
     Ok(sketch)
 }
 
-/// The helper-data shape the paper's default stack produces: robust
-/// Chebyshev sketch (movement vector + binding tag) plus extractor seed.
-pub type CanonicalHelper = HelperData<RobustData<Vec<i64>>>;
-
 /// Writes helper data fields in `version`'s layout (no header — callers
 /// embed this in larger records; see [`encode_helper`] for the
 /// standalone artifact).
-pub fn put_helper(w: &mut Writer, helper: &CanonicalHelper, version: Version) {
+pub fn put_helper(w: &mut Writer, helper: &HelperData, version: Version) {
     w.put_sketch(&helper.sketch.inner, version);
     w.put_field(&helper.sketch.tag, version);
     w.put_field(&helper.seed, version);
@@ -814,7 +810,7 @@ pub fn put_helper(w: &mut Writer, helper: &CanonicalHelper, version: Version) {
 /// # Errors
 /// [`CodecError::Truncated`] on short input; [`CodecError::Malformed`]
 /// on a non-canonical version-2 field.
-pub fn get_helper(r: &mut Reader<'_>, version: Version) -> Result<CanonicalHelper, CodecError> {
+pub fn get_helper(r: &mut Reader<'_>, version: Version) -> Result<HelperData, CodecError> {
     let inner = r.get_sketch(version)?;
     let tag = r.get_field(version)?.to_vec();
     let seed = r.get_field(version)?.to_vec();
@@ -825,7 +821,7 @@ pub fn get_helper(r: &mut Reader<'_>, version: Version) -> Result<CanonicalHelpe
 }
 
 /// Encodes helper data as a standalone self-describing artifact.
-pub fn encode_helper(helper: &CanonicalHelper, fingerprint: &Fingerprint) -> Vec<u8> {
+pub fn encode_helper(helper: &HelperData, fingerprint: &Fingerprint) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_header(ArtifactKind::Helper, fingerprint);
     put_helper(&mut w, helper, FORMAT_VERSION);
@@ -837,10 +833,7 @@ pub fn encode_helper(helper: &CanonicalHelper, fingerprint: &Fingerprint) -> Vec
 ///
 /// # Errors
 /// Any [`CodecError`] raised by header validation or truncation.
-pub fn decode_helper(
-    bytes: &[u8],
-    fingerprint: &Fingerprint,
-) -> Result<CanonicalHelper, CodecError> {
+pub fn decode_helper(bytes: &[u8], fingerprint: &Fingerprint) -> Result<HelperData, CodecError> {
     let mut r = Reader::new(bytes);
     let version = r.read_header(ArtifactKind::Helper, fingerprint)?;
     let helper = get_helper(&mut r, version)?;
@@ -866,7 +859,7 @@ mod tests {
 
     #[test]
     fn helper_roundtrip() {
-        let helper = CanonicalHelper {
+        let helper = HelperData {
             sketch: RobustData {
                 inner: vec![-200, 137, 0],
                 tag: vec![7; 32],
@@ -903,7 +896,7 @@ mod tests {
         ));
         // Wrong kind: a helper artifact refuses to decode as a sketch.
         let helper_bytes = encode_helper(
-            &CanonicalHelper {
+            &HelperData {
                 sketch: RobustData {
                     inner: vec![],
                     tag: vec![],
@@ -921,7 +914,7 @@ mod tests {
     #[test]
     fn truncation_never_panics() {
         let bytes = encode_helper(
-            &CanonicalHelper {
+            &HelperData {
                 sketch: RobustData {
                     inner: vec![1, 2, 3],
                     tag: vec![9; 16],
@@ -941,7 +934,7 @@ mod tests {
     #[test]
     fn version_1_artifacts_still_decode() {
         let sketch = vec![i64::MIN, -200, 0, 200, i64::MAX];
-        let helper = CanonicalHelper {
+        let helper = HelperData {
             sketch: RobustData {
                 inner: sketch.clone(),
                 tag: vec![7; 32],

@@ -10,11 +10,13 @@
 /// dimensions (no vector is a prefix of another's encoding).
 ///
 /// ```rust
-/// use fe_core::{decode_i64_vector, encode_i64_vector};
+/// use fe_core::encode_i64_vector;
 ///
-/// let v = vec![1i64, -2, i64::MAX];
-/// let bytes = encode_i64_vector(&v);
-/// assert_eq!(decode_i64_vector(&bytes), Some(v));
+/// let bytes = encode_i64_vector(&[1i64, -2]);
+/// assert_eq!(bytes.len(), 8 + 2 * 8);
+/// assert_eq!(bytes[..8], 2u64.to_be_bytes());
+/// assert_eq!(bytes[8..16], 1i64.to_be_bytes());
+/// assert_eq!(bytes[16..], (-2i64).to_be_bytes());
 /// ```
 pub fn encode_i64_vector(v: &[i64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + v.len() * 8);
@@ -25,33 +27,9 @@ pub fn encode_i64_vector(v: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Decodes a vector produced by [`encode_i64_vector`]; `None` on
-/// malformed input (wrong length or truncation).
-pub fn decode_i64_vector(bytes: &[u8]) -> Option<Vec<i64>> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let len = u64::from_be_bytes(bytes[..8].try_into().ok()?) as usize;
-    if bytes.len() != 8 + len * 8 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(len);
-    for chunk in bytes[8..].chunks_exact(8) {
-        out.push(i64::from_be_bytes(chunk.try_into().ok()?));
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip() {
-        for v in [vec![], vec![0i64], vec![1, -1, i64::MIN, i64::MAX]] {
-            assert_eq!(decode_i64_vector(&encode_i64_vector(&v)), Some(v));
-        }
-    }
 
     #[test]
     fn injective_across_dimensions() {
@@ -59,16 +37,5 @@ mod tests {
         assert_ne!(encode_i64_vector(&[0]), encode_i64_vector(&[0, 0]));
         // [1, 2] vs [258] (raw-byte collision risk without framing).
         assert_ne!(encode_i64_vector(&[1, 2]), encode_i64_vector(&[258]));
-    }
-
-    #[test]
-    fn malformed_rejected() {
-        assert_eq!(decode_i64_vector(&[]), None);
-        assert_eq!(decode_i64_vector(&[0; 7]), None);
-        let mut good = encode_i64_vector(&[5]);
-        good.pop();
-        assert_eq!(decode_i64_vector(&good), None);
-        good.extend_from_slice(&[0, 0]);
-        assert_eq!(decode_i64_vector(&good), None);
     }
 }

@@ -12,9 +12,8 @@
 use crate::baselines::{BinaryFuzzyExtractor, BinaryHelperData};
 use crate::fuzzy::HelperData;
 use crate::key::ExtractedKey;
-use crate::robust::RobustData;
-use crate::{DefaultFuzzyExtractor, SketchError};
-use fe_crypto::{Hkdf, Sha256};
+use crate::{FuzzyExtractor, SketchError};
+use fe_crypto::Hkdf;
 use fe_metrics::BitVec;
 use rand::RngCore;
 
@@ -22,7 +21,7 @@ use rand::RngCore;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedHelperData {
     /// Helper data of the Chebyshev (feature-vector) modality.
-    pub vector: HelperData<RobustData<Vec<i64>>>,
+    pub vector: HelperData,
     /// Helper data of the Hamming (bit-string) modality.
     pub binary: BinaryHelperData,
 }
@@ -59,7 +58,7 @@ pub struct FusedHelperData {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FusedExtractor {
-    vector: DefaultFuzzyExtractor,
+    vector: FuzzyExtractor,
     binary: BinaryFuzzyExtractor,
     key_len: usize,
 }
@@ -67,11 +66,7 @@ pub struct FusedExtractor {
 impl FusedExtractor {
     /// Combines the two modality extractors; the fused key has
     /// `key_len` bytes.
-    pub fn new(
-        vector: DefaultFuzzyExtractor,
-        binary: BinaryFuzzyExtractor,
-        key_len: usize,
-    ) -> Self {
+    pub fn new(vector: FuzzyExtractor, binary: BinaryFuzzyExtractor, key_len: usize) -> Self {
         FusedExtractor {
             vector,
             binary,
@@ -80,7 +75,7 @@ impl FusedExtractor {
     }
 
     /// The Chebyshev-modality extractor.
-    pub fn vector_extractor(&self) -> &DefaultFuzzyExtractor {
+    pub fn vector_extractor(&self) -> &FuzzyExtractor {
         &self.vector
     }
 
@@ -93,7 +88,7 @@ impl FusedExtractor {
         let mut ikm = Vec::with_capacity(k1.len() + k2.len());
         ikm.extend_from_slice(k1.as_bytes());
         ikm.extend_from_slice(k2.as_bytes());
-        ExtractedKey::new(Hkdf::<Sha256>::derive(
+        ExtractedKey::new(Hkdf::derive(
             &ikm,
             b"fe-fusion-v1",
             b"and-fusion",

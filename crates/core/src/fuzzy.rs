@@ -1,69 +1,63 @@
 //! The fuzzy extractor `Gen`/`Rep` (Definition 2 + the generic
-//! construction of Sec. II-A/IV-C): secure sketch + strong extractor.
+//! construction of Sec. II-A/IV-C): secure sketch + strong extractor,
+//! instantiated as the paper's Table II stack.
 
 use crate::chebyshev::ChebyshevSketch;
 use crate::encode::encode_i64_vector;
 use crate::key::ExtractedKey;
-use crate::robust::{RobustSketch, SketchBytes};
+use crate::robust::{RobustData, RobustSketch};
 use crate::sketch::SecureSketch;
 use crate::SketchError;
 use fe_crypto::extractor::{HmacExtractor, StrongExtractor};
-use fe_crypto::{Digest, Sha256};
 use rand::RngCore;
 
-/// Public helper data `P = (s, r)`: the sketch plus the extractor seed
-/// (Sec. IV-C `Gen`).
+/// Public helper data `P = (s, r)`: the robust sketch plus the extractor
+/// seed (Sec. IV-C `Gen`).
 ///
 /// Publishing `P` leaks at most the sketch's entropy loss (Theorem 3);
 /// the extracted key stays statistically close to uniform given `P`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HelperData<S> {
-    /// The (robust) sketch `s`.
-    pub sketch: S,
+pub struct HelperData {
+    /// The robust sketch `s`.
+    pub sketch: RobustData,
     /// The strong-extractor seed `r`.
     pub seed: Vec<u8>,
 }
 
-/// A fuzzy extractor built from a secure sketch and a strong extractor.
+/// The paper's fuzzy extractor: the robust Chebyshev sketch (SHA-256
+/// tag) and the HMAC-SHA-256 extractor.
 ///
 /// `Gen(x)` returns `(R, P)`; `Rep(y, P)` reproduces `R` whenever `y` is
 /// within the sketch's acceptance distance of `x`.
-///
-/// The [`crate::DefaultFuzzyExtractor`] alias instantiates this with the
-/// paper's stack (Chebyshev sketch, SHA-256 robust tag, HMAC-SHA-256
-/// extractor); [`FuzzyExtractor::with_defaults`] is the convenient
-/// constructor.
 #[derive(Debug, Clone)]
-pub struct FuzzyExtractor<S, E> {
-    sketcher: S,
-    extractor: E,
+pub struct FuzzyExtractor {
+    sketcher: RobustSketch,
+    extractor: HmacExtractor,
 }
 
-impl<S, E> FuzzyExtractor<S, E>
-where
-    S: SecureSketch,
-    E: StrongExtractor,
-{
-    /// Builds from parts.
-    pub fn new(sketcher: S, extractor: E) -> Self {
+impl FuzzyExtractor {
+    /// The paper's instantiation over `sketch`, extracting `key_len`
+    /// bytes.
+    pub fn with_defaults(sketch: ChebyshevSketch, key_len: usize) -> Self {
         FuzzyExtractor {
-            sketcher,
-            extractor,
+            sketcher: RobustSketch::new(sketch),
+            extractor: HmacExtractor::new(key_len),
         }
     }
 
-    /// Borrows the sketch scheme.
-    pub fn sketch_scheme(&self) -> &S {
+    /// Borrows the robust sketch scheme.
+    pub fn sketch_scheme(&self) -> &RobustSketch {
         &self.sketcher
     }
 
-    /// Borrows the extractor.
-    pub fn extractor(&self) -> &E {
-        &self.extractor
+    /// The Chebyshev sketcher (for line/threshold introspection).
+    pub fn sketcher(&self) -> &ChebyshevSketch {
+        self.sketcher.inner()
     }
 
     /// `Gen(x) → (R, P)`: sketches `x`, draws a fresh extractor seed, and
-    /// extracts the key.
+    /// extracts the key from the canonical `w` that `Rep` will recover —
+    /// recovered, tagged and encoded once, inside the robust sketch.
     ///
     /// # Errors
     /// Propagates sketch errors ([`SketchError`]).
@@ -71,17 +65,11 @@ where
         &self,
         input: &[i64],
         rng: &mut R,
-    ) -> Result<(ExtractedKey, HelperData<S::Sketch>), SketchError> {
-        let sketch = self.sketcher.sketch(input, rng)?;
-        // The key must be derived from the canonical representative that
-        // Rep will reconstruct.
-        let canonical = self.sketcher.recover(input, &sketch)?;
-        let mut seed = vec![0u8; self.extractor.seed_len(encode_i64_vector(&canonical).len())];
+    ) -> Result<(ExtractedKey, HelperData), SketchError> {
+        let (sketch, canonical) = self.sketcher.sketch_encoded(input, rng)?;
+        let mut seed = vec![0u8; self.extractor.seed_len(canonical.len())];
         rng.fill_bytes(&mut seed);
-        let key = ExtractedKey::new(
-            self.extractor
-                .extract(&encode_i64_vector(&canonical), &seed),
-        );
+        let key = ExtractedKey::new(self.extractor.extract(&canonical, &seed));
         Ok((key, HelperData { sketch, seed }))
     }
 
@@ -96,7 +84,7 @@ where
     pub fn reproduce(
         &self,
         reading: &[i64],
-        helper: &HelperData<S::Sketch>,
+        helper: &HelperData,
     ) -> Result<ExtractedKey, SketchError> {
         let recovered = self.sketcher.recover(reading, &helper.sketch)?;
         self.extract_key(&recovered, &helper.seed)
@@ -119,40 +107,13 @@ where
     }
 }
 
-impl<D, E> FuzzyExtractor<RobustSketch<ChebyshevSketch, D>, E>
-where
-    D: Digest,
-    E: StrongExtractor,
-{
-    /// The paper's concrete sketcher (for line/threshold introspection).
-    pub fn sketcher(&self) -> &ChebyshevSketch {
-        self.sketch_scheme().inner()
-    }
-}
-
-impl FuzzyExtractor<RobustSketch<ChebyshevSketch, Sha256>, HmacExtractor> {
-    /// The paper's instantiation: robust Chebyshev sketch (SHA-256 tag)
-    /// plus HMAC-SHA-256 extractor producing `key_len` bytes.
-    pub fn with_defaults(sketch: ChebyshevSketch, key_len: usize) -> Self {
-        FuzzyExtractor::new(RobustSketch::new(sketch), HmacExtractor::new(key_len))
-    }
-}
-
-// Re-check the SketchBytes bound is satisfied for the default stack (a
-// compile-time assertion more than anything).
-const _: fn() = || {
-    fn assert_impl<T: SketchBytes>() {}
-    assert_impl::<Vec<i64>>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DefaultFuzzyExtractor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn extractor() -> DefaultFuzzyExtractor {
+    fn extractor() -> FuzzyExtractor {
         FuzzyExtractor::with_defaults(ChebyshevSketch::paper_defaults(), 32)
     }
 

@@ -195,13 +195,6 @@ impl FilterConfig {
         self.depth = depth;
         self
     }
-
-    /// Replaces the vector kernel.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: FilterKernel) -> FilterConfig {
-        self.kernel = kernel;
-        self
-    }
 }
 
 impl Default for FilterConfig {
@@ -950,7 +943,10 @@ mod tests {
     fn avx2_pin_matches_scalar() {
         // The ablation knob that caps dispatch at AVX2 (SWAR off
         // x86-64) must stay result-identical too.
-        let pinned = FilterConfig::default().with_kernel(FilterKernel::Avx2);
+        let pinned = FilterConfig {
+            kernel: FilterKernel::Avx2,
+            ..FilterConfig::default()
+        };
         for dim in [32, 8, 3] {
             check_filtered_matches_scalar(pinned, 100, 400, dim);
         }

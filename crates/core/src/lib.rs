@@ -9,9 +9,10 @@
 //!   (`SS`/`Rec` with the boundary-point coin flips), correct for readings
 //!   within Chebyshev distance `t < ka/2` (Theorem 1).
 //! * [`RobustSketch`] — the Boyen et al. hash-binding wrapper of
-//!   Sec. IV-C, which detects helper-data tampering.
-//! * [`FuzzyExtractor`] — the generic `Gen`/`Rep` construction combining a
-//!   secure sketch with a strong extractor (Sec. II / IV-C).
+//!   Sec. IV-C (a SHA-256 tag), which detects helper-data tampering.
+//! * [`FuzzyExtractor`] — the generic `Gen`/`Rep` construction (Sec. II /
+//!   IV-C) in the paper's one instantiation: the robust Chebyshev sketch
+//!   and the HMAC-SHA-256 strong extractor.
 //! * [`conditions`] — the per-coordinate match conditions (1)–(4) of the
 //!   identification protocol (Theorem 2), equivalent to a cyclic Chebyshev
 //!   test on the sketch ring.
@@ -81,7 +82,7 @@ mod robust;
 mod sketch;
 
 pub use chebyshev::ChebyshevSketch;
-pub use encode::{decode_i64_vector, encode_i64_vector};
+pub use encode::encode_i64_vector;
 pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
@@ -92,11 +93,3 @@ pub use key::ExtractedKey;
 pub use numberline::{ring_divides, NumberLine};
 pub use robust::{RobustData, RobustSketch};
 pub use sketch::SecureSketch;
-
-/// The default fuzzy extractor instantiation used throughout the paper's
-/// experiments: Chebyshev sketch → SHA-256 robust wrapper → HMAC-SHA-256
-/// extractor.
-pub type DefaultFuzzyExtractor = FuzzyExtractor<
-    RobustSketch<ChebyshevSketch, fe_crypto::Sha256>,
-    fe_crypto::extractor::HmacExtractor,
->;

@@ -226,27 +226,6 @@ impl NumberLine {
         (r - ka / 2).unsigned_abs()
     }
 
-    /// Cyclic distance between two points on the ring.
-    pub fn cyclic_distance(&self, x: i64, y: i64) -> u64 {
-        let period = self.period();
-        let diff = x.abs_diff(y) % period;
-        diff.min(period - diff)
-    }
-
-    /// Chebyshev distance between two vectors *on the ring* (maximum of
-    /// per-coordinate cyclic distances).
-    ///
-    /// # Panics
-    /// Panics if the vectors have different lengths.
-    pub fn chebyshev_distance(&self, x: &[i64], y: &[i64]) -> u64 {
-        assert_eq!(x.len(), y.len(), "dimension mismatch");
-        x.iter()
-            .zip(y.iter())
-            .map(|(&a, &b)| self.cyclic_distance(a, b))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Draws one uniform point from the canonical range.
     ///
     /// Exactly what `rng.gen_range((1 - kav/2)..=kav/2)` returns, from
@@ -560,21 +539,6 @@ pub(crate) mod tests {
         assert_eq!(l.distance_to_identifier(201), 1);
         assert_eq!(l.distance_to_identifier(399), 199);
         assert_eq!(l.distance_to_identifier(0), 200); // boundary: max distance
-    }
-
-    #[test]
-    fn cyclic_distance_examples() {
-        let l = paper_line();
-        assert_eq!(l.cyclic_distance(99_999, -99_999), 2); // across the seam
-        assert_eq!(l.cyclic_distance(0, 100_000), 100_000); // antipodal
-        assert_eq!(l.cyclic_distance(-50, 50), 100);
-    }
-
-    #[test]
-    fn chebyshev_vector_distance() {
-        let l = paper_line();
-        let d = l.chebyshev_distance(&[99_999, 0], &[-99_999, 30]);
-        assert_eq!(d, 30);
     }
 
     #[test]

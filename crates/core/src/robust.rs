@@ -1,6 +1,6 @@
 //! The robust secure sketch of Sec. IV-C: the generic hash-binding
-//! construction of Boyen et al. (EUROCRYPT 2005) applied to any secure
-//! sketch.
+//! construction of Boyen et al. (EUROCRYPT 2005) applied to the
+//! Chebyshev sketch.
 //!
 //! An active adversary can modify public helper data in storage or in
 //! transit; a plain sketch gives no guarantee in that case. The robust
@@ -8,35 +8,22 @@
 //! recovered value and rejects on mismatch, detecting both tampering and
 //! silent mis-recovery.
 
+use crate::chebyshev::ChebyshevSketch;
 use crate::encode::encode_i64_vector;
 use crate::sketch::SecureSketch;
 use crate::SketchError;
 use fe_crypto::ct::ct_eq;
-use fe_crypto::{Digest, Sha256};
+use fe_crypto::Sha256;
 use rand::RngCore;
-use std::marker::PhantomData;
 
-/// Sketch data produced by [`RobustSketch`]: the inner sketch plus the
-/// binding hash tag.
+/// Sketch data produced by [`RobustSketch`]: the Chebyshev sketch plus
+/// the binding hash tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RobustData<S> {
+pub struct RobustData {
     /// The wrapped sketch `s'`.
-    pub inner: S,
-    /// `h = H(x ‖ s')`.
+    pub inner: Vec<i64>,
+    /// `h = H(x ‖ s')`, SHA-256.
     pub tag: Vec<u8>,
-}
-
-/// A sketch whose helper data can be byte-encoded canonically (needed to
-/// feed the binding hash).
-pub trait SketchBytes {
-    /// Canonical, injective byte encoding.
-    fn sketch_bytes(&self) -> Vec<u8>;
-}
-
-impl SketchBytes for Vec<i64> {
-    fn sketch_bytes(&self) -> Vec<u8> {
-        encode_i64_vector(self)
-    }
 }
 
 /// The robust wrapper: `SS(x) = (s', H(x ‖ s'))`,
@@ -44,12 +31,11 @@ impl SketchBytes for Vec<i64> {
 ///
 /// ```rust
 /// use fe_core::{ChebyshevSketch, RobustSketch, SecureSketch, SketchError};
-/// use fe_crypto::Sha256;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), SketchError> {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let robust = RobustSketch::<_, Sha256>::new(ChebyshevSketch::paper_defaults());
+/// let robust = RobustSketch::new(ChebyshevSketch::paper_defaults());
 /// let x = robust.inner().line().random_vector(8, &mut rng);
 /// let mut data = robust.sketch(&x, &mut rng)?;
 ///
@@ -66,70 +52,70 @@ impl SketchBytes for Vec<i64> {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct RobustSketch<S, D = Sha256> {
-    inner: S,
-    _digest: PhantomData<D>,
+pub struct RobustSketch {
+    inner: ChebyshevSketch,
 }
 
-impl<S, D> RobustSketch<S, D>
-where
-    S: SecureSketch,
-    S::Sketch: SketchBytes,
-    D: Digest,
-{
-    /// Wraps an inner secure sketch.
-    pub fn new(inner: S) -> Self {
-        RobustSketch {
-            inner,
-            _digest: PhantomData,
-        }
+impl RobustSketch {
+    /// Wraps the Chebyshev sketch.
+    pub fn new(inner: ChebyshevSketch) -> Self {
+        RobustSketch { inner }
     }
 
     /// Borrows the wrapped sketch scheme.
-    pub fn inner(&self) -> &S {
+    pub fn inner(&self) -> &ChebyshevSketch {
         &self.inner
     }
 
     /// Checks the binding tag for an already-recovered value (constant
     /// time). Exposed for callers that run the inner recovery themselves
     /// (e.g. the exhaustive-scan baseline).
-    pub fn verify_tag(&self, recovered: &[i64], sketch: &RobustData<S::Sketch>) -> bool {
-        ct_eq(&Self::tag(recovered, &sketch.inner), &sketch.tag)
+    pub fn verify_tag(&self, recovered: &[i64], sketch: &RobustData) -> bool {
+        ct_eq(
+            &tag(&encode_i64_vector(recovered), &sketch.inner),
+            &sketch.tag,
+        )
     }
 
-    fn tag(x: &[i64], sketch: &S::Sketch) -> Vec<u8> {
-        let mut h = D::new();
-        h.update(b"fe-robust-sketch-v1");
-        h.update(&encode_i64_vector(x));
-        h.update(&sketch.sketch_bytes());
-        h.finalize()
+    /// `SS` that also hands back the canonical encoding of the value it
+    /// bound: `Gen` extracts its key from exactly these bytes, so it needs
+    /// neither a second `Rec` nor a second encoding.
+    pub(crate) fn sketch_encoded<R: RngCore + ?Sized>(
+        &self,
+        input: &[i64],
+        rng: &mut R,
+    ) -> Result<(RobustData, Vec<u8>), SketchError> {
+        let inner = self.inner.sketch(input, rng)?;
+        // Hash the canonical representative — what recover() will return.
+        let canonical = encode_i64_vector(&self.inner.recover(input, &inner)?);
+        let tag = tag(&canonical, &inner);
+        Ok((RobustData { inner, tag }, canonical))
     }
 }
 
-impl<S, D> SecureSketch for RobustSketch<S, D>
-where
-    S: SecureSketch,
-    S::Sketch: SketchBytes,
-    D: Digest,
-{
-    type Sketch = RobustData<S::Sketch>;
+/// `H(x ‖ s')` over the encoded value `x` and the sketch `s'`.
+fn tag(encoded: &[u8], sketch: &[i64]) -> Vec<u8> {
+    let mut h = Sha256::new();
+    h.update(b"fe-robust-sketch-v1");
+    h.update(encoded);
+    h.update(&encode_i64_vector(sketch));
+    h.finalize()
+}
+
+impl SecureSketch for RobustSketch {
+    type Sketch = RobustData;
 
     fn sketch<R: RngCore + ?Sized>(
         &self,
         input: &[i64],
         rng: &mut R,
-    ) -> Result<Self::Sketch, SketchError> {
-        let inner = self.inner.sketch(input, rng)?;
-        // Hash the canonical representative — what recover() will return.
-        let canonical = self.inner.recover(input, &inner)?;
-        let tag = Self::tag(&canonical, &inner);
-        Ok(RobustData { inner, tag })
+    ) -> Result<RobustData, SketchError> {
+        Ok(self.sketch_encoded(input, rng)?.0)
     }
 
-    fn recover(&self, reading: &[i64], sketch: &Self::Sketch) -> Result<Vec<i64>, SketchError> {
+    fn recover(&self, reading: &[i64], sketch: &RobustData) -> Result<Vec<i64>, SketchError> {
         let recovered = self.inner.recover(reading, &sketch.inner)?;
-        let expected = Self::tag(&recovered, &sketch.inner);
-        if !ct_eq(&expected, &sketch.tag) {
+        if !self.verify_tag(&recovered, sketch) {
             return Err(SketchError::TagMismatch);
         }
         Ok(recovered)
@@ -143,13 +129,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChebyshevSketch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    type Robust = RobustSketch<ChebyshevSketch, Sha256>;
-
-    fn scheme() -> Robust {
+    fn scheme() -> RobustSketch {
         RobustSketch::new(ChebyshevSketch::paper_defaults())
     }
 

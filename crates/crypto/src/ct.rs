@@ -27,14 +27,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
-/// Constant-time conditional select of a byte: `if choice { a } else { b }`
-/// without branching on `choice`.
-#[must_use]
-pub fn ct_select_u8(choice: bool, a: u8, b: u8) -> u8 {
-    let mask = (choice as u8).wrapping_neg(); // 0xff or 0x00
-    (a & mask) | (b & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,11 +43,5 @@ mod tests {
         assert!(!ct_eq(&[1, 2, 3], &[1, 2]));
         // Difference in first byte as well as last.
         assert!(!ct_eq(&[0, 2, 3], &[1, 2, 3]));
-    }
-
-    #[test]
-    fn select() {
-        assert_eq!(ct_select_u8(true, 0xaa, 0x55), 0xaa);
-        assert_eq!(ct_select_u8(false, 0xaa, 0x55), 0x55);
     }
 }

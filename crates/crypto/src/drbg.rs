@@ -5,7 +5,7 @@
 //! fuzzy-extractor output. Implements [`rand::RngCore`] so it can feed the
 //! `fe-bigint` generators directly.
 
-use crate::{Hmac, Sha256};
+use crate::Hmac;
 use rand::RngCore;
 
 /// HMAC-SHA-256 deterministic random bit generator.
@@ -21,8 +21,6 @@ use rand::RngCore;
 pub struct HmacDrbg {
     k: Vec<u8>,
     v: Vec<u8>,
-    /// Bytes generated since instantiation (diagnostic only).
-    generated: u64,
 }
 
 impl HmacDrbg {
@@ -32,7 +30,6 @@ impl HmacDrbg {
         let mut drbg = HmacDrbg {
             k: vec![0u8; 32],
             v: vec![1u8; 32],
-            generated: 0,
         };
         let seed: Vec<u8> = entropy
             .iter()
@@ -43,28 +40,23 @@ impl HmacDrbg {
         drbg
     }
 
-    /// Mixes additional entropy into the state.
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        self.update(Some(entropy));
-    }
-
     fn update(&mut self, provided: Option<&[u8]>) {
-        let mut h = Hmac::<Sha256>::new(&self.k);
+        let mut h = Hmac::new(&self.k);
         h.update(&self.v);
         h.update(&[0x00]);
         if let Some(data) = provided {
             h.update(data);
         }
         self.k = h.finalize();
-        self.v = Hmac::<Sha256>::mac(&self.k, &self.v);
+        self.v = Hmac::mac(&self.k, &self.v);
 
         if let Some(data) = provided {
-            let mut h = Hmac::<Sha256>::new(&self.k);
+            let mut h = Hmac::new(&self.k);
             h.update(&self.v);
             h.update(&[0x01]);
             h.update(data);
             self.k = h.finalize();
-            self.v = Hmac::<Sha256>::mac(&self.k, &self.v);
+            self.v = Hmac::mac(&self.k, &self.v);
         }
     }
 
@@ -72,34 +64,19 @@ impl HmacDrbg {
     pub fn generate(&mut self, out: &mut [u8]) {
         let mut filled = 0;
         while filled < out.len() {
-            self.v = Hmac::<Sha256>::mac(&self.k, &self.v);
+            self.v = Hmac::mac(&self.k, &self.v);
             let take = (out.len() - filled).min(self.v.len());
             out[filled..filled + take].copy_from_slice(&self.v[..take]);
             filled += take;
         }
         self.update(None);
-        self.generated += out.len() as u64;
-    }
-
-    /// Returns `len` deterministic pseudorandom bytes.
-    pub fn generate_vec(&mut self, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.generate(&mut out);
-        out
-    }
-
-    /// Total bytes generated since instantiation.
-    pub fn bytes_generated(&self) -> u64 {
-        self.generated
     }
 }
 
 impl std::fmt::Debug for HmacDrbg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print the internal state: it is key material.
-        f.debug_struct("HmacDrbg")
-            .field("generated", &self.generated)
-            .finish_non_exhaustive()
+        f.debug_struct("HmacDrbg").finish_non_exhaustive()
     }
 }
 
@@ -130,35 +107,31 @@ impl RngCore for HmacDrbg {
 mod tests {
     use super::*;
 
+    fn bytes(d: &mut HmacDrbg, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        d.generate(&mut out);
+        out
+    }
+
     #[test]
     fn deterministic_across_instances() {
         let mut a = HmacDrbg::new(b"entropy", b"p13n");
         let mut b = HmacDrbg::new(b"entropy", b"p13n");
-        assert_eq!(a.generate_vec(64), b.generate_vec(64));
+        assert_eq!(bytes(&mut a, 64), bytes(&mut b, 64));
     }
 
     #[test]
     fn different_seeds_diverge() {
         let mut a = HmacDrbg::new(b"entropy-1", b"");
         let mut b = HmacDrbg::new(b"entropy-2", b"");
-        assert_ne!(a.generate_vec(32), b.generate_vec(32));
+        assert_ne!(bytes(&mut a, 32), bytes(&mut b, 32));
     }
 
     #[test]
     fn personalization_matters() {
         let mut a = HmacDrbg::new(b"e", b"app-a");
         let mut b = HmacDrbg::new(b"e", b"app-b");
-        assert_ne!(a.generate_vec(32), b.generate_vec(32));
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = HmacDrbg::new(b"e", b"");
-        let mut b = HmacDrbg::new(b"e", b"");
-        let _ = a.generate_vec(16);
-        let _ = b.generate_vec(16);
-        b.reseed(b"fresh entropy");
-        assert_ne!(a.generate_vec(16), b.generate_vec(16));
+        assert_ne!(bytes(&mut a, 32), bytes(&mut b, 32));
     }
 
     #[test]
@@ -168,10 +141,10 @@ mod tests {
         // *same* call pattern must reproduce the same stream.
         let mut a = HmacDrbg::new(b"e", b"");
         let mut b = HmacDrbg::new(b"e", b"");
-        let mut got_a = a.generate_vec(16);
-        got_a.extend(a.generate_vec(16));
-        let mut got_b = b.generate_vec(16);
-        got_b.extend(b.generate_vec(16));
+        let mut got_a = bytes(&mut a, 16);
+        got_a.extend(bytes(&mut a, 16));
+        let mut got_b = bytes(&mut b, 16);
+        got_b.extend(bytes(&mut b, 16));
         assert_eq!(got_a, got_b);
     }
 
@@ -187,18 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn bytes_generated_counter() {
-        let mut d = HmacDrbg::new(b"c", b"");
-        let _ = d.generate_vec(10);
-        let _ = d.generate_vec(22);
-        assert_eq!(d.bytes_generated(), 32);
-    }
-
-    #[test]
     fn debug_does_not_leak_state() {
         let d = HmacDrbg::new(b"secret", b"");
-        let s = format!("{d:?}");
-        assert!(!s.contains("secret"));
-        assert!(s.contains("generated"));
+        assert_eq!(format!("{d:?}"), "HmacDrbg { .. }");
     }
 }

@@ -6,7 +6,7 @@
 //! nonce-reuse failure and makes protocol runs reproducible.
 
 use crate::sig::SignatureScheme;
-use crate::{Digest, HmacDrbg, Sha256};
+use crate::{HmacDrbg, Sha256};
 use fe_bigint::{gen_prime, random_below, random_bits, FixedBase, Natural};
 use rand::RngCore;
 use std::fmt;
@@ -70,6 +70,55 @@ impl fmt::Display for ParamError {
 }
 
 impl std::error::Error for ParamError {}
+
+/// Parses a fixed domain committed as hex `[p, q, g]`.
+fn fixed(hex: &[&str; 3]) -> DsaParams {
+    let [p, q, g] = hex.map(|h| Natural::from_hex(h).expect("a committed domain is hex"));
+    DsaParams::from_parts(p, q, g)
+}
+
+/// `(p, q, g)` of `generate_deterministic(512, 160, b"fe-dsa-512-fixed")`.
+const INSECURE_512: [&str; 3] = [
+    "eed10feddfbfbaf2681cd081063b1a31f5f316afdf6788c5230b0135110168cb\
+     ef92ff0311cff9c1d6aeed2e90a68359242ee51d206a7cf76c9e42807af9487d",
+    "82d621c9325498895b5c8476b5303d9762a67fd9",
+    "52adde81eaab088def06e907687c4bc78d68fd89d3eee07c95c2bbb04ad062b7\
+     b6125f18a1832fcacd112e026b7056a2b3941ed6c48281f555abd0ec34054f28",
+];
+
+/// `(p, q, g)` of `generate_deterministic(1024, 160, b"fe-dsa-1024-fixed")`.
+const DSA_1024_160: [&str; 3] = [
+    "cbe43cbaae1b50ca651142a0d8805582c55a109c5eb8b67065985d4f3bd3e86f\
+     44758f5030b10ad2ebcd4a337e1205682d3b155adf0f54e5cad8b1d9c70a18ab\
+     210fd915406cc7e0f6262c46cbafeb98d547a12e16ad87bc36e746222d8b30ba\
+     a1b8d7ce5975153a28367899ff3530aa7fd062685f1e38e2084a8a18faf11915",
+    "9cf17234507c923a97674fe07ad174fec5a5c12f",
+    "2aff63f55a3384fccf0a035d0dbd6462b946a9915317d157d7b5d765df0a353f\
+     ce06c9527109abee250f58462579c60087f03786416e076ff7037c63c4510e2a\
+     0e1d61b74c4d7e02ff7033f6adcc3058d2444ab8215cf86e2f73e8cc0f377c5c\
+     fadade705716480a8cceedc6e8d84860ff1a921524341634e1132638bceec7d0",
+];
+
+/// `(p, q, g)` of `generate_deterministic(2048, 256, b"fe-dsa-2048-fixed")`.
+const DSA_2048_256: [&str; 3] = [
+    "fcbdeb0c557ce60740c0e864b2d7190764f2164e2c7a65b5967c8d306d78f9b3\
+     b835318f58b246bcfb0fdec848f76723ef6580ca277f035fe03fb842930e8968\
+     414d57d5e0009eb3dbfaeaa8c17b228641430f4da396a26ab6efbdc8dbbc6f3e\
+     9e7116812eec0dd9ba1cc8f4674fa8841a6e6da9c6153de6f282f18209667d58\
+     afbe4c8cadb8616c6d76740d60417722b9c972ab57959c4b2e351cc8b76c23a6\
+     a29325356fd16f9742f195749101af42667cec93cfd0569e993c3c4d4c3236b2\
+     fb00ac09ec7ad67c4ecb018f395698e6ba230eb6e6acbc246267fcadf84c58a2\
+     553f81b78e9956a6c959b865427ced5ea95ae8c659e506f4584d2939b49d766f",
+    "ccc0b956764d6fb8c21fed6c32f1fd751502b32aa075bba62d31d5ae8886f0dd",
+    "59e9e8fb3f4d8e78f7cfa1a51085b52e0facc90c7bacabf890a673e6a2c83307\
+     9be39fa2a815c78442add5bf6cc57852f3c84dd11c0acbc45f7c044802614959\
+     e37424444070879baaf860976effdeab48a530a3f2d74437be4556fb04684771\
+     44e6f06def8d7faea68cb83adf7f939013749b7c9dcb0f8a888a34acb5ec8527\
+     1e669777812bceb349a58388482df613c8cfdef2fbf9629119d5aeeb958c6b4c\
+     01a16191a69e958f9a1b53415456730eab51865e14c17c01a6e08c54c9a1a3f6\
+     95bb3f5ecb5d21e5192b653a138646c6c3505d55476ef5bc95b10e97b5eca778\
+     64e7b433a5856e27a6726addd32bf4241be63c31a07daa72bed7b4ac1ce35087",
+];
 
 impl DsaParams {
     /// Generates fresh domain parameters with an `l_bits` modulus and an
@@ -185,7 +234,7 @@ impl DsaParams {
     /// but fast enough for exhaustive protocol test suites.
     pub fn insecure_512() -> &'static DsaParams {
         static PARAMS: OnceLock<DsaParams> = OnceLock::new();
-        PARAMS.get_or_init(|| DsaParams::generate_deterministic(512, 160, b"fe-dsa-512-fixed"))
+        PARAMS.get_or_init(|| fixed(&INSECURE_512))
     }
 
     /// Cached deterministic parameters with a 1024-bit modulus and 160-bit
@@ -193,14 +242,14 @@ impl DsaParams {
     /// default in the Python standard library used by the authors).
     pub fn dsa_1024_160() -> &'static DsaParams {
         static PARAMS: OnceLock<DsaParams> = OnceLock::new();
-        PARAMS.get_or_init(|| DsaParams::generate_deterministic(1024, 160, b"fe-dsa-1024-fixed"))
+        PARAMS.get_or_init(|| fixed(&DSA_1024_160))
     }
 
     /// Cached deterministic parameters with a 2048-bit modulus and 256-bit
     /// subgroup (modern DSA strength).
     pub fn dsa_2048_256() -> &'static DsaParams {
         static PARAMS: OnceLock<DsaParams> = OnceLock::new();
-        PARAMS.get_or_init(|| DsaParams::generate_deterministic(2048, 256, b"fe-dsa-2048-fixed"))
+        PARAMS.get_or_init(|| fixed(&DSA_2048_256))
     }
 
     /// The comb for `g` over exponents below `2^N`; `None` if `p` is even
@@ -354,15 +403,6 @@ impl Dsa {
     pub fn params(&self) -> &DsaParams {
         &self.params
     }
-
-    /// Key generation with caller-supplied randomness (x uniform in
-    /// `[1, q-1]`).
-    pub fn keypair<R: RngCore + ?Sized>(&self, rng: &mut R) -> (DsaSigningKey, DsaVerifyingKey) {
-        let q_minus_1 = self.params.q.checked_sub(&Natural::one()).expect("q >= 2");
-        let x = &random_below(&q_minus_1, rng) + &Natural::one();
-        let y = self.params.pow_g(&x);
-        (DsaSigningKey { x }, DsaVerifyingKey { y })
-    }
 }
 
 impl SignatureScheme for Dsa {
@@ -434,6 +474,21 @@ mod tests {
 
     fn scheme() -> Dsa {
         Dsa::new(DsaParams::insecure_512().clone())
+    }
+
+    /// The committed domains are the generator's: the prime search is
+    /// this test's oracle, run once here instead of in every process.
+    #[test]
+    fn fixed_domains_regenerate_from_their_seeds() {
+        let domains: [(&DsaParams, usize, usize, &[u8]); 3] = [
+            (DsaParams::insecure_512(), 512, 160, b"fe-dsa-512-fixed"),
+            (DsaParams::dsa_1024_160(), 1024, 160, b"fe-dsa-1024-fixed"),
+            (DsaParams::dsa_2048_256(), 2048, 256, b"fe-dsa-2048-fixed"),
+        ];
+        for (cached, l, n, seed) in domains {
+            assert_eq!(cached.bits(), (l, n));
+            assert_eq!(*cached, DsaParams::generate_deterministic(l, n, seed));
+        }
     }
 
     #[test]
@@ -514,15 +569,6 @@ mod tests {
         let (sk, _) = dsa.keypair_from_seed(b"seed");
         assert_eq!(dsa.sign(&sk, b"m"), dsa.sign(&sk, b"m"));
         assert_ne!(dsa.sign(&sk, b"m1"), dsa.sign(&sk, b"m2"));
-    }
-
-    #[test]
-    fn random_keypair_works() {
-        let dsa = scheme();
-        let mut rng = StdRng::seed_from_u64(7);
-        let (sk, vk) = dsa.keypair(&mut rng);
-        let sig = dsa.sign(&sk, b"hello");
-        assert!(dsa.verify(&vk, b"hello", &sig));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! paper's Table II lists ("Random Extractor: SHA256"); it is an extractor
 //! under a random-oracle-style assumption on the compression function.
 
-use crate::{Hkdf, Hmac, Sha256};
+use crate::{Hkdf, Hmac};
 
 /// A strong randomness extractor `Ext(x; r) -> R`.
 ///
@@ -69,8 +69,8 @@ impl StrongExtractor for HmacExtractor {
 
     fn extract(&self, input: &[u8], seed: &[u8]) -> Vec<u8> {
         assert!(seed.len() >= 32, "HmacExtractor requires a 32-byte seed");
-        let prk = Hmac::<Sha256>::mac(seed, input);
-        Hkdf::<Sha256>::expand(&prk, b"fe-ext", self.output_len)
+        let prk = Hmac::mac(seed, input);
+        Hkdf::expand(&prk, b"fe-ext", self.output_len)
     }
 }
 

@@ -5,8 +5,10 @@
 //! "random extractor" and **DSA** as the signature scheme; the robust secure
 //! sketch needs a collision-resistant hash. This crate provides all of that:
 //!
-//! * [`Sha256`] — the FIPS 180-4 hash function.
-//! * [`Hmac`] — RFC 2104 MAC, generic over any [`Digest`].
+//! * [`Sha256`] — the FIPS 180-4 hash function, the one hash every
+//!   primitive here and every tag in `fe-core` uses.
+//! * [`Hmac`] / [`Hkdf`] — RFC 2104 MAC and RFC 5869 key derivation,
+//!   both over SHA-256.
 //! * [`HmacDrbg`] — deterministic random bit generator in the style of NIST
 //!   SP 800-90A; implements [`rand::RngCore`] so it can drive `fe-bigint`
 //!   prime generation and protocol nonces reproducibly.
@@ -17,12 +19,12 @@
 //! # Example: hash and MAC
 //!
 //! ```rust
-//! use fe_crypto::{Digest, Hmac, Sha256};
+//! use fe_crypto::{Hmac, Sha256};
 //!
 //! let digest = Sha256::digest(b"abc");
 //! assert_eq!(fe_crypto::hex_encode(&digest[..4]), "ba7816bf");
 //!
-//! let tag = Hmac::<Sha256>::mac(b"key", b"message");
+//! let tag = Hmac::mac(b"key", b"message");
 //! assert_eq!(tag.len(), 32);
 //! ```
 
@@ -30,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod ct;
-mod digest;
 pub mod drbg;
 pub mod dsa;
 pub mod extractor;
@@ -38,7 +39,6 @@ mod hkdf;
 mod hmac;
 mod sha256;
 
-pub use digest::Digest;
 pub use drbg::HmacDrbg;
 pub use hkdf::Hkdf;
 pub use hmac::Hmac;

@@ -1,7 +1,5 @@
 //! SHA-256 (FIPS 180-4).
 
-use crate::digest::Digest;
-
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -17,12 +15,17 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Incremental SHA-256 hasher.
+/// Incremental SHA-256 hasher: the hash under [`crate::Hmac`],
+/// [`crate::Hkdf`], DSA and the robust sketch's tag in `fe-core`.
 ///
 /// ```rust
-/// use fe_crypto::{Digest, Sha256};
+/// use fe_crypto::Sha256;
 ///
-/// let d = Sha256::digest(b"abc");
+/// let mut h = Sha256::new();
+/// h.update(b"ab");
+/// h.update(b"c");
+/// let d = h.finalize();
+/// assert_eq!(d, Sha256::digest(b"abc"));
 /// assert_eq!(
 ///     fe_crypto::hex_encode(&d),
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
@@ -37,6 +40,77 @@ pub struct Sha256 {
 }
 
 impl Sha256 {
+    /// Digest output length in bytes.
+    pub const OUTPUT_LEN: usize = 32;
+    /// Internal block length in bytes (needed by HMAC).
+    pub const BLOCK_LEN: usize = 64;
+
+    /// Creates a fresh hasher state.
+    pub fn new() -> Self {
+        Sha256 {
+            state: H0,
+            buffer: [0; 64],
+            buffer_len: 0,
+            total_len: 0,
+        }
+    }
+
+    /// Absorbs input bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        if self.buffer_len > 0 {
+            let need = 64 - self.buffer_len;
+            let take = need.min(data.len());
+            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
+            self.buffer_len += take;
+            data = &data[take..];
+            if self.buffer_len == 64 {
+                let block = self.buffer;
+                self.compress(&block);
+                self.buffer_len = 0;
+            }
+        }
+        while data.len() >= 64 {
+            let mut block = [0u8; 64];
+            block.copy_from_slice(&data[..64]);
+            self.compress(&block);
+            data = &data[64..];
+        }
+        if !data.is_empty() {
+            self.buffer[..data.len()].copy_from_slice(data);
+            self.buffer_len = data.len();
+        }
+    }
+
+    /// Consumes the state and returns the 32-byte digest.
+    pub fn finalize(mut self) -> Vec<u8> {
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.update(&[0x80]);
+        // Note: the 0x80 update added 1 to total_len but bit_len is already
+        // captured; pad with zeros until 8 bytes remain in the block.
+        while self.buffer_len != 56 {
+            self.update(&[0x00]);
+        }
+        self.total_len = 0; // irrelevant from here on
+        let mut last = [0u8; 64];
+        last[..56].copy_from_slice(&self.buffer[..56]);
+        last[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&last);
+
+        let mut out = Vec::with_capacity(32);
+        for word in self.state {
+            out.extend_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// One-shot convenience: hash `data` in a single call.
+    pub fn digest(data: &[u8]) -> Vec<u8> {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finalize()
+    }
+
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for i in 0..16 {
@@ -87,14 +161,6 @@ impl Sha256 {
         self.state[6] = self.state[6].wrapping_add(g);
         self.state[7] = self.state[7].wrapping_add(h);
     }
-
-    /// One-shot digest returning a fixed-size array.
-    pub fn digest_array(data: &[u8]) -> [u8; 32] {
-        let v = Self::digest(data);
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&v);
-        out
-    }
 }
 
 impl std::fmt::Debug for Sha256 {
@@ -105,64 +171,9 @@ impl std::fmt::Debug for Sha256 {
     }
 }
 
-impl Digest for Sha256 {
-    const OUTPUT_LEN: usize = 32;
-    const BLOCK_LEN: usize = 64;
-
-    fn new() -> Self {
-        Sha256 {
-            state: H0,
-            buffer: [0; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
-    }
-
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // Note: the 0x80 update added 1 to total_len but bit_len is already
-        // captured; pad with zeros until 8 bytes remain in the block.
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        self.total_len = 0; // irrelevant from here on
-        let mut last = [0u8; 64];
-        last[..56].copy_from_slice(&self.buffer[..56]);
-        last[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&last);
-
-        let mut out = Vec::with_capacity(32);
-        for word in self.state {
-            out.extend_from_slice(&word.to_be_bytes());
-        }
-        out
+impl Default for Sha256 {
+    fn default() -> Self {
+        Sha256::new()
     }
 }
 
@@ -229,13 +240,5 @@ mod tests {
             h.update(&data[len / 2..]);
             assert_eq!(h.finalize(), d1, "len={len}");
         }
-    }
-
-    #[test]
-    fn digest_array_matches() {
-        assert_eq!(
-            Sha256::digest_array(b"abc").to_vec(),
-            Sha256::digest(b"abc")
-        );
     }
 }

@@ -9,7 +9,7 @@
 use fe_bigint::{random_below, Natural};
 use fe_crypto::dsa::{Dsa, DsaParams, DsaSignature, DsaVerifyingKey};
 use fe_crypto::sig::SignatureScheme;
-use fe_crypto::{hex_encode, Digest, HmacDrbg, Sha256};
+use fe_crypto::{hex_encode, HmacDrbg, Sha256};
 
 const SEEDS: [&[u8]; 3] = [b"golden seed 0", b"golden seed 1", b"golden seed 2"];
 const MESSAGES: [&[u8]; 2] = [b"", b"challenge || nonce"];

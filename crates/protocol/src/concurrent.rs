@@ -302,8 +302,12 @@ impl<I: BuildIndex + EpochRead> SharedServer<I> {
     /// plus compacted snapshots (see [`crate::store::FileStore`]).
     /// Every shard replays its own snapshot + journal tail, rebuilding
     /// its index; enroll/revoke are journaled from then on — with
-    /// the journal held outside the state lock, so appends and fsyncs
-    /// never stall a reader.
+    /// the journal held outside the state lock, so appends never stall
+    /// a reader. A shard's appends are written and flushed but never
+    /// fsynced (checkpoints do sync their snapshots): per-append
+    /// `sync_data` ([`FileStore::set_sync`](crate::store::FileStore::set_sync))
+    /// is reachable only through
+    /// [`AuthenticationServer::recover_with_store`](crate::AuthenticationServer::recover_with_store).
     ///
     /// User → shard routing is a stable hash of the id modulo the shard
     /// count, so the on-disk layout is only meaningful for the count it
@@ -681,8 +685,11 @@ impl<I: EpochRead> SharedServer<I> {
         write(&self.shard_for_session(response.session).state).finish_identification(response)
     }
 
-    /// Cancels an outstanding challenge (timeout handling), routed to
-    /// the issuing shard by the session-id namespace.
+    /// Cancels an outstanding challenge, routed to the issuing shard by
+    /// the session-id namespace. No timeout calls this: an abandoned
+    /// challenge stays in its shard's `pending` map until it is
+    /// answered, cancelled here or its record is revoked; nothing caps
+    /// that map yet.
     pub fn cancel_session(&self, session: SessionId) -> bool {
         write(&self.shard_for_session(session).state).cancel_session(session)
     }

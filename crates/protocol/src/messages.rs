@@ -1,7 +1,7 @@
 //! Wire messages exchanged between the biometric device and the
 //! authentication server.
 
-use fe_core::{HelperData, RobustData};
+use fe_core::HelperData;
 
 /// User identity string (`ID` in the paper).
 pub type UserId = String;
@@ -12,7 +12,7 @@ pub type SessionId = u64;
 
 /// The helper data layout on the wire: the robust Chebyshev sketch plus
 /// extractor seed.
-pub type WireHelper = HelperData<RobustData<Vec<i64>>>;
+pub type WireHelper = HelperData;
 
 /// Enrollment message (`BioD → AS` in Fig. 1): identity, DSA public key
 /// bytes, helper data. The biometric and private key never leave the

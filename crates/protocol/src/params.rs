@@ -86,8 +86,8 @@ impl SystemParams {
         Dsa::new(self.dsa.clone())
     }
 
-    /// Instantiates the fuzzy extractor (the paper's default stack).
-    pub fn fuzzy_extractor(&self) -> fe_core::DefaultFuzzyExtractor {
+    /// Instantiates the fuzzy extractor (the paper's stack).
+    pub fn fuzzy_extractor(&self) -> fe_core::FuzzyExtractor {
         fe_core::FuzzyExtractor::with_defaults(self.sketch, self.key_len)
     }
 

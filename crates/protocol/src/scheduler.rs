@@ -480,9 +480,10 @@ fn worker_loop(server: SharedServer<EpochIndex>, inner: Arc<Inner>, seed: u64) {
             let waited = done.saturating_duration_since(pending.enqueued);
             inner.metrics.latency_us.observe(waited.as_micros() as u64);
             // A caller that gave up (dropped its ticket) is not an
-            // error; the challenge it abandoned is still pending on the
-            // server until it expires via cancel_session / timeout
-            // handling, exactly as with the unscheduled path.
+            // error. Nothing expires the challenge it abandoned: it stays
+            // in its shard's `pending` map until it is answered,
+            // cancelled (`cancel_session`) or its record is revoked,
+            // exactly as with the unscheduled path.
             let _ = pending.reply.send(result);
         }
     }

@@ -782,7 +782,11 @@ impl FileStore {
         dir.as_ref().join(JOURNAL_FILE).is_file()
     }
 
-    /// Upgrades (or downgrades) appends to fsync-per-event durability.
+    /// Upgrades (or downgrades) appends to fsync-per-event durability
+    /// (off by default). A [`SharedServer`](crate::concurrent::SharedServer)
+    /// shard opens its store itself and never calls this, so its
+    /// appends are never fsynced; a synced store serves only through
+    /// [`AuthenticationServer::recover_with_store`](crate::AuthenticationServer::recover_with_store).
     pub fn set_sync(&mut self, sync: bool) {
         self.sync_every_append = sync;
     }

@@ -6,15 +6,15 @@
 //! Run with: `cargo run --release --example key_from_biometrics`
 
 use fuzzy_id::core::{ChebyshevSketch, FuzzyExtractor};
-use fuzzy_id::crypto::{Hkdf, Hmac, Sha256};
+use fuzzy_id::crypto::{Hkdf, Hmac};
 use rand::{Rng, SeedableRng};
 
 /// Toy stream cipher: XOR with an HKDF-expanded keystream, authenticated
 /// with HMAC (encrypt-then-MAC). Illustrative only.
 fn seal(key: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let stream = Hkdf::<Sha256>::derive(key, b"stream", b"", plaintext.len());
+    let stream = Hkdf::derive(key, b"stream", b"", plaintext.len());
     let mut ct: Vec<u8> = plaintext.iter().zip(&stream).map(|(p, k)| p ^ k).collect();
-    let tag = Hmac::<Sha256>::mac(key, &ct);
+    let tag = Hmac::mac(key, &ct);
     ct.extend_from_slice(&tag);
     ct
 }
@@ -24,10 +24,10 @@ fn open(key: &[u8], sealed: &[u8]) -> Option<Vec<u8>> {
         return None;
     }
     let (ct, tag) = sealed.split_at(sealed.len() - 32);
-    if !fuzzy_id::crypto::ct::ct_eq(&Hmac::<Sha256>::mac(key, ct), tag) {
+    if !fuzzy_id::crypto::ct::ct_eq(&Hmac::mac(key, ct), tag) {
         return None;
     }
-    let stream = Hkdf::<Sha256>::derive(key, b"stream", b"", ct.len());
+    let stream = Hkdf::derive(key, b"stream", b"", ct.len());
     Some(ct.iter().zip(&stream).map(|(c, k)| c ^ k).collect())
 }
 

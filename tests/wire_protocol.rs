@@ -428,4 +428,41 @@ mod golden {
              481b295b9d694e15ea8a88bb0cc0e90d8da7f7e825ff1bc80701b54e91d3c1a0"
         );
     }
+
+    /// The helper data of the same enrollment: `Gen`'s sketch codes (each
+    /// an `i16`, big-endian), its robust tag and its extractor seed. A
+    /// change to any of them moves every stored record.
+    #[test]
+    fn an_enrolled_helper_is_pinned() {
+        use fuzzy_id::protocol::{BiometricDevice, SystemParams};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let params = SystemParams::paper_defaults();
+        let device = BiometricDevice::new(params.clone());
+        let mut rng = StdRng::seed_from_u64(27);
+        let bio = params.sketch().line().random_vector(64, &mut rng);
+        let helper = device.enroll("golden", &bio, &mut rng).unwrap().helper;
+        let codes: Vec<u8> = helper
+            .sketch
+            .inner
+            .iter()
+            .flat_map(|&c| i16::try_from(c).unwrap().to_be_bytes())
+            .collect();
+        assert_eq!(
+            hex(&codes),
+            "006fff7b0076ffb3ffa2000fff96ffbaffa0ffba006bff7cffb40071ff97001f\
+             ff55ff75ff92ffa2ffe6007d0090009eff78ff470071ff7cffde0014ff4f0091\
+             ff8a00690041ff42ffafff7b00750048ff4fff55008000a2ffc7ff5a0023ff49\
+             006800a6ffd9fffdff62007e00b6004a000affbdff79ff70ff93ff95ffd5003e"
+        );
+        assert_eq!(
+            hex(&helper.sketch.tag),
+            "4a9b32699b507f11fc37661f80cad22a3277cc09aa457d821d6710e7f674553d"
+        );
+        assert_eq!(
+            hex(&helper.seed),
+            "a9ae4ca4438d45ab05262c038e595dd2925b8e17807082d3b46ef65b834a84a8"
+        );
+    }
 }
