@@ -2,9 +2,11 @@
 //! [`SketchArena`] behind every index, and the scan-kernel sweep
 //! (scalar vs SWAR vs AVX2 prefilter) on top of the columnar layout.
 //!
-//! The paper's identification scan is memory-bound at scale, so the
-//! storage layout — not the per-coordinate arithmetic — sets the
-//! throughput ceiling. This ablation pits the seed layout
+//! The storage layout decides which kernel the paper's identification
+//! scan can run, and since the vectorized plane the scan is bound by
+//! that kernel, not by memory (AVX-512 0.75–0.81 ns a row, AVX2
+//! 1.24–1.25 ns at 10⁵ paper-ring rows; DESIGN.md "What batching saves
+//! on a kernel-bound sweep"). This ablation pits the seed layout
 //! (`Vec<Option<Vec<i64>>>`: a heap allocation and pointer chase per
 //! record, 8 bytes per coordinate) against the arena (one contiguous
 //! width-adaptive buffer + tombstone bitmap), and the scalar
@@ -99,7 +101,7 @@ impl VecOfVecScan {
         self.entries.push(Some(sketch));
     }
 
-    fn lookup(&self, probe: &[i64]) -> Option<usize> {
+    fn find_first(&self, probe: &[i64]) -> Option<usize> {
         self.entries.iter().position(|s| {
             s.as_ref().is_some_and(|s| {
                 s.len() == probe.len() && sketches_match(s, probe, self.t, self.ka)
@@ -240,42 +242,44 @@ fn bench_storage() {
             swar_idx.insert(s);
             vectorized.insert(s);
         }
-        assert_eq!(columnar.arena().width(), CellWidth::Packed);
-        assert_eq!(columnar.arena().filter_kernel(), "scalar");
-        assert_eq!(swar_idx.arena().filter_kernel(), "swar");
-        kernel_label = vectorized.arena().filter_kernel();
-        assert_eq!(baseline.lookup(&probe), columnar.lookup(&probe));
-        assert_eq!(columnar.lookup(&probe), swar_idx.lookup(&probe));
-        assert_eq!(columnar.lookup(&probe), vectorized.lookup(&probe));
+        assert_eq!(columnar.width(), CellWidth::Packed);
+        assert_eq!(columnar.filter_kernel(), "scalar");
+        assert_eq!(swar_idx.filter_kernel(), "swar");
+        kernel_label = vectorized.filter_kernel();
+        assert_eq!(baseline.find_first(&probe), columnar.find_first(&probe));
+        assert_eq!(columnar.find_first(&probe), swar_idx.find_first(&probe));
+        assert_eq!(columnar.find_first(&probe), vectorized.find_first(&probe));
 
         // Worst case for a *miss* (the acceptance criterion): a fresh
         // sketch that matches nothing, so every row must be rejected.
         let miss = loop {
             let candidate = synth_sketches(1, KA, &mut rng).pop().unwrap();
-            if columnar.lookup(&candidate).is_none() {
+            if columnar.find_first(&candidate).is_none() {
                 break candidate;
             }
         };
-        assert_eq!(swar_idx.lookup(&miss), None);
-        assert_eq!(vectorized.lookup(&miss), None);
+        assert_eq!(swar_idx.find_first(&miss), None);
+        assert_eq!(vectorized.find_first(&miss), None);
 
         let at = |label: &str| format!("storage_ablation/{label}/{n}");
         let base_secs = arm(&at("lookup/baseline"), n, iters, || {
-            baseline.lookup(&probe).expect("found")
+            baseline.find_first(&probe).expect("found")
         });
         let col_secs = arm(&at("lookup/columnar"), n, iters, || {
-            columnar.lookup(&probe).expect("found")
+            columnar.find_first(&probe).expect("found")
         });
         let swar_secs = arm(&at("lookup/swar"), n, iters, || {
-            swar_idx.lookup(&probe).expect("found")
+            swar_idx.find_first(&probe).expect("found")
         });
         let vect_secs = arm(&at("lookup/vectorized"), n, iters, || {
-            vectorized.lookup(&probe).expect("found")
+            vectorized.find_first(&probe).expect("found")
         });
-        let col_miss = arm(&at("nomatch/columnar"), n, iters, || columnar.lookup(&miss));
-        let swar_miss = arm(&at("nomatch/swar"), n, iters, || swar_idx.lookup(&miss));
+        let col_miss = arm(&at("nomatch/columnar"), n, iters, || {
+            columnar.find_first(&miss)
+        });
+        let swar_miss = arm(&at("nomatch/swar"), n, iters, || swar_idx.find_first(&miss));
         let vect_miss = arm(&at("nomatch/vectorized"), n, iters, || {
-            vectorized.lookup(&miss)
+            vectorized.find_first(&miss)
         });
         smoke_metrics.push((format!("baseline_lookup_us_{n}"), base_secs * 1e6));
         smoke_metrics.push((format!("columnar_lookup_us_{n}"), col_secs * 1e6));
@@ -359,7 +363,7 @@ fn bench_storage() {
             col_miss * 1e6,
             swar_miss * 1e6,
             col_miss / swar_miss,
-            vectorized.arena().filter_kernel(),
+            vectorized.filter_kernel(),
             vect_miss * 1e6,
             col_miss / vect_miss,
         );
@@ -454,12 +458,12 @@ fn bench_width_dispatch() {
         for s in &sketches {
             index.insert(s);
         }
-        assert_eq!(index.arena().width(), expect);
+        assert_eq!(index.width(), expect);
         arm(
             &format!("storage_ablation_widths/lookup/{name}"),
             n,
             5,
-            || index.lookup(&probe).expect("found"),
+            || index.find_first(&probe).expect("found"),
         );
     }
 }
@@ -490,7 +494,7 @@ fn bench_sweep_policy() {
     let adaptive = build(FilterConfig::default());
     let miss = loop {
         let candidate = synth_sketches(1, KA, &mut rng).pop().unwrap();
-        if adaptive.lookup(&candidate).is_none() {
+        if adaptive.find_first(&candidate).is_none() {
             break candidate;
         }
     };
@@ -500,8 +504,8 @@ fn bench_sweep_policy() {
     // gate is a strict no-regression check; on other rings it is where a
     // mis-tuned depth model would surface.
     let fixed8 = build(FilterConfig::default().with_depth(PlaneDepth::Fixed(8)));
-    assert_eq!(adaptive.lookup(&probe), fixed8.lookup(&probe));
-    assert_eq!(fixed8.lookup(&miss), None);
+    assert_eq!(adaptive.find_first(&probe), fixed8.find_first(&probe));
+    assert_eq!(fixed8.find_first(&miss), None);
 
     // The two arms are timed back to back and interleaved: the gate
     // compares variants against each other, so
@@ -514,10 +518,10 @@ fn bench_sweep_policy() {
     let mut adaptive_miss = f64::INFINITY;
     let mut fixed8_miss = f64::INFINITY;
     for _ in 0..rounds {
-        adaptive_miss = adaptive_miss.min(time_best(1, || adaptive.lookup(&miss)).1);
-        fixed8_miss = fixed8_miss.min(time_best(1, || fixed8.lookup(&miss)).1);
+        adaptive_miss = adaptive_miss.min(time_best(1, || adaptive.find_first(&miss)).1);
+        fixed8_miss = fixed8_miss.min(time_best(1, || fixed8.find_first(&miss)).1);
     }
-    let depth = adaptive.arena().resolved_depth();
+    let depth = adaptive.resolved_depth();
     println!(
         "sweep_policy/{n}: adaptive F={depth} {:.1} µs vs fixed8 {:.1} µs",
         adaptive_miss * 1e6,

@@ -86,8 +86,29 @@ impl FuzzyExtractor {
         reading: &[i64],
         helper: &HelperData,
     ) -> Result<ExtractedKey, SketchError> {
-        let recovered = self.sketcher.recover(reading, &helper.sketch)?;
-        self.extract_key(&recovered, &helper.seed)
+        let recovered = self
+            .sketcher
+            .inner()
+            .recover(reading, &helper.sketch.inner)?;
+        self.reproduce_recovered(&recovered, helper)
+    }
+
+    /// The rest of `Rep` for a value `w` the caller recovered with the
+    /// inner sketch itself (the normal approach's exhaustive `Rec`):
+    /// checks the helper's tag over `w` and extracts the key from the
+    /// same encoding of `w` the tag was checked on.
+    ///
+    /// # Errors
+    /// [`SketchError::TagMismatch`] when the tag does not cover `w`;
+    /// [`SketchError::BadParameters`] for a short seed, as
+    /// [`Self::extract_key`].
+    pub fn reproduce_recovered(
+        &self,
+        recovered: &[i64],
+        helper: &HelperData,
+    ) -> Result<ExtractedKey, SketchError> {
+        let encoded = self.sketcher.encode_tagged(recovered, &helper.sketch)?;
+        self.extract(&encoded, &helper.seed)
     }
 
     /// `Ext(w; r)`: the key of a recovered value `w` under the helper's
@@ -99,11 +120,15 @@ impl FuzzyExtractor {
     /// network, so a short seed is refused rather than left to the
     /// extractor's panic.
     pub fn extract_key(&self, recovered: &[i64], seed: &[u8]) -> Result<ExtractedKey, SketchError> {
-        let input = encode_i64_vector(recovered);
-        if seed.len() < self.extractor.seed_len(input.len()) {
+        self.extract(&encode_i64_vector(recovered), seed)
+    }
+
+    /// [`Self::extract_key`] on `w` already encoded.
+    fn extract(&self, encoded: &[u8], seed: &[u8]) -> Result<ExtractedKey, SketchError> {
+        if seed.len() < self.extractor.seed_len(encoded.len()) {
             return Err(SketchError::BadParameters);
         }
-        Ok(ExtractedKey::new(self.extractor.extract(&input, seed)))
+        Ok(ExtractedKey::new(self.extractor.extract(encoded, seed)))
     }
 }
 

@@ -225,7 +225,7 @@ impl View<'_> {
     /// place — and appending tier after tier keeps every list ascending.
     fn sweep(
         &self,
-        probes: &[&[i64]],
+        probes: &[impl AsRef<[i64]>],
         subset: Option<&[RecordId]>,
         budget: usize,
     ) -> Vec<Vec<RecordId>> {
@@ -241,10 +241,7 @@ impl View<'_> {
             let mask = subset.map(|ids| {
                 RowMask::from_rows(ids.iter().filter_map(|&id| seg.ids.row_of(id, rows)))
             });
-            if mask.as_ref().is_some_and(RowMask::is_empty) {
-                continue;
-            }
-            let refs: Vec<&[i64]> = open.iter().map(|&p| probes[p]).collect();
+            let refs: Vec<&[i64]> = open.iter().map(|&p| probes[p].as_ref()).collect();
             for (k, row) in seg.arena.sweep(&refs, mask.as_ref(), budget - found) {
                 let hits = &mut out[open[k]];
                 if hits.len() < budget {
@@ -255,18 +252,11 @@ impl View<'_> {
         }
         out
     }
+}
 
-    /// [`View::sweep`] for one probe.
-    fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
-        self.sweep(&[probe], subset, budget).swap_remove(0)
-    }
-
-    /// [`View::sweep`] for a batch of lowest-id lookups.
-    fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        let refs: Vec<&[i64]> = probes.iter().map(Vec::as_slice).collect();
-        let hits = self.sweep(&refs, None, 1);
-        hits.iter().map(|h| h.first().copied()).collect()
-    }
+/// The first id of each probe's hits: a budget-1 sweep as a batch answer.
+fn firsts(hits: Vec<Vec<RecordId>>) -> Vec<Option<RecordId>> {
+    hits.into_iter().map(|mut h| h.pop()).collect()
 }
 
 /// A detached identification reader over some epoch-published index.
@@ -280,17 +270,20 @@ pub trait IndexReader: Send + Sync + 'static {
     /// against the writer's to detect an id renumbering race.
     fn generation(&self) -> u64;
 
+    /// [`SketchIndex::find`] on the current snapshot: the `budget`
+    /// lowest live matching ids, ascending, among `subset` when given.
+    fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId>;
+
+    /// [`SketchIndex::find_first_batch`] on the current snapshot: one
+    /// snapshot load and one sweep per tier for the whole batch.
+    fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>>
+    where
+        Self: Sized;
+
     /// Lowest live matching id (earliest-enrolled-wins).
-    fn find_first(&self, probe: &[i64]) -> Option<RecordId>;
-
-    /// [`IndexReader::find_first`] for every probe with shared sweeps.
-    fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>>;
-
-    /// Up to `budget` lowest live matching ids, ascending.
-    fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId>;
-
-    /// Bounded match restricted to `subset` (unknown/dead ids skipped).
-    fn find_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId>;
+    fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
+        self.find(probe, None, 1).pop()
+    }
 }
 
 /// A [`SketchIndex`] that can hand out detached [`IndexReader`]s.
@@ -342,24 +335,15 @@ impl IndexReader for EpochReader {
         load(&self.cell).generation
     }
 
-    fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
+    fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
         load(&self.cell)
             .view()
-            .find(probe, None, 1)
-            .first()
-            .copied()
+            .sweep(&[probe], subset, budget)
+            .swap_remove(0)
     }
 
-    fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        load(&self.cell).view().find_first_batch(probes)
-    }
-
-    fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        load(&self.cell).view().find(probe, None, budget)
-    }
-
-    fn find_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        load(&self.cell).view().find(probe, Some(subset), budget)
+    fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>> {
+        firsts(load(&self.cell).view().sweep(probes, None, 1))
     }
 }
 
@@ -457,6 +441,11 @@ impl EpochIndex {
     pub(crate) fn publishes(&self) -> u64 {
         self.publishes
     }
+
+    /// A no-op: every write is published before the call that made it
+    /// returns. It stays for callers written against an index that
+    /// deferred publication to a flush.
+    pub fn flush(&mut self) {}
 
     /// The sealed segments (diagnostics, benches).
     pub fn segments(&self) -> &[Arc<Segment>] {
@@ -625,24 +614,12 @@ impl SketchIndex for EpochIndex {
         id
     }
 
-    fn lookup(&self, probe: &[i64]) -> Option<RecordId> {
-        self.view().find(probe, None, 1).first().copied()
+    fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
+        self.view().sweep(&[probe], subset, budget).swap_remove(0)
     }
 
-    fn lookup_all(&self, probe: &[i64]) -> Vec<RecordId> {
-        self.view().find(probe, None, usize::MAX)
-    }
-
-    fn lookup_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        self.view().find(probe, None, budget)
-    }
-
-    fn lookup_in_subset(&self, probe: &[i64], subset: &[RecordId], budget: usize) -> Vec<RecordId> {
-        self.view().find(probe, Some(subset), budget)
-    }
-
-    fn lookup_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        self.view().find_first_batch(probes)
+    fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>> {
+        firsts(self.view().sweep(probes, None, 1))
     }
 
     // Head or sealed, the atomic tombstone flip is visible through the
@@ -816,7 +793,7 @@ mod tests {
         // rewrite) and check both paths agree.
         assert!(index.remove(3));
         assert!(!index.remove(3), "double revoke reports false");
-        assert_eq!(index.lookup(&[300, 300]), None);
+        assert_eq!(index.find_first(&[300, 300]), None);
         assert_eq!(reader.find_first(&[300, 300]), None);
         assert_eq!(index.len(), 19);
         let mut out = Vec::new();
@@ -858,7 +835,7 @@ mod tests {
         for i in 0..16usize {
             let p = [100 * i as i64, 100 * i as i64];
             let expect = (![1, 6, 8, 9, 10, 11].contains(&i)).then_some(i);
-            assert_eq!(index.lookup(&p), expect, "id {i} across rewrites");
+            assert_eq!(index.find_first(&p), expect, "id {i} across rewrites");
             assert_eq!(reader.find_first(&p), expect);
         }
         assert!(!index.remove(6), "a row a rewrite dropped stays revoked");
@@ -891,24 +868,21 @@ mod tests {
                 index.remove(ids[(i as usize) / 2]);
             }
             let probe = [100 * (i % 7), 100 * ((i * 3) % 7), i];
-            assert_eq!(reader.find_first(&probe), index.lookup(&probe));
-            assert_eq!(
-                reader.find_at_most(&probe, 4),
-                index.lookup_at_most(&probe, 4)
-            );
+            assert_eq!(reader.find_first(&probe), index.find_first(&probe));
+            assert_eq!(reader.find(&probe, None, 4), index.find(&probe, None, 4));
         }
         let subset: Vec<RecordId> = ids.iter().step_by(3).copied().collect();
         let probe = [0, 0, 0];
         assert_eq!(
-            reader.find_in_subset(&probe, &subset, 8),
-            index.lookup_in_subset(&probe, &subset, 8)
+            reader.find(&probe, Some(&subset), 8),
+            index.find(&probe, Some(&subset), 8)
         );
         let probes: Vec<Vec<i64>> = (0..7)
             .map(|i| vec![100 * (i % 7), 100 * ((i * 3) % 7), i])
             .collect();
         assert_eq!(
             reader.find_first_batch(&probes),
-            index.lookup_batch(&probes)
+            index.find_first_batch(&probes)
         );
     }
 
@@ -945,7 +919,7 @@ mod tests {
             index.maintain();
             stop.store(true, Ordering::SeqCst);
         });
-        assert_eq!(index.lookup(&[7, 7]).map(|id| id % 2), Some(1));
+        assert_eq!(index.find_first(&[7, 7]).map(|id| id % 2), Some(1));
     }
 
     /// The publication rule, counted: rows appended to the head and
@@ -1010,7 +984,7 @@ mod tests {
         let reader = index.reader();
         let id = index.insert(&[9, 9]);
         assert_eq!(reader.find_first(&[9, 9]), Some(id));
-        assert_eq!(index.lookup(&[9, 9]), Some(id));
+        assert_eq!(index.find_first(&[9, 9]), Some(id));
         assert!(index.heap_bytes() < 4096, "nothing is charged for the hint");
     }
 

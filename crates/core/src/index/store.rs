@@ -3,9 +3,8 @@
 //! # Why not `Vec<Option<Vec<i64>>>`
 //!
 //! The paper's identification cost is dominated by the per-record integer
-//! scan over conditions (1)–(4); at scale that scan is *memory-bound*,
-//! not compute-bound. Row-of-pointers storage fights the hardware three
-//! ways: one heap allocation and one pointer chase per record, 8 bytes
+//! scan over conditions (1)–(4). Row-of-pointers storage fights the
+//! hardware three ways: one heap allocation and one pointer chase per record, 8 bytes
 //! per coordinate when the ring (`ka = 400` at the paper's parameters)
 //! fits in 9 bits, and a cloned copy of every sketch on each snapshot
 //! or compaction pass. [`SketchArena`] fixes all three:
@@ -72,8 +71,9 @@
 //!
 //! Every lookup — lowest id, all matches, a bounded count, a row
 //! subset, a batch of probes — is one driver with three inputs
-//! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the public
-//! `find_*` names only choose them. Every row — a pushed sketch, a row
+//! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the arena's
+//! [`SketchIndex::find`] and [`SketchIndex::find_first_batch`] only
+//! choose them. Every row — a pushed sketch, a row
 //! a rewrite carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the column
 //! buffer in its three row layouts and their scalar match kernels,
@@ -87,9 +87,9 @@ mod shared;
 mod sweep;
 
 pub use cells::{canonical, canonical_range, CellWidth};
-pub use sweep::RowMask;
+pub(crate) use sweep::RowMask;
 
-use super::RecordId;
+use super::{RecordId, SketchIndex};
 use cells::{quantize_ring, Cells};
 use kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
@@ -208,15 +208,15 @@ impl Default for FilterConfig {
 
 /// Contiguous, width-adaptive columnar storage for sketches — the
 /// storage engine under every index: the head and the sealed segments
-/// of an [`EpochIndex`](super::EpochIndex) are one arena each, as is a
-/// [`ScanIndex`](super::ScanIndex).
+/// of an [`EpochIndex`](super::EpochIndex) are one arena each, and a
+/// [`ScanIndex`](super::ScanIndex) is an arena.
 ///
 /// Every lookup is one sweep (`SketchArena::sweep`): `n ≥ 1` probes
 /// over the live rows an optional row subset lets through, keeping
-/// the `budget` lowest matches per probe. [`SketchArena::find_first`]
-/// (budget 1), [`SketchArena::find_all`] (no budget),
-/// [`SketchArena::find_at_most`], its masked variant and
-/// [`SketchArena::find_first_batch`] only choose those three inputs.
+/// the `budget` lowest matches per probe. The arena's
+/// [`SketchIndex::find`] (one probe, any subset and budget) and
+/// [`SketchIndex::find_first_batch`] (many probes, budget 1) only choose
+/// those three inputs.
 ///
 /// Rows are assigned densely in insertion order and never renumbered;
 /// [`SketchArena::remove`] flips a tombstone bit, and
@@ -227,6 +227,7 @@ impl Default for FilterConfig {
 ///
 /// ```rust
 /// use fe_core::index::store::{CellWidth, SketchArena};
+/// use fe_core::SketchIndex;
 ///
 /// let mut arena = SketchArena::new(100, 400); // t, ka
 /// assert_eq!(arena.width(), CellWidth::Packed); // chosen from ka
@@ -711,6 +712,76 @@ impl SketchArena {
     }
 }
 
+/// The arena is the reference index ([`ScanIndex`](super::ScanIndex)):
+/// its two lookups pick a point of the one sweep, and the rest forwards
+/// to the inherent methods.
+impl SketchIndex for SketchArena {
+    fn insert(&mut self, sketch: &[i64]) -> RecordId {
+        self.push(sketch)
+    }
+
+    fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
+        // Unknown ids never match; kept out so the mask is sized by the
+        // arena, not by the largest id a caller names.
+        let rows = self.rows();
+        let only =
+            subset.map(|ids| RowMask::from_rows(ids.iter().copied().filter(|&id| id < rows)));
+        let hits = self.sweep(&[probe], only.as_ref(), budget);
+        hits.into_iter().map(|(_, row)| row).collect()
+    }
+
+    // One pass over the rows serves the whole batch: each tile's plane
+    // lanes are walked for every probe while they are hot in L1.
+    fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>> {
+        let refs: Vec<&[i64]> = probes.iter().map(AsRef::as_ref).collect();
+        let mut firsts = vec![None; probes.len()];
+        for (p, row) in self.sweep(&refs, None, 1) {
+            firsts[p] = Some(row);
+        }
+        firsts
+    }
+
+    fn remove(&mut self, id: RecordId) -> bool {
+        SketchArena::remove(self, id)
+    }
+
+    fn len(&self) -> usize {
+        SketchArena::len(self)
+    }
+
+    fn slots(&self) -> usize {
+        self.rows()
+    }
+
+    fn dim(&self) -> Option<usize> {
+        self.dim
+    }
+
+    fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
+        SketchArena::copy_row_into(self, id, out)
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
+        SketchArena::for_each_live(self, f);
+    }
+
+    fn reserve(&mut self, additional: usize, dim: usize) {
+        SketchArena::reserve(self, additional, dim);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        SketchArena::heap_bytes(self)
+    }
+
+    fn clear(&mut self) {
+        SketchArena::clear(self);
+    }
+
+    fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
+        SketchArena::compact(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::cells::{canonical, canonical_range};
@@ -759,7 +830,10 @@ mod tests {
         let mut arena = SketchArena::new(100, 400);
         arena.push(&[1, 2, 3]);
         assert_eq!(arena.find_first(&[1, 2]), None);
-        assert_eq!(arena.find_all(&[1, 2, 3, 4]), Vec::<RecordId>::new());
+        assert_eq!(
+            arena.find(&[1, 2, 3, 4], None, usize::MAX),
+            Vec::<RecordId>::new()
+        );
     }
 
     #[test]
@@ -896,7 +970,10 @@ mod tests {
         probes.push(vec![0; dim + 1]);
         for probe in &probes {
             assert_eq!(filtered.find_first(probe), scalar.find_first(probe));
-            assert_eq!(filtered.find_all(probe), scalar.find_all(probe));
+            assert_eq!(
+                filtered.find(probe, None, usize::MAX),
+                scalar.find(probe, None, usize::MAX)
+            );
         }
         assert_eq!(
             filtered.find_first_batch(&probes),
@@ -906,7 +983,10 @@ mod tests {
         assert_eq!(filtered.compact(), scalar.compact());
         for probe in &probes {
             assert_eq!(filtered.find_first(probe), scalar.find_first(probe));
-            assert_eq!(filtered.find_all(probe), scalar.find_all(probe));
+            assert_eq!(
+                filtered.find(probe, None, usize::MAX),
+                scalar.find(probe, None, usize::MAX)
+            );
         }
         assert_eq!(
             filtered.find_first_batch(&probes),

@@ -1,6 +1,6 @@
 //! The one lookup driver: a bounded, optionally masked, multi-probe
-//! sweep that every `find_*` of the arena (and every epoch tier) is a
-//! wrapper over.
+//! sweep that the arena's `find` and `find_first_batch` (and every
+//! epoch tier's) are wrappers over.
 
 use super::cells::{prepare_into, Cells, Layout, Reduced};
 use super::kernels::{fetch, ActiveKernel};
@@ -20,23 +20,12 @@ pub(super) const TILE_WORDS: usize = 16;
 
 /// A caller-supplied row subset for masked sweeps, stored exactly like
 /// the arena's liveness words (one bit per row, 64 rows per word) so
-/// the sweep can AND it into the liveness word for free.
-///
-/// Used by [`SketchArena::find_at_most_masked`] and the index-level
-/// subset lookups: compile an id set once, then every sweep touches
-/// only the masked rows — wholly-unmasked 64-row blocks are skipped
-/// with a single word load, before any phase-1 work.
-///
-/// ```rust
-/// use fe_core::index::store::RowMask;
-///
-/// let mask = RowMask::from_rows([3usize, 64, 200]);
-/// assert!(mask.contains(64));
-/// assert!(!mask.contains(4));
-/// assert_eq!(mask.len(), 3);
-/// ```
+/// the sweep can AND it into the liveness word for free: compiled once
+/// from a lookup's id subset, it lets the sweep touch only the masked
+/// rows — wholly-unmasked 64-row blocks are skipped with a single word
+/// load, before any phase-1 work.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowMask {
+pub(crate) struct RowMask {
     words: Vec<u64>,
 }
 
@@ -65,15 +54,11 @@ impl RowMask {
     }
 
     /// Is the row selected?
+    #[cfg(test)]
     pub fn contains(&self, row: usize) -> bool {
         self.words
             .get(row / 64)
             .is_some_and(|w| w & (1 << (row % 64)) != 0)
-    }
-
-    /// Number of selected rows.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` when no rows are selected.
@@ -294,66 +279,11 @@ impl<L: Layout> Sweep<'_, L> {
 }
 
 impl SketchArena {
-    /// First live row matching the probe (lowest id). `None` for no
-    /// match or a dimension-mismatched probe.
-    pub fn find_first(&self, probe: &[i64]) -> Option<RecordId> {
-        let hits = self.sweep(&[probe], None, 1);
-        hits.first().map(|&(_, row)| row)
-    }
-
-    /// Resolves a whole batch of probes with **one pass** over the
-    /// column buffer: N concurrent queries share a single memory sweep
-    /// instead of issuing N (the scan at scale is memory-bound, making
-    /// this the amortization batched service rests on — `fe-benchmark`
-    /// prints both sides: `core.index.batch32_us_per_probe` 635 µs
-    /// against `core.index.find_first_miss_us` 811 µs at 10⁶ rows,
-    /// 60 against 66 µs at 10⁵, on a 2-thread AVX-512 host).
-    ///
-    /// Results are position-aligned with `probes` and identical to
-    /// calling [`SketchArena::find_first`] per probe. Probes whose
-    /// dimension differs from the stamped one resolve to `None`, as
-    /// everywhere else.
-    pub fn find_first_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<RecordId>> {
-        let refs: Vec<&[i64]> = probes.iter().map(Vec::as_slice).collect();
-        let mut firsts = vec![None; probes.len()];
-        for (p, row) in self.sweep(&refs, None, 1) {
-            firsts[p] = Some(row);
-        }
-        firsts
-    }
-
-    /// Every live row matching the probe, ascending.
-    pub fn find_all(&self, probe: &[i64]) -> Vec<RecordId> {
-        self.find_at_most(probe, usize::MAX)
-    }
-
-    /// The `budget` lowest-id live rows matching the probe, ascending —
-    /// the count-bounded lookup behind reset-style decisions (0 /
-    /// exactly-1 / ≥2 without scanning past the `budget`-th hit).
-    pub fn find_at_most(&self, probe: &[i64], budget: usize) -> Vec<RecordId> {
-        let hits = self.sweep(&[probe], None, budget);
-        hits.into_iter().map(|(_, row)| row).collect()
-    }
-
-    /// [`SketchArena::find_at_most`] restricted to the rows selected by
-    /// `mask`: unselected rows are never visited, which is what makes
-    /// local-uniqueness checks over a small id subset cheap even on a
-    /// large arena.
-    pub fn find_at_most_masked(
-        &self,
-        probe: &[i64],
-        mask: &RowMask,
-        budget: usize,
-    ) -> Vec<RecordId> {
-        let hits = self.sweep(&[probe], Some(mask), budget);
-        hits.into_iter().map(|(_, row)| row).collect()
-    }
-
-    /// The sweep every lookup above (and every epoch tier) is a wrapper
-    /// over: for each probe, its `budget` lowest live matching rows —
-    /// among those `only` selects, when given — as `(index into probes,
-    /// row)` pairs, ascending per probe. Probes of the wrong dimension
-    /// match nothing.
+    /// The sweep every lookup of the arena (and of every epoch tier) is
+    /// a wrapper over: for each probe, its `budget` lowest live matching
+    /// rows — among those `only` selects, when given — as `(index into
+    /// probes, row)` pairs, ascending per probe. Probes of the wrong
+    /// dimension, budget 0 and an empty `only` match nothing.
     ///
     /// Loads the row count once (`Acquire`), so the sweep covers
     /// exactly the rows complete by then however many land meanwhile,
@@ -372,7 +302,7 @@ impl SketchArena {
         let Some(dim) = self.dim else {
             return Vec::new();
         };
-        if budget == 0 || self.is_empty() {
+        if budget == 0 || self.is_empty() || only.is_some_and(RowMask::is_empty) {
             return Vec::new();
         }
         let rows = self.rows();
@@ -464,6 +394,7 @@ impl SketchArena {
 mod tests {
     use super::super::FilterConfig;
     use super::*;
+    use crate::index::SketchIndex;
 
     /// The sweep driver against the scalar `cyclic_close` oracle over
     /// its whole input table: population × probe count (with a
@@ -590,6 +521,6 @@ mod tests {
         let a = arena.push(&[5, 5]);
         arena.remove(a);
         assert_eq!(arena.find_first_batch(&[vec![5, 5]]), vec![None]);
-        assert_eq!(arena.find_first_batch(&[]), Vec::<Option<RecordId>>::new());
+        assert_eq!(arena.find_first_batch(&[] as &[&[i64]]), vec![]);
     }
 }

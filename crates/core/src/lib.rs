@@ -87,7 +87,7 @@ pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
     CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel, IndexReader,
-    PlaneDepth, RecordId, RowMask, ScanIndex, Segment, SketchArena, SketchIndex,
+    PlaneDepth, RecordId, ScanIndex, Segment, SketchArena, SketchIndex,
 };
 pub use key::ExtractedKey;
 pub use numberline::{ring_divides, NumberLine};

@@ -67,14 +67,24 @@ impl RobustSketch {
         &self.inner
     }
 
-    /// Checks the binding tag for an already-recovered value (constant
-    /// time). Exposed for callers that run the inner recovery themselves
-    /// (e.g. the exhaustive-scan baseline).
-    pub fn verify_tag(&self, recovered: &[i64], sketch: &RobustData) -> bool {
-        ct_eq(
-            &tag(&encode_i64_vector(recovered), &sketch.inner),
-            &sketch.tag,
-        )
+    /// The canonical encoding of an already-recovered value, once the
+    /// binding tag is checked over it (constant time) — `Rec`'s twin of
+    /// [`RobustSketch::sketch_encoded`]: `Rep` extracts its key from
+    /// exactly these bytes, so it encodes the value once.
+    ///
+    /// # Errors
+    /// [`SketchError::TagMismatch`] when the tag does not cover it.
+    pub(crate) fn encode_tagged(
+        &self,
+        recovered: &[i64],
+        sketch: &RobustData,
+    ) -> Result<Vec<u8>, SketchError> {
+        let encoded = encode_i64_vector(recovered);
+        if ct_eq(&tag(&encoded, &sketch.inner), &sketch.tag) {
+            Ok(encoded)
+        } else {
+            Err(SketchError::TagMismatch)
+        }
     }
 
     /// `SS` that also hands back the canonical encoding of the value it
@@ -115,9 +125,7 @@ impl SecureSketch for RobustSketch {
 
     fn recover(&self, reading: &[i64], sketch: &RobustData) -> Result<Vec<i64>, SketchError> {
         let recovered = self.inner.recover(reading, &sketch.inner)?;
-        if !self.verify_tag(&recovered, sketch) {
-            return Err(SketchError::TagMismatch);
-        }
+        self.encode_tagged(&recovered, sketch)?;
         Ok(recovered)
     }
 

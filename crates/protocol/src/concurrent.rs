@@ -176,7 +176,7 @@ impl<I: EpochRead> Shard<I> {
     /// The ids of the (at most `budget`) lowest-slot records matching
     /// `probe`, at one instant.
     fn matches(&self, probe: &[i64], budget: usize) -> Vec<UserId> {
-        let (hits, server) = self.sweep(|r| r.find_at_most(probe, budget), read);
+        let (hits, server) = self.sweep(|r| r.find(probe, None, budget), read);
         let id = |slot| server.user_at(slot).expect("swept hits are live");
         hits.into_iter().map(|slot| id(slot).to_string()).collect()
     }
@@ -599,7 +599,7 @@ impl<I: EpochRead> SharedServer<I> {
         probe: &[i64],
         rng: &mut R,
     ) -> Result<IdentChallenge, ProtocolError> {
-        let mut results = self.identify_batch(&[probe.to_vec()], rng);
+        let mut results = self.identify_batch(&[probe], rng);
         results.pop().expect("one result per probe")
     }
 
@@ -608,9 +608,9 @@ impl<I: EpochRead> SharedServer<I> {
     /// its whole remaining workload through the reader's batch path —
     /// one snapshot load and (for arena-backed indexes) **one pass over
     /// the shard's storage for the entire batch**, the multi-query
-    /// kernel the request scheduler is built on; the first shard scans
-    /// the caller's slice directly, later shards scan only the probes
-    /// the earlier ones missed. Each shard's write lock is taken once
+    /// kernel the request scheduler is built on; later shards scan only
+    /// the probes the earlier ones missed. The probes are borrowed
+    /// throughout, never copied. Each shard's write lock is taken once
     /// to issue its challenges (revalidated, see the module docs).
     /// Results are position-aligned with `probes`.
     ///
@@ -618,37 +618,21 @@ impl<I: EpochRead> SharedServer<I> {
     /// as [`SharedServer::begin_identification`].
     pub fn identify_batch<R: RngCore + ?Sized>(
         &self,
-        probes: &[Vec<i64>],
+        probes: &[impl AsRef<[i64]>],
         rng: &mut R,
     ) -> Vec<Result<IdentChallenge, ProtocolError>> {
         let mut results: Vec<Result<IdentChallenge, ProtocolError>> = (0..probes.len())
             .map(|_| Err(ProtocolError::NoMatch))
             .collect();
-        // Probes still unresolved after the shards visited so far.
+        // Probes still unresolved after the shards visited so far, and
+        // the rows of those probes.
         let mut unresolved: Vec<usize> = (0..probes.len()).collect();
-        // The unresolved-subset buffer is hoisted out of the shard loop
-        // and refilled with `clone_from`, so later shards reuse both
-        // the outer table and the per-probe coordinate allocations
-        // instead of building a fresh `Vec<Vec<i64>>` per shard.
-        let mut subset: Vec<Vec<i64>> = Vec::new();
-
+        let mut batch: Vec<&[i64]> = probes.iter().map(AsRef::as_ref).collect();
         for shard in self.shards.iter() {
             if unresolved.is_empty() {
                 break;
             }
-            let batch = if unresolved.len() == probes.len() {
-                probes // whole batch untouched: the caller's slice
-            } else {
-                subset.truncate(unresolved.len());
-                for (slot, &p) in subset.iter_mut().zip(&unresolved) {
-                    slot.clone_from(&probes[p]);
-                }
-                for &p in &unresolved[subset.len()..] {
-                    subset.push(probes[p].clone());
-                }
-                &subset
-            };
-            let (firsts, mut server) = shard.sweep(|r| r.find_first_batch(batch), write);
+            let (firsts, mut server) = shard.sweep(|r| r.find_first_batch(&batch), write);
             for (&p, first) in unresolved.iter().zip(firsts) {
                 if let Some(slot) = first {
                     let chal = server.challenge_for_record(slot, rng);
@@ -656,6 +640,8 @@ impl<I: EpochRead> SharedServer<I> {
                 }
             }
             unresolved.retain(|&p| results[p].is_err());
+            batch.clear();
+            batch.extend(unresolved.iter().map(|&p| probes[p].as_ref()));
         }
         results
     }
@@ -688,8 +674,9 @@ impl<I: EpochRead> SharedServer<I> {
     /// Cancels an outstanding challenge, routed to the issuing shard by
     /// the session-id namespace. No timeout calls this: an abandoned
     /// challenge stays in its shard's `pending` map until it is
-    /// answered, cancelled here or its record is revoked; nothing caps
-    /// that map yet.
+    /// answered or cancelled here, or, once its record is revoked, until
+    /// the shard's next checkpoint compacts it away; nothing caps that
+    /// map yet.
     pub fn cancel_session(&self, session: SessionId) -> bool {
         write(&self.shard_for_session(session).state).cancel_session(session)
     }
@@ -905,12 +892,12 @@ mod tests {
         assert_eq!(shape(&segments[1]), (SEAL, SEAL));
         assert_eq!(state.index().staging_rows(), 100);
         // user-0 is gone, user-1 kept its id through the rewrite.
-        assert_ne!(reference.lookup_probe(&probes[0]), Some(0));
-        assert_eq!(reference.lookup_probe(&probes[1]), Some(1));
+        assert_ne!(reference.find(&probes[0], None, 1).pop(), Some(0));
+        assert_eq!(reference.find(&probes[1], None, 1).pop(), Some(1));
         for probe in &probes {
-            let expect = reference.lookup_probe(probe);
+            let expect = reference.find(probe, None, 1).pop();
             assert_eq!(shard.reader.find_first(probe), expect);
-            assert_eq!(state.lookup_probe(probe), expect);
+            assert_eq!(state.find(probe, None, 1).pop(), expect);
         }
     }
 

@@ -63,7 +63,6 @@ impl NormalIdentification {
     ) -> Result<(IdentOutcome, NormalStats), ProtocolError> {
         let fe = self.params.fuzzy_extractor();
         let scheme = *self.params.sketch();
-        let robust = fe.sketch_scheme();
         let dsa = self.params.dsa();
         let mut stats = NormalStats::default();
 
@@ -75,11 +74,10 @@ impl NormalIdentification {
                 Ok(r) => r,
                 Err(_) => return None, // wrong record (or too noisy): next
             };
-            if !robust.verify_tag(&recovered, &helper.sketch) {
+            // A tag that does not cover `w`, or a seed too short to
+            // extract with: next.
+            let Ok(key) = fe.reproduce_recovered(&recovered, helper) else {
                 return None;
-            }
-            let Ok(key) = fe.extract_key(&recovered, &helper.seed) else {
-                return None; // a seed too short to extract with: next
             };
 
             // Challenge-response for this record.

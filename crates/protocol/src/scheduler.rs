@@ -4,16 +4,16 @@
 //! # Why a scheduler
 //!
 //! A single `identify` request pays one full early-abort sweep over the
-//! enrolled population. At scale that sweep is **memory-bound** (see
-//! the storage engine notes in `fe-core::index::store`), so two
-//! concurrent requests that each scan the index do twice the memory
-//! traffic for no reason: the multi-query kernel
-//! (`SketchArena::find_first_batch`) can resolve both in *one* pass.
-//! The scheduler is the piece that turns that kernel into service-level
-//! throughput: concurrent callers land in one admission queue, a small
-//! pool of workers drains the queue in **micro-batches**, and each
-//! batch runs through [`SharedServer::identify_batch`], which hands the
-//! whole batch to every shard's single-pass batch kernel.
+//! enrolled population, its snapshot load and a shard lock round. The
+//! multi-query kernel (`find_first_batch`) resolves concurrent requests
+//! in *one* pass and one lock round per shard. The sweep is bound by its
+//! kernel, not by memory (DESIGN.md "What batching saves on a
+//! kernel-bound sweep"), so the pass itself saves ≤ 10% a probe at a
+//! batch of 32. The scheduler is the piece that gathers the batch:
+//! concurrent callers land in one admission queue, a small pool of
+//! workers drains the queue in **micro-batches**, and each batch runs
+//! through [`SharedServer::identify_batch`], which hands the whole batch
+//! to every shard's single-pass batch kernel.
 //!
 //! The batch window is the sweep in flight. A free worker takes
 //! whatever is queued, up to [`SchedulerConfig::max_batch`], at once:
@@ -481,9 +481,10 @@ fn worker_loop(server: SharedServer<EpochIndex>, inner: Arc<Inner>, seed: u64) {
             inner.metrics.latency_us.observe(waited.as_micros() as u64);
             // A caller that gave up (dropped its ticket) is not an
             // error. Nothing expires the challenge it abandoned: it stays
-            // in its shard's `pending` map until it is answered,
-            // cancelled (`cancel_session`) or its record is revoked,
-            // exactly as with the unscheduled path.
+            // in its shard's `pending` map until it is answered or
+            // cancelled (`cancel_session`), or, once its record is
+            // revoked, until the shard's next checkpoint compacts it
+            // away, exactly as with the unscheduled path.
             let _ = pending.reply.send(result);
         }
     }

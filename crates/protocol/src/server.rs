@@ -4,9 +4,10 @@
 //! [`AuthenticationServer`] is generic over its sketch-lookup structure
 //! `I:`[`SketchIndex`] (defaulting to [`EpochIndex`], the one engine
 //! every server layer runs), and the read path
-//! ([`AuthenticationServer::lookup_probe`]) is `&self` so a concurrent
-//! wrapper can serve many lookups under a shared lock — see
-//! [`crate::concurrent::SharedServer`].
+//! ([`AuthenticationServer::find`] and
+//! [`AuthenticationServer::find_first_batch`], the index's two lookups)
+//! is `&self` so a concurrent wrapper can serve many lookups under a
+//! shared lock — see [`crate::concurrent::SharedServer`].
 
 use crate::messages::{
     challenge_message, EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId,
@@ -300,7 +301,6 @@ impl<I: BuildIndex> AuthenticationServer<I> {
                 LogEvent::EnrollRejected { .. } => {}
             }
         }
-        server.index.flush();
         Ok(server)
     }
 }
@@ -416,8 +416,9 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         None
     }
 
-    /// Revokes a user: the record and its sketch are removed and every
-    /// outstanding challenge for the user is cancelled. One of the
+    /// Revokes a user: the record and its sketch are removed, and no
+    /// outstanding challenge for the user can be answered any more (see
+    /// `apply_revoke`: they are freed at the next compaction). One of the
     /// paper's motivating problems is that a *biometric* is not revocable
     /// once leaked — but the *enrollment* is: after revocation the stored
     /// helper data is gone and the user can re-enroll, obtaining a fresh
@@ -439,11 +440,17 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         Ok(Write::Revoke(id.to_string(), located))
     }
 
-    /// In-memory revocation of the record filed at `located`.
+    /// In-memory revocation of the record filed at `located`. Its open
+    /// challenges are not searched for: each names a slot that is dead
+    /// from here on, so [`AuthenticationServer::finish_identification`]
+    /// answers it [`ProtocolError::UnknownSession`], and the next
+    /// [`AuthenticationServer::compact`] frees it. Until the challenge
+    /// map is bounded, that is when a revoked record's unanswered
+    /// challenges are freed — not at the revoke, which would walk every
+    /// open challenge of the shard under its write lock.
     fn apply_revoke(&mut self, located: Located) {
         let idx = self.records.revoke(located);
         self.index.remove(idx);
-        self.pending.retain(|_, p| p.record_idx != idx);
     }
 
     /// Checks everything that could make [`AuthenticationServer::enroll`]
@@ -536,7 +543,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     ) -> Result<Write, ProtocolError> {
         let vacancy = self.validate_enroll(&record)?;
         if unique {
-            if let Some(&idx) = self.match_at_most(&record.helper.sketch.inner, 1).first() {
+            if let Some(&idx) = self.find(&record.helper.sketch.inner, None, 1).first() {
                 let matched = self.user_at(idx).expect("index only matches live records");
                 return Ok(Write::Refuse {
                     id: record.id,
@@ -574,13 +581,25 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         self.apply(write)
     }
 
-    /// Bounded sketch lookup: the record slots of at most `budget`
-    /// matches, in enrollment order (the find-at-most-K kernel — the
-    /// sweep stops as soon as the budget is collected). `&self`: safe
-    /// under a shared read lock.
-    pub fn match_at_most(&self, probe: &[i64], budget: usize) -> Vec<usize> {
+    /// The server's one bounded sketch lookup, [`SketchIndex::find`]:
+    /// the record slots of at most `budget` matches under conditions
+    /// (1)–(4), in enrollment order, among the slots of `subset` when
+    /// one is given — the sweep stops as soon as the budget is
+    /// collected. Every matching mode below is a point of it. `&self`:
+    /// safe under a shared read lock.
+    pub fn find(&self, probe: &[i64], subset: Option<&[usize]>, budget: usize) -> Vec<usize> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.index.lookup_at_most(probe, budget)
+        self.index.find(probe, subset, budget)
+    }
+
+    /// Batch sketch lookup, [`SketchIndex::find_first_batch`]: the first
+    /// matching slot of every probe, position-aligned, with one sweep
+    /// for the whole batch. Borrows the probes. `&self`: safe under a
+    /// shared read lock.
+    pub fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<usize>> {
+        self.lookups
+            .fetch_add(probes.len() as u64, Ordering::Relaxed);
+        self.index.find_first_batch(probes)
     }
 
     /// The enrolled id living in a record slot (`None` for tombstoned or
@@ -601,7 +620,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// [`ProtocolError::AmbiguousMatch`] when two or more records match
     /// (resetting any one of them would be guessing).
     pub fn reset(&self, probe: &[i64]) -> Result<UserId, ProtocolError> {
-        match *self.match_at_most(probe, 2).as_slice() {
+        match *self.find(probe, None, 2).as_slice() {
             [] => Err(ProtocolError::NoMatch),
             [idx] => Ok(self
                 .user_at(idx)
@@ -627,8 +646,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         let idx = self
             .slot_of(claimed_id)
             .ok_or_else(|| ProtocolError::UnknownUser(claimed_id.to_string()))?;
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        Ok(!self.index.lookup_in_subset(probe, &[idx], 1).is_empty())
+        Ok(!self.find(probe, Some(&[idx]), 1).is_empty())
     }
 
     /// Subset uniqueness check: `Ok(true)` when the probe matches **none**
@@ -652,29 +670,11 @@ impl<I: SketchIndex> AuthenticationServer<I> {
                 .ok_or_else(|| ProtocolError::UnknownUser(id.clone()))?;
             subset.push(idx);
         }
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        Ok(self.index.lookup_in_subset(probe, &subset, 1).is_empty())
-    }
-
-    /// Sketch lookup only (conditions (1)–(4)), without issuing a
-    /// challenge. `&self`: safe under a shared read lock. Returns the
-    /// matched record slot.
-    pub fn lookup_probe(&self, probe: &[i64]) -> Option<usize> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.index.lookup(probe)
-    }
-
-    /// Batch sketch lookup: resolves many probes in one call (through
-    /// the index's batch path: one sweep serves every probe).
-    /// `&self`: safe under a shared read lock.
-    pub fn lookup_probe_batch(&self, probes: &[Vec<i64>]) -> Vec<Option<usize>> {
-        self.lookups
-            .fetch_add(probes.len() as u64, Ordering::Relaxed);
-        self.index.lookup_batch(probes)
+        Ok(self.find(probe, Some(&subset), 1).is_empty())
     }
 
     /// Issues a challenge for a record found via
-    /// [`AuthenticationServer::lookup_probe`], re-validating that the
+    /// [`AuthenticationServer::find`], re-validating that the
     /// record is still live (it can be revoked between a shared-lock
     /// lookup and an exclusive-lock challenge issue). Returns `None` for
     /// revoked or out-of-range slots.
@@ -698,7 +698,10 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         probe: &[i64],
         rng: &mut R,
     ) -> Result<IdentChallenge, ProtocolError> {
-        let record_idx = self.lookup_probe(probe).ok_or(ProtocolError::NoMatch)?;
+        let record_idx = self
+            .find(probe, None, 1)
+            .pop()
+            .ok_or(ProtocolError::NoMatch)?;
         Ok(self.issue_challenge(record_idx, rng))
     }
 
@@ -712,10 +715,10 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// acquisition over many concurrent devices.
     pub fn identify_batch<R: RngCore + ?Sized>(
         &mut self,
-        probes: &[Vec<i64>],
+        probes: &[impl AsRef<[i64]>],
         rng: &mut R,
     ) -> Vec<Result<IdentChallenge, ProtocolError>> {
-        let matches = self.lookup_probe_batch(probes);
+        let matches = self.find_first_batch(probes);
         matches
             .into_iter()
             .map(|m| {
@@ -802,12 +805,15 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         }
     }
 
-    /// Cancels an outstanding challenge without verifying a response
-    /// (timeout handling: a device that never answers must not leave
-    /// its session consumable forever). Returns `false` for unknown or
-    /// already-consumed sessions.
+    /// Cancels an outstanding challenge without verifying a response,
+    /// so a device that never answers does not leave its session
+    /// consumable forever (nothing calls this on a timer). Returns
+    /// `false` for unknown or already-consumed sessions, and for a
+    /// session whose record was revoked: its challenge is removed but
+    /// could never have been answered.
     pub fn cancel_session(&mut self, session: SessionId) -> bool {
-        self.pending.remove(&session).is_some()
+        let pending = self.pending.remove(&session);
+        pending.is_some_and(|p| self.records.get(p.record_idx).is_some())
     }
 
     /// Number of sketch lookups performed (diagnostics).
@@ -936,12 +942,17 @@ impl<I: SketchIndex> AuthenticationServer<I> {
             );
         });
         assert!(pairs.next().is_none(), "index holds rows without records");
-        for pending in self.pending.values_mut() {
-            let at = mapping
-                .binary_search_by_key(&pending.record_idx, |&(old, _)| old)
-                .expect("pending challenges only reference live records");
-            pending.record_idx = mapping[at].1;
-        }
+        // A challenge of a record revoked since it was issued names a
+        // slot the mapping leaves out: it is dropped here.
+        self.pending.retain(|_, pending| {
+            match mapping.binary_search_by_key(&pending.record_idx, |&(old, _)| old) {
+                Ok(at) => {
+                    pending.record_idx = mapping[at].1;
+                    true
+                }
+                Err(_) => false,
+            }
+        });
         reclaimed
     }
 
@@ -1180,7 +1191,7 @@ mod tests {
         let (device, mut server, bios, mut rng) = setup(2);
         let reading = noisy(&bios[0], &mut rng);
         let probe = device.probe_sketch(&reading, &mut rng).unwrap();
-        let idx = server.lookup_probe(&probe).unwrap();
+        let idx = server.find(&probe, None, 1)[0];
         server.revoke("user-0").unwrap();
         // The slot was found before revocation; issuing must refuse.
         assert!(server.challenge_for_record(idx, &mut rng).is_none());
@@ -1411,6 +1422,43 @@ mod tests {
         assert_eq!(
             server.finish_identification(&resp).unwrap_err(),
             ProtocolError::UnknownSession
+        );
+    }
+
+    /// A revoke does not search the open challenges: a revoked record's
+    /// challenge stays in the map, answers `UnknownSession` and cancels
+    /// as `false` before the next compaction, which frees it, and after
+    /// it; a live record's challenge issued before both still verifies
+    /// at its renumbered slot.
+    #[test]
+    fn a_revoked_records_challenges_are_refused_and_freed_at_compaction() {
+        let (device, mut server, bios, mut rng) = setup(2);
+        let mut respond = |server: &mut AuthenticationServer, bio: &[i64]| {
+            let reading = noisy(bio, &mut rng);
+            let probe = device.probe_sketch(&reading, &mut rng).unwrap();
+            let chal = server.begin_identification(&probe, &mut rng).unwrap();
+            device.respond(&reading, &chal, &mut rng).unwrap()
+        };
+        let before = respond(&mut server, &bios[0]);
+        let after = respond(&mut server, &bios[0]);
+        let cancelled = respond(&mut server, &bios[0]);
+        let live = respond(&mut server, &bios[1]);
+        server.revoke("user-0").unwrap();
+        assert_eq!(server.pending.len(), 4, "the revoke walks no challenge");
+        assert_eq!(
+            server.finish_identification(&before).unwrap_err(),
+            ProtocolError::UnknownSession
+        );
+        assert!(!server.cancel_session(cancelled.session));
+        assert_eq!(server.compact(), 1);
+        assert_eq!(server.pending.len(), 1, "compaction frees the dead one");
+        assert_eq!(
+            server.finish_identification(&after).unwrap_err(),
+            ProtocolError::UnknownSession
+        );
+        assert_eq!(
+            server.finish_identification(&live).unwrap(),
+            IdentOutcome::Identified("user-1".into())
         );
     }
 

@@ -143,8 +143,8 @@ fn check_reader_quiescent(index: &EpochIndex, model: &ModelIndex, probes: &[Vec<
     for probe in probes {
         let all = model.lookup_all(probe);
         prop_assert_eq!(reader.find_first(probe), all.first().copied());
-        prop_assert_eq!(&reader.find_at_most(probe, 2), &all[..all.len().min(2)]);
-        prop_assert_eq!(&reader.find_at_most(probe, usize::MAX), &all);
+        prop_assert_eq!(&reader.find(probe, None, 2), &all[..all.len().min(2)]);
+        prop_assert_eq!(&reader.find(probe, None, usize::MAX), &all);
         // Subset-masked scan over every other logged slot, and over
         // ids no slot has.
         let slots = model.entries.len();
@@ -152,7 +152,7 @@ fn check_reader_quiescent(index: &EpochIndex, model: &ModelIndex, probes: &[Vec<
         subset.extend([slots, 1 << 40, usize::MAX]);
         let want: Vec<usize> = all.iter().copied().filter(|id| id % 2 == 0).collect();
         prop_assert_eq!(
-            reader.find_in_subset(probe, &subset, usize::MAX),
+            reader.find(probe, Some(&subset), usize::MAX),
             want,
             "subset scan diverged"
         );
@@ -186,13 +186,16 @@ fn check_epoch_against_model(mut index: EpochIndex, t: u64, ka: u64, ops: &[Op])
                     .zip(noise.iter())
                     .map(|(&v, &d)| v.saturating_add(d))
                     .collect();
-                prop_assert_eq!(model.lookup(&probe), index.lookup(&probe));
-                prop_assert_eq!(model.lookup_all(&probe), index.lookup_all(&probe));
+                prop_assert_eq!(model.lookup(&probe), index.find_first(&probe));
+                prop_assert_eq!(
+                    model.lookup_all(&probe),
+                    index.find(&probe, None, usize::MAX)
+                );
                 probes_seen.push(probe);
             }
             Op::Probe(probe) => {
-                prop_assert_eq!(model.lookup(probe), index.lookup(probe));
-                prop_assert_eq!(model.lookup_all(probe), index.lookup_all(probe));
+                prop_assert_eq!(model.lookup(probe), index.find_first(probe));
+                prop_assert_eq!(model.lookup_all(probe), index.find(probe, None, usize::MAX));
                 probes_seen.push(probe.clone());
             }
             Op::Remove(n) => {
@@ -267,8 +270,8 @@ proptest! {
             let reader = reserved.reader();
             for s in &sketches {
                 prop_assert_eq!(reserved.insert(s), plain.insert(s));
-                prop_assert_eq!(reader.find_first(s), plain.lookup(s));
-                prop_assert_eq!(reader.find_at_most(s, usize::MAX), plain.lookup_all(s));
+                prop_assert_eq!(reader.find_first(s), plain.find_first(s));
+                prop_assert_eq!(reader.find(s, None, usize::MAX), plain.find(s, None, usize::MAX));
             }
             prop_assert_eq!(reserved.len(), plain.len());
             prop_assert_eq!(reserved.segments().len(), plain.segments().len());
@@ -410,10 +413,16 @@ fn default_head_is_capped_by_rows_and_by_bytes() {
                 assert_eq!(epoch.remove(id), scan.remove(id));
             }
             for probe in &probes {
-                assert_eq!(epoch.lookup_all(probe), scan.lookup_all(probe));
-                assert_eq!(reader.find_first(probe), scan.lookup(probe));
+                assert_eq!(
+                    epoch.find(probe, None, usize::MAX),
+                    scan.find(probe, None, usize::MAX)
+                );
+                assert_eq!(reader.find_first(probe), scan.find_first(probe));
             }
-            assert_eq!(reader.find_first_batch(&probes), scan.lookup_batch(&probes));
+            assert_eq!(
+                reader.find_first_batch(&probes),
+                scan.find_first_batch(&probes)
+            );
         }
     }
 }
@@ -531,14 +540,14 @@ fn concurrent_readers_agree_with_some_published_state() {
                             Some(j),
                             "stable row {j} must match in every snapshot"
                         );
-                        assert_eq!(reader.find_at_most(&probe, 2), vec![j]);
+                        assert_eq!(reader.find(&probe, None, 2), vec![j]);
                     }
                     // Churn probes: matches are optional (the row may
                     // not exist / be revoked in this snapshot), but any
                     // returned id must genuinely match the probe.
                     for j in stable..stable + 40 {
                         let probe = row(j);
-                        for id in reader.find_at_most(&probe, usize::MAX) {
+                        for id in reader.find(&probe, None, usize::MAX) {
                             assert!(
                                 sketches_match(&row(id), &probe, t, ka),
                                 "id {id} returned for probe {j} does not match it"

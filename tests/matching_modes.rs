@@ -5,7 +5,7 @@
 //! auto-dispatched SIMD) and every cell-width class.
 
 use fuzzy_id::core::conditions::{cyclic_close, sketches_match};
-use fuzzy_id::core::{FilterConfig, RowMask, SketchArena};
+use fuzzy_id::core::{FilterConfig, SketchArena, SketchIndex};
 use fuzzy_id::protocol::{
     AuthenticationServer, BiometricDevice, ProtocolError, SystemParams, UserId,
 };
@@ -55,11 +55,11 @@ impl Model {
     }
 
     /// Find-at-most-K over an id subset.
-    fn at_most_masked(&self, probe: &[i64], mask: &RowMask, budget: usize) -> Vec<usize> {
+    fn at_most_masked(&self, probe: &[i64], mask: &[usize], budget: usize) -> Vec<usize> {
         let mut all: Vec<usize> = self
             .all(probe)
             .into_iter()
-            .filter(|&i| mask.contains(i))
+            .filter(|i| mask.contains(i))
             .collect();
         all.truncate(budget);
         all
@@ -140,8 +140,8 @@ const BUDGETS: [usize; 5] = [0, 1, 2, 3, usize::MAX];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tentpole equivalence, single-template: `find_at_most` and
-    /// `find_at_most_masked` ≡ the oracle for every budget, every mask,
+    /// Tentpole equivalence, single-template: `find` without and with
+    /// an id subset ≡ the oracle for every budget, every mask,
     /// every kernel.
     #[test]
     fn bounded_and_masked_scan_match_oracle(
@@ -155,9 +155,9 @@ proptest! {
                 .map(|r| r.2.then(|| materialize(&bases, r)))
                 .collect(),
         };
-        let mask = RowMask::from_rows(
-            (0..rows.len()).filter(|i| mask_seed & (1u64 << (i % 64)) != 0),
-        );
+        let mask: Vec<usize> = (0..rows.len())
+            .filter(|i| mask_seed & (1u64 << (i % 64)) != 0)
+            .collect();
         for filter in kernel_sweep() {
             let mut arena = SketchArena::with_filter(t, ka, filter);
             for row in &rows {
@@ -170,13 +170,13 @@ proptest! {
                 let probe = materialize(&bases, probe);
                 for budget in BUDGETS {
                     prop_assert_eq!(
-                        arena.find_at_most(&probe, budget),
+                        arena.find(&probe, None, budget),
                         model.at_most(&probe, budget),
-                        "find_at_most(budget={}) diverged on kernel {}",
+                        "find(budget={}) diverged on kernel {}",
                         budget, arena.filter_kernel()
                     );
                     prop_assert_eq!(
-                        arena.find_at_most_masked(&probe, &mask, budget),
+                        arena.find(&probe, Some(&mask), budget),
                         model.at_most_masked(&probe, &mask, budget),
                         "masked(budget={}) diverged on kernel {}",
                         budget, arena.filter_kernel()
@@ -212,7 +212,7 @@ fn exactly_k_at_word_and_tile_boundaries() {
         }
         for k in 0..=hits.len() + 1 {
             assert_eq!(
-                arena.find_at_most(&[0], k),
+                arena.find(&[0], None, k),
                 &hits[..k.min(hits.len())],
                 "budget {k} on kernel {}",
                 arena.filter_kernel()
@@ -237,7 +237,7 @@ fn budget_cancellation_survives_tombstones() {
         // Scattered mid-range tombstones on top of the prefix.
         arena.remove(200);
         let expect: Vec<usize> = (kill..257).filter(|&id| id != 200).take(3).collect();
-        assert_eq!(arena.find_at_most(&[7], 3), expect, "kill prefix {kill}");
+        assert_eq!(arena.find(&[7], None, 3), expect, "kill prefix {kill}");
     }
 }
 
@@ -253,20 +253,17 @@ fn masks_empty_full_and_one_row() {
     arena.remove(6);
     let probe = [5i64];
 
-    assert_eq!(
-        arena.find_at_most_masked(&probe, &RowMask::new(), 8),
-        vec![]
-    );
+    assert_eq!(arena.find(&probe, Some(&[]), 8), vec![]);
 
-    let full = RowMask::from_rows(0..130);
+    let full: Vec<usize> = (0..130).collect();
     assert_eq!(
-        arena.find_at_most_masked(&probe, &full, usize::MAX),
-        arena.find_at_most(&probe, usize::MAX)
+        arena.find(&probe, Some(&full), usize::MAX),
+        arena.find(&probe, None, usize::MAX)
     );
 
     for row in 0..130usize {
-        let one = RowMask::from_rows([row]);
-        let got = arena.find_at_most_masked(&probe, &one, 8);
+        let one = [row];
+        let got = arena.find(&probe, Some(&one), 8);
         let matches = row % 3 == 0 && row != 6;
         assert_eq!(got, if matches { vec![row] } else { vec![] }, "row {row}");
     }

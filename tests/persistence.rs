@@ -130,9 +130,11 @@ fn recovery_equivalence<W: BuildIndex, R: BuildIndex>(
     // exactly what a SIGKILL would leave, since every append is
     // flushed before enroll/revoke returns).
     let expected_users = original.user_count();
-    let expected_single: Vec<Option<usize>> =
-        probes.iter().map(|p| original.lookup_probe(p)).collect();
-    let expected_batch = original.lookup_probe_batch(&probes);
+    let expected_single: Vec<Option<usize>> = probes
+        .iter()
+        .map(|p| original.find(p, None, 1).pop())
+        .collect();
+    let expected_batch = original.find_first_batch(&probes);
     drop(original);
 
     // Rebuild — under the *other* engine, to prove recovery is
@@ -141,9 +143,9 @@ fn recovery_equivalence<W: BuildIndex, R: BuildIndex>(
 
     assert_eq!(expected_users, rebuilt.user_count());
     for (probe, expected) in probes.iter().zip(&expected_single) {
-        assert_eq!(*expected, rebuilt.lookup_probe(probe));
+        assert_eq!(*expected, rebuilt.find(probe, None, 1).pop());
     }
-    assert_eq!(expected_batch, rebuilt.lookup_probe_batch(&probes));
+    assert_eq!(expected_batch, rebuilt.find_first_batch(&probes));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -153,7 +155,7 @@ proptest! {
     /// Recovery equivalence (single server): after a random
     /// enroll/revoke history — optionally with a checkpoint in the
     /// middle — a server rebuilt from the on-disk store answers
-    /// `lookup_probe` and `lookup_probe_batch` identically to the
+    /// `find` and `find_first_batch` identically to the
     /// never-restarted original, whichever engine wrote the store and
     /// whichever rebuilds from it.
     #[test]
@@ -209,7 +211,7 @@ proptest! {
         prop_assert_eq!(direct.record_slots(), replayed.record_slots());
         for _ in 0..8 {
             let probe = params.sketch().line().random_vector(4, &mut rng);
-            prop_assert_eq!(direct.lookup_probe(&probe), replayed.lookup_probe(&probe));
+            prop_assert_eq!(direct.find(&probe, None, 1).pop(), replayed.find(&probe, None, 1).pop());
         }
     }
 }
@@ -949,7 +951,10 @@ fn single_bit_flips_at_rest_are_detected() {
         .iter()
         .map(|bio| genuine_probe(&params, bio, &mut rng))
         .collect();
-    let answers: Vec<Option<usize>> = probes.iter().map(|p| server.lookup_probe(p)).collect();
+    let answers: Vec<Option<usize>> = probes
+        .iter()
+        .map(|p| server.find(p, None, 1).pop())
+        .collect();
     let users = server.user_count();
     drop(server);
     for file in ["journal.fel", "snapshot.fes"] {
@@ -965,7 +970,10 @@ fn single_bit_flips_at_rest_are_detected() {
     let recovered: AuthenticationServer<EpochIndex> =
         AuthenticationServer::recover(params.clone(), &dir).unwrap();
     assert_eq!(recovered.user_count(), users);
-    let got: Vec<Option<usize>> = probes.iter().map(|p| recovered.lookup_probe(p)).collect();
+    let got: Vec<Option<usize>> = probes
+        .iter()
+        .map(|p| recovered.find(p, None, 1).pop())
+        .collect();
     assert_eq!(got, answers);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -330,12 +330,50 @@ proptest! {
         prop_assert_eq!(fe.reproduce(&noisy, &helper).unwrap(), key);
     }
 
+    /// `Rep` encodes the recovered `w` once, and is still exactly
+    /// `extract_key(Rec(y, P), r)`: the same key or the same error —
+    /// on readings near and far (`OutOfRange`, or a wrong `w` the tag
+    /// refuses), on tampered tags and sketches (`TagMismatch`) and on
+    /// seeds cut short (`BadParameters`).
+    #[test]
+    fn reproduce_is_extract_key_of_recover(
+        (line, t) in line_and_t(),
+        seed in any::<u64>(),
+        dim in 1usize..12,
+        noise in 0u64..3,
+        tamper in 0u8..4,
+        seed_len in 0usize..40,
+    ) {
+        use rand::Rng;
+        let scheme = ChebyshevSketch::new(line, t).unwrap();
+        let fe = FuzzyExtractor::with_defaults(scheme, 32);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = line.random_vector(dim, &mut rng);
+        let (_, mut helper) = fe.generate(&x, &mut rng).unwrap();
+        let spread = (noise * t) as i64;
+        let reading: Vec<i64> = x
+            .iter()
+            .map(|&v| line.wrap(v + rng.gen_range(-spread..=spread)))
+            .collect();
+        match tamper {
+            0 => helper.sketch.tag[0] ^= 1,
+            1 => helper.sketch.inner[0] += 1,
+            2 => helper.seed.truncate(seed_len),
+            _ => {}
+        }
+        let parts = fe
+            .sketch_scheme()
+            .recover(&reading, &helper.sketch)
+            .and_then(|w| fe.extract_key(&w, &helper.seed));
+        prop_assert_eq!(fe.reproduce(&reading, &helper), parts);
+    }
+
     /// Tiering is transparent: on a random sketch population, an
     /// `EpochIndex` (a threshold small enough to seal many heads within
     /// it, and to rewrite them as removals land) and the one-arena
     /// `ScanIndex` reference assign the
-    /// same record ids and return identical `lookup` / `lookup_all` /
-    /// `lookup_batch` results — including after random removals, which
+    /// same record ids and return identical `find_first` / unbounded
+    /// `find` / `find_first_batch` results — including after random removals, which
     /// must leave the surviving ids stable.
     #[test]
     fn epoch_index_equivalent_to_scan(
@@ -352,7 +390,7 @@ proptest! {
 
         // Random sketch population (coordinates span the legal sketch
         // range [-ka/2, ka/2]; duplicates and near-duplicates arise
-        // naturally, which is exactly what lookup_all must agree on).
+        // naturally, which is exactly what an unbounded find must agree on).
         let sketches: Vec<Vec<i64>> = (0..users)
             .map(|_| {
                 (0..dim)
@@ -392,10 +430,10 @@ proptest! {
         }));
 
         for probe in &probes {
-            prop_assert_eq!(scan.lookup(probe), epoch.lookup(probe));
-            prop_assert_eq!(scan.lookup_all(probe), epoch.lookup_all(probe));
+            prop_assert_eq!(scan.find_first(probe), epoch.find_first(probe));
+            prop_assert_eq!(scan.find(probe, None, usize::MAX), epoch.find(probe, None, usize::MAX));
         }
-        prop_assert_eq!(scan.lookup_batch(&probes), epoch.lookup_batch(&probes));
+        prop_assert_eq!(scan.find_first_batch(&probes), epoch.find_first_batch(&probes));
     }
 
     /// Codec round-trip: any sketch a legal scheme can produce survives
@@ -865,8 +903,9 @@ fn index_case() -> impl Strategy<Value = (u64, u64, usize, Vec<IndexOp>)> {
 }
 
 /// Drives one implementation and the model through the same script,
-/// checking every observable output pairwise: ids, lookup, lookup_all,
-/// lookup_batch, lookup_in_subset, remove results, compact mappings,
+/// checking every observable output pairwise: ids, `find_first`,
+/// unbounded `find`, `find_first_batch`, `find` over a subset, remove
+/// results, compact mappings,
 /// live/slot counts, and the streaming iterator.
 fn check_against_model<I: SketchIndex>(mut index: I, t: u64, ka: u64, ops: &[IndexOp]) {
     let mut model = ModelIndex::new(t, ka);
@@ -890,13 +929,16 @@ fn check_against_model<I: SketchIndex>(mut index: I, t: u64, ka: u64, ops: &[Ind
                     .zip(noise.iter())
                     .map(|(&v, &d)| v.saturating_add(d))
                     .collect();
-                prop_assert_eq!(model.lookup(&probe), index.lookup(&probe));
-                prop_assert_eq!(model.lookup_all(&probe), index.lookup_all(&probe));
+                prop_assert_eq!(model.lookup(&probe), index.find_first(&probe));
+                prop_assert_eq!(
+                    model.lookup_all(&probe),
+                    index.find(&probe, None, usize::MAX)
+                );
                 probes_seen.push(probe);
             }
             IndexOp::Probe(probe) => {
-                prop_assert_eq!(model.lookup(probe), index.lookup(probe));
-                prop_assert_eq!(model.lookup_all(probe), index.lookup_all(probe));
+                prop_assert_eq!(model.lookup(probe), index.find_first(probe));
+                prop_assert_eq!(model.lookup_all(probe), index.find(probe, None, usize::MAX));
                 probes_seen.push(probe.clone());
             }
             IndexOp::Remove(n) => {
@@ -919,7 +961,7 @@ fn check_against_model<I: SketchIndex>(mut index: I, t: u64, ka: u64, ops: &[Ind
         prop_assert_eq!(model.entries.len(), index.slots(), "slots diverged");
     }
     // The batch path agrees with the model's one-at-a-time path.
-    let batch = index.lookup_batch(&probes_seen);
+    let batch = index.find_first_batch(&probes_seen);
     for (probe, got) in probes_seen.iter().zip(batch) {
         prop_assert_eq!(model.lookup(probe), got);
     }
@@ -932,7 +974,7 @@ fn check_against_model<I: SketchIndex>(mut index: I, t: u64, ka: u64, ops: &[Ind
         let mut want = model.lookup_all(probe);
         want.retain(|id| id % 2 == 0);
         prop_assert_eq!(
-            index.lookup_in_subset(probe, &subset, usize::MAX),
+            index.find(probe, Some(&subset), usize::MAX),
             want,
             "subset lookup diverged"
         );
@@ -1383,7 +1425,7 @@ proptest! {
             index.heap_bytes(), keep, dim, churn
         );
         // The detached reader still answers from the last publish.
-        prop_assert_eq!(reader.find_first(&vec![0; dim]), index.lookup(&vec![0; dim]));
+        prop_assert_eq!(reader.find_first(&vec![0; dim]), index.find_first(&vec![0; dim]));
     }
 }
 
@@ -1474,7 +1516,10 @@ mod helper_round_trip {
             // A record's own sketch is a probe at distance 0: the hit is
             // the earliest live record it matches.
             let probe = &record.helper.sketch.inner;
-            let slot = server.lookup_probe(probe).expect("a sketch matches itself");
+            let slot = server
+                .find(probe, None, 1)
+                .pop()
+                .expect("a sketch matches itself");
             let hit = server.user_at(slot).unwrap().to_string();
             let challenge = server.begin_identification(probe, &mut rng).unwrap();
             let expected = live.iter().find(|r| r.id == hit).unwrap();
@@ -1924,5 +1969,163 @@ mod record_table {
         ops.push(enroll(7, 1));
         ops.push(Op::Reopen);
         run(&ops);
+    }
+}
+
+/// One bounded lookup per layer, one answer: the arena (`ScanIndex`),
+/// the epoch engine, its detached reader and the server over either
+/// engine answer `find(probe, subset, budget)` with the ids a
+/// brute-force `cyclic_close` scan of the live rows gives, and every
+/// first-match batch with its probes' `find(p, None, 1)`.
+mod one_lookup_per_layer {
+    use super::*;
+    use fuzzy_id::core::{EpochRead, IndexReader};
+    use fuzzy_id::protocol::{AuthenticationServer, EnrollmentRecord, SystemParams};
+
+    const DIM: usize = 4;
+    const BUDGETS: [usize; 5] = [0, 1, 2, 3, usize::MAX];
+
+    /// A probe or a row: a base biometric and a noise selector. Noise 0
+    /// copies the base, so a base enrolled twice is a duplicate and
+    /// budgets above 1 have several hits to bound.
+    type Drawn = (usize, u8, u64);
+
+    /// `base ± noise` per coordinate, `noise` one of 0, t/4, t/2 or 2t
+    /// (the last can leave `t` of the base on any coordinate).
+    fn draw(bases: &[Vec<i64>], (base, kind, seed): Drawn, t: i64) -> Vec<i64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spread = [0, t / 4, t / 2, 2 * t][usize::from(kind % 4)];
+        bases[base % bases.len()]
+            .iter()
+            .map(|&v| {
+                use rand::Rng;
+                v + rng.gen_range(-spread..=spread)
+            })
+            .collect()
+    }
+
+    fn record(id: usize, sketch: Vec<i64>) -> EnrollmentRecord {
+        EnrollmentRecord {
+            id: format!("user-{id}"),
+            public_key: vec![1],
+            helper: HelperData {
+                sketch: RobustData {
+                    inner: sketch,
+                    tag: vec![2],
+                },
+                seed: vec![3],
+            },
+        }
+    }
+
+    /// The subset a lookup is restricted to: none, the empty set, or
+    /// ids drawn from past the last slot as well as below it, so it
+    /// holds unknown ids, dead ids and repeats.
+    fn subset(kind: u8, ids: &[usize]) -> Option<Vec<usize>> {
+        match kind % 3 {
+            0 => None,
+            1 => Some(Vec::new()),
+            _ => Some(ids.to_vec()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_layer_finds_what_cyclic_close_finds(
+            bases in prop::collection::vec(prop::collection::vec(-200i64..=200, DIM..DIM + 1), 1..4),
+            rows in prop::collection::vec((0usize..4, 0u8..4, any::<u64>()), 1..40),
+            revoked in any::<u64>(),
+            seal_rows in 1usize..=5,
+            compact in any::<bool>(),
+            probes in prop::collection::vec((0usize..4, 0u8..4, any::<u64>()), 1..8),
+            subsets in prop::collection::vec(
+                (0u8..3, prop::collection::vec(0usize..44, 0..24)),
+                3..4,
+            ),
+        ) {
+            let params = SystemParams::insecure_test_defaults();
+            let (t, ka) = (params.sketch().threshold(), params.sketch().line().interval_len());
+            let filter = params.filter_config();
+            let mut arena = ScanIndex::with_filter(t, ka, filter);
+            let mut epoch = EpochIndex::with_seal_rows(t, ka, filter, seal_rows);
+            let reader = epoch.reader();
+            let mut on_epoch = AuthenticationServer::with_index(
+                params.clone(),
+                EpochIndex::with_seal_rows(t, ka, filter, seal_rows),
+            );
+            let mut on_arena =
+                AuthenticationServer::with_index(params.clone(), ScanIndex::with_filter(t, ka, filter));
+
+            // The oracle: every enrolled row with its liveness, by id.
+            let mut live: Vec<(usize, Vec<i64>)> = Vec::new();
+            for (id, &row) in rows.iter().enumerate() {
+                let sketch = draw(&bases, row, t as i64);
+                prop_assert_eq!(arena.insert(&sketch), id);
+                prop_assert_eq!(epoch.insert(&sketch), id);
+                on_epoch.enroll(record(id, sketch.clone())).unwrap();
+                on_arena.enroll(record(id, sketch.clone())).unwrap();
+                live.push((id, sketch));
+            }
+            for id in (0..rows.len().min(64)).filter(|id| revoked & (1 << id) != 0) {
+                prop_assert!(SketchIndex::remove(&mut arena, id));
+                prop_assert!(epoch.remove(id));
+                on_epoch.revoke(&format!("user-{id}")).unwrap();
+                on_arena.revoke(&format!("user-{id}")).unwrap();
+                live.retain(|(live_id, _)| *live_id != id);
+            }
+            if compact {
+                let mapping: Vec<(usize, usize)> =
+                    live.iter().enumerate().map(|(new, (old, _))| (*old, new)).collect();
+                prop_assert_eq!(arena.compact(), mapping.clone());
+                prop_assert_eq!(epoch.compact(), mapping);
+                on_epoch.compact();
+                on_arena.compact();
+                live.iter_mut().enumerate().for_each(|(new, (id, _))| *id = new);
+            }
+
+            let mut probes: Vec<Vec<i64>> =
+                probes.into_iter().map(|p| draw(&bases, p, t as i64)).collect();
+            probes.push(vec![0; DIM + 1]);
+            for probe in &probes {
+                for (kind, ids) in &subsets {
+                    let subset = subset(*kind, ids);
+                    let subset = subset.as_deref();
+                    for budget in BUDGETS {
+                        let want: Vec<usize> = live
+                            .iter()
+                            .filter(|(id, _)| subset.is_none_or(|s| s.contains(id)))
+                            .filter(|(_, row)| {
+                                probe.len() == DIM
+                                    && row.iter().zip(probe).all(|(&a, &b)| cyclic_close(a, b, t, ka))
+                            })
+                            .map(|(id, _)| *id)
+                            .take(budget)
+                            .collect();
+                        let at = format!("subset {subset:?} budget {budget}");
+                        prop_assert_eq!(&arena.find(probe, subset, budget), &want, "arena {}", at);
+                        prop_assert_eq!(&epoch.find(probe, subset, budget), &want, "epoch {}", at);
+                        prop_assert_eq!(&reader.find(probe, subset, budget), &want, "reader {}", at);
+                        prop_assert_eq!(&on_epoch.find(probe, subset, budget), &want, "server {}", at);
+                        prop_assert_eq!(&on_arena.find(probe, subset, budget), &want, "server {}", at);
+                    }
+                }
+            }
+            let firsts = |find: &dyn Fn(&[i64]) -> Vec<usize>| -> Vec<Option<usize>> {
+                probes.iter().map(|p| find(p).first().copied()).collect()
+            };
+            prop_assert_eq!(arena.find_first_batch(&probes), firsts(&|p| arena.find(p, None, 1)));
+            prop_assert_eq!(epoch.find_first_batch(&probes), firsts(&|p| epoch.find(p, None, 1)));
+            prop_assert_eq!(reader.find_first_batch(&probes), firsts(&|p| reader.find(p, None, 1)));
+            prop_assert_eq!(
+                on_epoch.find_first_batch(&probes),
+                firsts(&|p| on_epoch.find(p, None, 1))
+            );
+            prop_assert_eq!(
+                on_arena.find_first_batch(&probes),
+                firsts(&|p| on_arena.find(p, None, 1))
+            );
+        }
     }
 }

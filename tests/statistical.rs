@@ -137,7 +137,7 @@ fn false_match_rate_is_the_ring_rate() {
         let (mut by_index, mut by_oracle) = (0usize, 0usize);
         for _ in 0..100 {
             let probe = sketch();
-            by_index += index.lookup_all(&probe).len();
+            by_index += index.find(&probe, None, usize::MAX).len();
             by_oracle += enrolled
                 .iter()
                 .filter(|s| sketches_match(s, &probe, t, ka))
@@ -190,13 +190,19 @@ fn false_non_match_is_a_step_at_t() {
         }
         let probe = scheme.sketch(&reading, &mut rng).unwrap();
         assert!(sketches_match(&enrolled[id], &probe, t, ka), "draw {draw}");
-        assert!(index.lookup_all(&probe).contains(&id), "draw {draw}");
+        assert!(
+            index.find(&probe, None, usize::MAX).contains(&id),
+            "draw {draw}"
+        );
 
         let beyond = if draw % 2 == 0 { t_i + 1 } else { -t_i - 1 };
         reading[draw % D] = users[id][draw % D] + beyond;
         let probe = scheme.sketch(&reading, &mut rng).unwrap();
         assert!(!sketches_match(&enrolled[id], &probe, t, ka), "draw {draw}");
-        assert!(!index.lookup_all(&probe).contains(&id), "draw {draw}");
+        assert!(
+            !index.find(&probe, None, usize::MAX).contains(&id),
+            "draw {draw}"
+        );
     }
     assert_eq!((lowest, highest), (-t_i, t_i), "both ends must be drawn");
 }
