@@ -128,6 +128,12 @@ impl ChebyshevSketch {
         }
     }
 
+    /// `SS` a coordinate at a time: the loop off AVX-512, and its
+    /// oracle.
+    fn sketch_scalar<R: RngCore + ?Sized>(&self, input: &[i64], rng: &mut R) -> Vec<i64> {
+        input.iter().map(|&x| self.sketch_point(x, rng)).collect()
+    }
+
     /// Sketches a single coordinate, returning the movement `s_i`.
     fn sketch_point<R: RngCore + ?Sized>(&self, x: i64, rng: &mut R) -> i64 {
         let ka = self.line.interval_len() as i64;
@@ -150,12 +156,28 @@ impl ChebyshevSketch {
 impl SecureSketch for ChebyshevSketch {
     type Sketch = Vec<i64>;
 
+    // Eight coordinates a step on AVX-512 (`half_minus_offsets`), then
+    // the boundary points' coin flips in coordinate order: the draws
+    // `sketch_scalar` makes, which runs instead over the whole sketch
+    // when any coordinate is off the fast range.
     fn sketch<R: RngCore + ?Sized>(
         &self,
         input: &[i64],
         rng: &mut R,
     ) -> Result<Vec<i64>, SketchError> {
-        Ok(input.iter().map(|&x| self.sketch_point(x, rng)).collect())
+        let Some((mut s, boundary)) = self.line.half_minus_offsets(input) else {
+            return Ok(self.sketch_scalar(input, rng));
+        };
+        if boundary {
+            // Offset 0 is the one movement of `ka/2`.
+            let half = (self.line.interval_len() / 2) as i64;
+            for m in s.iter_mut().filter(|m| **m == half) {
+                if !rng.gen_bool(0.5) {
+                    *m = -half;
+                }
+            }
+        }
+        Ok(s)
     }
 
     fn recover(&self, reading: &[i64], sketch: &Vec<i64>) -> Result<Vec<i64>, SketchError> {
@@ -308,6 +330,91 @@ mod tests {
                     prop_assert_eq!(&scheme.recover(reading, helper), &expected);
                     prop_assert_eq!(&scheme.recover_exhaustive(reading, helper), &expected);
                 }
+            }
+        }
+    }
+
+    /// Does this host run the AVX-512 bodies?
+    fn lanes_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return crate::index::store::kernels::avx512::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `SS` eight coordinates a step returns what the scalar loop
+        /// returns and leaves the rng where it leaves it, at every
+        /// dimension from 1 to 130: on points inside the fast range
+        /// (canonical or a period out) with `boundaries` of them, or
+        /// every one, moved onto a boundary, and on sketches with `off`
+        /// points drawn anywhere, the fast path's end and any `i64`
+        /// among them. The lanes run exactly when every `x + kav` is a
+        /// 32-bit number on a line with `ka < 2³²`. Half the cases take
+        /// the oracle lines, half a random line with a period below
+        /// `2³²`, where most sketches stay on the lanes.
+        #[test]
+        fn sketch_lanes_match_the_scalar_loop(
+            i in 0..2 * ORACLE_LINES.len(),
+            seed in any::<u64>(),
+            dim in 1usize..=130,
+            boundaries in 0usize..4,
+            off in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let line = match ORACLE_LINES.get(i) {
+                Some(_) => oracle_line(i),
+                None => {
+                    let ka = 2 * rng.gen_range(2..=1u64 << 15);
+                    NumberLine::new(1, ka, rng.gen_range(2..=u64::from(u32::MAX) / ka)).unwrap()
+                }
+            };
+            prop_assume!(line.max_threshold() > 0); // `(1, 2, 2)` takes no sketch
+            let scheme = ChebyshevSketch::new(line, 1).unwrap();
+            let ka = line.interval_len() as i64;
+            let half = line.half_range() as i64;
+            let period = line.period() as i64;
+            let mut x: Vec<i64> = (0..dim)
+                .map(|_| rng.gen_range(1 - half..=half) + period * rng.gen_range(-1..=1i64))
+                .collect();
+            let boundaries = if boundaries == 3 { dim } else { boundaries };
+            for _ in 0..boundaries {
+                let j = rng.gen_range(0..dim);
+                x[j] = ka * rng.gen_range(-(half / ka)..=half / ka);
+            }
+            for _ in 0..off {
+                let j = rng.gen_range(0..dim);
+                x[j] = oracle_point(&line, &mut rng);
+            }
+
+            let fast = ka < 1 << 32
+                && x.iter().all(|&xi| (xi.wrapping_add(period) as u64) < 1 << 32);
+            prop_assert_eq!(line.half_minus_offsets(&x).is_some(), fast && lanes_available());
+            let mut oracle = rng.clone();
+            let s = scheme.sketch(&x, &mut rng).unwrap();
+            prop_assert_eq!(&s, &scheme.sketch_scalar(&x, &mut oracle));
+            prop_assert_eq!(rng.next_u64(), oracle.next_u64());
+        }
+    }
+
+    /// A sketch whose one boundary point sits at any lane of any chunk,
+    /// the tail's included, takes that point's coin flip: the draws and
+    /// the movements are the scalar loop's.
+    #[test]
+    fn a_lone_boundary_takes_its_coin_flip_at_every_lane() {
+        let s = scheme();
+        let ka = s.line().interval_len() as i64;
+        for dim in 1..=24 {
+            for j in 0..dim {
+                let mut x = vec![1; dim];
+                x[j] = 3 * ka;
+                let mut r = rng();
+                let mut oracle = r.clone();
+                let lanes = s.sketch(&x, &mut r).unwrap();
+                assert_eq!(lanes, s.sketch_scalar(&x, &mut oracle), "{j} of {dim}");
+                assert_eq!(r.next_u64(), oracle.next_u64(), "{j} of {dim}");
             }
         }
     }

@@ -81,7 +81,7 @@
 //! isolated SIMD backends, `shared` the append-under-readers buffer.
 
 mod cells;
-mod kernels;
+pub(crate) mod kernels;
 mod plane;
 mod shared;
 mod sweep;
@@ -152,8 +152,9 @@ pub enum PlaneDepth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterKernel {
     /// Runtime dispatch, widest first (checked once via
-    /// `is_x86_feature_detected!`): AVX-512 (`avx512f` + `avx512bw`),
-    /// then AVX2, then portable SWAR; NEON on aarch64.
+    /// `is_x86_feature_detected!`): AVX-512 (`avx512f` + `avx512bw`,
+    /// with the BMI2 every AVX-512 core has), then AVX2, then portable
+    /// SWAR; NEON on aarch64.
     #[default]
     Auto,
     /// Force the portable SWAR path (one `u64` word — 8 bucket bytes —

@@ -58,7 +58,8 @@
 //! ```
 
 // `deny` rather than `forbid`: the sanctioned exceptions are the SIMD
-// prefilter kernels in `index::store::kernels` (std::arch intrinsics
+// kernels in `index::store::kernels` (the prefilter's, and the AVX-512
+// bodies of `SS` and the packed-row encode: std::arch intrinsics
 // behind runtime feature detection) and the append-under-readers
 // buffer in `index::store::shared`; each scopes its own narrow
 // `allow(unsafe_code)` with the safety argument documented there.

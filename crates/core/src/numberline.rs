@@ -1,6 +1,8 @@
 //! The number line `La` of Definition 4: a discretized ring partitioned
 //! into `v` intervals of `k` units of length `a`.
 
+#[cfg(target_arch = "x86_64")]
+use crate::index::store::kernels::avx512;
 use crate::SketchError;
 use rand::RngCore;
 use std::cell::Cell;
@@ -172,6 +174,22 @@ impl NumberLine {
         } else {
             divide(x, self.interval_len() as i64)
         }
+    }
+
+    /// `ka/2 − interval_offset(x)` for every coordinate of `input` —
+    /// `SS`'s movement but for a boundary point's coin flip — eight
+    /// coordinates a step on AVX-512, and whether any of them is a
+    /// boundary. `None` off AVX-512, on a line with no fast path, and
+    /// when some `x + kav` is past `2³²`: then no residue was taken, and
+    /// the caller's scalar loop divides exactly where it always did.
+    pub(crate) fn half_minus_offsets(&self, input: &[i64]) -> Option<(Vec<i64>, bool)> {
+        #[cfg(target_arch = "x86_64")]
+        if self.fast_end != 0 && avx512::available() {
+            let (period, ka) = (self.period(), self.interval_len());
+            return avx512::sketch_offsets(input, period, ka, self.ka_inv);
+        }
+        let _ = input;
+        None
     }
 
     /// Wraps any integer onto the canonical range `(-kav/2, kav/2]`.

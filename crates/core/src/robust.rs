@@ -103,12 +103,21 @@ impl RobustSketch {
     }
 }
 
-/// `H(x ‖ s')` over the encoded value `x` and the sketch `s'`.
+/// `H(x ‖ s')` over the encoded value `x` and the sketch `s'`, `s'` in
+/// [`encode_i64_vector`]'s bytes, hashed eight coordinates at a time
+/// from the stack.
 fn tag(encoded: &[u8], sketch: &[i64]) -> Vec<u8> {
     let mut h = Sha256::new();
     h.update(b"fe-robust-sketch-v1");
     h.update(encoded);
-    h.update(&encode_i64_vector(sketch));
+    h.update(&(sketch.len() as u64).to_be_bytes());
+    let mut block = [0; 64];
+    for coords in sketch.chunks(8) {
+        for (bytes, x) in block.chunks_exact_mut(8).zip(coords) {
+            bytes.copy_from_slice(&x.to_be_bytes());
+        }
+        h.update(&block[..8 * coords.len()]);
+    }
     h.finalize()
 }
 

@@ -275,6 +275,38 @@ fn each_far_coordinate_costs_one_divide() {
     assert_eq!(spent, 2);
 }
 
+/// `SS` takes its eight-coordinate loop only when every `x + kav` is a
+/// 32-bit number, and otherwise runs the scalar loop over the whole
+/// sketch: `k` coordinates off that range, wherever they sit and however
+/// near its ends (`x + kav` at `2³²`, or just below 0), cost exactly `k`
+/// divides, and the coordinates just inside the ends cost none.
+#[test]
+fn ss_divides_once_per_coordinate_off_the_fast_range() {
+    let scheme = ChebyshevSketch::paper_defaults();
+    let line = *scheme.line();
+    let period = line.period() as i64;
+    let (end, below) = ((1 << 32) - period, -period - 1); // first points off
+    let mut rng = StdRng::seed_from_u64(33);
+    for dim in [64, 67] {
+        let mut x = line.random_vector(dim, &mut rng);
+        x[0] = end - 1;
+        x[dim - 1] = -period;
+        let (_, spent) = divides(|| scheme.sketch(&x, &mut rng).unwrap());
+        assert_eq!(spent, 0, "dimension {dim}, in range");
+        for k in [1, 2, 9, dim] {
+            let mut x = x.clone();
+            // `k` distinct positions: the first `k` of a partial shuffle.
+            let mut off = (0..dim).collect::<Vec<_>>();
+            for (n, i) in (0..k).map(|n| (n, rng.gen_range(n..dim))) {
+                off.swap(n, i);
+                x[off[n]] = [end, below, end + period, i64::MIN, i64::MAX][n % 5];
+            }
+            let (_, spent) = divides(|| scheme.sketch(&x, &mut rng).unwrap());
+            assert_eq!(spent, k as u64, "dimension {dim}, {k} off");
+        }
+    }
+}
+
 /// `f`'s result and the keyed id hashes the record tables computed on
 /// this thread.
 fn id_hashed<T>(f: impl FnOnce() -> T) -> (T, u64) {
