@@ -103,29 +103,44 @@ impl ChebyshevSketch {
                 got: reading.len(),
             });
         }
-        let ka = self.line.interval_len() as i64;
-        let t = self.t as i64;
         let mut out = Vec::with_capacity(reading.len());
         let mut failed = None;
         for (&y, &s) in reading.iter().zip(sketch.iter()) {
-            if s.unsigned_abs() > (ka / 2) as u64 {
-                failed.get_or_insert(SketchError::BadParameters);
-                out.push(0);
-                continue;
+            match self.recover_point(y, s) {
+                Ok(x) => out.push(x),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
-            let shifted = self.line.wrap(self.line.wrap(y) + s);
-            let r = self.line.interval_offset(shifted);
-            let dist = (r - ka / 2).abs();
-            if dist > t {
-                failed.get_or_insert(SketchError::OutOfRange);
-            }
-            let identifier = shifted - r + ka / 2;
-            out.push(self.line.wrap(identifier - s));
         }
         match failed {
             Some(e) => Err(e),
             None => Ok(out),
         }
+    }
+
+    /// `Rec` on one coordinate: the reading `y` moved by `s`, snapped to
+    /// the identifier of its interval and moved back.
+    ///
+    /// # Errors
+    /// [`SketchError::BadParameters`] for a movement `SS` cannot make,
+    /// [`SketchError::OutOfRange`] (the paper's ⊥) when `y + s` is
+    /// farther than `t` from its identifier.
+    fn recover_point(&self, y: i64, s: i64) -> Result<i64, SketchError> {
+        let ka = self.line.interval_len() as i64;
+        // Movements outside [-ka/2, ka/2] cannot come from SS; the
+        // helper is network input, so `i64::MIN` must be refused too.
+        if s.unsigned_abs() > (ka / 2) as u64 {
+            return Err(SketchError::BadParameters);
+        }
+        let shifted = self.line.wrap(self.line.wrap(y) + s);
+        let r = self.line.interval_offset(shifted); // [0, ka)
+        let dist = (r - ka / 2).abs(); // to the identifier of r's interval
+        if dist > self.t as i64 {
+            return Err(SketchError::OutOfRange);
+        }
+        let identifier = shifted - r + ka / 2;
+        Ok(self.line.wrap(identifier - s))
     }
 
     /// `SS` a coordinate at a time: the loop off AVX-512, and its
@@ -187,23 +202,9 @@ impl SecureSketch for ChebyshevSketch {
                 got: reading.len(),
             });
         }
-        let ka = self.line.interval_len() as i64;
-        let t = self.t as i64;
         let mut out = Vec::with_capacity(reading.len());
         for (&y, &s) in reading.iter().zip(sketch.iter()) {
-            // Movements outside [-ka/2, ka/2] cannot come from SS; the
-            // helper is network input, so `i64::MIN` must be refused too.
-            if s.unsigned_abs() > (ka / 2) as u64 {
-                return Err(SketchError::BadParameters);
-            }
-            let shifted = self.line.wrap(self.line.wrap(y) + s);
-            let r = self.line.interval_offset(shifted); // [0, ka)
-            let dist = (r - ka / 2).abs(); // to the identifier of r's interval
-            if dist > t {
-                return Err(SketchError::OutOfRange); // the paper's ⊥
-            }
-            let identifier = shifted - r + ka / 2;
-            out.push(self.line.wrap(identifier - s));
+            out.push(self.recover_point(y, s)?); // early abort at ⊥
         }
         Ok(out)
     }
@@ -396,6 +397,45 @@ mod tests {
             let s = scheme.sketch(&x, &mut rng).unwrap();
             prop_assert_eq!(&s, &scheme.sketch_scalar(&x, &mut oracle));
             prop_assert_eq!(rng.next_u64(), oracle.next_u64());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `Rec(x, SS(x))` is `canonicalize(x)` — the secure sketch's
+        /// `Rec(w, SS(w)) = w`, which lets `Gen` bind the canonical `x`
+        /// without running `Rec` — on every oracle line, for random
+        /// points, points up to a period out, oracle points, and inputs
+        /// whose every coordinate is on a boundary, so both coin flips
+        /// occur.
+        #[test]
+        fn canonicalize_is_rec_of_its_own_sketch(
+            i in 0..ORACLE_LINES.len(),
+            seed in any::<u64>(),
+            dim in 1usize..24,
+            kind in 0..4,
+        ) {
+            let line = oracle_line(i);
+            prop_assume!(line.max_threshold() > 0); // `(1, 2, 2)` takes no sketch
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scheme = ChebyshevSketch::new(line, rng.gen_range(1..=line.max_threshold())).unwrap();
+            let ka = line.interval_len() as i64;
+            let half = line.half_range() as i64;
+            let period = line.period() as i64;
+            let x: Vec<i64> = (0..dim)
+                .map(|_| match kind {
+                    0 => line.random_point(&mut rng),
+                    1 => rng.gen_range(1 - half..=half) + period * rng.gen_range(-1..=1i64),
+                    2 => oracle_point(&line, &mut rng),
+                    _ => ka * rng.gen_range(-(half / ka)..=half / ka),
+                })
+                .collect();
+            let s = scheme.sketch(&x, &mut rng).unwrap();
+            if kind == 3 {
+                prop_assert!(s.iter().all(|&m| m.abs() == ka / 2));
+            }
+            prop_assert_eq!(scheme.recover(&x, &s), Ok(scheme.canonicalize(&x)));
         }
     }
 

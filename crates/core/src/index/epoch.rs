@@ -22,7 +22,7 @@
 //! readers costs one atomic store and no copy — and no later copy
 //! either: a row is written once and stays where it was written. Only
 //! a change to the segment *list* (the head sealing, a tombstone
-//! rewrite, `compact`, `clear`) publishes a fresh immutable
+//! rewrite, `compact`) publishes a fresh immutable
 //! `Snapshot`, by replacing the `Arc` behind one shared
 //! `std::sync::RwLock` — once per `seal_rows` inserts, not once per
 //! insert. Readers obtained via [`EpochRead::reader`] take the read
@@ -57,7 +57,7 @@
 //! # Id assignment
 //!
 //! Ids are assigned densely in insertion order and never renumbered
-//! outside [`SketchIndex::compact`]/[`SketchIndex::clear`]. Segments
+//! outside [`SketchIndex::compact`]. Segments
 //! hold ascending, disjoint id ranges (dense-from-base when sealed, a
 //! sorted sparse id list after a rewrite dropped tombstoned rows), and
 //! the head holds the tail; scanning segments in list order and the
@@ -661,7 +661,7 @@ impl SketchIndex for EpochIndex {
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
         for seg in self.tiers() {
             seg.arena
-                .for_each_live(|row, sketch| f(seg.ids.id_of(row), sketch));
+                .for_each_live(&mut |row, sketch| f(seg.ids.id_of(row), sketch));
         }
     }
 
@@ -685,13 +685,6 @@ impl SketchIndex for EpochIndex {
         };
         let snapshot = list(&load(&self.cell).segments) + std::mem::size_of::<Snapshot>();
         list(&self.segments) + snapshot + self.tiers().map(Segment::heap_bytes).sum::<usize>()
-    }
-
-    fn clear(&mut self) {
-        self.segments.clear();
-        self.start_head(0);
-        self.generation += 1;
-        self.publish();
     }
 
     // Rebuilt tier by tier, copying cells: the old tiers stay published
@@ -999,22 +992,5 @@ mod tests {
         assert!(grown > base, "segments and snapshot must be accounted");
         let seg_bytes: usize = index.segments().iter().map(|s| s.heap_bytes()).sum();
         assert!(grown >= seg_bytes, "total covers per-segment metadata");
-    }
-
-    #[test]
-    fn clear_resets_and_bumps_generation() {
-        let mut index = tiny(10, 64);
-        for i in 0..20i64 {
-            index.insert(&[i, i]);
-        }
-        let reader = index.reader();
-        let gen_before = index.generation();
-        index.clear();
-        assert_eq!(index.len(), 0);
-        assert_eq!(index.slots(), 0);
-        assert!(index.generation() > gen_before);
-        assert_eq!(reader.generation(), index.generation());
-        assert_eq!(reader.find_first(&[0, 0]), None);
-        assert_eq!(index.insert(&[5, 5]), 0, "ids restart after clear");
     }
 }

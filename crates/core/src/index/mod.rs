@@ -22,11 +22,11 @@
 //!
 //! Both store their rows in the columnar [`store::SketchArena`]:
 //! one contiguous ring-adaptive buffer (packed 9-bit coordinates at
-//! the paper's `ka = 400`) with a tombstone bitmap and an in-place
-//! compactor, so the conditions (1)–(4) scan streams through memory
-//! instead of chasing one heap pointer per record. A sweep runs on the
-//! thread that asked for it. See [`store`] for the layout and the
-//! blocked early-abort match kernel.
+//! the paper's `ka = 400`) with a tombstone bitmap, compacted by
+//! re-appending its live rows, so the conditions (1)–(4) scan streams
+//! through memory instead of chasing one heap pointer per record. A
+//! sweep runs on the thread that asked for it. See [`store`] for the
+//! layout and the blocked early-abort match kernel.
 //!
 //! Every layer — the arena, the engine, its detached reader and the
 //! server above them — answers the paper's one search with the same two
@@ -194,12 +194,6 @@ pub trait SketchIndex {
     /// report bytes/record.
     fn heap_bytes(&self) -> usize;
 
-    /// Drops every record — live and tombstoned — and resets id
-    /// assignment to zero, as if freshly constructed (tuning parameters
-    /// are retained). Ids *are* reused after a clear; this is a
-    /// compaction/rebuild primitive, not a mass [`SketchIndex::remove`].
-    fn clear(&mut self);
-
     /// Reclaims tombstone slots: live records are renumbered densely
     /// (`0..len()`) preserving their relative order, and the old → new
     /// id mapping is returned so callers can remap stored [`RecordId`]s.
@@ -212,10 +206,10 @@ pub trait SketchIndex {
     fn compact(&mut self) -> Vec<(RecordId, RecordId)>;
 
     /// Monotone *structural* generation: bumped whenever record ids are
-    /// renumbered ([`SketchIndex::compact`]) or reset
-    /// ([`SketchIndex::clear`]). Lock-free readers capture it before a
-    /// scan and revalidate under the write path's lock — a changed
-    /// generation means the scanned ids may name different records now.
+    /// renumbered ([`SketchIndex::compact`]). Lock-free readers capture
+    /// it before a scan and revalidate under the write path's lock — a
+    /// changed generation means the scanned ids may name different
+    /// records now.
     /// Implementations without renumber-aware readers report `0`.
     fn generation(&self) -> u64 {
         0
@@ -225,21 +219,24 @@ pub trait SketchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChebyshevSketch, SecureSketch};
+    use crate::{ChebyshevSketch, NumberLine, SecureSketch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     const T: u64 = 100;
     const KA: u64 = 400;
 
-    /// Builds (enrolled sketches, genuine probes) pairs from the real
-    /// sketch scheme so index tests exercise realistic data.
+    /// Builds (enrolled sketches, genuine probes) pairs from a real
+    /// sketch scheme so index tests exercise realistic data: each probe
+    /// is its user's reading moved by up to the scheme's `t` a
+    /// coordinate.
     fn make_population(
+        scheme: &ChebyshevSketch,
         users: usize,
         dim: usize,
         rng: &mut StdRng,
     ) -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
-        let scheme = ChebyshevSketch::paper_defaults();
+        let t = scheme.threshold() as i64;
         let mut sketches = Vec::new();
         let mut probes = Vec::new();
         for _ in 0..users {
@@ -249,9 +246,7 @@ mod tests {
                 .iter()
                 .map(|&v| {
                     use rand::Rng;
-                    scheme
-                        .line()
-                        .wrap(v + rng.gen_range(-(T as i64)..=T as i64))
+                    scheme.line().wrap(v + rng.gen_range(-t..=t))
                 })
                 .collect();
             let sp = scheme.sketch(&noisy, rng).unwrap();
@@ -262,7 +257,8 @@ mod tests {
     }
 
     fn check_index<I: SketchIndex>(mut index: I, rng: &mut StdRng) {
-        let (sketches, probes) = make_population(50, 32, rng);
+        let scheme = ChebyshevSketch::paper_defaults();
+        let (sketches, probes) = make_population(&scheme, 50, 32, rng);
         for s in &sketches {
             index.insert(s);
         }
@@ -279,7 +275,6 @@ mod tests {
             assert_eq!(*found, Some(uid));
         }
         // Random junk probes (fresh users) almost surely match nothing.
-        let scheme = ChebyshevSketch::paper_defaults();
         for _ in 0..20 {
             let x = scheme.line().random_vector(32, rng);
             let s = scheme.sketch(&x, rng).unwrap();
@@ -386,82 +381,103 @@ mod tests {
         assert!(!scan.remove(999), "unknown id");
     }
 
-    /// Shared churn scenario: heavy enroll/revoke cycles must not grow
-    /// the slot table without bound once compaction runs.
-    fn check_compaction<I: SketchIndex>(mut index: I, rng: &mut StdRng) {
-        let (sketches, probes) = make_population(40, 16, rng);
-        for s in &sketches {
-            index.insert(s);
-        }
-        // Revoke 3 of every 4 records.
-        for id in 0..40 {
-            if id % 4 != 0 {
-                assert!(index.remove(id));
+    /// Shared churn scenario, on the paper's packed ring, an `i32`-cell
+    /// ring and an `i64`-cell one, each index built by `new(t, ka)`:
+    /// compaction renumbers the survivors densely and keeps their rows,
+    /// rows appended after it are found, and heavy enroll/revoke cycles
+    /// must not grow the slot table without bound once compaction runs.
+    fn check_compaction<I: SketchIndex>(new: impl Fn(u64, u64) -> I, rng: &mut StdRng) {
+        let rings = [
+            ChebyshevSketch::paper_defaults(),
+            ChebyshevSketch::new(NumberLine::new(1 << 14, 4, 100).unwrap(), 100).unwrap(),
+            ChebyshevSketch::new(NumberLine::new(1 << 30, 4, 100).unwrap(), 1000).unwrap(),
+        ];
+        for (scheme, width) in rings
+            .iter()
+            .zip([CellWidth::Packed, CellWidth::I32, CellWidth::I64])
+        {
+            let ka = scheme.line().interval_len();
+            assert_eq!(CellWidth::for_ring(ka), width);
+            let mut index = new(scheme.threshold(), ka);
+            let (sketches, probes) = make_population(scheme, 300, 32, rng);
+            for s in &sketches {
+                index.insert(s);
             }
-        }
-        assert_eq!(index.len(), 10);
-        // Tombstones hold their slots until `compact` — except in the
-        // sealed segments an epoch index has already rewritten
-        // live-only on their way past a quarter dead.
-        assert!((10..=40).contains(&index.slots()));
-
-        let mapping = index.compact();
-        // Survivors renumber densely, preserving order.
-        let expected: Vec<(RecordId, RecordId)> = (0..10).map(|i| (i * 4, i)).collect::<Vec<_>>();
-        assert_eq!(mapping, expected);
-        assert_eq!(index.len(), 10);
-        assert_eq!(index.slots(), 10, "tombstones must be reclaimed");
-
-        // Genuine probes for survivors resolve at their *new* ids; the
-        // revoked ones stay gone.
-        for (old, probe) in probes.iter().enumerate() {
-            match index.find_first(probe) {
-                Some(found) => {
-                    assert_eq!(old % 4, 0, "revoked record {old} matched");
-                    assert_eq!(found, old / 4);
+            // Revoke 3 of every 4 records: 75 survivors, one whole
+            // 64-row plane group and 11 rows of an open one.
+            for id in 0..300 {
+                if id % 4 != 0 {
+                    assert!(index.remove(id));
                 }
-                None => assert_ne!(old % 4, 0, "survivor {old} lost"),
             }
-        }
+            assert_eq!(index.len(), 75);
+            // Tombstones hold their slots until `compact` — except in the
+            // sealed segments an epoch index has already rewritten
+            // live-only on their way past a quarter dead.
+            assert!((75..=300).contains(&index.slots()));
 
-        // Sustained churn with periodic compaction keeps memory
-        // proportional to live records, not total enrollments ever.
-        let (more, _) = make_population(60, 16, rng);
-        for s in &more {
-            let id = index.insert(s);
-            assert!(index.remove(id));
-            index.compact();
+            let mapping = index.compact();
+            // Survivors renumber densely, preserving order.
+            let expected: Vec<(RecordId, RecordId)> = (0..75).map(|i| (i * 4, i)).collect();
+            assert_eq!(mapping, expected);
+            assert_eq!(index.len(), 75);
+            assert_eq!(index.slots(), 75, "tombstones must be reclaimed");
+            // Each survivor's row reads back as its canonical sketch.
+            let mut row = Vec::new();
+            for &(old, new) in &mapping {
+                assert!(index.copy_row_into(new, &mut row));
+                let canonical: Vec<i64> = sketches[old]
+                    .iter()
+                    .map(|&v| store::canonical(v, ka))
+                    .collect();
+                assert_eq!(row, canonical, "record {old}, now {new}");
+            }
+
+            // Genuine probes for survivors resolve at their *new* ids; the
+            // revoked ones stay gone.
+            for (old, probe) in probes.iter().enumerate() {
+                match index.find_first(probe) {
+                    Some(found) => {
+                        assert_eq!(old % 4, 0, "revoked record {old} matched");
+                        assert_eq!(found, old / 4);
+                    }
+                    None => assert_ne!(old % 4, 0, "survivor {old} lost"),
+                }
+            }
+
+            // Rows appended after compaction land in the open group
+            // (rows 75..95 of 64..128) and are found there.
+            let (fresh, fresh_probes) = make_population(scheme, 20, 32, rng);
+            for (i, (s, probe)) in fresh.iter().zip(&fresh_probes).enumerate() {
+                let id = index.insert(s);
+                assert_eq!(id, 75 + i);
+                assert_eq!(index.find(probe, None, usize::MAX), vec![id]);
+            }
+
+            // Sustained churn with periodic compaction keeps memory
+            // proportional to live records, not total enrollments ever.
+            let (more, _) = make_population(scheme, 60, 32, rng);
+            for s in &more {
+                let id = index.insert(s);
+                assert!(index.remove(id));
+                index.compact();
+            }
+            assert_eq!(index.len(), 95);
+            assert_eq!(index.slots(), 95);
         }
-        assert_eq!(index.len(), 10);
-        assert_eq!(index.slots(), 10);
     }
 
     #[test]
     fn scan_compaction_reclaims_tombstones() {
         let mut rng = StdRng::seed_from_u64(910);
-        check_compaction(ScanIndex::new(T, KA), &mut rng);
+        check_compaction(ScanIndex::new, &mut rng);
     }
 
     #[test]
     fn epoch_compaction_reclaims_tombstones() {
         let mut rng = StdRng::seed_from_u64(918);
-        check_compaction(small_epoch(), &mut rng);
-    }
-
-    #[test]
-    fn clear_resets_id_assignment() {
-        let mut scan = ScanIndex::new(T, KA);
-        scan.insert(&[1, 2, 3]);
-        scan.insert(&[4, 5, 6]);
-        scan.clear();
-        assert!(scan.is_empty());
-        assert_eq!(scan.slots(), 0);
-        assert_eq!(scan.insert(&[7, 8, 9]), 0, "ids restart after clear");
-
-        let mut epoch = small_epoch();
-        epoch.insert(&[1, 2]);
-        epoch.clear();
-        assert_eq!(epoch.insert(&[3, 4]), 0);
+        let small_epoch = |t, ka| EpochIndex::with_seal_rows(t, ka, FilterConfig::default(), 8);
+        check_compaction(small_epoch, &mut rng);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * **Tombstone bitmap.** Liveness is one bit per row (not an `Option`
 //!   discriminant per record), removal is one atomic bit flip — O(1),
 //!   and safe under a sweep that is reading the row — and
-//!   [`SketchArena::compact`] reclaims dead rows in place by sliding
-//!   live rows down the same buffer.
+//!   [`SketchIndex::compact`] reclaims dead rows by re-appending the
+//!   live ones, in id order, to a fresh arena.
 //! * **Append under readers.** Cells and plane lanes live in
 //!   fixed-capacity `Column`s (`shared`): one writer appends a row —
 //!   its column bytes, and its leading buckets into the plane's open
@@ -34,9 +34,10 @@
 //!   [`EpochIndex`](super::EpochIndex) shares its head with lock-free
 //!   readers instead of copying it (DESIGN.md "Publication
 //!   invariant").
-//! * **Borrowing iteration.** [`SketchArena::for_each_live`] streams
-//!   rows through a caller-visible `&[i64]` scratch row, so snapshot and
-//!   compaction passes never clone the whole population.
+//! * **Borrowing iteration.** [`SketchIndex::for_each_live`] streams
+//!   rows through a caller-visible `&[i64]` scratch row, so snapshot
+//!   passes never clone the whole population, and compaction moves
+//!   stored bytes without decoding them at all.
 //!
 //! The per-coordinate test itself lives here too, as one row kernel
 //! per layout (`Layout::row_matches`): both sides reduced into the
@@ -73,8 +74,8 @@
 //! subset, a batch of probes — is one driver with three inputs
 //! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the arena's
 //! [`SketchIndex::find`] and [`SketchIndex::find_first_batch`] only
-//! choose them. Every row — a pushed sketch, a row
-//! a rewrite carries over — enters through `SketchArena::append`. This
+//! choose them. Every row — a pushed sketch, a row a rewrite or a
+//! compaction carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the column
 //! buffer in its three row layouts and their scalar match kernels,
 //! `plane` the prefilter plane and its depth model, `kernels` the
@@ -220,11 +221,11 @@ impl Default for FilterConfig {
 /// those three inputs.
 ///
 /// Rows are assigned densely in insertion order and never renumbered;
-/// [`SketchArena::remove`] flips a tombstone bit, and
-/// [`SketchArena::compact`] slides live rows down in place, returning
-/// the renumbering. The arena's dimension is stamped by the first
-/// [`SketchArena::push`]; pushing a different dimension panics, and
-/// probes of a different dimension match nothing.
+/// [`SketchIndex::remove`] flips a tombstone bit, and
+/// [`SketchIndex::compact`] copies the live rows to a fresh arena,
+/// returning the renumbering. The arena's dimension is stamped by the
+/// first [`SketchArena::push`]; pushing a different dimension panics,
+/// and probes of a different dimension match nothing.
 ///
 /// ```rust
 /// use fe_core::index::store::{CellWidth, SketchArena};
@@ -319,27 +320,6 @@ impl SketchArena {
             dead_rows: AtomicUsize::new(0),
             filter,
         }
-    }
-
-    /// An empty arena pre-sized for `rows` sketches of `dim` coordinates
-    /// (snapshot recovery knows both up front).
-    pub fn with_capacity(t: u64, ka: u64, rows: usize, dim: usize) -> SketchArena {
-        let mut arena = SketchArena::new(t, ka);
-        arena.reserve(rows, dim);
-        arena
-    }
-
-    /// Pre-sizes for `additional` more rows of `dim` coordinates —
-    /// the column buffer, the tombstone words, **and** the prefilter
-    /// plane lanes, so a pre-sized load reallocates nothing.
-    ///
-    /// # Panics
-    /// Panics if the arena is already stamped with a different
-    /// dimension.
-    pub fn reserve(&mut self, additional: usize, dim: usize) {
-        let stamped = self.stamp(dim);
-        assert_eq!(dim, stamped, "reserve dimension must match the stamp");
-        self.grow(self.rows() + additional);
     }
 
     /// The stamped dimension, stamping `dim` (and building the plane)
@@ -496,40 +476,14 @@ impl SketchArena {
         CellWidth::for_ring(self.ka)
     }
 
-    /// The stamped sketch dimension (`None` until the first push).
-    pub fn dim(&self) -> Option<usize> {
-        self.dim
-    }
-
-    /// Live rows.
-    pub fn len(&self) -> usize {
-        // Tombstones first: a row is counted before it can be removed,
-        // so this order never subtracts a removal from a count that
-        // does not hold its row yet.
-        let dead = self.dead_rows.load(Ordering::SeqCst);
-        self.rows() - dead
-    }
-
-    /// `true` when no live rows remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total rows, live and tombstoned.
     pub fn rows(&self) -> usize {
         self.rows.load(Ordering::Acquire)
     }
 
-    /// Heap bytes held by the arena: the column buffer, the tombstone
-    /// words, and the prefilter plane lanes (capacities, not lengths —
-    /// this is what the allocator has actually handed out).
-    pub fn heap_bytes(&self) -> usize {
-        self.cells.capacity_bytes() + self.dead.capacity() * 8
-    }
-
     /// Bytes the rows held occupy: each row once — its column bytes
     /// and the leading buckets the plane holds of it — and their
-    /// tombstone words. Equal to [`SketchArena::heap_bytes`] on a full
+    /// tombstone words. Equal to [`SketchIndex::heap_bytes`] on a full
     /// arena (to within the open group's lanes past its last row); on
     /// one reserved ahead of its rows — an
     /// [`EpochIndex`](super::EpochIndex) head — it leaves out the
@@ -575,7 +529,7 @@ impl SketchArena {
     ///
     /// # Panics
     /// Panics if the arena is unstamped or full (see
-    /// [`SketchArena::reserve`]), or on a dimension mismatch.
+    /// [`SketchIndex::reserve`]), or on a dimension mismatch.
     pub(crate) fn append(&self, src: Row<'_>) -> RecordId {
         let dim = self.dim.expect("append needs a stamped, reserved arena");
         let row = self.rows.load(Ordering::Relaxed);
@@ -604,14 +558,7 @@ impl SketchArena {
         id < self.rows() && self.dead[id / 64].load(Ordering::SeqCst) & (1 << (id % 64)) == 0
     }
 
-    /// Tombstones a row. Returns `false` for unknown or already-dead
-    /// ids. O(1): one bitmap bit flips; the cells stay until
-    /// [`SketchArena::compact`].
-    pub fn remove(&mut self, id: RecordId) -> bool {
-        self.revoke(id)
-    }
-
-    /// [`SketchArena::remove`] through `&self`: the flip is atomic, so
+    /// [`SketchIndex::remove`] through `&self`: the flip is atomic, so
     /// a sweep in flight observes either the row or its absence — never
     /// a torn word. One caller at a time, like `append`.
     pub(crate) fn revoke(&self, id: RecordId) -> bool {
@@ -624,37 +571,11 @@ impl SketchArena {
     }
 
     /// Materializes a live row as an owned `Vec<i64>` (`None` for dead
-    /// or unknown ids). Prefer [`SketchArena::copy_row_into`] /
-    /// [`SketchArena::for_each_live`] on hot paths.
+    /// or unknown ids). Prefer [`SketchIndex::copy_row_into`] /
+    /// [`SketchIndex::for_each_live`] on hot paths.
     pub fn row(&self, id: RecordId) -> Option<Vec<i64>> {
         let mut out = Vec::new();
         self.copy_row_into(id, &mut out).then_some(out)
-    }
-
-    /// Copies a live row into `out` (cleared first), widening to `i64`.
-    /// Returns `false` — leaving `out` empty — for dead or unknown ids.
-    /// This is the allocation-free row access primitive: callers reuse
-    /// one scratch buffer across an entire streaming pass.
-    pub fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
-        out.clear();
-        if !self.is_live(id) {
-            return false;
-        }
-        let dim = self.dim.expect("live rows imply a stamped dimension");
-        self.cells.decode_into(id, dim, out);
-        true
-    }
-
-    /// Streams every live row in ascending id order through one reused
-    /// scratch buffer — the zero-clone alternative to materializing
-    /// `Vec<(RecordId, Vec<i64>)>` for snapshot and compaction passes.
-    pub fn for_each_live(&self, mut f: impl FnMut(RecordId, &[i64])) {
-        let mut scratch = Vec::new();
-        for id in 0..self.rows() {
-            if self.copy_row_into(id, &mut scratch) {
-                f(id, &scratch);
-            }
-        }
     }
 
     /// The liveness word of rows `64·w ..` among the first `rows`: one
@@ -666,56 +587,10 @@ impl SketchArena {
         };
         exist & !self.dead[w].load(Ordering::SeqCst)
     }
-
-    /// Drops every row and resets id assignment; the width, `t`, `ka`,
-    /// dimension stamp and prefilter plane are retained, as is the
-    /// allocated capacity.
-    pub fn clear(&mut self) {
-        self.reset_rows(0);
-    }
-
-    /// Keeps the first `rows` rows, all live.
-    fn reset_rows(&mut self, rows: usize) {
-        self.cells.truncate(rows, self.dim.unwrap_or(0));
-        *self.rows.get_mut() = rows;
-        *self.dead_rows.get_mut() = 0;
-        for word in &mut self.dead {
-            *word.get_mut() = 0;
-        }
-    }
-
-    /// Reclaims tombstoned rows **in place**: live rows slide down the
-    /// same column buffer and plane lanes (preserving order), the
-    /// bitmap is rebuilt dense, and the old → new renumbering is
-    /// returned. No row data is cloned and no new buffer is allocated.
-    pub fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
-        let rows = self.rows();
-        let dim = match self.dim {
-            Some(dim) if self.len() < rows => dim,
-            // Nothing stored, or nothing tombstoned: identity mapping.
-            _ => {
-                return (0..rows).map(|id| (id, id)).collect();
-            }
-        };
-        let mut mapping = Vec::with_capacity(self.len());
-        for id in 0..rows {
-            if !self.is_live(id) {
-                continue;
-            }
-            let next = mapping.len();
-            if next != id {
-                self.cells.slide(id, next, dim);
-            }
-            mapping.push((id, next));
-        }
-        self.reset_rows(mapping.len());
-        mapping
-    }
 }
 
 /// The arena is the reference index ([`ScanIndex`](super::ScanIndex)):
-/// its two lookups pick a point of the one sweep, and the rest forwards
-/// to the inherent methods.
+/// its two lookups pick a point of the one sweep.
 impl SketchIndex for SketchArena {
     fn insert(&mut self, sketch: &[i64]) -> RecordId {
         self.push(sketch)
@@ -742,12 +617,17 @@ impl SketchIndex for SketchArena {
         firsts
     }
 
+    // O(1): one bitmap bit flips; the cells stay until `compact`.
     fn remove(&mut self, id: RecordId) -> bool {
-        SketchArena::remove(self, id)
+        self.revoke(id)
     }
 
     fn len(&self) -> usize {
-        SketchArena::len(self)
+        // Tombstones first: a row is counted before it can be removed,
+        // so this order never subtracts a removal from a count that
+        // does not hold its row yet.
+        let dead = self.dead_rows.load(Ordering::SeqCst);
+        self.rows() - dead
     }
 
     fn slots(&self) -> usize {
@@ -758,28 +638,54 @@ impl SketchIndex for SketchArena {
         self.dim
     }
 
+    // Widens each cell to `i64` (a canonical representative).
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
-        SketchArena::copy_row_into(self, id, out)
+        out.clear();
+        if !self.is_live(id) {
+            return false;
+        }
+        let dim = self.dim.expect("live rows imply a stamped dimension");
+        self.cells.decode_into(id, dim, out);
+        true
     }
 
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
-        SketchArena::for_each_live(self, f);
+        let mut scratch = Vec::new();
+        for id in 0..self.rows() {
+            if self.copy_row_into(id, &mut scratch) {
+                f(id, &scratch);
+            }
+        }
     }
 
+    // Sizes the column buffer, the tombstone words **and** the plane
+    // lanes, so a pre-sized load reallocates nothing. Panics if the
+    // arena is stamped with another dimension.
     fn reserve(&mut self, additional: usize, dim: usize) {
-        SketchArena::reserve(self, additional, dim);
+        let stamped = self.stamp(dim);
+        assert_eq!(dim, stamped, "reserve dimension must match the stamp");
+        self.grow(self.rows() + additional);
     }
 
+    // Capacities, not lengths: what the allocator has handed out.
     fn heap_bytes(&self) -> usize {
-        SketchArena::heap_bytes(self)
+        self.cells.capacity_bytes() + self.dead.capacity() * 8
     }
 
-    fn clear(&mut self) {
-        SketchArena::clear(self);
-    }
-
+    // The rebuild `EpochIndex` makes of a tier: the live rows, in id
+    // order, appended through `Row::Stored` to a fresh arena over the
+    // same ring, dimension and prefilter, sized for exactly them.
     fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
-        SketchArena::compact(self)
+        let mut fresh = SketchArena::with_filter(self.t, self.ka, self.filter);
+        if let Some(dim) = self.dim {
+            fresh.reserve(self.len(), dim);
+        }
+        let mapping = (0..self.rows())
+            .filter(|&id| self.is_live(id))
+            .map(|id| (id, fresh.append(Row::Stored(self, id))))
+            .collect();
+        *self = fresh;
+        mapping
     }
 }
 
@@ -909,7 +815,8 @@ mod tests {
         // The prefilter plane holds a row's first 8 bucket bytes and
         // the row column the other 64: an identical filtered arena
         // holds each sketch once, in exactly the bytes a scalar one does.
-        let mut filtered = SketchArena::with_capacity(100, 400, 64, 64);
+        let mut filtered = SketchArena::new(100, 400);
+        filtered.reserve(64, 64);
         for i in 0..64i64 {
             filtered.push(&[i; 64]);
         }
@@ -927,7 +834,7 @@ mod tests {
         }
         arena.remove(4);
         let mut seen = Vec::new();
-        arena.for_each_live(|id, row| seen.push((id, row.to_vec())));
+        arena.for_each_live(&mut |id, row| seen.push((id, row.to_vec())));
         assert_eq!(seen.len(), 8);
         assert_eq!(seen[4], (5, vec![5, 5]));
     }

@@ -489,25 +489,6 @@ impl Cells {
         }
     }
 
-    pub(super) fn truncate(&mut self, rows: usize, dim: usize) {
-        let units = rows * self.stride(dim);
-        each_width!(&mut *self, _, col => col.truncate(units));
-        if let Cells::Packed(_, _, Some(plane)) = self {
-            plane.truncate(rows);
-        }
-    }
-
-    /// Slides row `from` down to row `to` (in-place compaction;
-    /// exclusive access).
-    pub(super) fn slide(&mut self, from: usize, to: usize, dim: usize) {
-        let stride = self.stride(dim);
-        let at = from * stride..(from + 1) * stride;
-        each_width!(&mut *self, _, col => col.as_mut_slice().copy_within(at, to * stride));
-        if let Cells::Packed(_, _, Some(plane)) = self {
-            plane.slide(from, to);
-        }
-    }
-
     /// Appends a caller's sketch as row `row`, reduced into the ring
     /// and laid out on the way in.
     pub(super) fn append_sketch(&self, row: usize, sketch: &[i64]) {

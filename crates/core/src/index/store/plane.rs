@@ -195,34 +195,6 @@ impl FilterPlane {
         }
     }
 
-    /// Moves row `from`'s buckets to row `to` (in-place compaction;
-    /// exclusive access).
-    pub(super) fn slide(&mut self, from: usize, to: usize) {
-        for d in 0..self.dims {
-            let ((src, from_shift), (dst, to_shift)) = (self.place(from, d), self.place(to, d));
-            let words = self.words.as_mut_slice();
-            let bucket = *words[src].get_mut() >> from_shift & 0xFF;
-            let word = words[dst].get_mut();
-            *word = *word & !(0xFF << to_shift) | bucket << to_shift;
-        }
-    }
-
-    /// Keeps the groups of the first `rows` rows, their bytes past the
-    /// last row zeroed so that [`FilterPlane::put`] can OR into them
-    /// (exclusive access).
-    pub(super) fn truncate(&mut self, rows: usize) {
-        let stride = self.stride();
-        self.words.truncate(rows.div_ceil(64) * stride);
-        let held = rows % 64;
-        if held > 0 {
-            let open = &mut self.words.as_mut_slice()[rows / 64 * stride..];
-            for (k, word) in open.iter_mut().enumerate() {
-                let bytes = held.saturating_sub(k % GROUP_WORDS * 8).min(8) as u32;
-                *word.get_mut() &= u64::MAX.checked_shr(64 - 8 * bytes).unwrap_or(0);
-            }
-        }
-    }
-
     /// Row `row`'s leading buckets, for a row below the published row
     /// count.
     pub(super) fn lead(&self, row: usize) -> Lead<'_> {
@@ -530,15 +502,6 @@ mod tests {
             (0..2).map(|d| view.lead(129).bucket(d)).collect::<Vec<_>>(),
             [1, 62]
         );
-        // Compaction slides bytes between groups and zeroes the open
-        // group past its last row, so the next row can OR into it.
-        plane.slide(129, 3);
-        plane.truncate(65);
-        assert_eq!([plane.lead(3).bucket(0), plane.lead(3).bucket(1)], [1, 62]);
-        plane.put(65, &[7, 9]);
-        let lead = plane.lead(65);
-        assert_eq!([lead.bucket(0), lead.bucket(1)], [7, 9]);
-        assert_eq!(plane.view(66).words.len(), 2 * 2 * GROUP_WORDS);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! 3. `len` grows only by a `Release` store that follows the writes it
 //!    covers, and readers learn it only by an `Acquire` load.
 //!
-//! `&mut self` methods are exempt: exclusive access rules out readers
-//! and writers alike.
+//! Exclusive access (`&mut self`) only ever moves a column whole
+//! ([`Column::grow`]); no published slot is written through it. The
+//! `unsafe` sites are four: the `Sync` impl, the uninitialised
+//! reservation, the published slice and the writer's slot write.
 //!
 //! The prefilter plane is the one column whose published slots still
 //! change (invariant 1's interior mutability): a `Column<AtomicU64>`
@@ -135,23 +137,6 @@ impl<T> Column<T> {
         self.writing.store(false, Ordering::Release);
     }
 
-    /// The published values, mutable: exclusive access means nobody is
-    /// reading them.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
-        let len = *self.len.get_mut();
-        // SAFETY: `&mut self` proves no reader or writer borrows the
-        // column; slots `..len` are initialised (invariant 1),
-        // `len ≤ capacity`, and `UnsafeCell<MaybeUninit<T>>` has `T`'s
-        // layout.
-        unsafe { std::slice::from_raw_parts_mut(self.slots.as_mut_ptr().cast::<T>(), len) }
-    }
-
-    /// Forgets everything past `len` (capacity is kept).
-    pub(crate) fn truncate(&mut self, len: usize) {
-        let published = self.len.get_mut();
-        *published = len.min(*published);
-    }
-
     /// A copy of the published values, each taken by `copy` (`T` need
     /// not be `Copy`), in a fresh buffer of `capacity`.
     pub(crate) fn copied(&self, capacity: usize, copy: impl FnMut(&T) -> T) -> Column<T> {
@@ -213,17 +198,14 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_access_edits_truncates_and_grows() {
-        let mut column = Column::<i16>::with_capacity(4);
-        column.extend_from_slice(&[7, 8, 9, 10]);
-        column.as_mut_slice().copy_within(2..4, 0);
-        column.truncate(2);
-        assert_eq!(column.published(), [9, 10]);
+    fn exclusive_access_grows_and_clones() {
+        let mut column = Column::<i16>::with_capacity(2);
+        column.extend_from_slice(&[9, 10]);
         column.grow(16);
         assert_eq!((column.published(), column.capacity()), (&[9, 10][..], 16));
         column.extend([11].into_iter());
         let copy = column.clone();
-        column.truncate(0);
+        column.extend([12].into_iter());
         assert_eq!((copy.published(), copy.capacity()), (&[9, 10, 11][..], 16));
     }
 

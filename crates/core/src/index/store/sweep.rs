@@ -5,7 +5,7 @@
 use super::cells::{prepare_into, Cells, Layout, Reduced};
 use super::kernels::{fetch, ActiveKernel};
 use super::plane::{build_filter_probes, Lead, PlaneView, ProbeFilter};
-use super::{RecordId, SketchArena};
+use super::{RecordId, SketchArena, SketchIndex};
 use std::cell::RefCell;
 use std::ops::Range;
 

@@ -96,8 +96,10 @@ impl RobustSketch {
         rng: &mut R,
     ) -> Result<(RobustData, Vec<u8>), SketchError> {
         let inner = self.inner.sketch(input, rng)?;
-        // Hash the canonical representative — what recover() will return.
-        let canonical = encode_i64_vector(&self.inner.recover(input, &inner)?);
+        // Hash the canonical representative — what recover() will return:
+        // `Rec(x, SS(x))` lands on every identifier at distance 0 and
+        // gives back `wrap(x)`.
+        let canonical = encode_i64_vector(&self.inner.canonicalize(input));
         let tag = tag(&canonical, &inner);
         Ok((RobustData { inner, tag }, canonical))
     }
