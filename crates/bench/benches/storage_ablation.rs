@@ -1,6 +1,7 @@
 //! **Storage ablation (ours)**: Vec-of-Vec rows vs the columnar
 //! [`SketchArena`] behind every index, and the scan-kernel sweep
-//! (scalar vs SWAR vs AVX2 prefilter) on top of the columnar layout.
+//! (scalar vs forced SWAR vs the dispatched prefilter) on top of the
+//! columnar layout.
 //!
 //! The storage layout decides which kernel the paper's identification
 //! scan can run, and since the vectorized plane the scan is bound by
@@ -46,7 +47,7 @@
 //! Kernel variants: `columnar` = the PR 3 scalar columnar kernel
 //! (`FilterConfig::disabled()`), `swar` = portable packed-lane SWAR
 //! forced, `vectorized` = runtime dispatch (AVX-512 → AVX2 → SWAR on
-//! x86-64, NEON on aarch64 — the `vectorized_is_avx2` /
+//! x86-64, SWAR elsewhere — the `vectorized_is_avx2` /
 //! `vectorized_is_avx512` smoke metrics say which ran). Headline smoke
 //! numbers land in `BENCH_SMOKE.json`; a smoke run **fails** if the
 //! vectorized kernel is not at least as fast as the scalar one on the
@@ -212,7 +213,7 @@ fn bench_storage() {
     // The smoke assert compares on the largest population of the
     // sweep: (scalar_us, vectorized_us) for the no-match worst case.
     let mut gate_pair = (0.0f64, 0.0f64);
-    // Which kernel `vectorized` actually dispatched to ("avx2"/"swar").
+    // Which kernel `vectorized` actually dispatched to ("avx512"/"avx2"/"swar").
     let mut kernel_label = "scalar";
     // (default, reserved) µs per row enrolled into an `EpochIndex`.
     let mut insert_gate_pair = (0.0f64, 0.0f64);

@@ -183,10 +183,8 @@ pub trait SketchIndex {
     /// Pre-sizes the index for `additional` more sketches of `dim`
     /// coordinates (the hint recovery uses to build a pre-sized arena
     /// instead of growing it row by row) and stamps `dim`. Never
-    /// changes what any lookup or reader observes. A no-op by default.
-    fn reserve(&mut self, additional: usize, dim: usize) {
-        let _ = (additional, dim);
-    }
+    /// changes what any lookup or reader observes.
+    fn reserve(&mut self, additional: usize, dim: usize);
 
     /// Heap bytes held by the index's storage (buffers, bitmaps,
     /// segment metadata and the published snapshot). The

@@ -55,8 +55,8 @@
 //! eight row values packed per `u64` word as byte buckets
 //! (`residue / q`, `q = ⌈ka/256⌉`) — so a
 //! conservative cyclic-distance test runs 64 rows at a time under
-//! runtime-dispatched AVX-512 (32 under AVX2, 16 under NEON, 8 as
-//! packed-lane SWAR). A bucket lane passes ≈ `(2t+1)/ka` ≈ ½ of the
+//! runtime-dispatched AVX-512 (32 under AVX2, 8 as packed-lane SWAR
+//! on every other CPU). A bucket lane passes ≈ `(2t+1)/ka` ≈ ½ of the
 //! ring at paper parameters, so eight filter dimensions reject
 //! ~255/256 rows in the vector pass; the sparse survivors get exact
 //! verification of the whole row on the row-major buffer (the buckets
@@ -153,19 +153,16 @@ pub enum PlaneDepth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterKernel {
     /// Runtime dispatch, widest first (checked once via
-    /// `is_x86_feature_detected!`): AVX-512 (`avx512f` + `avx512bw`,
-    /// with the BMI2 every AVX-512 core has), then AVX2, then portable
-    /// SWAR; NEON on aarch64.
+    /// `is_x86_feature_detected!`): on x86-64 AVX-512 (`avx512f` +
+    /// `avx512bw`, with the BMI2 every AVX-512 core has), then AVX2,
+    /// then portable SWAR; SWAR on every other target.
     #[default]
     Auto,
     /// Force the portable SWAR path (one `u64` word — 8 bucket bytes —
     /// at a time, no `unsafe`) even where SIMD is available — the
-    /// bench ablation uses this to separate SWAR from SIMD wins.
+    /// portable reference the bench ablation and the floor suites hold
+    /// the dispatched kernel to.
     Swar,
-    /// Cap dispatch at AVX2 even where AVX-512 is available (falls back
-    /// to SWAR off x86-64) — the ablation knob that separates the
-    /// 256-bit from the 512-bit win.
-    Avx2,
 }
 
 impl FilterConfig {
@@ -375,9 +372,8 @@ impl SketchArena {
 
     /// The vector kernel a scan would use right now: `"scalar"` (no
     /// plane — wide or too-loose ring, disabled filter, or nothing
-    /// stamped),
-    /// `"swar"`, `"avx2"`, `"avx512"`, or `"neon"`. Benches use this to
-    /// label ablations.
+    /// stamped), `"swar"`, or on x86-64 `"avx2"` or `"avx512"`. Benches
+    /// use this to label ablations.
     pub fn filter_kernel(&self) -> &'static str {
         match self.active_kernel() {
             None => "scalar",
@@ -386,8 +382,6 @@ impl SketchArena {
             Some(ActiveKernel::Avx2) => "avx2",
             #[cfg(target_arch = "x86_64")]
             Some(ActiveKernel::Avx512) => "avx512",
-            #[cfg(target_arch = "aarch64")]
-            Some(ActiveKernel::Neon) => "neon",
         }
     }
 
@@ -407,12 +401,6 @@ impl SketchArena {
         }
     }
 
-    /// The configured prefilter knob (which the ring may have
-    /// overridden — see [`SketchArena::plane_dims`] for what is live).
-    pub fn filter_config(&self) -> FilterConfig {
-        self.filter
-    }
-
     /// The plane plus its resolved kernel when the prefilter is live —
     /// the one condition deciding whether a sweep has a phase 1.
     fn active_plane(&self) -> Option<(&FilterPlane, ActiveKernel)> {
@@ -423,20 +411,6 @@ impl SketchArena {
         self.cells.plane()?;
         Some(match self.filter.kernel {
             FilterKernel::Swar => ActiveKernel::Swar,
-            FilterKernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if avx2::available() {
-                        ActiveKernel::Avx2
-                    } else {
-                        ActiveKernel::Swar
-                    }
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    ActiveKernel::Swar
-                }
-            }
             FilterKernel::Auto => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -448,12 +422,7 @@ impl SketchArena {
                         ActiveKernel::Swar
                     }
                 }
-                #[cfg(target_arch = "aarch64")]
-                {
-                    // NEON is baseline on aarch64: no runtime check.
-                    ActiveKernel::Neon
-                }
-                #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+                #[cfg(not(target_arch = "x86_64"))]
                 {
                     ActiveKernel::Swar
                 }
@@ -925,19 +894,6 @@ mod tests {
             check_filtered_matches_scalar(FilterConfig::default(), 100, 400, dim);
         }
         check_filtered_matches_scalar(FilterConfig::default(), 25, 101, 9);
-    }
-
-    #[test]
-    fn avx2_pin_matches_scalar() {
-        // The ablation knob that caps dispatch at AVX2 (SWAR off
-        // x86-64) must stay result-identical too.
-        let pinned = FilterConfig {
-            kernel: FilterKernel::Avx2,
-            ..FilterConfig::default()
-        };
-        for dim in [32, 8, 3] {
-            check_filtered_matches_scalar(pinned, 100, 400, dim);
-        }
     }
 
     #[test]

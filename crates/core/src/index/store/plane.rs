@@ -4,8 +4,6 @@
 //! and the portable SWAR kernel.
 
 use super::cells::{quantize_ring, Reduced};
-#[cfg(any(target_arch = "aarch64", test))]
-use super::kernels::neon;
 use super::kernels::ActiveKernel;
 #[cfg(target_arch = "x86_64")]
 use super::kernels::{avx2, avx512};
@@ -104,9 +102,11 @@ pub(super) struct FilterPlane {
     /// Lanes per group: one per filter dimension
     /// (`min(config.dims, dim)`).
     dims: usize,
-    /// Bucket-distance threshold the phase-1 kernels compare against.
+    /// Bucket-distance threshold the x86 kernels compare against.
+    #[cfg(target_arch = "x86_64")]
     tq: u16,
-    /// Bucket count `⌈ka/q⌉` (≤ 256) the phase-1 kernels wrap over.
+    /// Bucket count `⌈ka/q⌉` (≤ 256) the x86 kernels wrap over.
+    #[cfg(target_arch = "x86_64")]
     kq: u16,
     /// `0x8000 + tq` broadcast: SWAR `absd ≤ tq` comparand.
     th: u64,
@@ -135,7 +135,9 @@ impl FilterPlane {
         FilterPlane {
             words: Column::with_capacity(0),
             dims,
+            #[cfg(target_arch = "x86_64")]
             tq,
+            #[cfg(target_arch = "x86_64")]
             kq,
             th: (0x8000 + u64::from(tq)) * LANES,
             kmt: (u64::from(kq) - u64::from(tq)) * LANES,
@@ -350,22 +352,13 @@ impl PlaneView<'_> {
         lw: u64,
     ) -> u64 {
         debug_assert!(w < self.groups, "phase 1 reads complete groups only");
+        #[cfg(target_arch = "x86_64")]
         let (tq, kq) = (self.plane.tq, self.plane.kq);
         let group = self.group(w);
         let mut out = 0u64;
         match kernel {
             #[cfg(target_arch = "x86_64")]
             ActiveKernel::Avx512 => out = avx512::octo(group, pf.biased, tq, kq),
-            #[cfg(target_arch = "aarch64")]
-            ActiveKernel::Neon => {
-                for pair in 0..4 {
-                    // Wholly-dead 16-row runs need no prefilter at all.
-                    if (lw >> (pair * 16)) & 0xFFFF != 0 {
-                        let m = neon::sixteen(group, pf.biased, tq, kq, pair * 2);
-                        out |= u64::from(m) << (pair * 16);
-                    }
-                }
-            }
             #[cfg(target_arch = "x86_64")]
             ActiveKernel::Avx2 => {
                 for half in 0..2 {
@@ -421,11 +414,12 @@ pub(super) fn build_filter_probes(
 mod tests {
     use super::super::SketchArena;
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    #[cfg(target_arch = "x86_64")]
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// A plane of `dims` lanes holding `rows` (whole groups) random
     /// rows.
+    #[cfg(target_arch = "x86_64")]
     fn random_plane(
         rng: &mut StdRng,
         dims: usize,
@@ -445,6 +439,7 @@ mod tests {
     }
 
     /// `dims` random probe buckets and their SWAR broadcasts.
+    #[cfg(target_arch = "x86_64")]
     fn random_probe(rng: &mut StdRng, dims: usize, ka: u64, q: u16) -> (Vec<u16>, Vec<u64>) {
         let probe: Vec<u16> = (0..dims).map(|_| rng.gen_range(0..ka as u16) / q).collect();
         let bcast = probe.iter().map(|&b| u64::from(b) * LANES).collect();
@@ -512,7 +507,7 @@ mod tests {
         assert_eq!(quantize_ring(100, 256), (1, 256, 100));
         assert_eq!(quantize_ring(1, 7), (1, 7, 1));
         // Largest narrow ring: q = 128 → exactly 256 buckets (the kernels
-        // broadcast the wrapped 0; see `neon::sixteen`).
+        // broadcast the wrapped 0; see `avx2::quad`).
         assert_eq!(quantize_ring(1000, (1 << 15) - 1), (128, 256, 9));
         // t clamps to the half-ring before quantizing, and tq clamps to
         // the half-bucket-ring.
@@ -559,29 +554,38 @@ mod tests {
         );
     }
 
-    #[test]
-    fn neon_u8_kernel_matches_swar() {
-        // The NEON kernel runs everywhere through the emulated `intr`
-        // façade: its 16-row masks must equal two SWAR words.
-        let mut rng = StdRng::seed_from_u64(0x8E08);
+    /// Holds `block_candidates` under `kernel` to its SWAR arm at plane
+    /// depths 1, 3, 8 and 16: random liveness words, words with one
+    /// empty 32-row half (the runs AVX2 skips), `0` and `!0`; random
+    /// probes, and probes on a stored row's buckets so that masks are
+    /// not all empty at depth.
+    #[cfg(target_arch = "x86_64")]
+    fn block_candidates_match_swar(kernel: ActiveKernel, rng: &mut StdRng) {
         for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let plane = random_plane(&mut rng, 3, (t, ka), 128);
-            let view = plane.view(128);
-            for _ in 0..40 {
-                let (probe, bcast) = random_probe(&mut rng, 3, ka, quantize_ring(t, ka).0);
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for g in [0, 1] {
-                    let group = view.group(g);
-                    for wi in (0..GROUP_WORDS).step_by(2) {
-                        let neon = neon::sixteen(group, &probe, plane.tq, plane.kq, wi);
-                        let (lo, hi) = (
-                            view.swar_word(group, pf, wi),
-                            view.swar_word(group, pf, wi + 1),
-                        );
-                        assert_eq!(u64::from(neon), lo | hi << 8, "t={t} ka={ka} g={g} wi={wi}");
+            let q = quantize_ring(t, ka).0;
+            for dims in [1, 3, 8, 16] {
+                let plane = random_plane(rng, dims, (t, ka), 128);
+                let view = plane.view(128);
+                for i in 0..20 {
+                    let (mut probe, _) = random_probe(rng, dims, ka, q);
+                    if i % 2 == 1 {
+                        let lead = view.lead(rng.gen_range(0..128));
+                        probe = (0..dims).map(|d| u16::from(lead.bucket(d))).collect();
+                    }
+                    let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
+                    let pf = ProbeFilter {
+                        biased: &probe,
+                        bcast: &bcast,
+                    };
+                    let r: u64 = rng.gen();
+                    for lw in [0, !0, r, r & 0xFFFF_FFFF, r & !0xFFFF_FFFF] {
+                        for w in 0..view.groups() {
+                            assert_eq!(
+                                view.block_candidates(kernel, pf, w, lw),
+                                view.block_candidates(ActiveKernel::Swar, pf, w, lw),
+                                "{kernel:?} t={t} ka={ka} dims={dims} w={w} lw={lw:#x}"
+                            );
+                        }
                     }
                 }
             }
@@ -615,6 +619,7 @@ mod tests {
                 }
             }
         }
+        block_candidates_match_swar(ActiveKernel::Avx2, &mut rng);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -644,6 +649,7 @@ mod tests {
                 }
             }
         }
+        block_candidates_match_swar(ActiveKernel::Avx512, &mut rng);
     }
 
     #[test]
