@@ -1,19 +1,15 @@
 //! **Storage ablation (ours)**: Vec-of-Vec rows vs the columnar
-//! [`SketchArena`] behind every index, and the scan-kernel sweep
-//! (scalar vs forced SWAR vs the dispatched prefilter) on top of the
-//! columnar layout.
+//! [`SketchArena`] behind every index, and the scan kernels (scalar vs
+//! the bit-sliced prefilter) on top of the columnar layout.
 //!
 //! The storage layout decides which kernel the paper's identification
-//! scan can run, and since the vectorized plane the scan is bound by
-//! that kernel, not by memory (AVX-512 0.75–0.81 ns a row, AVX2
-//! 1.24–1.25 ns at 10⁵ paper-ring rows; DESIGN.md "What batching saves
-//! on a kernel-bound sweep"). This ablation pits the seed layout
-//! (`Vec<Option<Vec<i64>>>`: a heap allocation and pointer chase per
-//! record, 8 bytes per coordinate) against the arena (one contiguous
-//! width-adaptive buffer + tombstone bitmap), and the scalar
-//! early-abort kernel against the two-phase vectorized scan
-//! (dimension-major prefilter plane; see `FilterConfig`). Every arm is
-//! timed best-of-N with [`time_best`] and printed on a line of its own:
+//! scan can run (DESIGN.md "What batching saves"). This ablation pits
+//! the seed layout (`Vec<Option<Vec<i64>>>`: a heap allocation and
+//! pointer chase per record, 8 bytes per coordinate) against the arena
+//! (one contiguous width-adaptive buffer + tombstone bitmap), and the
+//! scalar early-abort kernel against the two-phase scan (the
+//! bit-sliced cell plane; see `FilterConfig`). Every arm is timed
+//! best-of-N with [`time_best`] and printed on a line of its own:
 //!
 //! * `lookup/*` — worst-case *matching* probe (resolves at the last
 //!   enrolled record, so the whole population is scanned);
@@ -39,29 +35,27 @@
 //!   `AuthenticationServer` holds per user *besides* the index row
 //!   (`record_heap_bytes()`), and `index_bytes_per_record_*` what the
 //!   index row itself takes in a default `EpochIndex` at the paper
-//!   shape (`dim` 64, `ka` 400: a 72 B packed row — 64 B of row
-//!   column, 8 B of plane — and a liveness bit). Recorded, not asserted: `fe-benchmark` bounds the
+//!   shape (`dim` 64, `ka` 400: a 72 B packed row — 56 B of row
+//!   column, 16 B of plane — and a liveness bit). Recorded, not asserted: `fe-benchmark` bounds the
 //!   same bytes as `rss_bytes_per_record` at 0.02 and prints the index
 //!   row as `core.index.heap_bytes_per_record`.
 //!
-//! Kernel variants: `columnar` = the PR 3 scalar columnar kernel
-//! (`FilterConfig::disabled()`), `swar` = portable packed-lane SWAR
-//! forced, `vectorized` = runtime dispatch (AVX-512 → AVX2 → SWAR on
-//! x86-64, SWAR elsewhere — the `vectorized_is_avx2` /
-//! `vectorized_is_avx512` smoke metrics say which ran). Headline smoke
+//! Kernel variants: `columnar` = the scalar columnar kernel
+//! (`FilterConfig::disabled()`), `vectorized` = the default plane and
+//! its one phase-1 word loop (the same on every target). Headline smoke
 //! numbers land in `BENCH_SMOKE.json`; a smoke run **fails** if the
 //! vectorized kernel is not at least as fast as the scalar one on the
 //! smoke population. Every assert here is a ratio between two arms
 //! timed inside the run — the only kind of time gate a host with two
 //! speeds can hold.
 //!
-//! The `sweep_policy` arms ablate the sweep *policy* on top of the
-//! dispatched kernel: adaptive vs fixed plane depth (see
+//! The `sweep_policy` arms ablate the plane's depth on top of the
+//! loop: 4, 8 and 16 coordinates against the default, all of them (see
 //! [`bench_sweep_policy`]).
 //!
 //! `FE_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run that
 //! still executes every row-layout dispatch path (packed/`i32`/`i64`),
-//! every kernel variant, and the pre-sized bulk-load path.
+//! both kernel variants, and the pre-sized bulk-load path.
 
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
@@ -213,8 +207,6 @@ fn bench_storage() {
     // The smoke assert compares on the largest population of the
     // sweep: (scalar_us, vectorized_us) for the no-match worst case.
     let mut gate_pair = (0.0f64, 0.0f64);
-    // Which kernel `vectorized` actually dispatched to ("avx512"/"avx2"/"swar").
-    let mut kernel_label = "scalar";
     // (default, reserved) µs per row enrolled into an `EpochIndex`.
     let mut insert_gate_pair = (0.0f64, 0.0f64);
     // µs per row over enough inserts to seal four segments.
@@ -229,26 +221,21 @@ fn bench_storage() {
         let probe = matching_probe(sketches.last().unwrap(), T, KA, &mut rng);
 
         let mut baseline = VecOfVecScan::new(T, KA);
-        // The kernel sweep, all on the same columnar storage: the PR 3
-        // scalar kernel, forced portable SWAR, and runtime dispatch.
+        // The two kernels on the same columnar storage: the scalar
+        // kernel, and the plane's word loop.
         let mut columnar = ScanIndex::with_filter(T, KA, FilterConfig::disabled());
-        let mut swar_idx = ScanIndex::with_filter(T, KA, FilterConfig::swar());
         let mut vectorized = ScanIndex::new(T, KA);
         columnar.reserve(n, DIM);
-        swar_idx.reserve(n, DIM);
         vectorized.reserve(n, DIM);
         for s in &sketches {
             baseline.insert(s.clone());
             columnar.insert(s);
-            swar_idx.insert(s);
             vectorized.insert(s);
         }
         assert_eq!(columnar.width(), CellWidth::Packed);
         assert_eq!(columnar.filter_kernel(), "scalar");
-        assert_eq!(swar_idx.filter_kernel(), "swar");
-        kernel_label = vectorized.filter_kernel();
+        assert_eq!(vectorized.filter_kernel(), "bitsliced");
         assert_eq!(baseline.find_first(&probe), columnar.find_first(&probe));
-        assert_eq!(columnar.find_first(&probe), swar_idx.find_first(&probe));
         assert_eq!(columnar.find_first(&probe), vectorized.find_first(&probe));
 
         // Worst case for a *miss* (the acceptance criterion): a fresh
@@ -259,7 +246,6 @@ fn bench_storage() {
                 break candidate;
             }
         };
-        assert_eq!(swar_idx.find_first(&miss), None);
         assert_eq!(vectorized.find_first(&miss), None);
 
         let at = |label: &str| format!("storage_ablation/{label}/{n}");
@@ -269,25 +255,19 @@ fn bench_storage() {
         let col_secs = arm(&at("lookup/columnar"), n, iters, || {
             columnar.find_first(&probe).expect("found")
         });
-        let swar_secs = arm(&at("lookup/swar"), n, iters, || {
-            swar_idx.find_first(&probe).expect("found")
-        });
         let vect_secs = arm(&at("lookup/vectorized"), n, iters, || {
             vectorized.find_first(&probe).expect("found")
         });
         let col_miss = arm(&at("nomatch/columnar"), n, iters, || {
             columnar.find_first(&miss)
         });
-        let swar_miss = arm(&at("nomatch/swar"), n, iters, || swar_idx.find_first(&miss));
         let vect_miss = arm(&at("nomatch/vectorized"), n, iters, || {
             vectorized.find_first(&miss)
         });
         smoke_metrics.push((format!("baseline_lookup_us_{n}"), base_secs * 1e6));
         smoke_metrics.push((format!("columnar_lookup_us_{n}"), col_secs * 1e6));
-        smoke_metrics.push((format!("swar_lookup_us_{n}"), swar_secs * 1e6));
         smoke_metrics.push((format!("vectorized_lookup_us_{n}"), vect_secs * 1e6));
         smoke_metrics.push((format!("columnar_nomatch_us_{n}"), col_miss * 1e6));
-        smoke_metrics.push((format!("swar_nomatch_us_{n}"), swar_miss * 1e6));
         smoke_metrics.push((format!("vectorized_nomatch_us_{n}"), vect_miss * 1e6));
 
         // Bulk load: the recovery path (pre-sized arena) vs pushing
@@ -359,11 +339,8 @@ fn bench_storage() {
             insert_gate_pair.0, insert_gate_pair.1
         );
         println!(
-            "storage_ablation/kernels/{n}: no-match scalar {:.1} µs, swar {:.1} µs \
-             ({:.2}×), {} {:.1} µs ({:.2}×)",
+            "storage_ablation/kernels/{n}: no-match scalar {:.1} µs, {} {:.1} µs ({:.2}×)",
             col_miss * 1e6,
-            swar_miss * 1e6,
-            col_miss / swar_miss,
             vectorized.filter_kernel(),
             vect_miss * 1e6,
             col_miss / vect_miss,
@@ -389,29 +366,21 @@ fn bench_storage() {
             vect_bpr - col_bpr
         );
         csv_rows.push(format!(
-            "{n},{base_bpr:.1},{col_bpr:.1},{vect_bpr:.1},{:.3},{:.3},{:.3}",
+            "{n},{base_bpr:.1},{col_bpr:.1},{vect_bpr:.1},{:.3},{:.3}",
             col_miss * 1e6,
-            swar_miss * 1e6,
             vect_miss * 1e6
         ));
     }
     let path = write_csv(
         "storage_ablation.csv",
         "records,baseline_bytes_per_record,columnar_bytes_per_record,\
-         vectorized_bytes_per_record,scalar_nomatch_us,swar_nomatch_us,vectorized_nomatch_us",
+         vectorized_bytes_per_record,scalar_nomatch_us,vectorized_nomatch_us",
         &csv_rows,
     );
     println!(
         "storage_ablation: bytes/record + kernel sweep written to {}",
         path.display()
     );
-    let avx2 = kernel_label == "avx2";
-    smoke_metrics.push(("vectorized_is_avx2".to_string(), f64::from(u8::from(avx2))));
-    let avx512 = kernel_label == "avx512";
-    smoke_metrics.push((
-        "vectorized_is_avx512".to_string(),
-        f64::from(u8::from(avx512)),
-    ));
     smoke_metrics.push(("epoch_insert_us".to_string(), insert_gate_pair.0));
     smoke_metrics.push(("epoch_insert_reserved_us".to_string(), insert_gate_pair.1));
     smoke_metrics.push(("epoch_insert_amortised_us".to_string(), insert_amortised_us));
@@ -469,14 +438,14 @@ fn bench_width_dispatch() {
     }
 }
 
-/// The sweep-policy ablation on top of the vectorized kernel: adaptive
-/// vs fixed plane depth.
+/// The sweep-policy ablation on top of the plane's word loop: plane
+/// depths 4, 8 and 16 against the default, every coordinate of the
+/// `DIM`-coordinate sketches.
 ///
-/// Both variants must return the same answers (asserted before timing).
-/// Timings land in `BENCH_SMOKE.json` (`adaptive_f_depth`,
-/// `adaptive_nomatch_us`, `fixed8_nomatch_us`). A smoke run fails if the
-/// adaptive depth loses to the old constant `F = 8`, with a noise
-/// tolerance.
+/// Every depth must return the same answers (asserted before timing).
+/// Timings land in `BENCH_SMOKE.json` (`depth{4,8,16,64}_nomatch_us`).
+/// A smoke run fails if the default depth loses to `F = 8`, with a
+/// noise tolerance.
 fn bench_sweep_policy() {
     let smoke = smoke::smoke_mode();
     let n = if smoke { 20_000 } else { 1_000_000 };
@@ -492,59 +461,60 @@ fn bench_sweep_policy() {
         }
         idx
     };
-    let adaptive = build(FilterConfig::default());
+    let depths = [4, 8, 16, 64];
+    let planes: Vec<ScanIndex> = depths
+        .iter()
+        .map(|&d| build(FilterConfig::default().with_depth(PlaneDepth::Fixed(d))))
+        .collect();
+    let default = &planes[3];
     let miss = loop {
         let candidate = synth_sketches(1, KA, &mut rng).pop().unwrap();
-        if adaptive.find_first(&candidate).is_none() {
+        if default.find_first(&candidate).is_none() {
             break candidate;
         }
     };
-
-    // Adaptive plane depth vs the old constant F = 8. At the paper ring
-    // (t = 100, ka = 400) the adaptive model lands on exactly 8, so this
-    // gate is a strict no-regression check; on other rings it is where a
-    // mis-tuned depth model would surface.
-    let fixed8 = build(FilterConfig::default().with_depth(PlaneDepth::Fixed(8)));
-    assert_eq!(adaptive.find_first(&probe), fixed8.find_first(&probe));
-    assert_eq!(fixed8.find_first(&miss), None);
-
-    // The two arms are timed back to back and interleaved: the gate
-    // compares variants against each other, so
-    // the comparands must share one measurement neighborhood — a pair
-    // of best-of numbers taken minutes apart mostly measures how the
-    // box drifted in between. Best-of over interleaved rounds keeps
-    // each variant's number from the same few milliseconds of machine
-    // state.
-    let rounds = 25;
-    let mut adaptive_miss = f64::INFINITY;
-    let mut fixed8_miss = f64::INFINITY;
-    for _ in 0..rounds {
-        adaptive_miss = adaptive_miss.min(time_best(1, || adaptive.find_first(&miss)).1);
-        fixed8_miss = fixed8_miss.min(time_best(1, || fixed8.find_first(&miss)).1);
+    for plane in &planes {
+        assert_eq!(plane.find_first(&probe), default.find_first(&probe));
+        assert_eq!(plane.find_first(&miss), None);
     }
-    let depth = adaptive.resolved_depth();
+
+    // The arms are timed back to back and interleaved: the gate
+    // compares variants against each other, so the comparands must
+    // share one measurement neighborhood — a pair of best-of numbers
+    // taken minutes apart mostly measures how the box drifted in
+    // between. Best-of over interleaved rounds keeps each variant's
+    // number from the same few milliseconds of machine state.
+    let rounds = 25;
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..rounds {
+        for (best, plane) in best.iter_mut().zip(&planes) {
+            *best = best.min(time_best(1, || plane.find_first(&miss)).1);
+        }
+    }
+    let arms: Vec<(String, f64)> = depths
+        .iter()
+        .zip(best)
+        .map(|(d, secs)| (format!("depth{d}_nomatch_us"), secs * 1e6))
+        .collect();
     println!(
-        "sweep_policy/{n}: adaptive F={depth} {:.1} µs vs fixed8 {:.1} µs",
-        adaptive_miss * 1e6,
-        fixed8_miss * 1e6,
+        "sweep_policy/{n}: plane {} (dims = min(depth, {DIM}))",
+        arms.iter()
+            .map(|(k, us)| format!("{k} {us:.1} µs"))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
-    smoke::record(
-        "sweep_policy",
-        &[
-            ("adaptive_f_depth", depth as f64),
-            ("adaptive_nomatch_us", adaptive_miss * 1e6),
-            ("fixed8_nomatch_us", fixed8_miss * 1e6),
-        ],
-    );
+    let named: Vec<(&str, f64)> = arms.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    smoke::record("sweep_policy", &named);
 
     if smoke {
         // 25% tolerance: even interleaved best-of timings jitter on a
         // shared CI box; the gate is for losing a kernel, not a run.
         let tol = 1.25;
+        let (default_miss, fixed8_miss) = (best[3], best[1]);
         assert!(
-            adaptive_miss <= fixed8_miss * tol,
-            "adaptive plane depth ({:.1} µs) lost to fixed F=8 ({:.1} µs)",
-            adaptive_miss * 1e6,
+            default_miss <= fixed8_miss * tol,
+            "the default plane depth ({:.1} µs) lost to fixed F=8 ({:.1} µs)",
+            default_miss * 1e6,
             fixed8_miss * 1e6
         );
     }

@@ -78,9 +78,9 @@ use super::{RecordId, SketchIndex};
 const DEFAULT_SEAL_ROWS: usize = 65_536;
 
 /// Row bytes the default head reserves at most, whatever the
-/// dimension — each row once, its row column and the plane lanes that
-/// hold its leading buckets together; [`DEFAULT_SEAL_ROWS`] of the
-/// paper's 72-byte rows (64 B of row column, 8 of plane) are 4.5 MiB
+/// dimension — each row once, its row column and the plane bits that
+/// hold its cells together; [`DEFAULT_SEAL_ROWS`] of the paper's
+/// 72-byte rows (56 B of row column, 16 of plane) are 4.5 MiB
 /// of it.
 const DEFAULT_SEAL_BYTES: usize = 8 << 20;
 
@@ -673,8 +673,8 @@ impl SketchIndex for EpochIndex {
         }
     }
 
-    // The open head is charged for the rows it holds — their cells,
-    // complete plane groups and tombstone words — not for the untouched
+    // The open head is charged for the rows it holds — their column
+    // bytes, plane bits and tombstone words — not for the untouched
     // reservation behind them, which is address space, not memory: the
     // figure tracks what the process has resident. Writer and snapshot
     // share every segment, head included, so each is counted once; the

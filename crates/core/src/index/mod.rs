@@ -44,12 +44,12 @@ pub mod epoch;
 pub mod store;
 
 pub use epoch::{EpochIndex, EpochRead, EpochReader, IndexReader, Segment};
-pub use store::{CellWidth, FilterConfig, FilterKernel, PlaneDepth, SketchArena};
+pub use store::{sweep_counts, CellWidth, FilterConfig, PlaneDepth, SketchArena, SweepCounts};
 
 /// The paper-faithful early-abort linear scan: one [`SketchArena`]
 /// serving [`SketchIndex`] directly. On narrow rings the arena's
-/// prefilter plane turns full scans into the two-phase vectorized
-/// kernel (see [`FilterConfig`]).
+/// prefilter plane turns full scans into the two-phase scan (see
+/// [`FilterConfig`]).
 pub type ScanIndex = SketchArena;
 
 /// A unique record handle assigned by the index.

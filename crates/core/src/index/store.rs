@@ -14,22 +14,22 @@
 //!   early-abort scan walks memory linearly and the prefetcher wins.
 //! * **Ring-adaptive rows.** Every stored coordinate is a residue mod
 //!   `ka`, so the row layout is chosen from `ka` at construction: on a
-//!   narrow ring (`ka < 2¹⁵`) a **packed** row of one bucket byte and
-//!   `⌈log₂⌈ka/256⌉⌉` remainder bits a coordinate — the paper's
-//!   `log₂(ka + 1)` bits (Theorem 3) rounded up, 72 bytes at the
-//!   paper's `64 × ka = 400` instead of 512, of which the prefilter
-//!   plane holds the first 8 and the row column the other 64 — and
-//!   `i32` or `i64` canonical cells on wider ones (`cells`: the layout
-//!   and why the bucket bytes lead).
+//!   narrow ring (`ka < 2¹⁵`) a **packed** row of `max(8, ⌈log₂ ka⌉)`
+//!   bits a coordinate — the paper's `log₂(ka + 1)` bits (Theorem 3)
+//!   rounded up, 72 bytes at the paper's `64 × ka = 400` instead of
+//!   512, of which the prefilter plane holds the 2 cell bits of each
+//!   coordinate (16 B) and the row column the 7 offset bits (56 B) —
+//!   and `i32` or `i64` canonical cells on wider ones (`cells`: the
+//!   layout).
 //! * **Tombstone bitmap.** Liveness is one bit per row (not an `Option`
 //!   discriminant per record), removal is one atomic bit flip — O(1),
 //!   and safe under a sweep that is reading the row — and
 //!   [`SketchIndex::compact`] reclaims dead rows by re-appending the
 //!   live ones, in id order, to a fresh arena.
-//! * **Append under readers.** Cells and plane lanes live in
+//! * **Append under readers.** Column bytes and plane words live in
 //!   fixed-capacity `Column`s (`shared`): one writer appends a row —
-//!   its column bytes, and its leading buckets into the plane's open
-//!   group — and then release-stores the row count, a sweep
+//!   its column bytes, and its cell bits into the plane's open block —
+//!   and then release-stores the row count, a sweep
 //!   acquire-loads the count once and reads nothing at or past it — so an
 //!   [`EpochIndex`](super::EpochIndex) shares its head with lock-free
 //!   readers instead of copying it (DESIGN.md "Publication
@@ -46,27 +46,22 @@
 //! predicate — checked exhaustively beside the kernels and
 //! property-tested in `tests/properties.rs`.
 //!
-//! # The two-phase vectorized scan
+//! # The two-phase scan
 //!
-//! On the paper's ring (`ka < 2¹⁵`, packed rows) the arena additionally
-//! maintains a **prefilter plane**: the leading `F` (adaptive; 8 at the
-//! paper ring) coordinates of every row stored 64 rows a group and
-//! *dimension-major* within the group — a 64-byte lane per dimension,
-//! eight row values packed per `u64` word as byte buckets
-//! (`residue / q`, `q = ⌈ka/256⌉`) — so a
-//! conservative cyclic-distance test runs 64 rows at a time under
-//! runtime-dispatched AVX-512 (32 under AVX2, 8 as packed-lane SWAR
-//! on every other CPU). A bucket lane passes ≈ `(2t+1)/ka` ≈ ½ of the
-//! ring at paper parameters, so eight filter dimensions reject
-//! ~255/256 rows in the vector pass; the sparse survivors get exact
-//! verification of the whole row on the row-major buffer (the buckets
-//! over-accept, never over-reject). See [`FilterConfig`] for the knobs
-//! and `DESIGN.md` for the bucket math. The plane is not a copy: a
-//! row's leading `F` bucket bytes live there and nowhere else, and
-//! phase 2 reads them back from the lanes phase 1 just scanned. Rings
-//! too wide for packed rows, and rings so loose that no bucket lane
-//! could reject, have no plane, keep whole rows and use the scalar
-//! kernel alone.
+//! On the packed rings (`ka < 2¹⁵`, the paper's among them) the arena
+//! additionally keeps a **prefilter plane**: each of the first
+//! `D = min(dim, 64)` coordinates of a row is split into a cell of
+//! `b` bits and an offset (`b = 2` at the paper ring, four cells of 100
+//! residues), and the plane holds the cells bit-sliced, 512 rows a
+//! block (`plane`). A probe coordinate rules out every cell that lies
+//! wholly outside its arc — one in four at the paper ring — so phase 1
+//! turns away three quarters of the rows a coordinate, 64 rows a word,
+//! in one safe word loop, and phase 2 checks a survivor's exact cyclic
+//! distance from its cells and offsets. The plane is not a copy: the
+//! cells live there and nowhere else, and a row is `⌈dim · B / 8⌉`
+//! bytes with or without it. Rings too wide for packed rows, and rings
+//! so loose that no cell could ever be ruled out, have no plane, keep
+//! whole residues in their rows and go straight to phase 2.
 //!
 //! # One sweep, one row writer, five files
 //!
@@ -78,8 +73,9 @@
 //! compaction carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the column
 //! buffer in its three row layouts and their scalar match kernels,
-//! `plane` the prefilter plane and its depth model, `kernels` the
-//! isolated SIMD backends, `shared` the append-under-readers buffer.
+//! `plane` the prefilter plane, its cell rule and the phase-1 loop,
+//! `kernels` the AVX-512 enroll loops, `shared` the append-under-readers
+//! buffer.
 
 mod cells;
 pub(crate) mod kernels;
@@ -89,119 +85,77 @@ mod sweep;
 
 pub use cells::{canonical, canonical_range, CellWidth};
 pub(crate) use sweep::RowMask;
+pub use sweep::{sweep_counts, SweepCounts};
 
 use super::{RecordId, SketchIndex};
-use cells::{quantize_ring, Cells};
-use kernels::ActiveKernel;
-#[cfg(target_arch = "x86_64")]
-use kernels::{avx2, avx512};
-use plane::{adaptive_depth_for_rate, byte_plane_eligible, FilterPlane};
+use cells::Cells;
+use plane::{cell_bits, FilterPlane};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Rows per sweep tile: what an [`EpochIndex`](super::EpochIndex) sizes
 /// its default head in.
 pub(crate) const TILE_ROWS: usize = sweep::TILE_WORDS * 64;
 
-/// How (and whether) a [`SketchArena`] builds its SWAR/SIMD prefilter
-/// plane for the conditions (1)–(4) scan.
+/// The most coordinates a prefilter plane holds.
+const PLANE_DIMS: usize = 64;
+
+/// Whether, and how deep, a [`SketchArena`] builds its prefilter plane
+/// for the conditions (1)–(4) scan.
 ///
-/// The plane stores the leading [`PlaneDepth`] coordinates of every
-/// row 64 rows a group, dimension-major within the group: one 64-byte
-/// lane of byte buckets per dimension (`bucket = residue / q` with
-/// `q = ⌈ka/256⌉`, eight rows per `u64` word), so a conservative
-/// per-coordinate cyclic test
-/// vectorizes: the quantized threshold `t_q = ⌈t'/q⌉ + 1` over-accepts
-/// by construction, every true match survives, and survivors are
-/// exact-verified on all coordinates. It only exists on packed-row
-/// rings (`ka < 2¹⁵` — the paper's parameters) on which a bucket lane
-/// can still reject (`2·t_q + 1 < ⌈ka/q⌉`); every other ring uses the
-/// scalar kernel, whatever this config says.
+/// The plane keeps the cell bits of a row's leading coordinates,
+/// bit-sliced 512 rows a block, so phase 1 rules out rows 64 a word
+/// before phase 2 checks the survivors' exact distances (module docs).
+/// It only exists on packed-row rings (`ka < 2¹⁵` — the paper's
+/// parameters) on which some cell can lie wholly outside a probe's
+/// arc; every other ring uses the scalar kernel, whatever this config
+/// says.
 ///
 /// Like [`CellWidth`], this is a lookup accelerator knob: it never
 /// changes match results (property-tested in `tests/properties.rs`)
 /// and is excluded from durable-storage fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterConfig {
     /// How many leading coordinates the plane keeps (see
-    /// [`PlaneDepth`]). Resolved once per arena, clamped to the sketch
-    /// dimension.
+    /// [`PlaneDepth`]), clamped to the sketch dimension and to 64.
     pub depth: PlaneDepth,
-    /// Which vector kernel scans the plane.
-    pub kernel: FilterKernel,
 }
 
-/// Prefilter plane depth: how many leading coordinates get a packed
-/// lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Prefilter plane depth: how many leading coordinates keep their cells
+/// in the plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaneDepth {
-    /// Choose per arena from the ring's per-dimension rejection rate:
-    /// a bucket lane passes `2·t_q+1` of the `⌈ka/q⌉` buckets, and
-    /// lanes are added until the expected survivor rate clears 1/128 —
-    /// past that, another lane's phase-1 cost (memory + ops on *every*
-    /// row) outweighs the phase-2 work it removes. Small rings need
-    /// fewer lanes; sparse-rejection rings get deeper planes, up to
-    /// [`FilterConfig::MAX_ADAPTIVE_DIMS`]. At the paper's `t = 100`,
-    /// `ka = 400` (`q = 2`, 103 of 200 buckets pass) this resolves
-    /// to 8.
-    #[default]
-    Adaptive,
-    /// Exactly this many lanes; `Fixed(0)` disables the prefilter.
+    /// At most this many — `D = min(d, dim, 64)`; `Fixed(0)` disables
+    /// the prefilter. The default is `Fixed(64)`: every coordinate of a
+    /// paper-shape sketch, whose every cell test turns away a quarter of
+    /// the rows.
     Fixed(usize),
 }
 
-/// The vector kernel that scans a [`FilterConfig`] prefilter plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterKernel {
-    /// Runtime dispatch, widest first (checked once via
-    /// `is_x86_feature_detected!`): on x86-64 AVX-512 (`avx512f` +
-    /// `avx512bw`, with the BMI2 every AVX-512 core has), then AVX2,
-    /// then portable SWAR; SWAR on every other target.
-    #[default]
-    Auto,
-    /// Force the portable SWAR path (one `u64` word — 8 bucket bytes —
-    /// at a time, no `unsafe`) even where SIMD is available — the
-    /// portable reference the bench ablation and the floor suites hold
-    /// the dispatched kernel to.
-    Swar,
+impl Default for PlaneDepth {
+    fn default() -> PlaneDepth {
+        PlaneDepth::Fixed(PLANE_DIMS)
+    }
 }
 
 impl FilterConfig {
-    /// Ceiling on [`PlaneDepth::Adaptive`] lanes: past 16 dimensions
-    /// the plane's memory traffic grows faster than any realistic
-    /// rejection gain.
-    pub const MAX_ADAPTIVE_DIMS: usize = 16;
-
     /// A disabled prefilter: every lookup takes the scalar early-abort
     /// kernel, as before the plane existed.
     pub fn disabled() -> FilterConfig {
-        FilterConfig {
-            depth: PlaneDepth::Fixed(0),
-            ..FilterConfig::default()
-        }
+        FilterConfig::default().with_depth(PlaneDepth::Fixed(0))
     }
 
-    /// Force the portable SWAR kernel (adaptive plane depth).
+    /// The default plane, under the name the portable word loop had
+    /// when a SIMD kernel could be chosen instead: the one phase-1 loop
+    /// is portable on every target.
     pub fn swar() -> FilterConfig {
-        FilterConfig {
-            kernel: FilterKernel::Swar,
-            ..FilterConfig::default()
-        }
+        FilterConfig::default()
     }
 
-    /// Replaces the plane depth policy.
+    /// Replaces the plane depth.
     #[must_use]
     pub fn with_depth(mut self, depth: PlaneDepth) -> FilterConfig {
         self.depth = depth;
         self
-    }
-}
-
-impl Default for FilterConfig {
-    fn default() -> FilterConfig {
-        FilterConfig {
-            depth: PlaneDepth::Adaptive,
-            kernel: FilterKernel::Auto,
-        }
     }
 }
 
@@ -249,7 +203,7 @@ pub struct SketchArena {
     /// Rows `append` has room for before `&mut self` must grow.
     capacity: usize,
     /// The publication counter: rows `..rows` are complete — column
-    /// bytes written and leading buckets stored in the plane.
+    /// bytes written and cell bits stored in the plane.
     /// `Release`-stored by `append` after those writes, `Acquire`-loaded
     /// once per sweep.
     rows: AtomicUsize,
@@ -301,9 +255,10 @@ impl SketchArena {
     }
 
     /// Creates an empty arena with an explicit prefilter configuration.
-    /// The plane only materializes on narrow rings (`ka < 2¹⁵`) a bucket
-    /// lane can reject on; every other ring ignores `filter`'s depth
-    /// and kernel and always scans with the scalar kernel.
+    /// The plane only materializes on narrow rings (`ka < 2¹⁵`) where
+    /// some cell can lie wholly outside a probe's arc; every other ring
+    /// ignores `filter`'s depth and always scans with the scalar
+    /// kernel.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> SketchArena {
         assert!(ka >= 1, "ring circumference must be at least 1");
         SketchArena {
@@ -341,93 +296,42 @@ impl SketchArena {
             .resize_with(capacity.div_ceil(64), || AtomicU64::new(0));
     }
 
-    /// The plane depth this arena's config resolves to for its ring
-    /// (before clamping to the stamped dimension): 0 — no plane — on a
-    /// ring no bucket lane can reject on (which every ring too wide for
-    /// packed rows is); otherwise [`PlaneDepth::Fixed`] verbatim, and
-    /// [`PlaneDepth::Adaptive`] from the per-bucket acceptance rate
-    /// `(2·t_q+1)/⌈ka/q⌉` (see [`PlaneDepth`]).
-    pub fn resolved_depth(&self) -> usize {
-        if !byte_plane_eligible(self.t, self.ka) {
-            return 0;
-        }
-        match self.filter.depth {
-            PlaneDepth::Fixed(d) => d,
-            PlaneDepth::Adaptive => {
-                let (_, kq, tq) = quantize_ring(self.t, self.ka);
-                adaptive_depth_for_rate(2 * u64::from(tq) + 1, u64::from(kq))
-            }
-        }
-    }
-
     /// Builds the plane when the freshly stamped dimension and the ring
     /// allow one. Called exactly once, at stamp time, before any row.
     fn stamp_plane(&mut self) {
         debug_assert!(self.cells.plane().is_none());
-        let pd = self.resolved_depth().min(self.dim.unwrap_or(0));
-        if pd > 0 {
-            self.cells.set_plane(FilterPlane::new(pd, self.t, self.ka));
+        let PlaneDepth::Fixed(depth) = self.filter.depth;
+        let dims = depth.min(PLANE_DIMS).min(self.dim.unwrap_or(0));
+        if dims > 0 && self.width() == CellWidth::Packed && cell_bits(self.t, self.ka) > 0 {
+            self.cells
+                .set_plane(FilterPlane::new(dims, self.t, self.ka));
         }
     }
 
-    /// The vector kernel a scan would use right now: `"scalar"` (no
+    /// The phase-1 kernel a scan would use right now: `"scalar"` (no
     /// plane — wide or too-loose ring, disabled filter, or nothing
-    /// stamped), `"swar"`, or on x86-64 `"avx2"` or `"avx512"`. Benches
-    /// use this to label ablations.
+    /// stamped) or `"bitsliced"`, the one word loop. Benches use this to
+    /// label runs.
     pub fn filter_kernel(&self) -> &'static str {
-        match self.active_kernel() {
+        match self.cells.plane() {
+            Some(_) => "bitsliced",
             None => "scalar",
-            Some(ActiveKernel::Swar) => "swar",
-            #[cfg(target_arch = "x86_64")]
-            Some(ActiveKernel::Avx2) => "avx2",
-            #[cfg(target_arch = "x86_64")]
-            Some(ActiveKernel::Avx512) => "avx512",
         }
     }
 
-    /// The number of dimensions the prefilter plane holds (0 when
+    /// The number of coordinates the prefilter plane holds (0 when
     /// inactive).
     pub fn plane_dims(&self) -> usize {
         self.cells.plane().map_or(0, FilterPlane::dims)
     }
 
-    /// The lane width of the live plane — `"u8"`, or `"none"` when no
-    /// plane exists. Benches use this to label runs, like
+    /// The cell bits a coordinate keeps in the live plane — `"b1"` to
+    /// `"b8"` (`"b2"` at the paper ring), or `"none"` when no plane
+    /// exists. Benches use this to label runs, like
     /// [`SketchArena::filter_kernel`].
     pub fn plane_width(&self) -> &'static str {
-        match self.cells.plane() {
-            Some(_) => "u8",
-            None => "none",
-        }
-    }
-
-    /// The plane plus its resolved kernel when the prefilter is live —
-    /// the one condition deciding whether a sweep has a phase 1.
-    fn active_plane(&self) -> Option<(&FilterPlane, ActiveKernel)> {
-        Some((self.cells.plane()?, self.active_kernel()?))
-    }
-
-    fn active_kernel(&self) -> Option<ActiveKernel> {
-        self.cells.plane()?;
-        Some(match self.filter.kernel {
-            FilterKernel::Swar => ActiveKernel::Swar,
-            FilterKernel::Auto => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if avx512::available() {
-                        ActiveKernel::Avx512
-                    } else if avx2::available() {
-                        ActiveKernel::Avx2
-                    } else {
-                        ActiveKernel::Swar
-                    }
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    ActiveKernel::Swar
-                }
-            }
-        })
+        const WIDTHS: [&str; 9] = ["none", "b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8"];
+        WIDTHS[self.cells.plane().map_or(0, FilterPlane::bits)]
     }
 
     /// The match threshold `t`.
@@ -451,9 +355,9 @@ impl SketchArena {
     }
 
     /// Bytes the rows held occupy: each row once — its column bytes
-    /// and the leading buckets the plane holds of it — and their
-    /// tombstone words. Equal to [`SketchIndex::heap_bytes`] on a full
-    /// arena (to within the open group's lanes past its last row); on
+    /// and the cell bits the plane holds of it — and their tombstone
+    /// words. Equal to [`SketchIndex::heap_bytes`] on a full arena (to
+    /// within the open block's words past its last row); on
     /// one reserved ahead of its rows — an
     /// [`EpochIndex`](super::EpochIndex) head — it leaves out the
     /// reservation nothing has been written to, which the process holds
@@ -486,8 +390,8 @@ impl SketchArena {
     /// The one routine that writes a row — through `&self`, so the
     /// owner of an arena that lock-free sweeps are reading can keep
     /// appending to it: the column bytes land past the published row
-    /// count, the leading buckets in the plane's open group (which the
-    /// group's first row published), and only then does the `Release`
+    /// count, the cell bits in the plane's open block (which the
+    /// block's first row published), and only then does the `Release`
     /// store of `rows` let a sweep (which `Acquire`-loads it once)
     /// reach any of it.
     ///
@@ -576,7 +480,7 @@ impl SketchIndex for SketchArena {
     }
 
     // One pass over the rows serves the whole batch: each tile's plane
-    // lanes are walked for every probe while they are hot in L1.
+    // blocks are walked for every probe while they are hot in L1.
     fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>> {
         let refs: Vec<&[i64]> = probes.iter().map(AsRef::as_ref).collect();
         let mut firsts = vec![None; probes.len()];
@@ -628,7 +532,7 @@ impl SketchIndex for SketchArena {
     }
 
     // Sizes the column buffer, the tombstone words **and** the plane
-    // lanes, so a pre-sized load reallocates nothing. Panics if the
+    // blocks, so a pre-sized load reallocates nothing. Panics if the
     // arena is stamped with another dimension.
     fn reserve(&mut self, additional: usize, dim: usize) {
         let stamped = self.stamp(dim);
@@ -781,16 +685,17 @@ mod tests {
         assert_eq!(cell_bytes_per_row((1 << 15) - 1), 64 + 56);
         assert_eq!(cell_bytes_per_row(1 << 20), 256);
         assert_eq!(cell_bytes_per_row(1 << 40), 512);
-        // The prefilter plane holds a row's first 8 bucket bytes and
-        // the row column the other 64: an identical filtered arena
-        // holds each sketch once, in exactly the bytes a scalar one does.
+        // The prefilter plane holds the 2 cell bits of each of a row's
+        // 64 coordinates and the row column the 7 offset bits: an
+        // identical filtered arena holds each sketch once, in exactly
+        // the bytes a scalar one does.
         let mut filtered = SketchArena::new(100, 400);
         filtered.reserve(64, 64);
         for i in 0..64i64 {
             filtered.push(&[i; 64]);
         }
-        assert_eq!(filtered.plane_width(), "u8");
-        assert_eq!((filtered.plane_dims(), filtered.cells.stride(64)), (8, 64));
+        assert_eq!(filtered.plane_width(), "b2");
+        assert_eq!((filtered.plane_dims(), filtered.cells.stride(64)), (64, 56));
         assert_eq!(filtered.used_bytes(), 64 * 72 + 8);
         assert!(filtered.heap_bytes() >= filtered.used_bytes());
     }
@@ -820,17 +725,20 @@ mod tests {
         assert_eq!(scalar.filter_kernel(), "scalar");
         let half = (ka / 2) as i64;
         let span = half.max(1);
-        for _ in 0..300 {
+        // Two whole blocks, and an open one of a complete group and an
+        // open group.
+        const ROWS: usize = 1100;
+        for _ in 0..ROWS {
             let row: Vec<i64> = (0..dim).map(|_| rng.gen_range(-span..=span)).collect();
             assert_eq!(filtered.push(&row), scalar.push(&row));
         }
-        for id in (0..300).step_by(7) {
+        for id in (0..ROWS).step_by(7) {
             assert_eq!(filtered.remove(id), scalar.remove(id));
         }
         // Probes: genuine-ish (near an enrolled row), impostors, and a
         // wrong dimension; exercised through every entry point.
         let mut probes: Vec<Vec<i64>> = Vec::new();
-        for base in (0..300).step_by(11) {
+        for base in (0..ROWS).step_by(37) {
             let row = scalar.row(base).or_else(|| scalar.row(base + 1));
             if let Some(row) = row {
                 let t_span = t.min(i64::MAX as u64) as i64;
@@ -872,38 +780,30 @@ mod tests {
     }
 
     #[test]
-    fn swar_prefilter_matches_scalar() {
-        // Paper ring; dim > plane (suffix verify), dim == plane (pure
-        // prefilter), dim < plane (clamped plane).
-        for dim in [32, 8, 3] {
-            check_filtered_matches_scalar(FilterConfig::swar(), 100, 400, dim);
-        }
-        // Tiny and odd rings.
-        check_filtered_matches_scalar(FilterConfig::swar(), 1, 7, 5);
-        check_filtered_matches_scalar(FilterConfig::swar(), 0, 2, 4);
-        // Largest narrow ring.
-        check_filtered_matches_scalar(FilterConfig::swar(), 1000, (1 << 15) - 1, 12);
-    }
-
-    #[test]
-    fn auto_prefilter_matches_scalar() {
-        // On x86-64 this exercises the widest available SIMD path
-        // (including the SWAR tail for partial vectors); elsewhere it
-        // re-checks SWAR through the Auto dispatch.
-        for dim in [32, 8, 3] {
+    fn prefilter_matches_scalar() {
+        // Paper ring; dim > plane (whole residues past it), dim == 64,
+        // dim < 64 (clamped plane); a partial chunk of offsets.
+        for dim in [130, 64, 32, 8, 3] {
             check_filtered_matches_scalar(FilterConfig::default(), 100, 400, dim);
         }
+        // Tiny and odd rings, one step either side of the paper rule.
+        check_filtered_matches_scalar(FilterConfig::default(), 1, 7, 5);
+        check_filtered_matches_scalar(FilterConfig::default(), 0, 2, 4);
         check_filtered_matches_scalar(FilterConfig::default(), 25, 101, 9);
+        check_filtered_matches_scalar(FilterConfig::default(), 101, 400, 12);
+        check_filtered_matches_scalar(FilterConfig::default(), 100, 256, 6);
+        // Largest narrow ring.
+        check_filtered_matches_scalar(FilterConfig::default(), 1000, (1 << 15) - 1, 12);
     }
 
     #[test]
     fn fixed_depth_matches_scalar() {
-        for depth in [1, 3, 8, 16] {
+        for depth in [1, 3, 8, 16, 64] {
             check_filtered_matches_scalar(
                 FilterConfig::default().with_depth(PlaneDepth::Fixed(depth)),
                 100,
                 400,
-                12,
+                70,
             );
         }
     }
@@ -913,9 +813,9 @@ mod tests {
         // t ≥ ka/2 means every row matches; no plane could reject, so
         // none is built, whatever depth is asked for — every config
         // must agree with the scalar kernel.
-        check_filtered_matches_scalar(FilterConfig::swar(), 399, 400, 6);
+        check_filtered_matches_scalar(FilterConfig::default(), 399, 400, 6);
         check_filtered_matches_scalar(
-            FilterConfig::swar().with_depth(PlaneDepth::Fixed(8)),
+            FilterConfig::default().with_depth(PlaneDepth::Fixed(8)),
             399,
             400,
             6,
@@ -928,33 +828,29 @@ mod tests {
 
     #[test]
     fn plane_only_exists_on_narrow_rings() {
-        for (ka, expect_dims) in [(400u64, 8), (1 << 20, 0), (1 << 40, 0)] {
+        for (ka, expect_dims) in [(400u64, 16), (1 << 20, 0), (1 << 40, 0)] {
             let mut arena = SketchArena::new(100, ka);
             arena.push(&[1; 16]);
             assert_eq!(arena.plane_dims(), expect_dims, "ka = {ka}");
             if expect_dims == 0 {
                 assert_eq!(arena.filter_kernel(), "scalar");
             } else {
-                assert_ne!(arena.filter_kernel(), "scalar");
+                assert_eq!(arena.filter_kernel(), "bitsliced");
             }
         }
         // Disabled config never builds a plane, even on the paper ring.
         let mut arena = SketchArena::with_filter(100, 400, FilterConfig::disabled());
         arena.push(&[1; 16]);
         assert_eq!(arena.plane_dims(), 0);
-        // The plane is clamped to the sketch dimension.
-        let mut arena = SketchArena::new(100, 400);
-        arena.push(&[1, 2, 3]);
-        assert_eq!(arena.plane_dims(), 3);
     }
 
     #[test]
     fn reserve_presizes_the_plane() {
         let mut arena = SketchArena::new(100, 400);
-        arena.reserve(500, 16);
-        assert_eq!(arena.plane_dims(), 8);
+        arena.reserve(1500, 16);
+        assert_eq!(arena.plane_dims(), 16);
         let sized = arena.heap_bytes();
-        for i in 0..500i64 {
+        for i in 0..1500i64 {
             arena.push(&[i % 200; 16]);
         }
         assert_eq!(
@@ -968,25 +864,31 @@ mod tests {
     fn plane_resolution() {
         let resolved = |t: u64, ka: u64, filter: FilterConfig| {
             let mut arena = SketchArena::with_filter(t, ka, filter);
-            arena.push(&[1; 16]);
+            arena.push(&[1; 80]);
             (
                 arena.plane_width(),
                 arena.filter_kernel(),
                 arena.plane_dims(),
             )
         };
-        // Paper ring, default config: the byte plane, 8 lanes deep.
-        let (width, kernel, dims) = resolved(100, 400, FilterConfig::default());
-        assert_eq!((width, dims), ("u8", 8));
-        assert_ne!(kernel, "scalar");
-        assert_eq!(SketchArena::new(100, 400).resolved_depth(), 8);
-        // Rings no bucket lane can reject on (2·tq+1 ≥ kq): no plane,
+        // Paper ring, default config: 2 cell bits of 64 coordinates;
+        // one step looser, 3.
+        assert_eq!(
+            resolved(100, 400, FilterConfig::default()),
+            ("b2", "bitsliced", 64)
+        );
+        assert_eq!(
+            resolved(101, 400, FilterConfig::default()),
+            ("b3", "bitsliced", 64)
+        );
+        let pinned = FilterConfig::default().with_depth(PlaneDepth::Fixed(3));
+        assert_eq!(resolved(100, 400, pinned), ("b2", "bitsliced", 3));
+        // Rings where no cell can lie wholly outside an arc: no plane,
         // the scalar kernel — even when a depth is pinned.
         let none = ("none", "scalar", 0);
-        assert_eq!(resolved(198, 400, FilterConfig::default()), none);
-        assert_eq!(resolved(125, 258, FilterConfig::default()), none);
-        let pinned = FilterConfig::default().with_depth(PlaneDepth::Fixed(3));
-        assert_eq!(resolved(198, 400, pinned), none);
+        assert_eq!(resolved(200, 400, FilterConfig::default()), none);
+        assert_eq!(resolved(128, 258, FilterConfig::default()), none);
+        assert_eq!(resolved(128, 258, pinned), none);
         // Wider rings never build a plane, whatever the knob says.
         assert_eq!(resolved(100, 1 << 20, FilterConfig::default()), none);
         assert_eq!(resolved(100, 1 << 20, pinned), none);
@@ -995,21 +897,17 @@ mod tests {
     }
 
     #[test]
-    fn byte_plane_matches_scalar() {
-        // The portable SWAR word (even/odd byte split) on the paper
-        // ring, and on a q = 1 ring at a byte's capacity, where buckets
-        // are the residues themselves.
-        let swar = FilterConfig::swar();
-        check_filtered_matches_scalar(swar, 100, 400, 12);
-        check_filtered_matches_scalar(swar, 100, 256, 6);
-        // Largest narrow ring through the dispatched kernel: q = 128,
-        // kq = 256 — the wrapped broadcast.
-        check_filtered_matches_scalar(FilterConfig::default(), 1000, (1 << 15) - 1, 12);
-        // Rings no bucket lane can reject on: no plane is built and the
-        // scalar fallback answers, results identical.
-        for (t, ka) in [(198, 400), (125, 258), (16_200, (1 << 15) - 1)] {
+    fn loose_rings_match_scalar() {
+        // Rings at and past the no-plane edge, and loose rings that
+        // keep a plane of fine cells: results identical.
+        for (t, ka) in [
+            (128, 258),
+            (127, 258),
+            (16_320, 32_767),
+            (16_200, 32_767),
+            (198, 400),
+        ] {
             check_filtered_matches_scalar(FilterConfig::default(), t, ka, 6);
-            check_filtered_matches_scalar(swar, t, ka, 6);
         }
     }
 }

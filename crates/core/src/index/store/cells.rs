@@ -1,38 +1,34 @@
 //! The one column buffer of a [`SketchArena`](super::SketchArena) in
-//! its three row layouts — packed bucket bytes and remainder bits on
-//! narrow rings, `i32` or `i64` cells on wide ones — canonical ring
-//! representatives, and the scalar match kernels.
+//! its three row layouts — packed residue bits on narrow rings, `i32`
+//! or `i64` cells on wide ones — canonical ring representatives, and
+//! the scalar match kernels.
 //!
 //! # The packed row
 //!
 //! On a ring with `ka < 2¹⁵` a coordinate is stored as its residue
-//! `v ∈ [0, ka)` split by the prefilter's bucket width
-//! `q = ⌈ka/256⌉` ([`quantize_ring`]): the bucket `b = v / q` in one
-//! byte and the remainder `r = v − b·q` in `rbits = ⌈log₂ q⌉` bits —
-//! `max(8, ⌈log₂ ka⌉)` bits a coordinate, Theorem 3's
+//! `r ∈ [0, ka)` in `B = max(8, ⌈log₂ ka⌉)` bits — Theorem 3's
 //! `log₂(ka + 1)` rounded up to a whole bit (9 on the paper ring,
-//! against the paper's 8.65). A row is `dim` bucket bytes followed by
-//! `⌈dim · rbits / 8⌉` remainder bytes, the remainders packed low bit
-//! first and eight coordinates — `rbits` whole bytes — a step:
+//! against the paper's 8.65). With a prefilter plane, each of the first
+//! `D` coordinates is split into a cell `c = r / w` and an offset
+//! `r − c·w` (`w = ⌈ka / 2^b⌉`, the `plane` module docs): the plane
+//! keeps the cell's `b` bits, bit-sliced, and the row column the
+//! offset's `B − b`. The row column is one bit stream, low bit first:
+//! the `D` offsets, then the whole residues of the coordinates past
+//! them:
 //!
 //! ```text
-//!   ┌ b₀ … b_{F−1} ┬ b_F … b_{dim−1} ┬ r₀…r₇ │ r₈…r₁₅ │ … ┐  72 B at 64 × ka = 400
-//!   └─ the plane ──┴────────── the row column, 64 B ──────┘  (128 B as i16 cells)
+//!   plane: c₀ … c₆₃, 2 bits each   ┌ o₀ … o₆₃, 7 bits each ┬ (r₆₄ …, 9 bits each) ┐
+//!   └──────── 16 B ──────────────┘ └────── the row column, 56 B at 64 × ka = 400 ─┘
 //! ```
 //!
-//! The bucket bytes lead so that an arena with a prefilter plane
-//! stores a row's first `F` bytes there, as they are, and only the
-//! rest in its row column ([`Cells::Packed`]): each sketch is held
-//! once. They lead, too, so that a ring with `ka ≤ 256` (`q = 1`,
-//! `rbits = 0`) stores a byte a coordinate and nothing else, and so
-//! that a row which does not match is turned away on its buckets alone
-//! ([`Packed::row_matches`]): the remainder bits, at the row's end,
-//! are read only for a row whose every bucket is within the plane's
-//! conservative distance of the probe's.
+//! so a row takes `⌈dim · B / 8⌉` bytes with or without a plane — 72 at
+//! the paper shape, against 128 as `i16` cells. Phase 2 rebuilds
+//! `c·w + o` ([`Packed::row_matches`]); an arena without a plane
+//! (`D = 0`) keeps every residue whole in its row.
 
 #[cfg(target_arch = "x86_64")]
 use super::kernels::avx512;
-use super::plane::{FilterPlane, Lead};
+use super::plane::{cell_bits, FilterPlane, Lead};
 use super::shared::Column;
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -42,8 +38,9 @@ use std::marker::PhantomData;
 /// [`CellWidth::for_ring`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellWidth {
-    /// A bucket byte and `⌈log₂⌈ka/256⌉⌉` remainder bits a coordinate:
-    /// `ka < 2¹⁵` (the paper's `ka = 400` lands here, at 9 bits).
+    /// `max(8, ⌈log₂ ka⌉)` bits a coordinate, between the row and the
+    /// plane: `ka < 2¹⁵` (the paper's `ka = 400` lands here, at 9
+    /// bits).
     Packed,
     /// 4-byte cells: `ka < 2³¹`.
     I32,
@@ -67,35 +64,13 @@ impl CellWidth {
     /// (saturating: `dim` may be a frame's claim).
     pub fn row_bytes(ka: u64, dim: usize) -> usize {
         match CellWidth::for_ring(ka) {
-            CellWidth::Packed => Packed::new(0, ka).encoded_bytes(dim),
+            CellWidth::Packed => dim
+                .saturating_mul(Packed::new(0, ka).bits as usize)
+                .div_ceil(8),
             CellWidth::I32 => dim.saturating_mul(4),
             CellWidth::I64 => dim.saturating_mul(8),
         }
     }
-}
-
-/// The bucket quantization of a ring with `ka < 2¹⁵`, shared by the
-/// packed row and the prefilter plane: `(q, kq, tq)` where
-/// `q = ⌈ka/256⌉` is the bucket width (the smallest divisor that
-/// leaves at most 256 buckets, 1 when the ring already fits a byte),
-/// `kq = ⌈ka/q⌉` the bucket count, and `tq` the conservative
-/// bucket-distance threshold. With `t' = min(t, ka/2)`
-/// the exact residue test `|a − b|_cyc ≤ t'` implies the bucket test
-/// `|a/q − b/q|_cyc ≤ ⌈t'/q⌉ + 1` (bucketing moves each endpoint by
-/// < q, and the wrap-around leg over `kq` buckets shrinks by at most
-/// one extra bucket when `q ∤ ka`), so `tq = ⌈t'/q⌉ + 1` over-accepts
-/// and never over-rejects; `q = 1` needs no slack and keeps `t'`.
-pub(super) fn quantize_ring(t: u64, ka: u64) -> (u16, u16, u16) {
-    debug_assert!(ka < 1 << 15);
-    let t_eff = t.min(ka / 2) as u16;
-    let q = (ka as u16).div_ceil(256).max(1);
-    let kq = (ka as u16).div_ceil(q);
-    let tq = if q == 1 {
-        t_eff
-    } else {
-        (t_eff.div_ceil(q) + 1).min(kq / 2)
-    };
-    (q, kq, tq)
 }
 
 /// How a row lies in the column and is compared with a prepared probe:
@@ -111,19 +86,10 @@ pub(super) trait Layout: Copy {
     /// it.
     fn prepare(self, v: i64) -> Self::Probe;
     /// The early-abort row kernel: is every coordinate of the row —
-    /// its leading buckets `lead`, if the plane holds them, and its
-    /// `row` units — within the arena's cyclic distance `t` of the
-    /// probe's? The row's leading `planed` coordinates have been
-    /// through phase 1 — their buckets are known to lie within the
-    /// plane's distance of the probe's — which a kernel may use to
-    /// reject sooner, never to accept.
-    fn row_matches(
-        self,
-        lead: Lead<'_>,
-        row: &[Self::Unit],
-        probe: &[Self::Probe],
-        planed: usize,
-    ) -> bool;
+    /// its cells `lead`, if the plane holds them, and its units, which
+    /// `row` starts with (it may run on to the column's end) — within
+    /// the arena's cyclic distance `t` of the probe's?
+    fn row_matches(self, lead: Lead<'_>, row: &[Self::Unit], probe: &[Self::Probe]) -> bool;
 }
 
 /// The packed layout of one narrow ring (module docs) and the
@@ -133,50 +99,111 @@ pub(super) struct Packed {
     ka: u32,
     /// `min(t, ka)`.
     t: u32,
-    /// [`quantize_ring`]: bucket width, bucket count, and the bucket
-    /// distance no matching coordinate exceeds.
-    q: u32,
-    kq: u32,
-    tq: u32,
-    /// `⌈log₂ q⌉`, at most 7.
-    rbits: usize,
-    /// `⌈2²⁴ / q⌉`: `(v · magic) >> 24 = v / q` for every `v < 2¹⁵`
-    /// and `q ≤ 128` (the rounding error `magic · q − 2²⁴ < q` times
-    /// `v` stays below `2²⁴`).
+    /// `B = max(8, ⌈log₂ ka⌉)`: bits a coordinate takes, plane and row
+    /// together.
+    bits: u32,
+    /// The ring's [`cell_bits`] `b`, the cell width `w = ⌈ka / 2^b⌉`,
+    /// and `⌈2³¹ / w⌉`: `(r · magic) >> 31 = r / w` for every `r < 2¹⁵`
+    /// (the rounding error `magic · w − 2³¹ < w ≤ 2¹⁵`, times `r`,
+    /// stays below `2³¹`).
+    cell_bits: u32,
+    w: u32,
     magic: u64,
-    /// Leading bucket bytes a row keeps in the prefilter plane instead
-    /// of its row column: the plane's depth `F`, 0 without a plane.
+    /// Leading coordinates whose cells the prefilter plane keeps: the
+    /// plane's depth `D`, 0 without a plane.
     lead: usize,
 }
 
-/// A probe coordinate prepared for a packed arena: its residue and the
-/// bucket the residue falls in, divided once per sweep.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Reduced {
-    pub(super) residue: u16,
-    pub(super) bucket: u16,
+/// The bit stream a packed row is written as, eight bytes at a time:
+/// [`Packed::encode_scalar`]'s and the AVX-512 encode's one writer.
+pub(crate) struct Pile<'a> {
+    out: &'a mut [u8],
+    at: usize,
+    bits: u128,
+    len: u32,
+}
+
+impl<'a> Pile<'a> {
+    pub(crate) fn new(out: &'a mut [u8]) -> Pile<'a> {
+        Pile {
+            out,
+            at: 0,
+            bits: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends the low `width ≤ 64` bits of `field`, which has no
+    /// others set.
+    #[inline]
+    pub(crate) fn push(&mut self, field: u64, width: u32) {
+        self.bits |= u128::from(field) << self.len;
+        self.len += width;
+        if self.len >= 64 {
+            self.out[self.at..self.at + 8].copy_from_slice(&(self.bits as u64).to_le_bytes());
+            (self.at, self.bits, self.len) = (self.at + 8, self.bits >> 64, self.len - 64);
+        }
+    }
+
+    /// Writes what is left: the row's last bytes.
+    pub(crate) fn finish(self) {
+        let tail = &mut self.out[self.at..];
+        tail.copy_from_slice(&(self.bits as u64).to_le_bytes()[..tail.len()]);
+    }
+}
+
+/// A packed row's bit stream read back field by field, low bit first.
+/// The bytes run on past the row, to the end of the column, so a field
+/// is one unaligned eight-byte load everywhere but in the column's last
+/// few bytes.
+struct Fields<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Fields<'_> {
+    fn of(bytes: &[u8]) -> Fields<'_> {
+        Fields { bytes, at: 0 }
+    }
+
+    /// The next `width ≤ 15` bits.
+    #[inline]
+    fn take(&mut self, width: u32) -> u32 {
+        let byte = self.at / 8;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight bytes")),
+            None => {
+                let mut eight = [0; 8];
+                let tail = &self.bytes[byte.min(self.bytes.len())..];
+                eight[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(eight)
+            }
+        };
+        let shift = self.at % 8;
+        self.at += width as usize;
+        (word >> shift) as u32 & ((1 << width) - 1)
+    }
 }
 
 impl Packed {
     pub(super) fn new(t: u64, ka: u64) -> Packed {
-        let (q, kq, tq) = quantize_ring(t, ka);
+        let cell_bits = cell_bits(t, ka);
+        let w = ka.div_ceil(1 << cell_bits);
         Packed {
             ka: ka as u32,
             t: t.min(ka) as u32,
-            q: u32::from(q),
-            kq: u32::from(kq),
-            tq: u32::from(tq),
-            rbits: (u16::BITS - (q - 1).leading_zeros()) as usize,
-            magic: (1u64 << 24).div_ceil(u64::from(q)),
+            bits: (u64::BITS - (ka - 1).leading_zeros()).max(8),
+            cell_bits,
+            w: w as u32,
+            magic: (1u64 << 31).div_ceil(w),
             lead: 0,
         }
     }
 
-    /// Bytes the packed encoding of `dim` coordinates takes, wherever
-    /// it is stored: `dim` bucket bytes, `rbits` bytes for every eight
-    /// remainders and what the last few need.
-    fn encoded_bytes(self, dim: usize) -> usize {
-        dim + dim / 8 * self.rbits + (dim % 8 * self.rbits).div_ceil(8)
+    /// Row-column bytes of `dim` coordinates: their bits but the cells
+    /// the plane holds.
+    fn row_bytes(self, dim: usize) -> usize {
+        (dim * self.bits as usize - self.lead * self.cell_bits as usize).div_ceil(8)
     }
 
     /// `v mod ka` in `[0, ka)`. Real sketches lie within a ring of
@@ -194,127 +221,97 @@ impl Packed {
         }
     }
 
-    /// `v / q` for a residue `v`.
+    /// `r / w` for a residue `r`.
     #[inline]
-    fn bucket(self, v: u64) -> u64 {
-        (v * self.magic) >> 24
+    fn cell(self, r: u64) -> u64 {
+        (r * self.magic) >> 31
     }
 
-    /// Encodes `sketch` as one packed row into `out`,
-    /// [`Packed::encoded_bytes`] long: eight coordinates a step on
-    /// AVX-512 when every one lies in `[−ka, ka)`, else
+    /// Encodes `sketch` as one packed row: the cells of its first
+    /// `lead` coordinates into `cells`, one a byte, and its bit stream
+    /// into `row`, [`Packed::row_bytes`] long. Eight coordinates a step
+    /// on AVX-512 when every one lies in `[−ka, ka)`, else
     /// [`Packed::encode_scalar`] over the whole row.
-    fn encode(self, sketch: &[i64], out: &mut [u8]) {
+    fn encode(self, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
-        if avx512::available()
-            && avx512::encode_packed(sketch, out, self.ka, self.q, self.magic, self.rbits)
-        {
+        if avx512::available() && avx512::encode_packed(self.split(), sketch, cells, row) {
             return;
         }
-        self.encode_scalar(sketch, out);
+        self.encode_scalar(sketch, cells, row);
     }
 
-    /// [`Packed::encode`] a coordinate at a time, with one width of
-    /// integer from the coordinate to the packed word: narrowing on the
-    /// way cost a fifth of the loop. At some thirteen operations a
-    /// coordinate it is most of an insert — ≈ 230 of ≈ 280 ns at
-    /// dimension 64 in a scratch probe, where the AVX-512 body takes
-    /// ≈ 60–80 and the insert ≈ 75–120. The loop off AVX-512, and its
-    /// oracle.
-    fn encode_scalar(self, sketch: &[i64], out: &mut [u8]) {
-        let (buckets, rems) = out.split_at_mut(sketch.len());
-        let (q, rbits) = (u64::from(self.q), self.rbits);
-        let mut rems = rems.iter_mut();
-        for (vs, bs) in sketch.chunks(8).zip(buckets.chunks_mut(8)) {
-            // Eight coordinates' remainders are `rbits` whole bytes.
-            let (mut word, mut shift) = (0u64, 0);
-            for (&v, b) in vs.iter().zip(bs) {
-                let v = u64::from(self.residue(v));
-                let bucket = self.bucket(v);
-                *b = bucket as u8;
-                word |= (v - bucket * q) << shift;
-                shift += rbits;
-            }
-            for byte in rems.by_ref().take((vs.len() * rbits).div_ceil(8)) {
-                *byte = word as u8;
-                word >>= 8;
-            }
+    /// What the AVX-512 encode needs of the layout.
+    #[cfg(target_arch = "x86_64")]
+    fn split(self) -> avx512::Split {
+        avx512::Split {
+            ka: self.ka,
+            w: self.w,
+            magic: self.magic,
+            bits: self.bits,
+            offset_bits: self.bits - self.cell_bits,
+            lead: self.lead,
         }
     }
 
-    /// Calls `keep(i, bucket, remainder)` for coordinate `i = 0, 1, …`
-    /// of a packed row — its leading buckets `lead` and the `row`
-    /// column bytes after them — until it says `false`; `true` when it
-    /// never did.
+    /// [`Packed::encode`] a coordinate at a time. The loop off AVX-512,
+    /// and its oracle.
+    fn encode_scalar(self, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) {
+        let mut pile = Pile::new(row);
+        let (w, offset_bits) = (u64::from(self.w), self.bits - self.cell_bits);
+        for (j, &v) in sketch.iter().enumerate() {
+            let r = u64::from(self.residue(v));
+            if j < self.lead {
+                let c = self.cell(r);
+                cells[j] = c as u8;
+                pile.push(r - c * w, offset_bits);
+            } else {
+                pile.push(r, self.bits);
+            }
+        }
+        pile.finish();
+    }
+
+    /// Calls `keep(i, residue)` for coordinate `i = 0, 1, …` of a
+    /// packed row — `c·w + o` from its cells `lead` and the offsets
+    /// `row` starts with, then the whole residues after them — until it
+    /// says `false`; `true` when it never did.
     #[inline]
     fn all_coords(
         self,
         lead: Lead<'_>,
         row: &[u8],
         dim: usize,
-        mut keep: impl FnMut(usize, u32, u32) -> bool,
+        mut keep: impl FnMut(usize, u32) -> bool,
     ) -> bool {
-        let f = lead.len();
-        let (rest, rems) = row.split_at(dim - f);
-        let mut buckets = (0..f).map(|d| lead.bucket(d)).chain(rest.iter().copied());
-        let (rbits, mask) = (self.rbits, (1u64 << self.rbits) - 1);
-        for c in 0..dim.div_ceil(8) {
-            let n = (dim - 8 * c).min(8);
-            let bytes = &rems[c * rbits..][..(n * rbits).div_ceil(8)];
-            let word = bytes.iter().rev().fold(0u64, |w, &x| w << 8 | u64::from(x));
-            for (j, b) in buckets.by_ref().take(n).enumerate() {
-                if !keep(8 * c + j, u32::from(b), (word >> (j * rbits) & mask) as u32) {
-                    return false;
-                }
-            }
-        }
-        true
+        let mut fields = Fields::of(row);
+        let (d, offset_bits) = (lead.len(), self.bits - self.cell_bits);
+        (0..d).all(|j| keep(j, lead.cell(j) * self.w + fields.take(offset_bits)))
+            && (d..dim).all(|j| keep(j, fields.take(self.bits)))
     }
 }
 
 impl Layout for Packed {
     type Unit = u8;
-    type Probe = Reduced;
+    type Probe = u16;
 
-    /// The encoding but for the `lead` bytes the plane holds:
-    /// `dim − F + ⌈dim · rbits / 8⌉`.
     fn stride(self, dim: usize) -> usize {
-        self.encoded_bytes(dim) - self.lead
+        self.row_bytes(dim)
     }
 
-    fn prepare(self, v: i64) -> Reduced {
-        let residue = self.residue(v);
-        let bucket = self.bucket(u64::from(residue)) as u16;
-        Reduced { residue, bucket }
+    fn prepare(self, v: i64) -> u16 {
+        self.residue(v)
     }
 
     /// `probe` holds residues ([`Packed::prepare`]), as the row does,
     /// so the cyclic distance is `min(d, ka − d)` on `d = |v − p| < ka`
-    /// — the [`rows_match`] predicate on the same integers. The bucket
-    /// bytes go first, all that phase 1 has not been over already,
-    /// under the plane's conservative test ([`quantize_ring`]: it
-    /// turns away no coordinate that matches): a row that does not
-    /// match fails it within a few coordinates of its row column, so
-    /// its remainder bits at the row's end are never fetched, nor its
-    /// leading buckets taken from the plane. Acceptance is the exact
-    /// pass's alone, over every coordinate.
+    /// — the [`rows_match`] predicate on the same integers — coordinate
+    /// by coordinate, leaving at the first that is too far.
     #[inline]
-    fn row_matches(self, lead: Lead<'_>, row: &[u8], probe: &[Reduced], planed: usize) -> bool {
-        let close = |b: u8, p: &Reduced| {
-            let d = u32::from(b).abs_diff(u32::from(p.bucket));
-            d.min(self.kq - d) <= self.tq
-        };
-        let (f, from) = (lead.len(), planed.max(lead.len()));
-        let may_match = row[from - f..]
-            .iter()
-            .zip(&probe[from..])
-            .all(|(&b, p)| close(b, p))
-            && (planed..f).all(|d| close(lead.bucket(d), &probe[d]));
-        may_match
-            && self.all_coords(lead, row, probe.len(), |i, b, r| {
-                let d = (b * self.q + r).abs_diff(u32::from(probe[i].residue));
-                d.min(self.ka - d) <= self.t
-            })
+    fn row_matches(self, lead: Lead<'_>, row: &[u8], probe: &[u16]) -> bool {
+        self.all_coords(lead, row, probe.len(), |i, v| {
+            let d = v.abs_diff(u32::from(probe[i]));
+            d.min(self.ka - d) <= self.t
+        })
     }
 }
 
@@ -384,15 +381,15 @@ impl<C: Cell> Layout for Wide<C> {
     }
 
     #[inline]
-    fn row_matches(self, _lead: Lead<'_>, row: &[C], probe: &[C], _planed: usize) -> bool {
+    fn row_matches(self, _lead: Lead<'_>, row: &[C], probe: &[C]) -> bool {
         rows_match(row, probe, self.t, self.ka)
     }
 }
 
 /// The one column buffer, typed by the arena's row layout — and on a
 /// packed ring the arena's prefilter plane, when it has one: the only
-/// home of each row's first [`Packed::lead`] bytes, which the row's
-/// column bytes leave out.
+/// home of the cells of each row's first [`Packed::lead`] coordinates,
+/// whose offsets alone the row's column bits keep.
 #[derive(Debug, Clone)]
 pub(super) enum Cells {
     Packed(Packed, Column<u8>, Option<FilterPlane>),
@@ -413,25 +410,9 @@ macro_rules! each_width {
 }
 
 thread_local! {
-    /// A packed row's whole encoding on its way into the column and the
-    /// plane (never held across user code).
-    static ENCODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Stores the packed encoding of row `row`: its first `packed.lead`
-/// bytes in the plane, the rest in the column.
-fn put_packed(
-    packed: Packed,
-    col: &Column<u8>,
-    plane: Option<&FilterPlane>,
-    row: usize,
-    encoded: &[u8],
-) {
-    let (lead, rest) = encoded.split_at(packed.lead);
-    col.extend_from_slice(rest);
-    if let Some(plane) = plane {
-        plane.put(row, lead);
-    }
+    /// A packed row's cells and column bytes on their way into the
+    /// plane and the column (never held across user code).
+    static ENCODED: RefCell<(Vec<u8>, Vec<u8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl Cells {
@@ -445,11 +426,12 @@ impl Cells {
         }
     }
 
-    /// Gives an empty packed buffer its plane, which takes each row's
-    /// first `plane.dims()` bytes from then on.
+    /// Gives an empty packed buffer its plane, which takes the cells of
+    /// each row's first `plane.dims()` coordinates from then on.
     pub(super) fn set_plane(&mut self, plane: FilterPlane) {
         if let Cells::Packed(packed, col, slot) = self {
             debug_assert!(col.published().is_empty(), "rows are split from the first");
+            debug_assert_eq!(plane.bits(), packed.cell_bits as usize);
             packed.lead = plane.dims();
             *slot = Some(plane);
         }
@@ -494,10 +476,14 @@ impl Cells {
     pub(super) fn append_sketch(&self, row: usize, sketch: &[i64]) {
         match self {
             Cells::Packed(packed, col, plane) => ENCODED.with(|encoded| {
-                let encoded = &mut *encoded.borrow_mut();
-                encoded.resize(packed.encoded_bytes(sketch.len()), 0);
-                packed.encode(sketch, encoded);
-                put_packed(*packed, col, plane.as_ref(), row, encoded);
+                let (cells, bytes) = &mut *encoded.borrow_mut();
+                cells.resize(packed.lead, 0);
+                bytes.resize(packed.row_bytes(sketch.len()), 0);
+                packed.encode(sketch, cells, bytes);
+                col.extend_from_slice(bytes);
+                if let Some(plane) = plane {
+                    plane.put(row, cells);
+                }
             }),
             Cells::I32(wide, col) => col.extend(sketch.iter().map(|&v| wide.prepare(v))),
             Cells::I64(wide, col) => col.extend(sketch.iter().map(|&v| wide.prepare(v))),
@@ -505,22 +491,24 @@ impl Cells {
     }
 
     /// Appends row `r` of `from` as row `row` — a stored row is already
-    /// in this ring's layout, so moving it between arenas of one ring
-    /// and dimension is a copy: of a packed row, gathered from `from`'s
-    /// column and plane and split between this one's.
+    /// in this ring's layout, so moving it between arenas of one ring,
+    /// dimension and plane is a copy: of a packed row, its column bytes
+    /// and the cells `from`'s plane holds of it.
     pub(super) fn append_stored(&self, row: usize, from: &Cells, r: usize, dim: usize) {
         let at = |stride: usize| r * stride..(r + 1) * stride;
         match (self, from) {
             (Cells::Packed(packed, to, plane), Cells::Packed(source, col, _)) => {
-                debug_assert_eq!(packed.ka, source.ka, "rows move only within one ring");
-                ENCODED.with(|encoded| {
-                    let encoded = &mut *encoded.borrow_mut();
-                    let lead = from.lead(r);
-                    encoded.clear();
-                    encoded.extend((0..lead.len()).map(|d| lead.bucket(d)));
-                    encoded.extend_from_slice(&col.published()[at(source.stride(dim))]);
-                    put_packed(*packed, to, plane.as_ref(), row, encoded);
-                });
+                assert_eq!(packed, source, "rows move only within one layout");
+                to.extend_from_slice(&col.published()[at(source.row_bytes(dim))]);
+                if let Some(plane) = plane {
+                    ENCODED.with(|encoded| {
+                        let (cells, _) = &mut *encoded.borrow_mut();
+                        let lead = from.lead(r);
+                        cells.clear();
+                        cells.extend((0..lead.len()).map(|j| lead.cell(j) as u8));
+                        plane.put(row, cells);
+                    });
+                }
             }
             (Cells::I32(_, to), Cells::I32(_, from)) => {
                 to.extend_from_slice(&from.published()[at(dim)]);
@@ -532,7 +520,7 @@ impl Cells {
         }
     }
 
-    /// Row `row`'s leading buckets where the plane holds them.
+    /// Row `row`'s cells where the plane holds them.
     fn lead(&self, row: usize) -> Lead<'_> {
         self.plane()
             .map_or_else(Lead::none, |plane| plane.lead(row))
@@ -544,9 +532,9 @@ impl Cells {
         let at = row * stride..(row + 1) * stride;
         match self {
             Cells::Packed(packed, col, _) => {
-                let (ka, half, q) = (i64::from(packed.ka), packed.ka / 2, packed.q);
-                packed.all_coords(self.lead(row), &col.published()[at], dim, |_, b, r| {
-                    let v = b * q + r;
+                let (ka, half) = (i64::from(packed.ka), packed.ka / 2);
+                let bytes = &col.published()[at.start..];
+                packed.all_coords(self.lead(row), bytes, dim, |_, v| {
                     // `v − ka` past the half ring: `canonical`'s `2r > ka`.
                     out.push(i64::from(v) - if v > half { ka } else { 0 });
                     true
@@ -692,46 +680,69 @@ mod tests {
         }
     }
 
-    /// The multiply-shift is the division: every bucket width a narrow
-    /// ring can have (`q ≤ 128`), every residue below `2¹⁵`.
+    /// A packed layout of the ring `(t, ka)` whose plane keeps `lead`
+    /// coordinates' cells, as `Cells::set_plane` makes it.
+    fn with_plane(t: u64, ka: u64, lead: usize) -> Packed {
+        let packed = Packed::new(t, ka);
+        let lead = if packed.cell_bits == 0 { 0 } else { lead };
+        Packed { lead, ..packed }
+    }
+
+    /// The multiply-shift is the division: every cell width a narrow
+    /// ring can have (`w ≤ 2¹⁴`), at both sides of every multiple of it
+    /// below `2¹⁵` — the quotient only steps there, and `(r · magic) >>
+    /// 31` only grows with `r`.
     #[test]
-    fn multiply_shift_divides_by_every_bucket_width() {
-        for q in 1u32..=128 {
-            // The smallest ring with this bucket width.
-            let packed = Packed::new(0, u64::from(256 * (q - 1) + 1));
-            assert_eq!(packed.q, q);
-            for v in 0u32..1 << 15 {
-                assert_eq!(
-                    packed.bucket(u64::from(v)),
-                    u64::from(v / q),
-                    "v = {v}, q = {q}"
-                );
+    fn multiply_shift_divides_by_every_cell_width() {
+        for w in 1u64..=1 << 14 {
+            let packed = Packed {
+                w: w as u32,
+                magic: (1u64 << 31).div_ceil(w),
+                ..Packed::new(0, 400)
+            };
+            for k in 1..=(1 << 15) / w {
+                for r in [k * w - 1, k * w] {
+                    assert_eq!(packed.cell(r), r / w, "r = {r}, w = {w}");
+                }
             }
+            assert_eq!(packed.cell((1 << 15) - 1), ((1 << 15) - 1) / w, "w = {w}");
         }
     }
 
-    /// Bits a stored coordinate takes: one bucket byte and `⌈log₂ q⌉`
-    /// remainder bits, `max(8, ⌈log₂ ka⌉)` on every narrow ring — and
-    /// the bucket count fits the byte.
+    /// Bits a stored coordinate takes: `max(8, ⌈log₂ ka⌉)` on every
+    /// narrow ring, wherever they are kept; the cell fits its `b` bits
+    /// and the offset the rest.
     #[test]
     fn a_coordinate_takes_a_byte_or_the_rings_bits() {
         for ka in 2u64..1 << 15 {
-            let packed = Packed::new(0, ka);
             let ring_bits = u64::BITS - (ka - 1).leading_zeros(); // ⌈log₂ ka⌉
-            assert_eq!(8 + packed.rbits as u32, ring_bits.max(8), "ka = {ka}");
-            // Eight coordinates are `8 + rbits` whole bytes.
-            assert_eq!(CellWidth::row_bytes(ka, 8), 8 + packed.rbits, "ka = {ka}");
-            assert!(ka.div_ceil(u64::from(packed.q)) <= 256, "ka = {ka}");
-            assert!(packed.q <= 1 << packed.rbits, "ka = {ka}");
+            for t in [0, ka / 4, ka / 3] {
+                let packed = with_plane(t, ka, 64);
+                let (b, w) = (packed.cell_bits, u64::from(packed.w));
+                assert_eq!(packed.bits, ring_bits.max(8), "ka = {ka}");
+                assert!((ka - 1) / w < 1 << b, "ka = {ka}, t = {t}");
+                assert!(w <= 1 << (packed.bits - b), "ka = {ka}, t = {t}");
+                // The row column and the plane's 8 bytes of cells a
+                // coordinate of 64 make up the whole row.
+                let plane = if b == 0 { 0 } else { 8 * b as usize };
+                assert_eq!(packed.row_bytes(64) + plane, CellWidth::row_bytes(ka, 64));
+            }
+            // Eight coordinates are `B` whole bytes.
+            assert_eq!(
+                CellWidth::row_bytes(ka, 8),
+                ring_bits.max(8) as usize,
+                "ka = {ka}"
+            );
         }
         // The paper ring at n = 64: 72 bytes, Theorem 3's 69.2 rounded
-        // up to 9 whole bits a coordinate; and row tails that end
-        // mid-byte.
+        // up to 9 whole bits a coordinate, of which 2 in the plane; and
+        // row tails that end mid-byte.
         assert_eq!(CellWidth::row_bytes(400, 64), 72);
+        assert_eq!(with_plane(100, 400, 64).row_bytes(64), 56);
         assert_eq!(CellWidth::row_bytes(256, 64), 64);
-        assert_eq!(CellWidth::row_bytes(400, 13), 13 + 2);
-        assert_eq!(CellWidth::row_bytes(700, 13), 13 + 4);
-        assert_eq!(CellWidth::row_bytes((1 << 15) - 1, 3), 3 + 3);
+        assert_eq!(CellWidth::row_bytes(400, 13), 15);
+        assert_eq!(CellWidth::row_bytes(700, 13), 17);
+        assert_eq!(CellWidth::row_bytes((1 << 15) - 1, 3), 6);
         assert_eq!(CellWidth::row_bytes(1 << 15, 3), 12);
         assert_eq!(CellWidth::row_bytes(1 << 31, 3), 24);
     }
@@ -740,26 +751,25 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// The packed row eight coordinates a step has the scalar
-        /// loop's bytes on rings of every remainder width (`rbits`
-        /// 0–7), at every dimension from 1 to 130, on coordinates in
-        /// `(−ka, ka)` and on rows with `off` coordinates drawn outside
-        /// it — `±ka`, `−ka − 1`, `i64::MIN`, `i64::MAX` and any `i64`
-        /// among them. The lanes run exactly when every coordinate
-        /// lies in `[−ka, ka)`.
+        /// loop's cells and bytes on rings of every bit width (8–15),
+        /// with planes of every depth — none, part of a chunk, whole
+        /// chunks, the whole row — at every dimension from 1 to 130, on
+        /// coordinates in `(−ka, ka)` and on rows with `off`
+        /// coordinates drawn outside it — `±ka`, `−ka − 1`, `i64::MIN`,
+        /// `i64::MAX` and any `i64` among them. The lanes run exactly
+        /// when every coordinate lies in `[−ka, ka)`.
         #[test]
         fn encode_lanes_match_the_scalar_loop(
-            rbits in 0u32..8,
+            ring_bits in 1u32..=15,
             seed in any::<u64>(),
             dim in 1usize..=130,
             off in 0usize..4,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let ka = match rbits {
-                0 => rng.gen_range(2..=256),
-                r => rng.gen_range((128 << r) + 1..=(256 << r).min((1 << 15) - 1)),
-            };
-            let packed = Packed::new(rng.gen_range(0..=ka), ka);
-            prop_assert_eq!(packed.rbits, rbits as usize);
+            let ka = rng.gen_range((1u64 << ring_bits >> 1) + 1..=(1 << ring_bits).min((1 << 15) - 1));
+            let t = rng.gen_range(0..=ka / 2);
+            let lead = [0, rng.gen_range(1..=dim.min(64)), dim.min(64)][rng.gen_range(0..3usize)];
+            let packed = with_plane(t, ka, lead);
             let ka = ka as i64;
             let mut sketch: Vec<i64> = (0..dim).map(|_| rng.gen_range(1 - ka..ka)).collect();
             for _ in 0..off {
@@ -774,79 +784,94 @@ mod tests {
                 };
             }
 
-            let size = packed.encoded_bytes(dim);
-            let mut expected = vec![0; size];
-            packed.encode_scalar(&sketch, &mut expected);
-            let mut row = vec![0; size];
-            packed.encode(&sketch, &mut row);
-            prop_assert_eq!(&row, &expected);
+            let size = packed.row_bytes(dim);
+            let (mut cells, mut expected) = (vec![0; packed.lead], vec![0; size]);
+            packed.encode_scalar(&sketch, &mut cells, &mut expected);
+            let (mut got_cells, mut row) = (vec![0; packed.lead], vec![0; size]);
+            packed.encode(&sketch, &mut got_cells, &mut row);
+            prop_assert_eq!((&got_cells, &row), (&cells, &expected));
             #[cfg(target_arch = "x86_64")]
             if avx512::available() {
-                let (q, magic) = (packed.q, packed.magic);
-                let mut row = vec![0; size];
-                let lanes = avx512::encode_packed(&sketch, &mut row, packed.ka, q, magic, rbits as usize);
+                let (mut got_cells, mut row) = (vec![0; packed.lead], vec![0; size]);
+                let lanes = avx512::encode_packed(packed.split(), &sketch, &mut got_cells, &mut row);
                 prop_assert_eq!(lanes, sketch.iter().all(|v| (-ka..ka).contains(v)));
                 if lanes {
-                    prop_assert_eq!(&row, &expected);
+                    prop_assert_eq!((&got_cells, &row), (&cells, &expected));
                 }
             }
         }
     }
 
-    /// Every residue of the ring as a one-coordinate packed row, and
-    /// `row_matches` over them: what a sweep decides for the stored
-    /// value `a` and the probe `b`.
-    struct Ring(u64, Vec<Vec<u8>>);
+    /// Every residue of the ring as a one-coordinate packed row, its
+    /// cell in a one-coordinate plane where the ring `(t, ka)` gets
+    /// one, and `row_matches` over them: what phase 2 decides for the
+    /// stored value `a` and the probe `b`.
+    struct Ring(Packed, Vec<Vec<u8>>, Option<FilterPlane>);
 
     impl Ring {
-        fn new(ka: u64) -> Ring {
-            let packed = Packed::new(0, ka);
-            let row = |v: i64| {
-                let mut row = vec![0; packed.encoded_bytes(1)];
-                packed.encode(&[v], &mut row);
-                row
-            };
-            Ring(ka, (0..ka as i64).map(row).collect())
+        fn new(t: u64, ka: u64) -> Ring {
+            let packed = with_plane(t, ka, 1);
+            let mut plane = (packed.lead == 1).then(|| FilterPlane::new(1, t, ka));
+            if let Some(plane) = &mut plane {
+                plane.grow(ka as usize);
+            }
+            let rows = (0..ka as i64)
+                .map(|v| {
+                    let (mut cells, mut row) = (vec![0; packed.lead], vec![0; packed.row_bytes(1)]);
+                    packed.encode(&[v], &mut cells, &mut row);
+                    if let Some(plane) = &plane {
+                        plane.put(v as usize, &cells);
+                    }
+                    row
+                })
+                .collect();
+            Ring(packed, rows, plane)
         }
 
-        fn close(&self, a: i64, b: i64, t: u64) -> bool {
-            let Ring(ka, rows) = self;
-            let packed = Packed::new(t, *ka);
-            packed.row_matches(Lead::none(), &rows[a as usize], &[packed.prepare(b)], 0)
+        fn close(&self, a: i64, b: i64) -> bool {
+            let Ring(packed, rows, plane) = self;
+            let lead = plane
+                .as_ref()
+                .map_or_else(Lead::none, |plane| plane.lead(a as usize));
+            packed.row_matches(lead, &rows[a as usize], &[packed.prepare(b)])
         }
     }
 
     /// The packed phase-2 predicate is `cyclic_close`: every residue
     /// pair of rings at and around a byte's capacity, with and without
-    /// a short last bucket (`q ∤ ka`), and on the largest narrow ring
-    /// every pair with either side in the two buckets next to the
-    /// wrap, or within one of them — where `b · q + r`, the short
-    /// bucket and `ka − d` all meet.
+    /// a short last cell (`2^b ∤ ka`) and with no plane at all, and on
+    /// the largest narrow ring every pair with either side at a cell
+    /// edge or the wrap, or within one of them — where `c · w + o`,
+    /// the short cell and `ka − d` all meet.
     #[test]
     fn packed_predicate_is_cyclic_close() {
-        let thresholds = |ka: u64| [0, 1, 57, 100, 199, ka / 2, ka];
+        let thresholds = |ka: u64| [0, 1, 57, 100, 199, ka / 4, ka / 4 + 1, ka / 2, ka];
         for ka in [7u64, 251, 256, 257, 400, 401, 700] {
-            let ring = Ring::new(ka);
             for t in thresholds(ka) {
+                let ring = Ring::new(t, ka);
                 for a in 0..ka as i64 {
                     for b in 0..ka as i64 {
                         let close = cyclic_close(a, b, t, ka);
-                        assert_eq!(ring.close(a, b, t), close, "a={a} b={b} t={t} ka={ka}");
+                        assert_eq!(ring.close(a, b), close, "a={a} b={b} t={t} ka={ka}");
                     }
                 }
             }
         }
         let ka = (1u64 << 15) - 1;
-        let (ring, ka_i) = (Ring::new(ka), ka as i64);
-        // Buckets 0 and 255 (127 residues: 128 ∤ 32 767) and one more
-        // residue on either side of each.
-        let edges: Vec<i64> = (-1..=128).chain(ka_i - 128..ka_i).collect();
+        let ka_i = ka as i64;
         for t in thresholds(ka) {
-            for a in edges.iter().map(|a| a.rem_euclid(ka_i)) {
+            let ring = Ring::new(t, ka);
+            let w = i64::from(ring.0.w);
+            let edges: Vec<i64> = (0..=ka_i / w + 1)
+                .flat_map(|k| [k * w - 1, k * w, k * w + 1])
+                .chain([ka_i - 1])
+                .map(|a| a.rem_euclid(ka_i))
+                .collect();
+            for &a in &edges {
                 for b in 0..ka_i {
                     let close = cyclic_close(a, b, t, ka);
-                    assert_eq!(ring.close(a, b, t), close, "a={a} b={b} t={t}");
-                    assert_eq!(ring.close(b, a, t), close, "a={b} b={a} t={t}");
+                    assert_eq!(ring.close(a, b), close, "a={a} b={b} t={t}");
+                    assert_eq!(ring.close(b, a), close, "a={b} b={a} t={t}");
                 }
             }
         }

@@ -1,192 +1,50 @@
-//! The isolated SIMD prefilter backends (AVX2 and AVX-512), the
-//! phase-2 software prefetch, and the AVX-512 bodies of an enroll's two
-//! coordinate loops — `SS`'s residues ([`avx512::sketch_offsets`]) and
-//! the packed-row encode ([`avx512::encode_packed`]): the crate's
-//! `unsafe`, together with the `shared` buffer.
+//! The AVX-512 bodies of an enroll's two coordinate loops — `SS`'s
+//! residues ([`avx512::sketch_offsets`]) and the packed-row encode
+//! ([`avx512::encode_packed`]): the crate's `unsafe`, together with the
+//! `shared` buffer. Phase 1 has no body here: its one word loop is safe
+//! code in `plane` ([`PlaneView::survivors`](super::plane::PlaneView::survivors)),
+//! on every target.
 //!
-//! Every SIMD body has the same safety argument: the safe entry point
+//! Both bodies have the same safety argument: the safe entry point
 //! asserts `available()`, then makes its one `unsafe` call into the
 //! `#[target_feature]` function. Inside, the only other `unsafe` is a
 //! raw load or store the slice it came from bounds — masked to that
 //! slice's lanes where it can be shorter than a vector — and `SS`'s
-//! `set_len` on a `Vec` whose every lane it has stored.
-//!
-//! A kernel reads one complete plane group, whose words are atomics
-//! only because the open group is still being stored to (the `shared`
-//! module docs): a complete one is never stored to again, so the
-//! kernels load it through the slice's pointer.
-//!
-//! Runtime CPU detection is the only thing that picks among them: on
-//! x86-64 AVX-512, then AVX2, then the portable SWAR kernel in
-//! `plane`; every other target runs SWAR.
+//! `set_len` on a `Vec` whose every lane it has stored. The `unsafe`
+//! blocks outside tests are seven: the two calls, `load8`'s two loads,
+//! `store8`'s two stores and the `set_len`.
 
-/// The vector kernel actually chosen for a scan, after runtime feature
-/// detection resolved [`FilterKernel::Auto`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum ActiveKernel {
-    Swar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-/// The AVX2 prefilter kernel, one of the crate's two isolated
-/// `unsafe` ISA modules (see also [`avx512`]): the
-/// intrinsic body is safe inside the `#[target_feature]` function but
-/// for one raw load, bounds-checked by a slice first, and the one
-/// `unsafe` call site is guarded by an `is_x86_feature_detected!`
-/// assertion, so the target-feature contract can never be violated.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(super) mod avx2 {
-    use super::super::plane::GROUP_WORDS;
-    use std::arch::x86_64::{
-        _mm256_and_si256, _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_min_epu8,
-        _mm256_movemask_epi8, _mm256_or_si256, _mm256_set1_epi8, _mm256_setzero_si256,
-        _mm256_sub_epi8, _mm256_subs_epu8, _mm256_testz_si256,
-    };
-    use std::sync::atomic::AtomicU64;
-
-    /// `true` once per process: does this CPU have AVX2?
-    pub fn available() -> bool {
-        // `is_x86_feature_detected!` caches in a relaxed atomic, so
-        // per-call cost is a load and a branch.
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// Prefilters 32 rows (words `wi .. wi+4` of every lane of one
-    /// plane group) against a probe's bucket values, returning one bit
-    /// per passing row: the byte-granular `movemask` is the row mask
-    /// directly.
-    ///
-    /// # Panics
-    /// Panics when AVX2 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn quad(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
-        assert!(available(), "AVX2 kernel dispatched without AVX2");
-        // SAFETY: the avx2 target feature was just verified above.
-        unsafe { quad_avx2(group, biased, tq, kq, wi) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn quad_avx2(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16, wi: usize) -> u32 {
-        let zero = _mm256_setzero_si256();
-        let tv = _mm256_set1_epi8(tq as i8);
-        // The bucket count is ≤ 256; 256 wraps to 0, which is still
-        // correct below: only d = 0 reaches the wrapped lane (buckets
-        // are < kq, so d ≤ kq − 1), and d = 0 always passes.
-        let kv = _mm256_set1_epi8(kq as u8 as i8);
-        let mut acc = _mm256_set1_epi8(-1);
-        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(biased) {
-            // 32 rows of this dimension: 4 packed u64 words, 8 bucket
-            // bytes each. Little-endian byte order matches `movemask`
-            // bit order.
-            let words = &lane[wi..wi + 4];
-            // SAFETY: the bounds-checked slice above spans exactly the
-            // 32 bytes the unaligned load reads, of a complete group
-            // nothing stores to (module docs).
-            let v = unsafe { _mm256_loadu_si256(words.as_ptr().cast()) };
-            let p = _mm256_set1_epi8(pb as u8 as i8);
-            // |a − b| on unsigned buckets: one of the saturating
-            // differences is zero, the other the distance.
-            let diff = _mm256_or_si256(_mm256_subs_epu8(v, p), _mm256_subs_epu8(p, v));
-            // Cyclic distance min(d, kq − d), then d ≤ tq ⟺ the
-            // saturating d − tq is 0.
-            let cyc = _mm256_min_epu8(diff, _mm256_sub_epi8(kv, diff));
-            let pass = _mm256_cmpeq_epi8(_mm256_subs_epu8(cyc, tv), zero);
-            acc = _mm256_and_si256(acc, pass);
-            if _mm256_testz_si256(acc, acc) == 1 {
-                return 0;
-            }
-        }
-        _mm256_movemask_epi8(acc) as u32
-    }
-}
-
-/// The AVX-512 prefilter kernel: 64 rows per iteration (the 8
-/// contiguous packed `u64` words of one lane per 512-bit load — one
-/// whole liveness block), with native `__mmask64` comparison results instead of
-/// AVX2's movemask. Uses only `avx512f` + `avx512bw` — no VBMI — so it
-/// runs on every AVX-512 server core back to Skylake-SP. Isolated
-/// `unsafe`, same soundness argument as [`avx2`]: the dispatch is gated
-/// on runtime detection, and the one raw load is bounds-checked by a
-/// slice first.
-///
-/// Beside it, eight coordinates a step, the two loops an enroll runs
-/// over its sketch: `SS`'s residues and the packed-row encode. Each
-/// checks its fast range once, after its last chunk. Nothing has drawn
-/// from an rng or been published by then, so a sketch with a
-/// coordinate off the range is simply redone by the caller's scalar
-/// loop (DESIGN.md "Ring arithmetic").
+/// Eight coordinates a step, the two loops an enroll runs over its
+/// sketch: `SS`'s residues and the packed-row encode. Uses only
+/// `avx512f` + `avx512bw` (and the encode BMI2's `pext`), so it runs on
+/// every AVX-512 server core back to Skylake-SP. Each loop checks its
+/// fast range once, after its last chunk. Nothing has drawn from an
+/// rng or been published by then, so a sketch with a coordinate off the
+/// range is simply redone by the caller's scalar loop (DESIGN.md "Ring
+/// arithmetic").
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx512 {
-    use super::super::plane::GROUP_WORDS;
+    use super::super::cells::Pile;
     use std::arch::x86_64::{
-        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpge_epu64_mask, _mm512_cvtepi64_epi8,
-        _mm512_loadu_si512, _mm512_mask_cmpeq_epi64_mask, _mm512_mask_storeu_epi64,
-        _mm512_maskz_add_epi64, _mm512_maskz_loadu_epi64, _mm512_max_epu64, _mm512_min_epu8,
-        _mm512_mul_epu32, _mm512_or_si512, _mm512_set1_epi64, _mm512_set1_epi8,
-        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64,
-        _mm512_storeu_si512, _mm512_sub_epi64, _mm512_sub_epi8, _mm512_subs_epu8,
-        _mm512_test_epi64_mask, _mm_cvtsi128_si64, _pext_u64,
+        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpge_epu64_mask,
+        _mm512_cvtepi64_epi16, _mm512_cvtepi64_epi8, _mm512_loadu_si512, _mm512_mask_blend_epi64,
+        _mm512_mask_cmpeq_epi64_mask, _mm512_mask_storeu_epi64, _mm512_maskz_add_epi64,
+        _mm512_maskz_loadu_epi64, _mm512_max_epu64, _mm512_mul_epu32, _mm512_or_si512,
+        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64,
+        _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
+        _mm_cvtsi128_si64, _mm_extract_epi64, _pext_u64,
     };
     use std::mem::MaybeUninit;
-    use std::sync::atomic::AtomicU64;
 
     /// `true` once per process: does this CPU have the foundation +
-    /// byte/word AVX-512 subsets the kernels need, and the BMI2 the
-    /// packed-row encode packs remainders with (`pext`; every AVX-512
-    /// core has it)?
+    /// byte/word AVX-512 subsets the loops need, and the BMI2 the
+    /// packed-row encode packs fields with (`pext`; every AVX-512 core
+    /// has it)?
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512bw")
             && std::arch::is_x86_feature_detected!("bmi2")
-    }
-
-    /// Prefilters 64 rows (every lane of one plane group) against a
-    /// probe's bucket values, returning one bit per passing row: a
-    /// whole 64-row liveness block's candidate mask from one
-    /// `cmple_epu8` per dimension.
-    ///
-    /// # Panics
-    /// Panics when AVX-512 is unavailable — which makes the inner
-    /// `unsafe` call sound unconditionally.
-    pub fn octo(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16) -> u64 {
-        assert!(available(), "AVX-512 kernel dispatched without AVX-512");
-        // SAFETY: the avx512f/avx512bw target features were just
-        // verified above.
-        unsafe { octo_avx512(group, biased, tq, kq) }
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn octo_avx512(group: &[AtomicU64], biased: &[u16], tq: u16, kq: u16) -> u64 {
-        let tv = _mm512_set1_epi8(tq as i8);
-        // Bucket count ≤ 256; 256 wraps to 0, reached only by d = 0,
-        // which passes regardless (see the AVX2 kernel).
-        let kv = _mm512_set1_epi8(kq as u8 as i8);
-        let mut acc: u64 = !0;
-        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(biased) {
-            // 64 rows of this dimension: 8 packed u64 words, 8 bucket
-            // bytes each, contiguous in the lane. Little-endian element
-            // order matches the mask bit order.
-            let words = &lane[..8];
-            // SAFETY: the bounds-checked slice above spans exactly the
-            // 64 bytes the unaligned load reads, of a complete group
-            // nothing stores to (module docs).
-            let v = unsafe { _mm512_loadu_si512(words.as_ptr().cast()) };
-            let p = _mm512_set1_epi8(pb as u8 as i8);
-            // Same lane algebra as the AVX2 kernel, with native mask
-            // registers for the ≤ comparison.
-            let diff = _mm512_or_si512(_mm512_subs_epu8(v, p), _mm512_subs_epu8(p, v));
-            let cyc = _mm512_min_epu8(diff, _mm512_sub_epi8(kv, diff));
-            acc &= std::arch::x86_64::_mm512_cmple_epu8_mask(cyc, tv);
-            if acc == 0 {
-                return 0;
-            }
-        }
-        acc
     }
 
     /// Up to eight coordinates, one a lane, lanes past the chunk 0: a
@@ -298,129 +156,94 @@ pub(crate) mod avx512 {
         Some((out, boundary != 0))
     }
 
-    /// The packed row of `sketch` into `out`, as `Packed::encode`
-    /// lays it out — `dim` bucket bytes, then `rbits` remainder bytes
-    /// for every eight coordinates — by the same residue fold and the
-    /// same multiply-shift `magic = ⌈2²⁴/q⌉`; `false`, with `out`
-    /// written but meaningless, when a coordinate lies outside
-    /// `[−ka, ka)`, whose residue takes a divide.
+    /// What [`encode_packed`] needs of a packed layout: the ring, the
+    /// cell width and its reciprocal `⌈2³¹/w⌉`, the bits of a whole
+    /// residue and of an offset, and how many leading coordinates are
+    /// split into cell and offset.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Split {
+        pub ka: u32,
+        pub w: u32,
+        pub magic: u64,
+        pub bits: u32,
+        pub offset_bits: u32,
+        pub lead: usize,
+    }
+
+    /// The packed row of `sketch`, as `Packed::encode_scalar` lays it
+    /// out — the cells of the first `split.lead` coordinates into
+    /// `cells`, and the bit stream of their offsets and the residues
+    /// after them into `row` — by the same residue fold and the same
+    /// multiply-shift; `false`, with both written but meaningless, when
+    /// a coordinate lies outside `[−ka, ka)`, whose residue takes a
+    /// divide.
     ///
     /// # Panics
-    /// Panics when AVX-512 or BMI2 is unavailable, or when `out` is too
-    /// short for the row.
-    pub fn encode_packed(
-        sketch: &[i64],
-        out: &mut [u8],
-        ka: u32,
-        q: u32,
-        magic: u64,
-        rbits: usize,
-    ) -> bool {
+    /// Panics when AVX-512 or BMI2 is unavailable, or when `cells` or
+    /// `row` is too short for the row.
+    pub fn encode_packed(split: Split, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) -> bool {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         // SAFETY: the avx512f/avx512bw/bmi2 target features were just
         // verified above.
-        unsafe { encode_packed_avx512(sketch, out, ka, q, magic, rbits) }
+        unsafe { encode_packed_avx512(split, sketch, cells, row) }
     }
 
     #[target_feature(enable = "avx512f,avx512bw,bmi2")]
     fn encode_packed_avx512(
+        split: Split,
         sketch: &[i64],
-        out: &mut [u8],
-        ka: u32,
-        q: u32,
-        magic: u64,
-        rbits: usize,
+        cells: &mut [u8],
+        row: &mut [u8],
     ) -> bool {
-        let (buckets, rems) = out.split_at_mut(sketch.len());
-        let ka = _mm512_set1_epi64(i64::from(ka));
-        let (q, magic) = (
-            _mm512_set1_epi64(i64::from(q)),
-            _mm512_set1_epi64(magic as i64),
+        let ka = _mm512_set1_epi64(i64::from(split.ka));
+        let (w, magic) = (
+            _mm512_set1_epi64(i64::from(split.w)),
+            _mm512_set1_epi64(split.magic as i64),
         );
-        // A chunk's remainders, narrowed to a byte each, are the low
-        // `rbits` bits of each byte.
-        let fields = 0x0101_0101_0101_0101 * ((1 << rbits) - 1);
+        // The `pext` masks of four 16-bit lanes of fields: `widths[i]`
+        // low bits of lane `i`.
+        let masks = |widths: [u32; 8]| {
+            let half = |w: &[u32]| (0..4).fold(0u64, |m, i| m | ((1 << w[i]) - 1) << (16 * i));
+            [half(&widths[..4]), half(&widths[4..])]
+        };
+        let (offsets, residues) = (masks([split.offset_bits; 8]), masks([split.bits; 8]));
         let mut high = _mm512_setzero_si512();
-        let mut chunk = |vs: &[i64]| {
-            let (v, buckets, word) = encode8(load8(vs), ka, q, magic, fields);
+        let mut pile = Pile::new(row);
+        for (c, vs) in sketch.chunks(8).enumerate() {
+            let v = load8(vs);
+            // `v + ka` below zero, `v` above: the residue of `[−ka, ka)`.
+            let v = _mm512_add_epi64(v, _mm512_and_si512(ka, _mm512_srai_epi64::<63>(v)));
             high = _mm512_max_epu64(high, v);
-            (buckets, word)
-        };
-        // Chunk words pile up, `8 · rbits` bits each, and leave eight
-        // whole bytes at a time.
-        let (mut pile, mut bits) = (0u128, 0);
-        let mut whole = rems.chunks_exact_mut(8);
-        let mut push = |word: u64, bytes: usize| {
-            pile |= u128::from(word) << bits;
-            bits += 8 * bytes;
-            if bits >= 64 {
-                let eight = whole.next().expect("the row holds every chunk's bytes");
-                eight.copy_from_slice(&(pile as u64).to_le_bytes());
-                (pile, bits) = (pile >> 64, bits - 64);
+            let cell = _mm512_srli_epi64::<31>(_mm512_mul_epu32(v, magic));
+            let offset = _mm512_sub_epi64(v, _mm512_mul_epu32(cell, w));
+            // Lanes below `lead` keep the offset, the rest the residue,
+            // lanes past the chunk nothing.
+            let lead = split.lead.saturating_sub(8 * c).min(vs.len());
+            let field = _mm512_mask_blend_epi64(lanes(lead), v, offset);
+            let mask = match (lead, vs.len()) {
+                (8, _) => offsets,
+                (0, 8) => residues,
+                _ => masks(std::array::from_fn(|i| match i {
+                    _ if i < lead => split.offset_bits,
+                    _ if i < vs.len() => split.bits,
+                    _ => 0,
+                })),
+            };
+            // Each field is below 2¹⁵: 16-bit lanes, `pext`ed four at
+            // a time into the stream.
+            let fields = _mm512_cvtepi64_epi16(field);
+            let words = [_mm_cvtsi128_si64(fields), _mm_extract_epi64::<1>(fields)];
+            for (word, mask) in words.into_iter().zip(mask) {
+                pile.push(_pext_u64(word as u64, mask), mask.count_ones());
             }
-        };
-        let (mut vs, mut bs) = (sketch.chunks_exact(8), buckets.chunks_exact_mut(8));
-        for (vs, bs) in vs.by_ref().zip(bs.by_ref()) {
-            let (buckets, word) = chunk(vs);
-            bs.copy_from_slice(&buckets);
-            push(word, rbits);
+            let bytes = (_mm_cvtsi128_si64(_mm512_cvtepi64_epi8(cell)) as u64).to_le_bytes();
+            if lead == 8 {
+                cells[8 * c..8 * c + 8].copy_from_slice(&bytes);
+            } else if lead > 0 {
+                cells[8 * c..8 * c + lead].copy_from_slice(&bytes[..lead]);
+            }
         }
-        let (vs, bs) = (vs.remainder(), bs.into_remainder());
-        if !vs.is_empty() {
-            let (buckets, word) = chunk(vs);
-            bs.copy_from_slice(&buckets[..vs.len()]);
-            push(word, (vs.len() * rbits).div_ceil(8));
-        }
-        let tail = whole.into_remainder();
-        tail.copy_from_slice(&(pile as u64).to_le_bytes()[..tail.len()]);
+        pile.finish();
         _mm512_cmpge_epu64_mask(high, ka) == 0
-    }
-
-    /// One chunk of a packed row: the residues of `[−ka, ka)`'s
-    /// coordinates (of the rest, values `≥ ka`), the chunk's bucket
-    /// bytes, and its remainders packed `rbits` bits each. A lane past
-    /// the chunk holds 0 and adds nothing.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,bmi2")]
-    fn encode8(
-        v: __m512i,
-        ka: __m512i,
-        q: __m512i,
-        magic: __m512i,
-        fields: u64,
-    ) -> (__m512i, [u8; 8], u64) {
-        // `v + ka` below zero, `v` above: the residue of `[−ka, ka)`.
-        let v = _mm512_add_epi64(v, _mm512_and_si512(ka, _mm512_srai_epi64::<63>(v)));
-        let bucket = _mm512_srli_epi64::<24>(_mm512_mul_epu32(v, magic));
-        let buckets = _mm_cvtsi128_si64(_mm512_cvtepi64_epi8(bucket)) as u64;
-        let rem = _mm512_sub_epi64(v, _mm512_mul_epu32(bucket, q));
-        let rems = _mm_cvtsi128_si64(_mm512_cvtepi64_epi8(rem)) as u64;
-        (v, buckets.to_le_bytes(), _pext_u64(rems, fields))
-    }
-}
-
-/// Software prefetch for the phase-2 verify pipeline: a best-effort
-/// hint (x86-64 `prefetcht0`; a no-op elsewhere). Isolated `unsafe`:
-/// the hinted address is always in-bounds, and prefetch has no
-/// architectural effect regardless.
-#[allow(unsafe_code)]
-pub(super) mod fetch {
-    /// Hints that `data[index..]` is about to be read.
-    #[inline]
-    pub fn prefetch_read<T>(data: &[T], index: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if index < data.len() {
-            // SAFETY: in-bounds pointer arithmetic; `prefetcht0` reads
-            // nothing architecturally and faults on nothing.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                    data.as_ptr().add(index).cast(),
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (data, index);
-        }
     }
 }

@@ -1,117 +1,141 @@
-//! The prefilter plane: the leading coordinates of every row stored
-//! as quantized byte buckets — 64 rows a group, dimension-major within
-//! the group — for the vector phase 1, its depth and eligibility model,
-//! and the portable SWAR kernel.
+//! The prefilter plane: the cell bits of the leading coordinates of
+//! every row, bit-sliced 512 rows a block, the rule that sizes a cell,
+//! and the one phase-1 word loop over them.
+//!
+//! # Cells
+//!
+//! A packed coordinate's residue `r ∈ [0, ka)` is a **cell**
+//! `c = r / w` and an offset `r − c·w`, with `w = ⌈ka / 2^b⌉`
+//! ([`cell_bits`] picks `b` from `(t, ka)`; the last cell is short when
+//! `2^b ∤ ka`). The plane holds the `b` cell bits of the first
+//! `D = min(dim, 64)` coordinates of every row, the row column the
+//! offsets and the whole residues past `D` (the `cells` module docs).
+//! A probe coordinate `p` **excludes** every cell that lies wholly
+//! outside its arc `[p − t, p + t]`: no residue of such a cell can
+//! match `p`, so a row whose cell is excluded is turned away on `b`
+//! bits. At the paper ring (`t = 100`, `ka = 400`) `b = 2`, `w = 100`,
+//! and every probe coordinate excludes exactly one of the four cells.
+//!
+//! # The block
+//!
+//! Rows are stored 512 a **block**. For coordinate `j` a block holds
+//! `b` runs of eight `u64`s, run `i` holding bit `i` of the cells: bit
+//! `g` of word `k` of a run is row `64k + g` of the block. Coordinates
+//! follow one another, and blocks are contiguous, so phase 1 reads the
+//! plane front to back. Word `k` of every run is the block's 64-row
+//! **group** `k`: the unit of publication. A block is published,
+//! zeroed, when its first row lands ([`FilterPlane::put`]). A row's
+//! cells go first into the **staging**, the open group's cells
+//! row-major, a byte each — eight plain stores, where setting the
+//! row's `b·D` bits in place took 128 scattered read-modify-writes at
+//! the paper shape — and the group's 64th row transposes the group into
+//! its words, all before the row count that publishes the row: the
+//! rule in the `shared` module docs. Phase 1 reads only complete groups
+//! — a whole block eight words at a time, the open block's complete
+//! groups one word at a time — and the rows of the open group (at most
+//! 63 an arena) go straight to phase 2, their cells copied from the
+//! staging under a sequence check ([`Lead`]).
+//!
+//! # Phase 1
+//!
+//! A probe is a list of cell tests ([`Test`]), one for each cell each
+//! of its leading coordinates excludes; a coordinate that excludes
+//! nothing has none and costs nothing. [`PlaneView::survivors`] ANDs a
+//! block's candidate words, test after test, with "this row's cell is
+//! not the excluded one" — `OR` over the `b` runs of `run ^ cell bit` —
+//! and stops once every candidate word is zero, which it checks every
+//! [`CHECK_EVERY`] tests. One safe loop on every target: the words are
+//! `AtomicU64`s read by `Relaxed` loads, which are plain loads on
+//! every target the crate builds for.
 
-use super::cells::{quantize_ring, Reduced};
-use super::kernels::ActiveKernel;
-#[cfg(target_arch = "x86_64")]
-use super::kernels::{avx2, avx512};
 use super::shared::Column;
-use super::FilterConfig;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
-/// Resolves [`PlaneDepth::Adaptive`](super::PlaneDepth::Adaptive) from
-/// a lane's acceptance rate — `passing` of `ring` buckets, `2·t_q+1` of
-/// `⌈ka/q⌉` — as the smallest depth whose expected survivor rate clears
-/// 1/128, capped at [`FilterConfig::MAX_ADAPTIVE_DIMS`]. Computed by
-/// repeated multiplication rather than a log ratio so boundary cases
-/// (exact powers of the pass rate) resolve deterministically. Only
-/// asked about rings a lane can reject on ([`byte_plane_eligible`]).
-pub(super) fn adaptive_depth_for_rate(passing: u64, ring: u64) -> usize {
-    debug_assert!(passing < ring);
-    let rate = passing as f64 / ring as f64;
-    const TARGET: f64 = 1.0 / 128.0;
-    let mut depth = 1usize;
-    let mut survivors = rate;
-    while survivors > TARGET && depth < FilterConfig::MAX_ADAPTIVE_DIMS {
-        survivors *= rate;
-        depth += 1;
+/// Rows a block holds: eight 64-row groups.
+pub(super) const BLOCK_ROWS: usize = 512;
+/// Words a run takes: one a 64-row group of the block.
+const GROUP_WORDS: usize = BLOCK_ROWS / 64;
+/// The most coordinates a plane holds: a row's cells are at most eight
+/// staging words.
+const MAX_DIMS: usize = 64;
+/// `0x01` in every byte: bit 0 of each of eight cells.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+/// Cell tests between two checks for an all-zero block.
+pub(super) const CHECK_EVERY: usize = 4;
+/// The most cell bits a coordinate keeps in the plane: a cell fits a
+/// byte.
+const MAX_CELL_BITS: u32 = 8;
+
+/// The plane's cell bits `b` on the ring `(t, ka)` (`ka < 2¹⁵`): of
+/// `b = 1 ..= min(8, ⌈log₂ ka⌉)`, the one whose cells reject the most
+/// rows per stored bit, the smaller on a tie; 0 — no plane — when no
+/// cell of any of them can ever lie wholly outside a probe's arc.
+///
+/// The arc `[p − t', p + t']`, `t' = min(t, ⌊ka/2⌋)`, leaves a window
+/// of `m = ka − 2t' − 1` residues that do not match `p`. A cell of
+/// width `x ≤ m` lies wholly in that window for `m − x + 1` of the
+/// `ka` probes, so a coordinate rejects
+/// `Σ x · (m − x + 1)⁺ / ka²` of the rows in expectation; the rule
+/// compares that over `b` exactly, in integers. At the paper ring
+/// `b = 2` (one cell of 100 always excluded: ¼ of the rows) ties with
+/// `b = 3` (three of 50: ⅜) and wins; one more on `t` and `b = 3`
+/// wins.
+pub(super) fn cell_bits(t: u64, ka: u64) -> u32 {
+    debug_assert!(ka < 1 << 15);
+    let arc = 2 * t.min(ka / 2) + 1;
+    if arc >= ka {
+        return 0;
     }
-    depth
-}
-
-/// Whether a ring gets a plane at all: a bucket lane passes `2·t_q+1`
-/// of `kq` buckets, so once that count reaches `kq` no lane can reject
-/// anything and the arena scans with the scalar early-abort kernel
-/// alone — as it does on wider rings (`ka ≥ 2¹⁵`), whose residues no
-/// byte bucket holds. The rings this turns away accept ≥ 97% of the
-/// ring per coordinate (`rings_without_a_plane_cannot_identify`).
-pub(super) fn byte_plane_eligible(t: u64, ka: u64) -> bool {
-    if ka >= 1 << 15 {
-        return false;
+    let m = ka - arc;
+    let ring_bits = u64::BITS - (ka - 1).leading_zeros();
+    let (mut best, mut best_gain) = (0, 0);
+    for b in 1..=ring_bits.min(MAX_CELL_BITS) {
+        let w = ka.div_ceil(1 << b);
+        let (full, short) = (ka / w, ka % w);
+        let gain = full * w * (m + 1).saturating_sub(w) + short * (m + 1).saturating_sub(short);
+        // `gain / b > best_gain / best`, with `best_gain = 0` at first.
+        if gain * u64::from(best.max(1)) > best_gain * u64::from(b) {
+            (best, best_gain) = (b, gain);
+        }
     }
-    let (_, kq, tq) = quantize_ring(t, ka);
-    2 * u64::from(tq) + 1 < u64::from(kq)
+    best
 }
 
-/// `0x0001` in every 16-bit lane: broadcasts a lane value by
-/// multiplication.
-const LANES: u64 = 0x0001_0001_0001_0001;
-/// The most-significant bit of every 16-bit SWAR lane. The lanes hold
-/// buckets ≤ 255, so this bit is always free to carry per-lane
-/// comparison results without cross-lane borrows.
-const MSBS: u64 = 0x8000_8000_8000_8000;
-/// Words one lane of a 64-row group takes: 8 bucket bytes a word.
-pub(super) const GROUP_WORDS: usize = 8;
-
-/// One probe's prefilter state, borrowed from the scan scratch: the
-/// buckets of its leading plane coordinates, and the same values
-/// broadcast across SWAR lanes.
-#[derive(Clone, Copy)]
-pub(super) struct ProbeFilter<'a> {
-    pub(super) biased: &'a [u16],
-    pub(super) bcast: &'a [u64],
+/// One cell test of a probe: the word a coordinate's first run starts
+/// at within a block, and the cell that coordinate excludes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Test {
+    at: u32,
+    cell: u32,
 }
 
-/// The leading dimensions of every row, stored for the vector
-/// prefilter one 64-row **group** after another, and dimension-major
-/// within a group: group `g` is `dims` lanes of [`GROUP_WORDS`] words,
-/// lane `d` holding coordinate `d` of rows `64g .. 64g + 64` as
-/// quantized 8-bit buckets (`(value mod ka) / q`) packed eight rows per
-/// `u64` word. These are the first `dims` bytes of each row's packed
-/// encoding, and the plane is their only home: the arena's row column
-/// keeps the rest (DESIGN.md "The prefilter plane"). Phase 1
-/// over-accepts (see [`quantize_ring`]), so phase 2 verifies *all*
-/// coordinates of a survivor, reading these buckets back through
-/// [`Lead`].
-///
-/// Everything phase 1 reads for a group is one contiguous run of
-/// `dims × 64` bytes, and a sweep reads the plane front to back as one
-/// stream. (A buffer per dimension does not: a 65 536-row arena's
-/// eight 64 KiB lanes, allocated back to back, sit exactly 16 pages
-/// apart — eight streams whose pages all index one set of a 4-way
-/// first-level DTLB; DESIGN.md "The prefilter plane".)
-///
-/// Only rows' *positions* live here — liveness stays in the arena's
-/// tombstone words, which the candidate masks are intersected with, so
-/// `remove` never touches the plane and stale tombstone lanes are
-/// harmless.
-///
-/// A group is published, zeroed, when its first row lands
-/// ([`FilterPlane::put`]), and each row then stores its bytes into the
-/// group's words before the row count that publishes the row: the
-/// rule in the `shared` module docs. Phase 1 reads only complete
-/// groups; the rows of the open group (at most 63 per arena) are
-/// verified one by one, their buckets read by atomic loads.
+/// The cell bits of the leading coordinates of every row, bit-sliced
+/// 512 rows a block (module docs). Only rows' *positions* live here:
+/// liveness stays in the arena's tombstone words, which the candidate
+/// words start from, so `remove` never touches the plane.
 #[derive(Debug)]
 pub(super) struct FilterPlane {
-    /// The groups, `dims × GROUP_WORDS` words each: every complete
-    /// group, and the open one from its first row on.
+    /// The blocks, [`FilterPlane::stride`] words each: every complete
+    /// block, and the open one from its first row on; a group's words
+    /// are written when its 64th row lands.
     words: Column<AtomicU64>,
-    /// Lanes per group: one per filter dimension
-    /// (`min(config.dims, dim)`).
+    /// The open group's cells, row-major, one a byte: row `g` of the
+    /// group is [`FilterPlane::row_words`] words, coordinate `j` in
+    /// byte `j % 8` of its word `j / 8`.
+    staging: Box<[AtomicU64]>,
+    /// The group (`row / 64` of the arena) whose cells `staging` holds:
+    /// what a reader of the open group checks its copy against.
+    staged: AtomicUsize,
+    /// Coordinates whose cells the plane holds: `D`.
     dims: usize,
-    /// Bucket-distance threshold the x86 kernels compare against.
-    #[cfg(target_arch = "x86_64")]
-    tq: u16,
-    /// Bucket count `⌈ka/q⌉` (≤ 256) the x86 kernels wrap over.
-    #[cfg(target_arch = "x86_64")]
-    kq: u16,
-    /// `0x8000 + tq` broadcast: SWAR `absd ≤ tq` comparand.
-    th: u64,
-    /// `kq − tq` broadcast: SWAR `absd ≥ kq − tq` comparand.
-    kmt: u64,
+    /// Cell bits a coordinate: `b ≥ 1`.
+    bits: usize,
+    /// The ring, the cell width `w = ⌈ka / 2^b⌉`, and the window a probe
+    /// coordinate's arc leaves: `t' + 1` past the probe, `m` long.
+    ka: u32,
+    w: u32,
+    past: u32,
+    m: u32,
 }
 
 /// A copy of a plane word.
@@ -123,24 +147,32 @@ impl Clone for FilterPlane {
     fn clone(&self) -> FilterPlane {
         FilterPlane {
             words: self.words.copied(self.words.capacity(), copy_word),
+            staging: self.staging.iter().map(copy_word).collect(),
+            staged: AtomicUsize::new(self.staged.load(Ordering::Relaxed)),
             ..*self
         }
     }
 }
 
 impl FilterPlane {
+    /// A plane of `dims` coordinates on the ring `(t, ka)`, whose
+    /// [`cell_bits`] must not be 0.
     pub(super) fn new(dims: usize, t: u64, ka: u64) -> FilterPlane {
-        debug_assert!(dims >= 1 && ka < 1 << 15);
-        let (_, kq, tq) = quantize_ring(t, ka);
+        let bits = cell_bits(t, ka);
+        debug_assert!((1..=MAX_DIMS).contains(&dims) && bits >= 1);
+        let t = t.min(ka / 2);
         FilterPlane {
             words: Column::with_capacity(0),
+            staging: (0..64 * dims.div_ceil(8))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            staged: AtomicUsize::new(0),
             dims,
-            #[cfg(target_arch = "x86_64")]
-            tq,
-            #[cfg(target_arch = "x86_64")]
-            kq,
-            th: (0x8000 + u64::from(tq)) * LANES,
-            kmt: (u64::from(kq) - u64::from(tq)) * LANES,
+            bits: bits as usize,
+            ka: ka as u32,
+            w: ka.div_ceil(1 << bits) as u32,
+            past: t as u32 + 1,
+            m: (ka - 2 * t - 1) as u32,
         }
     }
 
@@ -148,117 +180,256 @@ impl FilterPlane {
         self.dims
     }
 
-    /// Words per group.
+    pub(super) fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// Words a block takes.
     fn stride(&self) -> usize {
-        self.dims * GROUP_WORDS
+        self.dims * self.bits * GROUP_WORDS
+    }
+
+    /// Staging words a row's cells take.
+    fn row_words(&self) -> usize {
+        self.dims.div_ceil(8)
     }
 
     pub(super) fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8
+        (self.words.capacity() + self.staging.len()) * 8
     }
 
-    /// Makes room for the groups of `total_rows` rows (exclusive
+    /// Makes room for the blocks of `total_rows` rows (exclusive
     /// access: the buffer may move).
     pub(super) fn grow(&mut self, total_rows: usize) {
-        let words = total_rows.div_ceil(64) * self.stride();
+        let words = total_rows.div_ceil(BLOCK_ROWS) * self.stride();
         if words > self.words.capacity() {
             self.words = self.words.copied(words, copy_word);
         }
     }
 
-    /// Where `row`'s byte of lane `d` lies: its word, and its shift in
-    /// the word.
-    fn place(&self, row: usize, d: usize) -> (usize, usize) {
-        let word = row / 64 * self.stride() + d * GROUP_WORDS + row % 64 / 8;
-        (word, row % 8 * 8)
-    }
-
-    /// Stores row `row`'s leading `dims` buckets — the first bytes of
-    /// its packed encoding — in its group's lanes: the writer's half of
-    /// the rule in the `shared` module docs. The group's first row
-    /// publishes it, zeroed, with one `extend`; every row then ORs its
-    /// bytes into words no reader's phase 1 touches yet. Rows arrive
-    /// densely in order, from the one writer.
-    pub(super) fn put(&self, row: usize, buckets: &[u8]) {
-        debug_assert_eq!(buckets.len(), self.dims);
-        if row.is_multiple_of(64) {
+    /// Stores row `row`'s `cells`, one a leading coordinate: the
+    /// writer's half of the rule in the `shared` module docs. Rows
+    /// arrive densely in order, from the one writer. A row's cells go
+    /// into the staging, row-major — a few plain stores (module docs) —
+    /// and the group's 64th row transposes the whole group into its
+    /// plane words. The block's first row publishes the block,
+    /// zeroed, with one `extend`; a group's first row marks the staging
+    /// as its own before writing to it, so that a reader still copying
+    /// the group before sees its copy go stale ([`Lead`]).
+    pub(super) fn put(&self, row: usize, cells: &[u8]) {
+        debug_assert_eq!(cells.len(), self.dims);
+        if row.is_multiple_of(BLOCK_ROWS) {
             self.words
                 .extend((0..self.stride()).map(|_| AtomicU64::new(0)));
         }
-        let words = self.words.published();
-        for (d, &bucket) in buckets.iter().enumerate() {
-            let (at, shift) = self.place(row, d);
-            // One writer: a load and a store, not a locked `fetch_or`.
-            let word = &words[at];
-            word.store(
-                word.load(Ordering::Relaxed) | u64::from(bucket) << shift,
-                Ordering::Relaxed,
-            );
+        if row.is_multiple_of(64) {
+            // The Release store carries the last group's plane words to
+            // a reader that sees the new mark; the fence keeps the
+            // staging stores below from overtaking the mark.
+            self.staged.store(row / 64, Ordering::Release);
+            fence(Ordering::Release);
+        }
+        let slot = &self.staging[row % 64 * self.row_words()..][..self.row_words()];
+        for (word, eight) in slot.iter().zip(cells.chunks(8)) {
+            let bytes = <[u8; 8]>::try_from(eight).unwrap_or_else(|_| {
+                let mut bytes = [0; 8];
+                bytes[..eight.len()].copy_from_slice(eight);
+                bytes
+            });
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        if row % 64 == 63 {
+            self.transpose(row / 64);
         }
     }
 
-    /// Row `row`'s leading buckets, for a row below the published row
-    /// count.
+    /// Writes group `group`'s plane words from the staging, eight
+    /// coordinates — one staging word a row — at a time: for each cell
+    /// bit, the 64 rows' bits of the eight coordinates are gathered
+    /// eight rows a word (byte `p` of word `q` holding rows `8q … 8q+7`
+    /// of coordinate `p`), and the 8 × 8 bytes transposed into the
+    /// coordinates' runs.
+    fn transpose(&self, group: usize) {
+        let stride = self.stride();
+        let block = &self.words.published()[group / GROUP_WORDS * stride..][..stride];
+        let per_row = self.row_words();
+        for c in 0..per_row {
+            let rows: [u64; 64] =
+                std::array::from_fn(|row| self.staging[row * per_row + c].load(Ordering::Relaxed));
+            for r in 0..self.bits {
+                let mut runs: [u64; 8] = std::array::from_fn(|q| {
+                    (0..8).fold(0, |eight, i| eight | (rows[8 * q + i] >> r & LOW_BITS) << i)
+                });
+                transpose_bytes(&mut runs);
+                for (p, &run) in runs[..(self.dims - 8 * c).min(8)].iter().enumerate() {
+                    let at = ((8 * c + p) * self.bits + r) * GROUP_WORDS + group % GROUP_WORDS;
+                    block[at].store(run, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// Row `row`'s cells, for a row below the published row count.
     pub(super) fn lead(&self, row: usize) -> Lead<'_> {
-        Lead::of(self.words.published(), self.stride(), row)
+        Lead::of(self.words.published(), self, row)
     }
 
     /// The plane as a sweep of the first `rows` rows sees it. Slicing
-    /// the groups they span fails loudly should a row count ever be
-    /// published before its group.
+    /// the blocks they span fails loudly should a row count ever be
+    /// published before its block.
     pub(super) fn view(&self, rows: usize) -> PlaneView<'_> {
         PlaneView {
             plane: self,
-            words: &self.words.published()[..rows.div_ceil(64) * self.stride()],
+            words: &self.words.published()[..rows.div_ceil(BLOCK_ROWS) * self.stride()],
             groups: rows / 64,
         }
     }
+
+    /// Appends the cell tests of one prepared probe — its residues, the
+    /// leading `dims` of them read — to `tests`: for each coordinate,
+    /// every cell wholly inside the window its arc leaves, in order.
+    /// The window is shorter than the ring, so the walk ends before it
+    /// comes round to its first cell.
+    pub(super) fn tests(&self, probe: &[u16], tests: &mut Vec<Test>) {
+        let (ka, w, m) = (self.ka, self.w, self.m);
+        for (j, &p) in probe[..self.dims].iter().enumerate() {
+            let at = (j * self.bits * GROUP_WORDS) as u32;
+            // The window starts `t' + 1` past the probe: its first
+            // whole cell starts there or after, or wraps to cell 0.
+            let start = (u32::from(p) + self.past) % ka;
+            let mut cell = start.div_ceil(w);
+            if cell * w >= ka {
+                cell = 0;
+            }
+            loop {
+                let lo = cell * w;
+                let into = if lo >= start {
+                    lo - start
+                } else {
+                    lo + ka - start
+                };
+                if into + w.min(ka - lo) > m {
+                    break;
+                }
+                tests.push(Test { at, cell });
+                cell = if lo + w >= ka { 0 } else { cell + 1 };
+            }
+        }
+    }
 }
 
-/// A packed row's leading buckets where they live — its lanes of one
-/// plane group — read by `Relaxed` loads, in a complete group or the
-/// open one alike.
+/// Transposes the 8 × 8 bytes of `m` in place — byte `p` of word `q`
+/// becomes byte `q` of word `p` — by swapping the off-diagonal halves,
+/// quarters and bytes of each pair of words.
+fn transpose_bytes(m: &mut [u64; 8]) {
+    for (shift, mask) in [
+        (32, 0x0000_0000_FFFF_FFFF),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+    ] {
+        let step = shift / 8;
+        for q in (0..8).filter(|q| q & step == 0) {
+            let t = ((m[q] >> shift) ^ m[q + step]) & mask;
+            m[q] ^= t << shift;
+            m[q + step] ^= t;
+        }
+    }
+}
+
+/// A packed row's cells where they live: one word of each of its runs
+/// in the plane, or, while its group is open, a copy of its staging
+/// words — all read by atomic loads.
 #[derive(Clone, Copy)]
 pub(super) struct Lead<'a> {
-    /// The row's group, `dims × GROUP_WORDS` words; empty for a row of
-    /// an arena without a plane, which keeps every byte in its row.
-    group: &'a [AtomicU64],
-    /// The row's place in its group.
-    at: usize,
+    /// The row's block; empty for a row of an arena without a plane,
+    /// which keeps every coordinate whole in its row.
+    block: &'a [AtomicU64],
+    dims: usize,
+    bits: usize,
+    /// The row's group in the block, and its bit in the group's words.
+    group: usize,
+    bit: usize,
+    /// The row's cells, a byte each, when it was read from the staging.
+    staged: Option<[u64; MAX_DIMS / 8]>,
 }
 
 impl<'a> Lead<'a> {
-    /// No leading buckets: the row holds them all.
+    /// No cells: the row holds every coordinate whole.
     pub(super) fn none() -> Lead<'a> {
-        Lead { group: &[], at: 0 }
-    }
-
-    fn of(words: &'a [AtomicU64], stride: usize, row: usize) -> Lead<'a> {
         Lead {
-            group: &words[row / 64 * stride..][..stride],
-            at: row % 64,
+            block: &[],
+            dims: 0,
+            bits: 1,
+            group: 0,
+            bit: 0,
+            staged: None,
         }
     }
 
-    /// Leading buckets held here.
-    #[inline]
-    pub(super) fn len(&self) -> usize {
-        self.group.len() / GROUP_WORDS
+    /// Row `row`'s cells, from `words`, the plane's published blocks.
+    /// While the staging holds the row's group, a copy of the row's
+    /// staging words, kept if the mark still names the group once the
+    /// copy is taken — the reader's half of a sequence check, the
+    /// writer's being [`FilterPlane::put`]'s. Once the mark has moved
+    /// on, the group's plane words were written before it moved.
+    fn of(words: &'a [AtomicU64], plane: &FilterPlane, row: usize) -> Lead<'a> {
+        let stride = plane.stride();
+        let mut lead = Lead {
+            block: &words[row / BLOCK_ROWS * stride..][..stride],
+            dims: plane.dims,
+            bits: plane.bits,
+            group: row % BLOCK_ROWS / 64,
+            bit: row % 64,
+            staged: None,
+        };
+        let group = row / 64;
+        if plane.staged.load(Ordering::Acquire) == group {
+            let per_row = plane.row_words();
+            let mut copy = [0; MAX_DIMS / 8];
+            for (c, word) in copy
+                .iter_mut()
+                .zip(&plane.staging[row % 64 * per_row..][..per_row])
+            {
+                *c = word.load(Ordering::Relaxed);
+            }
+            fence(Ordering::Acquire);
+            if plane.staged.load(Ordering::Relaxed) == group {
+                lead.staged = Some(copy);
+            } else {
+                // Synchronises with the store that moved the mark.
+                fence(Ordering::Acquire);
+            }
+        }
+        lead
     }
 
-    /// Bucket `d` of the row, `d < self.len()`.
+    /// Leading coordinates whose cells are held here.
     #[inline]
-    pub(super) fn bucket(&self, d: usize) -> u8 {
-        let word = &self.group[d * GROUP_WORDS + self.at / 8];
-        (word.load(Ordering::Relaxed) >> (self.at % 8 * 8)) as u8
+    pub(super) fn len(&self) -> usize {
+        self.dims
+    }
+
+    /// The cell of coordinate `j < self.len()`.
+    #[inline]
+    pub(super) fn cell(&self, j: usize) -> u32 {
+        if let Some(staged) = &self.staged {
+            return (staged[j / 8] >> (8 * (j % 8))) as u32 & 0xFF;
+        }
+        let runs = &self.block[j * self.bits * GROUP_WORDS..][..self.bits * GROUP_WORDS];
+        runs.chunks_exact(GROUP_WORDS)
+            .enumerate()
+            .fold(0, |cell, (r, run)| {
+                let word = run[self.group].load(Ordering::Relaxed);
+                cell | ((word >> self.bit) as u32 & 1) << r
+            })
     }
 }
 
-/// One sweep's view of a [`FilterPlane`]: the groups of its rows,
-/// sliced once so the kernels index a plain slice.
+/// One sweep's view of a [`FilterPlane`]: the blocks of its rows,
+/// sliced once.
 pub(super) struct PlaneView<'a> {
     pub(super) plane: &'a FilterPlane,
-    /// The groups the sweep's rows span, the open one included.
+    /// The blocks the sweep's rows span, the open one included.
     words: &'a [AtomicU64],
     /// Complete 64-row groups among them: the only ones phase 1 reads.
     groups: usize,
@@ -271,142 +442,78 @@ impl PlaneView<'_> {
         self.groups
     }
 
-    /// The lanes of group `w`, [`GROUP_WORDS`] words each.
-    #[inline]
-    fn group(&self, w: usize) -> &[AtomicU64] {
-        let stride = self.plane.stride();
-        &self.words[w * stride..(w + 1) * stride]
-    }
-
-    /// Row `row`'s leading buckets: in a complete group, the lanes
-    /// phase 1 just read.
+    /// Row `row`'s cells.
     #[inline]
     pub(super) fn lead(&self, row: usize) -> Lead<'_> {
-        Lead::of(self.words, self.plane.stride(), row)
-    }
-    /// One dimension's SWAR cyclic test on 4 × 16-bit lane values `a`
-    /// against the broadcast probe `pb`, returning the per-lane pass
-    /// MSBs. See `DESIGN.md` for the lane algebra; every intermediate
-    /// stays within its 16-bit lane because values are buckets ≤ 255
-    /// and `MSBS` supplies the borrow headroom.
-    #[inline]
-    fn swar_pass(&self, a: u64, pb: u64) -> u64 {
-        // Per lane: a − b + 0x8000 and b − a + 0x8000 (exact; no
-        // cross-lane borrow since the `MSBS` addend dominates any
-        // 15-bit operand).
-        let d1 = (a | MSBS) - pb;
-        let d2 = (pb | MSBS) - a;
-        // Full-lane mask of a ≥ b from d1's carried MSB.
-        let ge = ((d1 >> 15) & LANES) * 0xFFFF;
-        // |a − b| per lane, MSB bias stripped.
-        let absd = ((d1 & ge) | (d2 & !ge)) & !MSBS;
-        // Cyclic pass: absd ≤ tq  OR  absd ≥ kq − tq.
-        ((self.plane.th - absd) | ((absd | MSBS) - self.plane.kmt)) & MSBS
+        Lead::of(self.words, self.plane, row)
     }
 
-    /// Gathers [`PlaneView::swar_pass`] survivor MSBs into 4 low
-    /// bits.
+    /// Phase 1 over `N` complete groups of one block, from liveness
+    /// word `first` on (`N = 8`: a whole block from its first group;
+    /// `N = 1`: one group of the open block): ANDs `cand` with each of
+    /// `tests` in turn, stopping once every word is zero, and returns
+    /// how many tests ran. The one phase-1 loop of the crate, compiled
+    /// for 1, 2 and 3 cell bits — the tight rings', the paper ring's
+    /// and the next looser ones' — with the run count a constant, and
+    /// once for the rest.
     #[inline]
-    fn swar_gather(acc: u64) -> u64 {
-        ((acc >> 15) & 1) | ((acc >> 30) & 2) | ((acc >> 45) & 4) | ((acc >> 60) & 8)
-    }
-
-    /// SWAR-prefilters the 8 rows of word `wi` of every lane of `group`,
-    /// returning one low bit per passing row.
-    ///
-    /// Bytes have no spare MSB, so the word is split into its even and
-    /// odd bytes — each a 4 × 16-bit-lane value whose lanes hold a
-    /// bucket ≤ 255, leaving `0x8000` of headroom — and both halves run
-    /// the 16-bit lane algebra (which computes the exact `kq − absd`,
-    /// so even the `kq = 256` ring needs no wrap-around trick here).
-    /// The two 4-bit results interleave back into byte order.
-    #[inline]
-    fn swar_word(&self, group: &[AtomicU64], pf: ProbeFilter<'_>, wi: usize) -> u64 {
-        const EVENS: u64 = 0x00FF_00FF_00FF_00FF;
-        let (mut acc_e, mut acc_o) = (MSBS, MSBS);
-        for (lane, &pb) in group.chunks_exact(GROUP_WORDS).zip(pf.bcast) {
-            let w = lane[wi].load(Ordering::Relaxed);
-            acc_e &= self.swar_pass(w & EVENS, pb);
-            acc_o &= self.swar_pass((w >> 8) & EVENS, pb);
-            if acc_e | acc_o == 0 {
-                return 0;
-            }
-        }
-        // 16-bit lane i of the even half is byte 2i (row bit 2i); of
-        // the odd half, byte 2i+1 — spread each gather bit i to bit 2i
-        // and interleave.
-        let spread = |x: u64| (x & 1) | ((x & 2) << 1) | ((x & 4) << 2) | ((x & 8) << 3);
-        spread(Self::swar_gather(acc_e)) | (spread(Self::swar_gather(acc_o)) << 1)
-    }
-
-    /// Candidate mask for one complete 64-row group (`w <
-    /// self.groups()`, so no store races it): prefilters the group's lanes against the probe
-    /// and intersects with the group's liveness word — AVX-512 masks a
-    /// whole lane in a single 512-bit compare. Groups are whole, so
-    /// every backend runs full vectors — there is no buffer tail.
-    pub(super) fn block_candidates(
+    pub(super) fn survivors<const N: usize>(
         &self,
-        kernel: ActiveKernel,
-        pf: ProbeFilter<'_>,
-        w: usize,
-        lw: u64,
-    ) -> u64 {
-        debug_assert!(w < self.groups, "phase 1 reads complete groups only");
-        #[cfg(target_arch = "x86_64")]
-        let (tq, kq) = (self.plane.tq, self.plane.kq);
-        let group = self.group(w);
-        let mut out = 0u64;
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx512 => out = avx512::octo(group, pf.biased, tq, kq),
-            #[cfg(target_arch = "x86_64")]
-            ActiveKernel::Avx2 => {
-                for half in 0..2 {
-                    // Wholly-dead 32-row runs need no prefilter at all.
-                    if (lw >> (half * 32)) & 0xFFFF_FFFF != 0 {
-                        let m = avx2::quad(group, pf.biased, tq, kq, half * 4);
-                        out |= u64::from(m) << (half * 32);
-                    }
-                }
-            }
-            ActiveKernel::Swar => {
-                for sub in 0..8 {
-                    if (lw >> (sub * 8)) & 0xFF != 0 {
-                        out |= self.swar_word(group, pf, sub) << (sub * 8);
-                    }
-                }
-            }
+        first: usize,
+        tests: &[Test],
+        cand: &mut [u64; N],
+    ) -> usize {
+        match self.plane.bits {
+            1 => self.survivors_of::<N, 1>(first, tests, cand),
+            2 => self.survivors_of::<N, 2>(first, tests, cand),
+            3 => self.survivors_of::<N, 3>(first, tests, cand),
+            _ => self.survivors_of::<N, 0>(first, tests, cand),
         }
-        out & lw
     }
-}
 
-/// Builds the prefilter probe state (buckets + SWAR broadcasts) for
-/// every probe in `probes` — prepared probe rows laid out `dim` apart —
-/// into the scratch's reused `biased`/`bcast` buffers,
-/// `plane.dims()` entries per probe. The stored values are the probe's
-/// *bucket* coordinates, quantized once when the probe was prepared —
-/// never per block inside the sweep. Probes that
-/// cannot match (wrong dimension, pre-zeroed rows) keep their slots so
-/// indexing stays uniform.
-pub(super) fn build_filter_probes(
-    plane: &FilterPlane,
-    probes: &[Reduced],
-    dim: usize,
-    biased: &mut Vec<u16>,
-    bcast: &mut Vec<u64>,
-) {
-    let pd = plane.dims();
-    let count = probes.len().checked_div(dim).unwrap_or(0);
-    biased.clear();
-    bcast.clear();
-    biased.reserve(count * pd);
-    bcast.reserve(count * pd);
-    for p in 0..count {
-        for coordinate in &probes[p * dim..p * dim + pd] {
-            biased.push(coordinate.bucket);
-            bcast.push(u64::from(coordinate.bucket) * LANES);
+    /// [`PlaneView::survivors`] with `B` runs a coordinate, or the
+    /// plane's `bits` when `B` is 0.
+    #[inline]
+    fn survivors_of<const N: usize, const B: usize>(
+        &self,
+        first: usize,
+        tests: &[Test],
+        cand: &mut [u64; N],
+    ) -> usize {
+        debug_assert!(
+            first + N <= self.groups,
+            "phase 1 reads complete groups only"
+        );
+        let bits = if B == 0 { self.plane.bits } else { B };
+        let stride = self.plane.stride();
+        let block = &self.words[first / GROUP_WORDS * stride..][..stride];
+        let group = first % GROUP_WORDS;
+        let mut acc = *cand;
+        let mut ran = 0;
+        for chunk in tests.chunks(CHECK_EVERY) {
+            for test in chunk {
+                let mut outside = [0u64; N];
+                let runs = &block[test.at as usize..][..bits * GROUP_WORDS];
+                for (r, run) in runs.chunks_exact(GROUP_WORDS).enumerate() {
+                    // All ones where the excluded cell's bit is 1:
+                    // `word ^ flip` is the rows whose bit differs.
+                    let flip = u64::from(test.cell >> r & 1).wrapping_neg();
+                    let run: &[AtomicU64; N] = run[group..group + N].try_into().expect("N words");
+                    for (o, word) in outside.iter_mut().zip(run) {
+                        *o |= word.load(Ordering::Relaxed) ^ flip;
+                    }
+                }
+                for (a, o) in acc.iter_mut().zip(outside) {
+                    *a &= o;
+                }
+            }
+            ran += chunk.len();
+            if acc.iter().fold(0, |any, &a| any | a) == 0 {
+                break;
+            }
         }
+        *cand = acc;
+        ran
     }
 }
 
@@ -414,296 +521,243 @@ pub(super) fn build_filter_probes(
 mod tests {
     use super::super::SketchArena;
     use super::*;
-    #[cfg(target_arch = "x86_64")]
+    use crate::conditions::cyclic_close;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// A plane of `dims` lanes holding `rows` (whole groups) random
-    /// rows.
-    #[cfg(target_arch = "x86_64")]
-    fn random_plane(
-        rng: &mut StdRng,
-        dims: usize,
-        (t, ka): (u64, u64),
-        rows: usize,
-    ) -> FilterPlane {
-        let mut plane = FilterPlane::new(dims, t, ka);
-        let (q, ..) = quantize_ring(t, ka);
-        plane.grow(rows);
-        for row in 0..rows {
-            let buckets: Vec<u8> = (0..dims)
-                .map(|_| (rng.gen_range(0..ka as u16) / q) as u8)
-                .collect();
-            plane.put(row, &buckets);
+    /// The rule of [`cell_bits`]: 2 at the paper ring and 3 one step
+    /// looser, 1 on a tight ring; and the rings that get no plane —
+    /// every `t ≥ ⌊ka/2⌋`, where every residue matches, and these,
+    /// where the window the arc leaves is narrower than any cell:
+    /// `(128, 258)`, `(255, 512)` and `(16 320, 32 767)`, each a step
+    /// from a ring that gets one.
+    #[test]
+    fn cell_bits_follow_the_rule() {
+        assert_eq!(cell_bits(100, 400), 2);
+        assert_eq!(cell_bits(101, 400), 3);
+        assert_eq!(cell_bits(10, 400), 1);
+        assert_eq!(cell_bits(0, 2), 1);
+        for ka in [2u64, 3, 7, 400, 401, (1 << 15) - 1] {
+            assert_eq!(cell_bits(ka / 2, ka), 0, "ka = {ka}");
+            assert_eq!(cell_bits(u64::MAX, ka), 0, "ka = {ka}");
         }
-        plane
+        for (t, ka) in [(128, 258), (255, 512), (16_320, 32_767)] {
+            assert_eq!(cell_bits(t, ka), 0, "t = {t}, ka = {ka}");
+            assert_ne!(cell_bits(t - 1, ka), 0, "t = {}, ka = {ka}", t - 1);
+        }
     }
 
-    /// `dims` random probe buckets and their SWAR broadcasts.
-    #[cfg(target_arch = "x86_64")]
-    fn random_probe(rng: &mut StdRng, dims: usize, ka: u64, q: u16) -> (Vec<u16>, Vec<u64>) {
-        let probe: Vec<u16> = (0..dims).map(|_| rng.gen_range(0..ka as u16) / q).collect();
-        let bcast = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-        (probe, bcast)
+    /// The rule's premise, in full on the rings below 2¹⁰ and sampled
+    /// above: a ring gets no plane exactly when no cell of any width it
+    /// could use lies wholly outside some probe's arc.
+    #[test]
+    fn no_plane_means_no_cell_can_be_excluded() {
+        let mut rng = StdRng::seed_from_u64(0xCE11);
+        let rings = (2u64..1 << 10)
+            .flat_map(|ka| (0..=ka / 2).map(move |t| (t, ka)))
+            .chain((0..2000).map(|_| {
+                let ka = rng.gen_range(1 << 10..1 << 15);
+                (ka / 2 - rng.gen_range(0..200.min(ka / 2)), ka)
+            }));
+        for (t, ka) in rings {
+            let m = (ka - 1).saturating_sub(2 * t.min(ka / 2));
+            let ring_bits = u64::BITS - (ka - 1).leading_zeros();
+            let narrowest = (1..=ring_bits.min(MAX_CELL_BITS))
+                .flat_map(|b| {
+                    let w = ka.div_ceil(1 << b);
+                    [w, ka % w]
+                })
+                .filter(|&x| x > 0)
+                .min()
+                .unwrap_or(ka);
+            assert_eq!(cell_bits(t, ka) == 0, m < narrowest, "t = {t}, ka = {ka}");
+        }
+    }
+
+    /// A plane's tests are exactly the cells no residue of which is
+    /// within `t` of the probe: every probe residue of rings with and
+    /// without a short last cell, at thresholds around each rule step.
+    #[test]
+    fn tests_exclude_exactly_the_cells_outside_the_arc() {
+        for ka in [2u64, 7, 100, 255, 256, 257, 400, 401, 1000] {
+            for t in [0, 1, ka / 8, ka / 4, ka / 4 + 1, ka / 3, ka / 2 - 1] {
+                if cell_bits(t, ka) == 0 {
+                    continue;
+                }
+                let plane = FilterPlane::new(1, t, ka);
+                let w = u64::from(plane.w);
+                for p in 0..ka {
+                    let mut tests = Vec::new();
+                    plane.tests(&[p as u16], &mut tests);
+                    let want: Vec<u32> = (0..ka.div_ceil(w))
+                        .filter(|c| {
+                            (c * w..((c + 1) * w).min(ka))
+                                .all(|r| !cyclic_close(r as i64, p as i64, t, ka))
+                        })
+                        .map(|c| c as u32)
+                        .collect();
+                    let mut got: Vec<u32> = tests.iter().map(|test| test.cell).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "p = {p}, t = {t}, ka = {ka}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn adaptive_depth_model() {
-        // Paper ring: 103 of 200 buckets pass, ≈ ½ → 8 lanes.
-        assert_eq!(adaptive_depth_for_rate(103, 200), 8);
-        // Rate exactly ½: (½)⁷ = 1/128 hits the target at 7 lanes.
-        assert_eq!(adaptive_depth_for_rate(1, 2), 7);
-        // Rate 3/7: 6 lanes clear 1/128.
-        assert_eq!(adaptive_depth_for_rate(3, 7), 6);
-        // Sparse ring: one lane rejects nearly everything.
-        assert_eq!(adaptive_depth_for_rate(1, 256), 1);
-        // Near-1 pass rate: capped at MAX_ADAPTIVE_DIMS.
+    fn blocks_are_runs_of_group_words() {
+        // Two coordinates of two cell bits: row r of a block has cell
+        // r % 4 at coordinate 0 and 3 − r % 4 at coordinate 1. A block
+        // is published whole by its first row, a group's words are
+        // written by its 64th, and phase 1 sees the group once that row
+        // is counted.
+        let mut plane = FilterPlane::new(2, 100, 400);
+        assert_eq!((plane.bits(), plane.w), (2, 100));
+        plane.grow(600);
+        // Two blocks of 2 × 2 runs, and 64 rows of one staging word.
+        assert_eq!(plane.heap_bytes(), (2 * 2 * 2 * GROUP_WORDS + 64) * 8);
+        assert_eq!(plane.view(0).groups(), 0);
+        for row in 0..600 {
+            let c = (row % 4) as u8;
+            plane.put(row, &[c, 3 - c]);
+        }
+        let view = plane.view(600);
+        assert_eq!((view.groups(), view.words.len()), (9, 2 * plane.stride()));
+        let word = |at: usize| view.words[at].load(Ordering::Relaxed);
+        // Coordinate 0's low run is 0b1010… in every group, its high
+        // run 0b1100…; coordinate 1's are their complements.
+        for k in 0..GROUP_WORDS {
+            assert_eq!(word(k), 0xAAAA_AAAA_AAAA_AAAA);
+            assert_eq!(word(8 + k), 0xCCCC_CCCC_CCCC_CCCC);
+            assert_eq!(word(16 + k), 0x5555_5555_5555_5555);
+            assert_eq!(word(24 + k), 0x3333_3333_3333_3333);
+        }
+        // The open block: 88 rows, of which one complete group, whose
+        // words are written, and an open one, whose are not yet: its
+        // cells are read from the staging.
+        assert_eq!(word(plane.stride()), 0xAAAA_AAAA_AAAA_AAAA);
+        assert_eq!(word(plane.stride() + 1), 0);
+        for row in [0, 63, 511, 512, 575, 576, 599] {
+            let c = (row % 4) as u32;
+            let lead = view.lead(row);
+            assert_eq!(lead.staged.is_some(), row >= 576, "row {row}");
+            assert_eq!((lead.len(), lead.cell(0), lead.cell(1)), (2, c, 3 - c));
+        }
+        // The 64th row of the open group writes its words.
+        for row in 600..640 {
+            let c = (row % 4) as u8;
+            plane.put(row, &[c, 3 - c]);
+        }
+        let view = plane.view(640);
         assert_eq!(
-            adaptive_depth_for_rate(199, 200),
-            FilterConfig::MAX_ADAPTIVE_DIMS
+            view.words[plane.stride() + 1].load(Ordering::Relaxed),
+            0xAAAA_AAAA_AAAA_AAAA
         );
-        // Deeper adaptive planes clamp to the sketch dimension.
-        let mut arena = SketchArena::new(160, 400);
+        assert_eq!((view.lead(600).cell(0), view.lead(639).cell(1)), (0, 0));
+    }
+
+    /// Every row's cells read back the same through its group's plane
+    /// words and through the staging, on planes of 1 to 64 coordinates
+    /// and 1 to 8 cell bits — the transpose against the staging it
+    /// reads.
+    #[test]
+    fn the_transpose_keeps_every_cell() {
+        let mut rng = StdRng::seed_from_u64(0x7A05);
+        for (t, ka) in [
+            (10, 400),
+            (100, 400),
+            (101, 400),
+            (0, 256),
+            (16_000, 32_767),
+        ] {
+            for dims in [1, 7, 8, 9, 64] {
+                let mut plane = FilterPlane::new(dims, t, ka);
+                let cells_max = 1u32 << plane.bits();
+                plane.grow(640);
+                let rows: Vec<Vec<u8>> = (0..640)
+                    .map(|_| {
+                        (0..dims)
+                            .map(|_| rng.gen_range(0..cells_max) as u8)
+                            .collect()
+                    })
+                    .collect();
+                for (row, cells) in rows.iter().enumerate() {
+                    plane.put(row, cells);
+                    // Read back at once, from the staging …
+                    let lead = plane.lead(row);
+                    let got: Vec<u8> = (0..dims).map(|j| lead.cell(j) as u8).collect();
+                    assert_eq!(&got, cells, "t={t} ka={ka} dims={dims} row={row}");
+                }
+                // … and from the plane words once later groups moved the
+                // staging on.
+                for (row, cells) in rows.iter().enumerate().take(576) {
+                    let lead = plane.lead(row);
+                    assert!(lead.staged.is_none());
+                    let got: Vec<u8> = (0..dims).map(|j| lead.cell(j) as u8).collect();
+                    assert_eq!(&got, cells, "t={t} ka={ka} dims={dims} row={row}");
+                }
+            }
+        }
+    }
+
+    /// The word loop against the rows it filters, one row at a time: a
+    /// row survives exactly when it is a candidate and none of its
+    /// cells is excluded, whole blocks and single groups alike, on
+    /// rings with one, two and three cell bits.
+    #[test]
+    fn survivors_are_the_rows_no_test_excludes() {
+        let mut rng = StdRng::seed_from_u64(0x5117);
+        for (t, ka) in [(10, 400), (100, 400), (101, 400), (25, 101)] {
+            for dims in [1, 3, 8] {
+                let mut plane = FilterPlane::new(dims, t, ka);
+                let w = plane.w;
+                plane.grow(1024);
+                let rows: Vec<Vec<u8>> = (0..1024)
+                    .map(|_| {
+                        (0..dims)
+                            .map(|_| (rng.gen_range(0..ka as u32) / w) as u8)
+                            .collect()
+                    })
+                    .collect();
+                for (row, cells) in rows.iter().enumerate() {
+                    plane.put(row, cells);
+                }
+                let view = plane.view(1024);
+                for _ in 0..20 {
+                    let probe: Vec<u16> = (0..dims).map(|_| rng.gen_range(0..ka as u16)).collect();
+                    let mut tests = Vec::new();
+                    plane.tests(&probe, &mut tests);
+                    let excluded = |row: usize| {
+                        tests.iter().any(|test| {
+                            u32::from(rows[row][test.at as usize / (plane.bits * 8)]) == test.cell
+                        })
+                    };
+                    let live: u64 = rng.gen();
+                    let mut whole = [live; 8];
+                    view.survivors(8, &tests, &mut whole);
+                    for (k, &word) in whole.iter().enumerate() {
+                        let mut one = [live];
+                        view.survivors(8 + k, &tests, &mut one);
+                        for g in 0..64 {
+                            let row = 512 + 64 * k + g;
+                            // Stopping early leaves every word 0, which
+                            // is exact too: no row was left.
+                            let want = live >> g & 1 == 1 && !excluded(row);
+                            assert_eq!(word >> g & 1 == 1, want, "t={t} ka={ka} row={row}");
+                            assert_eq!(one[0] >> g & 1 == 1, want, "t={t} ka={ka} row={row}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_depth_clamps_to_the_dimension() {
+        let mut arena = SketchArena::new(100, 400);
         arena.push(&[1, 2, 3]);
         assert_eq!(arena.plane_dims(), 3);
-        assert_eq!(arena.resolved_depth(), FilterConfig::MAX_ADAPTIVE_DIMS);
-    }
-
-    #[test]
-    fn groups_are_whole_and_lane_after_lane() {
-        // Row r of a group carries bucket r in lane 0 and 63 − r in
-        // lane 1: lane d is words 8d .. 8d + 8 of the group, eight rows
-        // a word, low byte first. A group is published whole by its
-        // first row, and phase 1 sees it once its 64th is counted.
-        let mut plane = FilterPlane::new(2, 10, 256);
-        plane.grow(130);
-        assert_eq!(
-            (plane.view(0).groups(), plane.heap_bytes()),
-            (0, 3 * 2 * 64)
-        );
-        for row in 0..130 {
-            let r = (row % 64) as u8;
-            plane.put(row, &[r, 63 - r]);
-        }
-        let view = plane.view(130);
-        assert_eq!((view.groups(), view.words.len()), (2, 3 * 2 * GROUP_WORDS));
-        let bytes: Vec<u8> = view
-            .group(1)
-            .iter()
-            .flat_map(|w| w.load(Ordering::Relaxed).to_le_bytes())
-            .collect();
-        let expect: Vec<u8> = (0..64).chain((0..64).rev()).collect();
-        assert_eq!(bytes, expect);
-        assert_eq!(
-            (0..2).map(|d| view.lead(129).bucket(d)).collect::<Vec<_>>(),
-            [1, 62]
-        );
-    }
-
-    #[test]
-    fn quantize_ring_model() {
-        // Paper ring: q = 2 → 200 buckets, tq = ⌈100/2⌉ + 1 = 51.
-        assert_eq!(quantize_ring(100, 400), (2, 200, 51));
-        // Byte-native rings (ka ≤ 256): no quantization, no slack.
-        assert_eq!(quantize_ring(100, 256), (1, 256, 100));
-        assert_eq!(quantize_ring(1, 7), (1, 7, 1));
-        // Largest narrow ring: q = 128 → exactly 256 buckets (the kernels
-        // broadcast the wrapped 0; see `avx2::quad`).
-        assert_eq!(quantize_ring(1000, (1 << 15) - 1), (128, 256, 9));
-        // t clamps to the half-ring before quantizing, and tq clamps to
-        // the half-bucket-ring.
-        assert_eq!(quantize_ring(u64::MAX, 400), (2, 200, 100));
-
-        // Eligibility cliff: 2·tq+1 must stay below the bucket count.
-        assert!(byte_plane_eligible(100, 400));
-        assert!(byte_plane_eligible(0, 400));
-        // 2t+1 = 255 < 256 buckets — barely eligible.
-        assert!(byte_plane_eligible(127, 256));
-        // Same threshold, one bucket fewer: 255 ≥ 255.
-        assert!(!byte_plane_eligible(127, 255));
-        // tq saturates at kq/2 = 100: 201 ≥ 200 buckets.
-        assert!(!byte_plane_eligible(198, 400));
-        // Rings too wide for packed rows never build any plane.
-        assert!(!byte_plane_eligible(100, 1 << 20));
-    }
-
-    /// The arithmetic fact that makes one plane width enough: every
-    /// narrow ring that gets no plane accepts at least 97% of the ring
-    /// per coordinate — sixteen exact lanes would reject at most 39% of
-    /// rows there, and such a ring identifies no one. Swept in full:
-    /// every `ka < 2¹⁵` and every `t ≤ ka/2` with `2t + 1 < ka`. A
-    /// change to [`quantize_ring`]'s slack that widens the no-plane set
-    /// fails here instead of silently moving real rings onto the scalar
-    /// kernel.
-    #[test]
-    fn rings_without_a_plane_cannot_identify() {
-        let mut loosest = (1.0f64, 0, 0);
-        for ka in 2u64..1 << 15 {
-            for t in (0..=ka / 2).filter(|t| 2 * t + 1 < ka) {
-                if !byte_plane_eligible(t, ka) {
-                    let pass = (2 * t + 1) as f64 / ka as f64;
-                    if pass < loosest.0 {
-                        loosest = (pass, t, ka);
-                    }
-                }
-            }
-        }
-        let (pass, t, ka) = loosest;
-        assert!(
-            pass >= 0.97,
-            "t = {t}, ka = {ka} gets no plane but passes only {pass:.4} of the ring"
-        );
-    }
-
-    /// Holds `block_candidates` under `kernel` to its SWAR arm at plane
-    /// depths 1, 3, 8 and 16: random liveness words, words with one
-    /// empty 32-row half (the runs AVX2 skips), `0` and `!0`; random
-    /// probes, and probes on a stored row's buckets so that masks are
-    /// not all empty at depth.
-    #[cfg(target_arch = "x86_64")]
-    fn block_candidates_match_swar(kernel: ActiveKernel, rng: &mut StdRng) {
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let q = quantize_ring(t, ka).0;
-            for dims in [1, 3, 8, 16] {
-                let plane = random_plane(rng, dims, (t, ka), 128);
-                let view = plane.view(128);
-                for i in 0..20 {
-                    let (mut probe, _) = random_probe(rng, dims, ka, q);
-                    if i % 2 == 1 {
-                        let lead = view.lead(rng.gen_range(0..128));
-                        probe = (0..dims).map(|d| u16::from(lead.bucket(d))).collect();
-                    }
-                    let bcast: Vec<u64> = probe.iter().map(|&b| u64::from(b) * LANES).collect();
-                    let pf = ProbeFilter {
-                        biased: &probe,
-                        bcast: &bcast,
-                    };
-                    let r: u64 = rng.gen();
-                    for lw in [0, !0, r, r & 0xFFFF_FFFF, r & !0xFFFF_FFFF] {
-                        for w in 0..view.groups() {
-                            assert_eq!(
-                                view.block_candidates(kernel, pf, w, lw),
-                                view.block_candidates(ActiveKernel::Swar, pf, w, lw),
-                                "{kernel:?} t={t} ka={ka} dims={dims} w={w} lw={lw:#x}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_u8_kernel_matches_swar() {
-        if !avx2::available() {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(0xA208);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let plane = random_plane(&mut rng, 4, (t, ka), 128);
-            let view = plane.view(128);
-            for _ in 0..40 {
-                let (probe, bcast) = random_probe(&mut rng, 4, ka, quantize_ring(t, ka).0);
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for (g, wi) in [(0, 0), (0, 4), (1, 0), (1, 4)] {
-                    let group = view.group(g);
-                    let wide = avx2::quad(group, &probe, plane.tq, plane.kq, wi);
-                    let mut swar = 0u64;
-                    for sub in 0..4 {
-                        swar |= view.swar_word(group, pf, wi + sub) << (sub * 8);
-                    }
-                    assert_eq!(u64::from(wide), swar, "t={t} ka={ka} g={g} wi={wi}");
-                }
-            }
-        }
-        block_candidates_match_swar(ActiveKernel::Avx2, &mut rng);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_u8_kernel_matches_swar() {
-        if !avx512::available() {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(0x5128);
-        for (t, ka) in [(100u64, 400u64), (1, 7), (1000, (1 << 15) - 1)] {
-            let plane = random_plane(&mut rng, 4, (t, ka), 128);
-            let view = plane.view(128);
-            for _ in 0..40 {
-                let (probe, bcast) = random_probe(&mut rng, 4, ka, quantize_ring(t, ka).0);
-                let pf = ProbeFilter {
-                    biased: &probe,
-                    bcast: &bcast,
-                };
-                for g in [0, 1] {
-                    let group = view.group(g);
-                    let wide = avx512::octo(group, &probe, plane.tq, plane.kq);
-                    let mut swar = 0u64;
-                    for sub in 0..8 {
-                        swar |= view.swar_word(group, pf, sub) << (sub * 8);
-                    }
-                    assert_eq!(wide, swar, "t={t} ka={ka} g={g}");
-                }
-            }
-        }
-        block_candidates_match_swar(ActiveKernel::Avx512, &mut rng);
-    }
-
-    #[test]
-    fn swar_word_u8_implements_bucket_predicate() {
-        // Exhaustive single-coordinate check of the SWAR algebra on an
-        // awkward odd ring (q = 2, kq = 201): the mask must equal the
-        // bucket-distance predicate exactly, and must accept every pair
-        // the scalar residue predicate accepts (over-accept only —
-        // phase 2 can prune, never resurrect). And on a q = 1 ring
-        // (ka = 251), where a bucket is the residue itself and the
-        // bucket predicate *is* `cyclic_close`: the 16-bit lane algebra
-        // held to the exact predicate.
-        for ka in [401u64, 251] {
-            for t in [0u64, 1, 57, 100, 199] {
-                let (q, kq, tq) = quantize_ring(t, ka);
-                let plane = FilterPlane::new(1, t, ka);
-                for a in 0..ka as i64 {
-                    let row_bucket = a as u16 / q;
-                    // Pack the same row bucket in all eight byte slots.
-                    let group: [AtomicU64; GROUP_WORDS] = std::array::from_fn(|_| {
-                        AtomicU64::new(u64::from(row_bucket) * 0x0101_0101_0101_0101)
-                    });
-                    let view = PlaneView {
-                        plane: &plane,
-                        words: &group,
-                        groups: 1,
-                    };
-                    for bval in (0..ka as i64).step_by(3) {
-                        let pb = bval as u16 / q;
-                        let biased = [pb];
-                        let bcast = [u64::from(pb) * LANES];
-                        let pf = ProbeFilter {
-                            biased: &biased,
-                            bcast: &bcast,
-                        };
-                        let mask = view.swar_word(&group, pf, 0);
-                        assert!(mask == 0 || mask == 0xFF, "lanes disagree: {mask:#x}");
-                        let d = row_bucket.abs_diff(pb);
-                        let bucket_close = d.min(kq - d) <= tq;
-                        assert_eq!(
-                            mask == 0xFF,
-                            bucket_close,
-                            "a={a} b={bval} t={t} ka={ka}: mask {mask:#x}"
-                        );
-                        let close = crate::conditions::cyclic_close(a, bval, t, ka);
-                        if close {
-                            assert_eq!(mask, 0xFF, "a={a} b={bval} t={t} ka={ka}: over-rejected");
-                        }
-                        if q == 1 {
-                            assert_eq!(bucket_close, close, "a={a} b={bval} t={t} ka={ka}");
-                        }
-                    }
-                }
-            }
-        }
+        let mut arena = SketchArena::new(100, 400);
+        arena.push(&[1; 130]);
+        assert_eq!(arena.plane_dims(), 64);
     }
 }

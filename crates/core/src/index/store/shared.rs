@@ -26,18 +26,22 @@
 //!
 //! The prefilter plane is the one column whose published slots still
 //! change (invariant 1's interior mutability): a `Column<AtomicU64>`
-//! that publishes a 64-row group's lane words, zeroed, when the group's
-//! first row lands, and then takes each row's leading bucket bytes by
-//! atomic stores before the arena's `Release` store of its row count.
-//! The rule that keeps that sound without a lock:
+//! that publishes a 512-row block's words, zeroed, when the block's
+//! first row lands, and then takes each 64-row group's words by atomic
+//! stores when the group's 64th row lands, before the arena's `Release`
+//! store of that row count. The rule that keeps that sound without a
+//! lock:
 //!
-//! * an open group's words change only by atomic stores of the one
-//!   writer, and are read only by atomic loads;
+//! * a word changes only by atomic stores of the one writer, and every
+//!   read of it is an atomic load — phase 1's word loop included, so
+//!   nothing about the plane needs `unsafe`;
 //! * a group whose 64th row is published is never stored to again;
 //! * phase 1 reads only the groups below `rows / 64` of the row count
 //!   its sweep acquired — complete, so frozen, and ordered before that
-//!   count — never the open group; the SIMD kernels load them through
-//!   the slice's pointer, which races with nothing.
+//!   count — never the open group, whose rows phase 2 checks one by
+//!   one, their cells copied from the plane's staging (outside this
+//!   column) and kept only if the staging still holds their group once
+//!   the copy is taken (`plane::Lead`).
 
 #![allow(unsafe_code)]
 

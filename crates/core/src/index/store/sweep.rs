@@ -1,22 +1,70 @@
 //! The one lookup driver: a bounded, optionally masked, multi-probe
 //! sweep that the arena's `find` and `find_first_batch` (and every
-//! epoch tier's) are wrappers over.
+//! epoch tier's) are wrappers over, and the per-thread counts of what
+//! it did.
 
-use super::cells::{prepare_into, Cells, Layout, Reduced};
-use super::kernels::{fetch, ActiveKernel};
-use super::plane::{build_filter_probes, Lead, PlaneView, ProbeFilter};
+use super::cells::{prepare_into, Cells, Layout};
+use super::plane::{Lead, PlaneView, Test, BLOCK_ROWS};
 use super::{RecordId, SketchArena, SketchIndex};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 
 /// Liveness words per tile — the unit a sweep hands to one probe at a
 /// time (see [`Sweep::tiles`]) and the phase-1/phase-2 super-block of
-/// the walk (see [`Sweep::walk`]): 1 024 rows. Small enough that the
-/// tile's plane lanes (8–16 KB at the paper ring) stay in L1 from one
-/// probe of a batch to the next; large enough that a survivor's
-/// prefetch, issued as its mask comes out of phase 1, has on average
-/// half a tile of phase-1 compute to land before phase 2 reads the row.
+/// the walk (see [`Sweep::walk`]): 1 024 rows, two plane blocks. Small
+/// enough that the tile's plane blocks (16 KB at the paper ring) stay
+/// in L1 from one probe of a batch to the next.
 pub(super) const TILE_WORDS: usize = 16;
+
+/// Words a plane block's 512 rows take in the liveness bitmap.
+const BLOCK_WORDS: usize = BLOCK_ROWS / 64;
+
+/// What the calling thread's sweeps have done so far: read with
+/// [`sweep_counts`], and subtract two readings to count one lookup.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepCounts {
+    /// Phase-1 passes: over a whole 512-row block of the prefilter
+    /// plane, or over one complete 64-row group of an arena's open
+    /// block.
+    pub blocks: u64,
+    /// Cell tests those passes ran before their candidates ran out —
+    /// one for each cell a probe coordinate rules out, so one a
+    /// coordinate evaluated at the paper ring, where every coordinate
+    /// rules out exactly one.
+    pub coordinates: u64,
+    /// Rows handed to phase 2: phase 1's survivors, the open group's
+    /// live rows, and every live row of an arena without a plane.
+    pub verified: u64,
+}
+
+thread_local! {
+    static COUNTS: Cell<SweepCounts> = const {
+        Cell::new(SweepCounts { blocks: 0, coordinates: 0, verified: 0 })
+    };
+}
+
+/// The calling thread's [`SweepCounts`], the way
+/// [`ring_divides`](crate::ring_divides) reads its divides:
+///
+/// ```rust
+/// use fe_core::{sweep_counts, ScanIndex, SketchIndex};
+///
+/// let mut index = ScanIndex::new(100, 400);
+/// for i in 0..1024 {
+///     index.insert(&[i % 400 - 200; 64]);
+/// }
+/// let before = sweep_counts();
+/// assert_eq!(index.find_first(&[0; 64]), Some(100));
+/// let after = sweep_counts();
+/// // Both blocks of the one 1 024-row tile pass through phase 1;
+/// // phase 2 is handed the candidates of rows 64–127 (100 to 127 are
+/// // within t of the probe) and stops at the first.
+/// assert_eq!(after.blocks - before.blocks, 2);
+/// assert_eq!(after.verified - before.verified, 28);
+/// ```
+pub fn sweep_counts() -> SweepCounts {
+    COUNTS.with(Cell::get)
+}
 
 /// A caller-supplied row subset for masked sweeps, stored exactly like
 /// the arena's liveness words (one bit per row, 64 rows per word) so
@@ -87,16 +135,18 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Per-thread reusable scan state: normalized-probe buffers for every
-/// row layout, the prefilter probe state, and the indices of the
-/// probes a sweep actually prepared. Hoisted off the per-call hot
-/// path: a tiered lookup prepares the same probes once *per tier*.
+/// row layout, the probes' cell tests, and the indices of the probes a
+/// sweep actually prepared. Hoisted off the per-call hot path: a
+/// tiered lookup prepares the same probes once *per tier*.
 #[derive(Default)]
 struct ScanScratch {
-    reduced: Vec<Reduced>,
+    residues: Vec<u16>,
     i32s: Vec<i32>,
     i64s: Vec<i64>,
-    biased: Vec<u16>,
-    bcast: Vec<u64>,
+    tests: Vec<Test>,
+    /// Where each prepared probe's tests start in `tests`, and one
+    /// past the last probe's.
+    starts: Vec<usize>,
     active: Vec<usize>,
 }
 
@@ -108,16 +158,13 @@ thread_local! {
     static SCRATCH: RefCell<ScanScratch> = RefCell::new(ScanScratch::default());
 }
 
-/// Phase 1 of a sweep over an arena with a live prefilter plane: the
-/// plane's groups of the sweep's rows, its resolved kernel, and every
-/// probe's prefilter state (`plane.dims()` entries apart).
+/// Phase 1 of a sweep over an arena with a prefilter plane: the
+/// plane's blocks of the sweep's rows, and every probe's cell tests.
 #[derive(Clone, Copy)]
 struct PlaneProbes<'a> {
     view: &'a PlaneView<'a>,
-    /// Liveness words the plane covers: the complete 64-row groups.
-    groups: usize,
-    kernel: ActiveKernel,
-    pf: ProbeFilter<'a>,
+    tests: &'a [Test],
+    starts: &'a [usize],
 }
 
 /// One prepared sweep: the probes normalized for the arena's row
@@ -128,9 +175,8 @@ struct Sweep<'a, L: Layout> {
     arena: &'a SketchArena,
     layout: L,
     /// The arena's rows as of this sweep's one `Acquire` load of the
-    /// row count, and their column units, `stride` a row (on a packed
-    /// ring with a plane, all but the leading buckets the plane
-    /// holds): nothing past them is read.
+    /// row count, and their column units, `stride` a row: nothing past
+    /// them is read.
     rows: usize,
     cells: &'a [L::Unit],
     stride: usize,
@@ -139,13 +185,13 @@ struct Sweep<'a, L: Layout> {
     /// caller's index of it — what its hits are reported under.
     probes: &'a [L::Probe],
     active: &'a [usize],
-    /// `None` on wide rings, disabled filters and rings no lane can
-    /// reject on: phase 1 is then the identity — every visitable row
-    /// is a candidate and phase 2 verifies it from dimension 0.
+    /// `None` on wide rings, disabled filters and rings where no cell
+    /// can be ruled out: phase 1 is then the identity — every visitable
+    /// row is a candidate and phase 2 verifies it.
     plane: Option<PlaneProbes<'a>>,
     /// The row subset of a masked sweep, ANDed into each liveness word
     /// ahead of phase 1: excluded rows cost nothing, and a wholly
-    /// excluded 64-row block is skipped after one load.
+    /// excluded 64-row group is skipped after one load.
     only: Option<&'a RowMask>,
     budget: usize,
 }
@@ -158,8 +204,8 @@ struct OpenProbe<'a, P> {
     left: usize,
     /// Its `dim` prepared values.
     cells: &'a [P],
-    /// Its prefilter state (empty without a plane).
-    pf: ProbeFilter<'a>,
+    /// Its cell tests (empty without a plane).
+    tests: &'a [Test],
 }
 
 impl<L: Layout> Sweep<'_, L> {
@@ -168,18 +214,11 @@ impl<L: Layout> Sweep<'_, L> {
     /// per probe, at most `budget` each.
     ///
     /// The words are cut into tiles of [`TILE_WORDS`], and each tile is
-    /// [`Sweep::walk`]ed once per open probe while its plane lanes are
+    /// [`Sweep::walk`]ed once per open probe while its plane blocks are
     /// hot in L1, so a batch streams the columns through memory once
     /// instead of once per probe. A probe leaves the sweep at its
     /// `budget`-th hit, and the sweep ends with the last open probe.
     fn tiles(&self) -> Vec<(usize, RecordId)> {
-        let none = ProbeFilter {
-            biased: &[],
-            bcast: &[],
-        };
-        let (pd, pf) = self
-            .plane
-            .map_or((0, none), |p| (p.view.plane.dims(), p.pf));
         let mut open: Vec<OpenProbe<'_, L::Probe>> = self
             .active
             .iter()
@@ -188,10 +227,9 @@ impl<L: Layout> Sweep<'_, L> {
                 k: caller,
                 left: self.budget,
                 cells: &self.probes[k * self.dim..(k + 1) * self.dim],
-                pf: ProbeFilter {
-                    biased: &pf.biased[k * pd..(k + 1) * pd],
-                    bcast: &pf.bcast[k * pd..(k + 1) * pd],
-                },
+                tests: self
+                    .plane
+                    .map_or(&[][..], |p| &p.tests[p.starts[k]..p.starts[k + 1]]),
             })
             .collect();
         let mut hits = Vec::new();
@@ -216,65 +254,80 @@ impl<L: Layout> Sweep<'_, L> {
     }
 
     /// The row walker — the only code that iterates liveness words and
-    /// verifies rows. Sweeps one tile (`words`, at most [`TILE_WORDS`])
-    /// for one probe, pushing its hits in row order until the tile or
-    /// the probe's budget runs out.
+    /// verifies rows. Sweeps one tile (`words`, at most [`TILE_WORDS`],
+    /// starting on a block) for one probe, pushing its hits in row
+    /// order until the tile or the probe's budget runs out.
     ///
-    /// Phase 1 turns each word's visitable bits into a candidate mask
-    /// on the plane, software-prefetching each survivor's column row as
-    /// its mask comes out — its first `F` bytes, the buckets of the `F`
-    /// coordinates after the plane's, which is as far as a packed row
-    /// that does not match is read (a 64-byte row starts anywhere in
-    /// its cache line, so that can be two lines); phase 2 then
-    /// exact-verifies the tile's survivors with the scalar early-abort
-    /// kernel over the whole row, its leading buckets taken back from
-    /// the group phase 1 just read (the plane over-accepts, so every
-    /// coordinate is re-checked). The two phases equal a full-row
-    /// `row_matches`; running phase 1 a whole tile ahead is what hides
-    /// phase 2's scattered loads behind phase 1's compute. A word past
-    /// the plane's complete groups — the open group, at most 63 rows —
-    /// has no phase 1: all its visitable rows are verified, their
-    /// leading buckets read by atomic loads.
+    /// Phase 1 turns the visitable bits of each complete group into
+    /// candidates on the plane: a whole block's eight words in one pass
+    /// of [`PlaneView::survivors`], an open block's complete groups one
+    /// word a pass. Phase 2 then checks each candidate's exact distance
+    /// on every coordinate, its cells read back from the plane. A word
+    /// past the complete groups — the open group, at most 63 rows — has
+    /// no phase 1: all its visitable rows are verified. The counts of
+    /// [`sweep_counts`] are added once a walk.
     fn walk(
         &self,
         words: Range<usize>,
         probe: &mut OpenProbe<'_, L::Probe>,
         hits: &mut Vec<(usize, RecordId)>,
     ) {
-        debug_assert!(words.len() <= TILE_WORDS);
-        let stride = self.stride;
-        let planed = self.plane.map_or(0, |p| p.groups);
-        let pd = probe.pf.biased.len();
+        debug_assert!(words.len() <= TILE_WORDS && words.start.is_multiple_of(BLOCK_WORDS));
+        let mut counts = SweepCounts::default();
         let mut cands = [0u64; TILE_WORDS];
         for (wi, cand) in words.clone().zip(&mut cands) {
             *cand = self.arena.live_word(wi, self.rows);
             if let Some(only) = self.only {
                 *cand &= only.word(wi);
             }
-            if let (Some(p), true) = (self.plane, wi < planed && *cand != 0) {
-                *cand = p.view.block_candidates(p.kernel, probe.pf, wi, *cand);
-                for at in set_bits(*cand).map(|bit| (wi * 64 + bit) * stride) {
-                    fetch::prefetch_read(self.cells, at);
-                    fetch::prefetch_read(self.cells, at + pd - 1);
-                }
-            }
         }
-        for (wi, cand) in words.zip(cands) {
-            // A planed word's candidates passed phase 1 on the plane's
-            // leading coordinates; the open group's passed nothing.
-            let passed = if wi < planed { pd } else { 0 };
-            for row in set_bits(cand).map(|bit| wi * 64 + bit) {
-                let s = &self.cells[row * stride..(row + 1) * stride];
-                let lead = self.plane.map_or_else(Lead::none, |p| p.view.lead(row));
-                if self.layout.row_matches(lead, s, probe.cells, passed) {
-                    hits.push((probe.k, row));
-                    probe.left -= 1;
-                    if probe.left == 0 {
-                        return;
+        if let Some(p) = self.plane {
+            let planed = words.start..words.end.min(p.view.groups());
+            for (at, block) in cands[..planed.len()].chunks_mut(BLOCK_WORDS).enumerate() {
+                let first = planed.start + at * BLOCK_WORDS;
+                if let Ok(block) = <&mut [u64; BLOCK_WORDS]>::try_from(&mut *block) {
+                    if *block != [0; BLOCK_WORDS] {
+                        counts.blocks += 1;
+                        counts.coordinates += p.view.survivors(first, probe.tests, block) as u64;
+                    }
+                } else {
+                    for (wi, cand) in (first..).zip(block) {
+                        if *cand != 0 {
+                            counts.blocks += 1;
+                            let word = &mut [*cand];
+                            counts.coordinates += p.view.survivors(wi, probe.tests, word) as u64;
+                            *cand = word[0];
+                        }
                     }
                 }
             }
         }
+        for (wi, cand) in words.zip(cands) {
+            counts.verified += u64::from(cand.count_ones());
+            for row in set_bits(cand).map(|bit| wi * 64 + bit) {
+                // The row's units and the column after them.
+                let s = &self.cells[row * self.stride..];
+                let lead = self.plane.map_or_else(Lead::none, |p| p.view.lead(row));
+                if self.layout.row_matches(lead, s, probe.cells) {
+                    hits.push((probe.k, row));
+                    probe.left -= 1;
+                    if probe.left == 0 {
+                        break;
+                    }
+                }
+            }
+            if probe.left == 0 {
+                break;
+            }
+        }
+        COUNTS.with(|total| {
+            let t = total.get();
+            total.set(SweepCounts {
+                blocks: t.blocks + counts.blocks,
+                coordinates: t.coordinates + counts.coordinates,
+                verified: t.verified + counts.verified,
+            });
+        });
     }
 }
 
@@ -306,9 +359,7 @@ impl SketchArena {
             return Vec::new();
         }
         let rows = self.rows();
-        let view = self
-            .active_plane()
-            .map(|(plane, kernel)| (plane.view(rows), kernel));
+        let view = self.cells.plane().map(|plane| plane.view(rows));
         SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
             s.active.clear();
@@ -319,26 +370,22 @@ impl SketchArena {
             }
             match &self.cells {
                 Cells::Packed(packed, col, _) => {
-                    prepare_into(*packed, &mut s.reduced, probes, &s.active);
-                    if let Some((view, _)) = &view {
-                        build_filter_probes(
-                            view.plane,
-                            &s.reduced,
-                            dim,
-                            &mut s.biased,
-                            &mut s.bcast,
-                        );
-                    }
-                    let plane = view.as_ref().map(|(view, kernel)| PlaneProbes {
-                        view,
-                        groups: view.groups(),
-                        kernel: *kernel,
-                        pf: ProbeFilter {
-                            biased: &s.biased,
-                            bcast: &s.bcast,
-                        },
+                    prepare_into(*packed, &mut s.residues, probes, &s.active);
+                    let plane = view.as_ref().map(|view| {
+                        s.tests.clear();
+                        s.starts.clear();
+                        for probe in s.residues.chunks_exact(dim) {
+                            s.starts.push(s.tests.len());
+                            view.plane.tests(probe, &mut s.tests);
+                        }
+                        s.starts.push(s.tests.len());
+                        PlaneProbes {
+                            view,
+                            tests: &s.tests,
+                            starts: &s.starts,
+                        }
                     });
-                    let (cells, probes) = (col.published(), &s.reduced);
+                    let (cells, probes) = (col.published(), &s.residues);
                     self.run(*packed, rows, cells, probes, plane, &s.active, only, budget)
                 }
                 Cells::I32(wide, col) => {

@@ -87,8 +87,8 @@ pub use encode::encode_i64_vector;
 pub use error::SketchError;
 pub use fuzzy::{FuzzyExtractor, HelperData};
 pub use index::{
-    CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, FilterKernel, IndexReader,
-    PlaneDepth, RecordId, ScanIndex, Segment, SketchArena, SketchIndex,
+    sweep_counts, CellWidth, EpochIndex, EpochRead, EpochReader, FilterConfig, IndexReader,
+    PlaneDepth, RecordId, ScanIndex, Segment, SketchArena, SketchIndex, SweepCounts,
 };
 pub use key::ExtractedKey;
 pub use numberline::{ring_divides, NumberLine};

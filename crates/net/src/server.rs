@@ -33,7 +33,9 @@
 //! wake-ups until it is reaped. Shutdown shuts the read half of every
 //! connection's socket: a blocked read returns end-of-stream at once,
 //! the reader ends as on a clean close, and the writer still drains
-//! every reply already queued before the socket closes.
+//! every reply already queued before the socket closes — each send it
+//! starts from then on given a poll tick, so a peer that takes no reply
+//! bytes holds shutdown for at most the send already in flight.
 //!
 //! # Backpressure
 //!
@@ -46,8 +48,10 @@
 //! A peer's own backpressure is its socket: the writer's write timeout
 //! is the idle window too, so a peer that takes no reply bytes for that
 //! long is closed as idle — its writer gives up, its reader finds the
-//! channel closed — and neither thread can hold up shutdown for longer
-//! than the window.
+//! channel closed. The window bounds one send, not a reply: a peer
+//! that takes a few bytes a window keeps a reply's `write_all` going,
+//! so once shutdown begins every send gets a poll tick, and only the
+//! send already in flight can hold shutdown for up to the window.
 //!
 //! # Failure severities
 //!
@@ -93,9 +97,11 @@ pub struct NetConfig {
     /// write timeout, so it must not be zero.
     pub idle_timeout: Duration,
     /// How long the accept loop backs off after a failed `accept` (a
-    /// connection reset before it was accepted, no descriptor left).
-    /// Nothing else waits on it: accepting a connection, reaping an
-    /// idle one and shutting down are all woken by the kernel.
+    /// connection reset before it was accepted, no descriptor left),
+    /// and, once shutdown begins, the write timeout of each send a
+    /// connection's writer starts to drain its queued replies. Nothing
+    /// else waits on it: accepting a connection, reaping an idle one and
+    /// shutting down are all woken by the kernel.
     pub poll_tick: Duration,
 }
 
@@ -341,9 +347,14 @@ fn accept_loop(
         }
     }
     // A read blocked on a shut read half returns end-of-stream: every
-    // reader ends as on a clean close, and its writer drains.
+    // reader ends as on a clean close, and its writer drains — each
+    // send it starts from here on bounded by a poll tick, not the idle
+    // window: the idle window bounds each send, not the drain, so a
+    // peer that takes a few bytes a window could otherwise hold
+    // shutdown for a window per partial write.
     for (socket, _) in &connections {
         if let Some(stream) = socket.upgrade() {
+            let _ = stream.set_write_timeout(Some(config.poll_tick));
             let _ = stream.shutdown(Shutdown::Read);
         }
     }

@@ -88,7 +88,7 @@ pub mod wire;
 
 pub use device::BiometricDevice;
 pub use error::ProtocolError;
-pub use fe_core::{FilterConfig, FilterKernel, PlaneDepth};
+pub use fe_core::{FilterConfig, PlaneDepth};
 pub use messages::{
     EnrollmentRecord, IdentChallenge, IdentOutcome, IdentResponse, SessionId, UserId, WireHelper,
 };

@@ -30,11 +30,10 @@ impl SystemParams {
         }
     }
 
-    /// Tunes the server-side SWAR/SIMD prefilter plane for the
-    /// conditions (1)–(4) scan. The default keeps the plane on at an
-    /// adaptive depth chosen from the ring's rejection rate, with
-    /// auto-dispatched SIMD; [`FilterConfig::disabled`] restores the
-    /// pure scalar kernel.
+    /// Tunes the server-side prefilter plane for the conditions (1)–(4)
+    /// scan. The default keeps the cells of every coordinate up to 64
+    /// in the plane; [`FilterConfig::disabled`] restores the pure scalar
+    /// kernel.
     #[must_use]
     pub fn with_filter_config(mut self, filter: FilterConfig) -> Self {
         self.filter = filter;
@@ -163,7 +162,7 @@ mod tests {
         use fe_core::PlaneDepth;
         let p = SystemParams::insecure_test_defaults();
         assert_eq!(p.filter_config(), FilterConfig::default());
-        assert_eq!(p.filter_config().depth, PlaneDepth::Adaptive);
+        assert_eq!(p.filter_config().depth, PlaneDepth::Fixed(64));
         let p = p.with_filter_config(FilterConfig::disabled());
         assert_eq!(p.filter_config().depth, PlaneDepth::Fixed(0));
     }

@@ -6,10 +6,10 @@
 //! A single `identify` request pays one full early-abort sweep over the
 //! enrolled population, its snapshot load and a shard lock round. The
 //! multi-query kernel (`find_first_batch`) resolves concurrent requests
-//! in *one* pass and one lock round per shard. The sweep is bound by its
-//! kernel, not by memory (DESIGN.md "What batching saves on a
-//! kernel-bound sweep"), so the pass itself saves ≤ 10% a probe at a
-//! batch of 32. The scheduler is the piece that gathers the batch:
+//! in *one* pass and one lock round per shard. At 10⁶ paper rows a lone
+//! sweep is bound by how fast one core reads the plane, and a batch of
+//! 32 reads it once for all: about half the per-probe cost (DESIGN.md
+//! "What batching saves"). The scheduler is the piece that gathers the batch:
 //! concurrent callers land in one admission queue, a small pool of
 //! workers drains the queue in **micro-batches**, and each batch runs
 //! through [`SharedServer::identify_batch`], which hands the whole batch

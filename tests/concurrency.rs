@@ -378,29 +378,32 @@ fn readers_see_every_finished_insert_and_nothing_unwritten() {
 }
 
 /// The head's publication rule at the paper shape (`t = 100`,
-/// `ka = 400`, `dim = 64`), where the prefilter plane is 8 lanes deep
-/// and the only home of each row's first 8 bucket bytes: a row's
-/// column bytes and its plane bytes — in a group that the row opened,
-/// or in one still open — must both be in place before the row count
-/// that shows the row. One writer appends across dozens of seals and
-/// many more 64-row groups, revoking some rows while they are still in
-/// the head, and lock-free readers must find every finished row and
-/// never a half-written one: `torn(k)` is row `k` with its first 8
-/// coordinates at 0, what unstored plane bytes decode to, and no row
-/// has a coordinate within `t` of 0, so only a row read with its plane
-/// bytes missing could match it.
+/// `ka = 400`, `dim = 64`), where the prefilter plane holds the cells
+/// of all 64 coordinates and is their only home: a row's column bytes
+/// and its plane bits — in a block that the row opened, or in one
+/// still open — must both be in place before the row count that shows
+/// the row. One writer appends across dozens of seals and many more
+/// 64-row groups, revoking some rows while they are still in the head,
+/// and lock-free readers must find every finished row and never a
+/// half-written one: `torn(k)` is row `k` as it decodes with its cells
+/// unwritten — its group's plane words, or in the first group the
+/// staging, still zero, so each coordinate is its offset, 10 for `+110`
+/// and 90 for `−110` — and it matches no row whose low 16 bits are not
+/// all set, none of the rows here, so only a row read with its cells
+/// missing could match it.
 ///
 /// Row `i` is the only row `pattern(i)` matches: each coordinate is
 /// ±110 by one of the low 16 bits of `i`, and the two values are
-/// 180 > t apart. The first 8 bits decide phase 1, the next 8 phase 2,
-/// so both phases and the open group's row-by-row path are exercised.
+/// 180 > t apart, in cells 1 and 2 of the four. Phase 1 turns a row
+/// away on the first coordinate whose cell the probe rules out, so
+/// both phases and the open group's row-by-row path are exercised.
 #[test]
 fn readers_see_every_finished_insert_at_the_paper_shape() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     const ROWS: usize = 30_000;
     const DIM: usize = 64;
-    const PLANE: usize = 8;
+    const PLANE: usize = 64;
     let (t, ka) = (100u64, 400u64);
     let pattern = |i: usize| -> Vec<i64> {
         (0..DIM)
@@ -409,7 +412,9 @@ fn readers_see_every_finished_insert_at_the_paper_shape() {
     };
     let torn = |i: usize| -> Vec<i64> {
         let mut row = pattern(i);
-        row[..PLANE].fill(0);
+        row[..PLANE]
+            .iter_mut()
+            .for_each(|v| *v = v.rem_euclid(ka as i64) % 100);
         row
     };
     let revoked = |i: usize| i % 7 == 3;

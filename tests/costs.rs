@@ -1,9 +1,9 @@
 //! Exact costs, counted rather than timed: Montgomery products per DSA
 //! operation and per login, from `fe-bigint`'s per-thread counters, the
 //! hardware divides `SS` and `Rec` fall back to, from `fe-core`'s, the
-//! keyed id hashes of the record table, from `fe-protocol`'s, and the
-//! bytes a record takes in the journal, in a snapshot row and on the
-//! wire.
+//! keyed id hashes of the record table, from `fe-protocol`'s, the work
+//! of an identification sweep, from the index's, and the bytes a record
+//! takes in the journal, in a snapshot row and on the wire.
 //!
 //! A count does not move with the host's speed, so these are equalities.
 //! Each pinned number is beside what the same operation took with one
@@ -15,7 +15,9 @@
 
 use fuzzy_id::bigint::montgomery::{counts, Counts};
 use fuzzy_id::core::codec::Writer;
-use fuzzy_id::core::{ring_divides, ChebyshevSketch, SecureSketch};
+use fuzzy_id::core::{
+    ring_divides, sweep_counts, ChebyshevSketch, ScanIndex, SecureSketch, SketchIndex,
+};
 use fuzzy_id::crypto::dsa::{Dsa, DsaParams};
 use fuzzy_id::crypto::sig::SignatureScheme;
 use fuzzy_id::protocol::concurrent::SharedServer;
@@ -205,6 +207,61 @@ fn identification_costs_the_products_of_verification() {
     let identified = login(true);
     assert_eq!(identified, login(false));
     assert_eq!(identified.products(), 304);
+}
+
+/// The identification sweep's phase 1 at the paper ring: every probe
+/// coordinate rules out one of four cells, so a row survives a cell
+/// test with probability ¾ and a block of 512 random rows is empty once
+/// none of them survives. The loop checks for that every 4 tests, so
+/// it runs `Σⱼ 4 · (1 − (1 − (¾)^{4j})^512)` tests a block over
+/// `j = 0 … 15` — 25.70 — and a row reaches phase 2 with probability
+/// `(¾)⁶⁴ ≈ 10⁻⁸`. Measured over 100 no-match probes of 196 whole blocks
+/// (100 352 rows, no open group): within 5% of the model, and at most
+/// one phase-2 row a probe; and a planted match is verified and found.
+#[test]
+fn a_sweep_tests_the_cells_the_geometric_model_predicts() {
+    const ROWS: usize = 196 * 512;
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let residues =
+        |rng: &mut StdRng| -> Vec<i64> { (0..64).map(|_| rng.gen_range(-199..=200)).collect() };
+    let mut index = ScanIndex::new(100, 400);
+    index.reserve(ROWS, 64);
+    for _ in 0..ROWS {
+        index.insert(&residues(&mut rng));
+    }
+    let model: f64 = (0..16)
+        .map(|j| 4.0 * (1.0 - (1.0 - 0.75f64.powi(4 * j)).powi(512)))
+        .sum();
+    assert!((model - 25.70).abs() < 0.01, "{model}");
+
+    let before = sweep_counts();
+    for _ in 0..100 {
+        let probe = residues(&mut rng);
+        assert_eq!(index.find_first(&probe), None);
+    }
+    let after = sweep_counts();
+    let blocks = after.blocks - before.blocks;
+    assert_eq!(blocks, 100 * 196, "every block visited once a probe");
+    let per_block = (after.coordinates - before.coordinates) as f64 / blocks as f64;
+    assert!(
+        (per_block / model - 1.0).abs() < 0.05,
+        "{per_block:.2} cell tests a block against the model's {model:.2}"
+    );
+    let verified = (after.verified - before.verified) as f64 / 100.0;
+    assert!(verified <= 1.0, "{verified} rows a probe reached phase 2");
+
+    // A row within t of the probe on every coordinate passes phase 1
+    // and phase 2 finds it.
+    let probe = residues(&mut rng);
+    let planted: Vec<i64> = probe
+        .iter()
+        .map(|&v| v + rng.gen_range(-100i64..=100))
+        .collect();
+    let id = index.insert(&planted);
+    let before = sweep_counts();
+    assert_eq!(index.find_first(&probe), Some(id));
+    let after = sweep_counts();
+    assert!(after.verified - before.verified >= 1);
 }
 
 /// `f`'s result and the hardware divides the ring arithmetic fell back

@@ -1,8 +1,9 @@
 //! Matching-modes suite: the count-bounded and subset-masked scan
 //! kernels and the four server-side matching modes — each checked
 //! against a naive oracle built from nothing but the scalar
-//! `cyclic_close` test, across every kernel (scalar / SWAR /
-//! auto-dispatched SIMD) and every cell-width class.
+//! `cyclic_close` test, across every configuration of the prefilter
+//! (scalar / the plane under both its names) and every cell-width
+//! class.
 
 use fuzzy_id::core::conditions::{cyclic_close, sketches_match};
 use fuzzy_id::core::{FilterConfig, SketchArena, SketchIndex};
@@ -125,8 +126,8 @@ fn materialize(bases: &[Vec<i64>], (sel, noise, _): &Derived) -> Vec<i64> {
         .collect()
 }
 
-/// Every kernel under test: auto-dispatched SIMD, forced SWAR, and
-/// plain scalar.
+/// Every kernel under test: the plane's word loop, by the default and
+/// by `swar()` (the same plane), and plain scalar.
 fn kernel_sweep() -> [FilterConfig; 3] {
     [
         FilterConfig::default(),

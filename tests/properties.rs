@@ -850,10 +850,12 @@ enum IndexOp {
     Compact,
 }
 
-/// Narrow rings `(t, ka)` so loose that no bucket lane of the prefilter
-/// plane could reject (`2·t_q+1 ≥ ⌈ka/q⌉`): the default builds no plane
+/// Narrow rings `(t, ka)` so loose that no cell of the prefilter plane
+/// could ever lie wholly outside a probe's arc — the window the arc
+/// leaves is narrower than every cell the rule could cut — each one
+/// step on `t` from a ring that gets a plane: the default builds none
 /// there and the scalar early-abort kernel answers alone.
-const NO_PLANE_RINGS: [(u64, u64); 3] = [(125, 258), (198, 400), (16_200, 32_767)];
+const NO_PLANE_RINGS: [(u64, u64); 3] = [(128, 258), (255, 512), (16_320, 32_767)];
 
 /// Ring parameters spanning all three arena row layouts (packed, `i32`,
 /// `i64`) **plus** the `ka ≥ 2⁶³` regime where the `i64` kernel must
@@ -1021,10 +1023,11 @@ proptest! {
         );
     }
 
-    /// The portable SWAR kernel, forced (even where AVX2 exists) ≡ the
-    /// model: prefilter+verify can never disagree with the scalar path
-    /// on any population, for any cell width (wide rings — including
-    /// the `ka ≥ 2⁶³` i128-fallback class — must silently skip SWAR).
+    /// The plane by its portable name (`FilterConfig::swar()`, the one
+    /// word loop) ≡ the model: prefilter+verify can never disagree with
+    /// the scalar path on any population, for any cell width (wide
+    /// rings — including the `ka ≥ 2⁶³` i128-fallback class — must
+    /// silently skip the plane).
     #[test]
     fn swar_kernel_scan_index_matches_model((t, ka, _dim, ops) in index_case()) {
         check_against_model(
@@ -1036,11 +1039,11 @@ proptest! {
     /// The kernel's no-`%` cyclic test on canonical values agrees with
     /// `cyclic_close` on raw values — for every width class (including
     /// the `ka ≥ 2⁶³` ring whose subtraction must widen through i128)
-    /// and every kernel: runtime-dispatched (AVX2 where available),
-    /// forced SWAR, and scalar. Sixty-four copies of a one-dimensional
-    /// sketch fill one plane group, so on narrow rings phase 1 decides
-    /// which of them phase 2 sees at all: an over-rejecting lane
-    /// algebra shows up as a miss.
+    /// and every kernel: the plane by both its names, and scalar.
+    /// Sixty-four copies of a one-dimensional sketch fill one plane
+    /// group, so on narrow rings phase 1 decides which of them phase 2
+    /// sees at all: a cell ruled out that should not be shows up as a
+    /// miss.
     #[test]
     fn arena_kernel_agrees_with_cyclic_close(
         (t, ka) in ring_params(),
@@ -1066,11 +1069,11 @@ proptest! {
     }
 }
 
-/// Narrow rings biased toward the plane-eligibility cliff: the
-/// byte plane quantizes residues into `kq = ⌈ka/⌈ka/256⌉⌉` buckets and
-/// stands down when `2·tq+1 ≥ kq`, so rings right at a byte's capacity
-/// (255/256/257) and the extremes (tiny, paper, largest narrow) are where
-/// an off-by-one in eligibility or bucket math would first surface.
+/// Narrow rings biased toward the cell rule's edges: a cell is
+/// `w = ⌈ka / 2^b⌉` residues, the last one short when `2^b ∤ ka`, so
+/// rings at a byte's capacity (255/256/257) and the extremes (tiny,
+/// paper, largest narrow) are where an off-by-one in the cell width,
+/// the short cell or the window an arc leaves would first surface.
 fn byte_edge_ring() -> impl Strategy<Value = u64> {
     (0u8..8, 2u64..(1 << 15)).prop_map(|(sel, rand_ka)| match sel {
         0 => 255,
@@ -1085,9 +1088,9 @@ fn byte_edge_ring() -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The quantized byte plane ≡ the model across every cell-width
-    /// class and kernel — on wide rings (i32/i64/i128 cells) and rings
-    /// where quantization leaves nothing to reject ([`NO_PLANE_RINGS`]
+    /// The cell plane ≡ the model across every cell-width class and
+    /// kernel — on wide rings (i32/i64/i128 cells) and rings where no
+    /// cell can be ruled out ([`NO_PLANE_RINGS`]
     /// among them), no plane is built and the scalar fallback must
     /// still agree.
     #[test]
@@ -1097,14 +1100,15 @@ proptest! {
         }
     }
 
-    /// Quantization boundaries: coordinates pinned to bucket edges
-    /// (multiples of `q = ⌈ka/256⌉`, ±1) and to the ring wrap (`ka−1`
-    /// wrapping to `0`), with thresholds straddling the eligibility
-    /// cliff — `2t+1 = 255` (the last byte-sized acceptance window) and
-    /// `2t+1 = 257` (one past it; 256 is unreachable, `2t+1` is odd) —
-    /// and the three [`NO_PLANE_RINGS`] beyond it. One dimension and
-    /// one full plane group make the plane the entire phase-1
-    /// decision: dispatched, SWAR and the no-plane fallback must all
+    /// Cell boundaries: coordinates pinned to cell edges (multiples of
+    /// `w = ⌈ka / 2^b⌉`, ±1 — the short last cell's start and the
+    /// ring's end among them) and to the ring wrap (`ka−1` wrapping to
+    /// `0`), with thresholds on both sides of the cell rule —
+    /// `t = ⌊ka/4⌋`, where the paper ring keeps 2 cell bits, and one
+    /// more, where it keeps 3 — and the three [`NO_PLANE_RINGS`] beyond
+    /// the last ring that gets a plane. One dimension and one full
+    /// plane group make the plane the entire phase-1 decision: the
+    /// plane under both its names and the no-plane fallback must all
     /// equal `cyclic_close`, exactly.
     #[test]
     fn byte_plane_bucket_edge_kernel_agrees_with_cyclic_close(
@@ -1116,17 +1120,21 @@ proptest! {
         off_b in -1i64..=1,
     ) {
         let (t, ka) = match t_sel {
-            0 => (127, ka),    // 2t+1 = 255: barely byte-sized
-            1 => (128, ka),    // 2t+1 = 257: just past a byte
-            2 => (ka / 2, ka), // clamp regime: nothing to reject
-            3 => (0, ka),      // exact-match-only
-            4 => (ka / 4, ka),
+            0 => (ka / 4, ka),     // the paper ring's 2 cell bits
+            1 => (ka / 4 + 1, ka), // one more: its 3
+            2 => (ka / 2, ka),     // clamp regime: nothing to reject
+            3 => (0, ka),          // exact-match-only
+            4 => (ka / 8, ka),
             _ => NO_PLANE_RINGS[t_sel - 5],
         };
-        let q = ka.div_ceil(256).max(1);
-        let a = ((edge_a * q) as i64 + off_a).rem_euclid(ka as i64);
-        let b = ((edge_b * q) as i64 + off_b).rem_euclid(ka as i64);
-        for filter in [FilterConfig::default(), FilterConfig::swar()] {
+        // The ring's cell bits, as the plane's label reports them.
+        let mut arena = fuzzy_id::core::SketchArena::new(t, ka);
+        arena.push(&[0]);
+        let bits: u32 = arena.plane_width().strip_prefix('b').map_or(0, |b| b.parse().unwrap());
+        let w = ka.div_ceil(1 << bits);
+        let edge = |k: u64, off: i64| ((k % ((1 << bits) + 1) * w) as i64 + off).rem_euclid(ka as i64);
+        let (a, b) = (edge(edge_a, off_a), edge(edge_b, off_b));
+        for filter in [FilterConfig::default(), FilterConfig::swar(), FilterConfig::disabled()] {
             let mut arena = fuzzy_id::core::SketchArena::with_filter(t, ka, filter);
             for _ in 0..64 {
                 arena.push(&[a]);
@@ -1134,8 +1142,8 @@ proptest! {
             prop_assert_eq!(
                 arena.find_first(&[b]).is_some(),
                 cyclic_close(a, b, t, ka),
-                "{} plane ({} kernel) vs cyclic_close at a={}, b={}, t={}, ka={}, q={}",
-                arena.plane_width(), arena.filter_kernel(), a, b, t, ka, q
+                "{} plane ({} kernel) vs cyclic_close at a={}, b={}, t={}, ka={}, w={}",
+                arena.plane_width(), arena.filter_kernel(), a, b, t, ka, w
             );
         }
     }
@@ -1144,12 +1152,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A plane pinned to the pre-adaptive constant depth `F = 8` ≡ the
-    /// model on arbitrary populations. Together with
-    /// `scan_index_matches_vec_of_vec_model` (which runs the default
-    /// *adaptive* depth against the same model) this pins that plane
-    /// depth only tunes prefilter selectivity — it can never change the
-    /// match decision.
+    /// A plane pinned to depth `F = 8` ≡ the model on arbitrary
+    /// populations. Together with `scan_index_matches_vec_of_vec_model`
+    /// (which runs the default depth against the same model) this pins
+    /// that plane depth only tunes prefilter selectivity — it can never
+    /// change the match decision.
     #[test]
     fn fixed_depth_kernel_matches_model((t, ka, _dim, ops) in index_case()) {
         check_against_model(
@@ -1237,9 +1244,9 @@ fn packed_bits_per_coordinate_track_theorem_3() {
 /// `heap_bytes` accounting under enroll/revoke/compact churn: memory
 /// tracks the live population (bounded under churn with compaction)
 /// and the ring-adaptive layout (9 bits/coordinate at paper `ka`),
-/// each sketch held once — the prefilter plane's packed lanes hold a
-/// row's first 8 bucket bytes on the default vectorized index, and its
-/// row column the rest.
+/// each sketch held once — the prefilter plane holds the 2 cell bits
+/// of each of a row's 64 coordinates on the default index, and its row
+/// column the 7 offset bits.
 #[test]
 fn heap_bytes_accounting_under_churn() {
     let (t, ka, dim) = (100u64, 400u64, 64usize);
@@ -1248,7 +1255,7 @@ fn heap_bytes_accounting_under_churn() {
         index.insert(&vec![i % 200; dim]);
     }
     let full = index.heap_bytes();
-    // Packed rows: dim × 9 bits per row, row column and plane lanes
+    // Packed rows: dim × 9 bits per row, row column and plane
     // together; the bitmap 1 bit per row; capacity slack stays below
     // one doubling.
     assert!(full >= 1_000 * dim * 9 / 8 + 1_000 / 8);
@@ -1258,7 +1265,7 @@ fn heap_bytes_accounting_under_churn() {
     );
     // A filtered index holds what a scalar one over the same rows
     // does — the plane is not a copy — and `reserve` pre-sizes it: a
-    // pre-sized load must end exactly where it started, plane lanes
+    // pre-sized load must end exactly where it started, plane blocks
     // included.
     let mut scalar = ScanIndex::with_filter(t, ka, FilterConfig::disabled());
     let mut sized = ScanIndex::new(t, ka);
@@ -1274,11 +1281,13 @@ fn heap_bytes_accounting_under_churn() {
         reserved,
         "reserve must pre-size the filter plane too"
     );
-    // (The plane reserves whole 64-row groups: the open group's lanes
-    // past the last row are the only difference.)
+    // (The plane reserves whole 512-row blocks, 16 bytes a row, and
+    // stages the open group's cells, a byte each: the open block's
+    // words past the last row and those 64 × 64 bytes are the only
+    // difference.)
     assert_eq!(
         sized.heap_bytes(),
-        scalar.heap_bytes() + (1_000usize.div_ceil(64) * 64 - 1_000) * 8,
+        scalar.heap_bytes() + (1_000usize.div_ceil(512) * 512 - 1_000) * 16 + 64 * 64,
         "plane bytes unaccounted or held twice"
     );
 
@@ -1336,8 +1345,8 @@ fn epoch_heap_bytes_covers_segments_planes_and_garbage() {
     assert_eq!((index.segments().len(), index.staging_rows()), (15, 40));
     let full = index.heap_bytes();
     // Floor: every row once at 9 bits × dim — row column and plane
-    // lanes (8 × 1 byte — paper `ka` takes the quantized byte plane)
-    // together — and the tombstone bitmap per row, across all tiers.
+    // (2 cell bits of each coordinate at paper `ka`) together — and
+    // the tombstone bitmap per row, across all tiers.
     // Ceiling: the same plus per-segment metadata and two segment
     // lists — under 300 B for each of the 16 tiers, 7% more, not a
     // multiple: nothing is held twice, and the head is charged for its
