@@ -30,11 +30,11 @@
 //! row's `b·D` bits in place took 128 scattered read-modify-writes at
 //! the paper shape — and the group's 64th row transposes the group into
 //! its words, all before the row count that publishes the row: the
-//! rule in the `shared` module docs. Phase 1 reads only complete groups
-//! — a whole block eight words at a time, the open block's complete
-//! groups one word at a time — and the rows of the open group (at most
-//! 63 an arena) go straight to phase 2, their cells copied from the
-//! staging under a sequence check ([`Lead`]).
+//! rule in the `shared` module docs. Phase 1 reads a block eight words
+//! at a time and keeps candidates only in complete groups — the open
+//! block's later groups enter it with none — and the rows of the open
+//! group (at most 63 an arena) go straight to phase 2, their cells
+//! copied from the staging under a sequence check ([`Lead`]).
 //!
 //! # Phase 1
 //!
@@ -448,57 +448,58 @@ impl PlaneView<'_> {
         Lead::of(self.words, self.plane, row)
     }
 
-    /// Phase 1 over `N` complete groups of one block, from liveness
-    /// word `first` on (`N = 8`: a whole block from its first group;
-    /// `N = 1`: one group of the open block): ANDs `cand` with each of
-    /// `tests` in turn, stopping once every word is zero, and returns
-    /// how many tests ran. The one phase-1 loop of the crate, compiled
-    /// for 1, 2 and 3 cell bits — the tight rings', the paper ring's
-    /// and the next looser ones' — with the run count a constant, and
-    /// once for the rest.
+    /// Phase 1 over the block whose first group is liveness word
+    /// `first`: ANDs `cand` with each of `tests` in turn, stopping once
+    /// every word is zero, and returns how many tests ran. A group at
+    /// or past [`PlaneView::groups`] — the open group, or one past the
+    /// sweep's rows — must enter with a zero candidate word: its plane
+    /// words may be mid-write, and a zero word stays zero whatever they
+    /// hold. The one phase-1 loop of the crate, compiled with the run
+    /// count a constant for the paper ring's 2 cell bits, and once for
+    /// the rest.
     #[inline]
-    pub(super) fn survivors<const N: usize>(
+    pub(super) fn survivors(
         &self,
         first: usize,
         tests: &[Test],
-        cand: &mut [u64; N],
+        cand: &mut [u64; GROUP_WORDS],
     ) -> usize {
         match self.plane.bits {
-            1 => self.survivors_of::<N, 1>(first, tests, cand),
-            2 => self.survivors_of::<N, 2>(first, tests, cand),
-            3 => self.survivors_of::<N, 3>(first, tests, cand),
-            _ => self.survivors_of::<N, 0>(first, tests, cand),
+            2 => self.survivors_of::<2>(first, tests, cand),
+            _ => self.survivors_of::<0>(first, tests, cand),
         }
     }
 
     /// [`PlaneView::survivors`] with `B` runs a coordinate, or the
     /// plane's `bits` when `B` is 0.
     #[inline]
-    fn survivors_of<const N: usize, const B: usize>(
+    fn survivors_of<const B: usize>(
         &self,
         first: usize,
         tests: &[Test],
-        cand: &mut [u64; N],
+        cand: &mut [u64; GROUP_WORDS],
     ) -> usize {
         debug_assert!(
-            first + N <= self.groups,
-            "phase 1 reads complete groups only"
+            first.is_multiple_of(GROUP_WORDS)
+                && (first..)
+                    .zip(&*cand)
+                    .all(|(g, &c)| g < self.groups || c == 0),
+            "phase 1 keeps candidates in complete groups only"
         );
         let bits = if B == 0 { self.plane.bits } else { B };
         let stride = self.plane.stride();
         let block = &self.words[first / GROUP_WORDS * stride..][..stride];
-        let group = first % GROUP_WORDS;
         let mut acc = *cand;
         let mut ran = 0;
         for chunk in tests.chunks(CHECK_EVERY) {
             for test in chunk {
-                let mut outside = [0u64; N];
+                let mut outside = [0u64; GROUP_WORDS];
                 let runs = &block[test.at as usize..][..bits * GROUP_WORDS];
                 for (r, run) in runs.chunks_exact(GROUP_WORDS).enumerate() {
                     // All ones where the excluded cell's bit is 1:
                     // `word ^ flip` is the rows whose bit differs.
                     let flip = u64::from(test.cell >> r & 1).wrapping_neg();
-                    let run: &[AtomicU64; N] = run[group..group + N].try_into().expect("N words");
+                    let run: &[AtomicU64; GROUP_WORDS] = run.try_into().expect("a group's words");
                     for (o, word) in outside.iter_mut().zip(run) {
                         *o |= word.load(Ordering::Relaxed) ^ flip;
                     }
@@ -701,8 +702,10 @@ mod tests {
 
     /// The word loop against the rows it filters, one row at a time: a
     /// row survives exactly when it is a candidate and none of its
-    /// cells is excluded, whole blocks and single groups alike, on
-    /// rings with one, two and three cell bits.
+    /// cells is excluded, on rings with one, two and three cell bits —
+    /// over a whole block, and over an open one whose groups from the
+    /// `k`-th on enter with no candidates while their words are
+    /// already written, as a writer racing ahead leaves them.
     #[test]
     fn survivors_are_the_rows_no_test_excludes() {
         let mut rng = StdRng::seed_from_u64(0x5117);
@@ -735,16 +738,20 @@ mod tests {
                     let mut whole = [live; 8];
                     view.survivors(8, &tests, &mut whole);
                     for (k, &word) in whole.iter().enumerate() {
-                        let mut one = [live];
-                        view.survivors(8 + k, &tests, &mut one);
                         for g in 0..64 {
                             let row = 512 + 64 * k + g;
                             // Stopping early leaves every word 0, which
                             // is exact too: no row was left.
                             let want = live >> g & 1 == 1 && !excluded(row);
                             assert_eq!(word >> g & 1 == 1, want, "t={t} ka={ka} row={row}");
-                            assert_eq!(one[0] >> g & 1 == 1, want, "t={t} ka={ka} row={row}");
                         }
+                    }
+                    for k in 0..8 {
+                        let mut open = [live; 8];
+                        open[k..].fill(0);
+                        plane.view(512 + 64 * k + 5).survivors(8, &tests, &mut open);
+                        assert_eq!(open[..k], whole[..k], "t={t} ka={ka} k={k}");
+                        assert_eq!(open[k..], [0; 8][k..], "t={t} ka={ka} k={k}");
                     }
                 }
             }

@@ -36,9 +36,12 @@
 //!   read of it is an atomic load — phase 1's word loop included, so
 //!   nothing about the plane needs `unsafe`;
 //! * a group whose 64th row is published is never stored to again;
-//! * phase 1 reads only the groups below `rows / 64` of the row count
-//!   its sweep acquired — complete, so frozen, and ordered before that
-//!   count — never the open group, whose rows phase 2 checks one by
+//! * phase 1 keeps candidates only in the groups below `rows / 64` of
+//!   the row count its sweep acquired — complete, so frozen, and
+//!   ordered before that count. It reads a whole block, so it may load
+//!   the words of a group still open (or being written) as well, but
+//!   only under a zero candidate word, which AND keeps zero whatever
+//!   the load returns. The open group's rows phase 2 checks one by
 //!   one, their cells copied from the plane's staging (outside this
 //!   column) and kept only if the staging still holds their group once
 //!   the copy is taken (`plane::Lead`).

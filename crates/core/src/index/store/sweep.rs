@@ -23,9 +23,8 @@ const BLOCK_WORDS: usize = BLOCK_ROWS / 64;
 /// [`sweep_counts`], and subtract two readings to count one lookup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepCounts {
-    /// Phase-1 passes: over a whole 512-row block of the prefilter
-    /// plane, or over one complete 64-row group of an arena's open
-    /// block.
+    /// Phase-1 passes, one a 512-row block of the prefilter plane with
+    /// a candidate in its complete groups.
     pub blocks: u64,
     /// Cell tests those passes ran before their candidates ran out —
     /// one for each cell a probe coordinate rules out, so one a
@@ -259,13 +258,12 @@ impl<L: Layout> Sweep<'_, L> {
     /// order until the tile or the probe's budget runs out.
     ///
     /// Phase 1 turns the visitable bits of each complete group into
-    /// candidates on the plane: a whole block's eight words in one pass
-    /// of [`PlaneView::survivors`], an open block's complete groups one
-    /// word a pass. Phase 2 then checks each candidate's exact distance
-    /// on every coordinate, its cells read back from the plane. A word
-    /// past the complete groups — the open group, at most 63 rows — has
-    /// no phase 1: all its visitable rows are verified. The counts of
-    /// [`sweep_counts`] are added once a walk.
+    /// candidates on the plane, a block's eight words in one pass of
+    /// [`PlaneView::survivors`]. Phase 2 then checks each candidate's
+    /// exact distance on every coordinate, its cells read back from the
+    /// plane. The open group — at most 63 rows — sits its block's pass
+    /// out with a zero word: all its visitable rows are verified. The
+    /// counts of [`sweep_counts`] are added once a walk.
     fn walk(
         &self,
         words: Range<usize>,
@@ -282,24 +280,21 @@ impl<L: Layout> Sweep<'_, L> {
             }
         }
         if let Some(p) = self.plane {
-            let planed = words.start..words.end.min(p.view.groups());
-            for (at, block) in cands[..planed.len()].chunks_mut(BLOCK_WORDS).enumerate() {
-                let first = planed.start + at * BLOCK_WORDS;
-                if let Ok(block) = <&mut [u64; BLOCK_WORDS]>::try_from(&mut *block) {
-                    if *block != [0; BLOCK_WORDS] {
-                        counts.blocks += 1;
-                        counts.coordinates += p.view.survivors(first, probe.tests, block) as u64;
-                    }
-                } else {
-                    for (wi, cand) in (first..).zip(block) {
-                        if *cand != 0 {
-                            counts.blocks += 1;
-                            let word = &mut [*cand];
-                            counts.coordinates += p.view.survivors(wi, probe.tests, word) as u64;
-                            *cand = word[0];
-                        }
-                    }
+            let groups = p.view.groups();
+            for (first, block) in (words.start..groups)
+                .step_by(BLOCK_WORDS)
+                .zip(cands.as_chunks_mut::<BLOCK_WORDS>().0)
+            {
+                // Groups at and past `groups` — the open group — enter
+                // with no candidates, and get theirs back for phase 2.
+                let complete = (groups - first).min(BLOCK_WORDS);
+                let held = *block;
+                block[complete..].fill(0);
+                if *block != [0; BLOCK_WORDS] {
+                    counts.blocks += 1;
+                    counts.coordinates += p.view.survivors(first, probe.tests, block) as u64;
                 }
+                block[complete..].copy_from_slice(&held[complete..]);
             }
         }
         for (wi, cand) in words.zip(cands) {

@@ -33,9 +33,11 @@
 //! wake-ups until it is reaped. Shutdown shuts the read half of every
 //! connection's socket: a blocked read returns end-of-stream at once,
 //! the reader ends as on a clean close, and the writer still drains
-//! every reply already queued before the socket closes — each send it
-//! starts from then on given a poll tick, so a peer that takes no reply
-//! bytes holds shutdown for at most the send already in flight.
+//! every reply already queued before the socket closes — within one
+//! idle window from the moment shutdown began (the **drain deadline**),
+//! so a peer that reads at any pace that fits the window gets every
+//! reply, and one that takes no reply bytes holds shutdown for at most
+//! that window.
 //!
 //! # Backpressure
 //!
@@ -49,9 +51,9 @@
 //! is the idle window too, so a peer that takes no reply bytes for that
 //! long is closed as idle — its writer gives up, its reader finds the
 //! channel closed. The window bounds one send, not a reply: a peer
-//! that takes a few bytes a window keeps a reply's `write_all` going,
-//! so once shutdown begins every send gets a poll tick, and only the
-//! send already in flight can hold shutdown for up to the window.
+//! that takes a few bytes a window keeps a reply's writes going. So
+//! once shutdown has set the drain deadline, each send's write timeout
+//! is the time left to it, and the drain as a whole ends by then.
 //!
 //! # Failure severities
 //!
@@ -77,9 +79,9 @@ use fe_protocol::{IdentChallenge, ProtocolError};
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::{mpsc, Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Replies a connection queues between its reader and its writer: twice
 /// the 32 requests the benchmark's saturating client keeps in flight,
@@ -97,11 +99,9 @@ pub struct NetConfig {
     /// write timeout, so it must not be zero.
     pub idle_timeout: Duration,
     /// How long the accept loop backs off after a failed `accept` (a
-    /// connection reset before it was accepted, no descriptor left),
-    /// and, once shutdown begins, the write timeout of each send a
-    /// connection's writer starts to drain its queued replies. Nothing
-    /// else waits on it: accepting a connection, reaping an idle one and
-    /// shutting down are all woken by the kernel.
+    /// connection reset before it was accepted, no descriptor left).
+    /// Nothing else waits on it: accepting a connection, reaping an
+    /// idle one and shutting down are all woken by the kernel.
     pub poll_tick: Duration,
 }
 
@@ -307,6 +307,8 @@ fn accept_loop(
     // a reader blocked in `read`. Weak: the socket still closes the
     // moment its connection ends.
     let mut connections: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
+    // The drain deadline (module docs), shared with every writer.
+    let drain = Arc::new(OnceLock::new());
     loop {
         let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
@@ -320,6 +322,7 @@ fn accept_loop(
                 let shutdown = Arc::clone(&shutdown);
                 let metrics = Arc::clone(&metrics);
                 let config = config.clone();
+                let drain = Arc::clone(&drain);
                 let socket = Arc::downgrade(&stream);
                 let handle = std::thread::Builder::new()
                     .name("fe-net-conn".into())
@@ -331,6 +334,7 @@ fn accept_loop(
                             fingerprint,
                             config,
                             shutdown,
+                            drain,
                             metrics.clone(),
                         );
                         metrics.active.fetch_sub(1, Ordering::Relaxed);
@@ -347,14 +351,16 @@ fn accept_loop(
         }
     }
     // A read blocked on a shut read half returns end-of-stream: every
-    // reader ends as on a clean close, and its writer drains — each
-    // send it starts from here on bounded by a poll tick, not the idle
-    // window: the idle window bounds each send, not the drain, so a
-    // peer that takes a few bytes a window could otherwise hold
-    // shutdown for a window per partial write.
+    // reader ends as on a clean close, and its writer drains by the
+    // deadline set first. A send already in flight started with the
+    // idle window as its timeout, so it ends before the deadline too.
+    // (An idle window past the clock's range sets none: each send keeps
+    // the window, which no peer outlasts anyway.)
+    if let Some(deadline) = Instant::now().checked_add(config.idle_timeout) {
+        let _ = drain.set(deadline);
+    }
     for (socket, _) in &connections {
         if let Some(stream) = socket.upgrade() {
-            let _ = stream.set_write_timeout(Some(config.poll_tick));
             let _ = stream.shutdown(Shutdown::Read);
         }
     }
@@ -370,6 +376,7 @@ fn serve_connection(
     fingerprint: Fingerprint,
     config: NetConfig,
     shutdown: Arc<AtomicBool>,
+    drain: Arc<OnceLock<Instant>>,
     metrics: Arc<NetMetrics>,
 ) {
     // The read timeout is the idle window (see `frame::read_frame_event`),
@@ -421,7 +428,7 @@ fn serve_connection(
         .spawn({
             let metrics = Arc::clone(&metrics);
             let stream = Arc::clone(&stream);
-            move || writer_loop(&stream, rx, max_frame, metrics)
+            move || writer_loop(&stream, rx, max_frame, &drain, metrics)
         })
         .expect("spawn connection writer");
 
@@ -556,9 +563,10 @@ fn ticket_result(t: Result<IdentifyTicket, ProtocolError>) -> Result<IdentChalle
 }
 
 fn writer_loop(
-    mut stream: &TcpStream,
+    stream: &TcpStream,
     rx: mpsc::Receiver<Reply>,
     max_frame: usize,
+    drain: &OnceLock<Instant>,
     metrics: Arc<NetMetrics>,
 ) {
     // One buffer for every response of the connection: each envelope is
@@ -616,9 +624,10 @@ fn writer_loop(
                 }
             }
         }
-        if let Err(e) = stream.write_all(frame.as_slice()) {
-            // Peer gone, or it took no bytes for the idle window; the
-            // reader finds the channel closed and winds down.
+        if let Err(e) = send(stream, frame.as_slice(), drain) {
+            // Peer gone, or it took no bytes for the idle window, or the
+            // drain deadline passed; the reader finds the channel closed
+            // and winds down.
             if matches!(
                 e.kind(),
                 io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -628,4 +637,26 @@ fn writer_loop(
             return;
         }
     }
+}
+
+/// `write_all`, with the drain deadline: once shutdown has set it, each
+/// send's write timeout is the time left to it, so a peer that takes a
+/// few bytes at a time cannot stretch the drain past it.
+fn send(mut stream: &TcpStream, mut bytes: &[u8], drain: &OnceLock<Instant>) -> io::Result<()> {
+    while !bytes.is_empty() {
+        if let Some(deadline) = drain.get() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            stream.set_write_timeout(Some(left))?;
+        }
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }

@@ -651,6 +651,115 @@ fn a_peer_that_stops_reading_holds_bounded_memory_and_cannot_wedge_shutdown() {
     drop(stream);
 }
 
+/// Shutdown bounds the drain by one deadline, an idle window from its
+/// start, not each send: a peer that reads its replies in bursts, with
+/// pauses longer than the accept loop's poll tick, still gets every
+/// reply queued for it, while a peer that reads nothing beside it is
+/// released by the same deadline, within the 3 s bound.
+#[test]
+fn shutdown_drains_a_slow_reader_and_releases_a_silent_one() {
+    // Batches of one enrolled user's probe: each reply is thousands of
+    // challenges, so a few requests, all read before shutdown, queue
+    // more reply bytes than the sockets' buffers take.
+    const BATCHES: u64 = 16;
+    const PROBES: usize = 2_000;
+    const MAX_FRAME: usize = 8 << 20;
+    let (params, scheduler, server, device, mut rng) = stack(
+        1 << 16,
+        NetConfig {
+            idle_timeout: Duration::from_secs(2),
+            max_frame: MAX_FRAME,
+            ..NetConfig::default()
+        },
+        0x510E,
+    );
+    let bio = params.sketch().line().random_vector(DIM, &mut rng);
+    let record = device.enroll("alice", &bio, &mut rng).unwrap();
+    scheduler.server().enroll(record).unwrap();
+    let probe = device.probe_sketch(&bio, &mut rng).unwrap();
+    let mut slow = TcpStream::connect(server.local_addr()).unwrap();
+    client_handshake(&mut slow, &params.fingerprint(), MAX_FRAME).unwrap();
+    let mut frames = Vec::new();
+    for id in 0..BATCHES {
+        let probes = vec![probe.clone(); PROBES];
+        let req = envelope::encode_request(id, &Message::IdentifyBatch { probes });
+        write_frame(&mut frames, &req, MAX_FRAME).unwrap();
+    }
+    let mut write_half = slow.try_clone().unwrap();
+    std::thread::spawn(move || write_half.write_all(&frames));
+    let start = Instant::now();
+    while server.metrics().requests() < BATCHES {
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the batches were not all read"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The silent peer, as in the test above; a second's wait fills its
+    // buffers, while the slow peer's stalled send is still inside its
+    // idle window.
+    let silent = handshaken(&server, &params);
+    let mut frames = Vec::new();
+    for id in 0..300_000u64 {
+        let req = envelope::encode_request(id, &Message::Revoke { id: "ghost".into() });
+        write_frame(&mut frames, &req, DEFAULT_MAX_FRAME).unwrap();
+    }
+    let mut write_half = silent.try_clone().unwrap();
+    let silent_writer = std::thread::spawn(move || write_half.write_all(&frames).is_err());
+    std::thread::sleep(Duration::from_secs(1));
+
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        server.shutdown();
+        let _ = done.send(start.elapsed());
+    });
+    // Bursts of at most 512 KiB, 40 ms apart, to the end of the stream:
+    // about 0.7 s for the 7 MiB of replies, inside the drain deadline,
+    // while a send to this peer can wait longer than a poll tick.
+    let mut replies = Vec::new();
+    let mut burst = vec![0; 512 << 10];
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    loop {
+        std::thread::sleep(Duration::from_millis(40));
+        match std::io::Read::read(&mut slow, &mut burst) {
+            Ok(0) => break,
+            Ok(n) => replies.extend_from_slice(&burst[..n]),
+            Err(e) => panic!(
+                "the slow peer's stream broke after {} bytes: {e}",
+                replies.len()
+            ),
+        }
+    }
+    let mut replies = &replies[..];
+    for expect in 0..BATCHES {
+        let payload = read_frame(&mut replies, MAX_FRAME)
+            .unwrap_or_else(|e| panic!("reply {expect} of {BATCHES} missing: {e}"));
+        let (id, response) = envelope::decode_response(&payload).unwrap();
+        assert_eq!(id, expect);
+        let Ok(ResponseBody::Batch(items)) = response else {
+            panic!("reply {expect}: {response:?}");
+        };
+        assert_eq!(items.len(), PROBES);
+        assert!(items.iter().all(Result::is_ok), "reply {expect}");
+    }
+    assert!(replies.is_empty());
+    let elapsed = stopped
+        .recv_timeout(Duration::from_secs(3))
+        .expect("shutdown wedged behind a peer that stopped reading");
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "shutdown took {elapsed:?}"
+    );
+    assert!(
+        silent_writer.join().unwrap(),
+        "the server closed the connection"
+    );
+    drop(silent);
+}
+
 /// The idle window is the socket's read timeout, which cannot be zero:
 /// a zero window is refused up front instead of closing every
 /// connection before its hello.
