@@ -408,9 +408,10 @@ fn bench_storage() {
     }
 }
 
-/// Executes every row-layout dispatch path (packed, `i32`, `i64`) so a
-/// smoke run covers every kernel instantiation, and checks the layouts
-/// actually selected.
+/// Times a lookup on three rings — the paper's, and one each of the
+/// `I32` and `I64` classes — through the one packed-row sweep, each arm
+/// labelled with the plane it gets, and checks the class each ring
+/// reports.
 fn bench_width_dispatch() {
     let n = if smoke::smoke_mode() { 2_000 } else { 50_000 };
 
@@ -430,7 +431,10 @@ fn bench_width_dispatch() {
         }
         assert_eq!(index.width(), expect);
         arm(
-            &format!("storage_ablation_widths/lookup/{name}"),
+            &format!(
+                "storage_ablation_widths/lookup/{name}/{}",
+                index.plane_width()
+            ),
             n,
             5,
             || index.find_first(&probe).expect("found"),

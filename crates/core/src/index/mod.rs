@@ -379,8 +379,8 @@ mod tests {
         assert!(!scan.remove(999), "unknown id");
     }
 
-    /// Shared churn scenario, on the paper's packed ring, an `i32`-cell
-    /// ring and an `i64`-cell one, each index built by `new(t, ka)`:
+    /// Shared churn scenario, on the paper's ring and two wide ones (of
+    /// the `I32` and `I64` classes), each index built by `new(t, ka)`:
     /// compaction renumbers the survivors densely and keeps their rows,
     /// rows appended after it are found, and heavy enroll/revoke cycles
     /// must not grow the slot table without bound once compaction runs.

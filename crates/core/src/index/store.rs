@@ -13,14 +13,12 @@
 //!   dimension-stamped column buffer (row-major, one stride), so the
 //!   early-abort scan walks memory linearly and the prefetcher wins.
 //! * **Ring-adaptive rows.** Every stored coordinate is a residue mod
-//!   `ka`, so the row layout is chosen from `ka` at construction: on a
-//!   narrow ring (`ka < 2¹⁵`) a **packed** row of `max(8, ⌈log₂ ka⌉)`
-//!   bits a coordinate — the paper's `log₂(ka + 1)` bits (Theorem 3)
-//!   rounded up, 72 bytes at the paper's `64 × ka = 400` instead of
-//!   512, of which the prefilter plane holds the 2 cell bits of each
-//!   coordinate (16 B) and the row column the 7 offset bits (56 B) —
-//!   and `i32` or `i64` canonical cells on wider ones (`cells`: the
-//!   layout).
+//!   `ka`, so a row is **packed** in `max(8, ⌈log₂ ka⌉)` bits a
+//!   coordinate on every ring — the paper's `log₂(ka + 1)` bits
+//!   (Theorem 3) rounded up, 72 bytes at the paper's `64 × ka = 400`
+//!   instead of 512, of which the prefilter plane holds the 2 cell
+//!   bits of each coordinate (16 B) and the row column the 7 offset
+//!   bits (56 B); 160 bytes at `ka = 2²⁰` (`cells`: the row).
 //! * **Tombstone bitmap.** Liveness is one bit per row (not an `Option`
 //!   discriminant per record), removal is one atomic bit flip — O(1),
 //!   and safe under a sweep that is reading the row — and
@@ -40,16 +38,15 @@
 //!   stored bytes without decoding them at all.
 //!
 //! The per-coordinate test itself lives here too, as one row kernel
-//! per layout (`Layout::row_matches`): both sides reduced into the
-//! ring make the cyclic-distance check `min(d, ka − d) ≤ t` with no
-//! `%`, which is exactly the [`crate::conditions::cyclic_close`]
-//! predicate — checked exhaustively beside the kernels and
-//! property-tested in `tests/properties.rs`.
+//! (`Packed::row_matches`): both sides reduced into the ring make the
+//! cyclic-distance check `min(d, ka − d) ≤ t` with no `%`, which is
+//! exactly the [`crate::conditions::cyclic_close`] predicate — checked
+//! exhaustively beside the kernel and property-tested in
+//! `tests/properties.rs`.
 //!
 //! # The two-phase scan
 //!
-//! On the packed rings (`ka < 2¹⁵`, the paper's among them) the arena
-//! additionally keeps a **prefilter plane**: each of the first
+//! The arena additionally keeps a **prefilter plane**: each of the first
 //! `D = min(dim, 64)` coordinates of a row is split into a cell of
 //! `b` bits and an offset (`b = 2` at the paper ring, four cells of 100
 //! residues), and the plane holds the cells bit-sliced, 512 rows a
@@ -59,9 +56,9 @@
 //! in one safe word loop, and phase 2 checks a survivor's exact cyclic
 //! distance from its cells and offsets. The plane is not a copy: the
 //! cells live there and nowhere else, and a row is `⌈dim · B / 8⌉`
-//! bytes with or without it. Rings too wide for packed rows, and rings
-//! so loose that no cell could ever be ruled out, have no plane, keep
-//! whole residues in their rows and go straight to phase 2.
+//! bytes with or without it. Rings so loose that no cell could ever be
+//! ruled out have no plane, keep whole residues in their rows and go
+//! straight to phase 2.
 //!
 //! # One sweep, one row writer, five files
 //!
@@ -72,7 +69,7 @@
 //! choose them. Every row — a pushed sketch, a row a rewrite or a
 //! compaction carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the column
-//! buffer in its three row layouts and their scalar match kernels,
+//! buffer, its one row layout and the scalar match kernel,
 //! `plane` the prefilter plane, its cell rule and the phase-1 loop,
 //! `kernels` the AVX-512 enroll loops, `shared` the append-under-readers
 //! buffer.
@@ -105,14 +102,13 @@ const PLANE_DIMS: usize = 64;
 /// The plane keeps the cell bits of a row's leading coordinates,
 /// bit-sliced 512 rows a block, so phase 1 rules out rows 64 a word
 /// before phase 2 checks the survivors' exact distances (module docs).
-/// It only exists on packed-row rings (`ka < 2¹⁵` — the paper's
-/// parameters) on which some cell can lie wholly outside a probe's
-/// arc; every other ring uses the scalar kernel, whatever this config
-/// says.
+/// It exists on every ring on which some cell can lie wholly outside a
+/// probe's arc; every other ring uses the scalar kernel, whatever this
+/// config says.
 ///
-/// Like [`CellWidth`], this is a lookup accelerator knob: it never
-/// changes match results (property-tested in `tests/properties.rs`)
-/// and is excluded from durable-storage fingerprints.
+/// It never changes match results (property-tested in
+/// `tests/properties.rs`) and is excluded from durable-storage
+/// fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterConfig {
     /// How many leading coordinates the plane keeps (see
@@ -220,10 +216,11 @@ pub struct SketchArena {
 /// What [`SketchArena::append`] copies a row from.
 #[derive(Clone, Copy)]
 pub(crate) enum Row<'a> {
-    /// A caller's sketch: canonicalised and narrowed on the way in.
+    /// A caller's sketch: reduced into the ring and packed on the way
+    /// in.
     Sketch(&'a [i64]),
     /// This row of another arena over the same ring and dimension: its
-    /// cells are canonical already, so they are copied verbatim.
+    /// bytes are packed already, so they are copied verbatim.
     Stored(&'a SketchArena, RecordId),
 }
 
@@ -255,17 +252,16 @@ impl SketchArena {
     }
 
     /// Creates an empty arena with an explicit prefilter configuration.
-    /// The plane only materializes on narrow rings (`ka < 2¹⁵`) where
-    /// some cell can lie wholly outside a probe's arc; every other ring
-    /// ignores `filter`'s depth and always scans with the scalar
-    /// kernel.
+    /// The plane only materializes on rings where some cell can lie
+    /// wholly outside a probe's arc; every other ring ignores
+    /// `filter`'s depth and always scans with the scalar kernel.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> SketchArena {
         assert!(ka >= 1, "ring circumference must be at least 1");
         SketchArena {
             t,
             ka,
             dim: None,
-            cells: Cells::for_ring(t, ka),
+            cells: Cells::new(t, ka),
             capacity: 0,
             rows: AtomicUsize::new(0),
             dead: Vec::new(),
@@ -302,15 +298,15 @@ impl SketchArena {
         debug_assert!(self.cells.plane().is_none());
         let PlaneDepth::Fixed(depth) = self.filter.depth;
         let dims = depth.min(PLANE_DIMS).min(self.dim.unwrap_or(0));
-        if dims > 0 && self.width() == CellWidth::Packed && cell_bits(self.t, self.ka) > 0 {
+        if dims > 0 && cell_bits(self.t, self.ka) > 0 {
             self.cells
                 .set_plane(FilterPlane::new(dims, self.t, self.ka));
         }
     }
 
     /// The phase-1 kernel a scan would use right now: `"scalar"` (no
-    /// plane — wide or too-loose ring, disabled filter, or nothing
-    /// stamped) or `"bitsliced"`, the one word loop. Benches use this to
+    /// plane — too loose a ring, disabled filter, or nothing stamped)
+    /// or `"bitsliced"`, the one word loop. Benches use this to
     /// label runs.
     pub fn filter_kernel(&self) -> &'static str {
         match self.cells.plane() {
@@ -344,7 +340,8 @@ impl SketchArena {
         self.ka
     }
 
-    /// The row layout chosen from `ka`.
+    /// The class of the ring `ka` (every class stores the same packed
+    /// row).
     pub fn width(&self) -> CellWidth {
         CellWidth::for_ring(self.ka)
     }
@@ -511,7 +508,7 @@ impl SketchIndex for SketchArena {
         self.dim
     }
 
-    // Widens each cell to `i64` (a canonical representative).
+    // Unpacks each coordinate to `i64` (a canonical representative).
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
         out.clear();
         if !self.is_live(id) {
@@ -651,8 +648,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_rings_use_wide_cells() {
-        for ka in [1u64 << 20, 1 << 40] {
+    fn wide_rings_round_trip_their_packed_rows() {
+        for ka in [1u64 << 20, 1 << 40, u64::MAX] {
             let half = (ka / 2) as i64;
             let mut arena = SketchArena::new(1000, ka);
             let a = arena.push(&[half - 5, -half + 5]);
@@ -664,10 +661,10 @@ mod tests {
 
     #[test]
     fn heap_bytes_tracks_width() {
-        // Filter disabled so the figure isolates the row layout: 64
-        // rows of 64 coordinates and their one tombstone word. The
-        // paper ring packs 9 bits a coordinate, a byte-sized ring 8,
-        // the wide rings keep 4- and 8-byte cells.
+        // Filter disabled so the figure isolates the row: 64 rows of 64
+        // coordinates and their one tombstone word. Every ring packs
+        // `max(8, ⌈log₂ ka⌉)` bits a coordinate: the paper ring 9, a
+        // byte-sized ring 8, the wide rings 20, 40 and 64.
         let cell_bytes_per_row = |ka: u64| {
             let mut arena = SketchArena::with_filter(100, ka, FilterConfig::disabled());
             arena.reserve(64, 64);
@@ -683,8 +680,9 @@ mod tests {
         assert_eq!(cell_bytes_per_row(400), 72);
         assert_eq!(cell_bytes_per_row(256), 64);
         assert_eq!(cell_bytes_per_row((1 << 15) - 1), 64 + 56);
-        assert_eq!(cell_bytes_per_row(1 << 20), 256);
-        assert_eq!(cell_bytes_per_row(1 << 40), 512);
+        assert_eq!(cell_bytes_per_row(1 << 20), 160);
+        assert_eq!(cell_bytes_per_row(1 << 40), 320);
+        assert_eq!(cell_bytes_per_row(u64::MAX), 512);
         // The prefilter plane holds the 2 cell bits of each of a row's
         // 64 coordinates and the row column the 7 offset bits: an
         // identical filtered arena holds each sketch once, in exactly
@@ -695,7 +693,10 @@ mod tests {
             filtered.push(&[i; 64]);
         }
         assert_eq!(filtered.plane_width(), "b2");
-        assert_eq!((filtered.plane_dims(), filtered.cells.stride(64)), (64, 56));
+        assert_eq!(
+            (filtered.plane_dims(), filtered.cells.packed().row_bytes(64)),
+            (64, 56)
+        );
         assert_eq!(filtered.used_bytes(), 64 * 72 + 8);
         assert!(filtered.heap_bytes() >= filtered.used_bytes());
     }
@@ -792,8 +793,13 @@ mod tests {
         check_filtered_matches_scalar(FilterConfig::default(), 25, 101, 9);
         check_filtered_matches_scalar(FilterConfig::default(), 101, 400, 12);
         check_filtered_matches_scalar(FilterConfig::default(), 100, 256, 6);
-        // Largest narrow ring.
+        // The ring `2¹⁵ − 1`, and wide rings: at `t = ka/4`, with a
+        // tight threshold, at dimensions past the plane, and past 2⁶³.
         check_filtered_matches_scalar(FilterConfig::default(), 1000, (1 << 15) - 1, 12);
+        check_filtered_matches_scalar(FilterConfig::default(), 1 << 18, 1 << 20, 12);
+        check_filtered_matches_scalar(FilterConfig::default(), 1000, 1 << 31, 70);
+        check_filtered_matches_scalar(FilterConfig::default(), 1 << 38, 1 << 40, 9);
+        check_filtered_matches_scalar(FilterConfig::default(), 1 << 62, u64::MAX, 5);
     }
 
     #[test]
@@ -827,16 +833,12 @@ mod tests {
     }
 
     #[test]
-    fn plane_only_exists_on_narrow_rings() {
-        for (ka, expect_dims) in [(400u64, 16), (1 << 20, 0), (1 << 40, 0)] {
+    fn plane_exists_on_narrow_and_wide_rings() {
+        for ka in [400u64, 1 << 20, 1 << 40, u64::MAX] {
             let mut arena = SketchArena::new(100, ka);
             arena.push(&[1; 16]);
-            assert_eq!(arena.plane_dims(), expect_dims, "ka = {ka}");
-            if expect_dims == 0 {
-                assert_eq!(arena.filter_kernel(), "scalar");
-            } else {
-                assert_eq!(arena.filter_kernel(), "bitsliced");
-            }
+            assert_eq!(arena.plane_dims(), 16, "ka = {ka}");
+            assert_eq!(arena.filter_kernel(), "bitsliced");
         }
         // Disabled config never builds a plane, even on the paper ring.
         let mut arena = SketchArena::with_filter(100, 400, FilterConfig::disabled());
@@ -889,9 +891,17 @@ mod tests {
         assert_eq!(resolved(200, 400, FilterConfig::default()), none);
         assert_eq!(resolved(128, 258, FilterConfig::default()), none);
         assert_eq!(resolved(128, 258, pinned), none);
-        // Wider rings never build a plane, whatever the knob says.
-        assert_eq!(resolved(100, 1 << 20, FilterConfig::default()), none);
-        assert_eq!(resolved(100, 1 << 20, pinned), none);
+        // Wide rings by the same rule: a quarter ring's 2 bits, a
+        // tight ring's 1, and none where the window an arc leaves is 1.
+        assert_eq!(
+            resolved(1 << 18, 1 << 20, FilterConfig::default()),
+            ("b2", "bitsliced", 64)
+        );
+        assert_eq!(resolved(100, 1 << 20, pinned), ("b1", "bitsliced", 3));
+        assert_eq!(resolved((1 << 19) - 1, 1 << 20, pinned), none);
+        let mut arena = SketchArena::new(1 << 18, 1 << 20);
+        arena.push(&[1; 64]);
+        assert_eq!(arena.plane_width(), "b2");
         // Disabled filter: no plane either.
         assert_eq!(resolved(100, 400, FilterConfig::disabled()), none);
     }

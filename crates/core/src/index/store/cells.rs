@@ -1,14 +1,13 @@
-//! The one column buffer of a [`SketchArena`](super::SketchArena) in
-//! its three row layouts — packed residue bits on narrow rings, `i32`
-//! or `i64` cells on wide ones — canonical ring representatives, and
-//! the scalar match kernels.
+//! The one column buffer of a [`SketchArena`](super::SketchArena) — a
+//! packed row of residue bits, on every ring — canonical ring
+//! representatives, and the scalar match kernel.
 //!
 //! # The packed row
 //!
-//! On a ring with `ka < 2¹⁵` a coordinate is stored as its residue
-//! `r ∈ [0, ka)` in `B = max(8, ⌈log₂ ka⌉)` bits — Theorem 3's
-//! `log₂(ka + 1)` rounded up to a whole bit (9 on the paper ring,
-//! against the paper's 8.65). With a prefilter plane, each of the first
+//! A coordinate is stored as its residue `r ∈ [0, ka)` in
+//! `B = max(8, ⌈log₂ ka⌉) ≤ 64` bits — Theorem 3's `log₂(ka + 1)`
+//! rounded up to a whole bit (9 on the paper ring, against the paper's
+//! 8.65) — whatever the ring. With a prefilter plane, each of the first
 //! `D` coordinates is split into a cell `c = r / w` and an offset
 //! `r − c·w` (`w = ⌈ka / 2^b⌉`, the `plane` module docs): the plane
 //! keeps the cell's `b` bits, bit-sliced, and the row column the
@@ -22,34 +21,33 @@
 //! ```
 //!
 //! so a row takes `⌈dim · B / 8⌉` bytes with or without a plane — 72 at
-//! the paper shape, against 128 as `i16` cells. Phase 2 rebuilds
-//! `c·w + o` ([`Packed::row_matches`]); an arena without a plane
-//! (`D = 0`) keeps every residue whole in its row.
+//! the paper shape, against 128 as `i16` cells, and 160 at `ka = 2²⁰`.
+//! Phase 2 rebuilds `c·w + o`
+//! ([`Packed::row_matches`]); an arena without a plane (`D = 0`) keeps
+//! every residue whole in its row.
 
 #[cfg(target_arch = "x86_64")]
 use super::kernels::avx512;
 use super::plane::{cell_bits, FilterPlane, Lead};
 use super::shared::Column;
 use std::cell::RefCell;
-use std::marker::PhantomData;
 
-/// Row layout a [`SketchArena`](super::SketchArena) stores coordinates
-/// in, chosen from the ring circumference `ka` at construction (see
-/// [`CellWidth::for_ring`]).
+/// The class of a ring `ka` by the plain integer its residues would
+/// need (see [`CellWidth::for_ring`]). Every class stores the same
+/// packed row (`cells` module docs): this only names the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellWidth {
-    /// `max(8, ⌈log₂ ka⌉)` bits a coordinate, between the row and the
-    /// plane: `ka < 2¹⁵` (the paper's `ka = 400` lands here, at 9
-    /// bits).
+    /// `ka < 2¹⁵`: residues fit an `i16` (the paper's `ka = 400` lands
+    /// here, at 9 bits).
     Packed,
-    /// 4-byte cells: `ka < 2³¹`.
+    /// `ka < 2³¹`: residues fit an `i32`.
     I32,
-    /// 8-byte cells: everything else.
+    /// Everything else.
     I64,
 }
 
 impl CellWidth {
-    /// The narrowest layout that can hold every residue of `Z_ka`.
+    /// The narrowest class that holds every residue of `Z_ka`.
     pub fn for_ring(ka: u64) -> CellWidth {
         if ka < 1 << 15 {
             CellWidth::Packed
@@ -60,55 +58,33 @@ impl CellWidth {
         }
     }
 
-    /// Bytes a stored row of `dim` coordinates takes on the ring `ka`
-    /// (saturating: `dim` may be a frame's claim).
+    /// Bytes a stored row of `dim` coordinates takes on the ring `ka`,
+    /// `⌈dim · B / 8⌉` (saturating: `dim` may be a frame's claim).
     pub fn row_bytes(ka: u64, dim: usize) -> usize {
-        match CellWidth::for_ring(ka) {
-            CellWidth::Packed => dim
-                .saturating_mul(Packed::new(0, ka).bits as usize)
-                .div_ceil(8),
-            CellWidth::I32 => dim.saturating_mul(4),
-            CellWidth::I64 => dim.saturating_mul(8),
-        }
+        dim.saturating_mul(coord_bits(ka) as usize).div_ceil(8)
     }
 }
 
-/// How a row lies in the column and is compared with a prepared probe:
-/// what a sweep is generic over.
-pub(super) trait Layout: Copy {
-    /// The column's element.
-    type Unit: Copy;
-    /// A prepared probe's element, `dim` a probe.
-    type Probe: Copy;
-    /// Units a row of `dim` coordinates takes.
-    fn stride(self, dim: usize) -> usize;
-    /// A caller's coordinate reduced into the ring, as a probe holds
-    /// it.
-    fn prepare(self, v: i64) -> Self::Probe;
-    /// The early-abort row kernel: is every coordinate of the row —
-    /// its cells `lead`, if the plane holds them, and its units, which
-    /// `row` starts with (it may run on to the column's end) — within
-    /// the arena's cyclic distance `t` of the probe's?
-    fn row_matches(self, lead: Lead<'_>, row: &[Self::Unit], probe: &[Self::Probe]) -> bool;
+/// `B = max(8, ⌈log₂ ka⌉)`: bits a coordinate of the ring `ka` takes.
+fn coord_bits(ka: u64) -> u32 {
+    (u64::BITS - (ka - 1).leading_zeros()).max(8)
 }
 
-/// The packed layout of one narrow ring (module docs) and the
+/// The packed row of one ring (module docs), its codec, and the
 /// threshold its rows are matched under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Packed {
-    ka: u32,
+    pub(super) ka: u64,
     /// `min(t, ka)`.
-    t: u32,
-    /// `B = max(8, ⌈log₂ ka⌉)`: bits a coordinate takes, plane and row
-    /// together.
+    pub(super) t: u64,
+    /// `B`: bits a coordinate takes, plane and row together.
     bits: u32,
     /// The ring's [`cell_bits`] `b`, the cell width `w = ⌈ka / 2^b⌉`,
-    /// and `⌈2³¹ / w⌉`: `(r · magic) >> 31 = r / w` for every `r < 2¹⁵`
-    /// (the rounding error `magic · w − 2³¹ < w ≤ 2¹⁵`, times `r`,
-    /// stays below `2³¹`).
+    /// and its reciprocal `⌊(2⁶⁴ − 1) / w⌋`, which [`Packed::cell`]
+    /// divides by.
     cell_bits: u32,
-    w: u32,
-    magic: u64,
+    pub(super) w: u64,
+    recip: u64,
     /// Leading coordinates whose cells the prefilter plane keeps: the
     /// plane's depth `D`, 0 without a plane.
     lead: usize,
@@ -155,7 +131,8 @@ impl<'a> Pile<'a> {
 /// A packed row's bit stream read back field by field, low bit first.
 /// The bytes run on past the row, to the end of the column, so a field
 /// is one unaligned eight-byte load everywhere but in the column's last
-/// few bytes.
+/// few bytes — and a field of more than 57 bits, which may reach a
+/// ninth.
 struct Fields<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -166,10 +143,11 @@ impl Fields<'_> {
         Fields { bytes, at: 0 }
     }
 
-    /// The next `width ≤ 15` bits.
+    /// The next `width ≤ 64` bits.
     #[inline]
-    fn take(&mut self, width: u32) -> u32 {
-        let byte = self.at / 8;
+    fn take(&mut self, width: u32) -> u64 {
+        let (byte, shift) = (self.at / 8, (self.at % 8) as u32);
+        self.at += width as usize;
         let word = match self.bytes.get(byte..byte + 8) {
             Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight bytes")),
             None => {
@@ -179,9 +157,12 @@ impl Fields<'_> {
                 u64::from_le_bytes(eight)
             }
         };
-        let shift = self.at % 8;
-        self.at += width as usize;
-        (word >> shift) as u32 & ((1 << width) - 1)
+        let mut field = word >> shift;
+        if shift + width > 64 {
+            let ninth = self.bytes.get(byte + 8).copied().unwrap_or(0);
+            field |= u64::from(ninth) << (64 - shift);
+        }
+        field & u64::MAX.checked_shr(64 - width).unwrap_or(0)
     }
 }
 
@@ -190,48 +171,52 @@ impl Packed {
         let cell_bits = cell_bits(t, ka);
         let w = ka.div_ceil(1 << cell_bits);
         Packed {
-            ka: ka as u32,
-            t: t.min(ka) as u32,
-            bits: (u64::BITS - (ka - 1).leading_zeros()).max(8),
+            ka,
+            t: t.min(ka),
+            bits: coord_bits(ka),
             cell_bits,
-            w: w as u32,
-            magic: (1u64 << 31).div_ceil(w),
+            w,
+            recip: u64::MAX / w,
             lead: 0,
         }
     }
 
     /// Row-column bytes of `dim` coordinates: their bits but the cells
     /// the plane holds.
-    fn row_bytes(self, dim: usize) -> usize {
+    pub(super) fn row_bytes(self, dim: usize) -> usize {
         (dim * self.bits as usize - self.lead * self.cell_bits as usize).div_ceil(8)
     }
 
     /// `v mod ka` in `[0, ka)`. Real sketches lie within a ring of
     /// zero, on either side of it at random: the sign is folded in
-    /// without a branch, and the division only runs for out-of-range
+    /// without a branch — `v + ka` wraps into `[0, ka)` exactly for
+    /// `v ∈ [−ka, 0)` — and the division only runs for out-of-range
     /// input.
     #[inline]
-    fn residue(self, v: i64) -> u16 {
-        let ka = i64::from(self.ka);
-        let r = v + (ka & (v >> 63));
-        if (0..ka).contains(&r) {
-            r as u16
+    fn residue(self, v: i64) -> u64 {
+        let r = (v as u64).wrapping_add(self.ka & (v >> 63) as u64);
+        if r < self.ka {
+            r
         } else {
-            v.rem_euclid(ka) as u16
+            i128::from(v).rem_euclid(i128::from(self.ka)) as u64
         }
     }
 
-    /// `r / w` for a residue `r`.
+    /// `r / w`, exactly, for every `r < 2⁶⁴`: the high half of
+    /// `r · ⌊(2⁶⁴ − 1) / w⌋` is the quotient or one short of it (the
+    /// reciprocal's error, times `r`, stays below `2⁶⁴`), and one
+    /// compare of the remainder tells which.
     #[inline]
     fn cell(self, r: u64) -> u64 {
-        (r * self.magic) >> 31
+        let q = ((u128::from(r) * u128::from(self.recip)) >> 64) as u64;
+        q + u64::from(r - q * self.w >= self.w)
     }
 
     /// Encodes `sketch` as one packed row: the cells of its first
     /// `lead` coordinates into `cells`, one a byte, and its bit stream
     /// into `row`, [`Packed::row_bytes`] long. Eight coordinates a step
-    /// on AVX-512 when every one lies in `[−ka, ka)`, else
-    /// [`Packed::encode_scalar`] over the whole row.
+    /// on AVX-512 when the ring is narrow and every coordinate lies in
+    /// `[−ka, ka)`, else [`Packed::encode_scalar`] over the whole row.
     fn encode(self, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
         if avx512::available() && avx512::encode_packed(self.split(), sketch, cells, row) {
@@ -240,30 +225,31 @@ impl Packed {
         self.encode_scalar(sketch, cells, row);
     }
 
-    /// What the AVX-512 encode needs of the layout.
+    /// What the AVX-512 encode needs of the layout. Its multiply-shift
+    /// `⌈2³¹ / w⌉` is `⌊(2⁶⁴ − 1) / w⌋ >> 33`, plus one.
     #[cfg(target_arch = "x86_64")]
     fn split(self) -> avx512::Split {
         avx512::Split {
             ka: self.ka,
             w: self.w,
-            magic: self.magic,
+            magic: (self.recip >> 33) + 1,
             bits: self.bits,
             offset_bits: self.bits - self.cell_bits,
             lead: self.lead,
         }
     }
 
-    /// [`Packed::encode`] a coordinate at a time. The loop off AVX-512,
-    /// and its oracle.
+    /// [`Packed::encode`] a coordinate at a time. The loop off AVX-512
+    /// and on wide rings, and the lanes' oracle.
     fn encode_scalar(self, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) {
         let mut pile = Pile::new(row);
-        let (w, offset_bits) = (u64::from(self.w), self.bits - self.cell_bits);
+        let offset_bits = self.bits - self.cell_bits;
         for (j, &v) in sketch.iter().enumerate() {
-            let r = u64::from(self.residue(v));
+            let r = self.residue(v);
             if j < self.lead {
                 let c = self.cell(r);
                 cells[j] = c as u8;
-                pile.push(r - c * w, offset_bits);
+                pile.push(r - c * self.w, offset_bits);
             } else {
                 pile.push(r, self.bits);
             }
@@ -281,132 +267,50 @@ impl Packed {
         lead: Lead<'_>,
         row: &[u8],
         dim: usize,
-        mut keep: impl FnMut(usize, u32) -> bool,
+        mut keep: impl FnMut(usize, u64) -> bool,
     ) -> bool {
         let mut fields = Fields::of(row);
         let (d, offset_bits) = (lead.len(), self.bits - self.cell_bits);
         (0..d).all(|j| keep(j, lead.cell(j) * self.w + fields.take(offset_bits)))
             && (d..dim).all(|j| keep(j, fields.take(self.bits)))
     }
-}
 
-impl Layout for Packed {
-    type Unit = u8;
-    type Probe = u16;
-
-    fn stride(self, dim: usize) -> usize {
-        self.row_bytes(dim)
+    /// Appends the residues of `probes[p]` for every `p` in `active` to
+    /// `buf`, cleared first, one probe after another, as a sweep reads
+    /// them.
+    pub(super) fn prepare_into(self, buf: &mut Vec<u64>, probes: &[&[i64]], active: &[usize]) {
+        buf.clear();
+        for &p in active {
+            buf.extend(probes[p].iter().map(|&v| self.residue(v)));
+        }
     }
 
-    fn prepare(self, v: i64) -> u16 {
-        self.residue(v)
-    }
-
-    /// `probe` holds residues ([`Packed::prepare`]), as the row does,
-    /// so the cyclic distance is `min(d, ka − d)` on `d = |v − p| < ka`
-    /// — the [`rows_match`] predicate on the same integers — coordinate
-    /// by coordinate, leaving at the first that is too far.
+    /// The early-abort row kernel: is every coordinate of the row — its
+    /// cells `lead`, if the plane holds them, and the bits `row` starts
+    /// with (it may run on to the column's end) — within the cyclic
+    /// distance `t` of the probe's? `probe` holds residues, as the row
+    /// does, so the cyclic distance is `min(d, ka − d)` on
+    /// `d = |v − p| < ka`, exactly [`crate::conditions::cyclic_close`]
+    /// with no `%`, coordinate by coordinate, leaving at the first that
+    /// is too far.
     #[inline]
-    fn row_matches(self, lead: Lead<'_>, row: &[u8], probe: &[u16]) -> bool {
+    pub(super) fn row_matches(self, lead: Lead<'_>, row: &[u8], probe: &[u64]) -> bool {
         self.all_coords(lead, row, probe.len(), |i, v| {
-            let d = v.abs_diff(u32::from(probe[i]));
+            let d = v.abs_diff(probe[i]);
             d.min(self.ka - d) <= self.t
         })
     }
 }
 
-/// A coordinate cell of a wide ring: the width-generic bound of the
-/// [`Wide`] layout.
-pub(super) trait Cell: Copy {
-    fn widen(self) -> i64;
-    fn narrow(v: i64) -> Self;
-    /// `|a − b|` as a `u64`, exact for every canonical value of this
-    /// width. `i32` cells cannot overflow an `i64` subtraction; `i64`
-    /// cells can (canonical values reach `±(2⁶³ − 1)` when
-    /// `ka > 2⁶³`), so only that width pays for an `i128` widen.
-    fn abs_diff_cells(a: Self, b: Self) -> u64;
-}
-
-impl Cell for i32 {
-    fn widen(self) -> i64 {
-        i64::from(self)
-    }
-    fn narrow(v: i64) -> i32 {
-        v as i32
-    }
-    fn abs_diff_cells(a: i32, b: i32) -> u64 {
-        (i64::from(a) - i64::from(b)).unsigned_abs()
-    }
-}
-
-impl Cell for i64 {
-    fn widen(self) -> i64 {
-        self
-    }
-    fn narrow(v: i64) -> i64 {
-        v
-    }
-    fn abs_diff_cells(a: i64, b: i64) -> u64 {
-        (i128::from(a) - i128::from(b)).unsigned_abs() as u64
-    }
-}
-
-/// The layout of a wide ring — a row is `dim` canonical cells — with
-/// the threshold and circumference its rows are matched under.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Wide<C> {
-    t: u64,
-    ka: u64,
-    cell: PhantomData<C>,
-}
-
-impl<C> Wide<C> {
-    fn new(t: u64, ka: u64) -> Wide<C> {
-        let cell = PhantomData;
-        Wide { t, ka, cell }
-    }
-}
-
-impl<C: Cell> Layout for Wide<C> {
-    type Unit = C;
-    type Probe = C;
-
-    fn stride(self, dim: usize) -> usize {
-        dim
-    }
-
-    #[inline]
-    fn prepare(self, v: i64) -> C {
-        C::narrow(canonical(v, self.ka))
-    }
-
-    #[inline]
-    fn row_matches(self, _lead: Lead<'_>, row: &[C], probe: &[C]) -> bool {
-        rows_match(row, probe, self.t, self.ka)
-    }
-}
-
-/// The one column buffer, typed by the arena's row layout — and on a
-/// packed ring the arena's prefilter plane, when it has one: the only
-/// home of the cells of each row's first [`Packed::lead`] coordinates,
-/// whose offsets alone the row's column bits keep.
+/// The one column buffer and its codec — and the arena's prefilter
+/// plane, when it has one: the only home of the cells of each row's
+/// first [`Packed::lead`] coordinates, whose offsets alone the row's
+/// column bits keep.
 #[derive(Debug, Clone)]
-pub(super) enum Cells {
-    Packed(Packed, Column<u8>, Option<FilterPlane>),
-    I32(Wide<i32>, Column<i32>),
-    I64(Wide<i64>, Column<i64>),
-}
-
-/// Runs `$body` with `$layout` and `$col` bound to the layout and the
-/// typed column of `$cells`.
-macro_rules! each_width {
-    ($cells:expr, $layout:pat, $col:ident => $body:expr) => {
-        match $cells {
-            Cells::Packed($layout, $col, _) => $body,
-            Cells::I32($layout, $col) => $body,
-            Cells::I64($layout, $col) => $body,
-        }
-    };
+pub(super) struct Cells {
+    packed: Packed,
+    col: Column<u8>,
+    plane: Option<FilterPlane>,
 }
 
 thread_local! {
@@ -416,107 +320,89 @@ thread_local! {
 }
 
 impl Cells {
-    /// An empty buffer in the layout of the ring `ka`, its rows to be
-    /// matched under the threshold `t`.
-    pub(super) fn for_ring(t: u64, ka: u64) -> Cells {
-        match CellWidth::for_ring(ka) {
-            CellWidth::Packed => Cells::Packed(Packed::new(t, ka), Column::with_capacity(0), None),
-            CellWidth::I32 => Cells::I32(Wide::new(t, ka), Column::with_capacity(0)),
-            CellWidth::I64 => Cells::I64(Wide::new(t, ka), Column::with_capacity(0)),
+    /// An empty buffer for the ring `ka`, its rows to be matched under
+    /// the threshold `t`.
+    pub(super) fn new(t: u64, ka: u64) -> Cells {
+        Cells {
+            packed: Packed::new(t, ka),
+            col: Column::with_capacity(0),
+            plane: None,
         }
     }
 
-    /// Gives an empty packed buffer its plane, which takes the cells of
-    /// each row's first `plane.dims()` coordinates from then on.
+    /// Gives an empty buffer its plane, which takes the cells of each
+    /// row's first `plane.dims()` coordinates from then on.
     pub(super) fn set_plane(&mut self, plane: FilterPlane) {
-        if let Cells::Packed(packed, col, slot) = self {
-            debug_assert!(col.published().is_empty(), "rows are split from the first");
-            debug_assert_eq!(plane.bits(), packed.cell_bits as usize);
-            packed.lead = plane.dims();
-            *slot = Some(plane);
-        }
+        debug_assert!(
+            self.col.published().is_empty(),
+            "rows are split from the first"
+        );
+        debug_assert_eq!(plane.bits(), self.packed.cell_bits as usize);
+        self.packed.lead = plane.dims();
+        self.plane = Some(plane);
     }
 
     /// The prefilter plane, when there is one.
     pub(super) fn plane(&self) -> Option<&FilterPlane> {
-        match self {
-            Cells::Packed(_, _, plane) => plane.as_ref(),
-            Cells::I32(..) | Cells::I64(..) => None,
-        }
+        self.plane.as_ref()
     }
 
-    /// Column units a row of `dim` coordinates takes.
-    pub(super) fn stride(&self, dim: usize) -> usize {
-        each_width!(self, layout, _col => layout.stride(dim))
+    /// The row codec, its `lead` the plane's depth.
+    pub(super) fn packed(&self) -> Packed {
+        self.packed
+    }
+
+    /// The column bytes of the rows published so far.
+    pub(super) fn published(&self) -> &[u8] {
+        self.col.published()
     }
 
     /// Bytes the column and the plane hold (capacities).
     pub(super) fn capacity_bytes(&self) -> usize {
-        match self {
-            Cells::Packed(_, col, plane) => {
-                col.capacity() + plane.as_ref().map_or(0, FilterPlane::heap_bytes)
-            }
-            Cells::I32(_, col) => col.capacity() * 4,
-            Cells::I64(_, col) => col.capacity() * 8,
-        }
+        self.col.capacity() + self.plane.as_ref().map_or(0, FilterPlane::heap_bytes)
     }
 
     /// Makes room for `rows` rows in total (exclusive access: the
     /// buffers may move).
     pub(super) fn grow(&mut self, rows: usize, dim: usize) {
-        let units = rows * self.stride(dim);
-        each_width!(&mut *self, _, col => col.grow(units));
-        if let Cells::Packed(_, _, Some(plane)) = self {
+        self.col.grow(rows * self.packed.row_bytes(dim));
+        if let Some(plane) = &mut self.plane {
             plane.grow(rows);
         }
     }
 
     /// Appends a caller's sketch as row `row`, reduced into the ring
-    /// and laid out on the way in.
+    /// and split on the way in.
     pub(super) fn append_sketch(&self, row: usize, sketch: &[i64]) {
-        match self {
-            Cells::Packed(packed, col, plane) => ENCODED.with(|encoded| {
-                let (cells, bytes) = &mut *encoded.borrow_mut();
-                cells.resize(packed.lead, 0);
-                bytes.resize(packed.row_bytes(sketch.len()), 0);
-                packed.encode(sketch, cells, bytes);
-                col.extend_from_slice(bytes);
-                if let Some(plane) = plane {
-                    plane.put(row, cells);
-                }
-            }),
-            Cells::I32(wide, col) => col.extend(sketch.iter().map(|&v| wide.prepare(v))),
-            Cells::I64(wide, col) => col.extend(sketch.iter().map(|&v| wide.prepare(v))),
-        }
+        ENCODED.with(|encoded| {
+            let (cells, bytes) = &mut *encoded.borrow_mut();
+            cells.resize(self.packed.lead, 0);
+            bytes.resize(self.packed.row_bytes(sketch.len()), 0);
+            self.packed.encode(sketch, cells, bytes);
+            self.col.extend_from_slice(bytes);
+            if let Some(plane) = &self.plane {
+                plane.put(row, cells);
+            }
+        });
     }
 
     /// Appends row `r` of `from` as row `row` — a stored row is already
     /// in this ring's layout, so moving it between arenas of one ring,
-    /// dimension and plane is a copy: of a packed row, its column bytes
-    /// and the cells `from`'s plane holds of it.
+    /// dimension and plane is a copy: of its column bytes and the cells
+    /// `from`'s plane holds of it.
     pub(super) fn append_stored(&self, row: usize, from: &Cells, r: usize, dim: usize) {
-        let at = |stride: usize| r * stride..(r + 1) * stride;
-        match (self, from) {
-            (Cells::Packed(packed, to, plane), Cells::Packed(source, col, _)) => {
-                assert_eq!(packed, source, "rows move only within one layout");
-                to.extend_from_slice(&col.published()[at(source.row_bytes(dim))]);
-                if let Some(plane) = plane {
-                    ENCODED.with(|encoded| {
-                        let (cells, _) = &mut *encoded.borrow_mut();
-                        let lead = from.lead(r);
-                        cells.clear();
-                        cells.extend((0..lead.len()).map(|j| lead.cell(j) as u8));
-                        plane.put(row, cells);
-                    });
-                }
-            }
-            (Cells::I32(_, to), Cells::I32(_, from)) => {
-                to.extend_from_slice(&from.published()[at(dim)]);
-            }
-            (Cells::I64(_, to), Cells::I64(_, from)) => {
-                to.extend_from_slice(&from.published()[at(dim)]);
-            }
-            _ => panic!("rows move only between arenas of one layout"),
+        assert_eq!(self.packed, from.packed, "rows move only within one layout");
+        let stride = from.packed.row_bytes(dim);
+        self.col
+            .extend_from_slice(&from.col.published()[r * stride..(r + 1) * stride]);
+        if let Some(plane) = &self.plane {
+            ENCODED.with(|encoded| {
+                let (cells, _) = &mut *encoded.borrow_mut();
+                let lead = from.lead(r);
+                cells.clear();
+                cells.extend((0..lead.len()).map(|j| lead.cell(j) as u8));
+                plane.put(row, cells);
+            });
         }
     }
 
@@ -528,37 +414,29 @@ impl Cells {
 
     /// Decodes row `row` into `out` as canonical representatives.
     pub(super) fn decode_into(&self, row: usize, dim: usize, out: &mut Vec<i64>) {
-        let stride = self.stride(dim);
-        let at = row * stride..(row + 1) * stride;
-        match self {
-            Cells::Packed(packed, col, _) => {
-                let (ka, half) = (i64::from(packed.ka), packed.ka / 2);
-                let bytes = &col.published()[at.start..];
-                packed.all_coords(self.lead(row), bytes, dim, |_, v| {
-                    // `v − ka` past the half ring: `canonical`'s `2r > ka`.
-                    out.push(i64::from(v) - if v > half { ka } else { 0 });
-                    true
-                });
-            }
-            Cells::I32(_, col) => out.extend(col.published()[at].iter().map(|&c| c.widen())),
-            Cells::I64(_, col) => out.extend(col.published()[at].iter().map(|&c| c.widen())),
-        }
+        let ka = self.packed.ka;
+        let bytes = &self.col.published()[row * self.packed.row_bytes(dim)..];
+        self.packed.all_coords(self.lead(row), bytes, dim, |_, v| {
+            // `v − ka` past the half ring: `canonical`'s `2r > ka`.
+            out.push(if v > ka / 2 { v.wrapping_sub(ka) } else { v } as i64);
+            true
+        });
     }
 }
 
 /// The canonical ring representative of `v` in `Z_ka`: the minimal
 /// signed residue, in `[−(ka−1)/2, ka/2]`. Conditions (1)–(4) are a
 /// cyclic distance on `Z_ka`, so they cannot distinguish `v` from
-/// `v ± ka` — storing the canonical form loses nothing and is what lets
-/// the row layout follow `ka` instead of `i64`.
+/// `v ± ka` — storing the residue loses nothing and is what lets the
+/// row follow `ka` instead of `i64`.
 ///
-/// This is the one definition of what an index row reads back as:
-/// every layout stores it (the wide cells verbatim, the packed row as
-/// its residue, which `Cells::decode_into` folds back the same way),
-/// so a caller that must restore the value it inserted — a server's
-/// record patches — compares against this instead of decoding the row.
-/// Real sketches land inside the canonical range, where this is two
-/// compares; the `i128` division only runs for out-of-range input.
+/// This is the one definition of what an index row reads back as: the
+/// row stores the residue, which `Cells::decode_into` folds back this
+/// way, so a caller that must restore the value it inserted — a
+/// server's record patches — compares against this instead of decoding
+/// the row. Real sketches land inside the canonical range, where this
+/// is two compares; the `i128` division only runs for out-of-range
+/// input.
 ///
 /// ```
 /// use fe_core::index::store::canonical;
@@ -593,36 +471,6 @@ pub fn canonical_range(ka: u64) -> (i64, i64) {
     let hi = (ka / 2).min(i64::MAX as u64) as i64;
     let lo = -(((ka - 1) / 2).min(i64::MAX as u64) as i64);
     (lo, hi)
-}
-
-/// The early-abort slice kernel of the wide layouts: does the
-/// contiguous row `s` match the normalized probe under conditions
-/// (1)–(4)?
-///
-/// Both sides hold canonical representatives, so `|a − b| ≤ ka − 1` and
-/// the cyclic distance is `min(d, ka − d)` with no `%` in the loop —
-/// cheaper per coordinate than [`crate::conditions::cyclic_close`] and
-/// exactly equivalent to it on canonical values.
-#[inline]
-fn rows_match<C: Cell>(s: &[C], probe: &[C], t: u64, ka: u64) -> bool {
-    s.iter().zip(probe.iter()).all(|(&a, &b)| {
-        let d = C::abs_diff_cells(a, b);
-        d.min(ka - d) <= t
-    })
-}
-
-/// Prepares `probes[p]` for every `p` in `active` into `buf`, one
-/// after another, as the layout's sweep reads them.
-pub(super) fn prepare_into<L: Layout>(
-    layout: L,
-    buf: &mut Vec<L::Probe>,
-    probes: &[&[i64]],
-    active: &[usize],
-) {
-    buf.clear();
-    for &p in active {
-        buf.extend(probes[p].iter().map(|&v| layout.prepare(v)));
-    }
 }
 
 #[cfg(test)]
@@ -661,25 +509,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernel_matches_cyclic_close_on_canonical_values() {
-        let ka = 40u64;
-        for t in [1u64, 5, 19] {
-            for a in -60i64..60 {
-                for b in -60i64..60 {
-                    let ca = canonical(a, ka);
-                    let cb = canonical(b, ka);
-                    let d = (ca - cb).unsigned_abs();
-                    assert_eq!(
-                        d.min(ka - d) <= t,
-                        cyclic_close(a, b, t, ka),
-                        "a={a} b={b} t={t}"
-                    );
-                }
-            }
-        }
-    }
-
     /// A packed layout of the ring `(t, ka)` whose plane keeps `lead`
     /// coordinates' cells, as `Cells::set_plane` makes it.
     fn with_plane(t: u64, ka: u64, lead: usize) -> Packed {
@@ -688,18 +517,29 @@ mod tests {
         Packed { lead, ..packed }
     }
 
-    /// The multiply-shift is the division: every cell width a narrow
-    /// ring can have (`w ≤ 2¹⁴`), at both sides of every multiple of it
-    /// below `2¹⁵` — the quotient only steps there, and `(r · magic) >>
-    /// 31` only grows with `r`.
+    /// The reciprocal and its fix-up are the division: every cell width
+    /// a narrow ring can have (`w ≤ 2¹⁴`), at both sides of every
+    /// multiple of it below `2¹⁵` — the quotient only steps there, and
+    /// the estimate only grows with `r` — where the reciprocal also
+    /// gives the AVX-512 encode its `⌈2³¹ / w⌉`; and the widths of wide rings
+    /// (`⌈ka / 2^b⌉` for `ka` at and around powers of two up to
+    /// `2⁶⁴ − 1`, and random ones) at both sides of sampled multiples,
+    /// of the last residue and of `2⁶⁴ − 1`.
     #[test]
-    fn multiply_shift_divides_by_every_cell_width() {
+    fn the_reciprocal_divides_by_every_cell_width() {
+        let divider = |w: u64| Packed {
+            w,
+            recip: u64::MAX / w,
+            ..Packed::new(0, 400)
+        };
         for w in 1u64..=1 << 14 {
-            let packed = Packed {
-                w: w as u32,
-                magic: (1u64 << 31).div_ceil(w),
-                ..Packed::new(0, 400)
-            };
+            let packed = divider(w);
+            // The AVX-512 encode's multiply-shift, from the reciprocal.
+            assert_eq!(
+                (packed.recip >> 33) + 1,
+                (1u64 << 31).div_ceil(w),
+                "w = {w}"
+            );
             for k in 1..=(1 << 15) / w {
                 for r in [k * w - 1, k * w] {
                     assert_eq!(packed.cell(r), r / w, "r = {r}, w = {w}");
@@ -707,21 +547,49 @@ mod tests {
             }
             assert_eq!(packed.cell((1 << 15) - 1), ((1 << 15) - 1) / w, "w = {w}");
         }
+        let mut rng = StdRng::seed_from_u64(0xD1F);
+        let rings = (15..64)
+            .flat_map(|p| [(1u64 << p) - 1, 1 << p, (1 << p) + 1])
+            .chain([u64::MAX])
+            .chain((0..200).map(|_| rng.gen_range(1 << 15..=u64::MAX)))
+            .collect::<Vec<u64>>();
+        for ka in rings {
+            for b in 0..=8 {
+                let w = ka.div_ceil(1 << b);
+                let packed = divider(w);
+                let steps: Vec<u64> = (0..64).map(|_| rng.gen_range(1..=u64::MAX / w)).collect();
+                let rs = steps
+                    .into_iter()
+                    .chain([1, u64::MAX / w])
+                    .flat_map(|k| [k * w - 1, k * w, (k * w).saturating_add(1)])
+                    .chain([ka - 1, u64::MAX, rng.gen()]);
+                for r in rs {
+                    assert_eq!(packed.cell(r), r / w, "r = {r}, w = {w}");
+                }
+            }
+        }
     }
 
     /// Bits a stored coordinate takes: `max(8, ⌈log₂ ka⌉)` on every
-    /// narrow ring, wherever they are kept; the cell fits its `b` bits
-    /// and the offset the rest.
+    /// ring, wherever they are kept; the cell fits its `b` bits and the
+    /// offset the rest — every narrow ring, and wide ones at and around
+    /// every power of two up to `2⁶⁴ − 1`.
     #[test]
     fn a_coordinate_takes_a_byte_or_the_rings_bits() {
-        for ka in 2u64..1 << 15 {
+        let wide = (15..64)
+            .flat_map(|p| [(1u64 << p) - 1, 1 << p, (1 << p) + 1])
+            .chain([u64::MAX]);
+        for ka in (2u64..1 << 15).chain(wide) {
             let ring_bits = u64::BITS - (ka - 1).leading_zeros(); // ⌈log₂ ka⌉
             for t in [0, ka / 4, ka / 3] {
                 let packed = with_plane(t, ka, 64);
-                let (b, w) = (packed.cell_bits, u64::from(packed.w));
+                let (b, w) = (packed.cell_bits, packed.w);
                 assert_eq!(packed.bits, ring_bits.max(8), "ka = {ka}");
                 assert!((ka - 1) / w < 1 << b, "ka = {ka}, t = {t}");
-                assert!(w <= 1 << (packed.bits - b), "ka = {ka}, t = {t}");
+                assert!(
+                    u128::from(w) <= 1 << (packed.bits - b),
+                    "ka = {ka}, t = {t}"
+                );
                 // The row column and the plane's 8 bytes of cells a
                 // coordinate of 64 make up the whole row.
                 let plane = if b == 0 { 0 } else { 8 * b as usize };
@@ -743,41 +611,53 @@ mod tests {
         assert_eq!(CellWidth::row_bytes(400, 13), 15);
         assert_eq!(CellWidth::row_bytes(700, 13), 17);
         assert_eq!(CellWidth::row_bytes((1 << 15) - 1, 3), 6);
-        assert_eq!(CellWidth::row_bytes(1 << 15, 3), 12);
-        assert_eq!(CellWidth::row_bytes(1 << 31, 3), 24);
+        // Wide rings, in their bits too.
+        assert_eq!(CellWidth::row_bytes(1 << 15, 3), 6);
+        assert_eq!(CellWidth::row_bytes(1 << 31, 3), 12);
+        assert_eq!(CellWidth::row_bytes(1 << 20, 64), 160);
+        assert_eq!(CellWidth::row_bytes(1 << 32, 64), 256);
+        assert_eq!(CellWidth::row_bytes(1 << 40, 64), 320);
+        assert_eq!(CellWidth::row_bytes(u64::MAX, 64), 512);
+        assert_eq!(with_plane(1 << 18, 1 << 20, 64).row_bytes(64), 144);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// The packed row eight coordinates a step has the scalar
-        /// loop's cells and bytes on rings of every bit width (8–15),
-        /// with planes of every depth — none, part of a chunk, whole
-        /// chunks, the whole row — at every dimension from 1 to 130, on
-        /// coordinates in `(−ka, ka)` and on rows with `off`
+        /// loop's cells and bytes on rings of every narrow bit width
+        /// (1–15), with planes of every depth — none, part of a chunk,
+        /// whole chunks, the whole row — at every dimension from 1 to
+        /// 130, on coordinates in `(−ka, ka)` and on rows with `off`
         /// coordinates drawn outside it — `±ka`, `−ka − 1`, `i64::MIN`,
         /// `i64::MAX` and any `i64` among them. The lanes run exactly
-        /// when every coordinate lies in `[−ka, ka)`.
+        /// when the ring is narrow and every coordinate lies in
+        /// `[−ka, ka)`: a quarter of the cases draw a wide ring (16–64
+        /// bits), which the lanes refuse.
         #[test]
         fn encode_lanes_match_the_scalar_loop(
-            ring_bits in 1u32..=15,
+            ring_bits in 1u32..=20,
             seed in any::<u64>(),
             dim in 1usize..=130,
             off in 0usize..4,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let ka = rng.gen_range((1u64 << ring_bits >> 1) + 1..=(1 << ring_bits).min((1 << 15) - 1));
+            let ring_bits = if ring_bits > 15 { rng.gen_range(16..=64) } else { ring_bits };
+            // `ka ∈ (2^(bits − 1), 2^bits]`, below 2¹⁵ when narrow.
+            let top = u64::MAX >> (64 - ring_bits);
+            let last = if ring_bits > 15 { top } else { (top + 1).min((1 << 15) - 1) };
+            let ka = rng.gen_range(top / 2 + 2..=last);
             let t = rng.gen_range(0..=ka / 2);
             let lead = [0, rng.gen_range(1..=dim.min(64)), dim.min(64)][rng.gen_range(0..3usize)];
             let packed = with_plane(t, ka, lead);
-            let ka = ka as i64;
-            let mut sketch: Vec<i64> = (0..dim).map(|_| rng.gen_range(1 - ka..ka)).collect();
+            let k = ka.min(i64::MAX as u64) as i64;
+            let mut sketch: Vec<i64> = (0..dim).map(|_| rng.gen_range(1 - k..k)).collect();
             for _ in 0..off {
                 let j = rng.gen_range(0..dim);
                 sketch[j] = match rng.gen_range(0..6) {
-                    0 => ka,
-                    1 => -ka,
-                    2 => -ka - 1,
+                    0 => k,
+                    1 => -k,
+                    2 => (-k).saturating_sub(1),
                     3 => i64::MIN,
                     4 => i64::MAX,
                     _ => rng.gen(),
@@ -794,7 +674,8 @@ mod tests {
             if avx512::available() {
                 let (mut got_cells, mut row) = (vec![0; packed.lead], vec![0; size]);
                 let lanes = avx512::encode_packed(packed.split(), &sketch, &mut got_cells, &mut row);
-                prop_assert_eq!(lanes, sketch.iter().all(|v| (-ka..ka).contains(v)));
+                let narrow = ka < 1 << 15 && sketch.iter().all(|v| (-k..k).contains(v));
+                prop_assert_eq!(lanes, narrow);
                 if lanes {
                     prop_assert_eq!((&got_cells, &row), (&cells, &expected));
                 }
@@ -833,16 +714,16 @@ mod tests {
             let lead = plane
                 .as_ref()
                 .map_or_else(Lead::none, |plane| plane.lead(a as usize));
-            packed.row_matches(lead, &rows[a as usize], &[packed.prepare(b)])
+            packed.row_matches(lead, &rows[a as usize], &[packed.residue(b)])
         }
     }
 
     /// The packed phase-2 predicate is `cyclic_close`: every residue
     /// pair of rings at and around a byte's capacity, with and without
     /// a short last cell (`2^b ∤ ka`) and with no plane at all, and on
-    /// the largest narrow ring every pair with either side at a cell
-    /// edge or the wrap, or within one of them — where `c · w + o`,
-    /// the short cell and `ka − d` all meet.
+    /// the ring `2¹⁵ − 1` every pair with either side at a cell edge or
+    /// the wrap, or within one of them — where `c · w + o`, the short
+    /// cell and `ka − d` all meet.
     #[test]
     fn packed_predicate_is_cyclic_close() {
         let thresholds = |ka: u64| [0, 1, 57, 100, 199, ka / 4, ka / 4 + 1, ka / 2, ka];
@@ -861,7 +742,7 @@ mod tests {
         let ka_i = ka as i64;
         for t in thresholds(ka) {
             let ring = Ring::new(t, ka);
-            let w = i64::from(ring.0.w);
+            let w = ring.0.w as i64;
             let edges: Vec<i64> = (0..=ka_i / w + 1)
                 .flat_map(|k| [k * w - 1, k * w, k * w + 1])
                 .chain([ka_i - 1])

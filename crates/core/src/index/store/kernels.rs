@@ -162,8 +162,8 @@ pub(crate) mod avx512 {
     /// split into cell and offset.
     #[derive(Debug, Clone, Copy)]
     pub struct Split {
-        pub ka: u32,
-        pub w: u32,
+        pub ka: u64,
+        pub w: u64,
         pub magic: u64,
         pub bits: u32,
         pub offset_bits: u32,
@@ -176,13 +176,18 @@ pub(crate) mod avx512 {
     /// after them into `row` — by the same residue fold and the same
     /// multiply-shift; `false`, with both written but meaningless, when
     /// a coordinate lies outside `[−ka, ka)`, whose residue takes a
-    /// divide.
+    /// divide, and without writing either on a ring of `ka ≥ 2¹⁵`,
+    /// where a field outgrows its 16-bit lane and the multiply-shift
+    /// its exact range.
     ///
     /// # Panics
     /// Panics when AVX-512 or BMI2 is unavailable, or when `cells` or
     /// `row` is too short for the row.
     pub fn encode_packed(split: Split, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) -> bool {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
+        if split.ka >= 1 << 15 {
+            return false;
+        }
         // SAFETY: the avx512f/avx512bw/bmi2 target features were just
         // verified above.
         unsafe { encode_packed_avx512(split, sketch, cells, row) }
@@ -195,9 +200,9 @@ pub(crate) mod avx512 {
         cells: &mut [u8],
         row: &mut [u8],
     ) -> bool {
-        let ka = _mm512_set1_epi64(i64::from(split.ka));
+        let ka = _mm512_set1_epi64(split.ka as i64);
         let (w, magic) = (
-            _mm512_set1_epi64(i64::from(split.w)),
+            _mm512_set1_epi64(split.w as i64),
             _mm512_set1_epi64(split.magic as i64),
         );
         let mut high = _mm512_setzero_si512();

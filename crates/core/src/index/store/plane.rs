@@ -48,6 +48,7 @@
 //! `AtomicU64`s read by `Relaxed` loads, which are plain loads on
 //! every target the crate builds for.
 
+use super::cells::Packed;
 use super::shared::Column;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
@@ -66,7 +67,7 @@ pub(super) const CHECK_EVERY: usize = 4;
 /// byte.
 const MAX_CELL_BITS: u32 = 8;
 
-/// The plane's cell bits `b` on the ring `(t, ka)` (`ka < 2¹⁵`): of
+/// The plane's cell bits `b` on the ring `(t, ka)`: of
 /// `b = 1 ..= min(8, ⌈log₂ ka⌉)`, the one whose cells reject the most
 /// rows per stored bit, the smaller on a tie; 0 — no plane — when no
 /// cell of any of them can ever lie wholly outside a probe's arc.
@@ -76,25 +77,27 @@ const MAX_CELL_BITS: u32 = 8;
 /// width `x ≤ m` lies wholly in that window for `m − x + 1` of the
 /// `ka` probes, so a coordinate rejects
 /// `Σ x · (m − x + 1)⁺ / ka²` of the rows in expectation; the rule
-/// compares that over `b` exactly, in integers. At the paper ring
+/// compares that over `b` exactly, in integers — 128 bits, where
+/// `x · (m − x + 1)` outgrows 64 on a wide ring. At the paper ring
 /// `b = 2` (one cell of 100 always excluded: ¼ of the rows) ties with
 /// `b = 3` (three of 50: ⅜) and wins; one more on `t` and `b = 3`
 /// wins.
 pub(super) fn cell_bits(t: u64, ka: u64) -> u32 {
-    debug_assert!(ka < 1 << 15);
     let arc = 2 * t.min(ka / 2) + 1;
     if arc >= ka {
         return 0;
     }
-    let m = ka - arc;
+    let m = u128::from(ka - arc);
     let ring_bits = u64::BITS - (ka - 1).leading_zeros();
-    let (mut best, mut best_gain) = (0, 0);
+    let (mut best, mut best_gain) = (0, 0u128);
     for b in 1..=ring_bits.min(MAX_CELL_BITS) {
         let w = ka.div_ceil(1 << b);
-        let (full, short) = (ka / w, ka % w);
+        let (full, short, w) = (u128::from(ka / w), u128::from(ka % w), u128::from(w));
         let gain = full * w * (m + 1).saturating_sub(w) + short * (m + 1).saturating_sub(short);
-        // `gain / b > best_gain / best`, with `best_gain = 0` at first.
-        if gain * u64::from(best.max(1)) > best_gain * u64::from(b) {
+        // `gain / b > best_gain / best`, with `best_gain = 0` at first:
+        // whole parts, then remainders (`gain · b` may pass 2¹²⁸).
+        let (nb, db) = (u128::from(b), u128::from(best.max(1)));
+        if (gain / nb, gain % nb * db) > (best_gain / db, best_gain % db * nb) {
             (best, best_gain) = (b, gain);
         }
     }
@@ -130,12 +133,6 @@ pub(super) struct FilterPlane {
     dims: usize,
     /// Cell bits a coordinate: `b ≥ 1`.
     bits: usize,
-    /// The ring, the cell width `w = ⌈ka / 2^b⌉`, and the window a probe
-    /// coordinate's arc leaves: `t' + 1` past the probe, `m` long.
-    ka: u32,
-    w: u32,
-    past: u32,
-    m: u32,
 }
 
 /// A copy of a plane word.
@@ -160,7 +157,6 @@ impl FilterPlane {
     pub(super) fn new(dims: usize, t: u64, ka: u64) -> FilterPlane {
         let bits = cell_bits(t, ka);
         debug_assert!((1..=MAX_DIMS).contains(&dims) && bits >= 1);
-        let t = t.min(ka / 2);
         FilterPlane {
             words: Column::with_capacity(0),
             staging: (0..64 * dims.div_ceil(8))
@@ -169,10 +165,6 @@ impl FilterPlane {
             staged: AtomicUsize::new(0),
             dims,
             bits: bits as usize,
-            ka: ka as u32,
-            w: ka.div_ceil(1 << bits) as u32,
-            past: t as u32 + 1,
-            m: (ka - 2 * t - 1) as u32,
         }
     }
 
@@ -287,32 +279,44 @@ impl FilterPlane {
 
     /// Appends the cell tests of one prepared probe — its residues, the
     /// leading `dims` of them read — to `tests`: for each coordinate,
-    /// every cell wholly inside the window its arc leaves, in order.
-    /// The window is shorter than the ring, so the walk ends before it
-    /// comes round to its first cell.
-    pub(super) fn tests(&self, probe: &[u16], tests: &mut Vec<Test>) {
-        let (ka, w, m) = (self.ka, self.w, self.m);
+    /// every cell of `ring`'s (the arena's row, whose cell width and
+    /// threshold the plane was built for) wholly inside the window its
+    /// arc leaves, `t' + 1` past the probe and `m` long, in order. The
+    /// window is shorter than the ring, so the walk ends before it
+    /// comes round to its first cell. No sum passes `ka`, so none
+    /// overflows on any ring.
+    pub(super) fn tests(&self, ring: Packed, probe: &[u64], tests: &mut Vec<Test>) {
+        let (ka, w, t) = (ring.ka, ring.w, ring.t.min(ring.ka / 2));
+        let (past, m, last) = (t + 1, ka - 2 * t - 1, (ka - 1) / w);
         for (j, &p) in probe[..self.dims].iter().enumerate() {
             let at = (j * self.bits * GROUP_WORDS) as u32;
             // The window starts `t' + 1` past the probe: its first
             // whole cell starts there or after, or wraps to cell 0.
-            let start = (u32::from(p) + self.past) % ka;
+            let start = if p < ka - past {
+                p + past
+            } else {
+                p - (ka - past)
+            };
             let mut cell = start.div_ceil(w);
-            if cell * w >= ka {
+            if cell > last {
                 cell = 0;
             }
             loop {
+                // Where the cell starts in the window, and its length.
                 let lo = cell * w;
                 let into = if lo >= start {
                     lo - start
                 } else {
-                    lo + ka - start
+                    ka - (start - lo)
                 };
-                if into + w.min(ka - lo) > m {
+                if into > m || w.min(ka - lo) > m - into {
                     break;
                 }
-                tests.push(Test { at, cell });
-                cell = if lo + w >= ka { 0 } else { cell + 1 };
+                tests.push(Test {
+                    at,
+                    cell: cell as u32,
+                });
+                cell = if cell == last { 0 } else { cell + 1 };
             }
         }
     }
@@ -411,16 +415,16 @@ impl<'a> Lead<'a> {
 
     /// The cell of coordinate `j < self.len()`.
     #[inline]
-    pub(super) fn cell(&self, j: usize) -> u32 {
+    pub(super) fn cell(&self, j: usize) -> u64 {
         if let Some(staged) = &self.staged {
-            return (staged[j / 8] >> (8 * (j % 8))) as u32 & 0xFF;
+            return staged[j / 8] >> (8 * (j % 8)) & 0xFF;
         }
         let runs = &self.block[j * self.bits * GROUP_WORDS..][..self.bits * GROUP_WORDS];
         runs.chunks_exact(GROUP_WORDS)
             .enumerate()
             .fold(0, |cell, (r, run)| {
                 let word = run[self.group].load(Ordering::Relaxed);
-                cell | ((word >> self.bit) as u32 & 1) << r
+                cell | (word >> self.bit & 1) << r
             })
     }
 }
@@ -526,10 +530,12 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The rule of [`cell_bits`]: 2 at the paper ring and 3 one step
-    /// looser, 1 on a tight ring; and the rings that get no plane —
-    /// every `t ≥ ⌊ka/2⌋`, where every residue matches, and these,
-    /// where the window the arc leaves is narrower than any cell:
-    /// `(128, 258)`, `(255, 512)` and `(16 320, 32 767)`, each a step
+    /// looser, 1 on a tight ring — and the same on wide rings, up to
+    /// `2⁶⁴ − 1`, whose gains pass 2¹²⁸ once weighed by `b`; and the
+    /// rings that get no plane — every `t ≥ ⌊ka/2⌋`, where every
+    /// residue matches, and these, where the window the arc leaves is
+    /// narrower than any cell: `(128, 258)`, `(255, 512)`,
+    /// `(16 320, 32 767)` and their like on wide rings, each a step
     /// from a ring that gets one.
     #[test]
     fn cell_bits_follow_the_rule() {
@@ -537,11 +543,27 @@ mod tests {
         assert_eq!(cell_bits(101, 400), 3);
         assert_eq!(cell_bits(10, 400), 1);
         assert_eq!(cell_bits(0, 2), 1);
-        for ka in [2u64, 3, 7, 400, 401, (1 << 15) - 1] {
+        for ka in [1 << 15, 1 << 20, 1 << 40, (1 << 63) + 1, u64::MAX] {
+            assert_eq!(cell_bits(ka / 4, ka), 2, "ka = {ka}");
+            assert_eq!(cell_bits(ka / 4 + ka / 64, ka), 3, "ka = {ka}");
+            assert_eq!(cell_bits(ka / 64, ka), 1, "ka = {ka}");
+            assert_eq!(cell_bits(0, ka), 1, "ka = {ka}");
+        }
+        for ka in [2u64, 3, 7, 400, 401, (1 << 15) - 1, 1 << 40, u64::MAX] {
             assert_eq!(cell_bits(ka / 2, ka), 0, "ka = {ka}");
             assert_eq!(cell_bits(u64::MAX, ka), 0, "ka = {ka}");
         }
-        for (t, ka) in [(128, 258), (255, 512), (16_320, 32_767)] {
+        // The narrowest cells: `2¹²` at `2²⁰`, and the short last cell
+        // of `2⁶⁴ − 1` at `b = 8`, `2⁵⁶ − 1` — the window
+        // `m = ka − 2t − 1` falls one and two short of them.
+        let wide = [
+            ((1u64 << 19) - (1 << 11), 1 << 20),
+            ((1 << 63) - (1 << 55), u64::MAX),
+        ];
+        for (t, ka) in [(128, 258), (255, 512), (16_320, 32_767)]
+            .into_iter()
+            .chain(wide)
+        {
             assert_eq!(cell_bits(t, ka), 0, "t = {t}, ka = {ka}");
             assert_ne!(cell_bits(t - 1, ka), 0, "t = {}, ka = {ka}", t - 1);
         }
@@ -584,17 +606,68 @@ mod tests {
                 if cell_bits(t, ka) == 0 {
                     continue;
                 }
-                let plane = FilterPlane::new(1, t, ka);
-                let w = u64::from(plane.w);
+                let (plane, ring) = (FilterPlane::new(1, t, ka), Packed::new(t, ka));
+                let w = ring.w;
                 for p in 0..ka {
                     let mut tests = Vec::new();
-                    plane.tests(&[p as u16], &mut tests);
+                    plane.tests(ring, &[p], &mut tests);
                     let want: Vec<u32> = (0..ka.div_ceil(w))
                         .filter(|c| {
                             (c * w..((c + 1) * w).min(ka))
                                 .all(|r| !cyclic_close(r as i64, p as i64, t, ka))
                         })
                         .map(|c| c as u32)
+                        .collect();
+                    let mut got: Vec<u32> = tests.iter().map(|test| test.cell).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "p = {p}, t = {t}, ka = {ka}");
+                }
+            }
+        }
+    }
+
+    /// The same on wide rings, whose cells are too long to walk: a cell
+    /// is wholly outside the arc exactly when it does not hold the
+    /// probe and neither of its ends is within `t` of it. Probes at
+    /// every cell edge, one off it, and `t` and `t + 1` either side of
+    /// it, and random ones, on rings up to `2⁶⁴ − 1`.
+    #[test]
+    fn tests_exclude_exactly_the_cells_outside_the_arc_on_wide_rings() {
+        let mut rng = StdRng::seed_from_u64(0x71DE);
+        for ka in [1u64 << 15, 1 << 20, 1 << 40, (1 << 63) + 1, u64::MAX] {
+            let near = |a: u64, b: u64, t: u64| a.abs_diff(b).min(ka - a.abs_diff(b)) <= t;
+            let at = |x: i128| x.rem_euclid(i128::from(ka)) as u64;
+            for t in [
+                0,
+                1,
+                ka / 64,
+                ka / 8,
+                ka / 4,
+                ka / 4 + 1,
+                ka / 3,
+                ka / 2 - ka / 300,
+            ] {
+                if cell_bits(t, ka) == 0 {
+                    continue;
+                }
+                let (plane, ring) = (FilterPlane::new(1, t, ka), Packed::new(t, ka));
+                let (w, t_) = (ring.w, i128::from(t));
+                let cells =
+                    (0..ka.div_ceil(w)).map(|c| (c * w, (c * w).saturating_add(w - 1).min(ka - 1)));
+                let edges = cells.clone().flat_map(|(lo, _)| {
+                    let lo = i128::from(lo);
+                    [lo, lo - 1, lo + t_, lo + t_ + 1, lo - t_, lo - t_ - 1].map(at)
+                });
+                let random: Vec<u64> = (0..64).map(|_| rng.gen_range(0..ka)).collect();
+                for p in edges.chain(random) {
+                    let mut tests = Vec::new();
+                    plane.tests(ring, &[p], &mut tests);
+                    let want: Vec<u32> = (0..)
+                        .zip(cells.clone())
+                        .filter(|&(_, (lo, hi))| {
+                            !(lo..=hi).contains(&p) && !near(lo, p, t) && !near(hi, p, t)
+                        })
+                        .map(|(c, _)| c)
                         .collect();
                     let mut got: Vec<u32> = tests.iter().map(|test| test.cell).collect();
                     got.sort_unstable();
@@ -612,7 +685,7 @@ mod tests {
         // written by its 64th, and phase 1 sees the group once that row
         // is counted.
         let mut plane = FilterPlane::new(2, 100, 400);
-        assert_eq!((plane.bits(), plane.w), (2, 100));
+        assert_eq!((plane.bits(), Packed::new(100, 400).w), (2, 100));
         plane.grow(600);
         // Two blocks of 2 × 2 runs, and 64 rows of one staging word.
         assert_eq!(plane.heap_bytes(), (2 * 2 * 2 * GROUP_WORDS + 64) * 8);
@@ -638,7 +711,7 @@ mod tests {
         assert_eq!(word(plane.stride()), 0xAAAA_AAAA_AAAA_AAAA);
         assert_eq!(word(plane.stride() + 1), 0);
         for row in [0, 63, 511, 512, 575, 576, 599] {
-            let c = (row % 4) as u32;
+            let c = (row % 4) as u64;
             let lead = view.lead(row);
             assert_eq!(lead.staged.is_some(), row >= 576, "row {row}");
             assert_eq!((lead.len(), lead.cell(0), lead.cell(1)), (2, c, 3 - c));
@@ -711,13 +784,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5117);
         for (t, ka) in [(10, 400), (100, 400), (101, 400), (25, 101)] {
             for dims in [1, 3, 8] {
-                let mut plane = FilterPlane::new(dims, t, ka);
-                let w = plane.w;
+                let (mut plane, ring) = (FilterPlane::new(dims, t, ka), Packed::new(t, ka));
+                let w = ring.w;
                 plane.grow(1024);
                 let rows: Vec<Vec<u8>> = (0..1024)
                     .map(|_| {
                         (0..dims)
-                            .map(|_| (rng.gen_range(0..ka as u32) / w) as u8)
+                            .map(|_| (rng.gen_range(0..ka) / w) as u8)
                             .collect()
                     })
                     .collect();
@@ -726,9 +799,9 @@ mod tests {
                 }
                 let view = plane.view(1024);
                 for _ in 0..20 {
-                    let probe: Vec<u16> = (0..dims).map(|_| rng.gen_range(0..ka as u16)).collect();
+                    let probe: Vec<u64> = (0..dims).map(|_| rng.gen_range(0..ka)).collect();
                     let mut tests = Vec::new();
-                    plane.tests(&probe, &mut tests);
+                    plane.tests(ring, &probe, &mut tests);
                     let excluded = |row: usize| {
                         tests.iter().any(|test| {
                             u32::from(rows[row][test.at as usize / (plane.bits * 8)]) == test.cell

@@ -3,7 +3,7 @@
 //! epoch tier's) are wrappers over, and the per-thread counts of what
 //! it did.
 
-use super::cells::{prepare_into, Cells, Layout};
+use super::cells::Packed;
 use super::plane::{Lead, PlaneView, Test, BLOCK_ROWS};
 use super::{RecordId, SketchArena, SketchIndex};
 use std::cell::{Cell, RefCell};
@@ -133,15 +133,13 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Per-thread reusable scan state: normalized-probe buffers for every
-/// row layout, the probes' cell tests, and the indices of the probes a
-/// sweep actually prepared. Hoisted off the per-call hot path: a
-/// tiered lookup prepares the same probes once *per tier*.
+/// Per-thread reusable scan state: the probes' residues, their cell
+/// tests, and the indices of the probes a sweep actually prepared.
+/// Hoisted off the per-call hot path: a tiered lookup prepares the same
+/// probes once *per tier*.
 #[derive(Default)]
 struct ScanScratch {
-    residues: Vec<u16>,
-    i32s: Vec<i32>,
-    i64s: Vec<i64>,
+    residues: Vec<u64>,
     tests: Vec<Test>,
     /// Where each prepared probe's tests start in `tests`, and one
     /// past the last probe's.
@@ -166,27 +164,27 @@ struct PlaneProbes<'a> {
     starts: &'a [usize],
 }
 
-/// One prepared sweep: the probes normalized for the arena's row
-/// layout and bound to its column, the rows they may visit, and the
-/// hits each probe may collect. Borrows only — built once on the
-/// calling thread's scratch.
-struct Sweep<'a, L: Layout> {
+/// One prepared sweep: the probes reduced into the arena's ring and
+/// bound to its column, the rows they may visit, and the hits each
+/// probe may collect. Borrows only — built once on the calling
+/// thread's scratch.
+struct Sweep<'a> {
     arena: &'a SketchArena,
-    layout: L,
+    packed: Packed,
     /// The arena's rows as of this sweep's one `Acquire` load of the
-    /// row count, and their column units, `stride` a row: nothing past
+    /// row count, and their column bytes, `stride` a row: nothing past
     /// them is read.
     rows: usize,
-    cells: &'a [L::Unit],
+    bytes: &'a [u8],
     stride: usize,
     dim: usize,
-    /// The prepared probes, `dim` values each, and for each the
+    /// The probes' residues, `dim` each, and for each probe the
     /// caller's index of it — what its hits are reported under.
-    probes: &'a [L::Probe],
+    probes: &'a [u64],
     active: &'a [usize],
-    /// `None` on wide rings, disabled filters and rings where no cell
-    /// can be ruled out: phase 1 is then the identity — every visitable
-    /// row is a candidate and phase 2 verifies it.
+    /// `None` on disabled filters and rings where no cell can be ruled
+    /// out: phase 1 is then the identity — every visitable row is a
+    /// candidate and phase 2 verifies it.
     plane: Option<PlaneProbes<'a>>,
     /// The row subset of a masked sweep, ANDed into each liveness word
     /// ahead of phase 1: excluded rows cost nothing, and a wholly
@@ -196,18 +194,18 @@ struct Sweep<'a, L: Layout> {
 }
 
 /// One probe's state within a sweep, while it is short of its budget.
-struct OpenProbe<'a, P> {
+struct OpenProbe<'a> {
     /// The caller's index of this probe.
     k: usize,
     /// Hits it may still take.
     left: usize,
-    /// Its `dim` prepared values.
-    cells: &'a [P],
+    /// Its `dim` residues.
+    residues: &'a [u64],
     /// Its cell tests (empty without a plane).
     tests: &'a [Test],
 }
 
-impl<L: Layout> Sweep<'_, L> {
+impl Sweep<'_> {
     /// The whole sweep: every liveness word of the arena's `rows` on
     /// behalf of every probe, returning `(probe, row)` hits — ascending
     /// per probe, at most `budget` each.
@@ -218,14 +216,14 @@ impl<L: Layout> Sweep<'_, L> {
     /// instead of once per probe. A probe leaves the sweep at its
     /// `budget`-th hit, and the sweep ends with the last open probe.
     fn tiles(&self) -> Vec<(usize, RecordId)> {
-        let mut open: Vec<OpenProbe<'_, L::Probe>> = self
+        let mut open: Vec<OpenProbe<'_>> = self
             .active
             .iter()
             .enumerate()
             .map(|(k, &caller)| OpenProbe {
                 k: caller,
                 left: self.budget,
-                cells: &self.probes[k * self.dim..(k + 1) * self.dim],
+                residues: &self.probes[k * self.dim..(k + 1) * self.dim],
                 tests: self
                     .plane
                     .map_or(&[][..], |p| &p.tests[p.starts[k]..p.starts[k + 1]]),
@@ -267,7 +265,7 @@ impl<L: Layout> Sweep<'_, L> {
     fn walk(
         &self,
         words: Range<usize>,
-        probe: &mut OpenProbe<'_, L::Probe>,
+        probe: &mut OpenProbe<'_>,
         hits: &mut Vec<(usize, RecordId)>,
     ) {
         debug_assert!(words.len() <= TILE_WORDS && words.start.is_multiple_of(BLOCK_WORDS));
@@ -300,10 +298,10 @@ impl<L: Layout> Sweep<'_, L> {
         for (wi, cand) in words.zip(cands) {
             counts.verified += u64::from(cand.count_ones());
             for row in set_bits(cand).map(|bit| wi * 64 + bit) {
-                // The row's units and the column after them.
-                let s = &self.cells[row * self.stride..];
+                // The row's bytes and the column after them.
+                let s = &self.bytes[row * self.stride..];
                 let lead = self.plane.map_or_else(Lead::none, |p| p.view.lead(row));
-                if self.layout.row_matches(lead, s, probe.cells) {
+                if self.packed.row_matches(lead, s, probe.residues) {
                     hits.push((probe.k, row));
                     probe.left -= 1;
                     if probe.left == 0 {
@@ -336,11 +334,10 @@ impl SketchArena {
     /// Loads the row count once (`Acquire`), so the sweep covers
     /// exactly the rows complete by then however many land meanwhile,
     /// and at once slices the plane groups they span; prepares the
-    /// probes once in the thread-local scratch (normalized for the row
-    /// layout, plus their prefilter state when a plane is live) and
-    /// hands the typed column to [`SketchArena::run`]. The scratch
-    /// stays borrowed for the whole sweep; nothing below re-enters an
-    /// arena lookup on this thread.
+    /// probes once in the thread-local scratch (their residues, plus
+    /// their cell tests when a plane is live) and walks one [`Sweep`]
+    /// over them. The scratch stays borrowed for the whole sweep;
+    /// nothing below re-enters an arena lookup on this thread.
     pub(crate) fn sweep(
         &self,
         probes: &[&[i64]],
@@ -363,72 +360,38 @@ impl SketchArena {
             if s.active.is_empty() {
                 return Vec::new();
             }
-            match &self.cells {
-                Cells::Packed(packed, col, _) => {
-                    prepare_into(*packed, &mut s.residues, probes, &s.active);
-                    let plane = view.as_ref().map(|view| {
-                        s.tests.clear();
-                        s.starts.clear();
-                        for probe in s.residues.chunks_exact(dim) {
-                            s.starts.push(s.tests.len());
-                            view.plane.tests(probe, &mut s.tests);
-                        }
-                        s.starts.push(s.tests.len());
-                        PlaneProbes {
-                            view,
-                            tests: &s.tests,
-                            starts: &s.starts,
-                        }
-                    });
-                    let (cells, probes) = (col.published(), &s.residues);
-                    self.run(*packed, rows, cells, probes, plane, &s.active, only, budget)
+            let packed = self.cells.packed();
+            packed.prepare_into(&mut s.residues, probes, &s.active);
+            let plane = view.as_ref().map(|view| {
+                s.tests.clear();
+                s.starts.clear();
+                for probe in s.residues.chunks_exact(dim) {
+                    s.starts.push(s.tests.len());
+                    view.plane.tests(packed, probe, &mut s.tests);
                 }
-                Cells::I32(wide, col) => {
-                    prepare_into(*wide, &mut s.i32s, probes, &s.active);
-                    let (cells, probes) = (col.published(), &s.i32s);
-                    self.run(*wide, rows, cells, probes, None, &s.active, only, budget)
+                s.starts.push(s.tests.len());
+                PlaneProbes {
+                    view,
+                    tests: &s.tests,
+                    starts: &s.starts,
                 }
-                Cells::I64(wide, col) => {
-                    prepare_into(*wide, &mut s.i64s, probes, &s.active);
-                    let (cells, probes) = (col.published(), &s.i64s);
-                    self.run(*wide, rows, cells, probes, None, &s.active, only, budget)
-                }
-            }
+            });
+            let stride = packed.row_bytes(dim);
+            let sweep = Sweep {
+                arena: self,
+                packed,
+                rows,
+                bytes: &self.cells.published()[..rows * stride],
+                stride,
+                dim,
+                probes: &s.residues,
+                active: &s.active,
+                plane,
+                only,
+                budget,
+            };
+            sweep.tiles()
         })
-    }
-
-    /// Runs one prepared sweep over the first `rows` rows of `cells`,
-    /// on the calling thread: binds the typed column and probes into a
-    /// [`Sweep`] and walks it once. `active[k]` is the caller's index
-    /// of prepared probe `k`.
-    #[allow(clippy::too_many_arguments)]
-    fn run<L: Layout>(
-        &self,
-        layout: L,
-        rows: usize,
-        cells: &[L::Unit],
-        probes: &[L::Probe],
-        plane: Option<PlaneProbes<'_>>,
-        active: &[usize],
-        only: Option<&RowMask>,
-        budget: usize,
-    ) -> Vec<(usize, RecordId)> {
-        let dim = self.dim.unwrap_or(0);
-        let stride = layout.stride(dim);
-        let sweep = Sweep {
-            arena: self,
-            layout,
-            rows,
-            cells: &cells[..rows * stride],
-            stride,
-            dim,
-            probes,
-            active,
-            plane,
-            only,
-            budget,
-        };
-        sweep.tiles()
     }
 }
 
@@ -441,8 +404,8 @@ mod tests {
     /// The sweep driver against the scalar `cyclic_close` oracle over
     /// its whole input table: population × probe count (with a
     /// wrong-dimension probe in every batch) × row subset × budget ×
-    /// kernel × cell width. Every public `find_*` only picks a point in
-    /// this table.
+    /// filter × ring. Every public `find_*` only picks a point in this
+    /// table.
     #[test]
     fn sweep_matches_cyclic_close_oracle() {
         use crate::conditions::cyclic_close;
@@ -455,9 +418,28 @@ mod tests {
             FilterConfig::swar(),
             FilterConfig::default(),
         ];
-        // Packed rows, i32 and i64 cells.
-        for ka in [400u64, 1 << 20, 1 << 40] {
-            let t = ka / 4;
+        // The paper ring, rings either side of 2¹⁵ and of 2³¹ (the
+        // edges of `CellWidth`'s classes), and rings past 2⁶³: each at
+        // `t = ka/4`, which gets a plane, and at a `t` whose arc leaves
+        // a window narrower than any cell, which gets none.
+        let rings = [
+            400u64,
+            (1 << 15) - 1,
+            1 << 15,
+            1 << 20,
+            1 << 31,
+            1 << 40,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for (ka, t) in rings
+            .into_iter()
+            .flat_map(|ka| [(ka, ka / 4), (ka, ka / 2 - ka / 1024)])
+        {
+            let mut stamped = SketchArena::new(t, ka);
+            stamped.push(&[0; DIM]);
+            let plane = stamped.plane_width() != "none";
+            assert_eq!(plane, t == ka / 4, "ka={ka} t={t}");
             let (half, noise) = ((ka / 2) as i64, (t / 2) as i64);
             // Ten clusters of rows within t/2 of a centre: a probe near
             // a centre matches its whole cluster, so budgets 2 and ∞
@@ -468,14 +450,14 @@ mod tests {
             let near = |rng: &mut StdRng, centre: &[i64]| -> Vec<i64> {
                 centre
                     .iter()
-                    .map(|&c| c + rng.gen_range(-noise..=noise))
+                    .map(|&c| c.wrapping_add(rng.gen_range(-noise..=noise)))
                     .collect()
             };
             let mut probes: Vec<Vec<i64>> = (0..32)
                 .map(|p| near(&mut rng, &centres[p % 16 % 10]))
                 .collect();
             for impostor in probes.iter_mut().skip(10).step_by(3) {
-                impostor.iter_mut().for_each(|v| *v += half);
+                impostor.iter_mut().for_each(|v| *v = v.wrapping_add(half));
             }
             // 300 rows are 4 full liveness words and a 44-row tail, all
             // in one tile; 2 100 are two full tiles and a 52-row tail,
@@ -543,8 +525,8 @@ mod tests {
                                     }
                                     assert_eq!(
                                         got, want,
-                                        "ka={ka} rows={n_rows} n={n} budget={budget} \
-                                         mask={mask:?} {config:?}"
+                                        "ka={ka} t={t} rows={n_rows} n={n} \
+                                         budget={budget} mask={mask:?} {config:?}"
                                     );
                                 }
                             }

@@ -1402,59 +1402,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The kernel releases the lock of a process that dies holding it.
-    /// The test runs its own binary again as the holder: the child
-    /// opens the store named by [`HOLDER_DIR`], says so, and sleeps
-    /// until it is killed.
-    #[test]
-    fn a_killed_holder_releases_the_store() {
-        const HOLDER_DIR: &str = "FE_STORE_TEST_HOLDER_DIR";
-        const READY: &str = "fe-store-test: holding the store";
-        let (params, _) = sample_records(0);
-        let fp = params.fingerprint();
-        if let Some(dir) = std::env::var_os(HOLDER_DIR) {
-            let _store = FileStore::open(dir, fp).unwrap();
-            println!("{READY}");
-            std::thread::sleep(std::time::Duration::from_secs(60));
-            return;
-        }
-
-        let dir = temp_dir("killed-holder");
-        let mut child = std::process::Command::new(std::env::current_exe().unwrap())
-            .args([
-                "--exact",
-                "store::tests::a_killed_holder_releases_the_store",
-                "--nocapture",
-            ])
-            .env(HOLDER_DIR, &dir)
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .unwrap();
-        let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
-        let ready = std::io::BufRead::lines(stdout)
-            .map_while(Result::ok)
-            .any(|line| line.contains(READY));
-        let while_alive = FileStore::open(&dir, fp);
-        child.kill().unwrap();
-        child.wait().unwrap();
-        assert!(ready, "the holder never opened the store");
-        refused_by(while_alive, child.id());
-
-        let killed = std::time::Instant::now();
-        let store = loop {
-            match FileStore::open(&dir, fp) {
-                Ok(store) => break store,
-                Err(_) if killed.elapsed() < std::time::Duration::from_secs(1) => {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                Err(e) => panic!("the killed holder's lock outlived it: {e}"),
-            }
-        };
-        assert_eq!(store.journal_len(), 0);
-        drop(store);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn fingerprint_mismatch_rejected_at_open() {
         let dir = temp_dir("fp");
