@@ -21,16 +21,15 @@
 //! or past it (DESIGN.md "Publication invariant"), so showing a row to
 //! readers costs one atomic store and no copy — and no later copy
 //! either: a row is written once and stays where it was written. Only
-//! a change to the segment *list* (the head sealing, a tombstone
-//! rewrite, `compact`) publishes a fresh immutable
-//! `Snapshot`, by replacing the `Arc` behind one shared
-//! `std::sync::RwLock` — once per `seal_rows` inserts, not once per
-//! insert. Readers obtained via [`EpochRead::reader`] take the read
-//! lock only to clone that `Arc`, release it, and sweep segments + head
-//! against the clone unsynchronized; a snapshot stays valid for the
-//! whole sweep because the reader holds an `Arc`, and a superseded
-//! snapshot is freed when its last `Arc` drops — the whole reclamation
-//! rule.
+//! a change to the segment *list* (the head sealing, `compact`)
+//! publishes a fresh immutable `Snapshot`, by replacing the `Arc`
+//! behind one shared `std::sync::RwLock` — once per `seal_rows`
+//! inserts, not once per insert. Readers obtained via
+//! [`EpochRead::reader`] take the read lock only to clone that `Arc`,
+//! release it, and sweep segments + head against the clone
+//! unsynchronized; a snapshot stays valid for the whole sweep because
+//! the reader holds an `Arc`, and a superseded snapshot is freed when
+//! its last `Arc` drops — the whole reclamation rule.
 //!
 //! # Tiers and lifecycle
 //!
@@ -40,29 +39,28 @@
 //!   until rows land in them — and inserts append there. The insert that fills it **seals** it: the same
 //!   `Arc`, the same allocation, joins the segment list, and a fresh
 //!   head starts.
-//! * **sealed** — every listed segment. Its rows never change and are
-//!   never copied by routine inserts. The one thing that rewrites a
-//!   sealed segment is revocation: once a quarter of its rows are
-//!   tombstoned, the `remove` that got it there (or the seal of a head
-//!   that filled already that dead) copies its live rows into a
-//!   smaller segment, off the read path — readers keep scanning the
-//!   previous snapshot. [`EpochIndex::maintain`] applies the same
-//!   rule to every segment on demand.
+//! * **sealed** — every listed segment: a full head, as it was, so
+//!   exactly the seal threshold's rows. Its rows never change and
+//!   nothing copies them but [`SketchIndex::compact`].
 //!
 //! Revoking a row — in the head or in a sealed segment alike — flips a
 //! bit in its segment's *tombstone words*: `AtomicU64`s read by
-//! in-flight scans through the already-published `Arc<Segment>`, so
-//! revocation needs no republish and never blocks a reader.
+//! in-flight scans through the already-published `Arc<Segment>`. That
+//! is all it does: no copy, no republish, and it never blocks a reader.
+//! A dead row costs a sweep its liveness bit, and a block with no live
+//! candidate no phase-1 pass at all. Compaction — a server's
+//! `checkpoint` — is the one way dead rows leave the index, at the same
+//! moment as the record table's blocks and slots.
 //!
 //! # Id assignment
 //!
 //! Ids are assigned densely in insertion order and never renumbered
-//! outside [`SketchIndex::compact`]. Segments
-//! hold ascending, disjoint id ranges (dense-from-base when sealed, a
-//! sorted sparse id list after a rewrite dropped tombstoned rows), and
-//! the head holds the tail; scanning segments in list order and the
-//! head last therefore yields globally ascending matches and
-//! first-hit-wins reproduces earliest-enrolled-wins exactly.
+//! outside [`SketchIndex::compact`]. A tier's rows are the ids from its
+//! base on — segment `i`'s base is `i` times the seal threshold, the
+//! head's the one after the last sealed row — so an id maps to its row
+//! by a subtraction. Scanning segments in list order and the head last
+//! yields globally ascending matches, and first-hit-wins reproduces
+//! earliest-enrolled-wins exactly.
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -73,8 +71,8 @@ use super::{RecordId, SketchIndex};
 /// Rows at which the head seals, unless 8 MiB of rows is fewer (see
 /// [`default_seal_rows`]): large enough that the per-segment sweep
 /// set-up and the snapshot swap amortise to nothing, small enough that
-/// a tombstone rewrite under the writer's lock copies at most this
-/// many rows.
+/// a head barely filled reserves 4.5 MiB of address space at the
+/// paper's shape.
 const DEFAULT_SEAL_ROWS: usize = 65_536;
 
 /// Row bytes the default head reserves at most, whatever the
@@ -94,59 +92,7 @@ fn default_seal_rows(row_bytes: usize) -> usize {
     by_bytes.clamp(TILE_ROWS, DEFAULT_SEAL_ROWS)
 }
 
-/// A segment is rewritten live-only once this fraction of its rows is
-/// tombstoned (the denominator of `rows / 4`).
-const MAINTAIN_TOMBSTONE_DIVISOR: usize = 4;
-
-/// Global-id map for a segment's rows.
-#[derive(Debug, Clone)]
-enum Ids {
-    /// Rows `0..rows` are ids `base..base + rows` (the head, and every
-    /// segment as it seals).
-    Dense(RecordId),
-    /// Row `r` is `ids[r]`; strictly ascending (a rewrite that dropped
-    /// tombstoned rows).
-    Sparse(Vec<RecordId>),
-}
-
-impl Ids {
-    fn id_of(&self, row: usize) -> RecordId {
-        match self {
-            Ids::Dense(base) => base + row,
-            Ids::Sparse(ids) => ids[row],
-        }
-    }
-
-    fn row_of(&self, id: RecordId, rows: usize) -> Option<usize> {
-        match self {
-            Ids::Dense(base) => {
-                if id >= *base && id - base < rows {
-                    Some(id - base)
-                } else {
-                    None
-                }
-            }
-            Ids::Sparse(ids) => ids.binary_search(&id).ok(),
-        }
-    }
-
-    /// One past the highest id held (0 for an impossible empty segment).
-    fn end_id(&self, rows: usize) -> RecordId {
-        match self {
-            Ids::Dense(base) => base + rows,
-            Ids::Sparse(ids) => ids.last().map_or(0, |last| last + 1),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Ids::Dense(_) => 0,
-            Ids::Sparse(ids) => ids.capacity() * std::mem::size_of::<RecordId>(),
-        }
-    }
-}
-
-/// One arena of the index plus the ids of its rows: the open head
+/// One arena of the index and the id of its first row: the open head
 /// while the writer appends to it, a sealed segment afterwards — the
 /// same allocation throughout.
 ///
@@ -157,7 +103,8 @@ impl Ids {
 #[derive(Debug, Clone)]
 pub struct Segment {
     arena: SketchArena,
-    ids: Ids,
+    /// Rows `0..rows` are ids `base..base + rows`.
+    base: RecordId,
 }
 
 impl Segment {
@@ -171,21 +118,15 @@ impl Segment {
         self.arena.len()
     }
 
-    /// The rows a rewrite or a compaction carries over, ascending.
-    fn live_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.rows()).filter(|&row| self.arena.is_live(row))
-    }
-
-    /// Has the tombstone share reached the rewrite threshold?
-    fn is_sparse(&self) -> bool {
-        let revoked = self.rows() - self.live();
-        revoked > 0 && revoked * MAINTAIN_TOMBSTONE_DIVISOR >= self.rows()
+    /// The row `id` has here, if it is one of this segment's.
+    fn row_of(&self, id: RecordId) -> Option<usize> {
+        id.checked_sub(self.base).filter(|&row| row < self.rows())
     }
 
     /// Bytes the rows held occupy (see [`SketchArena::used_bytes`]):
     /// all of a sealed segment, the written part of the head.
     fn heap_bytes(&self) -> usize {
-        self.arena.used_bytes() + self.ids.heap_bytes() + std::mem::size_of::<Segment>()
+        self.arena.used_bytes() + std::mem::size_of::<Segment>()
     }
 }
 
@@ -220,9 +161,10 @@ impl View<'_> {
     /// `budget` lowest live matching ids, ascending, optionally only
     /// among `subset`. Tiers hold ascending, disjoint id ranges, so
     /// each tier serves the probes still short of their budget with
-    /// **one** arena sweep — however many probes there are and whether
-    /// or not the tier has tombstones, whose words the sweep reads in
-    /// place — and appending tier after tier keeps every list ascending.
+    /// **one** arena sweep — however many probes there are and however
+    /// many of the tier's rows are dead, whose tombstone words the sweep
+    /// reads in place — and appending tier after tier keeps every list
+    /// ascending.
     fn sweep(
         &self,
         probes: &[impl AsRef<[i64]>],
@@ -237,15 +179,13 @@ impl View<'_> {
             let Some(found) = open.iter().map(|&p| out[p].len()).min() else {
                 break;
             };
-            let rows = seg.rows();
-            let mask = subset.map(|ids| {
-                RowMask::from_rows(ids.iter().filter_map(|&id| seg.ids.row_of(id, rows)))
-            });
+            let mask =
+                subset.map(|ids| RowMask::from_rows(ids.iter().filter_map(|&id| seg.row_of(id))));
             let refs: Vec<&[i64]> = open.iter().map(|&p| probes[p].as_ref()).collect();
             for (k, row) in seg.arena.sweep(&refs, mask.as_ref(), budget - found) {
                 let hits = &mut out[open[k]];
                 if hits.len() < budget {
-                    hits.push(seg.ids.id_of(row));
+                    hits.push(seg.base + row);
                 }
             }
             open.retain(|&p| out[p].len() < budget);
@@ -355,7 +295,8 @@ pub struct EpochIndex {
     /// Rows the head is reserved for and seals at; `None` takes
     /// [`default_seal_rows`] of the stamped dimension.
     seal_rows: Option<usize>,
-    /// Sealed segments, ascending disjoint id ranges.
+    /// Sealed segments, ascending disjoint id ranges, each exactly the
+    /// seal threshold's rows.
     segments: Vec<Arc<Segment>>,
     /// The open segment, shared with the published snapshot: this index
     /// is its only writer, under its own `&mut self`.
@@ -376,7 +317,7 @@ impl fmt::Debug for EpochIndex {
             .field("ka", &self.ka)
             .field("segments", &self.segments.len())
             .field("staging_rows", &self.head.rows())
-            .field("staging_base", &self.head_base())
+            .field("staging_base", &self.head.base)
             .field("generation", &self.generation)
             .field("publishes", &self.publishes())
             .field("live", &self.len())
@@ -415,7 +356,7 @@ impl EpochIndex {
         // `reserve` swaps in a head sized for the dimension it brings.
         let head = Arc::new(Segment {
             arena: SketchArena::with_filter(t, ka, filter),
-            ids: Ids::Dense(0),
+            base: 0,
         });
         let cell = Arc::new(RwLock::new(Arc::new(Snapshot {
             segments: Vec::new(),
@@ -457,11 +398,6 @@ impl EpochIndex {
         self.head.rows()
     }
 
-    /// The id of the head's row 0.
-    fn head_base(&self) -> RecordId {
-        self.head.ids.id_of(0)
-    }
-
     /// Every tier in id order: the sealed segments, then the head.
     fn tiers(&self) -> impl Iterator<Item = &Segment> {
         let head = std::iter::once(self.head.as_ref());
@@ -491,7 +427,7 @@ impl EpochIndex {
             snapshot,
         );
         self.publishes += 1;
-        // It may hold the last `Arc` of a rewritten segment: freed with
+        // It may hold the last `Arc` of a compacted segment: freed with
         // the write lock already released.
         drop(old);
     }
@@ -507,8 +443,7 @@ impl EpochIndex {
                 .unwrap_or_else(|| default_seal_rows(row_bytes));
             arena.reserve(rows, dim);
         }
-        let ids = Ids::Dense(base);
-        self.head = Arc::new(Segment { arena, ids });
+        self.head = Arc::new(Segment { arena, base });
     }
 
     /// Stamps the dimension on first use and checks it afterwards.
@@ -522,7 +457,7 @@ impl EpochIndex {
             "sketch dimension {dim} does not match the index's stamped dimension {stamped}"
         );
         if fresh {
-            self.start_head(self.head_base());
+            self.start_head(self.head.base);
         }
         fresh
     }
@@ -533,75 +468,38 @@ impl EpochIndex {
     /// rebuild unseen.
     fn append(&mut self, row: Row<'_>, dim: usize) -> (RecordId, bool) {
         let stamped = self.stamp(dim);
-        let id = self.head_base() + self.head.arena.append(row);
+        let id = self.head.base + self.head.arena.append(row);
         let full = self.head.arena.is_full();
         if full {
             // The full head joins the list as it is — same allocation,
-            // same `Arc` — unless it filled a quarter dead already; a
-            // fresh one takes the ids after it.
+            // same `Arc`, dead rows and all; a fresh one takes the ids
+            // after it.
+            debug_assert!(
+                self.segments.iter().all(|s| s.rows() == self.head.rows()),
+                "every sealed segment holds exactly the seal threshold's rows"
+            );
             self.segments.push(Arc::clone(&self.head));
-            self.rewrite_if_sparse(self.segments.len() - 1);
             self.start_head(id + 1);
         }
         (id, stamped || full)
     }
 
-    /// The tombstone rule, one segment at a time: rewrites segment `i`
-    /// live-only (or drops it, all dead) once a quarter of its rows are
-    /// tombstoned, so revocation-heavy workloads do not sweep dead rows
-    /// forever. `true` when the list changed; publishing is the
-    /// caller's.
-    fn rewrite_if_sparse(&mut self, i: usize) -> bool {
-        if !self.segments[i].is_sparse() {
-            return false;
-        }
-        let old = Arc::clone(&self.segments[i]);
-        let live = old.live();
-        if live == 0 {
-            self.segments.remove(i);
-            return true;
-        }
-        let dim = self.dim.expect("a row exists, so the dimension is stamped");
-        let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
-        arena.reserve(live, dim);
-        let mut ids = Vec::with_capacity(live);
-        for row in old.live_rows() {
-            arena.append(Row::Stored(&old.arena, row));
-            ids.push(old.ids.id_of(row));
-        }
-        let ids = Ids::Sparse(ids);
-        self.segments[i] = Arc::new(Segment { arena, ids });
-        true
-    }
-
-    /// Applies the tombstone rule to every sealed segment and returns
-    /// how many it rewrote. `remove` and the seal already apply it to
-    /// the segment they touch, so on an index driven through its own
-    /// methods this finds nothing to do, cheaply; it stays for callers
-    /// written to invoke it after revocation bursts.
+    /// Returns 0 and does nothing: compaction
+    /// ([`SketchIndex::compact`], which a server's `checkpoint` runs) is
+    /// the one way dead rows leave the index. It stays, as
+    /// [`EpochIndex::flush`] does, for callers written against an index
+    /// that rewrote segments with many revoked rows on demand.
     pub fn maintain(&mut self) -> usize {
-        let mut rewritten = 0;
-        let mut i = 0;
-        while i < self.segments.len() {
-            let had = self.segments.len();
-            rewritten += usize::from(self.rewrite_if_sparse(i));
-            // An all-dead segment leaves the list: `i` names the next.
-            i += usize::from(self.segments.len() == had);
-        }
-        if rewritten > 0 {
-            self.publish();
-        }
-        rewritten
+        0
     }
 
-    /// The tier holding `id` — its position in the segment list, or one
-    /// past the list for the head — and the row `id` has there.
-    fn locate(&self, id: RecordId) -> Option<(usize, &Segment, usize)> {
-        let i = self
-            .segments
-            .partition_point(|s| s.ids.end_id(s.rows()) <= id);
-        let seg = self.segments.get(i).map_or(&*self.head, Arc::as_ref);
-        seg.ids.row_of(id, seg.rows()).map(|row| (i, seg, row))
+    /// The tier holding `id` and the row `id` has there. Every sealed
+    /// segment holds the seal threshold's rows, so `id` divided by it
+    /// is the segment's position — past the list, the head.
+    fn locate(&self, id: RecordId) -> Option<(&Segment, usize)> {
+        let position = self.segments.first().map_or(0, |first| id / first.rows());
+        let seg = self.segments.get(position).map_or(&*self.head, Arc::as_ref);
+        seg.row_of(id).map(|row| (seg, row))
     }
 }
 
@@ -623,19 +521,11 @@ impl SketchIndex for EpochIndex {
     }
 
     // Head or sealed, the atomic tombstone flip is visible through the
-    // already-published `Arc<Segment>` — no republish needed, unless
-    // the flip is the one that makes a sealed segment worth rewriting.
+    // already-published `Arc<Segment>`: no copy and no republish. The
+    // row stays in its segment until `compact`.
     fn remove(&mut self, id: RecordId) -> bool {
-        let Some((i, seg, row)) = self.locate(id) else {
-            return false;
-        };
-        if !seg.arena.revoke(row) {
-            return false;
-        }
-        if i < self.segments.len() && self.rewrite_if_sparse(i) {
-            self.publish();
-        }
-        true
+        self.locate(id)
+            .is_some_and(|(seg, row)| seg.arena.revoke(row))
     }
 
     fn len(&self) -> usize {
@@ -653,15 +543,13 @@ impl SketchIndex for EpochIndex {
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
         out.clear();
         self.locate(id)
-            .is_some_and(|(_, seg, row)| seg.arena.copy_row_into(row, out))
+            .is_some_and(|(seg, row)| seg.arena.copy_row_into(row, out))
     }
 
-    // Rewrites drop dead rows, so live ids can exceed `slots()`: walk
-    // the tiers, not an id range.
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
         for seg in self.tiers() {
             seg.arena
-                .for_each_live(&mut |row, sketch| f(seg.ids.id_of(row), sketch));
+                .for_each_live(&mut |row, sketch| f(seg.base + row, sketch));
         }
     }
 
@@ -687,19 +575,21 @@ impl SketchIndex for EpochIndex {
         list(&self.segments) + snapshot + self.tiers().map(Segment::heap_bytes).sum::<usize>()
     }
 
-    // Rebuilt tier by tier, copying cells: the old tiers stay published
-    // (and untouched) until the one publish at the end swaps in the
-    // renumbered list together with the new generation.
+    // The one reclaim: rebuilt tier by tier, copying the live rows'
+    // cells and leaving dead rows — and all-dead segments — behind. The
+    // old tiers stay published (and untouched) until the one publish at
+    // the end swaps in the renumbered list together with the new
+    // generation.
     fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
         let mut mapping = Vec::with_capacity(self.len());
         let old_head = Arc::clone(&self.head);
         let old: Vec<Arc<Segment>> = self.segments.drain(..).chain([old_head]).collect();
         self.start_head(0);
         for seg in &old {
-            for row in seg.live_rows() {
+            for row in (0..seg.rows()).filter(|&row| seg.arena.is_live(row)) {
                 let dim = self.dim.expect("a row exists, so the dimension is stamped");
                 let (new_id, _) = self.append(Row::Stored(&seg.arena, row), dim);
-                mapping.push((seg.ids.id_of(row), new_id));
+                mapping.push((seg.base + row, new_id));
             }
         }
         self.generation += 1;
@@ -782,8 +672,7 @@ mod tests {
             index.insert(&[100 * i, 100 * i]);
         }
         let reader = index.reader();
-        // Row 3 sealed long ago; revoke it (one row in eight: no
-        // rewrite) and check both paths agree.
+        // Row 3 sealed long ago; revoke it and check both paths agree.
         assert!(index.remove(3));
         assert!(!index.remove(3), "double revoke reports false");
         assert_eq!(index.find_first(&[300, 300]), None);
@@ -796,47 +685,52 @@ mod tests {
         assert_eq!((index.slots(), index.segments()[0].rows()), (20, 8));
     }
 
-    /// The tombstone rule runs itself: the `remove` that brings a
-    /// sealed segment to a quarter dead rewrites it live-only, a head
-    /// that fills already that dead is rewritten as it seals, ids
-    /// survive both, and `maintain` finds nothing left to do.
+    /// A revoke only flips its tombstone bit, however many rows of a
+    /// segment are dead: a whole sealed segment and over a quarter of
+    /// another revoked swap no snapshot and free no byte, every id
+    /// answers as before — dead ones not at all — through the index and
+    /// through a reader taken before the revokes, and `maintain` finds
+    /// nothing to do. `compact` is the reclaim: one publish, one
+    /// generation.
     #[test]
-    fn the_tombstone_rule_is_self_triggering() {
+    fn a_revoke_only_flips_its_tombstone() {
         let mut index = sealing_at(10, 4096, 8);
-        let reader = index.reader();
-        for i in 0..8 {
+        for i in 0..20 {
             index.insert(&[100 * i, 100 * i]);
         }
-        assert!(index.remove(1));
-        assert_eq!(index.segments()[0].rows(), 8, "one dead row in eight stays");
-        let stores = index.publishes();
-        assert!(index.remove(6));
-        assert_eq!(index.publishes(), stores + 1, "the rewrite publishes");
-        assert_eq!((index.segments()[0].rows(), index.slots()), (6, 6));
-        // A head that is half dead when its eighth row lands.
-        for i in 8..16 {
-            let id = index.insert(&[100 * i, 100 * i]);
-            if i < 12 {
-                assert!(index.remove(id));
-            }
+        let reader = index.reader();
+        let (stores, bytes, generation) =
+            (index.publishes(), index.heap_bytes(), index.generation());
+        let dead = |i: usize| i < 8 || [9, 11, 14].contains(&i);
+        for id in (0..20).filter(|&i| dead(i)) {
+            assert!(index.remove(id));
         }
-        assert_eq!((index.segments().len(), index.segments()[1].rows()), (2, 4));
-        assert_eq!(
-            (index.len(), index.slots(), index.staging_rows()),
-            (10, 10, 0)
-        );
-        for i in 0..16usize {
+        assert_eq!((index.publishes(), index.heap_bytes()), (stores, bytes));
+        let shape: Vec<_> = index
+            .segments()
+            .iter()
+            .map(|s| (s.rows(), s.live()))
+            .collect();
+        assert_eq!(shape, [(8, 0), (8, 5)], "dead rows stay where they were");
+        assert_eq!((index.len(), index.slots()), (9, 20));
+        for i in 0..20usize {
             let p = [100 * i as i64, 100 * i as i64];
-            let expect = (![1, 6, 8, 9, 10, 11].contains(&i)).then_some(i);
-            assert_eq!(index.find_first(&p), expect, "id {i} across rewrites");
-            assert_eq!(reader.find_first(&p), expect);
+            let expect = (!dead(i)).then_some(i);
+            assert_eq!(index.find_first(&p), expect, "id {i}");
+            assert_eq!(reader.find_first(&p), expect, "id {i} through the reader");
         }
-        assert!(!index.remove(6), "a row a rewrite dropped stays revoked");
-        // Going one by one, rows 12..16 shrink their segment to nothing
-        // and it leaves the list.
-        assert!((12..16).all(|id| index.remove(id)));
-        assert_eq!((index.segments().len(), index.len()), (1, 6));
-        assert_eq!(index.maintain(), 0, "every segment already obeys the rule");
+        assert!(!index.remove(3), "a dead row stays dead");
+        assert_eq!(index.maintain(), 0);
+
+        let mapping = index.compact();
+        let survivors = (0..20).filter(|&i| !dead(i));
+        assert!(mapping.iter().map(|&(old, _)| old).eq(survivors));
+        assert!(mapping.iter().map(|&(_, new)| new).eq(0..9));
+        assert_eq!(index.publishes(), stores + 1, "compaction publishes once");
+        assert_eq!(index.generation(), generation + 1);
+        assert_eq!((index.segments().len(), index.slots()), (1, 9));
+        assert!(index.heap_bytes() < bytes, "compaction reclaims");
+        assert_eq!(reader.find_first(&[1_900, 1_900]), Some(8));
     }
 
     #[test]
@@ -929,8 +823,7 @@ mod tests {
             assert_eq!(index.insert(&[40 * i as i64, 7]), i);
             assert_eq!(reader.find_first(&[40 * i as i64, 7]), Some(i));
         }
-        // One row in five: short of the quarter that would have the
-        // seal rewrite the head instead of listing it.
+        // One row in five: the seal lists the head, dead rows and all.
         for i in (0..cap - 1).step_by(5) {
             assert!(index.remove(i));
             assert_eq!(reader.find_first(&[40 * i as i64, 7]), None);

@@ -196,11 +196,12 @@ pub trait SketchIndex {
     /// (`0..len()`) preserving their relative order, and the old → new
     /// id mapping is returned so callers can remap stored [`RecordId`]s.
     ///
-    /// This is the fix for unbounded growth under enroll/revoke churn:
-    /// without it, slot tables grow with the number of enrollments
-    /// *ever*, not the number currently live. Servers expose it through
-    /// their snapshot-compaction pass, where record slots are being
-    /// rewritten anyway.
+    /// This is the fix for unbounded growth under enroll/revoke churn,
+    /// and the only way dead rows leave an index: without it, slot
+    /// tables grow with the number of enrollments *ever*, not the number
+    /// currently live. Servers expose it through their
+    /// snapshot-compaction pass, where record slots are being rewritten
+    /// anyway.
     fn compact(&mut self) -> Vec<(RecordId, RecordId)>;
 
     /// Monotone *structural* generation: bumped whenever record ids are
@@ -409,10 +410,8 @@ mod tests {
                 }
             }
             assert_eq!(index.len(), 75);
-            // Tombstones hold their slots until `compact` — except in the
-            // sealed segments an epoch index has already rewritten
-            // live-only on their way past a quarter dead.
-            assert!((75..=300).contains(&index.slots()));
+            // Tombstones hold their slots until `compact`.
+            assert_eq!(index.slots(), 300);
 
             let mapping = index.compact();
             // Survivors renumber densely, preserving order.

@@ -66,8 +66,8 @@
 //! subset, a batch of probes — is one driver with three inputs
 //! (`SketchArena::sweep(probes, only, budget)` in `sweep`); the arena's
 //! [`SketchIndex::find`] and [`SketchIndex::find_first_batch`] only
-//! choose them. Every row — a pushed sketch, a row a rewrite or a
-//! compaction carries over — enters through `SketchArena::append`. This
+//! choose them. Every row — a pushed sketch, a row a compaction
+//! carries over — enters through `SketchArena::append`. This
 //! file holds the arena and its configuration; `cells` the column
 //! buffer, its one row layout and the scalar match kernel,
 //! `plane` the prefilter plane, its cell rule and the phase-1 loop,

@@ -19,6 +19,22 @@ use fe_protocol::{
 use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 
+/// Bytes of a batch request or response frame besides its items: the
+/// request id, then the message header (7 bytes) going in or the status
+/// and kind bytes coming out, and the item count.
+const BATCH_ENVELOPE: usize = 8 + 7 + 4;
+
+/// What one probe of `dim` coordinates adds to a batch frame at most:
+/// the batch item of the challenge it draws, which is larger than the
+/// probe's own `u32` length and 8 bytes a coordinate — a status byte
+/// and a `u32` length, the challenge's 7-byte header, session and
+/// nonce, and the matched helper: as many coordinates, the robust
+/// sketch's 32-byte SHA-256 tag and the extractor's 32-byte seed, each
+/// behind a `u32` length.
+fn batch_bytes_per_probe(dim: usize) -> usize {
+    1 + 4 + 7 + 8 + 8 + (4 + 8 * dim) + (4 + 32) + (4 + 32)
+}
+
 /// A connected, handshaken client.
 ///
 /// Every call sends one request frame and blocks for its response;
@@ -132,10 +148,18 @@ impl Client {
         }
     }
 
-    /// Batched identification phase 1: one request frame, one response
-    /// frame, per-probe verdicts position-aligned with `probes`.
-    /// Per-probe failures (including `OVERLOADED` sheds) come back in
-    /// their slots, not as a call-level error.
+    /// Batched identification phase 1: per-probe verdicts
+    /// position-aligned with `probes`. Per-probe failures (including
+    /// `OVERLOADED` sheds) come back in their slots, not as a
+    /// call-level error.
+    ///
+    /// A batch goes out in as few requests as keep every request and
+    /// every response within the frame limit, answered in order: at the
+    /// default 1 MiB, 26 probes of 5 000 coordinates a request, and all
+    /// of any batch of 64-coordinate probes the scheduler takes at once
+    /// (PROTOCOL.md § 8, *Limits*). A matched record whose helper
+    /// carries a longer tag or seed than the paper's stack writes can
+    /// still make a response too large, which fails the call.
     ///
     /// # Errors
     /// Transport and envelope errors only.
@@ -143,9 +167,21 @@ impl Client {
         &mut self,
         probes: Vec<Vec<i64>>,
     ) -> Result<Vec<Result<IdentChallenge, WireError>>, NetError> {
-        match self.call(&Message::IdentifyBatch { probes })? {
-            ResponseBody::Batch(items) => Ok(items),
-            _ => Err(NetError::UnexpectedResponse("batch expects a batch body")),
+        let widest = probes.iter().map(Vec::len).max().unwrap_or(0);
+        let per_request =
+            (self.max_frame.saturating_sub(BATCH_ENVELOPE) / batch_bytes_per_probe(widest)).max(1);
+        let mut answers = Vec::with_capacity(probes.len());
+        let mut probes = probes.into_iter();
+        loop {
+            let chunk: Vec<Vec<i64>> = probes.by_ref().take(per_request).collect();
+            let asked = chunk.len();
+            match self.call(&Message::IdentifyBatch { probes: chunk })? {
+                ResponseBody::Batch(items) if items.len() == asked => answers.extend(items),
+                _ => return Err(NetError::UnexpectedResponse("batch expects a batch body")),
+            }
+            if probes.len() == 0 {
+                return Ok(answers);
+            }
         }
     }
 

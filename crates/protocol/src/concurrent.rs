@@ -683,7 +683,9 @@ impl<I: EpochRead> SharedServer<I> {
 
     /// Checkpoints every shard: compacts tombstones in memory and (for
     /// durable servers) writes a fresh snapshot and truncates each
-    /// shard's journal.
+    /// shard's journal. The compaction is the only reclaim of revoked
+    /// enrollments — their index rows, record-table blocks and slots
+    /// and open challenges all leave here, and nowhere else.
     /// Shards are checkpointed one at a time, each under its journal
     /// mutex + write lock, so the server keeps serving on the other
     /// `N − 1` shards (and lock-free reads on *this* shard keep
@@ -841,16 +843,13 @@ mod tests {
         assert_eq!(server.user_count(), 16);
     }
 
-    /// Nothing in the server calls `maintain()`: the index applies its
-    /// tombstone rule itself. Two default-threshold segments of
-    /// synthetic users, every third user of the first one revoked: the
-    /// revocation that brings the segment to a quarter dead rewrites it
-    /// live-only, the ones after it stay tombstones short of the next
-    /// quarter, and the lock-free reader and the locked path both
-    /// answer exactly as a one-arena `ScanIndex` server fed the same
-    /// script.
+    /// Revoked rows stay in their sealed segment as tombstones until a
+    /// compaction. Two default-threshold segments of synthetic users,
+    /// every third user of the first one revoked: the lock-free reader
+    /// and the locked path both answer exactly as a one-arena
+    /// `ScanIndex` server fed the same script.
     #[test]
-    fn revocations_rewrite_a_sealed_segment_without_maintain() {
+    fn revocations_in_a_sealed_segment_answer_like_a_scan_index() {
         use fe_core::{ScanIndex, SecureSketch};
         const SEAL: usize = 65_536; // the default threshold at this dimension
         let params = SystemParams::insecure_test_defaults();
@@ -885,13 +884,10 @@ mod tests {
         let shape = |s: &Arc<fe_core::Segment>| (s.rows(), s.live());
         let segments = state.index().segments();
         assert_eq!(segments.len(), 2);
-        assert_eq!(
-            shape(&segments[0]),
-            (SEAL - SEAL / 4, SEAL - SEAL.div_ceil(3))
-        );
+        assert_eq!(shape(&segments[0]), (SEAL, SEAL - SEAL.div_ceil(3)));
         assert_eq!(shape(&segments[1]), (SEAL, SEAL));
         assert_eq!(state.index().staging_rows(), 100);
-        // user-0 is gone, user-1 kept its id through the rewrite.
+        // user-0 is gone, user-1 kept its id.
         assert_ne!(reference.find(&probes[0], None, 1).pop(), Some(0));
         assert_eq!(reference.find(&probes[1], None, 1).pop(), Some(1));
         for probe in &probes {

@@ -917,12 +917,14 @@ impl<I: SketchIndex> AuthenticationServer<I> {
     /// sessions are remapped — they keep working across the compaction.
     /// Returns the number of slots reclaimed.
     ///
-    /// Without this, a long-lived server's record table and index grow
-    /// with the number of enrollments *ever*, not the population
-    /// currently live. It is exposed separately from
-    /// [`AuthenticationServer::checkpoint`] for in-memory deployments,
-    /// but checkpointing is the natural trigger: the snapshot pass
-    /// rewrites every live record anyway.
+    /// This is the one reclaim: a revoke only tombstones its record slot,
+    /// its record-table block and its index row, so without this a
+    /// long-lived server's record table and index grow with the number
+    /// of enrollments *ever*, not the population currently live — the
+    /// index by its 72 B a revoked paper-shape row. It is exposed
+    /// separately from [`AuthenticationServer::checkpoint`] for in-memory
+    /// deployments, but checkpointing is the natural trigger: the
+    /// snapshot pass rewrites every live record anyway.
     pub fn compact(&mut self) -> usize {
         let reclaimed = self.records.slots() - self.records.len();
         if reclaimed == 0 {

@@ -295,7 +295,7 @@ fn readers_see_every_finished_insert_and_nothing_unwritten() {
 
     // Seal every 96 rows (mid-group: 96 = 64 + 32): 312 seals, each a
     // head handed over while the readers sweep it. One row in seven is
-    // revoked, short of the quarter that would rewrite a segment.
+    // revoked, and stays a tombstone in its segment.
     let mut index = EpochIndex::with_seal_rows(t, ka, FilterConfig::default(), 96);
     let reader = index.reader();
     let (started, done, checks) = (

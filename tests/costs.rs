@@ -16,7 +16,8 @@
 use fuzzy_id::bigint::montgomery::{counts, Counts};
 use fuzzy_id::core::codec::Writer;
 use fuzzy_id::core::{
-    ring_divides, sweep_counts, ChebyshevSketch, ScanIndex, SecureSketch, SketchIndex,
+    ring_divides, sweep_counts, ChebyshevSketch, EpochIndex, FilterConfig, ScanIndex, SecureSketch,
+    SketchIndex,
 };
 use fuzzy_id::crypto::dsa::{Dsa, DsaParams};
 use fuzzy_id::crypto::sig::SignatureScheme;
@@ -262,6 +263,57 @@ fn a_sweep_tests_the_cells_the_geometric_model_predicts() {
     assert_eq!(index.find_first(&probe), Some(id));
     let after = sweep_counts();
     assert!(after.verified - before.verified >= 1);
+}
+
+/// A revoked row stays in its sealed segment until a compaction, and a
+/// sweep pays for it only its liveness bit: at the paper shape, over
+/// four sealed segments with the probe planted once in each, revoking
+/// every row of two of them takes their `seal / 512` blocks each out of
+/// a no-match probe's phase 1, and phase 2 verifies no revoked row.
+#[test]
+fn a_dead_segment_costs_a_sweep_no_block() {
+    const SEAL: usize = 8 * 512;
+    const PLANTED: usize = 100;
+    let mut rng = StdRng::seed_from_u64(0xDEAD);
+    let residues =
+        |rng: &mut StdRng| -> Vec<i64> { (0..64).map(|_| rng.gen_range(-199..=200)).collect() };
+    let probe = residues(&mut rng);
+    let miss = residues(&mut rng);
+    let mut index = EpochIndex::with_seal_rows(100, 400, FilterConfig::default(), SEAL);
+    for id in 0..4 * SEAL {
+        let row = if id % SEAL == PLANTED {
+            probe.clone()
+        } else {
+            residues(&mut rng)
+        };
+        index.insert(&row);
+    }
+    assert_eq!((index.segments().len(), index.staging_rows()), (4, 0));
+    // Every match of `p`, with the phase-1 blocks and phase-2 rows.
+    let sweep = |index: &EpochIndex, p: &[i64]| {
+        let before = sweep_counts();
+        let hits = index.find(p, None, usize::MAX);
+        let after = sweep_counts();
+        (
+            hits,
+            after.blocks - before.blocks,
+            after.verified - before.verified,
+        )
+    };
+    let planted = |segments: &[usize]| -> Vec<usize> {
+        segments.iter().map(|s| s * SEAL + PLANTED).collect()
+    };
+    let blocks = (4 * SEAL / 512) as u64;
+    assert_eq!(sweep(&index, &miss), (vec![], blocks, 0));
+    assert_eq!(sweep(&index, &probe), (planted(&[0, 1, 2, 3]), blocks, 4));
+
+    for id in (SEAL..2 * SEAL).chain(3 * SEAL..4 * SEAL) {
+        assert!(index.remove(id));
+    }
+    assert_eq!(index.segments().len(), 4, "dead segments stay listed");
+    let left = blocks - 2 * (SEAL / 512) as u64;
+    assert_eq!(sweep(&index, &miss), (vec![], left, 0));
+    assert_eq!(sweep(&index, &probe), (planted(&[0, 2]), left, 2));
 }
 
 /// `f`'s result and the hardware divides the ring arithmetic fell back

@@ -16,7 +16,7 @@ use fuzzy_id::protocol::scheduler::{ScheduledServer, SchedulerConfig};
 use fuzzy_id::protocol::wire::Message;
 use fuzzy_id::protocol::{BiometricDevice, IdentOutcome, SystemParams};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -359,6 +359,73 @@ fn a_response_over_the_frame_limit_is_answered_with_an_error() {
 // ---------------------------------------------------------------------
 // Hostile handshakes.
 // ---------------------------------------------------------------------
+
+/// A full scheduler batch at the paper's dimension over default frames:
+/// 32 genuine probes of 5 000 coordinates are 1.28 MB going in, past the
+/// 1 MiB limit, so the client sends them as two requests of 26 and 6,
+/// and every answer comes back in order with its user's helper; a login
+/// on the same connection goes through. The 32 users are real sketches
+/// behind one enrolled user's public key, so no per-user key is made.
+#[test]
+fn a_full_batch_at_the_paper_dimension_fits_default_frames() {
+    const N: usize = 5_000;
+    let params = SystemParams::paper_defaults();
+    let max_batch = SchedulerConfig::default().max_batch;
+    let config = SchedulerConfig {
+        rng_seed: 0x22A,
+        ..SchedulerConfig::default()
+    };
+    let scheduler = Arc::new(ScheduledServer::scan(params.clone(), 1, config));
+    let server = NetServer::spawn(Arc::clone(&scheduler), "127.0.0.1:0", NetConfig::default())
+        .expect("bind ephemeral front door");
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(0x22A);
+    let line = params.sketch().line();
+    let mut client = Client::connect(server.local_addr(), &params).unwrap();
+
+    let alice_bio = line.random_vector(N, &mut rng);
+    let alice = device.enroll("alice", &alice_bio, &mut rng).unwrap();
+    let mut users = Vec::new();
+    for u in 0..max_batch {
+        use fuzzy_id::core::{HelperData, RobustData, SecureSketch};
+        let bio = line.random_vector(N, &mut rng);
+        let (mut tag, mut seed) = (vec![0; 32], vec![0; 32]);
+        rng.fill_bytes(&mut tag);
+        rng.fill_bytes(&mut seed);
+        let mut record = alice.clone();
+        record.id = format!("user-{u}");
+        record.helper = HelperData {
+            sketch: RobustData {
+                inner: params.sketch().sketch(&bio, &mut rng).unwrap(),
+                tag,
+            },
+            seed,
+        };
+        scheduler.server().enroll(record.clone()).unwrap();
+        users.push((record, bio));
+    }
+    client.enroll(alice).unwrap();
+
+    let probe = device.probe_sketch(&alice_bio, &mut rng).unwrap();
+    let challenge = client.identify(probe).unwrap();
+    let response = device.respond(&alice_bio, &challenge, &mut rng).unwrap();
+    let outcome = client.finish_identification(&response).unwrap();
+    assert_eq!(outcome.identity(), Some("alice"));
+
+    let probes: Vec<Vec<i64>> = users
+        .iter()
+        .map(|(_, bio)| device.probe_sketch(bio, &mut rng).unwrap())
+        .collect();
+    let answered = server.metrics().responses_ok();
+    let verdicts = client.identify_batch(probes).unwrap();
+    assert_eq!(server.metrics().responses_ok() - answered, 2, "26 + 6");
+    assert_eq!(verdicts.len(), max_batch);
+    for ((record, _), verdict) in users.iter().zip(&verdicts) {
+        let challenge = verdict.as_ref().expect("a genuine probe matches");
+        assert_eq!(challenge.helper, record.helper, "{}", record.id);
+    }
+    server.shutdown();
+}
 
 #[test]
 fn wrong_fingerprint_is_rejected_with_both_sides_values() {

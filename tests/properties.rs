@@ -370,7 +370,7 @@ proptest! {
 
     /// Tiering is transparent: on a random sketch population, an
     /// `EpochIndex` (a threshold small enough to seal many heads within
-    /// it, and to rewrite them as removals land) and the one-arena
+    /// it, with removals landing in every tier) and the one-arena
     /// `ScanIndex` reference assign the
     /// same record ids and return identical `find_first` / unbounded
     /// `find` / `find_first_batch` results — including after random removals, which
@@ -1371,7 +1371,7 @@ fn epoch_heap_bytes_covers_segments_planes_and_garbage() {
 
     // Sustained churn: enroll + revoke + maintain + periodic compact
     // stays within a quarter of the quiescent footprint — the revoked
-    // rows waiting in the head for the seal that drops them.
+    // rows waiting in their tiers for the compaction that drops them.
     let bound = before_churn;
     for round in 0..2_000i64 {
         let id = index.insert(&vec![round % 200; dim]);
