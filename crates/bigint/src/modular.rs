@@ -1,5 +1,5 @@
-//! High-level modular arithmetic on [`Natural`]: `mod_add`, `mod_sub`,
-//! `mod_mul`, `mod_pow`, `mod_inv` and the extended Euclidean algorithm.
+//! High-level modular arithmetic on [`Natural`]: `mod_add`, `mod_mul`,
+//! `mod_pow`, `mod_inv` and the extended Euclidean algorithm.
 
 use crate::montgomery::Montgomery;
 use crate::{ExtendedGcd, Integer, Natural};
@@ -11,20 +11,6 @@ impl Natural {
     /// Panics if `m` is zero.
     pub fn mod_add(&self, other: &Natural, m: &Natural) -> Natural {
         (self + other).rem_nat(m)
-    }
-
-    /// `(self - other) mod m`, well-defined even when `other > self`.
-    ///
-    /// # Panics
-    /// Panics if `m` is zero.
-    pub fn mod_sub(&self, other: &Natural, m: &Natural) -> Natural {
-        let a = self.rem_nat(m);
-        let b = other.rem_nat(m);
-        if a >= b {
-            &a - &b
-        } else {
-            &(m - &b) + &a
-        }
     }
 
     /// `(self * other) mod m`.
@@ -201,16 +187,6 @@ mod tests {
         let m = n(10);
         assert_eq!(n(7).mod_add(&n(8), &m), n(5));
         assert_eq!(n(123).mod_add(&n(456), &m), n(9));
-    }
-
-    #[test]
-    fn mod_sub_handles_underflow() {
-        let m = n(10);
-        assert_eq!(n(3).mod_sub(&n(8), &m), n(5));
-        assert_eq!(n(8).mod_sub(&n(3), &m), n(5));
-        assert_eq!(n(3).mod_sub(&n(3), &m), n(0));
-        // Unreduced operands.
-        assert_eq!(n(13).mod_sub(&n(28), &m), n(5));
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! presentation is the enrolled template plus bounded noise (within the
 //! Chebyshev threshold `t`). This crate is that workload generator, plus:
 //!
-//! * noise models beyond bounded-uniform (truncated Gaussian, burst
-//!   outliers) for the robustness experiments;
-//! * a feature [`encoder`](crate::UniformQuantizer) for mapping continuous
-//!   features onto the discrete number line;
+//! * a truncated-Gaussian noise model, whose readings can leave the
+//!   threshold, for the error-rate experiments;
 //! * an iris-code-style bit-string model for the Hamming-metric baselines;
 //! * an empirical FAR/FRR measurement harness.
 //!
@@ -34,16 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod encoder;
 mod eval;
 mod generator;
 mod iris;
 mod noise;
 mod template;
 
-pub use encoder::UniformQuantizer;
 pub use eval::{measure_error_rates, ErrorRates};
 pub use generator::PopulationGenerator;
 pub use iris::IrisCodeModel;
-pub use noise::{BurstNoise, GaussianNoise, NoNoise, NoiseModel, UniformNoise};
+pub use noise::{GaussianNoise, NoiseModel, UniformNoise};
 pub use template::Template;

@@ -10,16 +10,6 @@ pub trait NoiseModel {
     fn perturb<R: RngCore + ?Sized>(&self, template: &[i64], rng: &mut R) -> Vec<i64>;
 }
 
-/// No noise: the reading equals the template exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoNoise;
-
-impl NoiseModel for NoNoise {
-    fn perturb<R: RngCore + ?Sized>(&self, template: &[i64], _rng: &mut R) -> Vec<i64> {
-        template.to_vec()
-    }
-}
-
 /// Bounded uniform noise: each coordinate moves by an independent uniform
 /// offset in `[-max_dev, max_dev]`.
 ///
@@ -104,45 +94,6 @@ impl NoiseModel for GaussianNoise {
     }
 }
 
-/// Burst noise: base bounded-uniform noise, but each coordinate
-/// independently suffers a large outlier with probability `burst_prob`
-/// (modeling feature-extraction glitches). Outliers move the coordinate by
-/// up to `burst_dev`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstNoise {
-    base: UniformNoise,
-    burst_prob: f64,
-    burst_dev: u64,
-}
-
-impl BurstNoise {
-    /// Creates the model.
-    ///
-    /// # Panics
-    /// Panics if `burst_prob` is outside `[0, 1]`.
-    pub fn new(base_dev: u64, burst_prob: f64, burst_dev: u64) -> Self {
-        assert!((0.0..=1.0).contains(&burst_prob), "probability in [0,1]");
-        BurstNoise {
-            base: UniformNoise::new(base_dev),
-            burst_prob,
-            burst_dev,
-        }
-    }
-}
-
-impl NoiseModel for BurstNoise {
-    fn perturb<R: RngCore + ?Sized>(&self, template: &[i64], rng: &mut R) -> Vec<i64> {
-        let mut out = self.base.perturb(template, rng);
-        let d = self.burst_dev as i64;
-        for v in out.iter_mut() {
-            if rng.gen_bool(self.burst_prob) {
-                *v += rng.gen_range(-d..=d);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,12 +106,6 @@ mod tests {
 
     fn max_abs_dev(a: &[i64], b: &[i64]) -> u64 {
         a.iter().zip(b).map(|(x, y)| x.abs_diff(*y)).max().unwrap()
-    }
-
-    #[test]
-    fn no_noise_is_identity() {
-        let t = vec![1, -2, 3];
-        assert_eq!(NoNoise.perturb(&t, &mut rng()), t);
     }
 
     #[test]
@@ -215,25 +160,5 @@ mod tests {
             large > small * 5,
             "sigma scaling broken: {small} vs {large}"
         );
-    }
-
-    #[test]
-    fn burst_noise_produces_outliers() {
-        let mut r = rng();
-        let t = vec![0i64; 2000];
-        let reading = BurstNoise::new(10, 0.05, 10_000).perturb(&t, &mut r);
-        let outliers = reading.iter().filter(|v| v.abs() > 100).count();
-        // ~5% of 2000 = 100 expected; accept a generous band.
-        assert!((30..300).contains(&outliers), "outliers={outliers}");
-    }
-
-    #[test]
-    fn burst_prob_zero_equals_base() {
-        let t = vec![7i64; 100];
-        let mut r1 = rng();
-        let mut r2 = rng();
-        let a = BurstNoise::new(3, 0.0, 9999).perturb(&t, &mut r1);
-        let b = UniformNoise::new(3).perturb(&t, &mut r2);
-        assert_eq!(a, b);
     }
 }

@@ -100,7 +100,7 @@ fn default_seal_rows(row_bytes: usize) -> usize {
 /// is there never changes. Revocations flip the arena's atomic
 /// tombstone bits, which concurrent scans read through the published
 /// `Arc<Segment>`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Segment {
     arena: SketchArena,
     /// Rows `0..rows` are ids `base..base + rows`.

@@ -167,16 +167,19 @@ pub trait SketchIndex {
 
     /// Copies a live record's sketch into `out` (cleared first),
     /// returning `false` — and leaving `out` empty — for dead or
-    /// unknown ids. The allocation-free row access primitive behind
-    /// [`SketchIndex::for_each_live`]: callers reuse one scratch buffer
-    /// across a whole streaming pass. Values are the canonical ring
-    /// representatives the storage holds (see
+    /// unknown ids. The allocation-free row access primitive: a server
+    /// writes a helper's sketch with it, a snapshot walks its record
+    /// table through it, and [`SketchIndex::for_each_live`] reuses one
+    /// scratch buffer through it across a whole pass. Values are the
+    /// canonical ring representatives the storage holds (see
     /// [`store::SketchArena::push`]).
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool;
 
     /// Streams every live record, in ascending id order, through a
-    /// borrowed row — the zero-clone iteration primitive snapshot and
-    /// compaction passes use.
+    /// borrowed row — the zero-clone walk of the whole live population,
+    /// for checks from outside the index. Snapshots read rows from the
+    /// record table through [`SketchIndex::copy_row_into`], and
+    /// compaction moves stored bytes; neither calls this.
     /// The `&[i64]` row is only valid for the duration of the call.
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64]));
 

@@ -32,10 +32,12 @@
 //!   [`EpochIndex`](super::EpochIndex) shares its head with lock-free
 //!   readers instead of copying it (DESIGN.md "Publication
 //!   invariant").
-//! * **Borrowing iteration.** [`SketchIndex::for_each_live`] streams
-//!   rows through a caller-visible `&[i64]` scratch row, so snapshot
-//!   passes never clone the whole population, and compaction moves
-//!   stored bytes without decoding them at all.
+//! * **Borrowing reads.** A row is decoded into a caller's scratch
+//!   buffer ([`SketchIndex::copy_row_into`], which a snapshot calls
+//!   row by row from its record table, and
+//!   [`SketchIndex::for_each_live`] over the whole arena), so nothing
+//!   clones the population; compaction moves stored bytes
+//!   (`Row::Stored`) without decoding them at all.
 //!
 //! The per-coordinate test itself lives here too, as one row kernel
 //! (`Packed::row_matches`): both sides reduced into the ring make the
@@ -222,24 +224,6 @@ pub(crate) enum Row<'a> {
     /// This row of another arena over the same ring and dimension: its
     /// bytes are packed already, so they are copied verbatim.
     Stored(&'a SketchArena, RecordId),
-}
-
-impl Clone for SketchArena {
-    /// A private copy with the same capacity.
-    fn clone(&self) -> SketchArena {
-        let dead = self.dead.iter().map(|w| w.load(Ordering::SeqCst));
-        SketchArena {
-            t: self.t,
-            ka: self.ka,
-            dim: self.dim,
-            cells: self.cells.clone(),
-            capacity: self.capacity,
-            rows: AtomicUsize::new(self.rows()),
-            dead: dead.map(AtomicU64::new).collect(),
-            dead_rows: AtomicUsize::new(self.dead_rows.load(Ordering::SeqCst)),
-            filter: self.filter,
-        }
-    }
 }
 
 impl SketchArena {

@@ -306,7 +306,7 @@ impl Packed {
 /// plane, when it has one: the only home of the cells of each row's
 /// first [`Packed::lead`] coordinates, whose offsets alone the row's
 /// column bits keep.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(super) struct Cells {
     packed: Packed,
     col: Column<u8>,

@@ -140,17 +140,6 @@ fn copy_word(word: &AtomicU64) -> AtomicU64 {
     AtomicU64::new(word.load(Ordering::Relaxed))
 }
 
-impl Clone for FilterPlane {
-    fn clone(&self) -> FilterPlane {
-        FilterPlane {
-            words: self.words.copied(self.words.capacity(), copy_word),
-            staging: self.staging.iter().map(copy_word).collect(),
-            staged: AtomicUsize::new(self.staged.load(Ordering::Relaxed)),
-            ..*self
-        }
-    }
-}
-
 impl FilterPlane {
     /// A plane of `dims` coordinates on the ring `(t, ka)`, whose
     /// [`cell_bits`] must not be 0.

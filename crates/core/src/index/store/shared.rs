@@ -168,12 +168,6 @@ impl<T: Copy> Column<T> {
     }
 }
 
-impl<T: Copy> Clone for Column<T> {
-    fn clone(&self) -> Column<T> {
-        self.copied(self.capacity(), |&v| v)
-    }
-}
-
 impl<T> fmt::Debug for Column<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Column")
@@ -205,21 +199,22 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_access_grows_and_clones() {
+    fn exclusive_access_grows_and_copies() {
         let mut column = Column::<i16>::with_capacity(2);
         column.extend_from_slice(&[9, 10]);
         column.grow(16);
         assert_eq!((column.published(), column.capacity()), (&[9, 10][..], 16));
         column.extend([11].into_iter());
-        let copy = column.clone();
+        let copy = column.copied(column.capacity(), |&v| v);
         column.extend([12].into_iter());
         assert_eq!((copy.published(), copy.capacity()), (&[9, 10, 11][..], 16));
     }
 
     /// The uninitialised reservation at its edges (Miri runs this): a
     /// column with no slots — a dangling, zero-length box — and one
-    /// with a single slot are allocated, extended, cloned, grown and
-    /// dropped, and nothing unwritten is ever read.
+    /// with a single slot are allocated, extended, copied (the way
+    /// `grow` copies), grown and dropped, and nothing unwritten is ever
+    /// read.
     #[test]
     fn zero_and_one_slot_columns_allocate_clone_and_grow() {
         for capacity in [0usize, 1] {
@@ -230,12 +225,12 @@ mod tests {
                 (column.published(), column.capacity()),
                 (&values[..], capacity)
             );
-            let copy = column.clone();
+            let copy = column.copied(capacity, |&v| v);
             assert_eq!((copy.published(), copy.capacity()), (&values[..], capacity));
             column.grow(capacity + 2);
             column.extend_from_slice(&[8, 9]);
             assert_eq!(column.published(), [&values[..], &[8, 9]].concat());
-            assert_eq!(copy.published(), values, "a clone owns its slots");
+            assert_eq!(copy.published(), values, "a copy owns its slots");
         }
     }
 

@@ -477,13 +477,17 @@ mod tests {
                     Some(RowMask::from_rows(256..n_rows)),
                 ];
                 for &config in &configs {
-                    let mut arena = SketchArena::with_filter(t, ka, config);
-                    for row in &rows {
-                        arena.push(row);
-                    }
-                    (0..n_rows).filter(|&r| dead(r)).for_each(|r| {
-                        arena.remove(r);
-                    });
+                    let build = || {
+                        let mut arena = SketchArena::with_filter(t, ka, config);
+                        for row in &rows {
+                            arena.push(row);
+                        }
+                        (0..n_rows).filter(|&r| dead(r)).for_each(|r| {
+                            arena.remove(r);
+                        });
+                        arena
+                    };
+                    let arena = build();
                     for n in [1, 3, 32] {
                         let mut refs: Vec<&[i64]> = probes[..n].iter().map(Vec::as_slice).collect();
                         if n > 1 {
@@ -493,7 +497,7 @@ mod tests {
                             // The same subset as tombstones: every row
                             // outside it revoked while the arena is
                             // shared, the way an epoch segment loses rows.
-                            let revoked = arena.clone();
+                            let revoked = build();
                             for r in (0..n_rows)
                                 .filter(|&r| mask.as_ref().is_some_and(|m| !m.contains(r)))
                             {

@@ -1,32 +1,7 @@
-//! Chebyshev (L∞ / maximum-norm) distance — the paper's metric (Def. 3).
+//! Chebyshev (L∞ / maximum-norm) distance on the ring `La` — the paper's
+//! metric (Def. 3).
 
 use crate::Metric;
-
-/// Chebyshev distance on integer vectors:
-/// `dis(x, y) = max_i |x_i - y_i|`.
-///
-/// ```rust
-/// use fe_metrics::{Chebyshev, Metric};
-///
-/// assert_eq!(Chebyshev.distance(&[1i64, -2, 3][..], &[4, 2, 3][..]), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Chebyshev;
-
-impl Metric<[i64]> for Chebyshev {
-    type Distance = u64;
-
-    /// # Panics
-    /// Panics if the vectors have different lengths.
-    fn distance(&self, a: &[i64], b: &[i64]) -> u64 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x.abs_diff(y))
-            .max()
-            .unwrap_or(0)
-    }
-}
 
 /// Chebyshev distance on a ring of circumference `period` (the paper's
 /// number line `La` "can be considered as a ring", Sec. IV-B special case 2).
@@ -88,24 +63,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plain_chebyshev() {
-        assert_eq!(Chebyshev.distance(&[][..], &[][..]), 0);
-        assert_eq!(Chebyshev.distance(&[5i64][..], &[5][..]), 0);
-        assert_eq!(Chebyshev.distance(&[0i64, 0][..], &[-7, 3][..]), 7);
-    }
-
-    #[test]
-    fn chebyshev_handles_extremes() {
-        assert_eq!(
-            Chebyshev.distance(&[i64::MIN][..], &[i64::MAX][..]),
-            u64::MAX
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_lengths_panic() {
-        Chebyshev.distance(&[1i64][..], &[1, 2][..]);
+        RingChebyshev::new(10).distance(&[1i64][..], &[1, 2][..]);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Metric spaces for fuzzy extractors (Sec. II-A/II-B of the paper).
 //!
 //! Secure sketches are defined relative to a metric space `(M, dis)`. The
-//! paper's contribution uses the **Chebyshev distance** (maximum norm, the
-//! `p → ∞` limit of the Lp norms); the classical constructions it compares
-//! against use **Hamming distance** (code-offset / fuzzy commitment). This
-//! crate provides both behind one [`Metric`] trait — [`Chebyshev`], its
-//! cyclic form [`RingChebyshev`], and [`Hamming`] — plus the [`BitVec`]
-//! bit-vector type shared by the Hamming-metric code paths.
+//! paper's contribution uses the **Chebyshev distance** (maximum norm) on
+//! its number line `La`, which is a ring: [`RingChebyshev`], behind the
+//! [`Metric`] trait. The classical constructions it compares against use
+//! **Hamming distance** (code-offset / fuzzy commitment), which they take
+//! directly as [`BitVec::xor_weight`] of the [`BitVec`] bit-vector type.
 //!
 //! The crate also hosts the workspace's *service* metrics: the
 //! lock-free [`telemetry::Histogram`] the request scheduler exports its
@@ -15,10 +14,10 @@
 //! across the workspace).
 //!
 //! ```rust
-//! use fe_metrics::{Chebyshev, Metric};
+//! use fe_metrics::{Metric, RingChebyshev};
 //!
-//! let d = Chebyshev.distance(&[0, 10, -5][..], &[3, 7, -9][..]);
-//! assert_eq!(d, 4); // max(|0-3|, |10-7|, |-5+9|)
+//! let d = RingChebyshev::new(100).distance(&[0, 10, -5][..], &[3, 7, 91][..]);
+//! assert_eq!(d, 4); // max(|0-3|, |10-7|, |-5-91| around the ring of 100)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -26,12 +25,10 @@
 
 pub mod bitvec;
 mod chebyshev;
-mod hamming;
 pub mod telemetry;
 
 pub use bitvec::BitVec;
-pub use chebyshev::{Chebyshev, RingChebyshev};
-pub use hamming::Hamming;
+pub use chebyshev::RingChebyshev;
 
 use std::fmt::Debug;
 
@@ -60,7 +57,8 @@ mod tests {
 
     #[test]
     fn within_uses_distance() {
-        assert!(Chebyshev.within(&[0i64, 0][..], &[3, -3][..], 3));
-        assert!(!Chebyshev.within(&[0i64, 0][..], &[3, -4][..], 3));
+        let m = RingChebyshev::new(100);
+        assert!(m.within(&[0i64, 0][..], &[3, -3][..], 3));
+        assert!(!m.within(&[0i64, 0][..], &[3, -4][..], 3));
     }
 }

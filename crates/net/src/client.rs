@@ -278,3 +278,58 @@ impl Client {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::envelope::encode_response;
+    use fe_protocol::BiometricDevice;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The batch sizing against encoded bytes: each item of a `BATCH`
+    /// response carrying a real enrolled record's challenge adds exactly
+    /// `batch_bytes_per_probe(n)`, the request and response envelopes
+    /// fit `BATCH_ENVELOPE`, and at the default frame limit a request
+    /// carries the probe counts of PROTOCOL.md § 8.
+    #[test]
+    fn batch_sizing_matches_encoded_frames() {
+        let params = SystemParams::insecure_test_defaults();
+        let device = BiometricDevice::new(params.clone());
+        let mut rng = StdRng::seed_from_u64(8);
+        for (n, per_request) in [(64, 1_702), (5_000, 26)] {
+            let bio = params.sketch().line().random_vector(n, &mut rng);
+            let record = device.enroll("sizing", &bio, &mut rng).unwrap();
+            let challenge = IdentChallenge {
+                session: u64::MAX,
+                helper: record.helper,
+                challenge: u64::MAX,
+            };
+            let item = batch_bytes_per_probe(n);
+            let response = |items: usize| {
+                let body = ResponseBody::Batch(vec![Ok(challenge.clone()); items]);
+                encode_response(u64::MAX, &Ok(body)).len()
+            };
+            let (one, two) = (response(1), response(2));
+            assert_eq!(two - one, item, "n={n}");
+            for (len, items) in [(one, 1), (two, 2)] {
+                assert!(
+                    len - items * item <= BATCH_ENVELOPE,
+                    "n={n}: response envelope"
+                );
+            }
+            let request = Message::IdentifyBatch { probes: vec![bio] };
+            let request_len = envelope::encode_request(u64::MAX, &request).len();
+            let probe = 4 + 8 * n;
+            assert!(
+                request_len - probe <= BATCH_ENVELOPE,
+                "n={n}: request envelope"
+            );
+            assert_eq!(
+                (DEFAULT_MAX_FRAME - BATCH_ENVELOPE) / item,
+                per_request,
+                "n={n}"
+            );
+        }
+    }
+}

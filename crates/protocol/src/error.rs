@@ -40,10 +40,9 @@ pub enum ProtocolError {
     /// The enrollment store could not be read or written (I/O failures;
     /// carries the rendered `std::io::Error` so this type stays `Clone`).
     Storage(String),
-    /// The request scheduler's admission queue is full (or the
-    /// scheduler is shutting down): the request was shed instead of
-    /// queued without bound. Clients should back off and retry — see
-    /// [`crate::scheduler::ScheduledServer`].
+    /// The request scheduler's admission queue is full: the request was
+    /// shed instead of queued without bound. Clients should back off
+    /// and retry — see [`crate::scheduler::ScheduledServer`].
     Overloaded,
 }
 

@@ -341,13 +341,12 @@ impl ScheduledServer {
     ///
     /// # Errors
     /// [`ProtocolError::Overloaded`] when the admission queue is full
-    /// or the scheduler is shutting down (fail-fast backpressure — the
-    /// caller should back off and retry).
+    /// (fail-fast backpressure — the caller should back off and retry).
     pub fn submit(&self, probe: Vec<i64>) -> Result<IdentifyTicket, ProtocolError> {
         let (tx, rx) = mpsc::channel();
         let depth = {
             let mut q = lock(&self.inner.queue);
-            if q.shutdown || q.items.len() >= self.inner.config.queue_capacity {
+            if q.items.len() >= self.inner.config.queue_capacity {
                 self.inner.metrics.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(ProtocolError::Overloaded);
             }

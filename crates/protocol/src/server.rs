@@ -689,7 +689,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
 
     /// Identification phase 1 (Fig. 3): match the probe sketch against
     /// the enrolled records using conditions (1)–(4), and issue a
-    /// challenge for the matched record.
+    /// challenge for the matched record — a batch of one through
+    /// [`AuthenticationServer::identify_batch`].
     ///
     /// # Errors
     /// [`ProtocolError::NoMatch`] when no record matches (`⊥`).
@@ -698,11 +699,8 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         probe: &[i64],
         rng: &mut R,
     ) -> Result<IdentChallenge, ProtocolError> {
-        let record_idx = self
-            .find(probe, None, 1)
-            .pop()
-            .ok_or(ProtocolError::NoMatch)?;
-        Ok(self.issue_challenge(record_idx, rng))
+        let mut results = self.identify_batch(&[probe], rng);
+        results.pop().expect("one result per probe")
     }
 
     /// Batch identification phase 1: resolves a whole batch of probe
