@@ -54,8 +54,9 @@
 //! [`bench_sweep_policy`]).
 //!
 //! `FE_BENCH_SMOKE=1` shrinks the sweep to a CI-sized smoke run that
-//! still executes every row-layout dispatch path (packed/`i32`/`i64`),
-//! both kernel variants, and the pre-sized bulk-load path.
+//! still times the one packed-row sweep on a ring of each class (the
+//! paper's, `I32` and `I64`; [`bench_ring_classes`]), both kernel
+//! variants, and the pre-sized bulk-load path.
 
 use fe_bench::{smoke, time_best, write_csv};
 use fe_core::conditions::sketches_match;
@@ -411,8 +412,9 @@ fn bench_storage() {
 /// Times a lookup on three rings — the paper's, and one each of the
 /// `I32` and `I64` classes — through the one packed-row sweep, each arm
 /// labelled with the plane it gets, and checks the class each ring
-/// reports.
-fn bench_width_dispatch() {
+/// reports. Every class stores the same packed row, so the arms differ
+/// only in the ring.
+fn bench_ring_classes() {
     let n = if smoke::smoke_mode() { 2_000 } else { 50_000 };
 
     for (name, ka, expect) in [
@@ -526,6 +528,6 @@ fn bench_sweep_policy() {
 
 fn main() {
     bench_storage();
-    bench_width_dispatch();
+    bench_ring_classes();
     bench_sweep_policy();
 }

@@ -5,26 +5,33 @@
 //! # Shape
 //!
 //! ```text
-//!   writer state                      published snapshot (RwLock<Arc>)
-//!   ┌──────────────────────┐          ┌────────────────────────────┐
-//!   │ head: Arc<Segment>   │──Arc────▶│ head: Arc<Segment>         │
-//!   │ segments:            │──Arc────▶│ segments: Vec<Arc<Segment>>│
-//!   │   [sealed][sealed]   │          │ generation                 │
-//!   └──────────────────────┘          └────────────────────────────┘
+//!   EpochIndex (the writer)        published cell (RwLock<Arc>)
+//!   ┌──────────────────────┐       ┌──────────────────────┐
+//!   │ current ─────────────┼──┐ ┌──┼── Arc               │
+//!   └──────────────────────┘  │ │  └──────────────────────┘
+//!                             ▼ ▼
+//!               Snapshot ┌────────────────────────────┐
+//!                        │ segments: Vec<Arc<Segment>>│ [sealed][sealed]
+//!                        │ head: Arc<Segment>         │ [open head ──▶]
+//!                        │ generation                 │
+//!                        └────────────────────────────┘
 //! ```
 //!
+//! The writer's state *is* the snapshot it last published: one
+//! `Arc<Snapshot>`, held by the index and by the cell readers load.
 //! Writers (`insert`/`remove`/`compact`, all `&mut self`) and readers
-//! share every segment — the head included — through `Arc`s. The head
+//! share every segment — the head included — through it. The head
 //! is reserved once, for `seal_rows` rows, and never moves: an insert
 //! writes its row past the published row count and then release-stores
 //! the count, a scan acquire-loads the count once and reads nothing at
 //! or past it (DESIGN.md "Publication invariant"), so showing a row to
 //! readers costs one atomic store and no copy — and no later copy
 //! either: a row is written once and stays where it was written. Only
-//! a change to the segment *list* (the head sealing, `compact`)
-//! publishes a fresh immutable `Snapshot`, by replacing the `Arc`
-//! behind one shared `std::sync::RwLock` — once per `seal_rows`
-//! inserts, not once per insert. Readers obtained via
+//! a change to the segment *list* or the head (the dimension stamp, the
+//! head sealing, `compact`) publishes a fresh immutable `Snapshot`, by
+//! replacing the `Arc` behind one shared `std::sync::RwLock` — once per
+//! `seal_rows` inserts, not once per insert — and the code that makes
+//! the change publishes it. Readers obtained via
 //! [`EpochRead::reader`] take the read lock only to clone that `Arc`,
 //! release it, and sweep segments + head against the clone
 //! unsynchronized; a snapshot stays valid for the whole sweep because
@@ -50,7 +57,8 @@
 //! A dead row costs a sweep its liveness bit, and a block with no live
 //! candidate no phase-1 pass at all. Compaction — a server's
 //! `checkpoint` — is the one way dead rows leave the index, at the same
-//! moment as the record table's blocks and slots.
+//! moment as the record table's blocks and slots: it appends the live
+//! rows to a fresh index and publishes that index's tiers once.
 //!
 //! # Id assignment
 //!
@@ -130,33 +138,29 @@ impl Segment {
     }
 }
 
-/// One immutable published view: the segment list and the head. It
-/// holds no row data of its own — rows appended to the head after the
-/// snapshot was published are visible through it.
+/// One immutable published view: the segment list and the head — the
+/// writer's state and every reader's. It holds no row data of its own:
+/// rows appended to the head after the snapshot was published are
+/// visible through it.
 #[derive(Debug)]
 struct Snapshot {
+    /// Sealed segments, ascending disjoint id ranges, each exactly the
+    /// seal threshold's rows.
     segments: Vec<Arc<Segment>>,
+    /// The open segment: the index is its only writer, under its own
+    /// `&mut self`. Its arena carries the ring, the prefilter and —
+    /// once stamped — the dimension of every segment.
     head: Arc<Segment>,
     generation: u64,
 }
 
 impl Snapshot {
-    fn view(&self) -> View<'_> {
-        View {
-            segments: &self.segments,
-            head: &self.head,
-        }
+    /// Every tier in id order: the sealed segments, then the head.
+    fn tiers(&self) -> impl Iterator<Item = &Segment> {
+        let head = std::iter::once(self.head.as_ref());
+        self.segments.iter().map(Arc::as_ref).chain(head)
     }
-}
 
-/// Borrowed scan view shared by the writer-side trait methods (over
-/// live writer state) and the detached reader (over a snapshot).
-struct View<'a> {
-    segments: &'a [Arc<Segment>],
-    head: &'a Segment,
-}
-
-impl View<'_> {
     /// The one tier walk behind every lookup: for each probe, its
     /// `budget` lowest live matching ids, ascending, optionally only
     /// among `subset`. Tiers hold ascending, disjoint id ranges, so
@@ -173,8 +177,7 @@ impl View<'_> {
     ) -> Vec<Vec<RecordId>> {
         let mut out = vec![Vec::new(); probes.len()];
         let mut open: Vec<usize> = (0..probes.len()).collect();
-        let tiers = self.segments.iter().map(Arc::as_ref).chain([self.head]);
-        for seg in tiers {
+        for seg in self.tiers() {
             // Every open probe still lacks at least `budget - found`.
             let Some(found) = open.iter().map(|&p| out[p].len()).min() else {
                 break;
@@ -277,34 +280,23 @@ impl IndexReader for EpochReader {
 
     fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
         load(&self.cell)
-            .view()
             .sweep(&[probe], subset, budget)
             .swap_remove(0)
     }
 
     fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>> {
-        firsts(load(&self.cell).view().sweep(probes, None, 1))
+        firsts(load(&self.cell).sweep(probes, None, 1))
     }
 }
 
 /// The epoch-published segmented index (module docs: [`crate::index::epoch`]).
 pub struct EpochIndex {
-    t: u64,
-    ka: u64,
-    filter: FilterConfig,
     /// Rows the head is reserved for and seals at; `None` takes
     /// [`default_seal_rows`] of the stamped dimension.
     seal_rows: Option<usize>,
-    /// Sealed segments, ascending disjoint id ranges, each exactly the
-    /// seal threshold's rows.
-    segments: Vec<Arc<Segment>>,
-    /// The open segment, shared with the published snapshot: this index
-    /// is its only writer, under its own `&mut self`.
-    head: Arc<Segment>,
-    /// Stamped by the first insert (or `reserve`); enforced here, not
-    /// only by the arenas, because it is what sizes each fresh head.
-    dim: Option<usize>,
-    generation: u64,
+    /// The snapshot last published: the writer reads and appends
+    /// through it, readers load it from `cell`.
+    current: Arc<Snapshot>,
     cell: Published,
     /// How many snapshots [`EpochIndex::publish`] has swapped in.
     publishes: u64,
@@ -312,13 +304,14 @@ pub struct EpochIndex {
 
 impl fmt::Debug for EpochIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let head = &self.current.head;
         f.debug_struct("EpochIndex")
-            .field("t", &self.t)
-            .field("ka", &self.ka)
-            .field("segments", &self.segments.len())
-            .field("staging_rows", &self.head.rows())
-            .field("staging_base", &self.head.base)
-            .field("generation", &self.generation)
+            .field("t", &head.arena.t())
+            .field("ka", &head.arena.ka())
+            .field("segments", &self.current.segments.len())
+            .field("staging_rows", &head.rows())
+            .field("staging_base", &head.base)
+            .field("generation", &self.current.generation)
             .field("publishes", &self.publishes())
             .field("live", &self.len())
             .finish()
@@ -337,7 +330,7 @@ impl EpochIndex {
     /// The head seals at 65 536 rows or 8 MiB of rows, whichever is
     /// fewer rows for the stamped dimension.
     pub fn with_filter(t: u64, ka: u64, filter: FilterConfig) -> EpochIndex {
-        EpochIndex::with_seal(t, ka, filter, None)
+        EpochIndex::from_head(SketchArena::with_filter(t, ka, filter), None)
     }
 
     /// Like [`EpochIndex::with_filter`], sealing the head at exactly
@@ -348,31 +341,22 @@ impl EpochIndex {
     /// Panics if `seal_rows` is zero.
     pub fn with_seal_rows(t: u64, ka: u64, filter: FilterConfig, seal_rows: usize) -> EpochIndex {
         assert!(seal_rows > 0, "the seal threshold must be positive");
-        EpochIndex::with_seal(t, ka, filter, Some(seal_rows))
+        EpochIndex::from_head(SketchArena::with_filter(t, ka, filter), Some(seal_rows))
     }
 
-    fn with_seal(t: u64, ka: u64, filter: FilterConfig, seal_rows: Option<usize>) -> EpochIndex {
-        // Unstamped, so nothing is reserved yet: the first insert or
-        // `reserve` swaps in a head sized for the dimension it brings.
-        let head = Arc::new(Segment {
-            arena: SketchArena::with_filter(t, ka, filter),
-            base: 0,
+    /// An empty index whose head is `arena`, unstamped, so nothing is
+    /// reserved yet: the first insert or `reserve` swaps in a head
+    /// sized for the dimension it brings.
+    fn from_head(arena: SketchArena, seal_rows: Option<usize>) -> EpochIndex {
+        let current = Arc::new(Snapshot {
+            segments: Vec::new(),
+            head: Arc::new(Segment { arena, base: 0 }),
+            generation: 0,
         });
-        let cell = Arc::new(RwLock::new(Arc::new(Snapshot {
-            segments: Vec::new(),
-            head: Arc::clone(&head),
-            generation: 0,
-        })));
         EpochIndex {
-            t,
-            ka,
-            filter,
             seal_rows,
-            segments: Vec::new(),
-            head,
-            dim: None,
-            generation: 0,
-            cell,
+            cell: Arc::new(RwLock::new(Arc::clone(&current))),
+            current,
             publishes: 0,
         }
     }
@@ -390,41 +374,25 @@ impl EpochIndex {
 
     /// The sealed segments (diagnostics, benches).
     pub fn segments(&self) -> &[Arc<Segment>] {
-        &self.segments
+        &self.current.segments
     }
 
     /// Rows currently in the open head.
     pub fn staging_rows(&self) -> usize {
-        self.head.rows()
+        self.current.head.rows()
     }
 
-    /// Every tier in id order: the sealed segments, then the head.
-    fn tiers(&self) -> impl Iterator<Item = &Segment> {
-        let head = std::iter::once(self.head.as_ref());
-        self.segments.iter().map(Arc::as_ref).chain(head)
-    }
-
-    fn view(&self) -> View<'_> {
-        View {
-            segments: &self.segments,
-            head: &self.head,
-        }
-    }
-
-    /// Publishes the segment list and the head as a fresh snapshot —
-    /// needed only when one of the two was *replaced*; rows appended to
-    /// the head and tombstones flipped anywhere are visible through the
-    /// snapshot already out. The superseded snapshot is freed here, or
-    /// by whichever sweep drops the last `Arc` to it.
-    fn publish(&mut self) {
-        let snapshot = Arc::new(Snapshot {
-            segments: self.segments.clone(),
-            head: Arc::clone(&self.head),
-            generation: self.generation,
-        });
+    /// Makes `snapshot` the writer's state and the readers' — the one
+    /// swap, made by whichever write replaced the segment list or the
+    /// head; rows appended to the head and tombstones flipped anywhere
+    /// are visible through the snapshot already out. The superseded
+    /// snapshot is freed here, or by whichever sweep drops the last
+    /// `Arc` to it.
+    fn publish(&mut self, snapshot: Snapshot) {
+        self.current = Arc::new(snapshot);
         let old = std::mem::replace(
             &mut *self.cell.write().expect("a snapshot section cannot panic"),
-            snapshot,
+            Arc::clone(&self.current),
         );
         self.publishes += 1;
         // It may hold the last `Arc` of a compacted segment: freed with
@@ -432,56 +400,58 @@ impl EpochIndex {
         drop(old);
     }
 
-    /// Starts an empty head for ids `base..`, reserved in full once the
-    /// dimension is known (no publish).
-    fn start_head(&mut self, base: RecordId) {
-        let mut arena = SketchArena::with_filter(self.t, self.ka, self.filter);
-        if let Some(dim) = self.dim {
-            let row_bytes = CellWidth::row_bytes(self.ka, dim);
-            let rows = self
-                .seal_rows
-                .unwrap_or_else(|| default_seal_rows(row_bytes));
-            arena.reserve(rows, dim);
-        }
-        self.head = Arc::new(Segment { arena, base });
+    /// An empty head for ids `base..`, reserved in full for `dim`
+    /// coordinates, over the current head's ring and prefilter.
+    fn fresh_head(&self, base: RecordId, dim: usize) -> Arc<Segment> {
+        let mut arena = self.current.head.arena.empty_like();
+        let rows = self
+            .seal_rows
+            .unwrap_or_else(|| default_seal_rows(CellWidth::row_bytes(arena.ka(), dim)));
+        arena.reserve(rows, dim);
+        Arc::new(Segment { arena, base })
     }
 
-    /// Stamps the dimension on first use and checks it afterwards.
-    /// `true` when this call stamped it — the head was replaced by a
-    /// reserved one, which the caller must publish.
-    fn stamp(&mut self, dim: usize) -> bool {
-        let fresh = self.dim.is_none();
-        let stamped = *self.dim.get_or_insert(dim);
-        assert_eq!(
-            dim, stamped,
-            "sketch dimension {dim} does not match the index's stamped dimension {stamped}"
-        );
-        if fresh {
-            self.start_head(self.head.base);
+    /// Stamps the dimension on first use — publishing a head reserved
+    /// for it — and checks it afterwards.
+    fn stamp(&mut self, dim: usize) {
+        if let Some(stamped) = self.dim() {
+            assert_eq!(
+                dim, stamped,
+                "sketch dimension {dim} does not match the index's stamped dimension {stamped}"
+            );
+            return;
         }
-        fresh
+        let head = self.fresh_head(self.current.head.base, dim);
+        self.publish(Snapshot {
+            segments: self.current.segments.clone(),
+            head,
+            generation: self.current.generation,
+        });
     }
 
-    /// Appends one row to the head, sealing it when that fills it.
-    /// Returns the row's id and whether the segment list or the head
-    /// was replaced; publishing is the caller's, so `compact` can
-    /// rebuild unseen.
-    fn append(&mut self, row: Row<'_>, dim: usize) -> (RecordId, bool) {
-        let stamped = self.stamp(dim);
-        let id = self.head.base + self.head.arena.append(row);
-        let full = self.head.arena.is_full();
-        if full {
+    /// Appends one row to the head and returns its id; the insert that
+    /// fills the head seals it and publishes the longer list.
+    fn append(&mut self, row: Row<'_>, dim: usize) -> RecordId {
+        self.stamp(dim);
+        let head = &self.current.head;
+        let id = head.base + head.arena.append(row);
+        if head.arena.is_full() {
             // The full head joins the list as it is — same allocation,
             // same `Arc`, dead rows and all; a fresh one takes the ids
             // after it.
+            let sealed = &self.current.segments;
             debug_assert!(
-                self.segments.iter().all(|s| s.rows() == self.head.rows()),
+                sealed.iter().all(|s| s.rows() == head.rows()),
                 "every sealed segment holds exactly the seal threshold's rows"
             );
-            self.segments.push(Arc::clone(&self.head));
-            self.start_head(id + 1);
+            let segments = sealed.iter().chain([head]).map(Arc::clone).collect();
+            self.publish(Snapshot {
+                segments,
+                head: self.fresh_head(id + 1, dim),
+                generation: self.current.generation,
+            });
         }
-        (id, stamped || full)
+        id
     }
 
     /// Returns 0 and does nothing: compaction
@@ -497,27 +467,24 @@ impl EpochIndex {
     /// segment holds the seal threshold's rows, so `id` divided by it
     /// is the segment's position — past the list, the head.
     fn locate(&self, id: RecordId) -> Option<(&Segment, usize)> {
-        let position = self.segments.first().map_or(0, |first| id / first.rows());
-        let seg = self.segments.get(position).map_or(&*self.head, Arc::as_ref);
+        let Snapshot { segments, head, .. } = &*self.current;
+        let position = segments.first().map_or(0, |first| id / first.rows());
+        let seg = segments.get(position).map_or(&**head, Arc::as_ref);
         seg.row_of(id).map(|row| (seg, row))
     }
 }
 
 impl SketchIndex for EpochIndex {
     fn insert(&mut self, sketch: &[i64]) -> RecordId {
-        let (id, replaced) = self.append(Row::Sketch(sketch), sketch.len());
-        if replaced {
-            self.publish();
-        }
-        id
+        self.append(Row::Sketch(sketch), sketch.len())
     }
 
     fn find(&self, probe: &[i64], subset: Option<&[RecordId]>, budget: usize) -> Vec<RecordId> {
-        self.view().sweep(&[probe], subset, budget).swap_remove(0)
+        self.current.sweep(&[probe], subset, budget).swap_remove(0)
     }
 
     fn find_first_batch(&self, probes: &[impl AsRef<[i64]>]) -> Vec<Option<RecordId>> {
-        firsts(self.view().sweep(probes, None, 1))
+        firsts(self.current.sweep(probes, None, 1))
     }
 
     // Head or sealed, the atomic tombstone flip is visible through the
@@ -529,15 +496,17 @@ impl SketchIndex for EpochIndex {
     }
 
     fn len(&self) -> usize {
-        self.tiers().map(Segment::live).sum()
+        self.current.tiers().map(Segment::live).sum()
     }
 
     fn slots(&self) -> usize {
-        self.tiers().map(Segment::rows).sum()
+        self.current.tiers().map(Segment::rows).sum()
     }
 
+    // The head's stamp is the index's: `stamp` reserves every head after
+    // the first for the one dimension, and refuses any other.
     fn dim(&self) -> Option<usize> {
-        self.dim
+        self.current.head.arena.dim()
     }
 
     fn copy_row_into(&self, id: RecordId, out: &mut Vec<i64>) -> bool {
@@ -547,7 +516,7 @@ impl SketchIndex for EpochIndex {
     }
 
     fn for_each_live(&self, f: &mut dyn FnMut(RecordId, &[i64])) {
-        for seg in self.tiers() {
+        for seg in self.current.tiers() {
             seg.arena
                 .for_each_live(&mut |row, sketch| f(seg.base + row, sketch));
         }
@@ -556,49 +525,49 @@ impl SketchIndex for EpochIndex {
     // The head is reserved whole when the dimension is stamped and
     // segments are sized when they are built, so a hint only stamps.
     fn reserve(&mut self, _additional: usize, dim: usize) {
-        if self.stamp(dim) {
-            self.publish();
-        }
+        self.stamp(dim);
     }
 
     // The open head is charged for the rows it holds — their column
     // bytes, plane bits and tombstone words — not for the untouched
     // reservation behind them, which is address space, not memory: the
-    // figure tracks what the process has resident. Writer and snapshot
-    // share every segment, head included, so each is counted once; the
-    // snapshot adds its own list.
+    // figure tracks what the process has resident. Writer and readers
+    // share one snapshot, so its list and every segment, head included,
+    // are counted once.
     fn heap_bytes(&self) -> usize {
-        let list = |segments: &Vec<Arc<Segment>>| {
-            segments.capacity() * std::mem::size_of::<Arc<Segment>>()
-        };
-        let snapshot = list(&load(&self.cell).segments) + std::mem::size_of::<Snapshot>();
-        list(&self.segments) + snapshot + self.tiers().map(Segment::heap_bytes).sum::<usize>()
+        let list = self.current.segments.capacity() * std::mem::size_of::<Arc<Segment>>();
+        let tiers: usize = self.current.tiers().map(Segment::heap_bytes).sum();
+        list + std::mem::size_of::<Snapshot>() + tiers
     }
 
-    // The one reclaim: rebuilt tier by tier, copying the live rows'
-    // cells and leaving dead rows — and all-dead segments — behind. The
-    // old tiers stay published (and untouched) until the one publish at
-    // the end swaps in the renumbered list together with the new
-    // generation.
+    // The one reclaim: the live rows' cells appended, in id order, to a
+    // fresh index over the same ring, prefilter and dimension, leaving
+    // dead rows — and all-dead segments — behind. The old tiers stay
+    // published (and untouched) until the one publish at the end swaps
+    // in the fresh index's tiers together with the new generation.
     fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
+        let mut fresh = EpochIndex::from_head(self.current.head.arena.empty_like(), self.seal_rows);
         let mut mapping = Vec::with_capacity(self.len());
-        let old_head = Arc::clone(&self.head);
-        let old: Vec<Arc<Segment>> = self.segments.drain(..).chain([old_head]).collect();
-        self.start_head(0);
-        for seg in &old {
-            for row in (0..seg.rows()).filter(|&row| seg.arena.is_live(row)) {
-                let dim = self.dim.expect("a row exists, so the dimension is stamped");
-                let (new_id, _) = self.append(Row::Stored(&seg.arena, row), dim);
-                mapping.push((seg.base + row, new_id));
+        if let Some(dim) = self.dim() {
+            fresh.stamp(dim);
+            for seg in self.current.tiers() {
+                for row in (0..seg.rows()).filter(|&row| seg.arena.is_live(row)) {
+                    let new_id = fresh.append(Row::Stored(&seg.arena, row), dim);
+                    mapping.push((seg.base + row, new_id));
+                }
             }
         }
-        self.generation += 1;
-        self.publish();
+        let tiers = &fresh.current;
+        self.publish(Snapshot {
+            segments: tiers.segments.clone(),
+            head: Arc::clone(&tiers.head),
+            generation: self.current.generation + 1,
+        });
         mapping
     }
 
     fn generation(&self) -> u64 {
-        self.generation
+        self.current.generation
     }
 }
 
@@ -650,7 +619,7 @@ mod tests {
         for i in 0..3 * 64 + 5 {
             assert_eq!(index.insert(&[40 * (i % 100) as i64, i as i64]), i);
             if i % 64 == 0 {
-                heads.push(Arc::clone(&index.head));
+                heads.push(Arc::clone(&index.current.head));
             }
         }
         assert_eq!(index.publishes(), 4, "the stamp and three seals");
@@ -659,7 +628,7 @@ mod tests {
             assert!(Arc::ptr_eq(head, segment), "a sealed segment is its head");
             assert_eq!((segment.rows(), segment.live()), (64, 64));
         }
-        assert!(Arc::ptr_eq(&heads[3], &index.head));
+        assert!(Arc::ptr_eq(&heads[3], &index.current.head));
         assert_eq!((index.len(), index.slots()), (3 * 64 + 5, 3 * 64 + 5));
     }
 
@@ -731,6 +700,55 @@ mod tests {
         assert_eq!((index.segments().len(), index.slots()), (1, 9));
         assert!(index.heap_bytes() < bytes, "compaction reclaims");
         assert_eq!(reader.find_first(&[1_900, 1_900]), Some(8));
+    }
+
+    /// The two edges of compaction into a fresh index: an unstamped
+    /// index stays unstamped, and a stamped one whose rows are all dead
+    /// keeps its dimension and restarts its ids at 0. Either way the
+    /// fresh tiers go out in one publish, with the next generation.
+    #[test]
+    fn compaction_keeps_the_stamp_and_drops_every_dead_row() {
+        let mut index = sealing_at(10, 4096, 4);
+        let reader = index.reader();
+        assert!(index.compact().is_empty());
+        assert_eq!((index.publishes(), index.generation()), (1, 1));
+        assert_eq!((index.dim(), reader.generation()), (None, 1));
+
+        for i in 0..10 {
+            index.insert(&[100 * i, 0, 0]);
+        }
+        for id in 0..10 {
+            assert!(index.remove(id));
+        }
+        let (stores, generation) = (index.publishes(), index.generation());
+        assert!(index.compact().is_empty());
+        assert_eq!(index.publishes(), stores + 1, "compaction publishes once");
+        assert_eq!(index.generation(), generation + 1);
+        assert_eq!(index.dim(), Some(3), "the stamp outlives every row");
+        assert_eq!((index.slots(), index.segments().len()), (0, 0));
+        assert_eq!(index.insert(&[500, 0, 0]), 0);
+        assert_eq!(reader.find_first(&[500, 0, 0]), Some(0));
+    }
+
+    /// What the paper-shape index holds beside its rows — 72.125 B a row
+    /// of row column, plane bits and tombstone words — at 65 536 + 128
+    /// rows, one sealed segment and a 128-row head: the list's one
+    /// `Arc` (8 B of capacity), `size_of::<Snapshot>()` (40 B) and two
+    /// `Segment`s (248 B each). A field or a list copy more fails here,
+    /// by name, before it uses up the 656 B that
+    /// `tests/epoch_model.rs`'s per-row bound leaves at that shape.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn beside_its_rows_a_paper_index_holds_one_snapshot_and_two_segments() {
+        let mut index = EpochIndex::new(100, 400);
+        let rows = 65_536 + 128;
+        for i in 0..rows {
+            let row: Vec<i64> = (0..64).map(|j| ((i * 7 + j * 13) % 400) as i64).collect();
+            index.insert(&row);
+        }
+        assert_eq!((index.segments().len(), index.staging_rows()), (1, 128));
+        let overhead = index.heap_bytes() as f64 - 72.125 * rows as f64;
+        assert_eq!(overhead, 544.0);
     }
 
     #[test]

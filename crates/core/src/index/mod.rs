@@ -158,13 +158,6 @@ pub trait SketchIndex {
     /// instead of letting [`SketchIndex::insert`] assert.
     fn dim(&self) -> Option<usize>;
 
-    /// Would [`SketchIndex::insert`] accept a sketch of this dimension
-    /// without panicking? The non-panicking preflight of the dimension
-    /// stamp.
-    fn sketch_dim_ok(&self, dim: usize) -> bool {
-        self.dim().is_none_or(|stamped| stamped == dim)
-    }
-
     /// Copies a live record's sketch into `out` (cleared first),
     /// returning `false` — and leaving `out` empty — for dead or
     /// unknown ids. The allocation-free row access primitive: a server

@@ -254,6 +254,14 @@ impl SketchArena {
         }
     }
 
+    /// An empty, unstamped arena over the same ring and prefilter: the
+    /// fresh arena [`SketchIndex::compact`] copies the live rows into,
+    /// and every head an [`EpochIndex`](super::EpochIndex) starts after
+    /// its first.
+    pub(crate) fn empty_like(&self) -> SketchArena {
+        SketchArena::with_filter(self.t, self.ka, self.filter)
+    }
+
     /// The stamped dimension, stamping `dim` (and building the plane)
     /// when this is the first row or reservation.
     fn stamp(&mut self, dim: usize) -> usize {
@@ -526,11 +534,12 @@ impl SketchIndex for SketchArena {
         self.cells.capacity_bytes() + self.dead.capacity() * 8
     }
 
-    // The rebuild `EpochIndex` makes of a tier: the live rows, in id
-    // order, appended through `Row::Stored` to a fresh arena over the
-    // same ring, dimension and prefilter, sized for exactly them.
+    // The live rows, in id order, appended through `Row::Stored` to a
+    // fresh arena over the same ring, dimension and prefilter, sized for
+    // exactly them — the move `EpochIndex::compact` makes into a fresh
+    // index.
     fn compact(&mut self) -> Vec<(RecordId, RecordId)> {
-        let mut fresh = SketchArena::with_filter(self.t, self.ka, self.filter);
+        let mut fresh = self.empty_like();
         if let Some(dim) = self.dim {
             fresh.reserve(self.len(), dim);
         }

@@ -474,7 +474,7 @@ impl<I: SketchIndex> AuthenticationServer<I> {
         // one-dimension contract (mixed-dimension enrollments) now
         // fails recovery with this clean error instead of replaying:
         // no index can hold such a population any more.
-        if !self.index.sketch_dim_ok(record.helper.sketch.inner.len()) {
+        if matches!(self.index.dim(), Some(d) if d != record.helper.sketch.inner.len()) {
             return Err(ProtocolError::Malformed("sketch dimension mismatch"));
         }
         if !RecordTable::fits(record) {
