@@ -25,7 +25,8 @@
 //!   [`SketchIndex::compact`] reclaims dead rows by re-appending the
 //!   live ones, in id order, to a fresh arena.
 //! * **Append under readers.** Column bytes and plane words live in
-//!   fixed-capacity `Column`s (`shared`): one writer appends a row —
+//!   fixed-capacity `Column`s of atomic words (`shared`), so every
+//!   read and write of them is safe code: one writer appends a row —
 //!   its column bytes, and its cell bits into the plane's open block —
 //!   and then release-stores the row count, a sweep
 //!   acquire-loads the count once and reads nothing at or past it — so an
@@ -119,7 +120,8 @@ pub struct FilterConfig {
 }
 
 /// Prefilter plane depth: how many leading coordinates keep their cells
-/// in the plane.
+/// in the plane. It has one variant — the depth is one number — and
+/// stays an enum only as the name callers spell it by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaneDepth {
     /// At most this many — `D = min(d, dim, 64)`; `Fixed(0)` disables

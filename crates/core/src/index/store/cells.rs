@@ -31,6 +31,7 @@ use super::kernels::avx512;
 use super::plane::{cell_bits, FilterPlane, Lead};
 use super::shared::Column;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The class of a ring `ka` by the plain integer its residues would
 /// need (see [`CellWidth::for_ring`]). Every class stores the same
@@ -128,41 +129,53 @@ impl<'a> Pile<'a> {
     }
 }
 
-/// A packed row's bit stream read back field by field, low bit first.
-/// The bytes run on past the row, to the end of the column, so a field
-/// is one unaligned eight-byte load everywhere but in the column's last
-/// few bytes — and a field of more than 57 bits, which may reach a
-/// ninth.
+/// A packed row's bit stream read back field by field, low bit first,
+/// from the column's words — each loaded once, by a `Relaxed` load.
+/// The stream runs on past the row, and reads as zeros past the last
+/// word; a field never takes bits past its row.
 struct Fields<'a> {
-    bytes: &'a [u8],
-    at: usize,
+    words: &'a [AtomicU64],
+    /// The next word to load.
+    next: usize,
+    /// The `len` bits loaded and not yet taken, lowest first.
+    bits: u128,
+    len: u32,
 }
 
 impl Fields<'_> {
-    fn of(bytes: &[u8]) -> Fields<'_> {
-        Fields { bytes, at: 0 }
+    /// The stream from byte `at` of `words` on.
+    fn at(words: &[AtomicU64], at: usize) -> Fields<'_> {
+        let mut fields = Fields {
+            words,
+            next: at / 8,
+            bits: 0,
+            len: 0,
+        };
+        fields.refill();
+        let skip = 8 * (at % 8) as u32;
+        (fields.bits, fields.len) = (fields.bits >> skip, fields.len - skip);
+        fields
+    }
+
+    #[inline]
+    fn refill(&mut self) {
+        let word = self
+            .words
+            .get(self.next)
+            .map_or(0, |word| word.load(Ordering::Relaxed));
+        self.bits |= u128::from(word) << self.len;
+        (self.next, self.len) = (self.next + 1, self.len + 64);
     }
 
     /// The next `width ≤ 64` bits.
     #[inline]
     fn take(&mut self, width: u32) -> u64 {
-        let (byte, shift) = (self.at / 8, (self.at % 8) as u32);
-        self.at += width as usize;
-        let word = match self.bytes.get(byte..byte + 8) {
-            Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight bytes")),
-            None => {
-                let mut eight = [0; 8];
-                let tail = &self.bytes[byte.min(self.bytes.len())..];
-                eight[..tail.len()].copy_from_slice(tail);
-                u64::from_le_bytes(eight)
-            }
-        };
-        let mut field = word >> shift;
-        if shift + width > 64 {
-            let ninth = self.bytes.get(byte + 8).copied().unwrap_or(0);
-            field |= u64::from(ninth) << (64 - shift);
+        if self.len < width {
+            self.refill();
         }
-        field & u64::MAX.checked_shr(64 - width).unwrap_or(0)
+        let field = self.bits as u64 & u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        (self.bits, self.len) = (self.bits >> width, self.len - width);
+        field
     }
 }
 
@@ -258,18 +271,17 @@ impl Packed {
     }
 
     /// Calls `keep(i, residue)` for coordinate `i = 0, 1, …` of a
-    /// packed row — `c·w + o` from its cells `lead` and the offsets
-    /// `row` starts with, then the whole residues after them — until it
-    /// says `false`; `true` when it never did.
+    /// packed row — `c·w + o` from its cells `lead` and the offsets its
+    /// bit stream `fields` starts with, then the whole residues after
+    /// them — until it says `false`; `true` when it never did.
     #[inline]
     fn all_coords(
         self,
         lead: Lead<'_>,
-        row: &[u8],
+        mut fields: Fields<'_>,
         dim: usize,
         mut keep: impl FnMut(usize, u64) -> bool,
     ) -> bool {
-        let mut fields = Fields::of(row);
         let (d, offset_bits) = (lead.len(), self.bits - self.cell_bits);
         (0..d).all(|j| keep(j, lead.cell(j) * self.w + fields.take(offset_bits)))
             && (d..dim).all(|j| keep(j, fields.take(self.bits)))
@@ -286,16 +298,22 @@ impl Packed {
     }
 
     /// The early-abort row kernel: is every coordinate of the row — its
-    /// cells `lead`, if the plane holds them, and the bits `row` starts
-    /// with (it may run on to the column's end) — within the cyclic
-    /// distance `t` of the probe's? `probe` holds residues, as the row
+    /// cells `lead`, if the plane holds them, and the bits from byte
+    /// `at` of the column's `words` on — within the cyclic distance `t`
+    /// of the probe's? `probe` holds residues, as the row
     /// does, so the cyclic distance is `min(d, ka − d)` on
     /// `d = |v − p| < ka`, exactly [`crate::conditions::cyclic_close`]
     /// with no `%`, coordinate by coordinate, leaving at the first that
     /// is too far.
     #[inline]
-    pub(super) fn row_matches(self, lead: Lead<'_>, row: &[u8], probe: &[u64]) -> bool {
-        self.all_coords(lead, row, probe.len(), |i, v| {
+    pub(super) fn row_matches(
+        self,
+        lead: Lead<'_>,
+        words: &[AtomicU64],
+        at: usize,
+        probe: &[u64],
+    ) -> bool {
+        self.all_coords(lead, Fields::at(words, at), probe.len(), |i, v| {
             let d = v.abs_diff(probe[i]);
             d.min(self.ka - d) <= self.t
         })
@@ -309,7 +327,7 @@ impl Packed {
 #[derive(Debug)]
 pub(super) struct Cells {
     packed: Packed,
-    col: Column<u8>,
+    col: Column,
     plane: Option<FilterPlane>,
 }
 
@@ -333,10 +351,7 @@ impl Cells {
     /// Gives an empty buffer its plane, which takes the cells of each
     /// row's first `plane.dims()` coordinates from then on.
     pub(super) fn set_plane(&mut self, plane: FilterPlane) {
-        debug_assert!(
-            self.col.published().is_empty(),
-            "rows are split from the first"
-        );
+        debug_assert!(self.col.len() == 0, "rows are split from the first");
         debug_assert_eq!(plane.bits(), self.packed.cell_bits as usize);
         self.packed.lead = plane.dims();
         self.plane = Some(plane);
@@ -352,9 +367,9 @@ impl Cells {
         self.packed
     }
 
-    /// The column bytes of the rows published so far.
-    pub(super) fn published(&self) -> &[u8] {
-        self.col.published()
+    /// The column words of the rows published so far.
+    pub(super) fn words(&self) -> &[AtomicU64] {
+        self.col.words()
     }
 
     /// Bytes the column and the plane hold (capacities).
@@ -379,7 +394,7 @@ impl Cells {
             cells.resize(self.packed.lead, 0);
             bytes.resize(self.packed.row_bytes(sketch.len()), 0);
             self.packed.encode(sketch, cells, bytes);
-            self.col.extend_from_slice(bytes);
+            self.col.extend(bytes);
             if let Some(plane) = &self.plane {
                 plane.put(row, cells);
             }
@@ -393,17 +408,18 @@ impl Cells {
     pub(super) fn append_stored(&self, row: usize, from: &Cells, r: usize, dim: usize) {
         assert_eq!(self.packed, from.packed, "rows move only within one layout");
         let stride = from.packed.row_bytes(dim);
-        self.col
-            .extend_from_slice(&from.col.published()[r * stride..(r + 1) * stride]);
-        if let Some(plane) = &self.plane {
-            ENCODED.with(|encoded| {
-                let (cells, _) = &mut *encoded.borrow_mut();
+        ENCODED.with(|encoded| {
+            let (cells, bytes) = &mut *encoded.borrow_mut();
+            bytes.resize(stride, 0);
+            from.col.read(r * stride, bytes);
+            self.col.extend(bytes);
+            if let Some(plane) = &self.plane {
                 let lead = from.lead(r);
                 cells.clear();
                 cells.extend((0..lead.len()).map(|j| lead.cell(j) as u8));
                 plane.put(row, cells);
-            });
-        }
+            }
+        });
     }
 
     /// Row `row`'s cells where the plane holds them.
@@ -415,8 +431,8 @@ impl Cells {
     /// Decodes row `row` into `out` as canonical representatives.
     pub(super) fn decode_into(&self, row: usize, dim: usize, out: &mut Vec<i64>) {
         let ka = self.packed.ka;
-        let bytes = &self.col.published()[row * self.packed.row_bytes(dim)..];
-        self.packed.all_coords(self.lead(row), bytes, dim, |_, v| {
+        let fields = Fields::at(self.col.words(), row * self.packed.row_bytes(dim));
+        self.packed.all_coords(self.lead(row), fields, dim, |_, v| {
             // `v − ka` past the half ring: `canonical`'s `2r > ka`.
             out.push(if v > ka / 2 { v.wrapping_sub(ka) } else { v } as i64);
             true
@@ -683,11 +699,12 @@ mod tests {
         }
     }
 
-    /// Every residue of the ring as a one-coordinate packed row, its
+    /// Every residue of the ring as a one-coordinate packed row in one
+    /// column — a byte or two a row, so most rows share a word — its
     /// cell in a one-coordinate plane where the ring `(t, ka)` gets
     /// one, and `row_matches` over them: what phase 2 decides for the
     /// stored value `a` and the probe `b`.
-    struct Ring(Packed, Vec<Vec<u8>>, Option<FilterPlane>);
+    struct Ring(Packed, Column, Option<FilterPlane>);
 
     impl Ring {
         fn new(t: u64, ka: u64) -> Ring {
@@ -696,16 +713,16 @@ mod tests {
             if let Some(plane) = &mut plane {
                 plane.grow(ka as usize);
             }
-            let rows = (0..ka as i64)
-                .map(|v| {
-                    let (mut cells, mut row) = (vec![0; packed.lead], vec![0; packed.row_bytes(1)]);
-                    packed.encode(&[v], &mut cells, &mut row);
-                    if let Some(plane) = &plane {
-                        plane.put(v as usize, &cells);
-                    }
-                    row
-                })
-                .collect();
+            let stride = packed.row_bytes(1);
+            let rows = Column::with_capacity(ka as usize * stride);
+            for v in 0..ka as i64 {
+                let (mut cells, mut row) = (vec![0; packed.lead], vec![0; stride]);
+                packed.encode(&[v], &mut cells, &mut row);
+                rows.extend(&row);
+                if let Some(plane) = &plane {
+                    plane.put(v as usize, &cells);
+                }
+            }
             Ring(packed, rows, plane)
         }
 
@@ -714,7 +731,8 @@ mod tests {
             let lead = plane
                 .as_ref()
                 .map_or_else(Lead::none, |plane| plane.lead(a as usize));
-            packed.row_matches(lead, &rows[a as usize], &[packed.residue(b)])
+            let at = a as usize * packed.row_bytes(1);
+            packed.row_matches(lead, rows.words(), at, &[packed.residue(b)])
         }
     }
 

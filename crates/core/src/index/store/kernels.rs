@@ -1,18 +1,19 @@
 //! The AVX-512 bodies of an enroll's two coordinate loops — `SS`'s
 //! residues ([`avx512::sketch_offsets`]) and the packed-row encode
-//! ([`avx512::encode_packed`]): the crate's `unsafe`, together with the
-//! `shared` buffer. Phase 1 has no body here: its one word loop is safe
-//! code in `plane` ([`PlaneView::survivors`](super::plane::PlaneView::survivors)),
+//! ([`avx512::encode_packed`]) — and the crate's two dispatch calls,
+//! which with the `shared` column's zeroed reservation are all of its
+//! `unsafe`. Phase 1 has no body here: its one word loop is safe code
+//! in `plane` ([`PlaneView::survivors`](super::plane::PlaneView::survivors)),
 //! on every target.
 //!
 //! Both bodies have the same safety argument: the safe entry point
 //! asserts `available()`, then makes its one `unsafe` call into the
-//! `#[target_feature]` function. Inside, the only other `unsafe` is a
-//! raw load or store the slice it came from bounds — masked to that
-//! slice's lanes where it can be shorter than a vector — and `SS`'s
-//! `set_len` on a `Vec` whose every lane it has stored. The `unsafe`
-//! blocks outside tests are seven: the two calls, `load8`'s two loads,
-//! `store8`'s two stores and the `set_len`.
+//! `#[target_feature]` function. Inside, everything is safe code: the
+//! value intrinsics are safe to call where their features are enabled,
+//! a chunk enters a vector as an `[i64; 8]` (`load8`, one plain load),
+//! `SS`'s lanes leave it as one (`lanes8`, one plain store into the
+//! `Vec` it collects), and every other memory access is a
+//! bounds-checked slice.
 
 /// Eight coordinates a step, the two loops an enroll runs over its
 /// sketch: `SS`'s residues and the packed-row encode. Uses only
@@ -23,19 +24,16 @@
 /// range is simply redone by the caller's scalar loop (DESIGN.md "Ring
 /// arithmetic").
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
 pub(crate) mod avx512 {
     use super::super::cells::Pile;
     use std::arch::x86_64::{
         __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpge_epu64_mask,
-        _mm512_cvtepi64_epi16, _mm512_cvtepi64_epi8, _mm512_loadu_si512, _mm512_mask_blend_epi64,
-        _mm512_mask_cmpeq_epi64_mask, _mm512_mask_storeu_epi64, _mm512_maskz_add_epi64,
-        _mm512_maskz_loadu_epi64, _mm512_max_epu64, _mm512_mul_epu32, _mm512_or_si512,
-        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64,
-        _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
-        _mm_cvtsi128_si64, _mm_extract_epi64, _pext_u64,
+        _mm512_cvtepi64_epi16, _mm512_cvtepi64_epi8, _mm512_extracti32x4_epi32,
+        _mm512_mask_blend_epi64, _mm512_mask_cmpeq_epi64_mask, _mm512_maskz_add_epi64,
+        _mm512_max_epu64, _mm512_mul_epu32, _mm512_or_si512, _mm512_set1_epi64, _mm512_set_epi64,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64,
+        _mm512_sub_epi64, _mm512_test_epi64_mask, _mm_cvtsi128_si64, _mm_extract_epi64, _pext_u64,
     };
-    use std::mem::MaybeUninit;
 
     /// `true` once per process: does this CPU have the foundation +
     /// byte/word AVX-512 subsets the loops need, and the BMI2 the
@@ -47,32 +45,31 @@ pub(crate) mod avx512 {
             && std::arch::is_x86_feature_detected!("bmi2")
     }
 
-    /// Up to eight coordinates, one a lane, lanes past the chunk 0: a
-    /// full chunk by a plain load, a short one by a masked one.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn load8(xs: &[i64]) -> __m512i {
-        if let Ok(xs) = <&[i64; 8]>::try_from(xs) {
-            // SAFETY: the array spans exactly the 64 bytes read.
-            unsafe { _mm512_loadu_si512(xs.as_ptr().cast()) }
-        } else {
-            assert!(xs.len() < 8);
-            // SAFETY: the mask reads the chunk's lanes and no more.
-            unsafe { _mm512_maskz_loadu_epi64(lanes(xs.len()), xs.as_ptr()) }
-        }
+    /// Eight coordinates, one a lane: one plain load.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load8(xs: [i64; 8]) -> __m512i {
+        let [a, b, c, d, e, f, g, h] = xs;
+        _mm512_set_epi64(h, g, f, e, d, c, b, a)
     }
 
-    /// Writes a chunk's lanes of `v` to it: a full chunk by a plain
-    /// store, a short one by a masked one.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    fn store8(os: &mut [MaybeUninit<i64>], v: __m512i) {
-        if let Ok(os) = <&mut [MaybeUninit<i64>; 8]>::try_from(&mut *os) {
-            // SAFETY: the array spans exactly the 64 bytes written.
-            unsafe { _mm512_storeu_si512(os.as_mut_ptr().cast(), v) }
-        } else {
-            assert!(os.len() < 8);
-            // SAFETY: the mask writes the chunk's lanes and no more.
-            unsafe { _mm512_mask_storeu_epi64(os.as_mut_ptr().cast(), lanes(os.len()), v) }
-        }
+    /// A short chunk's coordinates, zero past them.
+    fn pad8(xs: &[i64]) -> [i64; 8] {
+        std::array::from_fn(|i| xs.get(i).copied().unwrap_or(0))
+    }
+
+    /// The eight lanes of `v`, lane 0 first.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn lanes8(v: __m512i) -> [i64; 8] {
+        let [a, b, c, d] = [
+            _mm512_extracti32x4_epi32::<0>(v),
+            _mm512_extracti32x4_epi32::<1>(v),
+            _mm512_extracti32x4_epi32::<2>(v),
+            _mm512_extracti32x4_epi32::<3>(v),
+        ]
+        .map(|q| [_mm_cvtsi128_si64(q), _mm_extract_epi64::<1>(q)]);
+        [a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]]
     }
 
     /// The mask of a chunk's `len ≤ 8` lanes.
@@ -90,6 +87,7 @@ pub(crate) mod avx512 {
     /// # Panics
     /// Panics when AVX-512 is unavailable, or when `ka` is not in
     /// `[2, 2³²)`.
+    #[allow(unsafe_code)]
     pub fn sketch_offsets(
         input: &[i64],
         period: u64,
@@ -125,34 +123,40 @@ pub(crate) mod avx512 {
         // The OR of every `x + kav`: its high half is 0 exactly when
         // each of theirs is. A lane past the chunk adds nothing.
         let (mut far, mut boundary) = (_mm512_setzero_si512(), 0);
-        let mut out = Vec::with_capacity(input.len());
-        let spare = &mut out.spare_capacity_mut()[..input.len()];
-        for (xs, os) in input.chunks(8).zip(spare.chunks_mut(8)) {
-            let k = lanes(xs.len());
-            let n = _mm512_maskz_add_epi64(k, load8(xs), period);
-            far = _mm512_or_si512(far, n);
-            // `low = ka_inv · n mod 2⁶⁴`, from `n < 2³²`'s two products.
-            let low = _mm512_add_epi64(
-                _mm512_mul_epu32(inv_lo, n),
-                _mm512_slli_epi64::<32>(_mm512_mul_epu32(inv_hi, n)),
-            );
-            // `r = ⌊low · ka / 2⁶⁴⌋` a 32-bit half of `low` at a time:
-            // `(hi·ka + ⌊lo·ka / 2³²⌋) / 2³²`, whose sum stays below
-            // `2⁶⁴` for `ka < 2³²`.
-            let r = _mm512_srli_epi64::<32>(_mm512_add_epi64(
-                _mm512_mul_epu32(_mm512_srli_epi64::<32>(low), ka_v),
-                _mm512_srli_epi64::<32>(_mm512_mul_epu32(low, ka_v)),
-            ));
-            boundary |= _mm512_mask_cmpeq_epi64_mask(k, r, _mm512_setzero_si512());
-            store8(os, _mm512_sub_epi64(half, r));
-        }
+        // Eight lanes a chunk, collected by a loop with no capacity
+        // check in it — whole chunks, then the short last one padded,
+        // whose lanes past the input are cut off after.
+        let (whole, tail) = input.as_chunks::<8>();
+        let last = (!tail.is_empty()).then(|| (pad8(tail), tail.len()));
+        let chunks = whole
+            .iter()
+            .map(|&xs| (xs, 8))
+            .chain(last)
+            .map(|(xs, len)| {
+                let k = lanes(len);
+                let n = _mm512_maskz_add_epi64(k, load8(xs), period);
+                far = _mm512_or_si512(far, n);
+                // `low = ka_inv · n mod 2⁶⁴`, from `n < 2³²`'s two products.
+                let low = _mm512_add_epi64(
+                    _mm512_mul_epu32(inv_lo, n),
+                    _mm512_slli_epi64::<32>(_mm512_mul_epu32(inv_hi, n)),
+                );
+                // `r = ⌊low · ka / 2⁶⁴⌋` a 32-bit half of `low` at a time:
+                // `(hi·ka + ⌊lo·ka / 2³²⌋) / 2³²`, whose sum stays below
+                // `2⁶⁴` for `ka < 2³²`.
+                let r = _mm512_srli_epi64::<32>(_mm512_add_epi64(
+                    _mm512_mul_epu32(_mm512_srli_epi64::<32>(low), ka_v),
+                    _mm512_srli_epi64::<32>(_mm512_mul_epu32(low, ka_v)),
+                ));
+                boundary |= _mm512_mask_cmpeq_epi64_mask(k, r, _mm512_setzero_si512());
+                lanes8(_mm512_sub_epi64(half, r))
+            });
+        let mut out = chunks.collect::<Vec<[i64; 8]>>().into_flattened();
+        out.truncate(input.len());
         let far = _mm512_srli_epi64::<32>(far);
         if _mm512_test_epi64_mask(far, far) != 0 {
             return None;
         }
-        // SAFETY: every chunk's store wrote each of its lanes, and the
-        // chunks cover the first `input.len()` elements.
-        unsafe { out.set_len(input.len()) };
         Some((out, boundary != 0))
     }
 
@@ -183,6 +187,7 @@ pub(crate) mod avx512 {
     /// # Panics
     /// Panics when AVX-512 or BMI2 is unavailable, or when `cells` or
     /// `row` is too short for the row.
+    #[allow(unsafe_code)]
     pub fn encode_packed(split: Split, sketch: &[i64], cells: &mut [u8], row: &mut [u8]) -> bool {
         assert!(available(), "AVX-512 kernel dispatched without AVX-512");
         if split.ka >= 1 << 15 {
@@ -217,7 +222,12 @@ pub(crate) mod avx512 {
         };
         let (head, tail) = sketch.split_at(8 * whole);
         let bytes = 0x0101_0101_0101_0101 * ((1 << split.offset_bits.min(8)) - 1);
-        for (vs, cs) in head.chunks_exact(8).zip(cells.chunks_exact_mut(8)) {
+        for (&vs, cs) in head
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .zip(cells.chunks_exact_mut(8))
+        {
             let [v, cell, offset] = split8(load8(vs), ka, w, magic);
             high = _mm512_max_epu64(high, v);
             pile.push(_pext_u64(low_bytes(offset), bytes), 8 * split.offset_bits);
@@ -233,7 +243,7 @@ pub(crate) mod avx512 {
         let even = |width: u32| [0x0001_0001_0001_0001 * ((1 << width) - 1); 2];
         let (offsets, residues) = (even(split.offset_bits), even(split.bits));
         for (c, vs) in (whole..).zip(tail.chunks(8)) {
-            let [v, cell, offset] = split8(load8(vs), ka, w, magic);
+            let [v, cell, offset] = split8(load8(pad8(vs)), ka, w, magic);
             high = _mm512_max_epu64(high, v);
             // Lanes below `lead` keep the offset, the rest the residue,
             // lanes past the chunk nothing.

@@ -121,7 +121,7 @@ pub(super) struct FilterPlane {
     /// The blocks, [`FilterPlane::stride`] words each: every complete
     /// block, and the open one from its first row on; a group's words
     /// are written when its 64th row lands.
-    words: Column<AtomicU64>,
+    blocks: Column,
     /// The open group's cells, row-major, one a byte: row `g` of the
     /// group is [`FilterPlane::row_words`] words, coordinate `j` in
     /// byte `j % 8` of its word `j / 8`.
@@ -135,11 +135,6 @@ pub(super) struct FilterPlane {
     bits: usize,
 }
 
-/// A copy of a plane word.
-fn copy_word(word: &AtomicU64) -> AtomicU64 {
-    AtomicU64::new(word.load(Ordering::Relaxed))
-}
-
 impl FilterPlane {
     /// A plane of `dims` coordinates on the ring `(t, ka)`, whose
     /// [`cell_bits`] must not be 0.
@@ -147,7 +142,7 @@ impl FilterPlane {
         let bits = cell_bits(t, ka);
         debug_assert!((1..=MAX_DIMS).contains(&dims) && bits >= 1);
         FilterPlane {
-            words: Column::with_capacity(0),
+            blocks: Column::with_capacity(0),
             staging: (0..64 * dims.div_ceil(8))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -176,16 +171,14 @@ impl FilterPlane {
     }
 
     pub(super) fn heap_bytes(&self) -> usize {
-        (self.words.capacity() + self.staging.len()) * 8
+        self.blocks.capacity() + self.staging.len() * 8
     }
 
     /// Makes room for the blocks of `total_rows` rows (exclusive
     /// access: the buffer may move).
     pub(super) fn grow(&mut self, total_rows: usize) {
-        let words = total_rows.div_ceil(BLOCK_ROWS) * self.stride();
-        if words > self.words.capacity() {
-            self.words = self.words.copied(words, copy_word);
-        }
+        self.blocks
+            .grow(8 * total_rows.div_ceil(BLOCK_ROWS) * self.stride());
     }
 
     /// Stores row `row`'s `cells`, one a leading coordinate: the
@@ -193,15 +186,14 @@ impl FilterPlane {
     /// arrive densely in order, from the one writer. A row's cells go
     /// into the staging, row-major — a few plain stores (module docs) —
     /// and the group's 64th row transposes the whole group into its
-    /// plane words. The block's first row publishes the block,
-    /// zeroed, with one `extend`; a group's first row marks the staging
+    /// plane words. The block's first row publishes the block, whose
+    /// words are zero already; a group's first row marks the staging
     /// as its own before writing to it, so that a reader still copying
     /// the group before sees its copy go stale ([`Lead`]).
     pub(super) fn put(&self, row: usize, cells: &[u8]) {
         debug_assert_eq!(cells.len(), self.dims);
         if row.is_multiple_of(BLOCK_ROWS) {
-            self.words
-                .extend((0..self.stride()).map(|_| AtomicU64::new(0)));
+            self.blocks.extend_zeroed(8 * self.stride());
         }
         if row.is_multiple_of(64) {
             // The Release store carries the last group's plane words to
@@ -232,7 +224,7 @@ impl FilterPlane {
     /// coordinates' runs.
     fn transpose(&self, group: usize) {
         let stride = self.stride();
-        let block = &self.words.published()[group / GROUP_WORDS * stride..][..stride];
+        let block = &self.blocks.words()[group / GROUP_WORDS * stride..][..stride];
         let per_row = self.row_words();
         for c in 0..per_row {
             let rows: [u64; 64] =
@@ -252,7 +244,7 @@ impl FilterPlane {
 
     /// Row `row`'s cells, for a row below the published row count.
     pub(super) fn lead(&self, row: usize) -> Lead<'_> {
-        Lead::of(self.words.published(), self, row)
+        Lead::of(self.blocks.words(), self, row)
     }
 
     /// The plane as a sweep of the first `rows` rows sees it. Slicing
@@ -261,7 +253,7 @@ impl FilterPlane {
     pub(super) fn view(&self, rows: usize) -> PlaneView<'_> {
         PlaneView {
             plane: self,
-            words: &self.words.published()[..rows.div_ceil(BLOCK_ROWS) * self.stride()],
+            words: &self.blocks.words()[..rows.div_ceil(BLOCK_ROWS) * self.stride()],
             groups: rows / 64,
         }
     }

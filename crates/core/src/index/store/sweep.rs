@@ -8,6 +8,7 @@ use super::plane::{Lead, PlaneView, Test, BLOCK_ROWS};
 use super::{RecordId, SketchArena, SketchIndex};
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
+use std::sync::atomic::AtomicU64;
 
 /// Liveness words per tile — the unit a sweep hands to one probe at a
 /// time (see [`Sweep::tiles`]) and the phase-1/phase-2 super-block of
@@ -172,10 +173,10 @@ struct Sweep<'a> {
     arena: &'a SketchArena,
     packed: Packed,
     /// The arena's rows as of this sweep's one `Acquire` load of the
-    /// row count, and their column bytes, `stride` a row: nothing past
-    /// them is read.
+    /// row count, and the column words of their bytes, `stride` bytes
+    /// a row: no field past them is read.
     rows: usize,
-    bytes: &'a [u8],
+    words: &'a [AtomicU64],
     stride: usize,
     dim: usize,
     /// The probes' residues, `dim` each, and for each probe the
@@ -298,10 +299,12 @@ impl Sweep<'_> {
         for (wi, cand) in words.zip(cands) {
             counts.verified += u64::from(cand.count_ones());
             for row in set_bits(cand).map(|bit| wi * 64 + bit) {
-                // The row's bytes and the column after them.
-                let s = &self.bytes[row * self.stride..];
                 let lead = self.plane.map_or_else(Lead::none, |p| p.view.lead(row));
-                if self.packed.row_matches(lead, s, probe.residues) {
+                let at = row * self.stride;
+                if self
+                    .packed
+                    .row_matches(lead, self.words, at, probe.residues)
+                {
                     hits.push((probe.k, row));
                     probe.left -= 1;
                     if probe.left == 0 {
@@ -381,7 +384,7 @@ impl SketchArena {
                 arena: self,
                 packed,
                 rows,
-                bytes: &self.cells.published()[..rows * stride],
+                words: &self.cells.words()[..(rows * stride).div_ceil(8)],
                 stride,
                 dim,
                 probes: &s.residues,

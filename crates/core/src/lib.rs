@@ -57,13 +57,14 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the sanctioned exceptions are the SIMD
-// kernels in `index::store::kernels` (the prefilter's, and the AVX-512
-// bodies of `SS` and the packed-row encode: std::arch intrinsics
-// behind runtime feature detection) and the append-under-readers
-// buffer in `index::store::shared`; each scopes its own narrow
-// `allow(unsafe_code)` with the safety argument documented there.
-// Everything else in the crate remains unsafe-free.
+// `deny` rather than `forbid`: three blocks are sanctioned exceptions,
+// each under its own narrow `allow(unsafe_code)` with its safety
+// argument beside it — the two calls into the `#[target_feature]`
+// bodies of `SS` and the packed-row encode in `index::store::kernels`,
+// made after runtime feature detection, and the zeroed reservation of
+// the column of atomic words in `index::store::shared`. Everything
+// else in the crate, those bodies and that column included, is safe
+// code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

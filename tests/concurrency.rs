@@ -490,6 +490,117 @@ fn readers_see_every_finished_insert_at_the_paper_shape() {
     assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
 }
 
+/// The head's publication rule where rows share words: at dimension 3
+/// on the paper ring a row's column bytes are its three 7-bit offsets,
+/// 3 bytes, so most rows start or end inside a word that the writer
+/// stores again while readers load it — for the next row's bytes, which
+/// it ORs in beside the published ones. One writer appends across
+/// hundreds of seals, revoking some rows while they are still in the
+/// head, and lock-free readers must read every finished row exactly as
+/// it was written, and never a row before its insert began.
+///
+/// A row is read exactly by two lookups confined to it: its values
+/// `+100` and `−100` are both within `t = 100` of the stored value `v`
+/// only when `v` is the row's own value (or 200 from it, a cell away).
+/// Every value is a residue in `[101, 297]` at an offset in its cell
+/// that is never 0, so a row read with any of its bytes still zero
+/// fails that, and the all-zero probe matches no written row.
+#[test]
+fn readers_see_every_finished_insert_when_rows_share_words() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    const ROWS: usize = 30_000;
+    const DIM: usize = 3;
+    let (t, ka) = (100u64, 400u64);
+    // Three bits of `i` a coordinate: 101, 129, … 297.
+    let pattern = |i: usize, by: i64| -> Vec<i64> {
+        (0..DIM)
+            .map(|d| 101 + 28 * ((i >> (3 * d)) & 7) as i64 + by)
+            .collect()
+    };
+    let revoked = |i: usize| i % 7 == 3;
+
+    // Seal every 96 rows (mid-group: 96 = 64 + 32, 36 words of row
+    // bytes): 312 seals, each a head handed over while the readers
+    // sweep it.
+    let mut index = EpochIndex::with_seal_rows(t, ka, FilterConfig::default(), 96);
+    let reader = index.reader();
+    let (started, done, checks) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|seed| {
+                let reader = reader.clone();
+                let (started, done, checks, stop) = (&started, &done, &checks, &stop);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let exactly = |k: usize, by: i64| reader.find(&pattern(k, by), Some(&[k]), 1);
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        if finished > 0 {
+                            // Half the time the last finished row: the
+                            // one sharing a word with the row in flight.
+                            let j = match rng.gen_bool(0.5) {
+                                true => finished - 1,
+                                false => rng.gen_range(0..finished),
+                            };
+                            let expect = if revoked(j) { vec![] } else { vec![j] };
+                            for by in [100, -100] {
+                                assert_eq!(exactly(j, by), expect, "finished row {j}, {by:+}");
+                            }
+                        }
+                        // A row at or past `done` may be in flight: it
+                        // is read whole or not at all, and never before
+                        // the writer started it.
+                        let k = (finished + rng.gen_range(0..3usize)).min(ROWS - 1);
+                        let seen = !exactly(k, 100).is_empty();
+                        let begun = started.load(Ordering::Acquire);
+                        if seen {
+                            assert!(k < begun, "row {k} seen before its insert began");
+                            if !revoked(k) {
+                                assert_eq!(exactly(k, -100), vec![k], "row {k} was read torn");
+                            }
+                        }
+                        assert_eq!(
+                            reader.find_first(&[0; DIM]),
+                            None,
+                            "an unwritten row was visible"
+                        );
+                        checks.fetch_add(1, Ordering::Release);
+                        if finished == ROWS || stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        // A reader that stopped early failed an assertion; the scope
+        // re-raises it once the writer stops too.
+        let alive = || readers.iter().all(|r| !r.is_finished());
+        for i in (0..ROWS).take_while(|_| alive()) {
+            started.store(i + 1, Ordering::Release);
+            assert_eq!(index.insert(&pattern(i, 0)), i);
+            if revoked(i) {
+                assert!(index.remove(i));
+            }
+            done.store(i + 1, Ordering::Release);
+            if i % 32 == 0 {
+                let seen = checks.load(Ordering::Acquire);
+                while checks.load(Ordering::Acquire) == seen && alive() {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+        stop.store(true, Ordering::Release);
+    });
+    assert_eq!((index.segments().len(), index.staging_rows()), (312, 48));
+    assert_eq!(index.len(), (0..ROWS).filter(|&i| !revoked(i)).count());
+}
+
 /// `enroll_unique` is atomic across shards: four threads enroll one
 /// biometric under four ids at once, released together by a barrier,
 /// round after round on a four-shard server. Each round exactly one id
