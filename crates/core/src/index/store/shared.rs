@@ -107,29 +107,33 @@ impl Column {
     /// Panics when `bytes` is longer than the spare capacity, or when
     /// another `extend` on this column is still running.
     pub(crate) fn extend(&self, bytes: &[u8]) {
-        self.publish(bytes.len(), |len| {
-            let (mut at, skip) = (len / 8, len % 8);
-            let mut bytes = bytes;
-            if skip > 0 && !bytes.is_empty() {
-                // The word the last published byte shares: its bytes
-                // past `len` are zero, so the new ones are ORed in.
-                let (head, rest) = bytes.split_at(bytes.len().min(8 - skip));
-                let word = &self.words[at];
-                word.store(
-                    word.load(Ordering::Relaxed) | le_word(head) << (8 * skip),
-                    Ordering::Relaxed,
-                );
-                (at, bytes) = (at + 1, rest);
-            }
-            let (whole, tail) = bytes.as_chunks::<8>();
-            let words = &self.words[at..];
-            for (word, eight) in words.iter().zip(whole) {
-                word.store(u64::from_le_bytes(*eight), Ordering::Relaxed);
-            }
-            if !tail.is_empty() {
-                words[whole.len()].store(le_word(tail), Ordering::Relaxed);
-            }
-        });
+        self.publish(bytes.len(), |len| self.store(len, bytes));
+    }
+
+    /// The writer's stores of `extend`: `bytes` from byte `len` — the
+    /// published length — on.
+    fn store(&self, len: usize, bytes: &[u8]) {
+        let (mut at, skip) = (len / 8, len % 8);
+        let mut bytes = bytes;
+        if skip > 0 && !bytes.is_empty() {
+            // The word the last published byte shares: its bytes past
+            // `len` are zero, so the new ones are ORed in.
+            let (head, rest) = bytes.split_at(bytes.len().min(8 - skip));
+            let word = &self.words[at];
+            word.store(
+                word.load(Ordering::Relaxed) | le_word(head) << (8 * skip),
+                Ordering::Relaxed,
+            );
+            (at, bytes) = (at + 1, rest);
+        }
+        let (whole, tail) = bytes.as_chunks::<8>();
+        let words = &self.words[at..];
+        for (word, eight) in words.iter().zip(whole) {
+            word.store(u64::from_le_bytes(*eight), Ordering::Relaxed);
+        }
+        if !tail.is_empty() {
+            words[whole.len()].store(le_word(tail), Ordering::Relaxed);
+        }
     }
 
     /// Publishes `n` more bytes as they are — zero (invariant 2).
@@ -347,9 +351,12 @@ mod tests {
                 });
             }
             for i in (0..N).step_by(3) {
-                // Dawdle between runs, so readers meet every length.
-                (0..32).for_each(|_| std::hint::spin_loop());
-                column.extend(&[value(i), value(i + 1), value(i + 2)]);
+                column.publish(3, |len| {
+                    // Dawdle inside the window a misplaced length store
+                    // would open.
+                    (0..32).for_each(|_| std::hint::spin_loop());
+                    column.store(len, &[value(i), value(i + 1), value(i + 2)]);
+                });
             }
         });
     }
