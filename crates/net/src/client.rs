@@ -1,5 +1,6 @@
-//! The blocking client: one TCP connection, synchronous
-//! request/response calls mirroring the server op surface.
+//! The blocking client: one TCP connection, one synchronous method per
+//! request op, each one `call` and the answer kind `PROTOCOL.md` § 5
+//! names for its op.
 //!
 //! [`Client`] is deliberately the *simple* consumer of the protocol —
 //! one request in flight at a time, strict response-id checking. The
@@ -33,6 +34,18 @@ const BATCH_ENVELOPE: usize = 8 + 7 + 4;
 /// behind a `u32` length.
 fn batch_bytes_per_probe(dim: usize) -> usize {
     1 + 4 + 7 + 8 + 8 + (4 + 8 * dim) + (4 + 32) + (4 + 32)
+}
+
+/// Takes the answer of the kind a request expects out of its response
+/// body: the one place an answer of another kind becomes
+/// [`NetError::UnexpectedResponse`].
+macro_rules! answer {
+    ($body:expr, $kind:pat $(if $guard:expr)? => $value:expr) => {
+        match $body {
+            $kind $(if $guard)? => Ok($value),
+            _ => Err(NetError::UnexpectedResponse(concat!("expected ", stringify!($kind)))),
+        }
+    };
 }
 
 /// A connected, handshaken client.
@@ -142,10 +155,7 @@ impl Client {
     /// [`NetError::Remote`] with `NO_MATCH` when nobody matches,
     /// `OVERLOADED` when the request was shed.
     pub fn identify(&mut self, probe: Vec<i64>) -> Result<IdentChallenge, NetError> {
-        match self.call(&Message::Identify { probe })? {
-            ResponseBody::Challenge(c) => Ok(c),
-            _ => Err(NetError::UnexpectedResponse("identify expects a challenge")),
-        }
+        answer!(self.call(&Message::Identify { probe })?, ResponseBody::Challenge(c) => c)
     }
 
     /// Batched identification phase 1: per-probe verdicts
@@ -175,10 +185,10 @@ impl Client {
         loop {
             let chunk: Vec<Vec<i64>> = probes.by_ref().take(per_request).collect();
             let asked = chunk.len();
-            match self.call(&Message::IdentifyBatch { probes: chunk })? {
-                ResponseBody::Batch(items) if items.len() == asked => answers.extend(items),
-                _ => return Err(NetError::UnexpectedResponse("batch expects a batch body")),
-            }
+            let body = self.call(&Message::IdentifyBatch { probes: chunk })?;
+            answers.extend(
+                answer!(body, ResponseBody::Batch(items) if items.len() == asked => items)?,
+            );
             if probes.len() == 0 {
                 return Ok(answers);
             }
@@ -194,10 +204,7 @@ impl Client {
         &mut self,
         response: &IdentResponse,
     ) -> Result<IdentOutcome, NetError> {
-        match self.call(&Message::Response(response.clone()))? {
-            ResponseBody::Outcome(o) => Ok(o),
-            _ => Err(NetError::UnexpectedResponse("finish expects an outcome")),
-        }
+        answer!(self.call(&Message::Response(response.clone()))?, ResponseBody::Outcome(o) => o)
     }
 
     /// Enrolls a record (no uniqueness sweep).
@@ -205,7 +212,7 @@ impl Client {
     /// # Errors
     /// [`NetError::Remote`] with `DUPLICATE_USER` when the id is taken.
     pub fn enroll(&mut self, record: EnrollmentRecord) -> Result<(), NetError> {
-        self.expect_empty(&Message::Enroll(record))
+        answer!(self.call(&Message::Enroll(record))?, ResponseBody::Empty => ())
     }
 
     /// Uniqueness-checked enrollment.
@@ -215,7 +222,7 @@ impl Client {
     /// already matches an enrolled record, `DUPLICATE_USER` for a taken
     /// id.
     pub fn enroll_unique(&mut self, record: EnrollmentRecord) -> Result<(), NetError> {
-        self.expect_empty(&Message::EnrollUnique(record))
+        answer!(self.call(&Message::EnrollUnique(record))?, ResponseBody::Empty => ())
     }
 
     /// Revokes an enrollment by user id.
@@ -223,7 +230,8 @@ impl Client {
     /// # Errors
     /// [`NetError::Remote`] with `UNKNOWN_USER` when no such user.
     pub fn revoke(&mut self, id: &str) -> Result<(), NetError> {
-        self.expect_empty(&Message::Revoke { id: id.to_owned() })
+        let msg = Message::Revoke { id: id.to_owned() };
+        answer!(self.call(&msg)?, ResponseBody::Empty => ())
     }
 
     /// Reset / account recovery: succeeds only when *exactly one*
@@ -232,10 +240,7 @@ impl Client {
     /// # Errors
     /// [`NetError::Remote`] with `NO_MATCH` or `AMBIGUOUS_MATCH`.
     pub fn reset(&mut self, probe: Vec<i64>) -> Result<UserId, NetError> {
-        match self.call(&Message::Reset { probe })? {
-            ResponseBody::UserId(id) => Ok(id),
-            _ => Err(NetError::UnexpectedResponse("reset expects a user id")),
-        }
+        answer!(self.call(&Message::Reset { probe })?, ResponseBody::UserId(id) => id)
     }
 
     /// Targeted claimed-identity check: does `probe` match the record
@@ -245,13 +250,11 @@ impl Client {
     /// [`NetError::Remote`] with `UNKNOWN_USER` when `id` is not
     /// enrolled.
     pub fn authenticate_claimed(&mut self, id: &str, probe: Vec<i64>) -> Result<bool, NetError> {
-        match self.call(&Message::AuthenticateClaimed {
+        let msg = Message::AuthenticateClaimed {
             id: id.to_owned(),
             probe,
-        })? {
-            ResponseBody::Flag(v) => Ok(v),
-            _ => Err(NetError::UnexpectedResponse("expected a flag")),
-        }
+        };
+        answer!(self.call(&msg)?, ResponseBody::Flag(v) => v)
     }
 
     /// Subset uniqueness check: is `probe` distinct from every record in
@@ -265,17 +268,8 @@ impl Client {
         probe: Vec<i64>,
         ids: Vec<UserId>,
     ) -> Result<bool, NetError> {
-        match self.call(&Message::CheckLocalUniqueness { probe, ids })? {
-            ResponseBody::Flag(v) => Ok(v),
-            _ => Err(NetError::UnexpectedResponse("expected a flag")),
-        }
-    }
-
-    fn expect_empty(&mut self, msg: &Message) -> Result<(), NetError> {
-        match self.call(msg)? {
-            ResponseBody::Empty => Ok(()),
-            _ => Err(NetError::UnexpectedResponse("expected an empty ack")),
-        }
+        let msg = Message::CheckLocalUniqueness { probe, ids };
+        answer!(self.call(&msg)?, ResponseBody::Flag(v) => v)
     }
 }
 

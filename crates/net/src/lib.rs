@@ -22,11 +22,14 @@
 //! * [`envelope`] — request ids and self-describing response bodies
 //!   inside each frame; the request payload *is* a wire message.
 //! * [`server`] — [`NetServer`]: accept loop, per-connection
-//!   reader/writer thread pairs, dispatch into a
+//!   reader/writer thread pairs, identification submitted to a
 //!   [`ScheduledServer`](fe_protocol::scheduler::ScheduledServer) so
 //!   wire traffic shares the micro-batching admission queue — and its
-//!   fail-fast `OVERLOADED` backpressure — with in-process callers.
-//! * [`client`] — [`Client`]: synchronous calls over one connection.
+//!   fail-fast `OVERLOADED` backpressure — with in-process callers;
+//!   every other request answered by [`server::apply`], the one
+//!   mapping from an op to its `SharedServer` method and answer kind.
+//! * [`client`] — [`Client`]: synchronous calls over one connection,
+//!   one method per op.
 //!
 //! # No new dependencies
 //!

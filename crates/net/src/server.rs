@@ -1,5 +1,6 @@
 //! The threaded TCP front door: accept loop, per-connection reader and
-//! writer threads, request dispatch into a [`ScheduledServer`].
+//! writer threads, request dispatch into a [`ScheduledServer`], and
+//! [`apply`], the one mapping from an unscheduled op to its answer.
 //!
 //! # Thread model
 //!
@@ -73,6 +74,8 @@ use crate::error::{ErrorCode, WireError};
 use crate::frame::{encode_frame, read_frame_event, write_frame, FrameEvent, DEFAULT_MAX_FRAME};
 use crate::handshake::{self, HandshakeStatus, NET_VERSION};
 use fe_core::codec::{Fingerprint, Writer};
+use fe_core::EpochIndex;
+use fe_protocol::concurrent::SharedServer;
 use fe_protocol::scheduler::{IdentifyTicket, ScheduledServer};
 use fe_protocol::wire::Message;
 use fe_protocol::{IdentChallenge, ProtocolError};
@@ -188,7 +191,7 @@ impl NetMetrics {
 /// Scheduler tickets ride unresolved so the reader can keep admitting
 /// while the writer blocks on results.
 enum Reply {
-    /// Already resolved at dispatch (write ops, errors, sheds).
+    /// Already resolved at dispatch ([`apply`]'d ops, errors, sheds).
     Ready(u64, Response),
     /// A scheduled identification awaiting its micro-batch.
     Ticket(u64, IdentifyTicket),
@@ -472,14 +475,9 @@ fn serve_connection(
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Maps a protocol-level result into the wire response.
-fn to_response(result: Result<ResponseBody, ProtocolError>) -> Response {
-    result.map_err(|e| WireError::from_protocol(&e))
-}
-
 /// Dispatches one decoded request. Identification rides the scheduler
-/// (tickets resolve in the writer); every other op is synchronous on
-/// the wrapped server — none of them scan-bound.
+/// (tickets resolve in the writer); every other request is [`apply`]'d
+/// on this reader thread.
 fn dispatch(scheduler: &ScheduledServer, id: u64, msg: Message) -> Reply {
     match msg {
         Message::Identify { probe } => match scheduler.submit(probe) {
@@ -490,70 +488,54 @@ fn dispatch(scheduler: &ScheduledServer, id: u64, msg: Message) -> Reply {
             let tickets = probes.into_iter().map(|p| scheduler.submit(p)).collect();
             Reply::Batch(id, tickets)
         }
-        Message::Enroll(record) => Reply::Ready(
+        op => Reply::Ready(
             id,
-            to_response(
-                scheduler
-                    .server()
-                    .enroll(record)
-                    .map(|()| ResponseBody::Empty),
-            ),
+            apply(scheduler.server(), op).map_err(|e| WireError::from_protocol(&e)),
         ),
-        Message::EnrollUnique(record) => Reply::Ready(
-            id,
-            to_response(
-                scheduler
-                    .server()
-                    .enroll_unique(record)
-                    .map(|()| ResponseBody::Empty),
-            ),
-        ),
-        Message::Revoke { id: user } => Reply::Ready(
-            id,
-            to_response(
-                scheduler
-                    .server()
-                    .revoke(&user)
-                    .map(|()| ResponseBody::Empty),
-            ),
-        ),
-        Message::Reset { probe } => Reply::Ready(
-            id,
-            to_response(scheduler.server().reset(&probe).map(ResponseBody::UserId)),
-        ),
-        Message::AuthenticateClaimed { id: user, probe } => Reply::Ready(
-            id,
-            to_response(
-                scheduler
-                    .server()
-                    .authenticate_claimed(&user, &probe)
-                    .map(ResponseBody::Flag),
-            ),
-        ),
-        Message::CheckLocalUniqueness { probe, ids } => Reply::Ready(
-            id,
-            to_response(
-                scheduler
-                    .server()
-                    .check_local_uniqueness(&probe, &ids)
-                    .map(ResponseBody::Flag),
-            ),
-        ),
-        Message::Response(response) => Reply::Ready(
-            id,
-            to_response(
-                scheduler
-                    .server()
-                    .finish_identification(&response)
-                    .map(ResponseBody::Outcome),
-            ),
-        ),
-        Message::Challenge(_) | Message::Outcome(_) => Reply::Ready(
-            id,
-            Err(WireError::from_protocol(&ProtocolError::Malformed(
-                "response-only message sent as a request",
-            ))),
-        ),
+    }
+}
+
+/// Answers one unscheduled request on `server` with the kind
+/// `PROTOCOL.md` § 5 names for it. This is the one place an op meets
+/// its `SharedServer` method: a connection's reader calls it for every
+/// request but the two identifications, and a new op is one arm here.
+///
+/// Four of these ops sweep the index: `Reset` and `EnrollUnique` every
+/// shard, `AuthenticateClaimed` and `CheckLocalUniqueness` a sweep
+/// masked to the records their ids name. The front door runs them on
+/// the connection's reader thread, outside the scheduler's admission
+/// queue: nothing sheds them, and at most one such sweep runs per
+/// connection at a time.
+///
+/// # Errors
+/// The op's own [`ProtocolError`]; [`ProtocolError::Malformed`] for
+/// `Identify` and `IdentifyBatch`, which are scheduled
+/// ([`ScheduledServer::submit`]), and for the response-only `Challenge`
+/// and `Outcome`.
+pub fn apply(
+    server: &SharedServer<EpochIndex>,
+    op: Message,
+) -> Result<ResponseBody, ProtocolError> {
+    match op {
+        Message::Enroll(record) => server.enroll(record).map(|()| ResponseBody::Empty),
+        Message::EnrollUnique(record) => server.enroll_unique(record).map(|()| ResponseBody::Empty),
+        Message::Revoke { id } => server.revoke(&id).map(|()| ResponseBody::Empty),
+        Message::Reset { probe } => server.reset(&probe).map(ResponseBody::UserId),
+        Message::AuthenticateClaimed { id, probe } => server
+            .authenticate_claimed(&id, &probe)
+            .map(ResponseBody::Flag),
+        Message::CheckLocalUniqueness { probe, ids } => server
+            .check_local_uniqueness(&probe, &ids)
+            .map(ResponseBody::Flag),
+        Message::Response(response) => server
+            .finish_identification(&response)
+            .map(ResponseBody::Outcome),
+        Message::Identify { .. } | Message::IdentifyBatch { .. } => {
+            Err(ProtocolError::Malformed("identification is scheduled"))
+        }
+        Message::Challenge(_) | Message::Outcome(_) => Err(ProtocolError::Malformed(
+            "response-only message sent as a request",
+        )),
     }
 }
 

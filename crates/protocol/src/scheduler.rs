@@ -30,21 +30,20 @@
 //! A non-zero [`SchedulerConfig::max_delay`] holds a batch open instead
 //! until it fills or its oldest request has waited that long.
 //!
-//! # Batching is overload control, not a speedup dial
+//! # Batching saves sweeps only beyond cache; it always bounds overload
 //!
-//! With the vectorized, prefiltered scan kernel, batching buys little
-//! *throughput* on a warm server: a probe of a batch of 32 costs
-//! `core.index.batch32_us_per_probe` 60 µs against a lone
-//! `find_first_miss_us` of 66 µs at 10⁵ rows in `fe-benchmark`, and at
-//! concurrency 8 the scheduler serves 1.0–1.7× what direct calls do
-//! (DESIGN.md "Request scheduling"). One probe already streams the
-//! arena at close to memory bandwidth, so coalescing probes no longer
-//! multiplies throughput the way it did against the scalar kernel.
-//! What batching still buys — and why the scheduler stays in front of
-//! the server — is **overload behaviour**:
-//! bounded admission, fail-fast shedding, one queue discipline instead
-//! of a thundering herd of callers, and a per-request latency bound
-//! under load (`1/max_batch` of a sweep instead of a whole sweep).
+//! What a batch saves is the plane's trips from memory, so it saves
+//! only where the plane does not fit in cache (DESIGN.md "What batching
+//! saves", bit-sliced walk, paper rows of 64): at 10⁶ rows a lone probe
+//! reads 0.75–1.04 ns a row and a batch of 32 0.40–0.68, about half
+//! the sweep; at 10⁵ rows, where the whole plane is in cache, batches
+//! of 1, 10 and 32 all read 0.45–0.49. So on a small or warm
+//! population the scheduler is no throughput dial. What it buys at any
+//! size — and why it stays in front of the server — is **overload
+//! behaviour**: bounded admission, fail-fast shedding, one queue
+//! discipline instead of a thundering herd of callers, and a
+//! per-request latency bound under load (`1/max_batch` of a sweep
+//! instead of a whole sweep).
 //!
 //! # One level of parallelism
 //!
@@ -231,9 +230,13 @@ impl IdentifyTicket {
 /// Identification goes through the scheduler
 /// ([`ScheduledServer::identify`] / [`ScheduledServer::submit`]);
 /// everything else — enrollment, revocation, phase-2 verification,
-/// session cancellation — goes to the wrapped server directly via
-/// [`ScheduledServer::server`] (those paths are not scan-bound, so
-/// batching them buys nothing).
+/// session cancellation, reset, the claimed and local checks — goes to
+/// the wrapped server directly via [`ScheduledServer::server`], on the
+/// caller's thread and outside admission. Four of those sweep the
+/// index: [`SharedServer::reset`] and [`SharedServer::enroll_unique`]
+/// every shard, [`SharedServer::authenticate_claimed`] and
+/// [`SharedServer::check_local_uniqueness`] a masked subset. Nothing
+/// queues or sheds them; a caller runs one at a time.
 ///
 /// Dropping the scheduler shuts it down cleanly: workers drain the
 /// queue (every admitted request still gets its result) and exit.

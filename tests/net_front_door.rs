@@ -9,12 +9,15 @@
 use fuzzy_id::net::envelope;
 use fuzzy_id::net::frame::{read_frame, write_frame, FRAME_HEADER};
 use fuzzy_id::net::handshake::{self, client_handshake, HandshakeStatus, NET_VERSION};
+use fuzzy_id::net::server::apply;
 use fuzzy_id::net::{
-    Client, ErrorCode, NetConfig, NetError, NetServer, ResponseBody, DEFAULT_MAX_FRAME,
+    Client, ErrorCode, NetConfig, NetError, NetServer, ResponseBody, WireError, DEFAULT_MAX_FRAME,
 };
 use fuzzy_id::protocol::scheduler::{ScheduledServer, SchedulerConfig};
 use fuzzy_id::protocol::wire::Message;
-use fuzzy_id::protocol::{BiometricDevice, IdentOutcome, SystemParams};
+use fuzzy_id::protocol::{
+    BiometricDevice, IdentChallenge, IdentOutcome, ProtocolError, SystemParams,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::io::Write;
@@ -169,6 +172,204 @@ fn every_server_op_roundtrips_over_the_wire() {
     }
 
     server.shutdown();
+}
+
+/// An answer as the op set's three paths are compared: the body, or the
+/// wire error code.
+type Answer = Result<ResponseBody, ErrorCode>;
+
+fn code(e: ProtocolError) -> ErrorCode {
+    WireError::from_protocol(&e).code
+}
+
+/// One seeded script of every unscheduled op, run through `op`; returns
+/// the answers in order. `op` also takes the `Identify` that opens each
+/// `Response`'s session, whose challenge is left out of the answers
+/// (its session id and nonce are the scheduler's draws).
+fn op_script(op: &mut dyn FnMut(Message) -> Answer) -> Vec<Answer> {
+    let params = SystemParams::insecure_test_defaults();
+    let device = BiometricDevice::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(0x0B5E);
+    let line = params.sketch().line();
+    let (alice, bob, stranger) = (
+        line.random_vector(DIM, &mut rng),
+        line.random_vector(DIM, &mut rng),
+        line.random_vector(DIM, &mut rng),
+    );
+    let mut enroll = |id: &str, bio: &[i64]| device.enroll(id, bio, &mut rng).unwrap();
+    let (a, b, again, twin) = (
+        enroll("alice", &alice),
+        enroll("bob", &bob),
+        enroll("alice-again", &alice),
+        enroll("alice-twin", &alice),
+    );
+    let probe = device.probe_sketch(&alice, &mut rng).unwrap();
+    let miss = device.probe_sketch(&stranger, &mut rng).unwrap();
+    let pair = || vec!["alice".to_owned(), "bob".to_owned()];
+    let claim = |id: &str| Message::AuthenticateClaimed {
+        id: id.into(),
+        probe: probe.clone(),
+    };
+
+    let mut answers = vec![
+        op(Message::Enroll(a)),
+        op(Message::Enroll(b)),
+        op(Message::EnrollUnique(again)),
+        op(Message::Reset {
+            probe: probe.clone(),
+        }),
+        op(Message::Reset {
+            probe: miss.clone(),
+        }),
+        op(claim("alice")),
+        op(claim("bob")),
+        op(claim("nobody")),
+        op(Message::CheckLocalUniqueness {
+            probe: probe.clone(),
+            ids: pair(),
+        }),
+        op(Message::CheckLocalUniqueness {
+            probe: miss,
+            ids: pair(),
+        }),
+    ];
+    for forge in [false, true] {
+        let Ok(ResponseBody::Challenge(challenge)) = op(Message::Identify {
+            probe: probe.clone(),
+        }) else {
+            panic!("alice's probe opens a session");
+        };
+        let mut response = device.respond(&alice, &challenge, &mut rng).unwrap();
+        if forge {
+            response.signature[0] ^= 0xFF;
+        }
+        answers.push(op(Message::Response(response)));
+    }
+    answers.extend([
+        op(Message::Enroll(twin)),
+        op(Message::Reset { probe }),
+        op(Message::Revoke {
+            id: "alice-twin".into(),
+        }),
+        op(Message::Revoke {
+            id: "alice-twin".into(),
+        }),
+    ]);
+    answers
+}
+
+/// The one op set: the seeded script answers alike, op for op, through
+/// the named `SharedServer` methods, through `apply`, and through
+/// `Client` over the wire, each on its own stack built alike; and
+/// `apply` refuses the scheduled and the response-only tags.
+#[test]
+fn the_op_set_answers_alike_by_name_by_apply_and_over_the_wire() {
+    let seed = 0x0B5E7;
+    let (_, by_name, _door, ..) = stack(1024, NetConfig::default(), seed);
+    let named = op_script(&mut |msg| {
+        let server = by_name.server();
+        match msg {
+            Message::Identify { probe } => by_name.identify(probe).map(ResponseBody::Challenge),
+            Message::Enroll(record) => server.enroll(record).map(|()| ResponseBody::Empty),
+            Message::EnrollUnique(record) => {
+                server.enroll_unique(record).map(|()| ResponseBody::Empty)
+            }
+            Message::Revoke { id } => server.revoke(&id).map(|()| ResponseBody::Empty),
+            Message::Reset { probe } => server.reset(&probe).map(ResponseBody::UserId),
+            Message::AuthenticateClaimed { id, probe } => server
+                .authenticate_claimed(&id, &probe)
+                .map(ResponseBody::Flag),
+            Message::CheckLocalUniqueness { probe, ids } => server
+                .check_local_uniqueness(&probe, &ids)
+                .map(ResponseBody::Flag),
+            Message::Response(response) => server
+                .finish_identification(&response)
+                .map(ResponseBody::Outcome),
+            other => panic!("not in the script: {other:?}"),
+        }
+        .map_err(code)
+    });
+
+    let (_, by_apply, _door, ..) = stack(1024, NetConfig::default(), seed);
+    let applied = op_script(&mut |msg| {
+        match msg {
+            Message::Identify { probe } => by_apply.identify(probe).map(ResponseBody::Challenge),
+            op => apply(by_apply.server(), op),
+        }
+        .map_err(code)
+    });
+
+    let (params, _sched, door, ..) = stack(1024, NetConfig::default(), seed);
+    let mut client = Client::connect(door.local_addr(), &params).unwrap();
+    let wired = op_script(&mut |msg| {
+        match msg {
+            Message::Identify { probe } => client.identify(probe).map(ResponseBody::Challenge),
+            Message::Enroll(record) => client.enroll(record).map(|()| ResponseBody::Empty),
+            Message::EnrollUnique(record) => {
+                client.enroll_unique(record).map(|()| ResponseBody::Empty)
+            }
+            Message::Revoke { id } => client.revoke(&id).map(|()| ResponseBody::Empty),
+            Message::Reset { probe } => client.reset(probe).map(ResponseBody::UserId),
+            Message::AuthenticateClaimed { id, probe } => client
+                .authenticate_claimed(&id, probe)
+                .map(ResponseBody::Flag),
+            Message::CheckLocalUniqueness { probe, ids } => client
+                .check_local_uniqueness(probe, ids)
+                .map(ResponseBody::Flag),
+            Message::Response(response) => client
+                .finish_identification(&response)
+                .map(ResponseBody::Outcome),
+            other => panic!("not in the script: {other:?}"),
+        }
+        .map_err(|e| match e {
+            NetError::Remote(e) => e.code,
+            other => panic!("a transport failure: {other}"),
+        })
+    });
+
+    use ResponseBody::{Empty, Flag, Outcome, UserId};
+    let expected: Vec<Answer> = vec![
+        Ok(Empty),
+        Ok(Empty),
+        Err(ErrorCode::DuplicateBiometric),
+        Ok(UserId("alice".into())),
+        Err(ErrorCode::NoMatch),
+        Ok(Flag(true)),
+        Ok(Flag(false)),
+        Err(ErrorCode::UnknownUser),
+        Ok(Flag(false)),
+        Ok(Flag(true)),
+        Ok(Outcome(IdentOutcome::Identified("alice".into()))),
+        Ok(Outcome(IdentOutcome::Rejected)),
+        Ok(Empty),
+        Err(ErrorCode::AmbiguousMatch),
+        Ok(Empty),
+        Err(ErrorCode::UnknownUser),
+    ];
+    assert_eq!(named, expected, "the named methods");
+    assert_eq!(applied, named, "apply against the named methods");
+    assert_eq!(wired, named, "Client against the named methods");
+
+    let params = SystemParams::insecure_test_defaults();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bio = params.sketch().line().random_vector(DIM, &mut rng);
+    let record = BiometricDevice::new(params.clone())
+        .enroll("carol", &bio, &mut rng)
+        .unwrap();
+    let challenge = IdentChallenge {
+        session: 1,
+        helper: record.helper,
+        challenge: 2,
+    };
+    for scheduled in [
+        Message::Identify { probe: bio.clone() },
+        Message::IdentifyBatch { probes: vec![bio] },
+        Message::Challenge(challenge),
+        Message::Outcome(IdentOutcome::Rejected),
+    ] {
+        let answer = apply(by_apply.server(), scheduled.clone()).map_err(code);
+        assert_eq!(answer, Err(ErrorCode::Malformed), "{scheduled:?}");
+    }
 }
 
 #[test]
